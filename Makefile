@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install lint test test-all bench bench-quick bench-hotpath bench-fusion bench-zerocopy bench-engine bench-hier bench-hetero bench-online-tune bench-all check-gates scale-smoke trace-smoke hier-smoke hetero-smoke elastic-smoke report examples tune clean
+.PHONY: install lint test test-all bench bench-quick bench-hotpath bench-fusion bench-zerocopy bench-hier bench-hetero bench-online-tune bench-all check-gates scale-smoke trace-smoke hier-smoke hetero-smoke elastic-smoke report examples tune clean
 
 install:
 	pip install -e .
@@ -42,10 +42,6 @@ bench-fusion:
 bench-zerocopy:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_zero_copy.py
 
-# thread vs cooperative scheduler at 64 -> 4096 ranks (several minutes)
-bench-engine:
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_engine_scale.py
-
 # flat vs node-leader vs pipelined hierarchy at 8 -> 512 ranks
 # (several minutes; the 512-rank legs dominate)
 bench-hier:
@@ -60,8 +56,9 @@ bench-hetero:
 bench-online-tune:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_online_tune.py
 
-# refresh every committed BENCH_*.json in one go
-bench-all: bench-hotpath bench-fusion bench-zerocopy bench-engine bench-hier bench-hetero bench-online-tune
+# refresh every committed BENCH_*.json in one go (BENCH_engine_scale.json
+# is history: its thread-scheduler arm no longer exists)
+bench-all: bench-hotpath bench-fusion bench-zerocopy bench-hier bench-hetero bench-online-tune
 
 # tier-1 suite with each fast-path gate individually toggled: every
 # optimisation must be pure wall-clock, invisible to results
@@ -70,20 +67,19 @@ check-gates:
 	MPIX_GROUP_FUSION=0 $(PYTHON) -m pytest tests/ -x -q
 	MPIX_ZERO_COPY=0 $(PYTHON) -m pytest tests/ -x -q
 	MPIX_TRACE=1 $(PYTHON) -m pytest tests/ -x -q
-	MPIX_COOP_SCHED=1 $(PYTHON) -m pytest tests/ -x -q
 	MPIX_HIER_PIPE=1 $(PYTHON) -m pytest tests/ -x -q
 	MPIX_HETERO=1 $(PYTHON) -m pytest tests/ -x -q
 	MPIX_ONLINE_TUNE=1 $(PYTHON) -m pytest tests/ -x -q
 	MPIX_ELASTIC=1 $(PYTHON) -m pytest tests/ -x -q
 
 # fast CI leg: a 256-rank oversubscribed job must stay quick and
-# bit-identical under both rank schedulers
+# bit-identical run to run, and a deadlock must be reported at once
 scale-smoke:
 	PYTHONPATH=src $(PYTHON) -m pytest \
-		tests/test_engine_scale.py::test_scale_smoke_256_both_schedulers \
+		tests/test_engine_scale.py::test_scale_smoke_256 \
 		tests/test_engine_scale.py::test_coop_exact_deadlock_detected_fast \
 		-q
-	MPIX_COOP_SCHED=1 PYTHONPATH=src $(PYTHON) -m repro.omb.cli barrier \
+	PYTHONPATH=src $(PYTHON) -m repro.omb.cli barrier \
 		--system thetagpu --nodes 4 --ranks 256 --sizes 4:4 \
 		--iterations 2 --warmup 1
 
@@ -102,7 +98,7 @@ trace-smoke:
 # validated end to end (routing counters + trace well-formedness)
 HIER_SMOKE ?= /tmp/mpix-hier-smoke.json
 hier-smoke:
-	MPIX_HIER_PIPE=1 MPIX_COOP_SCHED=1 PYTHONPATH=src \
+	MPIX_HIER_PIPE=1 PYTHONPATH=src \
 		$(PYTHON) -m repro.omb.cli allreduce bcast \
 		--system thetagpu --topology 4x8 --nics 8 \
 		--sizes 2M:8M --iterations 2 --warmup 1 --stats \
@@ -115,7 +111,7 @@ hier-smoke:
 # summarized (per-island bytes table included)
 HETERO_SMOKE ?= /tmp/mpix-hetero-smoke.json
 hetero-smoke:
-	MPIX_HETERO=1 MPIX_COOP_SCHED=1 PYTHONPATH=src \
+	MPIX_HETERO=1 PYTHONPATH=src \
 		$(PYTHON) -m repro.omb.cli allreduce bcast \
 		--vendors nvidia:2,amd:2 \
 		--sizes 256K:4M --iterations 2 --warmup 1 --stats \

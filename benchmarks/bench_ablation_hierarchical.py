@@ -60,19 +60,17 @@ def _body(arm):
 def _sweep():
     out = {}
     prev_hier = fastpath.gate_enabled("hier_pipe")
-    prev_coop = fastpath.gate_enabled("coop_sched")
     try:
         for nranks, nodes in RANKS:
             cluster = make_system("thetagpu", nodes, nics=NICS)
             for arm in ARMS:
-                fastpath.configure(coop_sched=True,
-                                   hier_pipe=(arm == "hier"))
+                fastpath.configure(hier_pipe=(arm == "hier"))
                 per_rank = runtime.run(_body(arm), system=cluster,
                                        nranks=nranks)
                 for size in SIZES:
                     out[(arm, nranks, size)] = max(p[size] for p in per_rank)
     finally:
-        fastpath.configure(coop_sched=prev_coop, hier_pipe=prev_hier)
+        fastpath.configure(hier_pipe=prev_hier)
     return out
 
 
@@ -90,7 +88,7 @@ def test_flat_vs_leader_vs_hier(benchmark):
     assert below < 2 << 20, "smallest size must sit below the threshold"
     for nranks, _ in RANKS:
         # below the routing threshold the gate must be inert: the hier
-        # arm re-runs the identical flat schedule (coop scheduling is
+        # arm re-runs the identical flat schedule (rank scheduling is
         # deterministic, so the virtual times agree exactly)
         assert out[("hier", nranks, below)] == out[("flat", nranks, below)]
         for size in SIZES:

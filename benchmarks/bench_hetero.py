@@ -77,7 +77,7 @@ def _run_arm(arm, nelem):
     from repro.core import runtime
     from repro.hw.systems import make_mixed_system
 
-    fastpath.configure(coop_sched=True, hetero=(arm == "bridge"))
+    fastpath.configure(hetero=(arm == "bridge"))
     fastpath.STATS.reset()
     cluster = make_mixed_system(VENDORS)
     t0 = time.perf_counter()

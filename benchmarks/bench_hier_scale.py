@@ -22,9 +22,7 @@ the node-leader arm.  Payloads are asserted bit-identical between the
 flat and hier arms at every scale (small-integer float32 sums are
 exact under any association order).
 
-The gate flips only *between* engine runs — each arm is one engine —
-and every arm runs under the cooperative rank scheduler
-(``MPIX_COOP_SCHED``), which is what keeps the 512-rank legs fast.
+The gate flips only *between* engine runs — each arm is one engine.
 
 Run with ``make bench-hier`` or::
 
@@ -111,7 +109,7 @@ def _run_arm(arm, nranks, nodes, nelem, iters):
     from repro.core import runtime
     from repro.hw.systems import make_system
 
-    fastpath.configure(coop_sched=True, hier_pipe=(arm == "hier"))
+    fastpath.configure(hier_pipe=(arm == "hier"))
     fastpath.STATS.reset()
     cluster = make_system(SYSTEM, nodes, nics=NICS)
     rpn = -(-nranks // nodes)
@@ -143,7 +141,6 @@ def main() -> None:
                    "iterations": ITERS},
         "rows": [],
     }
-    prev_coop = fastpath.gate_enabled("coop_sched")
     prev_hier = fastpath.gate_enabled("hier_pipe")
     try:
         for nranks, nodes in SCALES:
@@ -186,7 +183,7 @@ def main() -> None:
                           for c in ("allreduce", "bcast")),
                       flush=True)
     finally:
-        fastpath.configure(coop_sched=prev_coop, hier_pipe=prev_hier)
+        fastpath.configure(hier_pipe=prev_hier)
 
     # acceptance: >= 1.5x over flat at 64 ranks on some inter-node
     # payload, and never worse than the node-leader arm at 512 ranks

@@ -77,7 +77,7 @@ def _run_arm(arm, table):
     from repro import fastpath
     from repro.core import runtime
 
-    fastpath.configure(coop_sched=True, online_tune=(arm == "tuned"))
+    fastpath.configure(online_tune=(arm == "tuned"))
     fastpath.STATS.reset()
     t0 = time.perf_counter()
     per_rank = runtime.run(_body, system="thetagpu", nodes=1,

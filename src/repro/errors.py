@@ -59,7 +59,8 @@ class RankFailedError(SimulationError):
 
 class DeadlockError(SimulationError):
     """Raised when every live rank is blocked and no message can ever
-    arrive (conservative detection via the engine watchdog)."""
+    arrive (the rank scheduler sees every live rank parked), or a wait
+    that can provably never complete (dead peer, revoked communicator)."""
 
 
 class RankKilledError(SimulationError):

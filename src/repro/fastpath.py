@@ -33,16 +33,8 @@ transport paths, CCL spans) without touching ``Engine(trace=True)``
 call sites.  Tracing is observation only — payloads and virtual times
 are bit-identical with the gate on or off.
 
-The cooperative rank scheduler (``MPIX_COOP_SCHED`` /
-:func:`set_coop_sched_enabled`) is the fifth gate, also default off:
-engines built with it on run ranks as run-queue fibers
-(:mod:`repro.sim.sched`) instead of freely scheduled polling OS
-threads — the mode that makes 1k–4k-rank jobs tractable.  Scheduling
-is wall-clock only: payloads and virtual times are bit-identical with
-the gate on or off.
-
 The pipelined hierarchical executor (``MPIX_HIER_PIPE`` /
-:func:`set_hier_pipe_enabled`) is the sixth gate, default off: the
+:func:`set_hier_pipe_enabled`) is the fifth gate, default off: the
 dispatch pipeline's route stage may decompose large multi-node
 allreduce / bcast / allgather / reduce_scatter calls into per-level
 plans (intra-node xCCL → striped inter-node phase → intra-node
@@ -54,7 +46,7 @@ stay bit-identical, and on single-node communicators the route is
 never chosen, so the gate is provably inert there.
 
 The mixed-vendor bridge route (``MPIX_HETERO`` /
-:func:`set_hetero_enabled`) is the seventh gate, default off: a
+:func:`set_hetero_enabled`) is the sixth gate, default off: a
 communicator whose ranks sit on devices from more than one vendor
 negotiates a capability intersection once at construction
 (:mod:`repro.xccl.caps`) and routes eligible collectives to the
@@ -66,7 +58,7 @@ communicators fall back to the plain MPI algorithms, and on
 single-vendor communicators the gate is provably inert.
 
 The online autotuner (``MPIX_ONLINE_TUNE`` /
-:func:`set_online_tune_enabled`) is the eighth gate, default off: the
+:func:`set_online_tune_enabled`) is the seventh gate, default off: the
 dispatch pipeline feeds measured per-(collective, size-bucket,
 comm-shape) latencies back into a per-communicator overlay on the
 static tuning table (:mod:`repro.core.online_tune`), and after a short
@@ -77,7 +69,7 @@ runs shorter than the warm-up never deviate from the static table, so
 the gate is provably inert on short jobs.
 
 Elastic fault tolerance (``MPIX_ELASTIC`` /
-:func:`set_elastic_enabled`) is the ninth gate, default off: ULFM-style
+:func:`set_elastic_enabled`) is the eighth gate, default off: ULFM-style
 ``Comm_revoke`` / ``Comm_agree`` / ``Comm_shrink`` on
 :class:`repro.mpi.communicator.Communicator`, with rank deaths injected
 by ``FaultPlan.kill`` surfacing as :class:`CommRevokedError` on the
@@ -85,7 +77,7 @@ survivors instead of tearing down the whole run.  With the gate off
 (and no kill rules installed) every path is byte-for-byte the old
 behavior — a dead rank still fails the run.
 
-All nine gates live in one registry (:data:`GATE_ENV`) keyed by the
+All eight gates live in one registry (:data:`GATE_ENV`) keyed by the
 dispatch-pipeline stage they toggle, and are queried through the single
 :func:`gate_enabled` choke point.  :func:`configure` flips any subset
 and returns the previous states (restore with ``configure(**prev)``);
@@ -110,7 +102,6 @@ GATE_ENV: Dict[str, str] = {
     "group_fusion": "MPIX_GROUP_FUSION",   # fused sendrecv-group transport
     "zero_copy": "MPIX_ZERO_COPY",         # payload handoff by view
     "trace": "MPIX_TRACE",                 # per-rank event tracing
-    "coop_sched": "MPIX_COOP_SCHED",       # cooperative rank scheduler
     "hier_pipe": "MPIX_HIER_PIPE",         # pipelined hierarchical route
     "hetero": "MPIX_HETERO",               # mixed-vendor bridge route
     "online_tune": "MPIX_ONLINE_TUNE",     # online tuning-table overlay
@@ -118,15 +109,14 @@ GATE_ENV: Dict[str, str] = {
 }
 
 #: gates that default off when their variable is unset (tracing costs
-#: memory per event, so it is opt-in; the cooperative scheduler changes
-#: the engine's execution model, so it is opt-in too; the hierarchical
-#: route changes multi-node virtual times, so it is opt-in as well,
-#: and so does the mixed-vendor bridge; the online tuner changes
-#: routing over time and the elastic error model changes failure
-#: semantics, so both are opt-in; the wall-clock gates default on).
-_GATE_DEFAULTS: Dict[str, str] = {"trace": "0", "coop_sched": "0",
-                                  "hier_pipe": "0", "hetero": "0",
-                                  "online_tune": "0", "elastic": "0"}
+#: memory per event, so it is opt-in; the hierarchical route changes
+#: multi-node virtual times, so it is opt-in as well, and so does the
+#: mixed-vendor bridge; the online tuner changes routing over time and
+#: the elastic error model changes failure semantics, so both are
+#: opt-in; the wall-clock gates default on).
+_GATE_DEFAULTS: Dict[str, str] = {"trace": "0", "hier_pipe": "0",
+                                  "hetero": "0", "online_tune": "0",
+                                  "elastic": "0"}
 
 
 def _env_gate(var: str, default: str = "1") -> bool:
@@ -153,7 +143,6 @@ def configure(plan_cache: Optional[bool] = None,
               group_fusion: Optional[bool] = None,
               zero_copy: Optional[bool] = None,
               trace: Optional[bool] = None,
-              coop_sched: Optional[bool] = None,
               hier_pipe: Optional[bool] = None,
               hetero: Optional[bool] = None,
               online_tune: Optional[bool] = None,
@@ -169,7 +158,6 @@ def configure(plan_cache: Optional[bool] = None,
                        ("group_fusion", group_fusion),
                        ("zero_copy", zero_copy),
                        ("trace", trace),
-                       ("coop_sched", coop_sched),
                        ("hier_pipe", hier_pipe),
                        ("hetero", hetero),
                        ("online_tune", online_tune),
@@ -228,23 +216,6 @@ def set_trace_enabled(flag: bool) -> bool:
     """Flip process-wide tracing on or off; returns the previous
     setting."""
     return configure(trace=flag)["trace"]
-
-
-def coop_sched_enabled() -> bool:
-    """Whether engines schedule ranks cooperatively
-    (``MPIX_COOP_SCHED``).
-
-    Engines constructed while this gate is on run their ranks as
-    run-queue fibers (:mod:`repro.sim.sched`) instead of freely
-    scheduled polling OS threads.  Scheduling is wall-clock only —
-    payloads and virtual times are bit-identical either way."""
-    return _gates["coop_sched"]
-
-
-def set_coop_sched_enabled(flag: bool) -> bool:
-    """Flip the cooperative scheduler on or off (affects engines
-    constructed afterwards); returns the previous setting."""
-    return configure(coop_sched=flag)["coop_sched"]
 
 
 def hier_pipe_enabled() -> bool:
@@ -346,8 +317,8 @@ class PlanStats:
         self.negotiations = 0       # once-per-comm capability negotiations
         self.route_bridge = 0       # execute stage ran the bridge plan
         self.bridge_hops = 0        # host-staged inter-island messages
-        #: cooperative-scheduler counters (MPIX_COOP_SCHED):
-        self.coop_runs = 0          # engine runs under the coop scheduler
+        #: rank-scheduler counters (:mod:`repro.sim.sched`):
+        self.coop_runs = 0          # engine runs
         self.coop_parks = 0         # fiber deschedules (blocked waits)
         self.coop_switches = 0      # run-token handoffs
         #: online-tuner counters (MPIX_ONLINE_TUNE):
@@ -451,9 +422,9 @@ class PlanStats:
             self.bridge_hops += hops
 
     def note_coop_run(self, parks: int, switches: int) -> None:
-        """Record one engine run under the cooperative scheduler (the
-        engine aggregates the scheduler's per-run totals here once, at
-        run end — no per-transition lock traffic)."""
+        """Record one engine run (the engine aggregates the scheduler's
+        per-run totals here once, at run end — no per-transition lock
+        traffic)."""
         with self._lock:
             self.coop_runs += 1
             self.coop_parks += parks

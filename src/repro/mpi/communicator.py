@@ -28,6 +28,7 @@ from repro.mpi.request import Request
 from repro.mpi.status import Status
 from repro.sim.engine import RankContext
 from repro.sim.mailbox import ANY_SOURCE, ANY_TAG
+from repro.sim.sched import yield_now
 
 #: sentinel for in-place collective input (``MPI_IN_PLACE``).
 IN_PLACE = object()
@@ -419,10 +420,15 @@ class Communicator:
         return status
 
     def Iprobe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Optional[Status]:
-        """Nonblocking probe."""
+        """Nonblocking probe.  A miss lets the other ranks run before
+        returning, so a ``while Iprobe() is None`` loop cannot starve
+        the sender it is waiting for."""
         self._check_live()
         src_world = source if source == ANY_SOURCE else self.world_rank(source)
-        return self.endpoint.probe(src_world, tag)
+        status = self.endpoint.probe(src_world, tag)
+        if status is None:
+            yield_now()
+        return status
 
     # -- persistent requests (MPI_Send_init / MPI_Recv_init) --------------------
 

@@ -117,10 +117,9 @@ class P2PEndpoint:
     def _abort_reason(self, peer_world: int) -> Optional[str]:
         """Why a blocking wait on ``peer_world`` can never complete, or
         None while it still can.  Passed to the mailbox so a receive
-        whose peer died (or whose communicator was revoked) fails
-        deterministically instead of waiting out the stall watchdog —
-        and, crucially, so a watchdog firing for *other* ranks' stalls
-        never has to double as this rank's escape hatch."""
+        whose peer died (or whose communicator was revoked) fails at
+        once with the reason — a deadlock verdict for *other* ranks'
+        waits never has to double as this rank's escape hatch."""
         eng = self.ctx.engine
         if not eng.dead_ranks and not eng._revoked:
             return None  # fault-free fast path: no locks taken
@@ -131,7 +130,7 @@ class P2PEndpoint:
         # a dead member elsewhere in the communicator dooms any
         # in-flight collective schedule this wait is part of, even when
         # the direct peer is alive (it is blocked on the dead rank,
-        # transitively) — fail now rather than chaining stall timeouts
+        # transitively) — fail now rather than chaining deadlock wakes
         group = eng._ctx_groups.get(self.ctx_id)
         if group:
             dead = eng.dead_ranks.intersection(group)

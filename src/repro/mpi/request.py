@@ -13,6 +13,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.errors import MPIError
 from repro.mpi.status import Status
+from repro.sim.sched import yield_now
 
 
 class Request:
@@ -39,7 +40,9 @@ class Request:
         return self._status  # type: ignore[return-value]
 
     def test(self) -> Tuple[bool, Optional[Status]]:
-        """Poll for completion without blocking."""
+        """Poll for completion without blocking.  "Not yet" lets the
+        other ranks run before returning, so a ``while not test()``
+        loop cannot starve the peer it is waiting for."""
         if self._done:
             return True, self._status
         status = self._complete(False)
@@ -47,6 +50,7 @@ class Request:
             self._status = status
             self._done = True
             return True, status
+        yield_now()
         return False, None
 
     @property

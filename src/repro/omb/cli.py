@@ -16,7 +16,7 @@ single ``--trace`` file cover the whole sweep.
 
 ``--ranks`` accepts a comma-separated list for rank-count scaling
 sweeps; counts beyond the cluster's device count oversubscribe nodes
-automatically (``MPIX_COOP_SCHED=1`` keeps 1k-4k-rank sweeps fast).
+automatically.
 
 ``--topology NODESxGPUS`` (e.g. ``8x8``) is shorthand for ``--nodes N
 --ranks-per-node G``; with ``--nics`` it builds multi-rail nodes, the

@@ -3,15 +3,14 @@
 :func:`run_spmd` is the ``mpiexec`` of this reproduction: it places
 ``nranks`` rank programs onto a cluster's accelerators (block,
 node-major — the paper's one-rank-per-device configuration), runs
-them, and returns their per-rank return values.  Ranks run either as
-freely scheduled OS threads (the default) or, under
-``MPIX_COOP_SCHED=1``, as cooperative run-queue fibers
-(:mod:`repro.sim.sched`) — the mode that keeps 1k-4k-rank jobs
-tractable.  Scheduling never changes payloads or virtual times.
+them, and returns their per-rank return values.  Ranks run as
+cooperative run-queue fibers under one run token
+(:mod:`repro.sim.sched`), so the interleaving — and with it every
+virtual time — is a pure function of the program.
 
 The engine also hosts :class:`CollectiveSlot` rendezvous objects: the
 mechanism by which a simulated CCL collective gathers every rank's
-buffer and virtual arrival time, lets exactly one thread compute the
+buffer and virtual arrival time, lets exactly one rank compute the
 result and its completion time, and distributes both to all parties.
 """
 
@@ -56,15 +55,14 @@ class CollectiveSlot:
             raise SimulationError(f"collective slot needs parties > 0, got {parties}")
         self.key = key
         self.parties = parties
-        self._monitor = monitor
         self._on_finish = on_finish
         #: hopelessness probe (``() -> Optional[str]``): a non-None
         #: reason means a party can never arrive (it died, or the
         #: owning communicator was revoked) and waiters raise
-        #: :class:`DeadlockError` immediately instead of stalling out
+        #: :class:`DeadlockError` immediately instead of parking
         self._abort = abort
         #: patient slots (the ULFM agree/shrink rendezvous) absorb a few
-        #: stall/deadlock firings instead of raising on the first one —
+        #: deadlock firings instead of raising on the first one —
         #: during elastic recovery survivors arrive staggered, after
         #: converting their own failures
         self._patient = patient
@@ -98,15 +96,13 @@ class CollectiveSlot:
         If ``compute`` raises, the exception is re-raised on **every**
         party (not just the computing one): the waiters are released
         immediately and raise the same exception object, instead of
-        hanging until the stall timeout turns the failure into a
-        misleading :class:`DeadlockError`.
+        a misleading :class:`DeadlockError` once everyone has parked.
         """
         with self._lock:
             if rank in self._payloads:
                 raise SimulationError(
                     f"rank {rank} arrived twice at collective {self.key!r}")
             self._payloads[rank] = payload
-            self._monitor.note_progress()
             if len(self._payloads) == self.parties:
                 try:
                     self._result = compute(self._payloads)
@@ -173,7 +169,6 @@ class CollectiveSlot:
         self._failed = True
         self._done = True
         self._payloads.clear()
-        self._monitor.note_progress()
         self._waitq.notify_all()
         if self._on_finish is not None:
             self._on_finish(self)
@@ -182,7 +177,6 @@ class CollectiveSlot:
         """Mark this party's consumption done; the last consumer runs
         ``cleanup`` and releases everyone.  Caller holds ``_lock``."""
         self._consumed += 1
-        self._monitor.note_progress()
         if self._consumed == self.parties:
             if cleanup is not None:
                 cleanup(result)
@@ -387,22 +381,14 @@ class Engine:
         #: how FaultPlan.kill rules attach to clocks that do not exist
         #: until the run starts
         self.context_hooks: List[Callable[[RankContext], None]] = []
-        self._configured_timeout_s = progress_timeout_s
+        # ranks run as fibers under one run token; their waits park and
+        # their deadlocks are detected exactly.  ``progress_timeout_s``
+        # only bounds waits made from outside a run (a test poking a
+        # mailbox from the main thread)
         self.monitor = ProgressMonitor(progress_timeout_s)
-        # MPIX_COOP_SCHED selects how ranks are scheduled: freely
-        # running OS threads with polling waits (the default), or
-        # run-queue fibers parked on explicit wait queues — the mode
-        # that keeps 1k-4k-rank jobs tractable.  Wall-clock only:
-        # payloads and virtual times are identical either way.
-        self.coop_sched = fastpath.gate_enabled("coop_sched")
-        if self.coop_sched:
-            self.scheduler: Optional[CoopScheduler] = CoopScheduler(self.monitor)
-            self._waitq_factory = (
-                lambda lock: CoopWaitq(lock, self.monitor, self.scheduler))
-        else:
-            self.scheduler = None
-            self._waitq_factory = (
-                lambda lock: ThreadWaitq(lock, self.monitor))
+        self.scheduler = CoopScheduler()
+        self._waitq_factory = (
+            lambda lock: CoopWaitq(lock, self.monitor, self.scheduler))
         self._patched_mailboxes = 0
         self._patch_lock = threading.Lock()
         self._mailboxes = [Mailbox(r, self.monitor, self._waitq_factory)
@@ -499,8 +485,9 @@ class Engine:
     def register_ctx_group(self, scope: Any, group) -> None:
         """Remember the world-rank group behind a communicator scope
         (an MPI ctx_id, or ``("xccl", uid)`` for a CCL communicator).
-        Blocked waits consult the registry to fail deterministically
-        once a member dies, instead of waiting out the stall watchdog."""
+        Blocked waits consult the registry to fail at once when a
+        member dies, instead of parking until the deadlock detector
+        fires."""
         with self._elastic_lock:
             self._ctx_groups[scope] = tuple(group)
 
@@ -534,10 +521,8 @@ class Engine:
 
         First revocation bumps the ``comm_revokes`` counter, purges the
         context's pending rendezvous slots (they can never complete —
-        a party is dead), clears a latched deadlock verdict so the
-        survivors' recovery collectives can run, and shrinks the stall
-        window so thread-scheduled peers still blocked on the dead rank
-        notice quickly.
+        a party is dead) and wakes every blocked receiver so its
+        hopelessness probe runs now.
         """
         with self._elastic_lock:
             if ctx_id in self._revoked:
@@ -556,11 +541,7 @@ class Engine:
             slot.poison(DeadlockError(
                 f"collective {slot.key!r} aborted: communicator "
                 f"{ctx_id!r} was revoked"))
-        self.monitor.timeout_s = min(self.monitor.timeout_s, 2.0)
-        self.monitor.deadlocked = False
-        self.monitor.note_progress()
-        # wake every blocked receiver so its hopelessness probe runs
-        # now (parked coop fibers never poll)
+        # parked fibers never poll: wake them to re-check
         for mb in self._mailboxes:
             mb.poke()
 
@@ -608,40 +589,21 @@ class Engine:
             self._ctx_groups.clear()
         results: List[Any] = [None] * self.nranks
         failures: Dict[int, BaseException] = {}
-        lock = threading.Lock()
 
         def runner(ctx: RankContext) -> None:
             try:
                 results[ctx.rank] = fn(ctx, *args, **kwargs)
             except BaseException as exc:  # noqa: BLE001 - reported to caller
-                with lock:
-                    failures[ctx.rank] = exc
-                # a failed rank can no longer make progress; let peers
-                # notice the stall quickly rather than after the timeout
-                self.monitor.timeout_s = min(self.monitor.timeout_s, 2.0)
+                # peers blocked on this rank find out when the last of
+                # them parks: exact deadlock detection wakes them all
+                failures[ctx.rank] = exc
 
-        # a previous failed run shrank the stall window (above) and may
-        # have latched the deadlock flag; every run starts fresh from
-        # the configured timeout
-        self.monitor.timeout_s = self._configured_timeout_s
-        self.monitor.deadlocked = False
-        self.monitor.note_progress()
-        if self.scheduler is not None:
-            sched = self.scheduler
-            sched.run_ranks([(ctx.rank, (lambda c=ctx: runner(c)))
-                             for ctx in self.contexts])
-            from repro import fastpath
-            fastpath.STATS.note_coop_run(sched.parks, sched.switches)
-        else:
-            threads = [threading.Thread(target=runner, args=(ctx,),
-                                        name=f"rank{ctx.rank}", daemon=True)
-                       for ctx in self.contexts]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
+        from repro import fastpath
+        sched = self.scheduler
+        sched.run_ranks([(ctx.rank, (lambda c=ctx: runner(c)))
+                         for ctx in self.contexts])
+        fastpath.STATS.note_coop_run(sched.parks, sched.switches)
         if failures:
-            from repro import fastpath
             if fastpath.gate_enabled("elastic") and \
                     all(isinstance(e, RankKilledError)
                         for e in failures.values()):

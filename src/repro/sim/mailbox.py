@@ -11,20 +11,16 @@ straight to its bucket instead of scanning every pending message, and
 wildcard receives resolve against per-message posting order so the
 "first posted wins" rule is unchanged.
 
-Blocking goes through a scheduler-selected wait queue
-(:mod:`repro.sim.sched`): under the default thread scheduler it is the
-adaptive condition-variable poll/backoff loop coordinating with the
-engine's :class:`ProgressMonitor` (a receiver that waits past the
-progress timeout without *any* rank making progress declares the run
-deadlocked instead of hanging the test suite); under
-``MPIX_COOP_SCHED`` a blocked receiver parks its fiber — a dict entry
-and a cleared event, no polling at all.
+Blocking goes through a wait queue from :mod:`repro.sim.sched`: inside
+an engine run a blocked receiver parks its fiber — a list entry and a
+held lock, no polling, deadlocks detected exactly; a standalone mailbox
+(or a caller that is not a rank) waits on a plain condition variable
+bounded by its :class:`ProgressMonitor`'s timeout.
 """
 
 from __future__ import annotations
 
 import threading
-import time as _walltime
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
@@ -38,38 +34,18 @@ ANY_TAG = -1
 
 
 class ProgressMonitor:
-    """Shared liveness tracker for one SPMD run.
+    """How long a wait made from *outside* an engine run may last.
 
-    Any communication progress (message post, rendezvous arrival)
-    bumps a wall-clock watermark.  A blocked thread that observes no
-    global progress for ``timeout_s`` raises :class:`DeadlockError`.
-    The timeout is wall-clock but only gates *error detection*; it never
-    influences measured virtual time.
+    Rank fibers never consult it: their waits park and their deadlocks
+    are detected exactly (:mod:`repro.sim.sched`).  A caller that is not
+    a fiber has no such detector, so its blocking receive raises
+    :class:`DeadlockError` after ``timeout_s`` wall seconds instead of
+    hanging the test suite.  Wall-clock, but it only gates *error
+    detection*; it never influences virtual time.
     """
 
     def __init__(self, timeout_s: float = 10.0) -> None:
         self.timeout_s = timeout_s
-        self._last = _walltime.monotonic()
-        self.deadlocked = False
-
-    def note_progress(self) -> None:
-        """Record that some rank made communication progress.
-
-        Progress also clears a latched deadlock verdict: the latch
-        exists to broadcast one stall to every blocked thread, but once
-        messages flow again (elastic recovery after a rank death) a
-        stale verdict must not keep poisoning healthy waits.
-        """
-        self._last = _walltime.monotonic()
-        self.deadlocked = False
-
-    def stalled(self) -> bool:
-        """True once the run has been silent past the timeout."""
-        if self.deadlocked:
-            return True
-        if _walltime.monotonic() - self._last > self.timeout_s:
-            self.deadlocked = True
-        return self.deadlocked
 
 
 @dataclass
@@ -155,21 +131,13 @@ class Mailbox:
     """One rank's matched-receive queue.
 
     ``waitq_factory`` (a ``lock -> waitq`` callable) selects the
-    blocking primitive; the engine passes the factory matching its
+    blocking primitive; the engine passes one that parks fibers on its
     scheduler.  Standalone mailboxes default to the thread waitq.
     """
-
-    #: steady-state polling interval while blocked (wall seconds); only
-    #: affects how quickly deadlocks are noticed, never virtual time.
-    POLL_S = _sched.POLL_S
-    #: first (and post-notify) wait: short, so receivers woken by a
-    #: fused burst resume almost immediately.
-    FIRST_POLL_S = _sched.FIRST_POLL_S
 
     def __init__(self, rank: int, monitor: ProgressMonitor,
                  waitq_factory: Optional[Callable] = None) -> None:
         self.rank = rank
-        self.monitor = monitor
         self._lock = threading.Lock()
         if waitq_factory is None:
             self._waitq = _sched.ThreadWaitq(self._lock, monitor)
@@ -219,7 +187,6 @@ class Mailbox:
         """Deliver ``msg`` (called from the sender's thread)."""
         with self._lock:
             self._enqueue(msg)
-            self.monitor.note_progress()
             self._waitq.notify_all()
 
     def post_many(self, msgs: Sequence[Message]) -> None:
@@ -238,7 +205,6 @@ class Mailbox:
         with self._lock:
             for msg in msgs:
                 self._enqueue(msg)
-            self.monitor.note_progress()
             self._waitq.notify_all()
 
     # -- matching ----------------------------------------------------------
@@ -320,8 +286,8 @@ class Mailbox:
         ``abort()``, when given, is re-checked alongside the queue: a
         non-None reason means the wait can never be satisfied (the peer
         died, the communicator was revoked) and the receive raises
-        :class:`DeadlockError` immediately — deterministic and prompt,
-        instead of waiting for the wall-clock stall watchdog.  Queued
+        :class:`DeadlockError` immediately, with the reason, instead of
+        parking until the deadlock detector fires.  Queued
         messages always win over an abort: anything the peer posted
         before dying is still deliverable.
         """

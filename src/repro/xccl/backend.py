@@ -376,8 +376,9 @@ class CCLBackend:
                                     "seq": seq})
                 outbound.setdefault(peer_world, []).append(msg)
                 nmsgs += 1
-                ctx.trace.record("ccl-send", t0, t0, peer=peer_world,
-                                 nbytes=nbytes, label=transport)
+                if ctx.trace.enabled:
+                    ctx.trace.record("ccl-send", t0, t0, peer=peer_world,
+                                     nbytes=nbytes, label=transport)
         else:
             for op in ops:
                 if op.kind != "send":
@@ -400,8 +401,9 @@ class CCLBackend:
                               meta={"kind": _MSG_KIND, "uid": comm.uid,
                                     "seq": seq})
                 ctx.mailbox_of(peer_world).post(msg)
-                ctx.trace.record("ccl-send", t0, t0, peer=peer_world,
-                                 nbytes=nbytes, label=transport)
+                if ctx.trace.enabled:
+                    ctx.trace.record("ccl-send", t0, t0, peer=peer_world,
+                                     nbytes=nbytes, label=transport)
 
         recv_ops = [op for op in ops if op.kind == "recv"]
         matched: List[Optional[Message]] = []
@@ -493,8 +495,8 @@ class CCLBackend:
     @staticmethod
     def _dead_peer_probe(ctx, peer_world: int):
         """Hopelessness probe for a blocking CCL receive: a dead peer
-        can never post, so the wait fails deterministically instead of
-        stalling out the watchdog."""
+        can never post, so the wait fails at once with the reason
+        instead of parking until the deadlock detector fires."""
         def probe():
             if peer_world in ctx.engine.dead_ranks:
                 return f"peer rank {peer_world} died"
@@ -509,14 +511,14 @@ class CCLBackend:
         max into its clock in one step).  ``transport`` labels the trace
         events with the delivery path the batch took."""
         for op, msg in pairs:
-            peer_world = op.comm.world_rank(op.peer)
             target = as_array(op.buf)[:op.count]
             target[...] = msg.data if msg.data.dtype == target.dtype \
                 else msg.data.astype(target.dtype)
             arrivals.append(msg.arrival_us)
-            ctx.trace.record("ccl-recv", msg.depart_us, msg.arrival_us,
-                             peer=peer_world, nbytes=msg.nbytes,
-                             label=transport)
+            if ctx.trace.enabled:
+                ctx.trace.record("ccl-recv", msg.depart_us, msg.arrival_us,
+                                 peer=op.comm.world_rank(op.peer),
+                                 nbytes=msg.nbytes, label=transport)
 
     # -- fused built-in collectives ------------------------------------------
 
@@ -562,8 +564,9 @@ class CCLBackend:
                                            cleanup=_cleanup)
         ctx.clock.merge(t_done)
         # key = ("xccl", uid, kind, seq) — see XCCLComm.next_coll_key
-        ctx.trace.record("ccl", t_deposit, ctx.now, nbytes=nbytes,
-                         label=label or f"{self.name}:{key[2]}")
+        if ctx.trace.enabled:
+            ctx.trace.record("ccl", t_deposit, ctx.now, nbytes=nbytes,
+                             label=label or f"{self.name}:{key[2]}")
         comm.stream.enqueue(0.0, ctx.now, label="ccl-coll")
         return result
 

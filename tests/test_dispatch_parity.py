@@ -10,15 +10,12 @@ contract:
   path, so every other combo is compared against it;
 * the MPI-algorithm fallback route (PURE_MPI mode) holds the same
   invariant;
-* the cooperative rank scheduler (``MPIX_COOP_SCHED``) produces the
-  same payloads and virtual times as the thread scheduler, on both
-  routes, under every gate combination;
 * the §3.2 capability checks live in exactly one place
   (``CollectivePipeline.capability``) and still produce the paper's
   fallbacks: HCCL is float-only, no CCL does double-complex;
 * the hierarchy gate (``MPIX_HIER_PIPE``) is provably inert on one
   node (payloads and times), changes only *times* across nodes, and
-  is scheduler-independent to the bit.
+  gives the same times in every fresh engine there.
 """
 
 from __future__ import annotations
@@ -34,9 +31,9 @@ from repro.core.dispatch import REGISTRY, CollectivePipeline
 from repro.core.fallback import FallbackReason, Route
 from repro.mpi.ops import SUM
 
-#: (system, backend, ranks) — one per CCL the paper ports.  Single-node
-#: runs are exactly reproducible, which is what makes bit-comparison
-#: valid.
+#: (system, backend, ranks) — one per CCL the paper ports.  Single-node,
+#: so no wire is contended and virtual times are equal *across* gate
+#: arms, not just run to run.
 STACKS = [
     ("thetagpu", None, 4),      # NCCL
     ("mri", None, 2),           # RCCL
@@ -114,9 +111,9 @@ def _twelve_collectives_body(mpx):
     return log
 
 
-def _run_under_gates(combo, body, coop=False, **kw):
+def _run_under_gates(combo, body, **kw):
     prev = fastpath.configure(plan_cache=combo[0], group_fusion=combo[1],
-                              zero_copy=combo[2], coop_sched=coop)
+                              zero_copy=combo[2])
     try:
         return runtime.run(body, nodes=1, **kw)
     finally:
@@ -160,38 +157,6 @@ def test_all_collectives_all_gates_bit_identical_ccl(system, backend, nranks):
     baseline = results[(False, False, False)]
     for combo in GATE_COMBOS[1:]:
         _assert_bit_identical(baseline, results[combo], combo, nranks)
-
-
-@pytest.mark.parametrize("system,backend,nranks", STACKS,
-                         ids=[f"{s}-{b or 'native'}" for s, b, _ in STACKS])
-def test_coop_scheduler_bit_identical_ccl(system, backend, nranks):
-    """The cooperative scheduler (``MPIX_COOP_SCHED``) against the
-    thread scheduler: payloads and virtual times bit-identical for all
-    12 collectives under every fast-path gate combination.  Scheduling
-    may only change *when wall-clock work happens*, never what a
-    collective computes or costs."""
-    baseline = _run_under_gates(
-        (False, False, False), _twelve_collectives_body, system=system,
-        ranks_per_node=nranks, backend=backend, mode=DispatchMode.PURE_XCCL)
-    for combo in GATE_COMBOS:
-        candidate = _run_under_gates(
-            combo, _twelve_collectives_body, coop=True, system=system,
-            ranks_per_node=nranks, backend=backend,
-            mode=DispatchMode.PURE_XCCL)
-        _assert_bit_identical(baseline, candidate, combo + ("coop",), nranks)
-
-
-def test_coop_scheduler_bit_identical_mpi_fallback():
-    """The same thread-vs-fiber invariant on the MPI-algorithm route,
-    whose point-to-point protocols block far more often per call."""
-    baseline = _run_under_gates(
-        (False, False, False), _twelve_collectives_body, system="thetagpu",
-        ranks_per_node=4, mode=DispatchMode.PURE_MPI)
-    for combo in GATE_COMBOS:
-        candidate = _run_under_gates(
-            combo, _twelve_collectives_body, coop=True, system="thetagpu",
-            ranks_per_node=4, mode=DispatchMode.PURE_MPI)
-        _assert_bit_identical(baseline, candidate, combo + ("coop",), 4)
 
 
 def test_all_collectives_all_gates_bit_identical_mpi_fallback():
@@ -363,11 +328,10 @@ def _hier_collectives_body(mpx):
     return log
 
 
-def _run_hier(hier, coop=False, combo=(True, True, True)):
+def _run_hier(hier, combo=(True, True, True)):
     from repro.hw.systems import make_system
     prev = fastpath.configure(plan_cache=combo[0], group_fusion=combo[1],
-                              zero_copy=combo[2], coop_sched=coop,
-                              hier_pipe=hier)
+                              zero_copy=combo[2], hier_pipe=hier)
     fastpath.STATS.reset()
     try:
         cluster = make_system("thetagpu", 2, nics=4)
@@ -413,14 +377,14 @@ def test_hier_multi_node_payload_parity():
                 f"hier: rank {rank} payload {i} differs from flat"
 
 
-def test_hier_multi_node_coop_bit_identical():
-    """With the hierarchy gate on, the cooperative scheduler must agree
-    with the thread scheduler to the bit — payloads and virtual
-    times — under every combination of the other gates."""
+def test_hier_multi_node_reproducible():
+    """With the hierarchy gate on, two fresh multi-node engines agree
+    to the bit — payloads and virtual times — with the other gates all
+    off and all on."""
     for combo in [(False, False, False), (True, True, True)]:
-        thread, _ = _run_hier(hier=True, combo=combo)
-        coop, _ = _run_hier(hier=True, coop=True, combo=combo)
-        for rank, (a, b) in enumerate(zip(thread, coop)):
+        first, _ = _run_hier(hier=True, combo=combo)
+        second, _ = _run_hier(hier=True, combo=combo)
+        for rank, (a, b) in enumerate(zip(first, second)):
             for i, ((da, ta), (db, tb)) in enumerate(zip(a, b)):
                 assert da == db, \
                     f"gates={combo}: rank {rank} payload {i} differs"
@@ -428,9 +392,9 @@ def test_hier_multi_node_coop_bit_identical():
                     f"gates={combo}: rank {rank} clock after op {i} differs"
 
 
-#: the full gate registry, in GATE_ENV order: 2^9 = 512 combinations.
+#: the full gate registry, in GATE_ENV order: 2^8 = 256 combinations.
 ALL_GATES = ("plan_cache", "group_fusion", "zero_copy", "trace",
-             "coop_sched", "hier_pipe", "hetero", "online_tune", "elastic")
+             "hier_pipe", "hetero", "online_tune", "elastic")
 
 
 def _run_under_all_gates(combo):
@@ -443,7 +407,7 @@ def _run_under_all_gates(combo):
 
 
 def _assert_all_gate_parity(combos):
-    baseline = _run_under_all_gates((False,) * 9)
+    baseline = _run_under_all_gates((False,) * len(ALL_GATES))
     for combo in combos:
         candidate = _run_under_all_gates(combo)
         _assert_bit_identical(baseline, candidate,
@@ -451,28 +415,27 @@ def _assert_all_gate_parity(combos):
 
 
 def test_new_gates_inert_fast():
-    """Fast CI leg of the 2^9 matrix: the online tuner (below its
+    """Fast CI leg of the 2^8 matrix: the online tuner (below its
     warm-up — each collective runs once per size here) and the elastic
     error model (no faults injected) must be provably inert, alone and
-    together, under either scheduler.  Payloads AND virtual times."""
+    together.  Payloads AND virtual times."""
     _assert_all_gate_parity([
-        (True, True, True, False, coop, False, False, tune, elastic)
+        (True, True, True, False, False, False, tune, elastic)
         for tune in (False, True)
-        for elastic in (False, True)
-        for coop in (False, True)])
+        for elastic in (False, True)])
 
 
 @pytest.mark.slow
-def test_all_nine_gates_bit_identical_full():
-    """The full 2^9 = 512 gate matrix: every combination of all nine
+def test_all_eight_gates_bit_identical_full():
+    """The full 2^8 = 256 gate matrix: every combination of all eight
     MPIX_* gates produces payloads and virtual times bit-identical to
     the all-off run on a single-node hybrid job.  Every gate is either
     pure wall-clock (plan cache, fusion, zero copy), observational
-    (trace), an execution-model swap (coop scheduler), inert off its
-    trigger (hier: one node; hetero: one vendor; online tuner: below
-    warm-up; elastic: no faults) — so the whole product is inert."""
+    (trace), or inert off its trigger (hier: one node; hetero: one
+    vendor; online tuner: below warm-up; elastic: no faults) — so the
+    whole product is inert."""
     _assert_all_gate_parity(
-        [c for c in itertools.product([False, True], repeat=9)
+        [c for c in itertools.product([False, True], repeat=len(ALL_GATES))
          if any(c)])
 
 

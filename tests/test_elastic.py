@@ -57,14 +57,12 @@ def _expect_sum(survivor_count):
 
 
 class TestElasticRecovery:
-    @pytest.mark.parametrize("coop", [False, True],
-                             ids=["thread-sched", "coop-sched"])
     @pytest.mark.parametrize("pre_iters,kill_at",
                              [(6, 60.0), (0, 0.0)],
                              ids=["mid-collective", "clean-death"])
-    def test_kill_revoke_shrink_recovers(self, thetagpu1, coop,
-                                         pre_iters, kill_at):
-        prev = fastpath.configure(elastic=True, coop_sched=coop)
+    def test_kill_revoke_shrink_recovers(self, thetagpu1, pre_iters,
+                                         kill_at):
+        prev = fastpath.configure(elastic=True)
         try:
             engine = Engine(thetagpu1, nranks=8, progress_timeout_s=2.0)
             injector = with_faults(engine,
@@ -88,12 +86,12 @@ class TestElasticRecovery:
         assert fastpath.STATS.comm_shrinks == 1
 
     def test_64_rank_recovery_bit_identical_to_dense_run(self):
-        """The ISSUE acceptance scenario: 64 ranks under the coop
-        scheduler, one killed mid-allreduce; after revoke -> agree ->
+        """The acceptance scenario: 64 ranks, one killed
+        mid-allreduce; after revoke -> agree ->
         shrink the 63 survivors' payloads are bit-identical to a fresh
         63-rank run of the same fixed schedule."""
         system = make_system("thetagpu", 8)
-        prev = fastpath.configure(elastic=True, coop_sched=True)
+        prev = fastpath.configure(elastic=True)
         try:
             engine = Engine(system, nranks=64, progress_timeout_s=3.0)
             with_faults(engine, FaultPlan().kill(17, after_us=60.0))
@@ -115,12 +113,8 @@ class TestElasticRecovery:
                 comm.Allreduce(buf, out, op=SUM)
             return out.array.copy()
 
-        prev = fastpath.configure(coop_sched=True)
-        try:
-            dense = Engine(make_system("thetagpu", 8), nranks=63,
-                           progress_timeout_s=3.0).run(dense_body)
-        finally:
-            fastpath.configure(**prev)
+        dense = Engine(make_system("thetagpu", 8), nranks=63,
+                       progress_timeout_s=3.0).run(dense_body)
         for r, ref in zip(survivors, dense):
             assert r[0].tobytes() == ref.tobytes()
 

@@ -1,20 +1,20 @@
 """Engine scale and scheduler behaviour.
 
-Pins the cooperative rank scheduler (``MPIX_COOP_SCHED``) and the
-failure-handling fixes that rode along with it:
+Pins the rank scheduler (:mod:`repro.sim.sched`) and the
+failure-handling that rides on it:
 
 * a 256-rank oversubscribed job (barrier + allreduce) completes within
-  a tight wall-clock budget under both schedulers, with bit-identical
+  a tight wall-clock budget, and two fresh engines agree bit-for-bit on
   payloads and virtual times;
+* a multi-node job on contended NIC wires gives the same per-rank
+  virtual clocks in every fresh engine;
 * a collective whose ``compute`` raises propagates that error to every
   party immediately — nobody hangs into a misleading
   :class:`DeadlockError`;
-* a failed run no longer permanently shrinks the engine's progress
-  timeout;
-* the cooperative scheduler detects a true deadlock *exactly* (all
-  fibers parked), long before the wall-clock stall timeout;
+* a true deadlock, and a rank that raises mid-collective, are both
+  reported the moment the last live rank parks — no wall-clock timeout;
 * traces keep the right rank/node attribution when ranks oversubscribe
-  nodes under the cooperative scheduler.
+  nodes.
 """
 
 from __future__ import annotations
@@ -48,8 +48,7 @@ def _smoke_body(ctx):
     return float(ctx.now), buf.array.tobytes()
 
 
-def _run_smoke(nranks: int, coop: bool):
-    fastpath.configure(coop_sched=coop)
+def _run_smoke(nranks: int):
     cluster = make_system("thetagpu", 4)
     rpn = -(-nranks // cluster.node_count)
     engine = Engine(cluster, nranks=nranks, ranks_per_node=rpn,
@@ -59,35 +58,56 @@ def _run_smoke(nranks: int, coop: bool):
     return time.perf_counter() - t0, results
 
 
-def test_scale_smoke_256_both_schedulers(restore_gates):
-    """256 oversubscribed ranks of barrier + allreduce: both schedulers
-    finish inside the budget and agree bit-for-bit on every rank's
+def test_scale_smoke_256():
+    """256 oversubscribed ranks of barrier + allreduce finish inside
+    the budget, and two fresh engines agree bit-for-bit on every rank's
     payload and completion time."""
-    wall_coop, coop = _run_smoke(256, coop=True)
-    wall_thread, thread = _run_smoke(256, coop=False)
-    # measured ~0.2s coop / ~0.4s thread on a loaded CI worker; 60s is
-    # a hang detector, not a perf assertion
-    assert wall_coop < 60.0
-    assert wall_thread < 60.0
-    assert coop == thread  # (virtual time, payload bytes) per rank
-    # the coop run actually scheduled fibers (and parked some: 256
-    # ranks rendezvousing through one slot cannot all arrive running)
-    snap = fastpath.STATS.snapshot()
-    # the thread run was last; its engine reset the counters, so check
-    # a fresh coop run's counters directly
-    fastpath.configure(coop_sched=True)
-    cluster = make_system("thetagpu", 4)
-    engine = Engine(cluster, nranks=64, ranks_per_node=16)
-    engine.run(_smoke_body)
+    wall_a, first = _run_smoke(256)
+    wall_b, second = _run_smoke(256)
+    # measured ~0.2s on a loaded CI worker; 60s is a hang detector, not
+    # a perf assertion
+    assert wall_a < 60.0
+    assert wall_b < 60.0
+    assert first == second  # (virtual time, payload bytes) per rank
+    # the run actually scheduled fibers (and parked some: 256 ranks
+    # rendezvousing through one slot cannot all arrive running)
     snap = fastpath.STATS.snapshot()
     assert snap["coop_runs"] == 1
     assert snap["coop_parks"] > 0
-    assert snap["coop_switches"] >= 64
+    assert snap["coop_switches"] >= 256
 
 
-def test_scale_smoke_256_coop_hier(restore_gates):
+def test_multinode_virtual_time_is_reproducible():
+    """8 nodes x 8 ranks on contended NIC wires: with one run token the
+    booking order of a shared wire is a function of the program, so two
+    fresh engines give every rank the same virtual clock to the bit."""
+    from repro.core import runtime
+
+    def body(mpx):
+        comm = mpx.COMM_WORLD
+        per_peer = (16 << 10) // 4
+        a2a_send = mpx.device_array(per_peer * comm.size, fill=1.0)
+        a2a_recv = mpx.device_array(per_peer * comm.size, fill=0.0)
+        comm.Alltoall(a2a_send, a2a_recv)
+        nelem = (4 << 20) // 4
+        send = mpx.device_array(nelem, fill=1.0)
+        recv = mpx.device_array(nelem, fill=0.0)
+        comm.Allreduce(send, recv)
+        return mpx.ctx.now, float(recv.array[0])
+
+    def once():
+        return runtime.run(body, system="thetagpu", nodes=8,
+                           ranks_per_node=8)
+
+    first, second = once(), once()
+    assert all(total == 64.0 for _, total in first)
+    assert len({now for now, _ in first}) > 1   # ranks do finish apart
+    assert first == second
+
+
+def test_scale_smoke_256_hier(restore_gates):
     """256 oversubscribed ranks through the full MPI stack with the
-    hierarchy gate on (``MPIX_HIER_PIPE`` + ``MPIX_COOP_SCHED``): the
+    hierarchy gate on (``MPIX_HIER_PIPE``): the
     striped executor holds up at scale, routes through the hierarchy,
     and sums correctly."""
     from repro.core import runtime
@@ -101,7 +121,7 @@ def test_scale_smoke_256_coop_hier(restore_gates):
         comm.Allreduce(send, recv)
         return float(recv.array[0]), float(recv.array[-1])
 
-    fastpath.configure(coop_sched=True, hier_pipe=True)
+    fastpath.configure(hier_pipe=True)
     fastpath.STATS.reset()
     cluster = make_system("thetagpu", 4, nics=8)
     t0 = time.perf_counter()
@@ -118,7 +138,7 @@ def test_scale_smoke_256_coop_hier(restore_gates):
 def test_collective_compute_failure_propagates():
     """Satellite: ``compute`` raising on the last-arriving rank must
     fail *every* party with the original error, not strand the others
-    until the stall timeout turns it into a DeadlockError."""
+    until deadlock detection turns it into a DeadlockError."""
     engine = Engine(make_system("thetagpu", 1), nranks=4,
                     progress_timeout_s=10.0)
 
@@ -139,8 +159,7 @@ def test_collective_compute_failure_propagates():
     for exc in ei.value.failures.values():
         assert isinstance(exc, ValueError)
         assert not isinstance(exc, DeadlockError)
-    # propagation is immediate, not stall-timeout-driven (10s window)
-    assert wall < 5.0
+    assert wall < 1.0
 
 
 def test_poisoned_slot_is_replaced():
@@ -163,32 +182,24 @@ def test_poisoned_slot_is_replaced():
     assert all(r == [0, 1, 2, 3] for r in results)
 
 
-def test_timeout_restored_after_failed_run(restore_gates):
-    """Satellite: a rank failure shrinks the stall window to 2s so
-    peers die fast — but only for *that* run.  The next run starts from
-    the configured timeout again, with the deadlock latch cleared."""
-    cluster = make_system("thetagpu", 1)
-    engine = Engine(cluster, nranks=4, progress_timeout_s=7.5)
+def test_engine_reusable_after_failed_run():
+    """A failed run leaves nothing behind: the same engine runs the
+    next program normally."""
+    engine = Engine(make_system("thetagpu", 1), nranks=4)
 
     def failing(ctx):
         if ctx.rank == 0:
             raise RuntimeError("injected")
+        ctx.mailbox.match(src=0, tag=1)
 
     with pytest.raises(RankFailedError):
         engine.run(failing)
-    assert engine.monitor.timeout_s == 2.0  # shrunk by the failure
-    engine.monitor.deadlocked = True        # pretend the latch stuck
-
-    results = engine.run(lambda ctx: ctx.rank)
-    assert results == [0, 1, 2, 3]
-    assert engine.monitor.timeout_s == 7.5  # restored at run start
-    assert engine.monitor.deadlocked is False
+    assert engine.run(lambda ctx: ctx.rank) == [0, 1, 2, 3]
 
 
-def test_coop_exact_deadlock_detected_fast(restore_gates):
+def test_coop_exact_deadlock_detected_fast():
     """All fibers parked + empty run queue == deadlock, detected the
-    moment it happens — not after the wall-clock stall timeout."""
-    fastpath.configure(coop_sched=True)
+    moment it happens — no wall-clock timeout involved."""
     cluster = make_system("thetagpu", 1)
     engine = Engine(cluster, nranks=4, progress_timeout_s=30.0)
 
@@ -200,18 +211,44 @@ def test_coop_exact_deadlock_detected_fast(restore_gates):
     with pytest.raises(RankFailedError) as ei:
         engine.run(body)
     wall = time.perf_counter() - t0
-    assert wall < 5.0  # well under the 30s stall timeout
+    assert wall < 1.0
     assert len(ei.value.failures) == 4
     for exc in ei.value.failures.values():
         assert isinstance(exc, DeadlockError)
         assert "exact deadlock" in str(exc)
 
 
-def test_coop_trace_tracks_label_oversubscribed_nodes(restore_gates):
-    """Tracing under the cooperative scheduler: each rank's events stay
-    on its own track and map to the node its device lives on, even when
-    ranks oversubscribe devices (16 ranks per 8-device node)."""
-    fastpath.configure(coop_sched=True)
+def test_rank_raising_mid_collective_reported_fast():
+    """Twin of the deadlock test: one rank raises while its peers sit
+    in a collective that now can never complete.  The peers are woken
+    the moment the last of them parks, and the run reports the primary
+    error (their secondary DeadlockErrors are dropped as noise)."""
+    from repro.mpi import SUM, Communicator
+
+    engine = Engine(make_system("thetagpu", 1), nranks=4,
+                    progress_timeout_s=30.0)
+
+    def body(ctx):
+        comm = Communicator.world(ctx)
+        buf = ctx.device.zeros(16)
+        comm.Allreduce(buf, buf, SUM)
+        if ctx.rank == 2:
+            raise RuntimeError("device fell off the bus")
+        comm.Allreduce(buf, buf, SUM)
+
+    t0 = time.perf_counter()
+    with pytest.raises(RankFailedError) as ei:
+        engine.run(body)
+    wall = time.perf_counter() - t0
+    assert wall < 1.0
+    assert set(ei.value.failures) == {2}
+    assert isinstance(ei.value.failures[2], RuntimeError)
+
+
+def test_trace_tracks_label_oversubscribed_nodes():
+    """Each rank's trace events stay on its own track and map to the
+    node its device lives on, even when ranks oversubscribe devices (16
+    ranks per 8-device node)."""
     cluster = make_system("thetagpu", 2)
     engine = Engine(cluster, nranks=32, ranks_per_node=16, trace=True)
     engine.run(_smoke_body)

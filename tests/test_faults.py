@@ -1,9 +1,4 @@
-"""Failure injection: dropped/delayed messages, dying ranks, CCL errors.
-
-The fault matrix runs under BOTH rank schedulers (the ``both_scheds``
-fixture): failure detection must behave identically whether ranks are
-preemptive threads or cooperative fibers.
-"""
+"""Failure injection: dropped/delayed messages, dying ranks, CCL errors."""
 
 import pytest
 
@@ -19,15 +14,6 @@ from repro.sim.faults import DelayRule, DropRule, FaultPlan, with_faults
 from repro.xccl.nccl import NCCLBackend
 
 
-@pytest.fixture(params=[False, True], ids=["thread-sched", "coop-sched"])
-def both_scheds(request):
-    """Run the fault matrix under the thread AND cooperative
-    schedulers — fault semantics must not depend on the scheduler."""
-    prev = fastpath.configure(coop_sched=request.param)
-    yield request.param
-    fastpath.configure(**prev)
-
-
 class TestFaultPlan:
     def test_chaining(self):
         plan = FaultPlan().drop(0, 1).delay(1, 0, 50.0, nth=2)
@@ -40,7 +26,7 @@ class TestFaultPlan:
 
 
 class TestDrops:
-    def test_dropped_message_deadlocks_receiver(self, thetagpu1, both_scheds):
+    def test_dropped_message_deadlocks_receiver(self, thetagpu1):
         engine = Engine(thetagpu1, nranks=2, progress_timeout_s=1.5)
         injector = with_faults(engine, FaultPlan().drop(0, 1, nth=0))
 
@@ -57,7 +43,7 @@ class TestDrops:
                    for e in exc_info.value.failures.values())
         assert len(injector.dropped) == 1
 
-    def test_unrelated_traffic_survives_a_drop(self, thetagpu1, both_scheds):
+    def test_unrelated_traffic_survives_a_drop(self, thetagpu1):
         # drop a message between 2 and 3; ranks 0/1 must still finish —
         # we only assert on the survivors' results
         engine = Engine(thetagpu1, nranks=4, progress_timeout_s=1.5)
@@ -82,7 +68,7 @@ class TestDrops:
             engine.run(body)
         assert results == {0: 1.0, 1: 0.0}
 
-    def test_drop_nth_counts_per_pair(self, thetagpu1, both_scheds):
+    def test_drop_nth_counts_per_pair(self, thetagpu1):
         engine = Engine(thetagpu1, nranks=2, progress_timeout_s=1.5)
         injector = with_faults(engine, FaultPlan().drop(0, 1, nth=1))
 
@@ -101,7 +87,7 @@ class TestDrops:
 
 
 class TestDelays:
-    def test_delay_extends_virtual_latency(self, thetagpu1, both_scheds):
+    def test_delay_extends_virtual_latency(self, thetagpu1):
         def run_with(plan):
             engine = Engine(thetagpu1, nranks=2, progress_timeout_s=5.0)
             if plan:
@@ -121,7 +107,7 @@ class TestDelays:
         delayed = run_with(FaultPlan().delay(0, 1, 500.0))
         assert delayed == pytest.approx(base + 500.0)
 
-    def test_delayed_collective_still_correct(self, thetagpu1, both_scheds):
+    def test_delayed_collective_still_correct(self, thetagpu1):
         engine = Engine(thetagpu1, nranks=4, progress_timeout_s=5.0)
         with_faults(engine, FaultPlan().delay(0, 1, 200.0).delay(2, 3, 99.0))
 
@@ -135,7 +121,7 @@ class TestDelays:
 
         assert engine.run(body) == [4.0] * 4
 
-    def test_delay_slows_exactly_one_message(self, thetagpu1, both_scheds):
+    def test_delay_slows_exactly_one_message(self, thetagpu1):
         engine = Engine(thetagpu1, nranks=2, progress_timeout_s=5.0)
         injector = with_faults(engine, FaultPlan().delay(0, 1, 100.0, nth=0))
 
@@ -153,7 +139,7 @@ class TestDelays:
 
 
 class TestDyingRanks:
-    def test_rank_death_reported_not_hung(self, thetagpu1, both_scheds):
+    def test_rank_death_reported_not_hung(self, thetagpu1):
         def body(ctx):
             comm = Communicator.world(ctx)
             if ctx.rank == 2:
@@ -183,7 +169,7 @@ class _FlakyNCCL(NCCLBackend):
 
 
 class TestCCLErrorFallback:
-    def test_runtime_error_falls_back_to_mpi(self, thetagpu1, both_scheds):
+    def test_runtime_error_falls_back_to_mpi(self, thetagpu1):
         """A CCL runtime failure mid-call reroutes to MPI transparently
         — advantage 3 of §1.2, and the §4.4 war story."""
         engine = Engine(thetagpu1, nranks=4, progress_timeout_s=10.0)

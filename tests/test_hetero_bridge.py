@@ -40,7 +40,7 @@ def restore_gates():
 
 
 def _run(body, cluster, nranks, rpn, hetero):
-    fastpath.configure(hetero=hetero, coop_sched=True)
+    fastpath.configure(hetero=hetero)
     fastpath.STATS.reset()
     out = runtime.run(body, system=cluster, nranks=nranks,
                       ranks_per_node=rpn)

@@ -28,7 +28,7 @@ def restore_gates():
 
 
 def _run(body, nodes, nranks, rpn, nics, hier):
-    fastpath.configure(hier_pipe=hier, coop_sched=True)
+    fastpath.configure(hier_pipe=hier)
     fastpath.STATS.reset()
     cluster = make_system("thetagpu", nodes, nics=nics)
     out = runtime.run(body, system=cluster, nranks=nranks,

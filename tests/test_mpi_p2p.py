@@ -157,13 +157,16 @@ class TestNonblocking:
 
         assert spmd(thetagpu1, body, nranks=2) == [True, True]
 
-    def test_test_polls(self, thetagpu1, spmd):
+    # the poller is the lower rank in one leg: it gets the run token
+    # first, and a poll that never yields would starve the sender
+    @pytest.mark.parametrize("sender", [0, 1])
+    def test_test_polls(self, thetagpu1, spmd, sender):
         def body(ctx):
             comm = world(ctx)
-            if ctx.rank == 0:
-                comm.Send(ctx.device.zeros(4), 1)
+            if ctx.rank == sender:
+                comm.Send(ctx.device.zeros(4), 1 - sender)
                 return None
-            req = comm.Irecv(ctx.device.zeros(4), source=0)
+            req = comm.Irecv(ctx.device.zeros(4), source=sender)
             done = False
             for _ in range(100):
                 done, _status = req.test()
@@ -171,21 +174,38 @@ class TestNonblocking:
                     break
             return done
 
-        assert spmd(thetagpu1, body, nranks=2)[1] is True
+        assert spmd(thetagpu1, body, nranks=2)[1 - sender] is True
 
-    def test_iprobe(self, thetagpu1, spmd):
+    @pytest.mark.parametrize("sender", [0, 1])
+    def test_iprobe(self, thetagpu1, spmd, sender):
         def body(ctx):
             comm = world(ctx)
-            if ctx.rank == 0:
-                comm.Send(ctx.device.zeros(4), 1, tag=3)
+            if ctx.rank == sender:
+                comm.Send(ctx.device.zeros(4), 1 - sender, tag=3)
                 return None
             status = None
-            while status is None:
-                status = comm.Iprobe(source=0, tag=3)
-            comm.Recv(ctx.device.zeros(4), source=0, tag=3)
+            for _ in range(100):
+                status = comm.Iprobe(source=sender, tag=3)
+                if status is not None:
+                    break
+            comm.Recv(ctx.device.zeros(4), source=sender, tag=3)
             return status.tag
 
-        assert spmd(thetagpu1, body, nranks=2)[1] == 3
+        assert spmd(thetagpu1, body, nranks=2)[1 - sender] == 3
+
+    def test_persistent_test_polls_as_lower_rank(self, thetagpu1, spmd):
+        def body(ctx):
+            comm = world(ctx)
+            if ctx.rank == 1:
+                comm.Send(ctx.device.zeros(4), 0)
+                return None
+            req = comm.Recv_init(ctx.device.zeros(4), source=1).Start()
+            for _ in range(100):
+                if req.test()[0]:
+                    return True
+            return False
+
+        assert spmd(thetagpu1, body, nranks=2)[0] is True
 
 
 class TestSendrecvAndTiming:

@@ -65,8 +65,7 @@ def body(ctx):
 
 def main(argv):
     out_path = argv[1] if len(argv) > 1 else "/tmp/mpix-elastic-smoke.json"
-    prev = fastpath.configure(elastic=True, online_tune=True,
-                              coop_sched=True)
+    prev = fastpath.configure(elastic=True, online_tune=True)
     try:
         engine = Engine(make_system("thetagpu", 2), nranks=NRANKS,
                         trace=True, progress_timeout_s=5.0)
