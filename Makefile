@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install lint test test-all bench bench-quick bench-hotpath bench-fusion bench-zerocopy bench-hier bench-hetero bench-online-tune bench-all check-gates scale-smoke trace-smoke hier-smoke hetero-smoke elastic-smoke report examples tune clean
+.PHONY: install lint test test-all bench bench-quick bench-selfcheck bench-hier bench-hetero bench-online-tune bench-all check-gates scale-smoke trace-smoke hier-smoke hetero-smoke elastic-smoke report examples tune clean
 
 install:
 	pip install -e .
@@ -33,14 +33,11 @@ bench:
 bench-quick:
 	REPRO_BENCH_SCALE=quick $(PYTHON) -m pytest benchmarks/ --benchmark-only
 
-bench-hotpath:
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_hotpath.py
-
-bench-fusion:
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_group_fusion.py
-
-bench-zerocopy:
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_zero_copy.py
+# the end-to-end harness checking itself (not collected by tier-1):
+# fails when a name its span table wraps no longer resolves, instead of
+# a later run silently reporting bench.spans_absent > 0
+bench-selfcheck:
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/e2e -q
 
 # flat vs node-leader vs pipelined hierarchy at 8 -> 512 ranks
 # (several minutes; the 512-rank legs dominate)
@@ -57,15 +54,13 @@ bench-online-tune:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_online_tune.py
 
 # refresh every committed BENCH_*.json in one go (BENCH_engine_scale.json
-# is history: its thread-scheduler arm no longer exists)
-bench-all: bench-hotpath bench-fusion bench-zerocopy bench-hier bench-hetero bench-online-tune
+# is history, like the hot-path / fusion / zero-copy rows in
+# docs/performance.md: their reference arms no longer exist)
+bench-all: bench-hier bench-hetero bench-online-tune
 
-# tier-1 suite with each fast-path gate individually toggled: every
-# optimisation must be pure wall-clock, invisible to results
+# tier-1 suite with each of the five gates individually forced on: off
+# its trigger, every gate must be invisible to results
 check-gates:
-	MPIX_PLAN_CACHE=0 $(PYTHON) -m pytest tests/ -x -q
-	MPIX_GROUP_FUSION=0 $(PYTHON) -m pytest tests/ -x -q
-	MPIX_ZERO_COPY=0 $(PYTHON) -m pytest tests/ -x -q
 	MPIX_TRACE=1 $(PYTHON) -m pytest tests/ -x -q
 	MPIX_HIER_PIPE=1 $(PYTHON) -m pytest tests/ -x -q
 	MPIX_HETERO=1 $(PYTHON) -m pytest tests/ -x -q

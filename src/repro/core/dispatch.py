@@ -9,8 +9,8 @@ seven send-recv-composed ones (§3.3), and their MPI-algorithm fallbacks
         │ capability-check  (§3.2: residency, datatype, reduce op —
         │                    the ONE place eligibility is decided)
         │ route             (mode pin or §3.4 tuning-table crossover)
-        │ plan lookup       (compiled RouteDecision replayed per
-        │                    communicator when MPIX_PLAN_CACHE is on)
+        │ plan lookup       (the RouteDecision compiled once per
+        │                    communicator and key, then replayed)
         ▼ execute           {direct-CCL | fused sendrecv-group |
                              MPI-algorithm fallback}
 
@@ -324,6 +324,26 @@ register(CollectiveSpec(
                                          c.count, c.dt, c.op)))
 
 
+#: The execute stage's CCL-backed legs, walked in this order:
+#: ``route -> (executor lookup, decision a missing executor degrades
+#: to)``.  A lookup returns ``fn(pipeline, call)``, or None when a
+#: vector sibling (allgatherv) replays its uniform tuning key's cached
+#: HIER / BRIDGE plan and the multi-level executors have no entry for
+#: it: HIER then degrades to the flat CCL route (the next leg), BRIDGE
+#: to the MPI algorithms (never XCCL — no single CCL spans the
+#: islands).  The one fallback edge is shared: a ``CCLError`` raised
+#: on any leg sends the call to the MPI algorithms.
+CCL_LEGS: Dict[Route, Tuple[Callable, Optional[RouteDecision]]] = {
+    Route.HIER: (lambda spec, coll: hier_exec.EXECUTORS.get(coll),
+                 RouteDecision(Route.XCCL)),
+    Route.BRIDGE: (lambda spec, coll: bridge.EXECUTORS.get(coll),
+                   RouteDecision(Route.MPI, FallbackReason.MIXED_VENDOR)),
+    Route.XCCL: (lambda spec, coll:
+                 lambda pipeline, call: spec.ccl(pipeline.layer, call),
+                 None),
+}
+
+
 # ---------------------------------------------------------------------------
 # the pipeline
 # ---------------------------------------------------------------------------
@@ -412,17 +432,14 @@ class CollectivePipeline:
     def _table_for(self, comm) -> TuningTable:
         if self._table is not None:
             return self._table
-        if fastpath.plans_enabled():
-            table = self._tables.get(comm.ctx_id)
-            if table is not None:
-                return table
-        from repro.perfmodel.shape import shape_of
-        shape = shape_of(comm.ctx.cluster, comm.group,
-                         comm.ctx.engine.ranks_per_node)
-        assert self.layer.backend is not None
-        table = cached_table(shape, self.layer.backend.params, comm.config)
-        if fastpath.plans_enabled():
-            self._tables[comm.ctx_id] = table
+        table = self._tables.get(comm.ctx_id)
+        if table is None:
+            from repro.perfmodel.shape import shape_of
+            shape = shape_of(comm.ctx.cluster, comm.group,
+                             comm.ctx.engine.ranks_per_node)
+            assert self.layer.backend is not None
+            table = self._tables[comm.ctx_id] = cached_table(
+                shape, self.layer.backend.params, comm.config)
         return table
 
     def route(self, comm, coll: str, nbytes: int, dt, op, significant,
@@ -452,7 +469,7 @@ class CollectivePipeline:
         if fallback is not None:
             return fallback
         hier_ok = (self.mode == DispatchMode.HYBRID
-                   and fastpath.hier_pipe_enabled()
+                   and fastpath.gate_enabled("hier_pipe")
                    and coll in hier_exec.HIER_TUNING_KEYS
                    and nbytes >= hier_exec.hier_min_bytes(coll)
                    and (op is None or op.commutative)
@@ -479,7 +496,7 @@ class CollectivePipeline:
     def _tuning_active(self, coll: str) -> bool:
         """Whether the online tuner steers this collective's route."""
         return (self.mode == DispatchMode.HYBRID
-                and fastpath.online_tune_enabled()
+                and fastpath.gate_enabled("online_tune")
                 and coll in TUNABLE_COLLECTIVES)
 
     def _route_online(self, comm, coll: str, nbytes: int, static: str,
@@ -517,7 +534,7 @@ class CollectivePipeline:
         the same purely local facts on every rank, so the route can
         never diverge across islands.
         """
-        if not fastpath.hetero_enabled():
+        if not fastpath.gate_enabled("hetero"):
             self._mark("capability:skipped")
             return RouteDecision(Route.MPI, FallbackReason.MIXED_VENDOR)
         desc = bridge.negotiated_descriptor(comm)
@@ -556,18 +573,13 @@ class CollectivePipeline:
         persistent-collective plan warming).
 
         The decision is a pure function of (mode, collective, byte
-        count, datatype, reduce op, buffer residency); with the plan
-        fast path enabled it is compiled into a
-        :class:`CollectivePlan` once and replayed from the
-        communicator's plan cache.
+        count, datatype, reduce op, buffer residency): it is compiled
+        into a :class:`CollectivePlan` once — one :meth:`route` walk —
+        and replayed from the communicator's plan cache.
         """
         significant = [b for b in buffers if b is not None and b is not IN_PLACE]
         on_device = not significant or \
             self.layer.identify_device_buffer(*significant)
-        if not fastpath.plans_enabled():
-            self._mark("plan:off")
-            return self.route(comm, coll, nbytes, dt, op, significant,
-                              on_device)
         if self._tuning_active(coll):
             # the online tuner's phase is a function of the per-bucket
             # call index — a cached decision would freeze the warm-up
@@ -595,50 +607,23 @@ class CollectivePipeline:
         """Run the call on its decided route; a CCL runtime error also
         falls back to the MPI algorithms (§1.2 advantage 3).  Returns
         the decision the call actually executed under (it differs from
-        the argument exactly when a CCL error forced the fallback)."""
-        ctx = self.layer.ctx
-        t0 = ctx.now
-        if decision.route == Route.HIER:
-            fn = hier_exec.EXECUTORS.get(call.coll)
+        the argument exactly when a leg of :data:`CCL_LEGS` degraded or
+        a CCL error forced the fallback)."""
+        t0 = self.layer.ctx.now
+        for route, (lookup, degrade_to) in CCL_LEGS.items():
+            if decision.route != route:
+                continue
+            fn = lookup(spec, call.coll)
             if fn is None:
-                # a vector sibling replayed its uniform tuning key's
-                # cached HIER plan — degrade to the flat CCL route
-                decision = RouteDecision(Route.XCCL)
-            else:
-                try:
-                    fn(self, call)
-                    self._record(decision, spec)
-                    self._span(call, spec, decision, t0)
-                    return decision
-                except CCLError:
-                    decision = RouteDecision(Route.MPI,
-                                             FallbackReason.CCL_ERROR)
-        if decision.route == Route.BRIDGE:
-            fn = bridge.EXECUTORS.get(call.coll)
-            if fn is None:
-                # a vector sibling replayed its uniform key's cached
-                # BRIDGE plan — degrade to the MPI route (never XCCL:
-                # no single CCL spans the islands)
-                decision = RouteDecision(Route.MPI,
-                                         FallbackReason.MIXED_VENDOR)
-            else:
-                try:
-                    fn(self, call)
-                    self._record(decision, spec)
-                    self._span(call, spec, decision, t0)
-                    return decision
-                except CCLError:
-                    decision = RouteDecision(Route.MPI,
-                                             FallbackReason.CCL_ERROR)
-        if decision.route == Route.XCCL:
+                decision = degrade_to
+                continue
             try:
-                spec.ccl(self.layer, call)
-                self._record(decision, spec)
-                self._span(call, spec, decision, t0)
-                return decision
+                fn(self, call)
+                break
             except CCLError:
                 decision = RouteDecision(Route.MPI, FallbackReason.CCL_ERROR)
-        spec.mpi(self.mpi, call)
+        else:  # no leg ran to completion
+            spec.mpi(self.mpi, call)
         self._record(decision, spec)
         self._span(call, spec, decision, t0)
         return decision

@@ -21,9 +21,10 @@ buffers keyed by (residency, dtype, element count) are recycled across
 iterations instead of re-allocated (``alloc_like`` charges no virtual
 time, so pooling is invisible to the simulated clock).
 
-The whole layer honors :func:`repro.fastpath.plans_enabled`; disabling
-it restores per-call derivation with bit-identical results (the
-regression tests in ``tests/test_plan_cache.py`` prove it).
+A replayed plan is what a fresh derivation would compute: the cached
+decision comes from one :meth:`CollectivePipeline.route` walk, and
+``tests/test_plan_cache.py`` pins whole programs against the clocks
+the per-call derivation gave (``tests/frozen_reference.py``).
 """
 
 from __future__ import annotations

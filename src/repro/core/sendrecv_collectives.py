@@ -12,22 +12,21 @@ pipeline's execute stage calls them when a collective without a direct
 The *symmetric* exchanges (alltoall(v), allgatherv — every rank both
 sends and receives) open their group with the communicator hint
 (``xcclGroupStart(comm)``): each send's matching recv is queued in the
-peer's same group call, so the transport can flush the group as one
-fused rendezvous instead of one mailbox round trip per message when
-``MPIX_GROUP_FUSION`` is on.  The *rooted* collectives (gather(v),
-scatter(v)) deliberately omit the hint — a whole-group rendezvous
-would make the leaf ranks wait for everyone where the mailbox lets
-them post-and-go — and ride the bulk post/match path instead.  Results
-and virtual times are bit-identical on every path; only simulator
-wall-clock changes.
+peer's same group call, so the transport flushes the group as one
+rendezvous instead of one mailbox round trip per message.  The
+*rooted* collectives (gather(v), scatter(v)) deliberately omit the
+hint — a whole-group rendezvous would make the leaf ranks wait for
+everyone where the mailbox lets them post-and-go — and ride the bulk
+post/match path instead.  Every message is priced and booked the same
+way on both transports; only simulator wall-clock differs.
 
-With ``MPIX_ZERO_COPY`` on, sends flushed through the whole-group
-rendezvous travel as borrowed read-only views of the caller's segments
-instead of per-peer snapshots; the group's consume barrier hands the
-buffers back once every peer has copied out.  ``MPI_IN_PLACE``
-spellings, where a send segment aliases a receive window of the same
-call (allgatherv), are detected per message and forced back onto the
-copying path — see :meth:`repro.xccl.backend.CCLBackend._execute_group`.
+Sends flushed through the whole-group rendezvous travel as borrowed
+read-only views of the caller's segments instead of per-peer
+snapshots; the group's consume barrier hands the buffers back once
+every peer has copied out.  ``MPI_IN_PLACE`` spellings, where a send
+segment aliases a receive window of the same call (allgatherv), are
+detected per message and snapshotted instead — see
+:meth:`repro.xccl.backend.CCLBackend._execute_group`.
 
 Buffers are element-addressed (offsets/counts in elements of ``dt``),
 exactly like the MPI calls they implement.
@@ -37,7 +36,6 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro import fastpath
 from repro.hw.memory import Buffer, as_array
 from repro.mpi.communicator import IN_PLACE
 from repro.mpi.datatypes import Datatype
@@ -77,13 +75,11 @@ def xccl_alltoallv(comm: XCCLComm, sendbuf, sendcounts: Sequence[int],
 def _uniform_geometry(comm: XCCLComm, count: int):
     """``(counts, displs)`` for a uniform per-peer exchange, compiled
     once per (collective geometry, count) and replayed from the CCL
-    communicator when the plan fast path is on."""
-    p = comm.size
-    if not fastpath.plans_enabled():
-        return [count] * p, [r * count for r in range(p)]
+    communicator."""
     key = ("uniform", count)
     geom = comm.plan_geometry.get(key)
     if geom is None:
+        p = comm.size
         geom = ([count] * p, [r * count for r in range(p)])
         comm.plan_geometry[key] = geom
     return geom

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from repro import fastpath
 from repro.errors import MPIError
 from repro.mpi.coll import tuning
 from repro.mpi.coll.allgather import (
@@ -106,16 +105,13 @@ class MPICollDispatcher:
         self._algo_cache: Dict[Tuple, object] = {}
 
     def _pick(self, coll: str, nbytes: int, p: int, commutative: bool = True):
-        if fastpath.plans_enabled():
-            # self.force joins the key so mutating it cannot go stale
-            key = (self.force, coll, nbytes, p, commutative)
-            fn = self._algo_cache.get(key)
-            if fn is None:
-                name = self.force or tuning.select(coll, nbytes, p, commutative)
-                fn = self._algo_cache[key] = algorithm(coll, name)
-            return fn
-        name = self.force or tuning.select(coll, nbytes, p, commutative)
-        return algorithm(coll, name)
+        # self.force joins the key so mutating it cannot go stale
+        key = (self.force, coll, nbytes, p, commutative)
+        fn = self._algo_cache.get(key)
+        if fn is None:
+            name = self.force or tuning.select(coll, nbytes, p, commutative)
+            fn = self._algo_cache[key] = algorithm(coll, name)
+        return fn
 
     def release(self, comm) -> None:
         """Communicator-free hook; nothing to drop for the plain MPI

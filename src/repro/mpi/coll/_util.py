@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+import functools
+from typing import Tuple
 
 import numpy as np
 
-from repro import fastpath
 from repro.hw.memory import Buffer, as_array
 from repro.mpi.communicator import IN_PLACE
 
@@ -23,18 +23,13 @@ def seg(buf, offset: int, count: int):
     return as_array(buf)[offset:offset + count]
 
 
-_CHUNK_CACHE: Dict[Tuple[int, int], Tuple[Tuple[int, int], ...]] = {}
-
-
+@functools.lru_cache(maxsize=1 << 14)
 def chunk_bounds(count: int, parts: int) -> Tuple[Tuple[int, int], ...]:
     """(offset, size) of ``count`` elements split into ``parts``
     contiguous chunks, np.array_split-style (first ``count % parts``
     chunks one element larger).  Pure in its arguments, so the result
-    is memoized — every ring/pairwise step re-derives the same split."""
-    if fastpath.plans_enabled():
-        cached = _CHUNK_CACHE.get((count, parts))
-        if cached is not None:
-            return cached
+    is memoized — every ring/pairwise step re-derives the same split
+    (``chunk_bounds.__wrapped__`` is the plain derivation)."""
     base, rem = divmod(count, parts)
     bounds = []
     off = 0
@@ -42,12 +37,7 @@ def chunk_bounds(count: int, parts: int) -> Tuple[Tuple[int, int], ...]:
         size = base + (1 if i < rem else 0)
         bounds.append((off, size))
         off += size
-    result = tuple(bounds)
-    if fastpath.plans_enabled():
-        if len(_CHUNK_CACHE) > 1 << 14:
-            _CHUNK_CACHE.clear()
-        _CHUNK_CACHE[(count, parts)] = result
-    return result
+    return tuple(bounds)
 
 
 def is_inplace(sendbuf) -> bool:

@@ -12,7 +12,6 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from repro import fastpath
 from repro.hw.memory import as_array
 from repro.mpi.coll._util import seg
 from repro.mpi.compute import acquire_staging, local_copy, release_staging
@@ -84,77 +83,44 @@ def alltoall_bruck(comm, sendbuf, recvbuf, count: int, dt: Datatype) -> None:
         local_copy(comm.ctx, seg(recvbuf, 0, count), seg(sendbuf, 0, count))
         return
     itemsize = dt.storage.itemsize
-    # phase 1: tmp[i] = block destined to rank (rank + i) % p
     tmp = acquire_staging(comm.ctx, sendbuf, p * count, dt.storage)
     pack = acquire_staging(comm.ctx, sendbuf, ((p + 1) // 2) * count, dt.storage)
     unpack = acquire_staging(comm.ctx, sendbuf, ((p + 1) // 2) * count,
                              dt.storage)
     try:
-        if fastpath.plans_enabled():
-            # replay the compiled permutations as whole-buffer gathers —
-            # block-for-block the same copies as the loops below, with
-            # the same explicit virtual-time charges
-            rot_in, rot_out, bits = _bruck_geometry(p, rank)
-            send2d = as_array(sendbuf)[:p * count].reshape(p, count)
-            recv2d = as_array(recvbuf)[:p * count].reshape(p, count)
-            tmp2d = as_array(tmp).reshape(p, count)
-            pack2d = as_array(pack).reshape(-1, count)
-            unpack2d = as_array(unpack).reshape(-1, count)
-            if send2d.dtype == tmp2d.dtype:
-                np.take(send2d, rot_in, axis=0, out=tmp2d)
-            else:
-                tmp2d[...] = send2d[rot_in].astype(tmp2d.dtype)
-            comm.ctx.clock.advance(0.2 + p * count * itemsize / 24000.0)
-
-            for bit, idxs in bits:
-                k = len(idxs)
-                pack2d[:k] = tmp2d[idxs]
-                n = k * count
-                comm.ctx.clock.advance(0.2 + n * itemsize / 24000.0)
-                dst = (rank + bit) % p
-                src = (rank - bit) % p
-                comm.Sendrecv(seg(pack, 0, n), dst, seg(unpack, 0, n), src,
-                              sendtag=tag, datatype=dt)
-                tmp2d[idxs] = unpack2d[:k]
-                comm.ctx.clock.advance(0.2 + n * itemsize / 24000.0)
-
-            if recv2d.dtype == tmp2d.dtype:
-                np.take(tmp2d, rot_out, axis=0, out=recv2d)
-            else:
-                recv2d[...] = tmp2d[rot_out].astype(recv2d.dtype)
-            comm.ctx.clock.advance(0.2 + p * count * itemsize / 24000.0)
-            return
-
-        for i in range(p):
-            blk = (rank + i) % p
-            local_copy(comm.ctx, seg(tmp, i * count, count),
-                       seg(sendbuf, blk * count, count), charge=False)
+        # the compiled permutations replay as whole-buffer gathers, each
+        # with one explicit virtual-time charge for the packed copy
+        rot_in, rot_out, bits = _bruck_geometry(p, rank)
+        send2d = as_array(sendbuf)[:p * count].reshape(p, count)
+        recv2d = as_array(recvbuf)[:p * count].reshape(p, count)
+        tmp2d = as_array(tmp).reshape(p, count)
+        pack2d = as_array(pack).reshape(-1, count)
+        unpack2d = as_array(unpack).reshape(-1, count)
+        # phase 1: tmp[i] = block destined to rank (rank + i) % p
+        if send2d.dtype == tmp2d.dtype:
+            np.take(send2d, rot_in, axis=0, out=tmp2d)
+        else:
+            tmp2d[...] = send2d[rot_in].astype(tmp2d.dtype)
         comm.ctx.clock.advance(0.2 + p * count * itemsize / 24000.0)
 
         # phase 2: for each bit, ship the blocks whose index has that bit set
-        bit = 1
-        while bit < p:
-            idxs = [i for i in range(p) if i & bit]
-            for j, i in enumerate(idxs):
-                local_copy(comm.ctx, seg(pack, j * count, count),
-                           seg(tmp, i * count, count), charge=False)
-            n = len(idxs) * count
+        for bit, idxs in bits:
+            k = len(idxs)
+            pack2d[:k] = tmp2d[idxs]
+            n = k * count
             comm.ctx.clock.advance(0.2 + n * itemsize / 24000.0)
             dst = (rank + bit) % p
             src = (rank - bit) % p
             comm.Sendrecv(seg(pack, 0, n), dst, seg(unpack, 0, n), src,
                           sendtag=tag, datatype=dt)
-            for j, i in enumerate(idxs):
-                local_copy(comm.ctx, seg(tmp, i * count, count),
-                           seg(unpack, j * count, count), charge=False)
+            tmp2d[idxs] = unpack2d[:k]
             comm.ctx.clock.advance(0.2 + n * itemsize / 24000.0)
-            bit <<= 1
 
         # phase 3: tmp[(rank - src) % p] holds the block from `src`
-        for srcr in range(p):
-            local_copy(comm.ctx, seg(recvbuf, srcr * count, count),
-                       seg(tmp, ((rank - srcr) % p) * count, count),
-                       charge=False)
+        if recv2d.dtype == tmp2d.dtype:
+            np.take(tmp2d, rot_out, axis=0, out=recv2d)
+        else:
+            recv2d[...] = tmp2d[rot_out].astype(recv2d.dtype)
         comm.ctx.clock.advance(0.2 + p * count * itemsize / 24000.0)
     finally:
         release_staging(comm.ctx, unpack)

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
-from repro import fastpath
 from repro.mpi.coll._util import is_pof2
 
 KIB = 1024
@@ -62,9 +61,10 @@ def select(coll: str, nbytes: int, p: int, commutative: bool = True,
     (power-of-two requirements, commutativity).
 
     Selection is a pure function of its arguments; default-table
-    lookups are memoized (this runs on every MPI-routed collective).
+    lookups are memoized (this runs on every MPI-routed collective) and
+    replay what :func:`_select` derives.
     """
-    if table is DEFAULT_TABLE and fastpath.plans_enabled():
+    if table is DEFAULT_TABLE:
         key = (coll, nbytes, p, commutative)
         name = _SELECT_CACHE.get(key)
         if name is None:

@@ -168,7 +168,7 @@ class Communicator:
         revoking the communicator engine-wide so every survivor agrees.
         The dying rank itself keeps its :class:`RankKilledError`.
         """
-        if not fastpath.elastic_enabled():
+        if not fastpath.gate_enabled("elastic"):
             return run()
         engine = self.ctx.engine
         if engine.is_revoked(self.ctx_id):

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import fastpath
 from repro.hw.memory import as_array, is_device_buffer
 from repro.mpi.config import MPIConfig
 from repro.mpi.ops import Op
@@ -88,14 +87,12 @@ def alloc_like(ctx: RankContext, ref, count: int, dtype=None):
 
 def acquire_staging(ctx: RankContext, ref, count: int, dtype=None):
     """Scratch buffer like :func:`alloc_like`, drawn from the rank's
-    staging pool when the fast path is enabled.
+    staging pool.
 
     Contents are undefined (like ``np.empty``); pair with
     :func:`release_staging` in a try/finally.  Allocation charges no
-    virtual time either way, so pooling is invisible to the clock.
+    virtual time, so pooling is invisible to the clock.
     """
-    if not fastpath.plans_enabled():
-        return alloc_like(ctx, ref, count, dtype)
     if ctx.staging_pool is None:
         from repro.core.plan import BufferPool
         ctx.staging_pool = BufferPool()
@@ -109,12 +106,12 @@ def acquire_staging(ctx: RankContext, ref, count: int, dtype=None):
 
 def release_staging(ctx: RankContext, buf) -> None:
     """Return a staging buffer acquired with :func:`acquire_staging` to
-    the rank's pool (no-op when pooling is disabled).
+    the rank's pool.
 
     The pool key is recomputed from the buffer itself — its residency,
     dtype and element count are exactly what keyed the acquire.
     """
-    if not fastpath.plans_enabled() or ctx.staging_pool is None:
+    if ctx.staging_pool is None:
         return
     a = as_array(buf)
     key = (is_device_buffer(buf), a.dtype, int(a.size))

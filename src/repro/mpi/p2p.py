@@ -8,8 +8,8 @@ wire tracker once it has matched, and a CTS-completion flows back so
 the sender's ``wait`` learns when its buffer was drained — which lets
 nonblocking exchange patterns complete without a progress thread.
 
-With ``MPIX_ZERO_COPY`` on, payloads whose protocol already guarantees
-the sender cannot reuse the buffer early travel as *borrowed views*
+Payloads whose protocol already guarantees the sender cannot reuse the
+buffer early travel as *borrowed views*
 (:class:`~repro.sim.mailbox.PayloadLease`) instead of snapshots:
 
 * **blocking rendezvous sends** — the receiver copies the payload out
@@ -23,8 +23,9 @@ the sender cannot reuse the buffer early travel as *borrowed views*
 
 Aliased buffers (a send segment overlapping the receive segment of the
 same call) and patched mailboxes (fault injection) always force the
-copying path.  Virtual times and received bytes are bit-identical with
-the gate on or off.
+copying path; so does every send with no such guarantee (``Isend``,
+eager sends outside ``sendrecv``).  The handoff never affects virtual
+time or received bytes.
 
 Device buffers ride the GPU-direct path (device-to-device alpha/beta,
 plus a per-message GDR surcharge) when the runtime is GPU-aware, or are
@@ -80,17 +81,10 @@ class P2PEndpoint:
 
     def _path_for(self, peer_world: int, device_involved: bool,
                   bidir: bool = False):
-        if fastpath.plans_enabled():
-            key = (peer_world, device_involved, bidir)
-            cached = self._path_cache.get(key)
-            if cached is None:
-                cached = self._path_cache[key] = \
-                    self._path_for_uncached(peer_world, device_involved, bidir)
+        key = (peer_world, device_involved, bidir)
+        cached = self._path_cache.get(key)
+        if cached is not None:
             return cached
-        return self._path_for_uncached(peer_world, device_involved, bidir)
-
-    def _path_for_uncached(self, peer_world: int, device_involved: bool,
-                           bidir: bool = False):
         cluster = self.ctx.cluster
         src, dst = self.ctx.device, self.ctx.device_of(peer_world)
         path = cluster.path(src, dst)
@@ -107,8 +101,10 @@ class P2PEndpoint:
             beta = path.bottleneck.effective_beta(beta)
         if bidir and path.bottleneck.duplex_factor < 2.0:
             beta *= path.bottleneck.duplex_factor / 2.0
-        return (path, resources, alpha, beta,
-                self.config.eager_threshold(path.scope))
+        cached = self._path_cache[key] = (
+            path, resources, alpha, beta,
+            self.config.eager_threshold(path.scope))
+        return cached
 
     def _ctrl_latency(self, alpha: float) -> float:
         """One-way latency of a tiny control message."""
@@ -213,7 +209,7 @@ class P2PEndpoint:
         # -- zero-copy handoff decision (never affects virtual time) --
         zc_wanted = defer_eager if eager else blocking
         lease: Optional[PayloadLease] = None
-        if zc_wanted and fastpath.zero_copy_enabled():
+        if zc_wanted:
             aliased = (recv_guard is not None
                        and np.may_share_memory(send_view, recv_guard))
             if aliased or ctx.mailbox_of(dst_world).patched:

@@ -88,7 +88,7 @@ class MetricsReport:
     collectives: Dict[str, CollectiveMetrics] = field(default_factory=dict)
     #: pipeline stage marker label -> count (validate/capability/...)
     stages: Dict[str, int] = field(default_factory=dict)
-    #: CCL p2p transport label (exchange/bulk/unfused/fallback) -> count
+    #: CCL p2p transport label (exchange/bulk/fallback) -> count
     transports: Dict[str, int] = field(default_factory=dict)
     #: mixed-vendor bridge traffic: vendor island -> bytes moved in its
     #: native-CCL phases, plus the "hop" row for host-staged leader

@@ -18,7 +18,6 @@ from __future__ import annotations
 import functools
 import math
 
-from repro import fastpath
 from repro.errors import ConfigError
 from repro.hw.cluster import PathScope, TransferPath
 from repro.perfmodel.params import CCLParams
@@ -31,15 +30,13 @@ def _memoized(fn):
     The models are pure in (params, shape, nbytes) — both dataclasses
     are frozen/hashable — except MSCCL, whose result also depends on
     the mutable program registry; its registry version joins the key so
-    runtime ``load()`` calls invalidate stale entries.  The cache is
-    bypassed entirely when the fast path is disabled.
+    runtime ``load()`` calls invalidate stale entries.  ``__wrapped__``
+    is the model itself.
     """
     cache = {}
 
     @functools.wraps(fn)
     def wrapper(params: CCLParams, shape: CommShape, nbytes: int) -> float:
-        if not fastpath.plans_enabled():
-            return fn(params, shape, nbytes)
         if params.name == "msccl":
             from repro.xccl.msccl_programs import default_registry
             key = (params, shape, nbytes, default_registry().version)

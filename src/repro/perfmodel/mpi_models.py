@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 
-from repro import fastpath
 from repro.errors import ConfigError
 from repro.hw.cluster import PathScope
 from repro.mpi.coll import tuning
@@ -25,14 +24,12 @@ HOST_REDUCE_THRESHOLD = 8192  # keep in sync with repro.mpi.compute
 
 def _memoized(fn):
     """Memoize one analytic MPI model: pure in its (hashable frozen
-    dataclass) arguments; bypassed when the fast path is disabled."""
+    dataclass) arguments; ``__wrapped__`` is the model itself."""
     cache = {}
 
     @functools.wraps(fn)
     def wrapper(config: MPIConfig, shape: CommShape, nbytes: int,
                 algorithm: str = "") -> float:
-        if not fastpath.plans_enabled():
-            return fn(config, shape, nbytes, algorithm)
         key = (config, shape, nbytes, algorithm)
         try:
             return cache[key]

@@ -38,8 +38,8 @@ class CollectiveSlot:
     runs ``compute(payloads)`` (a dict rank -> payload) and its return
     value is handed to every caller.
 
-    The zero-copy datapath deposits *borrowed views* of live sender
-    buffers instead of snapshots.  Those views may be read inside
+    The CCL built-ins deposit *borrowed views* of live sender buffers
+    instead of snapshots.  Those views may be read inside
     ``compute`` (every party is parked in the rendezvous while it runs)
     and inside a per-rank ``consume`` callback: when ``consume`` is
     given, each party runs it before leaving and **no party returns
@@ -90,8 +90,8 @@ class CollectiveSlot:
         party's own thread after the result is computed; the call only
         returns once every party has consumed (and ``cleanup(result)``
         has run, on the last consumer's thread).  All parties of one
-        exchange must agree on whether they pass ``consume`` — the
-        zero-copy gate is process-wide, which guarantees that.
+        exchange must agree on whether they pass ``consume`` — the CCL
+        built-ins always do, every other caller never does.
 
         If ``compute`` raises, the exception is re-raised on **every**
         party (not just the computing one): the waiters are released
@@ -219,7 +219,7 @@ class GroupExchangeSlot(CollectiveSlot):
     addressed to it.  One rendezvous replaces the O(P^2) per-message
     mailbox lock/notify round trips of a symmetric group (alltoallv,
     allgatherv, ...), while every message keeps the depart/arrival
-    virtual times its sender priced — the fusion is wall-clock only.
+    virtual times its sender priced — the batching is wall-clock only.
     """
 
     def exchange_for(self, rank: int, batches: Dict[int, List[Any]],

@@ -12,7 +12,7 @@ Event kinds by layer:
 * ``send`` / ``recv`` — MPI point-to-point transfers (labels carry the
   protocol: ``eager``/``rts``);
 * ``ccl-send`` / ``ccl-recv`` — grouped CCL p2p (labels carry the
-  transport: ``exchange``/``bulk``/``unfused``/``fallback``);
+  transport: ``exchange``/``bulk``/``fallback``);
 * ``ccl`` — one fused built-in CCL collective rendezvous;
 * ``kernel`` / ``copy`` — local compute and staging;
 * ``stage`` — zero-duration dispatch-pipeline stage markers

@@ -122,9 +122,9 @@ def xcclGroupStart(comm: Optional[XCCLComm] = None) -> None:
     over that communicator (every rank opens the same group and every
     send has its matching recv queued in the peer's group — the shape
     of every §3.3 send-recv collective).  The hint lets the transport
-    flush the whole group as one engine rendezvous when
-    ``MPIX_GROUP_FUSION`` is on; omitted, the call is exactly
-    ``ncclGroupStart``.
+    flush the whole group as one engine rendezvous; omitted, the call
+    is exactly ``ncclGroupStart`` and the batch rides the bulk mailbox
+    transport.
     """
     _backend_mod.group_start(exchange=comm)
 

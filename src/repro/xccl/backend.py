@@ -11,17 +11,22 @@ Every vendor backend provides the same NCCL-style surface:
 * point-to-point ``send``/``recv`` with **group semantics** (§3.3):
   inside ``group_begin``/``group_end`` operations are queued and
   launched together, paying one launch overhead and contending on the
-  wire tracker — the substrate Listing 1's AlltoAllv builds on.  With
-  ``MPIX_GROUP_FUSION`` on (the default), the *group* is also the
-  transport unit: sends are delivered as one bulk mailbox post per
-  peer, receives drain under a single queue lock, and a group opened
-  with a communicator hint (the send-recv collectives do this) replaces
-  the whole P^2 mailbox pattern with one engine rendezvous
-  (:class:`repro.sim.engine.GroupExchangeSlot`).  Every message keeps
-  the per-message virtual times the unfused path would compute — the
-  fusion changes wall-clock synchronization only;
+  wire tracker — the substrate Listing 1's AlltoAllv builds on.  The
+  *group* is also the transport unit: sends are delivered as one bulk
+  mailbox post per peer, receives drain under a single queue lock, and
+  a group opened with a communicator hint (the send-recv collectives do
+  this) replaces the whole P^2 mailbox pattern with one engine
+  rendezvous (:class:`repro.sim.engine.GroupExchangeSlot`).  Every
+  message is priced and booked on the wire individually, in program
+  order — batching changes wall-clock synchronization only;
 * capability checks: datatype tables (HCCL: float only) and the
   four reduce ops the NCCL API defines.
+
+Payloads travel as borrowed read-only views wherever the rendezvous
+proves every reader is done before the sender returns (the built-ins'
+consume barrier, the whole-group exchange); a send window that aliases
+a receive window of the same call is snapshotted instead
+(copy-on-write), and the bulk mailbox transport always snapshots.
 
 Subclasses supply the vendor identity and constants.
 """
@@ -83,10 +88,9 @@ def group_start(exchange: Optional[XCCLComm] = None) -> None:
     ``exchange`` optionally names the communicator whose ranks all
     participate symmetrically in this group (every send has a matching
     recv queued in the same group call on the peer — true for the
-    send-recv collectives of §3.3).  With group fusion enabled, such a
-    group flushes through one whole-group rendezvous instead of P^2
-    mailbox round trips.  The hint is only honoured on the outermost
-    ``group_start`` of a nest.
+    send-recv collectives of §3.3).  Such a group flushes through one
+    whole-group rendezvous instead of P^2 mailbox round trips.  The
+    hint is only honoured on the outermost ``group_start`` of a nest.
     """
     if _group.depth == 0:
         _group.exchange = exchange
@@ -102,7 +106,6 @@ def group_end() -> None:
         ops, _group.ops = _group.ops, []
         exchange, _group.exchange = _group.exchange, None
         if (exchange is not None and exchange.backend is not None
-                and fastpath.fusion_enabled()
                 and all(op.comm is exchange for op in ops)):
             # whole-group rendezvous: flush even with zero local ops,
             # since the other ranks of the exchange arrive regardless
@@ -232,21 +235,17 @@ class CCLBackend:
         """(resources, beta, alpha) for one CCL p2p transfer.
 
         The size-independent route walk (topology path, effective
-        bandwidth, latency floor) is replayed from the communicator's
-        compiled pricing when the fused transport is on — the values
-        are identical to a fresh derivation, only the graph walk is
-        skipped.
+        bandwidth, latency floor) is done once per (peer, direction)
+        and replayed from the communicator's compiled pricing —
+        topology and backend constants are immutable, so the values
+        are those of a fresh :meth:`_route_pricing` derivation.
         """
-        if fastpath.fusion_enabled():
-            key = (peer_world, bidir)
-            cached = comm.route_pricing.get(key)
-            if cached is None:
-                cached = comm.route_pricing[key] = \
-                    self._route_pricing(comm, peer_world, bidir)
-            resources, beta, alpha_base, sf_bpus = cached
-        else:
-            resources, beta, alpha_base, sf_bpus = \
+        key = (peer_world, bidir)
+        cached = comm.route_pricing.get(key)
+        if cached is None:
+            cached = comm.route_pricing[key] = \
                 self._route_pricing(comm, peer_world, bidir)
+        resources, beta, alpha_base, sf_bpus = cached
         return resources, beta, alpha_base + nbytes / sf_bpus
 
     @staticmethod
@@ -263,21 +262,19 @@ class CCLBackend:
         """Launch a batch of queued p2p ops: one launch overhead, all
         sends posted, all receives matched, stream joined at the end.
 
-        Three transports, all computing identical per-message virtual
-        times (same pricing, same wire bookings, in the same order):
+        Two transports, computing identical per-message virtual times
+        (same pricing, same wire bookings, in the same order):
 
-        * unfused (``MPIX_GROUP_FUSION=0``): one mailbox post per send,
-          one blocking match per recv — the pre-fusion behaviour;
-        * bulk (fusion on): sends batched into one ``post_many`` per
-          peer, recvs drained by one ``match_many`` under a single
-          queue lock;
-        * whole-group rendezvous (fusion on + ``exchange`` hint): every
-          rank of the communicator deposits its outbound batches into
-          one :class:`~repro.sim.engine.GroupExchangeSlot` and takes
-          home its inbound mail — no mailbox traffic at all.
+        * bulk: sends batched into one ``post_many`` per peer (which
+          replays the batch message by message through the wrapper
+          when a fault injector patched that mailbox), recvs drained by
+          one ``match_many`` under a single queue lock;
+        * whole-group rendezvous (``exchange`` hint): every rank of the
+          communicator deposits its outbound batches into one
+          :class:`~repro.sim.engine.GroupExchangeSlot` and takes home
+          its inbound mail — no mailbox traffic at all.
         """
-        fused = fastpath.fusion_enabled()
-        if exchange is not None and fused:
+        if exchange is not None:
             ctx = exchange.ctx
             # fault injection wraps Mailbox.post per message; the
             # rendezvous would bypass it, so degrade to the bulk path
@@ -297,15 +294,9 @@ class CCLBackend:
             ctx = ops[0].comm.ctx
         if not ops and not use_exchange:
             return
-        # the whole-group rendezvous is the one transport whose exit is
-        # synchronized on every rank, so only there may send snapshots
-        # become borrowed views (reclaimed at the consume barrier);
-        # process-wide gates keep the decision symmetric across ranks
-        zc_exchange = use_exchange and fastpath.zero_copy_enabled()
-        # transport label for trace events: which of the three delivery
-        # paths this batch took (observability only)
-        transport = "exchange" if use_exchange else \
-            ("bulk" if fused else "unfused")
+        # transport label for trace events: which of the delivery paths
+        # this batch took (observability only)
+        transport = "exchange" if use_exchange else "bulk"
 
         if ops:
             spans = any(
@@ -318,137 +309,69 @@ class CCLBackend:
         else:
             t0 = ctx.now  # empty exchange-side flush: nothing launched
 
-        last = t0
         # flows that both send to and receive from a peer in this batch
         # run both directions simultaneously (bibw, alltoall patterns)
         send_peers = {(id(op.comm), op.peer) for op in ops if op.kind == "send"}
         recv_peers = {(id(op.comm), op.peer) for op in ops if op.kind == "recv"}
         bidir_peers = send_peers & recv_peers
-        # price and post every send first so symmetric groups cannot
-        # deadlock; fused transports collect per-peer batches instead
-        # of posting message by message
+        # stage every send first so symmetric groups cannot deadlock,
+        # then book the whole group's wire transfers under one tracker
+        # lock — bookings land in per-message program order.  The
+        # whole-group rendezvous is the one transport whose exit is
+        # synchronized on every rank, so only there may send snapshots
+        # become borrowed views (reclaimed at the consume barrier).
+        recv_views = [as_array(op.buf)[:op.count]
+                      for op in ops if op.kind == "recv"] if use_exchange else []
+        staged = []
+        bookings = []
+        for op in ops:
+            if op.kind != "send":
+                continue
+            comm, peer = op.comm, op.peer
+            peer_world = comm.world_rank(peer)
+            nbytes = op.count * op.dt.wire_itemsize
+            seq = comm.next_send_seq(peer)
+            send_view = as_array(op.buf)[:op.count]
+            if not use_exchange:
+                payload = send_view.copy()
+            elif any(np.may_share_memory(send_view, rv)
+                     for rv in recv_views):
+                # in-place patterns (send segment aliased with a
+                # receive window) keep copy-on-write semantics
+                fastpath.STATS.note_copy_forced()
+                payload = send_view.copy()
+            else:
+                fastpath.STATS.note_copy_elided()
+                payload = borrow_view(send_view)
+            if peer == comm.rank:
+                staged.append((comm, peer_world, nbytes, seq, payload, None))
+            else:
+                res, beta, alpha = self._p2p_pricing(
+                    comm, peer_world, nbytes,
+                    bidir=(id(comm), peer) in bidir_peers)
+                staged.append((comm, peer_world, nbytes, seq, payload,
+                               len(bookings)))
+                bookings.append((res, t0, nbytes, beta, alpha))
+        arrivals = ctx.engine.wires.book_many(bookings)
         outbound: Dict[int, List[Message]] = {}
-        nmsgs = 0
-        if fused:
-            # stage every send, then book the whole group's wire
-            # transfers under one tracker lock — bookings land in the
-            # same per-message order, so arrivals are bit-identical to
-            # the unfused path
-            recv_views = [as_array(op.buf)[:op.count]
-                          for op in ops if op.kind == "recv"] if zc_exchange else []
-            staged = []
-            bookings = []
-            for op in ops:
-                if op.kind != "send":
-                    continue
-                comm, peer = op.comm, op.peer
-                peer_world = comm.world_rank(peer)
-                nbytes = op.count * op.dt.wire_itemsize
-                seq = comm.next_send_seq(peer)
-                send_view = as_array(op.buf)[:op.count]
-                if not zc_exchange:
-                    payload = send_view.copy()
-                elif any(np.may_share_memory(send_view, rv)
-                         for rv in recv_views):
-                    # in-place patterns (send segment aliased with a
-                    # receive window) keep copy-on-write semantics
-                    fastpath.STATS.note_copy_forced()
-                    payload = send_view.copy()
-                else:
-                    fastpath.STATS.note_copy_elided()
-                    payload = borrow_view(send_view)
-                if peer == comm.rank:
-                    staged.append((comm, peer_world, nbytes, seq, payload, None))
-                else:
-                    res, beta, alpha = self._p2p_pricing(
-                        comm, peer_world, nbytes,
-                        bidir=(id(comm), peer) in bidir_peers)
-                    staged.append((comm, peer_world, nbytes, seq, payload,
-                                   len(bookings)))
-                    bookings.append((res, t0, nbytes, beta, alpha))
-            arrivals = ctx.engine.wires.book_many(bookings)
-            for comm, peer_world, nbytes, seq, snapshot, bi in staged:
-                arrival = t0 + 0.5 if bi is None else arrivals[bi]  # self-copy
-                msg = Message(src=ctx.rank, dst=peer_world, tag=0,
-                              data=snapshot, depart_us=t0, arrival_us=arrival,
-                              nbytes=nbytes,
-                              meta={"kind": _MSG_KIND, "uid": comm.uid,
-                                    "seq": seq})
-                outbound.setdefault(peer_world, []).append(msg)
-                nmsgs += 1
-                if ctx.trace.enabled:
-                    ctx.trace.record("ccl-send", t0, t0, peer=peer_world,
-                                     nbytes=nbytes, label=transport)
-        else:
-            for op in ops:
-                if op.kind != "send":
-                    continue
-                comm, peer = op.comm, op.peer
-                peer_world = comm.world_rank(peer)
-                nbytes = op.count * op.dt.wire_itemsize
-                seq = comm.next_send_seq(peer)
-                snapshot = as_array(op.buf)[:op.count].copy()
-                if peer == comm.rank:
-                    arrival = t0 + 0.5  # self-copy
-                else:
-                    res, beta, alpha = self._p2p_pricing(
-                        comm, peer_world, nbytes,
-                        bidir=(id(comm), peer) in bidir_peers)
-                    arrival = ctx.engine.wires.book(res, t0, nbytes, beta, alpha)
-                msg = Message(src=ctx.rank, dst=peer_world, tag=0,
-                              data=snapshot, depart_us=t0, arrival_us=arrival,
-                              nbytes=nbytes,
-                              meta={"kind": _MSG_KIND, "uid": comm.uid,
-                                    "seq": seq})
-                ctx.mailbox_of(peer_world).post(msg)
-                if ctx.trace.enabled:
-                    ctx.trace.record("ccl-send", t0, t0, peer=peer_world,
-                                     nbytes=nbytes, label=transport)
+        for comm, peer_world, nbytes, seq, payload, bi in staged:
+            arrival = t0 + 0.5 if bi is None else arrivals[bi]  # self-copy
+            msg = Message(src=ctx.rank, dst=peer_world, tag=0,
+                          data=payload, depart_us=t0, arrival_us=arrival,
+                          nbytes=nbytes,
+                          meta={"kind": _MSG_KIND, "uid": comm.uid,
+                                "seq": seq})
+            outbound.setdefault(peer_world, []).append(msg)
+            if ctx.trace.enabled:
+                ctx.trace.record("ccl-send", t0, t0, peer=peer_world,
+                                 nbytes=nbytes, label=transport)
+        fastpath.STATS.note_fusion_flush(len(staged))
 
         recv_ops = [op for op in ops if op.kind == "recv"]
-        matched: List[Optional[Message]] = []
-        pending: List[Tuple[int, _GroupOp, int, int]] = []
-        if use_exchange:
-            assert exchange is not None
-            slot = ctx.group_exchange_slot(exchange.next_group_key(),
-                                           exchange.size)
-            inbound = slot.exchange_for(exchange.rank, outbound, ctx.rank)
-            index = {(m.src, m.meta["uid"], m.meta["seq"]): m for m in inbound}
-            fastpath.STATS.note_fusion_exchange()
-            fastpath.STATS.note_fusion_flush(nmsgs)
-            for op in recv_ops:
-                peer_world = op.comm.world_rank(op.peer)
-                seq = op.comm.next_recv_seq(op.peer)
-                msg = index.pop((peer_world, op.comm.uid, seq), None)
-                if msg is None:
-                    # sent outside this group call (mixed patterns):
-                    # fall back to the mailbox like the unfused path.
-                    # Under zero-copy the blocking match is deferred
-                    # past the consume barrier — the sender may only
-                    # post this message after leaving its own group.
-                    fastpath.STATS.note_fusion_fallback()
-                    if zc_exchange:
-                        pending.append((len(matched), op, peer_world, seq))
-                    else:
-                        msg = ctx.mailbox.match(
-                            src=peer_world,
-                            where=self._seq_matcher(op.comm.uid, seq),
-                            abort=self._dead_peer_probe(ctx, peer_world))
-                matched.append(msg)
-            if index:
-                # inbound mail this group's recvs did not claim stays
-                # receivable by a later group or recv; borrowed views
-                # must not escape the barrier, so materialize them
-                if zc_exchange:
-                    for m in index.values():
-                        if m.data is not None and not m.data.flags.writeable:
-                            m.data = m.data.copy()
-                            fastpath.STATS.note_copy_forced()
-                ctx.mailbox.post_many(list(index.values()))
-        elif fused:
+        arrivals_in: List[float] = [t0]
+        if not use_exchange:
             for dst, msgs in outbound.items():
                 ctx.mailbox_of(dst).post_many(msgs)
-            fastpath.STATS.note_fusion_flush(nmsgs)
             specs = []
             for op in recv_ops:
                 peer_world = op.comm.world_rank(op.peer)
@@ -459,35 +382,51 @@ class CCLBackend:
                 specs, abort=lambda srcs: next(
                     (f"peer rank {s} died" for s in srcs
                      if s in ctx.engine.dead_ranks), None))
+            self._drain_recvs(ctx, zip(recv_ops, matched), arrivals_in,
+                              transport)
         else:
+            assert exchange is not None
+            slot = ctx.group_exchange_slot(exchange.next_group_key(),
+                                           exchange.size)
+            inbound = slot.exchange_for(exchange.rank, outbound, ctx.rank)
+            index = {(m.src, m.meta["uid"], m.meta["seq"]): m for m in inbound}
+            fastpath.STATS.note_fusion_exchange()
+            exchanged: List[Tuple[_GroupOp, Message]] = []
+            pending: List[Tuple[_GroupOp, int, int]] = []
             for op in recv_ops:
                 peer_world = op.comm.world_rank(op.peer)
                 seq = op.comm.next_recv_seq(op.peer)
-                matched.append(ctx.mailbox.match(
-                    src=peer_world,
-                    where=self._seq_matcher(op.comm.uid, seq),
-                    abort=self._dead_peer_probe(ctx, peer_world)))
-
-        arrivals_in: List[float] = [last]
-        if zc_exchange:
+                msg = index.pop((peer_world, op.comm.uid, seq), None)
+                if msg is None:
+                    # sent outside this group call (mixed patterns):
+                    # fall back to the mailbox.  The blocking match is
+                    # deferred past the consume barrier — the sender
+                    # may only post this message after leaving its own
+                    # group.
+                    fastpath.STATS.note_fusion_fallback()
+                    pending.append((op, peer_world, seq))
+                else:
+                    exchanged.append((op, msg))
+            if index:
+                # inbound mail this group's recvs did not claim stays
+                # receivable by a later group or recv; borrowed views
+                # must not escape the barrier, so materialize them
+                for m in index.values():
+                    if m.data is not None and not m.data.flags.writeable:
+                        m.data = m.data.copy()
+                        fastpath.STATS.note_copy_forced()
+                ctx.mailbox.post_many(list(index.values()))
             # drain every exchanged view first, then release all
             # senders at the consume barrier; only then may the
             # deferred fallback matches block on late traffic
-            self._drain_recvs(
-                ctx, ((op, msg) for op, msg in zip(recv_ops, matched)
-                      if msg is not None), arrivals_in, transport)
+            self._drain_recvs(ctx, exchanged, arrivals_in, transport)
             slot.consume_barrier(exchange.rank)
-            for pos, op, peer_world, seq in pending:
-                matched[pos] = ctx.mailbox.match(
+            for op, peer_world, seq in pending:
+                msg = ctx.mailbox.match(
                     src=peer_world,
                     where=self._seq_matcher(op.comm.uid, seq),
                     abort=self._dead_peer_probe(ctx, peer_world))
-            self._drain_recvs(
-                ctx, ((op, matched[pos]) for pos, op, _pw, _s in pending),
-                arrivals_in, "fallback")
-        else:
-            self._drain_recvs(ctx, zip(recv_ops, matched), arrivals_in,
-                              transport)
+                self._drain_recvs(ctx, [(op, msg)], arrivals_in, "fallback")
         ctx.clock.merge_many(arrivals_in)
         for op in ops:
             op.comm.stream.enqueue(0.0, ctx.now, label="ccl-group")
@@ -523,17 +462,16 @@ class CCLBackend:
     # -- fused built-in collectives ------------------------------------------
 
     def _fused(self, comm: XCCLComm, key, payload, duration: float, compute,
-               consume=None, cleanup=None, nbytes: int = 0,
-               label: str = ""):
+               consume, cleanup=None, nbytes: int = 0, label: str = ""):
         """Common rendezvous plumbing: deposit payload, one rank
         computes, everyone completes at ``max(arrivals) + duration``.
 
-        ``consume(rank, result, data)``, when given, runs on every
-        rank's own thread under the slot's consume barrier — the window
-        in which borrowed payload views and pooled accumulators may
-        still be read (see :class:`repro.sim.engine.CollectiveSlot`).
-        ``cleanup(result)`` runs once, after the last consumer — where
-        pooled scratch is returned.
+        ``consume(rank, result, data)`` runs on every rank's own thread
+        under the slot's consume barrier — the window in which borrowed
+        payload views and pooled accumulators may still be read (see
+        :class:`repro.sim.engine.CollectiveSlot`).  ``cleanup(result)``
+        runs once, after the last consumer — where pooled scratch is
+        returned.
 
         When tracing is on, the call records one ``ccl`` span from this
         rank's deposit to the collective's completion time — the only
@@ -550,25 +488,20 @@ class CCLBackend:
             t_done = max(p[1] for p in payloads.values()) + duration
             return compute(data), t_done
 
-        if consume is None:
-            result, t_done = slot.exchange(comm.rank, (payload, ctx.now), _run)
-        else:
-            def _consume(rank: int, result_pair, payloads: Dict[int, Tuple]):
-                consume(rank, result_pair[0],
-                        {r: p[0] for r, p in payloads.items()})
+        def _consume(rank: int, result_pair, payloads: Dict[int, Tuple]):
+            consume(rank, result_pair[0],
+                    {r: p[0] for r, p in payloads.items()})
 
-            _cleanup = None if cleanup is None else \
-                (lambda result_pair: cleanup(result_pair[0]))
-            result, t_done = slot.exchange(comm.rank, (payload, ctx.now),
-                                           _run, consume=_consume,
-                                           cleanup=_cleanup)
+        _cleanup = None if cleanup is None else \
+            (lambda result_pair: cleanup(result_pair[0]))
+        _result, t_done = slot.exchange(comm.rank, (payload, ctx.now), _run,
+                                        consume=_consume, cleanup=_cleanup)
         ctx.clock.merge(t_done)
         # key = ("xccl", uid, kind, seq) — see XCCLComm.next_coll_key
         if ctx.trace.enabled:
             ctx.trace.record("ccl", t_deposit, ctx.now, nbytes=nbytes,
                              label=label or f"{self.name}:{key[2]}")
         comm.stream.enqueue(0.0, ctx.now, label="ccl-coll")
-        return result
 
     #: reductions whose result is bit-identical under any association
     #: order (pure element selection) — only these may use the fused
@@ -577,16 +510,10 @@ class CCLBackend:
     _ORDER_FREE = (np.minimum, np.maximum)
 
     @staticmethod
-    def _reduce_all(op: Op, arrays: Dict[int, np.ndarray]) -> np.ndarray:
-        acc = arrays[0].copy()
-        CCLBackend._reduce_into(op, arrays, acc)
-        return acc
-
-    @staticmethod
     def _reduce_into(op: Op, arrays: Dict[int, np.ndarray],
                      acc: np.ndarray) -> None:
         """Reduce ``arrays[1:]`` into ``acc`` (pre-seeded with
-        ``arrays[0]``), bit-identical to the legacy rank-order chain.
+        ``arrays[0]``) in rank order.
 
         Order-free ops over uniform dtypes take one vectorized
         ``ufunc.reduce`` over a stacked block instead of ``n - 1``
@@ -604,15 +531,24 @@ class CCLBackend:
         for r in range(1, n):
             op.reduce_into(acc, arrays[r])
 
-    def _pooled_acc(self, comm: XCCLComm, like: np.ndarray):
-        """(accumulator, pool, key): reduction scratch drawn from the
-        engine's shared pool (contents undefined, exact shape match)."""
+    def _reduce_pooled(self, comm: XCCLComm, op: Op,
+                       data: Dict[int, np.ndarray]):
+        """``(accumulator, pool, key)``: every rank's operand reduced
+        in rank order into scratch drawn from the engine's shared pool
+        (exact shape match); :meth:`_release_pooled` hands it back."""
         pool = comm.ctx.engine.scratch_pool
-        key = (str(like.dtype), int(like.size))
+        key = (str(data[0].dtype), int(data[0].size))
         acc = pool.acquire(key)
         if acc is None:
-            acc = np.empty_like(like)
+            acc = np.empty_like(data[0])
+        np.copyto(acc, data[0], casting="unsafe")
+        self._reduce_into(op, data, acc)
         return acc, pool, key
+
+    @staticmethod
+    def _release_pooled(res) -> None:
+        acc, pool, key = res
+        pool.release(key, acc)
 
     @staticmethod
     def _copy_out(out: np.ndarray, data: np.ndarray) -> None:
@@ -628,28 +564,13 @@ class CCLBackend:
         src = recvbuf if sendbuf is None else sendbuf
         src_view = as_array(src)[:count]
         key = comm.next_coll_key("allreduce")
-        if fastpath.zero_copy_enabled():
-            fastpath.STATS.note_copy_elided()
-            out = as_array(recvbuf)[:count]
-
-            def compute(data):
-                acc, pool, pkey = self._pooled_acc(comm, data[0])
-                np.copyto(acc, data[0], casting="unsafe")
-                self._reduce_into(op, data, acc)
-                return acc, pool, pkey
-
-            self._fused(
-                comm, key, borrow_view(src_view), dur, compute,
-                consume=lambda rank, res, data: self._copy_out(out, res[0]),
-                cleanup=lambda res: res[1].release(res[2], res[0]),
-                nbytes=nbytes)
-            return
-        snapshot = src_view.copy()
-        result = self._fused(comm, key, snapshot,
-                             dur, lambda data: self._reduce_all(op, data),
-                             nbytes=nbytes)
+        fastpath.STATS.note_copy_elided()
         out = as_array(recvbuf)[:count]
-        self._copy_out(out, result)
+        self._fused(
+            comm, key, borrow_view(src_view), dur,
+            lambda data: self._reduce_pooled(comm, op, data),
+            consume=lambda rank, res, data: self._copy_out(out, res[0]),
+            cleanup=self._release_pooled, nbytes=nbytes)
 
     def broadcast(self, comm: XCCLComm, buf, count: int, dt: Datatype,
                   root: int) -> None:
@@ -659,29 +580,20 @@ class CCLBackend:
         nbytes = count * dt.wire_itemsize
         dur = ccl_models.bcast_time(self.params, comm.shape, nbytes)
         key = comm.next_coll_key("bcast")
-        root_view = as_array(buf)[:count] if comm.rank == root else None
-        if fastpath.zero_copy_enabled():
-            if comm.rank == root:
-                fastpath.STATS.note_copy_elided()
-                payload = borrow_view(root_view)
-            else:
-                payload = None
-            out = None if comm.rank == root else as_array(buf)[:count]
-
-            def consume(rank, result, data):
-                if out is not None:
-                    self._copy_out(out, result)
-
-            self._fused(comm, key, payload, dur,
-                        lambda data: data[root], consume=consume,
-                        nbytes=nbytes)
-            return
-        payload = root_view.copy() if comm.rank == root else None
-        result = self._fused(comm, key, payload, dur, lambda data: data[root],
-                             nbytes=nbytes)
-        if comm.rank != root:
+        if comm.rank == root:
+            fastpath.STATS.note_copy_elided()
+            payload = borrow_view(as_array(buf)[:count])
+            out = None
+        else:
+            payload = None
             out = as_array(buf)[:count]
-            self._copy_out(out, result)
+
+        def consume(rank, result, data):
+            if out is not None:
+                self._copy_out(out, result)
+
+        self._fused(comm, key, payload, dur, lambda data: data[root],
+                    consume=consume, nbytes=nbytes)
 
     def reduce(self, comm: XCCLComm, sendbuf, recvbuf, count: int,
                dt: Datatype, op: Op, root: int) -> None:
@@ -693,32 +605,17 @@ class CCLBackend:
         src = recvbuf if sendbuf is None else sendbuf
         src_view = as_array(src)[:count]
         key = comm.next_coll_key("reduce")
-        if fastpath.zero_copy_enabled():
-            fastpath.STATS.note_copy_elided()
-            out = as_array(recvbuf)[:count] if comm.rank == root else None
+        fastpath.STATS.note_copy_elided()
+        out = as_array(recvbuf)[:count] if comm.rank == root else None
 
-            def compute(data):
-                acc, pool, pkey = self._pooled_acc(comm, data[0])
-                np.copyto(acc, data[0], casting="unsafe")
-                self._reduce_into(op, data, acc)
-                return acc, pool, pkey
+        def consume(rank, res, data):
+            if out is not None:
+                self._copy_out(out, res[0])
 
-            def consume(rank, res, data):
-                if out is not None:
-                    self._copy_out(out, res[0])
-
-            self._fused(comm, key, borrow_view(src_view), dur, compute,
-                        consume=consume,
-                        cleanup=lambda res: res[1].release(res[2], res[0]),
-                        nbytes=nbytes)
-            return
-        snapshot = src_view.copy()
-        result = self._fused(comm, key, snapshot,
-                             dur, lambda data: self._reduce_all(op, data),
-                             nbytes=nbytes)
-        if comm.rank == root:
-            out = as_array(recvbuf)[:count]
-            self._copy_out(out, result)
+        self._fused(comm, key, borrow_view(src_view), dur,
+                    lambda data: self._reduce_pooled(comm, op, data),
+                    consume=consume, cleanup=self._release_pooled,
+                    nbytes=nbytes)
 
     def all_gather(self, comm: XCCLComm, sendbuf, recvbuf, count: int,
                    dt: Datatype) -> None:
@@ -726,40 +623,34 @@ class CCLBackend:
         self._check(dt)
         nbytes = count * dt.wire_itemsize
         dur = ccl_models.allgather_time(self.params, comm.shape, nbytes)
-        src = sendbuf if sendbuf is not None else \
+        in_place = sendbuf is None
+        src = sendbuf if not in_place else \
             as_array(recvbuf)[comm.rank * count:(comm.rank + 1) * count]
         src_view = as_array(src)[:count]
         out = as_array(recvbuf)[:count * comm.size]
         key = comm.next_coll_key("allgather")
-        zc = fastpath.zero_copy_enabled()
-        if zc and sendbuf is not None and np.may_share_memory(src_view, out):
+        if not in_place and np.may_share_memory(src_view, out):
             # aliased send window (nonstandard in-place spelling):
-            # copy-on-write escape hatch
+            # copy-on-write — peers read a snapshot while this rank
+            # overwrites the window
             fastpath.STATS.note_copy_forced()
-            zc = False
-        if zc:
+            payload = src_view.copy()
+        else:
             fastpath.STATS.note_copy_elided()
-            in_place = sendbuf is None
-            me = comm.rank
+            payload = borrow_view(src_view)
+        me = comm.rank
 
-            def consume(rank, result, data):
-                # gather straight from the borrowed views into this
-                # rank's receive buffer: no concatenation, no staging;
-                # in place, the own segment already holds its bytes
-                for r in range(comm.size):
-                    if in_place and r == me:
-                        continue
-                    self._copy_out(out[r * count:(r + 1) * count], data[r])
+        def consume(rank, result, data):
+            # gather straight from the deposited payloads into this
+            # rank's receive buffer: no concatenation, no staging;
+            # in place, the own segment already holds its bytes
+            for r in range(comm.size):
+                if in_place and r == me:
+                    continue
+                self._copy_out(out[r * count:(r + 1) * count], data[r])
 
-            self._fused(comm, key, borrow_view(src_view), dur,
-                        lambda data: None, consume=consume, nbytes=nbytes)
-            return
-        snapshot = src_view.copy()
-        result = self._fused(
-            comm, key, snapshot, dur,
-            lambda data: np.concatenate([data[r] for r in range(len(data))]),
-            nbytes=nbytes)
-        self._copy_out(out, result)
+        self._fused(comm, key, payload, dur, lambda data: None,
+                    consume=consume, nbytes=nbytes)
 
     def reduce_scatter(self, comm: XCCLComm, sendbuf, recvbuf, count: int,
                        dt: Datatype, op: Op) -> None:
@@ -770,30 +661,15 @@ class CCLBackend:
         src = sendbuf if sendbuf is not None else recvbuf
         src_view = as_array(src)[:count * comm.size]
         key = comm.next_coll_key("reduce_scatter")
-        if fastpath.zero_copy_enabled():
-            fastpath.STATS.note_copy_elided()
-            out = as_array(recvbuf)[:count]
-            lo, hi = comm.rank * count, (comm.rank + 1) * count
-
-            def compute(data):
-                acc, pool, pkey = self._pooled_acc(comm, data[0])
-                np.copyto(acc, data[0], casting="unsafe")
-                self._reduce_into(op, data, acc)
-                return acc, pool, pkey
-
-            self._fused(
-                comm, key, borrow_view(src_view), dur, compute,
-                consume=lambda rank, res, data:
-                    self._copy_out(out, res[0][lo:hi]),
-                cleanup=lambda res: res[1].release(res[2], res[0]),
-                nbytes=nbytes)
-            return
-        snapshot = src_view.copy()
-        reduced = self._fused(comm, key, snapshot, dur,
-                              lambda data: self._reduce_all(op, data),
-                              nbytes=nbytes)
+        fastpath.STATS.note_copy_elided()
         out = as_array(recvbuf)[:count]
-        self._copy_out(out, reduced[comm.rank * count:(comm.rank + 1) * count])
+        lo, hi = comm.rank * count, (comm.rank + 1) * count
+        self._fused(
+            comm, key, borrow_view(src_view), dur,
+            lambda data: self._reduce_pooled(comm, op, data),
+            consume=lambda rank, res, data:
+                self._copy_out(out, res[0][lo:hi]),
+            cleanup=self._release_pooled, nbytes=nbytes)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__}>"

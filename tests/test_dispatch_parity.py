@@ -4,10 +4,11 @@ The staged pipeline (`repro.core.dispatch`) replaced the hand-written
 per-collective method triplets; these tests pin the refactor's
 contract:
 
-* all 12 collectives × {NCCL, RCCL, HCCL, MSCCL} × all 8 combinations
-  of the three fast-path gates produce bit-identical payloads AND
-  virtual times — the all-gates-off combo is the direct, unoptimized
-  path, so every other combo is compared against it;
+* all 12 collectives × {NCCL, RCCL, HCCL, MSCCL} produce payloads AND
+  virtual times bit-identical to the frozen reference — what the
+  direct, unoptimized path (uncached, unfused, copying) computed at the
+  last commit that had one (``tests/frozen_reference.py``) — with the
+  five remaining gates all off and all on;
 * the MPI-algorithm fallback route (PURE_MPI mode) holds the same
   invariant;
 * the §3.2 capability checks live in exactly one place
@@ -30,6 +31,8 @@ from repro.core import DispatchMode, runtime
 from repro.core.dispatch import REGISTRY, CollectivePipeline
 from repro.core.fallback import FallbackReason, Route
 from repro.mpi.ops import SUM
+from tests import frozen_reference
+from tests.test_zero_copy import _program_body_factory, _random_program
 
 #: (system, backend, ranks) — one per CCL the paper ports.  Single-node,
 #: so no wire is contended and virtual times are equal *across* gate
@@ -41,8 +44,8 @@ STACKS = [
     ("thetagpu", "msccl", 4),   # MSCCL
 ]
 
-#: all 8 combinations of (plan_cache, group_fusion, zero_copy).
-GATE_COMBOS = list(itertools.product([False, True], repeat=3))
+#: the full gate registry, in GATE_ENV order: 2^5 = 32 combinations.
+ALL_GATES = ("trace", "hier_pipe", "hetero", "online_tune", "elastic")
 
 N = 13  # odd per-rank count exercises uneven chunk geometry
 
@@ -111,11 +114,14 @@ def _twelve_collectives_body(mpx):
     return log
 
 
-def _run_under_gates(combo, body, **kw):
-    prev = fastpath.configure(plan_cache=combo[0], group_fusion=combo[1],
-                              zero_copy=combo[2])
+def _run_under_gates(combo):
+    """The twelve collectives on one 4-rank thetagpu node, hybrid
+    dispatch, with the five gates set to ``combo`` (:data:`ALL_GATES`
+    order)."""
+    prev = fastpath.configure(**dict(zip(ALL_GATES, combo)))
     try:
-        return runtime.run(body, nodes=1, **kw)
+        return runtime.run(_twelve_collectives_body, system="thetagpu",
+                           nodes=1, ranks_per_node=4)
     finally:
         fastpath.configure(**prev)
 
@@ -146,41 +152,41 @@ def test_registry_covers_all_twelve():
                          ids=[f"{s}-{b or 'native'}" for s, b, _ in STACKS])
 def test_all_collectives_all_gates_bit_identical_ccl(system, backend, nranks):
     """12 collectives through the CCL route: payloads and virtual times
-    bit-identical across all 8 gate combinations (all-off == the
-    pre-refactor direct path)."""
-    results = {}
-    for combo in GATE_COMBOS:
-        results[combo] = _run_under_gates(
-            combo, _twelve_collectives_body, system=system,
-            ranks_per_node=nranks, backend=backend,
-            mode=DispatchMode.PURE_XCCL)
-    baseline = results[(False, False, False)]
-    for combo in GATE_COMBOS[1:]:
-        _assert_bit_identical(baseline, results[combo], combo, nranks)
+    bit-identical to the frozen reference (the pre-refactor direct
+    path) with the gates all off and all on."""
+    frozen_reference.assert_matches_all_gates(
+        f"twelve:{system}-{backend or 'native'}:pure_xccl",
+        lambda: runtime.run(_twelve_collectives_body, system=system, nodes=1,
+                            ranks_per_node=nranks, backend=backend,
+                            mode=DispatchMode.PURE_XCCL))
 
 
 def test_all_collectives_all_gates_bit_identical_mpi_fallback():
     """The same invariant on the MPI-algorithm fallback route."""
-    results = {}
-    for combo in GATE_COMBOS:
-        results[combo] = _run_under_gates(
-            combo, _twelve_collectives_body, system="thetagpu",
-            ranks_per_node=4, mode=DispatchMode.PURE_MPI)
-    baseline = results[(False, False, False)]
-    for combo in GATE_COMBOS[1:]:
-        _assert_bit_identical(baseline, results[combo], combo, 4)
+    frozen_reference.assert_matches_all_gates(
+        "twelve:thetagpu-native:pure_mpi",
+        lambda: runtime.run(_twelve_collectives_body, system="thetagpu",
+                            nodes=1, ranks_per_node=4,
+                            mode=DispatchMode.PURE_MPI))
 
 
 def test_ccl_and_mpi_routes_agree_on_payloads():
-    """Both execute routes compute the same collectives: payload bytes
-    (not times) must agree between PURE_XCCL and PURE_MPI."""
-    xccl = runtime.run(_twelve_collectives_body, system="thetagpu", nodes=1,
-                       ranks_per_node=4, mode=DispatchMode.PURE_XCCL)
-    mpi = runtime.run(_twelve_collectives_body, system="thetagpu", nodes=1,
-                      ranks_per_node=4, mode=DispatchMode.PURE_MPI)
-    for rank, (a, b) in enumerate(zip(xccl, mpi)):
-        for i, ((data_a, _), (data_b, _)) in enumerate(zip(a, b)):
-            assert data_a == data_b, f"rank {rank} payload {i} differs"
+    """Both execute routes compute the same collectives — two
+    independent implementations, each the other's oracle: payload
+    bytes (not times) must agree between PURE_XCCL and PURE_MPI, on
+    the twelve collectives and on the randomized programs."""
+    for name, body in [
+            ("twelve", _twelve_collectives_body),
+            ("random-7", _program_body_factory(_random_program(7))),
+            ("random-23", _program_body_factory(_random_program(23)))]:
+        xccl = runtime.run(body, system="thetagpu", nodes=1,
+                           ranks_per_node=4, mode=DispatchMode.PURE_XCCL)
+        mpi = runtime.run(body, system="thetagpu", nodes=1,
+                          ranks_per_node=4, mode=DispatchMode.PURE_MPI)
+        for rank, (a, b) in enumerate(zip(xccl, mpi)):
+            for i, ((data_a, _), (data_b, _)) in enumerate(zip(a, b)):
+                assert data_a == data_b, \
+                    f"{name}: rank {rank} payload {i} differs"
 
 
 class TestCapabilityChecksInOnePlace:
@@ -328,10 +334,9 @@ def _hier_collectives_body(mpx):
     return log
 
 
-def _run_hier(hier, combo=(True, True, True)):
+def _run_hier(hier):
     from repro.hw.systems import make_system
-    prev = fastpath.configure(plan_cache=combo[0], group_fusion=combo[1],
-                              zero_copy=combo[2], hier_pipe=hier)
+    prev = fastpath.configure(hier_pipe=hier)
     fastpath.STATS.reset()
     try:
         cluster = make_system("thetagpu", 2, nics=4)
@@ -344,22 +349,15 @@ def _run_hier(hier, combo=(True, True, True)):
 
 def test_hier_gate_inert_single_node():
     """On one node ``MPIX_HIER_PIPE`` must be provably inert: payloads
-    AND virtual times bit-identical to the gate-off run, under every
-    combination of the other three gates."""
-    baseline = _run_under_gates((False, False, False),
-                                _twelve_collectives_body,
-                                system="thetagpu", ranks_per_node=4)
-    prev = fastpath.configure(hier_pipe=True)
-    try:
-        for combo in GATE_COMBOS:
-            fastpath.STATS.reset()
-            candidate = _run_under_gates(combo, _twelve_collectives_body,
-                                         system="thetagpu", ranks_per_node=4)
-            assert fastpath.STATS.snapshot()["route_hier"] == 0
-            _assert_bit_identical(baseline, candidate,
-                                  combo + ("hier",), 4)
-    finally:
-        fastpath.configure(**prev)
+    AND virtual times bit-identical to the gate-off run, and the
+    hierarchical route never taken."""
+    off = (False,) * len(ALL_GATES)
+    hier = tuple(name == "hier_pipe" for name in ALL_GATES)
+    baseline = _run_under_gates(off)
+    fastpath.STATS.reset()
+    candidate = _run_under_gates(hier)
+    assert fastpath.STATS.snapshot()["route_hier"] == 0
+    _assert_bit_identical(baseline, candidate, "hier_pipe", 4)
 
 
 def test_hier_multi_node_payload_parity():
@@ -379,73 +377,63 @@ def test_hier_multi_node_payload_parity():
 
 def test_hier_multi_node_reproducible():
     """With the hierarchy gate on, two fresh multi-node engines agree
-    to the bit — payloads and virtual times — with the other gates all
-    off and all on."""
-    for combo in [(False, False, False), (True, True, True)]:
-        first, _ = _run_hier(hier=True, combo=combo)
-        second, _ = _run_hier(hier=True, combo=combo)
-        for rank, (a, b) in enumerate(zip(first, second)):
-            for i, ((da, ta), (db, tb)) in enumerate(zip(a, b)):
-                assert da == db, \
-                    f"gates={combo}: rank {rank} payload {i} differs"
-                assert ta == tb, \
-                    f"gates={combo}: rank {rank} clock after op {i} differs"
-
-
-#: the full gate registry, in GATE_ENV order: 2^8 = 256 combinations.
-ALL_GATES = ("plan_cache", "group_fusion", "zero_copy", "trace",
-             "hier_pipe", "hetero", "online_tune", "elastic")
-
-
-def _run_under_all_gates(combo):
-    prev = fastpath.configure(**dict(zip(ALL_GATES, combo)))
-    try:
-        return runtime.run(_twelve_collectives_body, system="thetagpu",
-                           nodes=1, ranks_per_node=4)
-    finally:
-        fastpath.configure(**prev)
+    to the bit — payloads and virtual times."""
+    first, _ = _run_hier(hier=True)
+    second, _ = _run_hier(hier=True)
+    for rank, (a, b) in enumerate(zip(first, second)):
+        for i, ((da, ta), (db, tb)) in enumerate(zip(a, b)):
+            assert da == db, f"rank {rank} payload {i} differs"
+            assert ta == tb, f"rank {rank} clock after op {i} differs"
 
 
 def _assert_all_gate_parity(combos):
-    baseline = _run_under_all_gates((False,) * len(ALL_GATES))
+    """Every combo of :data:`ALL_GATES` reproduces the all-off run of
+    the single-node hybrid job."""
+    baseline = _run_under_gates((False,) * len(ALL_GATES))
     for combo in combos:
-        candidate = _run_under_all_gates(combo)
+        candidate = _run_under_gates(combo)
         _assert_bit_identical(baseline, candidate,
                               dict(zip(ALL_GATES, combo)), 4)
 
 
 def test_new_gates_inert_fast():
-    """Fast CI leg of the 2^8 matrix: the online tuner (below its
+    """Fast CI leg of the 2^5 matrix: the online tuner (below its
     warm-up — each collective runs once per size here) and the elastic
     error model (no faults injected) must be provably inert, alone and
     together.  Payloads AND virtual times."""
     _assert_all_gate_parity([
-        (True, True, True, False, False, False, tune, elastic)
+        (False, False, False, tune, elastic)
         for tune in (False, True)
         for elastic in (False, True)])
 
 
 @pytest.mark.slow
-def test_all_eight_gates_bit_identical_full():
-    """The full 2^8 = 256 gate matrix: every combination of all eight
+def test_all_five_gates_bit_identical_full():
+    """The full 2^5 = 32 gate matrix: every combination of all five
     MPIX_* gates produces payloads and virtual times bit-identical to
     the all-off run on a single-node hybrid job.  Every gate is either
-    pure wall-clock (plan cache, fusion, zero copy), observational
-    (trace), or inert off its trigger (hier: one node; hetero: one
-    vendor; online tuner: below warm-up; elastic: no faults) — so the
-    whole product is inert."""
+    observational (trace) or inert off its trigger (hier: one node;
+    hetero: one vendor; online tuner: below warm-up; elastic: no
+    faults) — so the whole product is inert."""
     _assert_all_gate_parity(
         [c for c in itertools.product([False, True], repeat=len(ALL_GATES))
          if any(c)])
 
 
 def test_configure_restores():
-    """fastpath.configure returns the previous states and restores."""
+    """fastpath.configure returns the previous states and restores;
+    the registry is exactly the five gates, and the three retired
+    wall-clock gates are unknown keywords."""
+    assert tuple(fastpath.GATE_ENV) == ALL_GATES
     before = fastpath.gates()
-    prev = fastpath.configure(plan_cache=False, zero_copy=False)
+    prev = fastpath.configure(trace=not before["trace"], elastic=True)
     assert prev == before
-    assert not fastpath.plans_enabled()
-    assert not fastpath.zero_copy_enabled()
-    assert fastpath.fusion_enabled() == before["group_fusion"]
+    assert fastpath.gate_enabled("trace") != before["trace"]
+    assert fastpath.gate_enabled("elastic")
+    assert fastpath.gate_enabled("hetero") == before["hetero"]
     fastpath.configure(**prev)
+    assert fastpath.gates() == before
+    for retired in ("plan_cache", "group_fusion", "zero_copy"):
+        with pytest.raises(TypeError):
+            fastpath.configure(**{retired: False})
     assert fastpath.gates() == before

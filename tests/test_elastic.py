@@ -121,10 +121,14 @@ class TestElasticRecovery:
     def test_gate_off_kill_keeps_historical_semantics(self, thetagpu1):
         """Without MPIX_ELASTIC a killed rank still fails the run —
         the gate must not change failure semantics when off."""
-        engine = Engine(thetagpu1, nranks=4, progress_timeout_s=2.0)
-        with_faults(engine, FaultPlan().kill(1, after_us=0.0))
-        with pytest.raises(RankFailedError):
-            engine.run(_recovery_body, pre_iters=2)
+        prev = fastpath.configure(elastic=False)
+        try:
+            engine = Engine(thetagpu1, nranks=4, progress_timeout_s=2.0)
+            with_faults(engine, FaultPlan().kill(1, after_us=0.0))
+            with pytest.raises(RankFailedError):
+                engine.run(_recovery_body, pre_iters=2)
+        finally:
+            fastpath.configure(**prev)
 
     def test_recovered_comm_survives_more_collectives(self, thetagpu1):
         """The shrunk communicator is a first-class comm: bcast and a

@@ -207,8 +207,6 @@ class TestDerivedCommDegradation:
         """With an injector installed every mailbox is patched, so the
         zero-copy handoff must snapshot payloads (copies_forced) — on
         the world comm AND on comms derived from it."""
-        prev = fastpath.configure(zero_copy=True)
-
         def body(ctx):
             comm = world_communicator(ctx)
             dup = comm.Dup()
@@ -220,13 +218,10 @@ class TestDerivedCommDegradation:
             half.Sendrecv(buf, peer, out, peer)
             return float(out.array[0])
 
-        try:
-            engine = Engine(thetagpu1, nranks=4, progress_timeout_s=5.0)
-            # the delay never fires (nth=99) — only the patching matters
-            with_faults(engine, FaultPlan().delay(0, 1, 1.0, nth=99))
-            results = engine.run(body)
-        finally:
-            fastpath.configure(**prev)
+        engine = Engine(thetagpu1, nranks=4, progress_timeout_s=5.0)
+        # the delay never fires (nth=99) — only the patching matters
+        with_faults(engine, FaultPlan().delay(0, 1, 1.0, nth=99))
+        results = engine.run(body)
         # split comms: {0, 2} and {1, 3}; each rank receives its peer's
         # world rank
         assert results == [2.0, 3.0, 0.0, 1.0]
@@ -237,14 +232,14 @@ class TestDerivedCommDegradation:
                                                            thetagpu1):
         """Grouped CCL send/recv on a Dup'd communicator under an
         injector: the fused whole-group exchange would bypass the
-        patched ``post``, so it must fall back to unfused messages —
-        counted, and still in program order."""
+        patched ``post``, so it must fall back to the bulk transport,
+        which replays the batch through the wrapper message by message
+        — counted, and still in program order."""
         import numpy as np
         from repro.mpi.datatypes import FLOAT
         from repro.xccl.api import (xcclGroupEnd, xcclGroupStart,
                                     xcclRecv, xcclSend,
                                     xcclStreamSynchronize)
-        prev = fastpath.configure(group_fusion=True)
 
         def body(ctx):
             world = world_communicator(ctx, mode=DispatchMode.PURE_XCCL)
@@ -267,12 +262,9 @@ class TestDerivedCommDegradation:
             xcclStreamSynchronize(xc)
             return [float(b.array[0]) for b in ins_]
 
-        try:
-            engine = Engine(thetagpu1, nranks=4, progress_timeout_s=5.0)
-            with_faults(engine, FaultPlan().delay(0, 1, 1.0, nth=99))
-            results = engine.run(body)
-        finally:
-            fastpath.configure(**prev)
+        engine = Engine(thetagpu1, nranks=4, progress_timeout_s=5.0)
+        with_faults(engine, FaultPlan().delay(0, 1, 1.0, nth=99))
+        results = engine.run(body)
         for rank, vals in enumerate(results):
             src = (rank - 1) % 4
             assert vals == [10.0 * src, 10.0 * src + 1, 10.0 * src + 2]
@@ -284,7 +276,7 @@ class TestDerivedCommDegradation:
         pipelined hierarchy's sub-comms inherit the degraded (copying)
         transport."""
         from repro.hw.systems import make_system
-        prev = fastpath.configure(hier_pipe=True, zero_copy=True)
+        prev = fastpath.configure(hier_pipe=True)
 
         def body(ctx):
             comm = world_communicator(ctx)

@@ -1,11 +1,12 @@
 """Fused group transport: bit-identity, ordering, counters, smoke.
 
-``MPIX_GROUP_FUSION`` may only change how fast the simulator runs —
+Batching a group call may only change how fast the simulator runs —
 never what it computes.  These tests pin that contract for every
 send-recv collective on every CCL stack: payload bytes AND virtual
-clocks are bit-identical with fusion on and off, group flushes keep
-per-(src, tag) FIFO order, and the fused paths actually engage
-(counters > 0) so a silent fallback cannot masquerade as a pass.
+clocks are bit-identical to what one mailbox round trip per message
+gave (the frozen fusion-off arm, ``tests/frozen_reference.py``), group
+flushes keep per-(src, tag) FIFO order, and the fused paths actually
+engage (counters > 0) so a silent fallback cannot masquerade as a pass.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import pytest
 
 from repro import fastpath
 from repro.core import runtime
+from tests import frozen_reference
 
 #: (system, backend, single-node ranks) — one per CCL the paper ports.
 #: Single-node runs are exactly reproducible (intra-node wires are
@@ -92,38 +94,27 @@ def _sendrecv_body(mpx):
 @pytest.mark.parametrize("system,backend,rpn", STACKS,
                          ids=[f"{s}-{b or 'native'}" for s, b, _ in STACKS])
 def test_bit_identical_fusion_on_vs_off(system, backend, rpn):
-    """Fusion on vs off: identical payload bytes AND virtual times for
-    every send-recv collective on every CCL stack."""
-    def run():
-        return runtime.run(_sendrecv_body, system=system, nodes=1,
-                           ranks_per_node=rpn, backend=backend,
-                           mode="pure_xccl")
-
-    prev = fastpath.set_fusion_enabled(False)
-    try:
-        off = run()
-        fastpath.set_fusion_enabled(True)
-        fastpath.STATS.reset()
-        on = run()
-        stats = fastpath.STATS.snapshot()
-    finally:
-        fastpath.set_fusion_enabled(prev)
+    """Fusion on (the only transport) vs off (the frozen
+    message-by-message arm): identical payload bytes AND virtual times
+    for every send-recv collective on every CCL stack."""
+    fastpath.STATS.reset()
+    on = runtime.run(_sendrecv_body, system=system, nodes=1,
+                     ranks_per_node=rpn, backend=backend, mode="pure_xccl")
+    stats = fastpath.STATS.snapshot()
 
     # the fused transport must actually have engaged
     assert stats["fusion_flushes"] > 0
     assert stats["fusion_exchanges"] > 0
     assert stats["fusion_msgs"] > 0
-
-    assert len(on) == len(off) == rpn
-    for rank, (a, b) in enumerate(zip(off, on)):
-        for i, ((data_a, t_a), (data_b, t_b)) in enumerate(zip(a, b)):
-            assert data_a == data_b, f"rank {rank} payload {i} differs"
-            assert t_a == t_b, f"rank {rank} clock after op {i} differs"
+    frozen_reference.assert_matches(
+        f"group_fusion:{system}-{backend or 'native'}", on)
 
 
 def test_group_flush_preserves_pair_fifo():
     """Several sends to the same peer inside one group arrive in
-    program order: MPI non-overtaking survives the bulk post_many."""
+    program order on both transports: MPI non-overtaking survives the
+    whole-group rendezvous (hinted group) and the bulk ``post_many``
+    (plain ``ncclGroupStart``)."""
     from repro.xccl.api import (
         xcclGroupEnd,
         xcclGroupStart,
@@ -133,35 +124,35 @@ def test_group_flush_preserves_pair_fifo():
     )
     from repro.mpi.datatypes import FLOAT
 
-    def body(mpx):
-        comm = mpx.COMM_WORLD
-        ctx = comm.ctx
-        xc = comm.coll.layer.ccl_comm(comm)
-        peer = (comm.rank + 1) % comm.size
-        src = (comm.rank - 1) % comm.size
-        outs = [ctx.device.zeros(4, dtype=np.float32) for _ in range(3)]
-        ins_ = [ctx.device.zeros(4, dtype=np.float32) for _ in range(3)]
-        for i, o in enumerate(outs):
-            o.array[:] = 10 * comm.rank + i
-        xcclGroupStart(xc)
-        for i in range(3):
-            xcclSend(outs[i], 4, FLOAT, peer, xc)
-            xcclRecv(ins_[i], 4, FLOAT, src, xc)
-        xcclGroupEnd()
-        xcclStreamSynchronize(xc)
-        return [float(b.array[0]) for b in ins_]
+    def body_for(hinted):
+        def body(mpx):
+            comm = mpx.COMM_WORLD
+            ctx = comm.ctx
+            xc = comm.coll.layer.ccl_comm(comm)
+            peer = (comm.rank + 1) % comm.size
+            src = (comm.rank - 1) % comm.size
+            outs = [ctx.device.zeros(4, dtype=np.float32) for _ in range(3)]
+            ins_ = [ctx.device.zeros(4, dtype=np.float32) for _ in range(3)]
+            for i, o in enumerate(outs):
+                o.array[:] = 10 * comm.rank + i
+            xcclGroupStart(xc if hinted else None)
+            for i in range(3):
+                xcclSend(outs[i], 4, FLOAT, peer, xc)
+                xcclRecv(ins_[i], 4, FLOAT, src, xc)
+            xcclGroupEnd()
+            xcclStreamSynchronize(xc)
+            return [float(b.array[0]) for b in ins_]
+        return body
 
-    for flag in (True, False):
-        prev = fastpath.set_fusion_enabled(flag)
-        try:
-            got = runtime.run(body, system="thetagpu", nodes=1,
-                              ranks_per_node=4, mode="pure_xccl")
-        finally:
-            fastpath.set_fusion_enabled(prev)
+    for hinted in (True, False):
+        fastpath.STATS.reset()
+        got = runtime.run(body_for(hinted), system="thetagpu", nodes=1,
+                          ranks_per_node=4, mode="pure_xccl")
+        assert (fastpath.STATS.snapshot()["fusion_exchanges"] > 0) == hinted
         for rank, vals in enumerate(got):
             src = (rank - 1) % 4
             assert vals == [10.0 * src, 10.0 * src + 1, 10.0 * src + 2], \
-                f"fusion={flag}: rank {rank} recvs out of order: {vals}"
+                f"hinted={hinted}: rank {rank} recvs out of order: {vals}"
 
 
 def test_rooted_groups_do_not_rendezvous():
@@ -176,49 +167,44 @@ def test_rooted_groups_do_not_rendezvous():
         comm.Gather(s, r, root=0, count=4)
         return True
 
-    prev = fastpath.set_fusion_enabled(True)
-    try:
-        fastpath.STATS.reset()
-        assert all(runtime.run(body, system="thetagpu", nodes=1,
-                               ranks_per_node=4, mode="pure_xccl"))
-        stats = fastpath.STATS.snapshot()
-    finally:
-        fastpath.set_fusion_enabled(prev)
+    fastpath.STATS.reset()
+    assert all(runtime.run(body, system="thetagpu", nodes=1,
+                           ranks_per_node=4, mode="pure_xccl"))
+    stats = fastpath.STATS.snapshot()
     assert stats["fusion_flushes"] > 0      # bulk transport engaged
     assert stats["fusion_exchanges"] == 0   # but no whole-group slot
 
 
 def test_fusion_smoke_benchmark_round():
-    """One fused benchmark round (tier-1-safe): the alltoallv loop from
-    ``make bench-fusion`` runs fused end to end with exchanges > 0, so
-    the fused path cannot silently regress to a fallback."""
-    import importlib.util
-    from pathlib import Path
-    path = Path(__file__).resolve().parent.parent / "benchmarks" \
-        / "bench_group_fusion.py"
-    spec = importlib.util.spec_from_file_location("bench_group_fusion", path)
-    bench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench)
+    """One benchmark-shaped round (tier-1-safe): a tight 8-rank uneven
+    alltoallv loop runs fused end to end with exchanges > 0 and no
+    fallback, so the fused path cannot silently regress."""
+    iters, count = 40, 64
 
-    prev = fastpath.set_fusion_enabled(True)
-    try:
-        fastpath.STATS.reset()
-        ops, results = bench._run_once(bench._alltoallv_body, 1, 8)
-        stats = fastpath.STATS.snapshot()
-    finally:
-        fastpath.set_fusion_enabled(prev)
-    assert ops > 0
-    assert len(results) == 8
-    assert stats["fusion_exchanges"] > 0
+    def body(mpx):
+        comm = mpx.COMM_WORLD
+        ctx = comm.ctx
+        p, r = comm.size, comm.rank
+        sc = [((r + j) % 3 + 1) * count for j in range(p)]  # 1..3 blocks
+        rc = [((i + r) % 3 + 1) * count for i in range(p)]
+        sd = [sum(sc[:j]) for j in range(p)]
+        rd = [sum(rc[:j]) for j in range(p)]
+        send = ctx.device.zeros(sum(sc), dtype=np.float32)
+        recv = ctx.device.zeros(sum(rc), dtype=np.float32)
+        send.array[:] = r + 1
+        for _ in range(iters):
+            comm.Alltoallv(send, sc, recv, rc, sd, rd)
+        return recv.array.copy()
+
+    fastpath.STATS.reset()
+    results = runtime.run(body, system="thetagpu", nodes=1,
+                          ranks_per_node=8, mode="pure_xccl")
+    stats = fastpath.STATS.snapshot()
+    for r, got in enumerate(results):
+        expect = np.concatenate([
+            np.full(((i + r) % 3 + 1) * count, i + 1, dtype=np.float32)
+            for i in range(8)])
+        assert (got == expect).all(), f"rank {r} received wrong blocks"
+    assert stats["fusion_exchanges"] == iters * 8
     assert stats["fusion_fallbacks"] == 0
     assert stats["fusion_msgs"] >= stats["fusion_flushes"]
-
-
-def test_fusion_toggle_restores():
-    prev = fastpath.set_fusion_enabled(False)
-    try:
-        assert not fastpath.fusion_enabled()
-        fastpath.set_fusion_enabled(True)
-        assert fastpath.fusion_enabled()
-    finally:
-        fastpath.set_fusion_enabled(prev)

@@ -224,17 +224,19 @@ def test_unequal_islands_leader_fallback(restore_gates):
             assert a[key] == b[key], f"rank {rank} {key}: bridge differs"
 
 
-@pytest.mark.parametrize("plan_cache", [False, True])
-@pytest.mark.parametrize("zero_copy", [False, True])
-@pytest.mark.parametrize("group_fusion", [False, True])
-def test_gate_combos_payload_parity(restore_gates, plan_cache, zero_copy,
-                                    group_fusion):
-    """The bridge composes with every other gate: payloads match the
-    all-defaults bridge run across the 2^3 combinations."""
+@pytest.mark.parametrize("trace", [False, True])
+@pytest.mark.parametrize("online_tune", [False, True])
+@pytest.mark.parametrize("hier_pipe", [False, True])
+def test_gate_combos_payload_parity(restore_gates, trace, online_tune,
+                                    hier_pipe):
+    """The bridge composes with every other gate that can reach a
+    mixed multi-node job — tracing and the two other routing gates:
+    payloads match the all-defaults bridge run across the 2^3
+    combinations."""
     expect, _ = _run(_collectives_body, _mixed_cluster(), 8, 2,
                      hetero=True)
-    fastpath.configure(plan_cache=plan_cache, zero_copy=zero_copy,
-                       group_fusion=group_fusion)
+    fastpath.configure(trace=trace, online_tune=online_tune,
+                       hier_pipe=hier_pipe)
     got = runtime.run(_collectives_body, system=_mixed_cluster(),
                       nranks=8, ranks_per_node=2)
     assert got == expect

@@ -142,6 +142,11 @@ def test_comm_free_releases_hier_state(restore_gates):
     """``Comm_free`` must tear down the whole hierarchy footprint: the
     cached sub-communicators, the placement cache, and the dup'd
     communicator's plan-cache entry."""
+    # a tuned collective always walks the route stage and compiles no
+    # plan, so the plan-cache half of this pin needs the tuner off (the
+    # check-gates MPIX_ONLINE_TUNE=1 leg runs this test too)
+    fastpath.configure(online_tune=False)
+
     def body(mpx):
         comm = mpx.COMM_WORLD
         sub = mpx.attach(comm.Dup())
@@ -151,10 +156,7 @@ def test_comm_free_releases_hier_state(restore_gates):
         topo = getattr(sub, "_hier_topo", None)
         had_topo = topo is not None
         pipeline = sub.coll.pipeline
-        # the plan-cache entry only exists when that gate is on (the
-        # check-gates MPIX_PLAN_CACHE=0 leg runs this test too)
-        had_plans = (sub.ctx_id in pipeline._plans
-                     or not fastpath.gate_enabled("plan_cache"))
+        had_plans = sub.ctx_id in pipeline._plans
         sub.Free()
         return {
             "had_topo": had_topo,

@@ -75,9 +75,10 @@ class TestPipelineStageTracing:
     """Tentpole: the five pipeline stages each leave a trace marker."""
 
     def test_all_five_stages_marked_on_hybrid_run(self, thetagpu1):
-        # the plan:miss/plan:hit markers need the plan-cache gate on —
-        # pin it so the check-gates MPIX_PLAN_CACHE=0 leg passes too
-        prev = fastpath.configure(plan_cache=True)
+        # a tuned collective bypasses the plan cache (plan:tune), so the
+        # plan:miss/plan:hit markers need the online tuner off — pin it
+        # so the check-gates MPIX_ONLINE_TUNE=1 leg passes too
+        prev = fastpath.configure(online_tune=False)
         try:
             engine, _ = _run_traced(
                 thetagpu1, _allreduce_body(DispatchMode.HYBRID))
@@ -119,24 +120,13 @@ class TestPipelineStageTracing:
             _labels(engine.traces(), "dispatch"))
 
     def test_untraced_run_records_nothing(self, thetagpu1):
-        prev = fastpath.set_trace_enabled(False)
+        prev = fastpath.configure(trace=False)
         try:
             engine, _ = _run_traced(
                 thetagpu1, _allreduce_body(DispatchMode.HYBRID), trace=False)
         finally:
-            fastpath.set_trace_enabled(prev)
+            fastpath.configure(**prev)
         assert all(len(t) == 0 for t in engine.traces())
-
-    def test_plan_cache_off_marks_plan_off(self, thetagpu1):
-        prev = fastpath.set_plans_enabled(False)
-        try:
-            engine, _ = _run_traced(
-                thetagpu1, _allreduce_body(DispatchMode.HYBRID))
-        finally:
-            fastpath.set_plans_enabled(prev)
-        stages = _stage_labels(engine.traces())
-        assert "plan:off" in stages
-        assert "plan:hit" not in stages and "plan:miss" not in stages
 
 
 class TestTransportAndDerivedComms:
@@ -154,27 +144,29 @@ class TestTransportAndDerivedComms:
         comm.Alltoall(s, out, count=256)
 
     def test_group_exchange_transport_labeled(self, thetagpu1):
-        prev = fastpath.set_fusion_enabled(True)
         fastpath.STATS.reset()
-        try:
-            engine, _ = _run_traced(thetagpu1, self._alltoall_body)
-            stats = fastpath.STATS.snapshot()
-        finally:
-            fastpath.set_fusion_enabled(prev)
+        engine, _ = _run_traced(thetagpu1, self._alltoall_body)
+        stats = fastpath.STATS.snapshot()
         assert stats["fusion_exchanges"] > 0      # the path engaged
         sends = _labels(engine.traces(), "ccl-send")
         recvs = _labels(engine.traces(), "ccl-recv")
         assert sends and set(sends) == {"exchange"}
         assert recvs and set(recvs) == {"exchange"}
 
-    def test_unfused_transport_labeled(self, thetagpu1):
-        prev = fastpath.set_fusion_enabled(False)
-        try:
-            engine, _ = _run_traced(thetagpu1, self._alltoall_body)
-        finally:
-            fastpath.set_fusion_enabled(prev)
+    def test_bulk_transport_labeled(self, thetagpu1):
+        """A rooted group opens without the exchange hint and rides the
+        bulk mailbox transport."""
+        def body(ctx):
+            comm = world_communicator(ctx, mode=DispatchMode.PURE_XCCL)
+            s = ctx.device.zeros(256)
+            out = ctx.device.zeros(256 * comm.size)
+            comm.Gather(s, out, root=0, count=256)
+
+        engine, _ = _run_traced(thetagpu1, body)
         sends = _labels(engine.traces(), "ccl-send")
-        assert sends and set(sends) == {"unfused"}
+        recvs = _labels(engine.traces(), "ccl-recv")
+        assert sends and set(sends) == {"bulk"}
+        assert recvs and set(recvs) == {"bulk"}
 
     def test_fused_builtin_records_ccl_span(self, thetagpu1):
         """The five direct-CCL collectives run entirely inside a fused
@@ -312,14 +304,14 @@ class TestChromeExport:
                             progress_timeout_s=20.0)
             return engine.run(body)
 
-        prev = fastpath.set_trace_enabled(False)
+        prev = fastpath.configure(trace=False)
         try:
             off = run(False)
             on = run(True)
-            fastpath.set_trace_enabled(True)
+            fastpath.configure(trace=True)
             gated = run(False)
         finally:
-            fastpath.set_trace_enabled(prev)
+            fastpath.configure(**prev)
         assert off == on == gated
 
 
@@ -327,9 +319,9 @@ class TestMetricsAggregation:
     """The per-collective aggregator: traces and docs agree."""
 
     def test_report_from_traces_and_doc_agree(self, thetagpu1):
-        # pins plan:hit counts, so the plan-cache gate must be on even
-        # under the check-gates MPIX_PLAN_CACHE=0 leg
-        prev = fastpath.configure(plan_cache=True)
+        # pins plan:hit counts, so the online tuner must be off even
+        # under the check-gates MPIX_ONLINE_TUNE=1 leg
+        prev = fastpath.configure(online_tune=False)
         try:
             engine, _ = _run_traced(
                 thetagpu1, _allreduce_body(DispatchMode.HYBRID))
@@ -410,25 +402,23 @@ class TestTraceGate:
         # default off — unless the check-gates CI leg exports MPIX_TRACE=1
         expected = os.environ.get("MPIX_TRACE", "0").strip().lower() \
             not in ("0", "false", "off", "no", "")
-        fresh = {name: fastpath._env_gate(var, fastpath._GATE_DEFAULTS.get(
-            name, "1")) for name, var in fastpath.GATE_ENV.items()}
-        assert fresh["trace"] == expected
+        assert fastpath._env_gate(fastpath.GATE_ENV["trace"]) == expected
 
     def test_gate_enables_engine_tracing(self, thetagpu1):
-        prev = fastpath.set_trace_enabled(True)
+        prev = fastpath.configure(trace=True)
         try:
             engine, _ = _run_traced(
                 thetagpu1, _allreduce_body(DispatchMode.HYBRID), trace=False)
         finally:
-            fastpath.set_trace_enabled(prev)
+            fastpath.configure(**prev)
         assert engine.trace_enabled
         assert all(len(t) > 0 for t in engine.traces())
 
     def test_configure_round_trips_trace(self):
         prev = fastpath.configure(trace=True)
-        assert fastpath.trace_enabled()
+        assert fastpath.gate_enabled("trace")
         fastpath.configure(**prev)
-        assert fastpath.trace_enabled() == prev["trace"]
+        assert fastpath.gate_enabled("trace") == prev["trace"]
 
 
 class TestTrainerStepMarkers:

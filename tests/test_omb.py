@@ -214,8 +214,12 @@ class TestCLI:
                      "--iterations", "2", "--warmup", "1", "--stats"]) == 0
         out = capsys.readouterr().out
         assert "Fast-path gates:" in out
-        state = "on" if fastpath.plans_enabled() else "off"
-        assert f"plan_cache={state}" in out
+        gates_line = next(line for line in out.splitlines()
+                          if "Fast-path gates:" in line)
+        shown = gates_line.split(":", 1)[1].strip().split(", ")
+        assert len(shown) == 5
+        assert shown == sorted(f"{name}={'on' if flag else 'off'}"
+                               for name, flag in fastpath.gates().items())
         assert "dispatch_calls" in out
         assert "route_xccl" in out
         # counters in the report come from this sweep only

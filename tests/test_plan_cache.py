@@ -1,13 +1,17 @@
-"""Plan-cache fast path: bit-identity, cache hits, pooling, lifecycle.
+"""Plan cache and memoization: bit-identity, hits, pooling, lifecycle.
 
-The fast path (``repro.fastpath`` + ``repro.core.plan``) may only change
-how fast the simulator runs — never what it computes.  These tests pin
-that contract: payloads and virtual clocks are bit-identical with the
-cache on and off, for every collective on every backend, and the caches
-actually get hit.
+Compiled plans, memoized models and pooled staging (``repro.core.plan``)
+may only change how fast the simulator runs — never what it computes.
+These tests pin that contract: payloads and virtual clocks are
+bit-identical to what per-call derivation gave (the frozen cache-off
+arm, ``tests/frozen_reference.py``) for every collective on every
+backend, every memoized function replays its uncached original, and
+the caches actually get hit.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 import pytest
@@ -19,6 +23,7 @@ from repro.core.tuning_table import cached_table
 from repro.mpi.coll.hierarchical import node_comms
 from repro.mpi.ops import SUM
 from repro.xccl.datatypes import support_table
+from tests import frozen_reference
 
 #: (system, backend, single-node ranks) — one per CCL the paper ports.
 #: Single-node runs are exactly reproducible (intra-node wires are
@@ -31,6 +36,16 @@ STACKS = [
 ]
 
 SIZES = (37, 1024)  # odd count exercises uneven chunk geometry
+
+
+@pytest.fixture(autouse=True)
+def _online_tuner_off():
+    """A tuned collective always walks the route stage and compiles no
+    plan, so the hit/compile/release pins here need the tuner off (the
+    check-gates ``MPIX_ONLINE_TUNE=1`` leg runs this file too)."""
+    prev = fastpath.configure(online_tune=False)
+    yield
+    fastpath.configure(**prev)
 
 
 def _collective_body(mpx):
@@ -73,25 +88,13 @@ def _collective_body(mpx):
 @pytest.mark.parametrize("system,backend,rpn", STACKS,
                          ids=[f"{s}-{b or 'native'}" for s, b, _ in STACKS])
 def test_bit_identical_on_vs_off(system, backend, rpn):
-    """Cache on vs off: identical payload bytes AND virtual times for
-    every collective on every backend."""
-    def run():
-        return runtime.run(_collective_body, system=system, nodes=1,
-                           ranks_per_node=rpn, backend=backend)
-
-    prev = fastpath.set_plans_enabled(False)
-    try:
-        off = run()
-        fastpath.set_plans_enabled(True)
-        on = run()
-    finally:
-        fastpath.set_plans_enabled(prev)
-
-    assert len(on) == len(off) == rpn
-    for rank, (a, b) in enumerate(zip(off, on)):
-        for i, ((data_a, t_a), (data_b, t_b)) in enumerate(zip(a, b)):
-            assert data_a == data_b, f"rank {rank} payload {i} differs"
-            assert t_a == t_b, f"rank {rank} clock after op {i} differs"
+    """Cache on (the only path) vs off (the frozen per-call-derivation
+    arm): identical payload bytes AND virtual times for every
+    collective on every backend."""
+    frozen_reference.assert_matches(
+        f"plan_cache:{system}-{backend or 'native'}",
+        runtime.run(_collective_body, system=system, nodes=1,
+                    ranks_per_node=rpn, backend=backend))
 
 
 def test_plan_cache_hits_in_omb_style_loop():
@@ -106,13 +109,9 @@ def test_plan_cache_hits_in_omb_style_loop():
             comm.Allreduce(s, r, SUM)
         return True
 
-    prev = fastpath.set_plans_enabled(True)
-    try:
-        fastpath.STATS.reset()
-        runtime.run(body, system="thetagpu", nodes=1, ranks_per_node=4)
-        stats = fastpath.STATS.snapshot()
-    finally:
-        fastpath.set_plans_enabled(prev)
+    fastpath.STATS.reset()
+    runtime.run(body, system="thetagpu", nodes=1, ranks_per_node=4)
+    stats = fastpath.STATS.snapshot()
     assert stats["hits"] > 0
     assert stats["compiled"] == stats["misses"]
     assert stats["hits"] > stats["misses"]
@@ -187,12 +186,8 @@ def test_comm_free_releases_caches():
         sub.Free()  # idempotent
         return had_plans
 
-    prev = fastpath.set_plans_enabled(True)
-    try:
-        assert all(runtime.run(body, system="thetagpu", nodes=1,
-                               ranks_per_node=4))
-    finally:
-        fastpath.set_plans_enabled(prev)
+    assert all(runtime.run(body, system="thetagpu", nodes=1,
+                           ranks_per_node=4))
 
 
 def test_support_table_identity():
@@ -243,11 +238,62 @@ def test_plan_cache_counts():
     assert len(cache) == 0
 
 
-def test_toggle_restores():
-    prev = fastpath.set_plans_enabled(False)
-    try:
-        assert not fastpath.plans_enabled()
-        fastpath.set_plans_enabled(True)
-        assert fastpath.plans_enabled()
-    finally:
-        fastpath.set_plans_enabled(prev)
+def test_memoized_functions_replay_their_originals(thetagpu2):
+    """Every memo — the sixteen analytic models, ``tuning.select``,
+    ``chunk_bounds`` and ``P2PEndpoint._path_for`` — returns the same
+    value on a miss, on a hit, and from its uncached original, over a
+    grid of arguments."""
+    from repro.mpi.coll import _util, tuning
+    from repro.mpi.config import mvapich_gpu
+    from repro.perfmodel import ccl_models, mpi_models
+    from repro.perfmodel.params import ccl_params
+    from repro.perfmodel.shape import shape_of
+
+    shapes = [shape_of(thetagpu2, tuple(range(n)), 8) for n in (4, 8, 16)]
+    # sizes nothing else in the suite prices, so the first call misses
+    sizes = (1, 1021, (1 << 16) + 3, (3 << 20) + 5)
+    ccls = [(ccl_params(name),) for name in ("nccl", "rccl", "hccl", "msccl")]
+    for mod, heads, tail in ((ccl_models, ccls, ()),
+                             (mpi_models, [(mvapich_gpu(),)], ("",))):
+        memos = [fn for name, fn in vars(mod).items()
+                 if name.endswith("_time") and hasattr(fn, "__wrapped__")]
+        assert len(memos) == 8, mod.__name__
+        for fn, head, shape, nbytes in itertools.product(
+                memos, heads, shapes, sizes):
+            args = head + (shape, nbytes) + tail
+            original = fn.__wrapped__(*args)
+            assert fn(*args) == original, (fn.__name__, "miss", args)
+            assert fn(*args) == original, (fn.__name__, "hit", args)
+
+    for coll, nbytes, p, commutative in itertools.product(
+            tuning.DEFAULT_TABLE, (1, 1025, (32 << 10) + 1, (1 << 20) + 1),
+            (2, 3, 8), (True, False)):
+        key = (coll, nbytes, p, commutative)
+        tuning._SELECT_CACHE.pop(key, None)
+        original = tuning._select(*key, tuning.DEFAULT_TABLE)
+        assert tuning.select(*key) == original          # miss
+        assert tuning._SELECT_CACHE[key] == original
+        assert tuning.select(*key) == original          # hit
+
+    _util.chunk_bounds.cache_clear()
+    for n, (count, parts) in enumerate(itertools.product(
+            (0, 1, 13, 1024, 100003), (1, 3, 8)), start=1):
+        original = _util.chunk_bounds.__wrapped__(count, parts)
+        assert _util.chunk_bounds(count, parts) == original
+        assert _util.chunk_bounds(count, parts) == original
+        info = _util.chunk_bounds.cache_info()
+        assert (info.misses, info.hits) == (n, n)
+
+    def body(mpx):
+        endpoint = mpx.COMM_WORLD.endpoint
+        for key in itertools.product((1, 9), (False, True), (False, True)):
+            endpoint._path_cache.pop(key, None)
+            miss = endpoint._path_for(*key)
+            assert endpoint._path_cache[key] is miss
+            assert endpoint._path_for(*key) is miss     # hit
+            del endpoint._path_cache[key]
+            assert endpoint._path_for(*key) == miss     # derived afresh
+        return True
+
+    assert all(runtime.run(body, system=thetagpu2, nranks=16,
+                           ranks_per_node=8))

@@ -146,6 +146,6 @@ class TestSchedulerIsNotAGate:
     def test_registry_has_no_scheduler_gate(self):
         assert "coop_sched" not in fastpath.GATE_ENV
         assert "coop_sched" not in fastpath.gates()
-        assert len(fastpath.GATE_ENV) == 8
+        assert len(fastpath.GATE_ENV) == 5
         with pytest.raises(TypeError):
             fastpath.configure(coop_sched=True)

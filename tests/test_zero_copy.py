@@ -1,11 +1,12 @@
 """Zero-copy datapath: bit-identity, leaks, gate combos, fault safety.
 
-``MPIX_ZERO_COPY`` may only change how fast the simulator runs — never
-what it computes.  These tests pin that contract on every CCL stack:
-payload bytes AND virtual clocks are bit-identical with the gate on and
-off, borrowed views are never retained after completion, all 8
-combinations of the three fast-path gates agree bit-for-bit on
-randomized collective sequences, and fault injection degrades the
+Handing payloads off as borrowed views may only change how fast the
+simulator runs — never what it computes.  These tests pin that contract
+on every CCL stack: payload bytes AND virtual clocks are bit-identical
+to what defensive snapshots gave (the frozen zero-copy-off arm,
+``tests/frozen_reference.py``), borrowed views are never retained after
+completion, randomized collective sequences reproduce their frozen
+reference under the remaining gates, and fault injection degrades the
 leased handoff to the copying path without ever corrupting a sender's
 live buffer.
 """
@@ -25,6 +26,7 @@ from repro.mpi import SUM, Communicator
 from repro.mpi.communicator import IN_PLACE
 from repro.sim.engine import Engine
 from repro.sim.faults import FaultPlan, with_faults
+from tests import frozen_reference
 
 #: (system, backend, single-node ranks) — one per CCL the paper ports.
 #: Single-node runs are exactly reproducible, which is what makes
@@ -108,39 +110,22 @@ def _datapath_body(mpx):
     return log
 
 
-def _compare_runs(off, on, rpn):
-    assert len(on) == len(off) == rpn
-    for rank, (a, b) in enumerate(zip(off, on)):
-        assert len(a) == len(b)
-        for i, ((data_a, t_a), (data_b, t_b)) in enumerate(zip(a, b)):
-            assert data_a == data_b, f"rank {rank} payload {i} differs"
-            assert t_a == t_b, f"rank {rank} clock after op {i} differs"
-
-
 @pytest.mark.parametrize("system,backend,rpn", STACKS,
                          ids=[f"{s}-{b or 'native'}" for s, b, _ in STACKS])
 def test_bit_identical_zero_copy_on_vs_off(system, backend, rpn):
-    """Zero-copy on vs off: identical payload bytes AND virtual times
-    for the whole datapath on every CCL stack."""
-    def run():
-        return runtime.run(_datapath_body, system=system, nodes=1,
-                           ranks_per_node=rpn, backend=backend,
-                           mode="pure_xccl")
-
-    prev = fastpath.set_zero_copy_enabled(False)
-    try:
-        off = run()
-        fastpath.set_zero_copy_enabled(True)
-        fastpath.STATS.reset()
-        on = run()
-        stats = fastpath.STATS.snapshot()
-    finally:
-        fastpath.set_zero_copy_enabled(prev)
+    """Zero-copy on (the only datapath) vs off (the frozen snapshot
+    arm): identical payload bytes AND virtual times for the whole
+    datapath on every CCL stack."""
+    fastpath.STATS.reset()
+    on = runtime.run(_datapath_body, system=system, nodes=1,
+                     ranks_per_node=rpn, backend=backend, mode="pure_xccl")
+    stats = fastpath.STATS.snapshot()
 
     # the leased paths must actually have engaged
     assert stats["copies_elided"] > 0
     assert stats["accumulator_reuses"] > 0
-    _compare_runs(off, on, rpn)
+    frozen_reference.assert_matches(
+        f"zero_copy:{system}-{backend or 'native'}", on)
 
 
 _PROGRAM_OPS = ("allreduce", "allgather", "allgather_in_place",
@@ -200,34 +185,15 @@ def _program_body_factory(program):
 
 @pytest.mark.parametrize("seed", [7, 23])
 def test_randomized_sequences_identical_under_all_gate_combos(seed):
-    """All 8 combinations of plan-cache x fusion x zero-copy agree
-    bit-for-bit (payloads and virtual times) on randomized collective
-    sequences."""
+    """Randomized collective sequences reproduce the frozen all-off
+    reference bit-for-bit (payloads and virtual times) with the five
+    remaining gates all off and all on — every one of them is inert on
+    a single-node, single-vendor, fault-free ``pure_xccl`` job."""
     body = _program_body_factory(_random_program(seed))
-
-    def run():
-        return runtime.run(body, system="thetagpu", nodes=1,
-                           ranks_per_node=4, mode="pure_xccl")
-
-    prev = (fastpath.plans_enabled(), fastpath.fusion_enabled(),
-            fastpath.zero_copy_enabled())
-    reference = None
-    try:
-        for plans in (False, True):
-            for fusion in (False, True):
-                for zc in (False, True):
-                    fastpath.set_plans_enabled(plans)
-                    fastpath.set_fusion_enabled(fusion)
-                    fastpath.set_zero_copy_enabled(zc)
-                    got = run()
-                    if reference is None:
-                        reference = got
-                    else:
-                        _compare_runs(reference, got, 4)
-    finally:
-        fastpath.set_plans_enabled(prev[0])
-        fastpath.set_fusion_enabled(prev[1])
-        fastpath.set_zero_copy_enabled(prev[2])
+    frozen_reference.assert_matches_all_gates(
+        f"random:{seed}",
+        lambda: runtime.run(body, system="thetagpu", nodes=1,
+                            ranks_per_node=4, mode="pure_xccl"))
 
 
 def test_no_payload_refs_retained_after_completion():
@@ -258,12 +224,8 @@ def test_no_payload_refs_retained_after_completion():
                     (send.array, ag.array, a2a.array, big_s.array))
         return True
 
-    prev = fastpath.set_zero_copy_enabled(True)
-    try:
-        assert all(runtime.run(body, system="thetagpu", nodes=1,
-                               ranks_per_node=4, mode="pure_xccl"))
-    finally:
-        fastpath.set_zero_copy_enabled(prev)
+    assert all(runtime.run(body, system="thetagpu", nodes=1,
+                           ranks_per_node=4, mode="pure_xccl"))
     gc.collect()
     alive = [i for i, ref in enumerate(refs) if ref() is not None]
     assert not alive, f"payload arrays still referenced: {alive}"
@@ -287,13 +249,9 @@ def test_blocking_send_buffer_safe_to_reuse(thetagpu1):
             captured["got"] = buf.array.copy()
 
     engine = Engine(thetagpu1, nranks=2, progress_timeout_s=10.0)
-    prev = fastpath.set_zero_copy_enabled(True)
     fastpath.STATS.reset()
-    try:
-        engine.run(body)
-        stats = fastpath.STATS.snapshot()
-    finally:
-        fastpath.set_zero_copy_enabled(prev)
+    engine.run(body)
+    stats = fastpath.STATS.snapshot()
     assert stats["copies_elided"] > 0
     assert (captured["got"] == 7.0).all()
 
@@ -318,13 +276,9 @@ def test_patched_mailbox_degrades_to_copying_path(thetagpu1):
 
     engine = Engine(thetagpu1, nranks=2, progress_timeout_s=10.0)
     with_faults(engine, FaultPlan().delay(0, 1, 250.0))
-    prev = fastpath.set_zero_copy_enabled(True)
     fastpath.STATS.reset()
-    try:
-        engine.run(body)
-        stats = fastpath.STATS.snapshot()
-    finally:
-        fastpath.set_zero_copy_enabled(prev)
+    engine.run(body)
+    stats = fastpath.STATS.snapshot()
     # exactly one degraded send -> exactly one forced copy: the escape
     # hatch must fire once per send, never double-count per handshake
     assert stats["copies_forced"] == 1
@@ -351,13 +305,9 @@ def test_fault_path_leaves_no_stale_lease(thetagpu1):
 
     engine = Engine(thetagpu1, nranks=2, progress_timeout_s=10.0)
     with_faults(engine, FaultPlan().delay(0, 1, 250.0))
-    prev = fastpath.set_zero_copy_enabled(True)
     fastpath.STATS.reset()
-    try:
-        engine.run(body)
-        stats = fastpath.STATS.snapshot()
-    finally:
-        fastpath.set_zero_copy_enabled(prev)
+    engine.run(body)
+    stats = fastpath.STATS.snapshot()
     assert stats["copies_forced"] == 1
     gc.collect()
     leases = [o for o in gc.get_objects() if isinstance(o, PayloadLease)]
@@ -389,12 +339,8 @@ def test_rank_failure_leaves_live_buffers_intact(thetagpu1):
 
     engine = Engine(thetagpu1, nranks=4, progress_timeout_s=1.5)
     with_faults(engine, FaultPlan().drop(2, 3, nth=0))
-    prev = fastpath.set_zero_copy_enabled(True)
-    try:
-        with pytest.raises(RankFailedError):
-            engine.run(body)
-    finally:
-        fastpath.set_zero_copy_enabled(prev)
+    with pytest.raises(RankFailedError):
+        engine.run(body)
     assert survivors == {0: 2.0, 1: 1.0}
 
 
@@ -412,22 +358,40 @@ def test_in_place_allgather_skips_own_segment_copy():
         comm.Allgather(IN_PLACE, out, count=n)
         return out.array.copy()
 
-    prev = fastpath.set_zero_copy_enabled(True)
-    try:
-        got = runtime.run(body, system="thetagpu", nodes=1,
-                          ranks_per_node=4, mode="pure_xccl")
-    finally:
-        fastpath.set_zero_copy_enabled(prev)
+    got = runtime.run(body, system="thetagpu", nodes=1,
+                      ranks_per_node=4, mode="pure_xccl")
     expect = np.repeat(np.arange(1, 5, dtype=np.float32), 64)
     for rank, arr in enumerate(got):
         assert (arr == expect).all(), f"rank {rank} gathered wrong bytes"
 
 
-def test_zero_copy_toggle_restores():
-    prev = fastpath.set_zero_copy_enabled(False)
-    try:
-        assert not fastpath.zero_copy_enabled()
-        fastpath.set_zero_copy_enabled(True)
-        assert fastpath.zero_copy_enabled()
-    finally:
-        fastpath.set_zero_copy_enabled(prev)
+
+@pytest.mark.parametrize("aliasing_ranks", [(0, 1, 2, 3), (0,)],
+                         ids=["all-ranks", "one-rank"])
+def test_aliased_allgather_send_window_copies_on_write(aliasing_ranks):
+    """A send window that is a view into the receive buffer (the
+    nonstandard in-place spelling) is snapshotted — per rank, whatever
+    the other ranks pass — and the gathered message is still exact."""
+    def body(mpx):
+        comm = mpx.COMM_WORLD
+        ctx = comm.ctx
+        p, r = comm.size, comm.rank
+        n = 64
+        out = ctx.device.zeros(n * p, dtype=np.float32)
+        if r in aliasing_ranks:
+            send = out.view(r * n, n)
+        else:
+            send = ctx.device.zeros(n, dtype=np.float32)
+        send.array[:] = r + 1
+        comm.Allgather(send, out, count=n)
+        return out.array.copy()
+
+    fastpath.STATS.reset()
+    got = runtime.run(body, system="thetagpu", nodes=1,
+                      ranks_per_node=4, mode="pure_xccl")
+    stats = fastpath.STATS.snapshot()
+    assert stats["copies_forced"] == len(aliasing_ranks)
+    assert stats["copies_elided"] == 4 - len(aliasing_ranks)
+    expect = np.repeat(np.arange(1, 5, dtype=np.float32), 64)
+    for rank, arr in enumerate(got):
+        assert (arr == expect).all(), f"rank {rank} gathered wrong bytes"
