@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install lint test test-all bench bench-quick bench-selfcheck bench-hier bench-hetero bench-online-tune bench-all check-gates scale-smoke trace-smoke hier-smoke hetero-smoke elastic-smoke report examples tune clean
+.PHONY: install lint test test-all bench bench-quick bench-selfcheck bench-claim bench-hier bench-hetero bench-online-tune bench-all check-gates scale-smoke trace-smoke hier-smoke hetero-smoke elastic-smoke report examples tune clean
 
 install:
 	pip install -e .
@@ -38,6 +38,16 @@ bench-quick:
 # a later run silently reporting bench.spans_absent > 0
 bench-selfcheck:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/e2e -q
+
+# the README's "Recipe for a claim" as a command: alternating
+# parent/change pairs of one workload, every pair, medians, quartiles,
+# wins and the verdict (about a minute a pair; never run in CI)
+#   make bench-claim W=multinode_64 PARENT=HEAD~1 [PAIRS=10 SEED0=1000]
+PAIRS ?= 10
+SEED0 ?= 1000
+bench-claim:
+	$(PYTHON) tools/claim_pairs.py --parent $(PARENT) --workload $(W) \
+		--pairs $(PAIRS) --seed0 $(SEED0)
 
 # flat vs node-leader vs pipelined hierarchy at 8 -> 512 ranks
 # (several minutes; the 512-rank legs dominate)

@@ -75,6 +75,7 @@ class PureCCLHarness:
         xapi.xcclAllGather(sendbuf, recvbuf, count, dt, self.comm)
         xapi.xcclStreamSynchronize(self.comm)
 
+    @xapi.aborts_group_on_error
     def alltoall(self, sendbuf, recvbuf, count: int,
                  dt: Datatype = FLOAT) -> None:
         """Grouped send/recv alltoall, as a user would hand-write it
@@ -101,6 +102,7 @@ class PureCCLHarness:
         xapi.xcclRecv(buf, count, dt, peer, self.comm)
         xapi.xcclStreamSynchronize(self.comm)
 
+    @xapi.aborts_group_on_error
     def sendrecv(self, sendbuf, recvbuf, count: int, peer: int,
                  dt: Datatype = FLOAT) -> None:
         """Fused bidirectional exchange (one group)."""

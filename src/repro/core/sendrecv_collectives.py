@@ -40,6 +40,7 @@ from repro.hw.memory import Buffer, as_array
 from repro.mpi.communicator import IN_PLACE
 from repro.mpi.datatypes import Datatype
 from repro.xccl.api import (
+    aborts_group_on_error,
     xcclGroupEnd,
     xcclGroupStart,
     xcclRecv,
@@ -55,6 +56,7 @@ def _seg(buf, offset: int, count: int):
     return as_array(buf)[offset:offset + count]
 
 
+@aborts_group_on_error
 def xccl_alltoallv(comm: XCCLComm, sendbuf, sendcounts: Sequence[int],
                    sdispls: Sequence[int], recvbuf,
                    recvcounts: Sequence[int], rdispls: Sequence[int],
@@ -92,6 +94,7 @@ def xccl_alltoall(comm: XCCLComm, sendbuf, recvbuf, count: int,
     xccl_alltoallv(comm, sendbuf, counts, displs, recvbuf, counts, displs, dt)
 
 
+@aborts_group_on_error
 def xccl_gather(comm: XCCLComm, sendbuf, recvbuf, count: int, dt: Datatype,
                 root: int) -> None:
     """MPI_Gather: everyone sends its block to root inside one group."""
@@ -106,6 +109,7 @@ def xccl_gather(comm: XCCLComm, sendbuf, recvbuf, count: int, dt: Datatype,
     xcclStreamSynchronize(comm)
 
 
+@aborts_group_on_error
 def xccl_gatherv(comm: XCCLComm, sendbuf, recvbuf, counts: Sequence[int],
                  displs: Sequence[int], dt: Datatype, root: int) -> None:
     """MPI_Gatherv via one grouped exchange."""
@@ -124,6 +128,7 @@ def xccl_gatherv(comm: XCCLComm, sendbuf, recvbuf, counts: Sequence[int],
     xcclStreamSynchronize(comm)
 
 
+@aborts_group_on_error
 def xccl_scatter(comm: XCCLComm, sendbuf, recvbuf, count: int, dt: Datatype,
                  root: int) -> None:
     """MPI_Scatter: root sends each rank its block inside one group."""
@@ -137,6 +142,7 @@ def xccl_scatter(comm: XCCLComm, sendbuf, recvbuf, count: int, dt: Datatype,
     xcclStreamSynchronize(comm)
 
 
+@aborts_group_on_error
 def xccl_scatterv(comm: XCCLComm, sendbuf, counts: Sequence[int],
                   displs: Sequence[int], recvbuf, dt: Datatype,
                   root: int) -> None:
@@ -154,6 +160,7 @@ def xccl_scatterv(comm: XCCLComm, sendbuf, counts: Sequence[int],
     xcclStreamSynchronize(comm)
 
 
+@aborts_group_on_error
 def xccl_allgatherv(comm: XCCLComm, sendbuf, recvbuf,
                     counts: Sequence[int], displs: Sequence[int],
                     dt: Datatype) -> None:

@@ -14,7 +14,7 @@ HPC guides' "views, not copies" rule.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -217,3 +217,37 @@ def borrow_view(arr: np.ndarray) -> np.ndarray:
     view = arr[:]
     view.flags.writeable = False
     return view
+
+
+def aliasing_probe(windows: Sequence[np.ndarray]) -> Callable[[np.ndarray], bool]:
+    """``probe(view)``: exactly ``any(np.may_share_memory(view, w) for w
+    in windows)``, which it runs only for a view that might overlap.
+
+    numpy's verdict compares byte extents.  A view lies inside the
+    array it was cut from (``.base``), and a C-contiguous array's
+    extent is its data pointer plus ``nbytes`` — read once per array,
+    however many views are cut from it.  A view whose array is disjoint
+    from every array the windows were cut from shares no memory with
+    them; anything else, or without a usable extent, is numpy's to judge.
+    """
+    extents: Dict[int, Tuple] = {}   # id -> (array kept alive, lo, hi)
+
+    def home_extent(arr: np.ndarray) -> Optional[Tuple[int, int]]:
+        home = arr.base if isinstance(arr.base, np.ndarray) else arr
+        if not home.flags.c_contiguous:
+            return None
+        known = extents.get(id(home))
+        if known is None:
+            lo = home.__array_interface__["data"][0]
+            known = extents[id(home)] = (home, lo, lo + home.nbytes)
+        return known[1:]
+
+    homes = {home_extent(w) for w in windows}
+
+    def probe(view: np.ndarray) -> bool:
+        mine = home_extent(view)
+        if mine is not None and None not in homes and not any(
+                mine[0] < hi and lo < mine[1] for lo, hi in homes):
+            return False
+        return any(np.may_share_memory(view, w) for w in windows)
+    return probe

@@ -65,6 +65,7 @@ def osu_latency(ctx: RankContext, backend: str,
     return results
 
 
+@xapi.aborts_group_on_error
 def _window_stream(ctx: RankContext, harness: PureCCLHarness, size: int,
                    window: int, sendbuf, recvbuf, directions: str) -> float:
     """One bw window; returns elapsed us on this rank.
@@ -148,6 +149,7 @@ def osu_mbw_mr(ctx: RankContext, backend: str,
     for size in config.sizes:
         count = max(size // 4, 1)
 
+        @xapi.aborts_group_on_error
         def window() -> float:
             t0 = ctx.now
             xapi.xcclGroupStart()

@@ -213,55 +213,28 @@ class CollectiveSlot:
 class GroupExchangeSlot(CollectiveSlot):
     """Rendezvous for one fused ``xcclGroupStart``/``End`` call.
 
-    Every rank of the communicator deposits its outbound messages as
-    per-destination batches (``{dst world rank: [Message, ...]}``);
-    the last arrival merges them, and each rank takes home the batch
-    addressed to it.  One rendezvous replaces the O(P^2) per-message
-    mailbox lock/notify round trips of a symmetric group (alltoallv,
+    Every rank of the communicator deposits the columns it staged its
+    sends into, with the rows indexed per destination; once all have
+    arrived, each rank picks its own inbound rows out of the deposits —
+    O(parties) per rank, on its own thread, nothing merged by the last
+    arriver.  One rendezvous replaces the O(P^2) per-message mailbox
+    lock/notify round trips of a symmetric group (alltoallv,
     allgatherv, ...), while every message keeps the depart/arrival
     virtual times its sender priced — the batching is wall-clock only.
     """
 
-    def exchange_for(self, rank: int, batches: Dict[int, List[Any]],
-                     world_rank: int) -> List[Any]:
-        """Deposit outbound batches; return the inbound messages whose
-        destination is ``world_rank`` (sender comm-rank order, FIFO per
-        sender preserved)."""
-        merged = self.exchange(rank, batches, self._merge)
-        chunks = merged.get(world_rank)
-        if not chunks:
-            return []
-        if len(chunks) == 1:
-            return list(chunks[0])
-        flat: List[Any] = []
-        for msgs in chunks:
-            flat.extend(msgs)
-        return flat
-
-    @staticmethod
-    def _merge(payloads: Dict[int, Dict[int, List[Any]]]
-               ) -> Dict[int, List[List[Any]]]:
-        """Merge per-sender outbound batches into per-destination chunk
-        lists.
-
-        The merge runs on the last-arriving rank while every other
-        party is parked, so it is the serial bottleneck of a P-party
-        group: appending *batch references* keeps it O(P^2) dict/list
-        operations total instead of O(P^2 messages) ``setdefault`` and
-        element-copy churn; each party flattens only its own inbound
-        chunks, in parallel, in :meth:`exchange_for`.  Chunk order is
-        sender comm-rank order, so the flattened stream is identical to
-        the historical per-message merge.
-        """
-        out: Dict[int, List[List[Any]]] = {}
-        for sender in sorted(payloads):
-            for dst, msgs in payloads[sender].items():
-                chunk = out.get(dst)
-                if chunk is None:
-                    out[dst] = [msgs]
-                else:
-                    chunk.append(msgs)
-        return out
+    def exchange_for(self, rank: int, by_dst: Dict[int, List[int]],
+                     columns: Any, world_rank: int) -> List[Any]:
+        """Deposit ``columns`` and their rows per destination world
+        rank; return ``(sender comm rank, rows, sender's columns)`` for
+        every sender with rows for ``world_rank``, in sender comm-rank
+        order (rows in the sender's program order: FIFO per pair)."""
+        # a copy: the slot clears its payloads when the last party leaves
+        deposits = self.exchange(rank, (by_dst, columns),
+                                 lambda got: [got[r] for r in sorted(got)])
+        return [(sender, index[world_rank], cols)
+                for sender, (index, cols) in enumerate(deposits)
+                if world_rank in index]
 
 
 class RankContext:

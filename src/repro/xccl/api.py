@@ -134,6 +134,10 @@ def xcclGroupEnd() -> None:
     _backend_mod.group_end()
 
 
+#: for functions that open groups (see the backend module)
+aborts_group_on_error = _backend_mod.aborts_group_on_error
+
+
 def xcclStreamSynchronize(comm: XCCLComm) -> float:
     """Synchronize the communicator's stream (Listing 1 line 9);
     returns the rank's virtual time after the join."""

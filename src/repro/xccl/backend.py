@@ -12,11 +12,12 @@ Every vendor backend provides the same NCCL-style surface:
   inside ``group_begin``/``group_end`` operations are queued and
   launched together, paying one launch overhead and contending on the
   wire tracker — the substrate Listing 1's AlltoAllv builds on.  The
-  *group* is also the transport unit: sends are delivered as one bulk
-  mailbox post per peer, receives drain under a single queue lock, and
-  a group opened with a communicator hint (the send-recv collectives do
-  this) replaces the whole P^2 mailbox pattern with one engine
-  rendezvous (:class:`repro.sim.engine.GroupExchangeSlot`).  Every
+  *group* is also the transport unit: a flush stages its ops once, as
+  columns, with work linear in their number, and delivers them either
+  as one bulk mailbox post per peer and one ``match_many`` or, for a
+  group opened with a communicator hint (the send-recv collectives do
+  this), through one engine rendezvous in which the columns themselves
+  change hands (:class:`repro.sim.engine.GroupExchangeSlot`).  Every
   message is priced and booked on the wire individually, in program
   order — batching changes wall-clock synchronization only;
 * capability checks: datatype tables (HCCL: float only) and the
@@ -33,6 +34,7 @@ Subclasses supply the vendor identity and constants.
 
 from __future__ import annotations
 
+import functools
 import threading
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -45,7 +47,7 @@ from repro.errors import (
     CCLUnsupportedOperation,
 )
 from repro.hw.cluster import PathScope
-from repro.hw.memory import as_array, borrow_view
+from repro.hw.memory import aliasing_probe, as_array, borrow_view
 from repro.hw.vendors import Vendor
 from repro.mpi.datatypes import Datatype
 from repro.mpi.ops import Op
@@ -121,9 +123,30 @@ def group_end() -> None:
                 backend._execute_group(batch)
 
 
+def aborts_group_on_error(fn):
+    """Decorator for code that opens groups: whatever escapes it — a
+    CCL error from a queued call, a bad buffer — first aborts the
+    thread's open group (depth 0, queued ops and the buffers they pin
+    dropped, exchange hint cleared), so the next group on this thread
+    starts clean instead of queueing into a dead one."""
+    @functools.wraps(fn)
+    def guarded(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except BaseException:
+            _group.__init__()   # this thread's state, as new
+            raise
+    return guarded
+
+
 def in_group() -> bool:
     """True while a group is open on this thread."""
     return _group.depth > 0
+
+
+def _row_of(msg: Message):
+    """A mailbox message as a staged row."""
+    return msg.data, msg.nbytes, msg.depart_us, msg.arrival_us
 
 
 class CCLBackend:
@@ -200,9 +223,10 @@ class CCLBackend:
         else:
             self._execute_group([op])
 
-    def _route_pricing(self, comm: XCCLComm, peer_world: int, bidir: bool):
-        """Size-independent route pricing for one CCL p2p flow:
-        ``(resources, beta, alpha base, store-forward rate)``.
+    def _route_pricing(self, comm: XCCLComm, peer: int, bidir: bool):
+        """Size-independent route pricing for one CCL p2p flow to
+        communicator rank ``peer``: ``(resources, beta, alpha base,
+        store-forward rate)``.
 
         Inter-node transfers price against the *fabric* bandwidth (the
         backend's ``bw_eff_inter`` is calibrated to it; the RDMA engine
@@ -212,7 +236,7 @@ class CCLBackend:
         """
         ctx = comm.ctx
         cluster = ctx.cluster
-        src, dst = ctx.device, ctx.device_of(peer_world)
+        src, dst = ctx.device, ctx.device_of(comm.group[peer])
         path = cluster.path(src, dst)
         inter = path.scope == PathScope.INTER
         if path.scope == PathScope.LOCAL:
@@ -230,24 +254,6 @@ class CCLBackend:
         return (cluster.transfer_resources(src, dst), beta, alpha_base,
                 self.params.store_forward_bpus(inter))
 
-    def _p2p_pricing(self, comm: XCCLComm, peer_world: int, nbytes: int,
-                     bidir: bool = False):
-        """(resources, beta, alpha) for one CCL p2p transfer.
-
-        The size-independent route walk (topology path, effective
-        bandwidth, latency floor) is done once per (peer, direction)
-        and replayed from the communicator's compiled pricing —
-        topology and backend constants are immutable, so the values
-        are those of a fresh :meth:`_route_pricing` derivation.
-        """
-        key = (peer_world, bidir)
-        cached = comm.route_pricing.get(key)
-        if cached is None:
-            cached = comm.route_pricing[key] = \
-                self._route_pricing(comm, peer_world, bidir)
-        resources, beta, alpha_base, sf_bpus = cached
-        return resources, beta, alpha_base + nbytes / sf_bpus
-
     @staticmethod
     def _seq_matcher(uid: int, seq: int):
         """Predicate matching one CCL p2p message by (uid, seq)."""
@@ -257,41 +263,100 @@ class CCLBackend:
                     and m.meta.get("seq") == seq)
         return match
 
+    @staticmethod
+    def _message(src: int, dst: int, uid: int, seq: int, row) -> Message:
+        """A staged row as a mailbox message."""
+        payload, nbytes, depart, arrival = row
+        return Message(src=src, dst=dst, tag=0, data=payload,
+                       depart_us=depart, arrival_us=arrival, nbytes=nbytes,
+                       meta={"kind": _MSG_KIND, "uid": uid, "seq": seq})
+
+    def _stage(self, ctx, sends: Sequence[_GroupOp], recvs: Sequence[_GroupOp],
+               t0: float, aliased):
+        """Turn the sends of one flush into columns, in program order
+        and in one pass: ``(seqs, rows, by_dst)`` — per send its
+        sequence number and ``(payload, nbytes, depart, arrival)``, and
+        the sends' positions per destination world rank.
+
+        ``aliased`` is the copy-on-write probe over the flush's receive
+        windows (None on the transport that always snapshots).  Route
+        pricing is walked once per (peer, direction) and replayed from
+        the communicator — topology and backend constants are immutable
+        — and the flush is booked under one tracker lock, in program
+        order; counters are bumped once, with the flush's totals."""
+        # flows that both send to and receive from a peer in this batch
+        # run both directions simultaneously (bibw, alltoall patterns)
+        recv_from = {(id(op.comm), op.peer) for op in recvs}
+        seqs: List[int] = []
+        staged = []     # (payload, nbytes, booking | None for a self-copy)
+        by_dst: Dict[int, List[int]] = {}
+        bookings = []
+        forced = 0
+        for op in sends:
+            comm, peer = op.comm, op.peer
+            nbytes = op.count * op.dt.wire_itemsize
+            view = as_array(op.buf)[:op.count]
+            if aliased is None or aliased(view):
+                # in-place patterns (send segment aliased with a receive
+                # window) keep copy-on-write semantics
+                payload = view.copy()
+                forced += 1
+            else:
+                payload = borrow_view(view)
+            by_dst.setdefault(comm.group[peer], []).append(len(seqs))
+            seqs.append(comm.next_send_seq(peer))
+            if peer == comm.rank:
+                staged.append((payload, nbytes, None))
+                continue
+            key = (peer, (id(comm), peer) in recv_from)
+            priced = comm.route_pricing.get(key)
+            if priced is None:
+                priced = comm.route_pricing[key] = \
+                    self._route_pricing(comm, *key)
+            resources, beta, alpha_base, sf_bpus = priced
+            staged.append((payload, nbytes, len(bookings)))
+            bookings.append((resources, t0, nbytes, beta,
+                             alpha_base + nbytes / sf_bpus))
+        arrivals = ctx.engine.wires.book_many(bookings)
+        rows = [(payload, nbytes, t0, t0 + 0.5 if bi is None else arrivals[bi])
+                for payload, nbytes, bi in staged]
+        fastpath.STATS.note_fusion_flush(len(rows))
+        if aliased is not None:
+            fastpath.STATS.note_copy_forced(forced)
+            fastpath.STATS.note_copy_elided(len(rows) - forced)
+        return seqs, rows, by_dst
+
     def _execute_group(self, ops: Sequence[_GroupOp],
                        exchange: Optional[XCCLComm] = None) -> None:
         """Launch a batch of queued p2p ops: one launch overhead, all
         sends posted, all receives matched, stream joined at the end.
 
-        Two transports, computing identical per-message virtual times
-        (same pricing, same wire bookings, in the same order):
+        The ops are staged once (:meth:`_stage`); two transports then
+        deliver the same columns, so per-message virtual times are
+        identical (same pricing, same wire bookings, same order):
 
-        * bulk: sends batched into one ``post_many`` per peer (which
-          replays the batch message by message through the wrapper
-          when a fault injector patched that mailbox), recvs drained by
-          one ``match_many`` under a single queue lock;
+        * bulk: the rows become ``Message`` objects, one ``post_many``
+          per peer (which replays the batch message by message through
+          the wrapper when a fault injector patched that mailbox),
+          recvs drained by one ``match_many`` under a single queue lock;
         * whole-group rendezvous (``exchange`` hint): every rank of the
-          communicator deposits its outbound batches into one
-          :class:`~repro.sim.engine.GroupExchangeSlot` and takes home
-          its inbound mail — no mailbox traffic at all.
+          communicator deposits its columns into one
+          :class:`~repro.sim.engine.GroupExchangeSlot` and picks its
+          inbound rows out of the others' — no mailbox traffic, and a
+          ``Message`` only for inbound rows no receive of this group
+          claims.
         """
-        if exchange is not None:
-            ctx = exchange.ctx
-            # fault injection wraps Mailbox.post per message; the
-            # rendezvous would bypass it, so degrade to the bulk path
-            # (patched-ness is identical from every rank's view, so
-            # all parties agree on the transport).  The engine-wide
-            # counter keeps the common nothing-is-patched case O(1)
-            # instead of a per-group mailbox scan.
-            use_exchange = not ctx.engine.any_mailbox_patched or not any(
-                ctx.mailbox_of(exchange.world_rank(r)).patched
-                for r in range(exchange.size))
-            if not use_exchange:
-                fastpath.STATS.note_fusion_fallback()
-        else:
-            use_exchange = False
-            if not ops:
-                return
-            ctx = ops[0].comm.ctx
+        ctx = (exchange or ops[0].comm).ctx
+        # fault injection wraps Mailbox.post per message; the rendezvous
+        # would bypass it, so degrade to the bulk path (patched-ness is
+        # identical from every rank's view, so all parties agree on the
+        # transport).  The engine-wide counter keeps the common
+        # nothing-is-patched case O(1) instead of a per-group mailbox scan.
+        use_exchange = exchange is not None and not (
+            ctx.engine.any_mailbox_patched
+            and any(ctx.mailbox_of(w).patched for w in exchange.group))
+        if exchange is not None and not use_exchange:
+            fastpath.STATS.note_fusion_fallback()
         if not ops and not use_exchange:
             return
         # transport label for trace events: which of the delivery paths
@@ -299,137 +364,100 @@ class CCLBackend:
         transport = "exchange" if use_exchange else "bulk"
 
         if ops:
-            spans = any(
-                ctx.cluster.node_index_of(ctx.device)
-                != ctx.cluster.node_index_of(ctx.device_of(op.comm.world_rank(op.peer)))
-                for op in ops)
-            launch = self.params.launch_us \
-                + (self.params.inter_extra_launch_us if spans else 0.0)
-            t0 = ctx.clock.advance(launch)
+            spans = any(op.comm.inter_node[op.peer] for op in ops)
+            t0 = ctx.clock.advance(
+                self.params.launch_us
+                + (self.params.inter_extra_launch_us if spans else 0.0))
         else:
             t0 = ctx.now  # empty exchange-side flush: nothing launched
 
-        # flows that both send to and receive from a peer in this batch
-        # run both directions simultaneously (bibw, alltoall patterns)
-        send_peers = {(id(op.comm), op.peer) for op in ops if op.kind == "send"}
-        recv_peers = {(id(op.comm), op.peer) for op in ops if op.kind == "recv"}
-        bidir_peers = send_peers & recv_peers
-        # stage every send first so symmetric groups cannot deadlock,
-        # then book the whole group's wire transfers under one tracker
-        # lock — bookings land in per-message program order.  The
-        # whole-group rendezvous is the one transport whose exit is
+        # stage every send first so symmetric groups cannot deadlock.
+        # The whole-group rendezvous is the one transport whose exit is
         # synchronized on every rank, so only there may send snapshots
         # become borrowed views (reclaimed at the consume barrier).
-        recv_views = [as_array(op.buf)[:op.count]
-                      for op in ops if op.kind == "recv"] if use_exchange else []
-        staged = []
-        bookings = []
-        for op in ops:
-            if op.kind != "send":
-                continue
-            comm, peer = op.comm, op.peer
-            peer_world = comm.world_rank(peer)
-            nbytes = op.count * op.dt.wire_itemsize
-            seq = comm.next_send_seq(peer)
-            send_view = as_array(op.buf)[:op.count]
-            if not use_exchange:
-                payload = send_view.copy()
-            elif any(np.may_share_memory(send_view, rv)
-                     for rv in recv_views):
-                # in-place patterns (send segment aliased with a
-                # receive window) keep copy-on-write semantics
-                fastpath.STATS.note_copy_forced()
-                payload = send_view.copy()
-            else:
-                fastpath.STATS.note_copy_elided()
-                payload = borrow_view(send_view)
-            if peer == comm.rank:
-                staged.append((comm, peer_world, nbytes, seq, payload, None))
-            else:
-                res, beta, alpha = self._p2p_pricing(
-                    comm, peer_world, nbytes,
-                    bidir=(id(comm), peer) in bidir_peers)
-                staged.append((comm, peer_world, nbytes, seq, payload,
-                               len(bookings)))
-                bookings.append((res, t0, nbytes, beta, alpha))
-        arrivals = ctx.engine.wires.book_many(bookings)
-        outbound: Dict[int, List[Message]] = {}
-        for comm, peer_world, nbytes, seq, payload, bi in staged:
-            arrival = t0 + 0.5 if bi is None else arrivals[bi]  # self-copy
-            msg = Message(src=ctx.rank, dst=peer_world, tag=0,
-                          data=payload, depart_us=t0, arrival_us=arrival,
-                          nbytes=nbytes,
-                          meta={"kind": _MSG_KIND, "uid": comm.uid,
-                                "seq": seq})
-            outbound.setdefault(peer_world, []).append(msg)
-            if ctx.trace.enabled:
-                ctx.trace.record("ccl-send", t0, t0, peer=peer_world,
-                                 nbytes=nbytes, label=transport)
-        fastpath.STATS.note_fusion_flush(len(staged))
+        sends = [op for op in ops if op.kind == "send"]
+        recvs = [op for op in ops if op.kind == "recv"]
+        targets = [as_array(op.buf)[:op.count] for op in recvs]
+        seqs, rows, by_dst = self._stage(
+            ctx, sends, recvs, t0,
+            aliasing_probe(targets) if use_exchange else None)
+        if ctx.trace.enabled:
+            for op, row in zip(sends, rows):
+                ctx.trace.record("ccl-send", t0, t0,
+                                 peer=op.comm.group[op.peer],
+                                 nbytes=row[1], label=transport)
 
-        recv_ops = [op for op in ops if op.kind == "recv"]
         arrivals_in: List[float] = [t0]
         if not use_exchange:
-            for dst, msgs in outbound.items():
-                ctx.mailbox_of(dst).post_many(msgs)
-            specs = []
-            for op in recv_ops:
-                peer_world = op.comm.world_rank(op.peer)
-                seq = op.comm.next_recv_seq(op.peer)
-                specs.append((peer_world, ANY_TAG,
-                              self._seq_matcher(op.comm.uid, seq)))
+            for world, mine in by_dst.items():
+                ctx.mailbox_of(world).post_many([
+                    self._message(ctx.rank, world, sends[i].comm.uid,
+                                  seqs[i], rows[i]) for i in mine])
             matched = ctx.mailbox.match_many(
-                specs, abort=lambda srcs: next(
+                [(op.comm.group[op.peer], ANY_TAG,
+                  self._seq_matcher(op.comm.uid,
+                                    op.comm.next_recv_seq(op.peer)))
+                 for op in recvs],
+                abort=lambda srcs: next(
                     (f"peer rank {s} died" for s in srcs
                      if s in ctx.engine.dead_ranks), None))
-            self._drain_recvs(ctx, zip(recv_ops, matched), arrivals_in,
-                              transport)
+            self._drain_recvs(ctx, zip(recvs, targets, map(_row_of, matched)),
+                              arrivals_in, transport)
         else:
             assert exchange is not None
             slot = ctx.group_exchange_slot(exchange.next_group_key(),
                                            exchange.size)
-            inbound = slot.exchange_for(exchange.rank, outbound, ctx.rank)
-            index = {(m.src, m.meta["uid"], m.meta["seq"]): m for m in inbound}
+            inbound = {(sender, their_seqs[i]): their_rows[i]
+                       for sender, mine, (their_seqs, their_rows)
+                       in slot.exchange_for(exchange.rank, by_dst,
+                                            (seqs, rows), ctx.rank)
+                       for i in mine}
             fastpath.STATS.note_fusion_exchange()
-            exchanged: List[Tuple[_GroupOp, Message]] = []
-            pending: List[Tuple[_GroupOp, int, int]] = []
-            for op in recv_ops:
-                peer_world = op.comm.world_rank(op.peer)
-                seq = op.comm.next_recv_seq(op.peer)
-                msg = index.pop((peer_world, op.comm.uid, seq), None)
-                if msg is None:
+            exchanged, pending = [], []
+            for op, target in zip(recvs, targets):
+                seq = exchange.next_recv_seq(op.peer)
+                row = inbound.pop((op.peer, seq), None)
+                if row is None:
                     # sent outside this group call (mixed patterns):
                     # fall back to the mailbox.  The blocking match is
                     # deferred past the consume barrier — the sender
                     # may only post this message after leaving its own
                     # group.
-                    fastpath.STATS.note_fusion_fallback()
-                    pending.append((op, peer_world, seq))
+                    pending.append((op, target, seq))
                 else:
-                    exchanged.append((op, msg))
-            if index:
+                    exchanged.append((op, target, row))
+            fastpath.STATS.note_fusion_fallback(len(pending))
+            if inbound:
                 # inbound mail this group's recvs did not claim stays
                 # receivable by a later group or recv; borrowed views
                 # must not escape the barrier, so materialize them
-                for m in index.values():
-                    if m.data is not None and not m.data.flags.writeable:
-                        m.data = m.data.copy()
+                unclaimed = []
+                for (sender, seq), row in inbound.items():
+                    if not row[0].flags.writeable:
+                        row = (row[0].copy(),) + row[1:]
                         fastpath.STATS.note_copy_forced()
-                ctx.mailbox.post_many(list(index.values()))
+                    unclaimed.append(self._message(
+                        exchange.group[sender], ctx.rank, exchange.uid,
+                        seq, row))
+                ctx.mailbox.post_many(unclaimed)
             # drain every exchanged view first, then release all
             # senders at the consume barrier; only then may the
             # deferred fallback matches block on late traffic
             self._drain_recvs(ctx, exchanged, arrivals_in, transport)
             slot.consume_barrier(exchange.rank)
-            for op, peer_world, seq in pending:
+            for op, target, seq in pending:
+                peer_world = exchange.group[op.peer]
                 msg = ctx.mailbox.match(
                     src=peer_world,
-                    where=self._seq_matcher(op.comm.uid, seq),
+                    where=self._seq_matcher(exchange.uid, seq),
                     abort=self._dead_peer_probe(ctx, peer_world))
-                self._drain_recvs(ctx, [(op, msg)], arrivals_in, "fallback")
+                self._drain_recvs(ctx, [(op, target, _row_of(msg))],
+                                  arrivals_in, "fallback")
         ctx.clock.merge_many(arrivals_in)
-        for op in ops:
-            op.comm.stream.enqueue(0.0, ctx.now, label="ccl-group")
+        # one stream op per communicator of the flush: the history is
+        # append-only and lives as long as the communicator
+        for comm in {op.comm for op in ops}:
+            comm.stream.enqueue(0.0, ctx.now, label="ccl-group")
 
     @staticmethod
     def _dead_peer_probe(ctx, peer_world: int):
@@ -443,21 +471,21 @@ class CCLBackend:
         return probe
 
     @staticmethod
-    def _drain_recvs(ctx, pairs, arrivals: List[float],
+    def _drain_recvs(ctx, matched, arrivals: List[float],
                      transport: str = "") -> None:
-        """Copy matched messages into their receive buffers, appending
-        each arrival time to ``arrivals`` (the caller merges the batch's
-        max into its clock in one step).  ``transport`` labels the trace
-        events with the delivery path the batch took."""
-        for op, msg in pairs:
-            target = as_array(op.buf)[:op.count]
-            target[...] = msg.data if msg.data.dtype == target.dtype \
-                else msg.data.astype(target.dtype)
-            arrivals.append(msg.arrival_us)
+        """Copy matched rows — ``(recv op, window, row)`` each — into
+        their receive windows, appending each arrival time to
+        ``arrivals`` (the caller merges the batch's max into its clock
+        in one step).  ``transport`` labels the trace events with the
+        delivery path the batch took."""
+        for op, target, (payload, nbytes, depart, arrival) in matched:
+            target[...] = payload if payload.dtype == target.dtype \
+                else payload.astype(target.dtype)
+            arrivals.append(arrival)
             if ctx.trace.enabled:
-                ctx.trace.record("ccl-recv", msg.depart_us, msg.arrival_us,
-                                 peer=op.comm.world_rank(op.peer),
-                                 nbytes=msg.nbytes, label=transport)
+                ctx.trace.record("ccl-recv", depart, arrival,
+                                 peer=op.comm.group[op.peer],
+                                 nbytes=nbytes, label=transport)
 
     # -- fused built-in collectives ------------------------------------------
 

@@ -10,6 +10,7 @@ it.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import defaultdict
 from typing import Dict, Optional, Sequence, Tuple
@@ -88,6 +89,14 @@ class XCCLComm:
             self._shape = shape_of(self.ctx.cluster, self.group,
                                    self.ctx.engine.ranks_per_node)
         return self._shape
+
+    @functools.cached_property
+    def inter_node(self) -> Tuple[bool, ...]:
+        """Per communicator rank: is that peer on another node."""
+        node_of = self.ctx.cluster.node_index_of
+        here = node_of(self.ctx.device)
+        return tuple(node_of(self.ctx.device_of(w)) != here
+                     for w in self.group)
 
     def world_rank(self, comm_rank: int) -> int:
         """Translate a communicator rank to a world rank."""

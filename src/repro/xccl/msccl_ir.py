@@ -100,6 +100,7 @@ class Schedule:
         return sorted({s.phase for s in self.steps.get(rank, [])})
 
 
+@xapi.aborts_group_on_error
 def execute(schedule: Schedule, comm: XCCLComm, buf, count: int,
             dt: Datatype, op: Op = SUM) -> None:
     """Run ``schedule`` on this rank over ``buf`` (count elements).

@@ -195,6 +195,46 @@ class TestCCLErrorFallback:
             assert any(reason == FallbackReason.CCL_ERROR
                        for (_c, reason) in fallbacks)
 
+    def test_error_inside_open_group_does_not_poison_later_groups(
+            self, thetagpu1):
+        """§4.4 applied to Listing 1: the third ``xcclSend`` queued by
+        the first ``Alltoall`` raises.  That call completes over MPI —
+        and must leave no open group behind: the next, healthy
+        ``Alltoall`` goes through the CCL and delivers, instead of
+        queueing into the dead group and returning untouched buffers."""
+        import numpy as np
+        from repro.xccl.backend import in_group
+
+        class FlakySend(NCCLBackend):
+            def __init__(self):
+                self.sends = 0
+
+            def send(self, comm, buf, count, dt, peer):
+                self.sends += 1
+                if self.sends == 3:
+                    raise CCLError("internal error - please report this issue")
+                super().send(comm, buf, count, dt, peer)
+
+        def body(ctx):
+            comm = Communicator.world(ctx)
+            layer = XCCLAbstractionLayer(ctx, FlakySend())
+            comm.coll = HybridDispatcher(layer, DispatchMode.PURE_XCCL)
+            s = ctx.device.zeros(4, dtype=np.float32)
+            s.array[:] = ctx.rank + 1
+            out = []
+            for _ in range(2):
+                r = ctx.device.zeros(4, dtype=np.float32)
+                r.fill(-1.0)
+                comm.Alltoall(s, r, count=1)
+                out.append((r.array.tolist(), in_group()))
+            return out, dict(comm.coll.stats.fallbacks)
+
+        engine = Engine(thetagpu1, nranks=4, progress_timeout_s=10.0)
+        for calls, fallbacks in engine.run(body):
+            assert calls == [([1.0, 2.0, 3.0, 4.0], False)] * 2
+            assert [reason for (_c, reason) in fallbacks] \
+                == [FallbackReason.CCL_ERROR]
+
 
 class TestDerivedCommDegradation:
     """Fast paths must degrade gracefully — not corrupt data — when a
