@@ -68,14 +68,14 @@ bench-online-tune:
 # docs/performance.md: their reference arms no longer exist)
 bench-all: bench-hier bench-hetero bench-online-tune
 
-# tier-1 suite with each of the five gates individually forced on: off
-# its trigger, every gate must be invisible to results
+# tier-1 suite with the default of each of the four run options
+# individually switched on through its variable: off its trigger, every
+# option must be invisible to results
 check-gates:
 	MPIX_TRACE=1 $(PYTHON) -m pytest tests/ -x -q
 	MPIX_HIER_PIPE=1 $(PYTHON) -m pytest tests/ -x -q
 	MPIX_HETERO=1 $(PYTHON) -m pytest tests/ -x -q
 	MPIX_ONLINE_TUNE=1 $(PYTHON) -m pytest tests/ -x -q
-	MPIX_ELASTIC=1 $(PYTHON) -m pytest tests/ -x -q
 
 # fast CI leg: a 256-rank oversubscribed job must stay quick and
 # bit-identical run to run, and a deadlock must be reported at once

@@ -4,22 +4,21 @@ All three arms run through the staged dispatch pipeline on a
 multi-rail ThetaGPU model, swept over rank counts the way
 ``mpix-omb --ranks`` sweeps scale:
 
-* ``flat``   — ``MPIX_HIER_PIPE`` off: the tuning table's flat
+* ``flat``   — ``hier_pipe=False``: the tuning table's flat
   algorithms carry the whole message across the fabric.
 * ``leader`` — the whole-message node-leader helper
   (:func:`repro.mpi.coll.hierarchical.allreduce_hierarchical`): one
   leader, one NIC per node.
-* ``hier``   — ``MPIX_HIER_PIPE`` on: chunk-pipelined, NIC-striped
+* ``hier``   — ``hier_pipe=True``: chunk-pipelined, NIC-striped
   level decomposition (:mod:`repro.mpi.coll.hier_exec`).
 
-The smallest size sits *below* the ``MPIX_HIER_MIN_BYTES`` routing
-threshold, so the hier arm must match flat exactly there — the
+The smallest size sits *below* the 2 MiB routing threshold
+(``hier_exec.MIN_BYTES_DEFAULT``), so the hier arm must match flat exactly there — the
 crossover is part of what this ablation pins.  Above it, the striped
 hierarchy must beat the node-leader design everywhere and the flat
 algorithms at scale.
 """
 
-from repro import fastpath
 from repro.core import runtime
 from repro.hw.systems import make_system
 from repro.mpi.coll.hierarchical import allreduce_hierarchical
@@ -59,18 +58,14 @@ def _body(arm):
 
 def _sweep():
     out = {}
-    prev_hier = fastpath.gate_enabled("hier_pipe")
-    try:
-        for nranks, nodes in RANKS:
-            cluster = make_system("thetagpu", nodes, nics=NICS)
-            for arm in ARMS:
-                fastpath.configure(hier_pipe=(arm == "hier"))
-                per_rank = runtime.run(_body(arm), system=cluster,
-                                       nranks=nranks)
-                for size in SIZES:
-                    out[(arm, nranks, size)] = max(p[size] for p in per_rank)
-    finally:
-        fastpath.configure(hier_pipe=prev_hier)
+    for nranks, nodes in RANKS:
+        cluster = make_system("thetagpu", nodes, nics=NICS)
+        for arm in ARMS:
+            per_rank = runtime.run(_body(arm), system=cluster,
+                                   nranks=nranks,
+                                   hier_pipe=(arm == "hier"))
+            for size in SIZES:
+                out[(arm, nranks, size)] = max(p[size] for p in per_rank)
     return out
 
 

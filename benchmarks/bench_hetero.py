@@ -4,11 +4,11 @@ A 2+2-node NVIDIA+AMD job (``nvidia:2,amd:2``, 2 devices per node,
 8 ranks) runs allreduce and bcast in two arms, compared in *virtual*
 time:
 
-* ``staged`` — ``MPIX_HETERO`` off: the dispatcher classifies the
+* ``staged`` — ``hetero=False``: the dispatcher classifies the
   mixed communicator as the ``mixed_vendor`` MPI fallback, so the
   whole job runs host-staged MPI algorithms end to end (no CCL can
   span the vendor islands).
-* ``bridge`` — ``MPIX_HETERO=1``: each single-vendor island runs its
+* ``bridge`` — ``hetero=True``: each single-vendor island runs its
   native CCL (NCCL / RCCL) and only the island leaders exchange
   host-staged aggregates in the negotiated wire format — one hop per
   remote island instead of a host-staged hop per rank.
@@ -77,12 +77,11 @@ def _run_arm(arm, nelem):
     from repro.core import runtime
     from repro.hw.systems import make_mixed_system
 
-    fastpath.configure(hetero=(arm == "bridge"))
-    fastpath.STATS.reset()
     cluster = make_mixed_system(VENDORS)
     t0 = time.perf_counter()
     per_rank = runtime.run(_body(nelem, ITERS), system=cluster,
-                           nranks=NRANKS, ranks_per_node=RANKS_PER_NODE)
+                           nranks=NRANKS, ranks_per_node=RANKS_PER_NODE,
+                           hetero=(arm == "bridge"))
     wall_s = time.perf_counter() - t0
     snap = fastpath.STATS.snapshot()
     return {
@@ -98,45 +97,39 @@ def _run_arm(arm, nelem):
 
 
 def main() -> None:
-    from repro import fastpath
-
     report = {
         "config": {"vendors": VENDORS, "nranks": NRANKS,
                    "ranks_per_node": RANKS_PER_NODE,
                    "sizes": list(SIZES), "iterations": ITERS},
         "rows": [],
     }
-    prev = fastpath.gates()
-    try:
-        for nbytes in SIZES:
-            nelem = nbytes // 4
-            row = {"nbytes": nbytes}
-            for arm in ARMS:
-                row[arm] = _run_arm(arm, nelem)
-            # the staged arm must never negotiate or bridge; the
-            # bridge arm negotiates exactly once per communicator
-            assert row["staged"]["route_bridge"] == 0
-            assert row["staged"]["negotiations"] == 0
-            assert row["bridge"]["negotiations"] == 1
-            assert row["bridge"]["route_bridge"] > 0
-            for coll in ("allreduce", "bcast"):
-                row[f"{coll}_staged_over_bridge"] = round(
-                    row["staged"][f"{coll}_us"]
-                    / row["bridge"][f"{coll}_us"], 3)
-                assert (row["staged"][f"{coll}_digests"]
-                        == row["bridge"][f"{coll}_digests"]), \
-                    f"{coll}@{nbytes}B: bridge payload diverged"
-                row[f"{coll}_payload_identical"] = True
-            report["rows"].append(row)
-            print(f"{nbytes >> 20:>3}MiB: "
-                  + "  ".join(
-                      f"{c}: staged={row['staged'][c + '_us']:.0f}us "
-                      f"bridge={row['bridge'][c + '_us']:.0f}us "
-                      f"(x{row[c + '_staged_over_bridge']:.2f})"
-                      for c in ("allreduce", "bcast")),
-                  flush=True)
-    finally:
-        fastpath.configure(**prev)
+    for nbytes in SIZES:
+        nelem = nbytes // 4
+        row = {"nbytes": nbytes}
+        for arm in ARMS:
+            row[arm] = _run_arm(arm, nelem)
+        # the staged arm must never negotiate or bridge; the
+        # bridge arm negotiates exactly once per communicator
+        assert row["staged"]["route_bridge"] == 0
+        assert row["staged"]["negotiations"] == 0
+        assert row["bridge"]["negotiations"] == 1
+        assert row["bridge"]["route_bridge"] > 0
+        for coll in ("allreduce", "bcast"):
+            row[f"{coll}_staged_over_bridge"] = round(
+                row["staged"][f"{coll}_us"]
+                / row["bridge"][f"{coll}_us"], 3)
+            assert (row["staged"][f"{coll}_digests"]
+                    == row["bridge"][f"{coll}_digests"]), \
+                f"{coll}@{nbytes}B: bridge payload diverged"
+            row[f"{coll}_payload_identical"] = True
+        report["rows"].append(row)
+        print(f"{nbytes >> 20:>3}MiB: "
+              + "  ".join(
+                  f"{c}: staged={row['staged'][c + '_us']:.0f}us "
+                  f"bridge={row['bridge'][c + '_us']:.0f}us "
+                  f"(x{row[c + '_staged_over_bridge']:.2f})"
+                  for c in ("allreduce", "bcast")),
+              flush=True)
 
     # acceptance: the island-native bridge beats whole-job host
     # staging by >= 2x on the 8 MiB allreduce

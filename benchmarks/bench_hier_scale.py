@@ -4,13 +4,13 @@ Sweeps allreduce and bcast over 8 -> 64 -> 512 ranks on a multi-rail
 ThetaGPU model (8 NIC rails per node, the DGX A100's HCA count) and
 compares three arms in *virtual* time:
 
-* ``flat``   — the staged pipeline with ``MPIX_HIER_PIPE`` off (the
+* ``flat``   — the staged pipeline with ``hier_pipe=False`` (the
   tuning table's flat ring/tree algorithms; one NIC rail effectively
   carries each inter-node collective).
 * ``leader`` — the unpipelined node-leader helpers of
   :mod:`repro.mpi.coll.hierarchical` (whole-message, one leader and
   hence one NIC per node).
-* ``hier``   — ``MPIX_HIER_PIPE=1``: the chunk-pipelined, NIC-striped
+* ``hier``   — ``hier_pipe=True``: the chunk-pipelined, NIC-striped
   hierarchy of :mod:`repro.mpi.coll.hier_exec`.
 
 The 8-rank row spans a single node, where the hierarchy route is
@@ -22,7 +22,7 @@ the node-leader arm.  Payloads are asserted bit-identical between the
 flat and hier arms at every scale (small-integer float32 sums are
 exact under any association order).
 
-The gate flips only *between* engine runs — each arm is one engine.
+Each arm is one engine, built with its own ``hier_pipe`` argument.
 
 Run with ``make bench-hier`` or::
 
@@ -109,13 +109,12 @@ def _run_arm(arm, nranks, nodes, nelem, iters):
     from repro.core import runtime
     from repro.hw.systems import make_system
 
-    fastpath.configure(hier_pipe=(arm == "hier"))
-    fastpath.STATS.reset()
     cluster = make_system(SYSTEM, nodes, nics=NICS)
     rpn = -(-nranks // nodes)
     t0 = time.perf_counter()
     per_rank = runtime.run(_body(arm, nelem, iters), system=cluster,
-                           nranks=nranks, ranks_per_node=rpn)
+                           nranks=nranks, ranks_per_node=rpn,
+                           hier_pipe=(arm == "hier"))
     wall_s = time.perf_counter() - t0
     snap = fastpath.STATS.snapshot()
     return {
@@ -131,8 +130,6 @@ def _run_arm(arm, nranks, nodes, nelem, iters):
 
 
 def main() -> None:
-    from repro import fastpath
-
     report = {
         "config": {"system": SYSTEM, "nics": NICS,
                    "scales": [s for s, _ in SCALES],
@@ -141,49 +138,45 @@ def main() -> None:
                    "iterations": ITERS},
         "rows": [],
     }
-    prev_hier = fastpath.gate_enabled("hier_pipe")
-    try:
-        for nranks, nodes in SCALES:
-            for nbytes in SIZES_BY_SCALE[nranks]:
-                nelem = nbytes // 4
-                iters = ITERS[nranks]
-                row = {"nranks": nranks, "nodes": nodes, "nbytes": nbytes}
-                for arm in ARMS:
-                    row[arm] = _run_arm(arm, nranks, nodes, nelem, iters)
+    for nranks, nodes in SCALES:
+        for nbytes in SIZES_BY_SCALE[nranks]:
+            nelem = nbytes // 4
+            iters = ITERS[nranks]
+            row = {"nranks": nranks, "nodes": nodes, "nbytes": nbytes}
+            for arm in ARMS:
+                row[arm] = _run_arm(arm, nranks, nodes, nelem, iters)
+            for coll in ("allreduce", "bcast"):
+                row[f"{coll}_flat_over_hier"] = round(
+                    row["flat"][f"{coll}_us"] / row["hier"][f"{coll}_us"],
+                    3)
+                row[f"{coll}_leader_over_hier"] = round(
+                    row["leader"][f"{coll}_us"]
+                    / row["hier"][f"{coll}_us"], 3)
+                # option on/off payloads must agree to the bit
+                assert (row["flat"][f"{coll}_digests"]
+                        == row["hier"][f"{coll}_digests"]), \
+                    f"{coll}@{nranks}r/{nbytes}B: hier payload diverged"
+                row[f"{coll}_payload_identical"] = True
+            if nodes == 1:
+                # single node: the hier route must be inert, virtual
+                # times included
+                assert row["hier"]["route_hier"] == 0
                 for coll in ("allreduce", "bcast"):
-                    row[f"{coll}_flat_over_hier"] = round(
-                        row["flat"][f"{coll}_us"] / row["hier"][f"{coll}_us"],
-                        3)
-                    row[f"{coll}_leader_over_hier"] = round(
-                        row["leader"][f"{coll}_us"]
-                        / row["hier"][f"{coll}_us"], 3)
-                    # gate on/off payloads must agree to the bit
-                    assert (row["flat"][f"{coll}_digests"]
-                            == row["hier"][f"{coll}_digests"]), \
-                        f"{coll}@{nranks}r/{nbytes}B: hier payload diverged"
-                    row[f"{coll}_payload_identical"] = True
-                if nodes == 1:
-                    # single node: the hier route must be inert, virtual
-                    # times included
-                    assert row["hier"]["route_hier"] == 0
-                    for coll in ("allreduce", "bcast"):
-                        assert (row["flat"][f"{coll}_us"]
-                                == row["hier"][f"{coll}_us"]), \
-                            f"{coll}@{nranks}r: gate not inert on one node"
-                else:
-                    assert row["hier"]["route_hier"] > 0
-                report["rows"].append(row)
-                print(f"P={nranks:>4} {nbytes >> 20:>3}MiB: "
-                      + "  ".join(
-                          f"{c}: flat={row['flat'][c + '_us']:.0f}us "
-                          f"leader={row['leader'][c + '_us']:.0f}us "
-                          f"hier={row['hier'][c + '_us']:.0f}us "
-                          f"(x{row[c + '_flat_over_hier']:.2f} flat, "
-                          f"x{row[c + '_leader_over_hier']:.2f} leader)"
-                          for c in ("allreduce", "bcast")),
-                      flush=True)
-    finally:
-        fastpath.configure(hier_pipe=prev_hier)
+                    assert (row["flat"][f"{coll}_us"]
+                            == row["hier"][f"{coll}_us"]), \
+                        f"{coll}@{nranks}r: hier_pipe not inert on one node"
+            else:
+                assert row["hier"]["route_hier"] > 0
+            report["rows"].append(row)
+            print(f"P={nranks:>4} {nbytes >> 20:>3}MiB: "
+                  + "  ".join(
+                      f"{c}: flat={row['flat'][c + '_us']:.0f}us "
+                      f"leader={row['leader'][c + '_us']:.0f}us "
+                      f"hier={row['hier'][c + '_us']:.0f}us "
+                      f"(x{row[c + '_flat_over_hier']:.2f} flat, "
+                      f"x{row[c + '_leader_over_hier']:.2f} leader)"
+                      for c in ("allreduce", "bcast")),
+                  flush=True)
 
     # acceptance: >= 1.5x over flat at 64 ranks on some inter-node
     # payload, and never worse than the node-leader arm at 512 ranks

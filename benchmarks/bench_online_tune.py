@@ -5,12 +5,12 @@ algorithms at a payload size where the CCL ring is measurably faster.
 Three arms run the same 40-iteration 8-rank allreduce loop, compared
 in *virtual* time:
 
-* ``wrong``  — the bad table, ``MPIX_ONLINE_TUNE`` off: every call
+* ``wrong``  — the bad table, ``online_tune=False``: every call
   takes the slow route, forever (the paper's frozen-table failure
   mode).
 * ``oracle`` — a correct table, tuner off: every call takes the fast
   route from call one.  The best any tuner could do.
-* ``tuned``  — the bad table, ``MPIX_ONLINE_TUNE=1``: the observe /
+* ``tuned``  — the bad table, ``online_tune=True``: the observe /
   explore warm-up pays a few slow-route calls, then the overlay
   follows the measured winner.
 
@@ -77,11 +77,10 @@ def _run_arm(arm, table):
     from repro import fastpath
     from repro.core import runtime
 
-    fastpath.configure(online_tune=(arm == "tuned"))
-    fastpath.STATS.reset()
     t0 = time.perf_counter()
     per_rank = runtime.run(_body, system="thetagpu", nodes=1,
-                           nranks=NRANKS, table=table)
+                           nranks=NRANKS, table=table,
+                           online_tune=(arm == "tuned"))
     wall_s = time.perf_counter() - t0
     snap = fastpath.STATS.snapshot()
     return {
@@ -96,18 +95,12 @@ def _run_arm(arm, table):
 
 
 def main() -> None:
-    from repro import fastpath
-
     report = {
         "config": {"system": "thetagpu", "nranks": NRANKS,
                    "nbytes": NELEM * 4, "iterations": ITERS},
     }
     tables = _tables()
-    prev = fastpath.gates()
-    try:
-        arms = {arm: _run_arm(arm, tables[arm]) for arm in ARMS}
-    finally:
-        fastpath.configure(**prev)
+    arms = {arm: _run_arm(arm, tables[arm]) for arm in ARMS}
 
     # all three arms compute the same numbers
     digests = {tuple(a["digests"]) for a in arms.values()}

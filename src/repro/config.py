@@ -15,9 +15,19 @@ variable                meaning
 ``MPIX_TUNING_FILE``    path to a ``mpix-tune`` JSON table
 ``MPIX_EAGER_INTRA``    eager threshold override, bytes (e.g. ``16K``)
 ``MPIX_EAGER_INTER``    eager threshold override, bytes
+``MPIX_TRACE``          default of the ``trace=`` run option
+``MPIX_HIER_PIPE``      default of ``hier_pipe=``
+``MPIX_HETERO``         default of ``hetero=``
+``MPIX_ONLINE_TUNE``    default of ``online_tune=``
 =====================  =================================================
 
-Explicit arguments always win over the environment.
+The last four are the options :class:`repro.sim.engine.Engine`
+documents (``run_spmd`` / ``runtime.run`` forward them): off unless the
+variable is set to something truthy, resolved once when the engine is
+built.
+
+Explicit arguments always win over the environment, and this module is
+the only one that reads it.
 """
 
 from __future__ import annotations
@@ -30,6 +40,7 @@ from repro.errors import ConfigError
 from repro.util.sizes import parse_size
 
 _VALID_MODES = ("hybrid", "pure_xccl", "pure_mpi")
+_FALSY = {"0", "false", "off", "no", ""}
 
 
 @dataclass(frozen=True)
@@ -41,6 +52,10 @@ class EnvDefaults:
     tuning_file: Optional[str] = None
     eager_intra: Optional[int] = None
     eager_inter: Optional[int] = None
+    trace: bool = False
+    hier_pipe: bool = False
+    hetero: bool = False
+    online_tune: bool = False
 
 
 def from_env(environ: Optional[Mapping[str, str]] = None) -> EnvDefaults:
@@ -61,9 +76,16 @@ def from_env(environ: Optional[Mapping[str, str]] = None) -> EnvDefaults:
         raw = env.get(name)
         return parse_size(raw) if raw else None
 
+    def _flag(name: str) -> bool:
+        return env.get(name, "0").strip().lower() not in _FALSY
+
     return EnvDefaults(backend=backend, mode=mode, tuning_file=tuning_file,
                        eager_intra=_size("MPIX_EAGER_INTRA"),
-                       eager_inter=_size("MPIX_EAGER_INTER"))
+                       eager_inter=_size("MPIX_EAGER_INTER"),
+                       trace=_flag("MPIX_TRACE"),
+                       hier_pipe=_flag("MPIX_HIER_PIPE"),
+                       hetero=_flag("MPIX_HETERO"),
+                       online_tune=_flag("MPIX_ONLINE_TUNE"))
 
 
 def apply_env(backend, mode, table, mpi_config,

@@ -10,10 +10,9 @@ the figure's boxes:
 * **Datatype support / Reduce operation support** — capability
   checks against the resolved backend's declarative descriptor
   (:mod:`repro.xccl.caps`).  Homogeneous communicators consult the
-  local backend per call; mixed-vendor communicators skip these
-  per-call checks entirely — they negotiate one *intersection*
-  descriptor at construction (:mod:`repro.mpi.coll.bridge`) and the
-  dispatcher routes from that;
+  local backend; for a mixed-vendor communicator the dispatcher's one
+  capability chain consults the *intersection* descriptor negotiated
+  once per communicator (:mod:`repro.mpi.coll.bridge`) instead;
 * **Collectives / point-to-point communication** — the five built-ins
   mapped 1:1 (§3.2) and the send-recv-based collectives (§3.3);
 * **Synchronization** — stream joins after each CCL call.

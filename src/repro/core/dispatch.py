@@ -372,7 +372,7 @@ class CollectivePipeline:
         #: pipeline is per-rank, so these are thread-confined.
         self._plans: Dict[str, PlanCache] = {}
         self._tables: Dict[str, TuningTable] = {}
-        #: online-tuner bookkeeping (MPIX_ONLINE_TUNE): this rank's own
+        #: online-tuner bookkeeping (``online_tune``): this rank's own
         #: per-(comm, collective, size-bucket) call counters — identical
         #: across ranks by SPMD, which is what keeps tuned routes from
         #: diverging — and the key of the call currently in flight.
@@ -399,33 +399,36 @@ class CollectivePipeline:
 
     # -- stage 2: capability check (the single §3.2 choke point) ------------
 
-    def capability(self, coll: str, dt, op, significant,
-                   on_device: bool) -> Optional[RouteDecision]:
+    def capability(self, coll: str, dt, op, significant, on_device: bool,
+                   negotiated=None, nranks: int = 0) -> Optional[RouteDecision]:
         """The ONE place CCL eligibility is decided (§3.2 / Fig. 2):
         backend availability, collective mapping, buffer residency,
         datatype table (HCCL float-only, no complex anywhere), reduce-op
-        table (the four NCCL ops).  Returns the MPI fallback decision,
-        or None when the call is CCL-capable."""
-        if not self.layer.available:
+        table (the four NCCL ops).  The two tables are the local
+        backend's — or, on a communicator spanning vendors (where the
+        per-rank answers would diverge), those of ``negotiated``, its
+        intersection descriptor
+        (:func:`repro.mpi.coll.bridge.negotiated_descriptor`, the same
+        on every rank), whose rank ceiling then bounds ``nranks``.
+        Returns the MPI fallback decision, or None when the call is
+        CCL-capable."""
+        if negotiated is not None:
+            datatype_ok, op_ok = negotiated.allows_datatype, negotiated.allows_op
+        elif self.layer.available:
+            datatype_ok, op_ok = self.layer.supports_datatype, self.layer.supports_op
+        else:
             return RouteDecision(Route.MPI, FallbackReason.NO_BACKEND)
         if coll not in TUNABLE_COLLECTIVES:
             return RouteDecision(Route.MPI, FallbackReason.UNSUPPORTED_COLL)
         if significant and not on_device:
             return RouteDecision(Route.MPI, FallbackReason.HOST_BUFFER)
-        if dt is not None and not self.layer.supports_datatype(dt):
+        if dt is not None and not datatype_ok(dt):
             return RouteDecision(Route.MPI, FallbackReason.DATATYPE)
-        if op is not None and not self.layer.supports_op(op):
+        if op is not None and not op_ok(op):
             return RouteDecision(Route.MPI, FallbackReason.REDUCE_OP)
+        if negotiated is not None and nranks > negotiated.max_ranks:
+            return RouteDecision(Route.MPI, FallbackReason.MIXED_VENDOR)
         return None
-
-    def _checked_capability(self, coll: str, dt, op, significant,
-                            on_device: bool) -> Optional[RouteDecision]:
-        """:meth:`capability` plus its stage marker (``capability:ok``
-        or ``capability:<fallback reason>``)."""
-        fallback = self.capability(coll, dt, op, significant, on_device)
-        self._mark("capability:ok" if fallback is None
-                   else f"capability:{fallback.reason.value}")
-        return fallback
 
     # -- stage 3: route (mode pin or tuning-table crossover) ----------------
 
@@ -457,21 +460,36 @@ class CollectivePipeline:
         if self.mode == DispatchMode.PURE_MPI:
             self._mark("capability:skipped")
             return RouteDecision(Route.MPI, FallbackReason.MODE)
+        options = comm.ctx.engine.options
+        negotiated = None
         if bridge.is_hetero(comm):
             # mixed-vendor comm: the local backend's capability answers
             # (and the per-rank tuning table) would diverge across the
-            # islands — route from the negotiated intersection instead,
-            # before any per-backend stage can run
-            return self._route_hetero(comm, coll, dt, op, significant,
-                                      on_device)
-        fallback = self._checked_capability(coll, dt, op, significant,
-                                            on_device)
+            # islands.  Without the ``hetero`` option every call takes
+            # the MPI algorithms (the only route with no per-backend
+            # state); with it, the chain runs against the intersection
+            # negotiated once per communicator from the same purely
+            # local facts on every rank
+            if not options["hetero"]:
+                self._mark("capability:skipped")
+                return RouteDecision(Route.MPI, FallbackReason.MIXED_VENDOR)
+            negotiated = bridge.negotiated_descriptor(comm)
+        fallback = self.capability(coll, dt, op, significant, on_device,
+                                   negotiated, comm.size)
+        self._mark("capability:ok" if fallback is None
+                   else f"capability:{fallback.reason.value}")
         if fallback is not None:
             return fallback
+        if negotiated is not None:
+            if coll in bridge.BRIDGE_TUNING_KEYS \
+                    and (op is None or op.commutative):
+                return RouteDecision(Route.BRIDGE)
+            return RouteDecision(Route.MPI, FallbackReason.MIXED_VENDOR)
         hier_ok = (self.mode == DispatchMode.HYBRID
-                   and fastpath.gate_enabled("hier_pipe")
+                   and options["hier_pipe"]
                    and coll in hier_exec.HIER_TUNING_KEYS
-                   and nbytes >= hier_exec.hier_min_bytes(coll)
+                   and nbytes >= hier_exec.MIN_BYTES.get(
+                       coll, hier_exec.MIN_BYTES_DEFAULT)
                    and (op is None or op.commutative)
                    and hier_exec.hier_eligible(comm))
         tuned = self._tuning_active(coll)
@@ -496,15 +514,15 @@ class CollectivePipeline:
     def _tuning_active(self, coll: str) -> bool:
         """Whether the online tuner steers this collective's route."""
         return (self.mode == DispatchMode.HYBRID
-                and fastpath.gate_enabled("online_tune")
+                and self.layer.ctx.engine.online_tuner is not None
                 and coll in TUNABLE_COLLECTIVES)
 
     def _route_online(self, comm, coll: str, nbytes: int, static: str,
                       hier_ok: bool) -> RouteDecision:
         """Consult the engine's measured-latency overlay before the
-        static table (MPIX_ONLINE_TUNE).  ``static`` is the route the
-        offline chain would have taken — followed verbatim through the
-        observe warm-up, so short runs never deviate."""
+        static table (the ``online_tune`` option).  ``static`` is the
+        route the offline chain would have taken — followed verbatim
+        through the observe warm-up, so short runs never deviate."""
         from repro.core import online_tune
         tuner = comm.ctx.engine.online_tuner
         bucket = online_tune.size_bucket(nbytes)
@@ -521,42 +539,6 @@ class CollectivePipeline:
         if route == "hier":
             return RouteDecision(Route.HIER)
         return RouteDecision(Route.MPI, FallbackReason.TUNING)
-
-    def _route_hetero(self, comm, coll: str, dt, op, significant,
-                      on_device: bool) -> RouteDecision:
-        """Routing for communicators spanning several vendors.
-
-        With the ``MPIX_HETERO`` gate off, every call takes the MPI
-        algorithms (the only route with no per-backend state).  With it
-        on, the per-call §3.2 chain collapses to set membership on the
-        communicator's negotiated intersection descriptor — computed
-        once (:func:`repro.mpi.coll.bridge.negotiated_descriptor`) from
-        the same purely local facts on every rank, so the route can
-        never diverge across islands.
-        """
-        if not fastpath.gate_enabled("hetero"):
-            self._mark("capability:skipped")
-            return RouteDecision(Route.MPI, FallbackReason.MIXED_VENDOR)
-        desc = bridge.negotiated_descriptor(comm)
-        fallback = None
-        if coll not in TUNABLE_COLLECTIVES:
-            fallback = RouteDecision(Route.MPI, FallbackReason.UNSUPPORTED_COLL)
-        elif significant and not on_device:
-            fallback = RouteDecision(Route.MPI, FallbackReason.HOST_BUFFER)
-        elif dt is not None and not desc.allows_datatype(dt):
-            fallback = RouteDecision(Route.MPI, FallbackReason.DATATYPE)
-        elif op is not None and not desc.allows_op(op):
-            fallback = RouteDecision(Route.MPI, FallbackReason.REDUCE_OP)
-        elif comm.size > desc.max_ranks:
-            fallback = RouteDecision(Route.MPI, FallbackReason.MIXED_VENDOR)
-        self._mark("capability:ok" if fallback is None
-                   else f"capability:{fallback.reason.value}")
-        if fallback is not None:
-            return fallback
-        if coll in bridge.BRIDGE_TUNING_KEYS \
-                and (op is None or op.commutative):
-            return RouteDecision(Route.BRIDGE)
-        return RouteDecision(Route.MPI, FallbackReason.MIXED_VENDOR)
 
     # -- stage 4: plan lookup -----------------------------------------------
 

@@ -20,8 +20,8 @@ class Route(enum.Enum):
 
     XCCL = "xccl"
     MPI = "mpi"
-    HIER = "hier"      # pipelined hierarchical executor (MPIX_HIER_PIPE)
-    BRIDGE = "bridge"  # mixed-vendor island bridge (MPIX_HETERO)
+    HIER = "hier"      # pipelined hierarchical executor (``hier_pipe``)
+    BRIDGE = "bridge"  # mixed-vendor island bridge (``hetero``)
 
 
 class FallbackReason(enum.Enum):

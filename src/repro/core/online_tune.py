@@ -1,4 +1,4 @@
-"""Online autotuning overlay on the static tuning tables (MPIX_ONLINE_TUNE).
+"""Online autotuning overlay on the static tuning tables (``online_tune``).
 
 The paper's §3.4 tables are tuned offline and frozen; when the model
 behind them is wrong for a deployment (different NIC firmware, a noisy
@@ -14,7 +14,7 @@ Every bucket walks a three-phase state machine:
 ``OBSERVE``
     The first :attr:`OnlineTuner.observe_calls` calls take the static
     route and record its latency.  Routes never deviate here, which is
-    what makes the gate provably inert on short runs.
+    what makes the option provably inert on short runs.
 ``EXPLORE``
     The next :attr:`OnlineTuner.explore_calls` calls *per alternate
     route* are steered down that route to sample it.
@@ -34,10 +34,13 @@ extra communication:
   cached under the tuner lock — every other rank reads the identical
   answer.
 
-Under the cooperative scheduler the sample set at fit time is
-deterministic, so runs reproduce exactly; under the thread scheduler a
-near-tied fit can resolve either way between runs (both routes are
-then near-optimal by construction).
+Ranks run under one run token, so the sample set at fit time is
+deterministic and runs reproduce exactly.
+
+The tuner is a run option: an :class:`repro.sim.engine.Engine` built
+with ``online_tune=True`` (default ``MPIX_ONLINE_TUNE``) owns one
+:class:`OnlineTuner`; any other engine has none, and its dispatch
+pipelines never leave the static table.
 
 Overlays are per-communicator (keyed by ``ctx_id``): ``Comm_free`` and
 ``Comm_shrink`` drop the old communicator's state, so a shrunk

@@ -101,9 +101,13 @@ def run(fn: Callable[..., Any], system: Union[str, Cluster] = "thetagpu",
         mode: Union[DispatchMode, str, None] = None,
         mpi_config: Optional[MPIConfig] = None,
         table: Optional[TuningTable] = None,
-        trace: bool = False,
+        trace: Optional[bool] = None,
         progress_timeout_s: float = 10.0,
-        *args: Any, **kwargs: Any) -> List[Any]:
+        *args: Any,
+        hier_pipe: Optional[bool] = None,
+        hetero: Optional[bool] = None,
+        online_tune: Optional[bool] = None,
+        **kwargs: Any) -> List[Any]:
     """Launch ``fn(mpx, *args, **kwargs)`` on every rank.
 
     Args:
@@ -120,7 +124,10 @@ def run(fn: Callable[..., Any], system: Union[str, Cluster] = "thetagpu",
             ``MPIX_EAGER_*`` env overrides apply).
         table: pre-tuned hybrid table (default: ``MPIX_TUNING_FILE``
             if set, else tuned offline and cached).
-        trace: record per-rank communication traces.
+        trace, hier_pipe, hetero, online_tune: the run's four options,
+            documented on :class:`repro.sim.engine.Engine` (default:
+            ``MPIX_TRACE`` / ``MPIX_HIER_PIPE`` / ``MPIX_HETERO`` /
+            ``MPIX_ONLINE_TUNE``, else off).
 
     Returns:
         per-rank return values, rank order.
@@ -132,7 +139,9 @@ def run(fn: Callable[..., Any], system: Union[str, Cluster] = "thetagpu",
     if isinstance(mode, str):
         mode = DispatchMode(mode)
     engine = Engine(cluster, nranks=nranks, ranks_per_node=ranks_per_node,
-                    trace=trace, progress_timeout_s=progress_timeout_s)
+                    trace=trace, progress_timeout_s=progress_timeout_s,
+                    hier_pipe=hier_pipe, hetero=hetero,
+                    online_tune=online_tune)
 
     def body(ctx: RankContext) -> Any:
         mpx = MPIxContext(ctx, config, backend, mode, table)

@@ -1,11 +1,11 @@
-"""Process-wide gate registry and counters for the dispatch pipeline.
+"""Process-wide counters for the dispatch pipeline.
 
 This module sits below every other ``repro`` package (it imports
 nothing from them) so the engine, the MPI layer and the core layer can
-share one registry without import cycles.
+report into one place without import cycles.
 
 The plan cache, the fused group transport and the zero-copy datapath
-are **not** gates: they are how the simulator works.  Compiled plans
+are how the simulator works, not options.  Compiled plans
 and memoized models replay what a fresh derivation would compute
 (the memoized models keep their originals as ``__wrapped__``), a group
 call is the transport unit, and payloads travel as borrowed read-only
@@ -16,115 +16,26 @@ window (``MPI_IN_PLACE`` spellings) copies on write, a mailbox whose
 group opened without a communicator hint takes the bulk mailbox
 transport instead of the whole-group rendezvous.
 
-Five gates remain, all default **off**, one row each in
-:data:`GATE_ENV`:
+What a run *can* choose — ``trace``, ``hier_pipe``, ``hetero``,
+``online_tune`` — are arguments of :class:`repro.sim.engine.Engine`
+(their ``MPIX_*`` defaults are read in :mod:`repro.config`); nothing
+here is settable.
 
-``trace`` (``MPIX_TRACE``)
-    Per-rank event tracing for every engine (dispatch-pipeline stages,
-    transport paths, CCL spans) without touching ``Engine(trace=True)``
-    call sites.  Observation only — payloads and virtual times are
-    bit-identical with the gate on or off.
-``hier_pipe`` (``MPIX_HIER_PIPE``)
-    The route stage may decompose large multi-node allreduce / bcast /
-    allgather / reduce_scatter calls into per-level plans with chunks
-    pipelined through the levels (:mod:`repro.mpi.coll.hier_exec`).
-    A routing choice, like the tuning table: it *changes virtual
-    times* on multi-node communicators, never payloads; single-node
-    communicators are not eligible
-    (:func:`repro.mpi.coll.hier_exec.placement`), so there the gate is
-    provably inert.
-``hetero`` (``MPIX_HETERO``)
-    A communicator spanning devices of more than one vendor negotiates
-    a capability intersection once (:mod:`repro.xccl.caps`) and routes
-    eligible collectives to the cross-vendor bridge executor
-    (:mod:`repro.mpi.coll.bridge`).  Changes virtual times, never
-    payloads; with the gate off mixed communicators take the plain MPI
-    algorithms, and single-vendor communicators route the same either
-    way.
-``online_tune`` (``MPIX_ONLINE_TUNE``)
-    The dispatch pipeline feeds measured per-(collective, size-bucket,
-    comm-shape) latencies back into a per-communicator overlay on the
-    static tuning table (:mod:`repro.core.online_tune`).  Routes only
-    deviate after the per-bucket observe/explore warm-up, so short runs
-    are bit-identical either way.
-``elastic`` (``MPIX_ELASTIC``)
-    ULFM-style ``Comm_revoke`` / ``Comm_agree`` / ``Comm_shrink``: a
-    rank killed by ``FaultPlan.kill`` surfaces as
-    :class:`CommRevokedError` on the survivors instead of tearing down
-    the run.  With the gate off (and no kill rules installed) a dead
-    rank still fails the run.
-
-:func:`gate_enabled` is the only query and :func:`configure` the only
-switch (it returns the previous states; restore with
-``configure(**prev)``).  :func:`snapshot` returns gate states plus the
-per-stage counters in :data:`STATS` — what ``mpix-omb --stats`` prints.
+:data:`STATS` holds the per-stage counters named in :data:`COUNTERS`;
+:func:`snapshot` is the view ``mpix-omb --stats`` prints.  A new
+``Engine`` zeroes them: a new engine is a new run.
 """
 
 from __future__ import annotations
 
-import os
 import threading
-from typing import Dict, Optional
-
-_FALSY = {"0", "false", "off", "no", ""}
-
-#: gate -> controlling environment variable: the single registry of
-#: run-time toggles.  Every gate is off unless its variable is set to
-#: something truthy — tracing costs memory per event, the two routing
-#: gates and the online tuner change virtual times, and the elastic
-#: error model changes failure semantics, so all five are opt-in.
-GATE_ENV: Dict[str, str] = {
-    "trace": "MPIX_TRACE",                 # per-rank event tracing
-    "hier_pipe": "MPIX_HIER_PIPE",         # pipelined hierarchical route
-    "hetero": "MPIX_HETERO",               # mixed-vendor bridge route
-    "online_tune": "MPIX_ONLINE_TUNE",     # online tuning-table overlay
-    "elastic": "MPIX_ELASTIC",             # ULFM revoke/shrink/agree
-}
-
-
-def _env_gate(var: str) -> bool:
-    return os.environ.get(var, "0").strip().lower() not in _FALSY
-
-
-_gates: Dict[str, bool] = {name: _env_gate(var)
-                           for name, var in GATE_ENV.items()}
-
-
-def gate_enabled(name: str) -> bool:
-    """Whether the named gate is on (the one choke point every gated
-    stage queries)."""
-    return _gates[name]
-
-
-def gates() -> Dict[str, bool]:
-    """A copy of the current gate states."""
-    return dict(_gates)
-
-
-def configure(**flags: Optional[bool]) -> Dict[str, bool]:
-    """Set any subset of the gates at once, by :data:`GATE_ENV` name
-    (``None`` leaves a gate as it is; an unknown name is a
-    ``TypeError``, like any unexpected keyword).
-
-    Returns the *previous* state of every gate, so a caller can restore
-    with ``fastpath.configure(**prev)`` — the idiom the benchmarks and
-    the gate-combination parity tests use.
-    """
-    unknown = sorted(set(flags) - set(GATE_ENV))
-    if unknown:
-        raise TypeError(f"configure() got unknown gate(s) {unknown}; "
-                        f"the gates are {sorted(GATE_ENV)}")
-    prev = gates()
-    for name, flag in flags.items():
-        if flag is not None:
-            _gates[name] = bool(flag)
-    return prev
+from typing import Dict
 
 
 def snapshot() -> Dict[str, Dict]:
-    """One consistent view: gate states plus the per-stage counters
-    (surfaced by ``mpix-omb --stats``)."""
-    return {"gates": gates(), "counters": STATS.snapshot()}
+    """One consistent view of the per-stage counters (surfaced by
+    ``mpix-omb --stats``)."""
+    return {"counters": STATS.snapshot()}
 
 
 #: every counter of :class:`PlanStats`, in report order — ``reset`` and
@@ -147,11 +58,11 @@ COUNTERS = (
     "route_mpi",           # execute stage ran an MPI algorithm
     "route_fallbacks",     # capability fallbacks (§3.2), not tuning
     "ccl_errors",          # runtime CCL errors rescued by MPI
-    # hierarchical executor (MPIX_HIER_PIPE):
+    # hierarchical executor (``hier_pipe``):
     "route_hier",          # execute stage ran the hierarchical plan
     "hier_chunks",         # payload chunks pipelined through levels
     "hier_stripe_ops",     # inter-node stripe collectives issued
-    # mixed-vendor bridge (MPIX_HETERO):
+    # mixed-vendor bridge (``hetero``):
     "negotiations",        # once-per-comm capability negotiations
     "route_bridge",        # execute stage ran the bridge plan
     "bridge_hops",         # host-staged inter-island messages
@@ -159,10 +70,10 @@ COUNTERS = (
     "coop_runs",           # engine runs
     "coop_parks",          # fiber deschedules (blocked waits)
     "coop_switches",       # run-token handoffs
-    # online tuner (MPIX_ONLINE_TUNE):
+    # online tuner (``online_tune``):
     "online_updates",      # per-bucket crossover re-fits
     "route_flips",         # re-fits that changed the static route
-    # elastic fault tolerance (MPIX_ELASTIC):
+    # ULFM fault recovery:
     "comm_revokes",        # communicators revoked (once per comm)
     "comm_shrinks",        # shrink agreements completed (per comm)
 )

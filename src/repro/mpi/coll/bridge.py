@@ -1,4 +1,4 @@
-"""Cross-vendor bridge collective executor (``MPIX_HETERO``).
+"""Cross-vendor bridge collective executor (the ``hetero`` option).
 
 A communicator spanning NVIDIA + AMD (+ Gaudi, + Intel) nodes cannot
 run one xCCL collective: the vendors' CCLs share no rendezvous, and
@@ -42,7 +42,7 @@ from repro.mpi.communicator import IN_PLACE
 
 __all__ = [
     "BRIDGE_TUNING_KEYS", "EXECUTORS", "hetero_info", "is_hetero",
-    "negotiated_descriptor", "release_bridge", "topology",
+    "negotiated_descriptor", "topology",
 ]
 
 #: tuning-table keys the route stage may hand to this executor; vector
@@ -80,7 +80,7 @@ class HeteroInfo:
 
 def hetero_info(comm) -> HeteroInfo:
     """Vendor placement facts for ``comm``, cached on the communicator."""
-    cached = getattr(comm, "_bridge_info", None)
+    cached = comm.routing_cache.get("bridge_info")
     if cached is not None:
         return cached
     ctx = comm.ctx
@@ -92,7 +92,7 @@ def hetero_info(comm) -> HeteroInfo:
     mine = ctx.device.vendor
     my_island = vendors.index(mine) if mine in by_vendor else 0
     info = HeteroInfo(vendors, islands, my_island)
-    comm._bridge_info = info
+    comm.routing_cache["bridge_info"] = info
     return info
 
 
@@ -111,7 +111,7 @@ def negotiated_descriptor(comm, info: Optional[HeteroInfo] = None):
     every rank — when the islands' backends share no usable
     capability surface.
     """
-    cached = getattr(comm, "_hetero_desc", None)
+    cached = comm.routing_cache.get("hetero_desc")
     if cached is not None:
         return cached
     from repro.xccl.caps import descriptor_for, negotiate
@@ -119,7 +119,7 @@ def negotiated_descriptor(comm, info: Optional[HeteroInfo] = None):
         info = hetero_info(comm)
     desc = negotiate(descriptor_for(default_ccl_for(v))
                      for v in info.vendors)
-    comm._hetero_desc = desc
+    comm.routing_cache["hetero_desc"] = desc
     if comm.rank == 0:
         fastpath.STATS.note_negotiation()
     return desc
@@ -129,20 +129,10 @@ def negotiated_descriptor(comm, info: Optional[HeteroInfo] = None):
 # island sub-communicators
 # ---------------------------------------------------------------------------
 
-class BridgeTopology:
-    """Cached island sub-communicator for one mixed-vendor comm."""
-
-    __slots__ = ("island",)
-
-    def __init__(self, island) -> None:
-        #: this rank's single-vendor island comm; its rank 0 (the
-        #: lowest parent rank of the island) is the island leader
-        self.island = island
-
-
-def topology(pipeline, comm) -> BridgeTopology:
-    """The vendor-island sub-communicator for ``comm``, built on first
-    use and cached; freed by ``Comm_free``.
+def topology(pipeline, comm):
+    """This rank's single-vendor island sub-communicator of ``comm``,
+    built on first use and cached; freed by ``Comm_free``.  Its rank 0
+    (the lowest parent rank of the island) is the island leader.
 
     One ``Split`` colored by island index builds every island at once;
     each island comm gets its own
@@ -150,26 +140,13 @@ def topology(pipeline, comm) -> BridgeTopology:
     pipeline's abstraction layer, so (homogeneous) island collectives
     route through their native CCL exactly like top-level ones.
     """
-    cached = getattr(comm, "_bridge_topo", None)
-    if cached is not None:
-        return cached
-    from repro.core.hybrid import HybridDispatcher  # local: avoid cycle
-    info = hetero_info(comm)
-    island = comm.Split(color=info.my_island, key=comm.rank)
-    island.coll = HybridDispatcher(pipeline.layer, pipeline.mode)
-    topo = BridgeTopology(island)
-    comm._bridge_topo = topo
-    return topo
-
-
-def release_bridge(comm) -> None:
-    """Drop the cached island comm, placement facts, and negotiated
-    descriptor (called by ``Comm_free``)."""
-    topo = comm.__dict__.pop("_bridge_topo", None)
-    comm.__dict__.pop("_bridge_info", None)
-    comm.__dict__.pop("_hetero_desc", None)
-    if topo is not None and topo.island is not None:
-        topo.island.Free()
+    island = comm.routing_cache.get("bridge_island")
+    if island is None:
+        from repro.core.hybrid import HybridDispatcher  # local: avoid cycle
+        island = comm.Split(color=hetero_info(comm).my_island, key=comm.rank)
+        island.coll = HybridDispatcher(pipeline.layer, pipeline.mode)
+        comm.routing_cache["bridge_island"] = island
+    return island
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +274,7 @@ def bridge_allreduce(pipeline, call) -> None:
     recvbuf = call.recvbuf
     ctx = comm.ctx
     info = hetero_info(comm)
-    island = topology(pipeline, comm).island
+    island = topology(pipeline, comm)
     vendor = info.vendors[info.my_island].value
     nb = dt.itemsize
     materialize_input(comm, call.sendbuf, recvbuf, count)
@@ -367,7 +344,7 @@ def bridge_bcast(pipeline, call) -> None:
     buf = call.recvbuf
     ctx = comm.ctx
     info = hetero_info(comm)
-    island = topology(pipeline, comm).island
+    island = topology(pipeline, comm)
     vendor = info.vendors[info.my_island].value
     root_island = next(j for j, ranks in enumerate(info.islands)
                        if call.root in ranks)
@@ -404,7 +381,7 @@ def bridge_allgather(pipeline, call) -> None:
     recvbuf = call.recvbuf
     ctx = comm.ctx
     info = hetero_info(comm)
-    island = topology(pipeline, comm).island
+    island = topology(pipeline, comm)
     vendor = info.vendors[info.my_island].value
     k = info.my_island
     nb = dt.itemsize
@@ -480,7 +457,7 @@ def bridge_reduce_scatter_block(pipeline, call) -> None:
     recvbuf = call.recvbuf
     ctx = comm.ctx
     info = hetero_info(comm)
-    island = topology(pipeline, comm).island
+    island = topology(pipeline, comm)
     vendor = info.vendors[info.my_island].value
     nb = dt.itemsize
     total = comm.size * count

@@ -1,4 +1,4 @@
-"""Pipelined hierarchical collective executor (``MPIX_HIER_PIPE``).
+"""Pipelined hierarchical collective executor (the ``hier_pipe`` option).
 
 The node-leader helpers in :mod:`repro.mpi.coll.hierarchical` are
 whole-message and two-level: the inter-node phase serializes behind the
@@ -11,7 +11,7 @@ the multi-node results need:
   (cheap NVSwitch/PCIe hops), an inter-node phase over *stripe*
   sub-communicators (one member per node), and an intra-node fan-out.
 * **Chunk pipelining** — payloads split into ``nstripes x depth``
-  contiguous chunks (:func:`hier_depth`, ``MPIX_HIER_DEPTH``) that
+  contiguous chunks (:data:`DEPTH` rounds per stripe) that
   move through the levels in rounds, so a stripe leader's inter-node
   round overlaps the other leaders' rounds and the next round's
   intra-node work.
@@ -24,8 +24,8 @@ the multi-node results need:
 
 The executor is a *route* of the staged dispatch pipeline
 (:mod:`repro.core.dispatch` chooses :data:`repro.core.fallback.Route`
-``HIER`` when the ``hier_pipe`` gate is on): the per-level collectives
-run on sub-communicators driven by their own
+``HIER`` when the engine's ``hier_pipe`` option is on): the per-level
+collectives run on sub-communicators driven by their own
 :class:`~repro.core.hybrid.HybridDispatcher`, so plan caching,
 zero-copy views, tracing, and the tuning table's flat-vs-hierarchical
 crossover all compose per level.  Payloads are bit-identical to the
@@ -37,7 +37,6 @@ node, so neither is hierarchy-eligible.
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional
 
 from repro import fastpath
@@ -45,8 +44,8 @@ from repro.mpi.coll._util import chunk_bounds, is_inplace, materialize_input, se
 from repro.mpi.communicator import IN_PLACE
 
 __all__ = [
-    "EXECUTORS", "HIER_TUNING_KEYS", "hier_depth", "hier_eligible",
-    "hier_info", "hier_min_bytes", "release_topology", "topology",
+    "DEPTH", "EXECUTORS", "HIER_TUNING_KEYS", "MIN_BYTES",
+    "MIN_BYTES_DEFAULT", "hier_eligible", "hier_info", "topology",
 ]
 
 #: tuning-table keys the route stage may hand to this executor.  The
@@ -57,34 +56,18 @@ HIER_TUNING_KEYS = frozenset(
 
 
 #: per-collective flat/hier crossovers measured on an 8-node x 8-GPU
-#: sweep.  Reduction collectives cross between 1 and 2 MiB.  Broadcast
+#: sweep: hierarchy engages at/above this routing byte count, below it
+#: the per-level launch latencies dominate and the flat routes win.
+#: Reduction collectives cross between 1 and 2 MiB.  Broadcast
 #: crosses an order of magnitude later: its flat binomial tree moves
 #: each byte once per inter-node hop, so the hierarchy's extra
 #: intra-node scatter/allgather launches only pay off at 16 MiB+.
-_MIN_BYTES = {"bcast": 16 << 20}
-_MIN_BYTES_DEFAULT = 2 << 20
+MIN_BYTES = {"bcast": 16 << 20}
+MIN_BYTES_DEFAULT = 2 << 20
 
-
-def hier_min_bytes(coll: str = "") -> int:
-    """Hierarchy engages at/above this routing byte count — per
-    collective (see :data:`_MIN_BYTES`; 2 MiB for the reductions,
-    16 MiB for broadcast), below it the per-level launch latencies
-    dominate and the flat routes win.  ``MPIX_HIER_MIN_BYTES``
-    overrides the threshold for *every* collective."""
-    default = _MIN_BYTES.get(coll, _MIN_BYTES_DEFAULT)
-    try:
-        return int(os.environ.get("MPIX_HIER_MIN_BYTES", default))
-    except ValueError:
-        return default
-
-
-def hier_depth() -> int:
-    """Pipeline depth (``MPIX_HIER_DEPTH``, default 2): chunk rounds
-    per stripe, so a payload splits into ``nstripes * depth`` chunks."""
-    try:
-        return max(1, int(os.environ.get("MPIX_HIER_DEPTH", "2")))
-    except ValueError:
-        return 2
+#: pipeline depth: chunk rounds per stripe, so a payload splits into
+#: ``nstripes * DEPTH`` chunks.
+DEPTH = 2
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +96,7 @@ class HierInfo:
 
 def hier_info(comm) -> HierInfo:
     """Placement facts for ``comm``, cached on the communicator."""
-    cached = getattr(comm, "_hier_info", None)
+    cached = comm.routing_cache.get("hier_info")
     if cached is not None:
         return cached
     cluster = comm.ctx.cluster
@@ -129,7 +112,7 @@ def hier_info(comm) -> HierInfo:
     else:
         nstripes = 1
     info = HierInfo(eligible, max(1, nstripes), my_node, members)
-    comm._hier_info = info
+    comm.routing_cache["hier_info"] = info
     return info
 
 
@@ -167,7 +150,8 @@ def topology(pipeline, comm) -> HierTopology:
     pipeline's abstraction layer, so per-level collectives route
     through CCL/tuning exactly like top-level ones.
     """
-    cached = getattr(comm, "_hier_topo", None)
+    cache = comm.routing_cache
+    cached = cache.get("hier_topo")
     if cached is not None:
         return cached
     from repro.core.hybrid import HybridDispatcher  # local: avoid cycle
@@ -181,18 +165,11 @@ def topology(pipeline, comm) -> HierTopology:
         stripe.coll = HybridDispatcher(pipeline.layer, pipeline.mode)
     topo = HierTopology(local, stripe,
                         local.rank if stripe is not None else None, L)
-    comm._hier_topo = topo
+    cache["hier_topo"] = topo
+    cache["hier_local"] = local
+    if stripe is not None:
+        cache["hier_stripe"] = stripe
     return topo
-
-
-def release_topology(comm) -> None:
-    """Free the cached hierarchy sub-comms (called by ``Comm_free``)."""
-    topo = comm.__dict__.pop("_hier_topo", None)
-    comm.__dict__.pop("_hier_info", None)
-    if topo is not None:
-        for sub in (topo.local, topo.stripe):
-            if sub is not None:
-                sub.Free()
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +217,7 @@ def hier_allreduce(pipeline, call) -> None:
     topo = topology(pipeline, comm)
     info = hier_info(comm)
     L = topo.nstripes
-    depth = hier_depth()
+    depth = DEPTH
     materialize_input(comm, call.sendbuf, recvbuf, count)
     nb = dt.itemsize
     stripe_ops = 0
@@ -328,7 +305,7 @@ def hier_bcast(pipeline, call) -> None:
     topo = topology(pipeline, comm)
     info = hier_info(comm)
     L = topo.nstripes
-    depth = hier_depth()
+    depth = DEPTH
     cluster = ctx.cluster
     root_world = comm.world_rank(call.root)
     root_node = cluster.node_index_of(ctx.device_of(root_world))

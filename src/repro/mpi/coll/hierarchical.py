@@ -25,7 +25,8 @@ def node_comms(comm) -> Tuple[object, Optional[object]]:
     The node-local communicator groups ranks sharing a node; the leader
     communicator contains each node's rank-0 (None on non-leaders).
     """
-    cached = getattr(comm, "_hier_comms", None)
+    cache = comm.routing_cache
+    cached = cache.get("node_comms")
     if cached is not None:
         return cached
     cluster = comm.ctx.cluster
@@ -42,8 +43,11 @@ def node_comms(comm) -> Tuple[object, Optional[object]]:
     except BaseException:
         local.Free()
         raise
-    comm._hier_comms = (local, leaders)
-    return comm._hier_comms
+    cache["node_local"] = local
+    if leaders is not None:
+        cache["node_leaders"] = leaders
+    cache["node_comms"] = (local, leaders)
+    return cache["node_comms"]
 
 
 def allreduce_hierarchical(comm, sendbuf, recvbuf, count: int, dt: Datatype,

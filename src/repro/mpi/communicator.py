@@ -13,7 +13,7 @@ fail.
 from __future__ import annotations
 
 import itertools
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 
 from repro import fastpath
@@ -58,7 +58,7 @@ class Communicator:
             # GPU-direct transports (CUDA IPC, GPUDirect/ROCm RDMA) are
             # vendor-specific: a communicator spanning vendor islands
             # can only move device buffers through host staging — the
-            # per-hop cost the MPIX_HETERO bridge route amortizes down
+            # per-hop cost the ``hetero`` bridge route amortizes down
             # to one hop per remote island.
             config = config.with_(gpu_direct=False)
         self.config = config
@@ -70,6 +70,13 @@ class Communicator:
         self._rank = self._from_world[ctx.rank]
         self._seq = itertools.count(1)
         self._freed = False
+        #: everything the routing layers cache about this communicator
+        #: (placement facts, negotiated descriptor, level topologies and
+        #: the sub-communicators they run on), by name.  A value that is
+        #: itself a :class:`Communicator` is a sub-communicator built
+        #: for — and owned by — this one: :meth:`Free` and
+        #: :meth:`Comm_shrink` free it when they drain the dict.
+        self.routing_cache: Dict[str, object] = {}
         from repro.mpi.coll import MPICollDispatcher  # local: avoid cycle
         self.coll = MPICollDispatcher()
 
@@ -109,15 +116,10 @@ class Communicator:
     def Free(self) -> None:
         """Release the communicator (``MPI_Comm_free``).
 
-        Also frees the cached hierarchical sub-communicators — both the
-        legacy node-leader pair (see
-        :func:`repro.mpi.coll.hierarchical.node_comms`) and the
-        pipelined-hierarchy topology (see
-        :func:`repro.mpi.coll.hier_exec.topology`) — plus the
-        mixed-vendor bridge state (island sub-communicator, negotiated
-        descriptor; see :func:`repro.mpi.coll.bridge.release_bridge`)
-        — and tells the dispatcher to drop compiled plans / CCL state
-        for this communicator.
+        Also drains :attr:`routing_cache` — freeing the node-leader,
+        hierarchy and bridge sub-communicators cached there — and tells
+        the dispatcher to drop compiled plans / CCL state for this
+        communicator.
         """
         if self._freed:
             return
@@ -134,18 +136,10 @@ class Communicator:
         online-tuning overlays — all keyed to a rank set that no longer
         exists.
         """
-        hier = self.__dict__.pop("_hier_comms", None)
-        if hier is not None:
-            for sub in hier:
-                if sub is not None:
-                    sub.Free()
-        if "_hier_topo" in self.__dict__ or "_hier_info" in self.__dict__:
-            from repro.mpi.coll.hier_exec import release_topology
-            release_topology(self)
-        if ("_bridge_topo" in self.__dict__ or "_bridge_info" in self.__dict__
-                or "_hetero_desc" in self.__dict__):
-            from repro.mpi.coll.bridge import release_bridge
-            release_bridge(self)
+        for entry in self.routing_cache.values():
+            if isinstance(entry, Communicator):
+                entry.Free()
+        self.routing_cache.clear()
         release = getattr(self.coll, "release", None)
         if release is not None:
             release(self)
@@ -154,22 +148,21 @@ class Communicator:
         if self._freed:
             raise MPICommError("communicator used after Free")
 
-    # -- fault tolerance (ULFM-style, MPIX_ELASTIC) ---------------------------
+    # -- fault tolerance (ULFM-style) ------------------------------------------
 
     def _elastic(self, run):
         """Run one blocking operation under the elastic-failure contract.
 
-        With ``MPIX_ELASTIC`` off this is a plain call — failures keep
-        their historical semantics (the run dies with
-        :class:`~repro.errors.RankFailedError`).  With it on, an
-        operation on a revoked communicator — or one whose peers
-        include a dead rank, observed as the deadlock the death causes
-        — raises :class:`~repro.errors.CommRevokedError` instead, after
-        revoking the communicator engine-wide so every survivor agrees.
-        The dying rank itself keeps its :class:`RankKilledError`.
+        An operation on a revoked communicator — or one whose peers
+        include a dead rank (only a ``FaultPlan.kill`` rule makes one),
+        observed as the deadlock the death causes — raises
+        :class:`~repro.errors.CommRevokedError`, after revoking the
+        communicator engine-wide so every survivor agrees.  The dying
+        rank itself keeps its :class:`RankKilledError`.  A program that
+        does not catch the revoke still fails its run with
+        :class:`~repro.errors.RankFailedError`; with no rank dead and
+        nothing revoked this is a plain call that takes no lock.
         """
-        if not fastpath.gate_enabled("elastic"):
-            return run()
         engine = self.ctx.engine
         if engine.is_revoked(self.ctx_id):
             raise CommRevokedError(
@@ -246,8 +239,8 @@ class Communicator:
         communicator's routing caches (hierarchy, bridge descriptors,
         compiled plans, online-tuning overlays) are torn down: they are
         keyed to the pre-failure rank set.  The new communicator keeps
-        this rank's dispatcher, so hybrid routing — and, with
-        ``MPIX_ONLINE_TUNE`` on, re-tuning for the survivor shape —
+        this rank's dispatcher, so hybrid routing — and, with the
+        ``online_tune`` option on, re-tuning for the survivor shape —
         resumes immediately.
         """
         self._check_live()

@@ -20,7 +20,7 @@ automatically.
 
 ``--topology NODESxGPUS`` (e.g. ``8x8``) is shorthand for ``--nodes N
 --ranks-per-node G``; with ``--nics`` it builds multi-rail nodes, the
-shape the ``MPIX_HIER_PIPE`` striped hierarchy is designed for
+shape the ``MPIX_HIER_PIPE=1`` striped hierarchy is designed for
 (``--stats`` then shows the ``route_hier``/``hier_*`` counters).
 
 ``--vendors VENDOR:N,...`` (e.g. ``nvidia:2,amd:2``) builds a
@@ -54,16 +54,17 @@ from repro.util.tables import ascii_table, omb_header
 PT2PT = {"latency": osu_latency, "bw": osu_bw, "bibw": osu_bibw}
 
 
-def format_stats(snap: dict) -> str:
-    """Render a :func:`repro.fastpath.snapshot` for ``--stats``.
+def format_stats(engine: Engine) -> str:
+    """Render the engine's four options and the
+    :func:`repro.fastpath.snapshot` counters for ``--stats``.
 
-    Counters are reset before the sweep, so the numbers cover exactly
-    one benchmark run.
+    A new engine zeroes the counters, so the numbers cover exactly one
+    benchmark run.
     """
-    gates = ", ".join(f"{name}={'on' if on else 'off'}"
-                      for name, on in sorted(snap["gates"].items()))
-    lines = [f"# Fast-path gates: {gates}"]
-    counters = snap["counters"]
+    options = ", ".join(f"{name}={'on' if on else 'off'}"
+                        for name, on in sorted(engine.options.items()))
+    lines = [f"# Run options: {options}"]
+    counters = fastpath.snapshot()["counters"]
     lines.append(ascii_table(
         ["Counter", "Value"],
         [[name, counters[name]] for name in sorted(counters)]))
@@ -137,7 +138,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--iterations", type=int, default=10)
     parser.add_argument("--warmup", type=int, default=2)
     parser.add_argument("--stats", action="store_true",
-                        help="print the fast-path gate states and "
+                        help="print the run's options and the "
                         "per-stage dispatch counters after the sweep")
     parser.add_argument("--trace", metavar="PATH", default=None,
                         help="run the sweep traced and write a Chrome/"
@@ -216,16 +217,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         nranks = rank_counts[0] or 2
         engine = Engine(cluster, nranks=nranks,
                         ranks_per_node=args.ranks_per_node,
-                        trace=bool(args.trace))
-        if args.stats:
-            fastpath.STATS.reset()
+                        trace=True if args.trace else None)
         data = engine.run(lambda ctx: bench(ctx, backend, config))[0]
         unit = "Latency (us)" if name == "latency" else "Bandwidth (MB/s)"
         print(omb_header(f"osu_{name}", args.system, backend, nranks))
         print(ascii_table(["Size", unit],
                           [[format_size(s), v] for s, v in sorted(data.items())]))
         if args.stats:
-            print(format_stats(fastpath.snapshot()))
+            print(format_stats(engine))
         if args.trace:
             _write_trace(engine, args.trace, args, args.benchmarks)
         return 0
@@ -247,9 +246,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             # the extra ranks evenly by oversubscribing every node
             rpn = -(-nranks // cluster.node_count)
         engine = Engine(cluster, nranks=nranks, ranks_per_node=rpn,
-                        trace=bool(args.trace))
-        if args.stats:
-            fastpath.STATS.reset()
+                        trace=True if args.trace else None)
         per_bench = engine.run(body)[0]
         for name, stats in zip(args.benchmarks, per_bench):
             extra = f"Stack: {args.stack}" + (
@@ -261,7 +258,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 [[format_size(s), st.avg_us, st.min_us, st.max_us]
                  for s, st in sorted(stats.items())]))
         if args.stats:
-            print(format_stats(fastpath.snapshot()))
+            print(format_stats(engine))
             if args.vendors is not None:
                 print(format_negotiation(cluster))
         if args.trace:

@@ -18,8 +18,10 @@ from __future__ import annotations
 
 import itertools
 import threading
-from typing import Any, Callable, Dict, List, Optional
+from types import MappingProxyType
+from typing import Any, Callable, Dict, List, Mapping, Optional
 
+from repro.config import from_env
 from repro.errors import (DeadlockError, RankFailedError, RankKilledError,
                           SimulationError)
 from repro.hw.cluster import Cluster
@@ -255,7 +257,7 @@ class RankContext:
         self.device: Accelerator = engine.device_of(rank)
         self.clock = VirtualClock()
         self.mailbox = engine.mailbox_of(rank)
-        self.trace = Trace(rank, enabled=engine.trace_enabled)
+        self.trace = Trace(rank, enabled=engine.options["trace"])
         self._slot_uses: Dict[Any, int] = {}
         #: lazily-built staging BufferPool (see repro.mpi.compute);
         #: stays None until the fast path first needs scratch space.
@@ -307,11 +309,41 @@ class RankContext:
 
 
 class Engine:
-    """Owns the shared state of one SPMD run."""
+    """Owns the shared state of one SPMD run.
+
+    The four options below are the run's whole configuration surface.
+    ``None`` means "the ``MPIX_*`` default" (:mod:`repro.config`, read
+    once, here); an explicit ``True``/``False`` wins.  They are fixed
+    for the engine's lifetime — every dispatcher of the run, those of
+    sub-communicators included, reads them off the engine it shares.
+
+    Args:
+        trace: record per-rank event traces (``MPIX_TRACE``).
+            Observation only: payloads and virtual times are
+            bit-identical either way.
+        hier_pipe: the route stage may decompose large multi-node
+            allreduce / bcast / allgather / reduce_scatter calls into
+            pipelined per-level plans (``MPIX_HIER_PIPE``,
+            :mod:`repro.mpi.coll.hier_exec`).  Changes virtual times on
+            multi-node communicators, never payloads.
+        hetero: a mixed-vendor communicator negotiates a capability
+            intersection and routes eligible collectives to the
+            cross-vendor bridge (``MPIX_HETERO``,
+            :mod:`repro.mpi.coll.bridge`) instead of the plain MPI
+            algorithms.  Inert on single-vendor communicators.
+        online_tune: feed measured latencies back into a
+            per-communicator overlay on the static tuning table
+            (``MPIX_ONLINE_TUNE``, :mod:`repro.core.online_tune`).
+            Routes only deviate after the per-bucket warm-up.
+    """
 
     def __init__(self, cluster: Cluster, nranks: Optional[int] = None,
-                 ranks_per_node: Optional[int] = None, trace: bool = False,
-                 progress_timeout_s: float = 10.0) -> None:
+                 ranks_per_node: Optional[int] = None,
+                 trace: Optional[bool] = None,
+                 progress_timeout_s: float = 10.0, *,
+                 hier_pipe: Optional[bool] = None,
+                 hetero: Optional[bool] = None,
+                 online_tune: Optional[bool] = None) -> None:
         self.cluster = cluster
         self.ranks_per_node = ranks_per_node
         capacity = (cluster.node_count * ranks_per_node if ranks_per_node
@@ -322,26 +354,30 @@ class Engine:
         if self.nranks > capacity:
             raise SimulationError(
                 f"{self.nranks} ranks exceed cluster capacity {capacity}")
-        # deferred import to keep sim below core in the layering
-        from repro import fastpath
-        # MPIX_TRACE turns tracing on for every engine without touching
-        # call sites; an explicit trace=True still works with the gate off
-        self.trace_enabled = bool(trace) or fastpath.gate_enabled("trace")
+        env = from_env()
+        #: the four options as resolved, by argument name (read-only)
+        self.options: Mapping[str, bool] = MappingProxyType({
+            name: getattr(env, name) if arg is None else bool(arg)
+            for name, arg in (("trace", trace), ("hier_pipe", hier_pipe),
+                              ("hetero", hetero),
+                              ("online_tune", online_tune))})
         # the fast-path counters are process-global; a new engine is a
         # new run, so start it from zero (tests and back-to-back sweeps
         # must not see a previous engine's counts).  The memoized tuning
         # tables are the same leak class: a new engine may target a
         # different system, so back-to-back runs must never be served a
-        # previous system's tables
+        # previous system's tables (deferred imports keep sim below core)
+        from repro import fastpath
         fastpath.STATS.reset()
         from repro.core.tuning_table import clear_cache
         clear_cache()
-        # measured-latency overlay shared by every rank's dispatch
-        # pipeline (only consulted while MPIX_ONLINE_TUNE is on)
+        #: measured-latency overlay shared by every rank's dispatch
+        #: pipeline; None unless the ``online_tune`` option is on
         from repro.core.online_tune import OnlineTuner
-        self.online_tuner = OnlineTuner()
-        # elastic (ULFM) state: ranks known dead and communicator
-        # contexts revoked, shared across rank threads (MPIX_ELASTIC)
+        self.online_tuner = (OnlineTuner() if self.options["online_tune"]
+                             else None)
+        # ULFM state: ranks known dead and communicator contexts
+        # revoked, shared across rank threads
         self._elastic_lock = threading.Lock()
         self.dead_ranks: set = set()
         self._revoked: set = set()
@@ -530,6 +566,8 @@ class Engine:
 
     def is_revoked(self, ctx_id: str) -> bool:
         """Whether the communicator context has been revoked."""
+        if not self._revoked:
+            return False  # fault-free fast path: no lock taken
         with self._elastic_lock:
             return ctx_id in self._revoked
 
@@ -549,7 +587,9 @@ class Engine:
         """Run ``fn(ctx, *args, **kwargs)`` on every rank; return the
         per-rank return values in rank order.
 
-        Raises :class:`RankFailedError` if any rank raised.
+        Raises :class:`RankFailedError` if any rank raised — unless
+        every failure is an injected death (``FaultPlan.kill``): that
+        job completed elastically, with ``None`` in the dead slots.
         """
         self.contexts = [RankContext(self, r) for r in range(self.nranks)]
         for ctx in self.contexts:
@@ -577,12 +617,11 @@ class Engine:
                          for ctx in self.contexts])
         fastpath.STATS.note_coop_run(sched.parks, sched.switches)
         if failures:
-            if fastpath.gate_enabled("elastic") and \
-                    all(isinstance(e, RankKilledError)
-                        for e in failures.values()):
+            if all(isinstance(e, RankKilledError) for e in failures.values()):
                 # every failure is an injected death and every survivor
-                # recovered (revoke -> agree -> shrink): the job
-                # completed elastically.  Dead ranks' results stay None.
+                # finished (recovered through revoke -> agree -> shrink,
+                # or never touched the dead): the job completed
+                # elastically.  Dead ranks' results stay None.
                 return results
             # deadlocks secondary to a real failure are noise; prefer
             # the primary errors when both kinds are present
@@ -597,14 +636,19 @@ class Engine:
 
 
 def run_spmd(cluster: Cluster, fn: Callable[..., Any], nranks: Optional[int] = None,
-             ranks_per_node: Optional[int] = None, trace: bool = False,
-             progress_timeout_s: float = 10.0, *args: Any, **kwargs: Any) -> List[Any]:
-    """One-shot convenience wrapper: build an :class:`Engine` and run.
+             ranks_per_node: Optional[int] = None, trace: Optional[bool] = None,
+             progress_timeout_s: float = 10.0, *args: Any,
+             hier_pipe: Optional[bool] = None, hetero: Optional[bool] = None,
+             online_tune: Optional[bool] = None, **kwargs: Any) -> List[Any]:
+    """One-shot convenience wrapper: build an :class:`Engine` (which
+    documents the four options) and run.
 
     >>> cluster = make_system("thetagpu", 1)          # doctest: +SKIP
     >>> run_spmd(cluster, lambda ctx: ctx.rank, nranks=4)   # doctest: +SKIP
     [0, 1, 2, 3]
     """
     engine = Engine(cluster, nranks=nranks, ranks_per_node=ranks_per_node,
-                    trace=trace, progress_timeout_s=progress_timeout_s)
+                    trace=trace, progress_timeout_s=progress_timeout_s,
+                    hier_pipe=hier_pipe, hetero=hetero,
+                    online_tune=online_tune)
     return engine.run(fn, *args, **kwargs)

@@ -80,10 +80,11 @@ class FaultPlan:
 
     def kill(self, rank: int, after_us: float = 0.0) -> "FaultPlan":
         """Add a kill rule (chainable): ``rank`` dies at its first
-        clock advance crossing ``after_us``.  With ``MPIX_ELASTIC`` on,
-        survivors see the death as a revoked communicator and can
-        ``Comm_agree`` + ``Comm_shrink``; with it off the run fails
-        with :class:`RankFailedError`, as any dying rank always has."""
+        clock advance crossing ``after_us``.  Survivors that touch the
+        dead rank see :class:`~repro.errors.CommRevokedError` and can
+        ``Comm_agree`` + ``Comm_shrink``; a program that does not catch
+        it fails the run with :class:`RankFailedError`, and one whose
+        survivors all finish returns with ``None`` in the dead slot."""
         if after_us < 0:
             raise SimulationError(f"negative kill time {after_us}")
         self.kills.append(KillRule(rank, after_us))

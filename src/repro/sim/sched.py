@@ -16,7 +16,7 @@ machine below guarantees exactly one release per park.
 
 With a single token the rank interleaving is a pure function of the
 program: the run queue starts in rank order and every transition is
-caused by the one running fiber.  Same inputs and same gates therefore
+caused by the one running fiber.  Same inputs and same options therefore
 give the same virtual times on every topology, contended fabric wires
 included.
 

@@ -1,7 +1,7 @@
 """Chrome-trace export of per-rank virtual timelines.
 
-Run an engine with ``trace=True`` (or the process-wide ``MPIX_TRACE``
-gate) and feed the contexts' traces here: the result is the
+Run an engine with ``trace=True`` (or ``MPIX_TRACE=1`` in its
+environment) and feed the contexts' traces here: the result is the
 ``chrome://tracing`` / Perfetto JSON format, one track per rank, one
 slice per communication/kernel event — the view a developer uses to
 see where a collective's time goes (rendezvous stalls, ring step

@@ -1,7 +1,7 @@
 """Per-rank communication traces.
 
-When enabled on the engine (``Engine(trace=True)`` or the process-wide
-``MPIX_TRACE`` gate), every communication layer records
+When enabled on the engine (``Engine(trace=True)``, whose default is
+``MPIX_TRACE``), every communication layer records
 :class:`TraceEvent` entries (virtual start/end, kind, peer, bytes).
 Tests use traces to check algorithm step structure — e.g. that binomial
 broadcast issues exactly ``ceil(log2 p)`` rounds — and the perfmodel

@@ -1,4 +1,4 @@
-"""Dispatch-pipeline parity: every collective, backend, and gate combo.
+"""Dispatch-pipeline parity: every collective, backend, and option combo.
 
 The staged pipeline (`repro.core.dispatch`) replaced the hand-written
 per-collective method triplets; these tests pin the refactor's
@@ -8,15 +8,15 @@ contract:
   virtual times bit-identical to the frozen reference — what the
   direct, unoptimized path (uncached, unfused, copying) computed at the
   last commit that had one (``tests/frozen_reference.py``) — with the
-  five remaining gates all off and all on;
+  four run options all off and all on;
 * the MPI-algorithm fallback route (PURE_MPI mode) holds the same
   invariant;
 * the §3.2 capability checks live in exactly one place
   (``CollectivePipeline.capability``) and still produce the paper's
   fallbacks: HCCL is float-only, no CCL does double-complex;
-* the hierarchy gate (``MPIX_HIER_PIPE``) is provably inert on one
-  node (payloads and times), changes only *times* across nodes, and
-  gives the same times in every fresh engine there.
+* the ``hier_pipe`` option is provably inert on one node (payloads
+  and times), changes only *times* across nodes, and gives the same
+  times in every fresh engine there.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from tests import frozen_reference
 from tests.test_zero_copy import _program_body_factory, _random_program
 
 #: (system, backend, ranks) — one per CCL the paper ports.  Single-node,
-#: so no wire is contended and virtual times are equal *across* gate
+#: so no wire is contended and virtual times are equal *across* option
 #: arms, not just run to run.
 STACKS = [
     ("thetagpu", None, 4),      # NCCL
@@ -44,8 +44,8 @@ STACKS = [
     ("thetagpu", "msccl", 4),   # MSCCL
 ]
 
-#: the full gate registry, in GATE_ENV order: 2^5 = 32 combinations.
-ALL_GATES = ("trace", "hier_pipe", "hetero", "online_tune", "elastic")
+#: the four run options: 2^4 = 16 combinations.
+ALL_GATES = frozen_reference.OPTIONS
 
 N = 13  # odd per-rank count exercises uneven chunk geometry
 
@@ -116,14 +116,11 @@ def _twelve_collectives_body(mpx):
 
 def _run_under_gates(combo):
     """The twelve collectives on one 4-rank thetagpu node, hybrid
-    dispatch, with the five gates set to ``combo`` (:data:`ALL_GATES`
+    dispatch, with the four options set to ``combo`` (:data:`ALL_GATES`
     order)."""
-    prev = fastpath.configure(**dict(zip(ALL_GATES, combo)))
-    try:
-        return runtime.run(_twelve_collectives_body, system="thetagpu",
-                           nodes=1, ranks_per_node=4)
-    finally:
-        fastpath.configure(**prev)
+    return runtime.run(_twelve_collectives_body, system="thetagpu",
+                       nodes=1, ranks_per_node=4,
+                       **dict(zip(ALL_GATES, combo)))
 
 
 def _assert_bit_identical(baseline, candidate, combo, nranks):
@@ -153,21 +150,22 @@ def test_registry_covers_all_twelve():
 def test_all_collectives_all_gates_bit_identical_ccl(system, backend, nranks):
     """12 collectives through the CCL route: payloads and virtual times
     bit-identical to the frozen reference (the pre-refactor direct
-    path) with the gates all off and all on."""
+    path) with the options all off and all on."""
     frozen_reference.assert_matches_all_gates(
         f"twelve:{system}-{backend or 'native'}:pure_xccl",
-        lambda: runtime.run(_twelve_collectives_body, system=system, nodes=1,
-                            ranks_per_node=nranks, backend=backend,
-                            mode=DispatchMode.PURE_XCCL))
+        lambda **options: runtime.run(
+            _twelve_collectives_body, system=system, nodes=1,
+            ranks_per_node=nranks, backend=backend,
+            mode=DispatchMode.PURE_XCCL, **options))
 
 
 def test_all_collectives_all_gates_bit_identical_mpi_fallback():
     """The same invariant on the MPI-algorithm fallback route."""
     frozen_reference.assert_matches_all_gates(
         "twelve:thetagpu-native:pure_mpi",
-        lambda: runtime.run(_twelve_collectives_body, system="thetagpu",
-                            nodes=1, ranks_per_node=4,
-                            mode=DispatchMode.PURE_MPI))
+        lambda **options: runtime.run(
+            _twelve_collectives_body, system="thetagpu", nodes=1,
+            ranks_per_node=4, mode=DispatchMode.PURE_MPI, **options))
 
 
 def test_ccl_and_mpi_routes_agree_on_payloads():
@@ -249,18 +247,23 @@ class TestCapabilityChecksInOnePlace:
         assert fallbacks == 1
 
     def test_capability_is_the_single_choke_point(self):
-        """Structural pin: neither adapter re-states the §3.2 chain —
-        the only references to the capability tables on the routing
-        path are in ``CollectivePipeline.capability``."""
+        """Structural pin: neither adapter re-states the §3.2 chain, and
+        the dispatch module spells it once — the only references to the
+        capability tables (the local backend's ``supports_*`` and a
+        negotiated descriptor's ``allows_*``) on the routing path are
+        in ``CollectivePipeline.capability``."""
         import inspect
 
-        from repro.core import abstraction, hybrid
+        from repro.core import abstraction, dispatch, hybrid
+        tables = ("supports_datatype", "supports_op",
+                  "allows_datatype", "allows_op")
         cap = inspect.getsource(CollectivePipeline.capability)
-        assert "supports_datatype" in cap and "supports_op" in cap
-        for module in (hybrid,):
-            src = inspect.getsource(module)
-            assert "supports_datatype" not in src
-            assert "supports_op" not in src
+        whole = inspect.getsource(dispatch)
+        for name in tables:
+            assert name in cap
+            assert whole.count(name) == cap.count(name), \
+                f"{name} is consulted outside capability()"
+            assert name not in inspect.getsource(hybrid)
         # the layer only *defines* the delegating helpers the pipeline
         # calls; it never walks the chain itself
         src = inspect.getsource(abstraction)
@@ -281,10 +284,9 @@ def test_dispatch_stage_counters():
                        SUM)                                  # mpi (datatype)
         return True
 
-    fastpath.STATS.reset()
     runtime.run(body, system="thetagpu", nodes=1, ranks_per_node=4)
     snap = fastpath.snapshot()
-    assert set(snap) == {"gates", "counters"}
+    assert set(snap) == {"counters"}
     counters = snap["counters"]
     assert counters["dispatch_calls"] == 3 * 4
     assert counters["route_xccl"] == 4
@@ -336,25 +338,19 @@ def _hier_collectives_body(mpx):
 
 def _run_hier(hier):
     from repro.hw.systems import make_system
-    prev = fastpath.configure(hier_pipe=hier)
-    fastpath.STATS.reset()
-    try:
-        cluster = make_system("thetagpu", 2, nics=4)
-        out = runtime.run(_hier_collectives_body, system=cluster,
-                          nranks=8, ranks_per_node=4)
-        return out, fastpath.STATS.snapshot()
-    finally:
-        fastpath.configure(**prev)
+    cluster = make_system("thetagpu", 2, nics=4)
+    out = runtime.run(_hier_collectives_body, system=cluster,
+                      nranks=8, ranks_per_node=4, hier_pipe=hier)
+    return out, fastpath.STATS.snapshot()
 
 
 def test_hier_gate_inert_single_node():
-    """On one node ``MPIX_HIER_PIPE`` must be provably inert: payloads
-    AND virtual times bit-identical to the gate-off run, and the
+    """On one node ``hier_pipe`` must be provably inert: payloads AND
+    virtual times bit-identical to the option-off run, and the
     hierarchical route never taken."""
     off = (False,) * len(ALL_GATES)
     hier = tuple(name == "hier_pipe" for name in ALL_GATES)
     baseline = _run_under_gates(off)
-    fastpath.STATS.reset()
     candidate = _run_under_gates(hier)
     assert fastpath.STATS.snapshot()["route_hier"] == 0
     _assert_bit_identical(baseline, candidate, "hier_pipe", 4)
@@ -376,8 +372,8 @@ def test_hier_multi_node_payload_parity():
 
 
 def test_hier_multi_node_reproducible():
-    """With the hierarchy gate on, two fresh multi-node engines agree
-    to the bit — payloads and virtual times."""
+    """With ``hier_pipe`` on, two fresh multi-node engines agree to the
+    bit — payloads and virtual times."""
     first, _ = _run_hier(hier=True)
     second, _ = _run_hier(hier=True)
     for rank, (a, b) in enumerate(zip(first, second)):
@@ -397,43 +393,45 @@ def _assert_all_gate_parity(combos):
 
 
 def test_new_gates_inert_fast():
-    """Fast CI leg of the 2^5 matrix: the online tuner (below its
-    warm-up — each collective runs once per size here) and the elastic
-    error model (no faults injected) must be provably inert, alone and
-    together.  Payloads AND virtual times."""
+    """Fast leg of the matrix: the online tuner (below its warm-up —
+    each collective runs once per size here) and tracing (observation
+    only) must be provably inert, alone and together.  Payloads AND
+    virtual times."""
     _assert_all_gate_parity([
-        (False, False, False, tune, elastic)
-        for tune in (False, True)
-        for elastic in (False, True)])
+        (trace, False, False, tune)
+        for trace in (False, True)
+        for tune in (False, True)])
 
 
-@pytest.mark.slow
-def test_all_five_gates_bit_identical_full():
-    """The full 2^5 = 32 gate matrix: every combination of all five
-    MPIX_* gates produces payloads and virtual times bit-identical to
-    the all-off run on a single-node hybrid job.  Every gate is either
-    observational (trace) or inert off its trigger (hier: one node;
-    hetero: one vendor; online tuner: below warm-up; elastic: no
-    faults) — so the whole product is inert."""
+def test_all_four_options_bit_identical_full():
+    """The full 2^4 matrix (the 15 combinations with an option on):
+    every combination of the four run options produces payloads and
+    virtual times bit-identical to the all-off run on a single-node
+    hybrid job.  Every option is either observational (trace) or inert
+    off its trigger (hier_pipe: one node; hetero: one vendor; online
+    tuner: below warm-up) — so the whole product is inert."""
     _assert_all_gate_parity(
         [c for c in itertools.product([False, True], repeat=len(ALL_GATES))
          if any(c)])
 
 
 def test_configure_restores():
-    """fastpath.configure returns the previous states and restores;
-    the registry is exactly the five gates, and the three retired
-    wall-clock gates are unknown keywords."""
-    assert tuple(fastpath.GATE_ENV) == ALL_GATES
-    before = fastpath.gates()
-    prev = fastpath.configure(trace=not before["trace"], elastic=True)
-    assert prev == before
-    assert fastpath.gate_enabled("trace") != before["trace"]
-    assert fastpath.gate_enabled("elastic")
-    assert fastpath.gate_enabled("hetero") == before["hetero"]
-    fastpath.configure(**prev)
-    assert fastpath.gates() == before
-    for retired in ("plan_cache", "group_fusion", "zero_copy"):
+    """There is nothing to configure and nothing to restore: options
+    belong to one engine and do not outlive it, explicit arguments beat
+    the environment, and a retired or unknown name is a ``TypeError``
+    like any unexpected keyword."""
+    from repro.hw.systems import make_system
+    from repro.sim.engine import Engine
+    cluster = make_system("thetagpu", 1)
+    on = Engine(cluster, nranks=2, **dict.fromkeys(ALL_GATES, True))
+    assert on.options == dict.fromkeys(ALL_GATES, True)
+    off = Engine(cluster, nranks=2, **dict.fromkeys(ALL_GATES, False))
+    assert off.options == dict.fromkeys(ALL_GATES, False)
+    assert off.online_tuner is None and on.online_tuner is not None
+    assert on.options == dict.fromkeys(ALL_GATES, True)  # untouched
+    with pytest.raises(TypeError):
+        on.options["hier_pipe"] = False  # read-only for the engine's life
+    for retired in ("elastic", "coop_sched", "plan_cache", "group_fusion",
+                    "zero_copy"):
         with pytest.raises(TypeError):
-            fastpath.configure(**{retired: False})
-    assert fastpath.gates() == before
+            Engine(cluster, nranks=2, **{retired: False})

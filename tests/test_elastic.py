@@ -1,4 +1,4 @@
-"""ULFM-style elastic fault recovery (``MPIX_ELASTIC``).
+"""ULFM-style elastic fault recovery.
 
 A killed rank revokes the communicators it belonged to; survivors see
 :class:`~repro.errors.CommRevokedError`, agree on the failure set
@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from repro import fastpath
-from repro.errors import CommRevokedError, RankFailedError
+from repro.errors import (CommRevokedError, RankFailedError,
+                          RankKilledError)
 from repro.hw.systems import make_system
 from repro.mpi import SUM, Communicator
 from repro.sim.engine import Engine
@@ -62,14 +63,10 @@ class TestElasticRecovery:
                              ids=["mid-collective", "clean-death"])
     def test_kill_revoke_shrink_recovers(self, thetagpu1, pre_iters,
                                          kill_at):
-        prev = fastpath.configure(elastic=True)
-        try:
-            engine = Engine(thetagpu1, nranks=8, progress_timeout_s=2.0)
-            injector = with_faults(engine,
-                                   FaultPlan().kill(3, after_us=kill_at))
-            results = engine.run(_recovery_body, pre_iters=pre_iters)
-        finally:
-            fastpath.configure(**prev)
+        engine = Engine(thetagpu1, nranks=8, progress_timeout_s=2.0)
+        injector = with_faults(engine,
+                               FaultPlan().kill(3, after_us=kill_at))
+        results = engine.run(_recovery_body, pre_iters=pre_iters)
         assert injector.killed == [3]
         assert results[3] is None
         expect = _expect_sum(7)
@@ -91,13 +88,9 @@ class TestElasticRecovery:
         shrink the 63 survivors' payloads are bit-identical to a fresh
         63-rank run of the same fixed schedule."""
         system = make_system("thetagpu", 8)
-        prev = fastpath.configure(elastic=True)
-        try:
-            engine = Engine(system, nranks=64, progress_timeout_s=3.0)
-            with_faults(engine, FaultPlan().kill(17, after_us=60.0))
-            results = engine.run(_recovery_body, pre_iters=4)
-        finally:
-            fastpath.configure(**prev)
+        engine = Engine(system, nranks=64, progress_timeout_s=3.0)
+        with_faults(engine, FaultPlan().kill(17, after_us=60.0))
+        results = engine.run(_recovery_body, pre_iters=4)
         survivors = [r for i, r in enumerate(results) if i != 17]
         assert results[17] is None
         assert all(r is not None and r[1] == 63 and r[2] == (17,)
@@ -119,24 +112,55 @@ class TestElasticRecovery:
             assert r[0].tobytes() == ref.tobytes()
 
     def test_gate_off_kill_keeps_historical_semantics(self, thetagpu1):
-        """Without MPIX_ELASTIC a killed rank still fails the run —
-        the gate must not change failure semantics when off."""
-        prev = fastpath.configure(elastic=False)
-        try:
-            engine = Engine(thetagpu1, nranks=4, progress_timeout_s=2.0)
-            with_faults(engine, FaultPlan().kill(1, after_us=0.0))
-            with pytest.raises(RankFailedError):
-                engine.run(_recovery_body, pre_iters=2)
-        finally:
-            fastpath.configure(**prev)
+        """Recovery is opt-in by *handling* the revoke, not by a switch:
+        a body that does not catch ``CommRevokedError`` still fails the
+        run with ``RankFailedError`` naming the killed rank (the
+        survivors' unhandled revokes ride along); survivors that never
+        touch the dead rank are not failed by its death — that run
+        returns, with ``None`` in the dead slot."""
+        def oblivious(ctx):
+            comm = Communicator.world(ctx)
+            buf = ctx.device.zeros(64)
+            for _ in range(3):
+                comm.Allreduce(buf, ctx.device.zeros(64), op=SUM)
+            return True
+
+        engine = Engine(thetagpu1, nranks=4, progress_timeout_s=2.0)
+        with_faults(engine, FaultPlan().kill(1, after_us=0.0))
+        with pytest.raises(RankFailedError) as err:
+            engine.run(oblivious)
+        failures = err.value.failures
+        assert isinstance(failures[1], RankKilledError)
+        assert failures[1].rank == 1
+        assert all(isinstance(failures[r], CommRevokedError)
+                   for r in (0, 2, 3))
+
+        def pairwise(ctx):
+            # ranks 0 and 2 talk to each other only; 1 and 3 are idle
+            # apart from the local work that lets the kill fire
+            comm = Communicator.world(ctx)
+            buf = ctx.device.zeros(8)
+            ctx.clock.advance(1.0)
+            if ctx.rank in (0, 2):
+                comm.Sendrecv(buf, 2 - ctx.rank, ctx.device.zeros(8),
+                              2 - ctx.rank)
+            return ctx.rank
+
+        engine = Engine(thetagpu1, nranks=4, progress_timeout_s=2.0)
+        injector = with_faults(engine, FaultPlan().kill(1, after_us=0.0))
+        assert engine.run(pairwise) == [0, None, 2, 3]
+        assert injector.killed == [1]
 
     def test_recovered_comm_survives_more_collectives(self, thetagpu1):
         """The shrunk communicator is a first-class comm: bcast and a
-        second allreduce on it work too."""
-        prev = fastpath.configure(elastic=True)
+        second allreduce on it work too — and the parent's routing
+        cache (keyed to the pre-failure rank set) is drained."""
+        from repro.mpi.coll.hierarchical import node_comms
 
         def body(ctx):
             comm = Communicator.world(ctx)
+            local, _leaders = node_comms(comm)
+            assert comm.routing_cache["node_local"] is local
             buf = ctx.device.zeros(64)
             out = ctx.device.zeros(64)
             try:
@@ -146,6 +170,7 @@ class TestElasticRecovery:
             except CommRevokedError:
                 comm.Comm_agree()
                 new = comm.Comm_shrink()
+                assert comm.routing_cache == {} and local._freed
                 b = ctx.device.zeros(64)
                 if new.Get_rank() == 0:
                     b.array[:] = 7.0
@@ -155,12 +180,9 @@ class TestElasticRecovery:
                 return (float(b.array[0]), float(o.array[0]))
             return None
 
-        try:
-            engine = Engine(thetagpu1, nranks=6, progress_timeout_s=2.0)
-            with_faults(engine, FaultPlan().kill(2, after_us=30.0))
-            results = engine.run(body)
-        finally:
-            fastpath.configure(**prev)
+        engine = Engine(thetagpu1, nranks=6, progress_timeout_s=2.0)
+        with_faults(engine, FaultPlan().kill(2, after_us=30.0))
+        results = engine.run(body)
         assert results[2] is None
         assert all(r == (7.0, 35.0) for i, r in enumerate(results)
                    if i != 2)
@@ -168,8 +190,6 @@ class TestElasticRecovery:
 
 class TestRevokeSemantics:
     def test_ops_on_revoked_comm_raise(self, thetagpu1):
-        prev = fastpath.configure(elastic=True)
-
         def body(ctx):
             comm = Communicator.world(ctx)
             if ctx.rank == 0:
@@ -184,27 +204,19 @@ class TestRevokeSemantics:
                 comm.Send(ctx.device.zeros(8), (ctx.rank + 1) % 4)
             return "revoked"
 
-        try:
-            engine = Engine(thetagpu1, nranks=4, progress_timeout_s=2.0)
-            results = engine.run(body)
-        finally:
-            fastpath.configure(**prev)
+        engine = Engine(thetagpu1, nranks=4, progress_timeout_s=2.0)
+        results = engine.run(body)
         assert results == ["revoked"] * 4
 
     def test_revoke_is_idempotent(self, thetagpu1):
-        prev = fastpath.configure(elastic=True)
-
         def body(ctx):
             comm = Communicator.world(ctx)
             comm.Comm_revoke()   # every rank revokes; counted once
             comm.Comm_revoke()
             return comm.Comm_is_revoked()
 
-        try:
-            engine = Engine(thetagpu1, nranks=4, progress_timeout_s=2.0)
-            results = engine.run(body)
-        finally:
-            fastpath.configure(**prev)
+        engine = Engine(thetagpu1, nranks=4, progress_timeout_s=2.0)
+        results = engine.run(body)
         assert results == [True] * 4
         # 4 ranks x 2 calls each, deduplicated to one revocation
         assert fastpath.STATS.comm_revokes == 1
@@ -212,8 +224,6 @@ class TestRevokeSemantics:
     def test_shrink_without_failure_is_identity_shaped(self, thetagpu1):
         """Revoke with no deaths: shrink keeps all ranks but yields a
         fresh, working communicator."""
-        prev = fastpath.configure(elastic=True)
-
         def body(ctx):
             comm = Communicator.world(ctx)
             comm.Comm_revoke()
@@ -225,24 +235,16 @@ class TestRevokeSemantics:
             new.Allreduce(buf, out, op=SUM)
             return (failed, new.Get_size(), float(out.array[0]))
 
-        try:
-            engine = Engine(thetagpu1, nranks=4, progress_timeout_s=2.0)
-            results = engine.run(body)
-        finally:
-            fastpath.configure(**prev)
+        engine = Engine(thetagpu1, nranks=4, progress_timeout_s=2.0)
+        results = engine.run(body)
         assert results == [((), 4, 4.0)] * 4
 
     def test_agree_ands_flags(self, thetagpu1):
-        prev = fastpath.configure(elastic=True)
-
         def body(ctx):
             comm = Communicator.world(ctx)
             flag, failed = comm.Comm_agree(flag=0 if ctx.rank == 1 else 1)
             return (flag, failed)
 
-        try:
-            engine = Engine(thetagpu1, nranks=4, progress_timeout_s=2.0)
-            results = engine.run(body)
-        finally:
-            fastpath.configure(**prev)
+        engine = Engine(thetagpu1, nranks=4, progress_timeout_s=2.0)
+        results = engine.run(body)
         assert results == [(0, ())] * 4

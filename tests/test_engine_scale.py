@@ -31,13 +31,6 @@ from repro.hw.systems import make_system
 from repro.sim.engine import Engine
 
 
-@pytest.fixture
-def restore_gates():
-    prev = fastpath.gates()
-    yield
-    fastpath.configure(**prev)
-
-
 def _smoke_body(ctx):
     h = PureCCLHarness(ctx, "nccl")
     buf = ctx.device.zeros(4, dtype=np.float32)
@@ -105,11 +98,10 @@ def test_multinode_virtual_time_is_reproducible():
     assert first == second
 
 
-def test_scale_smoke_256_hier(restore_gates):
+def test_scale_smoke_256_hier():
     """256 oversubscribed ranks through the full MPI stack with the
-    hierarchy gate on (``MPIX_HIER_PIPE``): the
-    striped executor holds up at scale, routes through the hierarchy,
-    and sums correctly."""
+    ``hier_pipe`` option on: the striped executor holds up at scale,
+    routes through the hierarchy, and sums correctly."""
     from repro.core import runtime
 
     nelem = (2 << 20) // 4  # above the hierarchy routing threshold
@@ -121,12 +113,10 @@ def test_scale_smoke_256_hier(restore_gates):
         comm.Allreduce(send, recv)
         return float(recv.array[0]), float(recv.array[-1])
 
-    fastpath.configure(hier_pipe=True)
-    fastpath.STATS.reset()
     cluster = make_system("thetagpu", 4, nics=8)
     t0 = time.perf_counter()
     results = runtime.run(body, system=cluster, nranks=256,
-                          ranks_per_node=64)
+                          ranks_per_node=64, hier_pipe=True)
     wall = time.perf_counter() - t0
     assert wall < 120.0  # hang detector, not a perf assertion
     assert all(r == (256.0, 256.0) for r in results)

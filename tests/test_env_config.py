@@ -7,6 +7,7 @@ from repro.core import DispatchMode, run
 from repro.errors import ConfigError
 from repro.mpi import SUM
 from repro.mpi.config import mvapich_gpu
+from tests import frozen_reference
 
 
 class TestFromEnv:
@@ -104,3 +105,81 @@ class TestRunHonorsEnv:
         b = run(body, system="thetagpu", nranks=4)[0]
         assert a == ("2.11.4", 4.0)
         assert b == ("2.18.3", 4.0)
+
+
+class TestOptionsBelongToTheRun:
+    """The four run options (``trace``, ``hier_pipe``, ``hetero``,
+    ``online_tune``) are ``Engine`` arguments whose ``MPIX_*`` defaults
+    are read once per engine: they cannot leak into the next engine or
+    go stale inside one, and nothing else reads the environment."""
+
+    OPTIONS = frozen_reference.OPTIONS
+
+    @staticmethod
+    def _big_allreduce(mpx):
+        n = (2 << 20) // 4   # at the hierarchy's routing threshold
+        out = mpx.device_array(n)
+        mpx.COMM_WORLD.Allreduce(mpx.device_array(n, fill=1.0), out, SUM)
+        return float(out.array[0]), len(mpx.ctx.trace)
+
+    def _run_two_nodes(self, **options):
+        from repro import fastpath
+        from repro.hw.systems import make_system
+        out = run(self._big_allreduce, system=make_system("thetagpu", 2),
+                  nranks=8, ranks_per_node=4, **options)
+        assert all(value == 8.0 for value, _events in out)
+        events = sum(n for _value, n in out)
+        return fastpath.STATS.snapshot()["route_hier"], events
+
+    def test_options_do_not_outlive_their_engine(self, monkeypatch):
+        """(a) everything on, then an engine with no arguments: no HIER
+        route, no trace, no tuner — there is nothing to restore."""
+        from repro.hw.systems import make_system
+        from repro.sim.engine import Engine
+        for name in self.OPTIONS:
+            monkeypatch.delenv(f"MPIX_{name.upper()}", raising=False)
+        hier, events = self._run_two_nodes(
+            **dict.fromkeys(self.OPTIONS, True))
+        assert hier == 8 and events > 0
+        hier, events = self._run_two_nodes()
+        assert (hier, events) == (0, 0)
+        plain = Engine(make_system("thetagpu", 2), nranks=8)
+        assert plain.options == dict.fromkeys(self.OPTIONS, False)
+        assert plain.online_tuner is None
+
+    def test_env_default_is_read_per_engine(self, monkeypatch):
+        """(b) a variable set after ``import repro`` is honored by the
+        next run (no import-time latch); an explicit argument wins."""
+        monkeypatch.delenv("MPIX_ONLINE_TUNE", raising=False)
+        monkeypatch.setenv("MPIX_HIER_PIPE", "1")
+        assert self._run_two_nodes()[0] == 8
+        assert self._run_two_nodes(hier_pipe=False)[0] == 0
+        monkeypatch.delenv("MPIX_HIER_PIPE")
+        assert self._run_two_nodes()[0] == 0
+        assert self._run_two_nodes(hier_pipe=True)[0] == 8
+
+    def test_config_is_the_only_reader_of_the_environment(self):
+        """(c) structural pin: ``os.environ`` / ``os.getenv`` occur in
+        ``repro/config.py`` only, and ``repro.fastpath`` holds counters
+        — no gate registry, nothing to configure."""
+        import pathlib
+
+        import repro
+        from repro import fastpath
+        root = pathlib.Path(repro.__file__).parent
+        readers = sorted(
+            str(path.relative_to(root)) for path in root.rglob("*.py")
+            if any(token in path.read_text(encoding="utf-8")
+                   for token in ("os.environ", "getenv")))
+        assert readers == ["config.py"]
+        for retired in ("configure", "gates", "gate_enabled", "GATE_ENV"):
+            assert not hasattr(fastpath, retired)
+
+    @pytest.mark.parametrize("name", ["elastic", "coop_sched", "plan_cache",
+                                      "tracing"])
+    def test_unknown_option_is_a_type_error(self, name):
+        """(d) a retired or unknown name is an unexpected keyword."""
+        from repro.hw.systems import make_system
+        from repro.sim.engine import Engine
+        with pytest.raises(TypeError):
+            Engine(make_system("thetagpu", 1), nranks=2, **{name: True})

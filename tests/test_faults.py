@@ -316,7 +316,6 @@ class TestDerivedCommDegradation:
         pipelined hierarchy's sub-comms inherit the degraded (copying)
         transport."""
         from repro.hw.systems import make_system
-        prev = fastpath.configure(hier_pipe=True)
 
         def body(ctx):
             comm = world_communicator(ctx)
@@ -328,12 +327,9 @@ class TestDerivedCommDegradation:
             sub.Allreduce(buf, out, op=SUM)
             return float(out.array[0])
 
-        try:
-            engine = Engine(make_system("thetagpu", 2), nranks=16,
-                            progress_timeout_s=5.0)
-            with_faults(engine, FaultPlan().delay(0, 1, 1.0, nth=99))
-            results = engine.run(body)
-        finally:
-            fastpath.configure(**prev)
+        engine = Engine(make_system("thetagpu", 2), nranks=16,
+                        progress_timeout_s=5.0, hier_pipe=True)
+        with_faults(engine, FaultPlan().delay(0, 1, 1.0, nth=99))
+        results = engine.run(body)
         assert results == [16.0] * 16
         assert fastpath.STATS.copies_forced > 0

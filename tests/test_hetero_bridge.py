@@ -1,4 +1,4 @@
-"""Mixed-vendor heterogeneous communicators (``MPIX_HETERO``).
+"""Mixed-vendor heterogeneous communicators (the ``hetero`` option).
 
 Covers the capability-descriptor layer (negotiation, family fallback,
 empty-intersection errors), the mixed-cluster builders, and the island
@@ -32,18 +32,9 @@ from repro.xccl import caps
 N = 1 << 14  # elements per rank; large enough to engage island xCCL
 
 
-@pytest.fixture
-def restore_gates():
-    prev = fastpath.gates()
-    yield
-    fastpath.configure(**prev)
-
-
-def _run(body, cluster, nranks, rpn, hetero):
-    fastpath.configure(hetero=hetero)
-    fastpath.STATS.reset()
+def _run(body, cluster, nranks, rpn, hetero, **options):
     out = runtime.run(body, system=cluster, nranks=nranks,
-                      ranks_per_node=rpn)
+                      ranks_per_node=rpn, hetero=hetero, **options)
     return out, fastpath.STATS.snapshot()
 
 
@@ -170,8 +161,8 @@ def _mixed_cluster():
     return make_mixed_system("nvidia:2,amd:2")
 
 
-def test_gate_off_mixed_degrades_to_mpi(restore_gates):
-    """Hetero gate off: the mixed comm runs the plain MPI route — no
+def test_gate_off_mixed_degrades_to_mpi():
+    """``hetero`` off: the mixed comm runs the plain MPI route — no
     negotiation, no bridge — and still computes correctly."""
     out, snap = _run(_collectives_body, _mixed_cluster(), 8, 2,
                      hetero=False)
@@ -180,8 +171,8 @@ def test_gate_off_mixed_degrades_to_mpi(restore_gates):
     assert len(out) == 8 and all(o == out[0] for o in out[:1])
 
 
-def test_gate_on_homogeneous_is_inert(restore_gates):
-    """On a single-vendor comm the hetero gate changes nothing: no
+def test_gate_on_homogeneous_is_inert():
+    """On a single-vendor comm the hetero option changes nothing: no
     negotiation runs and no call takes the bridge."""
     _, snap = _run(_collectives_body, make_system("thetagpu", 4), 8, 2,
                    hetero=True)
@@ -189,7 +180,7 @@ def test_gate_on_homogeneous_is_inert(restore_gates):
     assert snap["route_bridge"] == 0
 
 
-def test_mixed_bit_identity_and_counters(restore_gates):
+def test_mixed_bit_identity_and_counters():
     """The 2+2-node NVIDIA+AMD job must produce payloads bit-identical
     to (a) the same mixed job with the bridge off and (b) a
     homogeneous run of the same shape — and negotiate exactly once."""
@@ -208,7 +199,7 @@ def test_mixed_bit_identity_and_counters(restore_gates):
             assert a[key] == c[key], f"rank {rank} {key}: homog differs"
 
 
-def test_unequal_islands_leader_fallback(restore_gates):
+def test_unequal_islands_leader_fallback():
     """Islands of different sizes have no rail mates: allreduce falls
     back to the leader-hop path and still matches the MPI route
     bit-for-bit."""
@@ -227,22 +218,20 @@ def test_unequal_islands_leader_fallback(restore_gates):
 @pytest.mark.parametrize("trace", [False, True])
 @pytest.mark.parametrize("online_tune", [False, True])
 @pytest.mark.parametrize("hier_pipe", [False, True])
-def test_gate_combos_payload_parity(restore_gates, trace, online_tune,
-                                    hier_pipe):
-    """The bridge composes with every other gate that can reach a
-    mixed multi-node job — tracing and the two other routing gates:
+def test_gate_combos_payload_parity(trace, online_tune, hier_pipe):
+    """The bridge composes with every other option that can reach a
+    mixed multi-node job — tracing and the two other routing options:
     payloads match the all-defaults bridge run across the 2^3
     combinations."""
     expect, _ = _run(_collectives_body, _mixed_cluster(), 8, 2,
                      hetero=True)
-    fastpath.configure(trace=trace, online_tune=online_tune,
-                       hier_pipe=hier_pipe)
-    got = runtime.run(_collectives_body, system=_mixed_cluster(),
-                      nranks=8, ranks_per_node=2)
+    got, _ = _run(_collectives_body, _mixed_cluster(), 8, 2, hetero=True,
+                  trace=trace, online_tune=online_tune,
+                  hier_pipe=hier_pipe)
     assert got == expect
 
 
-def test_comm_free_releases_bridge_state(restore_gates):
+def test_comm_free_releases_bridge_state():
     """``Comm_free`` drops the cached island sub-communicator, the
     hetero info, and the negotiated descriptor."""
     def body(mpx):
@@ -251,21 +240,22 @@ def test_comm_free_releases_bridge_state(restore_gates):
         send = mpx.device_array(N, fill=1.0)
         recv = mpx.device_array(N, fill=0.0)
         dup.Allreduce(send, recv, SUM)
-        cached = [k in dup.__dict__
-                  for k in ("_bridge_info", "_bridge_topo", "_hetero_desc")]
+        cached = [k in dup.routing_cache
+                  for k in ("bridge_info", "bridge_island", "hetero_desc")]
+        island = dup.routing_cache.get("bridge_island")
         dup.Free()
-        released = [k not in dup.__dict__
-                    for k in ("_bridge_info", "_bridge_topo", "_hetero_desc")]
-        return cached, released, float(recv.array[0])
+        return (cached, dup.routing_cache == {}, island._freed,
+                float(recv.array[0]))
 
     out, _ = _run(body, _mixed_cluster(), 8, 2, hetero=True)
-    for cached, released, value in out:
+    for cached, drained, island_freed, value in out:
         assert all(cached), "bridge state was never cached"
-        assert all(released), "Free left bridge state behind"
+        assert drained, "Free left bridge state behind"
+        assert island_freed, "Free left the island sub-communicator live"
         assert value == 8.0
 
 
-def test_negotiation_failure_is_clean_error(restore_gates):
+def test_negotiation_failure_is_clean_error():
     """An empty datatype intersection must surface as an MPIX
     negotiation error on every rank — not a deadlock."""
     rccl = caps.DESCRIPTORS["rccl"]

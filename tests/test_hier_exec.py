@@ -1,4 +1,4 @@
-"""Pipelined hierarchical executor (``MPIX_HIER_PIPE``) correctness.
+"""Pipelined hierarchical executor (the ``hier_pipe`` option) correctness.
 
 Complements the parity pins in ``test_dispatch_parity.py`` with the
 awkward shapes: uneven nodes (where the general per-chunk schedule
@@ -15,24 +15,16 @@ import pytest
 from repro import fastpath
 from repro.core import runtime
 from repro.hw.systems import make_system
+from repro.mpi.coll import hier_exec
 from repro.mpi.ops import SUM
 
-N = (2 << 20) // 4  # above the default MPIX_HIER_MIN_BYTES threshold
+N = (2 << 20) // 4  # at the reductions' routing threshold (MIN_BYTES_DEFAULT)
 
 
-@pytest.fixture
-def restore_gates():
-    prev = fastpath.gates()
-    yield
-    fastpath.configure(**prev)
-
-
-def _run(body, nodes, nranks, rpn, nics, hier):
-    fastpath.configure(hier_pipe=hier)
-    fastpath.STATS.reset()
+def _run(body, nodes, nranks, rpn, nics, hier, **options):
     cluster = make_system("thetagpu", nodes, nics=nics)
     out = runtime.run(body, system=cluster, nranks=nranks,
-                      ranks_per_node=rpn)
+                      ranks_per_node=rpn, hier_pipe=hier, **options)
     return out, fastpath.STATS.snapshot()
 
 
@@ -69,8 +61,7 @@ def _collectives_body(mpx):
     (3, 7, 3, 8),    # uneven nodes 3/3/1: general per-chunk schedule
     (2, 10, 5, 8),   # ppn 5, nics capped at 5: ppn % L != 0, general
 ], ids=["aligned", "oversubscribed", "uneven", "indivisible"])
-def test_payload_parity_awkward_shapes(restore_gates, nodes, nranks,
-                                       rpn, nics):
+def test_payload_parity_awkward_shapes(nodes, nranks, rpn, nics):
     """Every shape — aligned, shard-forwarding, uneven, indivisible —
     must produce flat-route payloads to the bit, for all four
     collectives and broadcast roots on every node."""
@@ -86,7 +77,7 @@ def test_payload_parity_awkward_shapes(restore_gates, nodes, nranks,
             assert a[key] == b[key], f"rank {rank} {key} differs"
 
 
-def test_allgatherv_degrades_to_flat(restore_gates):
+def test_allgatherv_degrades_to_flat():
     """Allgatherv shares the allgather tuning key but has no hierarchy
     executor: the execute stage must degrade it to the flat CCL route —
     deterministically, on every rank — and still compute correctly."""
@@ -105,10 +96,10 @@ def test_allgatherv_degrades_to_flat(restore_gates):
     assert snap["route_hier"] == 0  # degraded before the executor ran
 
 
-def test_min_bytes_threshold(restore_gates, monkeypatch):
-    """Routing respects ``MPIX_HIER_MIN_BYTES``: below it the flat
-    route runs even with the gate on; lowering the env engages the
-    hierarchy for the same payload."""
+def test_min_bytes_threshold(monkeypatch):
+    """Routing respects the measured crossover constant: below it the
+    flat route runs even with the option on; lowering the constant
+    engages the hierarchy for the same payload."""
     def body(mpx):
         comm = mpx.COMM_WORLD
         send = mpx.device_array(4096, fill=1.0)
@@ -118,18 +109,19 @@ def test_min_bytes_threshold(restore_gates, monkeypatch):
 
     _, snap = _run(body, 2, 8, 4, 4, hier=True)
     assert snap["route_hier"] == 0  # 16 KiB sits below the default
-    monkeypatch.setenv("MPIX_HIER_MIN_BYTES", "1024")
+    monkeypatch.setattr(hier_exec, "MIN_BYTES_DEFAULT", 1024)
     out, snap = _run(body, 2, 8, 4, 4, hier=True)
     assert snap["route_hier"] == 8
     assert all(v == 8.0 for v in out)
 
 
-def test_depth_env_parity(restore_gates, monkeypatch):
-    """``MPIX_HIER_DEPTH`` reshapes the chunk pipeline without changing
-    payloads."""
+def test_depth_env_parity(monkeypatch):
+    """The pipeline depth constant reshapes the chunk pipeline without
+    changing payloads."""
+    assert hier_exec.DEPTH == 2
     base, _ = _run(_collectives_body, 2, 8, 4, 4, hier=False)
-    for depth in ("1", "4"):
-        monkeypatch.setenv("MPIX_HIER_DEPTH", depth)
+    for depth in (1, 4):
+        monkeypatch.setattr(hier_exec, "DEPTH", depth)
         hier, snap = _run(_collectives_body, 2, 8, 4, 4, hier=True)
         assert snap["route_hier"] > 0
         for rank, (a, b) in enumerate(zip(base, hier)):
@@ -138,38 +130,37 @@ def test_depth_env_parity(restore_gates, monkeypatch):
                     f"depth={depth}: rank {rank} {key} differs"
 
 
-def test_comm_free_releases_hier_state(restore_gates):
+def test_comm_free_releases_hier_state():
     """``Comm_free`` must tear down the whole hierarchy footprint: the
     cached sub-communicators, the placement cache, and the dup'd
     communicator's plan-cache entry."""
-    # a tuned collective always walks the route stage and compiles no
-    # plan, so the plan-cache half of this pin needs the tuner off (the
-    # check-gates MPIX_ONLINE_TUNE=1 leg runs this test too)
-    fastpath.configure(online_tune=False)
-
     def body(mpx):
         comm = mpx.COMM_WORLD
         sub = mpx.attach(comm.Dup())
         send = mpx.device_array(N, fill=1.0)
         recv = mpx.device_array(N, fill=0.0)
         sub.Allreduce(send, recv)
-        topo = getattr(sub, "_hier_topo", None)
+        topo = sub.routing_cache.get("hier_topo")
         had_topo = topo is not None
+        had_info = "hier_info" in sub.routing_cache
         pipeline = sub.coll.pipeline
         had_plans = sub.ctx_id in pipeline._plans
         sub.Free()
         return {
             "had_topo": had_topo,
+            "had_info": had_info,
             "had_plans": had_plans,
-            "topo_dropped": not hasattr(sub, "_hier_topo"),
-            "info_dropped": not hasattr(sub, "_hier_info"),
+            "cache_drained": sub.routing_cache == {},
             "local_freed": topo.local._freed if had_topo else False,
             "stripe_freed": (topo.stripe is None or topo.stripe._freed)
             if had_topo else False,
             "plans_dropped": sub.ctx_id not in pipeline._plans,
         }
 
-    out, snap = _run(body, 2, 8, 4, 4, hier=True)
+    # a tuned collective always walks the route stage and compiles no
+    # plan, so the plan-cache half of this pin needs the tuner off (the
+    # check-gates MPIX_ONLINE_TUNE=1 leg runs this test too)
+    out, snap = _run(body, 2, 8, 4, 4, hier=True, online_tune=False)
     assert snap["route_hier"] == 8
     for rank, flags in enumerate(out):
         for key, ok in flags.items():

@@ -11,7 +11,6 @@ longer leaks between engine runs.
 from __future__ import annotations
 
 import json
-import os
 
 import numpy as np
 import pytest
@@ -51,9 +50,9 @@ def _labels(traces, kind):
     return [ev.label for t in traces for ev in t.of_kind(kind)]
 
 
-def _run_traced(cluster, body, nranks=4, trace=True):
+def _run_traced(cluster, body, nranks=4, trace=True, **options):
     engine = Engine(cluster, nranks=nranks, trace=trace,
-                    progress_timeout_s=20.0)
+                    progress_timeout_s=20.0, **options)
     results = engine.run(body)
     return engine, results
 
@@ -78,12 +77,9 @@ class TestPipelineStageTracing:
         # a tuned collective bypasses the plan cache (plan:tune), so the
         # plan:miss/plan:hit markers need the online tuner off — pin it
         # so the check-gates MPIX_ONLINE_TUNE=1 leg passes too
-        prev = fastpath.configure(online_tune=False)
-        try:
-            engine, _ = _run_traced(
-                thetagpu1, _allreduce_body(DispatchMode.HYBRID))
-        finally:
-            fastpath.configure(**prev)
+        engine, _ = _run_traced(
+            thetagpu1, _allreduce_body(DispatchMode.HYBRID),
+            online_tune=False)
         stages = _stage_labels(engine.traces())
         assert "validate:allreduce" in stages          # stage 1
         assert "capability:ok" in stages               # stage 2
@@ -120,12 +116,8 @@ class TestPipelineStageTracing:
             _labels(engine.traces(), "dispatch"))
 
     def test_untraced_run_records_nothing(self, thetagpu1):
-        prev = fastpath.configure(trace=False)
-        try:
-            engine, _ = _run_traced(
-                thetagpu1, _allreduce_body(DispatchMode.HYBRID), trace=False)
-        finally:
-            fastpath.configure(**prev)
+        engine, _ = _run_traced(
+            thetagpu1, _allreduce_body(DispatchMode.HYBRID), trace=False)
         assert all(len(t) == 0 for t in engine.traces())
 
 
@@ -282,10 +274,10 @@ class TestChromeExport:
         doc = chrome_trace(engine.traces())
         assert {e["pid"] for e in doc["traceEvents"]} == {0}
 
-    def test_tracing_parity_bit_identical(self, thetagpu1):
+    def test_tracing_parity_bit_identical(self, thetagpu1, monkeypatch):
         """Tracing is observation only: payloads and virtual times are
-        bit-identical with tracing off, on, and via the MPIX_TRACE
-        gate."""
+        bit-identical with tracing off, on, and on by its MPIX_TRACE
+        default."""
         def body(ctx):
             comm = world_communicator(ctx)
             p, r = comm.size, comm.rank
@@ -304,15 +296,11 @@ class TestChromeExport:
                             progress_timeout_s=20.0)
             return engine.run(body)
 
-        prev = fastpath.configure(trace=False)
-        try:
-            off = run(False)
-            on = run(True)
-            fastpath.configure(trace=True)
-            gated = run(False)
-        finally:
-            fastpath.configure(**prev)
-        assert off == on == gated
+        off = run(False)
+        on = run(True)
+        monkeypatch.setenv("MPIX_TRACE", "1")
+        by_default = run(None)
+        assert off == on == by_default
 
 
 class TestMetricsAggregation:
@@ -321,12 +309,9 @@ class TestMetricsAggregation:
     def test_report_from_traces_and_doc_agree(self, thetagpu1):
         # pins plan:hit counts, so the online tuner must be off even
         # under the check-gates MPIX_ONLINE_TUNE=1 leg
-        prev = fastpath.configure(online_tune=False)
-        try:
-            engine, _ = _run_traced(
-                thetagpu1, _allreduce_body(DispatchMode.HYBRID))
-        finally:
-            fastpath.configure(**prev)
+        engine, _ = _run_traced(
+            thetagpu1, _allreduce_body(DispatchMode.HYBRID),
+            online_tune=False)
         from_traces = aggregate_traces(engine.traces())
         from_doc = aggregate_doc(engine_chrome_trace(engine))
         assert from_traces.ranks == from_doc.ranks == 4
@@ -392,33 +377,46 @@ class TestStatsAutoReset:
 
 
 class TestTraceGate:
-    """MPIX_TRACE: the fourth GATE_ENV entry, default off."""
+    """``trace=`` and its ``MPIX_TRACE`` default (off)."""
 
     def test_registered_in_gate_env(self):
-        assert fastpath.GATE_ENV["trace"] == "MPIX_TRACE"
-        assert "trace" in fastpath.gates()
+        """``MPIX_TRACE`` is parsed in ``repro.config`` like the other
+        option defaults: truthy spellings on, the falsy set and an
+        unset variable off."""
+        from repro.config import from_env
+        assert from_env({}).trace is False
+        assert from_env({"MPIX_TRACE": "1"}).trace is True
+        assert from_env({"MPIX_TRACE": "yes"}).trace is True
+        for falsy in ("0", "false", "Off", "no", " "):
+            assert from_env({"MPIX_TRACE": falsy}).trace is False
 
-    def test_default_tracks_environment(self):
-        # default off — unless the check-gates CI leg exports MPIX_TRACE=1
-        expected = os.environ.get("MPIX_TRACE", "0").strip().lower() \
-            not in ("0", "false", "off", "no", "")
-        assert fastpath._env_gate(fastpath.GATE_ENV["trace"]) == expected
+    def test_default_tracks_environment(self, thetagpu1, monkeypatch):
+        """The default is read when the engine is built, not at
+        import: flipping the variable between two engines flips it."""
+        monkeypatch.setenv("MPIX_TRACE", "1")
+        assert Engine(thetagpu1, nranks=2).options["trace"]
+        monkeypatch.delenv("MPIX_TRACE")
+        assert not Engine(thetagpu1, nranks=2).options["trace"]
 
-    def test_gate_enables_engine_tracing(self, thetagpu1):
-        prev = fastpath.configure(trace=True)
-        try:
-            engine, _ = _run_traced(
-                thetagpu1, _allreduce_body(DispatchMode.HYBRID), trace=False)
-        finally:
-            fastpath.configure(**prev)
-        assert engine.trace_enabled
+    def test_gate_enables_engine_tracing(self, thetagpu1, monkeypatch):
+        monkeypatch.setenv("MPIX_TRACE", "1")
+        engine, _ = _run_traced(
+            thetagpu1, _allreduce_body(DispatchMode.HYBRID), trace=None)
+        assert engine.options["trace"]
         assert all(len(t) > 0 for t in engine.traces())
 
-    def test_configure_round_trips_trace(self):
-        prev = fastpath.configure(trace=True)
-        assert fastpath.gate_enabled("trace")
-        fastpath.configure(**prev)
-        assert fastpath.gate_enabled("trace") == prev["trace"]
+    def test_configure_round_trips_trace(self, thetagpu1, monkeypatch):
+        """Explicit arguments win both ways: ``trace=False`` is not
+        overridden by ``MPIX_TRACE=1``, and ``trace=True`` works with
+        the variable unset."""
+        monkeypatch.setenv("MPIX_TRACE", "1")
+        engine, _ = _run_traced(
+            thetagpu1, _allreduce_body(DispatchMode.HYBRID), trace=False)
+        assert all(len(t) == 0 for t in engine.traces())
+        monkeypatch.delenv("MPIX_TRACE")
+        engine, _ = _run_traced(
+            thetagpu1, _allreduce_body(DispatchMode.HYBRID), trace=True)
+        assert all(len(t) > 0 for t in engine.traces())
 
 
 class TestTrainerStepMarkers:

@@ -204,8 +204,9 @@ class TestCLI:
         assert "Latency" in capsys.readouterr().out
 
     def test_stats_flag_prints_and_resets(self, capsys):
-        """--stats prints gate states plus per-stage dispatch counters,
-        reset at the start of each sweep so runs don't bleed together."""
+        """--stats prints the engine's four options plus per-stage
+        dispatch counters, zeroed by each sweep's new engine so runs
+        don't bleed together."""
         from repro import fastpath
         from repro.omb.cli import main
 
@@ -213,13 +214,15 @@ class TestCLI:
         assert main(["allreduce", "--system", "thetagpu", "--sizes", "4:1K",
                      "--iterations", "2", "--warmup", "1", "--stats"]) == 0
         out = capsys.readouterr().out
-        assert "Fast-path gates:" in out
-        gates_line = next(line for line in out.splitlines()
-                          if "Fast-path gates:" in line)
-        shown = gates_line.split(":", 1)[1].strip().split(", ")
-        assert len(shown) == 5
-        assert shown == sorted(f"{name}={'on' if flag else 'off'}"
-                               for name, flag in fastpath.gates().items())
+        options_line = next(line for line in out.splitlines()
+                            if "Run options:" in line)
+        shown = options_line.split(":", 1)[1].strip().split(", ")
+        from repro.config import from_env
+        from tests import frozen_reference
+        env = from_env()   # the check-gates legs export one variable
+        assert shown == [
+            f"{name}={'on' if getattr(env, name) else 'off'}"
+            for name in sorted(frozen_reference.OPTIONS)]
         assert "dispatch_calls" in out
         assert "route_xccl" in out
         # counters in the report come from this sweep only
@@ -233,7 +236,7 @@ class TestCLI:
         from repro.omb.cli import main
         assert main(["allreduce", "--system", "thetagpu", "--sizes", "4:64",
                      "--iterations", "1", "--warmup", "0"]) == 0
-        assert "Fast-path gates:" not in capsys.readouterr().out
+        assert "Run options:" not in capsys.readouterr().out
 
 
 class TestMultiPairBandwidth:

@@ -1,11 +1,11 @@
-"""Online autotuning overlay (``MPIX_ONLINE_TUNE``).
+"""Online autotuning overlay (the ``online_tune`` option).
 
 The dispatch pipeline feeds measured per-(collective, size-bucket)
 latencies back into the engine's :class:`OnlineTuner`; after the
 observe/explore warm-up the route stage follows the measured winner
 instead of the static §3.4 table.  The load-bearing properties tested
 here: routes never deviate during the observe phase (short runs stay
-bit-identical with the gate on or off), a deliberately wrong static
+bit-identical with the option on or off), a deliberately wrong static
 table is corrected after warm-up, overlays die with their communicator
 (``Comm_free`` / ``Comm_shrink``), and a collective missing from the
 table degrades to MPI like a capability miss.
@@ -51,12 +51,9 @@ class TestConvergence:
         """The feedback loop: static says MPI everywhere, measurement
         says CCL; after observe+explore the bucket fits to xccl and
         the counters record the flip."""
-        prev = fastpath.configure(online_tune=True)
-        try:
-            engine = Engine(thetagpu1, nranks=8, progress_timeout_s=5.0)
-            results = engine.run(_allreduce_body, iters=12, table=_ALL_MPI)
-        finally:
-            fastpath.configure(**prev)
+        engine = Engine(thetagpu1, nranks=8, progress_timeout_s=5.0,
+                        online_tune=True)
+        results = engine.run(_allreduce_body, iters=12, table=_ALL_MPI)
         expect = sum(range(8)) + 11 * 8
         assert all(r[0] == expect for r in results)
         # every rank explored xccl and then stayed on it post-fit
@@ -71,28 +68,22 @@ class TestConvergence:
     def test_observe_phase_follows_static_route_exactly(self, thetagpu1):
         """Below the warm-up threshold the gate is provably inert: all
         calls take the static route and no bucket has fitted."""
-        prev = fastpath.configure(online_tune=True)
-        try:
-            engine = Engine(thetagpu1, nranks=4, progress_timeout_s=5.0)
-            # observe_calls defaults to 4: stop exactly at the boundary
-            results = engine.run(_allreduce_body, iters=4, table=_ALL_MPI)
-        finally:
-            fastpath.configure(**prev)
+        engine = Engine(thetagpu1, nranks=4, progress_timeout_s=5.0,
+                        online_tune=True)
+        # observe_calls defaults to 4: stop exactly at the boundary
+        results = engine.run(_allreduce_body, iters=4, table=_ALL_MPI)
         assert all(r[1] == 0 and r[2] == 4 for r in results)
         overlay = engine.online_tuner.overlay()
         assert all(state["fitted"] is None for state in overlay.values())
         assert fastpath.STATS.online_updates == 0
 
     def test_gate_off_is_inert(self, thetagpu1):
-        """With MPIX_ONLINE_TUNE off the overlay never even observes."""
-        prev = fastpath.configure(online_tune=False)
-        try:
-            engine = Engine(thetagpu1, nranks=4, progress_timeout_s=5.0)
-            results = engine.run(_allreduce_body, iters=12, table=_ALL_MPI)
-        finally:
-            fastpath.configure(**prev)
+        """With the option off there is no overlay to observe into."""
+        engine = Engine(thetagpu1, nranks=4, progress_timeout_s=5.0,
+                        online_tune=False)
+        results = engine.run(_allreduce_body, iters=12, table=_ALL_MPI)
         assert all(r[1] == 0 and r[2] == 12 for r in results)
-        assert engine.online_tuner.overlay() == {}
+        assert engine.online_tuner is None
 
 
 class TestUnitPhases:
@@ -138,8 +129,6 @@ class TestUnitPhases:
 
 class TestLifecycle:
     def test_comm_free_drops_overlay(self, thetagpu1):
-        prev = fastpath.configure(online_tune=True)
-
         def body(ctx):
             comm = world_communicator(ctx, table=_ALL_MPI)
             buf = ctx.device.zeros(_COUNT)
@@ -154,18 +143,14 @@ class TestLifecycle:
             comm.Free()
             return (before, len(tuner.overlay(comm.ctx_id)))
 
-        try:
-            engine = Engine(thetagpu1, nranks=4, progress_timeout_s=5.0)
-            results = engine.run(body)
-        finally:
-            fastpath.configure(**prev)
+        engine = Engine(thetagpu1, nranks=4, progress_timeout_s=5.0,
+                        online_tune=True)
+        results = engine.run(body)
         assert all(before > 0 and after == 0 for before, after in results)
 
     def test_shrink_drops_overlay_and_retunes_survivors(self, thetagpu1):
         """Comm_shrink tears the old comm's overlay down; the shrunk
         comm re-tunes from scratch for the survivor shape."""
-        prev = fastpath.configure(online_tune=True, elastic=True)
-
         def body(ctx):
             comm = world_communicator(ctx, table=_ALL_MPI)
             buf = ctx.device.zeros(_COUNT)
@@ -187,12 +172,10 @@ class TestLifecycle:
                 return (old_overlay, fitted)
             return None
 
-        try:
-            engine = Engine(thetagpu1, nranks=8, progress_timeout_s=5.0)
-            with_faults(engine, FaultPlan().kill(2, after_us=200.0))
-            results = engine.run(body)
-        finally:
-            fastpath.configure(**prev)
+        engine = Engine(thetagpu1, nranks=8, progress_timeout_s=5.0,
+                        online_tune=True)
+        with_faults(engine, FaultPlan().kill(2, after_us=200.0))
+        results = engine.run(body)
         assert results[2] is None
         for i, r in enumerate(results):
             if i == 2:

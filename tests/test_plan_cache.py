@@ -39,13 +39,12 @@ SIZES = (37, 1024)  # odd count exercises uneven chunk geometry
 
 
 @pytest.fixture(autouse=True)
-def _online_tuner_off():
+def _online_tuner_off(monkeypatch):
     """A tuned collective always walks the route stage and compiles no
     plan, so the hit/compile/release pins here need the tuner off (the
-    check-gates ``MPIX_ONLINE_TUNE=1`` leg runs this file too)."""
-    prev = fastpath.configure(online_tune=False)
-    yield
-    fastpath.configure(**prev)
+    check-gates ``MPIX_ONLINE_TUNE=1`` leg runs this file too; the
+    default is read as each engine is built)."""
+    monkeypatch.delenv("MPIX_ONLINE_TUNE", raising=False)
 
 
 def _collective_body(mpx):
@@ -177,12 +176,13 @@ def test_comm_free_releases_caches():
         r = ctx.device.zeros(64, dtype=np.float32)
         sub.Allreduce(s, r, SUM)
         local, leaders = node_comms(sub)
-        assert sub._hier_comms[0] is local
+        assert sub.routing_cache["node_local"] is local
         had_plans = sub.ctx_id in getattr(sub.coll, "_plans", {})
         sub.Free()
         assert sub.ctx_id not in getattr(sub.coll, "_plans", {})
         assert sub.ctx_id not in getattr(sub.coll, "_tables", {})
-        assert not hasattr(sub, "_hier_comms")
+        assert sub.routing_cache == {}
+        assert local._freed
         sub.Free()  # idempotent
         return had_plans
 

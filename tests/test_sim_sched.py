@@ -143,9 +143,10 @@ class TestPollsYield:
 
 
 class TestSchedulerIsNotAGate:
-    def test_registry_has_no_scheduler_gate(self):
-        assert "coop_sched" not in fastpath.GATE_ENV
-        assert "coop_sched" not in fastpath.gates()
-        assert len(fastpath.GATE_ENV) == 5
+    def test_registry_has_no_scheduler_gate(self, thetagpu1):
+        """The one scheduler is not a run option: an engine has exactly
+        four, and ``coop_sched=`` is an unexpected keyword."""
+        from tests.frozen_reference import OPTIONS
+        assert tuple(Engine(thetagpu1, nranks=2).options) == OPTIONS
         with pytest.raises(TypeError):
-            fastpath.configure(coop_sched=True)
+            Engine(thetagpu1, nranks=2, coop_sched=True)

@@ -186,14 +186,15 @@ def _program_body_factory(program):
 @pytest.mark.parametrize("seed", [7, 23])
 def test_randomized_sequences_identical_under_all_gate_combos(seed):
     """Randomized collective sequences reproduce the frozen all-off
-    reference bit-for-bit (payloads and virtual times) with the five
-    remaining gates all off and all on — every one of them is inert on
-    a single-node, single-vendor, fault-free ``pure_xccl`` job."""
+    reference bit-for-bit (payloads and virtual times) with the four
+    run options all off and all on — every one of them is inert on a
+    single-node, single-vendor ``pure_xccl`` job."""
     body = _program_body_factory(_random_program(seed))
     frozen_reference.assert_matches_all_gates(
         f"random:{seed}",
-        lambda: runtime.run(body, system="thetagpu", nodes=1,
-                            ranks_per_node=4, mode="pure_xccl"))
+        lambda **options: runtime.run(body, system="thetagpu", nodes=1,
+                                      ranks_per_node=4, mode="pure_xccl",
+                                      **options))
 
 
 def test_no_payload_refs_retained_after_completion():

@@ -1,7 +1,7 @@
 """Elastic fault-recovery smoke scenario (``make elastic-smoke``).
 
-Runs a 16-rank allreduce loop under ``MPIX_ELASTIC`` +
-``MPIX_ONLINE_TUNE`` with one rank killed mid-run: survivors see the
+Runs a 16-rank allreduce loop on an engine built with
+``online_tune=True``, one rank killed mid-run: survivors see the
 revoked world communicator, agree on the failure set, shrink to a
 15-rank communicator, and finish a fixed post-recovery schedule on it.
 The run is traced; the Chrome trace is written to the path given as
@@ -65,46 +65,42 @@ def body(ctx):
 
 def main(argv):
     out_path = argv[1] if len(argv) > 1 else "/tmp/mpix-elastic-smoke.json"
-    prev = fastpath.configure(elastic=True, online_tune=True)
-    try:
-        engine = Engine(make_system("thetagpu", 2), nranks=NRANKS,
-                        trace=True, progress_timeout_s=5.0)
-        injector = with_faults(engine,
-                               FaultPlan().kill(DEAD, after_us=KILL_AT_US))
-        results = engine.run(body)
-        doc = chrome_trace(engine.traces(),
-                           nodes={r: engine.node_of(r)
-                                  for r in range(NRANKS)})
-        with open(out_path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh)
+    engine = Engine(make_system("thetagpu", 2), nranks=NRANKS,
+                    trace=True, progress_timeout_s=5.0, online_tune=True)
+    injector = with_faults(engine,
+                           FaultPlan().kill(DEAD, after_us=KILL_AT_US))
+    results = engine.run(body)
+    doc = chrome_trace(engine.traces(),
+                       nodes={r: engine.node_of(r)
+                              for r in range(NRANKS)})
+    with open(out_path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
 
-        survivors = [r for i, r in enumerate(results) if i != DEAD]
-        expect = (sum(range(NRANKS - 1))
-                  + (POST_ITERS - 1) * (NRANKS - 1))
-        ok = (injector.killed == [DEAD]
-              and results[DEAD] is None
-              and all(r is not None
-                      and r[1] == NRANKS - 1
-                      and r[2] == (DEAD,)
-                      and abs(r[0] - expect) < 1e-9 for r in survivors))
-        print(f"elastic smoke: {NRANKS} ranks, rank {DEAD} killed at "
-              f"{KILL_AT_US}us; revokes={fastpath.STATS.comm_revokes} "
-              f"shrinks={fastpath.STATS.comm_shrinks} "
-              f"online_updates={fastpath.STATS.online_updates}")
-        if not ok:
-            print(f"FAILED: survivor results {set(survivors)}")
-            return 1
-        if fastpath.STATS.comm_revokes < 1 or fastpath.STATS.comm_shrinks < 1:
-            print("FAILED: no revoke/shrink recorded")
-            return 1
-        if fastpath.STATS.online_updates < 1:
-            print("FAILED: online tuner never re-fit on the shrunk comm")
-            return 1
-        print(f"OK: all {NRANKS - 1} survivors recovered with identical "
-              f"payloads; trace -> {out_path}")
-        return 0
-    finally:
-        fastpath.configure(**prev)
+    survivors = [r for i, r in enumerate(results) if i != DEAD]
+    expect = (sum(range(NRANKS - 1))
+              + (POST_ITERS - 1) * (NRANKS - 1))
+    ok = (injector.killed == [DEAD]
+          and results[DEAD] is None
+          and all(r is not None
+                  and r[1] == NRANKS - 1
+                  and r[2] == (DEAD,)
+                  and abs(r[0] - expect) < 1e-9 for r in survivors))
+    print(f"elastic smoke: {NRANKS} ranks, rank {DEAD} killed at "
+          f"{KILL_AT_US}us; revokes={fastpath.STATS.comm_revokes} "
+          f"shrinks={fastpath.STATS.comm_shrinks} "
+          f"online_updates={fastpath.STATS.online_updates}")
+    if not ok:
+        print(f"FAILED: survivor results {set(survivors)}")
+        return 1
+    if fastpath.STATS.comm_revokes < 1 or fastpath.STATS.comm_shrinks < 1:
+        print("FAILED: no revoke/shrink recorded")
+        return 1
+    if fastpath.STATS.online_updates < 1:
+        print("FAILED: online tuner never re-fit on the shrunk comm")
+        return 1
+    print(f"OK: all {NRANKS - 1} survivors recovered with identical "
+          f"payloads; trace -> {out_path}")
+    return 0
 
 
 if __name__ == "__main__":
