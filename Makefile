@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install lint test test-all bench bench-quick bench-selfcheck bench-claim bench-hier bench-hetero bench-online-tune bench-all check-gates scale-smoke trace-smoke hier-smoke hetero-smoke elastic-smoke report examples tune clean
+.PHONY: install lint test test-all test-fast bench bench-quick bench-selfcheck bench-claim bench-hier bench-hetero bench-online-tune bench-all check-gates scale-smoke trace-smoke hier-smoke hetero-smoke elastic-smoke report examples tune clean
 
 install:
 	pip install -e .
@@ -106,7 +106,7 @@ hier-smoke:
 	MPIX_HIER_PIPE=1 PYTHONPATH=src \
 		$(PYTHON) -m repro.omb.cli allreduce bcast \
 		--system thetagpu --topology 4x8 --nics 8 \
-		--sizes 2M:8M --iterations 2 --warmup 1 --stats \
+		--sizes 2M:16M --iterations 2 --warmup 1 --stats \
 		--trace $(HIER_SMOKE)
 	PYTHONPATH=src $(PYTHON) -m repro.obs.cli validate $(HIER_SMOKE)
 	PYTHONPATH=src $(PYTHON) -m repro.obs.cli summarize $(HIER_SMOKE)

@@ -6,14 +6,14 @@ multi-rail ThetaGPU model, swept over rank counts the way
 
 * ``flat``   — ``hier_pipe=False``: the tuning table's flat
   algorithms carry the whole message across the fabric.
-* ``leader`` — the whole-message node-leader helper
-  (:func:`repro.mpi.coll.hierarchical.allreduce_hierarchical`): one
+* ``leader`` — the whole-message node-leader algorithm
+  (``repro.mpi.coll.algorithm("allreduce", "hierarchical")``): one
   leader, one NIC per node.
 * ``hier``   — ``hier_pipe=True``: chunk-pipelined, NIC-striped
-  level decomposition (:mod:`repro.mpi.coll.hier_exec`).
+  level decomposition (:data:`repro.mpi.coll.levels.HIER`).
 
 The smallest size sits *below* the 2 MiB routing threshold
-(``hier_exec.MIN_BYTES_DEFAULT``), so the hier arm must match flat exactly there — the
+(``levels.MIN_BYTES_DEFAULT``), so the hier arm must match flat exactly there — the
 crossover is part of what this ablation pins.  Above it, the striped
 hierarchy must beat the node-leader design everywhere and the flat
 algorithms at scale.
@@ -21,7 +21,7 @@ algorithms at scale.
 
 from repro.core import runtime
 from repro.hw.systems import make_system
-from repro.mpi.coll.hierarchical import allreduce_hierarchical
+from repro.mpi.coll import algorithm
 from repro.mpi.datatypes import FLOAT
 from repro.mpi.ops import SUM
 
@@ -43,7 +43,8 @@ def _body(arm):
 
             def once():
                 if arm == "leader":
-                    allreduce_hierarchical(comm, s, r, count, FLOAT, SUM)
+                    algorithm("allreduce", "hierarchical")(
+                        comm, s, r, count, FLOAT, SUM)
                 else:
                     comm.Allreduce(s, r)
 

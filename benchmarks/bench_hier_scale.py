@@ -7,11 +7,11 @@ compares three arms in *virtual* time:
 * ``flat``   — the staged pipeline with ``hier_pipe=False`` (the
   tuning table's flat ring/tree algorithms; one NIC rail effectively
   carries each inter-node collective).
-* ``leader`` — the unpipelined node-leader helpers of
-  :mod:`repro.mpi.coll.hierarchical` (whole-message, one leader and
-  hence one NIC per node).
+* ``leader`` — the unpipelined node-leader algorithms
+  (``repro.mpi.coll.algorithm(coll, "hierarchical")``: whole-message,
+  one leader and hence one NIC per node).
 * ``hier``   — ``hier_pipe=True``: the chunk-pipelined, NIC-striped
-  hierarchy of :mod:`repro.mpi.coll.hier_exec`.
+  hierarchy of :data:`repro.mpi.coll.levels.HIER`.
 
 The 8-rank row spans a single node, where the hierarchy route is
 provably inert — flat and hier must agree to the bit, times included.
@@ -57,19 +57,20 @@ ARMS = ("flat", "leader", "hier")
 
 def _allreduce_once(comm, arm, send, recv, count):
     if arm == "leader":
-        from repro.mpi.coll.hierarchical import allreduce_hierarchical
+        from repro.mpi.coll import algorithm
         from repro.mpi.datatypes import FLOAT
         from repro.mpi.ops import SUM
-        allreduce_hierarchical(comm, send, recv, count, FLOAT, SUM)
+        algorithm("allreduce", "hierarchical")(comm, send, recv, count,
+                                               FLOAT, SUM)
     else:
         comm.Allreduce(send, recv)
 
 
 def _bcast_once(comm, arm, buf, count):
     if arm == "leader":
-        from repro.mpi.coll.hierarchical import bcast_hierarchical
+        from repro.mpi.coll import algorithm
         from repro.mpi.datatypes import FLOAT
-        bcast_hierarchical(comm, buf, count, FLOAT, 0)
+        algorithm("bcast", "hierarchical")(comm, buf, count, FLOAT, 0)
     else:
         comm.Bcast(buf, root=0)
 

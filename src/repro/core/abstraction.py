@@ -12,7 +12,8 @@ the figure's boxes:
   (:mod:`repro.xccl.caps`).  Homogeneous communicators consult the
   local backend; for a mixed-vendor communicator the dispatcher's one
   capability chain consults the *intersection* descriptor negotiated
-  once per communicator (:mod:`repro.mpi.coll.bridge`) instead;
+  once per communicator
+  (:meth:`repro.core.dispatch.CollectivePipeline.negotiated`) instead;
 * **Collectives / point-to-point communication** — the five built-ins
   mapped 1:1 (§3.2) and the send-recv-based collectives (§3.3);
 * **Synchronization** — stream joins after each CCL call.

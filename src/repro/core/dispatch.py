@@ -39,13 +39,15 @@ from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 from repro import fastpath
 from repro.errors import CCLError, MPIError, TuningTableError
+from repro.hw.vendors import Vendor, default_ccl_for
 from repro.core.fallback import FallbackReason, Route, RouteDecision, RouteStats
 from repro.core.plan import CollectivePlan, PlanCache
 from repro.core.tuning_table import TUNABLE_COLLECTIVES, TuningTable, cached_table
 from repro.core import sendrecv_collectives as srcoll
-from repro.mpi.coll import MPICollDispatcher, bridge, hier_exec
+from repro.mpi.coll import MPICollDispatcher, levels
 from repro.mpi.communicator import IN_PLACE
 from repro.xccl import api as xapi
+from repro.xccl.caps import descriptor_for, negotiate
 
 
 class DispatchMode(enum.Enum):
@@ -328,15 +330,17 @@ register(CollectiveSpec(
 #: ``route -> (executor lookup, decision a missing executor degrades
 #: to)``.  A lookup returns ``fn(pipeline, call)``, or None when a
 #: vector sibling (allgatherv) replays its uniform tuning key's cached
-#: HIER / BRIDGE plan and the multi-level executors have no entry for
+#: HIER / BRIDGE plan and the multi-level executor has no entry for
 #: it: HIER then degrades to the flat CCL route (the next leg), BRIDGE
 #: to the MPI algorithms (never XCCL — no single CCL spans the
 #: islands).  The one fallback edge is shared: a ``CCLError`` raised
 #: on any leg sends the call to the MPI algorithms.
 CCL_LEGS: Dict[Route, Tuple[Callable, Optional[RouteDecision]]] = {
-    Route.HIER: (lambda spec, coll: hier_exec.EXECUTORS.get(coll),
+    Route.HIER: (lambda spec, coll:
+                 levels.EXECUTORS[Route.HIER.value].get(coll),
                  RouteDecision(Route.XCCL)),
-    Route.BRIDGE: (lambda spec, coll: bridge.EXECUTORS.get(coll),
+    Route.BRIDGE: (lambda spec, coll:
+                   levels.EXECUTORS[Route.BRIDGE.value].get(coll),
                    RouteDecision(Route.MPI, FallbackReason.MIXED_VENDOR)),
     Route.XCCL: (lambda spec, coll:
                  lambda pipeline, call: spec.ccl(pipeline.layer, call),
@@ -407,9 +411,8 @@ class CollectivePipeline:
         table (the four NCCL ops).  The two tables are the local
         backend's — or, on a communicator spanning vendors (where the
         per-rank answers would diverge), those of ``negotiated``, its
-        intersection descriptor
-        (:func:`repro.mpi.coll.bridge.negotiated_descriptor`, the same
-        on every rank), whose rank ceiling then bounds ``nranks``.
+        intersection descriptor (:meth:`negotiated`, the same on every
+        rank), whose rank ceiling then bounds ``nranks``.
         Returns the MPI fallback decision, or None when the call is
         CCL-capable."""
         if negotiated is not None:
@@ -429,6 +432,25 @@ class CollectivePipeline:
         if negotiated is not None and nranks > negotiated.max_ranks:
             return RouteDecision(Route.MPI, FallbackReason.MIXED_VENDOR)
         return None
+
+    @staticmethod
+    def negotiated(comm, vendors):
+        """``comm``'s negotiated intersection descriptor over the native
+        CCLs of ``vendors`` (its islands' vendor names), computed once
+        at first routing and cached on the communicator (pinned by the
+        ``negotiations`` counter, which rank 0 alone reports so it
+        counts communicators, not ranks).
+
+        Raises :class:`repro.errors.MPIXNegotiationError` — identically
+        on every rank — when the islands' backends share no usable
+        capability surface."""
+        desc = comm.routing_cache.get("negotiated")
+        if desc is None:
+            desc = comm.routing_cache["negotiated"] = negotiate(
+                descriptor_for(default_ccl_for(Vendor(v))) for v in vendors)
+            if comm.rank == 0:
+                fastpath.STATS.note_negotiation()
+        return desc
 
     # -- stage 3: route (mode pin or tuning-table crossover) ----------------
 
@@ -462,7 +484,8 @@ class CollectivePipeline:
             return RouteDecision(Route.MPI, FallbackReason.MODE)
         options = comm.ctx.engine.options
         negotiated = None
-        if bridge.is_hetero(comm):
+        islands = levels.factorize(comm, "vendor")
+        if len(islands.groups) > 1:
             # mixed-vendor comm: the local backend's capability answers
             # (and the per-rank tuning table) would diverge across the
             # islands.  Without the ``hetero`` option every call takes
@@ -473,7 +496,7 @@ class CollectivePipeline:
             if not options["hetero"]:
                 self._mark("capability:skipped")
                 return RouteDecision(Route.MPI, FallbackReason.MIXED_VENDOR)
-            negotiated = bridge.negotiated_descriptor(comm)
+            negotiated = self.negotiated(comm, islands.keys)
         fallback = self.capability(coll, dt, op, significant, on_device,
                                    negotiated, comm.size)
         self._mark("capability:ok" if fallback is None
@@ -481,17 +504,16 @@ class CollectivePipeline:
         if fallback is not None:
             return fallback
         if negotiated is not None:
-            if coll in bridge.BRIDGE_TUNING_KEYS \
-                    and (op is None or op.commutative):
+            if coll in levels.TUNING_KEYS and (op is None or op.commutative):
                 return RouteDecision(Route.BRIDGE)
             return RouteDecision(Route.MPI, FallbackReason.MIXED_VENDOR)
         hier_ok = (self.mode == DispatchMode.HYBRID
                    and options["hier_pipe"]
-                   and coll in hier_exec.HIER_TUNING_KEYS
-                   and nbytes >= hier_exec.MIN_BYTES.get(
-                       coll, hier_exec.MIN_BYTES_DEFAULT)
+                   and coll in levels.TUNING_KEYS
+                   and nbytes >= levels.MIN_BYTES.get(
+                       coll, levels.MIN_BYTES_DEFAULT)
                    and (op is None or op.commutative)
-                   and hier_exec.hier_eligible(comm))
+                   and levels.factorize(comm, "node").multilevel)
         tuned = self._tuning_active(coll)
         if hier_ok and not tuned:
             return RouteDecision(Route.HIER)
@@ -613,19 +635,17 @@ class CollectivePipeline:
     def _span(self, call: CollectiveCall, spec: CollectiveSpec,
               decision: RouteDecision, t0: float) -> None:
         """Record the execute-stage span (the whole collective) with the
-        route the call actually took — ``execute:<coll>:xccl:<backend>``,
-        ``execute:<coll>:hier``, or ``execute:<coll>:mpi:<reason>``."""
+        route the call actually took — ``execute:<coll>:<route>``, with
+        the backend after ``xccl`` and the fallback reason after
+        ``mpi``."""
         ctx = self.layer.ctx
         if not ctx.trace.enabled:
             return
+        label = f"execute:{call.coll}:{decision.route.value}"
         if decision.route == Route.XCCL:
-            label = f"execute:{call.coll}:xccl:{self.layer.backend_name}"
-        elif decision.route == Route.HIER:
-            label = f"execute:{call.coll}:hier"
-        elif decision.route == Route.BRIDGE:
-            label = f"execute:{call.coll}:bridge"
-        else:
-            label = f"execute:{call.coll}:mpi:{decision.reason.value}"
+            label += f":{self.layer.backend_name}"
+        elif decision.route == Route.MPI:
+            label += f":{decision.reason.value}"
         ctx.trace.record("dispatch", t0, ctx.now,
                          nbytes=spec.nbytes(call), label=label)
 

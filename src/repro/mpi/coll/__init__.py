@@ -33,11 +33,6 @@ from repro.mpi.coll.alltoall import (
 )
 from repro.mpi.coll.barrier import barrier_dissemination, exscan_linear, scan_linear
 from repro.mpi.coll.bcast import bcast_binomial, bcast_scatter_ring_allgather
-from repro.mpi.coll.hierarchical import (
-    allreduce_hierarchical,
-    bcast_hierarchical,
-    reduce_hierarchical,
-)
 from repro.mpi.coll.gather import (
     gather_binomial,
     gather_linear,
@@ -45,6 +40,11 @@ from repro.mpi.coll.gather import (
     scatter_binomial,
     scatter_linear,
     scatterv_linear,
+)
+from repro.mpi.coll.levels import (
+    allreduce_hierarchical,
+    bcast_hierarchical,
+    reduce_hierarchical,
 )
 from repro.mpi.coll.reduce import (
     reduce_binomial,

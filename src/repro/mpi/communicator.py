@@ -71,11 +71,11 @@ class Communicator:
         self._seq = itertools.count(1)
         self._freed = False
         #: everything the routing layers cache about this communicator
-        #: (placement facts, negotiated descriptor, level topologies and
-        #: the sub-communicators they run on), by name.  A value that is
-        #: itself a :class:`Communicator` is a sub-communicator built
+        #: (factorizations, negotiated descriptor, and the levels — the
+        #: sub-communicators — of each multi-level instance), by name.
+        #: A value with a ``Free`` method holds sub-communicators built
         #: for — and owned by — this one: :meth:`Free` and
-        #: :meth:`Comm_shrink` free it when they drain the dict.
+        #: :meth:`Comm_shrink` call it when they drain the dict.
         self.routing_cache: Dict[str, object] = {}
         from repro.mpi.coll import MPICollDispatcher  # local: avoid cycle
         self.coll = MPICollDispatcher()
@@ -137,8 +137,9 @@ class Communicator:
         exists.
         """
         for entry in self.routing_cache.values():
-            if isinstance(entry, Communicator):
-                entry.Free()
+            free = getattr(entry, "Free", None)
+            if free is not None:
+                free()
         self.routing_cache.clear()
         release = getattr(self.coll, "release", None)
         if release is not None:

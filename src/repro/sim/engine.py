@@ -324,12 +324,12 @@ class Engine:
         hier_pipe: the route stage may decompose large multi-node
             allreduce / bcast / allgather / reduce_scatter calls into
             pipelined per-level plans (``MPIX_HIER_PIPE``,
-            :mod:`repro.mpi.coll.hier_exec`).  Changes virtual times on
+            :data:`repro.mpi.coll.levels.HIER`).  Changes virtual times on
             multi-node communicators, never payloads.
         hetero: a mixed-vendor communicator negotiates a capability
             intersection and routes eligible collectives to the
             cross-vendor bridge (``MPIX_HETERO``,
-            :mod:`repro.mpi.coll.bridge`) instead of the plain MPI
+            :data:`repro.mpi.coll.levels.BRIDGE`) instead of the plain MPI
             algorithms.  Inert on single-vendor communicators.
         online_tune: feed measured latencies back into a
             per-communicator overlay on the static tuning table

@@ -12,7 +12,8 @@ a :class:`CapabilityDescriptor` lists what the backend can do
 (datatypes, reduce ops, buffer residency, rank ceiling, wire formats),
 and :func:`negotiate` folds a set of descriptors into their
 intersection.  A mixed-vendor communicator negotiates **once** at
-construction (see :mod:`repro.mpi.coll.bridge`) and every subsequent
+first routing (see
+:meth:`repro.core.dispatch.CollectivePipeline.negotiated`) and every subsequent
 call checks set membership on the cached intersection — the same
 answer on every rank, by construction.
 

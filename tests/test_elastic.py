@@ -155,12 +155,12 @@ class TestElasticRecovery:
         """The shrunk communicator is a first-class comm: bcast and a
         second allreduce on it work too — and the parent's routing
         cache (keyed to the pre-failure rank set) is drained."""
-        from repro.mpi.coll.hierarchical import node_comms
+        from repro.mpi.coll import levels
 
         def body(ctx):
             comm = Communicator.world(ctx)
-            local, _leaders = node_comms(comm)
-            assert comm.routing_cache["node_local"] is local
+            local = levels.levels(None, comm, levels.LEADER).inner
+            assert comm.routing_cache["hierarchical"].inner is local
             buf = ctx.device.zeros(64)
             out = ctx.device.zeros(64)
             try:

@@ -28,6 +28,7 @@ from repro.hw.systems import make_mixed_system, make_system, mixed
 from repro.hw.vendors import Vendor, parse_vendor_counts
 from repro.mpi.ops import SUM
 from repro.xccl import caps
+from tests import frozen_reference
 
 N = 1 << 14  # elements per rank; large enough to engage island xCCL
 
@@ -39,30 +40,44 @@ def _run(body, cluster, nranks, rpn, hetero, **options):
 
 
 def _collectives_body(mpx):
+    """The four collectives with a bridge executor, broadcast rooted in
+    every island.  Per rank: one ``(name, payload bytes, clock after,
+    this rank's bridge-routed calls)`` entry per call, and the rank's
+    route-surface trace labels (empty untraced)."""
     comm = mpx.COMM_WORLD
     p, rank = comm.size, comm.rank
     rng = np.random.default_rng(11 + rank)
-    out = {}
+    log = []
+
+    def call(name, run, result):
+        before = mpx.route_stats.bridge_calls
+        run()
+        log.append((name, result.array.tobytes(), mpx.now,
+                    mpx.route_stats.bridge_calls - before))
+
     send = mpx.device_array(N)
     send.array[:] = rng.integers(0, 5, N)
     recv = mpx.device_array(N, fill=0.0)
-    comm.Allreduce(send, recv, SUM)
-    out["allreduce"] = recv.array.tobytes()
+    call("allreduce", lambda: comm.Allreduce(send, recv, SUM), recv)
     ag = mpx.device_array(N * p, fill=0.0)
-    comm.Allgather(send, ag)
-    out["allgather"] = ag.array.tobytes()
+    call("allgather", lambda: comm.Allgather(send, ag), ag)
     rs_in = mpx.device_array(N * p)
     rs_in.array[:] = rng.integers(0, 5, N * p)
     rs_out = mpx.device_array(N, fill=0.0)
-    comm.Reduce_scatter_block(rs_in, rs_out, SUM)
-    out["reduce_scatter"] = rs_out.array.tobytes()
+    call("reduce_scatter",
+         lambda: comm.Reduce_scatter_block(rs_in, rs_out, SUM), rs_out)
     for root in (0, p // 2, p - 1):
         buf = mpx.device_array(N, fill=0.0)
         if rank == root:
             buf.array[:] = rng.integers(0, 5, N)
-        comm.Bcast(buf, root=root)
-        out[f"bcast@{root}"] = buf.array.tobytes()
-    return out
+        call(f"bcast@{root}", lambda: comm.Bcast(buf, root=root), buf)
+    return log, frozen_reference.surface_labels(mpx.ctx)
+
+
+def _payloads(out):
+    """Per rank ``{call name: payload bytes}`` of a body's return."""
+    return [{name: data for name, data, _clock, _bridged in log}
+            for log, _labels in out]
 
 
 # -- descriptor layer ----------------------------------------------------
@@ -168,7 +183,8 @@ def test_gate_off_mixed_degrades_to_mpi():
                      hetero=False)
     assert snap["negotiations"] == 0
     assert snap["route_bridge"] == 0
-    assert len(out) == 8 and all(o == out[0] for o in out[:1])
+    assert len(out) == 8
+    assert all(bridged == 0 for log, _ in out for *_, bridged in log)
 
 
 def test_gate_on_homogeneous_is_inert():
@@ -193,7 +209,10 @@ def test_mixed_bit_identity_and_counters():
     assert snap["negotiations"] == 1
     assert snap["route_bridge"] > 0
     assert snap["bridge_hops"] > 0
-    for rank, (a, b, c) in enumerate(zip(base, bridged, homog)):
+    assert all(took == 1 for log, _ in bridged for *_, took in log), \
+        "a call of the body left the bridge route"
+    for rank, (a, b, c) in enumerate(zip(*map(_payloads,
+                                              (base, bridged, homog)))):
         for key in a:
             assert a[key] == b[key], f"rank {rank} {key}: bridge differs"
             assert a[key] == c[key], f"rank {rank} {key}: homog differs"
@@ -210,9 +229,46 @@ def test_unequal_islands_leader_fallback():
                          hetero=True)
     assert snap["negotiations"] == 1
     assert snap["route_bridge"] > 0
-    for rank, (a, b) in enumerate(zip(base, bridged)):
+    for rank, (a, b) in enumerate(zip(_payloads(base), _payloads(bridged))):
         for key in a:
             assert a[key] == b[key], f"rank {rank} {key}: bridge differs"
+
+
+#: vendor spec -> ranks of the frozen legs (two per node): equal islands
+#: ride the rail decomposition, unequal ones the leader fold
+FROZEN_SHAPES = {"nvidia:2,amd:2": 8, "nvidia:1,amd:2": 6}
+
+
+@pytest.mark.parametrize("trace", [False, True], ids=["untraced", "traced"])
+@pytest.mark.parametrize("vendors", list(FROZEN_SHAPES))
+def test_matches_frozen_reference(vendors, trace):
+    """Payloads, exact clocks, route counters and (traced) the route
+    surface's trace labels equal what the three-module executors gave
+    at the parent commit."""
+    out, snap = _run(_collectives_body, make_mixed_system(vendors),
+                     FROZEN_SHAPES[vendors], 2, hetero=True, trace=trace,
+                     hier_pipe=False, online_tune=False)
+    frozen_reference.assert_matches(
+        f"hetero:{vendors}",
+        [[(data, clock) for _, data, clock, _ in log] for log, _ in out])
+    frozen_reference.assert_surface(
+        f"hetero:{vendors}", snap, [labels for _, labels in out],
+        traced=trace)
+
+
+@pytest.mark.parametrize("vendors", list(FROZEN_SHAPES))
+def test_moved_clocks_only_went_down(vendors):
+    """Merging the bridge's bodies with the hierarchy's may have dropped
+    a redundant operation, never added one: every clock the frozen legs
+    expect today is at or below the one recorded at the parent commit,
+    and nothing before the reduce-scatter (the third call) moved."""
+    recorded = frozen_reference.FROZEN[f"hetero:{vendors}"]
+    moved = frozen_reference.MOVED_DOWN[f"hetero:{vendors}"]
+    assert len(moved) == len(recorded)
+    for (_sha, before), now in zip(recorded, moved):
+        assert now[:2] == before[:2]
+        assert len(now) == len(before)
+        assert all(b - 5.0 < n < b for n, b in zip(now[2:], before[2:]))
 
 
 @pytest.mark.parametrize("trace", [False, True])
@@ -228,7 +284,7 @@ def test_gate_combos_payload_parity(trace, online_tune, hier_pipe):
     got, _ = _run(_collectives_body, _mixed_cluster(), 8, 2, hetero=True,
                   trace=trace, online_tune=online_tune,
                   hier_pipe=hier_pipe)
-    assert got == expect
+    assert _payloads(got) == _payloads(expect)
 
 
 def test_comm_free_releases_bridge_state():
@@ -241,8 +297,8 @@ def test_comm_free_releases_bridge_state():
         recv = mpx.device_array(N, fill=0.0)
         dup.Allreduce(send, recv, SUM)
         cached = [k in dup.routing_cache
-                  for k in ("bridge_info", "bridge_island", "hetero_desc")]
-        island = dup.routing_cache.get("bridge_island")
+                  for k in ("vendor", "bridge", "negotiated")]
+        island = dup.routing_cache["bridge"].inner
         dup.Free()
         return (cached, dup.routing_cache == {}, island._freed,
                 float(recv.array[0]))

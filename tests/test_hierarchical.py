@@ -3,15 +3,27 @@
 import numpy as np
 import pytest
 
+from repro import fastpath
+from repro.errors import DeadlockError
+from repro.hw.systems import make_system
 from repro.mpi import MAX, SUM, Communicator
-from repro.mpi.coll import MPICollDispatcher
-from repro.mpi.coll.hierarchical import node_comms
+from repro.mpi.coll import MPICollDispatcher, levels
+from repro.sim.engine import Engine
+from repro.sim.faults import FaultPlan, with_faults
+from tests import frozen_reference
 
 
 def comm_with(ctx, force=None):
     comm = Communicator.world(ctx)
     comm.coll = MPICollDispatcher(force=force)
     return comm
+
+
+def node_comms(comm):
+    """(node-local comm, leader comm or None) of the node-leader
+    algorithms' levels."""
+    lv = levels.levels(None, comm, levels.LEADER)
+    return lv.inner, lv.outer.comm
 
 
 class TestNodeComms:
@@ -29,8 +41,8 @@ class TestNodeComms:
     def test_cached(self, thetagpu2, spmd):
         def body(ctx):
             comm = comm_with(ctx)
-            a = node_comms(comm)
-            b = node_comms(comm)
+            a = levels.levels(None, comm, levels.LEADER)
+            b = levels.levels(None, comm, levels.LEADER)
             return a is b
 
         assert all(spmd(thetagpu2, body, nranks=4))
@@ -43,6 +55,35 @@ class TestNodeComms:
 
         out = spmd(thetagpu2, body, nranks=10)  # 8 + 2
         assert out[0] == 8 and out[9] == 2
+
+
+    @pytest.mark.parametrize("inst", [levels.LEADER, levels.HIER],
+                             ids=lambda inst: inst.name)
+    def test_failed_second_split_frees_the_first(self, thetagpu2, inst):
+        """The one builder's one failure path, whichever instance it
+        builds for: rank 3 dies as it leaves the first ``Split``, so the
+        survivors' second one raises — the inner communicator they had
+        built is freed again and no levels are cached (the placement
+        facts, which are still true, are)."""
+        def body(ctx):
+            comm = comm_with(ctx)
+            built = []
+            split = comm.Split
+
+            def recording_split(color, key=0):
+                built.append(split(color, key))
+                return built[-1]
+
+            comm.Split = recording_split
+            try:
+                levels.levels(None, comm, inst)
+            except DeadlockError:
+                return [sub._freed for sub in built], sorted(comm.routing_cache)
+
+        engine = Engine(thetagpu2, nranks=4, ranks_per_node=2,
+                        progress_timeout_s=5.0)
+        with_faults(engine, FaultPlan().kill(3, after_us=1.0))
+        assert engine.run(body) == [([True], ["node"])] * 3 + [None]
 
 
 class TestHierarchicalCorrectness:
@@ -125,3 +166,47 @@ class TestHierarchicalPerformance:
 
         t_ring, t_hier = spmd(thetagpu2, body, nranks=16)[0]
         assert t_hier < t_ring
+
+
+class TestFrozenReference:
+    """``force="hierarchical"`` keeps the node-leader algorithms'
+    payloads and exact clocks (``legacy:<shape>`` in
+    ``tests/frozen_reference.py``, recorded at the parent commit)."""
+
+    N = 1 << 18  # 1 MiB of float32
+
+    @classmethod
+    def _body(cls, ctx):
+        comm = comm_with(ctx, "hierarchical")
+        p, n = comm.size, cls.N
+        rng = np.random.default_rng(3 + ctx.rank)
+        log = []
+        send = ctx.device.zeros(n)
+        send.array[:] = rng.integers(0, 5, n)
+        recv = ctx.device.zeros(n)
+        comm.Allreduce(send, recv, SUM)
+        log.append((recv.array.tobytes(), ctx.now))
+        for root in (3, p - 1):  # neither is its node's leader
+            buf = ctx.device.zeros(n)
+            if ctx.rank == root:
+                buf.array[:] = rng.integers(0, 5, n)
+            comm.Bcast(buf, root=root)
+            log.append((buf.array.tobytes(), ctx.now))
+            out = ctx.device.zeros(n)
+            comm.Reduce(send, out, SUM, root=root)
+            log.append((out.array.tobytes(), ctx.now))
+        return log, frozen_reference.surface_labels(ctx)
+
+    @pytest.mark.parametrize("trace", [False, True],
+                             ids=["untraced", "traced"])
+    @pytest.mark.parametrize("shape,nranks", [("2x8", 16), ("8+4", 12)])
+    def test_matches_frozen_reference(self, shape, nranks, trace):
+        engine = Engine(make_system("thetagpu", 2), nranks=nranks,
+                        trace=trace, hier_pipe=False, hetero=False,
+                        online_tune=False)
+        out = engine.run(self._body)
+        frozen_reference.assert_matches(f"legacy:{shape}",
+                                        [log for log, _ in out])
+        frozen_reference.assert_surface(
+            f"legacy:{shape}", fastpath.STATS.snapshot(),
+            [labels for _, labels in out], traced=trace)

@@ -20,7 +20,7 @@ from repro import fastpath
 from repro.core import runtime
 from repro.core.plan import BufferPool, CollectivePlan, PlanCache
 from repro.core.tuning_table import cached_table
-from repro.mpi.coll.hierarchical import node_comms
+from repro.mpi.coll import levels
 from repro.mpi.ops import SUM
 from repro.xccl.datatypes import support_table
 from tests import frozen_reference
@@ -175,8 +175,8 @@ def test_comm_free_releases_caches():
         s = ctx.device.zeros(64, dtype=np.float32)
         r = ctx.device.zeros(64, dtype=np.float32)
         sub.Allreduce(s, r, SUM)
-        local, leaders = node_comms(sub)
-        assert sub.routing_cache["node_local"] is local
+        local = levels.levels(None, sub, levels.LEADER).inner
+        assert sub.routing_cache["hierarchical"].inner is local
         had_plans = sub.ctx_id in getattr(sub.coll, "_plans", {})
         sub.Free()
         assert sub.ctx_id not in getattr(sub.coll, "_plans", {})
