@@ -11,6 +11,10 @@ from repro.mpi.compute import (
 from repro.mpi.datatypes import BYTE, Datatype
 from repro.mpi.ops import Op
 
+#: the zero-byte message of a barrier round and where it lands
+_TOKEN = np.zeros(0, dtype=np.uint8)
+_SINK = np.zeros(0, dtype=np.uint8)
+
 
 def barrier_dissemination(comm) -> None:
     """Dissemination barrier: ``ceil(log2 p)`` zero-byte rounds."""
@@ -18,13 +22,11 @@ def barrier_dissemination(comm) -> None:
     if p == 1:
         return
     tag = comm.next_coll_tag()
-    token = np.zeros(0, dtype=np.uint8)
-    sink = np.zeros(0, dtype=np.uint8)
     step = 1
     while step < p:
         dst = (rank + step) % p
         src = (rank - step) % p
-        comm.Sendrecv(token, dst, sink, src, sendtag=tag, datatype=BYTE)
+        comm.Sendrecv(_TOKEN, dst, _SINK, src, sendtag=tag, datatype=BYTE)
         step <<= 1
 
 

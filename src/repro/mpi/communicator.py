@@ -20,8 +20,10 @@ from repro import fastpath
 from repro.errors import (CommRevokedError, DeadlockError, MPICommError,
                           MPICountError, MPIRankError, RankKilledError)
 from repro.hw.memory import as_array
+from repro.mpi.compute import alloc_like
 from repro.mpi.config import MPIConfig, mvapich_gpu
 from repro.mpi.datatypes import Datatype, datatype_of
+from repro.mpi.derived import DerivedDatatype
 from repro.mpi.ops import Op, SUM
 from repro.mpi.p2p import P2PEndpoint
 from repro.mpi.request import Request
@@ -35,6 +37,9 @@ IN_PLACE = object()
 
 #: collective traffic lives above this tag (user tags stay below).
 COLL_TAG_BASE = 1 << 20
+
+#: what a blocking operation raises when a peer died under it
+_PEER_FAILURES = (DeadlockError, RankKilledError)
 
 
 class Communicator:
@@ -164,21 +169,31 @@ class Communicator:
         :class:`~repro.errors.RankFailedError`; with no rank dead and
         nothing revoked this is a plain call that takes no lock.
         """
+        self._check_revoked()
+        try:
+            return run()
+        except _PEER_FAILURES as exc:
+            self._failed(exc)
+
+    def _check_revoked(self) -> None:
         engine = self.ctx.engine
         if engine.is_revoked(self.ctx_id):
             raise CommRevokedError(
                 self.ctx_id, engine.dead_ranks & set(self.group))
-        try:
-            return run()
-        except (DeadlockError, RankKilledError) as exc:
-            if isinstance(exc, RankKilledError) and \
-                    exc.rank == self.ctx.rank:
-                raise  # our own death: propagate to the engine
-            dead = engine.dead_ranks & set(self.group)
-            if dead or engine.is_revoked(self.ctx_id):
-                engine.revoke_comm(self.ctx_id)
-                raise CommRevokedError(self.ctx_id, dead) from exc
-            raise
+
+    def _failed(self, exc: BaseException) -> None:
+        """In a handler of :data:`_PEER_FAILURES` (``Send`` / ``Recv``
+        / ``Sendrecv`` spell :meth:`_elastic` out, so a message costs no
+        closure): raise the contract's conversion of ``exc``, or
+        ``exc`` again."""
+        if isinstance(exc, RankKilledError) and exc.rank == self.ctx.rank:
+            raise  # our own death: propagate to the engine
+        engine = self.ctx.engine
+        dead = engine.dead_ranks & set(self.group)
+        if dead or engine.is_revoked(self.ctx_id):
+            engine.revoke_comm(self.ctx_id)
+            raise CommRevokedError(self.ctx_id, dead) from exc
+        raise
 
     def Comm_revoke(self) -> None:
         """Revoke the communicator (``MPIX_Comm_revoke``).
@@ -307,8 +322,7 @@ class Communicator:
         self.ctx.clock.advance(0.2 + nbytes / self.config.unpack_bpus)
 
     def _pack_derived(self, buf, count: Optional[int], dtype):
-        """(packed buffer, element count, base type) for a derived send."""
-        from repro.mpi.compute import alloc_like
+        """(packed buffer, element count) for a derived send."""
         instances = count if count is not None else 1
         flat = dtype.pack(buf, instances)
         packed = alloc_like(self.ctx, buf, flat.size, dtype.base.storage)
@@ -324,39 +338,39 @@ class Communicator:
         (charged in virtual time) before transmission.
         """
         self._check_live()
-        from repro.mpi.derived import is_derived
-        if is_derived(datatype):
-            packed, n = self._pack_derived(buf, count, datatype)
-            self._elastic(
-                lambda: self.endpoint.send(packed, self.world_rank(dest), tag,
-                                           n, datatype.base))
-            return
-        self._elastic(
-            lambda: self.endpoint.send(buf, self.world_rank(dest), tag, count,
-                                       datatype))
+        if isinstance(datatype, DerivedDatatype):
+            buf, count = self._pack_derived(buf, count, datatype)
+            datatype = datatype.base
+        if self.ctx.engine._revoked:
+            self._check_revoked()
+        try:
+            self.endpoint.send(buf, self.world_rank(dest), tag, count,
+                               datatype)
+        except _PEER_FAILURES as exc:
+            self._failed(exc)
 
     def Recv(self, buf, source: int = ANY_SOURCE, tag: int = ANY_TAG,
              count: Optional[int] = None,
              datatype: Optional[Datatype] = None) -> Status:
         """Blocking receive from communicator rank ``source``."""
         self._check_live()
-        from repro.mpi.compute import alloc_like
-        from repro.mpi.derived import is_derived
         src_world = source if source == ANY_SOURCE else self.world_rank(source)
-        if is_derived(datatype):
+        derived = isinstance(datatype, DerivedDatatype)
+        if derived:
             instances = count if count is not None else 1
-            n = instances * datatype.elements_per_instance
-            scratch = alloc_like(self.ctx, buf, n, datatype.base.storage)
-            status = self._elastic(
-                lambda: self.endpoint.recv(scratch, src_world, tag, n,
-                                           datatype.base))
-            datatype.unpack(as_array(scratch)[:n], buf, instances)
-            self._pack_cost(n * datatype.base.wire_itemsize)
+            count = instances * datatype.elements_per_instance
+            user_buf, user_type, datatype = buf, datatype, datatype.base
+            buf = alloc_like(self.ctx, buf, count, datatype.storage)
+        if self.ctx.engine._revoked:
+            self._check_revoked()
+        try:
+            status = self.endpoint.recv(buf, src_world, tag, count, datatype)
+        except _PEER_FAILURES as exc:
+            self._failed(exc)
+        if derived:
+            user_type.unpack(as_array(buf)[:count], user_buf, instances)
+            self._pack_cost(count * datatype.wire_itemsize)
             status.count = instances
-        else:
-            status = self._elastic(
-                lambda: self.endpoint.recv(buf, src_world, tag, count,
-                                           datatype))
         status.source = self._from_world[status.source]
         return status
 
@@ -365,11 +379,9 @@ class Communicator:
               datatype: Optional[Datatype] = None) -> Request:
         """Nonblocking send."""
         self._check_live()
-        from repro.mpi.derived import is_derived
-        if is_derived(datatype):
-            packed, n = self._pack_derived(buf, count, datatype)
-            return self.endpoint.isend(packed, self.world_rank(dest), tag,
-                                       n, datatype.base)
+        if isinstance(datatype, DerivedDatatype):
+            buf, count = self._pack_derived(buf, count, datatype)
+            datatype = datatype.base
         return self.endpoint.isend(buf, self.world_rank(dest), tag, count, datatype)
 
     def Irecv(self, buf, source: int = ANY_SOURCE, tag: int = ANY_TAG,
@@ -377,10 +389,8 @@ class Communicator:
               datatype: Optional[Datatype] = None) -> Request:
         """Nonblocking receive (derived types unpack at completion)."""
         self._check_live()
-        from repro.mpi.compute import alloc_like
-        from repro.mpi.derived import is_derived
         src_world = source if source == ANY_SOURCE else self.world_rank(source)
-        if not is_derived(datatype):
+        if not isinstance(datatype, DerivedDatatype):
             return self.endpoint.irecv(buf, src_world, tag, count, datatype)
         instances = count if count is not None else 1
         n = instances * datatype.elements_per_instance
@@ -406,10 +416,21 @@ class Communicator:
                  datatype: Optional[Datatype] = None) -> Status:
         """Combined exchange (``MPI_Sendrecv``)."""
         self._check_live()
-        status = self._elastic(lambda: self.endpoint.sendrecv(
-            sendbuf, self.world_rank(dest), recvbuf, self.world_rank(source),
-            sendtag, recvtag if recvtag is not None else sendtag,
-            datatype=datatype))
+        if self.ctx.engine._revoked:
+            self._check_revoked()
+        group = self.group
+        if not (0 <= dest < len(group) and 0 <= source < len(group)):
+            # ``world_rank``'s test, repeated: two calls fewer a message,
+            # which the call-count guard (tests/test_mpi_p2p.py) needs
+            self.world_rank(dest)
+            self.world_rank(source)
+        try:
+            status = self.endpoint.sendrecv(
+                sendbuf, group[dest], recvbuf, group[source], sendtag,
+                recvtag if recvtag is not None else sendtag,
+                datatype=datatype)
+        except _PEER_FAILURES as exc:
+            self._failed(exc)
         status.source = self._from_world[status.source]
         return status
 

@@ -27,6 +27,13 @@ copying path; so does every send with no such guarantee (``Isend``,
 eager sends outside ``sendrecv``).  The handoff never affects virtual
 time or received bytes.
 
+Per message the path is flat: what a send needs of its route is a
+**send descriptor** decoded once per (peer, device, bidir) — wire
+resources, alpha, beta, duplex factor, eager threshold, destination
+mailbox; what a match reads (kind, scope, sequence number, lease) are
+fields of the :class:`~repro.sim.mailbox.Message`; and every receive of
+an endpoint shares one predicate and one abort probe.
+
 Device buffers ride the GPU-direct path (device-to-device alpha/beta,
 plus a per-message GDR surcharge) when the runtime is GPU-aware, or are
 staged through host memory chunk-by-chunk when it is not (§2.2 of the
@@ -36,6 +43,7 @@ paper).
 from __future__ import annotations
 
 import itertools
+from types import MappingProxyType
 from typing import Optional, Tuple
 
 import numpy as np
@@ -43,7 +51,7 @@ import numpy as np
 from repro import fastpath
 from repro.errors import MPIRankError, MPITruncateError
 from repro.hw.cluster import PathScope
-from repro.hw.memory import as_array, borrow_view, is_device_buffer
+from repro.hw.memory import DeviceBuffer, as_array, borrow_view
 from repro.mpi.config import MPIConfig
 from repro.mpi.datatypes import Datatype, datatype_of
 from repro.mpi.request import Request
@@ -54,12 +62,13 @@ from repro.sim.mailbox import ANY_SOURCE, ANY_TAG, Message, PayloadLease
 _KIND_EAGER = "eager"
 _KIND_RTS = "rts"
 _KIND_CTS = "cts"
+#: the kinds a receive matches (a CTS only ever answers a send's wait)
+_INCOMING = (_KIND_EAGER, _KIND_RTS)
+#: ``Message.meta`` of the two kinds that carry nothing else there
+_META_EAGER = MappingProxyType({"kind": _KIND_EAGER})
+_META_CTS = MappingProxyType({"kind": _KIND_CTS})
 
 _seq = itertools.count(1)
-
-
-def _wire_bytes(count: int, dt: Datatype) -> int:
-    return count * dt.wire_itemsize
 
 
 class P2PEndpoint:
@@ -73,14 +82,22 @@ class P2PEndpoint:
         self.ctx = ctx
         self.config = config
         self.ctx_id = ctx_id
-        #: compiled path pricing per (peer, device, bidir) — topology
-        #: and config are immutable, so the graph walk is done once.
+        #: send descriptor per (peer, device, bidir): ``(resources,
+        #: alpha, beta, duplex factor, eager threshold, destination
+        #: mailbox)`` — topology and config are immutable, so the graph
+        #: walk and the mailbox lookup are done once.
         self._path_cache: dict = {}
+
+        def incoming(m: Message) -> bool:
+            return m.ctx_id == ctx_id and m.kind in _INCOMING
+        #: the one match predicate of every receive of this endpoint
+        self._incoming = incoming
 
     # -- path pricing -----------------------------------------------------
 
     def _path_for(self, peer_world: int, device_involved: bool,
                   bidir: bool = False):
+        """The send descriptor of a key, decoded on first use."""
         key = (peer_world, device_involved, bidir)
         cached = self._path_cache.get(key)
         if cached is not None:
@@ -102,13 +119,10 @@ class P2PEndpoint:
         if bidir and path.bottleneck.duplex_factor < 2.0:
             beta *= path.bottleneck.duplex_factor / 2.0
         cached = self._path_cache[key] = (
-            path, resources, alpha, beta,
-            self.config.eager_threshold(path.scope))
+            resources, alpha, beta, path.bottleneck.duplex_factor,
+            self.config.eager_threshold(path.scope),
+            self.ctx.mailbox_of(peer_world))
         return cached
-
-    def _ctrl_latency(self, alpha: float) -> float:
-        """One-way latency of a tiny control message."""
-        return alpha + self.config.tag_matching_us
 
     def _abort_reason(self, peer_world: int) -> Optional[str]:
         """Why a blocking wait on ``peer_world`` can never complete, or
@@ -153,19 +167,20 @@ class P2PEndpoint:
         directions over the same link (``Sendrecv`` with the same
         partner); it prices the transfer at the duplex-shared rate.
         """
-        status, req, _msg = self._send_impl(buf, dst_world, tag, count,
-                                            datatype, bidir)
+        msg, req, count = self._send_impl(buf, dst_world, tag, count,
+                                          datatype, bidir)
         if req is None:  # eager: completed locally
-            return Request.completed(status, kind="send")
+            return Request.completed(
+                Status(msg.src, tag, count, msg.nbytes), kind="send")
         return req
 
     def _send_impl(self, buf, dst_world: int, tag: int, count: Optional[int],
                    datatype: Optional[Datatype], bidir: bool,
                    blocking: bool = False, defer_eager: bool = False,
                    recv_guard: Optional[np.ndarray] = None,
-                   ) -> Tuple[Status, Optional[Request], Message]:
-        """Post a send; returns ``(status, None, msg)`` for an eager
-        send (complete already) or ``(status, request, msg)`` for
+                   ) -> Tuple[Message, Optional[Request], int]:
+        """Post a send; returns ``(msg, None, count)`` for an eager
+        send (complete already) or ``(msg, request, count)`` for
         rendezvous.
 
         ``blocking`` promises the caller waits for rendezvous
@@ -182,66 +197,59 @@ class P2PEndpoint:
         if count is None:
             count = arr.size
         dt = datatype or datatype_of(buf)
-        nbytes = _wire_bytes(count, dt)
-        device = is_device_buffer(buf)
+        nbytes = count * dt.wire_itemsize
+        device = isinstance(buf, DeviceBuffer)
         send_view = arr[:count]
 
         if device and not cfg.gpu_direct:
             self._stage_to_host(nbytes)
         t0 = ctx.clock.advance(cfg.send_overhead_us)
-        path, resources, alpha, beta, eager_max = self._path_for(
-            dst_world, device and cfg.gpu_direct, bidir=bidir)
+        resources, alpha, beta, duplex, eager_max, mailbox = self._path_for(
+            dst_world, device and cfg.gpu_direct, bidir)
         seq = next(_seq)
         eager = nbytes <= eager_max
         if eager:
             arrival = ctx.engine.wires.book(resources, t0, nbytes, beta, alpha,
-                                            path.bottleneck.duplex_factor)
-            # eager receives never re-price the wire, so skip the
-            # rendezvous-only pricing keys
-            meta = {"kind": _KIND_EAGER, "ctx_id": self.ctx_id, "seq": seq,
-                    "device": device, "dtname": dt.name}
+                                            duplex)
+            kind, meta = _KIND_EAGER, _META_EAGER
         else:
-            arrival = t0 + self._ctrl_latency(alpha)  # RTS control latency
-            meta = {"kind": _KIND_RTS, "ctx_id": self.ctx_id, "seq": seq,
-                    "device": device, "dtname": dt.name,
-                    "resources": resources, "beta": beta, "alpha": alpha,
-                    "duplex": path.bottleneck.duplex_factor}
+            # the RTS is a tiny control message (one-way latency); the
+            # receiver prices the bulk transfer from what it carries
+            arrival = t0 + (alpha + cfg.tag_matching_us)
+            kind, meta = _KIND_RTS, {
+                "kind": _KIND_RTS, "resources": resources, "beta": beta,
+                "alpha": alpha, "duplex": duplex}
         # -- zero-copy handoff decision (never affects virtual time) --
-        zc_wanted = defer_eager if eager else blocking
         lease: Optional[PayloadLease] = None
-        if zc_wanted:
+        if defer_eager if eager else blocking:
             aliased = (recv_guard is not None
                        and np.may_share_memory(send_view, recv_guard))
-            if aliased or ctx.mailbox_of(dst_world).patched:
+            if aliased or mailbox.patched:
                 fastpath.STATS.note_copy_forced()
                 payload = send_view.copy()
             else:
                 lease = PayloadLease()
-                meta["lease"] = lease
                 payload = borrow_view(send_view)
         else:
             payload = send_view.copy()
-        msg = Message(src=ctx.rank, dst=dst_world, tag=tag, data=payload,
-                      depart_us=t0, arrival_us=arrival, nbytes=nbytes,
-                      meta=meta)
-        ctx.mailbox_of(dst_world).post(msg)
+        msg = Message(ctx.rank, dst_world, tag, payload, t0, arrival, nbytes,
+                      meta, kind, self.ctx_id, seq, lease)
+        mailbox.post(msg)
         if ctx.trace.enabled:
             ctx.trace.record("send", t0 - cfg.send_overhead_us, t0,
-                             peer=dst_world, nbytes=nbytes,
-                             label=meta["kind"])
-        status = Status(source=ctx.rank, tag=tag, count=count, nbytes=nbytes)
+                             peer=dst_world, nbytes=nbytes, label=kind)
         if eager:
-            return status, None, msg
+            return msg, None, count
+
+        def match_cts(m: Message) -> bool:
+            return m.kind == _KIND_CTS and m.seq == seq
 
         def complete(blocking_wait: bool) -> Optional[Status]:
-            def match_cts(m: Message) -> bool:
-                return (m.meta.get("kind") == _KIND_CTS
-                        and m.meta.get("seq") == seq)
             if blocking_wait:
-                cts = ctx.mailbox.match(src=dst_world, tag=ANY_TAG, where=match_cts,
-                                        abort=lambda: self._abort_reason(dst_world))
+                cts = ctx.mailbox.match(dst_world, ANY_TAG, match_cts,
+                                        self._abort_reason)
             else:
-                cts = ctx.mailbox.try_match(src=dst_world, tag=ANY_TAG, where=match_cts)
+                cts = ctx.mailbox.try_match(dst_world, ANY_TAG, match_cts)
                 if cts is None:
                     return None
             ctx.clock.merge(cts.arrival_us)
@@ -252,9 +260,9 @@ class P2PEndpoint:
                     fastpath.STATS.note_copy_forced()
                 else:
                     fastpath.STATS.note_copy_elided()
-            return status
+            return Status(ctx.rank, tag, count, nbytes)
 
-        return status, Request(complete, kind="send"), msg
+        return msg, Request(complete, kind="send"), count
 
     def send(self, buf, dst_world: int, tag: int, count: Optional[int] = None,
              datatype: Optional[Datatype] = None) -> Status:
@@ -265,93 +273,78 @@ class P2PEndpoint:
         handoff: the receiver has drained the leased view by the time
         ``wait`` observes the CTS.
         """
-        status, req, _msg = self._send_impl(buf, dst_world, tag, count,
-                                            datatype, False, blocking=True)
+        msg, req, count = self._send_impl(buf, dst_world, tag, count,
+                                          datatype, False, blocking=True)
         if req is None:
-            return status
+            return Status(msg.src, tag, count, msg.nbytes)
         return req.wait()
 
     # -- receive ------------------------------------------------------------
 
-    def _match_incoming(self, src_world: int, tag: int, blocking: bool) -> Optional[Message]:
-        def match(m: Message) -> bool:
-            return (m.meta.get("ctx_id") == self.ctx_id
-                    and m.meta.get("kind") in (_KIND_EAGER, _KIND_RTS))
-        if blocking:
-            return self.ctx.mailbox.match(
-                src=src_world, tag=tag, where=match,
-                abort=lambda: self._abort_reason(src_world))
-        return self.ctx.mailbox.try_match(src=src_world, tag=tag, where=match)
-
-    def _finish_recv(self, msg: Message, buf, count: Optional[int],
+    def _finish_recv(self, msg: Message, buf, arr: np.ndarray,
+                     count: Optional[int],
                      datatype: Optional[Datatype]) -> Status:
+        """Land a matched message in ``arr`` (the array of ``buf``)."""
         ctx, cfg = self.ctx, self.config
-        arr = as_array(buf)
         dt = datatype or datatype_of(buf)
         capacity = (count if count is not None else arr.size) * dt.wire_itemsize
-        if msg.nbytes > capacity:
+        nbytes = msg.nbytes
+        if nbytes > capacity:
             raise MPITruncateError(
-                f"rank {ctx.rank}: message of {msg.nbytes} B from {msg.src} "
+                f"rank {ctx.rank}: message of {nbytes} B from {msg.src} "
                 f"truncates {capacity} B receive buffer")
         recv_count = msg.data.size
-        device = is_device_buffer(buf)
-        lease = msg.meta.get("lease")
+        staged = isinstance(buf, DeviceBuffer) and not cfg.gpu_direct
+        lease = msg.lease
         target = arr[:recv_count]
 
-        def copy_out(data: np.ndarray) -> None:
-            if target.dtype == data.dtype:
-                target[...] = data
-            else:
-                target[...] = data.astype(target.dtype)
-
-        if msg.meta["kind"] == _KIND_EAGER:
+        if msg.kind == _KIND_EAGER:
             ctx.clock.merge(msg.arrival_us)
             ctx.clock.advance(cfg.recv_overhead_us + cfg.tag_matching_us
-                              + msg.nbytes / cfg.unpack_bpus)
-            if device and not cfg.gpu_direct:
-                self._stage_to_host(msg.nbytes)  # H2D staging leg
+                              + nbytes / cfg.unpack_bpus)
+            if staged:
+                self._stage_to_host(nbytes)  # H2D staging leg
             if lease is not None:
-                lease.consume(msg, copy_out)
+                lease.consume(msg, target)
             else:
-                copy_out(msg.data)
+                target[...] = msg.data
         else:
             # rendezvous: we price the bulk transfer now that we matched
+            price = msg.meta
             ctx.clock.merge(msg.arrival_us)  # RTS arrival
             t_ready = ctx.clock.advance(cfg.recv_overhead_us + cfg.tag_matching_us)
-            depart = max(msg.depart_us, t_ready + self._ctrl_latency(msg.meta["alpha"]))
+            depart = max(msg.depart_us,     # CTS control latency back
+                         t_ready + (price["alpha"] + cfg.tag_matching_us))
             arrival = ctx.engine.wires.book(
-                msg.meta["resources"], depart, msg.nbytes, msg.meta["beta"],
-                msg.meta["alpha"], msg.meta["duplex"])
+                price["resources"], depart, nbytes, price["beta"],
+                price["alpha"], price["duplex"])
             ctx.clock.merge(arrival)
-            cts = Message(src=ctx.rank, dst=msg.src, tag=msg.tag, data=None,
-                          depart_us=t_ready, arrival_us=arrival, nbytes=0,
-                          meta={"kind": _KIND_CTS, "ctx_id": self.ctx_id,
-                                "seq": msg.meta["seq"]})
-            if device and not cfg.gpu_direct:
-                self._stage_to_host(msg.nbytes)  # H2D staging leg
+            cts = Message(ctx.rank, msg.src, msg.tag, None, t_ready, arrival,
+                          0, _META_CTS, _KIND_CTS, self.ctx_id, msg.seq)
+            if staged:
+                self._stage_to_host(nbytes)  # H2D staging leg
             if lease is not None:
                 # copy the leased view out *before* the CTS departs:
                 # the sender's wait then proves the view was drained
                 # (the CTS timestamps were fixed above, so posting it
                 # after the copy changes no virtual time)
-                lease.consume(msg, copy_out)
+                lease.consume(msg, target)
                 ctx.mailbox_of(msg.src).post(cts)
             else:
                 ctx.mailbox_of(msg.src).post(cts)
-                copy_out(msg.data)
+                target[...] = msg.data
         if ctx.trace.enabled:
             ctx.trace.record("recv", msg.depart_us, ctx.now, peer=msg.src,
-                             nbytes=msg.nbytes, label=msg.meta["kind"])
-        return Status(source=msg.src, tag=msg.tag, count=recv_count,
-                      nbytes=msg.nbytes)
+                             nbytes=nbytes, label=msg.kind)
+        return Status(msg.src, msg.tag, recv_count, nbytes)
 
     def recv(self, buf, src_world: int = ANY_SOURCE, tag: int = ANY_TAG,
              count: Optional[int] = None,
              datatype: Optional[Datatype] = None) -> Status:
         """Blocking receive into ``buf``."""
-        msg = self._match_incoming(src_world, tag, blocking=True)
-        assert msg is not None
-        return self._finish_recv(msg, buf, count, datatype)
+        msg = self.ctx.mailbox.match(src_world, tag, self._incoming,
+                                     self._abort_reason)
+        return self._finish_recv(msg, buf, as_array(buf), count, datatype)
 
     def irecv(self, buf, src_world: int = ANY_SOURCE, tag: int = ANY_TAG,
               count: Optional[int] = None,
@@ -359,10 +352,15 @@ class P2PEndpoint:
         """Nonblocking receive; data lands at ``wait``/successful ``test``."""
 
         def complete(blocking: bool) -> Optional[Status]:
-            msg = self._match_incoming(src_world, tag, blocking)
-            if msg is None:
-                return None
-            return self._finish_recv(msg, buf, count, datatype)
+            box = self.ctx.mailbox
+            if blocking:
+                msg = box.match(src_world, tag, self._incoming,
+                                self._abort_reason)
+            else:
+                msg = box.try_match(src_world, tag, self._incoming)
+                if msg is None:
+                    return None
+            return self._finish_recv(msg, buf, as_array(buf), count, datatype)
 
         return Request(complete, kind="recv")
 
@@ -370,11 +368,11 @@ class P2PEndpoint:
         """Nonblocking probe (``MPI_Iprobe``): Status of a matchable
         message, or None."""
         msg = self.ctx.mailbox.probe(src=src_world, tag=tag)
-        if msg is None or msg.meta.get("ctx_id") != self.ctx_id:
+        if msg is None or msg.ctx_id != self.ctx_id:
             return None
-        return Status(source=msg.src, tag=msg.tag,
-                      count=msg.data.size if msg.data is not None else 0,
-                      nbytes=msg.nbytes)
+        return Status(msg.src, msg.tag,
+                      msg.data.size if msg.data is not None else 0,
+                      msg.nbytes)
 
     def sendrecv(self, sendbuf, dst_world: int, recvbuf, src_world: int,
                  sendtag: int, recvtag: int,
@@ -392,20 +390,21 @@ class P2PEndpoint:
         window is passed as the alias guard so in-place exchanges keep
         the copying path.
         """
-        bidir = dst_world == src_world  # symmetric partner exchange
-        _, sreq, smsg = self._send_impl(
-            sendbuf, dst_world, sendtag, sendcount, datatype, bidir,
-            blocking=True, defer_eager=True, recv_guard=as_array(recvbuf))
+        recv_arr = as_array(recvbuf)  # alias guard now, receive window later
+        smsg, sreq, _ = self._send_impl(
+            sendbuf, dst_world, sendtag, sendcount, datatype,
+            dst_world == src_world,  # symmetric partner exchange: bidir
+            blocking=True, defer_eager=True, recv_guard=recv_arr)
         # inline irecv+wait: the blocking match needs no Request shell
-        msg = self._match_incoming(src_world, recvtag, blocking=True)
-        assert msg is not None
-        status = self._finish_recv(msg, recvbuf, recvcount, datatype)
+        msg = self.ctx.mailbox.match(src_world, recvtag, self._incoming,
+                                     self._abort_reason)
+        status = self._finish_recv(msg, recvbuf, recv_arr, recvcount, datatype)
         if sreq is not None:  # rendezvous send still outstanding
             sreq.wait()  # lease reclaim counted in the send completion
-        elif smsg.meta.get("lease") is not None:
+        elif smsg.lease is not None:
             # deferred eager snapshot: reclaim the buffer before the
             # caller can touch it again
-            if smsg.meta["lease"].materialize(smsg):
+            if smsg.lease.materialize(smsg):
                 fastpath.STATS.note_copy_forced()
             else:
                 fastpath.STATS.note_copy_elided()

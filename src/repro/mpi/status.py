@@ -2,12 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.mpi.datatypes import Datatype
 
 
-@dataclass
 class Status:
     """Result metadata of a completed receive.
 
@@ -18,10 +15,18 @@ class Status:
         nbytes: received payload size on the wire.
     """
 
-    source: int = -1
-    tag: int = -1
-    count: int = 0
-    nbytes: int = 0
+    __slots__ = ("source", "tag", "count", "nbytes")
+
+    def __init__(self, source: int = -1, tag: int = -1, count: int = 0,
+                 nbytes: int = 0) -> None:
+        self.source = source
+        self.tag = tag
+        self.count = count
+        self.nbytes = nbytes
+
+    def __repr__(self) -> str:
+        return (f"Status(source={self.source}, tag={self.tag}, "
+                f"count={self.count}, nbytes={self.nbytes})")
 
     def get_count(self, datatype: Datatype) -> int:
         """Element count interpreted in ``datatype`` (``MPI_Get_count``)."""

@@ -11,6 +11,14 @@ straight to its bucket instead of scanning every pending message, and
 wildcard receives resolve against per-message posting order so the
 "first posted wins" rule is unchanged.
 
+Only an *unexpected* message is queued.  A receiver that finds nothing
+registers its ``(src, tag, where)`` before it parks, and the ``post``
+that matches **hands its message over** under the same lock: no bucket
+lives and dies for it, and the woken receiver does not search again.
+One registration per mailbox (a second concurrent matcher, ``post_many``
+and ``match_many`` use the buckets); a handed message whose receiver
+leaves by raising goes back where it would have been queued.
+
 Blocking goes through a wait queue from :mod:`repro.sim.sched`: inside
 an engine run a blocked receiver parks its fiber — a list entry and a
 held lock, no polling, deadlocks detected exactly; a standalone mailbox
@@ -20,17 +28,23 @@ bounded by its :class:`ProgressMonitor`'s timeout.
 
 from __future__ import annotations
 
+import itertools
 import threading
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import (Any, Callable, Deque, Dict, List, Mapping, Optional,
+                    Sequence, Tuple)
 
+from repro.errors import DeadlockError
 from repro.sim import sched as _sched
 
 #: MPI_ANY_SOURCE analogue.
 ANY_SOURCE = -1
 #: MPI_ANY_TAG analogue.
 ANY_TAG = -1
+
+#: where a parked receiver's registration ``[src, tag, where, handed
+#: message, its posting order]`` takes what a ``post`` hands over
+_HANDED, _ORDER = 3, 4
 
 
 class ProgressMonitor:
@@ -48,7 +62,6 @@ class ProgressMonitor:
         self.timeout_s = timeout_s
 
 
-@dataclass
 class Message:
     """One in-flight message.
 
@@ -58,23 +71,43 @@ class Message:
         tag: MPI tag.
         data: payload (numpy array snapshot taken at send time — or,
             on the zero-copy datapath, a read-only *view* of the
-            sender's live buffer governed by a :class:`PayloadLease`
-            in ``meta["lease"]`` — or any Python object for pickled
-            sends).
+            sender's live buffer governed by the :class:`PayloadLease`
+            in ``lease`` — or any Python object for pickled sends).
         depart_us: sender's virtual time when the message left.
         arrival_us: virtual time at which it is available at ``dst``.
         nbytes: payload size on the wire.
-        meta: protocol scratch (rendezvous handshakes etc.).
+        meta: protocol scratch; ``meta["kind"]`` repeats ``kind`` (a
+            rendezvous RTS also keeps its pricing here).
+        kind / ctx_id / seq: what match predicates read — message kind,
+            communicator scope, sequence number.
+        lease: the :class:`PayloadLease` of a borrowed ``data``.
     """
 
-    src: int
-    dst: int
-    tag: int
-    data: Any
-    depart_us: float
-    arrival_us: float
-    nbytes: int
-    meta: dict = field(default_factory=dict)
+    __slots__ = ("src", "dst", "tag", "data", "depart_us", "arrival_us",
+                 "nbytes", "meta", "kind", "ctx_id", "seq", "lease")
+
+    def __init__(self, src: int, dst: int, tag: int, data: Any,
+                 depart_us: float, arrival_us: float, nbytes: int,
+                 meta: Optional[Mapping] = None, kind: Optional[str] = None,
+                 ctx_id: Any = None, seq: Optional[int] = None,
+                 lease: Optional["PayloadLease"] = None) -> None:
+        self.src = src
+        self.dst = dst
+        self.tag = tag
+        self.data = data
+        self.depart_us = depart_us
+        self.arrival_us = arrival_us
+        self.nbytes = nbytes
+        self.meta = {} if meta is None else meta
+        self.kind = kind
+        self.ctx_id = ctx_id
+        self.seq = seq
+        self.lease = lease
+
+    def __repr__(self) -> str:
+        return (f"Message(src={self.src}, dst={self.dst}, tag={self.tag}, "
+                f"kind={self.kind!r}, nbytes={self.nbytes}, "
+                f"arrival_us={self.arrival_us})")
 
 
 class PayloadLease:
@@ -84,9 +117,9 @@ class PayloadLease:
     its live buffer instead of a snapshot, attaching a lease.  The
     protocol is a tiny two-party state machine:
 
-    * the receiver calls :meth:`consume` to copy the payload out; the
-      copy runs under the lease lock, so it can never interleave with
-      the sender reclaiming the buffer;
+    * the receiver calls :meth:`consume` to copy the payload out into
+      its buffer; the copy runs under the lease lock, so it can never
+      interleave with the sender reclaiming the buffer;
     * the sender calls :meth:`materialize` at the last point it can
       still do so before its buffer becomes mutable again (the return
       of a blocking send or sendrecv).  If the receiver already
@@ -105,10 +138,11 @@ class PayloadLease:
         self.consumed = False
         self.materialized = False
 
-    def consume(self, msg: "Message", copy_out: Callable[[Any], None]) -> None:
-        """Receiver side: run ``copy_out(msg.data)`` under the lease."""
+    def consume(self, msg: "Message", target) -> None:
+        """Receiver side: copy ``msg.data`` into ``target`` under the
+        lease."""
         with self._lock:
-            copy_out(msg.data)
+            target[...] = msg.data     # converts the dtype if it differs
             self.consumed = True
             msg.data = None  # drop the borrowed view promptly
 
@@ -145,33 +179,35 @@ class Mailbox:
             self._waitq = waitq_factory(self._lock)
         #: (src, tag) -> FIFO of (posting order, message)
         self._buckets: Dict[Tuple[int, int], Deque[Tuple[int, Message]]] = {}
-        self._next_ord = 0
-        #: engine hook observing (un)patching — see :attr:`patched`
+        #: posting-order stamps (per-message state lives in containers:
+        #: an attribute write on a mailbox runs :meth:`__setattr__`)
+        self._ord = itertools.count()
+        #: the parked receiver's registration — one at most; while it
+        #: stands, nothing queued matches it
+        self._parked: List[list] = []
+        #: True while ``post`` is wrapped on this instance (fault
+        #: injection): every message must then pass through the wrapper
+        self.patched = False
+        #: engine hook observing (un)patching
         self._patch_note: Optional[Callable[[int], None]] = None
 
     def __setattr__(self, name: str, value: Any) -> None:
         object.__setattr__(self, name, value)
         if name == "post":
-            # instance-wrapping ``post`` (fault injection) flips this
-            # mailbox to per-message delivery; tell the engine so hot
-            # paths can keep an O(1) nothing-is-patched check
-            note = getattr(self, "_patch_note", None)
-            if note is not None:
-                note(+1)
+            self._note_patch(True)
 
     def __delattr__(self, name: str) -> None:
         object.__delattr__(self, name)
         if name == "post":
-            note = getattr(self, "_patch_note", None)
-            if note is not None:
-                note(-1)
+            self._note_patch(False)
 
-    @property
-    def patched(self) -> bool:
-        """True when ``post`` has been wrapped on this instance (fault
-        injection); bulk delivery then degrades to per-message posts so
-        the wrapper sees every message."""
-        return "post" in self.__dict__
+    def _note_patch(self, patched: bool) -> None:
+        """Tell the engine, so hot paths can keep an O(1)
+        nothing-is-patched check."""
+        object.__setattr__(self, "patched", patched)
+        note = getattr(self, "_patch_note", None)
+        if note is not None:
+            note(+1 if patched else -1)
 
     # -- delivery ----------------------------------------------------------
 
@@ -180,13 +216,21 @@ class Mailbox:
         bucket = self._buckets.get(key)
         if bucket is None:
             bucket = self._buckets[key] = deque()
-        bucket.append((self._next_ord, msg))
-        self._next_ord += 1
+        bucket.append((next(self._ord), msg))
 
     def post(self, msg: Message) -> None:
-        """Deliver ``msg`` (called from the sender's thread)."""
+        """Deliver ``msg`` (called from the sender's thread): to the
+        parked receiver if it waits for exactly this, else to the queue."""
         with self._lock:
-            self._enqueue(msg)
+            reg = self._parked[0] if self._parked else None
+            if reg is not None \
+                    and (reg[0] == msg.src or reg[0] == ANY_SOURCE) \
+                    and (reg[1] == msg.tag or reg[1] == ANY_TAG) \
+                    and (reg[2] is None or reg[2](msg)):
+                reg[_HANDED], reg[_ORDER] = msg, next(self._ord)
+                self._parked.clear()    # one message per registration
+            else:
+                self._enqueue(msg)
             self._waitq.notify_all()
 
     def post_many(self, msgs: Sequence[Message]) -> None:
@@ -203,6 +247,8 @@ class Mailbox:
                 self.post(msg)
             return
         with self._lock:
+            # a parked receiver must search the queue for these
+            self._parked.clear()
             for msg in msgs:
                 self._enqueue(msg)
             self._waitq.notify_all()
@@ -210,66 +256,58 @@ class Mailbox:
     # -- matching ----------------------------------------------------------
 
     def _find(self, src: int, tag: int,
-              where: Optional[Callable[[Message], bool]]
-              ) -> Optional[Tuple[Tuple[int, int], int]]:
-        """Locate the first (posting-order) matching message; returns
-        its ``(bucket key, index within bucket)`` or None."""
+              where: Optional[Callable[[Message], bool]],
+              pop: bool = True) -> Optional[Message]:
+        """The first (posting-order) matching message, dequeued unless
+        ``pop`` is false; None when nothing queued matches."""
         if src != ANY_SOURCE and tag != ANY_TAG:
             key = (src, tag)
             bucket = self._buckets.get(key)
             if not bucket:
                 return None
-            if where is None:
-                return key, 0
-            for i, (_, m) in enumerate(bucket):
-                if where(m):
-                    return key, i
-            return None
-        # wildcard: pick the earliest-posted message across the
-        # candidate buckets (buckets are sorted by posting order)
-        best: Optional[Tuple[Tuple[int, int], int]] = None
-        best_ord = None
-        for key, bucket in self._buckets.items():
-            if src != ANY_SOURCE and key[0] != src:
-                continue
-            if tag != ANY_TAG and key[1] != tag:
-                continue
-            for i, (order, m) in enumerate(bucket):
-                if best_ord is not None and order >= best_ord:
-                    break  # nothing earlier left in this bucket
-                if where is not None and not where(m):
-                    continue
-                best, best_ord = (key, i), order
-                break
-        return best
-
-    def _pop(self, found: Tuple[Tuple[int, int], int]) -> Message:
-        key, i = found
-        bucket = self._buckets[key]
-        if i == 0:
-            _, msg = bucket.popleft()
+            at = 0
+            if where is not None:
+                for at, (_, m) in enumerate(bucket):
+                    if where(m):
+                        break
+                else:
+                    return None
         else:
-            _, msg = bucket[i]
-            del bucket[i]
-        if not bucket:
-            del self._buckets[key]
+            # wildcard: pick the earliest-posted message across the
+            # candidate buckets (buckets are sorted by posting order)
+            key, at, best_ord = None, 0, None
+            for k, bucket in self._buckets.items():
+                if src != ANY_SOURCE and k[0] != src:
+                    continue
+                if tag != ANY_TAG and k[1] != tag:
+                    continue
+                for i, (order, m) in enumerate(bucket):
+                    if best_ord is not None and order >= best_ord:
+                        break  # nothing earlier left in this bucket
+                    if where is not None and not where(m):
+                        continue
+                    key, at, best_ord = k, i, order
+                    break
+            if key is None:
+                return None
+            bucket = self._buckets[key]
+        msg = bucket[at][1]
+        if pop:
+            del bucket[at]
+            if not bucket:
+                del self._buckets[key]
         return msg
 
     def probe(self, src: int = ANY_SOURCE, tag: int = ANY_TAG) -> Optional[Message]:
         """Non-destructive match (MPI_Iprobe): the message stays queued."""
         with self._lock:
-            found = self._find(src, tag, None)
-            if found is None:
-                return None
-            key, i = found
-            return self._buckets[key][i][1]
+            return self._find(src, tag, None, pop=False)
 
     def try_match(self, src: int = ANY_SOURCE, tag: int = ANY_TAG,
                   where: Optional[Callable[[Message], bool]] = None) -> Optional[Message]:
         """Dequeue the first matching message, or None."""
         with self._lock:
-            found = self._find(src, tag, where)
-            return self._pop(found) if found is not None else None
+            return self._find(src, tag, where)
 
     def poke(self) -> None:
         """Wake every blocked waiter for a predicate re-check without
@@ -280,10 +318,10 @@ class Mailbox:
 
     def match(self, src: int = ANY_SOURCE, tag: int = ANY_TAG,
               where: Optional[Callable[[Message], bool]] = None,
-              abort: Optional[Callable[[], Optional[str]]] = None) -> Message:
+              abort: Optional[Callable[[int], Optional[str]]] = None) -> Message:
         """Blocking matched receive (FIFO per source/tag pair).
 
-        ``abort()``, when given, is re-checked alongside the queue: a
+        ``abort(src)``, when given, is re-checked alongside the queue: a
         non-None reason means the wait can never be satisfied (the peer
         died, the communicator was revoked) and the receive raises
         :class:`DeadlockError` immediately, with the reason, instead of
@@ -291,26 +329,52 @@ class Mailbox:
         messages always win over an abort: anything the peer posted
         before dying is still deliverable.
         """
-        from repro.errors import DeadlockError
-        out: List[Message] = []
+        with self._lock:
+            msg = self._find(src, tag, where)
+            if msg is not None:
+                return msg
+            # nothing queued matches: register, so the post that does
+            # hands its message over, and park
+            parked = self._parked
+            reg = [src, tag, where, None, 0]
+            if not parked:
+                parked.append(reg)
 
-        def ready() -> bool:
-            found = self._find(src, tag, where)
-            if found is None:
+            def ready() -> bool:
+                if reg[_HANDED] is not None:
+                    return True     # handed over by the post that woke us
+                if not (parked and parked[0] is reg):
+                    # not registered (any more): a match may be queued
+                    reg[_HANDED] = self._find(src, tag, where)
+                    if reg[_HANDED] is not None:
+                        return True
+                    if not parked:
+                        parked.append(reg)
                 if abort is not None:
-                    reason = abort()
+                    reason = abort(src)
                     if reason is not None:
                         raise DeadlockError(
                             f"rank {self.rank} blocked in recv(src={src}, "
                             f"tag={tag}): {reason}")
                 return False
-            out.append(self._pop(found))
-            return True
 
-        with self._lock:
-            self._waitq.wait_for(ready, lambda: (
-                f"rank {self.rank} blocked in recv(src={src}, tag={tag})"))
-            return out[0]
+            try:
+                self._waitq.wait_for(ready, lambda: (
+                    f"rank {self.rank} blocked in recv(src={src}, tag={tag})"))
+            except BaseException:
+                if reg[_HANDED] is not None:
+                    # handed over, but we leave by raising (a deadlock
+                    # wake): back in front of all posted after it
+                    msg, order = reg[_HANDED], reg[_ORDER]
+                    bucket = self._buckets.setdefault((msg.src, msg.tag),
+                                                      deque())
+                    bucket.insert(sum(o < order for o, _ in bucket),
+                                  (order, msg))
+                raise
+            finally:
+                if parked and parked[0] is reg:
+                    parked.clear()
+            return reg[_HANDED]
 
     def match_many(self, specs: Sequence[MatchSpec],
                    abort: Optional[Callable[[Sequence[int]], Optional[str]]] = None
@@ -326,7 +390,6 @@ class Mailbox:
         ``abort`` has :meth:`match` semantics but is called with the
         still-outstanding source ranks, checked once per pass.
         """
-        from repro.errors import DeadlockError
         results: List[Optional[Message]] = [None] * len(specs)
         remaining = list(range(len(specs)))
         if not remaining:
@@ -341,9 +404,8 @@ class Mailbox:
                 still: List[int] = []
                 for idx in remaining:
                     src, tag, where = specs[idx]
-                    found = self._find(src, tag, where)
-                    if found is not None:
-                        results[idx] = self._pop(found)
+                    results[idx] = self._find(src, tag, where)
+                    if results[idx] is not None:
                         progressed = True
                     else:
                         still.append(idx)

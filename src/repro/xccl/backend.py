@@ -37,6 +37,7 @@ from __future__ import annotations
 import functools
 import threading
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -47,7 +48,8 @@ from repro.errors import (
     CCLUnsupportedOperation,
 )
 from repro.hw.cluster import PathScope
-from repro.hw.memory import aliasing_probe, as_array, borrow_view
+from repro.hw.memory import (aliasing_probe, as_array, borrow_view,
+                             copy_payload)
 from repro.hw.vendors import Vendor
 from repro.mpi.datatypes import Datatype
 from repro.mpi.ops import Op
@@ -59,6 +61,7 @@ from repro.xccl.comm import XCCLComm
 from repro.xccl.datatypes import require_support
 
 _MSG_KIND = "ccl-p2p"
+_MSG_META = MappingProxyType({"kind": _MSG_KIND})
 
 
 @dataclass
@@ -258,18 +261,16 @@ class CCLBackend:
     def _seq_matcher(uid: int, seq: int):
         """Predicate matching one CCL p2p message by (uid, seq)."""
         def match(m: Message) -> bool:
-            return (m.meta.get("kind") == _MSG_KIND
-                    and m.meta.get("uid") == uid
-                    and m.meta.get("seq") == seq)
+            return (m.kind == _MSG_KIND and m.ctx_id == uid
+                    and m.seq == seq)
         return match
 
     @staticmethod
     def _message(src: int, dst: int, uid: int, seq: int, row) -> Message:
         """A staged row as a mailbox message."""
         payload, nbytes, depart, arrival = row
-        return Message(src=src, dst=dst, tag=0, data=payload,
-                       depart_us=depart, arrival_us=arrival, nbytes=nbytes,
-                       meta={"kind": _MSG_KIND, "uid": uid, "seq": seq})
+        return Message(src, dst, 0, payload, depart, arrival, nbytes,
+                       _MSG_META, _MSG_KIND, uid, seq)
 
     def _stage(self, ctx, sends: Sequence[_GroupOp], recvs: Sequence[_GroupOp],
                t0: float, aliased):
@@ -450,7 +451,7 @@ class CCLBackend:
                 msg = ctx.mailbox.match(
                     src=peer_world,
                     where=self._seq_matcher(exchange.uid, seq),
-                    abort=self._dead_peer_probe(ctx, peer_world))
+                    abort=self._dead_peer_probe(ctx))
                 self._drain_recvs(ctx, [(op, target, _row_of(msg))],
                                   arrivals_in, "fallback")
         ctx.clock.merge_many(arrivals_in)
@@ -460,11 +461,11 @@ class CCLBackend:
             comm.stream.enqueue(0.0, ctx.now, label="ccl-group")
 
     @staticmethod
-    def _dead_peer_probe(ctx, peer_world: int):
+    def _dead_peer_probe(ctx):
         """Hopelessness probe for a blocking CCL receive: a dead peer
         can never post, so the wait fails at once with the reason
         instead of parking until the deadlock detector fires."""
-        def probe():
+        def probe(peer_world: int):
             if peer_world in ctx.engine.dead_ranks:
                 return f"peer rank {peer_world} died"
             return None
@@ -479,8 +480,7 @@ class CCLBackend:
         in one step).  ``transport`` labels the trace events with the
         delivery path the batch took."""
         for op, target, (payload, nbytes, depart, arrival) in matched:
-            target[...] = payload if payload.dtype == target.dtype \
-                else payload.astype(target.dtype)
+            copy_payload(target, payload)
             arrivals.append(arrival)
             if ctx.trace.enabled:
                 ctx.trace.record("ccl-recv", depart, arrival,
@@ -578,11 +578,6 @@ class CCLBackend:
         acc, pool, key = res
         pool.release(key, acc)
 
-    @staticmethod
-    def _copy_out(out: np.ndarray, data: np.ndarray) -> None:
-        out[...] = data if data.dtype == out.dtype \
-            else data.astype(out.dtype)
-
     def all_reduce(self, comm: XCCLComm, sendbuf, recvbuf, count: int,
                    dt: Datatype, op: Op) -> None:
         """``xcclAllReduce``."""
@@ -597,7 +592,7 @@ class CCLBackend:
         self._fused(
             comm, key, borrow_view(src_view), dur,
             lambda data: self._reduce_pooled(comm, op, data),
-            consume=lambda rank, res, data: self._copy_out(out, res[0]),
+            consume=lambda rank, res, data: copy_payload(out, res[0]),
             cleanup=self._release_pooled, nbytes=nbytes)
 
     def broadcast(self, comm: XCCLComm, buf, count: int, dt: Datatype,
@@ -618,7 +613,7 @@ class CCLBackend:
 
         def consume(rank, result, data):
             if out is not None:
-                self._copy_out(out, result)
+                copy_payload(out, result)
 
         self._fused(comm, key, payload, dur, lambda data: data[root],
                     consume=consume, nbytes=nbytes)
@@ -638,7 +633,7 @@ class CCLBackend:
 
         def consume(rank, res, data):
             if out is not None:
-                self._copy_out(out, res[0])
+                copy_payload(out, res[0])
 
         self._fused(comm, key, borrow_view(src_view), dur,
                     lambda data: self._reduce_pooled(comm, op, data),
@@ -675,7 +670,7 @@ class CCLBackend:
             for r in range(comm.size):
                 if in_place and r == me:
                     continue
-                self._copy_out(out[r * count:(r + 1) * count], data[r])
+                copy_payload(out[r * count:(r + 1) * count], data[r])
 
         self._fused(comm, key, payload, dur, lambda data: None,
                     consume=consume, nbytes=nbytes)
@@ -696,7 +691,7 @@ class CCLBackend:
             comm, key, borrow_view(src_view), dur,
             lambda data: self._reduce_pooled(comm, op, data),
             consume=lambda rank, res, data:
-                self._copy_out(out, res[0][lo:hi]),
+                copy_payload(out, res[0][lo:hi]),
             cleanup=self._release_pooled, nbytes=nbytes)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

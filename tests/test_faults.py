@@ -7,7 +7,8 @@ from repro.core.abstraction import XCCLAbstractionLayer
 from repro.core.fallback import FallbackReason
 from repro.core.hybrid import DispatchMode, HybridDispatcher
 from repro.core.runtime import world_communicator
-from repro.errors import CCLError, DeadlockError, RankFailedError, SimulationError
+from repro.errors import (CCLError, CommRevokedError, DeadlockError,
+                          RankFailedError, SimulationError)
 from repro.mpi import SUM, Communicator
 from repro.sim.engine import Engine
 from repro.sim.faults import DelayRule, DropRule, FaultPlan, with_faults
@@ -152,6 +153,35 @@ class TestDyingRanks:
         with pytest.raises(RankFailedError) as exc_info:
             engine.run(body)
         assert isinstance(exc_info.value.failures[2], RuntimeError)
+
+    def test_kill_between_hand_off_and_wake_loses_nothing(self, thetagpu1):
+        """Rank 1 is parked in ``Recv`` when rank 0 posts — the message
+        is handed straight to it — and rank 0 is killed before rank 1
+        has run again.  The handed message still wins over the abort
+        probe: rank 1 receives it, and only its *next* receive fails."""
+        def body(ctx):
+            comm = Communicator.world(ctx)
+            buf = ctx.device.zeros(4)
+            if ctx.rank == 0:
+                comm.Recv(buf, source=1, tag=1)     # until rank 1 is ready
+                buf.fill(7.0)
+                comm.Send(buf, 1, tag=2)            # rank 1 is parked on this
+                assert ctx.mailbox_of(1).pending == 0       # handed, not queued
+                ctx.clock.advance(1000.0)           # dies holding the token
+                raise AssertionError("rank 0 outlived its kill")
+            comm.Send(buf, 0, tag=1)
+            comm.Recv(buf, source=0, tag=2)
+            got = buf.array.copy()
+            with pytest.raises(CommRevokedError):
+                comm.Recv(buf, source=0, tag=3)
+            return got
+
+        engine = Engine(thetagpu1, nranks=2, progress_timeout_s=2.0)
+        injector = with_faults(engine, FaultPlan().kill(0, after_us=500.0))
+        dead, got = engine.run(body)
+        assert dead is None and injector.killed == [0]
+        assert got.tolist() == [7.0] * 4
+        assert injector.messages_seen == 2          # behind the wrapper
 
 
 class _FlakyNCCL(NCCLBackend):

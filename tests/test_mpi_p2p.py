@@ -1,13 +1,20 @@
 """Point-to-point protocols through the communicator."""
 
+import sys
+
 import numpy as np
 import pytest
 
+from repro import fastpath
+from repro.core import runtime
 from repro.errors import MPIRankError, MPITruncateError, RankFailedError
+from repro.hw.memory import as_array
 from repro.mpi import FLOAT, Communicator
 from repro.mpi.communicator import ANY_SOURCE, ANY_TAG
 from repro.mpi.config import host_staged, mvapich_gpu
 from repro.mpi.request import waitall
+from repro.sim.mailbox import Mailbox
+from tests import frozen_reference
 
 
 def world(ctx, config=None):
@@ -266,3 +273,152 @@ class TestSendrecvAndTiming:
             return buf[0]
 
         assert spmd(thetagpu1, body, nranks=2)[1] == 9.0
+
+
+# -- multi-node legs of the frozen reference ----------------------------------
+
+P2P_SHAPES = {"2x8": (2, 8), "4x32": (4, 32)}   # nodes x ranks per node
+KIB_F32 = 256          # 1 KiB of float32
+WINDOW = 4             # eager messages in flight per rank
+RNDV_F32 = 16384       # 64 KiB: above the 8 KiB eager threshold
+
+
+def _p2p_body(mpx):
+    """The MPI point-to-point chain across nodes, every way the library
+    drives it: the five small-message collectives at 1 KiB, ``Barrier``,
+    an in-place ``Sendrecv`` ring (aliased: the copying path), an
+    ``ANY_SOURCE`` receive loop (matched in posting order), one eager
+    ``Isend``/``Irecv`` window and one rendezvous-size ``Send``/``Recv``
+    to the opposite node; payload bytes and the exact clock after each.
+    """
+    comm = mpx.COMM_WORLD
+    ctx = comm.ctx
+    p, r = comm.size, comm.rank
+    log = []
+
+    def filled(count, seed):
+        buf = ctx.device.zeros(count, dtype=np.float32)
+        buf.array[:] = np.arange(count, dtype=np.float32) % 7 + seed
+        return buf
+
+    def snap(buf):
+        log.append((as_array(buf).tobytes(), ctx.now))
+
+    recv = ctx.device.zeros(KIB_F32, dtype=np.float32)
+    comm.Allreduce(filled(KIB_F32, r + 1), recv)
+    snap(recv)
+    buf = filled(KIB_F32, 3 if r == p - 1 else 0)
+    comm.Bcast(buf, root=p - 1)
+    snap(buf)
+    comm.Reduce(filled(KIB_F32, r + 2), recv, root=p // 2)
+    snap(recv)
+    per = KIB_F32 // p
+    gathered = ctx.device.zeros(per * p, dtype=np.float32)
+    comm.Allgather(filled(per, r + 3), gathered)
+    snap(gathered)
+    comm.Alltoall(filled(per * p, r + 4), gathered, count=per)
+    snap(gathered)
+    comm.Barrier()
+    log.append((b"", ctx.now))
+
+    ring = filled(KIB_F32, r + 5)
+    comm.Sendrecv(ring, (r + 1) % p, ring, (r - 1) % p, sendtag=11)
+    snap(ring)
+
+    if r == 0:
+        order = np.zeros(p - 1, dtype=np.float32)
+        one = np.zeros(1, dtype=np.float32)
+        for i in range(p - 1):
+            status = comm.Recv(one, source=ANY_SOURCE, tag=12)
+            order[i] = one[0] + 1000.0 * status.source
+        snap(order)
+    else:
+        comm.Send(np.full(1, r + 0.5, dtype=np.float32), 0, tag=12)
+        log.append((b"", ctx.now))
+
+    inbox = [ctx.device.zeros(KIB_F32, dtype=np.float32)
+             for _ in range(WINDOW)]
+    reqs = [comm.Irecv(inbox[k], source=(r - 1) % p, tag=20 + k)
+            for k in range(WINDOW)]
+    reqs += [comm.Isend(filled(KIB_F32, r + k), (r + 1) % p, tag=20 + k)
+             for k in range(WINDOW)]
+    waitall(reqs)
+    snap(np.concatenate([b.array for b in inbox]))
+
+    big = filled(RNDV_F32, r + 6)
+    if r < p // 2:
+        comm.Send(big, r + p // 2, tag=30)
+    else:
+        comm.Recv(big, source=r - p // 2, tag=30)
+    snap(big)
+    return log
+
+
+@pytest.mark.parametrize("trace", [False, True], ids=["untraced", "traced"])
+@pytest.mark.parametrize("shape", sorted(P2P_SHAPES))
+def test_p2p_matches_frozen_reference(shape, trace):
+    """Payloads, every clock and all 29 counters of the MPI p2p chain on
+    2 x 8 and (oversubscribed) 4 x 32 ranks equal what the commit before
+    the eager path was flattened (``50f0ed8``) gave."""
+    nodes, rpn = P2P_SHAPES[shape]
+    result = runtime.run(_p2p_body, system="thetagpu", nodes=nodes,
+                         ranks_per_node=rpn, mode="pure_mpi", trace=trace)
+    frozen_reference.assert_matches(f"p2p:{shape}", result)
+    assert fastpath.STATS.snapshot() == \
+        frozen_reference.FROZEN_COUNTERS[f"p2p:{shape}"]
+
+
+# -- the per-message chain, counted -------------------------------------------
+
+def _count_calls_body(mpx, iters):
+    """Python-level ``call`` events (C calls excluded) and mailbox posts
+    of this rank over a hot ``Allreduce`` + ``Barrier`` loop."""
+    comm = mpx.COMM_WORLD
+    send = mpx.device_array(4, fill=comm.rank + 1)
+    recv = mpx.device_array(4)
+    for _ in range(2):                  # plans compiled, paths priced
+        comm.Allreduce(send, recv)
+        comm.Barrier()
+    post_code = Mailbox.post.__code__
+    counts = [0, 0]
+
+    def profiler(frame, event, _arg):
+        if event == "call":
+            counts[0] += 1
+            if frame.f_code is post_code:
+                counts[1] += 1
+
+    sys.setprofile(profiler)
+    try:
+        for _ in range(iters):
+            comm.Allreduce(send, recv)
+            comm.Barrier()
+    finally:
+        sys.setprofile(None)
+    return counts
+
+
+#: Python-level calls per message at the parent commit (``50f0ed8``):
+#: 18 850 calls over 240 messages
+PARENT_CALLS_PER_MESSAGE = 18850 / 240
+
+
+def test_python_calls_per_message():
+    """No wall clock: Python-level calls per message, everything between
+    ``comm.Allreduce`` / ``comm.Barrier`` and the mailbox included.
+
+    The parent (``50f0ed8``) made 78.54 (18 850 over 240 messages); the
+    flat eager path made 53.71 (12 890) when it landed.  The chain must
+    stay at or below 70 % of the parent's number, 54.98 (untraced: a
+    trace record is calls of its own).  Two of the savings repeat a
+    callee's test at the call site and are kept because the bound needs
+    them: ``Sendrecv``'s range check ahead of ``world_rank`` (2.00 calls
+    per message) and ``as_array``'s freed-flag test ahead of
+    ``DeviceBuffer._check_live`` (2.67); without them the count is
+    58.37."""
+    out = runtime.run(_count_calls_body, system="thetagpu", nodes=1,
+                      mode="pure_mpi", trace=False, iters=5)
+    calls = sum(c for c, _posts in out)
+    posts = sum(p for _c, p in out)
+    assert posts == 5 * 8 * (3 + 3)     # recursive doubling + dissemination
+    assert calls / posts <= 0.70 * PARENT_CALLS_PER_MESSAGE, calls

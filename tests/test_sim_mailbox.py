@@ -1,7 +1,12 @@
-"""Mailbox matching semantics (single-threaded behaviours)."""
+"""Mailbox matching semantics, and the hand-off to a parked receiver."""
+
+import sys
+import threading
+import time
 
 import pytest
 
+from repro.errors import DeadlockError
 from repro.sim.mailbox import ANY_SOURCE, ANY_TAG, Mailbox, Message, ProgressMonitor
 
 
@@ -54,7 +59,6 @@ class TestMatching:
         assert box.match(src=0, tag=3).tag == 3
 
     def test_deadlock_detection(self, box):
-        from repro.errors import DeadlockError
         with pytest.raises(DeadlockError):
             box.match(src=0, tag=99)  # nothing will ever arrive
 
@@ -107,7 +111,6 @@ class TestBulkTransport:
         assert box.match_many([]) == []
 
     def test_match_many_deadlock(self, box):
-        from repro.errors import DeadlockError
         box.post(_msg(src=1, tag=1))
         with pytest.raises(DeadlockError):
             box.match_many([(1, 1, None), (1, 99, None)])
@@ -137,8 +140,6 @@ class TestOffEngineWait:
     plain condition-variable wait bounded by the monitor's timeout."""
 
     def test_match_wakes_promptly_on_post(self, box):
-        import threading
-        import time
         out = {}
 
         def waiter():
@@ -153,3 +154,325 @@ class TestOffEngineWait:
         assert not t.is_alive()
         assert time.perf_counter() - t0 < 0.5
         assert out["msg"].tag == 1
+
+
+class _GatedWaitq:
+    """A wait queue whose wake-ups the test lets through by hand, so
+    the moment between a hand-off and the receiver's wake can be looked
+    at — and the wake turned into the scheduler's exact-deadlock raise."""
+
+    def __init__(self, lock):
+        self.lock = lock
+        self.parked = threading.Event()
+        self.gate = threading.Event()
+        self.notified = 0
+        self.fail = False
+
+    def wait_for(self, predicate, stall_msg, patient=False):
+        while not predicate():
+            self.parked.set()
+            self.lock.release()
+            try:
+                assert self.gate.wait(5.0), "the test never opened the gate"
+            finally:
+                self.lock.acquire()
+            self.gate.clear()
+            if self.fail:
+                raise DeadlockError(f"{stall_msg()}; every live rank is parked")
+
+    def notify_all(self):
+        self.notified += 1
+
+
+class _Receiver(threading.Thread):
+    """``box.match(**spec)`` on a thread; ``result()`` joins it."""
+
+    def __init__(self, box, **spec):
+        super().__init__(daemon=True)
+        self.box, self.spec, self.out = box, spec, None
+        self.start()
+
+    def run(self):
+        try:
+            self.out = self.box.match(**self.spec)
+        except DeadlockError as exc:
+            self.out = exc
+
+    def result(self):
+        self.join(timeout=5.0)
+        assert not self.is_alive()
+        return self.out
+
+
+@pytest.fixture
+def gated():
+    """``(mailbox, its gated wait queue)``."""
+    made = []
+
+    def factory(lock):
+        made.append(_GatedWaitq(lock))
+        return made[-1]
+
+    return Mailbox(1, ProgressMonitor(timeout_s=5.0), factory), made[0]
+
+
+def _await_registration(box):
+    deadline = time.monotonic() + 5.0
+    while not box._parked and time.monotonic() < deadline:
+        time.sleep(0.005)
+    assert box._parked
+
+
+def _park(gated, **spec):
+    box, waitq = gated
+    receiver = _Receiver(box, **spec)
+    assert waitq.parked.wait(5.0)
+    waitq.parked.clear()
+    with box._lock:     # the receiver registered before it parked
+        assert [reg[:2] for reg in box._parked] == \
+            [[spec.get("src", ANY_SOURCE), spec.get("tag", ANY_TAG)]]
+    return receiver
+
+
+class TestHandOff:
+    """A post that matches the parked receiver's registration hands the
+    message over: nothing is queued, and nothing else ever sees it."""
+
+    def test_wildcard_first_posted_wins(self, gated):
+        box, waitq = gated
+        receiver = _park(gated, tag=5)
+        box.post(_msg(src=1, tag=5, idx="a"))
+        box.post(_msg(src=2, tag=5, idx="b"))
+        assert waitq.notified == 2
+        waitq.gate.set()
+        assert receiver.result().meta["idx"] == "a"
+        assert box.pending == 1
+        assert box.try_match(src=ANY_SOURCE, tag=5).meta["idx"] == "b"
+
+    def test_no_bucket_for_a_handed_message(self, gated):
+        box, waitq = gated
+        receiver = _park(gated, src=0, tag=7)
+        box.post(_msg(tag=7, idx=1))
+        assert not box._buckets and not box._parked
+        waitq.gate.set()
+        assert receiver.result().meta["idx"] == 1
+
+    def test_non_overtaking_after_a_hand_off(self, gated):
+        box, waitq = gated
+        receiver = _park(gated, src=0, tag=7)
+        for idx in (1, 2, 3):
+            box.post(_msg(tag=7, idx=idx))
+        waitq.gate.set()
+        assert receiver.result().meta["idx"] == 1
+        assert [box.match(src=0, tag=7).meta["idx"] for _ in range(2)] == [2, 3]
+
+    def test_handed_message_is_seen_once(self, gated):
+        """Between the hand-off and the wake the message is the
+        receiver's: ``probe`` / ``try_match`` / ``pending`` do not see
+        it, and it is delivered exactly once."""
+        box, waitq = gated
+        receiver = _park(gated, src=0, tag=7)
+        box.post(_msg(tag=7, idx=1))
+        assert box.pending == 0
+        assert box.probe(src=0, tag=7) is None
+        assert box.try_match(src=0, tag=7) is None
+        waitq.gate.set()
+        assert receiver.result().meta["idx"] == 1
+        assert box.pending == 0 and box.try_match() is None
+
+    def test_unmatched_post_is_queued_and_still_wakes(self, gated):
+        box, waitq = gated
+        receiver = _park(gated, src=0, tag=7)
+        box.post(_msg(tag=8, idx="other"))
+        assert waitq.notified == 1 and box.pending == 1
+        waitq.gate.set()                    # wakes, finds nothing, parks again
+        assert waitq.parked.wait(5.0)
+        assert len(box._parked) == 1
+        box.post(_msg(tag=7, idx="mine"))
+        waitq.gate.set()
+        assert receiver.result().meta["idx"] == "mine"
+        assert box.try_match(tag=8).meta["idx"] == "other"
+
+    def test_where_decides_the_hand_off(self, gated):
+        box, waitq = gated
+        receiver = _park(gated, src=0, tag=7,
+                         where=lambda m: m.meta["idx"] == 2)
+        box.post(_msg(tag=7, idx=1))
+        assert box.pending == 1             # not what the receiver waits for
+        box.post(_msg(tag=7, idx=2))
+        assert box.pending == 1
+        waitq.gate.set()
+        assert receiver.result().meta["idx"] == 2
+
+    def test_wrapped_post_sees_the_handed_message(self, gated):
+        """Fault injection wraps ``post`` on the instance: the wrapper
+        sees every message and the hand-off happens behind it."""
+        box, waitq = gated
+        seen = []
+        orig = box.post
+
+        def wrapper(msg):
+            seen.append(msg.meta["idx"])
+            orig(msg)
+
+        box.post = wrapper
+        receiver = _park(gated, src=0, tag=7)
+        box.post(_msg(tag=7, idx=1))
+        box.post(_msg(tag=7, idx=2))
+        assert seen == [1, 2] and box.pending == 1
+        waitq.gate.set()
+        assert receiver.result().meta["idx"] == 1
+
+    def test_post_many_goes_through_the_buckets(self, gated):
+        box, waitq = gated
+        receiver = _park(gated, src=0, tag=7)
+        box.post_many([_msg(tag=7, idx=1), _msg(tag=7, idx=2)])
+        assert box.pending == 2 and not box._parked
+        box.post(_msg(tag=7, idx=3))        # must not overtake the batch
+        assert box.pending == 3
+        waitq.gate.set()
+        assert receiver.result().meta["idx"] == 1
+        assert [box.match(src=0, tag=7).meta["idx"] for _ in range(2)] == [2, 3]
+
+    def test_poke_wakes_without_delivering(self, gated):
+        box, waitq = gated
+        receiver = _park(gated, src=0, tag=7)
+        box.poke()
+        assert waitq.notified == 1
+        waitq.gate.set()
+        assert waitq.parked.wait(5.0)       # re-checked, parked again
+        assert receiver.is_alive() and len(box._parked) == 1
+        box.post(_msg(tag=7, idx=1))
+        waitq.gate.set()
+        assert receiver.result().meta["idx"] == 1
+
+    def test_poke_lets_abort_end_the_wait(self, gated):
+        box, waitq = gated
+        dead = []
+        receiver = _park(gated, src=3, tag=7, abort=lambda src: (
+            f"peer rank {src} died" if dead else None))
+        dead.append(3)
+        box.poke()
+        waitq.gate.set()
+        err = receiver.result()
+        assert isinstance(err, DeadlockError)
+        assert str(err) == ("rank 1 blocked in recv(src=3, tag=7): "
+                            "peer rank 3 died")
+        assert not box._parked
+
+
+class TestHandedMessageIsNeverLost:
+    def test_receiver_that_raises_puts_it_back_first(self, gated):
+        """The exact-deadlock wake beats the hand-off: the receiver
+        raises, and the message is back at the head of its bucket."""
+        box, waitq = gated
+        receiver = _park(gated, src=0, tag=7)
+        box.post(_msg(tag=7, idx=1))        # handed over
+        box.post(_msg(tag=7, idx=2))        # queued behind it
+        box.post(_msg(src=2, tag=9, idx=3))
+        assert box.pending == 2
+        waitq.fail = True
+        waitq.gate.set()
+        assert isinstance(receiver.result(), DeadlockError)
+        assert box.pending == 3 and not box._parked
+        order = [box.try_match().meta["idx"] for _ in range(3)]
+        assert order == [1, 2, 3]           # posting order, wildcard included
+
+    def test_on_engine_deadlock_wake_after_hand_off(self, thetagpu1):
+        """Three ranks deadlock; the first one woken to raise posts to
+        the second before that one has run.  The second still raises
+        (its wake was a deadlock verdict) and then finds the message."""
+        from repro.sim.engine import Engine
+
+        def body(ctx):
+            try:
+                ctx.mailbox.match(src=(ctx.rank + 1) % 3, tag=4)
+            except DeadlockError:
+                if ctx.rank == 0:
+                    ctx.mailbox_of(1).post(Message(2, 1, 4, b"late", 0.0,
+                                                   1.0, 0))
+                    return None
+                got = ctx.mailbox.try_match(src=(ctx.rank + 1) % 3, tag=4)
+                return got.data if got is not None else None
+            return "matched"
+
+        assert Engine(thetagpu1, nranks=3).run(body) == [None, b"late", None]
+
+    def test_two_off_engine_matchers_on_one_mailbox(self):
+        """One registration at a time: the second matcher takes the
+        bucket path, and two posts reach one receiver each."""
+        box = Mailbox(1, ProgressMonitor(timeout_s=5.0))
+        first = _Receiver(box, src=0, tag=1)
+        _await_registration(box)
+        second = _Receiver(box, src=0, tag=1)
+        time.sleep(0.05)
+        with box._lock:
+            assert len(box._parked) == 1
+        box.post(_msg(tag=1, idx=1))
+        box.post(_msg(tag=1, idx=2))
+        assert first.result().meta["idx"] == 1
+        assert second.result().meta["idx"] == 2
+        assert box.pending == 0 and not box._parked
+
+    def test_match_many_beside_a_registered_match(self):
+        box = Mailbox(1, ProgressMonitor(timeout_s=5.0))
+        single = _Receiver(box, src=0, tag=1)
+        _await_registration(box)
+        out = {}
+        batch = threading.Thread(target=lambda: out.update(
+            got=box.match_many([(0, 2, None), (0, 1, None)])), daemon=True)
+        batch.start()
+        time.sleep(0.05)
+        box.post(_msg(tag=1, idx="single"))
+        box.post(_msg(tag=2, idx="b2"))
+        box.post(_msg(tag=1, idx="b1"))
+        batch.join(timeout=5.0)
+        assert single.result().meta["idx"] == "single"
+        assert [m.meta["idx"] for m in out["got"]] == ["b2", "b1"]
+        assert box.pending == 0
+
+    def test_stress_every_message_delivered_once_in_order(self):
+        """Four senders, two blocking receivers, a tight switch interval:
+        hand-offs and bucket deliveries interleave freely, yet every
+        message arrives exactly once and no receiver sees one source's
+        messages out of order."""
+        senders, per_sender = 4, 300
+        box = Mailbox(1, ProgressMonitor(timeout_s=10.0))
+        got = [[], []]
+
+        def receive(mine):
+            while True:
+                msg = box.match(tag=3)
+                if msg.meta["idx"] < 0:
+                    return
+                mine.append((msg.src, msg.meta["idx"]))
+
+        def send(src):
+            for idx in range(per_sender):
+                box.post(_msg(src=src, tag=3, idx=idx))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            receivers = [threading.Thread(target=receive, args=(mine,),
+                                          daemon=True) for mine in got]
+            workers = [threading.Thread(target=send, args=(src,), daemon=True)
+                       for src in range(senders)]
+            for t in receivers + workers:
+                t.start()
+            for t in workers:
+                t.join(timeout=30.0)
+            for _ in receivers:
+                box.post(_msg(src=99, tag=3, idx=-1))   # one stop each
+            for t in receivers:
+                t.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in receivers + workers)
+        assert sorted(got[0] + got[1]) == [(src, idx) for src in range(senders)
+                                           for idx in range(per_sender)]
+        for mine in got:
+            for src in range(senders):
+                seen = [idx for s, idx in mine if s == src]
+                assert seen == sorted(seen)
+        assert box.pending == 0 and not box._parked
