@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install lint test test-all test-fast bench bench-quick bench-selfcheck bench-claim bench-hier bench-hetero bench-online-tune bench-all check-gates scale-smoke trace-smoke hier-smoke hetero-smoke elastic-smoke report examples tune clean
+.PHONY: install lint test test-all test-fast bench bench-quick bench-selfcheck bench-claim bench-hier bench-hetero bench-online-tune bench-all check-gates scale-smoke mem-smoke trace-smoke hier-smoke hetero-smoke elastic-smoke report examples tune clean
 
 install:
 	pip install -e .
@@ -87,6 +87,13 @@ scale-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.omb.cli barrier \
 		--system thetagpu --nodes 4 --ranks 256 --sizes 4:4 \
 		--iterations 2 --warmup 1
+
+# memory CI leg: one quick fig5 sweep (52 short-lived engines) in a
+# fresh process, gc at its defaults; fails above 450 MiB of peak RSS —
+# device buffers must die with their last reference, not with the
+# cycle collector's next pass
+mem-smoke:
+	PYTHONPATH=src $(PYTHON) tools/mem_smoke.py
 
 # end-to-end observability smoke: a small traced sweep covering a
 # direct-CCL collective and a sendrecv-composed one, then validate and

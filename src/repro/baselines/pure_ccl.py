@@ -31,6 +31,8 @@ class PureCCLHarness:
         uid = xapi.xcclGetUniqueId(ctx, ctx.size, ("pure", backend))
         self.comm: XCCLComm = xapi.xcclCommInitRank(
             ctx, list(range(ctx.size)), ctx.rank, uid, backend)
+        # ``sync``'s operand: summed in place, zeros stay zeros
+        self._sync_buf = ctx.device.zeros(1)
 
     @property
     def size(self) -> int:
@@ -45,8 +47,8 @@ class PureCCLHarness:
     def sync(self) -> None:
         """CCL-level barrier: a 1-element allreduce + stream join
         (how OMB's NCCL benchmarks align iterations)."""
-        one = self.ctx.device.zeros(1)
-        xapi.xcclAllReduce(one, one, 1, FLOAT, SUM, self.comm)
+        xapi.xcclAllReduce(self._sync_buf, self._sync_buf, 1, FLOAT, SUM,
+                           self.comm)
         xapi.xcclStreamSynchronize(self.comm)
 
     # -- collectives ---------------------------------------------------------

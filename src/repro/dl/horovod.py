@@ -109,7 +109,8 @@ class DistributedOptimizer:
         self.buckets = build_buckets(model, config.fusion_threshold_bytes)
         max_count = max(b.count for b in self.buckets)
         self._send = ctx.device.zeros(max_count, dtype=np.float32)
-        self._recv = ctx.device.zeros(max_count, dtype=np.float32)
+        # only ever written by the allreduce (``omb.collective._alloc``'s rule)
+        self._recv = ctx.device.empty(max_count, dtype=np.float32)
 
     @property
     def world_size(self) -> int:

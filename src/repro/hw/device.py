@@ -106,15 +106,11 @@ class Accelerator:
     def from_numpy(self, arr: np.ndarray) -> DeviceBuffer:
         """Copy a host array into a fresh device allocation (H2D)."""
         arr = np.ascontiguousarray(arr).reshape(-1)
-        buf = self._alloc(arr.copy())
-        return buf
+        self._check_capacity(int(arr.nbytes))
+        return self._alloc(arr.copy())
 
     def _alloc(self, arr: np.ndarray) -> DeviceBuffer:
         nbytes = int(arr.nbytes)
-        if nbytes > self.free_bytes:
-            raise DeviceMemoryError(
-                f"{self}: cannot allocate {nbytes} B "
-                f"({self._allocated} of {self.hbm_bytes} B in use)")
         buf = DeviceBuffer(arr, self)
         self._allocated += nbytes
         self._live[id(buf)] = nbytes

@@ -140,8 +140,10 @@ class DeviceBuffer(Buffer):
                  root: Optional["DeviceBuffer"] = None) -> None:
         super().__init__(array)
         self.device = device
-        # views keep the root allocation alive and share its freed flag
-        self._root = root if root is not None else self
+        # a view holds its root (alive, and the freed flag is the root's); a
+        # root holds None, not itself: no cycle, so it dies with its last
+        # reference.  Test ``is None`` — ``__len__`` makes an empty view falsy
+        self._root = root
 
     @property
     def on_device(self) -> bool:
@@ -153,27 +155,29 @@ class DeviceBuffer(Buffer):
         return self.device.vendor
 
     def _check_live(self) -> None:
-        if self._root._freed:
+        root = self._root
+        if (self if root is None else root)._freed:
             raise InvalidBufferError("device buffer used after free")
 
     def _make_view(self, arr: np.ndarray) -> "DeviceBuffer":
-        return DeviceBuffer(arr, self.device, root=self._root)
+        return DeviceBuffer(arr, self.device,
+                            self if self._root is None else self._root)
 
     def free(self) -> None:
         """Release the allocation back to the device allocator.
 
         Only valid on root allocations (not views), like ``cudaFree``.
         """
-        if self._root is not self:
+        if self._root is not None:
             raise InvalidBufferError("cannot free a view; free the root allocation")
         self.device._release(self)
         self._freed = True
 
     def __del__(self) -> None:
-        # garbage-collected root allocations release their accounting,
-        # so collective scratch buffers don't leak device memory
+        # a root allocation dropped without ``free()`` releases its
+        # accounting, so collective scratch buffers don't leak device memory
         try:
-            if self._root is self and not self._freed:
+            if self._root is None and not self._freed:
                 self.device._release(self)
         except Exception:  # pragma: no cover - interpreter shutdown
             pass
@@ -200,7 +204,8 @@ def as_array(obj) -> np.ndarray:
     if type(obj) is DeviceBuffer:
         # ``DeviceBuffer._check_live``'s test, repeated: no call for a live
         # buffer, which the call-count guard (tests/test_mpi_p2p.py) needs
-        if obj._root._freed:
+        root = obj._root
+        if (obj if root is None else root)._freed:
             obj._check_live()  # raises
         return obj.array
     if isinstance(obj, Buffer):

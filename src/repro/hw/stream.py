@@ -14,7 +14,7 @@ host-time ``t`` returns ``max(t, ready_time)``.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, Optional
 
 from repro.errors import StreamError
 
@@ -47,16 +47,16 @@ class Event:
 class Stream:
     """An in-order work queue on one accelerator."""
 
-    __slots__ = ("device", "name", "ready_time", "_ops")
+    __slots__ = ("device", "name", "ready_time", "enqueued")
 
     def __init__(self, device: "Accelerator", name: str = "") -> None:
         self.device = device
         self.name = name
         self.ready_time = 0.0
-        self._ops: List[Tuple[str, float, float]] = []
+        #: how many ops were enqueued since creation / :meth:`reset`
+        self.enqueued = 0
 
-    def enqueue(self, duration_us: float, host_time_us: float = 0.0,
-                label: str = "op") -> float:
+    def enqueue(self, duration_us: float, host_time_us: float = 0.0) -> float:
         """Enqueue work of ``duration_us`` issued at ``host_time_us``.
 
         Returns the virtual completion time of the work.
@@ -65,7 +65,7 @@ class Stream:
             raise StreamError(f"negative duration {duration_us}")
         start = max(self.ready_time, host_time_us)
         self.ready_time = start + duration_us
-        self._ops.append((label, start, self.ready_time))
+        self.enqueued += 1
         return self.ready_time
 
     def record(self, event: Event) -> Event:
@@ -87,15 +87,10 @@ class Stream:
         """
         return max(host_time_us, self.ready_time)
 
-    @property
-    def history(self) -> List[Tuple[str, float, float]]:
-        """(label, start, end) for every op enqueued so far."""
-        return list(self._ops)
-
     def reset(self) -> None:
         """Clear the timeline (used between benchmark repetitions)."""
         self.ready_time = 0.0
-        self._ops.clear()
+        self.enqueued = 0
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<Stream {self.name or id(self)} t={self.ready_time:.2f}us>"

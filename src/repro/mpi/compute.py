@@ -77,7 +77,7 @@ def alloc_like(ctx: RankContext, ref, count: int, dtype=None):
     """Scratch buffer matching ``ref``'s residency.
 
     Device-resident scratch keeps collective traffic on the device
-    path; freed automatically when garbage-collected.
+    path; released with its last reference.
     """
     dtype = dtype if dtype is not None else as_array(ref).dtype
     if is_device_buffer(ref):

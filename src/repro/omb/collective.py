@@ -21,8 +21,14 @@ from repro.omb.harness import LatencyStats, OMBConfig, aggregate_latency, timed_
 from repro.sim.engine import RankContext
 
 
-def _alloc(ctx: RankContext, count: int, dtype=np.float32):
-    return ctx.device.zeros(max(count, 1), dtype=dtype)
+def _alloc(ctx: RankContext, count: int, dtype=np.float32,
+           recv_only: bool = False):
+    """A benchmark window.  The rule: what a rank sends or reduces from
+    is zeroed (uninitialised floats must never reach a reduction; the
+    root sends ``osu_bcast``'s one buffer), what the collective only
+    writes (``recv_only``) is overwritten before anything reads it."""
+    make = ctx.device.empty if recv_only else ctx.device.zeros
+    return make(max(count, 1), dtype=dtype)
 
 
 def _run_sweep(ctx: RankContext, config: OMBConfig, key: str,
@@ -55,7 +61,7 @@ def osu_allreduce(ctx: RankContext, stack,
     config = config or OMBConfig()
     maxn = max(config.sizes) // 4
     send = _alloc(ctx, maxn)
-    recv = _alloc(ctx, maxn)
+    recv = _alloc(ctx, maxn, recv_only=True)
 
     def make_op(size: int) -> Callable[[], None]:
         count = max(size // 4, 1)
@@ -82,7 +88,7 @@ def osu_reduce(ctx: RankContext, stack,
     config = config or OMBConfig()
     maxn = max(config.sizes) // 4
     send = _alloc(ctx, maxn)
-    recv = _alloc(ctx, maxn)
+    recv = _alloc(ctx, maxn, recv_only=True)
 
     def make_op(size: int) -> Callable[[], None]:
         count = max(size // 4, 1)
@@ -119,7 +125,7 @@ def osu_alltoall(ctx: RankContext, stack,
     p = ctx.size
     maxn = (max(config.sizes) // 4) * p
     send = _alloc(ctx, maxn)
-    recv = _alloc(ctx, maxn)
+    recv = _alloc(ctx, maxn, recv_only=True)
 
     def make_op(size: int) -> Callable[[], None]:
         count = max(size // 4, 1)
@@ -151,7 +157,7 @@ def osu_alltoallv(ctx: RankContext, stack,
     p = ctx.size
     maxn = (max(config.sizes) // 4 + 1) * p
     send = _alloc(ctx, maxn)
-    recv = _alloc(ctx, maxn)
+    recv = _alloc(ctx, maxn, recv_only=True)
 
     def make_op(size: int) -> Callable[[], None]:
         count = max(size // 4, 1)
@@ -177,7 +183,7 @@ def osu_allgather(ctx: RankContext, stack,
     p = ctx.size
     maxn = max(config.sizes) // 4
     send = _alloc(ctx, maxn)
-    recv = _alloc(ctx, maxn * p)
+    recv = _alloc(ctx, maxn * p, recv_only=True)
 
     def make_op(size: int) -> Callable[[], None]:
         count = max(size // 4, 1)
@@ -199,7 +205,7 @@ def osu_reduce_scatter(ctx: RankContext, stack,
     p = ctx.size
     maxn = max(config.sizes) // 4
     send = _alloc(ctx, maxn * p)
-    recv = _alloc(ctx, maxn)
+    recv = _alloc(ctx, maxn, recv_only=True)
 
     def make_op(size: int) -> Callable[[], None]:
         count = max(size // 4, 1)
@@ -229,7 +235,7 @@ def osu_gather(ctx: RankContext, stack,
     p = ctx.size
     maxn = max(config.sizes) // 4
     send = _alloc(ctx, maxn)
-    recv = _alloc(ctx, maxn * p)
+    recv = _alloc(ctx, maxn * p, recv_only=True)
 
     def make_op(size: int) -> Callable[[], None]:
         count = max(size // 4, 1)
@@ -247,7 +253,7 @@ def osu_scatter(ctx: RankContext, stack,
     p = ctx.size
     maxn = max(config.sizes) // 4
     send = _alloc(ctx, maxn * p)
-    recv = _alloc(ctx, maxn)
+    recv = _alloc(ctx, maxn, recv_only=True)
 
     def make_op(size: int) -> Callable[[], None]:
         count = max(size // 4, 1)

@@ -27,7 +27,8 @@ def _pair_buffers(ctx: RankContext, max_size: int):
     # float elements: every backend's datatype table includes float32
     # (HCCL supports nothing else), matching the paper's methodology
     sendbuf = ctx.device.zeros(max(max_size // 4, 1), dtype="float32")
-    recvbuf = ctx.device.zeros(max(max_size // 4, 1), dtype="float32")
+    # only ever written by a receive (see ``omb.collective._alloc``)
+    recvbuf = ctx.device.empty(max(max_size // 4, 1), dtype="float32")
     return sendbuf, recvbuf
 
 

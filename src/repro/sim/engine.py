@@ -613,8 +613,11 @@ class Engine:
 
         from repro import fastpath
         sched = self.scheduler
-        sched.run_ranks([(ctx.rank, (lambda c=ctx: runner(c)))
-                         for ctx in self.contexts])
+        try:
+            sched.run_ranks([(ctx.rank, (lambda c=ctx: runner(c)))
+                             for ctx in self.contexts])
+        finally:
+            self._drain_pools()
         fastpath.STATS.note_coop_run(sched.parks, sched.switches)
         if failures:
             if all(isinstance(e, RankKilledError) for e in failures.values()):
@@ -629,6 +632,17 @@ class Engine:
                        if not isinstance(e, DeadlockError)}
             raise RankFailedError(primary or failures)
         return results
+
+    def _drain_pools(self) -> None:
+        """Drop what was pooled for the run (accumulators, staging, slots
+        a failed run abandoned): the engine is cyclic, so kept for its
+        traces or left to the collector it must pin no payload memory."""
+        self.scratch_pool.clear()
+        for ctx in self.contexts:
+            if ctx.staging_pool is not None:
+                ctx.staging_pool.clear()
+        with self._slots_lock:
+            self._slots.clear()
 
     def next_sequence(self) -> int:
         """A run-unique id (collective keys, message fingerprints)."""

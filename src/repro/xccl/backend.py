@@ -458,7 +458,7 @@ class CCLBackend:
         # one stream op per communicator of the flush: the history is
         # append-only and lives as long as the communicator
         for comm in {op.comm for op in ops}:
-            comm.stream.enqueue(0.0, ctx.now, label="ccl-group")
+            comm.stream.enqueue(0.0, ctx.now)
 
     @staticmethod
     def _dead_peer_probe(ctx):
@@ -529,7 +529,7 @@ class CCLBackend:
         if ctx.trace.enabled:
             ctx.trace.record("ccl", t_deposit, ctx.now, nbytes=nbytes,
                              label=label or f"{self.name}:{key[2]}")
-        comm.stream.enqueue(0.0, ctx.now, label="ccl-coll")
+        comm.stream.enqueue(0.0, ctx.now)
 
     #: reductions whose result is bit-identical under any association
     #: order (pure element selection) — only these may use the fused

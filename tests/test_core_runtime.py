@@ -59,7 +59,7 @@ class TestContext:
 
     def test_route_stats_property(self):
         def body(mpx):
-            s = mpx.device_array(1 << 20)
+            s = mpx.device_array(1 << 20, fill=1.0)
             mpx.COMM_WORLD.Allreduce(s, mpx.device_array(1 << 20), SUM)
             return mpx.route_stats.xccl_calls
 

@@ -275,11 +275,13 @@ def test_dispatch_stage_counters():
     """The execute stage reports route decisions into fastpath.STATS."""
     def body(mpx):
         comm = mpx.COMM_WORLD
-        small = mpx.device_array(16)
-        big = mpx.device_array(1 << 20)
+        # filled: ``device_array`` is ``empty`` without ``fill=``, and a
+        # reduction over recycled memory can warn about invalid values
+        small = mpx.device_array(16, fill=1.0)
+        big = mpx.device_array(1 << 20, fill=1.0)
         comm.Allreduce(small, mpx.device_array(16), SUM)     # mpi (tuning)
         comm.Allreduce(big, mpx.device_array(1 << 20), SUM)  # xccl
-        z = mpx.device_array(16, dtype=np.complex128)
+        z = mpx.device_array(16, dtype=np.complex128, fill=1.0)
         comm.Allreduce(z, mpx.device_array(16, dtype=np.complex128),
                        SUM)                                  # mpi (datatype)
         return True

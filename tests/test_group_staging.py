@@ -288,9 +288,9 @@ def _stream_body(mpx):
                  lambda: comm.Gather(a.view(0, 32), b, root=1, count=32),
                  lambda: comm.Scatter(a, b.view(0, 64), root=2, count=64),
                  ring):
-        before = len(stream.history)
+        before = stream.enqueued
         call()
-        log.append((len(stream.history) - before, stream.ready_time))
+        log.append((stream.enqueued - before, stream.ready_time))
     return log
 
 

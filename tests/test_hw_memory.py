@@ -88,11 +88,13 @@ class TestDeviceBuffer:
         with pytest.raises(InvalidBufferError):
             v.to_numpy()
 
-    def test_gc_releases_accounting(self, device):
+    def test_last_reference_releases_accounting(self, device):
         before = device.allocated_bytes
-        device.empty(1024)  # dropped immediately
-        import gc
-        gc.collect()
+        buf = device.empty(1024)
+        view = buf.view(0, 8)
+        del buf     # the view keeps its root allocated
+        assert device.allocated_bytes == before + 4096
+        del view    # refcounting alone: no cycle, no collector
         assert device.allocated_bytes == before
 
     def test_over_capacity(self, device):

@@ -33,17 +33,16 @@ class TestStream:
         with pytest.raises(StreamError):
             stream.enqueue(-1.0)
 
-    def test_history(self, stream):
-        stream.enqueue(1.0, label="a")
-        stream.enqueue(2.0, label="b")
-        labels = [h[0] for h in stream.history]
-        assert labels == ["a", "b"]
+    def test_enqueued_counts_ops(self, stream):
+        stream.enqueue(1.0)
+        stream.enqueue(2.0)
+        assert stream.enqueued == 2
 
     def test_reset(self, stream):
         stream.enqueue(5.0)
         stream.reset()
         assert stream.ready_time == 0.0
-        assert stream.history == []
+        assert stream.enqueued == 0
 
 
 class TestEvent:
