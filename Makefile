@@ -70,7 +70,8 @@ bench-all: bench-hier bench-hetero bench-online-tune
 
 # tier-1 suite with the default of each of the four run options
 # individually switched on through its variable: off its trigger, every
-# option must be invisible to results
+# option must be invisible to results (CI runs this target — the legs
+# are listed here and nowhere else)
 check-gates:
 	MPIX_TRACE=1 $(PYTHON) -m pytest tests/ -x -q
 	MPIX_HIER_PIPE=1 $(PYTHON) -m pytest tests/ -x -q

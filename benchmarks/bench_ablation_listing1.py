@@ -10,6 +10,7 @@ the hybrid tuning table.
 import numpy as np
 
 from repro.core.abstraction import XCCLAbstractionLayer
+from repro.core.dispatch import CollectiveCall, execute_ccl
 from repro.hw.systems import make_system
 from repro.mpi import FLOAT, Communicator
 from repro.sim.engine import Engine
@@ -41,8 +42,9 @@ def _sweep():
             r.fill(0)
             comm.Barrier()
             t1 = ctx.now
-            layer.alltoallv(comm, s, counts, displs, r, counts, displs,
-                            FLOAT)                        # Listing 1
+            execute_ccl(layer, CollectiveCall(            # Listing 1
+                "alltoallv", comm, s, r, sendcounts=counts,
+                sdispls=displs, recvcounts=counts, rdispls=displs, dt=FLOAT))
             t_ccl = ctx.now - t1
             assert np.array_equal(r.array, expect)
             out[size] = (t_mpi, t_ccl)

@@ -6,7 +6,7 @@ misroutes the collectives whose curves cross elsewhere — this bench
 measures how much that costs against the properly tuned table.
 """
 
-from repro.core.hybrid import DispatchMode, HybridDispatcher
+from repro.core.dispatch import CollectivePipeline, DispatchMode
 from repro.core.abstraction import XCCLAbstractionLayer
 from repro.core.tuning_table import TUNABLE_COLLECTIVES, TuningTable, tune_offline
 from repro.hw.systems import make_system
@@ -31,8 +31,8 @@ def _sweep(table):
 
     def body(ctx):
         comm = Communicator.world(ctx)
-        comm.coll = HybridDispatcher(XCCLAbstractionLayer(ctx, "nccl"),
-                                     DispatchMode.HYBRID, table)
+        comm.coll = CollectivePipeline(XCCLAbstractionLayer(ctx, "nccl"),
+                                       DispatchMode.HYBRID, table)
         total = 0.0
         for coll in ("allreduce", "bcast", "alltoall"):
             for size in SIZES:

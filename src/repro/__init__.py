@@ -24,7 +24,7 @@ models), :mod:`repro.omb` (OSU benchmarks), :mod:`repro.dl`
 __version__ = "1.0.0"
 
 from repro.core.runtime import MPIxContext, run
-from repro.core.hybrid import DispatchMode
+from repro.core.dispatch import DispatchMode
 from repro.hw.systems import make_system, system_names
 from repro.mpi.ops import MAX, MIN, PROD, SUM
 

@@ -22,7 +22,7 @@ from dataclasses import replace
 from typing import Optional
 
 from repro.core.abstraction import XCCLAbstractionLayer
-from repro.core.hybrid import DispatchMode, HybridDispatcher
+from repro.core.dispatch import CollectivePipeline, DispatchMode
 from repro.core.tuning_table import TuningTable
 from repro.hw.vendors import Vendor
 from repro.mpi.communicator import Communicator
@@ -71,6 +71,6 @@ def ucc_communicator(ctx: RankContext,
     """A world communicator modeling Open MPI + UCX + UCC."""
     comm = Communicator.world(ctx, openmpi_ucx().with_(name="openmpi+ucx+ucc"))
     layer = XCCLAbstractionLayer(ctx, UCCBackend())
-    comm.coll = HybridDispatcher(layer, DispatchMode.HYBRID,
-                                 table or UCC_TABLE)
+    comm.coll = CollectivePipeline(layer, DispatchMode.HYBRID,
+                                   table or UCC_TABLE)
     return comm

@@ -15,7 +15,10 @@ the figure's boxes:
   once per communicator
   (:meth:`repro.core.dispatch.CollectivePipeline.negotiated`) instead;
 * **Collectives / point-to-point communication** — the five built-ins
-  mapped 1:1 (§3.2) and the send-recv-based collectives (§3.3);
+  mapped 1:1 (§3.2) and the send-recv-based collectives (§3.3): the
+  ``ccl`` executors of the :mod:`repro.core.dispatch` registry, which
+  take this layer and a descriptor
+  (:func:`repro.core.dispatch.execute_ccl` runs one directly);
 * **Synchronization** — stream joins after each CCL call.
 """
 
@@ -32,7 +35,6 @@ from repro.xccl import api as xapi
 from repro.xccl.backend import CCLBackend
 from repro.xccl.comm import XCCLComm
 from repro.xccl.registry import backend_for_vendor, get_backend
-from repro.core.dispatch import CollectiveCall, execute_ccl
 
 
 class XCCLAbstractionLayer:
@@ -110,11 +112,6 @@ class XCCLAbstractionLayer:
         if comm is not None:
             comm.destroy()
 
-    def release(self, mpi_comm) -> None:
-        """Communicator-free hook used by the dispatcher fast path
-        (alias of :meth:`invalidate`)."""
-        self.invalidate(mpi_comm)
-
     #: fixed per-call cost of the abstraction layer: buffer identify,
     #: datatype conversion, op mapping (Fig. 2 checks).
     CALL_OVERHEAD_US = 0.4
@@ -124,81 +121,3 @@ class XCCLAbstractionLayer:
     #: :func:`repro.core.dispatch.charged` decorator wrapping every
     #: §3.2 direct mapping in the dispatch registry.
     CALL_OVERHEAD_FRACTION = 0.015
-
-    # -- mapped collectives: one-line descriptor constructions ----------------
-    # The execution bodies (direct §3.2 mappings and §3.3 send-recv
-    # groups) live in the :mod:`repro.core.dispatch` registry; these
-    # adapters exist for callers driving the layer directly.
-
-    def allreduce(self, mpi_comm, sendbuf, recvbuf, count, dt, op) -> None:
-        """MPI_Allreduce -> xcclAllReduce."""
-        execute_ccl(self, CollectiveCall(
-            "allreduce", mpi_comm, sendbuf=sendbuf, recvbuf=recvbuf,
-            count=count, dt=dt, op=op))
-
-    def bcast(self, mpi_comm, buf, count, dt, root) -> None:
-        """MPI_Bcast -> xcclBroadcast."""
-        execute_ccl(self, CollectiveCall(
-            "bcast", mpi_comm, recvbuf=buf, count=count, dt=dt, root=root))
-
-    def reduce(self, mpi_comm, sendbuf, recvbuf, count, dt, op, root) -> None:
-        """MPI_Reduce -> xcclReduce."""
-        execute_ccl(self, CollectiveCall(
-            "reduce", mpi_comm, sendbuf=sendbuf, recvbuf=recvbuf,
-            count=count, dt=dt, op=op, root=root))
-
-    def allgather(self, mpi_comm, sendbuf, recvbuf, count, dt) -> None:
-        """MPI_Allgather -> xcclAllGather."""
-        execute_ccl(self, CollectiveCall(
-            "allgather", mpi_comm, sendbuf=sendbuf, recvbuf=recvbuf,
-            count=count, dt=dt))
-
-    def reduce_scatter_block(self, mpi_comm, sendbuf, recvbuf, count, dt, op) -> None:
-        """MPI_Reduce_scatter_block -> xcclReduceScatter."""
-        execute_ccl(self, CollectiveCall(
-            "reduce_scatter_block", mpi_comm, sendbuf=sendbuf,
-            recvbuf=recvbuf, count=count, dt=dt, op=op))
-
-    def alltoall(self, mpi_comm, sendbuf, recvbuf, count, dt) -> None:
-        """MPI_Alltoall via grouped xcclSend/xcclRecv."""
-        execute_ccl(self, CollectiveCall(
-            "alltoall", mpi_comm, sendbuf=sendbuf, recvbuf=recvbuf,
-            count=count, dt=dt))
-
-    def alltoallv(self, mpi_comm, sendbuf, sendcounts, sdispls,
-                  recvbuf, recvcounts, rdispls, dt) -> None:
-        """MPI_Alltoallv via grouped xcclSend/xcclRecv (Listing 1)."""
-        execute_ccl(self, CollectiveCall(
-            "alltoallv", mpi_comm, sendbuf=sendbuf, recvbuf=recvbuf,
-            sendcounts=sendcounts, sdispls=sdispls, recvcounts=recvcounts,
-            rdispls=rdispls, dt=dt))
-
-    def gather(self, mpi_comm, sendbuf, recvbuf, count, dt, root) -> None:
-        """MPI_Gather via grouped xcclSend/xcclRecv."""
-        execute_ccl(self, CollectiveCall(
-            "gather", mpi_comm, sendbuf=sendbuf, recvbuf=recvbuf,
-            count=count, dt=dt, root=root))
-
-    def gatherv(self, mpi_comm, sendbuf, recvbuf, counts, displs, dt, root) -> None:
-        """MPI_Gatherv via grouped xcclSend/xcclRecv."""
-        execute_ccl(self, CollectiveCall(
-            "gatherv", mpi_comm, sendbuf=sendbuf, recvbuf=recvbuf,
-            recvcounts=counts, rdispls=displs, dt=dt, root=root))
-
-    def scatter(self, mpi_comm, sendbuf, recvbuf, count, dt, root) -> None:
-        """MPI_Scatter via grouped xcclSend/xcclRecv."""
-        execute_ccl(self, CollectiveCall(
-            "scatter", mpi_comm, sendbuf=sendbuf, recvbuf=recvbuf,
-            count=count, dt=dt, root=root))
-
-    def scatterv(self, mpi_comm, sendbuf, counts, displs, recvbuf, dt, root) -> None:
-        """MPI_Scatterv via grouped xcclSend/xcclRecv."""
-        execute_ccl(self, CollectiveCall(
-            "scatterv", mpi_comm, sendbuf=sendbuf, recvbuf=recvbuf,
-            sendcounts=counts, sdispls=displs, dt=dt, root=root))
-
-    def allgatherv(self, mpi_comm, sendbuf, recvbuf, counts, displs, dt) -> None:
-        """MPI_Allgatherv via grouped xcclSend/xcclRecv."""
-        execute_ccl(self, CollectiveCall(
-            "allgatherv", mpi_comm, sendbuf=sendbuf, recvbuf=recvbuf,
-            recvcounts=counts, rdispls=displs, dt=dt))

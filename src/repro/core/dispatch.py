@@ -14,20 +14,23 @@ seven send-recv-composed ones (§3.3), and their MPI-algorithm fallbacks
         ▼ execute           {direct-CCL | fused sendrecv-group |
                              MPI-algorithm fallback}
 
-:class:`CollectiveCall` is the logical descriptor (HiCCL-style): name,
-buffers, counts/displacements, datatype, op, root, communicator.
+:class:`~repro.mpi.communicator.CollectiveCall` is the logical
+descriptor (HiCCL-style): name, buffers, counts/displacements, datatype,
+op, root, communicator — built once, checked, by the
+:class:`~repro.mpi.communicator.Communicator` entry point.
 :data:`REGISTRY` maps each collective name to a :class:`CollectiveSpec`
 that knows how to derive the routing inputs (byte count, significant
-buffers, tuning key) and how to execute on either route.  Adding a
-collective is one registry entry; adding a cross-cutting concern
-(tracing, fault policy, new routing modes) is one pipeline stage —
-nothing per-collective needs touching (MPI-Advance-style single seam).
+buffers, tuning key) and how to execute on the xCCL route; the MPI
+route is the descriptor handed on to
+:class:`~repro.mpi.coll.MPICollDispatcher`.  Adding a cross-cutting
+concern (tracing, fault policy, new routing modes) is one pipeline
+stage — nothing per-collective needs touching (MPI-Advance-style single
+seam).
 
-:class:`CollectivePipeline` owns the per-communicator plan caches and
-tuning-table bindings previously spread across the hybrid dispatcher;
-:class:`repro.core.hybrid.HybridDispatcher` and
-:class:`repro.core.abstraction.XCCLAbstractionLayer` are thin adapters
-over this module.
+:class:`CollectivePipeline` is the dispatcher the runtime installs on a
+communicator (``comm.coll``); it owns the per-communicator plan caches
+and tuning-table bindings.  In this module a descriptor is unpacked
+into positional arguments only by the ``_ccl_*`` executors below.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro import fastpath
 from repro.errors import CCLError, MPIError, TuningTableError
@@ -45,7 +48,7 @@ from repro.core.plan import CollectivePlan, PlanCache
 from repro.core.tuning_table import TUNABLE_COLLECTIVES, TuningTable, cached_table
 from repro.core import sendrecv_collectives as srcoll
 from repro.mpi.coll import MPICollDispatcher, levels
-from repro.mpi.communicator import IN_PLACE
+from repro.mpi.communicator import IN_PLACE, CollectiveCall
 from repro.xccl import api as xapi
 from repro.xccl.caps import descriptor_for, negotiate
 
@@ -59,33 +62,8 @@ class DispatchMode(enum.Enum):
 
 
 # ---------------------------------------------------------------------------
-# the descriptor
+# the registry
 # ---------------------------------------------------------------------------
-
-@dataclass
-class CollectiveCall:
-    """One logical collective operation, fully described.
-
-    Element-addressed exactly like the MPI calls it mirrors: ``count``
-    for uniform collectives, ``sendcounts``/``sdispls`` and
-    ``recvcounts``/``rdispls`` for the vector forms (gatherv and
-    allgatherv populate the recv side, scatterv the send side).
-    ``Bcast``'s single buffer is stored as ``recvbuf``.
-    """
-
-    coll: str
-    comm: Any
-    sendbuf: Any = None
-    recvbuf: Any = None
-    count: int = 0
-    sendcounts: Optional[Sequence[int]] = None
-    sdispls: Optional[Sequence[int]] = None
-    recvcounts: Optional[Sequence[int]] = None
-    rdispls: Optional[Sequence[int]] = None
-    dt: Any = None
-    op: Any = None
-    root: Optional[int] = None
-
 
 @dataclass(frozen=True)
 class CollectiveSpec:
@@ -100,7 +78,6 @@ class CollectiveSpec:
         buffers: the residency-significant buffers for this rank.
         ccl: the xCCL-route executor ``(layer, call) -> None`` —
             direct CCL mapping or fused send-recv group.
-        mpi: the MPI-algorithm executor ``(dispatcher, call) -> None``.
     """
 
     name: str
@@ -108,7 +85,6 @@ class CollectiveSpec:
     nbytes: Callable[[CollectiveCall], int]
     buffers: Callable[[CollectiveCall], Tuple]
     ccl: Callable[[Any, CollectiveCall], None]
-    mpi: Callable[[MPICollDispatcher, CollectiveCall], None]
 
 
 REGISTRY: Dict[str, CollectiveSpec] = {}
@@ -149,8 +125,8 @@ def charged(fn):
 
 
 def execute_ccl(layer, call: CollectiveCall) -> None:
-    """Run ``call`` on the xCCL route (the pipeline's execute stage,
-    also the body of every abstraction-layer per-collective adapter)."""
+    """Run ``call`` on the xCCL route of ``layer``, outside any
+    pipeline (no routing, no fallback)."""
     collective_spec(call.coll).ccl(layer, call)
 
 
@@ -263,67 +239,42 @@ def _ccl_allgatherv(layer, c):
                            c.recvcounts, c.rdispls, c.dt)
 
 
-_D = MPICollDispatcher  # the traditional-MPI algorithm suite
-
 register(CollectiveSpec(
     "bcast", "bcast", _uniform_nbytes, lambda c: (c.recvbuf,),
-    _ccl_bcast,
-    lambda d, c: _D.bcast(d, c.comm, c.recvbuf, c.count, c.dt, c.root)))
+    _ccl_bcast))
 register(CollectiveSpec(
     "reduce", "reduce", _uniform_nbytes, _root_recv,
-    _ccl_reduce,
-    lambda d, c: _D.reduce(d, c.comm, c.sendbuf, c.recvbuf, c.count, c.dt,
-                           c.op, c.root)))
+    _ccl_reduce))
 register(CollectiveSpec(
     "allreduce", "allreduce", _uniform_nbytes, _both,
-    _ccl_allreduce,
-    lambda d, c: _D.allreduce(d, c.comm, c.sendbuf, c.recvbuf, c.count,
-                              c.dt, c.op)))
+    _ccl_allreduce))
 register(CollectiveSpec(
     "allgather", "allgather", _uniform_nbytes, _both,
-    _ccl_allgather,
-    lambda d, c: _D.allgather(d, c.comm, c.sendbuf, c.recvbuf, c.count,
-                              c.dt)))
+    _ccl_allgather))
 register(CollectiveSpec(
     "allgatherv", "allgather", _recv_vec_nbytes, _both,
-    _ccl_allgatherv,
-    lambda d, c: _D.allgatherv(d, c.comm, c.sendbuf, c.recvbuf,
-                               c.recvcounts, c.rdispls, c.dt)))
+    _ccl_allgatherv))
 register(CollectiveSpec(
     "alltoall", "alltoall", _uniform_nbytes, _both,
-    _ccl_alltoall,
-    lambda d, c: _D.alltoall(d, c.comm, c.sendbuf, c.recvbuf, c.count,
-                             c.dt)))
+    _ccl_alltoall))
 register(CollectiveSpec(
     "alltoallv", "alltoall", _send_vec_nbytes, _both,
-    _ccl_alltoallv,
-    lambda d, c: _D.alltoallv(d, c.comm, c.sendbuf, c.sendcounts, c.sdispls,
-                              c.recvbuf, c.recvcounts, c.rdispls, c.dt)))
+    _ccl_alltoallv))
 register(CollectiveSpec(
     "gather", "gather", _uniform_nbytes, _root_recv,
-    _ccl_gather,
-    lambda d, c: _D.gather(d, c.comm, c.sendbuf, c.recvbuf, c.count, c.dt,
-                           c.root)))
+    _ccl_gather))
 register(CollectiveSpec(
     "gatherv", "gather", _recv_vec_nbytes, _root_recv,
-    _ccl_gatherv,
-    lambda d, c: _D.gatherv(d, c.comm, c.sendbuf, c.recvbuf, c.recvcounts,
-                            c.rdispls, c.dt, c.root)))
+    _ccl_gatherv))
 register(CollectiveSpec(
     "scatter", "scatter", _uniform_nbytes, _root_send,
-    _ccl_scatter,
-    lambda d, c: _D.scatter(d, c.comm, c.sendbuf, c.recvbuf, c.count, c.dt,
-                            c.root)))
+    _ccl_scatter))
 register(CollectiveSpec(
     "scatterv", "scatter", _send_vec_nbytes, _root_send,
-    _ccl_scatterv,
-    lambda d, c: _D.scatterv(d, c.comm, c.sendbuf, c.sendcounts, c.sdispls,
-                             c.recvbuf, c.dt, c.root)))
+    _ccl_scatterv))
 register(CollectiveSpec(
     "reduce_scatter_block", "reduce_scatter", _uniform_nbytes, _both,
-    _ccl_reduce_scatter_block,
-    lambda d, c: _D.reduce_scatter_block(d, c.comm, c.sendbuf, c.recvbuf,
-                                         c.count, c.dt, c.op)))
+    _ccl_reduce_scatter_block))
 
 
 #: The execute stage's CCL-backed legs, walked in this order:
@@ -355,22 +306,21 @@ CCL_LEGS: Dict[Route, Tuple[Callable, Optional[RouteDecision]]] = {
 class CollectivePipeline:
     """validate → capability-check → route → plan lookup → execute.
 
-    One per hybrid dispatcher (per rank).  Owns the routing state the
-    stages consult: the dispatch mode, the per-communicator tuning-table
-    bindings and compiled-plan caches, and the route counters.
-
-    ``mpi`` is the :class:`MPICollDispatcher` that runs the
-    MPI-algorithm fallback route (the hybrid dispatcher itself — it
-    inherits the algorithm suite).
+    The hybrid dispatcher, MPI-xCCL's runtime brain (§3.4): installed
+    as ``comm.coll`` in place of the default
+    :class:`~repro.mpi.coll.MPICollDispatcher`, one per communicator and
+    rank.  Owns the routing state the stages consult: the dispatch mode,
+    the per-communicator tuning-table bindings and compiled-plan caches,
+    and the route counters (``stats``).
     """
 
     def __init__(self, layer, mode: DispatchMode = DispatchMode.HYBRID,
-                 table: Optional[TuningTable] = None,
-                 mpi: Optional[MPICollDispatcher] = None) -> None:
+                 table: Optional[TuningTable] = None) -> None:
         self.layer = layer
         self.mode = mode
         self._table = table
-        self.mpi = mpi if mpi is not None else MPICollDispatcher()
+        #: runs every call that stays on the MPI algorithms
+        self.mpi = MPICollDispatcher()
         self.stats = RouteStats()
         #: per-communicator (ctx_id-keyed) compiled plans — the
         #: pipeline is per-rank, so these are thread-confined.
@@ -393,13 +343,6 @@ class CollectivePipeline:
         if trace.enabled:
             now = self.layer.ctx.now
             trace.record("stage", now, now, label=label)
-
-    # -- stage 1: validate --------------------------------------------------
-
-    @staticmethod
-    def validate(call: CollectiveCall) -> CollectiveSpec:
-        """Resolve the registry entry for one descriptor."""
-        return collective_spec(call.coll)
 
     # -- stage 2: capability check (the single §3.2 choke point) ------------
 
@@ -627,7 +570,7 @@ class CollectivePipeline:
             except CCLError:
                 decision = RouteDecision(Route.MPI, FallbackReason.CCL_ERROR)
         else:  # no leg ran to completion
-            spec.mpi(self.mpi, call)
+            self.mpi.run(call)
         self._record(decision, spec)
         self._span(call, spec, decision, t0)
         return decision
@@ -661,8 +604,14 @@ class CollectivePipeline:
     # -- the whole pipe -----------------------------------------------------
 
     def run(self, call: CollectiveCall) -> None:
-        """Push one descriptor through all five stages."""
-        spec = self.validate(call)
+        """Push one descriptor through all five stages.  Stage 1,
+        validate: a collective outside the registry (barrier, scan,
+        exscan) has no CCL mapping and nothing to route — it runs on
+        the MPI algorithms, unmarked and uncounted."""
+        spec = REGISTRY.get(call.coll)
+        if spec is None:
+            self.mpi.run(call)
+            return
         self._mark(f"validate:{call.coll}")
         self._observe_key = None
         t0 = self.layer.ctx.now
@@ -679,6 +628,14 @@ class CollectivePipeline:
                 ctx_id, coll, bucket, final.route.value,
                 self.layer.ctx.now - t0)
 
+    def warm(self, call: CollectiveCall) -> None:
+        """Compile ``call``'s routing plan ahead of its first run (a
+        persistent collective's init), so every ``Start`` replays it."""
+        spec = REGISTRY.get(call.coll)
+        if spec is not None:
+            self.decide(call.comm, spec.tuning_key, spec.nbytes(call),
+                        call.dt, call.op, *spec.buffers(call))
+
     # -- lifecycle ----------------------------------------------------------
 
     def release(self, comm) -> None:
@@ -692,4 +649,4 @@ class CollectivePipeline:
         tuner = getattr(comm.ctx.engine, "online_tuner", None)
         if tuner is not None:
             tuner.release(comm.ctx_id)
-        self.layer.release(comm)
+        self.layer.invalidate(comm)

@@ -1,20 +1,19 @@
-"""Collective plans: compiled-once, replayed routing + geometry.
+"""Collective plans: the routing decision, compiled once and replayed.
 
 OMB sweeps and training loops call the *same* collective on the *same*
-communicator thousands of times.  Everything the dispatcher derives per
-call — the Fig. 2 routing decision, the algorithm choice, chunk
-geometry, staging-buffer shapes — is a pure function of a small key:
+communicator thousands of times.  The Fig. 2 routing decision the
+dispatcher derives per call is a pure function of a small key:
 
     (communicator, collective, dtype, reduce op, byte count, residency)
 
-A :class:`CollectivePlan` captures that derivation once;
+A :class:`CollectivePlan` captures that decision once;
 :class:`PlanCache` replays it on every later call with one dict lookup.
 This is the *plan lookup* stage of the dispatch pipeline: the
 :class:`~repro.core.dispatch.CollectivePipeline` keeps one cache per
-communicator (:meth:`~repro.core.dispatch.CollectivePipeline.plan_cache`,
-re-exposed by :class:`~repro.core.hybrid.HybridDispatcher` under the
-historical name), and the mpi4py-style persistent collectives
-(``Allreduce_init`` → ``Request.Start()``) warm it at init time.
+communicator (:meth:`~repro.core.dispatch.CollectivePipeline.plan_cache`),
+and the mpi4py-style persistent collectives (``Allreduce_init`` →
+``Request.Start()``) warm it at init time
+(:meth:`~repro.core.dispatch.CollectivePipeline.warm`).
 
 :class:`BufferPool` is the allocation-reuse half: staging scratch
 buffers keyed by (residency, dtype, element count) are recycled across
@@ -30,7 +29,7 @@ the per-call derivation gave (``tests/frozen_reference.py``).
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro import fastpath
@@ -44,21 +43,10 @@ class CollectivePlan:
     Attributes:
         key: the cache key this plan was compiled for.
         decision: the Fig. 2 routing decision (MPI vs xCCL + reason).
-        algorithm: resolved MPI algorithm name (None on the xCCL route
-            or when the base dispatcher resolves it itself).
-        chunks: pre-computed ``(offset, size)`` chunk geometry, when
-            the algorithm splits the payload.
-        staging: pre-resolved staging-buffer shapes as
-            ``(device_resident, dtype_str, count)`` pool keys.
-        extra: free-form per-plan scratch (peer schedules, displs, ...).
     """
 
     key: Tuple
     decision: RouteDecision
-    algorithm: Optional[str] = None
-    chunks: Optional[Tuple[Tuple[int, int], ...]] = None
-    staging: Tuple[Tuple[bool, str, int], ...] = ()
-    extra: Dict[str, Any] = field(default_factory=dict)
 
 
 class PlanCache:

@@ -23,7 +23,7 @@ from typing import Any, Callable, List, Optional, Union
 import numpy as np
 
 from repro.core.abstraction import XCCLAbstractionLayer
-from repro.core.hybrid import DispatchMode, HybridDispatcher
+from repro.core.dispatch import CollectivePipeline, DispatchMode
 from repro.core.tuning_table import TuningTable
 from repro.hw.cluster import Cluster
 from repro.hw.memory import DeviceBuffer
@@ -48,7 +48,7 @@ class MPIxContext:
         self.ctx = ctx
         self.layer = XCCLAbstractionLayer(ctx, backend)
         self.COMM_WORLD = Communicator.world(ctx, config)
-        self.COMM_WORLD.coll = HybridDispatcher(self.layer, mode, table)
+        self.COMM_WORLD.coll = CollectivePipeline(self.layer, mode, table)
 
     # -- conveniences -------------------------------------------------------
 
@@ -83,9 +83,7 @@ class MPIxContext:
     def attach(self, comm: Communicator) -> Communicator:
         """Install the xCCL dispatcher on a derived communicator
         (``Dup``/``Split`` results come with the plain MPI dispatcher)."""
-        comm.coll = HybridDispatcher(self.layer,
-                                     self.COMM_WORLD.coll.mode,  # type: ignore[attr-defined]
-                                     None)
+        comm.coll = CollectivePipeline(self.layer, self.COMM_WORLD.coll.mode)
         return comm
 
     @property
@@ -158,5 +156,5 @@ def world_communicator(ctx: RankContext, backend: Optional[str] = None,
     context (for callers managing their own :class:`Engine`)."""
     comm = Communicator.world(ctx, mpi_config or mvapich_gpu())
     layer = XCCLAbstractionLayer(ctx, backend)
-    comm.coll = HybridDispatcher(layer, mode, table)
+    comm.coll = CollectivePipeline(layer, mode, table)
     return comm

@@ -3,9 +3,10 @@
 :class:`MPICollDispatcher` is the strategy object a
 :class:`~repro.mpi.communicator.Communicator` calls into; it consults
 the MPI-internal tuning table (:mod:`repro.mpi.coll.tuning`) and runs
-the chosen algorithm.  The xCCL abstraction layer subclasses it
-(:class:`repro.core.hybrid.HybridDispatcher`) — the "hook in the MPI
-runtime" of §3.3.
+the chosen algorithm.  The xCCL abstraction layer installs its own
+dispatcher in its place (:class:`repro.core.dispatch.CollectivePipeline`)
+— the "hook in the MPI runtime" of §3.3 — and hands it the calls that
+stay on MPI.
 """
 
 from __future__ import annotations
@@ -94,11 +95,15 @@ def algorithm(coll: str, name: str):
 class MPICollDispatcher:
     """Default dispatcher: pure-MPI algorithms per the internal table.
 
+    A dispatcher receives :class:`~repro.mpi.communicator.CollectiveCall`
+    descriptors: :meth:`run` executes one, :meth:`warm` plans one ahead
+    of its first run, :meth:`release` drops what is cached for a
+    communicator.  The per-collective methods are the one place a
+    descriptor is unpacked for the positional algorithm functions.
+
     ``force`` pins one algorithm name for every collective (used by
     benchmarks and the offline tuner to sweep algorithms).
     """
-
-    name = "mpi"
 
     def __init__(self, force: Optional[str] = None) -> None:
         self.force = force
@@ -113,63 +118,75 @@ class MPICollDispatcher:
             fn = self._algo_cache[key] = algorithm(coll, name)
         return fn
 
+    def run(self, call) -> None:
+        """Execute one descriptor on the MPI algorithms."""
+        getattr(self, call.coll)(call)
+
+    def warm(self, call) -> None:
+        """Persistent-collective init hook; the algorithm choice is
+        cached by the first run, so there is nothing to plan here."""
+
     def release(self, comm) -> None:
-        """Communicator-free hook; nothing to drop for the plain MPI
-        dispatcher (subclasses release their plan caches here)."""
+        """Communicator-free hook; nothing is cached per communicator."""
 
-    # each method mirrors a Communicator entry point ------------------
+    # one method per Communicator entry point ---------------------------
 
-    def barrier(self, comm) -> None:
-        barrier_dissemination(comm)
+    def barrier(self, c) -> None:
+        barrier_dissemination(c.comm)
 
-    def bcast(self, comm, buf, count, dt, root) -> None:
-        self._pick("bcast", count * dt.itemsize, comm.size)(
-            comm, buf, count, dt, root)
+    def bcast(self, c) -> None:
+        self._pick("bcast", c.count * c.dt.itemsize, c.comm.size)(
+            c.comm, c.recvbuf, c.count, c.dt, c.root)
 
-    def reduce(self, comm, sendbuf, recvbuf, count, dt, op, root) -> None:
-        self._pick("reduce", count * dt.itemsize, comm.size, op.commutative)(
-            comm, sendbuf, recvbuf, count, dt, op, root)
+    def reduce(self, c) -> None:
+        self._pick("reduce", c.count * c.dt.itemsize, c.comm.size,
+                   c.op.commutative)(
+            c.comm, c.sendbuf, c.recvbuf, c.count, c.dt, c.op, c.root)
 
-    def allreduce(self, comm, sendbuf, recvbuf, count, dt, op) -> None:
-        self._pick("allreduce", count * dt.itemsize, comm.size, op.commutative)(
-            comm, sendbuf, recvbuf, count, dt, op)
+    def allreduce(self, c) -> None:
+        self._pick("allreduce", c.count * c.dt.itemsize, c.comm.size,
+                   c.op.commutative)(
+            c.comm, c.sendbuf, c.recvbuf, c.count, c.dt, c.op)
 
-    def allgather(self, comm, sendbuf, recvbuf, count, dt) -> None:
-        self._pick("allgather", count * dt.itemsize, comm.size)(
-            comm, sendbuf, recvbuf, count, dt)
+    def allgather(self, c) -> None:
+        self._pick("allgather", c.count * c.dt.itemsize, c.comm.size)(
+            c.comm, c.sendbuf, c.recvbuf, c.count, c.dt)
 
-    def allgatherv(self, comm, sendbuf, recvbuf, counts, displs, dt) -> None:
-        allgatherv_ring(comm, sendbuf, recvbuf, counts, displs, dt)
+    def allgatherv(self, c) -> None:
+        allgatherv_ring(c.comm, c.sendbuf, c.recvbuf, c.recvcounts,
+                        c.rdispls, c.dt)
 
-    def alltoall(self, comm, sendbuf, recvbuf, count, dt) -> None:
-        self._pick("alltoall", count * dt.itemsize, comm.size)(
-            comm, sendbuf, recvbuf, count, dt)
+    def alltoall(self, c) -> None:
+        self._pick("alltoall", c.count * c.dt.itemsize, c.comm.size)(
+            c.comm, c.sendbuf, c.recvbuf, c.count, c.dt)
 
-    def alltoallv(self, comm, sendbuf, sendcounts, sdispls,
-                  recvbuf, recvcounts, rdispls, dt) -> None:
-        alltoallv_scattered(comm, sendbuf, sendcounts, sdispls,
-                            recvbuf, recvcounts, rdispls, dt)
+    def alltoallv(self, c) -> None:
+        alltoallv_scattered(c.comm, c.sendbuf, c.sendcounts, c.sdispls,
+                            c.recvbuf, c.recvcounts, c.rdispls, c.dt)
 
-    def gather(self, comm, sendbuf, recvbuf, count, dt, root) -> None:
-        self._pick("gather", count * dt.itemsize, comm.size)(
-            comm, sendbuf, recvbuf, count, dt, root)
+    def gather(self, c) -> None:
+        self._pick("gather", c.count * c.dt.itemsize, c.comm.size)(
+            c.comm, c.sendbuf, c.recvbuf, c.count, c.dt, c.root)
 
-    def gatherv(self, comm, sendbuf, recvbuf, counts, displs, dt, root) -> None:
-        gatherv_linear(comm, sendbuf, recvbuf, counts, displs, dt, root)
+    def gatherv(self, c) -> None:
+        gatherv_linear(c.comm, c.sendbuf, c.recvbuf, c.recvcounts, c.rdispls,
+                       c.dt, c.root)
 
-    def scatter(self, comm, sendbuf, recvbuf, count, dt, root) -> None:
-        self._pick("scatter", count * dt.itemsize, comm.size)(
-            comm, sendbuf, recvbuf, count, dt, root)
+    def scatter(self, c) -> None:
+        self._pick("scatter", c.count * c.dt.itemsize, c.comm.size)(
+            c.comm, c.sendbuf, c.recvbuf, c.count, c.dt, c.root)
 
-    def scatterv(self, comm, sendbuf, counts, displs, recvbuf, dt, root) -> None:
-        scatterv_linear(comm, sendbuf, counts, displs, recvbuf, dt, root)
+    def scatterv(self, c) -> None:
+        scatterv_linear(c.comm, c.sendbuf, c.sendcounts, c.sdispls,
+                        c.recvbuf, c.dt, c.root)
 
-    def reduce_scatter_block(self, comm, sendbuf, recvbuf, count, dt, op) -> None:
-        self._pick("reduce_scatter", count * dt.itemsize, comm.size,
-                   op.commutative)(comm, sendbuf, recvbuf, count, dt, op)
+    def reduce_scatter_block(self, c) -> None:
+        self._pick("reduce_scatter", c.count * c.dt.itemsize, c.comm.size,
+                   c.op.commutative)(
+            c.comm, c.sendbuf, c.recvbuf, c.count, c.dt, c.op)
 
-    def scan(self, comm, sendbuf, recvbuf, count, dt, op) -> None:
-        scan_linear(comm, sendbuf, recvbuf, count, dt, op)
+    def scan(self, c) -> None:
+        scan_linear(c.comm, c.sendbuf, c.recvbuf, c.count, c.dt, c.op)
 
-    def exscan(self, comm, sendbuf, recvbuf, count, dt, op) -> None:
-        exscan_linear(comm, sendbuf, recvbuf, count, dt, op)
+    def exscan(self, c) -> None:
+        exscan_linear(c.comm, c.sendbuf, c.recvbuf, c.count, c.dt, c.op)

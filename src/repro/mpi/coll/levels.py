@@ -29,7 +29,7 @@ Three instances share the bodies:
 
 The first two are routes of the staged dispatch pipeline
 (:mod:`repro.core.dispatch`, :data:`EXECUTORS`): their sub-communicators
-carry their own :class:`~repro.core.hybrid.HybridDispatcher`, so plan
+carry their own :class:`~repro.core.dispatch.CollectivePipeline`, so plan
 caching, zero-copy views, tracing and the tuning table compose per
 level, and each island keeps its native xCCL.  Sub-communicators never
 re-enter the route that built them (an inner comm spans one group, a
@@ -335,9 +335,10 @@ class Levels:
             inner.Free()
             raise
         if pipeline is not None:
-            from repro.core.hybrid import HybridDispatcher  # local: avoid cycle
+            # a dispatcher of the routing pipeline's own kind (named
+            # through the instance: mpi never imports core)
             for sub in filter(None, (inner, self.outer.comm)):
-                sub.coll = HybridDispatcher(pipeline.layer, pipeline.mode)
+                sub.coll = type(pipeline)(pipeline.layer, pipeline.mode)
 
     @property
     def depth(self) -> int:

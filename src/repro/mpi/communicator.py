@@ -42,6 +42,39 @@ COLL_TAG_BASE = 1 << 20
 _PEER_FAILURES = (DeadlockError, RankKilledError)
 
 
+class CollectiveCall:
+    """One logical collective operation, fully described (HiCCL-style):
+    built once by the :class:`Communicator` entry point, it is all a
+    collective dispatcher receives.
+
+    Element-addressed exactly like the MPI calls it mirrors: ``count``
+    for uniform collectives, ``sendcounts``/``sdispls`` and
+    ``recvcounts``/``rdispls`` for the vector forms (gatherv and
+    allgatherv populate the recv side, scatterv the send side).
+    ``Bcast``'s single buffer is stored as ``recvbuf``.
+    """
+
+    __slots__ = ("coll", "comm", "sendbuf", "recvbuf", "count", "sendcounts",
+                 "sdispls", "recvcounts", "rdispls", "dt", "op", "root")
+
+    def __init__(self, coll: str, comm: "Communicator", sendbuf=None,
+                 recvbuf=None, count: int = 0, sendcounts=None, sdispls=None,
+                 recvcounts=None, rdispls=None, dt: Optional[Datatype] = None,
+                 op: Optional[Op] = None, root: Optional[int] = None) -> None:
+        self.coll = coll
+        self.comm = comm
+        self.sendbuf = sendbuf
+        self.recvbuf = recvbuf
+        self.count = count
+        self.sendcounts = sendcounts
+        self.sdispls = sdispls
+        self.recvcounts = recvcounts
+        self.rdispls = rdispls
+        self.dt = dt
+        self.op = op
+        self.root = root
+
+
 class Communicator:
     """One rank's view of a communicator.
 
@@ -83,6 +116,8 @@ class Communicator:
         #: :meth:`Comm_shrink` call it when they drain the dict.
         self.routing_cache: Dict[str, object] = {}
         from repro.mpi.coll import MPICollDispatcher  # local: avoid cycle
+        #: the collective dispatcher — anything with ``run(call)``,
+        #: ``warm(call)`` and ``release(comm)``; assign to replace it
         self.coll = MPICollDispatcher()
 
     # -- construction -------------------------------------------------------
@@ -146,34 +181,13 @@ class Communicator:
             if free is not None:
                 free()
         self.routing_cache.clear()
-        release = getattr(self.coll, "release", None)
-        if release is not None:
-            release(self)
+        self.coll.release(self)
 
     def _check_live(self) -> None:
         if self._freed:
             raise MPICommError("communicator used after Free")
 
     # -- fault tolerance (ULFM-style) ------------------------------------------
-
-    def _elastic(self, run):
-        """Run one blocking operation under the elastic-failure contract.
-
-        An operation on a revoked communicator — or one whose peers
-        include a dead rank (only a ``FaultPlan.kill`` rule makes one),
-        observed as the deadlock the death causes — raises
-        :class:`~repro.errors.CommRevokedError`, after revoking the
-        communicator engine-wide so every survivor agrees.  The dying
-        rank itself keeps its :class:`RankKilledError`.  A program that
-        does not catch the revoke still fails its run with
-        :class:`~repro.errors.RankFailedError`; with no rank dead and
-        nothing revoked this is a plain call that takes no lock.
-        """
-        self._check_revoked()
-        try:
-            return run()
-        except _PEER_FAILURES as exc:
-            self._failed(exc)
 
     def _check_revoked(self) -> None:
         engine = self.ctx.engine
@@ -182,9 +196,9 @@ class Communicator:
                 self.ctx_id, engine.dead_ranks & set(self.group))
 
     def _failed(self, exc: BaseException) -> None:
-        """In a handler of :data:`_PEER_FAILURES` (``Send`` / ``Recv``
-        / ``Sendrecv`` spell :meth:`_elastic` out, so a message costs no
-        closure): raise the contract's conversion of ``exc``, or
+        """In a handler of :data:`_PEER_FAILURES` (the elastic contract
+        of :meth:`_run`, which ``Send`` / ``Recv`` / ``Sendrecv`` spell
+        the same way): raise the contract's conversion of ``exc``, or
         ``exc`` again."""
         if isinstance(exc, RankKilledError) and exc.rank == self.ctx.rank:
             raise  # our own death: propagate to the engine
@@ -479,87 +493,188 @@ class Communicator:
         """Engine rendezvous key for a CCL-style fused collective."""
         return (self.ctx_id, kind, tag)
 
-    def _resolve(self, sendbuf, recvbuf, count: Optional[int],
-                 datatype: Optional[Datatype]):
-        """Common (sendbuf, recvbuf, count, datatype) normalization."""
-        ref = recvbuf if sendbuf is IN_PLACE or sendbuf is None else sendbuf
+    # -- collectives: one descriptor, three spellings -----------------------
+    #
+    # A collective's arguments are checked and resolved once, by the
+    # builder that returns its :class:`CollectiveCall`; the blocking,
+    # persistent (``_init``) and nonblocking (``I``) spellings are
+    # :meth:`_run`, :meth:`_persistent` and :meth:`_eager` of that one
+    # descriptor.  Every argument error is raised by the builder, before
+    # anything is sent and identically on every rank.
+
+    def _uniform(self, coll: str, sendbuf, recvbuf, ref,
+                 count: Optional[int], datatype: Optional[Datatype],
+                 op: Optional[Op] = None, root: Optional[int] = None,
+                 share: int = 1) -> CollectiveCall:
+        """Descriptor of a uniform-count collective.  ``ref`` is the
+        buffer the datatype and the default count (its size over
+        ``share``) are read from."""
+        self._check_live()
         dt = datatype or datatype_of(ref)
         if count is None:
-            count = as_array(ref).size
+            count = as_array(ref).size // share
         if count < 0:
             raise MPICountError(f"negative count {count}")
-        return count, dt
+        if op is not None:
+            op.validate(dt)
+        if root is not None:
+            self.world_rank(root)
+        return CollectiveCall(coll, self, sendbuf, recvbuf, count, dt=dt,
+                              op=op, root=root)
 
-    # -- collectives ---------------------------------------------------------
+    def _ragged(self, coll: str, sendbuf, recvbuf, ref,
+                datatype: Optional[Datatype], send=None, recv=None,
+                root: Optional[int] = None) -> CollectiveCall:
+        """Descriptor of a vector collective; ``send`` / ``recv`` are
+        the ``(counts, displs)`` pairs of the sides that have one."""
+        self._check_live()
+        call = CollectiveCall(coll, self, sendbuf, recvbuf,
+                              dt=datatype or datatype_of(ref), root=root)
+        if send is not None:
+            call.sendcounts, call.sdispls = self._vector(*send)
+        if recv is not None:
+            call.recvcounts, call.rdispls = self._vector(*recv)
+        if root is not None:
+            self.world_rank(root)
+        return call
+
+    def _vector(self, counts: Sequence[int],
+                displs: Optional[Sequence[int]]) -> Tuple[List[int], List[int]]:
+        """``(counts, displs)`` as lists (default displacements: packed),
+        each holding one non-negative entry per rank."""
+        counts = list(counts)
+        displs = _prefix(counts) if displs is None else list(displs)
+        for vec in (counts, displs):
+            if len(vec) != len(self.group) or min(vec, default=0) < 0:
+                raise MPICountError(
+                    f"counts / displacements must be {len(self.group)} "
+                    f"non-negative entries, got {vec}")
+        return counts, displs
+
+    def _run(self, call: CollectiveCall) -> None:
+        """Run one collective under the elastic-failure contract.
+
+        An operation on a revoked communicator — or one whose peers
+        include a dead rank (only a ``FaultPlan.kill`` rule makes one),
+        observed as the deadlock the death causes — raises
+        :class:`~repro.errors.CommRevokedError`, after revoking the
+        communicator engine-wide so every survivor agrees.  The dying
+        rank itself keeps its :class:`RankKilledError`.  A program that
+        does not catch the revoke still fails its run with
+        :class:`~repro.errors.RankFailedError`; with no rank dead and
+        nothing revoked this is a plain call that takes no lock.
+        """
+        if self.ctx.engine._revoked:
+            self._check_revoked()
+        try:
+            self.coll.run(call)
+        except _PEER_FAILURES as exc:
+            self._failed(exc)
+
+    def _eager(self, call: CollectiveCall) -> Request:
+        """The nonblocking spelling (§1.2 advantage 4): executed
+        eagerly, so the request is born complete."""
+        self._run(call)
+        return Request.completed(Status(), kind=f"i{call.coll}")
+
+    def _persistent(self, call: CollectiveCall) -> "PersistentCollRequest":
+        """The persistent spelling (MPI 4.0 ``MPI_Allreduce_init``
+        style): arguments resolved and the routing plan compiled once,
+        so each ``Start`` replays a cache hit."""
+        self.coll.warm(call)
+        # the run completes synchronously, so every Start returns the
+        # same already-done request marker
+        done = Request.completed(Status(), kind=f"{call.coll}-init")
+
+        def start() -> Request:
+            self._check_live()
+            self._run(call)
+            return done
+
+        return PersistentCollRequest(start, call.coll)
+
+    # builders of the collectives that have more than one spelling
+
+    def _barrier(self) -> CollectiveCall:
+        self._check_live()
+        return CollectiveCall("barrier", self)
+
+    def _bcast(self, buf, root: int = 0, count: Optional[int] = None,
+               datatype: Optional[Datatype] = None) -> CollectiveCall:
+        return self._uniform("bcast", None, buf, buf, count, datatype,
+                             root=root)
+
+    def _reduce(self, sendbuf, recvbuf, op: Op = SUM, root: int = 0,
+                count: Optional[int] = None,
+                datatype: Optional[Datatype] = None) -> CollectiveCall:
+        return self._uniform("reduce", sendbuf, recvbuf,
+                             _contribution(sendbuf, recvbuf), count, datatype,
+                             op, root)
+
+    def _allreduce(self, sendbuf, recvbuf, op: Op = SUM,
+                   count: Optional[int] = None,
+                   datatype: Optional[Datatype] = None) -> CollectiveCall:
+        return self._uniform("allreduce", sendbuf, recvbuf,
+                             _contribution(sendbuf, recvbuf), count, datatype,
+                             op)
+
+    def _allgather(self, sendbuf, recvbuf, count: Optional[int] = None,
+                   datatype: Optional[Datatype] = None) -> CollectiveCall:
+        ref, share = (recvbuf, self.size) if sendbuf is IN_PLACE \
+            else (sendbuf, 1)
+        return self._uniform("allgather", sendbuf, recvbuf, ref, count,
+                             datatype, share=share)
+
+    def _alltoall(self, sendbuf, recvbuf, count: Optional[int] = None,
+                  datatype: Optional[Datatype] = None) -> CollectiveCall:
+        return self._uniform("alltoall", sendbuf, recvbuf, sendbuf, count,
+                             datatype, share=self.size)
+
+    def _reduce_scatter_block(self, sendbuf, recvbuf, op: Op = SUM,
+                              count: Optional[int] = None,
+                              datatype: Optional[Datatype] = None) -> CollectiveCall:
+        return self._uniform("reduce_scatter_block", sendbuf, recvbuf,
+                             recvbuf, count, datatype, op)
+
+    # blocking spellings
 
     def Barrier(self) -> None:
         """``MPI_Barrier``."""
-        self._check_live()
-        self._elastic(lambda: self.coll.barrier(self))
+        self._run(self._barrier())
 
     def Bcast(self, buf, root: int = 0, count: Optional[int] = None,
               datatype: Optional[Datatype] = None) -> None:
         """``MPI_Bcast``: root's buffer to everyone."""
-        self._check_live()
-        count, dt = self._resolve(buf, buf, count, datatype)
-        self.world_rank(root)
-        self._elastic(lambda: self.coll.bcast(self, buf, count, dt, root))
+        self._run(self._bcast(buf, root, count, datatype))
 
     def Reduce(self, sendbuf, recvbuf, op: Op = SUM, root: int = 0,
                count: Optional[int] = None,
                datatype: Optional[Datatype] = None) -> None:
         """``MPI_Reduce`` to ``root``."""
-        self._check_live()
-        count, dt = self._resolve(sendbuf, recvbuf, count, datatype)
-        op.validate(dt)
-        self.world_rank(root)
-        self._elastic(
-            lambda: self.coll.reduce(self, sendbuf, recvbuf, count, dt, op,
-                                     root))
+        self._run(self._reduce(sendbuf, recvbuf, op, root, count, datatype))
 
     def Allreduce(self, sendbuf, recvbuf, op: Op = SUM,
                   count: Optional[int] = None,
                   datatype: Optional[Datatype] = None) -> None:
         """``MPI_Allreduce``."""
-        self._check_live()
-        count, dt = self._resolve(sendbuf, recvbuf, count, datatype)
-        op.validate(dt)
-        self._elastic(
-            lambda: self.coll.allreduce(self, sendbuf, recvbuf, count, dt, op))
+        self._run(self._allreduce(sendbuf, recvbuf, op, count, datatype))
 
     def Allgather(self, sendbuf, recvbuf, count: Optional[int] = None,
                   datatype: Optional[Datatype] = None) -> None:
         """``MPI_Allgather``; ``count`` is the per-rank contribution."""
-        self._check_live()
-        if count is None:
-            ref = recvbuf if sendbuf is IN_PLACE else sendbuf
-            count = as_array(ref).size
-            if sendbuf is IN_PLACE:
-                count //= self.size
-        dt = datatype or datatype_of(recvbuf)
-        self._elastic(
-            lambda: self.coll.allgather(self, sendbuf, recvbuf, count, dt))
+        self._run(self._allgather(sendbuf, recvbuf, count, datatype))
 
     def Allgatherv(self, sendbuf, recvbuf, counts: Sequence[int],
                    displs: Optional[Sequence[int]] = None,
                    datatype: Optional[Datatype] = None) -> None:
         """``MPI_Allgatherv`` with per-rank counts."""
-        self._check_live()
-        dt = datatype or datatype_of(recvbuf)
-        displs = list(displs) if displs is not None else _prefix(counts)
-        self._elastic(
-            lambda: self.coll.allgatherv(self, sendbuf, recvbuf, list(counts),
-                                         displs, dt))
+        self._run(self._ragged("allgatherv", sendbuf, recvbuf, recvbuf,
+                               datatype, recv=(counts, displs)))
 
     def Alltoall(self, sendbuf, recvbuf, count: Optional[int] = None,
                  datatype: Optional[Datatype] = None) -> None:
         """``MPI_Alltoall``; ``count`` is the per-destination block."""
-        self._check_live()
-        if count is None:
-            count = as_array(sendbuf).size // self.size
-        dt = datatype or datatype_of(sendbuf)
-        self._elastic(
-            lambda: self.coll.alltoall(self, sendbuf, recvbuf, count, dt))
+        self._run(self._alltoall(sendbuf, recvbuf, count, datatype))
 
     def Alltoallv(self, sendbuf, sendcounts: Sequence[int],
                   recvbuf, recvcounts: Sequence[int],
@@ -567,229 +682,123 @@ class Communicator:
                   rdispls: Optional[Sequence[int]] = None,
                   datatype: Optional[Datatype] = None) -> None:
         """``MPI_Alltoallv`` (Listing 1 of the paper targets this)."""
-        self._check_live()
-        dt = datatype or datatype_of(sendbuf)
-        sdispls = list(sdispls) if sdispls is not None else _prefix(sendcounts)
-        rdispls = list(rdispls) if rdispls is not None else _prefix(recvcounts)
-        self._elastic(
-            lambda: self.coll.alltoallv(self, sendbuf, list(sendcounts),
-                                        sdispls, recvbuf, list(recvcounts),
-                                        rdispls, dt))
+        self._run(self._ragged("alltoallv", sendbuf, recvbuf, sendbuf,
+                               datatype, send=(sendcounts, sdispls),
+                               recv=(recvcounts, rdispls)))
 
     def Gather(self, sendbuf, recvbuf, root: int = 0,
                count: Optional[int] = None,
                datatype: Optional[Datatype] = None) -> None:
         """``MPI_Gather`` to ``root`` (recvbuf significant at root)."""
-        self._check_live()
-        if count is None:
-            count = as_array(sendbuf).size
-        dt = datatype or datatype_of(sendbuf)
-        self.world_rank(root)
-        self._elastic(
-            lambda: self.coll.gather(self, sendbuf, recvbuf, count, dt, root))
+        self._run(self._uniform("gather", sendbuf, recvbuf, sendbuf, count,
+                                datatype, root=root))
 
     def Gatherv(self, sendbuf, recvbuf, counts: Sequence[int],
                 displs: Optional[Sequence[int]] = None, root: int = 0,
                 datatype: Optional[Datatype] = None) -> None:
         """``MPI_Gatherv``."""
-        self._check_live()
-        dt = datatype or datatype_of(sendbuf)
-        displs = list(displs) if displs is not None else _prefix(counts)
-        self.world_rank(root)
-        self._elastic(
-            lambda: self.coll.gatherv(self, sendbuf, recvbuf, list(counts),
-                                      displs, dt, root))
+        self._run(self._ragged("gatherv", sendbuf, recvbuf, sendbuf,
+                               datatype, recv=(counts, displs), root=root))
 
     def Scatter(self, sendbuf, recvbuf, root: int = 0,
                 count: Optional[int] = None,
                 datatype: Optional[Datatype] = None) -> None:
         """``MPI_Scatter`` from ``root``."""
-        self._check_live()
-        if count is None:
-            count = as_array(recvbuf).size
-        dt = datatype or datatype_of(recvbuf)
-        self.world_rank(root)
-        self._elastic(
-            lambda: self.coll.scatter(self, sendbuf, recvbuf, count, dt, root))
+        self._run(self._uniform("scatter", sendbuf, recvbuf, recvbuf, count,
+                                datatype, root=root))
 
     def Scatterv(self, sendbuf, counts: Sequence[int], recvbuf,
                  displs: Optional[Sequence[int]] = None, root: int = 0,
                  datatype: Optional[Datatype] = None) -> None:
         """``MPI_Scatterv``."""
-        self._check_live()
-        dt = datatype or datatype_of(recvbuf)
-        displs = list(displs) if displs is not None else _prefix(counts)
-        self.world_rank(root)
-        self._elastic(
-            lambda: self.coll.scatterv(self, sendbuf, list(counts), displs,
-                                       recvbuf, dt, root))
+        self._run(self._ragged("scatterv", sendbuf, recvbuf, recvbuf,
+                               datatype, send=(counts, displs), root=root))
 
     def Reduce_scatter_block(self, sendbuf, recvbuf, op: Op = SUM,
                              count: Optional[int] = None,
                              datatype: Optional[Datatype] = None) -> None:
         """``MPI_Reduce_scatter_block``; ``count`` is per-rank output."""
-        self._check_live()
-        if count is None:
-            count = as_array(recvbuf).size
-        dt = datatype or datatype_of(recvbuf)
-        op.validate(dt)
-        self._elastic(
-            lambda: self.coll.reduce_scatter_block(self, sendbuf, recvbuf,
-                                                   count, dt, op))
+        self._run(self._reduce_scatter_block(sendbuf, recvbuf, op, count,
+                                             datatype))
 
     def Scan(self, sendbuf, recvbuf, op: Op = SUM,
              count: Optional[int] = None,
              datatype: Optional[Datatype] = None) -> None:
         """``MPI_Scan`` (inclusive prefix reduction)."""
-        self._check_live()
-        count, dt = self._resolve(sendbuf, recvbuf, count, datatype)
-        op.validate(dt)
-        self._elastic(
-            lambda: self.coll.scan(self, sendbuf, recvbuf, count, dt, op))
+        self._run(self._uniform("scan", sendbuf, recvbuf,
+                                _contribution(sendbuf, recvbuf), count,
+                                datatype, op))
 
     def Exscan(self, sendbuf, recvbuf, op: Op = SUM,
                count: Optional[int] = None,
                datatype: Optional[Datatype] = None) -> None:
         """``MPI_Exscan`` (exclusive prefix reduction; rank 0's recvbuf
         is untouched)."""
-        self._check_live()
-        count, dt = self._resolve(sendbuf, recvbuf, count, datatype)
-        op.validate(dt)
-        self._elastic(
-            lambda: self.coll.exscan(self, sendbuf, recvbuf, count, dt, op))
+        self._run(self._uniform("exscan", sendbuf, recvbuf,
+                                _contribution(sendbuf, recvbuf), count,
+                                datatype, op))
 
-    # -- nonblocking collectives (§1.2 advantage 4) ----------------------------
+    # nonblocking spellings
 
     def Ibcast(self, buf, root: int = 0, **kw) -> Request:
-        """Nonblocking broadcast (executed eagerly; see DESIGN.md)."""
-        self.Bcast(buf, root, **kw)
-        return Request.completed(Status(), kind="ibcast")
+        """Nonblocking broadcast."""
+        return self._eager(self._bcast(buf, root, **kw))
 
     def Iallreduce(self, sendbuf, recvbuf, op: Op = SUM, **kw) -> Request:
-        """Nonblocking allreduce (executed eagerly)."""
-        self.Allreduce(sendbuf, recvbuf, op, **kw)
-        return Request.completed(Status(), kind="iallreduce")
+        """Nonblocking allreduce."""
+        return self._eager(self._allreduce(sendbuf, recvbuf, op, **kw))
 
     def Ialltoall(self, sendbuf, recvbuf, **kw) -> Request:
-        """Nonblocking alltoall (executed eagerly)."""
-        self.Alltoall(sendbuf, recvbuf, **kw)
-        return Request.completed(Status(), kind="ialltoall")
+        """Nonblocking alltoall."""
+        return self._eager(self._alltoall(sendbuf, recvbuf, **kw))
 
     def Ibarrier(self) -> Request:
-        """Nonblocking barrier (executed eagerly)."""
-        self.Barrier()
-        return Request.completed(Status(), kind="ibarrier")
+        """Nonblocking barrier."""
+        return self._eager(self._barrier())
 
-    # -- persistent collectives (MPI 4.0 ``MPI_Allreduce_init`` style) -----------
-
-    def _warm_plan(self, coll: str, nbytes: int, dt, op, *buffers) -> None:
-        """Compile the routing plan at init time (when the dispatcher
-        supports planning), so ``Start`` replays a cache hit."""
-        decide = getattr(self.coll, "decide", None)
-        if decide is not None:
-            decide(self, coll, nbytes, dt, op, *buffers)
-
-    def _persistent_coll(self, coll: str, run) -> "PersistentCollRequest":
-        # the blocking run() completes synchronously, so every Start
-        # returns the same already-done request marker
-        done = Request.completed(Status(), kind=f"{coll}-init")
-
-        def factory() -> Request:
-            self._check_live()
-            run()
-            return done
-
-        return PersistentCollRequest(factory, coll)
+    # persistent spellings
 
     def Allreduce_init(self, sendbuf, recvbuf, op: Op = SUM,
                        count: Optional[int] = None,
                        datatype: Optional[Datatype] = None) -> "PersistentCollRequest":
-        """Persistent allreduce: arguments resolved and the routing
-        plan compiled once; each ``Start`` replays it."""
-        self._check_live()
-        count, dt = self._resolve(sendbuf, recvbuf, count, datatype)
-        op.validate(dt)
-        self._warm_plan("allreduce", count * dt.itemsize, dt, op,
-                        sendbuf, recvbuf)
-        return self._persistent_coll(
-            "allreduce",
-            lambda: self.coll.allreduce(self, sendbuf, recvbuf, count, dt, op))
+        """Persistent allreduce."""
+        return self._persistent(
+            self._allreduce(sendbuf, recvbuf, op, count, datatype))
 
     def Bcast_init(self, buf, root: int = 0, count: Optional[int] = None,
                    datatype: Optional[Datatype] = None) -> "PersistentCollRequest":
         """Persistent broadcast."""
-        self._check_live()
-        count, dt = self._resolve(buf, buf, count, datatype)
-        self.world_rank(root)
-        self._warm_plan("bcast", count * dt.itemsize, dt, None, buf)
-        return self._persistent_coll(
-            "bcast", lambda: self.coll.bcast(self, buf, count, dt, root))
+        return self._persistent(self._bcast(buf, root, count, datatype))
 
     def Reduce_init(self, sendbuf, recvbuf, op: Op = SUM, root: int = 0,
                     count: Optional[int] = None,
                     datatype: Optional[Datatype] = None) -> "PersistentCollRequest":
         """Persistent reduce."""
-        self._check_live()
-        count, dt = self._resolve(sendbuf, recvbuf, count, datatype)
-        op.validate(dt)
-        self.world_rank(root)
-        bufs = (sendbuf, recvbuf) if self._rank == root else (sendbuf,)
-        self._warm_plan("reduce", count * dt.itemsize, dt, op, *bufs)
-        return self._persistent_coll(
-            "reduce",
-            lambda: self.coll.reduce(self, sendbuf, recvbuf, count, dt, op,
-                                     root))
+        return self._persistent(
+            self._reduce(sendbuf, recvbuf, op, root, count, datatype))
 
     def Allgather_init(self, sendbuf, recvbuf, count: Optional[int] = None,
                        datatype: Optional[Datatype] = None) -> "PersistentCollRequest":
         """Persistent allgather (``count`` per-rank contribution)."""
-        self._check_live()
-        if count is None:
-            ref = recvbuf if sendbuf is IN_PLACE else sendbuf
-            count = as_array(ref).size
-            if sendbuf is IN_PLACE:
-                count //= self.size
-        dt = datatype or datatype_of(recvbuf)
-        self._warm_plan("allgather", count * dt.itemsize, dt, None,
-                        sendbuf, recvbuf)
-        return self._persistent_coll(
-            "allgather",
-            lambda: self.coll.allgather(self, sendbuf, recvbuf, count, dt))
+        return self._persistent(
+            self._allgather(sendbuf, recvbuf, count, datatype))
 
     def Alltoall_init(self, sendbuf, recvbuf, count: Optional[int] = None,
                       datatype: Optional[Datatype] = None) -> "PersistentCollRequest":
         """Persistent alltoall (``count`` per-destination block)."""
-        self._check_live()
-        if count is None:
-            count = as_array(sendbuf).size // self.size
-        dt = datatype or datatype_of(sendbuf)
-        self._warm_plan("alltoall", count * dt.itemsize, dt, None,
-                        sendbuf, recvbuf)
-        return self._persistent_coll(
-            "alltoall",
-            lambda: self.coll.alltoall(self, sendbuf, recvbuf, count, dt))
+        return self._persistent(
+            self._alltoall(sendbuf, recvbuf, count, datatype))
 
     def Reduce_scatter_block_init(self, sendbuf, recvbuf, op: Op = SUM,
                                   count: Optional[int] = None,
                                   datatype: Optional[Datatype] = None) -> "PersistentCollRequest":
         """Persistent reduce_scatter_block (``count`` per-rank output)."""
-        self._check_live()
-        if count is None:
-            count = as_array(recvbuf).size
-        dt = datatype or datatype_of(recvbuf)
-        op.validate(dt)
-        self._warm_plan("reduce_scatter", count * dt.itemsize, dt, op,
-                        sendbuf, recvbuf)
-        return self._persistent_coll(
-            "reduce_scatter",
-            lambda: self.coll.reduce_scatter_block(self, sendbuf, recvbuf,
-                                                   count, dt, op))
+        return self._persistent(
+            self._reduce_scatter_block(sendbuf, recvbuf, op, count, datatype))
 
     def Barrier_init(self) -> "PersistentCollRequest":
         """Persistent barrier."""
-        self._check_live()
-        return self._persistent_coll("barrier",
-                                     lambda: self.coll.barrier(self))
+        return self._persistent(self._barrier())
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<Communicator {self.ctx_id} rank {self._rank}/{self.size}>"
@@ -836,8 +845,8 @@ class PersistentRequest:
 class PersistentCollRequest(PersistentRequest):
     """A persistent collective (``MPI_Allreduce_init`` family).
 
-    Arguments are resolved — and, with the fast path on, the routing
-    plan compiled — once at init; every ``Start`` replays the plan.
+    The descriptor is built — arguments checked, the routing plan
+    compiled — once at init; every ``Start`` runs it again.
     """
 
     def __init__(self, factory, coll: str) -> None:
@@ -854,6 +863,12 @@ def start_all(requests: Sequence["PersistentRequest"]) -> None:
     """``MPI_Startall``."""
     for r in requests:
         r.Start()
+
+
+def _contribution(sendbuf, recvbuf):
+    """The buffer holding this rank's input: ``recvbuf`` for the
+    in-place spellings."""
+    return recvbuf if sendbuf is IN_PLACE or sendbuf is None else sendbuf
 
 
 def _prefix(counts: Sequence[int]) -> List[int]:

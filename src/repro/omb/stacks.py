@@ -21,7 +21,7 @@ from typing import Optional
 from repro.baselines.openmpi import openmpi_communicator
 from repro.baselines.pure_ccl import PureCCLHarness
 from repro.baselines.ucc import ucc_communicator
-from repro.core.hybrid import DispatchMode
+from repro.core.dispatch import DispatchMode
 from repro.core.runtime import world_communicator
 from repro.core.tuning_table import TuningTable
 from repro.errors import ConfigError

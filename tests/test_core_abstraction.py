@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.abstraction import XCCLAbstractionLayer
+from repro.core.dispatch import CollectiveCall, execute_ccl
 from repro.mpi import DOUBLE_COMPLEX, FLOAT, SUM, Communicator
 from repro.mpi.ops import user_op
 
@@ -92,7 +93,8 @@ class TestMappedCollectives:
             s = ctx.device.zeros(64)
             s.fill(2.0)
             r = ctx.device.zeros(64)
-            layer.allreduce(comm, s, r, 64, FLOAT, SUM)
+            execute_ccl(layer, CollectiveCall(
+                "allreduce", comm, s, r, 64, dt=FLOAT, op=SUM))
             return r.array[0]
 
         assert spmd(thetagpu1, body, nranks=4) == [8.0] * 4
@@ -107,8 +109,9 @@ class TestMappedCollectives:
             s = ctx.device.zeros(2 * p)
             s.array[:] = np.repeat(ctx.rank * 10.0 + np.arange(p), 2)
             r_ccl = ctx.device.zeros(2 * p)
-            layer.alltoallv(comm, s, counts, displs, r_ccl, counts, displs,
-                            FLOAT)
+            execute_ccl(layer, CollectiveCall(
+                "alltoallv", comm, s, r_ccl, sendcounts=counts,
+                sdispls=displs, recvcounts=counts, rdispls=displs, dt=FLOAT))
             r_mpi = ctx.device.zeros(2 * p)
             comm.Alltoallv(s, counts, r_mpi, counts)
             return np.array_equal(r_ccl.array, r_mpi.array)
@@ -125,7 +128,9 @@ class TestMappedCollectives:
             s = ctx.device.zeros(counts[ctx.rank])
             s.fill(float(ctx.rank))
             r = ctx.device.zeros(sum(counts))
-            layer.gatherv(comm, s, r, counts, displs, FLOAT, root=1)
+            execute_ccl(layer, CollectiveCall(
+                "gatherv", comm, s, r, recvcounts=counts, rdispls=displs,
+                dt=FLOAT, root=1))
             if ctx.rank != 1:
                 return True
             expect = np.concatenate(
@@ -145,7 +150,9 @@ class TestMappedCollectives:
             if ctx.rank == 0:
                 s.array[:] = np.repeat(np.arange(p, dtype=float), 3)
             r = ctx.device.zeros(3)
-            layer.scatterv(comm, s, counts, displs, r, FLOAT, root=0)
+            execute_ccl(layer, CollectiveCall(
+                "scatterv", comm, s, r, sendcounts=counts, sdispls=displs,
+                dt=FLOAT, root=0))
             return r.array[0] == float(ctx.rank)
 
         assert all(spmd(thetagpu1, body, nranks=3))
@@ -160,7 +167,9 @@ class TestMappedCollectives:
             s = ctx.device.zeros(counts[ctx.rank])
             s.fill(float(ctx.rank))
             r = ctx.device.zeros(sum(counts))
-            layer.allgatherv(comm, s, r, counts, displs, FLOAT)
+            execute_ccl(layer, CollectiveCall(
+                "allgatherv", comm, s, r, recvcounts=counts, rdispls=displs,
+                dt=FLOAT))
             expect = np.concatenate(
                 [np.full(c, float(i)) for i, c in enumerate(counts)])
             return np.array_equal(r.array, expect)

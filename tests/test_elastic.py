@@ -13,6 +13,8 @@ import numpy as np
 import pytest
 
 from repro import fastpath
+from repro.core.dispatch import DispatchMode
+from repro.core.runtime import world_communicator
 from repro.errors import (CommRevokedError, RankFailedError,
                           RankKilledError)
 from repro.hw.systems import make_system
@@ -186,6 +188,51 @@ class TestElasticRecovery:
         assert results[2] is None
         assert all(r == (7.0, 35.0) for i, r in enumerate(results)
                    if i != 2)
+
+
+#: the three spellings of one allreduce, each ``(comm, send, recv) ->
+#: callable that runs it once``
+SPELLINGS = {
+    "blocking": lambda comm, s, r: lambda: comm.Allreduce(s, r),
+    "persistent": lambda comm, s, r: comm.Allreduce_init(s, r).Start,
+    "nonblocking": lambda comm, s, r: lambda: comm.Iallreduce(s, r).wait(),
+}
+
+
+@pytest.mark.parametrize("mode", [DispatchMode.PURE_MPI,
+                                  DispatchMode.PURE_XCCL],
+                         ids=lambda m: m.value)
+@pytest.mark.parametrize("spelling", sorted(SPELLINGS))
+def test_every_spelling_obeys_the_elastic_contract(thetagpu1, spelling, mode):
+    """A peer's death surfaces the same way from ``Allreduce``,
+    ``Allreduce_init().Start()`` and ``Iallreduce`` on either route:
+    every survivor sees ``CommRevokedError``, the communicator is
+    revoked engine-wide (so a later ``Start`` is refused up front), and
+    ``Comm_shrink`` recovers."""
+    def body(ctx):
+        comm = world_communicator(ctx, mode=mode)
+        send = ctx.device.zeros(256)
+        send.fill(1.0)
+        recv = ctx.device.zeros(256)
+        once = SPELLINGS[spelling](comm, send, recv)
+        try:
+            for _ in range(50):
+                once()
+        except CommRevokedError:
+            revoked = comm.Comm_is_revoked()
+            with pytest.raises(CommRevokedError):
+                comm.Allreduce_init(send, recv).Start()
+            comm.Comm_agree()
+            new = comm.Comm_shrink()
+            new.Allreduce(send, recv)
+            return (revoked, new.Get_size(), float(recv.array[0]))
+        return "never revoked"
+
+    engine = Engine(thetagpu1, nranks=4, progress_timeout_s=2.0)
+    with_faults(engine, FaultPlan().kill(1, after_us=30.0))
+    results = engine.run(body)
+    assert results[1] is None
+    assert [r for i, r in enumerate(results) if i != 1] == [(True, 3, 3.0)] * 3
 
 
 class TestRevokeSemantics:

@@ -5,7 +5,7 @@ import pytest
 from repro import fastpath
 from repro.core.abstraction import XCCLAbstractionLayer
 from repro.core.fallback import FallbackReason
-from repro.core.hybrid import DispatchMode, HybridDispatcher
+from repro.core.dispatch import CollectivePipeline, DispatchMode
 from repro.core.runtime import world_communicator
 from repro.errors import (CCLError, CommRevokedError, DeadlockError,
                           RankFailedError, SimulationError)
@@ -208,7 +208,7 @@ class TestCCLErrorFallback:
         def body(ctx):
             comm = Communicator.world(ctx)
             layer = XCCLAbstractionLayer(ctx, _FlakyNCCL())
-            comm.coll = HybridDispatcher(layer, DispatchMode.PURE_XCCL)
+            comm.coll = CollectivePipeline(layer, DispatchMode.PURE_XCCL)
             s = ctx.device.zeros(1 << 18)
             s.fill(1.0)
             r = ctx.device.zeros(1 << 18)
@@ -248,7 +248,7 @@ class TestCCLErrorFallback:
         def body(ctx):
             comm = Communicator.world(ctx)
             layer = XCCLAbstractionLayer(ctx, FlakySend())
-            comm.coll = HybridDispatcher(layer, DispatchMode.PURE_XCCL)
+            comm.coll = CollectivePipeline(layer, DispatchMode.PURE_XCCL)
             s = ctx.device.zeros(4, dtype=np.float32)
             s.array[:] = ctx.rank + 1
             out = []

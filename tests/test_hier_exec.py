@@ -188,8 +188,7 @@ def test_comm_free_releases_hier_state():
         topo = sub.routing_cache.get("hier")
         had_topo = topo is not None
         had_info = "node" in sub.routing_cache
-        pipeline = sub.coll.pipeline
-        had_plans = sub.ctx_id in pipeline._plans
+        had_plans = sub.ctx_id in sub.coll._plans
         sub.Free()
         return {
             "had_topo": had_topo,
@@ -199,7 +198,7 @@ def test_comm_free_releases_hier_state():
             "local_freed": topo.inner._freed if had_topo else False,
             "stripe_freed": (topo.outer.comm is None or topo.outer.comm._freed)
             if had_topo else False,
-            "plans_dropped": sub.ctx_id not in pipeline._plans,
+            "plans_dropped": sub.ctx_id not in sub.coll._plans,
         }
 
     # a tuned collective always walks the route stage and compiles no

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import MPICommError, MPIRankError
+from repro.errors import MPICommError, MPICountError, MPIRankError
 from repro.mpi import SUM, Communicator
 
 
@@ -114,6 +114,78 @@ class TestFree:
             return "missed"
 
         assert spmd(thetagpu1, body, nranks=2) == ["caught", "caught"]
+
+
+#: every collective entry point that takes a count, a vector or a root,
+#: called as ``f(comm, s, r, <one bad argument>)``; ``s`` and ``r`` hold
+#: 64 elements per rank of a 4-rank communicator
+_V = [64, 64, 64, 64]
+_ROOTED = {
+    "Bcast": lambda c, s, r, **bad: c.Bcast(r, **bad),
+    "Bcast_init": lambda c, s, r, **bad: c.Bcast_init(r, **bad),
+    "Ibcast": lambda c, s, r, **bad: c.Ibcast(r, **bad),
+    "Reduce": lambda c, s, r, **bad: c.Reduce(s, r, **bad),
+    "Reduce_init": lambda c, s, r, **bad: c.Reduce_init(s, r, **bad),
+    "Gather": lambda c, s, r, **bad: c.Gather(s, r, **bad),
+    "Scatter": lambda c, s, r, **bad: c.Scatter(s, r, **bad),
+    "Gatherv": lambda c, s, r, **bad: c.Gatherv(s, r, _V, **bad),
+    "Scatterv": lambda c, s, r, **bad: c.Scatterv(s, _V, r, **bad),
+}
+_COUNTED = dict(
+    {name: f for name, f in _ROOTED.items() if not name.endswith("v")},
+    **{name: (lambda c, s, r, n=name, **bad: getattr(c, n)(s, r, **bad))
+       for name in ("Allreduce", "Allreduce_init", "Iallreduce", "Allgather",
+                    "Allgather_init", "Alltoall", "Alltoall_init",
+                    "Ialltoall", "Reduce_scatter_block",
+                    "Reduce_scatter_block_init", "Scan", "Exscan")})
+_VECTOR = {
+    "Allgatherv": lambda c, s, r, v, d: c.Allgatherv(s, r, v, d),
+    "Gatherv": lambda c, s, r, v, d: c.Gatherv(s, r, v, d),
+    "Scatterv": lambda c, s, r, v, d: c.Scatterv(s, v, r, d),
+    "Alltoallv-send": lambda c, s, r, v, d: c.Alltoallv(s, v, r, _V, d),
+    "Alltoallv-recv": lambda c, s, r, v, d: c.Alltoallv(s, _V, r, v, None, d),
+}
+_BAD_VECTORS = {
+    "short-counts": ([64, 64], None),
+    "negative-count": ([64, -1, 64, 64], None),
+    "short-displs": (_V, [0, 64]),
+    "negative-displ": (_V, [0, -64, 128, 192]),
+}
+BAD_ARGUMENTS = (
+    [pytest.param(lambda c, s, r, f=f: f(c, s, r, count=-1), MPICountError,
+                  id=f"{name}-negative-count")
+     for name, f in _COUNTED.items()]
+    + [pytest.param(lambda c, s, r, f=f, root=root: f(c, s, r, root=root),
+                    MPIRankError, id=f"{name}-root-{root}")
+       for name, f in _ROOTED.items() for root in (4, -1)]
+    + [pytest.param(lambda c, s, r, f=f, v=v, d=d: f(c, s, r, v, d),
+                    MPICountError, id=f"{name}-{bad}")
+       for name, f in _VECTOR.items()
+       for bad, (v, d) in _BAD_VECTORS.items()]
+)
+
+
+class TestCollectiveArguments:
+    @pytest.mark.parametrize("call,error", BAD_ARGUMENTS)
+    def test_bad_argument_rejected_before_anything_is_sent(
+            self, thetagpu1, spmd, call, error):
+        """A negative count, a vector that is not one non-negative entry
+        per rank, or a root outside the communicator is refused by the
+        entry point itself: the same error on every rank, no virtual
+        time spent, and the communicator still usable."""
+        def body(ctx):
+            comm = world(ctx)
+            s = ctx.device.zeros(256)
+            s.fill(1.0)
+            r = ctx.device.zeros(256)
+            before = comm.now
+            with pytest.raises(error):
+                call(comm, s, r)
+            assert comm.now == before
+            comm.Allreduce(s, r, SUM)
+            return r.array[0]
+
+        assert spmd(thetagpu1, body, nranks=4) == [4.0] * 4
 
 
 class TestNonblockingCollectives:

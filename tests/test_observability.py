@@ -16,8 +16,7 @@ import numpy as np
 import pytest
 
 from repro import fastpath
-from repro.core.dispatch import DispatchMode
-from repro.core.hybrid import HybridDispatcher
+from repro.core.dispatch import CollectivePipeline, DispatchMode
 from repro.core.runtime import world_communicator
 from repro.dl.horovod import HorovodConfig
 from repro.dl.models import tiny_mlp
@@ -184,9 +183,9 @@ class TestTransportAndDerivedComms:
             comm = world_communicator(ctx, mode=DispatchMode.PURE_XCCL)
             layer = comm.coll.layer
             dup = comm.Dup()
-            dup.coll = HybridDispatcher(layer, DispatchMode.PURE_XCCL)
+            dup.coll = CollectivePipeline(layer, DispatchMode.PURE_XCCL)
             half = comm.Split(color=comm.rank % 2, key=comm.rank)
-            half.coll = HybridDispatcher(layer, DispatchMode.PURE_XCCL)
+            half.coll = CollectivePipeline(layer, DispatchMode.PURE_XCCL)
             s = ctx.device.zeros(BIG)
             r = ctx.device.zeros(BIG)
             dup.Allreduce(s, r, SUM)
