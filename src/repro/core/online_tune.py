@@ -31,11 +31,10 @@ extra communication:
 * the phase is a pure function of the caller's *own* per-bucket call
   index, which is identical on every rank of an SPMD program; and
 * the fit is computed once, by whichever rank needs it first, and
-  cached under the tuner lock — every other rank reads the identical
-  answer.
+  cached — every other rank reads the identical answer.
 
-Ranks run under one run token, so the sample set at fit time is
-deterministic and runs reproduce exactly.
+Ranks run under one run token, so the tuner needs no lock, the sample
+set at fit time is deterministic and runs reproduce exactly.
 
 The tuner is a run option: an :class:`repro.sim.engine.Engine` built
 with ``online_tune=True`` (default ``MPIX_ONLINE_TUNE``) owns one
@@ -49,7 +48,6 @@ communicator re-tunes from scratch for the survivor shape.
 
 from __future__ import annotations
 
-import threading
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import fastpath
@@ -108,7 +106,6 @@ class OnlineTuner:
     def __init__(self, observe_calls: int = 4, explore_calls: int = 2) -> None:
         self.observe_calls = int(observe_calls)
         self.explore_calls = int(explore_calls)
-        self._lock = threading.Lock()
         self._buckets: Dict[Tuple[str, str, int], _BucketState] = {}
 
     # -- feedback loop ------------------------------------------------------
@@ -122,20 +119,19 @@ class OnlineTuner:
         cross-rank coordination.
         """
         key = (ctx_id, coll, bucket)
-        with self._lock:
-            state = self._buckets.get(key)
-            if state is None:
-                state = self._buckets[key] = _BucketState(static, candidates)
-            if state.fitted is not None:
-                return state.fitted, FITTED
-            alts = [c for c in state.candidates if c != state.static]
-            fit_at = self.observe_calls + self.explore_calls * len(alts)
-            if call_index < self.observe_calls or not alts:
-                return state.static, OBSERVE
-            if call_index < fit_at:
-                slot = (call_index - self.observe_calls) // self.explore_calls
-                return alts[slot], EXPLORE
-            state.fitted = self._fit_locked(state)
+        state = self._buckets.get(key)
+        if state is None:
+            state = self._buckets[key] = _BucketState(static, candidates)
+        if state.fitted is not None:
+            return state.fitted, FITTED
+        alts = [c for c in state.candidates if c != state.static]
+        fit_at = self.observe_calls + self.explore_calls * len(alts)
+        if call_index < self.observe_calls or not alts:
+            return state.static, OBSERVE
+        if call_index < fit_at:
+            slot = (call_index - self.observe_calls) // self.explore_calls
+            return alts[slot], EXPLORE
+        state.fitted = self._fit(state)
         return state.fitted, FITTED
 
     def observe(self, ctx_id: str, coll: str, bucket: int, route: str,
@@ -143,12 +139,11 @@ class OnlineTuner:
         """Feed one measured execution back into the bucket's samples
         (ignored for buckets :meth:`advise` never routed, and after the
         bucket has fitted — the fit is a one-shot decision)."""
-        with self._lock:
-            state = self._buckets.get((ctx_id, coll, bucket))
-            if state is not None and state.fitted is None:
-                state.add(route, duration_us)
+        state = self._buckets.get((ctx_id, coll, bucket))
+        if state is not None and state.fitted is None:
+            state.add(route, duration_us)
 
-    def _fit_locked(self, state: _BucketState) -> str:
+    def _fit(self, state: _BucketState) -> str:
         """Pick the measured winner (static wins ties, for stability)."""
         best, best_mean = state.static, None
         for route in state.candidates:
@@ -166,21 +161,19 @@ class OnlineTuner:
     def release(self, ctx_id: str) -> None:
         """Drop every overlay bucket belonging to one communicator
         (``Comm_free`` / ``Comm_shrink`` teardown)."""
-        with self._lock:
-            for key in [k for k in self._buckets if k[0] == ctx_id]:
-                del self._buckets[key]
+        for key in [k for k in self._buckets if k[0] == ctx_id]:
+            del self._buckets[key]
 
     def overlay(self, ctx_id: Optional[str] = None) -> Dict[Tuple[str, str, int], Dict]:
         """A copy of the adapted state, for tests and ``tune-report``:
         ``{(ctx_id, coll, bucket): {static, fitted, means}}``."""
-        with self._lock:
-            out = {}
-            for key, state in self._buckets.items():
-                if ctx_id is not None and key[0] != ctx_id:
-                    continue
-                out[key] = {
-                    "static": state.static,
-                    "fitted": state.fitted,
-                    "means": {r: state.mean(r) for r in state.samples},
-                }
-            return out
+        out = {}
+        for key, state in self._buckets.items():
+            if ctx_id is not None and key[0] != ctx_id:
+                continue
+            out[key] = {
+                "static": state.static,
+                "fitted": state.fitted,
+                "means": {r: state.mean(r) for r in state.samples},
+            }
+        return out

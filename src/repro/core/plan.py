@@ -28,7 +28,6 @@ the per-call derivation gave (``tests/frozen_reference.py``).
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -102,55 +101,37 @@ class BufferPool:
     the caller then allocates fresh.  Contents are undefined on
     acquire, matching ``alloc_like``'s ``np.empty`` semantics.
 
-    Per-rank staging pools are thread-confined by construction and use
-    the default ``threadsafe=False``; the engine's shared accumulator
-    pool (reduction scratch handed between rank threads by the
-    zero-copy collectives) passes ``threadsafe=True`` to guard the
-    free lists with a lock.  ``reuse_note`` names the
+    A pool is used by one rank (its staging pool) or by one engine's
+    ranks under the run token (the engine's shared accumulator pool,
+    whose reduction scratch the zero-copy collectives hand between
+    ranks), so it takes no lock.  ``reuse_note`` names the
     :data:`repro.fastpath.STATS` callback credited on a pool hit, so
     accumulator reuse is counted separately from per-rank staging
     reuse.
     """
 
     def __init__(self, cap_per_key: int = POOL_CAP_PER_KEY,
-                 threadsafe: bool = False,
                  reuse_note: Optional[Callable[[], None]] = None) -> None:
         self._free: Dict[Tuple, List[Any]] = {}
         self.cap_per_key = cap_per_key
-        self._lock = threading.Lock() if threadsafe else None
         self._reuse_note = reuse_note or fastpath.STATS.note_pool_reuse
 
     def acquire(self, key: Tuple) -> Optional[Any]:
         """Pop a pooled buffer for ``key`` (None when empty)."""
-        if self._lock is not None:
-            with self._lock:
-                free = self._free.get(key)
-                buf = free.pop() if free else None
-        else:
-            free = self._free.get(key)
-            buf = free.pop() if free else None
-        if buf is not None:
-            self._reuse_note()
-        return buf
+        free = self._free.get(key)
+        if not free:
+            return None
+        self._reuse_note()
+        return free.pop()
 
     def release(self, key: Tuple, buf: Any) -> None:
         """Return a buffer to the pool (dropped beyond the cap)."""
-        if self._lock is not None:
-            with self._lock:
-                free = self._free.setdefault(key, [])
-                if len(free) < self.cap_per_key:
-                    free.append(buf)
-            return
         free = self._free.setdefault(key, [])
         if len(free) < self.cap_per_key:
             free.append(buf)
 
     def clear(self) -> None:
         """Drop every pooled buffer."""
-        if self._lock is not None:
-            with self._lock:
-                self._free.clear()
-            return
         self._free.clear()
 
     def __len__(self) -> int:

@@ -28,7 +28,6 @@ here is settable.
 
 from __future__ import annotations
 
-import threading
 from typing import Dict
 
 
@@ -84,147 +83,129 @@ class PlanStats:
 
     One global instance (:data:`STATS`) aggregates across every rank
     thread; :class:`repro.core.plan.PlanCache` instances keep their own
-    per-communicator view as well.  Counters are guarded by a lock —
-    they are touched by every rank thread of an engine run.
+    per-communicator view as well.  The counters are plain ints: an
+    engine's ranks bump them under its run token
+    (:mod:`repro.sim.sched`).  ``Engine()`` zeroes them, so engines
+    running concurrently in one process never had meaningful counts;
+    the cure for that is counters owned by the engine (ROADMAP), not a
+    lock.
     """
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
         self.reset()
 
     def note_hit(self, n: int = 1) -> None:
         """Record ``n`` plan-cache hits."""
-        with self._lock:
-            self.hits += n
+        self.hits += n
 
     def note_miss(self) -> None:
         """Record one plan-cache miss."""
-        with self._lock:
-            self.misses += 1
+        self.misses += 1
 
     def note_compiled(self) -> None:
         """Record one freshly compiled plan."""
-        with self._lock:
-            self.compiled += 1
+        self.compiled += 1
 
     def note_pool_reuse(self) -> None:
         """Record one staging buffer served from a pool."""
-        with self._lock:
-            self.pool_reuses += 1
+        self.pool_reuses += 1
 
     def note_fusion_flush(self, msgs: int) -> None:
         """Record one group flush that batched ``msgs`` messages."""
-        with self._lock:
-            self.fusion_flushes += 1
-            self.fusion_msgs += msgs
+        self.fusion_flushes += 1
+        self.fusion_msgs += msgs
 
     def note_fusion_exchange(self) -> None:
         """Record one whole-group rendezvous exchange."""
-        with self._lock:
-            self.fusion_exchanges += 1
+        self.fusion_exchanges += 1
 
     def note_fusion_fallback(self, n: int = 1) -> None:
         """Record ``n`` flushes or matches that left the whole-group
         rendezvous for the mailbox."""
-        with self._lock:
-            self.fusion_fallbacks += n
+        self.fusion_fallbacks += n
 
     def note_copy_elided(self, n: int = 1) -> None:
         """Record ``n`` payload snapshots replaced by view handoffs."""
-        with self._lock:
-            self.copies_elided += n
+        self.copies_elided += n
 
     def note_copy_forced(self, n: int = 1) -> None:
         """Record ``n`` copy-on-write escapes back to the copying path."""
-        with self._lock:
-            self.copies_forced += n
+        self.copies_forced += n
 
     def note_accumulator_reuse(self) -> None:
         """Record one reduction/staging scratch served from the shared
         pool instead of a fresh allocation."""
-        with self._lock:
-            self.accumulator_reuses += 1
+        self.accumulator_reuses += 1
 
     def note_dispatch(self, xccl: bool, fallback: bool = False,
                       ccl_error: bool = False, hier: bool = False,
                       bridge: bool = False) -> None:
         """Record one collective leaving the pipeline's execute stage."""
-        with self._lock:
-            self.dispatch_calls += 1
-            if hier:
-                self.route_hier += 1
-            elif bridge:
-                self.route_bridge += 1
-            elif xccl:
-                self.route_xccl += 1
-            else:
-                self.route_mpi += 1
-                if fallback:
-                    self.route_fallbacks += 1
-                if ccl_error:
-                    self.ccl_errors += 1
+        self.dispatch_calls += 1
+        if hier:
+            self.route_hier += 1
+        elif bridge:
+            self.route_bridge += 1
+        elif xccl:
+            self.route_xccl += 1
+        else:
+            self.route_mpi += 1
+            if fallback:
+                self.route_fallbacks += 1
+            if ccl_error:
+                self.ccl_errors += 1
 
     def note_hier(self, chunks: int, stripe_ops: int) -> None:
         """Record one hierarchical plan execution: how many payload
         chunks it pipelined and how many inter-node stripe collectives
         it issued (the per-NIC flows)."""
-        with self._lock:
-            self.hier_chunks += chunks
-            self.hier_stripe_ops += stripe_ops
+        self.hier_chunks += chunks
+        self.hier_stripe_ops += stripe_ops
 
     def note_negotiation(self) -> None:
         """Record one mixed-vendor capability negotiation (reported by
         rank 0 of the negotiating communicator only, so the counter
         reads "negotiations per communicator", not per rank)."""
-        with self._lock:
-            self.negotiations += 1
+        self.negotiations += 1
 
     def note_bridge(self, hops: int) -> None:
         """Record the host-staged inter-island messages one bridge
         plan execution sent (leaders only report, so the counter is a
         message count, not a per-rank tally)."""
-        with self._lock:
-            self.bridge_hops += hops
+        self.bridge_hops += hops
 
     def note_coop_run(self, parks: int, switches: int) -> None:
         """Record one engine run (the engine aggregates the scheduler's
-        per-run totals here once, at run end — no per-transition lock
-        traffic)."""
-        with self._lock:
-            self.coop_runs += 1
-            self.coop_parks += parks
-            self.coop_switches += switches
+        per-run totals here once, at run end)."""
+        self.coop_runs += 1
+        self.coop_parks += parks
+        self.coop_switches += switches
 
     def note_online_update(self, flipped: bool) -> None:
         """Record one online-tuner bucket re-fit; ``flipped`` when the
         fitted route differs from the static table's choice."""
-        with self._lock:
-            self.online_updates += 1
-            if flipped:
-                self.route_flips += 1
+        self.online_updates += 1
+        if flipped:
+            self.route_flips += 1
 
     def note_revoke(self) -> None:
         """Record one communicator revocation (the engine deduplicates,
         so this counts communicators, not raising ranks)."""
-        with self._lock:
-            self.comm_revokes += 1
+        self.comm_revokes += 1
 
     def note_shrink(self) -> None:
         """Record one completed shrink agreement (the rendezvous
         computes once, so this counts communicators, not ranks)."""
-        with self._lock:
-            self.comm_shrinks += 1
+        self.comm_shrinks += 1
 
     def reset(self) -> None:
         """Zero every counter (test isolation)."""
-        with self._lock:
-            for name in COUNTERS:
-                setattr(self, name, 0)
+        for name in COUNTERS:
+            setattr(self, name, 0)
 
     def snapshot(self) -> Dict[str, int]:
-        """A consistent copy of the counters."""
-        with self._lock:
-            return {name: getattr(self, name) for name in COUNTERS}
+        """A copy of the counters."""
+        return {name: getattr(self, name) for name in COUNTERS}
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         s = self.snapshot()

@@ -1,15 +1,15 @@
 """A node: host CPU, accelerators, intra-node interconnect, NIC.
 
-Each node carries a networkx topology graph — host, devices, NIC, and
-(on ThetaGPU) the NVSwitch — so path queries between endpoints compose
-the actual link segments rather than guessing.
+Devices hang off the node's interconnect — a switch (NVSwitch-style)
+or the host bus (PCIe) — and each has a GPU-direct segment to the NIC.
+Every device-to-device path is therefore two ``intra_link`` segments
+(through the switch, the bus or the NIC alike) and every device-to-NIC
+path one, which is all the path queries below return.
 """
 
 from __future__ import annotations
 
 from typing import List, Tuple
-
-import networkx as nx
 
 from repro.errors import TopologyError
 from repro.hw.device import Accelerator, HostCPU
@@ -52,26 +52,6 @@ class Node:
         for i, dev in enumerate(self.devices):
             dev.local_index = i
             dev.node = self
-        self.graph = self._build_graph()
-
-    def _build_graph(self) -> nx.Graph:
-        g = nx.Graph()
-        g.add_node("host", kind="host")
-        g.add_node("nic", kind="nic")
-        g.add_edge("host", "nic", link=self.host_link)
-        if self.switched:
-            g.add_node("switch", kind="switch")
-            g.add_edge("host", "switch", link=self.host_link)
-        for dev in self.devices:
-            dev_node = f"dev{dev.local_index}"
-            g.add_node(dev_node, kind="device", device=dev)
-            if self.switched:
-                g.add_edge(dev_node, "switch", link=self.intra_link)
-            else:
-                g.add_edge(dev_node, "host", link=self.intra_link)
-            # GPU-direct path from device to NIC
-            g.add_edge(dev_node, "nic", link=self.intra_link)
-        return g
 
     # -- queries ----------------------------------------------------------
 
@@ -108,22 +88,18 @@ class Node:
         return self.devices[local_index]
 
     def intra_path_links(self, a: int, b: int) -> List[LinkModel]:
-        """Link segments on the shortest path between two local devices."""
+        """Link segments on the shortest path between two local devices
+        (device -> switch, bus or NIC -> device)."""
         if a == b:
             return []
-        try:
-            path = nx.shortest_path(self.graph, f"dev{a}", f"dev{b}")
-        except (nx.NodeNotFound, nx.NetworkXNoPath) as exc:
-            raise TopologyError(f"{self.name}: no path dev{a}->dev{b}") from exc
-        links = []
-        for u, v in zip(path, path[1:]):
-            links.append(self.graph.edges[u, v]["link"])
-        return links
+        self.device(a)
+        self.device(b)
+        return [self.intra_link, self.intra_link]
 
     def device_to_nic_links(self, local_index: int) -> List[LinkModel]:
-        """Link segments from a device to the node's NIC."""
-        path = nx.shortest_path(self.graph, f"dev{local_index}", "nic")
-        return [self.graph.edges[u, v]["link"] for u, v in zip(path, path[1:])]
+        """Link segments from a device to the node's NIC (GPU-direct)."""
+        self.device(local_index)
+        return [self.intra_link]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         kinds = {d.vendor.value for d in self.devices}

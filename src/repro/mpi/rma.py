@@ -12,7 +12,6 @@ MPI model: RMA operations issued in an epoch are guaranteed complete
 
 from __future__ import annotations
 
-import threading
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -28,17 +27,18 @@ from repro.mpi.ops import SUM, Op
 class Win:
     """One rank's handle on a window (create with :meth:`allocate`).
 
-    The shared state (everyone's exposed buffers and their access
-    locks) is distributed through an engine rendezvous at creation, so
-    every rank's handle sees the same physical windows.
+    Everyone's exposed buffers are distributed through an engine
+    rendezvous at creation, so every rank's handle sees the same
+    physical windows.  An RMA operation touches the target's memory
+    while its rank holds the run token (:mod:`repro.sim.sched`), so
+    ``accumulate`` is atomic without a per-target lock.
     """
 
     def __init__(self, comm: Communicator, local, buffers: Dict[int, object],
-                 locks: Dict[int, threading.Lock], uid: Tuple) -> None:
+                 uid: Tuple) -> None:
         self.comm = comm
         self.local = local
         self._buffers = buffers
-        self._locks = locks
         self.uid = uid
         self._pending_until = 0.0   # completion horizon of issued ops
         self._freed = False
@@ -57,13 +57,9 @@ class Win:
         local = comm.ctx.device.zeros(max(count, 1), dtype=dtype.storage)
         seq = comm.next_coll_tag()
         slot = comm.ctx.collective_slot((comm.ctx_id, "win", seq), comm.size)
-        shared = slot.exchange(
-            comm.rank, (local, threading.Lock()),
-            lambda payloads: ({r: b for r, (b, _l) in payloads.items()},
-                              {r: l for r, (_b, l) in payloads.items()}))
-        buffers, locks = shared
+        buffers = slot.exchange(comm.rank, local, dict)
         comm.ctx.clock.advance(2.0)  # allocation + address exchange
-        return cls(comm, local, buffers, locks, uid=(comm.ctx_id, seq))
+        return cls(comm, local, buffers, uid=(comm.ctx_id, seq))
 
     def free(self) -> None:
         """Collective window teardown (``MPI_Win_free``)."""
@@ -119,8 +115,7 @@ class Win:
         if src.dtype != dst.dtype:
             raise MPITypeError(
                 f"put dtype {src.dtype} into window of {dst.dtype}")
-        with self._locks[target_rank]:
-            dst[...] = src[:n]
+        dst[...] = src[:n]
         arrival = self._transfer_time(target_rank, int(n * src.itemsize))
         self._pending_until = max(self._pending_until, arrival)
 
@@ -131,8 +126,7 @@ class Win:
         dst = as_array(dstbuf)
         n = count if count is not None else dst.size
         src = self._slice(target_rank, target_offset, n)
-        with self._locks[target_rank]:
-            dst[:n] = src
+        dst[:n] = src
         arrival = self._transfer_time(target_rank, int(n * dst.itemsize))
         self._pending_until = max(self._pending_until, arrival)
 
@@ -146,8 +140,7 @@ class Win:
         n = count if count is not None else src.size
         dst = self._slice(target_rank, target_offset, n)
         op.validate(datatype_of(dst.dtype))
-        with self._locks[target_rank]:
-            dst[...] = op(dst, src[:n])
+        dst[...] = op(dst, src[:n])
         arrival = self._transfer_time(target_rank, int(n * src.itemsize))
         self._pending_until = max(self._pending_until, arrival)
 

@@ -205,9 +205,8 @@ class CollectiveSlot:
         """True once every party has retrieved the result (or the slot
         was poisoned by a compute failure).
 
-        Lock-free read: ``_retrieved`` is a single int updated under
-        the slot lock; avoiding the lock here prevents a
-        waitq-vs-slots-lock ordering inversion with the engine's reaper.
+        Read without the slot lock: the engine's slot table calls it
+        under the run token (:mod:`repro.sim.sched`).
         """
         return self._retrieved == self.parties or self._failed
 
@@ -377,8 +376,8 @@ class Engine:
         self.online_tuner = (OnlineTuner() if self.options["online_tune"]
                              else None)
         # ULFM state: ranks known dead and communicator contexts
-        # revoked, shared across rank threads
-        self._elastic_lock = threading.Lock()
+        # revoked, shared by the ranks (under the run token, like every
+        # table below: repro.sim.sched)
         self.dead_ranks: set = set()
         self._revoked: set = set()
         self._shrink_gens: Dict[str, int] = {}
@@ -399,7 +398,6 @@ class Engine:
         self._waitq_factory = (
             lambda lock: CoopWaitq(lock, self.monitor, self.scheduler))
         self._patched_mailboxes = 0
-        self._patch_lock = threading.Lock()
         self._mailboxes = [Mailbox(r, self.monitor, self._waitq_factory)
                            for r in range(self.nranks)]
         for mb in self._mailboxes:
@@ -407,17 +405,14 @@ class Engine:
         self._devices = [cluster.device_for_rank(r, ranks_per_node)
                          for r in range(self.nranks)]
         self._slots: Dict[Any, CollectiveSlot] = {}
-        self._slots_lock = threading.Lock()
         self.wires = WireTracker()
         self._seq = itertools.count()
         self.contexts: List[RankContext] = []
         # shared accumulator pool for the zero-copy collectives: the
-        # reducing thread differs call to call, so unlike the per-rank
-        # staging pools this one is locked (import is deferred to keep
-        # sim below core in the layering)
+        # reducing rank differs call to call (import is deferred to
+        # keep sim below core in the layering)
         from repro.core.plan import BufferPool
         self.scratch_pool = BufferPool(
-            threadsafe=True,
             reuse_note=fastpath.STATS.note_accumulator_reuse)
 
     # -- lookups -----------------------------------------------------------
@@ -427,8 +422,7 @@ class Engine:
         return self._mailboxes[rank]
 
     def _note_mailbox_patched(self, delta: int) -> None:
-        with self._patch_lock:
-            self._patched_mailboxes += delta
+        self._patched_mailboxes += delta
 
     @property
     def any_mailbox_patched(self) -> bool:
@@ -460,36 +454,32 @@ class Engine:
         ``factory`` selects the slot flavour (plain collective or
         :class:`GroupExchangeSlot`); keys never collide across flavours.
         """
-        with self._slots_lock:
-            slot = self._slots.get(key)
-            if slot is None or slot.finished:
-                # patient slots are the ULFM recovery rendezvous: they
-                # run on a revoked communicator by design, so they never
-                # get a hopelessness probe
-                abort = None if patient else \
-                    (lambda: self._slot_hopeless(key))
-                slot = factory(key, parties, self.monitor,
-                               on_finish=self._reap_slot,
-                               waitq_factory=self._waitq_factory,
-                               patient=patient, abort=abort)
-                self._slots[key] = slot
-            if slot.parties != parties:
-                raise SimulationError(
-                    f"collective {key!r} called with {parties} parties, "
-                    f"but an in-flight call has {slot.parties}")
-            return slot
+        slot = self._slots.get(key)
+        if slot is None or slot.finished:
+            # patient slots are the ULFM recovery rendezvous: they run
+            # on a revoked communicator by design, so they never get a
+            # hopelessness probe
+            abort = None if patient else (lambda: self._slot_hopeless(key))
+            slot = factory(key, parties, self.monitor,
+                           on_finish=self._reap_slot,
+                           waitq_factory=self._waitq_factory,
+                           patient=patient, abort=abort)
+            self._slots[key] = slot
+        if slot.parties != parties:
+            raise SimulationError(
+                f"collective {key!r} called with {parties} parties, "
+                f"but an in-flight call has {slot.parties}")
+        return slot
 
     def _reap_slot(self, slot: CollectiveSlot) -> None:
-        with self._slots_lock:
-            if self._slots.get(slot.key) is slot:
-                del self._slots[slot.key]
+        if self._slots.get(slot.key) is slot:
+            del self._slots[slot.key]
 
     # -- elastic (ULFM) state ------------------------------------------------
 
     def note_rank_dead(self, rank: int) -> None:
         """Record one rank as dead (a ``FaultPlan.kill`` rule fired)."""
-        with self._elastic_lock:
-            self.dead_ranks.add(rank)
+        self.dead_ranks.add(rank)
 
     def register_ctx_group(self, scope: Any, group) -> None:
         """Remember the world-rank group behind a communicator scope
@@ -497,8 +487,7 @@ class Engine:
         Blocked waits consult the registry to fail at once when a
         member dies, instead of parking until the deadlock detector
         fires."""
-        with self._elastic_lock:
-            self._ctx_groups[scope] = tuple(group)
+        self._ctx_groups[scope] = tuple(group)
 
     def _slot_hopeless(self, key: Any) -> Optional[str]:
         """Why a slot rendezvous can never complete, or None while it
@@ -506,7 +495,7 @@ class Engine:
         user keys lead with an MPI ctx_id string or an
         ``("xccl"/"xccl-group", uid, ...)`` tuple."""
         if not self.dead_ranks and not self._revoked:
-            return None  # fault-free fast path: no locks taken
+            return None  # fault-free fast path
         user = key[0] if isinstance(key, tuple) and key else None
         if not isinstance(user, tuple) or not user:
             return None
@@ -516,11 +505,10 @@ class Engine:
             scope = user[0]
         else:
             return None
-        with self._elastic_lock:
-            if scope in self._revoked:
-                return f"communicator {scope!r} was revoked"
-            group = self._ctx_groups.get(scope)
-            dead = self.dead_ranks.intersection(group) if group else None
+        if scope in self._revoked:
+            return f"communicator {scope!r} was revoked"
+        group = self._ctx_groups.get(scope)
+        dead = self.dead_ranks.intersection(group) if group else None
         if dead:
             return f"member rank(s) {sorted(dead)} died"
         return None
@@ -533,20 +521,14 @@ class Engine:
         a party is dead) and wakes every blocked receiver so its
         hopelessness probe runs now.
         """
-        with self._elastic_lock:
-            if ctx_id in self._revoked:
-                return
-            self._revoked.add(ctx_id)
+        if ctx_id in self._revoked:
+            return
+        self._revoked.add(ctx_id)
         from repro import fastpath
         fastpath.STATS.note_revoke()
-        with self._slots_lock:
-            doomed = []
-            for key in [k for k in self._slots
-                        if self._slot_ctx_id(k) == ctx_id]:
-                doomed.append(self._slots.pop(key))
+        doomed = [self._slots.pop(key) for key in list(self._slots)
+                  if self._slot_ctx_id(key) == ctx_id]
         for slot in doomed:
-            # outside the slots lock: poison wakes waiters, whose
-            # unwind may re-enter the engine
             slot.poison(DeadlockError(
                 f"collective {slot.key!r} aborted: communicator "
                 f"{ctx_id!r} was revoked"))
@@ -566,20 +548,16 @@ class Engine:
 
     def is_revoked(self, ctx_id: str) -> bool:
         """Whether the communicator context has been revoked."""
-        if not self._revoked:
-            return False  # fault-free fast path: no lock taken
-        with self._elastic_lock:
-            return ctx_id in self._revoked
+        return ctx_id in self._revoked
 
     def shrink_generation(self, ctx_id: str) -> int:
         """A deterministic generation number for a shrink of ``ctx_id``
         (how many shrinks of it completed before this one).  Called from
         inside the shrink rendezvous' compute — once per agreement — so
         every survivor names the new context identically."""
-        with self._elastic_lock:
-            gen = self._shrink_gens.get(ctx_id, 0)
-            self._shrink_gens[ctx_id] = gen + 1
-            return gen
+        gen = self._shrink_gens.get(ctx_id, 0)
+        self._shrink_gens[ctx_id] = gen + 1
+        return gen
 
     # -- execution -----------------------------------------------------------
 
@@ -596,10 +574,9 @@ class Engine:
             for hook in self.context_hooks:
                 hook(ctx)
         # fresh run, fresh failure knowledge
-        with self._elastic_lock:
-            self.dead_ranks.clear()
-            self._revoked.clear()
-            self._ctx_groups.clear()
+        self.dead_ranks.clear()
+        self._revoked.clear()
+        self._ctx_groups.clear()
         results: List[Any] = [None] * self.nranks
         failures: Dict[int, BaseException] = {}
 
@@ -641,8 +618,7 @@ class Engine:
         for ctx in self.contexts:
             if ctx.staging_pool is not None:
                 ctx.staging_pool.clear()
-        with self._slots_lock:
-            self._slots.clear()
+        self._slots.clear()
 
     def next_sequence(self) -> int:
         """A run-unique id (collective keys, message fingerprints)."""

@@ -118,8 +118,7 @@ class PayloadLease:
     protocol is a tiny two-party state machine:
 
     * the receiver calls :meth:`consume` to copy the payload out into
-      its buffer; the copy runs under the lease lock, so it can never
-      interleave with the sender reclaiming the buffer;
+      its buffer;
     * the sender calls :meth:`materialize` at the last point it can
       still do so before its buffer becomes mutable again (the return
       of a blocking send or sendrecv).  If the receiver already
@@ -127,34 +126,32 @@ class PayloadLease:
       not, the payload is copied *now* (the copy-on-write escape
       hatch) and the receiver will read the snapshot instead.
 
-    Either way the bytes received are identical to the eager-copy
-    protocol — the lease only changes whether a copy happens at all.
+    The two sides never interleave: each runs while its rank holds the
+    run token (:mod:`repro.sim.sched`).  Either way the bytes received
+    are identical to the eager-copy protocol — the lease only changes
+    whether a copy happens at all.
     """
 
-    __slots__ = ("_lock", "consumed", "materialized")
+    __slots__ = ("consumed", "materialized")
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
         self.consumed = False
         self.materialized = False
 
     def consume(self, msg: "Message", target) -> None:
-        """Receiver side: copy ``msg.data`` into ``target`` under the
-        lease."""
-        with self._lock:
-            target[...] = msg.data     # converts the dtype if it differs
-            self.consumed = True
-            msg.data = None  # drop the borrowed view promptly
+        """Receiver side: copy ``msg.data`` into ``target``."""
+        target[...] = msg.data     # converts the dtype if it differs
+        self.consumed = True
+        msg.data = None  # drop the borrowed view promptly
 
     def materialize(self, msg: "Message") -> bool:
         """Sender side: reclaim the buffer.  Returns True when a copy
         had to be forced (receiver had not consumed yet)."""
-        with self._lock:
-            if self.consumed or self.materialized:
-                return False
-            msg.data = msg.data.copy()
-            self.materialized = True
-            return True
+        if self.consumed or self.materialized:
+            return False
+        msg.data = msg.data.copy()
+        self.materialized = True
+        return True
 
 
 #: a receive specification for :meth:`Mailbox.match_many`.

@@ -36,14 +36,40 @@ Two rules a rank program must keep:
   through :func:`yield_now`, so ``while not req.test()[0]: pass`` is
   fine; a loop that never enters the library is not.
 
-One invariant the library keeps: a fiber never parks while holding an
-unrelated lock (another fiber could need it to make progress).  All
-sim/mpi locks are held only across short memory copies, never across a
-blocking wait.
+The run token is the only lock rank code needs.  One fiber of an engine
+runs at a time, and every hand-off is a baton release paired with the
+next fiber's acquire — a happens-before edge — so state that only one
+engine's fibers touch during a run (or the caller's thread outside a
+run) is a plain attribute: wire bookings, payload leases, buffer pools,
+the fast-path counters, the online tuner, the engine's slot and elastic
+tables, RMA windows.  A lock stays only where a caller that is not a
+fiber of the engine gets in.  The complete list
+(``tests/test_run_token.py`` checks it against every
+``threading.Lock`` / ``RLock`` / ``Condition`` built under ``src/``):
+
+* ``Mailbox._lock`` — a standalone mailbox is driven by real threads
+  (the :class:`ThreadWaitq` fallback, ``tests/test_sim_mailbox.py``).
+* ``CollectiveSlot._lock`` — the same fallback for a slot's waitq.
+* ``CoopScheduler._lock`` — the run queue: a fiber that hands the
+  token on is still leaving :meth:`CoopScheduler.park` while the next
+  one runs, and the thread starting the run hands out the first token.
+* ``_Fiber.baton`` — the token hand-off itself.
+* ``ThreadWaitq._cond`` — the condition an off-engine wait sleeps on.
+
+A new off-engine caller adds its lock here, with the reason.  A fiber
+never parks holding a lock other than the one its waitq releases.
+
+Carrier threads ask the OS for ``SCHED_BATCH``: a baton release wakes
+the next fiber's thread, and under the default policy Linux lets it
+preempt the releaser — which still holds the GIL — only for it to block
+again at once.  The hint is per thread (the thread that starts the run
+keeps its policy), a silent no-op where the call is missing or refused,
+and invisible to virtual time.
 """
 
 from __future__ import annotations
 
+import os
 import threading
 from collections import deque
 from typing import Callable, Deque, List, Optional, Sequence, Tuple
@@ -162,6 +188,10 @@ class CoopScheduler:
 
     def _carrier(self, fiber: _Fiber) -> None:
         _carried.fiber = fiber
+        try:    # a woken carrier must not preempt the one handing over
+            os.sched_setscheduler(0, os.SCHED_BATCH, os.sched_param(0))
+        except (AttributeError, OSError):   # pragma: no cover - platform
+            pass
         fiber.baton.acquire()       # first run token
         try:
             fiber.target()

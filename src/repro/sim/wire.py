@@ -20,7 +20,6 @@ interleaving of bookings, not on virtual time).
 
 from __future__ import annotations
 
-import threading
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -38,11 +37,11 @@ def reverse_key(res: Resource) -> Resource:
 
 
 class WireTracker:
-    """Books transfers onto directed link resources."""
+    """Books transfers onto directed link resources (one per engine;
+    its ranks book under the run token, so no lock)."""
 
     def __init__(self) -> None:
         self._free: Dict[Resource, float] = {}
-        self._lock = threading.Lock()
 
     def book(self, resources: Sequence[Resource], depart_us: float,
              nbytes: int, beta_bpus: float, alpha_us: float,
@@ -65,12 +64,10 @@ class WireTracker:
         if not resources:
             # purely local (same-device) transfer: no shared wire
             return depart_us + alpha_us + (nbytes / beta_bpus if beta_bpus else 0.0)
-        with self._lock:
-            return self._book_locked(resources, depart_us, nbytes, beta_bpus,
-                                     alpha_us)
+        return self._book(resources, depart_us, nbytes, beta_bpus, alpha_us)
 
-    def _book_locked(self, resources: Sequence[Resource], depart_us: float,
-                     nbytes: int, beta_bpus: float, alpha_us: float) -> float:
+    def _book(self, resources: Sequence[Resource], depart_us: float,
+              nbytes: int, beta_bpus: float, alpha_us: float) -> float:
         start = depart_us
         for r in resources:
             start = max(start, self._free.get(r, 0.0))
@@ -81,7 +78,7 @@ class WireTracker:
 
     def book_many(self, bookings: Sequence[Tuple[Sequence[Resource], float,
                                                  int, float, float]]) -> list:
-        """Book a batch of transfers under one lock acquisition.
+        """Book a batch of transfers in one call.
 
         ``bookings`` is a sequence of ``(resources, depart_us, nbytes,
         beta_bpus, alpha_us)``; arrivals come back in order.  Bookings
@@ -110,46 +107,45 @@ class WireTracker:
         for booking in bookings:
             if booking[2] < 0:
                 raise ValueError(f"negative transfer size {booking[2]}")
-        with self._lock:
-            wired = [i for i, b in enumerate(bookings) if b[0]]
-            arrivals: List[float] = [0.0] * n
-            if len(wired) < n:
-                # resource-free bookings: pure elementwise arithmetic
-                local = [i for i, b in enumerate(bookings) if not b[0]]
-                self._fill_vectorized(
-                    bookings, local, arrivals,
-                    [bookings[i][1] for i in local])
-            if wired:
-                seen: set = set()
-                disjoint = True
-                for i in wired:
-                    for r in bookings[i][0]:
-                        if r in seen:
-                            disjoint = False
-                            break
-                        seen.add(r)
-                    if not disjoint:
+        wired = [i for i, b in enumerate(bookings) if b[0]]
+        arrivals: List[float] = [0.0] * n
+        if len(wired) < n:
+            # resource-free bookings: pure elementwise arithmetic
+            local = [i for i, b in enumerate(bookings) if not b[0]]
+            self._fill_vectorized(
+                bookings, local, arrivals,
+                [bookings[i][1] for i in local])
+        if wired:
+            seen: set = set()
+            disjoint = True
+            for i in wired:
+                for r in bookings[i][0]:
+                    if r in seen:
+                        disjoint = False
                         break
-                if disjoint:
-                    # independent starts: max() is exact, the rest is
-                    # one vectorized pass; occupancy updates commute
-                    starts = []
-                    for i in wired:
-                        resources, depart_us = bookings[i][0], bookings[i][1]
-                        start = depart_us
-                        for r in resources:
-                            start = max(start, self._free.get(r, 0.0))
-                        starts.append(start)
-                    ends = self._fill_vectorized(bookings, wired, arrivals,
-                                                 starts)
-                    for k, i in enumerate(wired):
-                        for r in bookings[i][0]:
-                            self._free[r] = ends[k]
-                else:
-                    for i in wired:
-                        resources, depart_us, nbytes, beta, alpha = bookings[i]
-                        arrivals[i] = self._book_locked(
-                            resources, depart_us, nbytes, beta, alpha)
+                    seen.add(r)
+                if not disjoint:
+                    break
+            if disjoint:
+                # independent starts: max() is exact, the rest is one
+                # vectorized pass; occupancy updates commute
+                starts = []
+                for i in wired:
+                    resources, depart_us = bookings[i][0], bookings[i][1]
+                    start = depart_us
+                    for r in resources:
+                        start = max(start, self._free.get(r, 0.0))
+                    starts.append(start)
+                ends = self._fill_vectorized(bookings, wired, arrivals,
+                                             starts)
+                for k, i in enumerate(wired):
+                    for r in bookings[i][0]:
+                        self._free[r] = ends[k]
+            else:
+                for i in wired:
+                    resources, depart_us, nbytes, beta, alpha = bookings[i]
+                    arrivals[i] = self._book(resources, depart_us, nbytes,
+                                             beta, alpha)
         return arrivals
 
     def _fill_vectorized(self, bookings, idx: Sequence[int],
@@ -162,7 +158,7 @@ class WireTracker:
         Bit-exact with the scalar path: float64 elementwise divide/add
         round identically to python's, and the association order is
         preserved (local bookings add ``alpha`` before the wire term,
-        wired ones after — matching :meth:`book`/:meth:`_book_locked`).
+        wired ones after — matching :meth:`book`/:meth:`_book`).
         """
         start_a = np.array(starts, dtype=np.float64)
         nbytes_a = np.array([bookings[i][2] for i in idx], dtype=np.float64)
@@ -184,10 +180,8 @@ class WireTracker:
 
     def free_at(self, resource: Resource) -> float:
         """When ``resource`` next becomes free (0.0 if never used)."""
-        with self._lock:
-            return self._free.get(resource, 0.0)
+        return self._free.get(resource, 0.0)
 
     def reset(self) -> None:
         """Forget all bookings (benchmark repetitions)."""
-        with self._lock:
-            self._free.clear()
+        self._free.clear()

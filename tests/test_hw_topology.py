@@ -1,11 +1,19 @@
 """Links, nodes, clusters, paths, and system presets."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.errors import ConfigError, TopologyError
 from repro.hw.cluster import PathScope
 from repro.hw.links import IB_HDR, NVSWITCH, PCIE_MRI, LinkModel, LinkKind
-from repro.hw.systems import TABLE1, make_system, mri, system_names, thetagpu, voyager
+from repro.hw.systems import (TABLE1, make_mixed_system, make_system, mri,
+                              system_names, thetagpu, voyager)
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestLinkModel:
@@ -72,6 +80,81 @@ class TestNode:
     def test_bad_device_index(self):
         with pytest.raises(TopologyError):
             thetagpu(1).nodes[0].device(8)
+
+    @pytest.mark.parametrize("a,b", [(0, 8), (8, 0), (-1, 2)])
+    def test_bad_path_index(self, a, b):
+        with pytest.raises(TopologyError):
+            thetagpu(1).nodes[0].intra_path_links(a, b)
+
+    def test_bad_nic_path_index(self):
+        with pytest.raises(TopologyError):
+            thetagpu(1).nodes[0].device_to_nic_links(8)
+
+
+#: ``Cluster.path`` of every device pair as the shortest-path walk over
+#: each node's host / switch / NIC graph priced it: ``(alpha_us,
+#: beta_bpus, bottleneck kind, bottleneck alpha_us, bottleneck beta_bpus,
+#: bottleneck duplex_factor, fabric kind)``.  Same device and same node
+#: are keyed by the node's interconnect, two nodes by both of theirs.
+_LOCAL = {
+    "xe_link": (0.5, 1600000.0, "xe_link", 0.5, 1600000.0, 2.0, None),
+    "pcie": (0.5, 614000.0, "pcie", 0.5, 614000.0, 2.0, None),
+    "nvswitch": (0.5, 777500.0, "nvswitch", 0.5, 777500.0, 2.0, None),
+    "gaudi_roce": (0.5, 500000.0, "gaudi_roce", 0.5, 500000.0, 2.0, None),
+}
+_INTRA = {
+    "xe_link": (2.0, 100000.0, "xe_link", 1.0, 100000.0, 1.5, None),
+    "pcie": (3.2, 6600.0, "pcie", 1.6, 6600.0, 1.6, None),
+    "nvswitch": (1.5, 146000.0, "nvswitch", 0.75, 146000.0, 1.32, None),
+    "gaudi_roce": (5.0, 3150.0, "gaudi_roce", 2.5, 3150.0, 1.8, None),
+}
+_INTER = {
+    ("xe_link", "xe_link"):
+        (3.8, 23000.0, "slingshot", 1.8, 23000.0, 2.0, "slingshot"),
+    ("pcie", "pcie"): (5.1, 6600.0, "pcie", 1.6, 6600.0, 1.6, "ib_hdr"),
+    ("nvswitch", "nvswitch"):
+        (3.4, 21000.0, "ib_hdr", 1.9, 21000.0, 2.0, "ib_hdr"),
+    ("gaudi_roce", "gaudi_roce"):
+        (7.6, 3150.0, "gaudi_roce", 2.5, 3150.0, 1.8, "eth_400g"),
+    ("nvswitch", "pcie"): (4.25, 6600.0, "pcie", 1.6, 6600.0, 1.6, "ib_hdr"),
+}
+
+
+def _pinned_path(src, dst):
+    ks, kd = src.node.intra_link.kind.value, dst.node.intra_link.kind.value
+    if src is dst:
+        return PathScope.LOCAL, _LOCAL[ks]
+    if src.node is dst.node:
+        return PathScope.INTRA, _INTRA[ks]
+    return PathScope.INTER, _INTER[tuple(sorted((ks, kd)))]
+
+
+@pytest.mark.parametrize("cluster", [
+    *[(name, nodes) for name in system_names() for nodes in (1, 2)],
+    ("nvidia:2,amd:2", None)], ids=str)
+def test_every_device_pair_path_is_pinned(cluster):
+    """Every pair of every preset, one and two nodes, and a mixed-vendor
+    cluster: scope, alpha, beta and bottleneck as pinned above."""
+    name, nodes = cluster
+    c = make_system(name, nodes) if nodes else make_mixed_system(name)
+    for src in c.devices:
+        for dst in c.devices:
+            p = c.path(src, dst)
+            bn = p.bottleneck
+            got = (p.alpha_us, p.beta_bpus, bn.kind.value, bn.alpha_us,
+                   bn.beta_bpus, bn.duplex_factor,
+                   None if p.fabric is None else p.fabric.kind.value)
+            assert (p.scope, got) == _pinned_path(src, dst), (src, dst)
+
+
+def test_importing_the_runtime_leaves_networkx_out():
+    """The topology is a closed form: nothing the runtime or the
+    experiments import pulls in a graph library."""
+    code = ("import sys, repro.core.runtime, repro.experiments; "
+            "sys.exit('networkx' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 class TestCluster:

@@ -1,6 +1,7 @@
 """Point-to-point protocols through the communicator."""
 
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -370,9 +371,13 @@ def test_p2p_matches_frozen_reference(shape, trace):
 
 # -- the per-message chain, counted -------------------------------------------
 
+_LOCK_TYPE = type(threading.Lock())
+
+
 def _count_calls_body(mpx, iters):
-    """Python-level ``call`` events (C calls excluded) and mailbox posts
-    of this rank over a hot ``Allreduce`` + ``Barrier`` loop."""
+    """Python-level ``call`` events (C calls excluded), mailbox posts,
+    lock constructions and ``lock.__exit__`` C calls of this rank over a
+    hot ``Allreduce`` + ``Barrier`` loop."""
     comm = mpx.COMM_WORLD
     send = mpx.device_array(4, fill=comm.rank + 1)
     recv = mpx.device_array(4)
@@ -380,13 +385,20 @@ def _count_calls_body(mpx, iters):
         comm.Allreduce(send, recv)
         comm.Barrier()
     post_code = Mailbox.post.__code__
-    counts = [0, 0]
+    counts = [0, 0, 0, 0]
 
-    def profiler(frame, event, _arg):
+    def profiler(frame, event, arg):
         if event == "call":
             counts[0] += 1
             if frame.f_code is post_code:
                 counts[1] += 1
+        elif event == "c_call":
+            name = getattr(arg, "__name__", None)
+            if name == "allocate_lock":
+                counts[2] += 1
+            elif name == "__exit__" \
+                    and type(getattr(arg, "__self__", None)) is _LOCK_TYPE:
+                counts[3] += 1
 
     sys.setprofile(profiler)
     try:
@@ -418,7 +430,11 @@ def test_python_calls_per_message():
     58.37."""
     out = runtime.run(_count_calls_body, system="thetagpu", nodes=1,
                       mode="pure_mpi", trace=False, iters=5)
-    calls = sum(c for c, _posts in out)
-    posts = sum(p for _c, p in out)
+    calls, posts, allocs, exits = (sum(col) for col in zip(*out))
     assert posts == 5 * 8 * (3 + 3)     # recursive doubling + dissemination
     assert calls / posts <= 0.70 * PARENT_CALLS_PER_MESSAGE, calls
+    # the same pass, C level: the run token is the per-message lock, so
+    # no message builds one (a payload lease once did: 1.00) and only
+    # the mailbox and the scheduler take theirs (7.52 with every lock)
+    assert allocs == 0, allocs
+    assert exits / posts <= 3.5, exits
