@@ -89,10 +89,11 @@ scale-smoke:
 		--system thetagpu --nodes 4 --ranks 256 --sizes 4:4 \
 		--iterations 2 --warmup 1
 
-# memory CI leg: one quick fig5 sweep (52 short-lived engines) in a
-# fresh process, gc at its defaults; fails above 450 MiB of peak RSS —
-# device buffers must die with their last reference, not with the
-# cycle collector's next pass
+# memory CI leg, two fresh processes: a 2048-rank Barrier + Allreduce
+# fails above 256 MiB of peak RSS — communicator set-up must not grow
+# as ranks squared; one quick fig5 sweep (52 short-lived engines), gc at
+# its defaults, fails above 450 MiB — device buffers must die with
+# their last reference, not with the cycle collector's next pass
 mem-smoke:
 	PYTHONPATH=src $(PYTHON) tools/mem_smoke.py
 

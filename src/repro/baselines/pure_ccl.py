@@ -30,7 +30,7 @@ class PureCCLHarness:
         self.ctx = ctx
         uid = xapi.xcclGetUniqueId(ctx, ctx.size, ("pure", backend))
         self.comm: XCCLComm = xapi.xcclCommInitRank(
-            ctx, list(range(ctx.size)), ctx.rank, uid, backend)
+            ctx, ctx.engine.world_group, ctx.rank, uid, backend)
         # ``sync``'s operand: summed in place, zeros stay zeros
         self._sync_buf = ctx.device.zeros(1)
 

@@ -402,12 +402,9 @@ class CollectivePipeline:
             return self._table
         table = self._tables.get(comm.ctx_id)
         if table is None:
-            from repro.perfmodel.shape import shape_of
-            shape = shape_of(comm.ctx.cluster, comm.group,
-                             comm.ctx.engine.ranks_per_node)
             assert self.layer.backend is not None
             table = self._tables[comm.ctx_id] = cached_table(
-                shape, self.layer.backend.params, comm.config)
+                comm.record.shape, self.layer.backend.params, comm.config)
         return table
 
     def route(self, comm, coll: str, nbytes: int, dt, op, significant,
@@ -427,8 +424,7 @@ class CollectivePipeline:
             return RouteDecision(Route.MPI, FallbackReason.MODE)
         options = comm.ctx.engine.options
         negotiated = None
-        islands = levels.factorize(comm, "vendor")
-        if len(islands.groups) > 1:
+        if comm.record.mixed_vendor:
             # mixed-vendor comm: the local backend's capability answers
             # (and the per-rank tuning table) would diverge across the
             # islands.  Without the ``hetero`` option every call takes
@@ -439,7 +435,8 @@ class CollectivePipeline:
             if not options["hetero"]:
                 self._mark("capability:skipped")
                 return RouteDecision(Route.MPI, FallbackReason.MIXED_VENDOR)
-            negotiated = self.negotiated(comm, islands.keys)
+            negotiated = self.negotiated(
+                comm, levels.factorize(comm, "vendor").keys)
         fallback = self.capability(coll, dt, op, significant, on_device,
                                    negotiated, comm.size)
         self._mark("capability:ok" if fallback is None

@@ -92,7 +92,8 @@ class Factorization(NamedTuple):
 
     Computed from the group and the cluster without communication —
     every rank derives the identical answer, so routing on it keeps
-    the collective call sequence consistent.
+    the collective call sequence consistent.  All but :attr:`mine` is
+    shared by every member (:class:`~repro.sim.engine.CommRecord`).
     """
 
     by: str
@@ -104,36 +105,47 @@ class Factorization(NamedTuple):
     groups: Tuple[Tuple[int, ...], ...]
     mine: int
     lanes: int
+    #: comm rank -> its group index
+    index: Tuple[int, ...]
 
     @property
     def multilevel(self) -> bool:
         """True when there are >= 2 groups and a group with several
         ranks — the shapes where level decomposition can win."""
-        return 2 <= len(self.groups) < sum(map(len, self.groups))
+        return 2 <= len(self.groups) < len(self.index)
 
     def group_of(self, rank: int) -> int:
         """Index of the group holding comm rank ``rank``."""
-        return next(j for j, ranks in enumerate(self.groups) if rank in ranks)
+        return self.index[rank]
 
 
 def factorize(comm, by: str) -> Factorization:
     """``comm``'s ranks grouped ``by`` ``"node"`` or ``"vendor"``,
-    cached on the communicator."""
+    cached on the communicator; all but ``mine`` is built by the first
+    member to ask and kept on the communicator's record."""
     fact = comm.routing_cache.get(by)
-    if fact is None:
+    if fact is not None:
+        return fact
+    shared = comm.record.factors.get(by)
+    if shared is None:
         ctx, place = comm.ctx, _PLACEMENT[by]
+        placed = [place(ctx.cluster, ctx.device_of(w)) for w in comm.group]
         members: Dict[object, List[int]] = {}
-        for r, w in enumerate(comm.group):
-            members.setdefault(place(ctx.cluster, ctx.device_of(w)), []).append(r)
+        for r, key in enumerate(placed):
+            members.setdefault(key, []).append(r)
         keys = tuple(sorted(members))
         sizes = {len(members[k]) for k in keys}
         if by == "node":
             lanes = min(min(sizes), min(ctx.cluster.nodes[k].nics for k in keys))
         else:  # rail mates exist only between islands of one size
             lanes = sizes.pop() if len(sizes) == 1 else 1
-        fact = comm.routing_cache[by] = Factorization(
-            by, keys, tuple(tuple(members[k]) for k in keys),
-            keys.index(place(ctx.cluster, ctx.device)), lanes)
+        position = {k: j for j, k in enumerate(keys)}
+        shared = comm.record.factors[by] = (
+            keys, tuple(tuple(members[k]) for k in keys), lanes,
+            tuple(position[key] for key in placed))
+    keys, groups, lanes, index = shared
+    fact = comm.routing_cache[by] = Factorization(
+        by, keys, groups, index[comm.rank], lanes, index)
     return fact
 
 
@@ -163,7 +175,7 @@ class _Lane:
     def bcast(self, buf, count: int, dt, src: int) -> None:
         """Broadcast ``buf`` from parent rank ``src``, a lane member."""
         if self.comm.size > 1:
-            root = self.comm.group.index(self.parent.world_rank(src))
+            root = self.comm.record.rank_of[self.parent.world_rank(src)]
             self.comm.Bcast(buf, root=root, count=count, datatype=dt)
         self.ops += 1
 
@@ -786,7 +798,7 @@ def reduce_hierarchical(comm, sendbuf, recvbuf, count: int, dt, op,
     if inner.size > 1:
         inner.Reduce(IN_PLACE, recvbuf, op, root=0, count=count, datatype=dt)
     if lane is not None and lane.size > 1:
-        leader = lane.group.index(comm.world_rank(fact.groups[home][0]))
+        leader = lane.record.rank_of[comm.world_rank(fact.groups[home][0])]
         lane.Reduce(IN_PLACE, recvbuf, op, root=leader, count=count,
                     datatype=dt)
     root_inner = fact.groups[home].index(root)

@@ -78,21 +78,28 @@ class CollectiveCall:
 class Communicator:
     """One rank's view of a communicator.
 
+    What every member derives identically (group, rank map, vendor mix,
+    shape, factorizations) lives once, on the shared :attr:`record`; the
+    view owns its rank, sequence counter, endpoint, dispatcher and
+    :attr:`routing_cache`.
+
     Construct the world communicator with :meth:`world`; derive others
     with :meth:`Dup` / :meth:`Split`.
     """
 
     def __init__(self, ctx: RankContext, config: MPIConfig,
                  group: Sequence[int], ctx_id: str) -> None:
-        if ctx.rank not in group:
-            raise MPICommError(f"rank {ctx.rank} not in group {group}")
+        self.record = record = ctx.engine.comm_record(ctx_id, group)
+        rank = record.rank_of.get(ctx.rank)
+        if rank is None:
+            raise MPICommError(f"rank {ctx.rank} not in the "
+                               f"{len(record.group)}-rank group of {ctx_id!r}")
         self.ctx = ctx
         #: the caller's config, before any vendor downgrade — children
         #: (Dup/Split) derive from this, so a single-vendor island
         #: split out of a mixed communicator regains GPU-direct paths.
         self._base_config = config
-        if config.gpu_direct and \
-                len({ctx.device_of(w).vendor for w in group}) > 1:
+        if config.gpu_direct and record.mixed_vendor:
             # GPU-direct transports (CUDA IPC, GPUDirect/ROCm RDMA) are
             # vendor-specific: a communicator spanning vendor islands
             # can only move device buffers through host staging — the
@@ -100,12 +107,11 @@ class Communicator:
             # to one hop per remote island.
             config = config.with_(gpu_direct=False)
         self.config = config
-        self.group: Tuple[int, ...] = tuple(group)
+        self.group: Tuple[int, ...] = record.group
         self.ctx_id = ctx_id
-        ctx.engine.register_ctx_group(ctx_id, self.group)
         self.endpoint = P2PEndpoint(ctx, config, ctx_id)
-        self._from_world = {w: i for i, w in enumerate(self.group)}
-        self._rank = self._from_world[ctx.rank]
+        self._from_world = record.rank_of
+        self._rank = rank
         self._seq = itertools.count(1)
         self._freed = False
         #: everything the routing layers cache about this communicator
@@ -125,7 +131,7 @@ class Communicator:
     @classmethod
     def world(cls, ctx: RankContext, config: Optional[MPIConfig] = None) -> "Communicator":
         """The COMM_WORLD of this run."""
-        return cls(ctx, config or mvapich_gpu(), tuple(range(ctx.size)), "w")
+        return cls(ctx, config or mvapich_gpu(), ctx.engine.world_group, "w")
 
     def Dup(self) -> "Communicator":
         """Duplicate with an isolated context (``MPI_Comm_dup``)."""
@@ -143,14 +149,12 @@ class Communicator:
         seq = next(self._seq)
         slot = self.ctx.collective_slot((self.ctx_id, "split", seq),
                                         parties=self.size)
-        entries = slot.exchange(self._rank, (color, key, self.ctx.rank),
-                                lambda payloads: dict(payloads))
+        groups = slot.exchange(self._rank, (color, key, self.ctx.rank),
+                               _split_groups)
         self.ctx.clock.advance(2.0)  # metadata allgather, tiny
         if color < 0:
             return None
-        members = sorted(((k, w) for c, k, w in entries.values() if c == color))
-        group = tuple(w for _, w in members)
-        return Communicator(self.ctx, self._base_config, group,
+        return Communicator(self.ctx, self._base_config, groups[color],
                             f"{self.ctx_id}.s{seq}.{color}")
 
     def Free(self) -> None:
@@ -287,10 +291,10 @@ class Communicator:
                     f"Comm_shrink survivor views disagree: {sorted(views)}")
             gen = engine.shrink_generation(ctx_id)
             fastpath.STATS.note_shrink()
-            return gen
+            return gen, views.pop()
 
-        gen = slot.exchange(survivors.index(self.ctx.rank), survivors,
-                            compute)
+        gen, survivors = slot.exchange(survivors.index(self.ctx.rank),
+                                       survivors, compute)
         self.ctx.clock.advance(2.0)  # shrink metadata round, tiny
         self._release_routing_caches()
         new = Communicator(self.ctx, self._base_config, survivors,
@@ -863,6 +867,17 @@ def start_all(requests: Sequence["PersistentRequest"]) -> None:
     """``MPI_Startall``."""
     for r in requests:
         r.Start()
+
+
+def _split_groups(payloads) -> Dict[int, Tuple[int, ...]]:
+    """``Split``'s rendezvous, computed once for every member: color ->
+    its world ranks ordered by ``(key, world rank)``, one shared tuple."""
+    members: Dict[int, list] = {}
+    for color, key, world in payloads.values():
+        if color >= 0:
+            members.setdefault(color, []).append((key, world))
+    return {color: tuple(w for _, w in sorted(kw))
+            for color, kw in members.items()}
 
 
 def _contribution(sendbuf, recvbuf):

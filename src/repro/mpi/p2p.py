@@ -141,9 +141,9 @@ class P2PEndpoint:
         # in-flight collective schedule this wait is part of, even when
         # the direct peer is alive (it is blocked on the dead rank,
         # transitively) — fail now rather than chaining deadlock wakes
-        group = eng._ctx_groups.get(self.ctx_id)
-        if group:
-            dead = eng.dead_ranks.intersection(group)
+        rec = eng.records.get(self.ctx_id)
+        if rec is not None:
+            dead = eng.dead_ranks.intersection(rec.group)
             if dead:
                 return f"communicator member rank(s) {sorted(dead)} died"
         return None

@@ -16,14 +16,15 @@ result and its completion time, and distributes both to all parties.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import threading
 from types import MappingProxyType
 from typing import Any, Callable, Dict, List, Mapping, Optional
 
 from repro.config import from_env
-from repro.errors import (DeadlockError, RankFailedError, RankKilledError,
-                          SimulationError)
+from repro.errors import (DeadlockError, MPICommError, RankFailedError,
+                          RankKilledError, SimulationError)
 from repro.hw.cluster import Cluster
 from repro.hw.device import Accelerator
 from repro.sim.clock import VirtualClock
@@ -238,6 +239,42 @@ class GroupExchangeSlot(CollectiveSlot):
                 if world_rank in index]
 
 
+class CommRecord:
+    """The facts every member of one communicator derives identically,
+    built once by the first member to reach it (:meth:`Engine.comm_record`)
+    and shared by reference.  Write-once: each fact is a function of the
+    group and the cluster alone, computed by whichever member asks first."""
+
+    def __init__(self, engine: "Engine", group: tuple) -> None:
+        self._engine = engine
+        #: world ranks, in communicator order
+        self.group = group
+        #: world rank -> communicator rank
+        self.rank_of: Dict[int, int] = {w: i for i, w in enumerate(group)}
+        #: the rank-independent half of each factorization, by what it
+        #: groups by (filled by :func:`repro.mpi.coll.levels.factorize`)
+        self.factors: Dict[str, Any] = {}
+
+    @functools.cached_property
+    def mixed_vendor(self) -> bool:
+        """True when the members' accelerators span several vendors."""
+        device_of = self._engine.device_of
+        return len({device_of(w).vendor for w in self.group}) > 1
+
+    @functools.cached_property
+    def nodes(self) -> tuple:
+        """Per communicator rank: the index of the node hosting it."""
+        e = self._engine
+        return tuple(e.cluster.node_index_of(e.device_of(w)) for w in self.group)
+
+    @functools.cached_property
+    def shape(self):
+        """The :class:`~repro.perfmodel.shape.CommShape` of the group."""
+        from repro.perfmodel.shape import shape_of  # deferred: sim below perfmodel
+        engine = self._engine
+        return shape_of(engine.cluster, self.group, engine.ranks_per_node)
+
+
 class RankContext:
     """Everything one rank program sees.
 
@@ -381,10 +418,11 @@ class Engine:
         self.dead_ranks: set = set()
         self._revoked: set = set()
         self._shrink_gens: Dict[str, int] = {}
-        #: communicator scope -> world-rank group, registered by every
-        #: communicator as it is built; lets blocked waits decide that a
-        #: rendezvous can never complete because a member died
-        self._ctx_groups: Dict[Any, tuple] = {}
+        #: communicator scope -> its shared record (:meth:`comm_record`),
+        #: whose group the abort probes read; cleared per run
+        self.records: Dict[Any, CommRecord] = {}
+        #: COMM_WORLD's group, built once per engine
+        self.world_group = tuple(range(self.nranks))
         #: hooks run on every RankContext as :meth:`run` creates them —
         #: how FaultPlan.kill rules attach to clocks that do not exist
         #: until the run starts
@@ -481,13 +519,19 @@ class Engine:
         """Record one rank as dead (a ``FaultPlan.kill`` rule fired)."""
         self.dead_ranks.add(rank)
 
-    def register_ctx_group(self, scope: Any, group) -> None:
-        """Remember the world-rank group behind a communicator scope
-        (an MPI ctx_id, or ``("xccl", uid)`` for a CCL communicator).
-        Blocked waits consult the registry to fail at once when a
-        member dies, instead of parking until the deadlock detector
-        fires."""
-        self._ctx_groups[scope] = tuple(group)
+    def comm_record(self, scope: Any, group) -> CommRecord:
+        """The shared record of the communicator ``scope`` (an MPI
+        ctx_id, or ``("xccl", uid)`` for a CCL communicator) over the
+        world ranks ``group``, built by the first member to ask.  SPMD: a
+        member naming another group (a diverged ``Split``) raises
+        :class:`~repro.errors.MPICommError` instead of replacing it."""
+        rec = self.records.get(scope)
+        if rec is None:
+            rec = self.records[scope] = CommRecord(self, tuple(group))
+        elif group is not rec.group and tuple(group) != rec.group:
+            raise MPICommError(f"communicator {scope!r}: this member's group "
+                               f"({len(group)} ranks) differs from the agreed one")
+        return rec
 
     def _slot_hopeless(self, key: Any) -> Optional[str]:
         """Why a slot rendezvous can never complete, or None while it
@@ -507,8 +551,8 @@ class Engine:
             return None
         if scope in self._revoked:
             return f"communicator {scope!r} was revoked"
-        group = self._ctx_groups.get(scope)
-        dead = self.dead_ranks.intersection(group) if group else None
+        rec = self.records.get(scope)
+        dead = self.dead_ranks.intersection(rec.group) if rec else None
         if dead:
             return f"member rank(s) {sorted(dead)} died"
         return None
@@ -576,7 +620,7 @@ class Engine:
         # fresh run, fresh failure knowledge
         self.dead_ranks.clear()
         self._revoked.clear()
-        self._ctx_groups.clear()
+        self.records.clear()
         results: List[Any] = [None] * self.nranks
         failures: Dict[int, BaseException] = {}
 

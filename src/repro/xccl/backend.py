@@ -365,7 +365,7 @@ class CCLBackend:
         transport = "exchange" if use_exchange else "bulk"
 
         if ops:
-            spans = any(op.comm.inter_node[op.peer] for op in ops)
+            spans = any(op.comm.inter_node(op.peer) for op in ops)
             t0 = ctx.clock.advance(
                 self.params.launch_us
                 + (self.params.inter_extra_launch_us if spans else 0.0))

@@ -10,14 +10,13 @@ it.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from collections import defaultdict
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.errors import CCLInvalidArgument
 from repro.hw.stream import Stream
-from repro.perfmodel.shape import CommShape, shape_of
+from repro.perfmodel.shape import CommShape
 from repro.sim.engine import RankContext
 
 _uid_counter = itertools.count(1)
@@ -57,15 +56,14 @@ class XCCLComm:
         self.ctx = ctx
         self.uid = uid
         self.backend = backend
-        self.group: Tuple[int, ...] = tuple(group)
-        ctx.engine.register_ctx_group(("xccl", uid), self.group)
+        self.record = ctx.engine.comm_record(("xccl", uid), group)
+        self.group: Tuple[int, ...] = self.record.group
         self.rank = rank
         self.stream = stream or ctx.device.create_stream(f"xccl:{uid}")
         self._coll_seq = itertools.count(1)
         self._group_seq = itertools.count(1)
         self._send_seq: Dict[int, itertools.count] = defaultdict(lambda: itertools.count(1))
         self._recv_seq: Dict[int, itertools.count] = defaultdict(lambda: itertools.count(1))
-        self._shape: Optional[CommShape] = None
         #: compiled chunk geometry (counts/displs tuples) reused by the
         #: send-recv collectives when the plan fast path is on.
         self.plan_geometry: Dict[Tuple, Tuple] = {}
@@ -84,19 +82,13 @@ class XCCLComm:
 
     @property
     def shape(self) -> CommShape:
-        """Topology shape of the communicator (cached)."""
-        if self._shape is None:
-            self._shape = shape_of(self.ctx.cluster, self.group,
-                                   self.ctx.engine.ranks_per_node)
-        return self._shape
+        """Topology shape of the communicator (its record's)."""
+        return self.record.shape
 
-    @functools.cached_property
-    def inter_node(self) -> Tuple[bool, ...]:
-        """Per communicator rank: is that peer on another node."""
-        node_of = self.ctx.cluster.node_index_of
-        here = node_of(self.ctx.device)
-        return tuple(node_of(self.ctx.device_of(w)) != here
-                     for w in self.group)
+    def inter_node(self, peer: int) -> bool:
+        """Whether communicator rank ``peer`` is on another node."""
+        nodes = self.record.nodes
+        return nodes[peer] != nodes[self.rank]
 
     def world_rank(self, comm_rank: int) -> int:
         """Translate a communicator rank to a world rank."""

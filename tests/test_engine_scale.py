@@ -8,6 +8,8 @@ failure-handling that rides on it:
   payloads and virtual times;
 * a multi-node job on contended NIC wires gives the same per-rank
   virtual clocks in every fresh engine;
+* communicator set-up is linear in ranks — counted in device lookups
+  and traced memory, not wall clock;
 * a collective whose ``compute`` raises propagates that error to every
   party immediately — nobody hangs into a misleading
   :class:`DeadlockError`;
@@ -20,12 +22,14 @@ failure-handling that rides on it:
 from __future__ import annotations
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from repro import fastpath
 from repro.baselines.pure_ccl import PureCCLHarness
+from repro.core.dispatch import DispatchMode
 from repro.errors import DeadlockError, RankFailedError
 from repro.hw.systems import make_system
 from repro.sim.engine import Engine
@@ -123,6 +127,71 @@ def test_scale_smoke_256_hier():
     snap = fastpath.STATS.snapshot()
     assert snap["route_hier"] == 256
     assert snap["hier_stripe_ops"] > 0
+
+
+def _setup_footprint(nranks: int, mode: str, monkeypatch):
+    """COMM_WORLD + one small Allreduce + Barrier at ``nranks`` ranks:
+    (device lookups, ``shape_of`` calls, tracemalloc peak, per-rank
+    ``(record, group, rank map)``)."""
+    from repro.core import runtime
+    from repro.hw.cluster import Cluster
+    from repro.perfmodel import shape
+
+    calls = {"lookups": 0, "shape_of": 0}
+
+    def counting(owner, name, key):
+        real = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[key] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+
+    counting(Engine, "device_of", "lookups")
+    counting(Cluster, "device_for_rank", "lookups")
+    counting(shape, "shape_of", "shape_of")
+
+    def body(ctx):
+        comm = runtime.world_communicator(ctx, mode=DispatchMode(mode))
+        buf = ctx.device.zeros(4)
+        buf.fill(1.0)
+        comm.Allreduce(buf, buf)
+        comm.Barrier()
+        assert buf.array[0] == nranks
+        return comm.record, comm.group, comm._from_world
+
+    tracemalloc.start()
+    try:
+        views = Engine(make_system("thetagpu", 4), nranks=nranks,
+                       ranks_per_node=nranks // 4).run(body)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    monkeypatch.undo()
+    return calls["lookups"], calls["shape_of"], peak, views
+
+
+@pytest.mark.parametrize("mode", ["hybrid", "pure_xccl"])
+def test_setup_is_linear_in_ranks(mode, monkeypatch):
+    """What every member of a communicator derives identically is built
+    once, on the communicator's record, not once per rank: device
+    lookups stay linear in the rank count (each rank walking every
+    member made them P^2 + P for ``device_for_rank`` alone), memory
+    about doubles when the ranks double, every member holds the same
+    group and rank map, and the shape is computed once."""
+    _setup_footprint(8, mode, monkeypatch)  # imports and lazy tables
+    peaks = []
+    for nranks in (128, 256):
+        lookups, shapes, peak, views = _setup_footprint(nranks, mode,
+                                                        monkeypatch)
+        assert lookups <= 32 * nranks
+        assert shapes == 1
+        record = views[0][0]
+        assert all(rec is record and group is record.group
+                   and rank_of is record.rank_of
+                   for rec, group, rank_of in views)
+        peaks.append(peak)
+    assert peaks[1] <= 2.5 * peaks[0]
 
 
 def test_collective_compute_failure_propagates():

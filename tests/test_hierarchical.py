@@ -5,7 +5,7 @@ import pytest
 
 from repro import fastpath
 from repro.errors import DeadlockError
-from repro.hw.systems import make_system
+from repro.hw.systems import make_mixed_system, make_system
 from repro.mpi import MAX, SUM, Communicator
 from repro.mpi.coll import MPICollDispatcher, levels
 from repro.sim.engine import Engine
@@ -46,6 +46,45 @@ class TestNodeComms:
             return a is b
 
         assert all(spmd(thetagpu2, body, nranks=4))
+
+    @pytest.mark.parametrize("by", ["vendor", "node"])
+    def test_group_of_matches_scan_on_uneven_islands(self, spmd, by):
+        """``group_of`` reads the shared rank -> group index; it answers
+        what scanning every group tuple answers, on islands of unequal
+        size (three NVIDIA nodes, one AMD) and on a communicator whose
+        rank order interleaves them."""
+        def scan(fact, rank):
+            return next(j for j, ranks in enumerate(fact.groups)
+                        if rank in ranks)
+
+        def body(ctx):
+            world = comm_with(ctx)
+            # reversed, so comm rank order no longer follows placement
+            flipped = world.Split(color=0, key=-ctx.rank)
+            out = []
+            for comm in (world, flipped):
+                fact = levels.factorize(comm, by)
+                assert fact.mine == scan(fact, comm.rank)
+                out.append([fact.group_of(r) == scan(fact, r)
+                            for r in range(comm.size)])
+            return out
+
+        cluster = make_mixed_system("nvidia:3,amd:1")
+        out = spmd(cluster, body, nranks=cluster.device_count)
+        assert all(all(row) for rows in out for row in rows)
+
+    def test_factorization_shared_by_every_member(self, thetagpu2, spmd):
+        """The rank-independent half of a factorization is computed once
+        per communicator: every member's groups and index are the same
+        objects, only ``mine`` is per rank."""
+        def body(ctx):
+            fact = levels.factorize(comm_with(ctx), "node")
+            return fact.groups, fact.index, fact.mine
+
+        out = spmd(thetagpu2, body, nranks=16)
+        assert all(groups is out[0][0] and index is out[0][1]
+                   for groups, index, _ in out)
+        assert [mine for *_, mine in out] == [0] * 8 + [1] * 8
 
     def test_uneven_nodes(self, thetagpu2, spmd):
         def body(ctx):

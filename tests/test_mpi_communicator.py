@@ -2,8 +2,11 @@
 
 import pytest
 
-from repro.errors import MPICommError, MPICountError, MPIRankError
+from repro.errors import (MPICommError, MPICountError, MPIRankError,
+                          RankFailedError)
 from repro.mpi import SUM, Communicator
+from repro.mpi.config import mvapich_gpu
+from repro.sim.engine import Engine
 
 
 def world(ctx):
@@ -100,6 +103,59 @@ class TestSplit:
             return out.array[0]
 
         assert spmd(thetagpu1, body, nranks=4) == [2.0] * 4
+
+
+class TestSharedRecord:
+    """One record per communicator, shared by its members (SPMD)."""
+
+    def test_members_share_group_and_rank_map(self, thetagpu1, spmd):
+        def body(ctx):
+            sub = world(ctx).Split(color=ctx.rank % 2, key=-ctx.rank)
+            return sub.record, sub.group, sub._from_world
+
+        out = spmd(thetagpu1, body, nranks=6)
+        for color in (0, 1):
+            views = out[color::2]
+            assert all(rec is views[0][0] and group is rec.group
+                       and rank_of is rec.rank_of
+                       for rec, group, rank_of in views)
+        assert out[0][1] == (4, 2, 0) and out[1][1] == (5, 3, 1)
+
+    def test_diverged_split_is_refused(self, thetagpu1):
+        """A member whose ``Split`` result differs from the group its
+        peers agreed on raises instead of overwriting what the others
+        (and the abort probes) read."""
+        engine = Engine(thetagpu1, nranks=4)
+
+        def body(ctx):
+            comm = world(ctx)
+            if ctx.rank == 2:
+                split = comm.Split
+
+                def diverged(color, key=0):
+                    sub = split(color, key)
+                    return Communicator(ctx, sub.config, sub.group[::-1],
+                                        sub.ctx_id)
+                comm.Split = diverged
+            return comm.Split(color=0).ctx_id
+
+        with pytest.raises(RankFailedError) as ei:
+            engine.run(body)
+        assert set(ei.value.failures) == {2}
+        assert isinstance(ei.value.failures[2], MPICommError)
+        (scope,) = set(engine.records) - {"w"}
+        assert engine.records[scope].group == (0, 1, 2, 3)
+
+    def test_non_member_error_names_the_size(self, thetagpu1, spmd):
+        """Not the whole group: at thousands of ranks that is a
+        kilobytes-long exception string."""
+        def body(ctx):
+            with pytest.raises(MPICommError) as ei:
+                Communicator(ctx, mvapich_gpu(), tuple(range(1, 4097)), "big")
+            return str(ei.value)
+
+        (msg,) = spmd(thetagpu1, body, nranks=1)
+        assert "4096" in msg and len(msg) < 100
 
 
 class TestFree:
