@@ -71,11 +71,12 @@ class Buffer:
     def view(self, offset: int, count: Optional[int] = None) -> "Buffer":
         """A zero-copy sub-buffer of ``count`` elements at ``offset``."""
         self._check_live()
+        size = self.array.size  # not ``self.count``: a call per segment
         if count is None:
-            count = self.count - offset
-        if offset < 0 or count < 0 or offset + count > self.count:
+            count = size - offset
+        if offset < 0 or count < 0 or offset + count > size:
             raise InvalidBufferError(
-                f"view [{offset}:{offset + count}] out of range for {self.count} elements")
+                f"view [{offset}:{offset + count}] out of range for {size} elements")
         return self._make_view(self.array[offset:offset + count])
 
     def _make_view(self, arr: np.ndarray) -> "Buffer":

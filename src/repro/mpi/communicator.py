@@ -13,6 +13,7 @@ fail.
 from __future__ import annotations
 
 import itertools
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 
@@ -111,7 +112,10 @@ class Communicator:
         self.ctx_id = ctx_id
         self.endpoint = P2PEndpoint(ctx, config, ctx_id)
         self._from_world = record.rank_of
-        self._rank = rank
+        #: this process's rank within the communicator
+        self.rank = rank
+        #: number of ranks in the communicator
+        self.size = len(record.group)
         self._seq = itertools.count(1)
         self._freed = False
         #: everything the routing layers cache about this communicator
@@ -149,7 +153,7 @@ class Communicator:
         seq = next(self._seq)
         slot = self.ctx.collective_slot((self.ctx_id, "split", seq),
                                         parties=self.size)
-        groups = slot.exchange(self._rank, (color, key, self.ctx.rank),
+        groups = slot.exchange(self.rank, (color, key, self.ctx.rank),
                                _split_groups)
         self.ctx.clock.advance(2.0)  # metadata allgather, tiny
         if color < 0:
@@ -193,25 +197,33 @@ class Communicator:
 
     # -- fault tolerance (ULFM-style) ------------------------------------------
 
-    def _check_revoked(self) -> None:
+    def _guarded(self, fn, *args):
+        """``fn(*args)`` under the elastic contract: the one guard of
+        every collective run and p2p call (a nonblocking one's, around
+        its request's completion).  On a revoked communicator, or one
+        with a dead member (only a ``FaultPlan.kill`` makes one), raises
+        :class:`~repro.errors.CommRevokedError` after revoking it
+        engine-wide; the dying rank keeps its :class:`RankKilledError`.
+        A :class:`Status` — or a complete request's — comes back naming
+        the communicator rank."""
         engine = self.ctx.engine
-        if engine.is_revoked(self.ctx_id):
+        if engine._revoked and engine.is_revoked(self.ctx_id):
             raise CommRevokedError(
                 self.ctx_id, engine.dead_ranks & set(self.group))
-
-    def _failed(self, exc: BaseException) -> None:
-        """In a handler of :data:`_PEER_FAILURES` (the elastic contract
-        of :meth:`_run`, which ``Send`` / ``Recv`` / ``Sendrecv`` spell
-        the same way): raise the contract's conversion of ``exc``, or
-        ``exc`` again."""
-        if isinstance(exc, RankKilledError) and exc.rank == self.ctx.rank:
-            raise  # our own death: propagate to the engine
-        engine = self.ctx.engine
-        dead = engine.dead_ranks & set(self.group)
-        if dead or engine.is_revoked(self.ctx_id):
-            engine.revoke_comm(self.ctx_id)
-            raise CommRevokedError(self.ctx_id, dead) from exc
-        raise
+        try:
+            out = fn(*args)
+        except _PEER_FAILURES as exc:
+            if isinstance(exc, RankKilledError) and exc.rank == self.ctx.rank:
+                raise  # our own death: propagate to the engine
+            dead = engine.dead_ranks & set(self.group)
+            if dead or engine.is_revoked(self.ctx_id):
+                engine.revoke_comm(self.ctx_id)
+                raise CommRevokedError(self.ctx_id, dead) from exc
+            raise
+        status = out._status if type(out) is Request else out
+        if type(status) is Status:
+            status.source = self._from_world[status.source]
+        return out
 
     def Comm_revoke(self) -> None:
         """Revoke the communicator (``MPIX_Comm_revoke``).
@@ -304,23 +316,13 @@ class Communicator:
 
     # -- identity -----------------------------------------------------------
 
-    @property
-    def rank(self) -> int:
-        """This process's rank within the communicator."""
-        return self._rank
-
-    @property
-    def size(self) -> int:
-        """Number of ranks in the communicator."""
-        return len(self.group)
-
     def Get_rank(self) -> int:
         """``MPI_Comm_rank``."""
-        return self._rank
+        return self.rank
 
     def Get_size(self) -> int:
         """``MPI_Comm_size``."""
-        return len(self.group)
+        return self.size
 
     def world_rank(self, comm_rank: int) -> int:
         """Translate a communicator rank to a world rank."""
@@ -334,131 +336,147 @@ class Communicator:
         """The rank's current virtual time (us)."""
         return self.ctx.now
 
-    # -- point-to-point -------------------------------------------------------
+    # -- point-to-point: one resolved form, every spelling --------------------
+    #
+    # :meth:`_resolve` turns one side of a call into the endpoint's five
+    # arguments plus a derived-type layout.  Blocking spellings run the
+    # endpoint under :meth:`_guarded`, nonblocking ones guard their
+    # request's completion, and ``_init`` spellings resolve at init.
+
+    def _resolve(self, buf, peer: int, tag: int, count: Optional[int],
+                 datatype, recv: bool = False) -> tuple:
+        """``(buf, world peer, tag, count, datatype, layout)``, checked
+        before anything is sent: :class:`MPICommError` after
+        :meth:`Free`, :class:`MPIRankError` for a peer outside the
+        communicator (``ANY_SOURCE`` only on a receive),
+        :class:`MPICountError` for a count below zero or beyond ``buf``.
+
+        ``layout`` is None for a predefined type.  A derived send keeps
+        its type there, packed when posted (:meth:`_packed`); a derived
+        receive lands in contiguous scratch, ``layout`` being ``(type,
+        user buffer, instances)`` for :meth:`_unpacked`.  A probe
+        (``buf`` None) resolves the peer alone.
+        """
+        if self._freed:
+            self._check_live()  # raises
+        group = self.group
+        if 0 <= peer < len(group):
+            peer = group[peer]
+        elif not (recv and peer == ANY_SOURCE):
+            raise MPIRankError(
+                f"peer {peer} out of range for size {len(group)}")
+        if buf is None:
+            return None, peer, tag, None, None, None
+        layout = None
+        if isinstance(datatype, DerivedDatatype):
+            layout, datatype = datatype, datatype.base
+            count = 1 if count is None else count
+        elif datatype is None:
+            datatype = datatype_of(buf)
+        if count is not None:
+            size = as_array(buf).size
+            if count < 0 or (count if layout is None
+                             else layout.span(count)) > size:
+                raise MPICountError(
+                    f"count {count} does not fit a {size}-element buffer")
+            if recv and layout is not None:
+                n = count * layout.elements_per_instance
+                return (alloc_like(self.ctx, buf, n, datatype.storage), peer,
+                        tag, n, datatype, (layout, buf, count))
+        return buf, peer, tag, count, datatype, layout
+
+    def _packed(self, s: tuple) -> tuple:
+        """Derived send ``s`` packed into a contiguous wire buffer."""
+        buf, peer, tag, count, datatype, layout = s
+        flat = layout.pack(buf, count)
+        packed = alloc_like(self.ctx, buf, flat.size, datatype.storage)
+        as_array(packed)[...] = flat
+        self._pack_cost(flat.size * datatype.wire_itemsize)
+        return packed, peer, tag, flat.size, datatype, None
+
+    def _unpacked(self, r: tuple, status: Optional[Status]) -> Optional[Status]:
+        """``status`` of derived receive ``r``, its scratch unpacked into
+        the user's buffer (None: not yet)."""
+        if status is None:
+            return None
+        scratch, _, _, n, datatype, (layout, buf, instances) = r
+        layout.unpack(as_array(scratch)[:n], buf, instances)
+        self._pack_cost(n * datatype.wire_itemsize)
+        status.count = instances
+        return status
 
     def _pack_cost(self, nbytes: int) -> None:
         self.ctx.clock.advance(0.2 + nbytes / self.config.unpack_bpus)
 
-    def _pack_derived(self, buf, count: Optional[int], dtype):
-        """(packed buffer, element count) for a derived send."""
-        instances = count if count is not None else 1
-        flat = dtype.pack(buf, instances)
-        packed = alloc_like(self.ctx, buf, flat.size, dtype.base.storage)
-        as_array(packed)[...] = flat
-        self._pack_cost(flat.size * dtype.base.wire_itemsize)
-        return packed, flat.size
+    def _post(self, side: tuple, recv: bool) -> Request:
+        """Resolved ``side`` posted nonblocking under :meth:`_guarded`;
+        the request's completion (``wait`` and ``test`` alike) runs
+        under it too, a derived receive unpacking then.  A request born
+        complete (an eager send) has nothing left to guard."""
+        if not recv and side[5] is not None:
+            side = self._packed(side)
+        req = self._guarded(self.endpoint.irecv if recv
+                            else self.endpoint.isend, *side[:5])
+        if req._done:
+            return req
+        req._complete = guarded = partial(self._guarded, req._complete)
+        if recv and side[5] is not None:
+            def unpacking(blocking: bool) -> Optional[Status]:
+                return self._unpacked(side, guarded(blocking))
+            req._complete = unpacking
+        return req
 
     def Send(self, buf, dest: int, tag: int = 0,
              count: Optional[int] = None, datatype: Optional[Datatype] = None) -> None:
-        """Blocking send to communicator rank ``dest``.
-
-        Derived datatypes are packed into a contiguous wire buffer
-        (charged in virtual time) before transmission.
-        """
-        self._check_live()
-        if isinstance(datatype, DerivedDatatype):
-            buf, count = self._pack_derived(buf, count, datatype)
-            datatype = datatype.base
-        if self.ctx.engine._revoked:
-            self._check_revoked()
-        try:
-            self.endpoint.send(buf, self.world_rank(dest), tag, count,
-                               datatype)
-        except _PEER_FAILURES as exc:
-            self._failed(exc)
+        """Blocking send to communicator rank ``dest``."""
+        s = self._resolve(buf, dest, tag, count, datatype)
+        if s[5] is not None:
+            s = self._packed(s)
+        self._guarded(self.endpoint.send, *s[:5])
 
     def Recv(self, buf, source: int = ANY_SOURCE, tag: int = ANY_TAG,
              count: Optional[int] = None,
              datatype: Optional[Datatype] = None) -> Status:
         """Blocking receive from communicator rank ``source``."""
-        self._check_live()
-        src_world = source if source == ANY_SOURCE else self.world_rank(source)
-        derived = isinstance(datatype, DerivedDatatype)
-        if derived:
-            instances = count if count is not None else 1
-            count = instances * datatype.elements_per_instance
-            user_buf, user_type, datatype = buf, datatype, datatype.base
-            buf = alloc_like(self.ctx, buf, count, datatype.storage)
-        if self.ctx.engine._revoked:
-            self._check_revoked()
-        try:
-            status = self.endpoint.recv(buf, src_world, tag, count, datatype)
-        except _PEER_FAILURES as exc:
-            self._failed(exc)
-        if derived:
-            user_type.unpack(as_array(buf)[:count], user_buf, instances)
-            self._pack_cost(count * datatype.wire_itemsize)
-            status.count = instances
-        status.source = self._from_world[status.source]
-        return status
+        r = self._resolve(buf, source, tag, count, datatype, recv=True)
+        status = self._guarded(self.endpoint.recv, *r[:5])
+        return status if r[5] is None else self._unpacked(r, status)
 
     def Isend(self, buf, dest: int, tag: int = 0,
               count: Optional[int] = None,
               datatype: Optional[Datatype] = None) -> Request:
         """Nonblocking send."""
-        self._check_live()
-        if isinstance(datatype, DerivedDatatype):
-            buf, count = self._pack_derived(buf, count, datatype)
-            datatype = datatype.base
-        return self.endpoint.isend(buf, self.world_rank(dest), tag, count, datatype)
+        return self._post(self._resolve(buf, dest, tag, count, datatype),
+                          False)
 
     def Irecv(self, buf, source: int = ANY_SOURCE, tag: int = ANY_TAG,
               count: Optional[int] = None,
               datatype: Optional[Datatype] = None) -> Request:
         """Nonblocking receive (derived types unpack at completion)."""
-        self._check_live()
-        src_world = source if source == ANY_SOURCE else self.world_rank(source)
-        if not isinstance(datatype, DerivedDatatype):
-            return self.endpoint.irecv(buf, src_world, tag, count, datatype)
-        instances = count if count is not None else 1
-        n = instances * datatype.elements_per_instance
-        scratch = alloc_like(self.ctx, buf, n, datatype.base.storage)
-        inner = self.endpoint.irecv(scratch, src_world, tag, n, datatype.base)
-
-        def complete(blocking: bool) -> Optional[Status]:
-            if blocking:
-                status = inner.wait()
-            else:
-                done, status = inner.test()
-                if not done:
-                    return None
-            datatype.unpack(as_array(scratch)[:n], buf, instances)
-            self._pack_cost(n * datatype.base.wire_itemsize)
-            status.count = instances
-            return status
-
-        return Request(complete, kind="recv-derived")
+        return self._post(
+            self._resolve(buf, source, tag, count, datatype, True), True)
 
     def Sendrecv(self, sendbuf, dest: int, recvbuf, source: int,
                  sendtag: int = 0, recvtag: Optional[int] = None,
                  datatype: Optional[Datatype] = None) -> Status:
-        """Combined exchange (``MPI_Sendrecv``)."""
-        self._check_live()
-        if self.ctx.engine._revoked:
-            self._check_revoked()
-        group = self.group
-        if not (0 <= dest < len(group) and 0 <= source < len(group)):
-            # ``world_rank``'s test, repeated: two calls fewer a message,
-            # which the call-count guard (tests/test_mpi_p2p.py) needs
-            self.world_rank(dest)
-            self.world_rank(source)
-        try:
-            status = self.endpoint.sendrecv(
-                sendbuf, group[dest], recvbuf, group[source], sendtag,
-                recvtag if recvtag is not None else sendtag,
-                datatype=datatype)
-        except _PEER_FAILURES as exc:
-            self._failed(exc)
-        status.source = self._from_world[status.source]
-        return status
+        """Combined exchange (``MPI_Sendrecv``); ``datatype`` describes
+        both buffers."""
+        s = self._resolve(sendbuf, dest, sendtag, None, datatype)
+        r = self._resolve(recvbuf, source,
+                          sendtag if recvtag is None else recvtag, None,
+                          datatype, True)
+        if s[5] is not None:
+            s = self._packed(s)
+        status = self._guarded(self.endpoint.sendrecv, s[0], s[1], r[0],
+                               r[1], s[2], r[2], s[3], r[3], s[4])
+        return status if r[5] is None else self._unpacked(r, status)
 
     def Iprobe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Optional[Status]:
         """Nonblocking probe.  A miss lets the other ranks run before
         returning, so a ``while Iprobe() is None`` loop cannot starve
         the sender it is waiting for."""
-        self._check_live()
-        src_world = source if source == ANY_SOURCE else self.world_rank(source)
-        status = self.endpoint.probe(src_world, tag)
+        r = self._resolve(None, source, tag, None, None, recv=True)
+        status = self._guarded(self.endpoint.probe, r[1], tag)
         if status is None:
             yield_now()
         return status
@@ -468,23 +486,17 @@ class Communicator:
     def Send_init(self, buf, dest: int, tag: int = 0,
                   count: Optional[int] = None,
                   datatype: Optional[Datatype] = None) -> "PersistentRequest":
-        """Create a persistent send request; activate with ``Start``.
-
-        Amortizes argument validation across iterations of a fixed
-        communication pattern (halo exchanges, solver loops).
-        """
-        self._check_live()
-        self.world_rank(dest)
-        return PersistentRequest(
-            lambda: self.Isend(buf, dest, tag, count, datatype))
+        """Persistent send: resolved here, so a bad argument raises at
+        init; each ``Start`` posts it (packing a derived type then)."""
+        return PersistentRequest(self, partial(
+            self._post, self._resolve(buf, dest, tag, count, datatype), False))
 
     def Recv_init(self, buf, source: int = ANY_SOURCE, tag: int = ANY_TAG,
                   count: Optional[int] = None,
                   datatype: Optional[Datatype] = None) -> "PersistentRequest":
-        """Create a persistent receive request."""
-        self._check_live()
-        return PersistentRequest(
-            lambda: self.Irecv(buf, source, tag, count, datatype))
+        """Persistent receive, resolved here like :meth:`Send_init`."""
+        return PersistentRequest(self, partial(self._post, self._resolve(
+            buf, source, tag, count, datatype, True), True))
 
     # -- collective plumbing ---------------------------------------------------
 
@@ -556,24 +568,9 @@ class Communicator:
         return counts, displs
 
     def _run(self, call: CollectiveCall) -> None:
-        """Run one collective under the elastic-failure contract.
-
-        An operation on a revoked communicator — or one whose peers
-        include a dead rank (only a ``FaultPlan.kill`` rule makes one),
-        observed as the deadlock the death causes — raises
-        :class:`~repro.errors.CommRevokedError`, after revoking the
-        communicator engine-wide so every survivor agrees.  The dying
-        rank itself keeps its :class:`RankKilledError`.  A program that
-        does not catch the revoke still fails its run with
-        :class:`~repro.errors.RankFailedError`; with no rank dead and
-        nothing revoked this is a plain call that takes no lock.
-        """
-        if self.ctx.engine._revoked:
-            self._check_revoked()
-        try:
-            self.coll.run(call)
-        except _PEER_FAILURES as exc:
-            self._failed(exc)
+        """The blocking spelling: the dispatcher runs ``call`` under
+        :meth:`_guarded`."""
+        self._guarded(self.coll.run, call)
 
     def _eager(self, call: CollectiveCall) -> Request:
         """The nonblocking spelling (§1.2 advantage 4): executed
@@ -591,11 +588,10 @@ class Communicator:
         done = Request.completed(Status(), kind=f"{call.coll}-init")
 
         def start() -> Request:
-            self._check_live()
             self._run(call)
             return done
 
-        return PersistentCollRequest(start, call.coll)
+        return PersistentCollRequest(self, start, call.coll)
 
     # builders of the collectives that have more than one spelling
 
@@ -805,7 +801,7 @@ class Communicator:
         return self._persistent(self._barrier())
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<Communicator {self.ctx_id} rank {self._rank}/{self.size}>"
+        return f"<Communicator {self.ctx_id} rank {self.rank}/{self.size}>"
 
 
 class PersistentRequest:
@@ -816,7 +812,8 @@ class PersistentRequest:
     via the plain functions in :mod:`repro.mpi.request`.
     """
 
-    def __init__(self, factory) -> None:
+    def __init__(self, comm: Communicator, factory) -> None:
+        self._comm = comm
         self._factory = factory
         self._active: Optional[Request] = None
 
@@ -824,6 +821,7 @@ class PersistentRequest:
         """Activate the operation (``MPI_Start``)."""
         if self._active is not None and not self._active.done:
             raise MPICommError("Start on an already-active persistent request")
+        self._comm._check_live()
         self._active = self._factory()
         return self
 
@@ -831,8 +829,7 @@ class PersistentRequest:
         """Complete the active iteration."""
         if self._active is None:
             raise MPICommError("wait on an inactive persistent request")
-        status = self._active.wait()
-        return status
+        return self._active.wait()
 
     def test(self):
         """Poll the active iteration."""
@@ -853,8 +850,8 @@ class PersistentCollRequest(PersistentRequest):
     compiled — once at init; every ``Start`` runs it again.
     """
 
-    def __init__(self, factory, coll: str) -> None:
-        super().__init__(factory)
+    def __init__(self, comm: Communicator, factory, coll: str) -> None:
+        super().__init__(comm, factory)
         #: which collective this request replays (e.g. ``"allreduce"``)
         self.coll = coll
 

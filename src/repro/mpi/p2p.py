@@ -49,11 +49,11 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro import fastpath
-from repro.errors import MPIRankError, MPITruncateError
+from repro.errors import DeadlockError, MPITruncateError
 from repro.hw.cluster import PathScope
 from repro.hw.memory import DeviceBuffer, as_array, borrow_view
 from repro.mpi.config import MPIConfig
-from repro.mpi.datatypes import Datatype, datatype_of
+from repro.mpi.datatypes import Datatype
 from repro.mpi.request import Request
 from repro.mpi.status import Status
 from repro.sim.engine import RankContext
@@ -74,8 +74,9 @@ _seq = itertools.count(1)
 class P2PEndpoint:
     """The p2p engine of one rank within one communicator context.
 
-    Ranks here are *world* ranks; the communicator translates before
-    calling.  ``ctx_id`` isolates traffic between communicators.
+    Arguments arrive resolved: the communicator checks them, passes
+    *world* ranks and the datatype.  ``ctx_id`` isolates traffic between
+    communicators.
     """
 
     def __init__(self, ctx: RankContext, config: MPIConfig, ctx_id: int) -> None:
@@ -148,6 +149,14 @@ class P2PEndpoint:
                 return f"communicator member rank(s) {sorted(dead)} died"
         return None
 
+    def _not_yet(self, peer_world: int) -> None:
+        """A poll's "not yet" — unless the wait can never complete:
+        then the :class:`DeadlockError` the blocking wait would raise."""
+        reason = self._abort_reason(peer_world)
+        if reason is not None:
+            raise DeadlockError(
+                f"rank {self.ctx.rank} polling rank {peer_world}: {reason}")
+
     def _stage_to_host(self, nbytes: int) -> None:
         """Charge a pipelined D2H (or H2D) staging copy."""
         cfg = self.config
@@ -191,21 +200,19 @@ class P2PEndpoint:
         overlap with the send segment forces the copying path.
         """
         ctx, cfg = self.ctx, self.config
-        if not 0 <= dst_world < ctx.size:
-            raise MPIRankError(f"send to invalid world rank {dst_world}")
         arr = as_array(buf)
         if count is None:
             count = arr.size
-        dt = datatype or datatype_of(buf)
-        nbytes = count * dt.wire_itemsize
+        nbytes = count * datatype.wire_itemsize
         device = isinstance(buf, DeviceBuffer)
         send_view = arr[:count]
 
         if device and not cfg.gpu_direct:
             self._stage_to_host(nbytes)
         t0 = ctx.clock.advance(cfg.send_overhead_us)
-        resources, alpha, beta, duplex, eager_max, mailbox = self._path_for(
-            dst_world, device and cfg.gpu_direct, bidir)
+        key = (dst_world, device and cfg.gpu_direct, bidir)
+        resources, alpha, beta, duplex, eager_max, mailbox = \
+            self._path_cache.get(key) or self._path_for(*key)
         seq = next(_seq)
         eager = nbytes <= eager_max
         if eager:
@@ -251,15 +258,12 @@ class P2PEndpoint:
             else:
                 cts = ctx.mailbox.try_match(dst_world, ANY_TAG, match_cts)
                 if cts is None:
-                    return None
+                    return self._not_yet(dst_world)
             ctx.clock.merge(cts.arrival_us)
             if lease is not None:
                 # the receiver consumed before posting the CTS, so this
-                # is a no-op reclaim; count the snapshot we never took
-                if lease.materialize(msg):  # pragma: no cover - defensive
-                    fastpath.STATS.note_copy_forced()
-                else:
-                    fastpath.STATS.note_copy_elided()
+                # reclaim only counts the snapshot we never took
+                lease.materialize(msg)
             return Status(ctx.rank, tag, count, nbytes)
 
         return msg, Request(complete, kind="send"), count
@@ -286,8 +290,7 @@ class P2PEndpoint:
                      datatype: Optional[Datatype]) -> Status:
         """Land a matched message in ``arr`` (the array of ``buf``)."""
         ctx, cfg = self.ctx, self.config
-        dt = datatype or datatype_of(buf)
-        capacity = (count if count is not None else arr.size) * dt.wire_itemsize
+        capacity = (count if count is not None else arr.size) * datatype.wire_itemsize
         nbytes = msg.nbytes
         if nbytes > capacity:
             raise MPITruncateError(
@@ -359,7 +362,7 @@ class P2PEndpoint:
             else:
                 msg = box.try_match(src_world, tag, self._incoming)
                 if msg is None:
-                    return None
+                    return self._not_yet(src_world)
             return self._finish_recv(msg, buf, as_array(buf), count, datatype)
 
         return Request(complete, kind="recv")
@@ -404,8 +407,5 @@ class P2PEndpoint:
         elif smsg.lease is not None:
             # deferred eager snapshot: reclaim the buffer before the
             # caller can touch it again
-            if smsg.lease.materialize(smsg):
-                fastpath.STATS.note_copy_forced()
-            else:
-                fastpath.STATS.note_copy_elided()
+            smsg.lease.materialize(smsg)
         return status

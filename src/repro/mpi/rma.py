@@ -16,8 +16,8 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import MPICommError, MPIRankError, MPITypeError
-from repro.hw.cluster import PathScope
+from repro.errors import (MPICommError, MPICountError, MPIRankError,
+                          MPITypeError)
 from repro.hw.memory import as_array
 from repro.mpi.communicator import Communicator
 from repro.mpi.datatypes import FLOAT, Datatype, datatype_of
@@ -78,71 +78,67 @@ class Win:
             raise MPIRankError(f"window target {rank} out of range")
         return self._buffers[rank]
 
-    def _transfer_time(self, target: int, nbytes: int) -> float:
-        """Arrival time of an RMA transfer to/from ``target``."""
-        ctx = self.comm.ctx
-        cfg = self.comm.config
-        src_dev = ctx.device
-        dst_dev = ctx.device_of(self.comm.world_rank(target))
-        path = ctx.cluster.path(src_dev, dst_dev)
-        resources = ctx.cluster.transfer_resources(src_dev, dst_dev)
-        if path.scope == PathScope.INTER and path.fabric is not None:
-            beta = cfg.effective_beta(path.scope, path.fabric.beta_bpus)
-        else:
-            beta = cfg.effective_beta(path.scope, path.beta_bpus)
-            beta = path.bottleneck.effective_beta(beta)
-        alpha = path.alpha_us + cfg.gpu_alpha_extra_us
-        t0 = ctx.clock.advance(cfg.send_overhead_us)
-        return ctx.engine.wires.book(resources, t0, nbytes, beta, alpha)
-
-    def _slice(self, target: int, offset: int, count: int) -> np.ndarray:
-        window = as_array(self._target(target))
-        if offset < 0 or count < 0 or offset + count > window.size:
+    def _resolve(self, buf, target_rank: int, target_offset: int,
+                 count: Optional[int], op: Optional[Op] = None
+                 ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(origin, target)`` arrays of one RMA operation, checked
+        before anything moves — ``count`` (default: all of ``buf``) fits
+        the origin, ``target_rank`` the communicator, the range the
+        window, both sides hold one type, ``op`` suits it — then priced
+        on the p2p send descriptor's wires: the epoch completes no
+        earlier than the transfer arrives."""
+        self._check_live()
+        origin = as_array(buf)
+        n = origin.size if count is None else count
+        if not 0 <= n <= origin.size:
+            raise MPICountError(
+                f"RMA count {n} does not fit a {origin.size}-element "
+                f"origin buffer")
+        window = as_array(self._target(target_rank))
+        if target_offset < 0 or target_offset + n > window.size:
             raise MPICommError(
-                f"RMA range [{offset}, {offset + count}) exceeds window "
-                f"of {window.size}")
-        return window[offset:offset + count]
+                f"RMA range [{target_offset}, {target_offset + n}) exceeds "
+                f"window of {window.size}")
+        if origin.dtype != window.dtype:
+            raise MPITypeError(
+                f"RMA origin dtype {origin.dtype} against a window of "
+                f"{window.dtype}")
+        if op is not None:
+            op.validate(datatype_of(window.dtype))
+        comm = self.comm
+        ctx = comm.ctx
+        resources, alpha, beta, _, _, _ = comm.endpoint._path_for(
+            comm.group[target_rank], True)
+        t0 = ctx.clock.advance(comm.config.send_overhead_us)
+        arrival = ctx.engine.wires.book(resources, t0, n * origin.itemsize,
+                                        beta, alpha)
+        self._pending_until = max(self._pending_until, arrival)
+        return origin[:n], window[target_offset:target_offset + n]
 
     # -- RMA operations ---------------------------------------------------------
 
     def put(self, srcbuf, target_rank: int, target_offset: int = 0,
             count: Optional[int] = None) -> None:
         """``MPI_Put``: write into the target's window."""
-        self._check_live()
-        src = as_array(srcbuf)
-        n = count if count is not None else src.size
-        dst = self._slice(target_rank, target_offset, n)
-        if src.dtype != dst.dtype:
-            raise MPITypeError(
-                f"put dtype {src.dtype} into window of {dst.dtype}")
-        dst[...] = src[:n]
-        arrival = self._transfer_time(target_rank, int(n * src.itemsize))
-        self._pending_until = max(self._pending_until, arrival)
+        origin, target = self._resolve(srcbuf, target_rank, target_offset,
+                                       count)
+        target[...] = origin
 
     def get(self, dstbuf, target_rank: int, target_offset: int = 0,
             count: Optional[int] = None) -> None:
         """``MPI_Get``: read from the target's window."""
-        self._check_live()
-        dst = as_array(dstbuf)
-        n = count if count is not None else dst.size
-        src = self._slice(target_rank, target_offset, n)
-        dst[:n] = src
-        arrival = self._transfer_time(target_rank, int(n * dst.itemsize))
-        self._pending_until = max(self._pending_until, arrival)
+        origin, target = self._resolve(dstbuf, target_rank, target_offset,
+                                       count)
+        origin[...] = target
 
     def accumulate(self, srcbuf, target_rank: int, op: Op = SUM,
                    target_offset: int = 0,
                    count: Optional[int] = None) -> None:
         """``MPI_Accumulate``: atomic elementwise ``op`` into the
         target's window."""
-        self._check_live()
-        src = as_array(srcbuf)
-        n = count if count is not None else src.size
-        dst = self._slice(target_rank, target_offset, n)
-        op.validate(datatype_of(dst.dtype))
-        dst[...] = op(dst, src[:n])
-        arrival = self._transfer_time(target_rank, int(n * src.itemsize))
-        self._pending_until = max(self._pending_until, arrival)
+        origin, target = self._resolve(srcbuf, target_rank, target_offset,
+                                       count, op)
+        target[...] = op(target, origin)
 
     # -- synchronization ----------------------------------------------------------
 

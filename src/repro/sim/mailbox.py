@@ -34,6 +34,7 @@ from collections import deque
 from typing import (Any, Callable, Deque, Dict, List, Mapping, Optional,
                     Sequence, Tuple)
 
+from repro import fastpath
 from repro.errors import DeadlockError
 from repro.sim import sched as _sched
 
@@ -144,14 +145,15 @@ class PayloadLease:
         self.consumed = True
         msg.data = None  # drop the borrowed view promptly
 
-    def materialize(self, msg: "Message") -> bool:
-        """Sender side: reclaim the buffer.  Returns True when a copy
-        had to be forced (receiver had not consumed yet)."""
+    def materialize(self, msg: "Message") -> None:
+        """Sender side: reclaim the buffer, counting the snapshot as
+        elided (already consumed) or forced (copied now)."""
         if self.consumed or self.materialized:
-            return False
-        msg.data = msg.data.copy()
-        self.materialized = True
-        return True
+            fastpath.STATS.note_copy_elided()
+        else:
+            msg.data = msg.data.copy()
+            self.materialized = True
+            fastpath.STATS.note_copy_forced()
 
 
 #: a receive specification for :meth:`Mailbox.match_many`.

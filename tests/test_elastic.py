@@ -235,6 +235,49 @@ def test_every_spelling_obeys_the_elastic_contract(thetagpu1, spelling, mode):
     assert [r for i, r in enumerate(results) if i != 1] == [(True, 3, 3.0)] * 3
 
 
+def _polled(req):
+    for _ in range(1000):
+        if req.test()[0]:
+            return
+    raise AssertionError("a poll never learned its peer died")
+
+
+#: every p2p spelling, as ``(comm, buf, peer) -> None``
+P2P_SPELLINGS = {
+    "Send": lambda c, b, p: c.Send(b, p),
+    "Recv": lambda c, b, p: c.Recv(b, p),
+    "Isend-wait": lambda c, b, p: c.Isend(b, p).wait(),
+    "Irecv-wait": lambda c, b, p: c.Irecv(b, p).wait(),
+    "Send_init-Start-wait": lambda c, b, p: c.Send_init(b, p).Start().wait(),
+    "Recv_init-Start-wait": lambda c, b, p: c.Recv_init(b, p).Start().wait(),
+    "Irecv-test-loop": lambda c, b, p: _polled(c.Irecv(b, p)),
+}
+
+
+@pytest.mark.parametrize("spelling", sorted(P2P_SPELLINGS))
+def test_every_p2p_spelling_obeys_the_elastic_contract(thetagpu1, spelling):
+    """A rendezvous-size exchange with a peer that died raises
+    ``CommRevokedError`` from every blocking, nonblocking and
+    persistent spelling, and leaves the communicator revoked
+    engine-wide."""
+    def body(ctx):
+        comm = Communicator.world(ctx)
+        buf = ctx.device.zeros(1 << 18)         # 1 MiB of float32
+        if ctx.rank == 1:  # the mirror call; dies at its first advance
+            P2P_SPELLINGS["Recv" if "Send" in spelling else "Send"](
+                comm, buf, 0)
+            return "survived"
+        with pytest.raises(CommRevokedError):
+            P2P_SPELLINGS[spelling](comm, buf, 1)
+        return comm.Comm_is_revoked()
+
+    engine = Engine(thetagpu1, nranks=2, progress_timeout_s=2.0)
+    with_faults(engine, FaultPlan().kill(1, after_us=0.0))
+    results = engine.run(body)
+    assert results == [True, None]
+    assert engine.is_revoked("w")
+
+
 class TestRevokeSemantics:
     def test_ops_on_revoked_comm_raise(self, thetagpu1):
         def body(ctx):

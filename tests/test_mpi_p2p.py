@@ -8,11 +8,13 @@ import pytest
 
 from repro import fastpath
 from repro.core import runtime
-from repro.errors import MPIRankError, MPITruncateError, RankFailedError
+from repro.errors import (MPICommError, MPICountError, MPIRankError,
+                          MPITruncateError, RankFailedError)
 from repro.hw.memory import as_array
-from repro.mpi import FLOAT, Communicator
+from repro.mpi import FLOAT, SUM, Communicator
 from repro.mpi.communicator import ANY_SOURCE, ANY_TAG
 from repro.mpi.config import host_staged, mvapich_gpu
+from repro.mpi.rma import Win
 from repro.mpi.request import waitall
 from repro.sim.mailbox import Mailbox
 from tests import frozen_reference
@@ -112,14 +114,6 @@ class TestBlocking:
             spmd(thetagpu1, body, nranks=2)
         assert isinstance(exc_info.value.failures[1], MPITruncateError)
 
-    def test_invalid_rank(self, thetagpu1, spmd):
-        def body(ctx):
-            world(ctx).Send(ctx.device.zeros(1), 5)
-
-        with pytest.raises(RankFailedError) as exc_info:
-            spmd(thetagpu1, body, nranks=2)
-        assert isinstance(exc_info.value.failures[0], MPIRankError)
-
     def test_dtype_conversion_on_recv(self, thetagpu1, spmd):
         def body(ctx):
             comm = world(ctx)
@@ -214,6 +208,127 @@ class TestNonblocking:
             return False
 
         assert spmd(thetagpu1, body, nranks=2)[0] is True
+
+
+#: every receive spelling, as ``(comm, buf, source) -> Status``; the
+#: sender is communicator rank ``source`` (``Sendrecv`` is symmetric)
+_RECEIVES = {
+    "Recv": lambda c, b, src: c.Recv(b, src),
+    "Irecv": lambda c, b, src: c.Irecv(b, src).wait(),
+    "Recv_init": lambda c, b, src: c.Recv_init(b, src).Start().wait(),
+    "Iprobe": lambda c, b, src: _probe_then_recv(c, b, src),
+    "Sendrecv": lambda c, b, src: c.Sendrecv(b, src, b, src),
+}
+
+
+def _probe_then_recv(comm, buf, source):
+    status = None
+    while status is None:
+        status = comm.Iprobe(source)
+    comm.Recv(buf, source)
+    return status
+
+
+@pytest.mark.parametrize("spelling", sorted(_RECEIVES))
+def test_status_source_is_the_communicator_rank(thetagpu1, spmd, spelling):
+    """On a reversed split, communicator rank 0 is world rank 3: every
+    receive spelling reports the sender as 0."""
+    def body(ctx):
+        comm = world(ctx).Split(0, key=-ctx.rank)
+        buf = ctx.device.zeros(4)
+        if comm.rank == 1:
+            return _RECEIVES[spelling](comm, buf, 0).source
+        if comm.rank == 0:
+            if spelling == "Sendrecv":
+                comm.Sendrecv(buf, 1, buf, 1)
+            else:
+                comm.Send(buf, 1)
+        return None
+
+    assert spmd(thetagpu1, body, nranks=4) == [None, None, 0, None]
+
+
+#: every p2p spelling, as ``f(comm, buf, peer, count)``
+_SENDS = {
+    "Send": lambda c, b, p, n: c.Send(b, p, count=n),
+    "Isend": lambda c, b, p, n: c.Isend(b, p, count=n),
+    "Send_init": lambda c, b, p, n: c.Send_init(b, p, count=n),
+}
+_RECVS = {
+    "Recv": lambda c, b, p, n: c.Recv(b, p, count=n),
+    "Irecv": lambda c, b, p, n: c.Irecv(b, p, count=n),
+    "Recv_init": lambda c, b, p, n: c.Recv_init(b, p, count=n),
+}
+_SENDRECV = {"Sendrecv": lambda c, b, p, n: c.Sendrecv(b, p, b, p)}
+_ALL = dict(_SENDS, **_RECVS, **_SENDRECV)
+#: ``(row, peer, count, error, spellings)`` on 4-element buffers of a
+#: 4-rank communicator; ``freed`` runs on a freed ``Dup``
+_BAD_P2P = [
+    ("peer-size", 4, None, MPIRankError, _ALL),
+    ("peer-minus-3", -3, None, MPIRankError, _ALL),
+    ("any-source-dest", ANY_SOURCE, None, MPIRankError,
+     dict(_SENDS, **_SENDRECV)),
+    ("negative-count", 1, -1, MPICountError, dict(_SENDS, **_RECVS)),
+    ("count-beyond-buffer", 1, 1000, MPICountError, dict(_SENDS, **_RECVS)),
+    ("freed", 1, None, MPICommError, _ALL),
+]
+#: the RMA operations, as ``f(win, buf, target, count)``
+_RMA = {
+    "put": lambda w, b, t, n: w.put(b, t, count=n),
+    "get": lambda w, b, t, n: w.get(b, t, count=n),
+    "accumulate": lambda w, b, t, n: w.accumulate(b, t, SUM, count=n),
+}
+_BAD_RMA = [("count-beyond-origin", 1, 1000, MPICountError),
+            ("target-size", 4, None, MPIRankError),
+            ("target-minus-3", -3, None, MPIRankError)]
+
+
+class TestP2PArguments:
+    """A bad p2p or RMA argument is refused where the call is resolved:
+    the same error on every rank, no virtual time spent, and the
+    communicator still usable."""
+
+    @staticmethod
+    def _refused(cluster, spmd, error, call, setup=None):
+        def body(ctx):
+            comm = world(ctx)
+            target = comm if setup is None else setup(comm)
+            buf = ctx.device.zeros(4)
+            before = comm.now
+            with pytest.raises(error) as exc_info:
+                call(target, buf)
+            assert exc_info.type is error
+            assert comm.now == before
+            buf.fill(1.0)
+            out = ctx.device.zeros(4)
+            comm.Allreduce(buf, out, SUM)
+            return float(out.array[0])
+
+        assert spmd(cluster, body, nranks=4) == [4.0] * 4
+
+    @pytest.mark.parametrize("spelling,row,peer,count,error", [
+        pytest.param(name, row, peer, count, error, id=f"{name}-{row}")
+        for row, peer, count, error, spellings in _BAD_P2P
+        for name in spellings])
+    def test_bad_argument_rejected_before_anything_is_sent(
+            self, thetagpu1, spmd, spelling, row, peer, count, error):
+        def freed(comm):
+            dup = comm.Dup()
+            dup.Free()
+            return dup
+
+        self._refused(thetagpu1, spmd, error,
+                      lambda c, b: _ALL[spelling](c, b, peer, count),
+                      freed if row == "freed" else None)
+
+    @pytest.mark.parametrize("op,peer,count,error", [
+        pytest.param(op, peer, count, error, id=f"{op}-{row}")
+        for row, peer, count, error in _BAD_RMA for op in _RMA])
+    def test_bad_rma_argument_rejected(self, thetagpu1, spmd, op, peer,
+                                       count, error):
+        self._refused(thetagpu1, spmd, error,
+                      lambda w, b: _RMA[op](w, b, peer, count),
+                      lambda comm: Win.allocate(comm, 4))
 
 
 class TestSendrecvAndTiming:
@@ -410,29 +525,30 @@ def _count_calls_body(mpx, iters):
     return counts
 
 
-#: Python-level calls per message at the parent commit (``50f0ed8``):
-#: 18 850 calls over 240 messages
-PARENT_CALLS_PER_MESSAGE = 18850 / 240
+#: the bound on Python-level calls per message: 12 730 calls over 240
+#: messages, measured when point-to-point came to be resolved in one step
+CALLS_PER_MESSAGE = 12730 / 240
 
 
 def test_python_calls_per_message():
     """No wall clock: Python-level calls per message, everything between
     ``comm.Allreduce`` / ``comm.Barrier`` and the mailbox included.
 
-    The parent (``50f0ed8``) made 78.54 (18 850 over 240 messages); the
-    flat eager path made 53.71 (12 890) when it landed.  The chain must
-    stay at or below 70 % of the parent's number, 54.98 (untraced: a
-    trace record is calls of its own).  Two of the savings repeat a
-    callee's test at the call site and are kept because the bound needs
-    them: ``Sendrecv``'s range check ahead of ``world_rank`` (2.00 calls
-    per message) and ``as_array``'s freed-flag test ahead of
-    ``DeviceBuffer._check_live`` (2.67); without them the count is
-    58.37."""
+    Before the eager path was flattened the chain made 78.54 (18 850
+    over 240 messages), after it 53.71; a bound of 70 % of the former
+    (54.98) guarded it until it was tightened to 53.04, the count when
+    point-to-point came to be resolved in one step (untraced: a trace
+    record is calls of its own).  A
+    new helper call on the ``Sendrecv`` path fails it.  Two savings
+    are kept because the bound needs them: ``Buffer.view`` reads
+    ``array.size`` rather than the ``count`` property (1.00 calls per
+    message), and ``as_array`` repeats ``DeviceBuffer._check_live``'s
+    freed-flag test at the call site (2.67)."""
     out = runtime.run(_count_calls_body, system="thetagpu", nodes=1,
                       mode="pure_mpi", trace=False, iters=5)
     calls, posts, allocs, exits = (sum(col) for col in zip(*out))
     assert posts == 5 * 8 * (3 + 3)     # recursive doubling + dissemination
-    assert calls / posts <= 0.70 * PARENT_CALLS_PER_MESSAGE, calls
+    assert calls / posts <= CALLS_PER_MESSAGE, calls
     # the same pass, C level: the run token is the per-message lock, so
     # no message builds one (a payload lease once did: 1.00) and only
     # the mailbox and the scheduler take theirs (7.52 with every lock)

@@ -64,18 +64,6 @@ class TestPersistent:
 
         assert spmd(thetagpu1, body, nranks=1)[0] == "rejected"
 
-    def test_invalid_dest_caught_at_init(self, thetagpu1, spmd):
-        from repro.errors import MPIRankError
-
-        def body(ctx):
-            comm = Communicator.world(ctx)
-            try:
-                comm.Send_init(ctx.device.zeros(4), 5)
-            except MPIRankError:
-                return "rejected"
-
-        assert spmd(thetagpu1, body, nranks=2)[0] == "rejected"
-
     def test_active_flag(self, thetagpu1, spmd):
         def body(ctx):
             comm = Communicator.world(ctx)
