@@ -93,7 +93,9 @@ scale-smoke:
 # fails above 256 MiB of peak RSS — communicator set-up must not grow
 # as ranks squared; one quick fig5 sweep (52 short-lived engines), gc at
 # its defaults, fails above 450 MiB — device buffers must die with
-# their last reference, not with the cycle collector's next pass
+# their last reference, not with the cycle collector's next pass; then
+# 200 and 2000 Dup/attach/Allreduce/Free cycles must leave the same
+# engine records and per-rank dict sizes behind
 mem-smoke:
 	PYTHONPATH=src $(PYTHON) tools/mem_smoke.py
 

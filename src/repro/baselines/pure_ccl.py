@@ -28,7 +28,8 @@ class PureCCLHarness:
 
     def __init__(self, ctx: RankContext, backend: str) -> None:
         self.ctx = ctx
-        uid = xapi.xcclGetUniqueId(ctx, ctx.size, ("pure", backend))
+        uid = xapi.xcclGetUniqueId(ctx, ctx.size,
+                                   ("pure", backend, next(ctx.program_seq)))
         self.comm: XCCLComm = xapi.xcclCommInitRank(
             ctx, ctx.engine.world_group, ctx.rank, uid, backend)
         # ``sync``'s operand: summed in place, zeros stay zeros

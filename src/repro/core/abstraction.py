@@ -3,9 +3,10 @@
 One :class:`XCCLAbstractionLayer` per rank.  Its jobs, straight from
 the figure's boxes:
 
-* **Communicator maintenance** — lazily create and cache one
+* **Communicator maintenance** — lazily create one
   :class:`~repro.xccl.comm.XCCLComm` (plus stream) per MPI
-  communicator;
+  communicator, cached in that communicator's ledger
+  (``routing_cache``), which destroys it on ``Comm_free``;
 * **Device buffer identify** — one vendor-independent residency check;
 * **Datatype support / Reduce operation support** — capability
   checks against the resolved backend's declarative descriptor
@@ -24,7 +25,7 @@ the figure's boxes:
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Union
+from typing import Optional, Union
 
 from repro.errors import CCLBackendUnavailable
 from repro.hw.memory import is_device_buffer
@@ -57,7 +58,6 @@ class XCCLAbstractionLayer:
                 self.backend = backend_for_vendor(ctx.device.vendor)
             except CCLBackendUnavailable:
                 self.backend = None
-        self._comms: Dict[str, XCCLComm] = {}
 
     # -- Fig. 2 boxes: checks ------------------------------------------------
 
@@ -88,29 +88,25 @@ class XCCLAbstractionLayer:
     # -- Communicator maintenance ----------------------------------------------
 
     def ccl_comm(self, mpi_comm) -> XCCLComm:
-        """The cached CCL communicator mirroring ``mpi_comm``.
+        """The CCL communicator mirroring ``mpi_comm``, an entry of its
+        ledger.
 
-        First use per MPI communicator performs the uid bootstrap
-        rendezvous (``ncclGetUniqueId`` + ``ncclCommInitRank``).
+        First use per MPI communicator — or after a destroy, keyed by
+        the uid it replaces — performs the uid bootstrap rendezvous
+        (``ncclGetUniqueId`` + ``ncclCommInitRank``).
         """
         if self.backend is None:
             raise CCLBackendUnavailable(
                 f"no CCL backend for {self.ctx.device.vendor.value}")
-        key = mpi_comm.ctx_id
-        comm = self._comms.get(key)
+        name = self.backend.name
+        comm = mpi_comm.routing_cache.get(name)
         if comm is None or comm.aborted:
-            uid = xapi.xcclGetUniqueId(self.ctx, mpi_comm.size,
-                                       (key, self.backend.name))
-            comm = xapi.xcclCommInitRank(self.ctx, mpi_comm.group,
-                                         mpi_comm.rank, uid, self.backend)
-            self._comms[key] = comm
+            uid = xapi.xcclGetUniqueId(
+                self.ctx, mpi_comm.size,
+                (mpi_comm.ctx_id, name, None if comm is None else comm.uid))
+            comm = mpi_comm.routing_cache[name] = xapi.xcclCommInitRank(
+                self.ctx, mpi_comm.group, mpi_comm.rank, uid, self.backend)
         return comm
-
-    def invalidate(self, mpi_comm) -> None:
-        """Drop the cached CCL communicator (MPI ``Comm_free``)."""
-        comm = self._comms.pop(mpi_comm.ctx_id, None)
-        if comm is not None:
-            comm.destroy()
 
     #: fixed per-call cost of the abstraction layer: buffer identify,
     #: datatype conversion, op mapping (Fig. 2 checks).

@@ -28,9 +28,10 @@ stage — nothing per-collective needs touching (MPI-Advance-style single
 seam).
 
 :class:`CollectivePipeline` is the dispatcher the runtime installs on a
-communicator (``comm.coll``); it owns the per-communicator plan caches
-and tuning-table bindings.  In this module a descriptor is unpacked
-into positional arguments only by the ``_ccl_*`` executors below.
+communicator (``comm.coll``); its plans and tuning call counters are
+entries of the communicator's ledger (``routing_cache``).  In this
+module a descriptor is unpacked into positional arguments only by the
+``_ccl_*`` executors below.
 """
 
 from __future__ import annotations
@@ -308,9 +309,9 @@ class CollectivePipeline:
 
     The hybrid dispatcher, MPI-xCCL's runtime brain (§3.4): installed
     as ``comm.coll`` in place of the default
-    :class:`~repro.mpi.coll.MPICollDispatcher`, one per communicator and
-    rank.  Owns the routing state the stages consult: the dispatch mode,
-    the per-communicator tuning-table bindings and compiled-plan caches,
+    :class:`~repro.mpi.coll.MPICollDispatcher`, one per rank and one or
+    more communicators.  Holds what the stages consult beyond the
+    communicator's ledger: the dispatch mode, the pinned tuning table
     and the route counters (``stats``).
     """
 
@@ -318,19 +319,14 @@ class CollectivePipeline:
                  table: Optional[TuningTable] = None) -> None:
         self.layer = layer
         self.mode = mode
-        self._table = table
+        #: the pinned tuning table (None: the memoized one for each
+        #: communicator's shape)
+        self.table = table
         #: runs every call that stays on the MPI algorithms
         self.mpi = MPICollDispatcher()
         self.stats = RouteStats()
-        #: per-communicator (ctx_id-keyed) compiled plans — the
-        #: pipeline is per-rank, so these are thread-confined.
-        self._plans: Dict[str, PlanCache] = {}
-        self._tables: Dict[str, TuningTable] = {}
-        #: online-tuner bookkeeping (``online_tune``): this rank's own
-        #: per-(comm, collective, size-bucket) call counters — identical
-        #: across ranks by SPMD, which is what keeps tuned routes from
-        #: diverging — and the key of the call currently in flight.
-        self._tune_calls: Dict[Tuple[str, str, int], int] = {}
+        #: the online tuner's ``(ctx_id, collective, bucket)`` of the
+        #: call in flight (``online_tune``)
         self._observe_key: Optional[Tuple[str, str, int]] = None
 
     # -- stage tracing -------------------------------------------------------
@@ -398,14 +394,10 @@ class CollectivePipeline:
     # -- stage 3: route (mode pin or tuning-table crossover) ----------------
 
     def _table_for(self, comm) -> TuningTable:
-        if self._table is not None:
-            return self._table
-        table = self._tables.get(comm.ctx_id)
-        if table is None:
-            assert self.layer.backend is not None
-            table = self._tables[comm.ctx_id] = cached_table(
-                comm.record.shape, self.layer.backend.params, comm.config)
-        return table
+        if self.table is not None:
+            return self.table
+        return cached_table(comm.record.shape, self.layer.backend.params,
+                            comm.config)
 
     def route(self, comm, coll: str, nbytes: int, dt, op, significant,
               on_device: bool) -> RouteDecision:
@@ -488,14 +480,17 @@ class CollectivePipeline:
         from repro.core import online_tune
         tuner = comm.ctx.engine.online_tuner
         bucket = online_tune.size_bucket(nbytes)
-        key = (comm.ctx_id, coll, bucket)
-        idx = self._tune_calls.get(key, 0)
-        self._tune_calls[key] = idx + 1
+        calls = comm.routing_cache.get("tune")
+        if calls is None:
+            calls = comm.routing_cache["tune"] = online_tune.CallCounts(
+                tuner, comm.ctx_id)
+        idx = calls.get((coll, bucket), 0)
+        calls[coll, bucket] = idx + 1
         candidates = ["mpi", "xccl"] + (["hier"] if hier_ok else [])
         route, phase = tuner.advise(comm.ctx_id, coll, bucket, idx, static,
                                     candidates)
         self._mark(f"tune:{phase}:{route}")
-        self._observe_key = key
+        self._observe_key = (comm.ctx_id, coll, bucket)
         if route == "xccl":
             return RouteDecision(Route.XCCL)
         if route == "hier":
@@ -505,10 +500,12 @@ class CollectivePipeline:
     # -- stage 4: plan lookup -----------------------------------------------
 
     def plan_cache(self, comm) -> PlanCache:
-        """This communicator's compiled-plan store."""
-        cache = self._plans.get(comm.ctx_id)
-        if cache is None:
-            cache = self._plans[comm.ctx_id] = PlanCache()
+        """This dispatcher's compiled-plan store for ``comm`` (a ledger
+        entry; another dispatcher's is replaced, its plans being the
+        decisions of another table and layer)."""
+        cache = comm.routing_cache.get("plans")
+        if cache is None or cache.owner is not self:
+            cache = comm.routing_cache["plans"] = PlanCache(self)
         return cache
 
     def decide(self, comm, coll: str, nbytes: int, dt=None, op=None,
@@ -632,18 +629,3 @@ class CollectivePipeline:
         if spec is not None:
             self.decide(call.comm, spec.tuning_key, spec.nbytes(call),
                         call.dt, call.op, *spec.buffers(call))
-
-    # -- lifecycle ----------------------------------------------------------
-
-    def release(self, comm) -> None:
-        """Drop everything cached for ``comm`` (MPI ``Comm_free``):
-        compiled plans, the tuning table binding, the online-tuning
-        overlay, and the abstraction layer's CCL communicator."""
-        self._plans.pop(comm.ctx_id, None)
-        self._tables.pop(comm.ctx_id, None)
-        for key in [k for k in self._tune_calls if k[0] == comm.ctx_id]:
-            del self._tune_calls[key]
-        tuner = getattr(comm.ctx.engine, "online_tuner", None)
-        if tuner is not None:
-            tuner.release(comm.ctx_id)
-        self.layer.invalidate(comm)

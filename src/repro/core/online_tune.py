@@ -41,9 +41,10 @@ with ``online_tune=True`` (default ``MPIX_ONLINE_TUNE``) owns one
 :class:`OnlineTuner`; any other engine has none, and its dispatch
 pipelines never leave the static table.
 
-Overlays are per-communicator (keyed by ``ctx_id``): ``Comm_free`` and
-``Comm_shrink`` drop the old communicator's state, so a shrunk
-communicator re-tunes from scratch for the survivor shape.
+Overlays are per-communicator (keyed by ``ctx_id``); a rank's call
+counters are a :class:`CallCounts` entry of the communicator's ledger,
+whose ``Free`` (``Comm_free`` / ``Comm_shrink``) drops the overlay, so a
+shrunk communicator re-tunes from scratch for the survivor shape.
 """
 
 from __future__ import annotations
@@ -93,6 +94,21 @@ class _BucketState:
         if not cell or not cell[0]:
             return None
         return cell[1] / cell[0]
+
+
+class CallCounts(dict):
+    """One rank's per-(collective, size-bucket) call counters on one
+    communicator — identical across ranks by SPMD, which keeps tuned
+    routes from diverging; :meth:`Free` releases its overlay."""
+
+    def __init__(self, tuner: "OnlineTuner", ctx_id: str) -> None:
+        super().__init__()
+        self.tuner = tuner
+        self.ctx_id = ctx_id
+
+    def Free(self) -> None:
+        """``Comm_free`` / ``Comm_shrink`` teardown."""
+        self.tuner.release(self.ctx_id)
 
 
 class OnlineTuner:

@@ -8,11 +8,11 @@ dispatcher derives per call is a pure function of a small key:
 
 A :class:`CollectivePlan` captures that decision once;
 :class:`PlanCache` replays it on every later call with one dict lookup.
-This is the *plan lookup* stage of the dispatch pipeline: the
-:class:`~repro.core.dispatch.CollectivePipeline` keeps one cache per
-communicator (:meth:`~repro.core.dispatch.CollectivePipeline.plan_cache`),
-and the mpi4py-style persistent collectives (``Allreduce_init`` →
-``Request.Start()``) warm it at init time
+This is the *plan lookup* stage of the dispatch pipeline: one cache per
+communicator, in its ledger
+(:meth:`~repro.core.dispatch.CollectivePipeline.plan_cache`), dropped
+by ``Comm_free``; the mpi4py-style persistent collectives
+(``Allreduce_init`` → ``Request.Start()``) warm it at init time
 (:meth:`~repro.core.dispatch.CollectivePipeline.warm`).
 
 :class:`BufferPool` is the allocation-reuse half: staging scratch
@@ -49,13 +49,11 @@ class CollectivePlan:
 
 
 class PlanCache:
-    """Per-communicator store of compiled plans.
+    """Per-communicator store of compiled plans (a ledger entry), filled
+    by ``owner``, the dispatcher whose decisions it holds."""
 
-    Thread-confined by construction: each rank's dispatcher owns its
-    own caches, so no locking is needed on the lookup path.
-    """
-
-    def __init__(self) -> None:
+    def __init__(self, owner: Any = None) -> None:
+        self.owner = owner
         self._plans: Dict[Tuple, CollectivePlan] = {}
         self.hits = 0
         self.misses = 0
@@ -76,10 +74,6 @@ class PlanCache:
         self._plans[key] = plan
         fastpath.STATS.note_compiled()
         return plan
-
-    def clear(self) -> None:
-        """Drop every plan (communicator free / invalidation)."""
-        self._plans.clear()
 
     def __len__(self) -> int:
         return len(self._plans)

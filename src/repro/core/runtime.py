@@ -82,8 +82,10 @@ class MPIxContext:
 
     def attach(self, comm: Communicator) -> Communicator:
         """Install the xCCL dispatcher on a derived communicator
-        (``Dup``/``Split`` results come with the plain MPI dispatcher)."""
-        comm.coll = CollectivePipeline(self.layer, self.COMM_WORLD.coll.mode)
+        (``Dup``/``Split`` results come with the plain MPI dispatcher),
+        routing under the world's mode and pinned tuning table."""
+        world = self.COMM_WORLD.coll
+        comm.coll = CollectivePipeline(self.layer, world.mode, world.table)
         return comm
 
     @property

@@ -97,8 +97,7 @@ class MPICollDispatcher:
 
     A dispatcher receives :class:`~repro.mpi.communicator.CollectiveCall`
     descriptors: :meth:`run` executes one, :meth:`warm` plans one ahead
-    of its first run, :meth:`release` drops what is cached for a
-    communicator.  The per-collective methods are the one place a
+    of its first run.  The per-collective methods are the one place a
     descriptor is unpacked for the positional algorithm functions.
 
     ``force`` pins one algorithm name for every collective (used by
@@ -125,9 +124,6 @@ class MPICollDispatcher:
     def warm(self, call) -> None:
         """Persistent-collective init hook; the algorithm choice is
         cached by the first run, so there is nothing to plan here."""
-
-    def release(self, comm) -> None:
-        """Communicator-free hook; nothing is cached per communicator."""
 
     # one method per Communicator entry point ---------------------------
 

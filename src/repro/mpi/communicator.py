@@ -90,11 +90,7 @@ class Communicator:
 
     def __init__(self, ctx: RankContext, config: MPIConfig,
                  group: Sequence[int], ctx_id: str) -> None:
-        self.record = record = ctx.engine.comm_record(ctx_id, group)
-        rank = record.rank_of.get(ctx.rank)
-        if rank is None:
-            raise MPICommError(f"rank {ctx.rank} not in the "
-                               f"{len(record.group)}-rank group of {ctx_id!r}")
+        self.record = record = ctx.engine.comm_record(ctx_id, group, ctx.rank)
         self.ctx = ctx
         #: the caller's config, before any vendor downgrade — children
         #: (Dup/Split) derive from this, so a single-vendor island
@@ -113,21 +109,24 @@ class Communicator:
         self.endpoint = P2PEndpoint(ctx, config, ctx_id)
         self._from_world = record.rank_of
         #: this process's rank within the communicator
-        self.rank = rank
+        self.rank = record.rank_of[ctx.rank]
         #: number of ranks in the communicator
         self.size = len(record.group)
         self._seq = itertools.count(1)
+        #: ULFM agree / shrink occurrences, apart from ``_seq``: survivors
+        #: leave a failed collective at different points of it
+        self._recoveries = itertools.count()
         self._freed = False
-        #: everything the routing layers cache about this communicator
-        #: (factorizations, negotiated descriptor, and the levels — the
-        #: sub-communicators — of each multi-level instance), by name.
-        #: A value with a ``Free`` method holds sub-communicators built
-        #: for — and owned by — this one: :meth:`Free` and
-        #: :meth:`Comm_shrink` call it when they drain the dict.
+        #: the ledger of everything this rank caches about the
+        #: communicator, by name (factorizations, negotiated descriptor,
+        #: levels, compiled plans, tuning call counters, the CCL
+        #: communicator); :meth:`Free` and :meth:`Comm_shrink` drain it,
+        #: calling each entry's ``Free`` if it has one
         self.routing_cache: Dict[str, object] = {}
         from repro.mpi.coll import MPICollDispatcher  # local: avoid cycle
-        #: the collective dispatcher — anything with ``run(call)``,
-        #: ``warm(call)`` and ``release(comm)``; assign to replace it
+        #: the collective dispatcher — anything with ``run(call)`` and
+        #: ``warm(call)``, caching per communicator only in
+        #: :attr:`routing_cache`; assign to replace it
         self.coll = MPICollDispatcher()
 
     # -- construction -------------------------------------------------------
@@ -162,34 +161,23 @@ class Communicator:
                             f"{self.ctx_id}.s{seq}.{color}")
 
     def Free(self) -> None:
-        """Release the communicator (``MPI_Comm_free``).
-
-        Also drains :attr:`routing_cache` — freeing the node-leader,
-        hierarchy and bridge sub-communicators cached there — and tells
-        the dispatcher to drop compiled plans / CCL state for this
-        communicator.
-        """
+        """Release the communicator (``MPI_Comm_free``): drain the
+        ledger and give up this member's hold on the shared
+        :attr:`record`."""
         if self._freed:
             return
         self._freed = True
-        self._release_routing_caches()
+        self._drain()
+        self.record.release()
 
-    def _release_routing_caches(self) -> None:
-        """Tear down every per-communicator routing cache.
-
-        Shared by :meth:`Free` and :meth:`Comm_shrink`: a shrunk
-        communicator's parent keeps its identity (user code may still
-        translate ranks through it) but must drop hierarchical
-        sub-communicators, bridge/hetero descriptors, compiled plans and
-        online-tuning overlays — all keyed to a rank set that no longer
-        exists.
-        """
+    def _drain(self) -> None:
+        """Empty the ledger, calling each entry's own ``Free`` — also
+        :meth:`Comm_shrink`'s, whose parent keeps its identity."""
         for entry in self.routing_cache.values():
             free = getattr(entry, "Free", None)
             if free is not None:
                 free()
         self.routing_cache.clear()
-        self.coll.release(self)
 
     def _check_live(self) -> None:
         if self._freed:
@@ -257,8 +245,9 @@ class Communicator:
         self._check_live()
         engine = self.ctx.engine
         survivors = self._survivors()
-        slot = self.ctx.collective_slot((self.ctx_id, "ulfm-agree"),
-                                        parties=len(survivors), patient=True)
+        slot = self.ctx.collective_slot(
+            (self.ctx_id, "ulfm-agree", next(self._recoveries)),
+            parties=len(survivors), patient=True)
 
         def compute(payloads):
             agreed = ~0
@@ -282,10 +271,9 @@ class Communicator:
         and derive a fresh context id from an engine-wide shrink
         generation — computed exactly once, inside the rendezvous, so
         every survivor names the new communicator identically.  The old
-        communicator's routing caches (hierarchy, bridge descriptors,
-        compiled plans, online-tuning overlays) are torn down: they are
-        keyed to the pre-failure rank set.  The new communicator keeps
-        this rank's dispatcher, so hybrid routing — and, with the
+        communicator's ledger is drained: everything in it is keyed to
+        the pre-failure rank set.  The new communicator keeps this
+        rank's dispatcher, so hybrid routing — and, with the
         ``online_tune`` option on, re-tuning for the survivor shape —
         resumes immediately.
         """
@@ -293,8 +281,9 @@ class Communicator:
         engine = self.ctx.engine
         survivors = self._survivors()
         ctx_id = self.ctx_id
-        slot = self.ctx.collective_slot((ctx_id, "ulfm-shrink"),
-                                        parties=len(survivors), patient=True)
+        slot = self.ctx.collective_slot(
+            (ctx_id, "ulfm-shrink", next(self._recoveries)),
+            parties=len(survivors), patient=True)
 
         def compute(payloads):
             views = set(payloads.values())
@@ -308,7 +297,7 @@ class Communicator:
         gen, survivors = slot.exchange(survivors.index(self.ctx.rank),
                                        survivors, compute)
         self.ctx.clock.advance(2.0)  # shrink metadata round, tiny
-        self._release_routing_caches()
+        self._drain()
         new = Communicator(self.ctx, self._base_config, survivors,
                            f"{ctx_id}!{gen}")
         new.coll = self.coll

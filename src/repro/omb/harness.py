@@ -52,9 +52,11 @@ def aggregate_latency(ctx: RankContext, key, size: int,
     """Reduce per-rank averages to (avg, min, max) across ranks.
 
     Free of virtual-time cost: stats aggregation is outside the timed
-    region.
+    region.  Every rank of the run calls it (the rendezvous is numbered
+    by :attr:`RankContext.program_seq`).
     """
-    slot = ctx.collective_slot(("omb-stats", key, size), parties)
+    slot = ctx.collective_slot(
+        ("omb-stats", key, size, next(ctx.program_seq)), parties)
 
     def combine(payloads: Dict[int, float]) -> LatencyStats:
         values = list(payloads.values())

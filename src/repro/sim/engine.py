@@ -243,10 +243,12 @@ class CommRecord:
     """The facts every member of one communicator derives identically,
     built once by the first member to reach it (:meth:`Engine.comm_record`)
     and shared by reference.  Write-once: each fact is a function of the
-    group and the cluster alone, computed by whichever member asks first."""
+    group and the cluster alone, computed by whichever member asks first.
+    It stays in :attr:`Engine.records` while a member handle is live."""
 
-    def __init__(self, engine: "Engine", group: tuple) -> None:
+    def __init__(self, engine: "Engine", scope: Any, group: tuple) -> None:
         self._engine = engine
+        self.scope = scope
         #: world ranks, in communicator order
         self.group = group
         #: world rank -> communicator rank
@@ -254,6 +256,17 @@ class CommRecord:
         #: the rank-independent half of each factorization, by what it
         #: groups by (filled by :func:`repro.mpi.coll.levels.factorize`)
         self.factors: Dict[str, Any] = {}
+        #: live member handles
+        self.handles = 0
+
+    def release(self) -> None:
+        """One member handle is gone (``Comm_free``,
+        ``XCCLComm.destroy``); the last takes the record out of the
+        engine's table."""
+        self.handles -= 1
+        records = self._engine.records
+        if not self.handles and records.get(self.scope) is self:
+            del records[self.scope]
 
     @functools.cached_property
     def mixed_vendor(self) -> bool:
@@ -294,7 +307,10 @@ class RankContext:
         self.clock = VirtualClock()
         self.mailbox = engine.mailbox_of(rank)
         self.trace = Trace(rank, enabled=engine.options["trace"])
-        self._slot_uses: Dict[Any, int] = {}
+        #: occurrence numbers of the run-wide rendezvous the rank program
+        #: issues outside any communicator (OMB statistics, pure-CCL
+        #: bootstraps): every rank of the run issues them in one order
+        self.program_seq = itertools.count()
         #: lazily-built staging BufferPool (see repro.mpi.compute);
         #: stays None until the fast path first needs scratch space.
         self.staging_pool = None
@@ -318,27 +334,19 @@ class RankContext:
         return self.engine.device_of(rank)
 
     def collective_slot(self, key: Any, parties: Optional[int] = None,
-                        patient: bool = False) -> CollectiveSlot:
-        """The rendezvous slot for a keyed collective call.
+                        patient: bool = False,
+                        factory: type = CollectiveSlot) -> CollectiveSlot:
+        """The rendezvous slot named ``key`` (``factory``: its flavour).
 
-        Keys are qualified with this rank's per-key use count, so the
-        Nth call with a key on one rank always meets the Nth call on
-        every other rank — repeated keys cannot collide across skewed
-        repetitions (SPMD programs call collectives in identical
-        order, keeping the counts aligned).
+        A key names one rendezvous: a key its issuer repeats carries the
+        issuer's occurrence number (``XCCLComm.next_coll_key``'s
+        sequence, a communicator's ``split`` / ``win`` / ULFM counters,
+        :attr:`program_seq`), so the Nth occurrence on one rank meets the
+        Nth on every other rank.  A rank reaching an unfinished slot it
+        already joined raises :class:`SimulationError`.
         """
-        use = self._slot_uses.get(key, 0)
-        self._slot_uses[key] = use + 1
-        return self.engine.collective_slot((key, use), parties or self.size,
-                                           patient=patient)
-
-    def group_exchange_slot(self, key: Any, parties: int) -> "GroupExchangeSlot":
-        """The rendezvous slot for a keyed fused group exchange (same
-        per-rank use-count qualification as :meth:`collective_slot`)."""
-        use = self._slot_uses.get(key, 0)
-        self._slot_uses[key] = use + 1
-        return self.engine.collective_slot((key, use), parties,
-                                           factory=GroupExchangeSlot)
+        return self.engine.collective_slot(key, parties or self.size,
+                                           factory, patient)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<RankContext {self.rank}/{self.size} on {self.device.model}>"
@@ -419,7 +427,8 @@ class Engine:
         self._revoked: set = set()
         self._shrink_gens: Dict[str, int] = {}
         #: communicator scope -> its shared record (:meth:`comm_record`),
-        #: whose group the abort probes read; cleared per run
+        #: whose group the abort probes read; held while a member handle
+        #: is live, cleared per run
         self.records: Dict[Any, CommRecord] = {}
         #: COMM_WORLD's group, built once per engine
         self.world_group = tuple(range(self.nranks))
@@ -519,34 +528,37 @@ class Engine:
         """Record one rank as dead (a ``FaultPlan.kill`` rule fired)."""
         self.dead_ranks.add(rank)
 
-    def comm_record(self, scope: Any, group) -> CommRecord:
+    def comm_record(self, scope: Any, group, member: int) -> CommRecord:
         """The shared record of the communicator ``scope`` (an MPI
         ctx_id, or ``("xccl", uid)`` for a CCL communicator) over the
-        world ranks ``group``, built by the first member to ask.  SPMD: a
-        member naming another group (a diverged ``Split``) raises
+        world ranks ``group``, built by the first member to ask; counts
+        the handle world rank ``member`` builds.  SPMD: a member naming
+        another group (a diverged ``Split``), or not in it, raises
         :class:`~repro.errors.MPICommError` instead of replacing it."""
         rec = self.records.get(scope)
         if rec is None:
-            rec = self.records[scope] = CommRecord(self, tuple(group))
+            rec = self.records[scope] = CommRecord(self, scope, tuple(group))
         elif group is not rec.group and tuple(group) != rec.group:
             raise MPICommError(f"communicator {scope!r}: this member's group "
                                f"({len(group)} ranks) differs from the agreed one")
+        if member not in rec.rank_of:
+            raise MPICommError(f"rank {member} not in the "
+                               f"{len(rec.group)}-rank group of {scope!r}")
+        rec.handles += 1
         return rec
 
     def _slot_hopeless(self, key: Any) -> Optional[str]:
         """Why a slot rendezvous can never complete, or None while it
-        still can.  Keys are qualified ``(user_key, use)``; comm-scoped
-        user keys lead with an MPI ctx_id string or an
-        ``("xccl"/"xccl-group", uid, ...)`` tuple."""
+        still can.  Comm-scoped keys lead with an MPI ctx_id string or
+        are ``("xccl"/"xccl-group", uid, ...)`` tuples."""
         if not self.dead_ranks and not self._revoked:
             return None  # fault-free fast path
-        user = key[0] if isinstance(key, tuple) and key else None
-        if not isinstance(user, tuple) or not user:
+        if not isinstance(key, tuple) or not key:
             return None
-        if user[0] in ("xccl", "xccl-group") and len(user) > 1:
-            scope: Any = ("xccl", user[1])
-        elif isinstance(user[0], str):
-            scope = user[0]
+        if key[0] in ("xccl", "xccl-group") and len(key) > 1:
+            scope: Any = ("xccl", key[1])
+        elif isinstance(key[0], str):
+            scope = key[0]
         else:
             return None
         if scope in self._revoked:
@@ -562,16 +574,19 @@ class Engine:
 
         First revocation bumps the ``comm_revokes`` counter, purges the
         context's pending rendezvous slots (they can never complete —
-        a party is dead) and wakes every blocked receiver so its
-        hopelessness probe runs now.
+        a party is dead) but the patient ones (the ULFM agree / shrink
+        rendezvous, which run on a revoked communicator by design) and
+        wakes every blocked receiver so its hopelessness probe runs now.
         """
         if ctx_id in self._revoked:
             return
         self._revoked.add(ctx_id)
         from repro import fastpath
         fastpath.STATS.note_revoke()
-        doomed = [self._slots.pop(key) for key in list(self._slots)
-                  if self._slot_ctx_id(key) == ctx_id]
+        # comm-scoped keys lead with the ctx_id
+        doomed = [self._slots.pop(key) for key, slot in list(self._slots.items())
+                  if type(key) is tuple and key[:1] == (ctx_id,)
+                  and not slot._patient]
         for slot in doomed:
             slot.poison(DeadlockError(
                 f"collective {slot.key!r} aborted: communicator "
@@ -579,16 +594,6 @@ class Engine:
         # parked fibers never poll: wake them to re-check
         for mb in self._mailboxes:
             mb.poke()
-
-    @staticmethod
-    def _slot_ctx_id(key: Any) -> Optional[str]:
-        """The communicator context id a slot key belongs to, if its
-        shape reveals one (engine keys are ``(user_key, use)`` with
-        comm-scoped user keys leading with the ctx_id)."""
-        if isinstance(key, tuple) and key and isinstance(key[0], tuple) \
-                and key[0] and isinstance(key[0][0], str):
-            return key[0][0]
-        return None
 
     def is_revoked(self, ctx_id: str) -> bool:
         """Whether the communicator context has been revoked."""

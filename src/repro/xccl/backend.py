@@ -55,6 +55,7 @@ from repro.mpi.datatypes import Datatype
 from repro.mpi.ops import Op
 from repro.perfmodel import ccl_models
 from repro.perfmodel.params import CCLParams
+from repro.sim.engine import GroupExchangeSlot
 from repro.sim.mailbox import ANY_TAG, Message
 from repro.xccl.caps import CCL_SUPPORTED_OPS, CapabilityDescriptor
 from repro.xccl.comm import XCCLComm
@@ -406,8 +407,8 @@ class CCLBackend:
                               arrivals_in, transport)
         else:
             assert exchange is not None
-            slot = ctx.group_exchange_slot(exchange.next_group_key(),
-                                           exchange.size)
+            slot = ctx.collective_slot(exchange.next_group_key(),
+                                       exchange.size, factory=GroupExchangeSlot)
             inbound = {(sender, their_seqs[i]): their_rows[i]
                        for sender, mine, (their_seqs, their_rows)
                        in slot.exchange_for(exchange.rank, by_dst,

@@ -24,7 +24,8 @@ _uid_counter = itertools.count(1)
 
 def xccl_get_unique_id(ctx: RankContext, parties: int, key) -> int:
     """Agree on a communicator uid across ranks (``ncclGetUniqueId`` +
-    bootstrap broadcast, collapsed into one rendezvous)."""
+    bootstrap broadcast, collapsed into one rendezvous).  ``key`` names
+    one bootstrap: a caller that repeats it numbers the occurrences."""
     slot = ctx.collective_slot(("xccl-uid", key), parties)
     return slot.exchange(ctx.rank, None, lambda _payloads: next(_uid_counter))
 
@@ -56,7 +57,7 @@ class XCCLComm:
         self.ctx = ctx
         self.uid = uid
         self.backend = backend
-        self.record = ctx.engine.comm_record(("xccl", uid), group)
+        self.record = ctx.engine.comm_record(("xccl", uid), group, ctx.rank)
         self.group: Tuple[int, ...] = self.record.group
         self.rank = rank
         self.stream = stream or ctx.device.create_stream(f"xccl:{uid}")
@@ -117,8 +118,14 @@ class XCCLComm:
         return next(self._recv_seq[src_rank])
 
     def destroy(self) -> None:
-        """``ncclCommDestroy``: mark the communicator unusable."""
-        self.aborted = True
+        """``ncclCommDestroy``: mark the communicator unusable and give
+        up this member's hold on the shared record."""
+        if not self.aborted:
+            self.aborted = True
+            self.record.release()
+
+    #: the teardown of the MPI communicator's ledger entry
+    Free = destroy
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<XCCLComm uid={self.uid} rank {self.rank}/{self.size}>"

@@ -7,6 +7,7 @@ from repro.core.abstraction import XCCLAbstractionLayer
 from repro.core.dispatch import CollectiveCall, execute_ccl
 from repro.mpi import DOUBLE_COMPLEX, FLOAT, SUM, Communicator
 from repro.mpi.ops import user_op
+from repro.xccl.api import xcclCommDestroy
 
 
 class TestBackendResolution:
@@ -73,16 +74,19 @@ class TestCommCache:
         uids = spmd(thetagpu1, body, nranks=4)
         assert len(set(uids)) == 1
 
-    def test_invalidate(self, thetagpu1, spmd):
+    def test_destroyed_ccl_comm_is_rebuilt(self, thetagpu1, spmd):
+        """A CCL communicator destroyed under the ledger is bootstrapped
+        again — a fresh uid rendezvous, not the first one's."""
         def body(ctx):
             layer = XCCLAbstractionLayer(ctx)
             comm = Communicator.world(ctx)
             a = layer.ccl_comm(comm)
-            layer.invalidate(comm)
+            xcclCommDestroy(a)
             b = layer.ccl_comm(comm)
-            return a.aborted and (b is not a)
+            return (a.aborted, b is not a and not b.aborted,
+                    comm.routing_cache["nccl"] is b, b.uid != a.uid)
 
-        assert all(spmd(thetagpu1, body, nranks=2))
+        assert spmd(thetagpu1, body, nranks=4) == [(True,) * 4] * 4
 
 
 class TestMappedCollectives:

@@ -4,9 +4,9 @@ Covers the capability-descriptor layer (negotiation, family fallback,
 empty-intersection errors), the mixed-cluster builders, and the island
 bridge executor: bit-identity of mixed 2+2-node runs against both the
 bridge-off MPI fallback and a homogeneous same-shape run, counter pins
-(one negotiation per communicator), the ``Comm_free`` release of the
-cached bridge state, and the negotiation-failure error path (a clean
-MPIX error, never a deadlock).
+(one negotiation per communicator), and the negotiation-failure error
+path (a clean MPIX error, never a deadlock).  ``tests/test_ledger.py``
+drains the cached bridge state.
 """
 
 from __future__ import annotations
@@ -285,30 +285,6 @@ def test_gate_combos_payload_parity(trace, online_tune, hier_pipe):
                   trace=trace, online_tune=online_tune,
                   hier_pipe=hier_pipe)
     assert _payloads(got) == _payloads(expect)
-
-
-def test_comm_free_releases_bridge_state():
-    """``Comm_free`` drops the cached island sub-communicator, the
-    hetero info, and the negotiated descriptor."""
-    def body(mpx):
-        comm = mpx.COMM_WORLD
-        dup = mpx.attach(comm.Dup())
-        send = mpx.device_array(N, fill=1.0)
-        recv = mpx.device_array(N, fill=0.0)
-        dup.Allreduce(send, recv, SUM)
-        cached = [k in dup.routing_cache
-                  for k in ("vendor", "bridge", "negotiated")]
-        island = dup.routing_cache["bridge"].inner
-        dup.Free()
-        return (cached, dup.routing_cache == {}, island._freed,
-                float(recv.array[0]))
-
-    out, _ = _run(body, _mixed_cluster(), 8, 2, hetero=True)
-    for cached, drained, island_freed, value in out:
-        assert all(cached), "bridge state was never cached"
-        assert drained, "Free left bridge state behind"
-        assert island_freed, "Free left the island sub-communicator live"
-        assert value == 8.0
 
 
 def test_negotiation_failure_is_clean_error():

@@ -1,4 +1,4 @@
-"""Plan cache and memoization: bit-identity, hits, pooling, lifecycle.
+"""Plan cache and memoization: bit-identity, hits, pooling.
 
 Compiled plans, memoized models and pooled staging (``repro.core.plan``)
 may only change how fast the simulator runs — never what it computes.
@@ -20,7 +20,6 @@ from repro import fastpath
 from repro.core import runtime
 from repro.core.plan import BufferPool, CollectivePlan, PlanCache
 from repro.core.tuning_table import cached_table
-from repro.mpi.coll import levels
 from repro.mpi.ops import SUM
 from repro.xccl.datatypes import support_table
 from tests import frozen_reference
@@ -165,31 +164,6 @@ def test_persistent_all_variants_run():
                            ranks_per_node=4))
 
 
-def test_comm_free_releases_caches():
-    """Comm_free drops compiled plans, tuning bindings, and cached
-    hierarchical sub-communicators."""
-    def body(mpx):
-        comm = mpx.COMM_WORLD
-        sub = mpx.attach(comm.Split(color=0, key=comm.rank))
-        ctx = comm.ctx
-        s = ctx.device.zeros(64, dtype=np.float32)
-        r = ctx.device.zeros(64, dtype=np.float32)
-        sub.Allreduce(s, r, SUM)
-        local = levels.levels(None, sub, levels.LEADER).inner
-        assert sub.routing_cache["hierarchical"].inner is local
-        had_plans = sub.ctx_id in getattr(sub.coll, "_plans", {})
-        sub.Free()
-        assert sub.ctx_id not in getattr(sub.coll, "_plans", {})
-        assert sub.ctx_id not in getattr(sub.coll, "_tables", {})
-        assert sub.routing_cache == {}
-        assert local._freed
-        sub.Free()  # idempotent
-        return had_plans
-
-    assert all(runtime.run(body, system="thetagpu", nodes=1,
-                           ranks_per_node=4))
-
-
 def test_support_table_identity():
     """Capability lookups are memoized down to the same object,
     case-insensitively."""
@@ -234,8 +208,7 @@ def test_plan_cache_counts():
     plan = cache.store(key, CollectivePlan(key=key, decision=None))
     assert cache.lookup(key) is plan
     assert cache.hits == 1 and cache.misses == 1
-    cache.clear()
-    assert len(cache) == 0
+    assert len(cache) == 1
 
 
 def test_memoized_functions_replay_their_originals(thetagpu2):

@@ -97,14 +97,29 @@ class TestCollectiveSlot:
         assert all(o is out[0] for o in out)
 
     def test_repeated_key_isolated_by_use_count(self, thetagpu1, spmd):
+        """A key its issuer repeats carries the issuer's use count."""
         def body(ctx):
-            a = ctx.collective_slot("k").exchange(ctx.rank, 1,
-                                                  lambda p: sum(p.values()))
-            b = ctx.collective_slot("k").exchange(ctx.rank, 2,
-                                                  lambda p: sum(p.values()))
+            a = ctx.collective_slot(("k", 0)).exchange(
+                ctx.rank, 1, lambda p: sum(p.values()))
+            b = ctx.collective_slot(("k", 1)).exchange(
+                ctx.rank, 2, lambda p: sum(p.values()))
             return (a, b)
 
         assert spmd(thetagpu1, body, nranks=3) == [(3, 6)] * 3
+
+    def test_unnumbered_repeat_is_refused(self, thetagpu1):
+        """The engine keeps no per-rank use counts: reaching a slot this
+        rank already joined, while it is still in flight, is an error —
+        not a silent meeting with the wrong occurrence."""
+        def body(ctx):
+            for payload in (1, 2):
+                ctx.collective_slot("k").exchange(
+                    ctx.rank, payload, lambda p: sum(p.values()))
+
+        with pytest.raises(RankFailedError) as err:
+            run_spmd(thetagpu1, body, nranks=3)
+        assert any(isinstance(e, SimulationError) and "twice" in str(e)
+                   for e in err.value.failures.values())
 
     def test_slots_reaped_after_finish(self, thetagpu1):
         engine = Engine(thetagpu1, nranks=4)
@@ -120,7 +135,7 @@ class TestCollectiveSlot:
         def body(ctx):
             total = 0
             for i in range(20):
-                total += ctx.collective_slot("loop").exchange(
+                total += ctx.collective_slot(("loop", i)).exchange(
                     ctx.rank, i, lambda p: max(p.values()))
             return total
 

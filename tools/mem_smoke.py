@@ -1,7 +1,8 @@
 """Memory smoke (``make mem-smoke``): peak RSS is live buffers, not
-engines built, and not ranks times ranks.
+engines built, and not ranks times ranks; communicator churn leaves
+nothing behind.
 
-Two legs, each in a fresh process:
+Three legs, the first two each in a fresh process:
 
 * **fig5** — one quick ``fig5`` sweep (52 short-lived 8-rank engines,
   1 to 8 MiB of device buffers a rank) in this process, the cycle
@@ -16,6 +17,13 @@ Two legs, each in a fresh process:
   every rank derived its communicators' facts for itself, walking all
   members, and about 120 MiB with one shared record per communicator
   (docs/performance.md, "Set-up linear in ranks").
+* **churn** — ``CHURN_CYCLES`` runs of Dup → attach → 1 MiB
+  ``Allreduce`` (the xCCL route) → ``Free`` on 8 ThetaGPU ranks; fails
+  unless the engine's record count and the size of every dict on each
+  rank's ``RankContext``, dispatcher and abstraction layer are the same
+  after every run.  Before communicators owned their caches, 200 and
+  2 000 cycles left 401 and 4 001 records, and 400 and 4 000 slot-use
+  entries per rank.
 
 The sweep is the stand-in, on the ``src/`` side, for a per-workload
 ``peak_rss_mb`` ceiling in the end-to-end benchmark (ROADMAP item 1).
@@ -34,6 +42,7 @@ from repro.hw.device import Accelerator
 LIMIT_MIB = 450.0
 SCALE_RANKS = 2048
 SCALE_LIMIT_MIB = 256.0
+CHURN_CYCLES = (200, 2000)
 
 
 @contextlib.contextmanager
@@ -73,6 +82,29 @@ def scale_leg() -> None:
     assert results == [float(SCALE_RANKS)] * SCALE_RANKS
 
 
+def churn_leg(cycles: int):
+    """``(records, per-rank dict sizes)`` after ``cycles`` of Dup →
+    attach → 1 MiB Allreduce → Free on every rank."""
+    from repro.core import runtime
+    engines = []
+
+    def body(mpx):
+        engines[:] = [mpx.ctx.engine]
+        send = mpx.device_array(1 << 18, fill=1.0)
+        recv = mpx.device_array(1 << 18)
+        for _ in range(cycles):
+            dup = mpx.attach(mpx.COMM_WORLD.Dup())
+            dup.Allreduce(send, recv)
+            dup.Free()
+        assert dup.coll.stats.xccl_calls == 1
+        return {(type(o).__name__, name): len(value)
+                for o in (mpx.ctx, dup.coll, mpx.layer)
+                for name, value in vars(o).items() if isinstance(value, dict)}
+
+    sizes = runtime.run(body, system="thetagpu", nodes=1)
+    return len(engines[0].records), sizes
+
+
 def _peak_mib(who: int) -> float:
     # Linux reports ru_maxrss in KiB
     return resource.getrusage(who).ru_maxrss / 1024.0
@@ -101,6 +133,14 @@ def main() -> int:
     if peak_mib > LIMIT_MIB:
         print(f"FAIL: peak RSS above {LIMIT_MIB:.0f} MiB — device buffers "
               f"are outliving their last reference", file=sys.stderr)
+        failed = 1
+    churned = [churn_leg(cycles) for cycles in CHURN_CYCLES]
+    for cycles, (records, sizes) in zip(CHURN_CYCLES, churned):
+        print(f"{cycles} Dup/attach/Allreduce/Free cycles: {records} "
+              f"records, rank 0 dict sizes {sizes[0] or 'none (no dicts)'}")
+    if any(c != churned[0] for c in churned):
+        print("FAIL: what a freed communicator left behind grows with the "
+              "cycles", file=sys.stderr)
         failed = 1
     return failed
 
