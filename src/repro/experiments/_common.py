@@ -36,7 +36,9 @@ def run_collective_panel(exp_id: str, system: str, nodes: int, nranks: int,
     dashed) series — Fig 5d compares MSCCL against pure NCCL 2.12.12.
     """
     config = omb_config(scale)
-    cluster = make_system(system, nodes)
+    # OMB times what it moves and never reads it: storage-free devices
+    # give the same virtual times at O(1) memory per window
+    cluster = make_system(system, nodes, payloads=False)
     bench = COLLECTIVE_BENCHMARKS[coll]
     results = ResultSet()
     for stack in stacks:

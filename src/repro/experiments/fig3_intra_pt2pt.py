@@ -31,7 +31,7 @@ def _sweep(exp_id: str, scale: str, nodes: int, ranks_per_node) -> ResultSet:
     config = omb_config(scale)
     results = ResultSet()
     for backend, system in PAIRS:
-        cluster = make_system(system, nodes)
+        cluster = make_system(system, nodes, payloads=False)  # OMB reads nothing
         for metric, bench, unit in (("latency", osu_latency, "us"),
                                     ("bw", osu_bw, "MB/s"),
                                     ("bibw", osu_bibw, "MB/s")):

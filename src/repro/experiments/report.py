@@ -71,11 +71,23 @@ NOTES = """
 ## Notes on methods and deviations
 
 * **Engine vs model.**  "engine" experiments run real SPMD rank threads
-  moving real buffers in virtual time at the paper's rank counts;
-  "model" experiments evaluate the calibrated closed-form cost models
-  (used where the paper's scale — 128 ranks sweeping 23 sizes — is out
-  of interactive engine budget).  The two are cross-validated against
+  moving buffers in virtual time at the paper's rank counts; "model"
+  experiments evaluate the calibrated closed-form cost models (used
+  where the paper's scale — 128 ranks sweeping 23 sizes — is out of
+  interactive engine budget).  The two are cross-validated against
   each other in `tests/test_perfmodel.py`.
+* **Storage-free OMB sweeps.**  The OMB-driven engine experiments —
+  fig3 and fig4 (`osu_latency` / `osu_bw` / `osu_bibw`) and fig5 (every
+  `run_collective_panel`) — run on clusters built with
+  `payloads=False`: their device buffers carry count, dtype and
+  placement but no contents, O(1) memory each.  OMB times what it
+  moves and never reads it (real OMB validates only under `-c`), and
+  virtual time is a function of counts, dtypes and placement, so their
+  numbers cannot move: `tests/test_storage_free.py` replays every
+  frozen reference case storage-free with clocks `==`, and the quick
+  fig3/fig4/fig5 records are bit-identical both ways.  The Horovod
+  figures (7-10), the DL trainer and every rank program that checks
+  its results keep real payloads.
 * **Launch floors** (fig3) run 5-25% above the paper's quoted
   overheads because our small-message latency includes the per-step
   link alpha on top of the launch constant; the paper quotes the launch

@@ -6,7 +6,9 @@ over RoCE).  None of that hardware exists in this environment, so this
 package provides the closest synthetic equivalent that exercises the
 same code paths:
 
-* accelerators with real (numpy-backed) device memory and allocators,
+* accelerators with real (numpy-backed) device memory and allocators —
+  or storage-free memory (``payloads=False``) that keeps only shapes,
+  for runs that never read what they move,
 * streams and events with virtual-time ordering semantics,
 * alpha-beta link models for NVLink/NVSwitch, PCIe, xGMI, Gaudi RoCE,
   InfiniBand HDR and 400G Ethernet fabrics,

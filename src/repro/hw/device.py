@@ -14,7 +14,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.errors import DeviceMemoryError, InvalidBufferError
-from repro.hw.memory import DeviceBuffer
+from repro.hw.memory import DeviceBuffer, storage_free
 from repro.hw.stream import Stream
 from repro.hw.vendors import Vendor
 
@@ -48,11 +48,15 @@ class Accelerator:
             the source of the CCL small-message latency floor.
         fp32_tflops: peak fp32 throughput, used by the DL compute model.
         local_index: index of the device within its node.
+        payloads: False for a device whose buffers carry shapes but no
+            contents (:func:`repro.hw.memory.storage_free`): same
+            counts, views and HBM accounting, O(1) memory each.
     """
 
     def __init__(self, vendor: Vendor, model: str, hbm_bytes: int,
                  hbm_bw: float, kernel_launch_us: float,
-                 fp32_tflops: float, local_index: int = 0) -> None:
+                 fp32_tflops: float, local_index: int = 0,
+                 payloads: bool = True) -> None:
         self.vendor = vendor
         self.model = model
         self.hbm_bytes = int(hbm_bytes)
@@ -60,6 +64,7 @@ class Accelerator:
         self.kernel_launch_us = float(kernel_launch_us)
         self.fp32_tflops = float(fp32_tflops)
         self.local_index = int(local_index)
+        self.payloads = bool(payloads)
         self.global_id = next(_device_ids)
         self.node = None  # set by Node
         self._allocated = 0
@@ -90,11 +95,15 @@ class Accelerator:
     def empty(self, count: int, dtype=np.float32) -> DeviceBuffer:
         """Allocate ``count`` uninitialized elements on the device."""
         self._check_capacity(int(count) * np.dtype(dtype).itemsize)
+        if not self.payloads:
+            return self._alloc(storage_free(count, dtype))
         return self._alloc(np.empty(int(count), dtype=dtype))
 
     def zeros(self, count: int, dtype=np.float32) -> DeviceBuffer:
         """Allocate ``count`` zeroed elements on the device."""
         self._check_capacity(int(count) * np.dtype(dtype).itemsize)
+        if not self.payloads:
+            return self._alloc(storage_free(count, dtype))
         return self._alloc(np.zeros(int(count), dtype=dtype))
 
     def _check_capacity(self, nbytes: int) -> None:
@@ -105,9 +114,13 @@ class Accelerator:
 
     def from_numpy(self, arr: np.ndarray) -> DeviceBuffer:
         """Copy a host array into a fresh device allocation (H2D)."""
-        arr = np.ascontiguousarray(arr).reshape(-1)
-        self._check_capacity(int(arr.nbytes))
-        return self._alloc(arr.copy())
+        if not self.payloads:
+            raise InvalidBufferError(
+                f"{self} holds no payloads: nothing to copy host data into")
+        # one copy, C-ordered whatever the input's layout
+        data = np.array(arr, order="C").reshape(-1)
+        self._check_capacity(int(data.nbytes))
+        return self._alloc(data)
 
     def _alloc(self, arr: np.ndarray) -> DeviceBuffer:
         nbytes = int(arr.nbytes)

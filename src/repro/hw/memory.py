@@ -10,6 +10,23 @@ and residency queries are :func:`is_device_buffer` /
 Buffers support zero-copy element-range views (``buf.view(off, n)``) so
 collective algorithms can operate on segments without copies, per the
 HPC guides' "views, not copies" rule.
+
+**Storage-free payloads.**  Virtual time is a function of counts,
+dtypes and placement, never of the bytes moved, so an accelerator built
+with ``payloads=False`` hands out buffers with no storage behind them:
+the array is :func:`storage_free` — a zero-stride view of one element,
+``count`` long, O(1) in memory — with the count, dtype, views, ``free``
+and HBM accounting of a real buffer.  Every payload step tests its
+array inline, by its stride: a copy, fold or unpack *into* a zero-stride
+array does nothing, a snapshot *of* one is the view itself, and scratch
+follows the buffer it is scratch for.  Contents that do not exist are
+never read: :meth:`Buffer.to_numpy`, ``from_numpy`` onto such a device
+and a storage-free payload landing in real memory raise
+:class:`InvalidBufferError`.  All views of one storage-free root share
+its element, so ``np.may_share_memory`` (and :func:`aliasing_probe`)
+can report an overlap two real windows of that root would not have;
+that turns an O(1) borrow into an O(1) snapshot and moves the
+``copies_*`` counters, never a clock.
 """
 
 from __future__ import annotations
@@ -17,11 +34,36 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from repro.errors import InvalidBufferError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.hw.device import Accelerator
+
+#: why a storage-free payload cannot be read
+NO_CONTENTS = "storage-free buffer: it has a shape but no contents to read"
+
+
+def storage_free(count: int, dtype=np.float32) -> np.ndarray:
+    """``count`` elements of ``dtype`` with no storage behind them: a
+    writable zero-stride view of one element of its own."""
+    return as_strided(np.empty(1, dtype=dtype), (int(count),), (0,))
+
+
+def has_storage(arr: np.ndarray) -> bool:
+    """False for a :func:`storage_free` array (zero stride, at least one
+    element); payload hot paths test ``arr.strides[0]`` inline instead."""
+    return bool(arr.strides[0]) or not arr.size
+
+
+def host_scratch(ref: np.ndarray, count: int, dtype=None) -> np.ndarray:
+    """``count`` uninitialised host elements (``ref``'s dtype unless
+    given), storage-free when ``ref`` is."""
+    dtype = ref.dtype if dtype is None else dtype
+    if has_storage(ref):
+        return np.empty(count, dtype=dtype)
+    return storage_free(count, dtype)
 
 
 class Buffer:
@@ -83,9 +125,11 @@ class Buffer:
         return Buffer(arr)
 
     def fill(self, value) -> None:
-        """Set every element to ``value`` (in place)."""
+        """Set every element to ``value`` (in place; nothing to set
+        without storage)."""
         self._check_live()
-        self.array[...] = value
+        if self.array.strides[0]:
+            self.array[...] = value
 
     def copy_from(self, other) -> None:
         """In-place element copy from another buffer or array."""
@@ -94,11 +138,13 @@ class Buffer:
         if src.size != self.array.size:
             raise InvalidBufferError(
                 f"copy size mismatch: src {src.size} vs dst {self.array.size}")
-        self.array[...] = src.reshape(-1)
+        copy_payload(self.array, src.reshape(-1))
 
     def to_numpy(self) -> np.ndarray:
         """A host-side copy of the contents."""
         self._check_live()
+        if not has_storage(self.array):
+            raise InvalidBufferError(NO_CONTENTS)
         return self.array.copy()
 
     def __len__(self) -> int:
@@ -235,9 +281,14 @@ def borrow_view(arr: np.ndarray) -> np.ndarray:
 def copy_payload(target: np.ndarray, data: np.ndarray) -> None:
     """Land a received payload in ``target``; the assignment converts
     the dtype when the receive buffer's differs, exactly as
-    ``data.astype(target.dtype)`` would.  (An expression for the
-    callers that need one; the p2p path writes the assignment.)"""
-    target[...] = data
+    ``data.astype(target.dtype)`` would.  A storage-free ``target``
+    takes nothing; storage-free ``data`` has nothing to give real
+    memory.  (A call for the callers that can afford one; the p2p path
+    writes the same two tests inline.)"""
+    if target.strides[0]:
+        if not data.strides[0] and data.size:
+            raise InvalidBufferError(NO_CONTENTS)
+        target[...] = data
 
 
 def aliasing_probe(windows: Sequence[np.ndarray]) -> Callable[[np.ndarray], bool]:
@@ -246,21 +297,26 @@ def aliasing_probe(windows: Sequence[np.ndarray]) -> Callable[[np.ndarray], bool
 
     numpy's verdict compares byte extents.  A view lies inside the
     array it was cut from (``.base``), and a C-contiguous array's
-    extent is its data pointer plus ``nbytes`` — read once per array,
-    however many views are cut from it.  A view whose array is disjoint
-    from every array the windows were cut from shares no memory with
-    them; anything else, or without a usable extent, is numpy's to judge.
+    extent is its data pointer plus ``nbytes`` — a storage-free one's,
+    its one element — read once per array, however many views are cut
+    from it.  A view whose array is disjoint from every array the
+    windows were cut from shares no memory with them; anything else, or
+    without a usable extent, is numpy's to judge.
     """
     extents: Dict[int, Tuple] = {}   # id -> (array kept alive, lo, hi)
 
     def home_extent(arr: np.ndarray) -> Optional[Tuple[int, int]]:
         home = arr.base if isinstance(arr.base, np.ndarray) else arr
-        if not home.flags.c_contiguous:
-            return None
         known = extents.get(id(home))
         if known is None:
+            if home.flags.c_contiguous:
+                nbytes = home.nbytes
+            elif home.strides == (0,):
+                nbytes = home.itemsize
+            else:
+                return None
             lo = home.__array_interface__["data"][0]
-            known = extents[id(home)] = (home, lo, lo + home.nbytes)
+            known = extents[id(home)] = (home, lo, lo + nbytes)
         return known[1:]
 
     homes = {home_extent(w) for w in windows}

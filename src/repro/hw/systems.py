@@ -33,31 +33,31 @@ GB = 1024 ** 3
 TB = 1024 ** 4
 
 
-def _a100() -> Accelerator:
+def _a100(payloads: bool = True) -> Accelerator:
     return Accelerator(Vendor.NVIDIA, "A100", hbm_bytes=40 * GB,
                        hbm_bw=1.555e12, kernel_launch_us=3.0,
-                       fp32_tflops=19.5)
+                       fp32_tflops=19.5, payloads=payloads)
 
 
-def _mi100() -> Accelerator:
+def _mi100(payloads: bool = True) -> Accelerator:
     return Accelerator(Vendor.AMD, "MI100", hbm_bytes=32 * GB,
                        hbm_bw=1.228e12, kernel_launch_us=4.0,
-                       fp32_tflops=23.1)
+                       fp32_tflops=23.1, payloads=payloads)
 
 
-def _pvc() -> Accelerator:
+def _pvc(payloads: bool = True) -> Accelerator:
     return Accelerator(Vendor.INTEL, "Max1550", hbm_bytes=128 * GB,
                        hbm_bw=3.2e12, kernel_launch_us=4.0,
-                       fp32_tflops=52.0)
+                       fp32_tflops=52.0, payloads=payloads)
 
 
-def _gaudi() -> Accelerator:
+def _gaudi(payloads: bool = True) -> Accelerator:
     return Accelerator(Vendor.HABANA, "Gaudi", hbm_bytes=32 * GB,
                        hbm_bw=1.0e12, kernel_launch_us=9.0,
-                       fp32_tflops=19.0)
+                       fp32_tflops=19.0, payloads=payloads)
 
 
-def thetagpu(nodes: int = 1, nics: int = 1) -> Cluster:
+def thetagpu(nodes: int = 1, nics: int = 1, payloads: bool = True) -> Cluster:
     """ThetaGPU: ``nodes`` DGX A100 nodes (max 24 in the real system).
 
     ``nics`` selects the rail count; the physical DGX A100 carries
@@ -70,42 +70,42 @@ def thetagpu(nodes: int = 1, nics: int = 1) -> Cluster:
     cpu = HostCPU("AMD EPYC 7742", sockets=2, cores_per_socket=64,
                   memory_bytes=1 * TB)
     node_list = [
-        Node(f"thetagpu{n:02d}", cpu, [_a100() for _ in range(8)],
+        Node(f"thetagpu{n:02d}", cpu, [_a100(payloads) for _ in range(8)],
              intra_link=NVSWITCH, nic=IB_HDR, switched=True, nics=nics)
         for n in range(nodes)
     ]
     return Cluster("thetagpu", node_list, fabric=IB_HDR)
 
 
-def mri(nodes: int = 1, nics: int = 1) -> Cluster:
+def mri(nodes: int = 1, nics: int = 1, payloads: bool = True) -> Cluster:
     """MRI: in-house AMD cluster, 2 MI100 per node on PCIe."""
     if not 1 <= nodes <= 16:
         raise ConfigError(f"MRI has 1..16 nodes, asked for {nodes}")
     cpu = HostCPU("AMD EPYC 7713", sockets=2, cores_per_socket=64,
                   memory_bytes=256 * GB)
     node_list = [
-        Node(f"mri{n:02d}", cpu, [_mi100() for _ in range(2)],
+        Node(f"mri{n:02d}", cpu, [_mi100(payloads) for _ in range(2)],
              intra_link=PCIE_MRI, nic=IB_HDR, switched=False, nics=nics)
         for n in range(nodes)
     ]
     return Cluster("mri", node_list, fabric=IB_HDR)
 
 
-def voyager(nodes: int = 1, nics: int = 1) -> Cluster:
+def voyager(nodes: int = 1, nics: int = 1, payloads: bool = True) -> Cluster:
     """Voyager: 8 Habana Gaudi per node, 400G Arista fabric."""
     if not 1 <= nodes <= 42:
         raise ConfigError(f"Voyager has 1..42 nodes, asked for {nodes}")
     cpu = HostCPU("Intel Xeon Gold 6336Y", sockets=2, cores_per_socket=24,
                   memory_bytes=512 * GB)
     node_list = [
-        Node(f"voyager{n:02d}", cpu, [_gaudi() for _ in range(8)],
+        Node(f"voyager{n:02d}", cpu, [_gaudi(payloads) for _ in range(8)],
              intra_link=GAUDI_ROCE, nic=ETH_400G, switched=True, nics=nics)
         for n in range(nodes)
     ]
     return Cluster("voyager", node_list, fabric=ETH_400G)
 
 
-def aurora(nodes: int = 1, nics: int = 1) -> Cluster:
+def aurora(nodes: int = 1, nics: int = 1, payloads: bool = True) -> Cluster:
     """Aurora-class Intel system (extension, paper §6 future work):
     6 Ponte Vecchio GPUs per node on Xe-Link, Slingshot-11 fabric.
 
@@ -117,7 +117,7 @@ def aurora(nodes: int = 1, nics: int = 1) -> Cluster:
     cpu = HostCPU("Intel Xeon Max 9470C", sockets=2, cores_per_socket=52,
                   memory_bytes=512 * GB)
     node_list = [
-        Node(f"aurora{n:03d}", cpu, [_pvc() for _ in range(6)],
+        Node(f"aurora{n:03d}", cpu, [_pvc(payloads) for _ in range(6)],
              intra_link=XE_LINK, nic=SLINGSHOT, switched=True, nics=nics)
         for n in range(nodes)
     ]
@@ -127,7 +127,7 @@ def aurora(nodes: int = 1, nics: int = 1) -> Cluster:
 #: per-vendor node recipe for mixed clusters: device factory, host CPU
 #: description, intra-node link, and whether the devices hang off a
 #: switch — each borrowed from that vendor's homogeneous preset above.
-_MIXED_NODE: Dict[Vendor, Tuple[Callable[[], Accelerator], str, object, bool]] = {
+_MIXED_NODE: Dict[Vendor, Tuple[Callable[[bool], Accelerator], str, object, bool]] = {
     Vendor.NVIDIA: (_a100, "AMD EPYC 7742", NVSWITCH, True),
     Vendor.AMD: (_mi100, "AMD EPYC 7713", PCIE_MRI, False),
     Vendor.HABANA: (_gaudi, "Intel Xeon Gold 6336Y", GAUDI_ROCE, True),
@@ -136,7 +136,8 @@ _MIXED_NODE: Dict[Vendor, Tuple[Callable[[], Accelerator], str, object, bool]] =
 
 
 def mixed(vendor_nodes: Sequence[Tuple[Vendor, int]],
-          devices_per_node: int = 2, nics: int = 1) -> Cluster:
+          devices_per_node: int = 2, nics: int = 1,
+          payloads: bool = True) -> Cluster:
     """A mixed-vendor cluster: single-vendor nodes (islands) on one
     shared ConnectX-6 HDR fabric — the shape ROADMAP item 2 and the
     ``MPIX_HETERO`` bridge route target.
@@ -163,15 +164,17 @@ def mixed(vendor_nodes: Sequence[Tuple[Vendor, int]],
         for n in range(nodes):
             node_list.append(Node(
                 f"mixed{len(node_list):02d}-{vendor.value}", cpu,
-                [factory() for _ in range(devices_per_node)],
+                [factory(payloads) for _ in range(devices_per_node)],
                 intra_link=intra, nic=IB_HDR, switched=switched, nics=nics))
     return Cluster("mixed", node_list, fabric=IB_HDR)
 
 
 def make_mixed_system(spec: str, devices_per_node: int = 2,
-                      nics: Optional[int] = None) -> Cluster:
+                      nics: Optional[int] = None,
+                      payloads: bool = True) -> Cluster:
     """Build a mixed cluster from a ``--vendors`` spec string
-    (``nvidia:2,amd:2`` = 2 NVIDIA nodes then 2 AMD nodes).
+    (``nvidia:2,amd:2`` = 2 NVIDIA nodes then 2 AMD nodes);
+    ``payloads`` as for :func:`make_system`.
 
     >>> make_mixed_system("nvidia:2,amd:2").device_count
     8
@@ -180,10 +183,11 @@ def make_mixed_system(spec: str, devices_per_node: int = 2,
         pairs = parse_vendor_counts(spec)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    return mixed(pairs, devices_per_node=devices_per_node, nics=nics or 1)
+    return mixed(pairs, devices_per_node=devices_per_node, nics=nics or 1,
+                 payloads=payloads)
 
 
-_SYSTEMS: Dict[str, Callable[[int], Cluster]] = {
+_SYSTEMS: Dict[str, Callable[..., Cluster]] = {
     "thetagpu": thetagpu,
     "mri": mri,
     "voyager": voyager,
@@ -196,12 +200,15 @@ def system_names() -> List[str]:
     return sorted(_SYSTEMS)
 
 
-def make_system(name: str, nodes: int = 1, nics: Optional[int] = None) -> Cluster:
+def make_system(name: str, nodes: int = 1, nics: Optional[int] = None,
+                payloads: bool = True) -> Cluster:
     """Build a named system with ``nodes`` nodes.
 
     ``nics`` overrides the per-node rail count (default: each
     preset's single-rail baseline, which keeps calibrated virtual
-    times untouched).
+    times untouched).  ``payloads=False`` builds storage-free devices
+    (:class:`~repro.hw.device.Accelerator`): the same virtual times for
+    programs that never read what they move, such as OMB sweeps.
 
     >>> make_system("thetagpu", 2).device_count
     16
@@ -211,9 +218,7 @@ def make_system(name: str, nodes: int = 1, nics: Optional[int] = None) -> Cluste
     except KeyError:
         raise ConfigError(
             f"unknown system {name!r}; expected one of {system_names()}") from None
-    if nics is None:
-        return factory(nodes)
-    return factory(nodes, nics=nics)
+    return factory(nodes, nics=1 if nics is None else nics, payloads=payloads)
 
 
 #: Table 1 of the paper, as data (used by the table1 experiment).

@@ -5,15 +5,8 @@ from __future__ import annotations
 import functools
 from typing import Tuple
 
-import numpy as np
-
 from repro.hw.memory import Buffer, as_array
 from repro.mpi.communicator import IN_PLACE
-
-
-def arr_of(buf) -> np.ndarray:
-    """The flat numpy array behind a buffer/array argument."""
-    return as_array(buf)
 
 
 def seg(buf, offset: int, count: int):

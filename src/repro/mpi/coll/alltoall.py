@@ -12,7 +12,8 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from repro.hw.memory import as_array
+from repro.errors import InvalidBufferError
+from repro.hw.memory import NO_CONTENTS, as_array
 from repro.mpi.coll._util import seg
 from repro.mpi.compute import acquire_staging, local_copy, release_staging
 from repro.mpi.datatypes import Datatype
@@ -89,38 +90,47 @@ def alltoall_bruck(comm, sendbuf, recvbuf, count: int, dt: Datatype) -> None:
                              dt.storage)
     try:
         # the compiled permutations replay as whole-buffer gathers, each
-        # with one explicit virtual-time charge for the packed copy
+        # with one explicit virtual-time charge for the packed copy; the
+        # scratch follows ``sendbuf``, and storage-free scratch is
+        # neither gathered into nor landed from
         rot_in, rot_out, bits = _bruck_geometry(p, rank)
         send2d = as_array(sendbuf)[:p * count].reshape(p, count)
         recv2d = as_array(recvbuf)[:p * count].reshape(p, count)
         tmp2d = as_array(tmp).reshape(p, count)
         pack2d = as_array(pack).reshape(-1, count)
         unpack2d = as_array(unpack).reshape(-1, count)
+        stored = tmp2d.strides[0] != 0
         # phase 1: tmp[i] = block destined to rank (rank + i) % p
-        if send2d.dtype == tmp2d.dtype:
-            np.take(send2d, rot_in, axis=0, out=tmp2d)
-        else:
-            tmp2d[...] = send2d[rot_in].astype(tmp2d.dtype)
+        if stored:
+            if send2d.dtype == tmp2d.dtype:
+                np.take(send2d, rot_in, axis=0, out=tmp2d)
+            else:
+                tmp2d[...] = send2d[rot_in].astype(tmp2d.dtype)
         comm.ctx.clock.advance(0.2 + p * count * itemsize / 24000.0)
 
         # phase 2: for each bit, ship the blocks whose index has that bit set
         for bit, idxs in bits:
             k = len(idxs)
-            pack2d[:k] = tmp2d[idxs]
+            if stored:
+                pack2d[:k] = tmp2d[idxs]
             n = k * count
             comm.ctx.clock.advance(0.2 + n * itemsize / 24000.0)
             dst = (rank + bit) % p
             src = (rank - bit) % p
             comm.Sendrecv(seg(pack, 0, n), dst, seg(unpack, 0, n), src,
                           sendtag=tag, datatype=dt)
-            tmp2d[idxs] = unpack2d[:k]
+            if stored:
+                tmp2d[idxs] = unpack2d[:k]
             comm.ctx.clock.advance(0.2 + n * itemsize / 24000.0)
 
         # phase 3: tmp[(rank - src) % p] holds the block from `src`
-        if recv2d.dtype == tmp2d.dtype:
-            np.take(tmp2d, rot_out, axis=0, out=recv2d)
-        else:
-            recv2d[...] = tmp2d[rot_out].astype(recv2d.dtype)
+        if recv2d.strides[0]:
+            if not stored:
+                raise InvalidBufferError(NO_CONTENTS)
+            if recv2d.dtype == tmp2d.dtype:
+                np.take(tmp2d, rot_out, axis=0, out=recv2d)
+            else:
+                recv2d[...] = tmp2d[rot_out].astype(recv2d.dtype)
         comm.ctx.clock.advance(0.2 + p * count * itemsize / 24000.0)
     finally:
         release_staging(comm.ctx, unpack)

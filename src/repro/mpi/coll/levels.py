@@ -46,10 +46,8 @@ from __future__ import annotations
 import contextlib
 from typing import Dict, List, NamedTuple, Tuple
 
-import numpy as np
-
 from repro import fastpath
-from repro.hw.memory import as_array
+from repro.hw.memory import as_array, host_scratch
 from repro.mpi.coll._util import chunk_bounds, is_inplace, materialize_input, seg
 from repro.mpi.communicator import IN_PLACE
 from repro.mpi.compute import alloc_like, apply_reduce, local_copy
@@ -210,8 +208,8 @@ class _Staged:
 
     def _stage(self, src, count: int):
         """``count`` elements of ``src`` copied into a fresh host buffer
-        in its wire dtype."""
-        wire = np.empty(count, dtype=as_array(src).dtype)
+        in its wire dtype (storage-free when ``src`` is)."""
+        wire = host_scratch(as_array(src), count)
         local_copy(self.parent.ctx, wire, seg(src, 0, count))
         return wire
 
@@ -234,7 +232,7 @@ class _Staged:
             if j == k:
                 continue
             peer = ranks[self.inner.rank]
-            remote[j] = np.empty_like(wire)
+            remote[j] = host_scratch(wire, count)
             self.parent.Sendrecv(wire, peer, remote[j], peer, sendtag=_TAG + k,
                                  recvtag=_TAG + j, datatype=dt)
             self.ops += 1

@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro import fastpath
 from repro.errors import (CommRevokedError, DeadlockError, MPICommError,
                           MPICountError, MPIRankError, RankKilledError)
-from repro.hw.memory import as_array
+from repro.hw.memory import as_array, copy_payload
 from repro.mpi.compute import alloc_like
 from repro.mpi.config import MPIConfig, mvapich_gpu
 from repro.mpi.datatypes import Datatype, datatype_of
@@ -379,7 +379,7 @@ class Communicator:
         buf, peer, tag, count, datatype, layout = s
         flat = layout.pack(buf, count)
         packed = alloc_like(self.ctx, buf, flat.size, datatype.storage)
-        as_array(packed)[...] = flat
+        copy_payload(as_array(packed), flat)
         self._pack_cost(flat.size * datatype.wire_itemsize)
         return packed, peer, tag, flat.size, datatype, None
 

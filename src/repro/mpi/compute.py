@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.hw.memory import as_array, is_device_buffer
+from repro.errors import InvalidBufferError
+from repro.hw.memory import (NO_CONTENTS, as_array, host_scratch,
+                             is_device_buffer)
 from repro.mpi.config import MPIConfig
 from repro.mpi.ops import Op
 from repro.sim.engine import RankContext
@@ -64,17 +66,22 @@ def copy_time_us(ctx: RankContext, nbytes: int, on_device: bool) -> float:
 
 
 def local_copy(ctx: RankContext, dst, src, charge: bool = True) -> None:
-    """``dst[...] = src`` with virtual-time charging."""
+    """``dst[...] = src`` with virtual-time charging (the copy itself
+    as :func:`~repro.hw.memory.copy_payload`, spelled inline)."""
     d = as_array(dst)
     s = as_array(src)
-    d[...] = s if d.dtype == s.dtype else s.astype(d.dtype)
+    if d.strides[0]:
+        if not s.strides[0] and s.size:
+            raise InvalidBufferError(NO_CONTENTS)
+        d[...] = s if d.dtype == s.dtype else s.astype(d.dtype)
     if charge:
         on_dev = is_device_buffer(dst) or is_device_buffer(src)
         ctx.clock.advance(copy_time_us(ctx, int(d.nbytes), on_dev))
 
 
 def alloc_like(ctx: RankContext, ref, count: int, dtype=None):
-    """Scratch buffer matching ``ref``'s residency.
+    """Scratch buffer matching ``ref``'s residency, and its storage:
+    storage-free scratch for a storage-free ``ref``.
 
     Device-resident scratch keeps collective traffic on the device
     path; released with its last reference.
@@ -82,7 +89,7 @@ def alloc_like(ctx: RankContext, ref, count: int, dtype=None):
     dtype = dtype if dtype is not None else as_array(ref).dtype
     if is_device_buffer(ref):
         return ctx.device.empty(count, dtype=dtype)
-    return np.empty(count, dtype=dtype)
+    return host_scratch(as_array(ref), count, dtype)
 
 
 def acquire_staging(ctx: RankContext, ref, count: int, dtype=None):

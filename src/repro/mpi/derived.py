@@ -19,8 +19,8 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import MPITypeError
-from repro.hw.memory import as_array
+from repro.errors import InvalidBufferError, MPITypeError
+from repro.hw.memory import NO_CONTENTS, as_array, has_storage, storage_free
 from repro.mpi.datatypes import Datatype
 
 
@@ -94,15 +94,23 @@ class DerivedDatatype:
             raise MPITypeError(
                 f"{self.name}: buffer of {arr.size} elements holds fewer "
                 f"than {need} needed for count={count}")
-        return arr[self._indices(count)].copy()
+        if not has_storage(arr):
+            return storage_free(max(count, 0) * self.elements_per_instance,
+                                arr.dtype)
+        return arr[self._indices(count)]
 
     def unpack(self, flat: np.ndarray, buf, count: int) -> None:
         """Scatter a packed array back into ``buf`` (``MPI_Unpack``)."""
         arr = as_array(buf)
-        idx = self._indices(count)
-        if flat.size != idx.size:
+        n = max(count, 0) * self.elements_per_instance
+        if flat.size != n:
             raise MPITypeError(
-                f"{self.name}: packed size {flat.size} != layout {idx.size}")
+                f"{self.name}: packed size {flat.size} != layout {n}")
+        if not has_storage(arr):
+            return
+        if not has_storage(flat):
+            raise InvalidBufferError(NO_CONTENTS)
+        idx = self._indices(count)
         arr[idx] = flat if flat.dtype == arr.dtype else flat.astype(arr.dtype)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

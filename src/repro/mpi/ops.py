@@ -13,7 +13,8 @@ from typing import Callable
 
 import numpy as np
 
-from repro.errors import MPIOpError
+from repro.errors import InvalidBufferError, MPIOpError
+from repro.hw.memory import NO_CONTENTS
 from repro.mpi.datatypes import Datatype
 
 
@@ -56,7 +57,13 @@ class Op:
         when the reducer is a raw ufunc over matching dtypes (bitwise
         identical to the copy, without the intermediate array).
         Logical-wrapped and user-defined reducers keep copy semantics —
-        their output dtype is not guaranteed to match ``acc``'s."""
+        their output dtype is not guaranteed to match ``acc``'s.  A
+        storage-free ``acc`` holds no values to fold into; a
+        storage-free ``operand`` has none to fold into a real one."""
+        if not acc.strides[0]:
+            return
+        if not operand.strides[0] and operand.size:
+            raise InvalidBufferError(NO_CONTENTS)
         if isinstance(self.fn, np.ufunc) and acc.dtype == operand.dtype:
             self.fn(acc, operand, out=acc)
         else:

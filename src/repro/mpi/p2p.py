@@ -49,9 +49,9 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro import fastpath
-from repro.errors import DeadlockError, MPITruncateError
+from repro.errors import DeadlockError, InvalidBufferError, MPITruncateError
 from repro.hw.cluster import PathScope
-from repro.hw.memory import DeviceBuffer, as_array, borrow_view
+from repro.hw.memory import NO_CONTENTS, DeviceBuffer, as_array, borrow_view
 from repro.mpi.config import MPIConfig
 from repro.mpi.datatypes import Datatype
 from repro.mpi.request import Request
@@ -226,19 +226,21 @@ class P2PEndpoint:
             kind, meta = _KIND_RTS, {
                 "kind": _KIND_RTS, "resources": resources, "beta": beta,
                 "alpha": alpha, "duplex": duplex}
-        # -- zero-copy handoff decision (never affects virtual time) --
+        # -- zero-copy handoff decision (never affects virtual time); a
+        # storage-free view is its own snapshot --
         lease: Optional[PayloadLease] = None
         if defer_eager if eager else blocking:
             aliased = (recv_guard is not None
                        and np.may_share_memory(send_view, recv_guard))
             if aliased or mailbox.patched:
                 fastpath.STATS.note_copy_forced()
-                payload = send_view.copy()
+                payload = send_view.copy() if send_view.strides[0] \
+                    else send_view
             else:
                 lease = PayloadLease()
                 payload = borrow_view(send_view)
         else:
-            payload = send_view.copy()
+            payload = send_view.copy() if send_view.strides[0] else send_view
         msg = Message(ctx.rank, dst_world, tag, payload, t0, arrival, nbytes,
                       meta, kind, self.ctx_id, seq, lease)
         mailbox.post(msg)
@@ -296,10 +298,15 @@ class P2PEndpoint:
             raise MPITruncateError(
                 f"rank {ctx.rank}: message of {nbytes} B from {msg.src} "
                 f"truncates {capacity} B receive buffer")
-        recv_count = msg.data.size
+        data = msg.data
+        recv_count = data.size
         staged = isinstance(buf, DeviceBuffer) and not cfg.gpu_direct
         lease = msg.lease
         target = arr[:recv_count]
+        # landing without a lease: ``copy_payload``'s two tests, inline
+        land = lease is None and target.strides[0]
+        if land and not data.strides[0] and recv_count:
+            raise InvalidBufferError(NO_CONTENTS)
 
         if msg.kind == _KIND_EAGER:
             ctx.clock.merge(msg.arrival_us)
@@ -309,8 +316,8 @@ class P2PEndpoint:
                 self._stage_to_host(nbytes)  # H2D staging leg
             if lease is not None:
                 lease.consume(msg, target)
-            else:
-                target[...] = msg.data
+            elif land:
+                target[...] = data
         else:
             # rendezvous: we price the bulk transfer now that we matched
             price = msg.meta
@@ -335,7 +342,8 @@ class P2PEndpoint:
                 ctx.mailbox_of(msg.src).post(cts)
             else:
                 ctx.mailbox_of(msg.src).post(cts)
-                target[...] = msg.data
+                if land:
+                    target[...] = data
         if ctx.trace.enabled:
             ctx.trace.record("recv", msg.depart_us, ctx.now, peer=msg.src,
                              nbytes=nbytes, label=msg.kind)

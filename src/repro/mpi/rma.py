@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.errors import (MPICommError, MPICountError, MPIRankError,
                           MPITypeError)
-from repro.hw.memory import as_array
+from repro.hw.memory import as_array, copy_payload
 from repro.mpi.communicator import Communicator
 from repro.mpi.datatypes import FLOAT, Datatype, datatype_of
 from repro.mpi.ops import SUM, Op
@@ -122,14 +122,14 @@ class Win:
         """``MPI_Put``: write into the target's window."""
         origin, target = self._resolve(srcbuf, target_rank, target_offset,
                                        count)
-        target[...] = origin
+        copy_payload(target, origin)
 
     def get(self, dstbuf, target_rank: int, target_offset: int = 0,
             count: Optional[int] = None) -> None:
         """``MPI_Get``: read from the target's window."""
         origin, target = self._resolve(dstbuf, target_rank, target_offset,
                                        count)
-        origin[...] = target
+        copy_payload(origin, target)
 
     def accumulate(self, srcbuf, target_rank: int, op: Op = SUM,
                    target_offset: int = 0,
@@ -138,7 +138,7 @@ class Win:
         target's window."""
         origin, target = self._resolve(srcbuf, target_rank, target_offset,
                                        count, op)
-        target[...] = op(target, origin)
+        op.reduce_into(target, origin)
 
     # -- synchronization ----------------------------------------------------------
 

@@ -29,6 +29,11 @@ system; each rank runs its island's native CCL, so ``--backend`` does
 not apply.  With ``MPIX_HETERO=1`` set, eligible collectives take the
 island bridge route; ``--stats`` additionally prints the negotiated
 capability intersection across the islands' backends.
+
+Like real OMB without ``-c``, nothing here reads what it moves, so the
+cluster is built storage-free (``payloads=False``): the same virtual
+times, with every benchmark window O(1) in memory — a 128-rank alltoall
+at 4 MiB per peer peaks under 100 MiB instead of needing 128 GiB.
 """
 
 from __future__ import annotations
@@ -200,14 +205,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                        warmup=args.warmup, iterations=args.iterations)
     if args.vendors is not None:
         try:
-            cluster = make_mixed_system(args.vendors, nics=args.nics)
+            cluster = make_mixed_system(args.vendors, nics=args.nics,
+                                        payloads=False)
         except ConfigError as exc:
             parser.error(str(exc))
         args.system = f"mixed:{args.vendors}"
         backend = None            # per-rank: each island's native CCL
         backend_label = "native"
     else:
-        cluster = make_system(args.system, args.nodes, nics=args.nics)
+        cluster = make_system(args.system, args.nodes, nics=args.nics,
+                              payloads=False)
         backend = args.backend or default_ccl_for(cluster.devices[0].vendor)
         backend_label = backend
 

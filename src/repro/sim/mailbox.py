@@ -35,7 +35,8 @@ from typing import (Any, Callable, Deque, Dict, List, Mapping, Optional,
                     Sequence, Tuple)
 
 from repro import fastpath
-from repro.errors import DeadlockError
+from repro.errors import DeadlockError, InvalidBufferError
+from repro.hw.memory import NO_CONTENTS
 from repro.sim import sched as _sched
 
 #: MPI_ANY_SOURCE analogue.
@@ -140,18 +141,25 @@ class PayloadLease:
         self.materialized = False
 
     def consume(self, msg: "Message", target) -> None:
-        """Receiver side: copy ``msg.data`` into ``target``."""
-        target[...] = msg.data     # converts the dtype if it differs
+        """Receiver side: copy ``msg.data`` into ``target``
+        (``repro.hw.memory.copy_payload``, spelled inline)."""
+        if target.strides[0]:
+            data = msg.data
+            if not data.strides[0] and data.size:
+                raise InvalidBufferError(NO_CONTENTS)
+            target[...] = data     # converts the dtype if it differs
         self.consumed = True
         msg.data = None  # drop the borrowed view promptly
 
     def materialize(self, msg: "Message") -> None:
         """Sender side: reclaim the buffer, counting the snapshot as
-        elided (already consumed) or forced (copied now)."""
+        elided (already consumed) or forced (copied now; a storage-free
+        view is its own snapshot)."""
         if self.consumed or self.materialized:
             fastpath.STATS.note_copy_elided()
         else:
-            msg.data = msg.data.copy()
+            if msg.data.strides[0]:
+                msg.data = msg.data.copy()
             self.materialized = True
             fastpath.STATS.note_copy_forced()
 

@@ -48,7 +48,7 @@ from repro.errors import (
     CCLUnsupportedOperation,
 )
 from repro.hw.cluster import PathScope
-from repro.hw.memory import (aliasing_probe, as_array, borrow_view,
+from repro.hw.memory import (Buffer, aliasing_probe, as_array, borrow_view,
                              copy_payload)
 from repro.hw.vendors import Vendor
 from repro.mpi.datatypes import Datatype
@@ -181,11 +181,30 @@ class CCLBackend:
                if self.capabilities is not None else CCL_SUPPORTED_OPS)
         return op.predefined and op.name in ops
 
-    def _check(self, dt: Datatype, op: Optional[Op] = None) -> None:
+    def _check(self, dt: Datatype, op: Optional[Op], count: int,
+               *windows: Tuple[object, int]) -> None:
+        """Refuse a call before it queues or meets anyone: a datatype or
+        reduce op the backend lacks, a negative ``count``, or a window
+        ``(buffer, blocks)`` holding fewer than ``count * blocks``
+        elements (``ncclInvalidArgument``; a None buffer is not used by
+        this rank).  The count is all a storage-free window has to say
+        what it moves."""
         require_support(self.name, dt)
         if op is not None and not self.supports_op(op):
             raise CCLUnsupportedOperation(
                 f"{self.name} has no reduce op for {op.name}")
+        if count < 0:
+            raise CCLInvalidUsage(f"{self.name}: negative count {count}")
+        for buf, blocks in windows:
+            if buf is None:
+                continue
+            # the size only (``as_array`` is a call per queued p2p op)
+            size = (buf.array if isinstance(buf, Buffer)
+                    else np.asarray(buf)).size
+            if count * blocks > size:
+                raise CCLInvalidUsage(
+                    f"{self.name}: count {count} x {blocks} does not fit a "
+                    f"{size}-element buffer")
 
     # -- group machinery (ncclGroupStart/End) ---------------------------------
 
@@ -208,7 +227,7 @@ class CCLBackend:
              peer: int) -> None:
         """``xcclSend``: to communicator rank ``peer``.  Queued when a
         group is open, otherwise executed immediately."""
-        self._check(dt)
+        self._check(dt, None, count, (buf, 1))
         comm.world_rank(peer)
         op = _GroupOp("send", self, comm, buf, count, dt, peer)
         if _group.depth > 0:
@@ -219,7 +238,7 @@ class CCLBackend:
     def recv(self, comm: XCCLComm, buf, count: int, dt: Datatype,
              peer: int) -> None:
         """``xcclRecv``: from communicator rank ``peer``."""
-        self._check(dt)
+        self._check(dt, None, count, (buf, 1))
         comm.world_rank(peer)
         op = _GroupOp("recv", self, comm, buf, count, dt, peer)
         if _group.depth > 0:
@@ -300,8 +319,9 @@ class CCLBackend:
             view = as_array(op.buf)[:op.count]
             if aliased is None or aliased(view):
                 # in-place patterns (send segment aliased with a receive
-                # window) keep copy-on-write semantics
-                payload = view.copy()
+                # window) keep copy-on-write semantics; a storage-free
+                # view is its own snapshot
+                payload = view.copy() if view.strides[0] else view
                 forced += 1
             else:
                 payload = borrow_view(view)
@@ -436,7 +456,8 @@ class CCLBackend:
                 unclaimed = []
                 for (sender, seq), row in inbound.items():
                     if not row[0].flags.writeable:
-                        row = (row[0].copy(),) + row[1:]
+                        if row[0].strides[0]:
+                            row = (row[0].copy(),) + row[1:]
                         fastpath.STATS.note_copy_forced()
                     unclaimed.append(self._message(
                         exchange.group[sender], ctx.rank, exchange.uid,
@@ -564,7 +585,11 @@ class CCLBackend:
                        data: Dict[int, np.ndarray]):
         """``(accumulator, pool, key)``: every rank's operand reduced
         in rank order into scratch drawn from the engine's shared pool
-        (exact shape match); :meth:`_release_pooled` hands it back."""
+        (exact shape match); :meth:`_release_pooled` hands it back.
+        Storage-free operands have nothing to reduce: the first stands
+        for the result, and no accumulator is drawn."""
+        if not data[0].strides[0] and data[0].size:
+            return data[0], None, None
         pool = comm.ctx.engine.scratch_pool
         key = (str(data[0].dtype), int(data[0].size))
         acc = pool.acquire(key)
@@ -577,12 +602,13 @@ class CCLBackend:
     @staticmethod
     def _release_pooled(res) -> None:
         acc, pool, key = res
-        pool.release(key, acc)
+        if pool is not None:
+            pool.release(key, acc)
 
     def all_reduce(self, comm: XCCLComm, sendbuf, recvbuf, count: int,
                    dt: Datatype, op: Op) -> None:
         """``xcclAllReduce``."""
-        self._check(dt, op)
+        self._check(dt, op, count, (sendbuf, 1), (recvbuf, 1))
         nbytes = count * dt.wire_itemsize
         dur = ccl_models.allreduce_time(self.params, comm.shape, nbytes)
         src = recvbuf if sendbuf is None else sendbuf
@@ -599,7 +625,7 @@ class CCLBackend:
     def broadcast(self, comm: XCCLComm, buf, count: int, dt: Datatype,
                   root: int) -> None:
         """``xcclBroadcast`` (in-place, NCCL ``ncclBcast`` style)."""
-        self._check(dt)
+        self._check(dt, None, count, (buf, 1))
         comm.world_rank(root)
         nbytes = count * dt.wire_itemsize
         dur = ccl_models.bcast_time(self.params, comm.shape, nbytes)
@@ -622,7 +648,9 @@ class CCLBackend:
     def reduce(self, comm: XCCLComm, sendbuf, recvbuf, count: int,
                dt: Datatype, op: Op, root: int) -> None:
         """``xcclReduce``: result lands at ``root`` only."""
-        self._check(dt, op)
+        self._check(dt, op, count,
+                    (recvbuf if sendbuf is None else sendbuf, 1),
+                    (recvbuf if comm.rank == root else None, 1))
         comm.world_rank(root)
         nbytes = count * dt.wire_itemsize
         dur = ccl_models.reduce_time(self.params, comm.shape, nbytes)
@@ -644,7 +672,7 @@ class CCLBackend:
     def all_gather(self, comm: XCCLComm, sendbuf, recvbuf, count: int,
                    dt: Datatype) -> None:
         """``xcclAllGather``: ``count`` elements contributed per rank."""
-        self._check(dt)
+        self._check(dt, None, count, (sendbuf, 1), (recvbuf, comm.size))
         nbytes = count * dt.wire_itemsize
         dur = ccl_models.allgather_time(self.params, comm.shape, nbytes)
         in_place = sendbuf is None
@@ -658,7 +686,7 @@ class CCLBackend:
             # copy-on-write — peers read a snapshot while this rank
             # overwrites the window
             fastpath.STATS.note_copy_forced()
-            payload = src_view.copy()
+            payload = src_view.copy() if src_view.strides[0] else src_view
         else:
             fastpath.STATS.note_copy_elided()
             payload = borrow_view(src_view)
@@ -679,7 +707,9 @@ class CCLBackend:
     def reduce_scatter(self, comm: XCCLComm, sendbuf, recvbuf, count: int,
                        dt: Datatype, op: Op) -> None:
         """``xcclReduceScatter``: ``count`` elements produced per rank."""
-        self._check(dt, op)
+        self._check(dt, op, count,
+                    (recvbuf if sendbuf is None else sendbuf, comm.size),
+                    (recvbuf, 1))
         nbytes = count * dt.wire_itemsize
         dur = ccl_models.reduce_scatter_time(self.params, comm.shape, nbytes)
         src = sendbuf if sendbuf is not None else recvbuf

@@ -24,7 +24,7 @@ from typing import Dict, List, Tuple
 
 
 from repro.errors import CCLInvalidUsage
-from repro.hw.memory import as_array
+from repro.hw.memory import as_array, copy_payload
 from repro.mpi.datatypes import Datatype
 from repro.mpi.ops import Op, SUM
 from repro.xccl import api as xapi
@@ -148,15 +148,16 @@ def execute(schedule: Schedule, comm: XCCLComm, buf, count: int,
                 recv_targets.append((s, slot))
                 slot += 1
             elif s.kind == "copy":
-                chunk_view(arr, s.dst_chunk)[...] = chunk_view(arr, s.src_chunk)
+                copy_payload(chunk_view(arr, s.dst_chunk),
+                             chunk_view(arr, s.src_chunk))
         xapi.xcclGroupEnd()
         for s, slot_i in recv_targets:
             dst = chunk_view(arr, s.dst_chunk)
             src = chunk_view(sarr, slot_i)
             if s.kind == "recv":
-                dst[...] = src
+                copy_payload(dst, src)
             else:
-                dst[...] = op(dst, src)
+                op.reduce_into(dst, src)
     xapi.xcclStreamSynchronize(comm)
 
 

@@ -1,5 +1,7 @@
 """Device/host buffers, views, residency checks, allocator accounting."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -9,6 +11,7 @@ from repro.hw.memory import (
     HostBuffer,
     as_array,
     buffer_vendor,
+    has_storage,
     is_device_buffer,
 )
 from repro.hw.systems import thetagpu, voyager
@@ -113,6 +116,23 @@ class TestDeviceBuffer:
         src[:] = 0
         assert np.all(buf.array == np.arange(8))
 
+    def test_from_numpy_copies_once(self, device):
+        """A non-contiguous input is copied once, straight into the
+        allocation, in C order."""
+        n = 1 << 20
+        src = np.arange(2 * n, dtype=np.float64)[::2]
+        tracemalloc.start()
+        try:
+            buf = device.from_numpy(src)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * src.nbytes
+        assert np.array_equal(buf.array, src)
+        grid = np.arange(6.0).reshape(2, 3)
+        assert np.array_equal(device.from_numpy(grid.T).array,
+                              grid.T.ravel())
+
     def test_malloc_itemsize_mismatch(self, device):
         with pytest.raises(InvalidBufferError):
             device.malloc(7, dtype=np.float32)
@@ -129,6 +149,80 @@ class TestDeviceBuffer:
         else:
             with pytest.raises(InvalidBufferError):
                 buf.view(offset, count)
+
+
+@pytest.fixture
+def shapes_only():
+    """A device built with ``payloads=False``."""
+    return thetagpu(1, payloads=False).devices[0]
+
+
+class TestStorageFree:
+    """A storage-free buffer is still a buffer: count, dtype, views,
+    accounting and ``free`` as a real one, O(1) memory, no contents."""
+
+    def test_allocation_is_o1(self, shapes_only):
+        tracemalloc.start()
+        try:
+            buf = shapes_only.empty(1 << 30, dtype=np.float32)
+            zeroed = shapes_only.zeros(1 << 30, dtype=np.float64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4096
+        assert (buf.count, buf.dtype, buf.nbytes) == \
+            (1 << 30, np.float32, 4 << 30)
+        assert zeroed.nbytes == 8 << 30 and buf.on_device
+        assert not has_storage(buf.array)
+        assert has_storage(thetagpu(1).devices[0].empty(4).array)
+
+    def test_accounting_matches_a_real_device(self, shapes_only, device):
+        for dev in (device, shapes_only):
+            buf = dev.malloc(4096, dtype=np.float32)
+            assert dev.allocated_bytes == 4096
+            with pytest.raises(DeviceMemoryError):
+                dev.empty(dev.free_bytes // 4 + 1, dtype=np.float32)
+            buf.free()
+            assert dev.allocated_bytes == 0
+        # the whole 40 GB of HBM, which only accounting can hand out here
+        full = shapes_only.empty(shapes_only.hbm_bytes // 4)
+        assert shapes_only.free_bytes == 0
+        with pytest.raises(DeviceMemoryError):
+            shapes_only.empty(1)
+        del full
+        assert shapes_only.allocated_bytes == 0
+
+    def test_views_bounds_and_freed_flag(self, shapes_only):
+        root = shapes_only.empty(16)
+        views = [root.view(0, 8), root.view(4, 0), root.view(0, 8).view(2, 2)]
+        assert [v.count for v in views] == [8, 0, 2]
+        with pytest.raises(InvalidBufferError):
+            root.view(12, 8)
+        with pytest.raises(InvalidBufferError):
+            views[0].free()
+        root.free()
+        for v in views + [root]:
+            with pytest.raises(InvalidBufferError):
+                as_array(v)
+            with pytest.raises(InvalidBufferError):
+                v.fill(0)
+        assert shapes_only.allocated_bytes == 0
+
+    def test_contents_do_not_exist(self, shapes_only, device):
+        buf = shapes_only.zeros(8)
+        with pytest.raises(InvalidBufferError, match="storage-free"):
+            buf.to_numpy()
+        with pytest.raises(InvalidBufferError, match="storage-free"):
+            buf.view(2, 1).to_numpy()
+        with pytest.raises(InvalidBufferError):
+            shapes_only.from_numpy(np.ones(8))
+        # landing them in real memory would be reading them
+        with pytest.raises(InvalidBufferError, match="storage-free"):
+            device.zeros(8).copy_from(buf)
+        # writing into them is O(1) and takes nothing
+        buf.fill(3.0)
+        buf.copy_from(np.arange(8, dtype=np.float32))
+        assert buf.view(0, 0).to_numpy().size == 0
 
 
 class TestAsArray:

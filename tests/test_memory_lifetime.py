@@ -14,7 +14,6 @@ import pytest
 
 from repro.core import runtime
 from repro.errors import InvalidBufferError, RankFailedError
-from repro.experiments import run_experiment
 from repro.hw.memory import DeviceBuffer, as_array
 from repro.hw.systems import make_system, thetagpu
 from repro.mpi.ops import SUM
@@ -44,19 +43,20 @@ def no_gc():
 def _body(mpx, count=MIB // 4):
     """Every allocation route a rank program has — plain buffers, views,
     pooled accumulators (xccl allreduce), pooled staging (small MPI
-    reduce) — none freed by hand."""
+    reduce), a host copy where the device holds payloads — none freed
+    by hand."""
     comm = mpx.COMM_WORLD
     send = mpx.device_array(count, fill=1.0)
     recv = mpx.device_array(count)
     comm.Allreduce(send, recv, SUM)
     comm.Alltoall(send, recv, count=count // comm.size)
     comm.Reduce(send.view(0, 64), recv.view(0, 64), SUM, root=0)
-    comm.Bcast(mpx.device.from_numpy(np.ones(16, dtype=np.float32)), root=0)
-    return float(recv.array[0])
+    comm.Bcast(mpx.device.from_numpy(np.ones(16, dtype=np.float32))
+               if mpx.device.payloads else mpx.device_array(16), root=0)
+    return recv.count
 
 
-def test_run_leaves_no_device_memory_behind(no_gc):
-    cluster = make_system("thetagpu", 1)
+def _assert_run_leaves_nothing(cluster):
     out = runtime.run(_body, system=cluster)
     assert len(out) == 8
     assert [d.allocated_bytes for d in cluster.devices] == [0] * 8
@@ -68,6 +68,16 @@ def test_run_leaves_no_device_memory_behind(no_gc):
     # and the cluster is reusable at full capacity
     runtime.run(_body, system=cluster)
     assert [d.allocated_bytes for d in cluster.devices] == [0] * 8
+
+
+def test_run_leaves_no_device_memory_behind(no_gc):
+    _assert_run_leaves_nothing(make_system("thetagpu", 1))
+
+
+def test_storage_free_run_leaves_no_device_memory_behind(no_gc):
+    """Storage-free buffers are accounted like real ones, so they are
+    released like real ones."""
+    _assert_run_leaves_nothing(make_system("thetagpu", 1, payloads=False))
 
 
 def test_kept_engine_pins_no_payloads(no_gc):
@@ -143,11 +153,17 @@ class TestFreedFlagThroughViews:
 
 
 def test_fig5_sweep_zeroes_what_it_sends():
-    """The zero/empty rule of ``omb.collective._alloc``: receive-only
-    windows are not zeroed and ``PureCCLHarness.sync`` allocates
-    nothing (1.69 GiB in 2 266 calls before) — counted the way
-    ``make mem-smoke`` counts."""
+    """The zero/empty rule of ``omb.collective._alloc`` on real buffers
+    (``make mem-smoke``'s payload leg: the fig5 NCCL column, which runs
+    storage-free in the figure itself): per rank and benchmark one
+    zeroed send window — receive-only windows are not zeroed — plus the
+    one-element operand ``PureCCLHarness.sync`` reuses instead of
+    allocating per call."""
     with mem_smoke.counting_zeros() as zeroed:
-        run_experiment("fig5", scale="quick")
-    assert sum(zeroed) <= 0.9 * (1 << 30)
-    assert len(zeroed) <= 2266 - 1664
+        mem_smoke.payload_leg()
+    ranks, stacks = 8, len(mem_smoke.PAYLOAD_STACKS)
+    ccl_engines = len(mem_smoke.PAYLOAD_COLLECTIVES)  # one "ccl" stack each
+    assert len(zeroed) == ranks * (4 * stacks + ccl_engines)
+    # 1 MiB windows (allreduce, reduce, bcast), 8 MiB for alltoall (a
+    # block per peer), 4 B sync operands
+    assert sum(zeroed) == ranks * (stacks * (3 + 8) * MIB + ccl_engines * 4)

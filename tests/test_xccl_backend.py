@@ -1,7 +1,9 @@
 """CCL backends: collectives, p2p groups, capability checks, timing."""
 
 import numpy as np
+import pytest
 
+from repro.baselines.pure_ccl import PureCCLHarness
 from repro.errors import (CCLInvalidUsage, CCLUnsupportedDatatype, CCLUnsupportedOperation)
 from repro.mpi import DOUBLE_COMPLEX, FLOAT, INT32, MAX, SUM
 from repro.mpi.ops import LAND, user_op
@@ -187,6 +189,64 @@ class TestCapabilityChecks:
             return "accepted"
 
         assert spmd(thetagpu1, body, nranks=2) == ["rejected"] * 2
+
+    #: every xCCL entry point that takes a count, on one 4-element
+    #: buffer per rank (``send`` / ``recv`` to the other of two ranks)
+    CALLS = {
+        "allreduce": lambda b, n, c: xapi.xcclAllReduce(b, b, n, FLOAT, SUM,
+                                                        c),
+        "broadcast": lambda b, n, c: xapi.xcclBroadcast(b, n, FLOAT, 0, c),
+        "reduce": lambda b, n, c: xapi.xcclReduce(b, b, n, FLOAT, SUM, 0, c),
+        "allgather": lambda b, n, c: xapi.xcclAllGather(b, b, n, FLOAT, c),
+        "reduce_scatter": lambda b, n, c: xapi.xcclReduceScatter(
+            b, b, n, FLOAT, SUM, c),
+        "send": lambda b, n, c: xapi.xcclSend(b, n, FLOAT, 1 - c.rank, c),
+        "recv": lambda b, n, c: xapi.xcclRecv(b, n, FLOAT, 1 - c.rank, c),
+    }
+
+    @pytest.mark.parametrize("count", [1 << 20, -1])
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_count_must_fit_the_buffer(self, call, count, thetagpu1, spmd):
+        """``ncclInvalidArgument``: a negative count, or one beyond the
+        buffer, is refused before the call queues or meets another rank
+        (it used to price 4 MiB while reducing 4 elements, or reach the
+        wire tracker as a negative size), and moves no clock."""
+        def body(ctx):
+            comm = PureCCLHarness(ctx, "nccl").comm
+            buf = ctx.device.zeros(4)
+            before = ctx.now
+            with pytest.raises(CCLInvalidUsage, match="count"):
+                self.CALLS[call](buf, count, comm)
+            return ctx.now == before
+
+        assert spmd(thetagpu1, body, nranks=2) == [True, True]
+
+    @pytest.mark.parametrize("count,fits", [(2, True), (3, False)])
+    @pytest.mark.parametrize("call", ["allgather", "reduce_scatter"])
+    def test_block_per_rank_buffer_holds_count_times_size(
+            self, call, count, fits, thetagpu1, spmd):
+        """The buffer that holds one block per rank must hold ``count *
+        size`` elements: on two ranks, 3 fits the 4-element per-rank
+        side but not the other."""
+        def body(ctx):
+            comm = PureCCLHarness(ctx, "nccl").comm
+            mine, blocks = ctx.device.zeros(4), ctx.device.zeros(4)
+            if call == "allgather":
+                def run():
+                    xapi.xcclAllGather(mine, blocks, count, FLOAT, comm)
+            else:
+                def run():
+                    xapi.xcclReduceScatter(blocks, mine, count, FLOAT, SUM,
+                                           comm)
+            if fits:
+                run()
+                return "ran"
+            with pytest.raises(CCLInvalidUsage, match="count"):
+                run()
+            return "refused"
+
+        assert spmd(thetagpu1, body, nranks=2) == \
+            ["ran" if fits else "refused"] * 2
 
 
 class TestGroupedP2P:

@@ -1,22 +1,30 @@
 """Memory smoke (``make mem-smoke``): peak RSS is live buffers, not
-engines built, and not ranks times ranks; communicator churn leaves
-nothing behind.
+engines built, ranks times ranks, or bytes a benchmark never reads;
+communicator churn leaves nothing behind.
 
-Three legs, the first two each in a fresh process:
+Five legs, the first four each in a fresh process that reports its own
+peak resident set (``ru_maxrss``) and fails above its ceiling:
 
-* **fig5** — one quick ``fig5`` sweep (52 short-lived 8-rank engines,
-  1 to 8 MiB of device buffers a rank) in this process, the cycle
-  collector left at its defaults and never called.  Prints the peak
-  resident set (``ru_maxrss``) and how many bytes ``Accelerator.zeros``
-  zeroed; fails above ``LIMIT_MIB``.  Measured with the default
-  allocator: about 700 MiB while every root ``DeviceBuffer`` was a
-  reference cycle waiting for the collector, about 250 MiB now
-  (docs/performance.md, "Memory").
-* **scale** — a ``SCALE_RANKS``-rank ``Barrier`` + ``Allreduce`` in a
-  child process; fails above ``SCALE_LIMIT_MIB``.  About 670 MiB while
-  every rank derived its communicators' facts for itself, walking all
-  members, and about 120 MiB with one shared record per communicator
-  (docs/performance.md, "Set-up linear in ranks").
+* **scale** — a ``SCALE_RANKS``-rank ``Barrier`` + ``Allreduce``;
+  256 MiB.  About 670 MiB while every rank derived its communicators'
+  facts for itself, walking all members, and about 120 MiB with one
+  shared record per communicator (docs/performance.md, "Set-up linear
+  in ranks").
+* **fig5** — one quick ``fig5`` sweep (52 short-lived engines), which
+  runs storage-free (``make_system(..., payloads=False)``); 96 MiB.
+  About 250 MiB while its 1 to 8 MiB windows a rank were real memory,
+  about 35 MiB storage-free (docs/performance.md, "Storage-free
+  payloads").
+* **payloads** — the buffer-lifetime guard that the fig5 leg used to
+  be: the fig5 NCCL column's four collectives x ``hybrid`` /
+  ``pure-xccl`` / ``ccl`` through ``repro.omb.collective`` on
+  ``make_system("thetagpu", 1)``, real buffers, the cycle collector at
+  its defaults and never called; 450 MiB.  Also prints how many bytes
+  ``Accelerator.zeros`` zeroed.  A root ``DeviceBuffer`` that waits for
+  the collector instead of dying with its last reference shows here.
+* **alltoall** — a 128-rank (16 x 8 ThetaGPU) OMB ``Alltoall`` at 4 MiB
+  per peer on the hybrid stack, storage-free; 256 MiB.  Its windows
+  would be 128 GiB of real memory.
 * **churn** — ``CHURN_CYCLES`` runs of Dup → attach → 1 MiB
   ``Allreduce`` (the xCCL route) → ``Free`` on 8 ThetaGPU ranks; fails
   unless the engine's record count and the size of every dict on each
@@ -25,7 +33,7 @@ Three legs, the first two each in a fresh process:
   2 000 cycles left 401 and 4 001 records, and 400 and 4 000 slot-use
   entries per rank.
 
-The sweep is the stand-in, on the ``src/`` side, for a per-workload
+The legs stand in, on the ``src/`` side, for a per-workload
 ``peak_rss_mb`` ceiling in the end-to-end benchmark (ROADMAP item 1).
 """
 
@@ -36,13 +44,15 @@ import resource
 import subprocess
 import sys
 
-from repro.experiments import run_experiment
 from repro.hw.device import Accelerator
 
-LIMIT_MIB = 450.0
 SCALE_RANKS = 2048
-SCALE_LIMIT_MIB = 256.0
 CHURN_CYCLES = (200, 2000)
+#: the fig5 NCCL column (``repro.experiments.fig5_single_node_collectives``)
+PAYLOAD_COLLECTIVES = ("allreduce", "reduce", "bcast", "alltoall")
+PAYLOAD_STACKS = ("hybrid", "pure-xccl", "ccl")
+ALLTOALL_NODES = 16
+ALLTOALL_PEER_BYTES = 4 << 20
 
 
 @contextlib.contextmanager
@@ -64,7 +74,7 @@ def counting_zeros():
         Accelerator.zeros = zeros
 
 
-def scale_leg() -> None:
+def scale_leg() -> str:
     """``Barrier`` + a 4-element ``Allreduce`` on ``SCALE_RANKS`` ranks
     (16 ThetaGPU nodes, oversubscribed), checked for the right sum."""
     from repro.core import runtime
@@ -80,6 +90,76 @@ def scale_leg() -> None:
                           nranks=SCALE_RANKS,
                           ranks_per_node=SCALE_RANKS // 16)
     assert results == [float(SCALE_RANKS)] * SCALE_RANKS
+    return f"{SCALE_RANKS}-rank Barrier + Allreduce"
+
+
+def fig5_leg() -> str:
+    """One quick, storage-free ``fig5`` sweep."""
+    from repro.experiments import run_experiment
+    results = run_experiment("fig5", scale="quick")
+    return f"fig5 quick sweep, storage-free: {len(results)} records"
+
+
+def payload_leg() -> int:
+    """The fig5 NCCL column with real buffers: one engine per
+    (collective, stack), each rank's OMB windows allocated by the
+    benchmark.  Returns the records measured."""
+    from repro.experiments._common import omb_config
+    from repro.hw.systems import make_system
+    from repro.omb.collective import COLLECTIVE_BENCHMARKS
+    from repro.omb.stacks import make_stack
+    from repro.sim.engine import Engine
+
+    cluster = make_system("thetagpu", 1)
+    config = omb_config("quick")
+    records = 0
+    for coll in PAYLOAD_COLLECTIVES:
+        for stack in PAYLOAD_STACKS:
+            def body(ctx, coll=coll, stack=stack):
+                return COLLECTIVE_BENCHMARKS[coll](
+                    ctx, make_stack(ctx, stack, "nccl"), config)
+            records += len(Engine(cluster, nranks=8).run(body)[0])
+    return records
+
+
+def _payload_leg() -> str:
+    with counting_zeros() as zeroed:
+        records = payload_leg()
+    return (f"fig5 NCCL column, real buffers: {records} records, "
+            f"{sum(zeroed) / (1 << 30):.2f} GiB zeroed in {len(zeroed)} "
+            f"Accelerator.zeros calls")
+
+
+def alltoall_leg() -> str:
+    """OMB ``Alltoall`` at ``ALLTOALL_PEER_BYTES`` per peer on
+    ``ALLTOALL_NODES`` x 8 storage-free ThetaGPU ranks, hybrid stack."""
+    from repro.hw.systems import make_system
+    from repro.omb.collective import osu_alltoall
+    from repro.omb.harness import OMBConfig
+    from repro.omb.stacks import make_stack
+    from repro.sim.engine import Engine
+
+    cluster = make_system("thetagpu", ALLTOALL_NODES, payloads=False)
+    config = OMBConfig(sizes=(ALLTOALL_PEER_BYTES,), warmup=0, iterations=1)
+    nranks = cluster.device_count
+    stats = Engine(cluster, nranks=nranks).run(
+        lambda ctx: osu_alltoall(ctx, make_stack(ctx, "hybrid"), config))[0]
+    latency = stats[ALLTOALL_PEER_BYTES].avg_us
+    return (f"{nranks}-rank Alltoall at {ALLTOALL_PEER_BYTES >> 20} MiB per "
+            f"peer, storage-free: {latency:.1f} us")
+
+
+#: leg -> (function, peak RSS ceiling in MiB, what a breach means)
+LEGS = {
+    "scale": (scale_leg, 256.0,
+              "some per-rank set-up grows with the rank count"),
+    "fig5": (fig5_leg, 96.0,
+             "a storage-free benchmark window is holding real memory"),
+    "payloads": (_payload_leg, 450.0,
+                 "device buffers are outliving their last reference"),
+    "alltoall": (alltoall_leg, 256.0,
+                 "a storage-free benchmark window is holding real memory"),
+}
 
 
 def churn_leg(cycles: int):
@@ -105,35 +185,29 @@ def churn_leg(cycles: int):
     return len(engines[0].records), sizes
 
 
-def _peak_mib(who: int) -> float:
+def _peak_mib() -> float:
     # Linux reports ru_maxrss in KiB
-    return resource.getrusage(who).ru_maxrss / 1024.0
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
 def main() -> int:
-    if sys.argv[1:] == ["--scale"]:
-        scale_leg()
+    if sys.argv[1:2] == ["--leg"]:
+        # a child: what it ran, then its own peak on the last line
+        print(LEGS[sys.argv[2]][0]())
+        print(_peak_mib())
         return 0
     failed = 0
-    subprocess.run([sys.executable, __file__, "--scale"], check=True)
-    peak_mib = _peak_mib(resource.RUSAGE_CHILDREN)
-    print(f"{SCALE_RANKS}-rank Barrier + Allreduce: peak RSS {peak_mib:.0f} "
-          f"MiB (limit {SCALE_LIMIT_MIB:.0f})")
-    if peak_mib > SCALE_LIMIT_MIB:
-        print(f"FAIL: peak RSS above {SCALE_LIMIT_MIB:.0f} MiB — some "
-              f"per-rank set-up grows with the rank count", file=sys.stderr)
-        failed = 1
-    with counting_zeros() as zeroed:
-        results = run_experiment("fig5", scale="quick")
-    peak_mib = _peak_mib(resource.RUSAGE_SELF)
-    print(f"fig5 quick sweep: {len(results)} records, "
-          f"peak RSS {peak_mib:.0f} MiB (limit {LIMIT_MIB:.0f}), "
-          f"{sum(zeroed) / (1 << 30):.2f} GiB zeroed in {len(zeroed)} "
-          f"Accelerator.zeros calls")
-    if peak_mib > LIMIT_MIB:
-        print(f"FAIL: peak RSS above {LIMIT_MIB:.0f} MiB — device buffers "
-              f"are outliving their last reference", file=sys.stderr)
-        failed = 1
+    for name, (_, limit, breach) in LEGS.items():
+        lines = subprocess.run(
+            [sys.executable, __file__, "--leg", name], check=True,
+            capture_output=True, text=True).stdout.splitlines()
+        peak_mib = float(lines[-1])
+        print(f"{lines[-2]}: peak RSS {peak_mib:.0f} MiB "
+              f"(limit {limit:.0f})")
+        if peak_mib > limit:
+            print(f"FAIL: peak RSS above {limit:.0f} MiB — {breach}",
+                  file=sys.stderr)
+            failed = 1
     churned = [churn_leg(cycles) for cycles in CHURN_CYCLES]
     for cycles, (records, sizes) in zip(CHURN_CYCLES, churned):
         print(f"{cycles} Dup/attach/Allreduce/Free cycles: {records} "
