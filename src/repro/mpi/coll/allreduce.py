@@ -174,7 +174,3 @@ def allreduce_rabenseifner(comm, sendbuf, recvbuf, count: int, dt: Datatype,
             mask <<= 1
     finally:
         release_staging(comm.ctx, tmp)
-
-
-def _log2(x: int) -> int:
-    return x.bit_length() - 1

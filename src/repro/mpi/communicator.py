@@ -494,10 +494,6 @@ class Communicator:
         call sequence on every rank keeps these in agreement)."""
         return COLL_TAG_BASE + (next(self._seq) << 6)
 
-    def coll_key(self, kind: str, tag: int) -> Tuple:
-        """Engine rendezvous key for a CCL-style fused collective."""
-        return (self.ctx_id, kind, tag)
-
     # -- collectives: one descriptor, three spellings -----------------------
     #
     # A collective's arguments are checked and resolved once, by the

@@ -22,17 +22,18 @@ buffer early travel as *borrowed views*
   users of ``Sendrecv`` — mostly find the view already consumed.
 
 Aliased buffers (a send segment overlapping the receive segment of the
-same call) and patched mailboxes (fault injection) always force the
-copying path; so does every send with no such guarantee (``Isend``,
-eager sends outside ``sendrecv``).  The handoff never affects virtual
-time or received bytes.
+same call) always force the copying path; so does every send with no
+such guarantee (``Isend``, eager sends outside ``sendrecv``).  Faults do
+not: a dropped message is never read, and a delayed one is re-timed,
+not held.  The handoff never affects virtual time or received bytes.
 
 Per message the path is flat: what a send needs of its route is a
 **send descriptor** decoded once per (peer, device, bidir) — wire
-resources, alpha, beta, duplex factor, eager threshold, destination
-mailbox; what a match reads (kind, scope, sequence number, lease) are
-fields of the :class:`~repro.sim.mailbox.Message`; and every receive of
-an endpoint shares one predicate and one abort probe.
+resources, alpha, beta, eager threshold, destination mailbox; what a
+match reads (kind, scope, sequence number, lease) are fields of the
+:class:`~repro.sim.mailbox.Message`; and every wait and poll of an
+endpoint shares one predicate and one abort probe (``Engine.doomed``
+on the endpoint's scope).
 
 Device buffers ride the GPU-direct path (device-to-device alpha/beta,
 plus a per-message GDR surcharge) when the runtime is GPU-aware, or are
@@ -42,6 +43,7 @@ paper).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from types import MappingProxyType
 from typing import Optional, Tuple
@@ -49,7 +51,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro import fastpath
-from repro.errors import DeadlockError, InvalidBufferError, MPITruncateError
+from repro.errors import InvalidBufferError, MPITruncateError
 from repro.hw.cluster import PathScope
 from repro.hw.memory import NO_CONTENTS, DeviceBuffer, as_array, borrow_view
 from repro.mpi.config import MPIConfig
@@ -84,15 +86,17 @@ class P2PEndpoint:
         self.config = config
         self.ctx_id = ctx_id
         #: send descriptor per (peer, device, bidir): ``(resources,
-        #: alpha, beta, duplex factor, eager threshold, destination
-        #: mailbox)`` — topology and config are immutable, so the graph
-        #: walk and the mailbox lookup are done once.
+        #: alpha, beta, eager threshold, destination mailbox)`` —
+        #: topology and config are immutable, so the graph walk and the
+        #: mailbox lookup are done once.
         self._path_cache: dict = {}
 
         def incoming(m: Message) -> bool:
             return m.ctx_id == ctx_id and m.kind in _INCOMING
         #: the one match predicate of every receive of this endpoint
         self._incoming = incoming
+        #: the one abort probe of every wait and poll (``peer -> reason``)
+        self._doomed = functools.partial(ctx.engine.doomed, ctx_id)
 
     # -- path pricing -----------------------------------------------------
 
@@ -120,42 +124,9 @@ class P2PEndpoint:
         if bidir and path.bottleneck.duplex_factor < 2.0:
             beta *= path.bottleneck.duplex_factor / 2.0
         cached = self._path_cache[key] = (
-            resources, alpha, beta, path.bottleneck.duplex_factor,
-            self.config.eager_threshold(path.scope),
+            resources, alpha, beta, self.config.eager_threshold(path.scope),
             self.ctx.mailbox_of(peer_world))
         return cached
-
-    def _abort_reason(self, peer_world: int) -> Optional[str]:
-        """Why a blocking wait on ``peer_world`` can never complete, or
-        None while it still can.  Passed to the mailbox so a receive
-        whose peer died (or whose communicator was revoked) fails at
-        once with the reason — a deadlock verdict for *other* ranks'
-        waits never has to double as this rank's escape hatch."""
-        eng = self.ctx.engine
-        if not eng.dead_ranks and not eng._revoked:
-            return None  # fault-free fast path: no locks taken
-        if eng.is_revoked(self.ctx_id):
-            return f"communicator {self.ctx_id!r} was revoked"
-        if peer_world != ANY_SOURCE and peer_world in eng.dead_ranks:
-            return f"peer rank {peer_world} died"
-        # a dead member elsewhere in the communicator dooms any
-        # in-flight collective schedule this wait is part of, even when
-        # the direct peer is alive (it is blocked on the dead rank,
-        # transitively) — fail now rather than chaining deadlock wakes
-        rec = eng.records.get(self.ctx_id)
-        if rec is not None:
-            dead = eng.dead_ranks.intersection(rec.group)
-            if dead:
-                return f"communicator member rank(s) {sorted(dead)} died"
-        return None
-
-    def _not_yet(self, peer_world: int) -> None:
-        """A poll's "not yet" — unless the wait can never complete:
-        then the :class:`DeadlockError` the blocking wait would raise."""
-        reason = self._abort_reason(peer_world)
-        if reason is not None:
-            raise DeadlockError(
-                f"rank {self.ctx.rank} polling rank {peer_world}: {reason}")
 
     def _stage_to_host(self, nbytes: int) -> None:
         """Charge a pipelined D2H (or H2D) staging copy."""
@@ -211,13 +182,12 @@ class P2PEndpoint:
             self._stage_to_host(nbytes)
         t0 = ctx.clock.advance(cfg.send_overhead_us)
         key = (dst_world, device and cfg.gpu_direct, bidir)
-        resources, alpha, beta, duplex, eager_max, mailbox = \
+        resources, alpha, beta, eager_max, mailbox = \
             self._path_cache.get(key) or self._path_for(*key)
         seq = next(_seq)
         eager = nbytes <= eager_max
         if eager:
-            arrival = ctx.engine.wires.book(resources, t0, nbytes, beta, alpha,
-                                            duplex)
+            arrival = ctx.engine.wires.book(resources, t0, nbytes, beta, alpha)
             kind, meta = _KIND_EAGER, _META_EAGER
         else:
             # the RTS is a tiny control message (one-way latency); the
@@ -225,14 +195,14 @@ class P2PEndpoint:
             arrival = t0 + (alpha + cfg.tag_matching_us)
             kind, meta = _KIND_RTS, {
                 "kind": _KIND_RTS, "resources": resources, "beta": beta,
-                "alpha": alpha, "duplex": duplex}
+                "alpha": alpha}
         # -- zero-copy handoff decision (never affects virtual time); a
         # storage-free view is its own snapshot --
         lease: Optional[PayloadLease] = None
         if defer_eager if eager else blocking:
             aliased = (recv_guard is not None
                        and np.may_share_memory(send_view, recv_guard))
-            if aliased or mailbox.patched:
+            if aliased:
                 fastpath.STATS.note_copy_forced()
                 payload = send_view.copy() if send_view.strides[0] \
                     else send_view
@@ -256,11 +226,12 @@ class P2PEndpoint:
         def complete(blocking_wait: bool) -> Optional[Status]:
             if blocking_wait:
                 cts = ctx.mailbox.match(dst_world, ANY_TAG, match_cts,
-                                        self._abort_reason)
+                                        self._doomed)
             else:
-                cts = ctx.mailbox.try_match(dst_world, ANY_TAG, match_cts)
+                cts = ctx.mailbox.try_match(dst_world, ANY_TAG, match_cts,
+                                            self._doomed)
                 if cts is None:
-                    return self._not_yet(dst_world)
+                    return None
             ctx.clock.merge(cts.arrival_us)
             if lease is not None:
                 # the receiver consumed before posting the CTS, so this
@@ -327,7 +298,7 @@ class P2PEndpoint:
                          t_ready + (price["alpha"] + cfg.tag_matching_us))
             arrival = ctx.engine.wires.book(
                 price["resources"], depart, nbytes, price["beta"],
-                price["alpha"], price["duplex"])
+                price["alpha"])
             ctx.clock.merge(arrival)
             cts = Message(ctx.rank, msg.src, msg.tag, None, t_ready, arrival,
                           0, _META_CTS, _KIND_CTS, self.ctx_id, msg.seq)
@@ -354,7 +325,7 @@ class P2PEndpoint:
              datatype: Optional[Datatype] = None) -> Status:
         """Blocking receive into ``buf``."""
         msg = self.ctx.mailbox.match(src_world, tag, self._incoming,
-                                     self._abort_reason)
+                                     self._doomed)
         return self._finish_recv(msg, buf, as_array(buf), count, datatype)
 
     def irecv(self, buf, src_world: int = ANY_SOURCE, tag: int = ANY_TAG,
@@ -365,12 +336,12 @@ class P2PEndpoint:
         def complete(blocking: bool) -> Optional[Status]:
             box = self.ctx.mailbox
             if blocking:
-                msg = box.match(src_world, tag, self._incoming,
-                                self._abort_reason)
+                msg = box.match(src_world, tag, self._incoming, self._doomed)
             else:
-                msg = box.try_match(src_world, tag, self._incoming)
+                msg = box.try_match(src_world, tag, self._incoming,
+                                    self._doomed)
                 if msg is None:
-                    return self._not_yet(src_world)
+                    return None
             return self._finish_recv(msg, buf, as_array(buf), count, datatype)
 
         return Request(complete, kind="recv")
@@ -378,8 +349,8 @@ class P2PEndpoint:
     def probe(self, src_world: int = ANY_SOURCE, tag: int = ANY_TAG) -> Optional[Status]:
         """Nonblocking probe (``MPI_Iprobe``): Status of a matchable
         message, or None."""
-        msg = self.ctx.mailbox.probe(src=src_world, tag=tag)
-        if msg is None or msg.ctx_id != self.ctx_id:
+        msg = self.ctx.mailbox.probe(src_world, tag, self._incoming)
+        if msg is None:
             return None
         return Status(msg.src, msg.tag,
                       msg.data.size if msg.data is not None else 0,
@@ -408,7 +379,7 @@ class P2PEndpoint:
             blocking=True, defer_eager=True, recv_guard=recv_arr)
         # inline irecv+wait: the blocking match needs no Request shell
         msg = self.ctx.mailbox.match(src_world, recvtag, self._incoming,
-                                     self._abort_reason)
+                                     self._doomed)
         status = self._finish_recv(msg, recvbuf, recv_arr, recvcount, datatype)
         if sreq is not None:  # rendezvous send still outstanding
             sreq.wait()  # lease reclaim counted in the send completion

@@ -107,7 +107,7 @@ class Win:
             op.validate(datatype_of(window.dtype))
         comm = self.comm
         ctx = comm.ctx
-        resources, alpha, beta, _, _, _ = comm.endpoint._path_for(
+        resources, alpha, beta, _, _ = comm.endpoint._path_for(
             comm.group[target_rank], True)
         t0 = ctx.clock.advance(comm.config.send_overhead_us)
         arrival = ctx.engine.wires.book(resources, t0, n * origin.itemsize,

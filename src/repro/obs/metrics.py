@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.sim.tracing import Trace
 
@@ -251,11 +251,3 @@ def tune_report(doc: Dict) -> Dict[Tuple[str, int], Dict[str, List[float]]]:
         out[key] = {r: [int(c), (t / c if c else 0.0)]
                     for r, (c, t) in routes.items()}
     return out
-
-
-def iter_step_spans(doc: Dict) -> Iterable[Dict]:
-    """The application step-boundary spans (the Horovod trainer's
-    ``step`` events), in document order."""
-    for ev in doc.get("traceEvents", []):
-        if ev.get("ph") == "X" and ev.get("args", {}).get("kind") == "step":
-            yield ev

@@ -130,13 +130,6 @@ def p2p_time(params: CCLParams, path: TransferPath, nbytes: int,
     return t
 
 
-def p2p_bandwidth_beta(params: CCLParams, path: TransferPath) -> float:
-    """Steady-state pipelined bandwidth of the p2p path, bytes/us."""
-    inter = path.scope == PathScope.INTER
-    eff = params.bw_eff(inter) if path.scope != PathScope.LOCAL else 1.0
-    return path.beta_bpus * eff
-
-
 # ---------------------------------------------------------------------------
 # built-in collectives (§3.2): the five the CCL APIs provide
 # ---------------------------------------------------------------------------

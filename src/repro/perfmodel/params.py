@@ -25,7 +25,6 @@ matching RCCL's 836 us latency *and* 6351 MB/s bandwidth at 4 MB.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict
 
@@ -175,22 +174,3 @@ def ccl_params(name: str) -> CCLParams:
     except KeyError:
         raise ConfigError(
             f"unknown CCL backend {name!r}; have {sorted(BACKEND_PARAMS)}") from None
-
-
-#: MSCCL's custom-algorithm advantage window (§4.3: "MSCCL outperforms
-#: NCCL for medium messages (256B - 256KB)"): a multiplicative speedup
-#: applied to collective times inside the window.
-MSCCL_CUSTOM_WINDOW = (256, 256 * 1024)
-MSCCL_CUSTOM_SPEEDUP = 1.35
-
-
-def msccl_custom_factor(nbytes: int) -> float:
-    """Speedup divisor MSCCL's compiled custom algorithms give at
-    ``nbytes`` (1.0 outside the window, tapering toward the edges)."""
-    lo, hi = MSCCL_CUSTOM_WINDOW
-    if nbytes < lo or nbytes > hi:
-        return 1.0
-    mid = math.sqrt(lo * hi)
-    span = math.log(hi / lo) / 2.0
-    dist = abs(math.log(nbytes / mid)) / span  # 0 center .. 1 edge
-    return 1.0 + (MSCCL_CUSTOM_SPEEDUP - 1.0) * (1.0 - dist * 0.6)

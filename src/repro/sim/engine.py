@@ -28,7 +28,7 @@ from repro.errors import (DeadlockError, MPICommError, RankFailedError,
 from repro.hw.cluster import Cluster
 from repro.hw.device import Accelerator
 from repro.sim.clock import VirtualClock
-from repro.sim.mailbox import Mailbox, ProgressMonitor
+from repro.sim.mailbox import ANY_SOURCE, Mailbox, ProgressMonitor
 from repro.sim.sched import CoopScheduler, CoopWaitq, ThreadWaitq
 from repro.sim.tracing import Trace
 from repro.sim.wire import WireTracker
@@ -59,9 +59,9 @@ class CollectiveSlot:
         self.key = key
         self.parties = parties
         self._on_finish = on_finish
-        #: hopelessness probe (``() -> Optional[str]``): a non-None
-        #: reason means a party can never arrive (it died, or the
-        #: owning communicator was revoked) and waiters raise
+        #: hopelessness probe (``() -> Optional[str]``, the engine's
+        #: :meth:`Engine.doomed` on the slot's scope): a non-None reason
+        #: means a party can never arrive and waiters raise
         #: :class:`DeadlockError` immediately instead of parking
         self._abort = abort
         #: patient slots (the ULFM agree/shrink rendezvous) absorb a few
@@ -237,6 +237,17 @@ class GroupExchangeSlot(CollectiveSlot):
         return [(sender, index[world_rank], cols)
                 for sender, (index, cols) in enumerate(deposits)
                 if world_rank in index]
+
+
+def _scope_of(key: Any) -> Any:
+    """The communicator scope a slot key names, or None: comm-scoped
+    keys lead with an MPI ctx_id string or are ``("xccl"/"xccl-group",
+    uid, ...)`` tuples."""
+    if not isinstance(key, tuple) or not key:
+        return None
+    if key[0] in ("xccl", "xccl-group") and len(key) > 1:
+        return ("xccl", key[1])
+    return key[0] if isinstance(key[0], str) else None
 
 
 class CommRecord:
@@ -427,15 +438,14 @@ class Engine:
         self._revoked: set = set()
         self._shrink_gens: Dict[str, int] = {}
         #: communicator scope -> its shared record (:meth:`comm_record`),
-        #: whose group the abort probes read; held while a member handle
+        #: whose group :meth:`doomed` reads; held while a member handle
         #: is live, cleared per run
         self.records: Dict[Any, CommRecord] = {}
         #: COMM_WORLD's group, built once per engine
         self.world_group = tuple(range(self.nranks))
-        #: hooks run on every RankContext as :meth:`run` creates them —
-        #: how FaultPlan.kill rules attach to clocks that do not exist
-        #: until the run starts
-        self.context_hooks: List[Callable[[RankContext], None]] = []
+        #: the installed :class:`~repro.sim.faults.FaultInjector`, or
+        #: None (:func:`~repro.sim.faults.with_faults` sets it)
+        self.faults = None
         # ranks run as fibers under one run token; their waits park and
         # their deadlocks are detected exactly.  ``progress_timeout_s``
         # only bounds waits made from outside a run (a test poking a
@@ -444,11 +454,8 @@ class Engine:
         self.scheduler = CoopScheduler()
         self._waitq_factory = (
             lambda lock: CoopWaitq(lock, self.monitor, self.scheduler))
-        self._patched_mailboxes = 0
         self._mailboxes = [Mailbox(r, self.monitor, self._waitq_factory)
                            for r in range(self.nranks)]
-        for mb in self._mailboxes:
-            mb._patch_note = self._note_mailbox_patched
         self._devices = [cluster.device_for_rank(r, ranks_per_node)
                          for r in range(self.nranks)]
         self._slots: Dict[Any, CollectiveSlot] = {}
@@ -468,16 +475,12 @@ class Engine:
         """Mailbox of ``rank``."""
         return self._mailboxes[rank]
 
-    def _note_mailbox_patched(self, delta: int) -> None:
-        self._patched_mailboxes += delta
-
     @property
     def any_mailbox_patched(self) -> bool:
-        """True when any rank's ``Mailbox.post`` is instance-wrapped
-        (fault injection).  O(1): hot paths consult this before paying
-        for a per-party ``patched`` scan, so the common nothing-patched
-        case costs one read instead of O(P) attribute probes."""
-        return self._patched_mailboxes > 0
+        """True while a fault plan's message rules filter deliveries
+        (every mailbox then carries the same ``filter``): the one
+        transport that bypasses the mailboxes must stand down.  O(1)."""
+        return self._mailboxes[0].filter is not None
 
     def device_of(self, rank: int) -> Accelerator:
         """Accelerator assigned to ``rank``."""
@@ -506,7 +509,9 @@ class Engine:
             # patient slots are the ULFM recovery rendezvous: they run
             # on a revoked communicator by design, so they never get a
             # hopelessness probe
-            abort = None if patient else (lambda: self._slot_hopeless(key))
+            scope = None if patient else _scope_of(key)
+            abort = (None if scope is None
+                     else functools.partial(self.doomed, scope))
             slot = factory(key, parties, self.monitor,
                            on_finish=self._reap_slot,
                            waitq_factory=self._waitq_factory,
@@ -547,26 +552,29 @@ class Engine:
         rec.handles += 1
         return rec
 
-    def _slot_hopeless(self, key: Any) -> Optional[str]:
-        """Why a slot rendezvous can never complete, or None while it
-        still can.  Comm-scoped keys lead with an MPI ctx_id string or
-        are ``("xccl"/"xccl-group", uid, ...)`` tuples."""
+    def doomed(self, scope: Any, peer: int = ANY_SOURCE) -> Optional[str]:
+        """Why a wait on world rank ``peer`` (or on any source) within
+        the communicator ``scope`` can never end, or None while it still
+        can — the one probe every wait asks before it parks again: a
+        collective slot, a p2p wait or poll, a CCL bulk receive, a
+        deferred exchange match.
+
+        The scope was revoked; the peer died; or a member of the scope's
+        record died — that dooms every schedule in flight on it, even a
+        wait on a live peer (it is blocked on the dead rank,
+        transitively), so the wait fails now instead of parking until
+        every live rank has.
+        """
         if not self.dead_ranks and not self._revoked:
             return None  # fault-free fast path
-        if not isinstance(key, tuple) or not key:
-            return None
-        if key[0] in ("xccl", "xccl-group") and len(key) > 1:
-            scope: Any = ("xccl", key[1])
-        elif isinstance(key[0], str):
-            scope = key[0]
-        else:
-            return None
         if scope in self._revoked:
             return f"communicator {scope!r} was revoked"
+        if peer in self.dead_ranks:
+            return f"peer rank {peer} died"
         rec = self.records.get(scope)
         dead = self.dead_ranks.intersection(rec.group) if rec else None
         if dead:
-            return f"member rank(s) {sorted(dead)} died"
+            return f"communicator member rank(s) {sorted(dead)} died"
         return None
 
     def revoke_comm(self, ctx_id: str) -> None:
@@ -576,7 +584,7 @@ class Engine:
         context's pending rendezvous slots (they can never complete —
         a party is dead) but the patient ones (the ULFM agree / shrink
         rendezvous, which run on a revoked communicator by design) and
-        wakes every blocked receiver so its hopelessness probe runs now.
+        wakes every blocked receiver so it asks :meth:`doomed` now.
         """
         if ctx_id in self._revoked:
             return
@@ -619,9 +627,8 @@ class Engine:
         job completed elastically, with ``None`` in the dead slots.
         """
         self.contexts = [RankContext(self, r) for r in range(self.nranks)]
-        for ctx in self.contexts:
-            for hook in self.context_hooks:
-                hook(ctx)
+        if self.faults is not None:
+            self.faults.arm_kills(self.contexts)
         # fresh run, fresh failure knowledge
         self.dead_ranks.clear()
         self._revoked.clear()
@@ -645,8 +652,14 @@ class Engine:
         finally:
             self._drain_pools()
         fastpath.STATS.note_coop_run(sched.parks, sched.switches)
-        if failures:
-            if all(isinstance(e, RankKilledError) for e in failures.values()):
+        # a failure's traceback keeps the frames up to ``runner`` alive,
+        # and ``runner`` sees ``failures``: empty the dict it sees, so
+        # the failures close no reference cycle and the buffers their
+        # frames hold die with them, collector or not
+        failed = dict(failures)
+        failures.clear()
+        if failed:
+            if all(isinstance(e, RankKilledError) for e in failed.values()):
                 # every failure is an injected death and every survivor
                 # finished (recovered through revoke -> agree -> shrink,
                 # or never touched the dead): the job completed
@@ -654,9 +667,9 @@ class Engine:
                 return results
             # deadlocks secondary to a real failure are noise; prefer
             # the primary errors when both kinds are present
-            primary = {r: e for r, e in failures.items()
+            primary = {r: e for r, e in failed.items()
                        if not isinstance(e, DeadlockError)}
-            raise RankFailedError(primary or failures)
+            raise RankFailedError(primary or failed)
         return results
 
     def _drain_pools(self) -> None:

@@ -11,6 +11,11 @@ the hybrid layer's CCL-error fallback engages.
 
 Faults are deterministic by construction (match on the Nth message of
 a (src, dst) pair), never random, so failing tests replay exactly.
+
+A plan is engine data, and a faulted run is the fault-free program plus
+the faults it names: drop and delay rules become every mailbox's
+delivery ``filter``; kill rules become the named ranks' clocks, armed
+by ``Engine.run``.  A kill-only plan leaves every message path alone.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from typing import Dict, List, Tuple
 from repro.errors import RankKilledError, SimulationError
 from repro.sim.clock import VirtualClock
 from repro.sim.engine import Engine
-from repro.sim.mailbox import Mailbox, Message
+from repro.sim.mailbox import Message
 
 
 @dataclass(frozen=True)
@@ -120,10 +125,12 @@ class _KilledClock(VirtualClock):
 
 
 class FaultInjector:
-    """Applies a :class:`FaultPlan` to an engine's mailboxes.
+    """A :class:`FaultPlan` installed on an engine (``engine.faults``).
 
-    Install *before* ``engine.run``; the injector wraps every mailbox's
-    ``post`` and matches messages by (src, dst) arrival order.
+    Install *before* ``engine.run``.  With drop or delay rules, every
+    mailbox gets :meth:`admit` as its delivery filter, which matches
+    messages by (src, dst) posting order; kill rules are armed on the
+    rank clocks when the run builds them (:meth:`arm_kills`).
     """
 
     def __init__(self, engine: Engine, plan: FaultPlan) -> None:
@@ -133,52 +140,45 @@ class FaultInjector:
         self.dropped: List[Message] = []
         self.delayed: List[Message] = []
         self.killed: List[int] = []
-        self._install()
+        engine.faults = self
+        if plan.drops or plan.delays:
+            for mailbox in engine._mailboxes:
+                mailbox.filter = self.admit
 
-    def _install(self) -> None:
-        for mailbox in self.engine._mailboxes:
-            self._wrap(mailbox)
-        if self.plan.kills:
-            # contexts (and their clocks) do not exist until the run
-            # starts; hook their construction instead
-            self.engine.context_hooks.append(self._arm_kill)
+    def admit(self, msg: Message) -> bool:
+        """The delivery filter: count ``msg`` as the nth of its (src,
+        dst) pair, then drop it (False) or add its delay."""
+        key = (msg.src, msg.dst)
+        n = self._counts[key]
+        self._counts[key] += 1
+        for rule in self.plan.drops:
+            if (rule.src, rule.dst, rule.nth) == (msg.src, msg.dst, n):
+                self.dropped.append(msg)
+                return False
+        for rule in self.plan.delays:
+            if (rule.src, rule.dst, rule.nth) == (msg.src, msg.dst, n):
+                msg.arrival_us += rule.delay_us
+                self.delayed.append(msg)
+        return True
 
-    def _arm_kill(self, ctx) -> None:
-        for rule in self.plan.kills:
-            if rule.rank == ctx.rank:
-                ctx.clock = _KilledClock(self.engine, ctx.rank,
-                                         rule.after_us,
-                                         start_us=ctx.clock.now)
-                self.killed.append(ctx.rank)
-
-    def _wrap(self, mailbox: Mailbox) -> None:
-        original_post = mailbox.post
-
-        def post(msg: Message) -> None:
-            key = (msg.src, msg.dst)
-            n = self._counts[key]
-            self._counts[key] += 1
-            for rule in self.plan.drops:
-                if (rule.src, rule.dst, rule.nth) == (msg.src, msg.dst, n):
-                    self.dropped.append(msg)
-                    # keep the liveness watermark honest: a dropped
-                    # message is not progress
-                    return
-            for rule in self.plan.delays:
-                if (rule.src, rule.dst, rule.nth) == (msg.src, msg.dst, n):
-                    msg.arrival_us += rule.delay_us
-                    self.delayed.append(msg)
-            original_post(msg)
-
-        mailbox.post = post  # type: ignore[method-assign]
+    def arm_kills(self, contexts) -> None:
+        """Swap in a deadline clock for every rank a kill rule names."""
+        for ctx in contexts:
+            for rule in self.plan.kills:
+                if rule.rank == ctx.rank:
+                    ctx.clock = _KilledClock(self.engine, ctx.rank,
+                                             rule.after_us,
+                                             start_us=ctx.clock.now)
+                    self.killed.append(ctx.rank)
 
     @property
     def messages_seen(self) -> int:
-        """Total messages that passed through the injector."""
+        """Total messages the delivery filter saw (0 for a plan with no
+        drop or delay rule: it filters nothing)."""
         return sum(self._counts.values())
 
 
 def with_faults(engine: Engine, plan: FaultPlan) -> FaultInjector:
-    """Convenience: install ``plan`` on ``engine`` and return the
-    injector (for post-run inspection)."""
+    """Install ``plan`` on ``engine`` and return the injector (for
+    post-run inspection)."""
     return FaultInjector(engine, plan)

@@ -19,6 +19,12 @@ One registration per mailbox (a second concurrent matcher, ``post_many``
 and ``match_many`` use the buckets); a handed message whose receiver
 leaves by raising goes back where it would have been queued.
 
+A fault plan's message rules (:mod:`repro.sim.faults`) are the
+mailbox's ``filter``, applied by ``post`` and ``post_many`` before the
+hand-off or the enqueue: it drops a message or re-times it.  A blocked
+receive asks its ``abort`` probe (the engine's ``doomed``) whether the
+wait can still end.
+
 Blocking goes through a wait queue from :mod:`repro.sim.sched`: inside
 an engine run a blocked receiver parks its fiber — a list entry and a
 held lock, no polling, deadlocks detected exactly; a standalone mailbox
@@ -186,35 +192,14 @@ class Mailbox:
             self._waitq = waitq_factory(self._lock)
         #: (src, tag) -> FIFO of (posting order, message)
         self._buckets: Dict[Tuple[int, int], Deque[Tuple[int, Message]]] = {}
-        #: posting-order stamps (per-message state lives in containers:
-        #: an attribute write on a mailbox runs :meth:`__setattr__`)
+        #: posting-order stamps
         self._ord = itertools.count()
         #: the parked receiver's registration — one at most; while it
         #: stands, nothing queued matches it
         self._parked: List[list] = []
-        #: True while ``post`` is wrapped on this instance (fault
-        #: injection): every message must then pass through the wrapper
-        self.patched = False
-        #: engine hook observing (un)patching
-        self._patch_note: Optional[Callable[[int], None]] = None
-
-    def __setattr__(self, name: str, value: Any) -> None:
-        object.__setattr__(self, name, value)
-        if name == "post":
-            self._note_patch(True)
-
-    def __delattr__(self, name: str) -> None:
-        object.__delattr__(self, name)
-        if name == "post":
-            self._note_patch(False)
-
-    def _note_patch(self, patched: bool) -> None:
-        """Tell the engine, so hot paths can keep an O(1)
-        nothing-is-patched check."""
-        object.__setattr__(self, "patched", patched)
-        note = getattr(self, "_patch_note", None)
-        if note is not None:
-            note(+1 if patched else -1)
+        #: a fault plan's delivery filter, set once before the run:
+        #: False drops the message, and it may re-time what it keeps
+        self.filter: Optional[Callable[[Message], bool]] = None
 
     # -- delivery ----------------------------------------------------------
 
@@ -227,7 +212,10 @@ class Mailbox:
 
     def post(self, msg: Message) -> None:
         """Deliver ``msg`` (called from the sender's thread): to the
-        parked receiver if it waits for exactly this, else to the queue."""
+        parked receiver if it waits for exactly this, else to the queue
+        — unless the ``filter`` drops it."""
+        if self.filter is not None and not self.filter(msg):
+            return      # a dropped message is not progress: no wakeup
         with self._lock:
             reg = self._parked[0] if self._parked else None
             if reg is not None \
@@ -243,15 +231,12 @@ class Mailbox:
     def post_many(self, msgs: Sequence[Message]) -> None:
         """Deliver a batch under one lock acquisition and one wakeup.
 
-        Per-(src, tag) FIFO order follows the order of ``msgs``.  When
-        ``post`` is instance-wrapped (fault injection), the batch is
-        replayed through the wrapper message by message.
+        Per-(src, tag) FIFO order follows the order of ``msgs``; the
+        ``filter`` sees them in that order.
         """
+        if self.filter is not None:
+            msgs = [msg for msg in msgs if self.filter(msg)]
         if not msgs:
-            return
-        if self.patched:
-            for msg in msgs:
-                self.post(msg)
             return
         with self._lock:
             # a parked receiver must search the queue for these
@@ -305,16 +290,29 @@ class Mailbox:
                 del self._buckets[key]
         return msg
 
-    def probe(self, src: int = ANY_SOURCE, tag: int = ANY_TAG) -> Optional[Message]:
+    def probe(self, src: int = ANY_SOURCE, tag: int = ANY_TAG,
+              where: Optional[Callable[[Message], bool]] = None
+              ) -> Optional[Message]:
         """Non-destructive match (MPI_Iprobe): the message stays queued."""
         with self._lock:
-            return self._find(src, tag, None, pop=False)
+            return self._find(src, tag, where, pop=False)
 
     def try_match(self, src: int = ANY_SOURCE, tag: int = ANY_TAG,
-                  where: Optional[Callable[[Message], bool]] = None) -> Optional[Message]:
-        """Dequeue the first matching message, or None."""
+                  where: Optional[Callable[[Message], bool]] = None,
+                  abort: Optional[Callable[[int], Optional[str]]] = None
+                  ) -> Optional[Message]:
+        """Dequeue the first matching message, or None — unless
+        ``abort`` (as in :meth:`match`) says none can ever come: then
+        the :class:`DeadlockError` the blocking match would raise."""
         with self._lock:
-            return self._find(src, tag, where)
+            msg = self._find(src, tag, where)
+            if msg is None and abort is not None:
+                reason = abort(src)
+                if reason is not None:
+                    raise DeadlockError(
+                        f"rank {self.rank} polling recv(src={src}, "
+                        f"tag={tag}): {reason}")
+            return msg
 
     def poke(self) -> None:
         """Wake every blocked waiter for a predicate re-check without
@@ -394,8 +392,8 @@ class Mailbox:
         that can currently match, instead of one lock round trip per
         message.  Specs are scanned in order on every pass, so two
         specs competing for the same (src, tag) stream preserve FIFO.
-        ``abort`` has :meth:`match` semantics but is called with the
-        still-outstanding source ranks, checked once per pass.
+        ``abort`` has :meth:`match` semantics, asked for each source
+        still outstanding when a pass makes no progress.
         """
         results: List[Optional[Message]] = [None] * len(specs)
         remaining = list(range(len(specs)))
@@ -420,8 +418,8 @@ class Mailbox:
                 if not remaining:
                     return True
                 if not progressed:
-                    if abort is not None:
-                        reason = abort([specs[i][0] for i in remaining])
+                    for i in remaining if abort is not None else ():
+                        reason = abort(specs[i][0])
                         if reason is not None:
                             raise DeadlockError(
                                 f"rank {self.rank} blocked in fused recv "

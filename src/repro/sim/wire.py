@@ -27,15 +27,6 @@ import numpy as np
 Resource = Tuple  # hashable resource key; last element is the direction
 
 
-def reverse_key(res: Resource) -> Resource:
-    """The same resource in the opposite direction."""
-    *head, direction = res
-    flipped = {"fwd": "rev", "rev": "fwd", "out": "in", "in": "out"}.get(direction)
-    if flipped is None:
-        return res
-    return tuple(head) + (flipped,)
-
-
 class WireTracker:
     """Books transfers onto directed link resources (one per engine;
     its ranks book under the run token, so no lock)."""
@@ -44,8 +35,7 @@ class WireTracker:
         self._free: Dict[Resource, float] = {}
 
     def book(self, resources: Sequence[Resource], depart_us: float,
-             nbytes: int, beta_bpus: float, alpha_us: float,
-             duplex_factor: float = 2.0) -> float:
+             nbytes: int, beta_bpus: float, alpha_us: float) -> float:
         """Schedule one transfer; returns its arrival time.
 
         Args:
@@ -53,11 +43,9 @@ class WireTracker:
             depart_us: sender-side virtual time the message is ready.
             nbytes: payload size.
             beta_bpus: path bandwidth, bytes/us (callers pre-apply any
-                duplex sharing for flows known to be bidirectional).
+                duplex sharing for flows known to be bidirectional —
+                see the module docstring).
             alpha_us: path latency added after the wire time.
-            duplex_factor: accepted for caller convenience; not used
-                here — see the module docstring for why duplex is
-                priced by the protocol layers, not the tracker.
         """
         if nbytes < 0:
             raise ValueError(f"negative transfer size {nbytes}")

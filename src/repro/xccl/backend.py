@@ -358,25 +358,23 @@ class CCLBackend:
         identical (same pricing, same wire bookings, same order):
 
         * bulk: the rows become ``Message`` objects, one ``post_many``
-          per peer (which replays the batch message by message through
-          the wrapper when a fault injector patched that mailbox),
-          recvs drained by one ``match_many`` under a single queue lock;
+          per peer (through the mailbox's fault filter, if any), recvs
+          drained by one ``match_many`` under a single queue lock;
         * whole-group rendezvous (``exchange`` hint): every rank of the
           communicator deposits its columns into one
           :class:`~repro.sim.engine.GroupExchangeSlot` and picks its
           inbound rows out of the others' — no mailbox traffic, and a
           ``Message`` only for inbound rows no receive of this group
           claims.
+
+        A fault plan's message rules filter mailbox deliveries, which
+        the rendezvous bypasses: while they are installed a hinted group
+        takes the bulk path — on every rank alike, so all parties agree
+        on the transport.
         """
         ctx = (exchange or ops[0].comm).ctx
-        # fault injection wraps Mailbox.post per message; the rendezvous
-        # would bypass it, so degrade to the bulk path (patched-ness is
-        # identical from every rank's view, so all parties agree on the
-        # transport).  The engine-wide counter keeps the common
-        # nothing-is-patched case O(1) instead of a per-group mailbox scan.
-        use_exchange = exchange is not None and not (
-            ctx.engine.any_mailbox_patched
-            and any(ctx.mailbox_of(w).patched for w in exchange.group))
+        use_exchange = (exchange is not None
+                        and not ctx.engine.any_mailbox_patched)
         if exchange is not None and not use_exchange:
             fastpath.STATS.note_fusion_fallback()
         if not ops and not use_exchange:
@@ -410,6 +408,7 @@ class CCLBackend:
                                  nbytes=row[1], label=transport)
 
         arrivals_in: List[float] = [t0]
+        doomed = ctx.engine.doomed
         if not use_exchange:
             for world, mine in by_dst.items():
                 ctx.mailbox_of(world).post_many([
@@ -420,9 +419,7 @@ class CCLBackend:
                   self._seq_matcher(op.comm.uid,
                                     op.comm.next_recv_seq(op.peer)))
                  for op in recvs],
-                abort=lambda srcs: next(
-                    (f"peer rank {s} died" for s in srcs
-                     if s in ctx.engine.dead_ranks), None))
+                abort=functools.partial(doomed, self._recv_scope(recvs)))
             self._drain_recvs(ctx, zip(recvs, targets, map(_row_of, matched)),
                               arrivals_in, transport)
         else:
@@ -473,7 +470,7 @@ class CCLBackend:
                 msg = ctx.mailbox.match(
                     src=peer_world,
                     where=self._seq_matcher(exchange.uid, seq),
-                    abort=self._dead_peer_probe(ctx))
+                    abort=functools.partial(doomed, exchange.record.scope))
                 self._drain_recvs(ctx, [(op, target, _row_of(msg))],
                                   arrivals_in, "fallback")
         ctx.clock.merge_many(arrivals_in)
@@ -483,15 +480,14 @@ class CCLBackend:
             comm.stream.enqueue(0.0, ctx.now)
 
     @staticmethod
-    def _dead_peer_probe(ctx):
-        """Hopelessness probe for a blocking CCL receive: a dead peer
-        can never post, so the wait fails at once with the reason
-        instead of parking until the deadlock detector fires."""
-        def probe(peer_world: int):
-            if peer_world in ctx.engine.dead_ranks:
-                return f"peer rank {peer_world} died"
+    def _recv_scope(recvs: Sequence[_GroupOp]):
+        """The scope the bulk receive of a flush asks ``doomed`` about:
+        its communicator's — or, for a batch mixing communicators, none,
+        so only the peers' deaths count."""
+        comm = recvs[0].comm if recvs else None
+        if comm is None or any(op.comm is not comm for op in recvs):
             return None
-        return probe
+        return comm.record.scope
 
     @staticmethod
     def _drain_recvs(ctx, matched, arrivals: List[float],

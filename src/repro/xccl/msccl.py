@@ -13,7 +13,7 @@ from repro.hw.vendors import Vendor
 from repro.perfmodel.params import MSCCL as MSCCL_PARAMS
 from repro.xccl import caps
 from repro.xccl.backend import CCLBackend
-from repro.xccl.msccl_programs import MSCCLProgram, ProgramRegistry, default_registry
+from repro.xccl.msccl_programs import ProgramRegistry, default_registry
 
 
 class MSCCLBackend(CCLBackend):
@@ -31,7 +31,3 @@ class MSCCLBackend(CCLBackend):
     def programs(self) -> ProgramRegistry:
         """The loaded custom-algorithm programs."""
         return default_registry()
-
-    def load_program(self, program: MSCCLProgram) -> None:
-        """Load one more compiled schedule (``mscclLoadAlgo``)."""
-        self.programs.load(program)

@@ -51,8 +51,3 @@ class NCCL2_12Backend(NCCLBackend):
 def nccl_2_11() -> NCCL2_11Backend:
     """The pinned legacy backend (see class docstring)."""
     return NCCL2_11Backend()
-
-
-def nccl_2_12() -> NCCL2_12Backend:
-    """The NCCL build underlying MSCCL."""
-    return NCCL2_12Backend()

@@ -1,5 +1,6 @@
 """Failure injection: dropped/delayed messages, dying ranks, CCL errors."""
 
+import numpy as np
 import pytest
 
 from repro import fastpath
@@ -9,9 +10,14 @@ from repro.core.dispatch import CollectivePipeline, DispatchMode
 from repro.core.runtime import world_communicator
 from repro.errors import (CCLError, CommRevokedError, DeadlockError,
                           RankFailedError, SimulationError)
+from repro.hw.systems import make_system
 from repro.mpi import SUM, Communicator
+from repro.mpi.datatypes import FLOAT
 from repro.sim.engine import Engine
 from repro.sim.faults import DelayRule, DropRule, FaultPlan, with_faults
+from repro.xccl.api import (xcclGroupEnd, xcclGroupStart, xcclRecv,
+                            xcclSend, xcclStreamSynchronize)
+from repro.xccl.comm import XCCLComm
 from repro.xccl.nccl import NCCLBackend
 
 
@@ -181,7 +187,8 @@ class TestDyingRanks:
         dead, got = engine.run(body)
         assert dead is None and injector.killed == [0]
         assert got.tolist() == [7.0] * 4
-        assert injector.messages_seen == 2          # behind the wrapper
+        # a kill-only plan filters no message
+        assert injector.messages_seen == 0 and not engine.any_mailbox_patched
 
 
 class _FlakyNCCL(NCCLBackend):
@@ -267,16 +274,15 @@ class TestCCLErrorFallback:
 
 
 class TestDerivedCommDegradation:
-    """Fast paths must degrade gracefully — not corrupt data — when a
-    FaultInjector patches the mailboxes, including on DERIVED
-    communicators (Dup / Split), whose caches and CCL state are built
-    after the injector installed itself."""
+    """A plan's message rules reach communicators derived after it was
+    installed (Dup / Split), and change only what they name: the leased
+    handoff stays engaged, and only the hinted whole-group exchange —
+    the one transport that bypasses the mailboxes — falls back."""
 
-    def test_zero_copy_forces_copies_on_faulted_derived_comms(self,
-                                                              thetagpu1):
-        """With an injector installed every mailbox is patched, so the
-        zero-copy handoff must snapshot payloads (copies_forced) — on
-        the world comm AND on comms derived from it."""
+    def test_zero_copy_holds_on_faulted_derived_comms(self, thetagpu1):
+        """Under a delay rule that never fires, rendezvous ``Sendrecv``
+        on a comm derived from world hands its payload off as a leased
+        view (copies elided, none forced) and delivers the right bytes."""
         def body(ctx):
             comm = world_communicator(ctx)
             dup = comm.Dup()
@@ -289,27 +295,21 @@ class TestDerivedCommDegradation:
             return float(out.array[0])
 
         engine = Engine(thetagpu1, nranks=4, progress_timeout_s=5.0)
-        # the delay never fires (nth=99) — only the patching matters
-        with_faults(engine, FaultPlan().delay(0, 1, 1.0, nth=99))
+        injector = with_faults(engine, FaultPlan().delay(0, 1, 1.0, nth=99))
         results = engine.run(body)
         # split comms: {0, 2} and {1, 3}; each rank receives its peer's
         # world rank
         assert results == [2.0, 3.0, 0.0, 1.0]
-        assert fastpath.STATS.copies_forced > 0
-        assert fastpath.STATS.copies_elided == 0
+        assert fastpath.STATS.copies_forced == 0
+        assert fastpath.STATS.copies_elided > 0
+        assert injector.messages_seen > 0 and not injector.delayed
 
     def test_fusion_falls_back_unfused_on_faulted_dup_comm(self,
                                                            thetagpu1):
-        """Grouped CCL send/recv on a Dup'd communicator under an
-        injector: the fused whole-group exchange would bypass the
-        patched ``post``, so it must fall back to the bulk transport,
-        which replays the batch through the wrapper message by message
-        — counted, and still in program order."""
-        import numpy as np
-        from repro.mpi.datatypes import FLOAT
-        from repro.xccl.api import (xcclGroupEnd, xcclGroupStart,
-                                    xcclRecv, xcclSend,
-                                    xcclStreamSynchronize)
+        """Grouped CCL send/recv on a Dup'd communicator under a delay
+        rule: the fused whole-group exchange would bypass the mailboxes'
+        fault filter, so it falls back to the bulk transport, whose
+        messages the filter sees — counted, and still in program order."""
 
         def body(ctx):
             world = world_communicator(ctx, mode=DispatchMode.PURE_XCCL)
@@ -333,20 +333,20 @@ class TestDerivedCommDegradation:
             return [float(b.array[0]) for b in ins_]
 
         engine = Engine(thetagpu1, nranks=4, progress_timeout_s=5.0)
-        with_faults(engine, FaultPlan().delay(0, 1, 1.0, nth=99))
+        injector = with_faults(engine, FaultPlan().delay(0, 1, 1.0, nth=99))
         results = engine.run(body)
         for rank, vals in enumerate(results):
             src = (rank - 1) % 4
             assert vals == [10.0 * src, 10.0 * src + 1, 10.0 * src + 2]
         assert fastpath.STATS.fusion_fallbacks > 0
+        assert fastpath.STATS.fusion_exchanges == 0
+        assert injector.messages_seen >= 12     # 3 per rank, all filtered
 
     def test_hier_collective_on_split_comm_survives_injector(self):
         """A hierarchical (multi-node) allreduce on a Split-derived
-        communicator stays correct with an injector installed: the
-        pipelined hierarchy's sub-comms inherit the degraded (copying)
-        transport."""
-        from repro.hw.systems import make_system
-
+        communicator under a delay rule that never fires gives the
+        fault-free payloads and clocks: the plan changed nothing it did
+        not name."""
         def body(ctx):
             comm = world_communicator(ctx)
             # everyone in one color: a derived comm congruent to world
@@ -355,11 +355,131 @@ class TestDerivedCommDegradation:
             buf.array[:] = 1.0
             out = ctx.device.zeros(1 << 20)
             sub.Allreduce(buf, out, op=SUM)
-            return float(out.array[0])
+            return float(out.array[0]), ctx.now
 
-        engine = Engine(make_system("thetagpu", 2), nranks=16,
-                        progress_timeout_s=5.0, hier_pipe=True)
-        with_faults(engine, FaultPlan().delay(0, 1, 1.0, nth=99))
-        results = engine.run(body)
-        assert results == [16.0] * 16
-        assert fastpath.STATS.copies_forced > 0
+        def run(plan):
+            engine = Engine(make_system("thetagpu", 2), nranks=16,
+                            progress_timeout_s=5.0, hier_pipe=True)
+            if plan is not None:
+                with_faults(engine, plan)
+            return engine.run(body)
+
+        results = run(FaultPlan().delay(0, 1, 1.0, nth=99))
+        assert [value for value, _ in results] == [16.0] * 16
+        assert results == run(None)
+
+
+#: what a plan may change: the four transport counters of the probe
+_PROBE_COUNTERS = ("fusion_exchanges", "fusion_fallbacks", "copies_forced",
+                   "copies_elided")
+
+
+def _probe_body(ctx):
+    """8 ranks, pure xCCL: three hinted ``Alltoall`` and a rendezvous
+    ``Sendrecv`` ring; logs payload bytes and the clock after each."""
+    comm = world_communicator(ctx, mode=DispatchMode.PURE_XCCL)
+    p, r = comm.size, comm.rank
+    send = ctx.device.zeros(p * 64, dtype=np.float32)
+    send.array[:] = np.arange(p * 64) + 1000 * r
+    out = ctx.device.zeros(p * 64, dtype=np.float32)
+    log = []
+    for _ in range(3):
+        comm.Alltoall(send, out, count=64)
+        log.append((out.array.tobytes(), ctx.now))
+    ring = ctx.device.zeros(1 << 12, dtype=np.float32)
+    ring.array[:] = r
+    got = ctx.device.zeros(1 << 12, dtype=np.float32)
+    comm.Sendrecv(ring, (r + 1) % p, got, (r - 1) % p)
+    log.append((got.array.tobytes(), ctx.now))
+    return log
+
+
+def _probe(plan):
+    engine = Engine(make_system("thetagpu", 1), nranks=8)
+    if plan is not None:
+        with_faults(engine, plan)
+    log = engine.run(_probe_body)
+    snap = fastpath.STATS.snapshot()
+    return log, {k: snap[k] for k in _PROBE_COUNTERS}
+
+
+class TestPlanChangesOnlyWhatItNames:
+    def test_kill_that_never_fires_changes_nothing(self):
+        """A plan that names no message and kills nobody leaves the
+        transport counters, payloads and every clock ``==`` the
+        fault-free run — the leases and the whole-group exchange stay
+        engaged."""
+        base, counters = _probe(None)
+        assert counters == {"fusion_exchanges": 24, "fusion_fallbacks": 0,
+                            "copies_forced": 0, "copies_elided": 200}
+        assert _probe(FaultPlan().kill(7, after_us=1e12)) == (base, counters)
+
+    def test_delay_that_never_fires_changes_only_the_exchange(self):
+        """Message rules filter mailbox deliveries, so the hinted
+        exchange (which bypasses them) falls back to bulk; payloads and
+        clocks stay ``==`` and the p2p leases stay engaged."""
+        base, _ = _probe(None)
+        log, counters = _probe(FaultPlan().delay(0, 1, 5.0, nth=10 ** 6))
+        assert log == base
+        assert counters["fusion_exchanges"] == 0
+        assert counters["fusion_fallbacks"] == 24
+        assert counters["copies_forced"] == 0
+
+
+#: a scope no bootstrap hands out
+_UID = "doomed-probe"
+
+
+def _wait_slot(ctx, xc, buf):
+    ctx.collective_slot(xc.next_coll_key("probe"), xc.size).exchange(
+        ctx.rank, None, lambda payloads: None)
+
+
+def _wait_p2p(ctx, xc, buf):
+    Communicator.world(ctx).endpoint.recv(buf, 2, 5, datatype=FLOAT)
+
+
+def _wait_bulk(ctx, xc, buf):
+    xc.backend.recv(xc, buf, 4, FLOAT, 2)
+
+
+def _wait_exchange(ctx, xc, buf):
+    """A hinted group in which rank 1 expects a message from rank 2
+    that rank 2 never queues: rank 1's match is deferred past the
+    exchange."""
+    xcclGroupStart(xc)
+    if ctx.rank == 1:
+        xcclRecv(buf, 4, FLOAT, 2, xc)
+    xcclGroupEnd()
+
+
+_WAITS = {"slot": _wait_slot, "p2p": _wait_p2p, "bulk": _wait_bulk,
+          "exchange": _wait_exchange}
+
+
+@pytest.mark.parametrize("wait", sorted(_WAITS))
+def test_every_wait_asks_one_probe(thetagpu1, wait):
+    """Rank 0 dies; rank 1 then waits on rank 2, which is alive and
+    sends nothing.  Whatever the wait — a collective slot, a p2p
+    receive, a CCL bulk group receive, a deferred exchange match — it
+    fails at once with ``Engine.doomed``'s reason (a member of its
+    communicator died), not with the exact-deadlock verdict."""
+    def body(ctx):
+        xc = XCCLComm(ctx, _UID, (0, 1, 2, 3), ctx.rank,
+                      backend=NCCLBackend())
+        buf = ctx.device.zeros(4, dtype=np.float32)
+        if ctx.rank == 1:
+            with pytest.raises(DeadlockError) as err:
+                _WAITS[wait](ctx, xc, buf)
+            return str(err.value)
+        if wait == "exchange":
+            _wait_exchange(ctx, xc, buf)
+        if ctx.rank == 0:
+            ctx.clock.advance(2e9)      # dies here
+        return None
+
+    engine = Engine(thetagpu1, nranks=4, progress_timeout_s=5.0)
+    with_faults(engine, FaultPlan().kill(0, after_us=1e9))
+    results = engine.run(body)
+    assert results[0] is None
+    assert results[1].endswith("communicator member rank(s) [0] died")

@@ -195,6 +195,27 @@ class TestNonblocking:
 
         assert spmd(thetagpu1, body, nranks=2)[1 - sender] == 3
 
+    def test_iprobe_sees_past_another_communicators_message(self, thetagpu1,
+                                                            spmd):
+        """A queued message with the same source and tag on another
+        communicator comes first in the queue; ``Iprobe`` still finds
+        this communicator's."""
+        def body(ctx):
+            comm = world(ctx)
+            dup = comm.Dup()
+            if ctx.rank == 0:
+                dup.Send(ctx.device.zeros(4), 1, tag=5)
+                comm.Send(ctx.device.zeros(8), 1, tag=5)
+            comm.Barrier()
+            if ctx.rank == 0:
+                return None
+            found = comm.Iprobe(source=0, tag=5)
+            comm.Recv(ctx.device.zeros(8), source=0, tag=5)
+            dup.Recv(ctx.device.zeros(4), source=0, tag=5)
+            return found.count
+
+        assert spmd(thetagpu1, body, nranks=2)[1] == 8
+
     def test_persistent_test_polls_as_lower_rank(self, thetagpu1, spmd):
         def body(ctx):
             comm = world(ctx)

@@ -115,24 +115,20 @@ class TestBulkTransport:
         with pytest.raises(DeadlockError):
             box.match_many([(1, 1, None), (1, 99, None)])
 
-    def test_patched_detection_and_fallback(self, box):
-        """A per-instance post wrapper (fault injection) is visible via
-        ``patched`` and still sees every bulk-posted message."""
-        assert not box.patched
+    def test_filter_sees_every_bulk_posted_message(self, box):
+        """A delivery filter (a fault plan's message rules) sees a
+        batch in order; what it drops is never queued."""
         seen = []
-        orig = box.post
 
-        def wrapper(msg):
-            seen.append(msg.meta.get("idx"))
-            orig(msg)
+        def keep(msg):
+            seen.append(msg.meta["idx"])
+            return msg.meta["idx"] != 2
 
-        box.post = wrapper
-        assert box.patched
-        box.post_many([_msg(idx=1), _msg(idx=2)])
-        assert seen == [1, 2]
-        assert box.pending == 2
-        del box.post
-        assert not box.patched
+        box.filter = keep
+        box.post_many([_msg(idx=1), _msg(idx=2), _msg(idx=3)])
+        assert seen == [1, 2, 3]
+        assert [box.try_match().meta["idx"] for _ in range(2)] == [1, 3]
+        assert box.pending == 0
 
 
 class TestOffEngineWait:
@@ -304,24 +300,26 @@ class TestHandOff:
         waitq.gate.set()
         assert receiver.result().meta["idx"] == 2
 
-    def test_wrapped_post_sees_the_handed_message(self, gated):
-        """Fault injection wraps ``post`` on the instance: the wrapper
-        sees every message and the hand-off happens behind it."""
+    def test_filter_runs_before_the_hand_off(self, gated):
+        """The delivery filter sees every message before the parked
+        receiver can: a dropped one is neither handed over nor queued,
+        nor does it wake anyone; the next one is handed over."""
         box, waitq = gated
         seen = []
-        orig = box.post
 
-        def wrapper(msg):
+        def keep(msg):
             seen.append(msg.meta["idx"])
-            orig(msg)
+            return msg.meta["idx"] != 1
 
-        box.post = wrapper
+        box.filter = keep
         receiver = _park(gated, src=0, tag=7)
         box.post(_msg(tag=7, idx=1))
+        assert box.pending == 0 and box._parked and waitq.notified == 0
         box.post(_msg(tag=7, idx=2))
-        assert seen == [1, 2] and box.pending == 1
+        box.post(_msg(tag=7, idx=3))
+        assert seen == [1, 2, 3] and box.pending == 1
         waitq.gate.set()
-        assert receiver.result().meta["idx"] == 1
+        assert receiver.result().meta["idx"] == 2
 
     def test_post_many_goes_through_the_buckets(self, gated):
         box, waitq = gated

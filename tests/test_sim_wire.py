@@ -2,19 +2,7 @@
 
 import pytest
 
-from repro.sim.wire import WireTracker, reverse_key
-
-
-class TestReverseKey:
-    def test_fwd_rev(self):
-        assert reverse_key(("intra", 0, 0, 1, "fwd")) == ("intra", 0, 0, 1, "rev")
-
-    def test_out_in(self):
-        assert reverse_key(("nic", 2, "out")) == ("nic", 2, "in")
-
-    def test_unknown_direction_unchanged(self):
-        key = ("x", "weird")
-        assert reverse_key(key) == key
+from repro.sim.wire import WireTracker
 
 
 class TestWireTracker:

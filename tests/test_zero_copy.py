@@ -6,9 +6,8 @@ on every CCL stack: payload bytes AND virtual clocks are bit-identical
 to what defensive snapshots gave (the frozen zero-copy-off arm,
 ``tests/frozen_reference.py``), borrowed views are never retained after
 completion, randomized collective sequences reproduce their frozen
-reference under the remaining gates, and fault injection degrades the
-leased handoff to the copying path without ever corrupting a sender's
-live buffer.
+reference under the remaining gates, and fault injection leaves the
+leased handoff engaged without ever corrupting a sender's live buffer.
 """
 
 from __future__ import annotations
@@ -257,11 +256,11 @@ def test_blocking_send_buffer_safe_to_reuse(thetagpu1):
     assert (captured["got"] == 7.0).all()
 
 
-def test_patched_mailbox_degrades_to_copying_path(thetagpu1):
-    """Fault injection monkeypatches mailbox ``post``; the leased
-    handoff must stand down (copies forced, not elided) and the
-    delayed delivery must still see the original bytes even though the
-    sender mutates its buffer right after Send returns."""
+def test_delayed_rendezvous_send_keeps_the_lease(thetagpu1):
+    """A delay rule re-times the RTS, it does not hold the payload: the
+    leased handoff stays engaged (elided, not forced), and the delayed
+    delivery still sees the original bytes although the sender mutates
+    its buffer right after Send returns."""
     captured = {}
 
     def body(ctx):
@@ -276,21 +275,22 @@ def test_patched_mailbox_degrades_to_copying_path(thetagpu1):
             captured["got"] = buf.array.copy()
 
     engine = Engine(thetagpu1, nranks=2, progress_timeout_s=10.0)
-    with_faults(engine, FaultPlan().delay(0, 1, 250.0))
+    injector = with_faults(engine, FaultPlan().delay(0, 1, 250.0))
     fastpath.STATS.reset()
     engine.run(body)
     stats = fastpath.STATS.snapshot()
-    # exactly one degraded send -> exactly one forced copy: the escape
-    # hatch must fire once per send, never double-count per handshake
-    assert stats["copies_forced"] == 1
-    assert stats["copies_elided"] == 0
+    # exactly one leased send -> exactly one elided copy: the reclaim
+    # counts once per send, never once per handshake message
+    assert stats["copies_forced"] == 0
+    assert stats["copies_elided"] == 1
+    assert len(injector.delayed) == 1
     assert (captured["got"] == 3.0).all()
 
 
 def test_fault_path_leaves_no_stale_lease(thetagpu1):
-    """Degraded sends take the copying path up front: no PayloadLease
-    may be created (let alone survive), and the sender's buffer must be
-    released once the run completes."""
+    """A delayed send still lends its buffer: no PayloadLease may
+    survive the run, and the sender's buffer must be released once the
+    run completes."""
     from repro.sim.mailbox import PayloadLease
     refs = []
 
@@ -309,12 +309,13 @@ def test_fault_path_leaves_no_stale_lease(thetagpu1):
     fastpath.STATS.reset()
     engine.run(body)
     stats = fastpath.STATS.snapshot()
-    assert stats["copies_forced"] == 1
+    assert stats["copies_elided"] == 1 and stats["copies_forced"] == 0
+    del engine      # its injector keeps the delayed message for inspection
     gc.collect()
     leases = [o for o in gc.get_objects() if isinstance(o, PayloadLease)]
     assert not leases, f"{len(leases)} PayloadLease objects survived"
     assert all(ref() is None for ref in refs), \
-        "sender payload array still referenced after the degraded send"
+        "sender payload array still referenced after the delayed send"
 
 
 def test_rank_failure_leaves_live_buffers_intact(thetagpu1):

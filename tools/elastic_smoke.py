@@ -3,19 +3,26 @@
 Runs a 16-rank allreduce loop on an engine built with
 ``online_tune=True``, one rank killed mid-run: survivors see the
 revoked world communicator, agree on the failure set, shrink to a
-15-rank communicator, and finish a fixed post-recovery schedule on it.
-The run is traced; the Chrome trace is written to the path given as
+15-rank communicator, and finish a fixed post-recovery schedule on it:
+an allreduce loop, then an ``Alltoall`` the 15-rank table routes to the
+CCL.  The run is traced; the Chrome trace is written to the path given as
 ``argv[1]`` (default ``/tmp/mpix-elastic-smoke.json``) so CI can
 validate it and print the online tuner's ``tune-report`` view.
 
 Exit status is non-zero unless every survivor recovered, agreed on the
-same failure set, and produced the bit-identical post-shrink payload.
+same failure set, and produced the bit-identical post-shrink payloads —
+and unless the kill left the transport alone: a kill-only plan filters
+no message, so the ``Alltoall`` took the whole-group exchange
+(``fusion_exchanges > 0``) and never fell back (``fusion_fallbacks ==
+0``).
 """
 
 from __future__ import annotations
 
 import json
 import sys
+
+import numpy as np
 
 from repro import fastpath
 from repro.core.runtime import world_communicator
@@ -33,6 +40,7 @@ COUNT = 2048
 PRE_ITERS = 8    # the kill lands inside this loop
 POST_ITERS = 12  # fixed post-recovery schedule, long enough for the
                  # online tuner to re-fit for the 15-rank survivor shape
+A2A_COUNT = 1 << 14  # float32 per peer: the 15-rank table picks the CCL
 
 
 def body(ctx):
@@ -58,8 +66,16 @@ def body(ctx):
         for i in range(POST_ITERS):
             nbuf.array[:] = float(newcomm.Get_rank() + i)
             newcomm.Allreduce(nbuf, nout, op=SUM)
-        return (float(nout.array[0]), newcomm.Get_size(),
-                tuple(sorted(failed)))
+        rank, size = newcomm.Get_rank(), newcomm.Get_size()
+        send = ctx.device.zeros(A2A_COUNT * size, dtype=np.float32)
+        send.array[:] = rank * size + np.arange(size).repeat(A2A_COUNT)
+        recv = ctx.device.zeros(A2A_COUNT * size, dtype=np.float32)
+        newcomm.Alltoall(send, recv, count=A2A_COUNT)
+        # block j came from rank j, which sent it j * size + rank
+        exchanged = bool((recv.array == np.arange(size).repeat(A2A_COUNT)
+                          * size + rank).all())
+        return (float(nout.array[0]), size, tuple(sorted(failed)),
+                exchanged)
     return None
 
 
@@ -84,19 +100,26 @@ def main(argv):
           and all(r is not None
                   and r[1] == NRANKS - 1
                   and r[2] == (DEAD,)
-                  and abs(r[0] - expect) < 1e-9 for r in survivors))
+                  and abs(r[0] - expect) < 1e-9 and r[3] for r in survivors))
+    stats = fastpath.STATS
     print(f"elastic smoke: {NRANKS} ranks, rank {DEAD} killed at "
-          f"{KILL_AT_US}us; revokes={fastpath.STATS.comm_revokes} "
-          f"shrinks={fastpath.STATS.comm_shrinks} "
-          f"online_updates={fastpath.STATS.online_updates}")
+          f"{KILL_AT_US}us; revokes={stats.comm_revokes} "
+          f"shrinks={stats.comm_shrinks} "
+          f"online_updates={stats.online_updates} "
+          f"fusion_exchanges={stats.fusion_exchanges} "
+          f"fusion_fallbacks={stats.fusion_fallbacks}")
     if not ok:
         print(f"FAILED: survivor results {set(survivors)}")
         return 1
-    if fastpath.STATS.comm_revokes < 1 or fastpath.STATS.comm_shrinks < 1:
+    if stats.comm_revokes < 1 or stats.comm_shrinks < 1:
         print("FAILED: no revoke/shrink recorded")
         return 1
-    if fastpath.STATS.online_updates < 1:
+    if stats.online_updates < 1:
         print("FAILED: online tuner never re-fit on the shrunk comm")
+        return 1
+    if stats.fusion_exchanges < 1 or stats.fusion_fallbacks:
+        print("FAILED: the kill changed the transport (the post-shrink "
+              "Alltoall left the whole-group exchange)")
         return 1
     print(f"OK: all {NRANKS - 1} survivors recovered with identical "
           f"payloads; trace -> {out_path}")
