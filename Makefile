@@ -151,12 +151,13 @@ elastic-smoke:
 report:
 	$(PYTHON) -m repro.experiments.cli report --scale paper -o EXPERIMENTS.md
 
+# every shipped example end to end (CI runs this on one interpreter)
 examples:
-	$(PYTHON) examples/quickstart.py
-	$(PYTHON) examples/heffte_fft.py
-	$(PYTHON) examples/portability_sweep.py
-	$(PYTHON) examples/custom_algorithm.py
-	$(PYTHON) examples/dl_training.py
+	PYTHONPATH=src $(PYTHON) examples/quickstart.py
+	PYTHONPATH=src $(PYTHON) examples/heffte_fft.py
+	PYTHONPATH=src $(PYTHON) examples/portability_sweep.py
+	PYTHONPATH=src $(PYTHON) examples/custom_algorithm.py
+	PYTHONPATH=src $(PYTHON) examples/dl_training.py
 
 tune:
 	$(PYTHON) -m repro.core.tune_cli --system thetagpu --nodes 4 --show

@@ -8,8 +8,7 @@ between iterations (no MPI middleware anywhere on the path).
 
 from __future__ import annotations
 
-
-
+from repro.mpi.coll._util import seg
 from repro.mpi.datatypes import FLOAT, Datatype
 from repro.mpi.ops import SUM, Op
 from repro.sim.engine import RankContext
@@ -86,9 +85,9 @@ class PureCCLHarness:
         p = self.comm.size
         xapi.xcclGroupStart()
         for r in range(p):
-            xapi.xcclSend(_seg(sendbuf, r * count, count), count, dt, r,
+            xapi.xcclSend(seg(sendbuf, r * count, count), count, dt, r,
                           self.comm)
-            xapi.xcclRecv(_seg(recvbuf, r * count, count), count, dt, r,
+            xapi.xcclRecv(seg(recvbuf, r * count, count), count, dt, r,
                           self.comm)
         xapi.xcclGroupEnd()
         xapi.xcclStreamSynchronize(self.comm)
@@ -115,9 +114,3 @@ class PureCCLHarness:
         xapi.xcclGroupEnd()
         xapi.xcclStreamSynchronize(self.comm)
 
-
-def _seg(buf, offset: int, count: int):
-    from repro.hw.memory import Buffer, as_array
-    if isinstance(buf, Buffer):
-        return buf.view(offset, count)
-    return as_array(buf)[offset:offset + count]

@@ -30,13 +30,16 @@ from repro.mpi.config import openmpi_ucx
 from repro.perfmodel.params import NCCL as NCCL_PARAMS
 from repro.sim.engine import RankContext
 from repro.xccl.backend import CCLBackend
+from repro.xccl.nccl import NCCLBackend
 
 
 class UCCBackend(CCLBackend):
     """UCC's NCCL transport: NCCL plus the UCC/Open MPI layer costs."""
 
-    name = "nccl"   # datatype tables etc. follow the wrapped NCCL
+    name = "nccl"   # the library it wraps
     vendors = (Vendor.NVIDIA,)
+    #: UCC can do what the NCCL it wraps can do
+    capabilities = NCCLBackend.capabilities
     params = replace(
         NCCL_PARAMS,
         launch_us=NCCL_PARAMS.launch_us + 7.0,      # UCC layer + coll_score path

@@ -4,23 +4,27 @@ One :class:`XCCLAbstractionLayer` per rank.  Its jobs, straight from
 the figure's boxes:
 
 * **Communicator maintenance** — lazily create one
-  :class:`~repro.xccl.comm.XCCLComm` (plus stream) per MPI
-  communicator, cached in that communicator's ledger
-  (``routing_cache``), which destroys it on ``Comm_free``;
+  :class:`~repro.xccl.comm.XCCLComm` per MPI communicator, cached in
+  that communicator's ledger (``routing_cache``), which destroys it on
+  ``Comm_free``;
 * **Device buffer identify** — one vendor-independent residency check;
-* **Datatype support / Reduce operation support** — capability
-  checks against the resolved backend's declarative descriptor
-  (:mod:`repro.xccl.caps`).  Homogeneous communicators consult the
-  local backend; for a mixed-vendor communicator the dispatcher's one
-  capability chain consults the *intersection* descriptor negotiated
-  once per communicator
+* **Datatype support / Reduce operation support** —
+  :meth:`~repro.xccl.caps.CapabilityDescriptor.allows_datatype` and
+  :meth:`~repro.xccl.caps.CapabilityDescriptor.allows_op` of one
+  descriptor, asked by the dispatcher's capability stage
+  (:meth:`repro.core.dispatch.CollectivePipeline.capability`).
+  Homogeneous communicators ask the resolved backend's
+  ``capabilities``; a mixed-vendor communicator asks the *intersection*
+  descriptor negotiated once per communicator
   (:meth:`repro.core.dispatch.CollectivePipeline.negotiated`) instead;
 * **Collectives / point-to-point communication** — the five built-ins
   mapped 1:1 (§3.2) and the send-recv-based collectives (§3.3): the
   ``ccl`` executors of the :mod:`repro.core.dispatch` registry, which
   take this layer and a descriptor
   (:func:`repro.core.dispatch.execute_ccl` runs one directly);
-* **Synchronization** — stream joins after each CCL call.
+* **Synchronization** — ``xcclStreamSynchronize`` after each CCL call,
+  which returns the rank's clock: a CCL call has completed on it when
+  it returns.
 """
 
 from __future__ import annotations
@@ -29,8 +33,6 @@ from typing import Optional, Union
 
 from repro.errors import CCLBackendUnavailable
 from repro.hw.memory import is_device_buffer
-from repro.mpi.datatypes import Datatype
-from repro.mpi.ops import Op
 from repro.sim.engine import RankContext
 from repro.xccl import api as xapi
 from repro.xccl.backend import CCLBackend
@@ -66,14 +68,6 @@ class XCCLAbstractionLayer:
         """Device Buffer Identify: True only when every significant
         buffer is device-resident (CCLs cannot touch host memory)."""
         return all(is_device_buffer(b) for b in bufs if b is not None)
-
-    def supports_datatype(self, dt: Datatype) -> bool:
-        """Datatype Support check against the resolved backend."""
-        return self.backend is not None and self.backend.supports_datatype(dt)
-
-    def supports_op(self, op: Op) -> bool:
-        """Reduce Operation Support check."""
-        return self.backend is not None and self.backend.supports_op(op)
 
     @property
     def available(self) -> bool:
@@ -112,7 +106,7 @@ class XCCLAbstractionLayer:
     #: datatype conversion, op mapping (Fig. 2 checks).
     CALL_OVERHEAD_US = 0.4
     #: proportional wrapper cost (request bookkeeping around the CCL
-    #: stream) — keeps the measured xCCL-vs-pure gap inside the
+    #: call) — keeps the measured xCCL-vs-pure gap inside the
     #: paper's +-3% band.  Both constants are charged by the
     #: :func:`repro.core.dispatch.charged` decorator wrapping every
     #: §3.2 direct mapping in the dispatch registry.

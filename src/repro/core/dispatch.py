@@ -51,7 +51,8 @@ from repro.core import sendrecv_collectives as srcoll
 from repro.mpi.coll import MPICollDispatcher, levels
 from repro.mpi.communicator import IN_PLACE, CollectiveCall
 from repro.xccl import api as xapi
-from repro.xccl.caps import descriptor_for, negotiate
+from repro.xccl.caps import negotiate
+from repro.xccl.registry import get_backend
 
 
 class DispatchMode(enum.Enum):
@@ -346,27 +347,26 @@ class CollectivePipeline:
                    negotiated=None, nranks: int = 0) -> Optional[RouteDecision]:
         """The ONE place CCL eligibility is decided (§3.2 / Fig. 2):
         backend availability, collective mapping, buffer residency,
-        datatype table (HCCL float-only, no complex anywhere), reduce-op
-        table (the four NCCL ops).  The two tables are the local
-        backend's — or, on a communicator spanning vendors (where the
-        per-rank answers would diverge), those of ``negotiated``, its
+        datatype (HCCL float-only, no complex anywhere) and reduce op
+        (the four NCCL ops), both asked of one capability descriptor:
+        the local backend's — or, on a communicator spanning vendors
+        (where the per-rank answers would diverge), ``negotiated``, its
         intersection descriptor (:meth:`negotiated`, the same on every
         rank), whose rank ceiling then bounds ``nranks``.
         Returns the MPI fallback decision, or None when the call is
         CCL-capable."""
-        if negotiated is not None:
-            datatype_ok, op_ok = negotiated.allows_datatype, negotiated.allows_op
-        elif self.layer.available:
-            datatype_ok, op_ok = self.layer.supports_datatype, self.layer.supports_op
-        else:
-            return RouteDecision(Route.MPI, FallbackReason.NO_BACKEND)
+        desc = negotiated
+        if desc is None:
+            if not self.layer.available:
+                return RouteDecision(Route.MPI, FallbackReason.NO_BACKEND)
+            desc = self.layer.backend.capabilities
         if coll not in TUNABLE_COLLECTIVES:
             return RouteDecision(Route.MPI, FallbackReason.UNSUPPORTED_COLL)
         if significant and not on_device:
             return RouteDecision(Route.MPI, FallbackReason.HOST_BUFFER)
-        if dt is not None and not datatype_ok(dt):
+        if dt is not None and not desc.allows_datatype(dt):
             return RouteDecision(Route.MPI, FallbackReason.DATATYPE)
-        if op is not None and not op_ok(op):
+        if op is not None and not desc.allows_op(op):
             return RouteDecision(Route.MPI, FallbackReason.REDUCE_OP)
         if negotiated is not None and nranks > negotiated.max_ranks:
             return RouteDecision(Route.MPI, FallbackReason.MIXED_VENDOR)
@@ -386,7 +386,8 @@ class CollectivePipeline:
         desc = comm.routing_cache.get("negotiated")
         if desc is None:
             desc = comm.routing_cache["negotiated"] = negotiate(
-                descriptor_for(default_ccl_for(Vendor(v))) for v in vendors)
+                get_backend(default_ccl_for(Vendor(v))).capabilities
+                for v in vendors)
             if comm.rank == 0:
                 fastpath.STATS.note_negotiation()
         return desc

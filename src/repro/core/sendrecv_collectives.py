@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.hw.memory import Buffer, as_array
+from repro.mpi.coll._util import seg
 from repro.mpi.communicator import IN_PLACE
 from repro.mpi.datatypes import Datatype
 from repro.xccl.api import (
@@ -50,12 +50,6 @@ from repro.xccl.api import (
 from repro.xccl.comm import XCCLComm
 
 
-def _seg(buf, offset: int, count: int):
-    if isinstance(buf, Buffer):
-        return buf.view(offset, count)
-    return as_array(buf)[offset:offset + count]
-
-
 @aborts_group_on_error
 def xccl_alltoallv(comm: XCCLComm, sendbuf, sendcounts: Sequence[int],
                    sdispls: Sequence[int], recvbuf,
@@ -65,11 +59,11 @@ def xccl_alltoallv(comm: XCCLComm, sendbuf, sendcounts: Sequence[int],
     xcclGroupStart(comm)
     for r in range(comm.size):
         if sendcounts[r]:
-            xcclSend(_seg(sendbuf, sdispls[r], sendcounts[r]),
-                     sendcounts[r], dt, r, comm, comm.stream)
+            xcclSend(seg(sendbuf, sdispls[r], sendcounts[r]),
+                     sendcounts[r], dt, r, comm)
         if recvcounts[r]:
-            xcclRecv(_seg(recvbuf, rdispls[r], recvcounts[r]),
-                     recvcounts[r], dt, r, comm, comm.stream)
+            xcclRecv(seg(recvbuf, rdispls[r], recvcounts[r]),
+                     recvcounts[r], dt, r, comm)
     xcclGroupEnd()
     xcclStreamSynchronize(comm)
 
@@ -101,10 +95,9 @@ def xccl_gather(comm: XCCLComm, sendbuf, recvbuf, count: int, dt: Datatype,
     xcclGroupStart()
     if comm.rank == root:
         for r in range(comm.size):
-            xcclRecv(_seg(recvbuf, r * count, count), count, dt, r, comm,
-                     comm.stream)
+            xcclRecv(seg(recvbuf, r * count, count), count, dt, r, comm)
     src = _own_block(sendbuf, recvbuf, comm.rank, count)
-    xcclSend(src, count, dt, root, comm, comm.stream)
+    xcclSend(src, count, dt, root, comm)
     xcclGroupEnd()
     xcclStreamSynchronize(comm)
 
@@ -117,13 +110,13 @@ def xccl_gatherv(comm: XCCLComm, sendbuf, recvbuf, counts: Sequence[int],
     if comm.rank == root:
         for r in range(comm.size):
             if counts[r]:
-                xcclRecv(_seg(recvbuf, displs[r], counts[r]), counts[r],
-                         dt, r, comm, comm.stream)
+                xcclRecv(seg(recvbuf, displs[r], counts[r]), counts[r],
+                         dt, r, comm)
     if counts[comm.rank]:
         src = sendbuf if sendbuf is not IN_PLACE else \
-            _seg(recvbuf, displs[comm.rank], counts[comm.rank])
-        xcclSend(_seg(src, 0, counts[comm.rank]), counts[comm.rank], dt,
-                 root, comm, comm.stream)
+            seg(recvbuf, displs[comm.rank], counts[comm.rank])
+        xcclSend(seg(src, 0, counts[comm.rank]), counts[comm.rank], dt,
+                 root, comm)
     xcclGroupEnd()
     xcclStreamSynchronize(comm)
 
@@ -135,9 +128,8 @@ def xccl_scatter(comm: XCCLComm, sendbuf, recvbuf, count: int, dt: Datatype,
     xcclGroupStart()
     if comm.rank == root:
         for r in range(comm.size):
-            xcclSend(_seg(sendbuf, r * count, count), count, dt, r, comm,
-                     comm.stream)
-    xcclRecv(_seg(recvbuf, 0, count), count, dt, root, comm, comm.stream)
+            xcclSend(seg(sendbuf, r * count, count), count, dt, r, comm)
+    xcclRecv(seg(recvbuf, 0, count), count, dt, root, comm)
     xcclGroupEnd()
     xcclStreamSynchronize(comm)
 
@@ -151,11 +143,11 @@ def xccl_scatterv(comm: XCCLComm, sendbuf, counts: Sequence[int],
     if comm.rank == root:
         for r in range(comm.size):
             if counts[r]:
-                xcclSend(_seg(sendbuf, displs[r], counts[r]), counts[r],
-                         dt, r, comm, comm.stream)
+                xcclSend(seg(sendbuf, displs[r], counts[r]), counts[r],
+                         dt, r, comm)
     if counts[comm.rank]:
-        xcclRecv(_seg(recvbuf, 0, counts[comm.rank]), counts[comm.rank],
-                 dt, root, comm, comm.stream)
+        xcclRecv(seg(recvbuf, 0, counts[comm.rank]), counts[comm.rank],
+                 dt, root, comm)
     xcclGroupEnd()
     xcclStreamSynchronize(comm)
 
@@ -172,14 +164,13 @@ def xccl_allgatherv(comm: XCCLComm, sendbuf, recvbuf,
     rank = comm.rank
     xcclGroupStart(comm)
     src = sendbuf if sendbuf is not IN_PLACE else \
-        _seg(recvbuf, displs[rank], counts[rank])
+        seg(recvbuf, displs[rank], counts[rank])
     for r in range(comm.size):
         if counts[rank]:
-            xcclSend(_seg(src, 0, counts[rank]), counts[rank], dt, r, comm,
-                     comm.stream)
+            xcclSend(seg(src, 0, counts[rank]), counts[rank], dt, r, comm)
         if counts[r]:
-            xcclRecv(_seg(recvbuf, displs[r], counts[r]), counts[r], dt, r,
-                     comm, comm.stream)
+            xcclRecv(seg(recvbuf, displs[r], counts[r]), counts[r], dt, r,
+                     comm)
     xcclGroupEnd()
     xcclStreamSynchronize(comm)
 
@@ -187,5 +178,5 @@ def xccl_allgatherv(comm: XCCLComm, sendbuf, recvbuf,
 def _own_block(sendbuf, recvbuf, rank: int, count: int):
     """This rank's contribution (handles MPI_IN_PLACE at the root)."""
     if sendbuf is IN_PLACE or sendbuf is None:
-        return _seg(recvbuf, rank * count, count)
-    return _seg(sendbuf, 0, count)
+        return seg(recvbuf, rank * count, count)
+    return seg(sendbuf, 0, count)

@@ -33,11 +33,6 @@ class TopologyError(HardwareError):
     """Raised when a cluster/node topology query cannot be satisfied."""
 
 
-class StreamError(HardwareError):
-    """Raised on invalid stream/event usage (e.g. waiting on an
-    unrecorded event)."""
-
-
 # ---------------------------------------------------------------------------
 # Simulation engine
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
+from repro.core.abstraction import XCCLAbstractionLayer
 from repro.hw.systems import make_system
 from repro.mpi.config import mvapich_gpu, openmpi_ucx
 from repro.omb.collective import COLLECTIVE_BENCHMARKS
@@ -62,6 +63,14 @@ def run_collective_panel(exp_id: str, system: str, nodes: int, nranks: int,
     return results
 
 
+def layer_charged(ccl_us: float) -> float:
+    """A mapped CCL call of ``ccl_us`` through the abstraction layer:
+    the layer's fixed and proportional charges, as
+    :func:`repro.core.dispatch.charged` applies them in the engine."""
+    return (XCCLAbstractionLayer.CALL_OVERHEAD_US
+            + ccl_us * (1 + XCCLAbstractionLayer.CALL_OVERHEAD_FRACTION))
+
+
 def model_collective_panel(exp_id: str, system: str, nodes: int, nranks: int,
                            backend: str, coll: str, stacks: Sequence[str],
                            scale: str,
@@ -84,8 +93,7 @@ def model_collective_panel(exp_id: str, system: str, nodes: int, nranks: int,
 
     def ccl_time(be: str, nbytes: int, wrapped: bool) -> float:
         t = ccl_models.collective_time(_params(be), shape, coll, nbytes)
-        # MPI-wrapped CCL pays the thin abstraction-layer overhead
-        return t * 1.02 + 0.4 if wrapped else t
+        return layer_charged(t) if wrapped else t
 
     for stack in stacks:
         be = baseline_backend if (stack == "ccl" and baseline_backend) else backend
@@ -105,8 +113,8 @@ def model_collective_panel(exp_id: str, system: str, nodes: int, nranks: int,
                 from repro.baselines.ucc import UCCBackend, UCC_TABLE
                 route = UCC_TABLE.choose(coll, size)
                 if route == "xccl":
-                    t = ccl_models.collective_time(UCCBackend.params, shape,
-                                                   coll, size) * 1.02 + 0.6
+                    t = layer_charged(ccl_models.collective_time(
+                        UCCBackend.params, shape, coll, size))
                 else:
                     t = mpi_models.collective_time(ucx_cfg, shape, coll, size)
             else:  # hybrid

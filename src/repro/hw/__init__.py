@@ -9,7 +9,6 @@ same code paths:
 * accelerators with real (numpy-backed) device memory and allocators —
   or storage-free memory (``payloads=False``) that keeps only shapes,
   for runs that never read what they move,
-* streams and events with virtual-time ordering semantics,
 * alpha-beta link models for NVLink/NVSwitch, PCIe, xGMI, Gaudi RoCE,
   InfiniBand HDR and 400G Ethernet fabrics,
 * nodes and clusters with explicit intra/inter-node topology,
@@ -25,7 +24,6 @@ from repro.hw.memory import (
     buffer_vendor,
 )
 from repro.hw.device import Accelerator, HostCPU
-from repro.hw.stream import Stream, Event
 from repro.hw.links import LinkModel, LinkKind
 from repro.hw.node import Node
 from repro.hw.cluster import Cluster, TransferPath
@@ -46,8 +44,6 @@ __all__ = [
     "buffer_vendor",
     "Accelerator",
     "HostCPU",
-    "Stream",
-    "Event",
     "LinkModel",
     "LinkKind",
     "Node",

@@ -1,21 +1,20 @@
 """Simulated accelerators and host CPUs.
 
 An :class:`Accelerator` owns HBM (with a real allocator that accounts
-against Table-1 capacities), a default stream, and a small kernel cost
-model used by the reduction kernels and the DL compute model.
+against Table-1 capacities) and a small kernel cost model used by the
+reduction kernels and the DL compute model.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
 from repro.errors import DeviceMemoryError, InvalidBufferError
 from repro.hw.memory import DeviceBuffer, storage_free
-from repro.hw.stream import Stream
 from repro.hw.vendors import Vendor
 
 _device_ids = itertools.count()
@@ -69,8 +68,6 @@ class Accelerator:
         self.node = None  # set by Node
         self._allocated = 0
         self._live: Dict[int, int] = {}
-        self._default_stream: Optional[Stream] = None
-        self._stream_count = 0
 
     # -- memory ---------------------------------------------------------
 
@@ -134,20 +131,6 @@ class Accelerator:
         if nbytes is None:
             raise InvalidBufferError("double free or foreign buffer")
         self._allocated -= nbytes
-
-    # -- streams ----------------------------------------------------------
-
-    @property
-    def default_stream(self) -> Stream:
-        """The device's default (NULL) stream."""
-        if self._default_stream is None:
-            self._default_stream = Stream(self, name=f"{self.model}:{self.local_index}:default")
-        return self._default_stream
-
-    def create_stream(self, name: Optional[str] = None) -> Stream:
-        """Create an additional stream (``cudaStreamCreate``)."""
-        self._stream_count += 1
-        return Stream(self, name=name or f"{self.model}:{self.local_index}:s{self._stream_count}")
 
     # -- kernel cost model -------------------------------------------------
 

@@ -80,11 +80,13 @@ def format_negotiation(cluster) -> str:
     """Render the capability intersection a mixed-vendor run negotiates
     across its islands' native backends (``--vendors`` + ``--stats``)."""
     from repro.errors import MPIXNegotiationError
-    from repro.xccl.caps import descriptor_for, negotiate
+    from repro.xccl.caps import negotiate
+    from repro.xccl.registry import get_backend
     vendors = sorted({d.vendor for d in cluster.devices},
                      key=lambda v: v.value)
     try:
-        desc = negotiate(descriptor_for(default_ccl_for(v)) for v in vendors)
+        desc = negotiate(get_backend(default_ccl_for(v)).capabilities
+                         for v in vendors)
     except MPIXNegotiationError as exc:
         return f"# Negotiation failed: {exc}"
     return (f"# Negotiated intersection: {desc.summary()}\n"

@@ -75,10 +75,6 @@ class CCLParams:
         """Per-step latency for an intra- or inter-node hop."""
         return self.step_alpha_inter_us if inter else self.step_alpha_intra_us
 
-    def bw_eff(self, inter: bool) -> float:
-        """Bandwidth efficiency by hop kind."""
-        return self.bw_eff_inter if inter else self.bw_eff_intra
-
     def store_forward_bpus(self, inter: bool) -> float:
         """Store-forward throughput by hop kind."""
         return self.store_forward_inter_bpus if inter else self.store_forward_intra_bpus

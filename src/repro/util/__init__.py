@@ -1,4 +1,4 @@
-"""Shared utilities: size parsing, statistics, result records, tables."""
+"""Shared utilities: size parsing, result records, tables."""
 
 from repro.util.sizes import (
     format_size,
@@ -6,7 +6,6 @@ from repro.util.sizes import (
     power_of_two_sizes,
     DEFAULT_OMB_SIZES,
 )
-from repro.util.stats import RunningStats, percentile
 from repro.util.records import ResultRecord, ResultSet
 from repro.util.tables import ascii_table
 
@@ -15,8 +14,6 @@ __all__ = [
     "parse_size",
     "power_of_two_sizes",
     "DEFAULT_OMB_SIZES",
-    "RunningStats",
-    "percentile",
     "ResultRecord",
     "ResultSet",
     "ascii_table",

@@ -6,12 +6,13 @@ the NCCL-style API surface: communicator init, the five built-in
 collectives (AllReduce, Broadcast, Reduce, AllGather, ReduceScatter),
 point-to-point send/recv, and group calls.  Each backend carries its
 own launch overheads, algorithm constants (from
-:mod:`repro.perfmodel.params`), and datatype table (HCCL: float only).
+:mod:`repro.perfmodel.params`), and capability descriptor
+(:mod:`repro.xccl.caps`; HCCL: float only).
 
 The unified ``xccl*`` API of §3.1 lives in :mod:`repro.xccl.api`.
 """
 
-from repro.xccl.datatypes import ccl_dtype_name, backend_supports
+from repro.xccl.datatypes import ccl_dtype_name
 from repro.xccl.comm import XCCLComm
 from repro.xccl.backend import CCLBackend
 from repro.xccl.nccl import NCCLBackend
@@ -25,7 +26,6 @@ from repro.xccl import api
 
 __all__ = [
     "ccl_dtype_name",
-    "backend_supports",
     "XCCLComm",
     "CCLBackend",
     "NCCLBackend",

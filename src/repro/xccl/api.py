@@ -4,8 +4,10 @@
 Microsoft libraries under the ``xccl`` prefix, offering unified APIs
 for upper layers."  These functions are that prefix: the same call
 works whether the communicator's backend is NCCL, RCCL, HCCL, or MSCCL
-— the vendor differences (``ncclReduce`` vs ``hcclReduce``, stream
-types, datatype enums) are resolved underneath.
+— the vendor differences (``ncclReduce`` vs ``hcclReduce``, datatype
+enums) are resolved underneath.  A call completes on the rank's virtual
+clock before it returns, so no call takes a stream: the vendor stream
+is the one piece of the C signatures this API leaves out.
 
 Function names intentionally mirror the C API (camelCase) to read like
 Listing 1 of the paper.
@@ -16,7 +18,6 @@ from __future__ import annotations
 from typing import Optional, Sequence, Union
 
 from repro.errors import CCLInvalidUsage
-from repro.hw.stream import Stream
 from repro.mpi.datatypes import Datatype
 from repro.mpi.ops import Op
 from repro.sim.engine import RankContext
@@ -32,8 +33,8 @@ def xcclGetUniqueId(ctx: RankContext, parties: int, key) -> int:
 
 
 def xcclCommInitRank(ctx: RankContext, group: Sequence[int], rank: int,
-                     uid: int, backend: Optional[Union[str, CCLBackend]] = None,
-                     stream: Optional[Stream] = None) -> XCCLComm:
+                     uid: int,
+                     backend: Optional[Union[str, CCLBackend]] = None) -> XCCLComm:
     """Create this rank's communicator handle (``ncclCommInitRank``).
 
     ``backend`` may be a name, an instance, or None — in which case the
@@ -50,7 +51,7 @@ def xcclCommInitRank(ctx: RankContext, group: Sequence[int], rank: int,
     if ctx.device.vendor not in be.vendors:
         raise CCLInvalidUsage(
             f"backend {be.name} cannot drive {ctx.device.vendor.value} devices")
-    return XCCLComm(ctx, uid, group, rank, stream=stream, backend=be)
+    return XCCLComm(ctx, uid, group, rank, backend=be)
 
 
 def xcclCommDestroy(comm: XCCLComm) -> None:
@@ -67,14 +68,13 @@ def _backend(comm: XCCLComm) -> CCLBackend:
 
 
 def xcclAllReduce(sendbuff, recvbuff, count: int, datatype: Datatype,
-                  op: Op, comm: XCCLComm,
-                  stream: Optional[Stream] = None) -> None:
+                  op: Op, comm: XCCLComm) -> None:
     """Unified AllReduce (maps to ``ncclAllReduce`` / ``hcclAllReduce``)."""
     _backend(comm).all_reduce(comm, sendbuff, recvbuff, count, datatype, op)
 
 
 def xcclBroadcast(buff, count: int, datatype: Datatype, root: int,
-                  comm: XCCLComm, stream: Optional[Stream] = None) -> None:
+                  comm: XCCLComm) -> None:
     """Unified in-place Broadcast."""
     _backend(comm).broadcast(comm, buff, count, datatype, root)
 
@@ -84,33 +84,31 @@ xcclBcast = xcclBroadcast
 
 
 def xcclReduce(sendbuff, recvbuff, count: int, datatype: Datatype, op: Op,
-               root: int, comm: XCCLComm,
-               stream: Optional[Stream] = None) -> None:
+               root: int, comm: XCCLComm) -> None:
     """Unified Reduce-to-root."""
     _backend(comm).reduce(comm, sendbuff, recvbuff, count, datatype, op, root)
 
 
 def xcclAllGather(sendbuff, recvbuff, count: int, datatype: Datatype,
-                  comm: XCCLComm, stream: Optional[Stream] = None) -> None:
+                  comm: XCCLComm) -> None:
     """Unified AllGather (``count`` contributed per rank)."""
     _backend(comm).all_gather(comm, sendbuff, recvbuff, count, datatype)
 
 
 def xcclReduceScatter(sendbuff, recvbuff, count: int, datatype: Datatype,
-                      op: Op, comm: XCCLComm,
-                      stream: Optional[Stream] = None) -> None:
+                      op: Op, comm: XCCLComm) -> None:
     """Unified ReduceScatter (``count`` produced per rank)."""
     _backend(comm).reduce_scatter(comm, sendbuff, recvbuff, count, datatype, op)
 
 
 def xcclSend(sendbuff, count: int, datatype: Datatype, peer: int,
-             comm: XCCLComm, stream: Optional[Stream] = None) -> None:
+             comm: XCCLComm) -> None:
     """Unified point-to-point send (group-aware, Listing 1 line 5)."""
     _backend(comm).send(comm, sendbuff, count, datatype, peer)
 
 
 def xcclRecv(recvbuff, count: int, datatype: Datatype, peer: int,
-             comm: XCCLComm, stream: Optional[Stream] = None) -> None:
+             comm: XCCLComm) -> None:
     """Unified point-to-point receive (Listing 1 line 6)."""
     _backend(comm).recv(comm, recvbuff, count, datatype, peer)
 
@@ -139,8 +137,8 @@ aborts_group_on_error = _backend_mod.aborts_group_on_error
 
 
 def xcclStreamSynchronize(comm: XCCLComm) -> float:
-    """Synchronize the communicator's stream (Listing 1 line 9);
-    returns the rank's virtual time after the join."""
-    t = comm.stream.synchronize(comm.ctx.now)
-    comm.ctx.clock.merge(t)
-    return t
+    """Join the communicator's work (Listing 1 line 9); returns the
+    rank's virtual time after the join.  Every CCL call here has already
+    completed on the rank's clock when it returns, so the join is that
+    clock."""
+    return comm.ctx.now

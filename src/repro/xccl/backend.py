@@ -9,7 +9,7 @@ Every vendor backend provides the same NCCL-style surface:
   closed-form cost model (the vendor library is a black box; its
   internal ring/tree steps are priced, not stepped);
 * point-to-point ``send``/``recv`` with **group semantics** (§3.3):
-  inside ``group_begin``/``group_end`` operations are queued and
+  inside ``group_start``/``group_end`` operations are queued and
   launched together, paying one launch overhead and contending on the
   wire tracker — the substrate Listing 1's AlltoAllv builds on.  The
   *group* is also the transport unit: a flush stages its ops once, as
@@ -20,8 +20,12 @@ Every vendor backend provides the same NCCL-style surface:
   change hands (:class:`repro.sim.engine.GroupExchangeSlot`).  Every
   message is priced and booked on the wire individually, in program
   order — batching changes wall-clock synchronization only;
-* capability checks: datatype tables (HCCL: float only) and the
-  four reduce ops the NCCL API defines.
+* capability checks: one declarative descriptor per backend
+  (:attr:`CCLBackend.capabilities` — datatypes, HCCL float only, and
+  the four reduce ops the NCCL API defines).
+
+A call completes on the rank's virtual clock before it returns: there
+is no device stream holding work behind the caller.
 
 Payloads travel as borrowed read-only views wherever the rendezvous
 proves every reader is done before the sender returns (the built-ins'
@@ -57,7 +61,7 @@ from repro.perfmodel import ccl_models
 from repro.perfmodel.params import CCLParams
 from repro.sim.engine import GroupExchangeSlot
 from repro.sim.mailbox import ANY_TAG, Message
-from repro.xccl.caps import CCL_SUPPORTED_OPS, CapabilityDescriptor
+from repro.xccl.caps import CapabilityDescriptor
 from repro.xccl.comm import XCCLComm
 from repro.xccl.datatypes import require_support
 
@@ -162,24 +166,12 @@ class CCLBackend:
     vendors: Tuple[Vendor, ...] = ()
     #: cost-model constants; set by subclasses.
     params: CCLParams
-    #: declarative capability descriptor (:mod:`repro.xccl.caps`); the
-    #: built-in backends bind theirs at class definition.  Plug-in
-    #: backends may leave it None — capability questions then fall
-    #: back to the datatype tables and the common op set.
-    capabilities: Optional[CapabilityDescriptor] = None
+    #: declarative capability descriptor (:mod:`repro.xccl.caps`), the
+    #: one place the backend's datatype and reduce-op answers live;
+    #: every backend binds one at class definition.
+    capabilities: CapabilityDescriptor
 
     # -- capability checks -------------------------------------------------
-
-    def supports_datatype(self, dt: Datatype) -> bool:
-        """Whether this backend implements ``dt``."""
-        from repro.xccl.datatypes import backend_supports
-        return backend_supports(self.name, dt)
-
-    def supports_op(self, op: Op) -> bool:
-        """Whether this backend implements reduce op ``op``."""
-        ops = (self.capabilities.reduce_ops
-               if self.capabilities is not None else CCL_SUPPORTED_OPS)
-        return op.predefined and op.name in ops
 
     def _check(self, dt: Datatype, op: Optional[Op], count: int,
                *windows: Tuple[object, int]) -> None:
@@ -189,8 +181,8 @@ class CCLBackend:
         elements (``ncclInvalidArgument``; a None buffer is not used by
         this rank).  The count is all a storage-free window has to say
         what it moves."""
-        require_support(self.name, dt)
-        if op is not None and not self.supports_op(op):
+        require_support(self.capabilities, dt)
+        if op is not None and not self.capabilities.allows_op(op):
             raise CCLUnsupportedOperation(
                 f"{self.name} has no reduce op for {op.name}")
         if count < 0:
@@ -205,21 +197,6 @@ class CCLBackend:
                 raise CCLInvalidUsage(
                     f"{self.name}: count {count} x {blocks} does not fit a "
                     f"{size}-element buffer")
-
-    # -- group machinery (ncclGroupStart/End) ---------------------------------
-
-    def group_begin(self) -> None:
-        """``ncclGroupStart`` (delegates to the module-level state)."""
-        group_start()
-
-    def group_end(self) -> None:
-        """``ncclGroupEnd`` (delegates to the module-level state)."""
-        group_end()
-
-    @staticmethod
-    def in_group() -> bool:
-        """True while inside an open group."""
-        return in_group()
 
     # -- point-to-point ---------------------------------------------------------
 
@@ -351,7 +328,7 @@ class CCLBackend:
     def _execute_group(self, ops: Sequence[_GroupOp],
                        exchange: Optional[XCCLComm] = None) -> None:
         """Launch a batch of queued p2p ops: one launch overhead, all
-        sends posted, all receives matched, stream joined at the end.
+        sends posted, all receives matched, the clock merged at the end.
 
         The ops are staged once (:meth:`_stage`); two transports then
         deliver the same columns, so per-message virtual times are
@@ -474,10 +451,6 @@ class CCLBackend:
                 self._drain_recvs(ctx, [(op, target, _row_of(msg))],
                                   arrivals_in, "fallback")
         ctx.clock.merge_many(arrivals_in)
-        # one stream op per communicator of the flush: the history is
-        # append-only and lives as long as the communicator
-        for comm in {op.comm for op in ops}:
-            comm.stream.enqueue(0.0, ctx.now)
 
     @staticmethod
     def _recv_scope(recvs: Sequence[_GroupOp]):
@@ -547,7 +520,6 @@ class CCLBackend:
         if ctx.trace.enabled:
             ctx.trace.record("ccl", t_deposit, ctx.now, nbytes=nbytes,
                              label=label or f"{self.name}:{key[2]}")
-        comm.stream.enqueue(0.0, ctx.now)
 
     #: reductions whose result is bit-identical under any association
     #: order (pure element selection) — only these may use the fused

@@ -1,46 +1,41 @@
 """Declarative per-backend capability descriptors and negotiation.
 
-The paper's §3.2 capability checks assume one CCL backend per job: the
-abstraction layer asks *its* backend "do you support this datatype /
-op?" on every call.  A communicator spanning NVIDIA + AMD + Gaudi
-nodes breaks that assumption — each rank would answer the question
-differently, and divergent answers mean divergent routes, which on a
-collective means deadlock.
+The paper's §3.2 capability checks ask the CCL backend one question on
+every call: "do you support this datatype / op?"  Each backend answers
+it with one :class:`CapabilityDescriptor`, bound to the class as
+:attr:`repro.xccl.backend.CCLBackend.capabilities` — the lists of what
+it can do (datatypes, reduce ops, buffer residency, rank ceiling, wire
+formats).  The homogeneous per-call checks read that descriptor: the
+backend's own argument check (``CCLBackend._check``) and the
+dispatcher's capability stage
+(:meth:`repro.core.dispatch.CollectivePipeline.capability`).
 
-This module makes each backend's capabilities *data* instead of code:
-a :class:`CapabilityDescriptor` lists what the backend can do
-(datatypes, reduce ops, buffer residency, rank ceiling, wire formats),
-and :func:`negotiate` folds a set of descriptors into their
-intersection.  A mixed-vendor communicator negotiates **once** at
-first routing (see
-:meth:`repro.core.dispatch.CollectivePipeline.negotiated`) and every subsequent
-call checks set membership on the cached intersection — the same
-answer on every rank, by construction.
+A communicator spanning NVIDIA + AMD + Gaudi nodes would get a
+different answer on each rank — and divergent routes, which on a
+collective means deadlock.  :func:`negotiate` folds the islands'
+descriptors into their intersection; a mixed-vendor communicator
+negotiates **once** at first routing (see
+:meth:`repro.core.dispatch.CollectivePipeline.negotiated`) and every
+subsequent call checks set membership on the cached intersection — the
+same answer on every rank, by construction.
 
-The descriptors are also the single source of truth for the
-homogeneous per-call checks: :func:`repro.xccl.datatypes.support_table`
-reads the datatype sets from here, and
-:class:`repro.xccl.backend.CCLBackend` reads the reduce-op sets, so
-the per-backend tables formerly scattered across the five backend
-modules live in one place.
-
-Adding a vendor is therefore declarative: register the backend
-(:mod:`repro.xccl.registry`) and :func:`register_descriptor` its
-capabilities; negotiation, routing, and the datatype/op fallbacks all
-follow from the data.
+Adding a vendor is therefore declarative: subclass
+:class:`~repro.xccl.backend.CCLBackend` with ``capabilities = …`` and
+call :func:`repro.xccl.registry.register_backend`; negotiation,
+routing, and the datatype/op fallbacks all follow from the data.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Optional, Tuple
+from typing import FrozenSet, Iterable, Tuple
 
 from repro.errors import MPIXNegotiationError
-from repro.xccl.datatypes import HCCL_TYPES, NCCL_FAMILY_TYPES, ccl_dtype_name
+from repro.xccl.datatypes import ccl_dtype_name
 
 #: reduce ops every modeled CCL implements (no user-defined ops, no
 #: logical/bitwise ops in any vendor CCL).  The per-backend descriptors
-#: default to this set; :mod:`repro.xccl.backend` re-exports it.
+#: default to this set.
 CCL_SUPPORTED_OPS: FrozenSet[str] = frozenset({
     "MPI_SUM", "MPI_PROD", "MPI_MIN", "MPI_MAX",
 })
@@ -72,13 +67,14 @@ class CapabilityDescriptor:
     wire_formats: Tuple[str, ...] = (WIRE_DEVICE, WIRE_HOST)
 
     def allows_datatype(self, dt) -> bool:
-        """Whether this descriptor covers MPI datatype ``dt``."""
-        name = ccl_dtype_name(dt)
-        return name is not None and name in self.datatypes
+        """Whether this descriptor covers MPI datatype ``dt`` (the
+        "Datatype support" box of Fig. 2)."""
+        return ccl_dtype_name(dt) in self.datatypes
 
     def allows_op(self, op) -> bool:
-        """Whether this descriptor covers reduction op ``op`` (only
-        predefined ops ever qualify — no CCL runs user callbacks)."""
+        """Whether this descriptor covers reduction op ``op`` (the
+        "Reduce operation support" box of Fig. 2; only predefined ops
+        ever qualify — no CCL runs user callbacks)."""
         return op.predefined and op.name in self.reduce_ops
 
     def summary(self) -> str:
@@ -87,46 +83,6 @@ class CapabilityDescriptor:
                 f"ops={{{', '.join(sorted(self.reduce_ops))}}}, "
                 f"wire={self.wire_formats[0] if self.wire_formats else 'none'}, "
                 f"max_ranks={self.max_ranks}")
-
-
-#: backend name -> descriptor.  The NCCL lineage shares one datatype
-#: set; HCCL is float-only and (modeling the Gaudi's host-staged
-#: interop path) speaks only the host wire format.
-DESCRIPTORS: Dict[str, CapabilityDescriptor] = {}
-
-
-def register_descriptor(desc: CapabilityDescriptor) -> None:
-    """Register (or replace) a backend's capability descriptor."""
-    DESCRIPTORS[desc.backend.lower()] = desc
-
-
-for _desc in (
-    CapabilityDescriptor("nccl", NCCL_FAMILY_TYPES, max_ranks=1 << 16),
-    CapabilityDescriptor("rccl", NCCL_FAMILY_TYPES, max_ranks=1 << 14),
-    CapabilityDescriptor("msccl", NCCL_FAMILY_TYPES, max_ranks=1 << 13),
-    CapabilityDescriptor("oneccl", NCCL_FAMILY_TYPES, max_ranks=1 << 14),
-    CapabilityDescriptor("hccl", HCCL_TYPES, max_ranks=8192,
-                         wire_formats=(WIRE_HOST,)),
-):
-    register_descriptor(_desc)
-del _desc
-
-
-def descriptor_for(backend_name: str) -> Optional[CapabilityDescriptor]:
-    """The descriptor for a backend name, or None when unknown.
-
-    Versioned variants resolve to their family descriptor by dash
-    prefix (``nccl-2.11`` -> ``nccl``): a version changes tuning
-    parameters, not the capability surface.
-    """
-    name = backend_name.lower()
-    desc = DESCRIPTORS.get(name)
-    if desc is not None:
-        return desc
-    family = name.split("-", 1)[0]
-    if family != name:
-        return DESCRIPTORS.get(family)
-    return None
 
 
 def negotiate(descriptors: Iterable[CapabilityDescriptor]) -> CapabilityDescriptor:
@@ -144,11 +100,9 @@ def negotiate(descriptors: Iterable[CapabilityDescriptor]) -> CapabilityDescript
     deterministically, on every rank, so the failure is a clean error
     and never a deadlock.
     """
-    descs = [d for d in descriptors if d is not None]
+    descs = list(descriptors)
     if not descs:
-        raise MPIXNegotiationError(
-            "capability negotiation got no descriptors — no backend is "
-            "registered for one of the communicator's vendors")
+        raise MPIXNegotiationError("capability negotiation got no descriptors")
     names = "+".join(sorted({d.backend for d in descs}))
     datatypes = frozenset.intersection(*(d.datatypes for d in descs))
     if not datatypes:

@@ -1,9 +1,8 @@
 """CCL communicators.
 
-An :class:`XCCLComm` is the simulated ``ncclComm_t``: the rank set, a
-dedicated device stream, sequence counters for collective rendezvous
-keys and point-to-point matching, and the cached topology shape cost
-models need.  The abstraction layer creates one lazily per MPI
+An :class:`XCCLComm` is the simulated ``ncclComm_t``: the rank set,
+sequence counters for collective rendezvous keys and point-to-point
+matching, and the cached topology shape cost models need.  The abstraction layer creates one lazily per MPI
 communicator (Listing 1 line 1: "Create XCCL communicator") and caches
 it.
 """
@@ -12,10 +11,9 @@ from __future__ import annotations
 
 import itertools
 from collections import defaultdict
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from repro.errors import CCLInvalidArgument
-from repro.hw.stream import Stream
 from repro.perfmodel.shape import CommShape
 from repro.sim.engine import RankContext
 
@@ -39,16 +37,12 @@ class XCCLComm:
             :func:`xccl_get_unique_id`).
         group: world ranks, in communicator order.
         rank: this process's rank within the group.
-        stream: device stream for this communicator's work (created on
-            the local device when not supplied) — the per-architecture
-            stream handling the abstraction layer hides (§1.2).
         backend: the CCL backend that owns this communicator (set by
             ``xcclCommInitRank``; the unified API dispatches on it).
     """
 
     def __init__(self, ctx: RankContext, uid: int, group: Sequence[int],
-                 rank: int, stream: Optional[Stream] = None,
-                 backend=None) -> None:
+                 rank: int, backend=None) -> None:
         if not 0 <= rank < len(group):
             raise CCLInvalidArgument(f"rank {rank} not in group of {len(group)}")
         if group[rank] != ctx.rank:
@@ -60,7 +54,6 @@ class XCCLComm:
         self.record = ctx.engine.comm_record(("xccl", uid), group, ctx.rank)
         self.group: Tuple[int, ...] = self.record.group
         self.rank = rank
-        self.stream = stream or ctx.device.create_stream(f"xccl:{uid}")
         self._coll_seq = itertools.count(1)
         self._group_seq = itertools.count(1)
         self._send_seq: Dict[int, itertools.count] = defaultdict(lambda: itertools.count(1))
@@ -104,9 +97,9 @@ class XCCLComm:
         return ("xccl", self.uid, kind, next(self._coll_seq))
 
     def next_group_key(self) -> Tuple:
-        """Rendezvous key for the next fused group exchange.  A
-        counter separate from :meth:`next_coll_key` so toggling group
-        fusion never perturbs the built-in collectives' key stream."""
+        """Rendezvous key for the next whole-group exchange, from its
+        own counter: only hinted groups draw from it, so the built-in
+        collectives' keys do not depend on how many groups ran."""
         return ("xccl-group", self.uid, next(self._group_seq))
 
     def next_send_seq(self, dst_rank: int) -> int:

@@ -1,21 +1,21 @@
-"""CCL datatype tables.
+"""CCL datatype vocabulary.
 
 The capability gap between MPI's datatype zoo and the CCLs' short lists
 drives the paper's fallback design (§3.2): NCCL-family libraries cover
 the common integer/float types but have no complex support
 (``MPI_DOUBLE_COMPLEX`` breaks FFT apps like heFFTe), and HCCL
-supports only ``float``.  :func:`backend_supports` is the check the
-abstraction layer runs before routing an MPI call to a CCL.
+supports only ``float``.
 
 This module owns the *vocabulary* (MPI name -> xccl name, and the two
-canonical type sets); which backend supports which set is declared
-once, in the capability descriptors of :mod:`repro.xccl.caps`, and
-:func:`support_table` reads it from there.
+canonical type sets).  Which backend supports which set is declared
+once, in the backend class's ``capabilities`` descriptor
+(:mod:`repro.xccl.caps`): a new vendor subclasses
+:class:`~repro.xccl.backend.CCLBackend` with ``capabilities = …`` and
+calls :func:`repro.xccl.registry.register_backend`.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Dict, FrozenSet, Optional
 
 from repro.errors import CCLUnsupportedDatatype
@@ -56,47 +56,18 @@ NCCL_FAMILY_TYPES: FrozenSet[str] = frozenset({
 HCCL_TYPES: FrozenSet[str] = frozenset({"xcclFloat32"})
 
 
-@lru_cache(maxsize=None)
-def support_table(backend_name: str) -> Optional[FrozenSet[str]]:
-    """The (case-normalized) datatype set for a backend, memoized —
-    repeated lookups return the identical frozenset object.
-
-    Reads the backend's capability descriptor
-    (:func:`repro.xccl.caps.descriptor_for`, imported lazily — caps
-    imports this module's type sets); unknown backends have no table.
-    """
-    from repro.xccl.caps import descriptor_for
-    desc = descriptor_for(backend_name)
-    return desc.datatypes if desc is not None else None
-
-
 def ccl_dtype_name(dt: Datatype) -> Optional[str]:
     """The xccl datatype name for an MPI datatype, or None when no CCL
     can represent it (complex, bool, 16-bit ints)."""
     return _CCL_NAMES.get(dt.name)
 
 
-@lru_cache(maxsize=1024)
-def _supports(backend_name: str, dt_name: str) -> bool:
-    ccl_name = _CCL_NAMES.get(dt_name)
-    if ccl_name is None:
-        return False
-    table = support_table(backend_name)
-    return table is not None and ccl_name in table
-
-
-def backend_supports(backend_name: str, dt: Datatype) -> bool:
-    """Whether ``backend_name`` implements MPI datatype ``dt``
-    (memoized: this runs on every routed collective call)."""
-    return _supports(backend_name, dt.name)
-
-
-def require_support(backend_name: str, dt: Datatype) -> str:
+def require_support(desc, dt: Datatype) -> str:
     """The xccl datatype name, or raise :class:`CCLUnsupportedDatatype`
-    — the conversion step of Listing 1 line 2."""
-    if not _supports(backend_name, dt.name):
+    when capability descriptor ``desc`` lacks ``dt`` — the conversion
+    step of Listing 1 line 2."""
+    name = _CCL_NAMES.get(dt.name)
+    if name not in desc.datatypes:
         raise CCLUnsupportedDatatype(
-            f"{backend_name} has no datatype for {dt.name}")
-    name = _CCL_NAMES[dt.name]
-    assert name is not None
+            f"{desc.backend} has no datatype for {dt.name}")
     return name

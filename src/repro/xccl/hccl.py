@@ -15,8 +15,9 @@ from __future__ import annotations
 
 from repro.hw.vendors import Vendor
 from repro.perfmodel.params import HCCL as HCCL_PARAMS
-from repro.xccl import caps
 from repro.xccl.backend import CCLBackend
+from repro.xccl.caps import CapabilityDescriptor, WIRE_HOST
+from repro.xccl.datatypes import HCCL_TYPES
 
 
 class HCCLBackend(CCLBackend):
@@ -25,5 +26,8 @@ class HCCLBackend(CCLBackend):
     name = "hccl"
     vendors = (Vendor.HABANA,)
     params = HCCL_PARAMS
-    capabilities = caps.DESCRIPTORS["hccl"]
+    #: float only; speaks only the host wire format (the Gaudi's
+    #: host-staged interop path)
+    capabilities = CapabilityDescriptor("hccl", HCCL_TYPES, max_ranks=8192,
+                                        wire_formats=(WIRE_HOST,))
     version = "1.11.0"

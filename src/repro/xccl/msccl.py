@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from repro.hw.vendors import Vendor
 from repro.perfmodel.params import MSCCL as MSCCL_PARAMS
-from repro.xccl import caps
 from repro.xccl.backend import CCLBackend
+from repro.xccl.caps import CapabilityDescriptor
+from repro.xccl.datatypes import NCCL_FAMILY_TYPES
 from repro.xccl.msccl_programs import ProgramRegistry, default_registry
 
 
@@ -23,7 +24,8 @@ class MSCCLBackend(CCLBackend):
     name = "msccl"
     vendors = (Vendor.NVIDIA,)
     params = MSCCL_PARAMS
-    capabilities = caps.DESCRIPTORS["msccl"]
+    capabilities = CapabilityDescriptor("msccl", NCCL_FAMILY_TYPES,
+                                        max_ranks=1 << 13)
     #: the wrapped NCCL build
     version = "msccl-0.7 (nccl 2.12.12)"
 

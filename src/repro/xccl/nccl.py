@@ -3,8 +3,9 @@
 Models NCCL 2.18-era behaviour on an NVSwitch DGX A100 system: 20 us
 launch floor, 137 GB/s p2p through a switch port, double binary trees
 for small/medium collectives and multi-channel rings for large ones.
-A legacy-version variant (:func:`nccl_2_11`) exists because the paper's
-TensorFlow evaluation pins NCCL 2.11.4 (§4.4).
+A legacy-version variant (:class:`NCCL2_11Backend`, registered as
+``nccl-2.11``) exists because the paper's TensorFlow evaluation pins
+NCCL 2.11.4 (§4.4).
 """
 
 from __future__ import annotations
@@ -13,8 +14,9 @@ from dataclasses import replace
 
 from repro.hw.vendors import Vendor
 from repro.perfmodel.params import NCCL as NCCL_PARAMS
-from repro.xccl import caps
 from repro.xccl.backend import CCLBackend
+from repro.xccl.caps import CapabilityDescriptor
+from repro.xccl.datatypes import NCCL_FAMILY_TYPES
 
 
 class NCCLBackend(CCLBackend):
@@ -23,7 +25,7 @@ class NCCLBackend(CCLBackend):
     name = "nccl"
     vendors = (Vendor.NVIDIA,)
     params = NCCL_PARAMS
-    capabilities = caps.DESCRIPTORS["nccl"]
+    capabilities = CapabilityDescriptor("nccl", NCCL_FAMILY_TYPES)
 
     #: library version the simulation mimics (latest at paper time)
     version = "2.18.3"
@@ -47,7 +49,3 @@ class NCCL2_12Backend(NCCLBackend):
     params = replace(NCCL_PARAMS, launch_us=21.0, bw_eff_intra=0.80,
                      bw_eff_inter=0.92)
 
-
-def nccl_2_11() -> NCCL2_11Backend:
-    """The pinned legacy backend (see class docstring)."""
-    return NCCL2_11Backend()

@@ -16,8 +16,9 @@ from __future__ import annotations
 
 from repro.hw.vendors import Vendor
 from repro.perfmodel.params import ONECCL as ONECCL_PARAMS
-from repro.xccl import caps
 from repro.xccl.backend import CCLBackend
+from repro.xccl.caps import CapabilityDescriptor
+from repro.xccl.datatypes import NCCL_FAMILY_TYPES
 
 
 class OneCCLBackend(CCLBackend):
@@ -28,5 +29,6 @@ class OneCCLBackend(CCLBackend):
     params = ONECCL_PARAMS
     #: oneCCL covers the NCCL-family scalar types (and, like the
     #: others, nothing complex) — declared once in the descriptor.
-    capabilities = caps.DESCRIPTORS["oneccl"]
+    capabilities = CapabilityDescriptor("oneccl", NCCL_FAMILY_TYPES,
+                                        max_ranks=1 << 14)
     version = "2021.11"

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 from repro.hw.vendors import Vendor
 from repro.perfmodel.params import RCCL as RCCL_PARAMS
-from repro.xccl import caps
 from repro.xccl.backend import CCLBackend
+from repro.xccl.caps import CapabilityDescriptor
+from repro.xccl.datatypes import NCCL_FAMILY_TYPES
 
 
 class RCCLBackend(CCLBackend):
@@ -20,5 +21,6 @@ class RCCLBackend(CCLBackend):
     name = "rccl"
     vendors = (Vendor.AMD,)
     params = RCCL_PARAMS
-    capabilities = caps.DESCRIPTORS["rccl"]
+    capabilities = CapabilityDescriptor("rccl", NCCL_FAMILY_TYPES,
+                                        max_ranks=1 << 14)
     version = "2.11.4"

@@ -3,6 +3,7 @@
 "Treats CCLs as plug-ins" (§1.2 advantage 6): backends register by
 name, and the abstraction layer resolves one per vendor at runtime.
 Extending to a new CCL (the paper names oneCCL as future work) is a
+subclass declaring its ``capabilities`` descriptor and a
 ``register_backend`` call.
 """
 
@@ -43,21 +44,6 @@ def get_backend(name: str) -> CCLBackend:
     if key not in _INSTANCES:
         _INSTANCES[key] = _REGISTRY[key]()
     return _INSTANCES[key]
-
-
-def descriptor_for_backend(name: str):
-    """The capability descriptor for a registered backend.
-
-    Prefers the live entry in :data:`repro.xccl.caps.DESCRIPTORS`
-    (so tests can swap a descriptor without rebuilding backends);
-    falls back to the class-bound :attr:`CCLBackend.capabilities`
-    for plug-ins registered without a caps entry.  None when neither
-    exists.
-    """
-    from repro.xccl import caps
-    backend = get_backend(name)
-    desc = caps.descriptor_for(backend.name)
-    return desc if desc is not None else backend.capabilities
 
 
 def backend_for_vendor(vendor: Vendor, preferred: Optional[str] = None) -> CCLBackend:

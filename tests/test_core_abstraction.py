@@ -43,11 +43,11 @@ class TestChecks:
 
     def test_datatype_and_op_support(self, thetagpu1, spmd):
         def body(ctx):
-            layer = XCCLAbstractionLayer(ctx)
-            return (layer.supports_datatype(FLOAT),
-                    layer.supports_datatype(DOUBLE_COMPLEX),
-                    layer.supports_op(SUM),
-                    layer.supports_op(user_op(lambda a, b: a)))
+            caps = XCCLAbstractionLayer(ctx).backend.capabilities
+            return (caps.allows_datatype(FLOAT),
+                    caps.allows_datatype(DOUBLE_COMPLEX),
+                    caps.allows_op(SUM),
+                    caps.allows_op(user_op(lambda a, b: a)))
 
         assert spmd(thetagpu1, body, nranks=1)[0] == (True, False, True, False)
 

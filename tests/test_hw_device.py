@@ -24,14 +24,6 @@ class TestAccelerator:
         node = thetagpu(1).nodes[0]
         assert [d.local_index for d in node.devices] == list(range(8))
 
-    def test_default_stream_singleton(self):
-        dev = thetagpu(1).devices[0]
-        assert dev.default_stream is dev.default_stream
-
-    def test_create_stream_distinct(self):
-        dev = thetagpu(1).devices[0]
-        assert dev.create_stream() is not dev.create_stream()
-
     def test_kernel_time_memory_bound(self):
         dev = thetagpu(1).devices[0]
         t_small = dev.kernel_time_us(1024)

@@ -20,8 +20,9 @@ from repro import fastpath
 from repro.core import runtime
 from repro.core.plan import BufferPool, CollectivePlan, PlanCache
 from repro.core.tuning_table import cached_table
+from repro.errors import CCLBackendUnavailable
 from repro.mpi.ops import SUM
-from repro.xccl.datatypes import support_table
+from repro.xccl.registry import get_backend
 from tests import frozen_reference
 
 #: (system, backend, single-node ranks) — one per CCL the paper ports.
@@ -165,12 +166,16 @@ def test_persistent_all_variants_run():
 
 
 def test_support_table_identity():
-    """Capability lookups are memoized down to the same object,
-    case-insensitively."""
-    assert support_table("nccl") is support_table("NCCL")
-    assert support_table("rccl") is support_table("nccl")  # same family set
-    assert support_table("hccl") is not None
-    assert support_table("nosuch") is None
+    """A backend's datatype table is its descriptor's, reached through
+    the memoized instance — the same object, case-insensitively."""
+    def table(name):
+        return get_backend(name).capabilities.datatypes
+
+    assert table("nccl") is table("NCCL")
+    assert table("rccl") is table("nccl")  # same family set
+    assert table("hccl") is not None
+    with pytest.raises(CCLBackendUnavailable):
+        table("nosuch")
 
 
 def test_cached_table_identity():

@@ -165,7 +165,7 @@ class TestCapabilityChecks:
         assert spmd(thetagpu1, body, nranks=2) == ["rejected"] * 2
 
     def test_logical_op_rejected(self):
-        assert not get_backend("nccl").supports_op(LAND)
+        assert not get_backend("nccl").capabilities.allows_op(LAND)
 
     def test_vendor_mismatch(self, voyager1, spmd):
         def body(ctx):

@@ -1,15 +1,13 @@
-"""CCL datatype tables and the registry."""
+"""CCL datatype tables (each backend's capability descriptor) and the
+registry."""
 
 import pytest
 
 from repro.errors import CCLBackendUnavailable, CCLUnsupportedDatatype
 from repro.hw.vendors import Vendor
 from repro.mpi import datatypes as mdt
-from repro.xccl.datatypes import (
-    backend_supports,
-    ccl_dtype_name,
-    require_support,
-)
+from repro.xccl.caps import CapabilityDescriptor
+from repro.xccl.datatypes import ccl_dtype_name, require_support
 from repro.xccl.registry import (
     available_backends,
     backend_for_vendor,
@@ -37,23 +35,30 @@ class TestDtypeTables:
 
     def test_nccl_family_coverage(self):
         for be in ("nccl", "rccl", "msccl"):
-            assert backend_supports(be, mdt.FLOAT)
-            assert backend_supports(be, mdt.FLOAT16)
-            assert backend_supports(be, mdt.INT64)
-            assert not backend_supports(be, mdt.DOUBLE_COMPLEX)
+            caps = get_backend(be).capabilities
+            assert caps.allows_datatype(mdt.FLOAT)
+            assert caps.allows_datatype(mdt.FLOAT16)
+            assert caps.allows_datatype(mdt.INT64)
+            assert not caps.allows_datatype(mdt.DOUBLE_COMPLEX)
 
     def test_hccl_float_only(self):
-        assert backend_supports("hccl", mdt.FLOAT)
+        caps = get_backend("hccl").capabilities
+        assert caps.allows_datatype(mdt.FLOAT)
         for dt in (mdt.DOUBLE, mdt.INT32, mdt.FLOAT16, mdt.BFLOAT16):
-            assert not backend_supports("hccl", dt)
+            assert not caps.allows_datatype(dt)
 
     def test_require_support_raises(self):
-        with pytest.raises(CCLUnsupportedDatatype):
-            require_support("nccl", mdt.DOUBLE_COMPLEX)
-        assert require_support("nccl", mdt.FLOAT) == "xcclFloat32"
+        nccl = get_backend("nccl").capabilities
+        with pytest.raises(CCLUnsupportedDatatype,
+                           match="nccl has no datatype for MPI_DOUBLE_COMPLEX"):
+            require_support(nccl, mdt.DOUBLE_COMPLEX)
+        assert require_support(nccl, mdt.FLOAT) == "xcclFloat32"
 
     def test_unknown_backend_unsupported(self):
-        assert not backend_supports("onecll", mdt.FLOAT)
+        # a name no backend registered answers nothing: there is no
+        # capability lookup by name, only the backend's descriptor
+        with pytest.raises(CCLBackendUnavailable):
+            get_backend("onecll")
 
 
 class TestRegistry:
@@ -87,10 +92,15 @@ class TestRegistry:
             name = "onecclx"
             vendors = (Vendor.NVIDIA,)
             params = get_backend("nccl").params
+            capabilities = CapabilityDescriptor(
+                "onecclx", frozenset({"xcclFloat32"}))
 
         register_backend("onecclx", OneCCL)
         try:
-            assert get_backend("onecclx").name == "onecclx"
+            plugin = get_backend("onecclx")
+            assert plugin.name == "onecclx"
+            assert plugin.capabilities.allows_datatype(mdt.FLOAT)
+            assert not plugin.capabilities.allows_datatype(mdt.DOUBLE)
         finally:
             # keep the global registry clean for other tests
             from repro.xccl import registry as reg
