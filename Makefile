@@ -102,15 +102,23 @@ mem-smoke:
 	PYTHONPATH=src $(PYTHON) tools/mem_smoke.py
 
 # end-to-end observability smoke: a small traced sweep covering a
-# direct-CCL collective and a sendrecv-composed one, then validate and
-# summarize the Chrome trace (runs in CI)
+# direct-CCL collective and a sendrecv-composed one (the hinted group
+# exchange), then a multi-node pure-CCL alltoall (an unhinted group: the
+# bulk mailbox transport); each Chrome trace validated and summarized
+# (runs in CI)
 TRACE_SMOKE ?= /tmp/mpix-trace-smoke.json
+TRACE_SMOKE_BULK ?= /tmp/mpix-trace-smoke-bulk.json
 trace-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.omb.cli allreduce alltoallv \
 		--system thetagpu --nodes 1 --sizes 4K:256K \
 		--iterations 2 --warmup 1 --trace $(TRACE_SMOKE)
 	PYTHONPATH=src $(PYTHON) -m repro.obs.cli validate $(TRACE_SMOKE)
 	PYTHONPATH=src $(PYTHON) -m repro.obs.cli summarize $(TRACE_SMOKE)
+	PYTHONPATH=src $(PYTHON) -m repro.omb.cli alltoall --stack ccl \
+		--system thetagpu --nodes 2 --sizes 4K:64K \
+		--iterations 2 --warmup 1 --trace $(TRACE_SMOKE_BULK)
+	PYTHONPATH=src $(PYTHON) -m repro.obs.cli validate $(TRACE_SMOKE_BULK)
+	PYTHONPATH=src $(PYTHON) -m repro.obs.cli summarize $(TRACE_SMOKE_BULK)
 
 # hierarchical-route CI leg: a traced multi-node NIC-striped sweep,
 # validated end to end (routing counters + trace well-formedness)

@@ -8,7 +8,7 @@ between iterations (no MPI middleware anywhere on the path).
 
 from __future__ import annotations
 
-from repro.mpi.coll._util import seg
+from repro.hw.memory import as_array
 from repro.mpi.datatypes import FLOAT, Datatype
 from repro.mpi.ops import SUM, Op
 from repro.sim.engine import RankContext
@@ -81,14 +81,16 @@ class PureCCLHarness:
     def alltoall(self, sendbuf, recvbuf, count: int,
                  dt: Datatype = FLOAT) -> None:
         """Grouped send/recv alltoall, as a user would hand-write it
-        with the raw CCL API (§3.3's motivation)."""
-        p = self.comm.size
+        with the raw CCL API (§3.3's motivation): one unhinted group,
+        a send and a receive per peer on slices of the two windows."""
+        comm = self.comm
+        backend = xapi.backend_of(comm)
+        sa, ra = as_array(sendbuf), as_array(recvbuf)
         xapi.xcclGroupStart()
-        for r in range(p):
-            xapi.xcclSend(seg(sendbuf, r * count, count), count, dt, r,
-                          self.comm)
-            xapi.xcclRecv(seg(recvbuf, r * count, count), count, dt, r,
-                          self.comm)
+        for r in range(comm.size):
+            lo = r * count
+            backend.send(comm, sa[lo:lo + count], count, dt, r)
+            backend.recv(comm, ra[lo:lo + count], count, dt, r)
         xapi.xcclGroupEnd()
         xapi.xcclStreamSynchronize(self.comm)
 

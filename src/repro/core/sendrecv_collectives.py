@@ -2,12 +2,20 @@
 
 The CCL APIs provide only five collectives; everything else is built
 from group calls and point-to-point primitives.  Listing 1 of the paper
-shows the AlltoAllv — :func:`xccl_alltoallv` is that code, line for
-line, against the unified API.  The others follow the same pattern.
-These functions are the *fused sendrecv-group* executors of the
-dispatch registry (:data:`repro.core.dispatch.REGISTRY`): the
-pipeline's execute stage calls them when a collective without a direct
-§3.2 mapping routes to the CCL.
+shows the AlltoAllv — :func:`xccl_alltoallv` is that code against the
+unified API: one group, one send and one receive per peer.  The others
+follow the same pattern.  These functions are the *fused sendrecv-group*
+executors of the dispatch registry (:data:`repro.core.dispatch.REGISTRY`):
+the pipeline's execute stage calls them when a collective without a
+direct §3.2 mapping routes to the CCL.
+
+Every message is one row of the open group.  The backend's ``send`` /
+``recv`` — what ``xcclSend`` / ``xcclRecv`` call, looked up once per
+collective instead of once per message — check the row and append it,
+on a plain slice of the caller's window: no buffer object is built per
+segment.  The flush (:meth:`repro.xccl.backend.CCLBackend._execute_group`)
+keeps the rows as columns: it numbers, prices, books and lands them with
+no Python call per message.
 
 The *symmetric* exchanges (alltoall(v), allgatherv — every rank both
 sends and receives) open their group with the communicator hint
@@ -18,15 +26,20 @@ rendezvous instead of one mailbox round trip per message.  The
 hint — a whole-group rendezvous would make the leaf ranks wait for
 everyone where the mailbox lets them post-and-go — and ride the bulk
 post/match path instead.  Every message is priced and booked the same
-way on both transports; only simulator wall-clock differs.
+way on both transports.  (The two release ranks in different orders,
+and contended wires are booked in the order ranks reach them, so a
+hinted group moved to the bulk transport by a fault plan can end at
+other clocks on multi-node runs.)
 
 Sends flushed through the whole-group rendezvous travel as borrowed
-read-only views of the caller's segments instead of per-peer
-snapshots; the group's consume barrier hands the buffers back once
-every peer has copied out.  ``MPI_IN_PLACE`` spellings, where a send
-segment aliases a receive window of the same call (allgatherv), are
-detected per message and snapshotted instead — see
-:meth:`repro.xccl.backend.CCLBackend._execute_group`.
+read-only views of the caller's windows instead of per-peer snapshots;
+the group's consume barrier hands the buffers back once every peer has
+copied out.  The symmetric exchanges lend their send buffer once, as a
+read-only view, so every row cut from it already is one.
+``MPI_IN_PLACE`` spellings, where a send window aliases a receive
+window of the same call (allgatherv), are found by one comparison of
+the send and receive allocations per flush and then snapshotted
+message by message.
 
 Buffers are element-addressed (offsets/counts in elements of ``dt``),
 exactly like the MPI calls they implement.
@@ -36,15 +49,14 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.mpi.coll._util import seg
+from repro.hw.memory import as_array, borrow_view
 from repro.mpi.communicator import IN_PLACE
 from repro.mpi.datatypes import Datatype
 from repro.xccl.api import (
     aborts_group_on_error,
+    backend_of,
     xcclGroupEnd,
     xcclGroupStart,
-    xcclRecv,
-    xcclSend,
     xcclStreamSynchronize,
 )
 from repro.xccl.comm import XCCLComm
@@ -56,14 +68,19 @@ def xccl_alltoallv(comm: XCCLComm, sendbuf, sendcounts: Sequence[int],
                    recvcounts: Sequence[int], rdispls: Sequence[int],
                    dt: Datatype) -> None:
     """Listing 1: AlltoAllv as one send+recv pair per peer in a group."""
+    backend = backend_of(comm)
+    send, recv = backend.send, backend.recv
+    sa, ra = borrow_view(as_array(sendbuf)), as_array(recvbuf)
     xcclGroupStart(comm)
     for r in range(comm.size):
-        if sendcounts[r]:
-            xcclSend(seg(sendbuf, sdispls[r], sendcounts[r]),
-                     sendcounts[r], dt, r, comm)
-        if recvcounts[r]:
-            xcclRecv(seg(recvbuf, rdispls[r], recvcounts[r]),
-                     recvcounts[r], dt, r, comm)
+        n = sendcounts[r]
+        if n:
+            lo = sdispls[r]
+            send(comm, sa[lo:lo + n], n, dt, r)
+        n = recvcounts[r]
+        if n:
+            lo = rdispls[r]
+            recv(comm, ra[lo:lo + n], n, dt, r)
     xcclGroupEnd()
     xcclStreamSynchronize(comm)
 
@@ -92,12 +109,14 @@ def xccl_alltoall(comm: XCCLComm, sendbuf, recvbuf, count: int,
 def xccl_gather(comm: XCCLComm, sendbuf, recvbuf, count: int, dt: Datatype,
                 root: int) -> None:
     """MPI_Gather: everyone sends its block to root inside one group."""
+    backend = backend_of(comm)
     xcclGroupStart()
     if comm.rank == root:
+        ra = as_array(recvbuf)
         for r in range(comm.size):
-            xcclRecv(seg(recvbuf, r * count, count), count, dt, r, comm)
+            backend.recv(comm, ra[r * count:(r + 1) * count], count, dt, r)
     src = _own_block(sendbuf, recvbuf, comm.rank, count)
-    xcclSend(src, count, dt, root, comm)
+    backend.send(comm, src, count, dt, root)
     xcclGroupEnd()
     xcclStreamSynchronize(comm)
 
@@ -106,17 +125,19 @@ def xccl_gather(comm: XCCLComm, sendbuf, recvbuf, count: int, dt: Datatype,
 def xccl_gatherv(comm: XCCLComm, sendbuf, recvbuf, counts: Sequence[int],
                  displs: Sequence[int], dt: Datatype, root: int) -> None:
     """MPI_Gatherv via one grouped exchange."""
+    backend = backend_of(comm)
     xcclGroupStart()
     if comm.rank == root:
+        ra = as_array(recvbuf)
         for r in range(comm.size):
-            if counts[r]:
-                xcclRecv(seg(recvbuf, displs[r], counts[r]), counts[r],
-                         dt, r, comm)
-    if counts[comm.rank]:
-        src = sendbuf if sendbuf is not IN_PLACE else \
-            seg(recvbuf, displs[comm.rank], counts[comm.rank])
-        xcclSend(seg(src, 0, counts[comm.rank]), counts[comm.rank], dt,
-                 root, comm)
+            n = counts[r]
+            if n:
+                backend.recv(comm, ra[displs[r]:displs[r] + n], n, dt, r)
+    n = counts[comm.rank]
+    if n:
+        lo = displs[comm.rank] if sendbuf is IN_PLACE else 0
+        src = as_array(recvbuf if sendbuf is IN_PLACE else sendbuf)
+        backend.send(comm, src[lo:lo + n], n, dt, root)
     xcclGroupEnd()
     xcclStreamSynchronize(comm)
 
@@ -125,11 +146,13 @@ def xccl_gatherv(comm: XCCLComm, sendbuf, recvbuf, counts: Sequence[int],
 def xccl_scatter(comm: XCCLComm, sendbuf, recvbuf, count: int, dt: Datatype,
                  root: int) -> None:
     """MPI_Scatter: root sends each rank its block inside one group."""
+    backend = backend_of(comm)
     xcclGroupStart()
     if comm.rank == root:
+        sa = as_array(sendbuf)
         for r in range(comm.size):
-            xcclSend(seg(sendbuf, r * count, count), count, dt, r, comm)
-    xcclRecv(seg(recvbuf, 0, count), count, dt, root, comm)
+            backend.send(comm, sa[r * count:(r + 1) * count], count, dt, r)
+    backend.recv(comm, as_array(recvbuf)[:count], count, dt, root)
     xcclGroupEnd()
     xcclStreamSynchronize(comm)
 
@@ -139,15 +162,17 @@ def xccl_scatterv(comm: XCCLComm, sendbuf, counts: Sequence[int],
                   displs: Sequence[int], recvbuf, dt: Datatype,
                   root: int) -> None:
     """MPI_Scatterv via one grouped exchange."""
+    backend = backend_of(comm)
     xcclGroupStart()
     if comm.rank == root:
+        sa = as_array(sendbuf)
         for r in range(comm.size):
-            if counts[r]:
-                xcclSend(seg(sendbuf, displs[r], counts[r]), counts[r],
-                         dt, r, comm)
-    if counts[comm.rank]:
-        xcclRecv(seg(recvbuf, 0, counts[comm.rank]), counts[comm.rank],
-                 dt, root, comm)
+            n = counts[r]
+            if n:
+                backend.send(comm, sa[displs[r]:displs[r] + n], n, dt, r)
+    n = counts[comm.rank]
+    if n:
+        backend.recv(comm, as_array(recvbuf)[:n], n, dt, root)
     xcclGroupEnd()
     xcclStreamSynchronize(comm)
 
@@ -161,16 +186,20 @@ def xccl_allgatherv(comm: XCCLComm, sendbuf, recvbuf,
     (Uniform Allgather maps to the built-in ``xcclAllGather`` instead —
     this path exists for the vector form the CCLs lack.)
     """
+    backend = backend_of(comm)
+    send, recv = backend.send, backend.recv
     rank = comm.rank
+    ra = as_array(recvbuf)
+    n = counts[rank]
+    src = ra[displs[rank]:displs[rank] + n] if sendbuf is IN_PLACE \
+        else borrow_view(as_array(sendbuf))
     xcclGroupStart(comm)
-    src = sendbuf if sendbuf is not IN_PLACE else \
-        seg(recvbuf, displs[rank], counts[rank])
     for r in range(comm.size):
-        if counts[rank]:
-            xcclSend(seg(src, 0, counts[rank]), counts[rank], dt, r, comm)
-        if counts[r]:
-            xcclRecv(seg(recvbuf, displs[r], counts[r]), counts[r], dt, r,
-                     comm)
+        if n:
+            send(comm, src, n, dt, r)
+        m = counts[r]
+        if m:
+            recv(comm, ra[displs[r]:displs[r] + m], m, dt, r)
     xcclGroupEnd()
     xcclStreamSynchronize(comm)
 
@@ -178,5 +207,5 @@ def xccl_allgatherv(comm: XCCLComm, sendbuf, recvbuf,
 def _own_block(sendbuf, recvbuf, rank: int, count: int):
     """This rank's contribution (handles MPI_IN_PLACE at the root)."""
     if sendbuf is IN_PLACE or sendbuf is None:
-        return seg(recvbuf, rank * count, count)
-    return seg(sendbuf, 0, count)
+        return as_array(recvbuf)[rank * count:(rank + 1) * count]
+    return as_array(sendbuf)

@@ -85,9 +85,9 @@ def alltoall_bruck(comm, sendbuf, recvbuf, count: int, dt: Datatype) -> None:
         return
     itemsize = dt.storage.itemsize
     tmp = acquire_staging(comm.ctx, sendbuf, p * count, dt.storage)
-    pack = acquire_staging(comm.ctx, sendbuf, ((p + 1) // 2) * count, dt.storage)
-    unpack = acquire_staging(comm.ctx, sendbuf, ((p + 1) // 2) * count,
-                             dt.storage)
+    half = (p + 1) // 2
+    pack = acquire_staging(comm.ctx, sendbuf, half * count, dt.storage)
+    unpack = acquire_staging(comm.ctx, sendbuf, half * count, dt.storage)
     try:
         # the compiled permutations replay as whole-buffer gathers, each
         # with one explicit virtual-time charge for the packed copy; the
@@ -97,8 +97,10 @@ def alltoall_bruck(comm, sendbuf, recvbuf, count: int, dt: Datatype) -> None:
         send2d = as_array(sendbuf)[:p * count].reshape(p, count)
         recv2d = as_array(recvbuf)[:p * count].reshape(p, count)
         tmp2d = as_array(tmp).reshape(p, count)
-        pack2d = as_array(pack).reshape(-1, count)
-        unpack2d = as_array(unpack).reshape(-1, count)
+        # rows spelled out: ``-1`` cannot be inferred for zero-length
+        # blocks (``count == 0`` is legal, and moves nothing)
+        pack2d = as_array(pack).reshape(half, count)
+        unpack2d = as_array(unpack).reshape(half, count)
         stored = tmp2d.strides[0] != 0
         # phase 1: tmp[i] = block destined to rank (rank + i) % p
         if stored:

@@ -16,11 +16,12 @@ import itertools
 from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
 
 from repro import fastpath
 from repro.errors import (CommRevokedError, DeadlockError, MPICommError,
                           MPICountError, MPIRankError, RankKilledError)
-from repro.hw.memory import as_array, copy_payload
+from repro.hw.memory import Buffer, as_array, copy_payload
 from repro.mpi.compute import alloc_like
 from repro.mpi.config import MPIConfig, mvapich_gpu
 from repro.mpi.datatypes import Datatype, datatype_of
@@ -509,13 +510,41 @@ class Communicator:
                  share: int = 1) -> CollectiveCall:
         """Descriptor of a uniform-count collective.  ``ref`` is the
         buffer the datatype and the default count (its size over
-        ``share``) are read from."""
+        ``share``) are read from.
+
+        Both windows must hold what the call moves (:data:`_WINDOWS`),
+        or :class:`MPICountError` is raised here, before any route runs,
+        with one text on every route.  In place, the receive window
+        holds this rank's contribution as well.  (Inline: this runs on
+        every collective call, and a helper would be calls of its own.)
+        """
         self._check_live()
         dt = datatype or datatype_of(ref)
         if count is None:
             count = as_array(ref).size // share
         if count < 0:
             raise MPICountError(f"negative count {count}")
+        send, recv, rooted = _WINDOWS[coll]
+        if send == _P:
+            send = self.size
+        if recv == _P:
+            recv = self.size
+        if rooted is not None and self.rank != root:
+            if rooted:
+                recv = 0
+            else:
+                send = 0
+        if sendbuf is IN_PLACE or sendbuf is None:
+            send, recv = 0, max(send, recv)
+        for side, buf, blocks in (("send", sendbuf, send),
+                                  ("receive", recvbuf, recv)):
+            if blocks and buf is not None and buf is not IN_PLACE:
+                have = (buf.array if isinstance(buf, Buffer)
+                        else np.asarray(buf)).size
+                if count * blocks > have:
+                    raise MPICountError(
+                        f"{coll}: count {count} x {blocks} does not fit "
+                        f"the {have}-element {side} buffer")
         if op is not None:
             op.validate(dt)
         if root is not None:
@@ -860,6 +889,26 @@ def _split_groups(payloads) -> Dict[int, Tuple[int, ...]]:
             members.setdefault(color, []).append((key, world))
     return {color: tuple(w for _, w in sorted(kw))
             for color, kw in members.items()}
+
+
+#: stands for the communicator size in :data:`_WINDOWS`
+_P = -1
+
+#: per uniform collective, the elements each window moves, in blocks of
+#: ``count``: ``(send, receive, root-only side)`` — the side (0: send,
+#: 1: receive) significant at the root alone, or None
+_WINDOWS = {
+    "bcast": (0, 1, None),
+    "reduce": (1, 1, 1),
+    "allreduce": (1, 1, None),
+    "allgather": (1, _P, None),
+    "alltoall": (_P, _P, None),
+    "reduce_scatter_block": (_P, 1, None),
+    "gather": (1, _P, 1),
+    "scatter": (_P, 1, 0),
+    "scan": (1, 1, None),
+    "exscan": (1, 1, None),
+}
 
 
 def _contribution(sendbuf, recvbuf):

@@ -47,7 +47,7 @@ from repro import fastpath
 from repro.errors import ConfigError
 from repro.hw.systems import make_mixed_system, make_system, system_names
 from repro.hw.vendors import default_ccl_for
-from repro.omb.collective import COLLECTIVE_BENCHMARKS
+from repro.omb.collective import COLLECTIVE_BENCHMARKS, NO_PURE_CCL
 from repro.omb.harness import OMBConfig
 from repro.omb.pt2pt import osu_bibw, osu_bw, osu_latency
 from repro.omb.stacks import STACK_NAMES, make_stack
@@ -183,6 +183,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error(f"unknown benchmark(s): {', '.join(unknown)}")
     if any(b in PT2PT for b in args.benchmarks) and len(args.benchmarks) > 1:
         parser.error("pt2pt benchmarks run one at a time")
+    lacking = [b for b in args.benchmarks if b in NO_PURE_CCL]
+    if args.stack == "ccl" and lacking:
+        parser.error(f"{', '.join(lacking)}: no pure-CCL variant (the CCL "
+                     f"APIs lack the collective); run with --stack "
+                     + " / ".join(s for s in STACK_NAMES if s != "ccl"))
 
     try:
         rank_counts = ([int(p) for p in str(args.ranks).split(",")]

@@ -248,7 +248,11 @@ def osu_gather(ctx: RankContext, stack,
 
 def osu_scatter(ctx: RankContext, stack,
                 config: Optional[OMBConfig] = None) -> Dict[int, LatencyStats]:
-    """MPI_Scatter latency sweep (root 0); per-rank block size."""
+    """MPI_Scatter latency sweep (root 0); per-rank block size.
+
+    No pure-CCL variant exists — the CCL APIs lack scatter (§3.3); use
+    the hybrid/pure-xccl stacks.
+    """
     config = config or OMBConfig()
     p = ctx.size
     maxn = max(config.sizes) // 4
@@ -278,6 +282,10 @@ def osu_barrier(ctx: RankContext, stack,
                       iterations=config.iterations)
     return _run_sweep(ctx, sweep, "barrier", _barrier_for(stack), make_op)
 
+
+#: benchmarks with no pure-CCL variant: the CCL APIs lack the
+#: collective (§3.3), so only a stack with MPI above the CCL runs them
+NO_PURE_CCL = ("alltoallv", "gather", "scatter")
 
 #: name -> benchmark function, for the CLI and experiment drivers.
 COLLECTIVE_BENCHMARKS = {

@@ -85,9 +85,9 @@ class WireTracker:
           ``(start + wire) + alpha`` chain vectorizes too.
 
         Batches with intra-batch resource contention fall back to the
-        serial chain — there each booking's start depends on the
-        occupancy the previous one wrote, and any closed form would
-        re-associate float additions.
+        serial chain, spelled inline — there each booking's start
+        depends on the occupancy the previous one wrote, and any closed
+        form would re-associate float additions.
         """
         if not bookings:
             return []
@@ -130,10 +130,16 @@ class WireTracker:
                     for r in bookings[i][0]:
                         self._free[r] = ends[k]
             else:
+                # :meth:`_book`, inline: no call per booking
+                free = self._free
                 for i in wired:
-                    resources, depart_us, nbytes, beta, alpha = bookings[i]
-                    arrivals[i] = self._book(resources, depart_us, nbytes,
-                                             beta, alpha)
+                    resources, start, nbytes, beta, alpha = bookings[i]
+                    for r in resources:
+                        start = max(start, free.get(r, 0.0))
+                    end = start + (nbytes / beta if beta else 0.0)
+                    for r in resources:
+                        free[r] = end
+                    arrivals[i] = end + alpha
         return arrivals
 
     def _fill_vectorized(self, bookings, idx: Sequence[int],

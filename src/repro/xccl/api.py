@@ -59,7 +59,9 @@ def xcclCommDestroy(comm: XCCLComm) -> None:
     comm.destroy()
 
 
-def _backend(comm: XCCLComm) -> CCLBackend:
+def backend_of(comm: XCCLComm) -> CCLBackend:
+    """The backend every ``xccl*`` call on ``comm`` dispatches to (a
+    destroyed or backend-less communicator raises)."""
     if comm.backend is None:
         raise CCLInvalidUsage("communicator has no backend attached")
     if comm.aborted:
@@ -70,13 +72,13 @@ def _backend(comm: XCCLComm) -> CCLBackend:
 def xcclAllReduce(sendbuff, recvbuff, count: int, datatype: Datatype,
                   op: Op, comm: XCCLComm) -> None:
     """Unified AllReduce (maps to ``ncclAllReduce`` / ``hcclAllReduce``)."""
-    _backend(comm).all_reduce(comm, sendbuff, recvbuff, count, datatype, op)
+    backend_of(comm).all_reduce(comm, sendbuff, recvbuff, count, datatype, op)
 
 
 def xcclBroadcast(buff, count: int, datatype: Datatype, root: int,
                   comm: XCCLComm) -> None:
     """Unified in-place Broadcast."""
-    _backend(comm).broadcast(comm, buff, count, datatype, root)
+    backend_of(comm).broadcast(comm, buff, count, datatype, root)
 
 
 #: NCCL's legacy name for the in-place broadcast.
@@ -86,31 +88,31 @@ xcclBcast = xcclBroadcast
 def xcclReduce(sendbuff, recvbuff, count: int, datatype: Datatype, op: Op,
                root: int, comm: XCCLComm) -> None:
     """Unified Reduce-to-root."""
-    _backend(comm).reduce(comm, sendbuff, recvbuff, count, datatype, op, root)
+    backend_of(comm).reduce(comm, sendbuff, recvbuff, count, datatype, op, root)
 
 
 def xcclAllGather(sendbuff, recvbuff, count: int, datatype: Datatype,
                   comm: XCCLComm) -> None:
     """Unified AllGather (``count`` contributed per rank)."""
-    _backend(comm).all_gather(comm, sendbuff, recvbuff, count, datatype)
+    backend_of(comm).all_gather(comm, sendbuff, recvbuff, count, datatype)
 
 
 def xcclReduceScatter(sendbuff, recvbuff, count: int, datatype: Datatype,
                       op: Op, comm: XCCLComm) -> None:
     """Unified ReduceScatter (``count`` produced per rank)."""
-    _backend(comm).reduce_scatter(comm, sendbuff, recvbuff, count, datatype, op)
+    backend_of(comm).reduce_scatter(comm, sendbuff, recvbuff, count, datatype, op)
 
 
 def xcclSend(sendbuff, count: int, datatype: Datatype, peer: int,
              comm: XCCLComm) -> None:
     """Unified point-to-point send (group-aware, Listing 1 line 5)."""
-    _backend(comm).send(comm, sendbuff, count, datatype, peer)
+    backend_of(comm).send(comm, sendbuff, count, datatype, peer)
 
 
 def xcclRecv(recvbuff, count: int, datatype: Datatype, peer: int,
              comm: XCCLComm) -> None:
     """Unified point-to-point receive (Listing 1 line 6)."""
-    _backend(comm).recv(comm, recvbuff, count, datatype, peer)
+    backend_of(comm).recv(comm, recvbuff, count, datatype, peer)
 
 
 def xcclGroupStart(comm: Optional[XCCLComm] = None) -> None:

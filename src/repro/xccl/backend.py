@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import functools
 import threading
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -50,10 +49,11 @@ from repro import fastpath
 from repro.errors import (
     CCLInvalidUsage,
     CCLUnsupportedOperation,
+    InvalidBufferError,
 )
 from repro.hw.cluster import PathScope
-from repro.hw.memory import (Buffer, aliasing_probe, as_array, borrow_view,
-                             copy_payload)
+from repro.hw.memory import (NO_CONTENTS, Buffer, aliasing_probe, as_array,
+                             borrow_view, copy_payload)
 from repro.hw.vendors import Vendor
 from repro.mpi.datatypes import Datatype
 from repro.mpi.ops import Op
@@ -69,21 +69,13 @@ _MSG_KIND = "ccl-p2p"
 _MSG_META = MappingProxyType({"kind": _MSG_KIND})
 
 
-@dataclass
-class _GroupOp:
-    kind: str            # "send" | "recv"
-    backend: "CCLBackend"
-    comm: XCCLComm
-    buf: object
-    count: int
-    dt: Datatype
-    peer: int            # communicator rank
-
-
 class _GroupState(threading.local):
     def __init__(self) -> None:
         self.depth = 0
-        self.ops: List[_GroupOp] = []
+        #: the open group's rows per backend, in first-queued order:
+        #: backend -> (sends, recvs), each row ``(comm, window, wire
+        #: bytes, peer)`` with the window already cut to the row's count
+        self.queued: Dict["CCLBackend", Tuple[List[tuple], List[tuple]]] = {}
         #: communicator whose symmetric exchange this group is (set by
         #: the outermost group_start; enables the fused rendezvous)
         self.exchange: Optional[XCCLComm] = None
@@ -108,33 +100,39 @@ def group_start(exchange: Optional[XCCLComm] = None) -> None:
 
 
 def group_end() -> None:
-    """``ncclGroupEnd``: launch all queued ops as one fused batch."""
+    """``ncclGroupEnd``: launch each backend's queued rows as one fused
+    batch (one device per rank makes that one batch in practice)."""
     if _group.depth <= 0:
         raise CCLInvalidUsage("group_end without matching group_start")
     _group.depth -= 1
-    if _group.depth == 0:
-        ops, _group.ops = _group.ops, []
-        exchange, _group.exchange = _group.exchange, None
-        if (exchange is not None and exchange.backend is not None
-                and all(op.comm is exchange for op in ops)):
-            # whole-group rendezvous: flush even with zero local ops,
-            # since the other ranks of the exchange arrive regardless
-            exchange.backend._execute_group(ops, exchange=exchange)
-            return
-        if ops:
-            # one device per rank means one backend per batch in
-            # practice, but partition defensively
-            by_backend = {}
-            for op in ops:
-                by_backend.setdefault(id(op.backend), (op.backend, []))[1].append(op)
-            for backend, batch in by_backend.values():
-                backend._execute_group(batch)
+    if _group.depth:
+        return
+    queued, _group.queued = _group.queued, {}
+    exchange, _group.exchange = _group.exchange, None
+    owner = None if exchange is None else exchange.backend
+    if owner is not None and owner not in queued:
+        # whole-group rendezvous: flush even with zero local rows,
+        # since the other ranks of the exchange arrive regardless
+        queued[owner] = ([], [])
+    for backend, (sends, recvs) in queued.items():
+        backend._execute_group(
+            sends, recvs,
+            exchange if backend is owner and _only_on(exchange, sends)
+            and _only_on(exchange, recvs) else None)
+
+
+def _only_on(comm: XCCLComm, rows: Sequence[tuple]) -> bool:
+    """Whether every row of ``rows`` is on ``comm``."""
+    for row in rows:
+        if row[0] is not comm:
+            return False
+    return True
 
 
 def aborts_group_on_error(fn):
     """Decorator for code that opens groups: whatever escapes it — a
     CCL error from a queued call, a bad buffer — first aborts the
-    thread's open group (depth 0, queued ops and the buffers they pin
+    thread's open group (depth 0, queued rows and the buffers they pin
     dropped, exchange hint cleared), so the next group on this thread
     starts clean instead of queueing into a dead one."""
     @functools.wraps(fn)
@@ -152,8 +150,80 @@ def in_group() -> bool:
     return _group.depth > 0
 
 
+def _spans_nodes(sends: Sequence[tuple], recvs: Sequence[tuple]) -> bool:
+    """Whether a row's peer lives on another node than its rank."""
+    for rows in (sends, recvs):
+        for comm, _window, _nbytes, peer in rows:
+            nodes = comm.record.nodes
+            if nodes[peer] != nodes[comm.rank]:
+                return True
+    return False
+
+
+def _aliasing(sends: Sequence[tuple], recvs: Sequence[tuple]):
+    """The copy-on-write probe of a flush over its receive windows, or
+    None when no send allocation can overlap a receive allocation.
+
+    A row's window lies inside the array it was cut from (``.base``);
+    the allocations are compared once per flush
+    (:func:`aliasing_probe` over whole arrays: by extents, numpy's
+    verdict where those do not decide), and only when one overlaps is
+    every send window put to the probe — numpy's verdict, window by
+    window."""
+    overlaps = aliasing_probe(_homes(recvs))
+    for home in _homes(sends):
+        if overlaps(home):
+            return aliasing_probe([row[1] for row in recvs])
+    return None
+
+
+def _homes(rows: Sequence[tuple]) -> List[np.ndarray]:
+    """The distinct arrays the windows of ``rows`` were cut from (a
+    window that is not a view is its own)."""
+    homes = {}
+    for row in rows:
+        window = row[1]
+        home = window.base
+        if not isinstance(home, np.ndarray):
+            home = window
+        homes[id(home)] = home
+    return list(homes.values())
+
+
+def _land(ctx, recvs: Sequence[tuple], rows: Sequence[tuple],
+          arrivals: List[float], transport: str) -> None:
+    """Copy delivered ``rows`` into the windows of their ``recvs``,
+    appending each arrival time to ``arrivals`` (the caller merges the
+    batch's max into its clock in one step).  A storage-free window
+    takes nothing; storage-free contents have nothing to give real
+    memory.  ``transport`` labels the trace events with the delivery
+    path the batch took."""
+    for (_comm, target, _n, _peer), (payload, _nb, _d, arrival) \
+            in zip(recvs, rows):
+        if target.strides[0]:
+            if not payload.strides[0] and payload.size:
+                raise InvalidBufferError(NO_CONTENTS)
+            target[...] = payload
+        arrivals.append(arrival)
+    if ctx.trace.enabled:
+        for (comm, _t, _n, peer), (_p, nbytes, depart, arrival) \
+                in zip(recvs, rows):
+            ctx.trace.record("ccl-recv", depart, arrival,
+                             peer=comm.group[peer], nbytes=nbytes,
+                             label=transport)
+
+
+def _recv_scope(recvs: Sequence[tuple]):
+    """The scope the bulk receive of a flush asks ``doomed`` about: its
+    communicator's — or, for a batch mixing communicators, none, so
+    only the peers' deaths count."""
+    if not recvs or not _only_on(recvs[0][0], recvs):
+        return None
+    return recvs[0][0].record.scope
+
+
 def _row_of(msg: Message):
-    """A mailbox message as a staged row."""
+    """A mailbox message as a delivered row."""
     return msg.data, msg.nbytes, msg.depart_us, msg.arrival_us
 
 
@@ -199,29 +269,57 @@ class CCLBackend:
                     f"{size}-element buffer")
 
     # -- point-to-point ---------------------------------------------------------
+    #
+    # ``send`` and ``recv`` queue one row each; the §3.3 collectives call
+    # them once per message, with plain slices of their windows, which
+    # pass the checks inline (anything else goes through ``_check``).
+    # The two bodies differ in one index: a shared helper would be a
+    # call per row.
 
     def send(self, comm: XCCLComm, buf, count: int, dt: Datatype,
              peer: int) -> None:
-        """``xcclSend``: to communicator rank ``peer``.  Queued when a
-        group is open, otherwise executed immediately."""
-        self._check(dt, None, count, (buf, 1))
-        comm.world_rank(peer)
-        op = _GroupOp("send", self, comm, buf, count, dt, peer)
-        if _group.depth > 0:
-            _group.ops.append(op)
+        """``xcclSend``: to communicator rank ``peer``.  Queued as one
+        row when a group is open, otherwise flushed at once."""
+        if type(buf) is np.ndarray and buf.ndim == 1 \
+                and 0 <= count <= buf.size \
+                and dt.name in self.capabilities.mpi_datatypes:
+            arr = buf   # nothing here for ``_check`` to refuse
         else:
-            self._execute_group([op])
+            self._check(dt, None, count, (buf, 1))
+            arr = as_array(buf)
+        if not 0 <= peer < len(comm.group):
+            comm.world_rank(peer)   # raises
+        row = (comm, arr if arr.size == count else arr[:count],
+               count * dt.wire_itemsize, peer)
+        queued = _group.queued.get(self)
+        if queued is not None:
+            queued[0].append(row)
+        elif _group.depth:
+            _group.queued[self] = ([row], [])
+        else:
+            self._execute_group([row], [])
 
     def recv(self, comm: XCCLComm, buf, count: int, dt: Datatype,
              peer: int) -> None:
         """``xcclRecv``: from communicator rank ``peer``."""
-        self._check(dt, None, count, (buf, 1))
-        comm.world_rank(peer)
-        op = _GroupOp("recv", self, comm, buf, count, dt, peer)
-        if _group.depth > 0:
-            _group.ops.append(op)
+        if type(buf) is np.ndarray and buf.ndim == 1 \
+                and 0 <= count <= buf.size \
+                and dt.name in self.capabilities.mpi_datatypes:
+            arr = buf   # nothing here for ``_check`` to refuse
         else:
-            self._execute_group([op])
+            self._check(dt, None, count, (buf, 1))
+            arr = as_array(buf)
+        if not 0 <= peer < len(comm.group):
+            comm.world_rank(peer)   # raises
+        row = (comm, arr if arr.size == count else arr[:count],
+               count * dt.wire_itemsize, peer)
+        queued = _group.queued.get(self)
+        if queued is not None:
+            queued[1].append(row)
+        elif _group.depth:
+            _group.queued[self] = ([], [row])
+        else:
+            self._execute_group([], [row])
 
     def _route_pricing(self, comm: XCCLComm, peer: int, bidir: bool):
         """Size-independent route pricing for one CCL p2p flow to
@@ -269,45 +367,53 @@ class CCLBackend:
         return Message(src, dst, 0, payload, depart, arrival, nbytes,
                        _MSG_META, _MSG_KIND, uid, seq)
 
-    def _stage(self, ctx, sends: Sequence[_GroupOp], recvs: Sequence[_GroupOp],
-               t0: float, aliased):
-        """Turn the sends of one flush into columns, in program order
-        and in one pass: ``(seqs, rows, by_dst)`` — per send its
-        sequence number and ``(payload, nbytes, depart, arrival)``, and
-        the sends' positions per destination world rank.
+    def _stage(self, ctx, sends: Sequence[tuple], recvs: Sequence[tuple],
+               t0: float, borrow: bool):
+        """Turn the send rows of one flush into columns, in program
+        order and in one pass with no call per row: ``(seqs, rows,
+        by_dst)`` — per send its sequence number and ``(payload, nbytes,
+        depart, arrival)``, and the sends' positions per destination
+        world rank.
 
-        ``aliased`` is the copy-on-write probe over the flush's receive
-        windows (None on the transport that always snapshots).  Route
+        ``borrow``: the transport's exit is synchronized on every rank,
+        so a send may travel as a borrowed read-only view of its window
+        unless it aliases a receive window of the flush (copy-on-write,
+        :func:`_aliasing`); otherwise every send is snapshotted.  Route
         pricing is walked once per (peer, direction) and replayed from
         the communicator — topology and backend constants are immutable
-        — and the flush is booked under one tracker lock, in program
+        — and the flush is booked in one ``book_many``, in program
         order; counters are bumped once, with the flush's totals."""
         # flows that both send to and receive from a peer in this batch
         # run both directions simultaneously (bibw, alltoall patterns)
-        recv_from = {(id(op.comm), op.peer) for op in recvs}
+        recv_from = {(row[0], row[3]) for row in recvs}
+        probe = _aliasing(sends, recvs) if borrow else None
         seqs: List[int] = []
         staged = []     # (payload, nbytes, booking | None for a self-copy)
         by_dst: Dict[int, List[int]] = {}
         bookings = []
         forced = 0
-        for op in sends:
-            comm, peer = op.comm, op.peer
-            nbytes = op.count * op.dt.wire_itemsize
-            view = as_array(op.buf)[:op.count]
-            if aliased is None or aliased(view):
-                # in-place patterns (send segment aliased with a receive
+        for comm, view, nbytes, peer in sends:
+            if not borrow or probe is not None and probe(view):
+                # in-place patterns (send window aliased with a receive
                 # window) keep copy-on-write semantics; a storage-free
                 # view is its own snapshot
                 payload = view.copy() if view.strides[0] else view
                 forced += 1
             else:
-                payload = borrow_view(view)
+                # lent as a read-only view: a window cut from a lent send
+                # buffer (the §3.3 collectives lend theirs) already is one
+                payload = borrow_view(view) if view.flags.writeable \
+                    else view
             by_dst.setdefault(comm.group[peer], []).append(len(seqs))
-            seqs.append(comm.next_send_seq(peer))
+            counters = comm.send_seq
+            if counters is None:
+                counters = comm.send_seq = [0] * len(comm.group)
+            counters[peer] = seq = counters[peer] + 1
+            seqs.append(seq)
             if peer == comm.rank:
                 staged.append((payload, nbytes, None))
                 continue
-            key = (peer, (id(comm), peer) in recv_from)
+            key = (peer, (comm, peer) in recv_from)
             priced = comm.route_pricing.get(key)
             if priced is None:
                 priced = comm.route_pricing[key] = \
@@ -320,19 +426,21 @@ class CCLBackend:
         rows = [(payload, nbytes, t0, t0 + 0.5 if bi is None else arrivals[bi])
                 for payload, nbytes, bi in staged]
         fastpath.STATS.note_fusion_flush(len(rows))
-        if aliased is not None:
+        if borrow:
             fastpath.STATS.note_copy_forced(forced)
             fastpath.STATS.note_copy_elided(len(rows) - forced)
         return seqs, rows, by_dst
 
-    def _execute_group(self, ops: Sequence[_GroupOp],
+    def _execute_group(self, sends: Sequence[tuple], recvs: Sequence[tuple],
                        exchange: Optional[XCCLComm] = None) -> None:
-        """Launch a batch of queued p2p ops: one launch overhead, all
-        sends posted, all receives matched, the clock merged at the end.
+        """Launch a batch of queued rows: one launch overhead, all sends
+        posted, all receives matched, the clock merged at the end.
 
-        The ops are staged once (:meth:`_stage`); two transports then
-        deliver the same columns, so per-message virtual times are
-        identical (same pricing, same wire bookings, same order):
+        The rows stay columns from the first queued op to the last
+        copy-out: :meth:`_stage` numbers, prices and books the sends in
+        one pass, and two transports deliver the same columns, so
+        per-message virtual times are identical (same pricing, same
+        wire bookings, same order):
 
         * bulk: the rows become ``Message`` objects, one ``post_many``
           per peer (through the mailbox's fault filter, if any), recvs
@@ -344,44 +452,42 @@ class CCLBackend:
           ``Message`` only for inbound rows no receive of this group
           claims.
 
-        A fault plan's message rules filter mailbox deliveries, which
-        the rendezvous bypasses: while they are installed a hinted group
-        takes the bulk path — on every rank alike, so all parties agree
-        on the transport.
+        Receive windows are filled by :func:`_land`, with no call per
+        row.  A fault plan's message rules filter mailbox deliveries,
+        which the rendezvous bypasses: while they are installed a hinted
+        group takes the bulk path — on every rank alike, so all parties
+        agree on the transport.  (The transports release ranks in
+        different orders, and the wire tracker serves contended links
+        in the order ranks reach it: on multi-node runs a later flush
+        can end at other clocks after a fallback.)
         """
-        ctx = (exchange or ops[0].comm).ctx
+        ctx = (exchange or (sends or recvs)[0][0]).ctx
         use_exchange = (exchange is not None
                         and not ctx.engine.any_mailbox_patched)
         if exchange is not None and not use_exchange:
             fastpath.STATS.note_fusion_fallback()
-        if not ops and not use_exchange:
-            return
         # transport label for trace events: which of the delivery paths
         # this batch took (observability only)
         transport = "exchange" if use_exchange else "bulk"
 
-        if ops:
-            spans = any(op.comm.inter_node(op.peer) for op in ops)
+        if sends or recvs:
             t0 = ctx.clock.advance(
                 self.params.launch_us
-                + (self.params.inter_extra_launch_us if spans else 0.0))
-        else:
+                + (self.params.inter_extra_launch_us
+                   if _spans_nodes(sends, recvs) else 0.0))
+        elif use_exchange:
             t0 = ctx.now  # empty exchange-side flush: nothing launched
+        else:
+            return
 
         # stage every send first so symmetric groups cannot deadlock.
         # The whole-group rendezvous is the one transport whose exit is
         # synchronized on every rank, so only there may send snapshots
         # become borrowed views (reclaimed at the consume barrier).
-        sends = [op for op in ops if op.kind == "send"]
-        recvs = [op for op in ops if op.kind == "recv"]
-        targets = [as_array(op.buf)[:op.count] for op in recvs]
-        seqs, rows, by_dst = self._stage(
-            ctx, sends, recvs, t0,
-            aliasing_probe(targets) if use_exchange else None)
+        seqs, rows, by_dst = self._stage(ctx, sends, recvs, t0, use_exchange)
         if ctx.trace.enabled:
-            for op, row in zip(sends, rows):
-                ctx.trace.record("ccl-send", t0, t0,
-                                 peer=op.comm.group[op.peer],
+            for (comm, _v, _n, peer), row in zip(sends, rows):
+                ctx.trace.record("ccl-send", t0, t0, peer=comm.group[peer],
                                  nbytes=row[1], label=transport)
 
         arrivals_in: List[float] = [t0]
@@ -389,16 +495,20 @@ class CCLBackend:
         if not use_exchange:
             for world, mine in by_dst.items():
                 ctx.mailbox_of(world).post_many([
-                    self._message(ctx.rank, world, sends[i].comm.uid,
+                    self._message(ctx.rank, world, sends[i][0].uid,
                                   seqs[i], rows[i]) for i in mine])
+            specs = []
+            for comm, _t, _n, peer in recvs:
+                counters = comm.recv_seq
+                if counters is None:
+                    counters = comm.recv_seq = [0] * len(comm.group)
+                counters[peer] = seq = counters[peer] + 1
+                specs.append((comm.group[peer], ANY_TAG,
+                              self._seq_matcher(comm.uid, seq)))
             matched = ctx.mailbox.match_many(
-                [(op.comm.group[op.peer], ANY_TAG,
-                  self._seq_matcher(op.comm.uid,
-                                    op.comm.next_recv_seq(op.peer)))
-                 for op in recvs],
-                abort=functools.partial(doomed, self._recv_scope(recvs)))
-            self._drain_recvs(ctx, zip(recvs, targets, map(_row_of, matched)),
-                              arrivals_in, transport)
+                specs, abort=functools.partial(doomed, _recv_scope(recvs)))
+            _land(ctx, recvs, [_row_of(m) for m in matched], arrivals_in,
+                  transport)
         else:
             assert exchange is not None
             slot = ctx.collective_slot(exchange.next_group_key(),
@@ -409,74 +519,51 @@ class CCLBackend:
                                             (seqs, rows), ctx.rank)
                        for i in mine}
             fastpath.STATS.note_fusion_exchange()
-            exchanged, pending = [], []
-            for op, target in zip(recvs, targets):
-                seq = exchange.next_recv_seq(op.peer)
-                row = inbound.pop((op.peer, seq), None)
-                if row is None:
+            counters = exchange.recv_seq
+            if counters is None:
+                counters = exchange.recv_seq = [0] * exchange.size
+            claimed, landed, pending = [], [], []
+            for row in recvs:
+                peer = row[3]
+                counters[peer] = seq = counters[peer] + 1
+                got = inbound.pop((peer, seq), None)
+                if got is None:
                     # sent outside this group call (mixed patterns):
                     # fall back to the mailbox.  The blocking match is
                     # deferred past the consume barrier — the sender
                     # may only post this message after leaving its own
                     # group.
-                    pending.append((op, target, seq))
+                    pending.append((row, seq))
                 else:
-                    exchanged.append((op, target, row))
+                    claimed.append(row)
+                    landed.append(got)
             fastpath.STATS.note_fusion_fallback(len(pending))
             if inbound:
                 # inbound mail this group's recvs did not claim stays
                 # receivable by a later group or recv; borrowed views
                 # must not escape the barrier, so materialize them
                 unclaimed = []
-                for (sender, seq), row in inbound.items():
-                    if not row[0].flags.writeable:
-                        if row[0].strides[0]:
-                            row = (row[0].copy(),) + row[1:]
+                for (sender, seq), got in inbound.items():
+                    if not got[0].flags.writeable:
+                        if got[0].strides[0]:
+                            got = (got[0].copy(),) + got[1:]
                         fastpath.STATS.note_copy_forced()
                     unclaimed.append(self._message(
                         exchange.group[sender], ctx.rank, exchange.uid,
-                        seq, row))
+                        seq, got))
                 ctx.mailbox.post_many(unclaimed)
-            # drain every exchanged view first, then release all
-            # senders at the consume barrier; only then may the
-            # deferred fallback matches block on late traffic
-            self._drain_recvs(ctx, exchanged, arrivals_in, transport)
+            # land every exchanged view first, then release all senders
+            # at the consume barrier; only then may the deferred
+            # fallback matches block on late traffic
+            _land(ctx, claimed, landed, arrivals_in, transport)
             slot.consume_barrier(exchange.rank)
-            for op, target, seq in pending:
-                peer_world = exchange.group[op.peer]
+            for row, seq in pending:
                 msg = ctx.mailbox.match(
-                    src=peer_world,
+                    src=exchange.group[row[3]],
                     where=self._seq_matcher(exchange.uid, seq),
                     abort=functools.partial(doomed, exchange.record.scope))
-                self._drain_recvs(ctx, [(op, target, _row_of(msg))],
-                                  arrivals_in, "fallback")
+                _land(ctx, [row], [_row_of(msg)], arrivals_in, "fallback")
         ctx.clock.merge_many(arrivals_in)
-
-    @staticmethod
-    def _recv_scope(recvs: Sequence[_GroupOp]):
-        """The scope the bulk receive of a flush asks ``doomed`` about:
-        its communicator's — or, for a batch mixing communicators, none,
-        so only the peers' deaths count."""
-        comm = recvs[0].comm if recvs else None
-        if comm is None or any(op.comm is not comm for op in recvs):
-            return None
-        return comm.record.scope
-
-    @staticmethod
-    def _drain_recvs(ctx, matched, arrivals: List[float],
-                     transport: str = "") -> None:
-        """Copy matched rows — ``(recv op, window, row)`` each — into
-        their receive windows, appending each arrival time to
-        ``arrivals`` (the caller merges the batch's max into its clock
-        in one step).  ``transport`` labels the trace events with the
-        delivery path the batch took."""
-        for op, target, (payload, nbytes, depart, arrival) in matched:
-            copy_payload(target, payload)
-            arrivals.append(arrival)
-            if ctx.trace.enabled:
-                ctx.trace.record("ccl-recv", depart, arrival,
-                                 peer=op.comm.group[op.peer],
-                                 nbytes=nbytes, label=transport)
 
     # -- fused built-in collectives ------------------------------------------
 

@@ -27,11 +27,11 @@ routing, and the datatype/op fallbacks all follow from the data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import FrozenSet, Iterable, Tuple
 
 from repro.errors import MPIXNegotiationError
-from repro.xccl.datatypes import ccl_dtype_name
+from repro.xccl.datatypes import mpi_names
 
 #: reduce ops every modeled CCL implements (no user-defined ops, no
 #: logical/bitwise ops in any vendor CCL).  The per-backend descriptors
@@ -65,11 +65,18 @@ class CapabilityDescriptor:
     residency: str = "device"
     max_ranks: int = 1 << 16
     wire_formats: Tuple[str, ...] = (WIRE_DEVICE, WIRE_HOST)
+    #: the MPI datatype names ``datatypes`` covers (derived): what the
+    #: per-call checks test, one set membership each
+    mpi_datatypes: FrozenSet[str] = field(init=False, repr=False,
+                                          compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "mpi_datatypes", mpi_names(self.datatypes))
 
     def allows_datatype(self, dt) -> bool:
         """Whether this descriptor covers MPI datatype ``dt`` (the
         "Datatype support" box of Fig. 2)."""
-        return ccl_dtype_name(dt) in self.datatypes
+        return dt.name in self.mpi_datatypes
 
     def allows_op(self, op) -> bool:
         """Whether this descriptor covers reduction op ``op`` (the

@@ -10,8 +10,7 @@ it.
 from __future__ import annotations
 
 import itertools
-from collections import defaultdict
-from typing import Dict, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import CCLInvalidArgument
 from repro.perfmodel.shape import CommShape
@@ -56,10 +55,15 @@ class XCCLComm:
         self.rank = rank
         self._coll_seq = itertools.count(1)
         self._group_seq = itertools.count(1)
-        self._send_seq: Dict[int, itertools.count] = defaultdict(lambda: itertools.count(1))
-        self._recv_seq: Dict[int, itertools.count] = defaultdict(lambda: itertools.count(1))
+        #: per communicator rank, the sequence number of the last p2p
+        #: send to it / receive from it (program order; a group flush
+        #: numbers its rows from these in place).  None until the first
+        #: flush with a row of that kind: a member that never sends or
+        #: receives point-to-point holds no list as long as the group
+        self.send_seq: Optional[List[int]] = None
+        self.recv_seq: Optional[List[int]] = None
         #: compiled chunk geometry (counts/displs tuples) reused by the
-        #: send-recv collectives when the plan fast path is on.
+        #: send-recv collectives on every call of one shape.
         self.plan_geometry: Dict[Tuple, Tuple] = {}
         #: compiled p2p route pricing per (peer rank, bidir) — the
         #: size-independent (resources, beta, alpha base, store-forward
@@ -79,11 +83,6 @@ class XCCLComm:
         """Topology shape of the communicator (its record's)."""
         return self.record.shape
 
-    def inter_node(self, peer: int) -> bool:
-        """Whether communicator rank ``peer`` is on another node."""
-        nodes = self.record.nodes
-        return nodes[peer] != nodes[self.rank]
-
     def world_rank(self, comm_rank: int) -> int:
         """Translate a communicator rank to a world rank."""
         if not 0 <= comm_rank < len(self.group):
@@ -101,14 +100,6 @@ class XCCLComm:
         own counter: only hinted groups draw from it, so the built-in
         collectives' keys do not depend on how many groups ran."""
         return ("xccl-group", self.uid, next(self._group_seq))
-
-    def next_send_seq(self, dst_rank: int) -> int:
-        """Program-order sequence number for a send to ``dst_rank``."""
-        return next(self._send_seq[dst_rank])
-
-    def next_recv_seq(self, src_rank: int) -> int:
-        """Program-order sequence number for a recv from ``src_rank``."""
-        return next(self._recv_seq[src_rank])
 
     def destroy(self) -> None:
         """``ncclCommDestroy``: mark the communicator unusable and give

@@ -56,6 +56,12 @@ NCCL_FAMILY_TYPES: FrozenSet[str] = frozenset({
 HCCL_TYPES: FrozenSet[str] = frozenset({"xcclFloat32"})
 
 
+def mpi_names(ccl_types: FrozenSet[str]) -> FrozenSet[str]:
+    """The MPI datatype names whose xccl name is in ``ccl_types``."""
+    return frozenset(mpi for mpi, ccl in _CCL_NAMES.items()
+                     if ccl in ccl_types)
+
+
 def ccl_dtype_name(dt: Datatype) -> Optional[str]:
     """The xccl datatype name for an MPI datatype, or None when no CCL
     can represent it (complex, bool, 16-bit ints)."""

@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro.core import runtime
 from repro.errors import (MPICommError, MPICountError, MPIRankError,
                           RankFailedError)
 from repro.mpi import SUM, Communicator
+from repro.mpi.communicator import IN_PLACE
 from repro.mpi.config import mvapich_gpu
 from repro.sim.engine import Engine
 
@@ -242,6 +244,123 @@ class TestCollectiveArguments:
             return r.array[0]
 
         assert spmd(thetagpu1, body, nranks=4) == [4.0] * 4
+
+
+ROUTES = ("pure_mpi", "pure_xccl", "hybrid")
+
+#: the ten uniform-count collectives, each as ``(comm, send, recv, n)``
+#: with ``count=n`` and root 0 where there is one
+UNIFORM = {
+    "Bcast": lambda c, s, r, n: c.Bcast(r, 0, count=n),
+    "Reduce": lambda c, s, r, n: c.Reduce(s, r, SUM, 0, count=n),
+    "Allreduce": lambda c, s, r, n: c.Allreduce(s, r, SUM, count=n),
+    "Allgather": lambda c, s, r, n: c.Allgather(s, r, count=n),
+    "Alltoall": lambda c, s, r, n: c.Alltoall(s, r, count=n),
+    "Reduce_scatter_block":
+        lambda c, s, r, n: c.Reduce_scatter_block(s, r, SUM, count=n),
+    "Gather": lambda c, s, r, n: c.Gather(s, r, 0, count=n),
+    "Scatter": lambda c, s, r, n: c.Scatter(s, r, 0, count=n),
+    "Scan": lambda c, s, r, n: c.Scan(s, r, SUM, count=n),
+    "Exscan": lambda c, s, r, n: c.Exscan(s, r, SUM, count=n),
+}
+
+
+def _zero_count_body(mpx):
+    """Every uniform collective at ``count=0``: nothing is written."""
+    comm = mpx.COMM_WORLD
+    s = mpx.device_array(4 * comm.size, fill=comm.rank + 1)
+    r = mpx.device_array(4 * comm.size, fill=-1.0)
+    for call in UNIFORM.values():
+        call(comm, s, r, 0)
+    return r.array.tolist()
+
+
+@pytest.mark.parametrize("nodes,rpn", [(1, 3), (2, 4)])
+@pytest.mark.parametrize("mode", ROUTES)
+def test_zero_count_is_a_no_op_on_every_route(mode, nodes, rpn):
+    """``count=0`` moves nothing and returns on every route; the Bruck
+    alltoall of the MPI route once raised numpy's ``cannot reshape``
+    from ``reshape(-1, 0)``."""
+    out = runtime.run(_zero_count_body, system="thetagpu", nodes=nodes,
+                      ranks_per_node=rpn, mode=mode)
+    assert out == [[-1.0] * 4 * nodes * rpn] * (nodes * rpn)
+
+
+#: an undersized window per uniform collective (4 ranks, ``count=4``):
+#: ``(sizes of send, recv, the text MPICountError carries)``
+UNDERSIZED = {
+    "Alltoall-send": ("Alltoall", 15, 16,
+                      "alltoall: count 4 x 4 does not fit the 15-element "
+                      "send buffer"),
+    "Alltoall-recv": ("Alltoall", 16, 15,
+                      "alltoall: count 4 x 4 does not fit the 15-element "
+                      "receive buffer"),
+    "Allreduce": ("Allreduce", 4, 3,
+                  "allreduce: count 4 x 1 does not fit the 3-element "
+                  "receive buffer"),
+    "Allgather": ("Allgather", 4, 15,
+                  "allgather: count 4 x 4 does not fit the 15-element "
+                  "receive buffer"),
+    "Reduce_scatter_block": ("Reduce_scatter_block", 15, 4,
+                             "reduce_scatter_block: count 4 x 4 does not "
+                             "fit the 15-element send buffer"),
+    "Bcast": ("Bcast", 4, 3,
+              "bcast: count 4 x 1 does not fit the 3-element receive "
+              "buffer"),
+}
+
+
+def _undersized_body(mpx, case):
+    """The case's collective on undersized windows: the error text, and
+    whether the clock stayed put and the communicator stayed usable."""
+    comm = mpx.COMM_WORLD
+    coll, nsend, nrecv, _text = UNDERSIZED[case]
+    s = mpx.device_array(nsend, fill=1.0)
+    r = mpx.device_array(nrecv)
+    before = comm.now
+    with pytest.raises(MPICountError) as err:
+        UNIFORM[coll](comm, s, r, 4)
+    still = comm.now == before
+    ok = mpx.device_array(4)
+    comm.Allreduce(mpx.device_array(4, fill=1.0), ok, SUM)
+    return str(err.value), still, float(ok.array[0])
+
+
+@pytest.mark.parametrize("case", sorted(UNDERSIZED))
+@pytest.mark.parametrize("mode", ROUTES)
+def test_undersized_window_fails_alike_on_every_route(mode, case):
+    """A window shorter than what the call moves is refused by the
+    entry point with ``MPICountError``, one text on every route, before
+    any virtual time is spent — where the MPI route once raised numpy's
+    ``cannot reshape`` and the CCL route ``InvalidBufferError`` or
+    ``CCLInvalidUsage`` from inside an algorithm."""
+    out = runtime.run(_undersized_body, system="thetagpu", nodes=1,
+                      ranks_per_node=4, mode=mode, case=case)
+    assert out == [(UNDERSIZED[case][3], True, 4.0)] * 4
+
+
+def test_in_place_and_storage_free_windows_are_checked():
+    """In place, the receive window must also hold the contribution;
+    a storage-free window is judged by its count like a real one."""
+    from repro.hw.systems import make_system
+
+    def body(ctx):
+        comm = world(ctx)
+        p = comm.size
+        r = ctx.device.zeros(4 * p - 1)
+        with pytest.raises(MPICountError, match="15-element receive"):
+            comm.Reduce_scatter_block(IN_PLACE, r, SUM, count=4)
+        comm.Reduce_scatter_block(IN_PLACE, ctx.device.zeros(4 * p), SUM,
+                                  count=4)
+        with pytest.raises(MPICountError, match="15-element receive"):
+            comm.Allgather(IN_PLACE, r, count=4)
+        with pytest.raises(MPICountError, match="3-element send"):
+            comm.Alltoall(ctx.device.zeros(3), ctx.device.zeros(4 * p),
+                          count=4)
+        return True
+
+    engine = Engine(make_system("thetagpu", 1, payloads=False), nranks=4)
+    assert engine.run(body) == [True] * 4
 
 
 class TestNonblockingCollectives:

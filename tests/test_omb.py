@@ -232,6 +232,25 @@ class TestCLI:
         assert fastpath.STATS.snapshot()["dispatch_calls"] == first
         capsys.readouterr()
 
+    @pytest.mark.parametrize("bench", ["alltoallv", "gather", "scatter"])
+    def test_no_pure_ccl_variant_is_a_usage_error(self, bench, capsys,
+                                                  monkeypatch):
+        """The CCL APIs lack these collectives, so ``--stack ccl`` has
+        nothing to run: a usage error naming the stacks that do, raised
+        before an engine is built (it once crashed every rank with
+        ``AttributeError`` from inside the run)."""
+        from repro.omb import cli
+
+        def no_engine(*args, **kwargs):
+            raise AssertionError("an engine was built")
+        monkeypatch.setattr(cli, "Engine", no_engine)
+        with pytest.raises(SystemExit) as exc:
+            cli.main([bench, "--stack", "ccl", "--sizes", "4:64"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"{bench}: no pure-CCL variant" in err
+        assert "hybrid / pure-xccl / mpi / openmpi / ucc" in err
+
     def test_stats_off_by_default(self, capsys):
         from repro.omb.cli import main
         assert main(["allreduce", "--system", "thetagpu", "--sizes", "4:64",
