@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install lint test test-all test-fast bench bench-quick bench-selfcheck bench-claim bench-hier bench-hetero bench-online-tune bench-all check-gates scale-smoke mem-smoke trace-smoke hier-smoke hetero-smoke elastic-smoke report examples tune clean
+.PHONY: install lint test test-all test-fast bench bench-quick bench-selfcheck bench-claim bench-guard bench-hier bench-hetero bench-online-tune bench-all check-gates scale-smoke mem-smoke trace-smoke hier-smoke hetero-smoke elastic-smoke report examples tune clean
 
 install:
 	pip install -e .
@@ -48,6 +48,15 @@ SEED0 ?= 1000
 bench-claim:
 	$(PYTHON) tools/claim_pairs.py --parent $(PARENT) --workload $(W) \
 		--pairs $(PAIRS) --seed0 $(SEED0)
+
+# "must not move" as a command: a few alternating pairs of every
+# workload, each metric's median against its BENCHMARK.json bound
+# (non-zero exit on a failed op or a median worse than its bound)
+#   make bench-guard PARENT=HEAD~1 [PAIRS=3 SEED0=1000]
+bench-guard:
+	$(PYTHON) tools/claim_pairs.py --parent $(PARENT) --workload all \
+		--pairs $(if $(filter command environment,$(origin PAIRS)),$(PAIRS),3) \
+		--seed0 $(SEED0)
 
 # flat vs node-leader vs pipelined hierarchy at 8 -> 512 ranks
 # (several minutes; the 512-rank legs dominate)

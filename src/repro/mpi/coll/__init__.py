@@ -7,6 +7,18 @@ the chosen algorithm.  The xCCL abstraction layer installs its own
 dispatcher in its place (:class:`repro.core.dispatch.CollectivePipeline`)
 — the "hook in the MPI runtime" of §3.3 — and hands it the calls that
 stay on MPI.
+
+An algorithm's rounds go through the communicator's internal round
+entries (``comm._send`` / ``_recv`` / ``_isend`` / ``_irecv`` /
+``_sendrecv``), never through the public point-to-point API.  The
+collective's :class:`~repro.mpi.communicator.CollectiveCall` checked its
+arguments once and its one elastic guard covers every round, so a round
+re-resolves nothing: it translates its peers, re-checks revocation and
+makes one endpoint call.  A message window is ``(buffer, offset,
+count)``, cut by the endpoint; ``seg`` views are for local copies and
+reductions only.  This keeps the small-message route's per-message cost
+in the transport, and makes a round one endpoint call — the unit a
+compiled step program would replay.
 """
 
 from __future__ import annotations

@@ -10,8 +10,12 @@ from repro.mpi.communicator import IN_PLACE
 
 
 def seg(buf, offset: int, count: int):
-    """An element-range view of a buffer or array (zero-copy)."""
+    """An element-range view of a buffer or array (zero-copy) — the
+    buffer itself when the range is all of it — for a local copy or
+    reduction; a message window is ``(buf, offset, count)`` instead."""
     if isinstance(buf, Buffer):
+        if offset == 0 and count == buf.array.size:
+            return buf
         return buf.view(offset, count)
     return as_array(buf)[offset:offset + count]
 

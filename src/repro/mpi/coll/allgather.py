@@ -31,9 +31,8 @@ def allgather_ring(comm, sendbuf, recvbuf, count: int, dt: Datatype) -> None:
     for step in range(p - 1):
         send_block = (rank - step) % p
         recv_block = (rank - step - 1) % p
-        comm.Sendrecv(seg(recvbuf, send_block * count, count), right,
-                      seg(recvbuf, recv_block * count, count), left,
-                      sendtag=tag, datatype=dt)
+        comm._sendrecv(recvbuf, send_block * count, count, right,
+                       recvbuf, recv_block * count, count, left, tag, tag, dt)
 
 
 def allgather_recursive_doubling(comm, sendbuf, recvbuf, count: int,
@@ -48,9 +47,9 @@ def allgather_recursive_doubling(comm, sendbuf, recvbuf, count: int,
         partner = rank ^ mask
         my_lo = (rank // mask) * mask          # aligned owned region
         partner_lo = my_lo ^ mask
-        comm.Sendrecv(seg(recvbuf, my_lo * count, mask * count), partner,
-                      seg(recvbuf, partner_lo * count, mask * count), partner,
-                      sendtag=tag, datatype=dt)
+        comm._sendrecv(recvbuf, my_lo * count, mask * count, partner,
+                       recvbuf, partner_lo * count, mask * count, partner,
+                       tag, tag, dt)
         mask <<= 1
 
 
@@ -72,9 +71,8 @@ def allgather_bruck(comm, sendbuf, recvbuf, count: int, dt: Datatype) -> None:
             cnt = min(have, p - have)
             dst = (rank - have) % p
             src = (rank + have) % p
-            comm.Sendrecv(seg(tmp, 0, cnt * count), dst,
-                          seg(tmp, have * count, cnt * count), src,
-                          sendtag=tag, datatype=dt)
+            comm._sendrecv(tmp, 0, cnt * count, dst, tmp, have * count,
+                           cnt * count, src, tag, tag, dt)
             have += cnt
         # tmp[j] holds block of rank (rank + j) % p; rotate into place
         for j in range(p):
@@ -101,6 +99,5 @@ def allgatherv_ring(comm, sendbuf, recvbuf, counts, displs,
     for step in range(p - 1):
         sb = (rank - step) % p
         rb = (rank - step - 1) % p
-        comm.Sendrecv(seg(recvbuf, displs[sb], counts[sb]), right,
-                      seg(recvbuf, displs[rb], counts[rb]), left,
-                      sendtag=tag, datatype=dt)
+        comm._sendrecv(recvbuf, displs[sb], counts[sb], right,
+                       recvbuf, displs[rb], counts[rb], left, tag, tag, dt)

@@ -37,11 +37,10 @@ def allreduce_recursive_doubling(comm, sendbuf, recvbuf, count: int,
         # fold the odd ranks into their even neighbours
         if rank < 2 * rem:
             if rank % 2 == 0:
-                comm.Send(acc, rank + 1, tag, count=count, datatype=dt)
+                comm._send(recvbuf, 0, count, rank + 1, tag, dt)
                 newrank = -1
             else:
-                comm.Recv(tseg, source=rank - 1, tag=tag,
-                          count=count, datatype=dt)
+                comm._recv(tmp, 0, count, rank - 1, tag, dt)
                 apply_reduce(comm.ctx, comm.config, op, acc, tseg)
                 newrank = rank // 2
         else:
@@ -54,18 +53,17 @@ def allreduce_recursive_doubling(comm, sendbuf, recvbuf, count: int,
             mask = 1
             while mask < pof2:
                 partner = old(newrank ^ mask)
-                comm.Sendrecv(acc, partner, tseg, partner,
-                              sendtag=tag + 1, datatype=dt)
+                comm._sendrecv(recvbuf, 0, count, partner, tmp, 0, count,
+                               partner, tag + 1, tag + 1, dt)
                 apply_reduce(comm.ctx, comm.config, op, acc, tseg)
                 mask <<= 1
 
         # return results to the folded ranks
         if rank < 2 * rem:
             if rank % 2 == 1:
-                comm.Send(acc, rank - 1, tag + 2, count=count, datatype=dt)
+                comm._send(recvbuf, 0, count, rank - 1, tag + 2, dt)
             else:
-                comm.Recv(acc, source=rank + 1, tag=tag + 2,
-                          count=count, datatype=dt)
+                comm._recv(recvbuf, 0, count, rank + 1, tag + 2, dt)
     finally:
         release_staging(comm.ctx, tmp)
 
@@ -93,9 +91,8 @@ def allreduce_ring(comm, sendbuf, recvbuf, count: int, dt: Datatype,
             recv_chunk = (rank - step - 1) % p
             soff, ssize = bounds[send_chunk]
             roff, rsize = bounds[recv_chunk]
-            comm.Sendrecv(seg(recvbuf, soff, ssize), right,
-                          seg(tmp, 0, rsize), left,
-                          sendtag=tag, datatype=dt)
+            comm._sendrecv(recvbuf, soff, ssize, right, tmp, 0, rsize, left,
+                           tag, tag, dt)
             if rsize:
                 apply_reduce(comm.ctx, comm.config, op,
                              seg(recvbuf, roff, rsize), seg(tmp, 0, rsize))
@@ -106,9 +103,8 @@ def allreduce_ring(comm, sendbuf, recvbuf, count: int, dt: Datatype,
             recv_chunk = (rank - step) % p
             soff, ssize = bounds[send_chunk]
             roff, rsize = bounds[recv_chunk]
-            comm.Sendrecv(seg(recvbuf, soff, ssize), right,
-                          seg(recvbuf, roff, rsize), left,
-                          sendtag=tag + 1, datatype=dt)
+            comm._sendrecv(recvbuf, soff, ssize, right, recvbuf, roff, rsize,
+                           left, tag + 1, tag + 1, dt)
     finally:
         release_staging(comm.ctx, tmp)
 
@@ -150,9 +146,8 @@ def allreduce_rabenseifner(comm, sendbuf, recvbuf, count: int, dt: Datatype,
                 soff, ssize = span(lo, mid)
                 roff, rsize = span(mid, hi)
                 hi_next = (mid, hi)
-            comm.Sendrecv(seg(recvbuf, soff, ssize), partner,
-                          seg(tmp, 0, rsize), partner,
-                          sendtag=tag, datatype=dt)
+            comm._sendrecv(recvbuf, soff, ssize, partner, tmp, 0, rsize,
+                           partner, tag, tag, dt)
             apply_reduce(comm.ctx, comm.config, op,
                          seg(recvbuf, roff, rsize), seg(tmp, 0, rsize))
             lo, hi = hi_next
@@ -168,9 +163,8 @@ def allreduce_rabenseifner(comm, sendbuf, recvbuf, count: int, dt: Datatype,
             partner_lo = my_lo ^ mask
             soff, ssize = span(my_lo, my_lo + mask)
             roff, rsize = span(partner_lo, partner_lo + mask)
-            comm.Sendrecv(seg(recvbuf, soff, ssize), partner,
-                          seg(recvbuf, roff, rsize), partner,
-                          sendtag=tag + 1, datatype=dt)
+            comm._sendrecv(recvbuf, soff, ssize, partner, recvbuf, roff,
+                           rsize, partner, tag + 1, tag + 1, dt)
             mask <<= 1
     finally:
         release_staging(comm.ctx, tmp)

@@ -29,12 +29,10 @@ def alltoall_scattered(comm, sendbuf, recvbuf, count: int, dt: Datatype) -> None
     reqs = []
     for off in range(1, p):
         src = (rank - off) % p
-        reqs.append(comm.Irecv(seg(recvbuf, src * count, count),
-                               source=src, tag=tag, count=count, datatype=dt))
+        reqs.append(comm._irecv(recvbuf, src * count, count, src, tag, dt))
     for off in range(1, p):
         dst = (rank + off) % p
-        reqs.append(comm.Isend(seg(sendbuf, dst * count, count),
-                               dst, tag, count=count, datatype=dt))
+        reqs.append(comm._isend(sendbuf, dst * count, count, dst, tag, dt))
     waitall(reqs)
 
 
@@ -47,9 +45,8 @@ def alltoall_pairwise(comm, sendbuf, recvbuf, count: int, dt: Datatype) -> None:
     for step in range(1, p):
         dst = (rank + step) % p
         src = (rank - step) % p
-        comm.Sendrecv(seg(sendbuf, dst * count, count), dst,
-                      seg(recvbuf, src * count, count), src,
-                      sendtag=tag, datatype=dt)
+        comm._sendrecv(sendbuf, dst * count, count, dst,
+                       recvbuf, src * count, count, src, tag, tag, dt)
 
 
 #: compiled Bruck geometry per (p, rank): the phase-1/3 rotation
@@ -119,8 +116,7 @@ def alltoall_bruck(comm, sendbuf, recvbuf, count: int, dt: Datatype) -> None:
             comm.ctx.clock.advance(0.2 + n * itemsize / 24000.0)
             dst = (rank + bit) % p
             src = (rank - bit) % p
-            comm.Sendrecv(seg(pack, 0, n), dst, seg(unpack, 0, n), src,
-                          sendtag=tag, datatype=dt)
+            comm._sendrecv(pack, 0, n, dst, unpack, 0, n, src, tag, tag, dt)
             if stored:
                 tmp2d[idxs] = unpack2d[:k]
             comm.ctx.clock.advance(0.2 + n * itemsize / 24000.0)
@@ -152,12 +148,11 @@ def alltoallv_scattered(comm, sendbuf, sendcounts, sdispls,
     for off in range(1, p):
         src = (rank - off) % p
         if recvcounts[src]:
-            reqs.append(comm.Irecv(seg(recvbuf, rdispls[src], recvcounts[src]),
-                                   source=src, tag=tag,
-                                   count=recvcounts[src], datatype=dt))
+            reqs.append(comm._irecv(recvbuf, rdispls[src], recvcounts[src],
+                                    src, tag, dt))
     for off in range(1, p):
         dst = (rank + off) % p
         if sendcounts[dst]:
-            reqs.append(comm.Isend(seg(sendbuf, sdispls[dst], sendcounts[dst]),
-                                   dst, tag, count=sendcounts[dst], datatype=dt))
+            reqs.append(comm._isend(sendbuf, sdispls[dst], sendcounts[dst],
+                                    dst, tag, dt))
     waitall(reqs)

@@ -26,7 +26,7 @@ def barrier_dissemination(comm) -> None:
     while step < p:
         dst = (rank + step) % p
         src = (rank - step) % p
-        comm.Sendrecv(_TOKEN, dst, _SINK, src, sendtag=tag, datatype=BYTE)
+        comm._sendrecv(_TOKEN, 0, 0, dst, _SINK, 0, 0, src, tag, tag, BYTE)
         step <<= 1
 
 
@@ -40,8 +40,7 @@ def scan_linear(comm, sendbuf, recvbuf, count: int, dt: Datatype,
     if rank > 0:
         tmp = acquire_staging(comm.ctx, recvbuf, count, dt.storage)
         try:
-            comm.Recv(seg(tmp, 0, count), source=rank - 1, tag=tag,
-                      count=count, datatype=dt)
+            comm._recv(tmp, 0, count, rank - 1, tag, dt)
             # rank order matters for non-commutative ops: acc = prev op mine
             a = seg(tmp, 0, count)
             apply_reduce(comm.ctx, comm.config, op, a, seg(recvbuf, 0, count))
@@ -49,8 +48,7 @@ def scan_linear(comm, sendbuf, recvbuf, count: int, dt: Datatype,
         finally:
             release_staging(comm.ctx, tmp)
     if rank < p - 1:
-        comm.Send(seg(recvbuf, 0, count), rank + 1, tag,
-                  count=count, datatype=dt)
+        comm._send(recvbuf, 0, count, rank + 1, tag, dt)
 
 
 def exscan_linear(comm, sendbuf, recvbuf, count: int, dt: Datatype,
@@ -65,8 +63,7 @@ def exscan_linear(comm, sendbuf, recvbuf, count: int, dt: Datatype,
         if rank == 0:
             local_copy(comm.ctx, seg(acc, 0, count), seg(contrib, 0, count))
         else:
-            comm.Recv(seg(acc, 0, count), source=rank - 1, tag=tag,
-                      count=count, datatype=dt)
+            comm._recv(acc, 0, count, rank - 1, tag, dt)
             mine = acquire_staging(comm.ctx, recvbuf, count, dt.storage)
             try:
                 local_copy(comm.ctx, seg(mine, 0, count),
@@ -78,7 +75,6 @@ def exscan_linear(comm, sendbuf, recvbuf, count: int, dt: Datatype,
             finally:
                 release_staging(comm.ctx, mine)
         if rank < p - 1:
-            comm.Send(seg(acc, 0, count), rank + 1, tag, count=count,
-                      datatype=dt)
+            comm._send(acc, 0, count, rank + 1, tag, dt)
     finally:
         release_staging(comm.ctx, acc)

@@ -7,7 +7,7 @@ for small messages.  Scatter-allgather moves ``2n(p-1)/p`` bytes over
 
 from __future__ import annotations
 
-from repro.mpi.coll._util import chunk_bounds, seg
+from repro.mpi.coll._util import chunk_bounds
 from repro.mpi.datatypes import Datatype
 
 
@@ -22,14 +22,14 @@ def bcast_binomial(comm, buf, count: int, dt: Datatype, root: int) -> None:
     while mask < p:
         if rel & mask:
             src = (rel - mask + root) % p
-            comm.Recv(buf, source=src, tag=tag, count=count, datatype=dt)
+            comm._recv(buf, 0, count, src, tag, dt)
             break
         mask <<= 1
     mask >>= 1
     while mask > 0:
         if rel + mask < p:
             dst = (rel + mask + root) % p
-            comm.Send(buf, dst, tag, count=count, datatype=dt)
+            comm._send(buf, 0, count, dst, tag, dt)
         mask >>= 1
 
 
@@ -62,8 +62,7 @@ def bcast_scatter_ring_allgather(comm, buf, count: int, dt: Datatype,
             src = (rel - mask + root) % p
             extent = min(mask, p - rel)
             off, size = span(rel, rel + extent)
-            comm.Recv(seg(buf, off, size), source=src, tag=tag,
-                      count=size, datatype=dt)
+            comm._recv(buf, off, size, src, tag, dt)
             break
         mask <<= 1
     if rel == 0:
@@ -74,7 +73,7 @@ def bcast_scatter_ring_allgather(comm, buf, count: int, dt: Datatype,
             child = (rel + mask + root) % p
             child_extent = min(mask, p - (rel + mask))
             off, size = span(rel + mask, rel + mask + child_extent)
-            comm.Send(seg(buf, off, size), child, tag, count=size, datatype=dt)
+            comm._send(buf, off, size, child, tag, dt)
             extent = mask
         mask >>= 1
 
@@ -86,6 +85,5 @@ def bcast_scatter_ring_allgather(comm, buf, count: int, dt: Datatype,
         recv_chunk = (rel - step - 1) % p
         soff, ssize = bounds[send_chunk]
         roff, rsize = bounds[recv_chunk]
-        comm.Sendrecv(seg(buf, soff, ssize), right,
-                      seg(buf, roff, rsize), left,
-                      sendtag=tag + 1, datatype=dt)
+        comm._sendrecv(buf, soff, ssize, right, buf, roff, rsize, left,
+                       tag + 1, tag + 1, dt)

@@ -23,10 +23,9 @@ def gather_linear(comm, sendbuf, recvbuf, count: int, dt: Datatype,
                        seg(sendbuf, 0, count))
         for r in range(p):
             if r != root:
-                comm.Recv(seg(recvbuf, r * count, count), source=r, tag=tag,
-                          count=count, datatype=dt)
+                comm._recv(recvbuf, r * count, count, r, tag, dt)
     else:
-        comm.Send(seg(sendbuf, 0, count), root, tag, count=count, datatype=dt)
+        comm._send(sendbuf, 0, count, root, tag, dt)
 
 
 def gather_binomial(comm, sendbuf, recvbuf, count: int, dt: Datatype,
@@ -54,16 +53,14 @@ def gather_binomial(comm, sendbuf, recvbuf, count: int, dt: Datatype,
         while mask < p:
             if rel & mask:
                 parent = ((rel - mask) + root) % p
-                comm.Send(seg(work, 0, have * count), parent, tag,
-                          count=have * count, datatype=dt)
+                comm._send(work, 0, have * count, parent, tag, dt)
                 break
             child_rel = rel | mask
             if child_rel < p:
                 child = (child_rel + root) % p
                 child_have = min(mask, p - child_rel)
-                comm.Recv(seg(work, mask * count, child_have * count),
-                          source=child, tag=tag,
-                          count=child_have * count, datatype=dt)
+                comm._recv(work, mask * count, child_have * count, child,
+                           tag, dt)
                 have = mask + child_have
             mask <<= 1
         if rel == 0:
@@ -89,11 +86,9 @@ def gatherv_linear(comm, sendbuf, recvbuf, counts, displs, dt: Datatype,
                        seg(sendbuf, 0, counts[rank]))
         for r in range(p):
             if r != root and counts[r]:
-                comm.Recv(seg(recvbuf, displs[r], counts[r]), source=r,
-                          tag=tag, count=counts[r], datatype=dt)
+                comm._recv(recvbuf, displs[r], counts[r], r, tag, dt)
     elif counts[rank]:
-        comm.Send(seg(sendbuf, 0, counts[rank]), root, tag,
-                  count=counts[rank], datatype=dt)
+        comm._send(sendbuf, 0, counts[rank], root, tag, dt)
 
 
 def scatter_linear(comm, sendbuf, recvbuf, count: int, dt: Datatype,
@@ -104,14 +99,12 @@ def scatter_linear(comm, sendbuf, recvbuf, count: int, dt: Datatype,
     if rank == root:
         for r in range(p):
             if r != root:
-                comm.Send(seg(sendbuf, r * count, count), r, tag,
-                          count=count, datatype=dt)
+                comm._send(sendbuf, r * count, count, r, tag, dt)
         if not is_inplace(recvbuf):
             local_copy(comm.ctx, seg(recvbuf, 0, count),
                        seg(sendbuf, rank * count, count))
     else:
-        comm.Recv(seg(recvbuf, 0, count), source=root, tag=tag,
-                  count=count, datatype=dt)
+        comm._recv(recvbuf, 0, count, root, tag, dt)
 
 
 def scatter_binomial(comm, sendbuf, recvbuf, count: int, dt: Datatype,
@@ -144,8 +137,7 @@ def scatter_binomial(comm, sendbuf, recvbuf, count: int, dt: Datatype,
                 if rel & mask:
                     parent = ((rel - mask) + root) % p
                     have = min(mask, p - rel)
-                    comm.Recv(seg(work, 0, have * count), source=parent,
-                              tag=tag, count=have * count, datatype=dt)
+                    comm._recv(work, 0, have * count, parent, tag, dt)
                     break
                 mask <<= 1
             # children masks mirror binomial bcast: below my lowest set bit
@@ -155,8 +147,8 @@ def scatter_binomial(comm, sendbuf, recvbuf, count: int, dt: Datatype,
             if child_rel < p and have > mask:
                 child = (child_rel + root) % p
                 child_cnt = min(have - mask, mask)
-                comm.Send(seg(work, mask * count, child_cnt * count), child,
-                          tag, count=child_cnt * count, datatype=dt)
+                comm._send(work, mask * count, child_cnt * count, child,
+                           tag, dt)
                 have = mask
             mask >>= 1
         local_copy(comm.ctx, seg(recvbuf, 0, count), seg(work, 0, count))
@@ -172,13 +164,11 @@ def scatterv_linear(comm, sendbuf, counts, displs, recvbuf, dt: Datatype,
     if rank == root:
         for r in range(p):
             if r != root and counts[r]:
-                comm.Send(seg(sendbuf, displs[r], counts[r]), r, tag,
-                          count=counts[r], datatype=dt)
+                comm._send(sendbuf, displs[r], counts[r], r, tag, dt)
         local_copy(comm.ctx, seg(recvbuf, 0, counts[rank]),
                    seg(sendbuf, displs[rank], counts[rank]))
     elif counts[rank]:
-        comm.Recv(seg(recvbuf, 0, counts[rank]), source=root, tag=tag,
-                  count=counts[rank], datatype=dt)
+        comm._recv(recvbuf, 0, counts[rank], root, tag, dt)
 
 
 def _largest_pof2(p: int) -> int:

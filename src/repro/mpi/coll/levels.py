@@ -233,8 +233,8 @@ class _Staged:
                 continue
             peer = ranks[self.inner.rank]
             remote[j] = host_scratch(wire, count)
-            self.parent.Sendrecv(wire, peer, remote[j], peer, sendtag=_TAG + k,
-                                 recvtag=_TAG + j, datatype=dt)
+            self.parent._sendrecv(wire, 0, count, peer, remote[j], 0, count,
+                                  peer, _TAG + k, _TAG + j, dt)
             self.ops += 1
         acc = alloc_like(ctx, buf, count)
         scratch = alloc_like(ctx, buf, count)
@@ -259,12 +259,10 @@ class _Staged:
             wire = self._stage(buf, count)
             for j, ranks in enumerate(fact.groups):
                 if j != home:
-                    comm.Send(wire, ranks[0], tag=_TAG + j, count=count,
-                              datatype=dt)
+                    comm._send(wire, 0, count, ranks[0], _TAG + j, dt)
                     self.ops += 1
         elif self.inner.rank == 0 and fact.mine != home:
-            comm.Recv(seg(buf, 0, count), source=src, tag=_TAG + fact.mine,
-                      count=count, datatype=dt)
+            comm._recv(buf, 0, count, src, _TAG + fact.mine, dt)
 
     def allgather(self, mine, into, counts, dt) -> None:
         """Leaders swap group blocks: ``mine`` is this group's slot of
@@ -274,22 +272,16 @@ class _Staged:
         comm, k = self.parent, self.fact.mine
         wire = self._stage(mine, counts[k])
 
-        def send(peer):
-            comm.Send(wire, peer, tag=_TAG + k, count=counts[k], datatype=dt)
-
         off = 0
         for j, ranks in enumerate(self.fact.groups):
-            slot = seg(into, off, counts[j])
+            if j != k:
+                if k < j:  # of a pair, the lower group sends first
+                    comm._send(wire, 0, counts[k], ranks[0], _TAG + k, dt)
+                comm._recv(into, off, counts[j], ranks[0], _TAG + j, dt)
+                if k > j:
+                    comm._send(wire, 0, counts[k], ranks[0], _TAG + k, dt)
+                self.ops += 1
             off += counts[j]
-            if j == k:
-                continue
-            if k < j:  # of a pair, the lower group sends first
-                send(ranks[0])
-            comm.Recv(slot, source=ranks[0], tag=_TAG + j, count=counts[j],
-                      datatype=dt)
-            if k > j:
-                send(ranks[0])
-            self.ops += 1
 
 
 # -- instances and their sub-communicators -----------------------------------
@@ -449,18 +441,17 @@ def _allreduce_scattered(lv: Levels, buf, count: int, dt, op) -> None:
             if lv.lane is None:
                 # forward the group's shard to this block's lane owner;
                 # take the globally reduced shard back afterwards
-                inner.Send(own, lr % L, tag=lr, count=block, datatype=dt)
-                inner.Recv(own, source=lr % L, tag=p + lr, count=block,
-                           datatype=dt)
+                own_off = coff + lr * block
+                inner._send(buf, own_off, block, lr % L, lr, dt)
+                inner._recv(buf, own_off, block, lr % L, p + lr, dt)
             else:
                 forwarded = range(lr + L, p, L)
                 for j in forwarded:
-                    inner.Recv(shards[j], source=j, tag=j, count=block,
-                               datatype=dt)
+                    inner._recv(buf, coff + j * block, block, j, j, dt)
                 done, *reduced = [lv.outer.allreduce(part, block, dt, op)
                                   for part in shards[lr::L]]
                 for j, part in zip(forwarded, reduced):
-                    inner.Send(part, j, tag=p + j, count=block, datatype=dt)
+                    inner._send(part, 0, block, j, p + j, dt)
         with lv.level("allreduce", "up", "allgather", chunk * nb):
             inner.Allgather(IN_PLACE if done is own else done,
                             seg(buf, coff, chunk), count=block, datatype=dt)
@@ -529,15 +520,14 @@ def reduce_scatter_block(lv: Levels, call) -> None:
         with lv.level("reduce_scatter", "up", "deliver", count * nb):
             for i, r in enumerate(lv.fact.groups[lv.fact.mine]):
                 owner = (r * count) // block
-                piece = seg(staging, r * count, count)
                 if owner == i:
                     if i == inner.rank:
-                        local_copy(ctx, seg(recvbuf, 0, count), piece)
+                        local_copy(ctx, seg(recvbuf, 0, count),
+                                   seg(staging, r * count, count))
                 elif inner.rank == owner:
-                    inner.Send(piece, i, tag=i, count=count, datatype=dt)
+                    inner._send(staging, r * count, count, i, i, dt)
                 elif inner.rank == i:
-                    inner.Recv(seg(recvbuf, 0, count), source=owner, tag=i,
-                               count=count, datatype=dt)
+                    inner._recv(recvbuf, 0, count, owner, i, dt)
     else:
         _reduce_rooted(lv, "reduce_scatter", contrib, staging, total, dt, op,
                        1, "fanout")
@@ -588,11 +578,9 @@ def _bcast_node(lv: Levels, buf, count: int, dt, root: int,
                 if fact.mine != home or i % L == root_inner:
                     continue
                 if lr == root_inner:
-                    inner.Send(seg(buf, off, sz), i % L, tag=i, count=sz,
-                               datatype=dt)
+                    inner._send(buf, off, sz, i % L, i, dt)
                 elif lr == i % L:
-                    inner.Recv(seg(buf, off, sz), source=root_inner, tag=i,
-                               count=sz, datatype=dt)
+                    inner._recv(buf, off, sz, root_inner, i, dt)
         with lv.level("bcast", "outer",
                       nbytes=size // L if aligned else size):
             if lv.lane is not None:
@@ -601,11 +589,9 @@ def _bcast_node(lv: Levels, buf, count: int, dt, root: int,
                                    fact.groups[home][lr])
                 if aligned:  # hand each forwarded block to its home rank
                     for j in range(lr + L, p, L):
-                        inner.Send(seg(buf, *pieces[j]), j, tag=p + j,
-                                   count=pieces[j][1], datatype=dt)
+                        inner._send(buf, *pieces[j], j, p + j, dt)
             elif aligned:
-                inner.Recv(seg(buf, *pieces[lr]), source=lr % L, tag=p + lr,
-                           count=pieces[lr][1], datatype=dt)
+                inner._recv(buf, *pieces[lr], lr % L, p + lr, dt)
         with lv.level("bcast", "up", "fanout", size):
             if aligned:
                 inner.Allgather(IN_PLACE, seg(buf, pieces[0][0], size // nb),
@@ -672,11 +658,9 @@ def _allgather_node(lv: Levels, contrib, recvbuf, count: int, dt) -> None:
                     local_copy(ctx, seg(staging, mine.index(i) * count,
                                         count), contrib)
                 else:
-                    inner.Send(contrib, owner, tag=i, count=count,
-                               datatype=dt)
+                    inner._send(contrib, 0, count, owner, i, dt)
             elif owner == inner.rank:
-                inner.Recv(seg(staging, mine.index(i) * count, count),
-                           source=i, tag=i, count=count, datatype=dt)
+                inner._recv(staging, mine.index(i) * count, count, i, i, dt)
 
     # each lane allgathers its per-node aggregates; node order and
     # counts are derived locally so every rank lays the gathered buffers
@@ -802,6 +786,6 @@ def reduce_hierarchical(comm, sendbuf, recvbuf, count: int, dt, op,
     root_inner = fact.groups[home].index(root)
     if fact.mine == home and root_inner != 0:
         if inner.rank == 0:
-            inner.Send(recvbuf, root_inner, tag=1, count=count, datatype=dt)
+            inner._send(recvbuf, 0, count, root_inner, 1, dt)
         elif inner.rank == root_inner:
-            inner.Recv(recvbuf, source=0, tag=1, count=count, datatype=dt)
+            inner._recv(recvbuf, 0, count, 0, 1, dt)

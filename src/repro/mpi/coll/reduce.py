@@ -43,14 +43,12 @@ def reduce_binomial(comm, sendbuf, recvbuf, count: int, dt: Datatype,
         while mask < p:
             if rel & mask:
                 dst = (rel - mask + root) % p
-                comm.Send(seg(acc, 0, count), dst, tag, count=count,
-                          datatype=dt)
+                comm._send(acc, 0, count, dst, tag, dt)
                 break
             partner = rel | mask
             if partner < p:
                 src_rank = (partner + root) % p
-                comm.Recv(seg(tmp, 0, count), source=src_rank, tag=tag,
-                          count=count, datatype=dt)
+                comm._recv(tmp, 0, count, src_rank, tag, dt)
                 apply_reduce(comm.ctx, comm.config, op, seg(acc, 0, count),
                              seg(tmp, 0, count))
             mask <<= 1
@@ -68,7 +66,7 @@ def reduce_linear(comm, sendbuf, recvbuf, count: int, dt: Datatype,
     tag = comm.next_coll_tag()
     contrib = recvbuf if is_inplace(sendbuf) else sendbuf
     if rank != root:
-        comm.Send(seg(contrib, 0, count), root, tag, count=count, datatype=dt)
+        comm._send(contrib, 0, count, root, tag, dt)
         return
     acc = acquire_staging(comm.ctx, recvbuf, count, dt.storage)
     tmp = acquire_staging(comm.ctx, recvbuf, count, dt.storage)
@@ -79,8 +77,7 @@ def reduce_linear(comm, sendbuf, recvbuf, count: int, dt: Datatype,
             if r == rank:
                 chunk = seg(contrib, 0, count)
             else:
-                comm.Recv(seg(tmp, 0, count), source=r, tag=tag,
-                          count=count, datatype=dt)
+                comm._recv(tmp, 0, count, r, tag, dt)
                 chunk = seg(tmp, 0, count)
             if first:
                 local_copy(comm.ctx, seg(acc, 0, count), chunk)
@@ -125,12 +122,10 @@ def reduce_scatter_gather(comm, sendbuf, recvbuf, count: int, dt: Datatype,
                     continue
                 off, size = bounds[r]
                 if size:
-                    comm.Recv(seg(recvbuf, off, size), source=r, tag=tag + 1,
-                              count=size, datatype=dt)
+                    comm._recv(recvbuf, off, size, r, tag + 1, dt)
         else:
             if my_size:
-                comm.Send(seg(work, my_off, my_size), root, tag + 1,
-                          count=my_size, datatype=dt)
+                comm._send(work, my_off, my_size, root, tag + 1, dt)
             else:
                 pass
             # ranks with empty chunks still must not desync tags

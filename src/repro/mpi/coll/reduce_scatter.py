@@ -35,9 +35,8 @@ def reduce_scatter_pairwise_ranges(comm, work, bounds: List[Tuple[int, int]],
             src = (rank - step) % p
             doff, dsize = bounds[dst]
             if dsize or my_size:
-                comm.Sendrecv(seg(work, doff, dsize), dst,
-                              seg(tmp, 0, my_size), src,
-                              sendtag=tag, datatype=dt)
+                comm._sendrecv(work, doff, dsize, dst, tmp, 0, my_size, src,
+                               tag, tag, dt)
             if my_size:
                 apply_reduce(comm.ctx, comm.config, op,
                              seg(work, my_off, my_size), seg(tmp, 0, my_size))
@@ -72,17 +71,15 @@ def reduce_scatter_recursive_halving(comm, sendbuf, recvbuf, count: int,
             if rank < mid:
                 partner = rank + step
                 # keep [lo, mid): send partner's half, receive mine
-                comm.Sendrecv(seg(work, mid * count, half), partner,
-                              seg(tmp, 0, half), partner,
-                              sendtag=tag, datatype=dt)
+                comm._sendrecv(work, mid * count, half, partner,
+                               tmp, 0, half, partner, tag, tag, dt)
                 apply_reduce(comm.ctx, comm.config, op,
                              seg(work, lo * count, half), seg(tmp, 0, half))
                 hi = mid
             else:
                 partner = rank - step
-                comm.Sendrecv(seg(work, lo * count, half), partner,
-                              seg(tmp, 0, half), partner,
-                              sendtag=tag, datatype=dt)
+                comm._sendrecv(work, lo * count, half, partner,
+                               tmp, 0, half, partner, tag, tag, dt)
                 apply_reduce(comm.ctx, comm.config, op,
                              seg(work, mid * count, half), seg(tmp, 0, half))
                 lo = mid

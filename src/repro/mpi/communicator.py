@@ -37,6 +37,9 @@ from repro.sim.sched import yield_now
 #: sentinel for in-place collective input (``MPI_IN_PLACE``).
 IN_PLACE = object()
 
+#: what a point-to-point call with no buffer moves (count 0 only)
+_NOTHING = np.zeros(0, dtype=np.uint8)
+
 #: collective traffic lives above this tag (user tags stay below).
 COLL_TAG_BASE = 1 << 20
 
@@ -197,8 +200,7 @@ class Communicator:
         the communicator rank."""
         engine = self.ctx.engine
         if engine._revoked and engine.is_revoked(self.ctx_id):
-            raise CommRevokedError(
-                self.ctx_id, engine.dead_ranks & set(self.group))
+            self._raise_revoked()
         try:
             out = fn(*args)
         except _PEER_FAILURES as exc:
@@ -213,6 +215,11 @@ class Communicator:
         if type(status) is Status:
             status.source = self._from_world[status.source]
         return out
+
+    def _raise_revoked(self) -> None:
+        engine = self.ctx.engine
+        raise CommRevokedError(self.ctx_id,
+                               engine.dead_ranks & set(self.group))
 
     def Comm_revoke(self) -> None:
         """Revoke the communicator (``MPIX_Comm_revoke``).
@@ -328,24 +335,27 @@ class Communicator:
 
     # -- point-to-point: one resolved form, every spelling --------------------
     #
-    # :meth:`_resolve` turns one side of a call into the endpoint's five
-    # arguments plus a derived-type layout.  Blocking spellings run the
-    # endpoint under :meth:`_guarded`, nonblocking ones guard their
-    # request's completion, and ``_init`` spellings resolve at init.
+    # :meth:`_resolve` turns one side of a call into the endpoint's
+    # arguments — buffer, count, world peer, tag and datatype (the
+    # window's offset is always 0 here) — plus a derived-type layout.
+    # Blocking spellings run the endpoint under :meth:`_guarded`,
+    # nonblocking ones guard their request's completion, and ``_init``
+    # spellings resolve at init.
 
     def _resolve(self, buf, peer: int, tag: int, count: Optional[int],
-                 datatype, recv: bool = False) -> tuple:
-        """``(buf, world peer, tag, count, datatype, layout)``, checked
-        before anything is sent: :class:`MPICommError` after
+                 datatype, recv: bool = False, probe: bool = False) -> tuple:
+        """``(buf, count, world peer, tag, datatype, layout)``,
+        checked before anything is sent: :class:`MPICommError` after
         :meth:`Free`, :class:`MPIRankError` for a peer outside the
         communicator (``ANY_SOURCE`` only on a receive),
-        :class:`MPICountError` for a count below zero or beyond ``buf``.
+        :class:`MPICountError` for a count below zero or beyond ``buf``
+        (``buf`` None is an empty buffer: only count 0 fits it).
 
         ``layout`` is None for a predefined type.  A derived send keeps
         its type there, packed when posted (:meth:`_packed`); a derived
         receive lands in contiguous scratch, ``layout`` being ``(type,
-        user buffer, instances)`` for :meth:`_unpacked`.  A probe
-        (``buf`` None) resolves the peer alone.
+        user buffer, instances)`` for :meth:`_unpacked`.  A ``probe``
+        resolves the peer alone.
         """
         if self._freed:
             self._check_live()  # raises
@@ -355,8 +365,10 @@ class Communicator:
         elif not (recv and peer == ANY_SOURCE):
             raise MPIRankError(
                 f"peer {peer} out of range for size {len(group)}")
+        if probe:
+            return None, None, peer, tag, None, None
         if buf is None:
-            return None, peer, tag, None, None, None
+            buf = _NOTHING
         layout = None
         if isinstance(datatype, DerivedDatatype):
             layout, datatype = datatype, datatype.base
@@ -371,25 +383,25 @@ class Communicator:
                     f"count {count} does not fit a {size}-element buffer")
             if recv and layout is not None:
                 n = count * layout.elements_per_instance
-                return (alloc_like(self.ctx, buf, n, datatype.storage), peer,
-                        tag, n, datatype, (layout, buf, count))
-        return buf, peer, tag, count, datatype, layout
+                return (alloc_like(self.ctx, buf, n, datatype.storage), n,
+                        peer, tag, datatype, (layout, buf, count))
+        return buf, count, peer, tag, datatype, layout
 
     def _packed(self, s: tuple) -> tuple:
         """Derived send ``s`` packed into a contiguous wire buffer."""
-        buf, peer, tag, count, datatype, layout = s
+        buf, count, peer, tag, datatype, layout = s
         flat = layout.pack(buf, count)
         packed = alloc_like(self.ctx, buf, flat.size, datatype.storage)
         copy_payload(as_array(packed), flat)
         self._pack_cost(flat.size * datatype.wire_itemsize)
-        return packed, peer, tag, flat.size, datatype, None
+        return packed, flat.size, peer, tag, datatype, None
 
     def _unpacked(self, r: tuple, status: Optional[Status]) -> Optional[Status]:
         """``status`` of derived receive ``r``, its scratch unpacked into
         the user's buffer (None: not yet)."""
         if status is None:
             return None
-        scratch, _, _, n, datatype, (layout, buf, instances) = r
+        scratch, n, _, _, datatype, (layout, buf, instances) = r
         layout.unpack(as_array(scratch)[:n], buf, instances)
         self._pack_cost(n * datatype.wire_itemsize)
         status.count = instances
@@ -406,7 +418,7 @@ class Communicator:
         if not recv and side[5] is not None:
             side = self._packed(side)
         req = self._guarded(self.endpoint.irecv if recv
-                            else self.endpoint.isend, *side[:5])
+                            else self.endpoint.isend, side[0], 0, *side[1:5])
         if req._done:
             return req
         req._complete = guarded = partial(self._guarded, req._complete)
@@ -422,14 +434,14 @@ class Communicator:
         s = self._resolve(buf, dest, tag, count, datatype)
         if s[5] is not None:
             s = self._packed(s)
-        self._guarded(self.endpoint.send, *s[:5])
+        self._guarded(self.endpoint.send, s[0], 0, *s[1:5])
 
     def Recv(self, buf, source: int = ANY_SOURCE, tag: int = ANY_TAG,
              count: Optional[int] = None,
              datatype: Optional[Datatype] = None) -> Status:
         """Blocking receive from communicator rank ``source``."""
         r = self._resolve(buf, source, tag, count, datatype, recv=True)
-        status = self._guarded(self.endpoint.recv, *r[:5])
+        status = self._guarded(self.endpoint.recv, r[0], 0, *r[1:5])
         return status if r[5] is None else self._unpacked(r, status)
 
     def Isend(self, buf, dest: int, tag: int = 0,
@@ -457,19 +469,76 @@ class Communicator:
                           datatype, True)
         if s[5] is not None:
             s = self._packed(s)
-        status = self._guarded(self.endpoint.sendrecv, s[0], s[1], r[0],
-                               r[1], s[2], r[2], s[3], r[3], s[4])
+        status = self._guarded(self.endpoint.sendrecv, s[0], 0, s[1], s[2],
+                               r[0], 0, r[1], r[2], s[3], r[3], s[4])
         return status if r[5] is None else self._unpacked(r, status)
 
     def Iprobe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Optional[Status]:
         """Nonblocking probe.  A miss lets the other ranks run before
         returning, so a ``while Iprobe() is None`` loop cannot starve
         the sender it is waiting for."""
-        r = self._resolve(None, source, tag, None, None, recv=True)
-        status = self._guarded(self.endpoint.probe, r[1], tag)
+        r = self._resolve(None, source, tag, None, None, recv=True,
+                          probe=True)
+        status = self._guarded(self.endpoint.probe, r[2], tag)
         if status is None:
             yield_now()
         return status
+
+    # -- rounds: what a collective algorithm sends, below the public API ----
+    #
+    # One entry per spelling.  The collective's :class:`CollectiveCall`
+    # checked its arguments once and its one :meth:`_guarded` converts
+    # peer failures, so a round translates its peers, re-checks
+    # revocation (a revoked communicator raises at the next round) and
+    # calls the endpoint — looked up on every call, so whatever wraps
+    # ``P2PEndpoint`` sees every round.  A window is ``(buf, offset,
+    # count)``: the endpoint cuts it, and no buffer view is built per
+    # message.  No status is translated: rounds discard theirs.
+
+    def _send(self, buf, off: int, count: int, dest: int, tag: int,
+              dt: Datatype) -> None:
+        """A blocking send round."""
+        engine = self.ctx.engine
+        if engine._revoked and engine.is_revoked(self.ctx_id):
+            self._raise_revoked()
+        self.endpoint.send(buf, off, count, self.group[dest], tag, dt)
+
+    def _recv(self, buf, off: int, count: int, source: int, tag: int,
+              dt: Datatype) -> None:
+        """A blocking receive round."""
+        engine = self.ctx.engine
+        if engine._revoked and engine.is_revoked(self.ctx_id):
+            self._raise_revoked()
+        self.endpoint.recv(buf, off, count, self.group[source], tag, dt)
+
+    def _isend(self, buf, off: int, count: int, dest: int, tag: int,
+               dt: Datatype) -> Request:
+        """A nonblocking send round; complete it with ``waitall``."""
+        engine = self.ctx.engine
+        if engine._revoked and engine.is_revoked(self.ctx_id):
+            self._raise_revoked()
+        return self.endpoint.isend(buf, off, count, self.group[dest], tag, dt)
+
+    def _irecv(self, buf, off: int, count: int, source: int, tag: int,
+               dt: Datatype) -> Request:
+        """A nonblocking receive round; complete it with ``waitall``."""
+        engine = self.ctx.engine
+        if engine._revoked and engine.is_revoked(self.ctx_id):
+            self._raise_revoked()
+        return self.endpoint.irecv(buf, off, count, self.group[source], tag,
+                                   dt)
+
+    def _sendrecv(self, sbuf, soff: int, scount: int, dest: int, rbuf,
+                  roff: int, rcount: int, source: int, sendtag: int,
+                  recvtag: int, dt: Datatype) -> None:
+        """An exchange round: window ``(sbuf, soff, scount)`` to
+        ``dest`` while ``(rbuf, roff, rcount)`` fills from ``source``."""
+        engine = self.ctx.engine
+        if engine._revoked and engine.is_revoked(self.ctx_id):
+            self._raise_revoked()
+        group = self.group
+        self.endpoint.sendrecv(sbuf, soff, scount, group[dest], rbuf, roff,
+                               rcount, group[source], sendtag, recvtag, dt)
 
     # -- persistent requests (MPI_Send_init / MPI_Recv_init) --------------------
 
@@ -556,14 +625,34 @@ class Communicator:
                 datatype: Optional[Datatype], send=None, recv=None,
                 root: Optional[int] = None) -> CollectiveCall:
         """Descriptor of a vector collective; ``send`` / ``recv`` are
-        the ``(counts, displs)`` pairs of the sides that have one."""
+        the ``(counts, displs)`` pairs of the sides that have one.
+
+        As in :meth:`_uniform`, every window the call moves must fit its
+        buffer, or :class:`MPICountError` is raised here, before any
+        route runs: each non-empty block of a vector side (at the root
+        alone when the collective has one), and this rank's block of
+        the side without a vector.
+        """
         self._check_live()
         call = CollectiveCall(coll, self, sendbuf, recvbuf,
                               dt=datatype or datatype_of(ref), root=root)
+        mine = root is None or self.rank == root
         if send is not None:
-            call.sendcounts, call.sdispls = self._vector(*send)
+            counts, displs = call.sendcounts, call.sdispls = \
+                self._vector(*send)
+            if mine:
+                _fit_blocks(coll, "send", sendbuf, counts, displs)
+            if recv is None:
+                _fit_blocks(coll, "receive", recvbuf, (counts[self.rank],),
+                            (0,))
         if recv is not None:
-            call.recvcounts, call.rdispls = self._vector(*recv)
+            counts, displs = call.recvcounts, call.rdispls = \
+                self._vector(*recv)
+            if mine:
+                _fit_blocks(coll, "receive", recvbuf, counts, displs)
+            if send is None:
+                _fit_blocks(coll, "send", sendbuf, (counts[self.rank],),
+                            (0,))
         if root is not None:
             self.world_rank(root)
         return call
@@ -915,6 +1004,20 @@ def _contribution(sendbuf, recvbuf):
     """The buffer holding this rank's input: ``recvbuf`` for the
     in-place spellings."""
     return recvbuf if sendbuf is IN_PLACE or sendbuf is None else sendbuf
+
+
+def _fit_blocks(coll: str, side: str, buf, counts: Sequence[int],
+                displs: Sequence[int]) -> None:
+    """:class:`MPICountError` unless every non-empty block ``(displs[r],
+    counts[r])`` fits ``buf`` (None and ``IN_PLACE`` hold no window)."""
+    if buf is None or buf is IN_PLACE:
+        return
+    have = (buf.array if isinstance(buf, Buffer) else np.asarray(buf)).size
+    for count, displ in zip(counts, displs):
+        if count and displ + count > have:
+            raise MPICountError(
+                f"{coll}: count {count} at displacement {displ} does not "
+                f"fit the {have}-element {side} buffer")
 
 
 def _prefix(counts: Sequence[int]) -> List[int]:

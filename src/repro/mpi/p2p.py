@@ -8,6 +8,12 @@ wire tracker once it has matched, and a CTS-completion flows back so
 the sender's ``wait`` learns when its buffer was drained — which lets
 nonblocking exchange patterns complete without a progress thread.
 
+Every method takes its buffers as **windows** ``(buffer, offset,
+count)`` (``count`` None: the rest of the buffer) and cuts them itself,
+reading residency from the buffer: the public spellings pass offset 0,
+and a collective's rounds pass the block they move, so no buffer view
+is built per message.
+
 Payloads whose protocol already guarantees the sender cannot reuse the
 buffer early travel as *borrowed views*
 (:class:`~repro.sim.mailbox.PayloadLease`) instead of snapshots:
@@ -21,11 +27,17 @@ buffer early travel as *borrowed views*
   copy-on-write escape hatch).  Ring and pairwise exchanges — the hot
   users of ``Sendrecv`` — mostly find the view already consumed.
 
-Aliased buffers (a send segment overlapping the receive segment of the
-same call) always force the copying path; so does every send with no
-such guarantee (``Isend``, eager sends outside ``sendrecv``).  Faults do
-not: a dropped message is never read, and a delayed one is re-timed,
-not held.  The handoff never affects virtual time or received bytes.
+Overlapping windows (a send window sharing memory with the receive
+window of the same ``sendrecv``) always force the copying path; so does
+every send with no such guarantee (``Isend``, eager sends outside
+``sendrecv``).  Overlap is decided by allocation: windows of two
+distinct arrays that each own their memory cannot overlap (the rule of
+:func:`~repro.hw.memory.aliasing_probe`), and only windows of one
+allocation — an in-place exchange, a ring inside one receive buffer —
+or of arrays that do not own their memory are numpy's to judge.  Faults
+do not force copies: a dropped message is never read, and a delayed one
+is re-timed, not held.  The handoff never affects virtual time or
+received bytes.
 
 Per message the path is flat: what a send needs of its route is a
 **send descriptor** decoded once per (peer, device, bidir) — wire
@@ -33,7 +45,9 @@ resources, alpha, beta, eager threshold, destination mailbox; what a
 match reads (kind, scope, sequence number, lease) are fields of the
 :class:`~repro.sim.mailbox.Message`; and every wait and poll of an
 endpoint shares one predicate and one abort probe (``Engine.doomed``
-on the endpoint's scope).
+on the endpoint's scope).  Every method, :meth:`P2PEndpoint.sendrecv`
+included, posts through one send helper and lands through one receive
+helper.
 
 Device buffers ride the GPU-direct path (device-to-device alpha/beta,
 plus a per-message GDR surcharge) when the runtime is GPU-aware, or are
@@ -138,46 +152,40 @@ class P2PEndpoint:
 
     # -- send -------------------------------------------------------------
 
-    def isend(self, buf, dst_world: int, tag: int, count: Optional[int] = None,
-              datatype: Optional[Datatype] = None,
-              bidir: bool = False) -> Request:
-        """Nonblocking send; returns a :class:`Request`.
-
-        ``bidir`` marks a flow known to run simultaneously in both
-        directions over the same link (``Sendrecv`` with the same
-        partner); it prices the transfer at the duplex-shared rate.
-        """
-        msg, req, count = self._send_impl(buf, dst_world, tag, count,
-                                          datatype, bidir)
+    def isend(self, buf, off: int, count: Optional[int], dst_world: int,
+              tag: int, datatype: Datatype) -> Request:
+        """Nonblocking send of window ``(buf, off, count)`` (``count``
+        None: the rest of ``buf``); returns a :class:`Request`.  The
+        payload is always a snapshot: nothing keeps the caller from
+        reusing the buffer before ``wait``."""
+        arr = as_array(buf)
+        view = arr[off:] if count is None else arr[off:off + count]
+        msg, req = self._send_impl(view, isinstance(buf, DeviceBuffer),
+                                   dst_world, tag, datatype, False)
         if req is None:  # eager: completed locally
             return Request.completed(
-                Status(msg.src, tag, count, msg.nbytes), kind="send")
+                Status(msg.src, tag, view.size, msg.nbytes), kind="send")
         return req
 
-    def _send_impl(self, buf, dst_world: int, tag: int, count: Optional[int],
-                   datatype: Optional[Datatype], bidir: bool,
-                   blocking: bool = False, defer_eager: bool = False,
-                   recv_guard: Optional[np.ndarray] = None,
-                   ) -> Tuple[Message, Optional[Request], int]:
-        """Post a send; returns ``(msg, None, count)`` for an eager
-        send (complete already) or ``(msg, request, count)`` for
-        rendezvous.
+    def _send_impl(self, view: np.ndarray, device: bool, dst_world: int,
+                   tag: int, datatype: Datatype, lend: bool,
+                   lend_eager: bool = False, bidir: bool = False,
+                   ) -> Tuple[Message, Optional[Request]]:
+        """Post a send of ``view`` (of a device buffer when ``device``):
+        ``(msg, None)`` for an eager send (complete already) or ``(msg,
+        request)`` for rendezvous.
 
-        ``blocking`` promises the caller waits for rendezvous
-        completion before the buffer can be reused, which licenses the
-        leased-view handoff; ``defer_eager`` extends the lease to eager
-        sends whose caller materializes before returning (sendrecv);
-        ``recv_guard`` is the caller's receive window — any memory
-        overlap with the send segment forces the copying path.
+        ``lend`` promises the caller waits for the CTS before it reuses
+        the buffer, which licenses lending a rendezvous payload;
+        ``lend_eager`` extends the lease to an eager payload whose
+        caller materializes it before returning (:meth:`sendrecv`).
+        Every other payload is a snapshot.  ``bidir`` marks a flow that
+        runs in both directions over the same link at once (a
+        ``sendrecv`` with one partner): it is priced at the
+        duplex-shared rate.
         """
         ctx, cfg = self.ctx, self.config
-        arr = as_array(buf)
-        if count is None:
-            count = arr.size
-        nbytes = count * datatype.wire_itemsize
-        device = isinstance(buf, DeviceBuffer)
-        send_view = arr[:count]
-
+        nbytes = view.size * datatype.wire_itemsize
         if device and not cfg.gpu_direct:
             self._stage_to_host(nbytes)
         t0 = ctx.clock.advance(cfg.send_overhead_us)
@@ -199,18 +207,11 @@ class P2PEndpoint:
         # -- zero-copy handoff decision (never affects virtual time); a
         # storage-free view is its own snapshot --
         lease: Optional[PayloadLease] = None
-        if defer_eager if eager else blocking:
-            aliased = (recv_guard is not None
-                       and np.may_share_memory(send_view, recv_guard))
-            if aliased:
-                fastpath.STATS.note_copy_forced()
-                payload = send_view.copy() if send_view.strides[0] \
-                    else send_view
-            else:
-                lease = PayloadLease()
-                payload = borrow_view(send_view)
+        if lend_eager if eager else lend:
+            lease = PayloadLease()
+            payload = borrow_view(view)
         else:
-            payload = send_view.copy() if send_view.strides[0] else send_view
+            payload = view.copy() if view.strides[0] else view
         msg = Message(ctx.rank, dst_world, tag, payload, t0, arrival, nbytes,
                       meta, kind, self.ctx_id, seq, lease)
         mailbox.post(msg)
@@ -218,7 +219,8 @@ class P2PEndpoint:
             ctx.trace.record("send", t0 - cfg.send_overhead_us, t0,
                              peer=dst_world, nbytes=nbytes, label=kind)
         if eager:
-            return msg, None, count
+            return msg, None
+        count = view.size
 
         def match_cts(m: Message) -> bool:
             return m.kind == _KIND_CTS and m.seq == seq
@@ -239,10 +241,10 @@ class P2PEndpoint:
                 lease.materialize(msg)
             return Status(ctx.rank, tag, count, nbytes)
 
-        return msg, Request(complete, kind="send"), count
+        return msg, Request(complete, kind="send", mailbox=ctx.mailbox)
 
-    def send(self, buf, dst_world: int, tag: int, count: Optional[int] = None,
-             datatype: Optional[Datatype] = None) -> Status:
+    def send(self, buf, off: int, count: Optional[int], dst_world: int,
+             tag: int, datatype: Datatype) -> Status:
         """Blocking send (completes locally for eager, on match for
         rendezvous — standard MPI semantics).
 
@@ -250,20 +252,22 @@ class P2PEndpoint:
         handoff: the receiver has drained the leased view by the time
         ``wait`` observes the CTS.
         """
-        msg, req, count = self._send_impl(buf, dst_world, tag, count,
-                                          datatype, False, blocking=True)
+        arr = as_array(buf)
+        view = arr[off:] if count is None else arr[off:off + count]
+        msg, req = self._send_impl(view, isinstance(buf, DeviceBuffer),
+                                   dst_world, tag, datatype, True)
         if req is None:
-            return Status(msg.src, tag, count, msg.nbytes)
+            return Status(msg.src, tag, view.size, msg.nbytes)
         return req.wait()
 
     # -- receive ------------------------------------------------------------
 
-    def _finish_recv(self, msg: Message, buf, arr: np.ndarray,
-                     count: Optional[int],
-                     datatype: Optional[Datatype]) -> Status:
-        """Land a matched message in ``arr`` (the array of ``buf``)."""
+    def _finish_recv(self, msg: Message, device: bool, window: np.ndarray,
+                     datatype: Datatype) -> Status:
+        """Land a matched message in ``window`` (of a device buffer when
+        ``device``)."""
         ctx, cfg = self.ctx, self.config
-        capacity = (count if count is not None else arr.size) * datatype.wire_itemsize
+        capacity = window.size * datatype.wire_itemsize
         nbytes = msg.nbytes
         if nbytes > capacity:
             raise MPITruncateError(
@@ -271,9 +275,9 @@ class P2PEndpoint:
                 f"truncates {capacity} B receive buffer")
         data = msg.data
         recv_count = data.size
-        staged = isinstance(buf, DeviceBuffer) and not cfg.gpu_direct
+        staged = device and not cfg.gpu_direct
         lease = msg.lease
-        target = arr[:recv_count]
+        target = window[:recv_count]
         # landing without a lease: ``copy_payload``'s two tests, inline
         land = lease is None and target.strides[0]
         if land and not data.strides[0] and recv_count:
@@ -320,21 +324,22 @@ class P2PEndpoint:
                              nbytes=nbytes, label=msg.kind)
         return Status(msg.src, msg.tag, recv_count, nbytes)
 
-    def recv(self, buf, src_world: int = ANY_SOURCE, tag: int = ANY_TAG,
-             count: Optional[int] = None,
-             datatype: Optional[Datatype] = None) -> Status:
-        """Blocking receive into ``buf``."""
+    def recv(self, buf, off: int, count: Optional[int], src_world: int,
+             tag: int, datatype: Datatype) -> Status:
+        """Blocking receive into window ``(buf, off, count)``."""
+        arr = as_array(buf)
         msg = self.ctx.mailbox.match(src_world, tag, self._incoming,
                                      self._doomed)
-        return self._finish_recv(msg, buf, as_array(buf), count, datatype)
+        return self._finish_recv(
+            msg, isinstance(buf, DeviceBuffer),
+            arr[off:] if count is None else arr[off:off + count], datatype)
 
-    def irecv(self, buf, src_world: int = ANY_SOURCE, tag: int = ANY_TAG,
-              count: Optional[int] = None,
-              datatype: Optional[Datatype] = None) -> Request:
+    def irecv(self, buf, off: int, count: Optional[int], src_world: int,
+              tag: int, datatype: Datatype) -> Request:
         """Nonblocking receive; data lands at ``wait``/successful ``test``."""
+        box = self.ctx.mailbox
 
         def complete(blocking: bool) -> Optional[Status]:
-            box = self.ctx.mailbox
             if blocking:
                 msg = box.match(src_world, tag, self._incoming, self._doomed)
             else:
@@ -342,9 +347,13 @@ class P2PEndpoint:
                                     self._doomed)
                 if msg is None:
                     return None
-            return self._finish_recv(msg, buf, as_array(buf), count, datatype)
+            arr = as_array(buf)
+            return self._finish_recv(
+                msg, isinstance(buf, DeviceBuffer),
+                arr[off:] if count is None else arr[off:off + count],
+                datatype)
 
-        return Request(complete, kind="recv")
+        return Request(complete, kind="recv", mailbox=box)
 
     def probe(self, src_world: int = ANY_SOURCE, tag: int = ANY_TAG) -> Optional[Status]:
         """Nonblocking probe (``MPI_Iprobe``): Status of a matchable
@@ -356,31 +365,39 @@ class P2PEndpoint:
                       msg.data.size if msg.data is not None else 0,
                       msg.nbytes)
 
-    def sendrecv(self, sendbuf, dst_world: int, recvbuf, src_world: int,
-                 sendtag: int, recvtag: int,
-                 sendcount: Optional[int] = None,
-                 recvcount: Optional[int] = None,
-                 datatype: Optional[Datatype] = None) -> Status:
-        """Combined send+receive (deadlock-free exchange primitive used
-        by ring/pairwise algorithms).
+    def sendrecv(self, sbuf, soff: int, scount: Optional[int],
+                 dst_world: int, rbuf, roff: int, rcount: Optional[int],
+                 src_world: int, sendtag: int, recvtag: int,
+                 datatype: Datatype) -> Status:
+        """Combined send+receive of two windows (the deadlock-free
+        exchange of ring/pairwise rounds, and ``MPI_Sendrecv``).
 
         Both protocol legs qualify for the zero-copy handoff: the
         rendezvous leg because we wait for the CTS before returning,
         and the eager leg because the snapshot is *deferred* — posted
         as a leased view and only materialized (copy-on-write) if the
-        partner has not drained it by the time we return.  The receive
-        window is passed as the alias guard so in-place exchanges keep
-        the copying path.
+        partner has not drained it by the time we return.  Windows that
+        overlap keep the copying path.
         """
-        recv_arr = as_array(recvbuf)  # alias guard now, receive window later
-        smsg, sreq, _ = self._send_impl(
-            sendbuf, dst_world, sendtag, sendcount, datatype,
-            dst_world == src_world,  # symmetric partner exchange: bidir
-            blocking=True, defer_eager=True, recv_guard=recv_arr)
+        sarr, rarr = as_array(sbuf), as_array(rbuf)
+        view = sarr[soff:] if scount is None else sarr[soff:soff + scount]
+        window = rarr[roff:] if rcount is None else rarr[roff:roff + rcount]
+        # windows of two distinct allocations that own their memory are
+        # disjoint (``aliasing_probe``'s rule): numpy judges the rest
+        lend = not ((sarr is rarr or sarr.base is not None
+                     or rarr.base is not None)
+                    and np.may_share_memory(view, window))
+        if not lend:
+            fastpath.STATS.note_copy_forced()
+        smsg, sreq = self._send_impl(
+            view, isinstance(sbuf, DeviceBuffer), dst_world, sendtag,
+            datatype, lend, lend,
+            dst_world == src_world)  # symmetric partner exchange: bidir
         # inline irecv+wait: the blocking match needs no Request shell
         msg = self.ctx.mailbox.match(src_world, recvtag, self._incoming,
                                      self._doomed)
-        status = self._finish_recv(msg, recvbuf, recv_arr, recvcount, datatype)
+        status = self._finish_recv(msg, isinstance(rbuf, DeviceBuffer),
+                                   window, datatype)
         if sreq is not None:  # rendezvous send still outstanding
             sreq.wait()  # lease reclaim counted in the send completion
         elif smsg.lease is not None:

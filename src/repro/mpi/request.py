@@ -4,7 +4,8 @@ A :class:`Request` wraps a completion thunk produced by the p2p layer.
 ``wait`` runs it (blocking if the underlying protocol must block, e.g.
 a rendezvous send waiting for its clear-to-send); ``test`` polls.
 :func:`waitall` completes a batch in order — sufficient for the
-request patterns the collectives and OMB windows use.
+request patterns the collectives and OMB windows use; :func:`waitany`
+completes whichever request can complete first.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.errors import MPIError
 from repro.mpi.status import Status
+from repro.sim.mailbox import Mailbox
 from repro.sim.sched import yield_now
 
 
@@ -20,14 +22,16 @@ class Request:
     """Handle to an in-flight nonblocking operation."""
 
     def __init__(self, complete: Callable[[bool], Optional[Status]],
-                 kind: str = "p2p") -> None:
+                 kind: str = "p2p", mailbox: Optional[Mailbox] = None) -> None:
         """``complete(blocking)`` drives the operation: with
         ``blocking=True`` it must finish and return a Status; with
-        ``blocking=False`` it may return None to signal "not yet"."""
+        ``blocking=False`` it may return None to signal "not yet".
+        ``mailbox`` is the one whose next delivery may complete it."""
         self._complete = complete
         self._status: Optional[Status] = None
         self._done = False
         self.kind = kind
+        self.mailbox = mailbox
 
     def wait(self) -> Status:
         """Block until complete; returns the Status."""
@@ -43,15 +47,20 @@ class Request:
         """Poll for completion without blocking.  "Not yet" lets the
         other ranks run before returning, so a ``while not test()``
         loop cannot starve the peer it is waiting for."""
-        if self._done:
+        if self._poll():
             return True, self._status
-        status = self._complete(False)
-        if status is not None:
-            self._status = status
-            self._done = True
-            return True, status
         yield_now()
         return False, None
+
+    def _poll(self) -> bool:
+        """Drive the operation without blocking or yielding; True once
+        it is complete."""
+        if not self._done:
+            status = self._complete(False)
+            if status is None:
+                return False
+            self._status, self._done = status, True
+        return True
 
     @property
     def done(self) -> bool:
@@ -75,14 +84,21 @@ def waitall(requests: Sequence[Request]) -> List[Status]:
 def waitany(requests: Sequence[Request]) -> Tuple[int, Status]:
     """Complete one request; returns (index, status).
 
-    Polls in order, then blocks on the first — adequate for the
-    simulator, where blocking order does not change virtual time
-    materially.
+    Polls every request until one completes, parking on the caller's
+    mailbox between passes: every p2p request completes on a delivery
+    there (a receive's match, a rendezvous send's clear-to-send), and
+    parking lets the other ranks run.  So the first request that *can*
+    complete wins, not the first listed, and exact deadlock detection
+    still fires when none ever can.  Requests with no mailbox (none of
+    them can be completed by a delivery) block on the first.
     """
     if not requests:
         raise MPIError("waitany on empty request list")
-    for i, r in enumerate(requests):
-        ok, status = r.test()
-        if ok:
-            return i, status  # type: ignore[return-value]
-    return 0, requests[0].wait()
+    box = next((r.mailbox for r in requests if r.mailbox is not None), None)
+    while True:
+        for i, r in enumerate(requests):
+            if r._poll():
+                return i, r._status  # type: ignore[return-value]
+        if box is None:
+            return 0, requests[0].wait()
+        box.await_post("waitany")

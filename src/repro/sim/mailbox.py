@@ -314,6 +314,23 @@ class Mailbox:
                         f"tag={tag}): {reason}")
             return msg
 
+    def await_post(self, what: str) -> None:
+        """Park until the next delivery to this mailbox, or a
+        :meth:`poke`: how a poll over several requests (``waitany``,
+        reported as ``what``) waits for any of them.  Exact deadlock
+        detection raises :class:`DeadlockError` when none can come."""
+        with self._lock:
+            woken: List[bool] = []
+
+            def ready() -> bool:
+                if woken:
+                    return True     # re-checked after a wakeup
+                woken.append(True)
+                return False
+
+            self._waitq.wait_for(ready, lambda: (
+                f"rank {self.rank} blocked in {what}"))
+
     def poke(self) -> None:
         """Wake every blocked waiter for a predicate re-check without
         delivering anything — how the engine propagates a rank death or

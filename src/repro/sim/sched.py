@@ -32,9 +32,10 @@ Two rules a rank program must keep:
   (a ``threading.Event``, a ``queue.Queue``): the waiter would keep the
   token and the releaser would never run;
 * never spin without an MPI call.  Polling calls that can report "not
-  yet" (``Request.test``, ``Iprobe``, ``waitany``) pass the token on
-  through :func:`yield_now`, so ``while not req.test()[0]: pass`` is
-  fine; a loop that never enters the library is not.
+  yet" (``Request.test``, ``Iprobe``) pass the token on through
+  :func:`yield_now`, so ``while not req.test()[0]: pass`` is fine; a
+  loop that never enters the library is not.  (``waitany`` parks on
+  the caller's mailbox between its passes instead.)
 
 The run token is the only lock rank code needs.  One fiber of an engine
 runs at a time, and every hand-off is a baton release paired with the

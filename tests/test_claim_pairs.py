@@ -7,6 +7,7 @@ paired runs into ``gain`` / ``worse`` / ``unresolved``.
 from __future__ import annotations
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -88,3 +89,49 @@ def test_report_has_a_row_per_metric():
     assert len(rows) == 2 + len(metrics)
     assert "+25.0 % of 18.25" in rows[2] and rows[2].endswith("| gain |")
     assert "-20.0 %" in rows[3] and rows[3].endswith("| gain |")
+
+
+def _bench():
+    return json.loads((Path(__file__).resolve().parents[1]
+                       / "BENCHMARK.json").read_text())
+
+
+def test_bound_flags_a_median_worse_by_more_than_the_bound():
+    beyond = claim_pairs.beyond_bound
+    assert beyond(PARENT, [p * 0.74 for p in PARENT]) == "within"  # no bound
+    assert beyond(PARENT, [p * 0.74 for p in PARENT], "higher", 0.25) \
+        == "worse than bound"
+    assert beyond(PARENT, [p * 0.76 for p in PARENT], "higher", 0.25) \
+        == "within"
+    # a cost is worse upwards; better by any amount is within
+    assert beyond(PARENT, [p * 1.26 for p in PARENT], "lower", 0.25) \
+        == "worse than bound"
+    assert beyond(PARENT, [p * 1.24 for p in PARENT], "lower", 0.25) \
+        == "within"
+    assert beyond(PARENT, [p * 0.5 for p in PARENT], "lower", 0.25) \
+        == "within"
+
+
+def test_each_metric_reads_its_own_bound():
+    """The bound column uses ``BENCHMARK.json``'s bound per metric:
+    ``peak_rss_mb`` is flagged at 21 %, not at 19 %."""
+    metrics = {m["name"]: m for m in _bench()["end_to_end"]}
+    assert metrics["peak_rss_mb"]["bound"] == 0.2
+
+    def row(scale):
+        runs = [({"metrics": {"peak_rss_mb": {"value": p}}},
+                 {"metrics": {"peak_rss_mb": {"value": p * scale}}})
+                for p in PARENT]
+        return claim_pairs.report([metrics["peak_rss_mb"]], runs)[2]
+
+    assert "| worse than bound |" in row(1.21)
+    assert "| within |" in row(1.19)
+    assert "bound 20 %" in row(1.0)
+
+
+def test_all_expands_to_every_declared_workload():
+    declared = _bench()["workloads"]
+    assert claim_pairs.workloads("all", declared) == [
+        "small_8", "large_8", "multinode_64", "scale_512", "p2p_2",
+        "fig5_sweep"]
+    assert claim_pairs.workloads("p2p_2", declared) == ["p2p_2"]

@@ -436,7 +436,7 @@ def _wait_slot(ctx, xc, buf):
 
 
 def _wait_p2p(ctx, xc, buf):
-    Communicator.world(ctx).endpoint.recv(buf, 2, 5, datatype=FLOAT)
+    Communicator.world(ctx).endpoint.recv(buf, 0, None, 2, 5, FLOAT)
 
 
 def _wait_bulk(ctx, xc, buf):

@@ -339,6 +339,65 @@ def test_undersized_window_fails_alike_on_every_route(mode, case):
     assert out == [(UNDERSIZED[case][3], True, 4.0)] * 4
 
 
+#: vector collectives on 4 ranks of 2-element blocks whose window runs
+#: past its buffer on every rank, each as ``(comm, buffers, counts,
+#: packed, shifted)`` — ``buffers`` maps an element count (1, 2, 8) to a
+#: buffer, ``shifted`` ends the last block one past 8 elements — with
+#: the expected text
+PAST_THE_END = {
+    "Alltoallv send": (
+        lambda c, b, n, packed, shifted: c.Alltoallv(
+            b[8], n, b[-8], n, sdispls=shifted, rdispls=packed),
+        "alltoallv: count 2 at displacement 7 does not fit the 8-element "
+        "send buffer"),
+    "Alltoallv receive": (
+        lambda c, b, n, packed, shifted: c.Alltoallv(
+            b[8], n, b[-8], n, sdispls=packed, rdispls=shifted),
+        "alltoallv: count 2 at displacement 7 does not fit the 8-element "
+        "receive buffer"),
+    "Allgatherv": (
+        lambda c, b, n, packed, shifted: c.Allgatherv(b[2], b[-8], n,
+                                                     shifted),
+        "allgatherv: count 2 at displacement 7 does not fit the 8-element "
+        "receive buffer"),
+    "Allgatherv own block": (
+        lambda c, b, n, packed, shifted: c.Allgatherv(b[1], b[-8], n,
+                                                     packed),
+        "allgatherv: count 2 at displacement 0 does not fit the 1-element "
+        "send buffer"),
+}
+
+
+def _past_the_end_body(mpx, case):
+    """The case's vector collective: the error text, and whether the
+    clock stayed put and the communicator stayed usable."""
+    comm = mpx.COMM_WORLD
+    call, _text = PAST_THE_END[case]
+    buffers = {n: mpx.device_array(n, fill=1.0) for n in (1, 2, 8)}
+    buffers[-8] = mpx.device_array(8)
+    counts = [2] * comm.size
+    packed = [2 * i for i in range(comm.size)]
+    before = comm.now
+    with pytest.raises(MPICountError) as err:
+        call(comm, buffers, counts, packed, [d + 1 for d in packed])
+    still = comm.now == before
+    ok = mpx.device_array(4)
+    comm.Allreduce(mpx.device_array(4, fill=1.0), ok, SUM)
+    return str(err.value), still, float(ok.array[0])
+
+
+@pytest.mark.parametrize("case", sorted(PAST_THE_END))
+@pytest.mark.parametrize("mode", ROUTES)
+def test_vector_window_past_the_end_fails_alike_on_every_route(mode, case):
+    """A vector collective whose block runs past its buffer is refused
+    by the entry point with ``MPICountError`` on every route, before any
+    virtual time is spent — where the windows were cut as slices that
+    silently shipped a shorter message."""
+    out = runtime.run(_past_the_end_body, system="thetagpu", nodes=1,
+                      ranks_per_node=4, mode=mode, case=case)
+    assert out == [(PAST_THE_END[case][1], True, 4.0)] * 4
+
+
 def test_in_place_and_storage_free_windows_are_checked():
     """In place, the receive window must also hold the contribution;
     a storage-free window is judged by its count like a real one."""

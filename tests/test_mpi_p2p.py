@@ -1,5 +1,6 @@
 """Point-to-point protocols through the communicator."""
 
+import functools
 import sys
 import threading
 
@@ -18,6 +19,7 @@ from repro.mpi.rma import Win
 from repro.mpi.request import waitall
 from repro.sim.mailbox import Mailbox
 from tests import frozen_reference
+from tests.test_elastic import P2P_SPELLINGS
 
 
 def world(ctx, config=None):
@@ -342,6 +344,13 @@ class TestP2PArguments:
                       lambda c, b: _ALL[spelling](c, b, peer, count),
                       freed if row == "freed" else None)
 
+    @pytest.mark.parametrize("spelling", sorted(dict(_SENDS, **_RECVS)))
+    def test_no_buffer_fits_count_zero_only(self, thetagpu1, spmd, spelling):
+        """``None`` is an empty buffer: a non-zero count does not fit
+        it, refused like any count beyond a buffer."""
+        self._refused(thetagpu1, spmd, MPICountError,
+                      lambda c, b: _ALL[spelling](c, None, 1, 1))
+
     @pytest.mark.parametrize("op,peer,count,error", [
         pytest.param(op, peer, count, error, id=f"{op}-{row}")
         for row, peer, count, error in _BAD_RMA for op in _RMA])
@@ -350,6 +359,32 @@ class TestP2PArguments:
         self._refused(thetagpu1, spmd, error,
                       lambda w, b: _RMA[op](w, b, peer, count),
                       lambda comm: Win.allocate(comm, 4))
+
+
+#: every p2p spelling of the elastic contract, plus ``Sendrecv``, as
+#: ``(comm, buf, peer) -> None``
+_EMPTY_SPELLINGS = dict(
+    P2P_SPELLINGS, Sendrecv=lambda c, b, p: c.Sendrecv(b, p, b, p))
+
+
+@pytest.mark.parametrize("spelling", sorted(_EMPTY_SPELLINGS))
+def test_no_buffer_moves_an_empty_message(thetagpu1, spmd, spelling):
+    """``None`` for the buffer (count omitted or 0) moves an empty
+    message on every spelling, against the mirror spelling: it once
+    crashed the send and left the receive to deadlock."""
+    def body(ctx):
+        comm = world(ctx)
+        peer = 1 - comm.rank
+        if comm.rank == 0 or spelling == "Sendrecv":
+            _EMPTY_SPELLINGS[spelling](comm, None, peer)
+        else:
+            P2P_SPELLINGS["Recv" if "Send" in spelling else "Send"](
+                comm, None, peer)
+        status = comm.Sendrecv(None, peer, None, peer)
+        assert (status.source, status.count, status.nbytes) == (peer, 0, 0)
+        return comm.now > 0
+
+    assert spmd(thetagpu1, body, nranks=2) == [True, True]
 
 
 class TestSendrecvAndTiming:
@@ -510,16 +545,15 @@ def test_p2p_matches_frozen_reference(shape, trace):
 _LOCK_TYPE = type(threading.Lock())
 
 
-def _count_calls_body(mpx, iters):
+def _count_calls_body(mpx, iters, loop):
     """Python-level ``call`` events (C calls excluded), mailbox posts,
     lock constructions and ``lock.__exit__`` C calls of this rank over a
-    hot ``Allreduce`` + ``Barrier`` loop."""
+    hot run of the calls ``loop(mpx, comm)`` returns."""
     comm = mpx.COMM_WORLD
-    send = mpx.device_array(4, fill=comm.rank + 1)
-    recv = mpx.device_array(4)
+    ops = loop(mpx, comm)
     for _ in range(2):                  # plans compiled, paths priced
-        comm.Allreduce(send, recv)
-        comm.Barrier()
+        for op in ops:
+            op()
     post_code = Mailbox.post.__code__
     counts = [0, 0, 0, 0]
 
@@ -539,16 +573,46 @@ def _count_calls_body(mpx, iters):
     sys.setprofile(profiler)
     try:
         for _ in range(iters):
-            comm.Allreduce(send, recv)
-            comm.Barrier()
+            for op in ops:
+                op()
     finally:
         sys.setprofile(None)
     return counts
 
 
-#: the bound on Python-level calls per message: 12 730 calls over 240
-#: messages, measured when point-to-point came to be resolved in one step
-CALLS_PER_MESSAGE = 12730 / 240
+def _guard_loop(mpx, comm):
+    """A 4-float ``Allreduce`` and a ``Barrier`` (partials: no frame of
+    their own to count)."""
+    send = mpx.device_array(4, fill=comm.rank + 1)
+    recv = mpx.device_array(4)
+    return functools.partial(comm.Allreduce, send, recv), comm.Barrier
+
+
+def _small_loop(mpx, comm, n=256):
+    """The five collectives of the ``small_8`` workload at ``n`` floats,
+    root 0."""
+    send = mpx.device_array(n, fill=comm.rank + 1)
+    recv = mpx.device_array(n)
+    blocks = mpx.device_array(n * comm.size, fill=1.0)
+    gathered = mpx.device_array(n * comm.size)
+    call = functools.partial
+    return (call(comm.Allreduce, send, recv),
+            call(comm.Bcast, recv, root=0),
+            call(comm.Reduce, send, recv, root=0),
+            call(comm.Allgather, send, gathered),
+            call(comm.Alltoall, blocks, gathered))
+
+
+def _calls_per_message(loop, iters=5):
+    """``(calls, posts, lock constructions, lock exits)`` of ``iters``
+    hot runs of ``loop`` on 8 ranks under ``pure_mpi``, summed."""
+    out = runtime.run(_count_calls_body, system="thetagpu", nodes=1,
+                      mode="pure_mpi", trace=False, iters=iters, loop=loop)
+    return tuple(sum(col) for col in zip(*out))
+
+
+#: the bound on Python-level calls per message of the guard's loop
+CALLS_PER_MESSAGE = 46
 
 
 def test_python_calls_per_message():
@@ -559,15 +623,15 @@ def test_python_calls_per_message():
     over 240 messages), after it 53.71; a bound of 70 % of the former
     (54.98) guarded it until it was tightened to 53.04, the count when
     point-to-point came to be resolved in one step (untraced: a trace
-    record is calls of its own).  A
-    new helper call on the ``Sendrecv`` path fails it.  Two savings
-    are kept because the bound needs them: ``Buffer.view`` reads
-    ``array.size`` rather than the ``count`` property (1.00 calls per
-    message), and ``as_array`` repeats ``DeviceBuffer._check_live``'s
-    freed-flag test at the call site (2.67)."""
-    out = runtime.run(_count_calls_body, system="thetagpu", nodes=1,
-                      mode="pure_mpi", trace=False, iters=5)
-    calls, posts, allocs, exits = (sum(col) for col in zip(*out))
+    record is calls of its own).  A collective's rounds then left the
+    public API for the endpoint, and no window builds a buffer view:
+    45.04 (10 810 calls; 39.04 in a draft whose exchange spelled its
+    eager leg inline instead of sharing the send and receive helpers),
+    bounded at 46.  A new helper call on the round → ``sendrecv`` →
+    ``post`` → ``match`` path fails it.  ``as_array`` repeats
+    ``DeviceBuffer._check_live``'s freed-flag test at the call site to
+    save a call per window."""
+    calls, posts, allocs, exits = _calls_per_message(_guard_loop)
     assert posts == 5 * 8 * (3 + 3)     # recursive doubling + dissemination
     assert calls / posts <= CALLS_PER_MESSAGE, calls
     # the same pass, C level: the run token is the per-message lock, so
@@ -575,3 +639,22 @@ def test_python_calls_per_message():
     # the mailbox and the scheduler take theirs (7.52 with every lock)
     assert allocs == 0, allocs
     assert exits / posts <= 3.5, exits
+
+
+#: the bound on Python-level calls per message of ``small_8``'s loop
+SMALL_CALLS_PER_MESSAGE = 64
+
+
+def test_python_calls_per_message_of_small_collectives():
+    """The same count over the five collectives of the ``small_8``
+    benchmark workload (256 floats, 8 ranks, ``pure_mpi``, root 0):
+    rounds of ``Send`` / ``Recv`` and window cuts, which the guard
+    above never runs.  It was 80.54 (34 631 calls over 430 messages)
+    while every round went through the public point-to-point API and
+    cut a buffer view per window; rounds below the API made it 62.65
+    (26 941 calls), bounded at 64."""
+    calls, posts, allocs, _ = _calls_per_message(_small_loop)
+    # recursive doubling, two binomial trees, recursive doubling, Bruck
+    assert posts == 5 * (8 * 3 + 7 + 7 + 8 * 3 + 8 * 3)
+    assert calls / posts <= SMALL_CALLS_PER_MESSAGE, calls
+    assert allocs == 0, allocs

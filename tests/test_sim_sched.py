@@ -3,6 +3,7 @@ hand-off, parking waits, yielding polls, exact deadlock detection."""
 
 from __future__ import annotations
 
+import threading
 import time
 
 import pytest
@@ -111,8 +112,8 @@ class TestOffEngineWait:
 class TestPollsYield:
     @pytest.mark.parametrize("sender", [0, 1])
     def test_waitany_with_a_late_sender(self, thetagpu1, spmd, sender):
-        """waitany's poll pass goes through ``Request.test``; with the
-        poller holding the token first it must still complete."""
+        """With the poller holding the token first, waitany must still
+        complete."""
         def body(ctx):
             comm = Communicator.world(ctx)
             if ctx.rank == sender:
@@ -124,6 +125,73 @@ class TestPollsYield:
             return index, status.tag
 
         assert spmd(thetagpu1, body, nranks=2)[1 - sender] == (0, 2)
+
+    def test_waitany_completes_whichever_request_can(self, thetagpu1,
+                                                     spmd):
+        """Rank 0 waits on receives from ranks 1 and 2; only rank 2's
+        can complete before rank 0 sends again, and it arrives late
+        (ranks 3 and 4 ping-pong first).  Blocking on the first request
+        once declared an exact deadlock here."""
+        def body(ctx):
+            comm = Communicator.world(ctx)
+            buf, other = ctx.device.zeros(4), ctx.device.zeros(4)
+            rank = comm.rank
+            if rank == 0:
+                reqs = [comm.Irecv(ctx.device.zeros(4), source=1, tag=1),
+                        comm.Irecv(ctx.device.zeros(4), source=2, tag=2)]
+                index, status = waitany(reqs)
+                comm.Send(buf, 1)
+                reqs[1 - index].wait()
+                return index, status.source, status.tag
+            if rank == 1:
+                comm.Recv(buf, 0)
+                comm.Send(buf, 0, tag=1)
+            elif rank == 2:
+                comm.Recv(buf, 3, tag=3)
+                comm.Send(buf, 0, tag=2)
+            else:
+                for _ in range(5):
+                    comm.Sendrecv(buf, 7 - rank, other, 7 - rank)
+                if rank == 3:
+                    comm.Send(buf, 2, tag=3)
+            return None
+
+        assert spmd(thetagpu1, body, nranks=5)[0] == (1, 2, 2)
+
+    def test_waitany_that_cannot_complete_is_a_deadlock(self, thetagpu1,
+                                                        spmd):
+        """Parked on its mailbox, a waitany whose peers all finished is
+        reported by exact deadlock detection, not left hanging."""
+        def body(ctx):
+            comm = Communicator.world(ctx)
+            if comm.rank == 0:
+                waitany([comm.Irecv(ctx.device.zeros(4), source=1)])
+
+        with pytest.raises(RankFailedError, match="blocked in waitany"):
+            spmd(thetagpu1, body, nranks=2)
+
+    def test_waitany_on_each_other_is_a_deadlock(self, thetagpu1, spmd):
+        """Two ranks each waitany on a receive from the other: neither
+        can complete, and both must park so exact deadlock detection
+        sees it — a waitany that yields to a ready peer instead would
+        hand the token back and forth forever."""
+        def body(ctx):
+            comm = Communicator.world(ctx)
+            waitany([comm.Irecv(ctx.device.zeros(4), source=1 - comm.rank)])
+
+        failed = []
+
+        def run():
+            try:
+                spmd(thetagpu1, body, nranks=2)
+            except RankFailedError as exc:
+                failed.append(str(exc))
+
+        runner = threading.Thread(target=run, daemon=True)
+        runner.start()
+        runner.join(timeout=30.0)
+        assert not runner.is_alive(), "waitany spun instead of parking"
+        assert len(failed) == 1 and "blocked in waitany" in failed[0]
 
     def test_unbounded_test_loop_as_lower_rank(self, thetagpu1, spmd):
         """The loop users actually write — no iteration cap.  Without
