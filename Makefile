@@ -98,14 +98,15 @@ scale-smoke:
 		--system thetagpu --nodes 4 --ranks 256 --sizes 4:4 \
 		--iterations 2 --warmup 1
 
-# memory CI leg, four fresh processes, each against its own peak RSS:
+# memory CI leg, five fresh processes, each against its own peak RSS:
 # a 2048-rank Barrier + Allreduce (256 MiB) — communicator set-up must
 # not grow as ranks squared; one quick storage-free fig5 sweep (96 MiB)
 # and a storage-free 128-rank Alltoall at 4 MiB per peer (256 MiB) —
 # benchmark windows must hold no storage; the fig5 NCCL column on real
 # buffers, gc at its defaults (450 MiB) — device buffers must die with
-# their last reference, not with the cycle collector's next pass; then
-# 200 and 2000 Dup/attach/Allreduce/Free cycles must leave the same
+# their last reference, not with the cycle collector's next pass; 32 x
+# 1 MiB Isend/Irecv windows across two nodes (112 MiB) — a rendezvous
+# Isend must lend its window, not snapshot it; then 200 and 2000 Dup/attach/Allreduce/Free cycles must leave the same
 # engine records and per-rank dict sizes behind
 mem-smoke:
 	PYTHONPATH=src $(PYTHON) tools/mem_smoke.py

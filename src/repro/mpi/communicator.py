@@ -402,6 +402,8 @@ class Communicator:
         if status is None:
             return None
         scratch, n, _, _, datatype, (layout, buf, instances) = r
+        if self.ctx.lent:    # a pending send of this rank lent ``buf``
+            self.endpoint._copy_lent(as_array(buf))
         layout.unpack(as_array(scratch)[:n], buf, instances)
         self._pack_cost(n * datatype.wire_itemsize)
         status.count = instances

@@ -18,9 +18,14 @@ Payloads whose protocol already guarantees the sender cannot reuse the
 buffer early travel as *borrowed views*
 (:class:`~repro.sim.mailbox.PayloadLease`) instead of snapshots:
 
-* **blocking rendezvous sends** — the receiver copies the payload out
-  *before* posting its CTS, so a completed ``wait`` proves the view
-  was drained; no snapshot is ever taken;
+* **rendezvous sends, blocking and nonblocking** — the receiver copies
+  the payload out *before* posting its CTS, so the send's completion
+  (the return of ``send`` / ``sendrecv``, or ``wait`` / ``test`` /
+  ``waitany`` / ``waitall`` on an ``isend``'s request) proves the view
+  was drained; no snapshot is ever taken.  MPI's buffer rule
+  (MPI-4.1 §3.7.2) is what lends a nonblocking send's window: the
+  caller must not modify it until the request completes, so a write
+  before then is erroneous, and here its effect is undefined;
 * **eager sends inside** :meth:`P2PEndpoint.sendrecv` — the snapshot
   is deferred: the view is posted, and only if the partner has not
   consumed it by the time ``sendrecv`` returns is a copy forced (the
@@ -28,10 +33,16 @@ buffer early travel as *borrowed views*
   users of ``Sendrecv`` — mostly find the view already consumed.
 
 Overlapping windows (a send window sharing memory with the receive
-window of the same ``sendrecv``) always force the copying path; so does
-every send with no such guarantee (``Isend``, eager sends outside
-``sendrecv``).  Overlap is decided by allocation: windows of two
-distinct arrays that each own their memory cannot overlap (the rule of
+window of the same ``sendrecv``) always force the copying path.  A
+nonblocking send's lease outlives the call that posted it, so it stays
+copy-on-write against its own rank's receives: until its request
+completes it is registered on the rank (``RankContext.lent``, keyed by
+the allocation its view was cut from), and a receive landing on memory
+it lent copies it out first (:meth:`P2PEndpoint._copy_lent`).  An eager
+send outside ``sendrecv`` completes locally — nothing orders the
+receiver's copy before the caller's next write — so it keeps its
+snapshot.  Overlap is decided by allocation: windows of two distinct
+arrays that each own their memory cannot overlap (the rule of
 :func:`~repro.hw.memory.aliasing_probe`), and only windows of one
 allocation — an in-place exchange, a ring inside one receive buffer —
 or of arrays that do not own their memory are numpy's to judge.  Faults
@@ -111,6 +122,8 @@ class P2PEndpoint:
         self._incoming = incoming
         #: the one abort probe of every wait and poll (``peer -> reason``)
         self._doomed = functools.partial(ctx.engine.doomed, ctx_id)
+        #: the rank's pending lent sends (one dict for all its endpoints)
+        self._lent = ctx.lent
 
     # -- path pricing -----------------------------------------------------
 
@@ -155,13 +168,18 @@ class P2PEndpoint:
     def isend(self, buf, off: int, count: Optional[int], dst_world: int,
               tag: int, datatype: Datatype) -> Request:
         """Nonblocking send of window ``(buf, off, count)`` (``count``
-        None: the rest of ``buf``); returns a :class:`Request`.  The
-        payload is always a snapshot: nothing keeps the caller from
-        reusing the buffer before ``wait``."""
+        None: the rest of ``buf``); returns a :class:`Request`.
+
+        A rendezvous payload is lent until the request completes (MPI's
+        rule: the caller leaves the window alone until then); the
+        receiver copies it out once, and a receive of this rank landing
+        on it first takes the snapshot instead.  An eager payload is a
+        snapshot: the send completes here."""
         arr = as_array(buf)
         view = arr[off:] if count is None else arr[off:off + count]
         msg, req = self._send_impl(view, isinstance(buf, DeviceBuffer),
-                                   dst_world, tag, datatype, False)
+                                   dst_world, tag, datatype, True,
+                                   keep=True)
         if req is None:  # eager: completed locally
             return Request.completed(
                 Status(msg.src, tag, view.size, msg.nbytes), kind="send")
@@ -170,7 +188,7 @@ class P2PEndpoint:
     def _send_impl(self, view: np.ndarray, device: bool, dst_world: int,
                    tag: int, datatype: Datatype, lend: bool,
                    lend_eager: bool = False, bidir: bool = False,
-                   ) -> Tuple[Message, Optional[Request]]:
+                   keep: bool = False) -> Tuple[Message, Optional[Request]]:
         """Post a send of ``view`` (of a device buffer when ``device``):
         ``(msg, None)`` for an eager send (complete already) or ``(msg,
         request)`` for rendezvous.
@@ -182,7 +200,9 @@ class P2PEndpoint:
         Every other payload is a snapshot.  ``bidir`` marks a flow that
         runs in both directions over the same link at once (a
         ``sendrecv`` with one partner): it is priced at the
-        duplex-shared rate.
+        duplex-shared rate.  ``keep`` says the request outlives this
+        call (:meth:`isend`): a lent rendezvous payload is registered on
+        the rank until the request completes.
         """
         ctx, cfg = self.ctx, self.config
         nbytes = view.size * datatype.wire_itemsize
@@ -221,6 +241,14 @@ class P2PEndpoint:
         if eager:
             return msg, None
         count = view.size
+        lent = home = None
+        if keep and view.strides[0]:    # storage-free: nothing to overwrite
+            # a slice's base is its allocation (numpy collapses views)
+            lent, home = self._lent, id(view.base)
+            entries = lent.get(home)
+            if entries is None:
+                entries = lent[home] = {}
+            entries[seq] = msg
 
         def match_cts(m: Message) -> bool:
             return m.kind == _KIND_CTS and m.seq == seq
@@ -236,8 +264,14 @@ class P2PEndpoint:
                     return None
             ctx.clock.merge(cts.arrival_us)
             if lease is not None:
+                if lent is not None:
+                    entries = lent[home]
+                    del entries[seq]
+                    if not entries:
+                        del lent[home]
                 # the receiver consumed before posting the CTS, so this
-                # reclaim only counts the snapshot we never took
+                # reclaim only counts the snapshot we never took (or,
+                # after a copy-on-write, nothing)
                 lease.materialize(msg)
             return Status(ctx.rank, tag, count, nbytes)
 
@@ -278,6 +312,8 @@ class P2PEndpoint:
         staged = device and not cfg.gpu_direct
         lease = msg.lease
         target = window[:recv_count]
+        if self._lent and target.strides[0]:
+            self._copy_lent(target)   # this rank's pending sends may lend it
         # landing without a lease: ``copy_payload``'s two tests, inline
         land = lease is None and target.strides[0]
         if land and not data.strides[0] and recv_count:
@@ -323,6 +359,26 @@ class P2PEndpoint:
             ctx.trace.record("recv", msg.depart_us, ctx.now, peer=msg.src,
                              nbytes=nbytes, label=msg.kind)
         return Status(msg.src, msg.tag, recv_count, nbytes)
+
+    def _copy_lent(self, target: np.ndarray) -> None:
+        """Copy-on-write before ``target`` is written: materialize every
+        still-unconsumed lease of this rank's pending sends whose view
+        shares memory with it.  Only the leases cut from ``target``'s
+        allocation can, when that allocation owns its memory."""
+        home = target.base
+        if not isinstance(home, np.ndarray):
+            home = target
+        lent = self._lent
+        if home.flags.owndata:
+            groups = (lent.get(id(home)) or {},)
+        else:
+            groups = tuple(lent.values())
+        for entries in groups:
+            for msg in entries.values():
+                lease = msg.lease
+                if not (lease.consumed or lease.materialized) \
+                        and np.may_share_memory(msg.data, target):
+                    lease.materialize(msg)
 
     def recv(self, buf, off: int, count: Optional[int], src_world: int,
              tag: int, datatype: Datatype) -> Status:

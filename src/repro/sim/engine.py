@@ -28,7 +28,7 @@ from repro.errors import (DeadlockError, MPICommError, RankFailedError,
 from repro.hw.cluster import Cluster
 from repro.hw.device import Accelerator
 from repro.sim.clock import VirtualClock
-from repro.sim.mailbox import ANY_SOURCE, Mailbox, ProgressMonitor
+from repro.sim.mailbox import ANY_SOURCE, Mailbox, Message, ProgressMonitor
 from repro.sim.sched import CoopScheduler, CoopWaitq, ThreadWaitq
 from repro.sim.tracing import Trace
 from repro.sim.wire import WireTracker
@@ -325,6 +325,11 @@ class RankContext:
         #: lazily-built staging BufferPool (see repro.mpi.compute);
         #: stays None until the fast path first needs scratch space.
         self.staging_pool = None
+        #: the rank's unreclaimed nonblocking rendezvous sends, ``id`` of
+        #: the allocation their lent view was cut from -> ``{seq:
+        #: message}``: a receive landing on that memory copies them out
+        #: first (``repro.mpi.p2p.P2PEndpoint._copy_lent``)
+        self.lent: Dict[int, Dict[int, Message]] = {}
 
     @property
     def cluster(self) -> Cluster:
@@ -680,6 +685,12 @@ class Engine:
         for ctx in self.contexts:
             if ctx.staging_pool is not None:
                 ctx.staging_pool.clear()
+            # a send the run never completed (its receiver died, its RTS
+            # was dropped): the lent view and its lease end with the run
+            for entries in ctx.lent.values():
+                for msg in entries.values():
+                    msg.data = msg.lease = None
+            ctx.lent.clear()
         self._slots.clear()
 
     def next_sequence(self) -> int:

@@ -128,11 +128,18 @@ class PayloadLease:
     * the receiver calls :meth:`consume` to copy the payload out into
       its buffer;
     * the sender calls :meth:`materialize` at the last point it can
-      still do so before its buffer becomes mutable again (the return
-      of a blocking send or sendrecv).  If the receiver already
+      still do so before its buffer becomes mutable again: the return
+      of a blocking send or sendrecv, or the completion of a
+      nonblocking send's request (``wait``, ``test``, ``waitany`` or
+      ``waitall``, whichever completes it).  If the receiver already
       consumed, nothing happens and the snapshot was **elided**; if
       not, the payload is copied *now* (the copy-on-write escape
-      hatch) and the receiver will read the snapshot instead.
+      hatch) and the receiver will read the snapshot instead.  A
+      nonblocking send's lease outlives the call that posted it, so a
+      receive of the sender's own rank that lands on the lent memory
+      first materializes it early (``P2PEndpoint._copy_lent``); the
+      reclaim then finds it materialized and counts nothing: one copy,
+      elided or forced, is counted per lease.
 
     The two sides never interleave: each runs while its rank holds the
     run token (:mod:`repro.sim.sched`).  Either way the bytes received
@@ -160,8 +167,11 @@ class PayloadLease:
     def materialize(self, msg: "Message") -> None:
         """Sender side: reclaim the buffer, counting the snapshot as
         elided (already consumed) or forced (copied now; a storage-free
-        view is its own snapshot)."""
-        if self.consumed or self.materialized:
+        view is its own snapshot).  A lease materialized before is
+        counted already."""
+        if self.materialized:
+            return
+        if self.consumed:
             fastpath.STATS.note_copy_elided()
         else:
             if msg.data.strides[0]:

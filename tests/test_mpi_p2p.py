@@ -233,6 +233,26 @@ class TestNonblocking:
         assert spmd(thetagpu1, body, nranks=2)[0] is True
 
 
+@pytest.mark.xfail(raises=RankFailedError, strict=True,
+                   reason="waitall completes in list order: a rendezvous "
+                          "send listed ahead of the receive that feeds its "
+                          "CTS deadlocks (ROADMAP item 10, progress rule)")
+def test_waitall_send_ahead_of_its_feeding_receive(thetagpu1, spmd):
+    """Two ranks each ``waitall([Isend(rendezvous), Irecv])``: a correct
+    program.  ``waitall`` blocks on the send's CTS, which the peer sends
+    only once its own receive completes, behind its own blocked send."""
+    def body(ctx):
+        comm = world(ctx)
+        peer = 1 - ctx.rank
+        send = ctx.device.zeros(1 << 14)
+        send.fill(ctx.rank + 1.0)
+        recv = ctx.device.zeros(1 << 14)
+        waitall([comm.Isend(send, peer), comm.Irecv(recv, source=peer)])
+        return float(recv.array[0])
+
+    assert spmd(thetagpu1, body, nranks=2) == [2.0, 1.0]
+
+
 #: every receive spelling, as ``(comm, buf, source) -> Status``; the
 #: sender is communicator rank ``source`` (``Sendrecv`` is symmetric)
 _RECEIVES = {

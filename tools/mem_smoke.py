@@ -2,7 +2,7 @@
 engines built, ranks times ranks, or bytes a benchmark never reads;
 communicator churn leaves nothing behind.
 
-Five legs, the first four each in a fresh process that reports its own
+Six legs, the first five each in a fresh process that reports its own
 peak resident set (``ru_maxrss``) and fails above its ceiling:
 
 * **scale** — a ``SCALE_RANKS``-rank ``Barrier`` + ``Allreduce``;
@@ -25,6 +25,13 @@ peak resident set (``ru_maxrss``) and fails above its ceiling:
 * **alltoall** — a 128-rank (16 x 8 ThetaGPU) OMB ``Alltoall`` at 4 MiB
   per peer on the hybrid stack, storage-free; 256 MiB.  Its windows
   would be 128 GiB of real memory.
+* **window** — ``WINDOW_ROUNDS`` OMB-style windows of ``WINDOW`` x
+  1 MiB ``Isend`` / ``Irecv`` between 2 ThetaGPU ranks on two nodes
+  (``pure_mpi``), real payloads, the collector at its defaults; 112 MiB.
+  About 129.5 MiB while every rendezvous ``Isend`` snapshotted its
+  window (32 MiB of snapshots alive at once), about 97.3 MiB now that
+  it lends the window until its request completes (docs/performance.md,
+  "Lent nonblocking sends").
 * **churn** — ``CHURN_CYCLES`` runs of Dup → attach → 1 MiB
   ``Allreduce`` (the xCCL route) → ``Free`` on 8 ThetaGPU ranks; fails
   unless the engine's record count and the size of every dict on each
@@ -53,6 +60,9 @@ PAYLOAD_COLLECTIVES = ("allreduce", "reduce", "bcast", "alltoall")
 PAYLOAD_STACKS = ("hybrid", "pure-xccl", "ccl")
 ALLTOALL_NODES = 16
 ALLTOALL_PEER_BYTES = 4 << 20
+WINDOW = 32
+WINDOW_BYTES = 1 << 20
+WINDOW_ROUNDS = 8
 
 
 @contextlib.contextmanager
@@ -149,6 +159,40 @@ def alltoall_leg() -> str:
             f"peer, storage-free: {latency:.1f} us")
 
 
+def window_leg() -> str:
+    """``WINDOW_ROUNDS`` windows of ``WINDOW`` x 1 MiB ``Isend`` /
+    ``Irecv`` between 2 ThetaGPU ranks on two nodes, real payloads, the
+    collector at its defaults; every window checked."""
+    import numpy as np
+
+    from repro.core import runtime
+    from repro.mpi.request import waitall
+
+    count = WINDOW_BYTES // 4
+
+    def body(mpx):
+        comm = mpx.COMM_WORLD
+        bufs = [mpx.device_array(count, fill=-1.0) for _ in range(WINDOW)]
+        for rnd in range(WINDOW_ROUNDS):
+            if comm.rank == 0:
+                for i, buf in enumerate(bufs):
+                    buf.array[:] = rnd + i
+                waitall([comm.Isend(buf, 1, tag=i)
+                         for i, buf in enumerate(bufs)])
+            else:
+                waitall([comm.Irecv(buf, source=0, tag=i)
+                         for i, buf in enumerate(bufs)])
+                assert all(np.all(buf.array == rnd + i)
+                           for i, buf in enumerate(bufs))
+            comm.Barrier()
+        return True
+
+    assert runtime.run(body, system="thetagpu", nodes=2,
+                       ranks_per_node=1, mode="pure_mpi") == [True, True]
+    return (f"{WINDOW_ROUNDS} windows of {WINDOW} x "
+            f"{WINDOW_BYTES >> 20} MiB Isend/Irecv across two nodes")
+
+
 #: leg -> (function, peak RSS ceiling in MiB, what a breach means)
 LEGS = {
     "scale": (scale_leg, 256.0,
@@ -159,6 +203,8 @@ LEGS = {
                  "device buffers are outliving their last reference"),
     "alltoall": (alltoall_leg, 256.0,
                  "a storage-free benchmark window is holding real memory"),
+    "window": (window_leg, 112.0,
+               "a nonblocking rendezvous send snapshots its window"),
 }
 
 
