@@ -17,9 +17,10 @@ lint:
 		$(PYTHON) tools/lint.py src tests benchmarks tools; \
 	fi
 
-# default pytest config deselects @pytest.mark.slow sweeps
+# default pytest config deselects @pytest.mark.slow sweeps; the 15
+# slowest tests are listed so every log shows where the budget goes
 test:
-	$(PYTHON) -m pytest tests/
+	$(PYTHON) -m pytest tests/ --durations=15
 
 test-all:
 	$(PYTHON) -m pytest tests/ -m ""

@@ -11,10 +11,12 @@ and memoized models replay what a fresh derivation would compute
 call is the transport unit, and payloads travel as borrowed read-only
 views.  The copying / per-message code survives only where
 the code itself observes it must: a send window aliasing a receive
-window (``MPI_IN_PLACE`` spellings) copies on write, a mailbox whose
-``post`` a fault injector wrapped is fed message by message, and a
-group opened without a communicator hint takes the bulk mailbox
-transport instead of the whole-group rendezvous.
+window (``MPI_IN_PLACE`` spellings) copies on write, a hinted group
+takes the bulk mailbox transport while a fault plan's drop or delay
+rules are installed (they are every mailbox's ``filter``, which the
+whole-group rendezvous would bypass: ``Engine.any_mailbox_patched``),
+and a group opened without a communicator hint takes that bulk
+transport too.
 
 What a run *can* choose — ``trace``, ``hier_pipe``, ``hetero``,
 ``online_tune`` — are arguments of :class:`repro.sim.engine.Engine`

@@ -4,13 +4,10 @@ The staged pipeline (`repro.core.dispatch`) replaced the hand-written
 per-collective method triplets; these tests pin the refactor's
 contract:
 
-* all 12 collectives × {NCCL, RCCL, HCCL, MSCCL} produce payloads AND
-  virtual times bit-identical to the frozen reference — what the
-  direct, unoptimized path (uncached, unfused, copying) computed at the
-  last commit that had one (``tests/frozen_reference.py``) — with the
-  four run options all off and all on;
-* the MPI-algorithm fallback route (PURE_MPI mode) holds the same
-  invariant;
+* all 12 collectives × {NCCL, RCCL, HCCL, MSCCL}, and the MPI-algorithm
+  fallback route (PURE_MPI mode), reproduce the frozen reference with
+  the four run options all off and all on — cases of the conformance
+  suite (``tests/test_conformance.py``), checked here by name;
 * the §3.2 capability checks live in exactly one place
   (``CollectivePipeline.capability``) and still produce the paper's
   fallbacks: HCCL is float-only, no CCL does double-complex;
@@ -23,118 +20,24 @@ from __future__ import annotations
 
 import dataclasses
 import inspect
-import itertools
 
 import numpy as np
 import pytest
 
 from repro import fastpath
-from repro.core import DispatchMode, runtime
+from repro.core import runtime
 from repro.core.dispatch import REGISTRY, CollectivePipeline, CollectiveSpec
 from repro.core.fallback import FallbackReason, Route
 from repro.mpi.coll import MPICollDispatcher
 from repro.mpi.ops import SUM
 from tests import frozen_reference
-from tests.test_zero_copy import _program_body_factory, _random_program
+from tests.test_conformance import (ALL_ON, MATRIX, REAL, STACKS, TRACED,
+                                    Arm, conforms, conforms_as_variant,
+                                    oracle_conforms)
 
-#: (system, backend, ranks) — one per CCL the paper ports.  Single-node,
-#: so no wire is contended and virtual times are equal *across* option
-#: arms, not just run to run.
-STACKS = [
-    ("thetagpu", None, 4),      # NCCL
-    ("mri", None, 2),           # RCCL
-    ("voyager", None, 4),       # HCCL
-    ("thetagpu", "msccl", 4),   # MSCCL
-]
-
-#: the four run options: 2^4 = 16 combinations.
 ALL_GATES = frozen_reference.OPTIONS
-
-N = 13  # odd per-rank count exercises uneven chunk geometry
-
-
-def _vec_geometry(p):
-    counts = [r + 1 for r in range(p)]
-    displs = [sum(counts[:r]) for r in range(p)]
-    return counts, displs
-
-
-def _twelve_collectives_body(mpx):
-    """Run all 12 registry collectives once; record payload bytes and
-    the virtual clock after each."""
-    comm = mpx.COMM_WORLD
-    ctx = comm.ctx
-    p, rank = comm.size, comm.rank
-    log = []
-
-    def snap(buf):
-        log.append((buf.array.tobytes(), ctx.now))
-
-    base = np.arange(N * p, dtype=np.float32) + rank
-    send = ctx.device.zeros(N * p, dtype=np.float32)
-    send.array[:] = base
-    recv = ctx.device.zeros(N * p, dtype=np.float32)
-
-    comm.Allreduce(send.view(0, N), recv.view(0, N), SUM)
-    snap(recv)
-    comm.Bcast(recv.view(0, N), root=0)
-    snap(recv)
-    comm.Reduce(send.view(0, N), recv.view(0, N), SUM, 0)
-    snap(recv)
-    comm.Allgather(send.view(0, N), recv.view(0, N * p))
-    snap(recv)
-    comm.Alltoall(send, recv)
-    snap(recv)
-    comm.Reduce_scatter_block(send, recv.view(0, N), SUM)
-    snap(recv)
-    comm.Gather(send.view(0, N), recv.view(0, N * p), root=0)
-    snap(recv)
-    comm.Scatter(send, recv.view(0, N), root=0)
-    snap(recv)
-
-    counts, displs = _vec_geometry(p)
-    total = sum(counts)
-    vsend = ctx.device.zeros(counts[rank], dtype=np.float32)
-    vsend.array[:] = rank * 10.0 + np.arange(counts[rank])
-    vrecv = ctx.device.zeros(total, dtype=np.float32)
-    comm.Allgatherv(vsend, vrecv, counts)
-    snap(vrecv)
-    comm.Gatherv(vsend, vrecv, counts, root=0)
-    snap(vrecv)
-    vroot = ctx.device.zeros(total, dtype=np.float32)
-    vroot.array[:] = np.arange(total, dtype=np.float32)
-    comm.Scatterv(vroot, counts, vrecv.view(0, counts[rank]), root=0)
-    snap(vrecv)
-
-    a2a_counts = [((rank + r) % 3) + 1 for r in range(p)]
-    a2a_displs = [sum(a2a_counts[:r]) for r in range(p)]
-    asend = ctx.device.zeros(sum(a2a_counts), dtype=np.float32)
-    asend.array[:] = rank * 100.0 + np.arange(sum(a2a_counts))
-    arecv = ctx.device.zeros(sum(a2a_counts), dtype=np.float32)
-    comm.Alltoallv(asend, a2a_counts, arecv, a2a_counts)
-    snap(arecv)
-
-    return log
-
-
-def _run_under_gates(combo):
-    """The twelve collectives on one 4-rank thetagpu node, hybrid
-    dispatch, with the four options set to ``combo`` (:data:`ALL_GATES`
-    order)."""
-    return runtime.run(_twelve_collectives_body, system="thetagpu",
-                       nodes=1, ranks_per_node=4,
-                       **dict(zip(ALL_GATES, combo)))
-
-
-def _assert_bit_identical(baseline, candidate, combo, nranks):
-    assert len(baseline) == len(candidate) == nranks
-    for rank, (a, b) in enumerate(zip(baseline, candidate)):
-        assert len(a) == len(b) == 12
-        for i, ((data_a, t_a), (data_b, t_b)) in enumerate(zip(a, b)):
-            assert data_a == data_b, \
-                f"gates={combo}: rank {rank} payload {i} differs"
-            assert t_a == t_b, \
-                f"gates={combo}: rank {rank} clock after op {i} differs"
+#: the hybrid single-node program the option matrix runs on
+HYBRID = "plan_cache:thetagpu-native"
 
 
 def test_registry_covers_all_twelve():
@@ -148,52 +51,34 @@ def test_registry_covers_all_twelve():
         assert callable(spec.ccl)
     # the MPI leg is the descriptor handed to MPICollDispatcher: no
     # executor field, one method per collective defined by that class
-    # itself (the end-to-end benchmark's span table wraps them by name)
+    # itself; the pipeline's stages stay class attributes too (the
+    # end-to-end benchmark's span table wraps them by name)
     assert "mpi" not in {f.name for f in dataclasses.fields(CollectiveSpec)}
     for name in sorted(REGISTRY) + ["barrier"]:
         assert inspect.isfunction(MPICollDispatcher.__dict__.get(name)), name
+    for stage in ("run", "decide", "execute"):
+        assert inspect.isfunction(CollectivePipeline.__dict__.get(stage)), \
+            stage
 
 
-@pytest.mark.parametrize("system,backend,nranks", STACKS,
-                         ids=[f"{s}-{b or 'native'}" for s, b, _ in STACKS])
-def test_all_collectives_all_gates_bit_identical_ccl(system, backend, nranks):
-    """12 collectives through the CCL route: payloads and virtual times
-    bit-identical to the frozen reference (the pre-refactor direct
-    path) with the options all off and all on."""
-    frozen_reference.assert_matches_all_gates(
-        f"twelve:{system}-{backend or 'native'}:pure_xccl",
-        lambda **options: runtime.run(
-            _twelve_collectives_body, system=system, nodes=1,
-            ranks_per_node=nranks, backend=backend,
-            mode=DispatchMode.PURE_XCCL, **options))
+@pytest.mark.parametrize("stack", list(STACKS))
+def test_all_collectives_all_gates_bit_identical_ccl(stack):
+    """12 collectives through the CCL route equal the frozen reference,
+    options all off and all on."""
+    for arm in (REAL, ALL_ON):
+        conforms(f"twelve:{stack}:pure_xccl", arm)
 
 
 def test_all_collectives_all_gates_bit_identical_mpi_fallback():
     """The same invariant on the MPI-algorithm fallback route."""
-    frozen_reference.assert_matches_all_gates(
-        "twelve:thetagpu-native:pure_mpi",
-        lambda **options: runtime.run(
-            _twelve_collectives_body, system="thetagpu", nodes=1,
-            ranks_per_node=4, mode=DispatchMode.PURE_MPI, **options))
+    for arm in (REAL, ALL_ON):
+        conforms("twelve:thetagpu-native:pure_mpi", arm)
 
 
 def test_ccl_and_mpi_routes_agree_on_payloads():
-    """Both execute routes compute the same collectives — two
-    independent implementations, each the other's oracle: payload
-    bytes (not times) must agree between PURE_XCCL and PURE_MPI, on
-    the twelve collectives and on the randomized programs."""
-    for name, body in [
-            ("twelve", _twelve_collectives_body),
-            ("random-7", _program_body_factory(_random_program(7))),
-            ("random-23", _program_body_factory(_random_program(23)))]:
-        xccl = runtime.run(body, system="thetagpu", nodes=1,
-                           ranks_per_node=4, mode=DispatchMode.PURE_XCCL)
-        mpi = runtime.run(body, system="thetagpu", nodes=1,
-                          ranks_per_node=4, mode=DispatchMode.PURE_MPI)
-        for rank, (a, b) in enumerate(zip(xccl, mpi)):
-            for i, ((data_a, _), (data_b, _)) in enumerate(zip(a, b)):
-                assert data_a == data_b, \
-                    f"{name}: rank {rank} payload {i} differs"
+    """The CCL route's frozen payloads are the ``pure_mpi`` run's."""
+    for key in ("twelve:thetagpu-native:pure_xccl", "random:7", "random:23"):
+        oracle_conforms(key)
 
 
 class TestCapabilityChecksInOnePlace:
@@ -300,124 +185,45 @@ def test_dispatch_stage_counters():
     assert counters["ccl_errors"] == 0
 
 
-#: the four uniform collectives the hierarchy executor covers, at a
-#: payload at the reduction-collective routing crossover (2 MiB);
-#: bcast's higher crossover keeps it on the flat route here, which the
-#: parity pins cover too — the route stage must decline identically on
-#: every rank
-HIER_N = (2 << 20) // 4
-
-
-def _hier_collectives_body(mpx):
-    """The four hierarchy-eligible collectives at an inter-node payload
-    size; returns (payload bytes, virtual clock) after each."""
-    comm = mpx.COMM_WORLD
-    ctx = comm.ctx
-    p, rank = comm.size, comm.rank
-    log = []
-
-    def snap(buf):
-        log.append((buf.array.tobytes(), ctx.now))
-
-    rng = np.random.default_rng(41 + rank)
-    send = mpx.device_array(HIER_N)
-    send.array[:] = rng.integers(0, 5, HIER_N)  # exact under reassociation
-    recv = mpx.device_array(HIER_N, fill=0.0)
-    comm.Allreduce(send, recv, SUM)
-    snap(recv)
-    buf = mpx.device_array(HIER_N, fill=0.0)
-    if rank == 1:
-        buf.array[:] = rng.integers(0, 5, HIER_N)
-    comm.Bcast(buf, root=1)
-    snap(buf)
-    ag = mpx.device_array(HIER_N * p, fill=0.0)
-    comm.Allgather(send, ag)
-    snap(ag)
-    rs_in = mpx.device_array(HIER_N * p)
-    rs_in.array[:] = rng.integers(0, 5, HIER_N * p)
-    rs_out = mpx.device_array(HIER_N, fill=0.0)
-    comm.Reduce_scatter_block(rs_in, rs_out, SUM)
-    snap(rs_out)
-    return log
-
-
-def _run_hier(hier):
-    from repro.hw.systems import make_system
-    cluster = make_system("thetagpu", 2, nics=4)
-    out = runtime.run(_hier_collectives_body, system=cluster,
-                      nranks=8, ranks_per_node=4, hier_pipe=hier)
-    return out, fastpath.STATS.snapshot()
-
-
 def test_hier_gate_inert_single_node():
-    """On one node ``hier_pipe`` must be provably inert: payloads AND
-    virtual times bit-identical to the option-off run, and the
-    hierarchical route never taken."""
-    off = (False,) * len(ALL_GATES)
-    hier = tuple(name == "hier_pipe" for name in ALL_GATES)
-    baseline = _run_under_gates(off)
-    candidate = _run_under_gates(hier)
-    assert fastpath.STATS.snapshot()["route_hier"] == 0
-    _assert_bit_identical(baseline, candidate, "hier_pipe", 4)
+    """On one node ``hier_pipe`` is inert and never takes the
+    hierarchy."""
+    conforms(HYBRID)
+    got = conforms(HYBRID, Arm(on=frozenset({"hier_pipe"})))
+    assert got.counters["route_hier"] == 0
 
 
 def test_hier_multi_node_payload_parity():
-    """Across nodes the hierarchy route must change *times only*:
-    payloads stay bit-identical to the flat route, and the route
-    counters prove the hierarchy actually ran."""
-    off, snap_off = _run_hier(hier=False)
-    on, snap_on = _run_hier(hier=True)
-    assert snap_off["route_hier"] == 0
-    assert snap_on["route_hier"] > 0
-    assert snap_on["hier_stripe_ops"] > 0
-    for rank, (a, b) in enumerate(zip(off, on)):
-        for i, ((data_a, _), (data_b, _)) in enumerate(zip(a, b)):
-            assert data_a == data_b, \
-                f"hier: rank {rank} payload {i} differs from flat"
+    """Across nodes the hierarchy changes times only: its payloads are
+    the closed form's; it ran; the flat route never takes it."""
+    oracle_conforms("hier:aligned")
+    got = conforms("hier:aligned")
+    assert got.counters["route_hier"] > 0
+    assert got.counters["hier_stripe_ops"] > 0
+    flat = conforms_as_variant("hetero:nvidia:2,amd:2", "homogeneous")
+    assert flat.counters["route_hier"] == 0
 
 
 def test_hier_multi_node_reproducible():
-    """With ``hier_pipe`` on, two fresh multi-node engines agree to the
-    bit — payloads and virtual times."""
-    first, _ = _run_hier(hier=True)
-    second, _ = _run_hier(hier=True)
-    for rank, (a, b) in enumerate(zip(first, second)):
-        for i, ((da, ta), (db, tb)) in enumerate(zip(a, b)):
-            assert da == db, f"rank {rank} payload {i} differs"
-            assert ta == tb, f"rank {rank} clock after op {i} differs"
-
-
-def _assert_all_gate_parity(combos):
-    """Every combo of :data:`ALL_GATES` reproduces the all-off run of
-    the single-node hybrid job."""
-    baseline = _run_under_gates((False,) * len(ALL_GATES))
-    for combo in combos:
-        candidate = _run_under_gates(combo)
-        _assert_bit_identical(baseline, candidate,
-                              dict(zip(ALL_GATES, combo)), 4)
+    """Two fresh multi-node ``hier_pipe`` engines give the frozen run."""
+    conforms("hier:aligned", REAL)
+    conforms("hier:aligned", TRACED)
 
 
 def test_new_gates_inert_fast():
-    """Fast leg of the matrix: the online tuner (below its warm-up —
-    each collective runs once per size here) and tracing (observation
-    only) must be provably inert, alone and together.  Payloads AND
-    virtual times."""
-    _assert_all_gate_parity([
-        (trace, False, False, tune)
-        for trace in (False, True)
-        for tune in (False, True)])
+    """The online tuner (below its warm-up) and tracing are inert, alone
+    and together."""
+    for arm in MATRIX:
+        if arm.on <= {"trace", "online_tune"}:
+            conforms(HYBRID, arm)
 
 
 def test_all_four_options_bit_identical_full():
-    """The full 2^4 matrix (the 15 combinations with an option on):
-    every combination of the four run options produces payloads and
-    virtual times bit-identical to the all-off run on a single-node
-    hybrid job.  Every option is either observational (trace) or inert
-    off its trigger (hier_pipe: one node; hetero: one vendor; online
-    tuner: below warm-up) — so the whole product is inert."""
-    _assert_all_gate_parity(
-        [c for c in itertools.product([False, True], repeat=len(ALL_GATES))
-         if any(c)])
+    """Every combination of the four options reproduces the frozen
+    single-node hybrid run: each is observational (trace) or inert off
+    its trigger (two nodes, two vendors, the tuner's warm-up)."""
+    for arm in MATRIX:
+        conforms(HYBRID, arm)
 
 
 def test_configure_restores():

@@ -4,7 +4,8 @@ Batching a group call may only change how fast the simulator runs —
 never what it computes.  These tests pin that contract for every
 send-recv collective on every CCL stack: payload bytes AND virtual
 clocks are bit-identical to what one mailbox round trip per message
-gave (the frozen fusion-off arm, ``tests/frozen_reference.py``), group
+gave (the frozen fusion-off arm, ``tests/frozen_reference.py``, a
+case of ``tests/test_conformance.py``), group
 flushes keep per-(src, tag) FIFO order, and the fused paths actually
 engage (counters > 0) so a silent fallback cannot masquerade as a pass.
 """
@@ -16,98 +17,17 @@ import pytest
 
 from repro import fastpath
 from repro.core import runtime
-from tests import frozen_reference
+from tests.test_conformance import STACKS, conforms
 
-#: (system, backend, single-node ranks) — one per CCL the paper ports.
-#: Single-node runs are exactly reproducible (intra-node wires are
-#: direction-tagged per pair), which is what makes bit-comparison valid.
-STACKS = [
-    ("thetagpu", None, 4),      # NCCL
-    ("mri", None, 2),           # RCCL
-    ("voyager", None, 4),       # HCCL
-    ("thetagpu", "msccl", 4),   # MSCCL
-]
-
-
-def _sendrecv_body(mpx):
-    """Run every send-recv collective of §3.3 (routed through the CCL
-    grouped path by pure_xccl) with uneven counts including zeros;
-    record payload bytes and the virtual clock after each call."""
-    comm = mpx.COMM_WORLD
-    ctx = comm.ctx
-    p, r = comm.size, comm.rank
-    log = []
-
-    def snap(buf):
-        log.append((buf.array.tobytes(), ctx.now))
-
-    # alltoallv, uneven with zero blocks: count(i -> j) = (i + j) % 3
-    sc = [(r + j) % 3 for j in range(p)]
-    rc = [(i + r) % 3 for i in range(p)]
-    sd = [sum(sc[:j]) for j in range(p)]
-    rd = [sum(rc[:j]) for j in range(p)]
-    send = ctx.device.zeros(max(1, sum(sc)), dtype=np.float32)
-    send.array[:] = np.arange(send.array.size, dtype=np.float32) + 100 * r
-    recv = ctx.device.zeros(max(1, sum(rc)), dtype=np.float32)
-    for _ in range(2):
-        comm.Alltoallv(send, sc, recv, rc, sd, rd)
-        snap(recv)
-
-    # uniform alltoall (delegates to alltoallv)
-    s2 = ctx.device.zeros(3 * p, dtype=np.float32)
-    s2.array[:] = np.arange(3 * p, dtype=np.float32) + r
-    r2 = ctx.device.zeros(3 * p, dtype=np.float32)
-    comm.Alltoall(s2, r2, count=3)
-    snap(r2)
-
-    # allgatherv, uneven
-    counts = [i % 3 + 1 for i in range(p)]
-    displs = [sum(counts[:j]) for j in range(p)]
-    s3 = ctx.device.zeros(counts[r], dtype=np.float32)
-    s3.array[:] = r + 1
-    r3 = ctx.device.zeros(sum(counts), dtype=np.float32)
-    comm.Allgatherv(s3, r3, counts, displs)
-    snap(r3)
-
-    # rooted: gather / gatherv / scatter / scatterv
-    s4 = ctx.device.zeros(2, dtype=np.float32)
-    s4.array[:] = r + 1
-    r4 = ctx.device.zeros(2 * p, dtype=np.float32)
-    comm.Gather(s4, r4, root=0, count=2)
-    snap(r4)
-    r5 = ctx.device.zeros(sum(counts), dtype=np.float32)
-    comm.Gatherv(s3, r5, counts, displs, root=1 % p)
-    snap(r5)
-    s6 = ctx.device.zeros(2 * p, dtype=np.float32)
-    s6.array[:] = np.arange(2 * p, dtype=np.float32)
-    r6 = ctx.device.zeros(2, dtype=np.float32)
-    comm.Scatter(s6, r6, root=0, count=2)
-    snap(r6)
-    s7 = ctx.device.zeros(sum(counts), dtype=np.float32)
-    s7.array[:] = np.arange(sum(counts), dtype=np.float32) - r
-    r7 = ctx.device.zeros(counts[r], dtype=np.float32)
-    comm.Scatterv(s7, counts, r7, displs, root=0)
-    snap(r7)
-    return log
-
-
-@pytest.mark.parametrize("system,backend,rpn", STACKS,
-                         ids=[f"{s}-{b or 'native'}" for s, b, _ in STACKS])
-def test_bit_identical_fusion_on_vs_off(system, backend, rpn):
-    """Fusion on (the only transport) vs off (the frozen
-    message-by-message arm): identical payload bytes AND virtual times
-    for every send-recv collective on every CCL stack."""
-    fastpath.STATS.reset()
-    on = runtime.run(_sendrecv_body, system=system, nodes=1,
-                     ranks_per_node=rpn, backend=backend, mode="pure_xccl")
-    stats = fastpath.STATS.snapshot()
-
+@pytest.mark.parametrize("stack", list(STACKS))
+def test_bit_identical_fusion_on_vs_off(stack):
+    """The fused transport reproduces the frozen message-by-message
+    arm, and engaged."""
+    stats = conforms(f"group_fusion:{stack}").counters
     # the fused transport must actually have engaged
     assert stats["fusion_flushes"] > 0
     assert stats["fusion_exchanges"] > 0
     assert stats["fusion_msgs"] > 0
-    frozen_reference.assert_matches(
-        f"group_fusion:{system}-{backend or 'native'}", on)
 
 
 def test_group_flush_preserves_pair_fifo():

@@ -5,7 +5,9 @@ empty-intersection errors), the mixed-cluster builders, and the island
 bridge executor: bit-identity of mixed 2+2-node runs against both the
 bridge-off MPI fallback and a homogeneous same-shape run, counter pins
 (one negotiation per communicator), and the negotiation-failure error
-path (a clean MPIX error, never a deadlock).  ``tests/test_ledger.py``
+path (a clean MPIX error, never a deadlock).  The runs are the
+``hetero:<vendors>`` programs of the conformance suite
+(``tests/test_conformance.py``) and their variants.  ``tests/test_ledger.py``
 drains the cached bridge state.
 """
 
@@ -13,11 +15,8 @@ from __future__ import annotations
 
 import dataclasses
 
-import numpy as np
 import pytest
 
-from repro import fastpath
-from repro.core import runtime
 from repro.errors import (
     CCLBackendUnavailable,
     ConfigError,
@@ -27,62 +26,18 @@ from repro.errors import (
 )
 from repro.hw.systems import make_mixed_system, make_system, mixed
 from repro.hw.vendors import Vendor, parse_vendor_counts
-from repro.mpi.ops import SUM
 from repro.xccl import caps
 from repro.xccl.hccl import HCCLBackend
 from repro.xccl.nccl import NCCLBackend
 from repro.xccl.rccl import RCCLBackend
 from repro.xccl.registry import get_backend
 from tests import frozen_reference
+from tests.test_conformance import (REAL, TRACED, conforms,
+                                    conforms_as_variant, launch)
 
-N = 1 << 14  # elements per rank; large enough to engage island xCCL
-
-
-def _run(body, cluster, nranks, rpn, hetero, **options):
-    out = runtime.run(body, system=cluster, nranks=nranks,
-                      ranks_per_node=rpn, hetero=hetero, **options)
-    return out, fastpath.STATS.snapshot()
-
-
-def _collectives_body(mpx):
-    """The four collectives with a bridge executor, broadcast rooted in
-    every island.  Per rank: one ``(name, payload bytes, clock after,
-    this rank's bridge-routed calls)`` entry per call, and the rank's
-    route-surface trace labels (empty untraced)."""
-    comm = mpx.COMM_WORLD
-    p, rank = comm.size, comm.rank
-    rng = np.random.default_rng(11 + rank)
-    log = []
-
-    def call(name, run, result):
-        before = mpx.route_stats.bridge_calls
-        run()
-        log.append((name, result.array.tobytes(), mpx.now,
-                    mpx.route_stats.bridge_calls - before))
-
-    send = mpx.device_array(N)
-    send.array[:] = rng.integers(0, 5, N)
-    recv = mpx.device_array(N, fill=0.0)
-    call("allreduce", lambda: comm.Allreduce(send, recv, SUM), recv)
-    ag = mpx.device_array(N * p, fill=0.0)
-    call("allgather", lambda: comm.Allgather(send, ag), ag)
-    rs_in = mpx.device_array(N * p)
-    rs_in.array[:] = rng.integers(0, 5, N * p)
-    rs_out = mpx.device_array(N, fill=0.0)
-    call("reduce_scatter",
-         lambda: comm.Reduce_scatter_block(rs_in, rs_out, SUM), rs_out)
-    for root in (0, p // 2, p - 1):
-        buf = mpx.device_array(N, fill=0.0)
-        if rank == root:
-            buf.array[:] = rng.integers(0, 5, N)
-        call(f"bcast@{root}", lambda: comm.Bcast(buf, root=root), buf)
-    return log, frozen_reference.surface_labels(mpx.ctx)
-
-
-def _payloads(out):
-    """Per rank ``{call name: payload bytes}`` of a body's return."""
-    return [{name: data for name, data, _clock, _bridged in log}
-            for log, _labels in out]
+#: the ``hetero:<vendors>`` programs' clusters: rail exchange, leader fold
+VENDORS = ("nvidia:2,amd:2", "nvidia:1,amd:2")
+BRIDGED = "hetero:nvidia:2,amd:2"
 
 
 # -- descriptor layer ----------------------------------------------------
@@ -178,91 +133,49 @@ def test_node_vendor_properties():
 # -- the bridge route ----------------------------------------------------
 
 
-def _mixed_cluster():
-    return make_mixed_system("nvidia:2,amd:2")
-
-
 def test_gate_off_mixed_degrades_to_mpi():
-    """``hetero`` off: the mixed comm runs the plain MPI route — no
-    negotiation, no bridge — and still computes correctly."""
-    out, snap = _run(_collectives_body, _mixed_cluster(), 8, 2,
-                     hetero=False)
-    assert snap["negotiations"] == 0
-    assert snap["route_bridge"] == 0
-    assert len(out) == 8
-    assert all(bridged == 0 for log, _ in out for *_, bridged in log)
+    """``hetero`` off: the plain MPI route, correct payloads."""
+    got = conforms_as_variant(BRIDGED, "hetero_off")
+    assert got.counters["negotiations"] == 0
+    assert got.counters["route_bridge"] == 0
+    assert len(got.routed) == 8
+    assert all(bridged == 0 for log in got.routed for bridged in log)
 
 
 def test_gate_on_homogeneous_is_inert():
-    """On a single-vendor comm the hetero option changes nothing: no
-    negotiation runs and no call takes the bridge."""
-    _, snap = _run(_collectives_body, make_system("thetagpu", 4), 8, 2,
-                   hetero=True)
-    assert snap["negotiations"] == 0
-    assert snap["route_bridge"] == 0
+    """On a single-vendor comm no negotiation runs, no call bridges."""
+    got = conforms_as_variant(BRIDGED, "homogeneous")
+    assert got.counters["negotiations"] == 0
+    assert got.counters["route_bridge"] == 0
 
 
 def test_mixed_bit_identity_and_counters():
-    """The 2+2-node NVIDIA+AMD job must produce payloads bit-identical
-    to (a) the same mixed job with the bridge off and (b) a
-    homogeneous run of the same shape — and negotiate exactly once."""
-    base, _ = _run(_collectives_body, _mixed_cluster(), 8, 2,
-                   hetero=False)
-    bridged, snap = _run(_collectives_body, _mixed_cluster(), 8, 2,
-                         hetero=True)
-    homog, _ = _run(_collectives_body, make_system("thetagpu", 4), 8, 2,
-                    hetero=False)
-    assert snap["negotiations"] == 1
-    assert snap["route_bridge"] > 0
-    assert snap["bridge_hops"] > 0
-    assert all(took == 1 for log, _ in bridged for *_, took in log), \
-        "a call of the body left the bridge route"
-    for rank, (a, b, c) in enumerate(zip(*map(_payloads,
-                                              (base, bridged, homog)))):
-        for key in a:
-            assert a[key] == b[key], f"rank {rank} {key}: bridge differs"
-            assert a[key] == c[key], f"rank {rank} {key}: homog differs"
+    """Bridged 2+2 payloads equal the bridge-off and the homogeneous
+    runs'; one negotiation."""
+    got = conforms(BRIDGED)     # and every call took the bridge
+    assert got.counters["negotiations"] == 1
+    assert got.counters["route_bridge"] > 0
+    assert got.counters["bridge_hops"] > 0
+    conforms_as_variant(BRIDGED, "hetero_off")
+    conforms_as_variant(BRIDGED, "homogeneous")
 
 
 def test_unequal_islands_leader_fallback():
-    """Islands of different sizes have no rail mates: allreduce falls
-    back to the leader-hop path and still matches the MPI route
-    bit-for-bit."""
-    cluster = make_mixed_system("nvidia:1,amd:2")
-    base, _ = _run(_collectives_body, cluster, 6, 2, hetero=False)
-    bridged, snap = _run(_collectives_body,
-                         make_mixed_system("nvidia:1,amd:2"), 6, 2,
-                         hetero=True)
-    assert snap["negotiations"] == 1
-    assert snap["route_bridge"] > 0
-    for rank, (a, b) in enumerate(zip(_payloads(base), _payloads(bridged))):
-        for key in a:
-            assert a[key] == b[key], f"rank {rank} {key}: bridge differs"
-
-
-#: vendor spec -> ranks of the frozen legs (two per node): equal islands
-#: ride the rail decomposition, unequal ones the leader fold
-FROZEN_SHAPES = {"nvidia:2,amd:2": 8, "nvidia:1,amd:2": 6}
+    """Unequal islands fold through leaders and match the MPI route."""
+    got = conforms("hetero:nvidia:1,amd:2")
+    assert got.counters["negotiations"] == 1
+    assert got.counters["route_bridge"] > 0
+    conforms_as_variant("hetero:nvidia:1,amd:2", "hetero_off")
 
 
 @pytest.mark.parametrize("trace", [False, True], ids=["untraced", "traced"])
-@pytest.mark.parametrize("vendors", list(FROZEN_SHAPES))
+@pytest.mark.parametrize("vendors", VENDORS)
 def test_matches_frozen_reference(vendors, trace):
-    """Payloads, exact clocks, route counters and (traced) the route
-    surface's trace labels equal what the three-module executors gave
-    at the parent commit."""
-    out, snap = _run(_collectives_body, make_mixed_system(vendors),
-                     FROZEN_SHAPES[vendors], 2, hetero=True, trace=trace,
-                     hier_pipe=False, online_tune=False)
-    frozen_reference.assert_matches(
-        f"hetero:{vendors}",
-        [[(data, clock) for _, data, clock, _ in log] for log, _ in out])
-    frozen_reference.assert_surface(
-        f"hetero:{vendors}", snap, [labels for _, labels in out],
-        traced=trace)
+    """Payloads, clocks, route counters and trace labels are frozen."""
+    conforms(f"hetero:{vendors}", TRACED if trace else REAL)
 
 
-@pytest.mark.parametrize("vendors", list(FROZEN_SHAPES))
+@pytest.mark.parametrize("vendors", VENDORS)
 def test_moved_clocks_only_went_down(vendors):
     """Merging the bridge's bodies with the hierarchy's may have dropped
     a redundant operation, never added one: every clock the frozen legs
@@ -281,16 +194,14 @@ def test_moved_clocks_only_went_down(vendors):
 @pytest.mark.parametrize("online_tune", [False, True])
 @pytest.mark.parametrize("hier_pipe", [False, True])
 def test_gate_combos_payload_parity(trace, online_tune, hier_pipe):
-    """The bridge composes with every other option that can reach a
-    mixed multi-node job — tracing and the two other routing options:
-    payloads match the all-defaults bridge run across the 2^3
-    combinations."""
-    expect, _ = _run(_collectives_body, _mixed_cluster(), 8, 2,
-                     hetero=True)
-    got, _ = _run(_collectives_body, _mixed_cluster(), 8, 2, hetero=True,
-                  trace=trace, online_tune=online_tune,
-                  hier_pipe=hier_pipe)
-    assert _payloads(got) == _payloads(expect)
+    """The bridge's payloads hold under the 2^3 other options."""
+    on = [name for name, flag in (("hier_pipe", hier_pipe),
+                                  ("online_tune", online_tune),
+                                  ("trace", trace)) if flag]
+    if on:
+        conforms_as_variant(BRIDGED, "+".join(on))
+    else:
+        conforms(BRIDGED)
 
 
 def test_negotiation_failure_is_clean_error(monkeypatch):
@@ -299,7 +210,7 @@ def test_negotiation_failure_is_clean_error(monkeypatch):
     monkeypatch.setattr(RCCLBackend, "capabilities", dataclasses.replace(
         RCCLBackend.capabilities, datatypes=frozenset({"xcclWeird"})))
     with pytest.raises(RankFailedError) as info:
-        _run(_collectives_body, _mixed_cluster(), 8, 2, hetero=True)
+        launch(BRIDGED)
     failures = info.value.failures
     assert failures and all(
         isinstance(exc, MPIXNegotiationError) for exc in failures.values())

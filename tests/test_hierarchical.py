@@ -3,14 +3,13 @@
 import numpy as np
 import pytest
 
-from repro import fastpath
 from repro.errors import DeadlockError
-from repro.hw.systems import make_mixed_system, make_system
+from repro.hw.systems import make_mixed_system
 from repro.mpi import MAX, SUM, Communicator
 from repro.mpi.coll import MPICollDispatcher, levels
 from repro.sim.engine import Engine
 from repro.sim.faults import FaultPlan, with_faults
-from tests import frozen_reference
+from tests.test_conformance import REAL, TRACED, conforms
 
 
 def comm_with(ctx, force=None):
@@ -209,43 +208,12 @@ class TestHierarchicalPerformance:
 
 class TestFrozenReference:
     """``force="hierarchical"`` keeps the node-leader algorithms'
-    payloads and exact clocks (``legacy:<shape>`` in
-    ``tests/frozen_reference.py``, recorded at the parent commit)."""
-
-    N = 1 << 18  # 1 MiB of float32
-
-    @classmethod
-    def _body(cls, ctx):
-        comm = comm_with(ctx, "hierarchical")
-        p, n = comm.size, cls.N
-        rng = np.random.default_rng(3 + ctx.rank)
-        log = []
-        send = ctx.device.zeros(n)
-        send.array[:] = rng.integers(0, 5, n)
-        recv = ctx.device.zeros(n)
-        comm.Allreduce(send, recv, SUM)
-        log.append((recv.array.tobytes(), ctx.now))
-        for root in (3, p - 1):  # neither is its node's leader
-            buf = ctx.device.zeros(n)
-            if ctx.rank == root:
-                buf.array[:] = rng.integers(0, 5, n)
-            comm.Bcast(buf, root=root)
-            log.append((buf.array.tobytes(), ctx.now))
-            out = ctx.device.zeros(n)
-            comm.Reduce(send, out, SUM, root=root)
-            log.append((out.array.tobytes(), ctx.now))
-        return log, frozen_reference.surface_labels(ctx)
+    payloads and exact clocks (``legacy:<shape>`` of the conformance
+    suite, ``tests/test_conformance.py``, recorded at the parent
+    commit)."""
 
     @pytest.mark.parametrize("trace", [False, True],
                              ids=["untraced", "traced"])
     @pytest.mark.parametrize("shape,nranks", [("2x8", 16), ("8+4", 12)])
     def test_matches_frozen_reference(self, shape, nranks, trace):
-        engine = Engine(make_system("thetagpu", 2), nranks=nranks,
-                        trace=trace, hier_pipe=False, hetero=False,
-                        online_tune=False)
-        out = engine.run(self._body)
-        frozen_reference.assert_matches(f"legacy:{shape}",
-                                        [log for log, _ in out])
-        frozen_reference.assert_surface(
-            f"legacy:{shape}", fastpath.STATS.snapshot(),
-            [labels for _, labels in out], traced=trace)
+        conforms(f"legacy:{shape}", TRACED if trace else REAL)

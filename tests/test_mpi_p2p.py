@@ -7,18 +7,16 @@ import threading
 import numpy as np
 import pytest
 
-from repro import fastpath
 from repro.core import runtime
 from repro.errors import (MPICommError, MPICountError, MPIRankError,
                           MPITruncateError, RankFailedError)
-from repro.hw.memory import as_array
 from repro.mpi import FLOAT, SUM, Communicator
 from repro.mpi.communicator import ANY_SOURCE, ANY_TAG
 from repro.mpi.config import host_staged, mvapich_gpu
 from repro.mpi.rma import Win
 from repro.mpi.request import waitall
 from repro.sim.mailbox import Mailbox
-from tests import frozen_reference
+from tests.test_conformance import REAL, TRACED, conforms
 from tests.test_elastic import P2P_SPELLINGS
 
 
@@ -469,95 +467,15 @@ class TestSendrecvAndTiming:
 
 # -- multi-node legs of the frozen reference ----------------------------------
 
-P2P_SHAPES = {"2x8": (2, 8), "4x32": (4, 32)}   # nodes x ranks per node
-KIB_F32 = 256          # 1 KiB of float32
-WINDOW = 4             # eager messages in flight per rank
-RNDV_F32 = 16384       # 64 KiB: above the 8 KiB eager threshold
-
-
-def _p2p_body(mpx):
-    """The MPI point-to-point chain across nodes, every way the library
-    drives it: the five small-message collectives at 1 KiB, ``Barrier``,
-    an in-place ``Sendrecv`` ring (aliased: the copying path), an
-    ``ANY_SOURCE`` receive loop (matched in posting order), one eager
-    ``Isend``/``Irecv`` window and one rendezvous-size ``Send``/``Recv``
-    to the opposite node; payload bytes and the exact clock after each.
-    """
-    comm = mpx.COMM_WORLD
-    ctx = comm.ctx
-    p, r = comm.size, comm.rank
-    log = []
-
-    def filled(count, seed):
-        buf = ctx.device.zeros(count, dtype=np.float32)
-        buf.array[:] = np.arange(count, dtype=np.float32) % 7 + seed
-        return buf
-
-    def snap(buf):
-        log.append((as_array(buf).tobytes(), ctx.now))
-
-    recv = ctx.device.zeros(KIB_F32, dtype=np.float32)
-    comm.Allreduce(filled(KIB_F32, r + 1), recv)
-    snap(recv)
-    buf = filled(KIB_F32, 3 if r == p - 1 else 0)
-    comm.Bcast(buf, root=p - 1)
-    snap(buf)
-    comm.Reduce(filled(KIB_F32, r + 2), recv, root=p // 2)
-    snap(recv)
-    per = KIB_F32 // p
-    gathered = ctx.device.zeros(per * p, dtype=np.float32)
-    comm.Allgather(filled(per, r + 3), gathered)
-    snap(gathered)
-    comm.Alltoall(filled(per * p, r + 4), gathered, count=per)
-    snap(gathered)
-    comm.Barrier()
-    log.append((b"", ctx.now))
-
-    ring = filled(KIB_F32, r + 5)
-    comm.Sendrecv(ring, (r + 1) % p, ring, (r - 1) % p, sendtag=11)
-    snap(ring)
-
-    if r == 0:
-        order = np.zeros(p - 1, dtype=np.float32)
-        one = np.zeros(1, dtype=np.float32)
-        for i in range(p - 1):
-            status = comm.Recv(one, source=ANY_SOURCE, tag=12)
-            order[i] = one[0] + 1000.0 * status.source
-        snap(order)
-    else:
-        comm.Send(np.full(1, r + 0.5, dtype=np.float32), 0, tag=12)
-        log.append((b"", ctx.now))
-
-    inbox = [ctx.device.zeros(KIB_F32, dtype=np.float32)
-             for _ in range(WINDOW)]
-    reqs = [comm.Irecv(inbox[k], source=(r - 1) % p, tag=20 + k)
-            for k in range(WINDOW)]
-    reqs += [comm.Isend(filled(KIB_F32, r + k), (r + 1) % p, tag=20 + k)
-             for k in range(WINDOW)]
-    waitall(reqs)
-    snap(np.concatenate([b.array for b in inbox]))
-
-    big = filled(RNDV_F32, r + 6)
-    if r < p // 2:
-        comm.Send(big, r + p // 2, tag=30)
-    else:
-        comm.Recv(big, source=r - p // 2, tag=30)
-    snap(big)
-    return log
+#: the conformance suite's ``p2p:<nodes>x<ranks per node>`` programs
+P2P_SHAPES = ("2x8", "4x32")
 
 
 @pytest.mark.parametrize("trace", [False, True], ids=["untraced", "traced"])
-@pytest.mark.parametrize("shape", sorted(P2P_SHAPES))
+@pytest.mark.parametrize("shape", P2P_SHAPES)
 def test_p2p_matches_frozen_reference(shape, trace):
-    """Payloads, every clock and all 29 counters of the MPI p2p chain on
-    2 x 8 and (oversubscribed) 4 x 32 ranks equal what the commit before
-    the eager path was flattened (``50f0ed8``) gave."""
-    nodes, rpn = P2P_SHAPES[shape]
-    result = runtime.run(_p2p_body, system="thetagpu", nodes=nodes,
-                         ranks_per_node=rpn, mode="pure_mpi", trace=trace)
-    frozen_reference.assert_matches(f"p2p:{shape}", result)
-    assert fastpath.STATS.snapshot() == \
-        frozen_reference.FROZEN_COUNTERS[f"p2p:{shape}"]
+    """Payloads, clocks and all 29 counters are frozen."""
+    conforms(f"p2p:{shape}", TRACED if trace else REAL)
 
 
 # -- the per-message chain, counted -------------------------------------------

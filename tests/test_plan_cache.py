@@ -4,9 +4,10 @@ Compiled plans, memoized models and pooled staging (``repro.core.plan``)
 may only change how fast the simulator runs — never what it computes.
 These tests pin that contract: payloads and virtual clocks are
 bit-identical to what per-call derivation gave (the frozen cache-off
-arm, ``tests/frozen_reference.py``) for every collective on every
-backend, every memoized function replays its uncached original, and
-the caches actually get hit.
+arm, ``tests/frozen_reference.py``, a case of
+``tests/test_conformance.py``) for every collective on every backend,
+every memoized function replays its uncached original, and the caches
+actually get hit.
 """
 
 from __future__ import annotations
@@ -23,19 +24,7 @@ from repro.core.tuning_table import cached_table
 from repro.errors import CCLBackendUnavailable
 from repro.mpi.ops import SUM
 from repro.xccl.registry import get_backend
-from tests import frozen_reference
-
-#: (system, backend, single-node ranks) — one per CCL the paper ports.
-#: Single-node runs are exactly reproducible (intra-node wires are
-#: direction-tagged per pair), which is what makes bit-comparison valid.
-STACKS = [
-    ("thetagpu", None, 4),      # NCCL
-    ("mri", None, 2),           # RCCL
-    ("voyager", None, 4),       # HCCL
-    ("thetagpu", "msccl", 4),   # MSCCL
-]
-
-SIZES = (37, 1024)  # odd count exercises uneven chunk geometry
+from tests.test_conformance import STACKS, conforms
 
 
 @pytest.fixture(autouse=True)
@@ -47,53 +36,10 @@ def _online_tuner_off(monkeypatch):
     monkeypatch.delenv("MPIX_ONLINE_TUNE", raising=False)
 
 
-def _collective_body(mpx):
-    """Run every tunable collective twice per size; record payload
-    bytes and the virtual clock after each call."""
-    comm = mpx.COMM_WORLD
-    ctx = comm.ctx
-    p = comm.size
-    log = []
-
-    def snap(buf):
-        log.append((buf.array.tobytes(), ctx.now))
-
-    for count in SIZES:
-        send = ctx.device.zeros(count * p, dtype=np.float32)
-        recv = ctx.device.zeros(count * p, dtype=np.float32)
-        send.array[:] = np.arange(count * p, dtype=np.float32) + comm.rank
-        for _ in range(2):
-            comm.Allreduce(send.view(0, count), recv.view(0, count), SUM)
-            snap(recv)
-            comm.Bcast(recv.view(0, count), root=0)
-            snap(recv)
-            comm.Reduce(send.view(0, count), recv.view(0, count), SUM, 0)
-            snap(recv)
-            comm.Allgather(send.view(0, count), recv.view(0, count * p))
-            snap(recv)
-            comm.Alltoall(send.view(0, count * p), recv.view(0, count * p))
-            snap(recv)
-            comm.Reduce_scatter_block(send.view(0, count * p),
-                                      recv.view(0, count), SUM)
-            snap(recv)
-            comm.Gather(send.view(0, count), recv.view(0, count * p), root=0)
-            snap(recv)
-            comm.Scatter(send.view(0, count * p), recv.view(0, count),
-                         root=0)
-            snap(recv)
-    return log
-
-
-@pytest.mark.parametrize("system,backend,rpn", STACKS,
-                         ids=[f"{s}-{b or 'native'}" for s, b, _ in STACKS])
-def test_bit_identical_on_vs_off(system, backend, rpn):
-    """Cache on (the only path) vs off (the frozen per-call-derivation
-    arm): identical payload bytes AND virtual times for every
-    collective on every backend."""
-    frozen_reference.assert_matches(
-        f"plan_cache:{system}-{backend or 'native'}",
-        runtime.run(_collective_body, system=system, nodes=1,
-                    ranks_per_node=rpn, backend=backend))
+@pytest.mark.parametrize("stack", list(STACKS))
+def test_bit_identical_on_vs_off(stack):
+    """Cached plans reproduce the frozen per-call derivation."""
+    conforms(f"plan_cache:{stack}")
 
 
 def test_plan_cache_hits_in_omb_style_loop():

@@ -4,7 +4,8 @@ Handing payloads off as borrowed views may only change how fast the
 simulator runs — never what it computes.  These tests pin that contract
 on every CCL stack: payload bytes AND virtual clocks are bit-identical
 to what defensive snapshots gave (the frozen zero-copy-off arm,
-``tests/frozen_reference.py``), borrowed views are never retained after
+``tests/frozen_reference.py``, cases of ``tests/test_conformance.py``),
+borrowed views are never retained after
 completion, randomized collective sequences reproduce their frozen
 reference under the remaining gates, and fault injection leaves the
 leased handoff engaged without ever corrupting a sender's live buffer.
@@ -30,175 +31,24 @@ from repro.mpi.derived import contiguous
 from repro.mpi.request import waitall, waitany
 from repro.sim.engine import Engine
 from repro.sim.faults import FaultPlan, with_faults
-from tests import frozen_reference
-
-#: (system, backend, single-node ranks) — one per CCL the paper ports.
-#: Single-node runs are exactly reproducible, which is what makes
-#: bit-comparison valid.
-STACKS = [
-    ("thetagpu", None, 4),      # NCCL
-    ("mri", None, 2),           # RCCL
-    ("voyager", None, 4),       # HCCL
-    ("thetagpu", "msccl", 4),   # MSCCL
-]
-
-#: large enough for the rendezvous protocol (eager threshold is 8 KiB)
-RNDV = 1 << 12
+from tests.test_conformance import ALL_ON, REAL, RNDV, STACKS, conforms
 
 
-def _datapath_body(mpx):
-    """Exercise every leased path: the five CCL collectives (including
-    in-place spellings), blocking rendezvous sends, deferred-eager
-    sendrecv, and the fused group exchange; log payload bytes and the
-    virtual clock after each call."""
-    comm = mpx.COMM_WORLD
-    ctx = comm.ctx
-    p, r = comm.size, comm.rank
-    log = []
-
-    def snap(buf):
-        log.append((buf.array.tobytes(), ctx.now))
-
-    n = 128
-    send = ctx.device.zeros(n, dtype=np.float32)
-    send.array[:] = np.arange(n, dtype=np.float32) * 0.5 + r
-    recv = ctx.device.zeros(n, dtype=np.float32)
-
-    comm.Allreduce(send, recv, SUM)
-    snap(recv)
-    comm.Reduce(send, recv, SUM, root=1 % p)
-    snap(recv)
-    comm.Bcast(recv, root=0)
-    snap(recv)
-
-    ag = ctx.device.zeros(n * p, dtype=np.float32)
-    comm.Allgather(send, ag, count=n)
-    snap(ag)
-    ag2 = ctx.device.zeros(n * p, dtype=np.float32)
-    ag2.array[r * n:(r + 1) * n] = send.array
-    comm.Allgather(IN_PLACE, ag2, count=n)
-    snap(ag2)
-
-    rs_s = ctx.device.zeros(n * p, dtype=np.float32)
-    rs_s.array[:] = np.arange(n * p, dtype=np.float32) - 3 * r
-    rs_r = ctx.device.zeros(n, dtype=np.float32)
-    comm.Reduce_scatter_block(rs_s, rs_r, SUM)
-    snap(rs_r)
-
-    # deferred-eager + rendezvous sendrecv around the ring
-    big_s = ctx.device.zeros(RNDV, dtype=np.float32)
-    big_s.array[:] = r + 1
-    big_r = ctx.device.zeros(RNDV, dtype=np.float32)
-    comm.Sendrecv(send, (r + 1) % p, recv, (r - 1) % p)
-    snap(recv)
-    comm.Sendrecv(big_s, (r + 1) % p, big_r, (r - 1) % p)
-    snap(big_r)
-
-    # blocking rendezvous send/recv pairs (even ranks send first)
-    peer = r ^ 1
-    if peer < p:
-        if r % 2 == 0:
-            comm.Send(big_s, peer)
-            comm.Recv(big_r, source=peer)
-        else:
-            comm.Recv(big_r, source=peer)
-            comm.Send(big_s, peer)
-        snap(big_r)
-
-    # fused group exchange (alltoall routes through grouped send/recv)
-    a2a_s = ctx.device.zeros(4 * p, dtype=np.float32)
-    a2a_s.array[:] = np.arange(4 * p, dtype=np.float32) + 10 * r
-    a2a_r = ctx.device.zeros(4 * p, dtype=np.float32)
-    comm.Alltoall(a2a_s, a2a_r, count=4)
-    snap(a2a_r)
-    return log
-
-
-@pytest.mark.parametrize("system,backend,rpn", STACKS,
-                         ids=[f"{s}-{b or 'native'}" for s, b, _ in STACKS])
-def test_bit_identical_zero_copy_on_vs_off(system, backend, rpn):
-    """Zero-copy on (the only datapath) vs off (the frozen snapshot
-    arm): identical payload bytes AND virtual times for the whole
-    datapath on every CCL stack."""
-    fastpath.STATS.reset()
-    on = runtime.run(_datapath_body, system=system, nodes=1,
-                     ranks_per_node=rpn, backend=backend, mode="pure_xccl")
-    stats = fastpath.STATS.snapshot()
-
+@pytest.mark.parametrize("stack", list(STACKS))
+def test_bit_identical_zero_copy_on_vs_off(stack):
+    """The leased datapath reproduces the frozen snapshot arm, and
+    engaged."""
+    stats = conforms(f"zero_copy:{stack}").counters
     # the leased paths must actually have engaged
     assert stats["copies_elided"] > 0
     assert stats["accumulator_reuses"] > 0
-    frozen_reference.assert_matches(
-        f"zero_copy:{system}-{backend or 'native'}", on)
-
-
-_PROGRAM_OPS = ("allreduce", "allgather", "allgather_in_place",
-                "reduce_scatter", "bcast", "alltoall", "sendrecv")
-
-
-def _random_program(seed, length=8):
-    rng = np.random.default_rng(seed)
-    return [(str(rng.choice(_PROGRAM_OPS)),
-             int(rng.integers(1, 6)) * 32,
-             int(rng.integers(0, 1000)))
-            for _ in range(length)]
-
-
-def _program_body_factory(program):
-    def body(mpx):
-        comm = mpx.COMM_WORLD
-        ctx = comm.ctx
-        p, r = comm.size, comm.rank
-        log = []
-        for op, n, salt in program:
-            send = ctx.device.zeros(n, dtype=np.float32)
-            send.array[:] = (np.arange(n, dtype=np.float32) % 7) \
-                + r * 0.25 + salt
-            if op == "allreduce":
-                out = ctx.device.zeros(n, dtype=np.float32)
-                comm.Allreduce(send, out, SUM)
-            elif op == "allgather":
-                out = ctx.device.zeros(n * p, dtype=np.float32)
-                comm.Allgather(send, out, count=n)
-            elif op == "allgather_in_place":
-                out = ctx.device.zeros(n * p, dtype=np.float32)
-                out.array[r * n:(r + 1) * n] = send.array
-                comm.Allgather(IN_PLACE, out, count=n)
-            elif op == "reduce_scatter":
-                big = ctx.device.zeros(n * p, dtype=np.float32)
-                big.array[:] = np.arange(n * p, dtype=np.float32) + salt - r
-                out = ctx.device.zeros(n, dtype=np.float32)
-                comm.Reduce_scatter_block(big, out, SUM)
-            elif op == "bcast":
-                out = ctx.device.zeros(n, dtype=np.float32)
-                if r == salt % p:
-                    out.array[:] = send.array
-                comm.Bcast(out, root=salt % p)
-            elif op == "alltoall":
-                big = ctx.device.zeros(n * p, dtype=np.float32)
-                big.array[:] = np.arange(n * p, dtype=np.float32) + 10 * r
-                out = ctx.device.zeros(n * p, dtype=np.float32)
-                comm.Alltoall(big, out, count=n)
-            else:  # sendrecv
-                out = ctx.device.zeros(n, dtype=np.float32)
-                comm.Sendrecv(send, (r + 1) % p, out, (r - 1) % p)
-            log.append((out.array.tobytes(), ctx.now))
-        return log
-    return body
 
 
 @pytest.mark.parametrize("seed", [7, 23])
 def test_randomized_sequences_identical_under_all_gate_combos(seed):
-    """Randomized collective sequences reproduce the frozen all-off
-    reference bit-for-bit (payloads and virtual times) with the four
-    run options all off and all on — every one of them is inert on a
-    single-node, single-vendor ``pure_xccl`` job."""
-    body = _program_body_factory(_random_program(seed))
-    frozen_reference.assert_matches_all_gates(
-        f"random:{seed}",
-        lambda **options: runtime.run(body, system="thetagpu", nodes=1,
-                                      ranks_per_node=4, mode="pure_xccl",
-                                      **options))
+    """Randomized sequences are frozen, options all off and all on."""
+    for arm in (REAL, ALL_ON):
+        conforms(f"random:{seed}", arm)
 
 
 def test_no_payload_refs_retained_after_completion():
