@@ -102,7 +102,6 @@ def run(fn: Callable[..., Any], system: Union[str, Cluster] = "thetagpu",
         mpi_config: Optional[MPIConfig] = None,
         table: Optional[TuningTable] = None,
         trace: Optional[bool] = None,
-        progress_timeout_s: float = 10.0,
         *args: Any,
         hier_pipe: Optional[bool] = None,
         hetero: Optional[bool] = None,
@@ -139,8 +138,7 @@ def run(fn: Callable[..., Any], system: Union[str, Cluster] = "thetagpu",
     if isinstance(mode, str):
         mode = DispatchMode(mode)
     engine = Engine(cluster, nranks=nranks, ranks_per_node=ranks_per_node,
-                    trace=trace, progress_timeout_s=progress_timeout_s,
-                    hier_pipe=hier_pipe, hetero=hetero,
+                    trace=trace, hier_pipe=hier_pipe, hetero=hetero,
                     online_tune=online_tune)
 
     def body(ctx: RankContext) -> Any:

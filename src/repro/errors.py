@@ -54,8 +54,9 @@ class RankFailedError(SimulationError):
 
 class DeadlockError(SimulationError):
     """Raised when every live rank is blocked and no message can ever
-    arrive (the rank scheduler sees every live rank parked), or a wait
-    that can provably never complete (dead peer, revoked communicator)."""
+    arrive (the rank scheduler sees every live rank parked), a wait
+    that can provably never complete (dead peer, revoked communicator),
+    or a wait made outside an engine run, which nothing can satisfy."""
 
 
 class RankKilledError(SimulationError):

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import threading
 from types import MappingProxyType
 from typing import Any, Callable, Dict, List, Mapping, Optional
 
@@ -28,8 +27,8 @@ from repro.errors import (DeadlockError, MPICommError, RankFailedError,
 from repro.hw.cluster import Cluster
 from repro.hw.device import Accelerator
 from repro.sim.clock import VirtualClock
-from repro.sim.mailbox import ANY_SOURCE, Mailbox, Message, ProgressMonitor
-from repro.sim.sched import CoopScheduler, CoopWaitq, ThreadWaitq
+from repro.sim.mailbox import ANY_SOURCE, Mailbox, Message
+from repro.sim.sched import CoopScheduler, CoopWaitq
 from repro.sim.tracing import Trace
 from repro.sim.wire import WireTracker
 
@@ -51,9 +50,8 @@ class CollectiveSlot:
     where pooled accumulators are returned to their pool.
     """
 
-    def __init__(self, key: Any, parties: int, monitor: ProgressMonitor,
-                 on_finish=None, waitq_factory=None,
-                 patient: bool = False, abort=None) -> None:
+    def __init__(self, key: Any, parties: int, waitq: CoopWaitq,
+                 on_finish=None, patient: bool = False, abort=None) -> None:
         if parties <= 0:
             raise SimulationError(f"collective slot needs parties > 0, got {parties}")
         self.key = key
@@ -69,11 +67,7 @@ class CollectiveSlot:
         #: during elastic recovery survivors arrive staggered, after
         #: converting their own failures
         self._patient = patient
-        self._lock = threading.Lock()
-        if waitq_factory is None:
-            self._waitq = ThreadWaitq(self._lock, monitor)
-        else:
-            self._waitq = waitq_factory(self._lock)
+        self._waitq = waitq
         self._payloads: Dict[int, Any] = {}
         self._result: Any = None
         self._error: Optional[BaseException] = None
@@ -101,47 +95,43 @@ class CollectiveSlot:
         immediately and raise the same exception object, instead of
         a misleading :class:`DeadlockError` once everyone has parked.
         """
-        with self._lock:
-            if rank in self._payloads:
-                raise SimulationError(
-                    f"rank {rank} arrived twice at collective {self.key!r}")
-            self._payloads[rank] = payload
-            if len(self._payloads) == self.parties:
-                try:
-                    self._result = compute(self._payloads)
-                except BaseException as exc:  # noqa: BLE001 - re-raised on all
-                    self._fail_locked(exc)
-                    raise
-                self._done = True
-                self._waitq.notify_all()
-            else:
-                self._waitq.wait_for(
-                    self._done_or_hopeless,
-                    lambda: (f"rank {rank} waiting in collective "
-                             f"{self.key!r}: {len(self._payloads)}"
-                             f"/{self.parties} arrived"),
-                    patient=self._patient)
-                if self._error is not None:
-                    raise self._error
-            result = self._result
+        if rank in self._payloads:
+            raise SimulationError(
+                f"rank {rank} arrived twice at collective {self.key!r}")
+        self._payloads[rank] = payload
+        if len(self._payloads) == self.parties:
+            try:
+                self._result = compute(self._payloads)
+            except BaseException as exc:  # noqa: BLE001 - re-raised on all
+                self._fail(exc)
+                raise
+            self._done = True
+            self._waitq.notify_all()
+        else:
+            self._waitq.wait_for(
+                self._done_or_hopeless,
+                lambda: (f"rank {rank} waiting in collective "
+                         f"{self.key!r}: {len(self._payloads)}"
+                         f"/{self.parties} arrived"),
+                patient=self._patient)
+            if self._error is not None:
+                raise self._error
+        result = self._result
         if consume is not None:
-            # the heavy copy-out runs *outside* the slot lock so all
-            # parties consume concurrently; payloads and result are
-            # frozen once ``_done`` and the barrier below keeps them
-            # alive until the last consumer is through
+            # payloads and result are frozen once ``_done``, and the
+            # exit barrier keeps them alive until the last consumer is
+            # through
             consume(rank, result, self._payloads)
-        with self._lock:
-            if consume is not None:
-                self._note_consumed(rank, cleanup, result)
-            self._retrieved += 1
-            if self._retrieved == self.parties:
-                # drop payload/result references so finished slots hold
-                # no buffer snapshots, and let the engine reap the slot
-                self._payloads.clear()
-                self._result = None
-                if self._on_finish is not None:
-                    self._on_finish(self)
-            return result
+            self.consume_barrier(rank, cleanup, result)
+        self._retrieved += 1
+        if self._retrieved == self.parties:
+            # drop payload/result references so finished slots hold
+            # no buffer snapshots, and let the engine reap the slot
+            self._payloads.clear()
+            self._result = None
+            if self._on_finish is not None:
+                self._on_finish(self)
+        return result
 
     def _done_or_hopeless(self) -> bool:
         """Wait predicate: done, or provably never-completing (a party
@@ -159,15 +149,14 @@ class CollectiveSlot:
         """Fail the slot from outside (communicator revocation): every
         parked waiter is released and raises ``exc``.  No-op on a slot
         that already completed."""
-        with self._lock:
-            if self._done:
-                return
-            self._fail_locked(exc)
+        if self._done:
+            return
+        self._fail(exc)
 
-    def _fail_locked(self, exc: BaseException) -> None:
+    def _fail(self, exc: BaseException) -> None:
         """Poison the slot: record the compute failure, drop the payload
-        references, release every waiter, and retire the slot.  Caller
-        holds ``_lock`` and re-raises on its own party."""
+        references, release every waiter, and retire the slot.  The
+        caller re-raises on its own party."""
         self._error = exc
         self._failed = True
         self._done = True
@@ -176,9 +165,14 @@ class CollectiveSlot:
         if self._on_finish is not None:
             self._on_finish(self)
 
-    def _note_consumed(self, rank: int, cleanup, result) -> None:
-        """Mark this party's consumption done; the last consumer runs
-        ``cleanup`` and releases everyone.  Caller holds ``_lock``."""
+    def consume_barrier(self, rank: int, cleanup=None, result=None) -> None:
+        """Exit barrier for borrowed payloads: every party calls this
+        once after consuming (:meth:`exchange` does, when given
+        ``consume``; the fused group transport copies its inbound
+        messages after the rendezvous returns and calls it itself).
+        None returns until all have — only then may senders' live
+        buffers be mutated again.  The last one runs
+        ``cleanup(result)`` and releases everyone."""
         self._consumed += 1
         if self._consumed == self.parties:
             if cleanup is not None:
@@ -192,23 +186,10 @@ class CollectiveSlot:
                      f"{self.key!r}: {self._consumed}/{self.parties} done"),
             patient=self._patient)
 
-    def consume_barrier(self, rank: int) -> None:
-        """Exit barrier for borrowed payloads consumed *outside*
-        :meth:`exchange` (the fused group transport copies its inbound
-        messages after the rendezvous returns).  Every party calls this
-        once; none returns until all have — only then may senders'
-        live buffers be mutated again."""
-        with self._lock:
-            self._note_consumed(rank, None, None)
-
     @property
     def finished(self) -> bool:
         """True once every party has retrieved the result (or the slot
-        was poisoned by a compute failure).
-
-        Read without the slot lock: the engine's slot table calls it
-        under the run token (:mod:`repro.sim.sched`).
-        """
+        was poisoned by a compute failure)."""
         return self._retrieved == self.parties or self._failed
 
 
@@ -220,7 +201,7 @@ class GroupExchangeSlot(CollectiveSlot):
     arrived, each rank picks its own inbound rows out of the deposits —
     O(parties) per rank, on its own thread, nothing merged by the last
     arriver.  One rendezvous replaces the O(P^2) per-message mailbox
-    lock/notify round trips of a symmetric group (alltoallv,
+    post/notify round trips of a symmetric group (alltoallv,
     allgatherv, ...), while every message keeps the depart/arrival
     virtual times its sender priced — the batching is wall-clock only.
     """
@@ -399,8 +380,7 @@ class Engine:
 
     def __init__(self, cluster: Cluster, nranks: Optional[int] = None,
                  ranks_per_node: Optional[int] = None,
-                 trace: Optional[bool] = None,
-                 progress_timeout_s: float = 10.0, *,
+                 trace: Optional[bool] = None, *,
                  hier_pipe: Optional[bool] = None,
                  hetero: Optional[bool] = None,
                  online_tune: Optional[bool] = None) -> None:
@@ -452,14 +432,10 @@ class Engine:
         #: None (:func:`~repro.sim.faults.with_faults` sets it)
         self.faults = None
         # ranks run as fibers under one run token; their waits park and
-        # their deadlocks are detected exactly.  ``progress_timeout_s``
-        # only bounds waits made from outside a run (a test poking a
-        # mailbox from the main thread)
-        self.monitor = ProgressMonitor(progress_timeout_s)
+        # their deadlocks are detected exactly (a wait from outside a
+        # run fails at once)
         self.scheduler = CoopScheduler()
-        self._waitq_factory = (
-            lambda lock: CoopWaitq(lock, self.monitor, self.scheduler))
-        self._mailboxes = [Mailbox(r, self.monitor, self._waitq_factory)
+        self._mailboxes = [Mailbox(r, CoopWaitq(self.scheduler))
                            for r in range(self.nranks)]
         self._devices = [cluster.device_for_rank(r, ranks_per_node)
                          for r in range(self.nranks)]
@@ -517,10 +493,9 @@ class Engine:
             scope = None if patient else _scope_of(key)
             abort = (None if scope is None
                      else functools.partial(self.doomed, scope))
-            slot = factory(key, parties, self.monitor,
-                           on_finish=self._reap_slot,
-                           waitq_factory=self._waitq_factory,
-                           patient=patient, abort=abort)
+            slot = factory(key, parties, CoopWaitq(self.scheduler),
+                           on_finish=self._reap_slot, patient=patient,
+                           abort=abort)
             self._slots[key] = slot
         if slot.parties != parties:
             raise SimulationError(
@@ -700,7 +675,7 @@ class Engine:
 
 def run_spmd(cluster: Cluster, fn: Callable[..., Any], nranks: Optional[int] = None,
              ranks_per_node: Optional[int] = None, trace: Optional[bool] = None,
-             progress_timeout_s: float = 10.0, *args: Any,
+             *args: Any,
              hier_pipe: Optional[bool] = None, hetero: Optional[bool] = None,
              online_tune: Optional[bool] = None, **kwargs: Any) -> List[Any]:
     """One-shot convenience wrapper: build an :class:`Engine` (which
@@ -711,7 +686,6 @@ def run_spmd(cluster: Cluster, fn: Callable[..., Any], nranks: Optional[int] = N
     [0, 1, 2, 3]
     """
     engine = Engine(cluster, nranks=nranks, ranks_per_node=ranks_per_node,
-                    trace=trace, progress_timeout_s=progress_timeout_s,
-                    hier_pipe=hier_pipe, hetero=hetero,
+                    trace=trace, hier_pipe=hier_pipe, hetero=hetero,
                     online_tune=online_tune)
     return engine.run(fn, *args, **kwargs)

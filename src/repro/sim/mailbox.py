@@ -13,8 +13,8 @@ wildcard receives resolve against per-message posting order so the
 
 Only an *unexpected* message is queued.  A receiver that finds nothing
 registers its ``(src, tag, where)`` before it parks, and the ``post``
-that matches **hands its message over** under the same lock: no bucket
-lives and dies for it, and the woken receiver does not search again.
+that matches **hands its message over**: no bucket lives and dies for
+it, and the woken receiver does not search again.
 One registration per mailbox (a second concurrent matcher, ``post_many``
 and ``match_many`` use the buckets); a handed message whose receiver
 leaves by raising goes back where it would have been queued.
@@ -25,17 +25,18 @@ hand-off or the enqueue: it drops a message or re-times it.  A blocked
 receive asks its ``abort`` probe (the engine's ``doomed``) whether the
 wait can still end.
 
-Blocking goes through a wait queue from :mod:`repro.sim.sched`: inside
-an engine run a blocked receiver parks its fiber — a list entry and a
-held lock, no polling, deadlocks detected exactly; a standalone mailbox
-(or a caller that is not a rank) waits on a plain condition variable
-bounded by its :class:`ProgressMonitor`'s timeout.
+There is no lock: inside an engine run the run token orders every
+access (:mod:`repro.sim.sched`).  Blocking goes through a wait queue
+from the same module: a blocked rank parks its fiber — a list entry, no
+polling, deadlocks detected exactly.  A standalone mailbox, or a caller
+that is not a rank of the run, gets :class:`~repro.sim.sched.ThreadWaitq`:
+it may post, probe and poll, and a wait that cannot return at once
+raises :class:`DeadlockError` at once.
 """
 
 from __future__ import annotations
 
 import itertools
-import threading
 from collections import deque
 from typing import (Any, Callable, Deque, Dict, List, Mapping, Optional,
                     Sequence, Tuple)
@@ -53,21 +54,6 @@ ANY_TAG = -1
 #: where a parked receiver's registration ``[src, tag, where, handed
 #: message, its posting order]`` takes what a ``post`` hands over
 _HANDED, _ORDER = 3, 4
-
-
-class ProgressMonitor:
-    """How long a wait made from *outside* an engine run may last.
-
-    Rank fibers never consult it: their waits park and their deadlocks
-    are detected exactly (:mod:`repro.sim.sched`).  A caller that is not
-    a fiber has no such detector, so its blocking receive raises
-    :class:`DeadlockError` after ``timeout_s`` wall seconds instead of
-    hanging the test suite.  Wall-clock, but it only gates *error
-    detection*; it never influences virtual time.
-    """
-
-    def __init__(self, timeout_s: float = 10.0) -> None:
-        self.timeout_s = timeout_s
 
 
 class Message:
@@ -187,19 +173,14 @@ MatchSpec = Tuple[int, int, Optional[Callable[[Message], bool]]]
 class Mailbox:
     """One rank's matched-receive queue.
 
-    ``waitq_factory`` (a ``lock -> waitq`` callable) selects the
-    blocking primitive; the engine passes one that parks fibers on its
-    scheduler.  Standalone mailboxes default to the thread waitq.
+    ``waitq`` is what a blocked receive waits on; the engine passes a
+    :class:`~repro.sim.sched.CoopWaitq` that parks fibers on its
+    scheduler.  A standalone mailbox gets the off-engine waitq.
     """
 
-    def __init__(self, rank: int, monitor: ProgressMonitor,
-                 waitq_factory: Optional[Callable] = None) -> None:
+    def __init__(self, rank: int, waitq: Any = None) -> None:
         self.rank = rank
-        self._lock = threading.Lock()
-        if waitq_factory is None:
-            self._waitq = _sched.ThreadWaitq(self._lock, monitor)
-        else:
-            self._waitq = waitq_factory(self._lock)
+        self._waitq = _sched.OFF_ENGINE if waitq is None else waitq
         #: (src, tag) -> FIFO of (posting order, message)
         self._buckets: Dict[Tuple[int, int], Deque[Tuple[int, Message]]] = {}
         #: posting-order stamps
@@ -226,20 +207,19 @@ class Mailbox:
         — unless the ``filter`` drops it."""
         if self.filter is not None and not self.filter(msg):
             return      # a dropped message is not progress: no wakeup
-        with self._lock:
-            reg = self._parked[0] if self._parked else None
-            if reg is not None \
-                    and (reg[0] == msg.src or reg[0] == ANY_SOURCE) \
-                    and (reg[1] == msg.tag or reg[1] == ANY_TAG) \
-                    and (reg[2] is None or reg[2](msg)):
-                reg[_HANDED], reg[_ORDER] = msg, next(self._ord)
-                self._parked.clear()    # one message per registration
-            else:
-                self._enqueue(msg)
-            self._waitq.notify_all()
+        reg = self._parked[0] if self._parked else None
+        if reg is not None \
+                and (reg[0] == msg.src or reg[0] == ANY_SOURCE) \
+                and (reg[1] == msg.tag or reg[1] == ANY_TAG) \
+                and (reg[2] is None or reg[2](msg)):
+            reg[_HANDED], reg[_ORDER] = msg, next(self._ord)
+            self._parked.clear()    # one message per registration
+        else:
+            self._enqueue(msg)
+        self._waitq.notify_all()
 
     def post_many(self, msgs: Sequence[Message]) -> None:
-        """Deliver a batch under one lock acquisition and one wakeup.
+        """Deliver a batch with one wakeup.
 
         Per-(src, tag) FIFO order follows the order of ``msgs``; the
         ``filter`` sees them in that order.
@@ -248,12 +228,11 @@ class Mailbox:
             msgs = [msg for msg in msgs if self.filter(msg)]
         if not msgs:
             return
-        with self._lock:
-            # a parked receiver must search the queue for these
-            self._parked.clear()
-            for msg in msgs:
-                self._enqueue(msg)
-            self._waitq.notify_all()
+        # a parked receiver must search the queue for these
+        self._parked.clear()
+        for msg in msgs:
+            self._enqueue(msg)
+        self._waitq.notify_all()
 
     # -- matching ----------------------------------------------------------
 
@@ -304,8 +283,7 @@ class Mailbox:
               where: Optional[Callable[[Message], bool]] = None
               ) -> Optional[Message]:
         """Non-destructive match (MPI_Iprobe): the message stays queued."""
-        with self._lock:
-            return self._find(src, tag, where, pop=False)
+        return self._find(src, tag, where, pop=False)
 
     def try_match(self, src: int = ANY_SOURCE, tag: int = ANY_TAG,
                   where: Optional[Callable[[Message], bool]] = None,
@@ -314,39 +292,36 @@ class Mailbox:
         """Dequeue the first matching message, or None — unless
         ``abort`` (as in :meth:`match`) says none can ever come: then
         the :class:`DeadlockError` the blocking match would raise."""
-        with self._lock:
-            msg = self._find(src, tag, where)
-            if msg is None and abort is not None:
-                reason = abort(src)
-                if reason is not None:
-                    raise DeadlockError(
-                        f"rank {self.rank} polling recv(src={src}, "
-                        f"tag={tag}): {reason}")
-            return msg
+        msg = self._find(src, tag, where)
+        if msg is None and abort is not None:
+            reason = abort(src)
+            if reason is not None:
+                raise DeadlockError(
+                    f"rank {self.rank} polling recv(src={src}, "
+                    f"tag={tag}): {reason}")
+        return msg
 
     def await_post(self, what: str) -> None:
         """Park until the next delivery to this mailbox, or a
         :meth:`poke`: how a poll over several requests (``waitany``,
         reported as ``what``) waits for any of them.  Exact deadlock
         detection raises :class:`DeadlockError` when none can come."""
-        with self._lock:
-            woken: List[bool] = []
+        woken: List[bool] = []
 
-            def ready() -> bool:
-                if woken:
-                    return True     # re-checked after a wakeup
-                woken.append(True)
-                return False
+        def ready() -> bool:
+            if woken:
+                return True     # re-checked after a wakeup
+            woken.append(True)
+            return False
 
-            self._waitq.wait_for(ready, lambda: (
-                f"rank {self.rank} blocked in {what}"))
+        self._waitq.wait_for(ready, lambda: (
+            f"rank {self.rank} blocked in {what}"))
 
     def poke(self) -> None:
         """Wake every blocked waiter for a predicate re-check without
         delivering anything — how the engine propagates a rank death or
         a communicator revocation to waits that can never complete."""
-        with self._lock:
-            self._waitq.notify_all()
+        self._waitq.notify_all()
 
     def match(self, src: int = ANY_SOURCE, tag: int = ANY_TAG,
               where: Optional[Callable[[Message], bool]] = None,
@@ -361,52 +336,51 @@ class Mailbox:
         messages always win over an abort: anything the peer posted
         before dying is still deliverable.
         """
-        with self._lock:
-            msg = self._find(src, tag, where)
-            if msg is not None:
-                return msg
-            # nothing queued matches: register, so the post that does
-            # hands its message over, and park
-            parked = self._parked
-            reg = [src, tag, where, None, 0]
-            if not parked:
-                parked.append(reg)
+        msg = self._find(src, tag, where)
+        if msg is not None:
+            return msg
+        # nothing queued matches: register, so the post that does
+        # hands its message over, and park
+        parked = self._parked
+        reg = [src, tag, where, None, 0]
+        if not parked:
+            parked.append(reg)
 
-            def ready() -> bool:
+        def ready() -> bool:
+            if reg[_HANDED] is not None:
+                return True     # handed over by the post that woke us
+            if not (parked and parked[0] is reg):
+                # not registered (any more): a match may be queued
+                reg[_HANDED] = self._find(src, tag, where)
                 if reg[_HANDED] is not None:
-                    return True     # handed over by the post that woke us
-                if not (parked and parked[0] is reg):
-                    # not registered (any more): a match may be queued
-                    reg[_HANDED] = self._find(src, tag, where)
-                    if reg[_HANDED] is not None:
-                        return True
-                    if not parked:
-                        parked.append(reg)
-                if abort is not None:
-                    reason = abort(src)
-                    if reason is not None:
-                        raise DeadlockError(
-                            f"rank {self.rank} blocked in recv(src={src}, "
-                            f"tag={tag}): {reason}")
-                return False
+                    return True
+                if not parked:
+                    parked.append(reg)
+            if abort is not None:
+                reason = abort(src)
+                if reason is not None:
+                    raise DeadlockError(
+                        f"rank {self.rank} blocked in recv(src={src}, "
+                        f"tag={tag}): {reason}")
+            return False
 
-            try:
-                self._waitq.wait_for(ready, lambda: (
-                    f"rank {self.rank} blocked in recv(src={src}, tag={tag})"))
-            except BaseException:
-                if reg[_HANDED] is not None:
-                    # handed over, but we leave by raising (a deadlock
-                    # wake): back in front of all posted after it
-                    msg, order = reg[_HANDED], reg[_ORDER]
-                    bucket = self._buckets.setdefault((msg.src, msg.tag),
-                                                      deque())
-                    bucket.insert(sum(o < order for o, _ in bucket),
-                                  (order, msg))
-                raise
-            finally:
-                if parked and parked[0] is reg:
-                    parked.clear()
-            return reg[_HANDED]
+        try:
+            self._waitq.wait_for(ready, lambda: (
+                f"rank {self.rank} blocked in recv(src={src}, tag={tag})"))
+        except BaseException:
+            if reg[_HANDED] is not None:
+                # handed over, but we leave by raising (a deadlock
+                # wake): back in front of all posted after it
+                msg, order = reg[_HANDED], reg[_ORDER]
+                bucket = self._buckets.setdefault((msg.src, msg.tag),
+                                                  deque())
+                bucket.insert(sum(o < order for o, _ in bucket),
+                              (order, msg))
+            raise
+        finally:
+            if parked and parked[0] is reg:
+                parked.clear()
+        return reg[_HANDED]
 
     def match_many(self, specs: Sequence[MatchSpec],
                    abort: Optional[Callable[[Sequence[int]], Optional[str]]] = None
@@ -414,9 +388,8 @@ class Mailbox:
         """Blocking matched receive of a whole batch.
 
         ``specs`` is a sequence of ``(src, tag, where)``; the result
-        holds the matched messages in spec order.  The queue lock is
-        taken once for the whole batch: each wakeup drains every spec
-        that can currently match, instead of one lock round trip per
+        holds the matched messages in spec order.  Each wakeup drains
+        every spec that can currently match, instead of one wait per
         message.  Specs are scanned in order on every pass, so two
         specs competing for the same (src, tag) stream preserve FIFO.
         ``abort`` has :meth:`match` semantics, asked for each source
@@ -454,14 +427,12 @@ class Mailbox:
                                 f"outstanding): {reason}")
                     return False
 
-        with self._lock:
-            self._waitq.wait_for(drained, lambda: (
-                f"rank {self.rank} blocked in fused recv "
-                f"({len(remaining)}/{len(specs)} outstanding)"))
-            return results  # type: ignore[return-value]
+        self._waitq.wait_for(drained, lambda: (
+            f"rank {self.rank} blocked in fused recv "
+            f"({len(remaining)}/{len(specs)} outstanding)"))
+        return results  # type: ignore[return-value]
 
     @property
     def pending(self) -> int:
         """Number of unmatched messages (diagnostics)."""
-        with self._lock:
-            return sum(len(b) for b in self._buckets.values())
+        return sum(len(b) for b in self._buckets.values())

@@ -41,24 +41,26 @@ The run token is the only lock rank code needs.  One fiber of an engine
 runs at a time, and every hand-off is a baton release paired with the
 next fiber's acquire — a happens-before edge — so state that only one
 engine's fibers touch during a run (or the caller's thread outside a
-run) is a plain attribute: wire bookings, payload leases, buffer pools,
-the fast-path counters, the online tuner, the engine's slot and elastic
-tables, RMA windows.  A lock stays only where a caller that is not a
-fiber of the engine gets in.  The complete list
-(``tests/test_run_token.py`` checks it against every
+run) is a plain attribute: mailboxes and rendezvous slots, wire
+bookings, payload leases, buffer pools, the fast-path counters, the
+online tuner, the engine's slot and elastic tables, RMA windows.
+
+The engine is the only waiter: a wait made outside a run fails at once.
+A caller that is not a fiber of the engine (the main thread before or
+after :meth:`CoopScheduler.run_ranks`) may post, probe and poll, but a
+wait whose predicate does not already hold raises
+:class:`~repro.errors.DeadlockError` from :class:`ThreadWaitq` instead
+of sleeping — nothing outside a run can ever satisfy it.  A lock stays
+only where the scheduler itself hands the token between threads.  The
+complete list (``tests/test_run_token.py`` checks it against every
 ``threading.Lock`` / ``RLock`` / ``Condition`` built under ``src/``):
 
-* ``Mailbox._lock`` — a standalone mailbox is driven by real threads
-  (the :class:`ThreadWaitq` fallback, ``tests/test_sim_mailbox.py``).
-* ``CollectiveSlot._lock`` — the same fallback for a slot's waitq.
 * ``CoopScheduler._lock`` — the run queue: a fiber that hands the
   token on is still leaving :meth:`CoopScheduler.park` while the next
   one runs, and the thread starting the run hands out the first token.
 * ``_Fiber.baton`` — the token hand-off itself.
-* ``ThreadWaitq._cond`` — the condition an off-engine wait sleeps on.
 
-A new off-engine caller adds its lock here, with the reason.  A fiber
-never parks holding a lock other than the one its waitq releases.
+A fiber never parks holding a lock.
 
 Carrier threads ask the OS for ``SCHED_BATCH``: a baton release wakes
 the next fiber's thread, and under the default policy Linux lets it
@@ -102,30 +104,29 @@ def yield_now() -> None:
 
 
 class ThreadWaitq:
-    """Plain condition-variable wait for callers that are *not* fibers
-    (tests poking a standalone :class:`~repro.sim.mailbox.Mailbox` from
-    the main thread).  Nothing can detect their deadlocks exactly, so
-    the wait is bounded by the monitor's ``timeout_s``."""
+    """The wait of whatever is not a fiber: a standalone
+    :class:`~repro.sim.mailbox.Mailbox`, or a caller of an engine's
+    mailbox or slot from outside its run.  Nothing off the engine can
+    make progress for it, so a wait whose predicate does not hold
+    already is a deadlock, reported at once."""
 
-    __slots__ = ("_cond", "_monitor")
-
-    def __init__(self, lock, monitor) -> None:
-        self._cond = threading.Condition(lock)
-        self._monitor = monitor
+    __slots__ = ()
 
     def wait_for(self, predicate: Callable[[], bool],
                  stall_msg: Callable[[], str],
                  patient: bool = False) -> None:
-        """Block until ``predicate()`` holds (caller owns the lock);
-        :class:`DeadlockError` with ``stall_msg()`` on timeout."""
-        timeout_s = self._monitor.timeout_s
-        if not self._cond.wait_for(predicate, timeout_s):
+        """Return if ``predicate()`` holds; else :class:`DeadlockError`
+        with ``stall_msg()``."""
+        if not predicate():
             raise DeadlockError(
-                f"{stall_msg()}; nothing arrived for {timeout_s}s")
+                f"{stall_msg()}; the wait was made outside an engine run")
 
     def notify_all(self) -> None:
-        """Wake every waiter (caller owns the lock)."""
-        self._cond.notify_all()
+        """Nobody off the engine ever waits: nothing to wake."""
+
+
+#: the one off-engine waitq (it holds no state)
+OFF_ENGINE = ThreadWaitq()
 
 
 # fiber lifecycle states
@@ -300,39 +301,28 @@ class CoopWaitq:
     block on.
 
     A parked rank costs one list entry here plus its carrier blocked on
-    its baton; there is no polling.  Non-fiber callers transparently
-    fall back to a :class:`ThreadWaitq` on the same lock, built the
-    first time one shows up.
+    its baton; there is no polling.  A caller that is not a fiber of
+    this engine is handed to :data:`OFF_ENGINE`: its wait fails at once.
     """
 
-    __slots__ = ("_lock", "_monitor", "_sched", "_parked", "_fallback")
+    __slots__ = ("_sched", "_parked")
 
-    def __init__(self, lock, monitor, sched: CoopScheduler) -> None:
-        self._lock = lock
-        self._monitor = monitor
+    def __init__(self, sched: CoopScheduler) -> None:
         self._sched = sched
         self._parked: List[_Fiber] = []
-        self._fallback: Optional[ThreadWaitq] = None
 
     def wait_for(self, predicate: Callable[[], bool],
                  stall_msg: Callable[[], str],
                  patient: bool = False) -> None:
-        """Park until ``predicate()`` holds (caller owns the lock)."""
+        """Park until ``predicate()`` holds (the caller holds the run
+        token)."""
         fiber = self._sched.current()
         if fiber is None:
-            if self._fallback is None:
-                self._fallback = ThreadWaitq(self._lock, self._monitor)
-            return self._fallback.wait_for(predicate, stall_msg, patient)
+            return OFF_ENGINE.wait_for(predicate, stall_msg, patient)
         strikes = 0
-        while True:
-            if predicate():
-                return
-            self._parked.append(fiber)      # registered under the lock
-            self._lock.release()
-            try:
-                self._sched.park(fiber)
-            finally:
-                self._lock.acquire()
+        while not predicate():
+            self._parked.append(fiber)
+            self._sched.park(fiber)
             # notify_all deregisters; a deadlock wake and a no-op park
             # do not — drop any stale registration before deciding
             if self._parked and fiber in self._parked:
@@ -352,10 +342,8 @@ class CoopWaitq:
                     f"(exact deadlock)")
 
     def notify_all(self) -> None:
-        """Wake every waiter (caller owns the lock)."""
+        """Wake every waiter."""
         if self._parked:
             woken = self._parked
             self._parked = []
             self._sched.unpark_all(woken)
-        if self._fallback is not None:
-            self._fallback.notify_all()

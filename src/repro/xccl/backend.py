@@ -444,7 +444,7 @@ class CCLBackend:
 
         * bulk: the rows become ``Message`` objects, one ``post_many``
           per peer (through the mailbox's fault filter, if any), recvs
-          drained by one ``match_many`` under a single queue lock;
+          drained by one ``match_many``;
         * whole-group rendezvous (``exchange`` hint): every rank of the
           communicator deposits its columns into one
           :class:`~repro.sim.engine.GroupExchangeSlot` and picks its

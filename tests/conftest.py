@@ -38,7 +38,7 @@ def spmd():
 
     def runner(cluster, fn, nranks=None, ranks_per_node=None, trace=False):
         engine = Engine(cluster, nranks=nranks, ranks_per_node=ranks_per_node,
-                        trace=trace, progress_timeout_s=20.0)
+                        trace=trace)
         return engine.run(fn)
 
     return runner

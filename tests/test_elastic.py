@@ -65,7 +65,7 @@ class TestElasticRecovery:
                              ids=["mid-collective", "clean-death"])
     def test_kill_revoke_shrink_recovers(self, thetagpu1, pre_iters,
                                          kill_at):
-        engine = Engine(thetagpu1, nranks=8, progress_timeout_s=2.0)
+        engine = Engine(thetagpu1, nranks=8)
         injector = with_faults(engine,
                                FaultPlan().kill(3, after_us=kill_at))
         results = engine.run(_recovery_body, pre_iters=pre_iters)
@@ -90,7 +90,7 @@ class TestElasticRecovery:
         shrink the 63 survivors' payloads are bit-identical to a fresh
         63-rank run of the same fixed schedule."""
         system = make_system("thetagpu", 8)
-        engine = Engine(system, nranks=64, progress_timeout_s=3.0)
+        engine = Engine(system, nranks=64)
         with_faults(engine, FaultPlan().kill(17, after_us=60.0))
         results = engine.run(_recovery_body, pre_iters=4)
         survivors = [r for i, r in enumerate(results) if i != 17]
@@ -108,8 +108,7 @@ class TestElasticRecovery:
                 comm.Allreduce(buf, out, op=SUM)
             return out.array.copy()
 
-        dense = Engine(make_system("thetagpu", 8), nranks=63,
-                       progress_timeout_s=3.0).run(dense_body)
+        dense = Engine(make_system("thetagpu", 8), nranks=63).run(dense_body)
         for r, ref in zip(survivors, dense):
             assert r[0].tobytes() == ref.tobytes()
 
@@ -127,7 +126,7 @@ class TestElasticRecovery:
                 comm.Allreduce(buf, ctx.device.zeros(64), op=SUM)
             return True
 
-        engine = Engine(thetagpu1, nranks=4, progress_timeout_s=2.0)
+        engine = Engine(thetagpu1, nranks=4)
         with_faults(engine, FaultPlan().kill(1, after_us=0.0))
         with pytest.raises(RankFailedError) as err:
             engine.run(oblivious)
@@ -148,7 +147,7 @@ class TestElasticRecovery:
                               2 - ctx.rank)
             return ctx.rank
 
-        engine = Engine(thetagpu1, nranks=4, progress_timeout_s=2.0)
+        engine = Engine(thetagpu1, nranks=4)
         injector = with_faults(engine, FaultPlan().kill(1, after_us=0.0))
         assert engine.run(pairwise) == [0, None, 2, 3]
         assert injector.killed == [1]
@@ -182,7 +181,7 @@ class TestElasticRecovery:
                 return (float(b.array[0]), float(o.array[0]))
             return None
 
-        engine = Engine(thetagpu1, nranks=6, progress_timeout_s=2.0)
+        engine = Engine(thetagpu1, nranks=6)
         with_faults(engine, FaultPlan().kill(2, after_us=30.0))
         results = engine.run(body)
         assert results[2] is None
@@ -228,7 +227,7 @@ def test_every_spelling_obeys_the_elastic_contract(thetagpu1, spelling, mode):
             return (revoked, new.Get_size(), float(recv.array[0]))
         return "never revoked"
 
-    engine = Engine(thetagpu1, nranks=4, progress_timeout_s=2.0)
+    engine = Engine(thetagpu1, nranks=4)
     with_faults(engine, FaultPlan().kill(1, after_us=30.0))
     results = engine.run(body)
     assert results[1] is None
@@ -271,7 +270,7 @@ def test_every_p2p_spelling_obeys_the_elastic_contract(thetagpu1, spelling):
             P2P_SPELLINGS[spelling](comm, buf, 1)
         return comm.Comm_is_revoked()
 
-    engine = Engine(thetagpu1, nranks=2, progress_timeout_s=2.0)
+    engine = Engine(thetagpu1, nranks=2)
     with_faults(engine, FaultPlan().kill(1, after_us=0.0))
     results = engine.run(body)
     assert results == [True, None]
@@ -294,7 +293,7 @@ class TestRevokeSemantics:
                 comm.Send(ctx.device.zeros(8), (ctx.rank + 1) % 4)
             return "revoked"
 
-        engine = Engine(thetagpu1, nranks=4, progress_timeout_s=2.0)
+        engine = Engine(thetagpu1, nranks=4)
         results = engine.run(body)
         assert results == ["revoked"] * 4
 
@@ -305,7 +304,7 @@ class TestRevokeSemantics:
             comm.Comm_revoke()
             return comm.Comm_is_revoked()
 
-        engine = Engine(thetagpu1, nranks=4, progress_timeout_s=2.0)
+        engine = Engine(thetagpu1, nranks=4)
         results = engine.run(body)
         assert results == [True] * 4
         # 4 ranks x 2 calls each, deduplicated to one revocation
@@ -325,7 +324,7 @@ class TestRevokeSemantics:
             new.Allreduce(buf, out, op=SUM)
             return (failed, new.Get_size(), float(out.array[0]))
 
-        engine = Engine(thetagpu1, nranks=4, progress_timeout_s=2.0)
+        engine = Engine(thetagpu1, nranks=4)
         results = engine.run(body)
         assert results == [((), 4, 4.0)] * 4
 
@@ -335,6 +334,6 @@ class TestRevokeSemantics:
             flag, failed = comm.Comm_agree(flag=0 if ctx.rank == 1 else 1)
             return (flag, failed)
 
-        engine = Engine(thetagpu1, nranks=4, progress_timeout_s=2.0)
+        engine = Engine(thetagpu1, nranks=4)
         results = engine.run(body)
         assert results == [(0, ())] * 4

@@ -48,8 +48,7 @@ def _smoke_body(ctx):
 def _run_smoke(nranks: int):
     cluster = make_system("thetagpu", 4)
     rpn = -(-nranks // cluster.node_count)
-    engine = Engine(cluster, nranks=nranks, ranks_per_node=rpn,
-                    progress_timeout_s=60.0)
+    engine = Engine(cluster, nranks=nranks, ranks_per_node=rpn)
     t0 = time.perf_counter()
     results = engine.run(_smoke_body)
     return time.perf_counter() - t0, results
@@ -198,8 +197,7 @@ def test_collective_compute_failure_propagates():
     """Satellite: ``compute`` raising on the last-arriving rank must
     fail *every* party with the original error, not strand the others
     until deadlock detection turns it into a DeadlockError."""
-    engine = Engine(make_system("thetagpu", 1), nranks=4,
-                    progress_timeout_s=10.0)
+    engine = Engine(make_system("thetagpu", 1), nranks=4)
 
     def body(ctx):
         slot = ctx.collective_slot("boom")
@@ -224,8 +222,7 @@ def test_collective_compute_failure_propagates():
 def test_poisoned_slot_is_replaced():
     """A failed collective slot may not wedge its key: the next call
     under the same key gets a fresh slot and succeeds."""
-    engine = Engine(make_system("thetagpu", 1), nranks=4,
-                    progress_timeout_s=10.0)
+    engine = Engine(make_system("thetagpu", 1), nranks=4)
 
     def body(ctx):
         slot = ctx.collective_slot("retry")
@@ -260,7 +257,7 @@ def test_coop_exact_deadlock_detected_fast():
     """All fibers parked + empty run queue == deadlock, detected the
     moment it happens — no wall-clock timeout involved."""
     cluster = make_system("thetagpu", 1)
-    engine = Engine(cluster, nranks=4, progress_timeout_s=30.0)
+    engine = Engine(cluster, nranks=4)
 
     def body(ctx):
         # everyone waits for a message nobody will ever send
@@ -284,8 +281,7 @@ def test_rank_raising_mid_collective_reported_fast():
     error (their secondary DeadlockErrors are dropped as noise)."""
     from repro.mpi import SUM, Communicator
 
-    engine = Engine(make_system("thetagpu", 1), nranks=4,
-                    progress_timeout_s=30.0)
+    engine = Engine(make_system("thetagpu", 1), nranks=4)
 
     def body(ctx):
         comm = Communicator.world(ctx)

@@ -127,8 +127,7 @@ def _run(plan, program="single-node"):
     gc.collect()
     gc.disable()
     try:
-        engine = Engine(cluster, nranks=nodes * rpn, ranks_per_node=rpn,
-                        progress_timeout_s=5.0)
+        engine = Engine(cluster, nranks=nodes * rpn, ranks_per_node=rpn)
         injector = None if plan is None else with_faults(engine, plan)
         logs, errors = None, []
         try:

@@ -34,7 +34,7 @@ class TestFaultPlan:
 
 class TestDrops:
     def test_dropped_message_deadlocks_receiver(self, thetagpu1):
-        engine = Engine(thetagpu1, nranks=2, progress_timeout_s=1.5)
+        engine = Engine(thetagpu1, nranks=2)
         injector = with_faults(engine, FaultPlan().drop(0, 1, nth=0))
 
         def body(ctx):
@@ -53,7 +53,7 @@ class TestDrops:
     def test_unrelated_traffic_survives_a_drop(self, thetagpu1):
         # drop a message between 2 and 3; ranks 0/1 must still finish —
         # we only assert on the survivors' results
-        engine = Engine(thetagpu1, nranks=4, progress_timeout_s=1.5)
+        engine = Engine(thetagpu1, nranks=4)
         with_faults(engine, FaultPlan().drop(2, 3, nth=0))
         results = {}
 
@@ -76,7 +76,7 @@ class TestDrops:
         assert results == {0: 1.0, 1: 0.0}
 
     def test_drop_nth_counts_per_pair(self, thetagpu1):
-        engine = Engine(thetagpu1, nranks=2, progress_timeout_s=1.5)
+        engine = Engine(thetagpu1, nranks=2)
         injector = with_faults(engine, FaultPlan().drop(0, 1, nth=1))
 
         def body(ctx):
@@ -96,7 +96,7 @@ class TestDrops:
 class TestDelays:
     def test_delay_extends_virtual_latency(self, thetagpu1):
         def run_with(plan):
-            engine = Engine(thetagpu1, nranks=2, progress_timeout_s=5.0)
+            engine = Engine(thetagpu1, nranks=2)
             if plan:
                 with_faults(engine, plan)
 
@@ -115,7 +115,7 @@ class TestDelays:
         assert delayed == pytest.approx(base + 500.0)
 
     def test_delayed_collective_still_correct(self, thetagpu1):
-        engine = Engine(thetagpu1, nranks=4, progress_timeout_s=5.0)
+        engine = Engine(thetagpu1, nranks=4)
         with_faults(engine, FaultPlan().delay(0, 1, 200.0).delay(2, 3, 99.0))
 
         def body(ctx):
@@ -129,7 +129,7 @@ class TestDelays:
         assert engine.run(body) == [4.0] * 4
 
     def test_delay_slows_exactly_one_message(self, thetagpu1):
-        engine = Engine(thetagpu1, nranks=2, progress_timeout_s=5.0)
+        engine = Engine(thetagpu1, nranks=2)
         injector = with_faults(engine, FaultPlan().delay(0, 1, 100.0, nth=0))
 
         def body(ctx):
@@ -155,7 +155,7 @@ class TestDyingRanks:
             r = ctx.device.zeros(16)
             comm.Allreduce(s, r, SUM)
 
-        engine = Engine(thetagpu1, nranks=4, progress_timeout_s=2.0)
+        engine = Engine(thetagpu1, nranks=4)
         with pytest.raises(RankFailedError) as exc_info:
             engine.run(body)
         assert isinstance(exc_info.value.failures[2], RuntimeError)
@@ -182,7 +182,7 @@ class TestDyingRanks:
                 comm.Recv(buf, source=0, tag=3)
             return got
 
-        engine = Engine(thetagpu1, nranks=2, progress_timeout_s=2.0)
+        engine = Engine(thetagpu1, nranks=2)
         injector = with_faults(engine, FaultPlan().kill(0, after_us=500.0))
         dead, got = engine.run(body)
         assert dead is None and injector.killed == [0]
@@ -209,7 +209,7 @@ class TestCCLErrorFallback:
     def test_runtime_error_falls_back_to_mpi(self, thetagpu1):
         """A CCL runtime failure mid-call reroutes to MPI transparently
         — advantage 3 of §1.2, and the §4.4 war story."""
-        engine = Engine(thetagpu1, nranks=4, progress_timeout_s=10.0)
+        engine = Engine(thetagpu1, nranks=4)
         flaky_calls = {}
 
         def body(ctx):
@@ -266,7 +266,7 @@ class TestCCLErrorFallback:
                 out.append((r.array.tolist(), in_group()))
             return out, dict(comm.coll.stats.fallbacks)
 
-        engine = Engine(thetagpu1, nranks=4, progress_timeout_s=10.0)
+        engine = Engine(thetagpu1, nranks=4)
         for calls, fallbacks in engine.run(body):
             assert calls == [([1.0, 2.0, 3.0, 4.0], False)] * 2
             assert [reason for (_c, reason) in fallbacks] \
@@ -294,7 +294,7 @@ class TestDerivedCommDegradation:
             half.Sendrecv(buf, peer, out, peer)
             return float(out.array[0])
 
-        engine = Engine(thetagpu1, nranks=4, progress_timeout_s=5.0)
+        engine = Engine(thetagpu1, nranks=4)
         injector = with_faults(engine, FaultPlan().delay(0, 1, 1.0, nth=99))
         results = engine.run(body)
         # split comms: {0, 2} and {1, 3}; each rank receives its peer's
@@ -332,7 +332,7 @@ class TestDerivedCommDegradation:
             xcclStreamSynchronize(xc)
             return [float(b.array[0]) for b in ins_]
 
-        engine = Engine(thetagpu1, nranks=4, progress_timeout_s=5.0)
+        engine = Engine(thetagpu1, nranks=4)
         injector = with_faults(engine, FaultPlan().delay(0, 1, 1.0, nth=99))
         results = engine.run(body)
         for rank, vals in enumerate(results):
@@ -359,7 +359,7 @@ class TestDerivedCommDegradation:
 
         def run(plan):
             engine = Engine(make_system("thetagpu", 2), nranks=16,
-                            progress_timeout_s=5.0, hier_pipe=True)
+                            hier_pipe=True)
             if plan is not None:
                 with_faults(engine, plan)
             return engine.run(body)
@@ -478,7 +478,7 @@ def test_every_wait_asks_one_probe(thetagpu1, wait):
             ctx.clock.advance(2e9)      # dies here
         return None
 
-    engine = Engine(thetagpu1, nranks=4, progress_timeout_s=5.0)
+    engine = Engine(thetagpu1, nranks=4)
     with_faults(engine, FaultPlan().kill(0, after_us=1e9))
     results = engine.run(body)
     assert results[0] is None

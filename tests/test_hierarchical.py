@@ -118,8 +118,7 @@ class TestNodeComms:
             except DeadlockError:
                 return [sub._freed for sub in built], sorted(comm.routing_cache)
 
-        engine = Engine(thetagpu2, nranks=4, ranks_per_node=2,
-                        progress_timeout_s=5.0)
+        engine = Engine(thetagpu2, nranks=4, ranks_per_node=2)
         with_faults(engine, FaultPlan().kill(3, after_us=1.0))
         assert engine.run(body) == [([True], ["node"])] * 3 + [None]
 

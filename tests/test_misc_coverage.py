@@ -163,7 +163,7 @@ class TestEngineMisc:
         def body(ctx, a, b=1):
             return ctx.rank + a + b
 
-        assert run_spmd(thetagpu1, body, 2, None, False, 10.0, 5, b=2) == \
+        assert run_spmd(thetagpu1, body, 2, None, False, 5, b=2) == \
             [7, 8]
 
     def test_next_sequence_unique(self, thetagpu1):

@@ -55,7 +55,7 @@ class TestAllreduceProperty:
             comm.Allreduce(send, recv, op)
             return recv.to_numpy()
 
-        outs = run_spmd(cluster, body, nranks=p, progress_timeout_s=20.0)
+        outs = run_spmd(cluster, body, nranks=p)
         expect = ref(inputs)
         for out in outs:
             assert np.allclose(out, expect)
@@ -86,7 +86,7 @@ class TestAlltoallProperty:
             comm.Alltoall(send, recv)
             return recv.to_numpy().reshape(p, block)
 
-        outs = run_spmd(cluster, body, nranks=p, progress_timeout_s=20.0)
+        outs = run_spmd(cluster, body, nranks=p)
         # out[dst][src] must equal data[src][dst] (global transpose)
         for dst, out in enumerate(outs):
             for src in range(p):
@@ -119,7 +119,7 @@ class TestGatherProperty:
             comm.Gather(send, recv, root=root)
             return recv.to_numpy() if ctx.rank == root else None
 
-        outs = run_spmd(cluster, body, nranks=p, progress_timeout_s=20.0)
+        outs = run_spmd(cluster, body, nranks=p)
         assert np.allclose(outs[root], data.reshape(-1))
 
 
@@ -150,7 +150,7 @@ class TestBcastProperty:
             comm.Bcast(buf, root=root)
             return buf.to_numpy()
 
-        for out in run_spmd(cluster, body, nranks=p, progress_timeout_s=20.0):
+        for out in run_spmd(cluster, body, nranks=p):
             assert np.array_equal(out, payload)
 
 
@@ -169,7 +169,7 @@ class TestVirtualTimeInvariants:
             comm.Allreduce(send, recv, SUM)
             return ctx.now - t0
 
-        times = run_spmd(cluster, body, nranks=p, progress_timeout_s=20.0)
+        times = run_spmd(cluster, body, nranks=p)
         assert all(t > 0 for t in times)
 
     @settings(**SETTINGS)
@@ -189,6 +189,5 @@ class TestVirtualTimeInvariants:
                 out.append(ctx.now - t0)
             return out
 
-        small, large = run_spmd(cluster, body, nranks=p,
-                                progress_timeout_s=20.0)[0]
+        small, large = run_spmd(cluster, body, nranks=p)[0]
         assert large > small

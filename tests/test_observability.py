@@ -50,8 +50,7 @@ def _labels(traces, kind):
 
 
 def _run_traced(cluster, body, nranks=4, trace=True, **options):
-    engine = Engine(cluster, nranks=nranks, trace=trace,
-                    progress_timeout_s=20.0, **options)
+    engine = Engine(cluster, nranks=nranks, trace=trace, **options)
     results = engine.run(body)
     return engine, results
 
@@ -291,8 +290,7 @@ class TestChromeExport:
             return (out.array.tobytes(), a2a_r.array.tobytes(), ctx.now)
 
         def run(trace):
-            engine = Engine(thetagpu1, nranks=4, trace=trace,
-                            progress_timeout_s=20.0)
+            engine = Engine(thetagpu1, nranks=4, trace=trace)
             return engine.run(body)
 
         off = run(False)
@@ -357,7 +355,7 @@ class TestStatsAutoReset:
     between engine runs."""
 
     def _run_once(self, cluster):
-        engine = Engine(cluster, nranks=4, progress_timeout_s=20.0)
+        engine = Engine(cluster, nranks=4)
         engine.run(_allreduce_body(DispatchMode.HYBRID))
         return fastpath.STATS.snapshot()
 

@@ -51,8 +51,7 @@ class TestConvergence:
         """The feedback loop: static says MPI everywhere, measurement
         says CCL; after observe+explore the bucket fits to xccl and
         the counters record the flip."""
-        engine = Engine(thetagpu1, nranks=8, progress_timeout_s=5.0,
-                        online_tune=True)
+        engine = Engine(thetagpu1, nranks=8, online_tune=True)
         results = engine.run(_allreduce_body, iters=12, table=_ALL_MPI)
         expect = sum(range(8)) + 11 * 8
         assert all(r[0] == expect for r in results)
@@ -68,8 +67,7 @@ class TestConvergence:
     def test_observe_phase_follows_static_route_exactly(self, thetagpu1):
         """Below the warm-up threshold the gate is provably inert: all
         calls take the static route and no bucket has fitted."""
-        engine = Engine(thetagpu1, nranks=4, progress_timeout_s=5.0,
-                        online_tune=True)
+        engine = Engine(thetagpu1, nranks=4, online_tune=True)
         # observe_calls defaults to 4: stop exactly at the boundary
         results = engine.run(_allreduce_body, iters=4, table=_ALL_MPI)
         assert all(r[1] == 0 and r[2] == 4 for r in results)
@@ -79,8 +77,7 @@ class TestConvergence:
 
     def test_gate_off_is_inert(self, thetagpu1):
         """With the option off there is no overlay to observe into."""
-        engine = Engine(thetagpu1, nranks=4, progress_timeout_s=5.0,
-                        online_tune=False)
+        engine = Engine(thetagpu1, nranks=4, online_tune=False)
         results = engine.run(_allreduce_body, iters=12, table=_ALL_MPI)
         assert all(r[1] == 0 and r[2] == 12 for r in results)
         assert engine.online_tuner is None
@@ -155,8 +152,7 @@ class TestLifecycle:
                 return (old_overlay, fitted)
             return None
 
-        engine = Engine(thetagpu1, nranks=8, progress_timeout_s=5.0,
-                        online_tune=True)
+        engine = Engine(thetagpu1, nranks=8, online_tune=True)
         with_faults(engine, FaultPlan().kill(2, after_us=200.0))
         results = engine.run(body)
         assert results[2] is None
@@ -177,7 +173,7 @@ class TestLifecycle:
         shape = shape_of(thetagpu1, range(8))
         cached_table(shape, ccl_params("nccl"), mvapich_gpu())
         assert len(_cache) > 0
-        Engine(thetagpu1, nranks=2, progress_timeout_s=1.0)
+        Engine(thetagpu1, nranks=2)
         assert len(_cache) == 0
         assert fastpath.STATS.dispatch_calls == 0
 
@@ -197,7 +193,7 @@ class TestTuningMiss:
             comm.Bcast(buf, root=0)
             return (float(buf.array[0]), dict(comm.coll.stats.fallbacks))
 
-        engine = Engine(thetagpu1, nranks=4, progress_timeout_s=5.0)
+        engine = Engine(thetagpu1, nranks=4)
         results = engine.run(body)
         for value, fallbacks in results:
             assert value == 9.0
@@ -213,8 +209,7 @@ class TestTuningMiss:
             buf = ctx.device.zeros(64)
             comm.Bcast(buf, root=0)
 
-        engine = Engine(thetagpu1, nranks=2, trace=True,
-                        progress_timeout_s=5.0)
+        engine = Engine(thetagpu1, nranks=2, trace=True)
         engine.run(body)
         labels = [ev.label for tr in engine.traces() for ev in tr.events
                   if ev.kind == "stage"]

@@ -126,6 +126,6 @@ class TestVirtualTimeDeterminism:
                           ctx.device.zeros(count * comm.size), count=count)
             return ctx.now
 
-        a = run_spmd(cluster, body, nranks=p, progress_timeout_s=20.0)
-        b = run_spmd(cluster, body, nranks=p, progress_timeout_s=20.0)
+        a = run_spmd(cluster, body, nranks=p)
+        b = run_spmd(cluster, body, nranks=p)
         assert a == b

@@ -24,12 +24,14 @@ from repro.core.runtime import world_communicator
 from repro.errors import CommRevokedError
 from repro.hw.systems import make_system
 from repro.mpi import SUM
+from repro.mpi.datatypes import FLOAT
 from repro.mpi.rma import Win
 from repro.sim import sched
-from repro.sim.engine import Engine
+from repro.sim.engine import CollectiveSlot, Engine
 from repro.sim.faults import FaultPlan, with_faults
-from repro.sim.mailbox import PayloadLease
+from repro.sim.mailbox import Mailbox, PayloadLease
 from repro.sim.wire import WireTracker
+from repro.xccl.api import xcclGroupEnd, xcclGroupStart, xcclRecv, xcclSend
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -74,6 +76,9 @@ def test_locks_are_the_documented_allowlist():
 
 #: the entry points whose ``threading.Lock`` the run token made redundant
 FORMERLY_LOCKED = (
+    (Mailbox, "post"), (Mailbox, "post_many"), (Mailbox, "match"),
+    (Mailbox, "match_many"), (Mailbox, "try_match"),
+    (CollectiveSlot, "exchange"), (CollectiveSlot, "consume_barrier"),
     (WireTracker, "book"), (WireTracker, "book_many"),
     (PayloadLease, "consume"), (PayloadLease, "materialize"),
     (BufferPool, "acquire"), (BufferPool, "release"),
@@ -86,7 +91,9 @@ FORMERLY_LOCKED = (
 class _OneAtATime:
     """Class-level wrappers that note every entry, hand the GIL to any
     other thread that could run (``time.sleep(0)``), and record an
-    overlap when a thread enters while another is inside."""
+    overlap when a thread enters while another is inside.  A fiber that
+    parks or yields inside an entry point is not inside it while it is
+    descheduled: it is inside again once it holds the token."""
 
     def __init__(self, monkeypatch):
         self.inside = Counter()           # thread ident -> depth
@@ -96,6 +103,21 @@ class _OneAtATime:
             monkeypatch.setattr(cls, name,
                                 self._wrap(f"{cls.__name__}.{name}",
                                            getattr(cls, name)))
+        for name in ("park", "yield_now"):
+            monkeypatch.setattr(sched.CoopScheduler, name, self._descheduled(
+                getattr(sched.CoopScheduler, name)))
+
+    def _descheduled(self, fn):
+        guard = self
+
+        def away(*args, **kwargs):
+            me = threading.get_ident()
+            depth, guard.inside[me] = guard.inside[me], 0
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                guard.inside[me] = depth
+        return away
 
     def _wrap(self, label, fn):
         guard = self
@@ -119,9 +141,10 @@ NRANKS, DEAD, KILL_AT_US = 16, 11, 3000.0
 
 
 def _everything(ctx):
-    """p2p (eager and rendezvous), built-ins on both routes, a fused
-    group exchange, RMA, then an allreduce loop the kill interrupts and
-    a shrunk communicator that finishes a fixed schedule."""
+    """p2p (eager and rendezvous, blocking and polled), built-ins on
+    both routes, a fused group exchange and an unhinted CCL group, RMA,
+    then an allreduce loop the kill interrupts and a shrunk
+    communicator that finishes a fixed schedule."""
     comm = world_communicator(ctx)
     rank, size = comm.Get_rank(), comm.Get_size()
     for n in (64, 1 << 18):
@@ -139,8 +162,19 @@ def _everything(ctx):
         buf = ctx.device.empty(n)
         buf.fill(float(rank))
         comm.Allreduce(buf, ctx.device.zeros(n), op=SUM)
+        req = comm.Irecv(recv, source=peer, tag=2)
+        sent = comm.Isend(send, peer, tag=2)
+        while not req.test()[0]:
+            pass
+        sent.wait()
     n = 1 << 14
     comm.Alltoall(ctx.device.zeros(n * size), ctx.device.zeros(n * size))
+    # no exchange hint: the bulk transport's post_many / match_many
+    xc = comm.coll.layer.ccl_comm(comm)
+    xcclGroupStart()
+    xcclSend(send, 64, FLOAT, (rank + 1) % size, xc)
+    xcclRecv(recv, 64, FLOAT, (rank - 1) % size, xc)
+    xcclGroupEnd()
     win = Win.allocate(comm, 8)
     win.put(ctx.device.zeros(8), (rank + 1) % size)
     win.fence()

@@ -66,7 +66,7 @@ class TestFailures:
             ctx.mailbox.match(src=1, tag=0)
 
         with pytest.raises(RankFailedError) as exc_info:
-            run_spmd(thetagpu1, body, nranks=2, progress_timeout_s=3.0)
+            run_spmd(thetagpu1, body, nranks=2)
         assert list(exc_info.value.failures) == [1]
 
     def test_all_blocked_is_deadlock(self, thetagpu1):
@@ -74,7 +74,7 @@ class TestFailures:
             ctx.mailbox.match(src=(ctx.rank + 1) % 2, tag=0)
 
         with pytest.raises(RankFailedError) as exc_info:
-            run_spmd(thetagpu1, body, nranks=2, progress_timeout_s=1.0)
+            run_spmd(thetagpu1, body, nranks=2)
         assert all(isinstance(e, DeadlockError)
                    for e in exc_info.value.failures.values())
 

@@ -1,13 +1,13 @@
 """Mailbox matching semantics, and the hand-off to a parked receiver."""
 
-import sys
 import threading
-import time
 
 import pytest
 
 from repro.errors import DeadlockError
-from repro.sim.mailbox import ANY_SOURCE, ANY_TAG, Mailbox, Message, ProgressMonitor
+from repro.sim import sched
+from repro.sim.engine import Engine
+from repro.sim.mailbox import ANY_SOURCE, ANY_TAG, Mailbox, Message
 
 
 def _msg(src=0, tag=0, **meta):
@@ -17,7 +17,7 @@ def _msg(src=0, tag=0, **meta):
 
 @pytest.fixture
 def box():
-    return Mailbox(1, ProgressMonitor(timeout_s=0.5))
+    return Mailbox(1)
 
 
 class TestMatching:
@@ -132,33 +132,33 @@ class TestBulkTransport:
 
 
 class TestOffEngineWait:
-    """A standalone mailbox has no scheduler: its blocking receive is a
-    plain condition-variable wait bounded by the monitor's timeout."""
+    """A blocking receive waits only inside an engine run (outside one
+    it fails at once: ``test_sim_sched.py``), so the wake runs there."""
 
-    def test_match_wakes_promptly_on_post(self, box):
-        out = {}
+    def test_match_wakes_promptly_on_post(self, thetagpu1):
+        """The receiver parks once; the post hands it the message and
+        wakes it, with no second park and nothing queued."""
+        engine = Engine(thetagpu1, nranks=2)
+        box = engine.mailbox_of(0)
 
-        def waiter():
-            out["msg"] = box.match(src=0, tag=1)
+        def body(ctx):
+            if ctx.rank == 0:
+                return box.match(src=1, tag=1).tag
+            box.post(Message(1, 0, 1, b"", 0.0, 1.0, 0))
+            return box.pending
 
-        t = threading.Thread(target=waiter)
-        t.start()
-        time.sleep(0.05)
-        t0 = time.perf_counter()
-        box.post(_msg(tag=1))
-        t.join(timeout=2.0)
-        assert not t.is_alive()
-        assert time.perf_counter() - t0 < 0.5
-        assert out["msg"].tag == 1
+        assert engine.run(body) == [1, 0]
+        assert (engine.scheduler.parks, engine.scheduler.switches) == (1, 3)
 
 
 class _GatedWaitq:
     """A wait queue whose wake-ups the test lets through by hand, so
     the moment between a hand-off and the receiver's wake can be looked
-    at — and the wake turned into the scheduler's exact-deadlock raise."""
+    at — and the wake turned into the scheduler's exact-deadlock raise.
+    The receiver runs on a thread of its own, blocked on ``gate`` while
+    the test touches the mailbox."""
 
-    def __init__(self, lock):
-        self.lock = lock
+    def __init__(self):
         self.parked = threading.Event()
         self.gate = threading.Event()
         self.notified = 0
@@ -167,11 +167,7 @@ class _GatedWaitq:
     def wait_for(self, predicate, stall_msg, patient=False):
         while not predicate():
             self.parked.set()
-            self.lock.release()
-            try:
-                assert self.gate.wait(5.0), "the test never opened the gate"
-            finally:
-                self.lock.acquire()
+            assert self.gate.wait(5.0), "the test never opened the gate"
             self.gate.clear()
             if self.fail:
                 raise DeadlockError(f"{stall_msg()}; every live rank is parked")
@@ -203,20 +199,8 @@ class _Receiver(threading.Thread):
 @pytest.fixture
 def gated():
     """``(mailbox, its gated wait queue)``."""
-    made = []
-
-    def factory(lock):
-        made.append(_GatedWaitq(lock))
-        return made[-1]
-
-    return Mailbox(1, ProgressMonitor(timeout_s=5.0), factory), made[0]
-
-
-def _await_registration(box):
-    deadline = time.monotonic() + 5.0
-    while not box._parked and time.monotonic() < deadline:
-        time.sleep(0.005)
-    assert box._parked
+    waitq = _GatedWaitq()
+    return Mailbox(1, waitq), waitq
 
 
 def _park(gated, **spec):
@@ -224,9 +208,9 @@ def _park(gated, **spec):
     receiver = _Receiver(box, **spec)
     assert waitq.parked.wait(5.0)
     waitq.parked.clear()
-    with box._lock:     # the receiver registered before it parked
-        assert [reg[:2] for reg in box._parked] == \
-            [[spec.get("src", ANY_SOURCE), spec.get("tag", ANY_TAG)]]
+    # the receiver registered before it parked
+    assert [reg[:2] for reg in box._parked] == \
+        [[spec.get("src", ANY_SOURCE), spec.get("tag", ANY_TAG)]]
     return receiver
 
 
@@ -396,81 +380,81 @@ class TestHandedMessageIsNeverLost:
 
         assert Engine(thetagpu1, nranks=3).run(body) == [None, b"late", None]
 
-    def test_two_off_engine_matchers_on_one_mailbox(self):
+    def test_two_off_engine_matchers_on_one_mailbox(self, thetagpu1):
         """One registration at a time: the second matcher takes the
         bucket path, and two posts reach one receiver each."""
-        box = Mailbox(1, ProgressMonitor(timeout_s=5.0))
-        first = _Receiver(box, src=0, tag=1)
-        _await_registration(box)
-        second = _Receiver(box, src=0, tag=1)
-        time.sleep(0.05)
-        with box._lock:
-            assert len(box._parked) == 1
-        box.post(_msg(tag=1, idx=1))
-        box.post(_msg(tag=1, idx=2))
-        assert first.result().meta["idx"] == 1
-        assert second.result().meta["idx"] == 2
+        engine = Engine(thetagpu1, nranks=3)
+        box = engine.mailbox_of(1)
+        registrations = []
+
+        def body(ctx):
+            if ctx.rank < 2:                # both match on one mailbox
+                return box.match(src=0, tag=1).meta["idx"]
+            registrations.append(len(box._parked))
+            box.post(_msg(tag=1, idx=1))
+            box.post(_msg(tag=1, idx=2))
+            return None
+
+        assert engine.run(body) == [1, 2, None]
+        assert registrations == [1]
         assert box.pending == 0 and not box._parked
 
-    def test_match_many_beside_a_registered_match(self):
-        box = Mailbox(1, ProgressMonitor(timeout_s=5.0))
-        single = _Receiver(box, src=0, tag=1)
-        _await_registration(box)
-        out = {}
-        batch = threading.Thread(target=lambda: out.update(
-            got=box.match_many([(0, 2, None), (0, 1, None)])), daemon=True)
-        batch.start()
-        time.sleep(0.05)
-        box.post(_msg(tag=1, idx="single"))
-        box.post(_msg(tag=2, idx="b2"))
-        box.post(_msg(tag=1, idx="b1"))
-        batch.join(timeout=5.0)
-        assert single.result().meta["idx"] == "single"
-        assert [m.meta["idx"] for m in out["got"]] == ["b2", "b1"]
+    def test_match_many_beside_a_registered_match(self, thetagpu1):
+        engine = Engine(thetagpu1, nranks=3)
+        box = engine.mailbox_of(1)
+
+        def body(ctx):
+            if ctx.rank == 0:
+                return box.match(src=0, tag=1).meta["idx"]
+            if ctx.rank == 1:
+                return [m.meta["idx"]
+                        for m in box.match_many([(0, 2, None), (0, 1, None)])]
+            box.post(_msg(tag=1, idx="single"))
+            box.post(_msg(tag=2, idx="b2"))
+            box.post(_msg(tag=1, idx="b1"))
+            return None
+
+        assert engine.run(body) == ["single", ["b2", "b1"], None]
         assert box.pending == 0
 
-    def test_stress_every_message_delivered_once_in_order(self):
-        """Four senders, two blocking receivers, a tight switch interval:
-        hand-offs and bucket deliveries interleave freely, yet every
-        message arrives exactly once and no receiver sees one source's
-        messages out of order."""
+    def test_stress_every_message_delivered_once_in_order(self, thetagpu1):
+        """Four sender ranks, two blocking receiver ranks, each sender
+        passing the token on after every first to fourth post:
+        hand-offs and bucket deliveries interleave, yet every message
+        arrives exactly once and no receiver sees one source's messages
+        out of order."""
         senders, per_sender = 4, 300
-        box = Mailbox(1, ProgressMonitor(timeout_s=10.0))
-        got = [[], []]
+        engine = Engine(thetagpu1, nranks=2 + senders)
+        box = engine.mailbox_of(1)
+        finished, handed, queued = [], [0], [0]
 
-        def receive(mine):
-            while True:
-                msg = box.match(tag=3)
-                if msg.meta["idx"] < 0:
-                    return
-                mine.append((msg.src, msg.meta["idx"]))
-
-        def send(src):
+        def body(ctx):
+            if ctx.rank < 2:
+                mine = []
+                while True:
+                    msg = box.match(tag=3)
+                    if msg.meta["idx"] < 0:
+                        return mine
+                    mine.append((msg.src, msg.meta["idx"]))
             for idx in range(per_sender):
-                box.post(_msg(src=src, tag=3, idx=idx))
+                handed[0] += bool(box._parked)
+                box.post(_msg(src=ctx.rank, tag=3, idx=idx))
+                queued[0] = max(queued[0], box.pending)
+                if idx % (ctx.rank - 1) == 0:
+                    sched.yield_now()
+            finished.append(ctx.rank)
+            if len(finished) == senders:
+                for _ in range(2):
+                    box.post(_msg(src=99, tag=3, idx=-1))   # one stop each
+            return None
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            receivers = [threading.Thread(target=receive, args=(mine,),
-                                          daemon=True) for mine in got]
-            workers = [threading.Thread(target=send, args=(src,), daemon=True)
-                       for src in range(senders)]
-            for t in receivers + workers:
-                t.start()
-            for t in workers:
-                t.join(timeout=30.0)
-            for _ in receivers:
-                box.post(_msg(src=99, tag=3, idx=-1))   # one stop each
-            for t in receivers:
-                t.join(timeout=30.0)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in receivers + workers)
-        assert sorted(got[0] + got[1]) == [(src, idx) for src in range(senders)
-                                           for idx in range(per_sender)]
+        got = engine.run(body)[:2]
+        assert handed[0] > 0 and queued[0] > 1     # both paths were taken
+        assert sorted(got[0] + got[1]) == [
+            (src, idx) for src in range(2, 2 + senders)
+            for idx in range(per_sender)]
         for mine in got:
-            for src in range(senders):
+            for src in range(2, 2 + senders):
                 seen = [idx for s, idx in mine if s == src]
                 assert seen == sorted(seen)
         assert box.pending == 0 and not box._parked

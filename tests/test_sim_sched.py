@@ -72,7 +72,7 @@ class TestDeadlockIsExact:
     @pytest.mark.parametrize("wait", ["match_many", "slot"])
     def test_every_wait_kind_reports_at_once(self, thetagpu1, wait):
         """Whatever the ranks block on, the last one to park triggers
-        the verdict — a 30 s timeout is configured and never consulted
+        the verdict — there is no timeout to wait out
         (``Mailbox.match`` is test_engine_scale's leg)."""
         def body(ctx):
             if wait == "match_many":
@@ -82,7 +82,7 @@ class TestDeadlockIsExact:
                 ctx.collective_slot("never", parties=ctx.size + 1).exchange(
                     ctx.rank, None, lambda payloads: None)
 
-        engine = Engine(thetagpu1, nranks=4, progress_timeout_s=30.0)
+        engine = Engine(thetagpu1, nranks=4)
         t0 = time.perf_counter()
         with pytest.raises(RankFailedError) as ei:
             engine.run(body)
@@ -93,15 +93,28 @@ class TestDeadlockIsExact:
 
 
 class TestOffEngineWait:
-    def test_progress_timeout_bounds_a_wait_from_outside_a_run(self, thetagpu1):
-        """The main thread is not a fiber: its blocking receive on an
-        engine's mailbox is the plain timed wait, and
-        ``progress_timeout_s`` is its bound."""
-        engine = Engine(thetagpu1, nranks=2, progress_timeout_s=0.2)
-        t0 = time.perf_counter()
-        with pytest.raises(DeadlockError, match="nothing arrived for 0.2s"):
-            engine.mailbox_of(0).match(src=1, tag=1)
-        assert 0.15 < time.perf_counter() - t0 < 2.0
+    def test_a_wait_outside_a_run_fails_at_once(self, thetagpu1):
+        """The main thread is not a fiber: nothing can wake it, so a
+        wait it makes on an engine's mailbox or slot is a deadlock,
+        reported at once and named."""
+        engine = Engine(thetagpu1, nranks=2)
+        box = engine.mailbox_of(0)
+        slot = engine.collective_slot("short", parties=2)
+        waits = {
+            "recv(src=1, tag=1)": lambda: box.match(src=1, tag=1),
+            "fused recv": lambda: box.match_many([(1, 1, None)]),
+            "blocked in waitany": lambda: box.await_post("waitany"),
+            "collective 'short': 1/2 arrived": lambda: slot.exchange(
+                0, None, lambda payloads: None),
+        }
+        for what, wait in waits.items():
+            t0 = time.perf_counter()
+            with pytest.raises(DeadlockError) as err:
+                wait()
+            assert time.perf_counter() - t0 < 0.1, what
+            assert what in str(err.value)
+            assert "outside an engine run" in str(err.value)
+        assert not box._parked and box.pending == 0
 
     def test_post_from_outside_a_run_is_matched(self, thetagpu1):
         engine = Engine(thetagpu1, nranks=2)

@@ -112,7 +112,7 @@ def test_blocking_send_buffer_safe_to_reuse(thetagpu1):
             comm.Recv(buf, source=0)
             captured["got"] = buf.array.copy()
 
-    engine = Engine(thetagpu1, nranks=2, progress_timeout_s=10.0)
+    engine = Engine(thetagpu1, nranks=2)
     fastpath.STATS.reset()
     engine.run(body)
     stats = fastpath.STATS.snapshot()
@@ -138,7 +138,7 @@ def test_delayed_rendezvous_send_keeps_the_lease(thetagpu1):
             comm.Recv(buf, source=0)
             captured["got"] = buf.array.copy()
 
-    engine = Engine(thetagpu1, nranks=2, progress_timeout_s=10.0)
+    engine = Engine(thetagpu1, nranks=2)
     injector = with_faults(engine, FaultPlan().delay(0, 1, 250.0))
     fastpath.STATS.reset()
     engine.run(body)
@@ -168,7 +168,7 @@ def test_fault_path_leaves_no_stale_lease(thetagpu1):
         else:
             comm.Recv(buf, source=0)
 
-    engine = Engine(thetagpu1, nranks=2, progress_timeout_s=10.0)
+    engine = Engine(thetagpu1, nranks=2)
     with_faults(engine, FaultPlan().delay(0, 1, 250.0))
     fastpath.STATS.reset()
     engine.run(body)
@@ -203,7 +203,7 @@ def test_rank_failure_leaves_live_buffers_intact(thetagpu1):
         else:
             comm.Recv(ctx.device.zeros(RNDV), source=2)
 
-    engine = Engine(thetagpu1, nranks=4, progress_timeout_s=1.5)
+    engine = Engine(thetagpu1, nranks=4)
     with_faults(engine, FaultPlan().drop(2, 3, nth=0))
     with pytest.raises(RankFailedError):
         engine.run(body)
@@ -348,8 +348,7 @@ def test_isend_reclaims_once_whichever_call_completes_it():
             buf.fill(-1.0)
         return None
 
-    engine = Engine(make_system("thetagpu", 1), nranks=2,
-                    progress_timeout_s=10.0)
+    engine = Engine(make_system("thetagpu", 1), nranks=2)
     fastpath.STATS.reset()
     got = engine.run(body)[1]
     stats = fastpath.STATS.snapshot()
@@ -380,8 +379,7 @@ def test_persistent_send_lends_each_start():
             got.append((float(buf.array.min()), float(buf.array.max())))
         return got
 
-    engine = Engine(make_system("thetagpu", 1), nranks=2,
-                    progress_timeout_s=10.0)
+    engine = Engine(make_system("thetagpu", 1), nranks=2)
     fastpath.STATS.reset()
     got = engine.run(body)[1]
     stats = fastpath.STATS.snapshot()
@@ -415,8 +413,7 @@ def test_pending_isend_is_copy_on_write_against_its_ranks_irecv(typed):
         return buf.array.copy()
 
     fastpath.STATS.reset()
-    got = Engine(make_system("thetagpu", 1), nranks=2,
-                 progress_timeout_s=10.0).run(body)
+    got = Engine(make_system("thetagpu", 1), nranks=2).run(body)
     stats = fastpath.STATS.snapshot()
     for r in (0, 1):
         mine = np.arange(RNDV + half) + 1000.0 * r
@@ -524,8 +521,7 @@ def test_fault_path_leaves_no_stale_isend_lease(fault):
     gc.collect()
     gc.disable()
     try:
-        engine = Engine(make_system("thetagpu", 1), nranks=2,
-                        progress_timeout_s=10.0)
+        engine = Engine(make_system("thetagpu", 1), nranks=2)
         injector = with_faults(engine, plan)
         try:
             outcome = engine.run(body)[0]

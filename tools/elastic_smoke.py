@@ -82,7 +82,7 @@ def body(ctx):
 def main(argv):
     out_path = argv[1] if len(argv) > 1 else "/tmp/mpix-elastic-smoke.json"
     engine = Engine(make_system("thetagpu", 2), nranks=NRANKS,
-                    trace=True, progress_timeout_s=5.0, online_tune=True)
+                    trace=True, online_tune=True)
     injector = with_faults(engine,
                            FaultPlan().kill(DEAD, after_us=KILL_AT_US))
     results = engine.run(body)
