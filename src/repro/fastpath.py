@@ -11,12 +11,11 @@ and memoized models replay what a fresh derivation would compute
 call is the transport unit, and payloads travel as borrowed read-only
 views.  The copying / per-message code survives only where
 the code itself observes it must: a send window aliasing a receive
-window (``MPI_IN_PLACE`` spellings) copies on write, a hinted group
-takes the bulk mailbox transport while a fault plan's drop or delay
-rules are installed (they are every mailbox's ``filter``, which the
-whole-group rendezvous would bypass: ``Engine.any_mailbox_patched``),
-and a group opened without a communicator hint takes that bulk
-transport too.
+window (``MPI_IN_PLACE`` spellings) copies on write, and a group opened
+without a communicator hint takes the bulk mailbox transport.  A fault
+plan's drop and delay rules change no transport: a hinted group's
+senders put their rows to the same mailbox ``filter`` before the
+whole-group rendezvous.
 
 What a run *can* choose — ``trace``, ``hier_pipe``, ``hetero``,
 ``online_tune`` — are arguments of :class:`repro.sim.engine.Engine`
@@ -48,7 +47,7 @@ COUNTERS = (
     "fusion_flushes",      # group flushes
     "fusion_msgs",         # messages delivered by group flushes
     "fusion_exchanges",    # whole-group rendezvous (one per comm group)
-    "fusion_fallbacks",    # flushes/matches that fell back to the mailbox
+    "fusion_fallbacks",    # exchange receives deferred to a mailbox match
     # zero-copy datapath:
     "copies_elided",       # payload snapshots handed off as views
     "copies_forced",       # copy-on-write escapes (aliasing, faults)
@@ -121,9 +120,10 @@ class PlanStats:
         """Record one whole-group rendezvous exchange."""
         self.fusion_exchanges += 1
 
-    def note_fusion_fallback(self, n: int = 1) -> None:
-        """Record ``n`` flushes or matches that left the whole-group
-        rendezvous for the mailbox."""
+    def note_fusion_fallback(self, n: int) -> None:
+        """Record ``n`` receives of a whole-group rendezvous that no
+        deposit carried (sent outside the group, or dropped), matched
+        in the mailbox after it."""
         self.fusion_fallbacks += n
 
     def note_copy_elided(self, n: int = 1) -> None:

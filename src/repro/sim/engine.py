@@ -459,8 +459,8 @@ class Engine:
     @property
     def any_mailbox_patched(self) -> bool:
         """True while a fault plan's message rules filter deliveries
-        (every mailbox then carries the same ``filter``): the one
-        transport that bypasses the mailboxes must stand down.  O(1)."""
+        (every mailbox then carries the same ``filter``): the
+        whole-group rendezvous then puts its rows to it too.  O(1)."""
         return self._mailboxes[0].filter is not None
 
     def device_of(self, rank: int) -> Accelerator:

@@ -14,7 +14,9 @@ a (src, dst) pair), never random, so failing tests replay exactly.
 
 A plan is engine data, and a faulted run is the fault-free program plus
 the faults it names: drop and delay rules become every mailbox's
-delivery ``filter``; kill rules become the named ranks' clocks, armed
+delivery ``filter``, which also sees a hinted CCL group's rows before
+its whole-group exchange (in the order ``post_many`` would), so no rule
+changes a transport; kill rules become the named ranks' clocks, armed
 by ``Engine.run``.  A kill-only plan leaves every message path alone.
 """
 

@@ -226,6 +226,11 @@ class Mailbox:
         """
         if self.filter is not None:
             msgs = [msg for msg in msgs if self.filter(msg)]
+        self.deliver_many(msgs)
+
+    def deliver_many(self, msgs: Sequence[Message]) -> None:
+        """:meth:`post_many` past the ``filter``, for messages it has
+        already seen (a group exchange's unclaimed rows)."""
         if not msgs:
             return
         # a parked receiver must search the queue for these

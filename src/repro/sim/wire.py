@@ -20,9 +20,7 @@ interleaving of bookings, not on virtual time).
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, Sequence, Tuple
 
 Resource = Tuple  # hashable resource key; last element is the direction
 
@@ -39,7 +37,8 @@ class WireTracker:
         """Schedule one transfer; returns its arrival time.
 
         Args:
-            resources: directed resource keys the transfer occupies.
+            resources: directed resource keys the transfer occupies
+                (none: a same-device copy, which books no wire).
             depart_us: sender-side virtual time the message is ready.
             nbytes: payload size.
             beta_bpus: path bandwidth, bytes/us (callers pre-apply any
@@ -49,17 +48,12 @@ class WireTracker:
         """
         if nbytes < 0:
             raise ValueError(f"negative transfer size {nbytes}")
+        wire = nbytes / beta_bpus if beta_bpus else 0.0
         if not resources:
-            # purely local (same-device) transfer: no shared wire
-            return depart_us + alpha_us + (nbytes / beta_bpus if beta_bpus else 0.0)
-        return self._book(resources, depart_us, nbytes, beta_bpus, alpha_us)
-
-    def _book(self, resources: Sequence[Resource], depart_us: float,
-              nbytes: int, beta_bpus: float, alpha_us: float) -> float:
+            return depart_us + alpha_us + wire
         start = depart_us
         for r in resources:
             start = max(start, self._free.get(r, 0.0))
-        wire = nbytes / beta_bpus if beta_bpus else 0.0
         for r in resources:
             self._free[r] = start + wire
         return start + wire + alpha_us
@@ -69,108 +63,29 @@ class WireTracker:
         """Book a batch of transfers in one call.
 
         ``bookings`` is a sequence of ``(resources, depart_us, nbytes,
-        beta_bpus, alpha_us)``; arrivals come back in order.  Bookings
-        land exactly as if :meth:`book` were called element by element
-        (sizes are validated up front, before any booking applies).
-
-        The arithmetic is vectorized where that is *exactly* IEEE-754
-        equivalent to the scalar path:
-
-        * resource-free bookings (same-device transfers — the bulk of
-          an oversubscribed group) never touch occupancy state, so
-          their ``(depart + alpha) + nbytes/beta`` evaluates in one
-          float64 array pass in any order;
-        * when no resource appears in more than one booking of the
-          batch, each start time is independent of the others, so the
-          ``(start + wire) + alpha`` chain vectorizes too.
-
-        Batches with intra-batch resource contention fall back to the
-        serial chain, spelled inline — there each booking's start
-        depends on the occupancy the previous one wrote, and any closed
-        form would re-associate float additions.
+        beta_bpus, alpha_us)``; arrivals come back in order.  One serial
+        loop with :meth:`book`'s arithmetic, spelled inline (no call per
+        booking), so bookings land exactly as element-by-element
+        :meth:`book` calls would; sizes are validated up front, before
+        any booking applies.
         """
-        if not bookings:
-            return []
-        n = len(bookings)
         for booking in bookings:
             if booking[2] < 0:
                 raise ValueError(f"negative transfer size {booking[2]}")
-        wired = [i for i, b in enumerate(bookings) if b[0]]
-        arrivals: List[float] = [0.0] * n
-        if len(wired) < n:
-            # resource-free bookings: pure elementwise arithmetic
-            local = [i for i, b in enumerate(bookings) if not b[0]]
-            self._fill_vectorized(
-                bookings, local, arrivals,
-                [bookings[i][1] for i in local])
-        if wired:
-            seen: set = set()
-            disjoint = True
-            for i in wired:
-                for r in bookings[i][0]:
-                    if r in seen:
-                        disjoint = False
-                        break
-                    seen.add(r)
-                if not disjoint:
-                    break
-            if disjoint:
-                # independent starts: max() is exact, the rest is one
-                # vectorized pass; occupancy updates commute
-                starts = []
-                for i in wired:
-                    resources, depart_us = bookings[i][0], bookings[i][1]
-                    start = depart_us
-                    for r in resources:
-                        start = max(start, self._free.get(r, 0.0))
-                    starts.append(start)
-                ends = self._fill_vectorized(bookings, wired, arrivals,
-                                             starts)
-                for k, i in enumerate(wired):
-                    for r in bookings[i][0]:
-                        self._free[r] = ends[k]
-            else:
-                # :meth:`_book`, inline: no call per booking
-                free = self._free
-                for i in wired:
-                    resources, start, nbytes, beta, alpha = bookings[i]
-                    for r in resources:
-                        start = max(start, free.get(r, 0.0))
-                    end = start + (nbytes / beta if beta else 0.0)
-                    for r in resources:
-                        free[r] = end
-                    arrivals[i] = end + alpha
+        free = self._free
+        arrivals = []
+        for resources, start, nbytes, beta, alpha in bookings:
+            wire = nbytes / beta if beta else 0.0
+            if not resources:
+                arrivals.append(start + alpha + wire)
+                continue
+            for r in resources:
+                start = max(start, free.get(r, 0.0))
+            end = start + wire
+            for r in resources:
+                free[r] = end
+            arrivals.append(end + alpha)
         return arrivals
-
-    def _fill_vectorized(self, bookings, idx: Sequence[int],
-                         arrivals: List[float],
-                         starts: Sequence[float]):
-        """Vectorized ``start -> arrival`` arithmetic for the bookings
-        at ``idx``; fills ``arrivals`` in place and returns the wire-end
-        times (``start + wire``) as python floats.
-
-        Bit-exact with the scalar path: float64 elementwise divide/add
-        round identically to python's, and the association order is
-        preserved (local bookings add ``alpha`` before the wire term,
-        wired ones after — matching :meth:`book`/:meth:`_book`).
-        """
-        start_a = np.array(starts, dtype=np.float64)
-        nbytes_a = np.array([bookings[i][2] for i in idx], dtype=np.float64)
-        beta_a = np.array([bookings[i][3] for i in idx], dtype=np.float64)
-        alpha_a = np.array([bookings[i][4] for i in idx], dtype=np.float64)
-        wire_a = np.zeros(len(idx), dtype=np.float64)
-        nz = beta_a != 0.0
-        np.divide(nbytes_a, beta_a, out=wire_a, where=nz)
-        if bookings[idx[0]][0]:
-            ends = start_a + wire_a
-            out = (ends + alpha_a).tolist()
-            end_list = ends.tolist()
-        else:
-            out = ((start_a + alpha_a) + wire_a).tolist()
-            end_list = out
-        for k, i in enumerate(idx):
-            arrivals[i] = out[k]
-        return end_list
 
     def free_at(self, resource: Resource) -> float:
         """When ``resource`` next becomes free (0.0 if never used)."""

@@ -431,6 +431,22 @@ class CCLBackend:
             fastpath.STATS.note_copy_elided(len(rows) - forced)
         return seqs, rows, by_dst
 
+    def _admit(self, ctx, sends: Sequence[tuple], seqs: List[int],
+               rows: List[tuple], by_dst: Dict[int, List[int]]) -> None:
+        """Put staged rows to the destinations' mailbox ``filter`` as
+        ``post_many`` would (per destination, in program order): a
+        dropped row leaves ``by_dst``, a kept one takes its arrival."""
+        for world, mine in by_dst.items():
+            admit = ctx.mailbox_of(world).filter
+            kept = []
+            for i in mine:
+                msg = self._message(ctx.rank, world, sends[i][0].uid,
+                                    seqs[i], rows[i])
+                if admit(msg):
+                    rows[i] = _row_of(msg)
+                    kept.append(i)
+            mine[:] = kept
+
     def _execute_group(self, sends: Sequence[tuple], recvs: Sequence[tuple],
                        exchange: Optional[XCCLComm] = None) -> None:
         """Launch a batch of queued rows: one launch overhead, all sends
@@ -443,8 +459,7 @@ class CCLBackend:
         wire bookings, same order):
 
         * bulk: the rows become ``Message`` objects, one ``post_many``
-          per peer (through the mailbox's fault filter, if any), recvs
-          drained by one ``match_many``;
+          per peer, recvs drained by one ``match_many``;
         * whole-group rendezvous (``exchange`` hint): every rank of the
           communicator deposits its columns into one
           :class:`~repro.sim.engine.GroupExchangeSlot` and picks its
@@ -453,29 +468,22 @@ class CCLBackend:
           claims.
 
         Receive windows are filled by :func:`_land`, with no call per
-        row.  A fault plan's message rules filter mailbox deliveries,
-        which the rendezvous bypasses: while they are installed a hinted
-        group takes the bulk path — on every rank alike, so all parties
-        agree on the transport.  (The transports release ranks in
-        different orders, and the wire tracker serves contended links
-        in the order ranks reach it: on multi-node runs a later flush
-        can end at other clocks after a fallback.)
+        row.  A fault plan's message rules (the mailboxes' ``filter``)
+        see every row on either transport: before the rendezvous the
+        sender puts its rows to them (:meth:`_admit`); a dropped row's
+        receive falls to the deferred mailbox match.
         """
         ctx = (exchange or (sends or recvs)[0][0]).ctx
-        use_exchange = (exchange is not None
-                        and not ctx.engine.any_mailbox_patched)
-        if exchange is not None and not use_exchange:
-            fastpath.STATS.note_fusion_fallback()
         # transport label for trace events: which of the delivery paths
         # this batch took (observability only)
-        transport = "exchange" if use_exchange else "bulk"
+        transport = "bulk" if exchange is None else "exchange"
 
         if sends or recvs:
             t0 = ctx.clock.advance(
                 self.params.launch_us
                 + (self.params.inter_extra_launch_us
                    if _spans_nodes(sends, recvs) else 0.0))
-        elif use_exchange:
+        elif exchange is not None:
             t0 = ctx.now  # empty exchange-side flush: nothing launched
         else:
             return
@@ -484,7 +492,8 @@ class CCLBackend:
         # The whole-group rendezvous is the one transport whose exit is
         # synchronized on every rank, so only there may send snapshots
         # become borrowed views (reclaimed at the consume barrier).
-        seqs, rows, by_dst = self._stage(ctx, sends, recvs, t0, use_exchange)
+        seqs, rows, by_dst = self._stage(ctx, sends, recvs, t0,
+                                         exchange is not None)
         if ctx.trace.enabled:
             for (comm, _v, _n, peer), row in zip(sends, rows):
                 ctx.trace.record("ccl-send", t0, t0, peer=comm.group[peer],
@@ -492,7 +501,7 @@ class CCLBackend:
 
         arrivals_in: List[float] = [t0]
         doomed = ctx.engine.doomed
-        if not use_exchange:
+        if exchange is None:
             for world, mine in by_dst.items():
                 ctx.mailbox_of(world).post_many([
                     self._message(ctx.rank, world, sends[i][0].uid,
@@ -510,7 +519,8 @@ class CCLBackend:
             _land(ctx, recvs, [_row_of(m) for m in matched], arrivals_in,
                   transport)
         else:
-            assert exchange is not None
+            if ctx.engine.any_mailbox_patched:
+                self._admit(ctx, sends, seqs, rows, by_dst)
             slot = ctx.collective_slot(exchange.next_group_key(),
                                        exchange.size, factory=GroupExchangeSlot)
             inbound = {(sender, their_seqs[i]): their_rows[i]
@@ -528,8 +538,9 @@ class CCLBackend:
                 counters[peer] = seq = counters[peer] + 1
                 got = inbound.pop((peer, seq), None)
                 if got is None:
-                    # sent outside this group call (mixed patterns):
-                    # fall back to the mailbox.  The blocking match is
+                    # sent outside this group call (mixed patterns),
+                    # or dropped by a fault rule: fall back to the
+                    # mailbox.  The blocking match is
                     # deferred past the consume barrier — the sender
                     # may only post this message after leaving its own
                     # group.
@@ -551,7 +562,7 @@ class CCLBackend:
                     unclaimed.append(self._message(
                         exchange.group[sender], ctx.rank, exchange.uid,
                         seq, got))
-                ctx.mailbox.post_many(unclaimed)
+                ctx.mailbox.deliver_many(unclaimed)
             # land every exchanged view first, then release all senders
             # at the consume barrier; only then may the deferred
             # fallback matches block on late traffic
@@ -608,41 +619,16 @@ class CCLBackend:
             ctx.trace.record("ccl", t_deposit, ctx.now, nbytes=nbytes,
                              label=label or f"{self.name}:{key[2]}")
 
-    #: reductions whose result is bit-identical under any association
-    #: order (pure element selection) — only these may use the fused
-    #: ``ufunc.reduce`` over a stacked operand block; float SUM/PROD
-    #: must keep the rank-ordered chain (numpy's reduce is pairwise).
-    _ORDER_FREE = (np.minimum, np.maximum)
-
-    @staticmethod
-    def _reduce_into(op: Op, arrays: Dict[int, np.ndarray],
-                     acc: np.ndarray) -> None:
-        """Reduce ``arrays[1:]`` into ``acc`` (pre-seeded with
-        ``arrays[0]``) in rank order.
-
-        Order-free ops over uniform dtypes take one vectorized
-        ``ufunc.reduce`` over a stacked block instead of ``n - 1``
-        python-level calls; everything else applies the op's in-place
-        chain (``out=acc``), which allocates nothing per step.
-        """
-        n = len(arrays)
-        if (n > 2 and isinstance(op.fn, np.ufunc)
-                and op.fn in CCLBackend._ORDER_FREE
-                and all(arrays[r].dtype == acc.dtype for r in range(1, n))):
-            op.fn.reduce(
-                np.stack([acc] + [arrays[r] for r in range(1, n)]),
-                axis=0, out=acc)
-            return
-        for r in range(1, n):
-            op.reduce_into(acc, arrays[r])
-
     def _reduce_pooled(self, comm: XCCLComm, op: Op,
                        data: Dict[int, np.ndarray]):
         """``(accumulator, pool, key)``: every rank's operand reduced
         in rank order into scratch drawn from the engine's shared pool
         (exact shape match); :meth:`_release_pooled` hands it back.
-        Storage-free operands have nothing to reduce: the first stands
-        for the result, and no accumulator is drawn."""
+        One in-place chain (``out=acc``) for every op: nothing is
+        allocated per step, and float SUM / PROD keep the association
+        order their results depend on.  Storage-free operands have
+        nothing to reduce: the first stands for the result, and no
+        accumulator is drawn."""
         if not data[0].strides[0] and data[0].size:
             return data[0], None, None
         pool = comm.ctx.engine.scratch_pool
@@ -651,7 +637,8 @@ class CCLBackend:
         if acc is None:
             acc = np.empty_like(data[0])
         np.copyto(acc, data[0], casting="unsafe")
-        self._reduce_into(op, data, acc)
+        for r in range(1, len(data)):
+            op.reduce_into(acc, data[r])
         return acc, pool, key
 
     @staticmethod

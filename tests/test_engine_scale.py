@@ -21,6 +21,7 @@ failure-handling that rides on it:
 
 from __future__ import annotations
 
+import gc
 import time
 import tracemalloc
 
@@ -159,6 +160,9 @@ def _setup_footprint(nranks: int, mode: str, monkeypatch):
         assert buf.array[0] == nranks
         return comm.record, comm.group, comm._from_world
 
+    # the previous run's garbage goes first: a collection inside the
+    # window frees it and moves the peak by up to a fifth
+    gc.collect()
     tracemalloc.start()
     try:
         views = Engine(make_system("thetagpu", 4), nranks=nranks,

@@ -8,10 +8,9 @@ a rooted ``Gather``.  The other spans 2 x 4 ranks with everything
 routed to the CCL — a hinted ``Alltoallv`` with empty blocks, an
 ``IN_PLACE`` ``Allgatherv``, and ``Gatherv`` / ``Scatterv`` with
 off-node roots — so the rules reach the group's columns on both
-transports (message rules send the hinted exchange to the bulk one).
-Whatever the plan, the run returns or fails with the errors a fault may
-cause; a plan that touched nothing changes nothing; and no device
-memory outlives the engine.
+transports.  Whatever the plan, the run returns or fails with the
+errors a fault may cause; a plan that touched nothing changes nothing;
+and no device memory outlives the engine.
 """
 
 import gc
@@ -109,10 +108,9 @@ def _multinode_program(ctx):
     return log
 
 
-#: name -> (program, nodes, ranks per node, whether its clocks are the
-#: same on both group transports — see test_unfired_rule_keeps_clocks)
-PROGRAMS = {"single-node": (_program, 1, NRANKS, True),
-            "multi-node": (_multinode_program, 2, 4, False)}
+#: name -> (program, nodes, ranks per node)
+PROGRAMS = {"single-node": (_program, 1, NRANKS),
+            "multi-node": (_multinode_program, 2, 4)}
 
 
 def _run(plan, program="single-node"):
@@ -122,7 +120,7 @@ def _run(plan, program="single-node"):
     counters, and whether the plan dropped, delayed or killed anything.
     With the collector off, every device must be back to 0 bytes once
     the engine and the errors are dropped."""
-    body, nodes, rpn, _ = PROGRAMS[program]
+    body, nodes, rpn = PROGRAMS[program]
     cluster = make_system("thetagpu", nodes)
     gc.collect()
     gc.disable()
@@ -185,22 +183,14 @@ def plans(draw, nranks=NRANKS):
 
 
 def _check(fault_free, plan, program):
-    """The three invariants, for one plan.  Message rules move a hinted
-    group to the bulk transport: that shows in the counters, and on a
-    program whose clocks depend on the transport, in its clocks (the
-    payloads stay)."""
+    """The three invariants, for one plan: a plan that touched nothing
+    leaves every payload, clock and counter ``==`` the fault-free run."""
     logs, errors, counters, touched = _run(plan, program)
     assert all(issubclass(e, FAULT_ERRORS) for e in errors), errors
     if not touched:
         base_logs, base_counters = fault_free(program)
-        same_transport = not plan.drops and not plan.delays
-        if same_transport or PROGRAMS[program][3]:
-            assert logs == base_logs
-        else:
-            assert [[digest for digest, _t in log] for log in logs] \
-                == [[digest for digest, _t in log] for log in base_logs]
-        if same_transport:
-            assert counters == base_counters
+        assert logs == base_logs
+        assert counters == base_counters
 
 
 @settings(derandomize=True, max_examples=30, deadline=None)
@@ -216,15 +206,10 @@ def test_a_plan_changes_only_what_it_names_across_nodes(fault_free, plan):
     _check(fault_free, plan, "multi-node")
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "known defect: the wire tracker books a contended link in the order "
-    "ranks reach it, and the two group transports release ranks in "
-    "different orders, so a hinted group moved to the bulk transport "
-    "ends at other clocks on 2 x 4 ranks"))
 def test_unfired_rule_keeps_clocks(fault_free):
-    """A message rule that never fires moves the multi-node program's
-    hinted groups to the bulk transport; its clocks should not move."""
-    logs, errors, _counters, touched = _run(
+    """A message rule that never fires leaves the multi-node program's
+    hinted groups on the whole-group exchange: no clock moves."""
+    logs, errors, counters, touched = _run(
         FaultPlan().delay(0, 1, 0.5, nth=99), "multi-node")
     assert not errors and not touched
-    assert logs == fault_free("multi-node")[0]
+    assert (logs, counters) == fault_free("multi-node")

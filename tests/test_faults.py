@@ -307,9 +307,9 @@ class TestDerivedCommDegradation:
     def test_fusion_falls_back_unfused_on_faulted_dup_comm(self,
                                                            thetagpu1):
         """Grouped CCL send/recv on a Dup'd communicator under a delay
-        rule: the fused whole-group exchange would bypass the mailboxes'
-        fault filter, so it falls back to the bulk transport, whose
-        messages the filter sees — counted, and still in program order."""
+        rule: the hinted group keeps the whole-group exchange, and its
+        senders put every row to the mailboxes' fault filter — counted,
+        and still in program order."""
 
         def body(ctx):
             world = world_communicator(ctx, mode=DispatchMode.PURE_XCCL)
@@ -338,8 +338,8 @@ class TestDerivedCommDegradation:
         for rank, vals in enumerate(results):
             src = (rank - 1) % 4
             assert vals == [10.0 * src, 10.0 * src + 1, 10.0 * src + 2]
-        assert fastpath.STATS.fusion_fallbacks > 0
-        assert fastpath.STATS.fusion_exchanges == 0
+        assert fastpath.STATS.fusion_fallbacks == 0
+        assert fastpath.STATS.fusion_exchanges > 0
         assert injector.messages_seen >= 12     # 3 per rank, all filtered
 
     def test_hier_collective_on_split_comm_survives_injector(self):
@@ -415,15 +415,116 @@ class TestPlanChangesOnlyWhatItNames:
         assert _probe(FaultPlan().kill(7, after_us=1e12)) == (base, counters)
 
     def test_delay_that_never_fires_changes_only_the_exchange(self):
-        """Message rules filter mailbox deliveries, so the hinted
-        exchange (which bypasses them) falls back to bulk; payloads and
-        clocks stay ``==`` and the p2p leases stay engaged."""
-        base, _ = _probe(None)
-        log, counters = _probe(FaultPlan().delay(0, 1, 5.0, nth=10 ** 6))
-        assert log == base
-        assert counters["fusion_exchanges"] == 0
-        assert counters["fusion_fallbacks"] == 24
-        assert counters["copies_forced"] == 0
+        """Message rules filter every delivery, the hinted exchange's
+        rows included, so a rule that never fires changes nothing: the
+        log and the transport counters stay ``==`` the fault-free run."""
+        base = _probe(None)
+        assert _probe(FaultPlan().delay(0, 1, 5.0, nth=10 ** 6)) == base
+
+
+def _alltoall_body(ctx):
+    """4 ranks, pure xCCL: one hinted ``Alltoall``; returns the payload
+    and the clock."""
+    comm = world_communicator(ctx, mode=DispatchMode.PURE_XCCL)
+    send = ctx.device.zeros(comm.size * 256, dtype=np.float32)
+    send.array[:] = np.arange(comm.size * 256) + 1000 * comm.rank
+    out = ctx.device.zeros(comm.size * 256, dtype=np.float32)
+    comm.Alltoall(send, out, count=256)
+    return out.array.tobytes(), ctx.now
+
+
+def _alltoall(thetagpu1, plan):
+    """``(results, injector, fusion_exchanges)`` of :func:`_alltoall_body`
+    under ``plan`` (None: no plan)."""
+    engine = Engine(thetagpu1, nranks=4)
+    injector = None if plan is None else with_faults(engine, plan)
+    results = engine.run(_alltoall_body)
+    return results, injector, fastpath.STATS.fusion_exchanges
+
+
+class TestRulesInsideTheExchange:
+    """Message rules fire on the rows of a hinted group: its senders put
+    them to the mailboxes' filter before the whole-group exchange."""
+
+    def test_delay_retimes_only_its_row(self, thetagpu1):
+        base, _, exchanges = _alltoall(thetagpu1, None)
+        got, injector, faulted_exchanges = _alltoall(
+            thetagpu1, FaultPlan().delay(0, 1, 50.0, nth=0))
+        assert [payload for payload, _t in got] \
+            == [payload for payload, _t in base]
+        assert got[1][1] > base[1][1]
+        assert [t for r, (_p, t) in enumerate(got) if r != 1] \
+            == [t for r, (_p, t) in enumerate(base) if r != 1]
+        assert [(m.src, m.dst, m.kind) for m in injector.delayed] \
+            == [(0, 1, "ccl-p2p")]
+        assert faulted_exchanges == exchanges
+
+    def test_drop_deadlocks_only_its_receiver(self, thetagpu1):
+        with pytest.raises(RankFailedError) as exc_info:
+            _alltoall(thetagpu1, FaultPlan().drop(0, 1, nth=0))
+        failures = exc_info.value.failures
+        assert list(failures) == [1]
+        assert isinstance(failures[1], DeadlockError)
+
+    @pytest.mark.parametrize("nth", [0, 1, 2])
+    def test_nth_names_one_message_on_either_transport(self, thetagpu1,
+                                                       nth):
+        """Three sends of different sizes to each neighbour, in one group
+        opened with and without the communicator hint: a delay rule
+        hits the same message, and every clock lands alike."""
+        def body(ctx, hinted):
+            world = world_communicator(ctx, mode=DispatchMode.PURE_XCCL)
+            xc = world.coll.layer.ccl_comm(world)
+            peer, src = (ctx.rank + 1) % 4, (ctx.rank - 1) % 4
+            outs = [ctx.device.zeros(4 * (i + 1), dtype=np.float32)
+                    for i in range(3)]
+            ins_ = [ctx.device.zeros(4 * (i + 1), dtype=np.float32)
+                    for i in range(3)]
+            xcclGroupStart(xc if hinted else None)
+            for i in range(3):
+                xcclSend(outs[i], outs[i].count, FLOAT, peer, xc)
+                xcclRecv(ins_[i], ins_[i].count, FLOAT, src, xc)
+            xcclGroupEnd()
+            return ctx.now
+
+        def run(hinted):
+            engine = Engine(thetagpu1, nranks=4)
+            injector = with_faults(engine,
+                                   FaultPlan().delay(0, 1, 50.0, nth=nth))
+            clocks = engine.run(lambda ctx: body(ctx, hinted))
+            assert fastpath.STATS.fusion_exchanges == (4 if hinted else 0)
+            return clocks, [(m.src, m.dst, m.seq, m.nbytes)
+                            for m in injector.delayed]
+
+        hinted, unhinted = run(True), run(False)
+        assert len(hinted[1]) == 1
+        assert hinted == unhinted
+
+    def test_unclaimed_row_meets_the_filter_once(self, thetagpu1):
+        """A row the receiver's group did not claim is queued in its
+        mailbox as it came through the sender's filter: the pair's next
+        message is still the one an nth rule names."""
+        def body(ctx):
+            world = world_communicator(ctx, mode=DispatchMode.PURE_XCCL)
+            xc = world.coll.layer.ccl_comm(world)
+            bufs = [ctx.device.zeros(4 * (i + 1), dtype=np.float32)
+                    for i in range(2)]
+            xcclGroupStart(xc)
+            if ctx.rank == 0:
+                xcclSend(bufs[0], 4, FLOAT, 1, xc)     # received below
+            xcclGroupEnd()
+            if ctx.rank == 0:
+                xcclSend(bufs[1], 8, FLOAT, 1, xc)
+            elif ctx.rank == 1:
+                xcclRecv(bufs[0], 4, FLOAT, 0, xc)
+                xcclRecv(bufs[1], 8, FLOAT, 0, xc)
+            return ctx.now
+
+        engine = Engine(thetagpu1, nranks=4)
+        injector = with_faults(engine, FaultPlan().delay(0, 1, 50.0, nth=1))
+        engine.run(body)
+        assert [(m.seq, m.nbytes) for m in injector.delayed] == [(2, 32)]
+        assert injector.messages_seen == 2
 
 
 #: a scope no bootstrap hands out

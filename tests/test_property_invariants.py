@@ -50,6 +50,38 @@ class TestWireTrackerProperties:
             assert arrival == pytest.approx(n / 100.0)
 
 
+#: a few directed resources, so drawn batches repeat them
+_RESOURCES = [("a", "fwd"), ("b", "fwd"), ("nic", 0, "out"),
+              ("nic", 1, "in")]
+
+#: one booking: no resource (a local copy), or some distinct ones;
+#: zero beta (no wire time) drawn often
+_BOOKING = st.tuples(
+    st.lists(st.sampled_from(_RESOURCES), max_size=3, unique=True),
+    st.floats(0, 1e3),                      # depart
+    st.integers(0, 1 << 20),                # nbytes
+    st.one_of(st.just(0.0), st.floats(1e-3, 1e4)),     # beta
+    st.floats(0, 10),                       # alpha
+)
+
+
+class TestBookManyProperties:
+    @settings(**SETTINGS)
+    @given(prior=st.lists(_BOOKING, max_size=4),
+           batch=st.lists(_BOOKING, max_size=30))
+    def test_book_many_is_book_element_wise(self, prior, batch):
+        """On wires some earlier bookings already occupy, ``book_many``
+        gives the arrivals of ``book`` called element by element —
+        exact floats — and leaves the same ``free_at`` everywhere."""
+        many, each = WireTracker(), WireTracker()
+        for booking in prior:
+            many.book(*booking)
+            each.book(*booking)
+        assert many.book_many(batch) == [each.book(*b) for b in batch]
+        assert [many.free_at(r) for r in _RESOURCES] \
+            == [each.free_at(r) for r in _RESOURCES]
+
+
 class TestTuningTableProperties:
     @settings(**SETTINGS)
     @given(st.lists(st.sampled_from(["mpi", "xccl"]), min_size=1,

@@ -74,7 +74,7 @@ def _book_each(bookings):
 
 class TestBookMany:
     """``book_many`` must land bit-identically to sequential ``book``
-    on every batch shape, including the vectorized fast cases."""
+    on every batch shape: local, disjoint, contended and mixed."""
 
     def _check(self, bookings):
         expect = _book_each(bookings)
