@@ -26,10 +26,8 @@ rendezvous instead of one mailbox round trip per message.  The
 hint — a whole-group rendezvous would make the leaf ranks wait for
 everyone where the mailbox lets them post-and-go — and ride the bulk
 post/match path instead.  Every message is priced and booked the same
-way on both transports.  (The two release ranks in different orders,
-and contended wires are booked in the order ranks reach them, so a
-hinted group moved to the bulk transport by a fault plan can end at
-other clocks on multi-node runs.)
+way on both transports; a fault plan's message rules filter the hinted
+exchange and never move it to the bulk transport.
 
 Sends flushed through the whole-group rendezvous travel as borrowed
 read-only views of the caller's windows instead of per-peer snapshots;

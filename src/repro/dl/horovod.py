@@ -112,11 +112,18 @@ class DistributedOptimizer:
         # only ever written by the allreduce (``omb.collective._alloc``'s rule)
         self._recv = ctx.device.empty(max_count, dtype=np.float32)
 
-    @property
-    def world_size(self) -> int:
-        """Data-parallel width."""
-        return self.stack.size if isinstance(self.stack, PureCCLHarness) \
-            else self.stack.size
+    def _coordinate(self) -> None:
+        """Horovod's coordinator round before a bucket: every rank of the
+        stack starts its allreduce at the latest arrival.  Free here;
+        ``cycle_time_us`` is its cost."""
+        comm = self.stack.comm if isinstance(self.stack, PureCCLHarness) \
+            else self.stack
+        scope = comm.record.scope
+        key = ((scope if isinstance(scope, tuple) else (scope,))
+               + ("horovod-cycle", next(self.ctx.program_seq)))
+        slot = self.ctx.collective_slot(key, self.stack.size)
+        self.ctx.clock.merge(slot.exchange(
+            self.stack.rank, self.ctx.now, lambda t: max(t.values())))
 
     def _allreduce_bucket(self, bucket: GradientBucket) -> None:
         count = bucket.count
@@ -146,6 +153,7 @@ class DistributedOptimizer:
         t0 = self.ctx.now
         for bucket in self.buckets:
             self.ctx.clock.advance(cfg.cycle_time_us)
+            self._coordinate()
             tb = self.ctx.now
             self._allreduce_bucket(bucket)
             if (cfg.large_message_penalty > 1.0

@@ -8,8 +8,8 @@ formatter (:mod:`repro.experiments.report`) renders EXPERIMENTS.md.
 
 Scales:
 
-* ``"paper"`` — the paper's rank counts; engine-driven where feasible,
-  closed-form models for the 128-rank sweeps (see DESIGN.md §4);
+* ``"paper"`` — the paper's rank counts, on the engine (Table 1 is a
+  preset audit and Fig 7b a closed-form projection; see DESIGN.md §4b);
 * ``"quick"`` — reduced sizes/iterations for tests and smoke runs.
 """
 

@@ -4,14 +4,10 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.core.abstraction import XCCLAbstractionLayer
 from repro.hw.systems import make_system
-from repro.mpi.config import mvapich_gpu, openmpi_ucx
 from repro.omb.collective import COLLECTIVE_BENCHMARKS
 from repro.omb.harness import OMBConfig
 from repro.omb.stacks import make_stack, series_label
-from repro.perfmodel import ccl_models, mpi_models
-from repro.perfmodel.shape import shape_of
 from repro.sim.engine import Engine
 from repro.util.records import ResultRecord, ResultSet
 from repro.util.sizes import DEFAULT_OMB_SIZES
@@ -60,74 +56,6 @@ def run_collective_panel(exp_id: str, system: str, nodes: int, nranks: int,
                                            "stack": stack,
                                            "min_us": s.min_us,
                                            "max_us": s.max_us}))
-    return results
-
-
-def layer_charged(ccl_us: float) -> float:
-    """A mapped CCL call of ``ccl_us`` through the abstraction layer:
-    the layer's fixed and proportional charges, as
-    :func:`repro.core.dispatch.charged` applies them in the engine."""
-    return (XCCLAbstractionLayer.CALL_OVERHEAD_US
-            + ccl_us * (1 + XCCLAbstractionLayer.CALL_OVERHEAD_FRACTION))
-
-
-def model_collective_panel(exp_id: str, system: str, nodes: int, nranks: int,
-                           backend: str, coll: str, stacks: Sequence[str],
-                           scale: str,
-                           baseline_backend: Optional[str] = None) -> ResultSet:
-    """Closed-form version of :func:`run_collective_panel` for scales
-    the engine cannot run interactively (128-rank sweeps)."""
-    from repro.core.tuning_table import cached_table
-    sizes = QUICK_SIZES if scale == "quick" else tuple(DEFAULT_OMB_SIZES)
-    cluster = make_system(system, nodes)
-    shape = shape_of(cluster, range(nranks))
-    mpi_cfg = mvapich_gpu()
-    ucx_cfg = openmpi_ucx()
-    results = ResultSet()
-
-    def _params(be: str):
-        # resolve through the backend registry so version-pinned
-        # backends (nccl-2.12 under the MSCCL panels) work too
-        from repro.xccl.registry import get_backend
-        return get_backend(be).params
-
-    def ccl_time(be: str, nbytes: int, wrapped: bool) -> float:
-        t = ccl_models.collective_time(_params(be), shape, coll, nbytes)
-        return layer_charged(t) if wrapped else t
-
-    for stack in stacks:
-        be = baseline_backend if (stack == "ccl" and baseline_backend) else backend
-        params = _params(be)
-        table = cached_table(shape, params, mpi_cfg)
-        label = series_label(stack, be)
-        for size in sizes:
-            if stack == "ccl":
-                t = ccl_time(be, size, wrapped=False)
-            elif stack == "pure-xccl":
-                t = ccl_time(be, size, wrapped=True)
-            elif stack == "mpi":
-                t = mpi_models.collective_time(mpi_cfg, shape, coll, size)
-            elif stack == "openmpi":
-                t = mpi_models.collective_time(ucx_cfg, shape, coll, size)
-            elif stack == "ucc":
-                from repro.baselines.ucc import UCCBackend, UCC_TABLE
-                route = UCC_TABLE.choose(coll, size)
-                if route == "xccl":
-                    t = layer_charged(ccl_models.collective_time(
-                        UCCBackend.params, shape, coll, size))
-                else:
-                    t = mpi_models.collective_time(ucx_cfg, shape, coll, size)
-            else:  # hybrid
-                if table.choose(coll, size) == "xccl":
-                    t = ccl_time(backend, size, wrapped=True)
-                else:
-                    t = mpi_models.collective_time(mpi_cfg, shape, coll, size)
-            results.add(ResultRecord(exp_id, series=label, x=float(size),
-                                     value=t, unit="us",
-                                     meta={"system": system, "nodes": nodes,
-                                           "ranks": nranks, "backend": be,
-                                           "collective": coll,
-                                           "stack": stack, "method": "model"}))
     return results
 
 

@@ -1,5 +1,8 @@
 """``mpix-experiments``: run the paper's experiments from the shell.
 
+``run`` and ``report`` exit 1 when any paper anchor falls outside its
+tolerance.
+
 Examples::
 
     mpix-experiments list
@@ -51,16 +54,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.output:
             results.save(args.output)
             print(f"results written to {args.output}")
-        return 0
+        return 0 if all(row["passed"] for row in exp.check_all(results)) else 1
 
-    text = full_report(args.scale, args.only)
+    text, passed = full_report(args.scale, args.only)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
         print(f"report written to {args.output}")
     else:
         print(text)
-    return 0
+    return 0 if passed else 1
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -5,13 +5,13 @@
 (b) MPI vs pure RCCL Allgather, 8 GPUs on 4 MRI nodes; RCCL carries
     extra overhead up to ~64 KB, then wins.
 
-Evaluated with the closed-form models at the paper's scale (32 ranks),
-cross-validated against the engine at quick scale by the test suite.
+Both panels run on the engine at the paper's scale (32 and 8 ranks),
+storage-free, through the OMB sweep Fig 5 uses.
 """
 
 from __future__ import annotations
 
-from repro.experiments._common import model_collective_panel, value_near
+from repro.experiments._common import run_collective_panel, value_near
 from repro.experiments.registry import AnchorCheck, Experiment, register
 from repro.util.records import ResultSet
 
@@ -21,11 +21,11 @@ KIB = 1024
 def run(scale: str = "paper") -> ResultSet:
     results = ResultSet()
     # (a) NVIDIA: allreduce, 32 GPUs / 4 nodes
-    results.extend(model_collective_panel(
+    results.extend(run_collective_panel(
         "fig1a", "thetagpu", nodes=4, nranks=32, backend="nccl",
         coll="allreduce", stacks=("mpi", "ccl"), scale=scale))
     # (b) AMD: allgather, 8 GPUs / 4 nodes
-    results.extend(model_collective_panel(
+    results.extend(run_collective_panel(
         "fig1b", "mri", nodes=4, nranks=8, backend="rccl",
         coll="allgather", stacks=("mpi", "ccl"), scale=scale))
     return results
@@ -51,7 +51,6 @@ EXPERIMENT = register(Experiment(
     title="MPI vs vendor CCL latency crossover (motivation)",
     paper_ref="Figure 1",
     run=run,
-    method="model",
     checks=(
         # paper: "NCCL surpasses MPI Allreduce performance beyond the
         # 16 KB threshold" — accept within a factor of 4 in size

@@ -3,17 +3,16 @@
 {Allreduce, Reduce, Bcast, Alltoall} x {NCCL 16 nodes/128 GPUs, RCCL
 8 nodes/16 GPUs, HCCL 4 nodes/32 HPUs, MSCCL 2 nodes/16 GPUs}.
 
-Paper scale is evaluated with the closed-form models (a 128-rank
-engine sweep is out of interactive budget; the models are validated
-against the engine at small scale by the test suite); quick scale uses
-reduced rank counts through the same path.
+Every panel runs on the engine, storage-free, through the OMB sweep
+Fig 5 uses: at the paper's rank counts at paper scale, at reduced ones
+at quick scale.
 """
 
 from __future__ import annotations
 
 from typing import Tuple
 
-from repro.experiments._common import model_collective_panel, value_near
+from repro.experiments._common import run_collective_panel, value_near
 from repro.experiments.registry import AnchorCheck, Experiment, register
 from repro.util.records import ResultSet
 
@@ -41,7 +40,7 @@ def run(scale: str = "paper") -> ResultSet:
     for backend, system, nodes, nranks, baseline, extra in columns:
         for coll in COLLECTIVES:
             stacks = ("hybrid", "pure-xccl", "ccl") + extra
-            results.extend(model_collective_panel(
+            results.extend(run_collective_panel(
                 f"fig6:{coll}:{backend}", system, nodes=nodes, nranks=nranks,
                 backend=backend, coll=coll, stacks=stacks, scale=scale,
                 baseline_backend=baseline))
@@ -90,7 +89,6 @@ EXPERIMENT = register(Experiment(
     title="Collective performance on multiple nodes",
     paper_ref="Figure 6",
     run=run,
-    method="model",
     checks=(
         AnchorCheck("HCCL small-msg degradation vs NCCL (x)", 9.5,
                     _hccl_step_degradation, 0.6),

@@ -2,8 +2,10 @@
 
 (a) 1 node / 8 GPUs, engine-driven: xCCL vs pure NCCL vs Open MPI +
     UCX vs Open MPI + UCX + UCC, batch sizes 32/64/128.
-(b) 16 nodes / 128 GPUs, closed-form projection (engine scale limit):
-    xCCL 94600 img/s = 1.35x UCX = 1.5x UCC at batch 128.
+(b) 16 nodes / 128 GPUs, closed-form projection: xCCL 94600 img/s =
+    1.35x UCX = 1.5x UCC at batch 128.  The engine runs this shape, but
+    it applies UCX's large-buffer pathology as a scalar on each bucket's
+    measured allreduce, which puts Open MPI + UCX far below the paper.
 """
 
 from __future__ import annotations

@@ -3,7 +3,8 @@
 Emits the table from the presets and cross-checks that the constructed
 clusters actually match it (device counts, memory capacities, CPU core
 counts) — the reproduction's "hardware" is the presets, so this
-experiment is a consistency audit.
+experiment is a consistency audit and runs no simulation (its method
+is "model").
 """
 
 from __future__ import annotations

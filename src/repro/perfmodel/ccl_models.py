@@ -8,7 +8,9 @@ communicator's bottleneck bandwidth.  They serve three callers:
   collectives with them;
 * the offline tuner (:mod:`repro.core.tuning_table`) sweeps them to
   place MPI/xCCL thresholds;
-* the 128-rank figure sweeps evaluate them directly.
+* the Fig 7b Horovod projection
+  (:func:`repro.dl.trainer.project_throughput`) prices its buckets
+  with them.
 
 All sizes are wire bytes; all returns are microseconds.
 """

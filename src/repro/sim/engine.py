@@ -613,6 +613,7 @@ class Engine:
         self.dead_ranks.clear()
         self._revoked.clear()
         self.records.clear()
+        self.wires.reset()
         results: List[Any] = [None] * self.nranks
         failures: Dict[int, BaseException] = {}
 

@@ -92,5 +92,5 @@ class WireTracker:
         return self._free.get(resource, 0.0)
 
     def reset(self) -> None:
-        """Forget all bookings (benchmark repetitions)."""
+        """Forget all bookings (every :meth:`Engine.run` starts here)."""
         self._free.clear()

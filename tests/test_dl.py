@@ -149,6 +149,42 @@ class TestTrainer:
                                     penalty_threshold_bytes=0))
         assert penalized.comm_time_us > plain.comm_time_us
 
+    def test_penalty_does_not_compound(self, monkeypatch):
+        """Each bucket's cycle lines the ranks up before its allreduce,
+        so the large-message penalty scales that allreduce alone, not
+        the wait for ranks it already slowed: on two nodes, where
+        ranks leave an MPI-route allreduce at different times, the
+        per-step communication is flat and every rank sees the same
+        throughput."""
+        from repro.dl.horovod import DistributedOptimizer
+        per_step = {}
+        reduce = DistributedOptimizer.reduce_gradients
+
+        def recording(self):
+            comm = reduce(self)
+            per_step.setdefault(self.ctx.rank, []).append(comm)
+            return comm
+
+        monkeypatch.setattr(DistributedOptimizer, "reduce_gradients",
+                            recording)
+
+        def body(ctx):
+            s = make_stack(ctx, "openmpi", "nccl")
+            return train(ctx, s, resnet50(), 128, steps=3,
+                         config=horovod_preset("openmpi", "nccl",
+                                               multi_node=True))
+
+        cluster = make_system("thetagpu", 2, payloads=False)
+        out = Engine(cluster, nranks=8, ranks_per_node=4).run(body)
+        for rank, comms in per_step.items():
+            # flat: what varies is the first cycle's wait for the last
+            # rank out of the previous step (8 % here); a compounding
+            # penalty grew it 5x and then 45x
+            assert max(comms) <= 1.1 * min(comms), (rank, comms)
+        for r in out:
+            assert r.img_per_sec == pytest.approx(out[0].img_per_sec,
+                                                  rel=0.05)
+
 
 class TestProjection:
     def test_matches_engine_roughly(self, thetagpu1):

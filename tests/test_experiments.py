@@ -52,10 +52,18 @@ class TestQuickRuns:
         # 4 backends x 3 metrics
         assert len(results.series_names()) == 12
 
-    def test_fig6_quick(self):
-        results = run_experiment("fig6", scale="quick")
+    def test_fig6_quick(self, monkeypatch):
+        # the anchors are the paper's, measured under its static tuning
+        # tables; the check-gates MPIX_ONLINE_TUNE=1 leg routes by
+        # exploring instead (hybrid/CCL at 1 MiB is 2.39 there)
+        monkeypatch.delenv("MPIX_ONLINE_TUNE", raising=False)
+        exp = get_experiment("fig6")
+        results = exp.run("quick")
         colls = {r.meta["collective"] for r in results}
         assert colls == {"allreduce", "reduce", "bcast", "alltoall"}
+        # the engine holds every Fig 6 anchor at quick scale too
+        for row in exp.check_all(results):
+            assert row["passed"], row
 
     def test_fig5_quick_panel_structure(self):
         results = run_experiment("fig5", scale="quick")
@@ -81,44 +89,56 @@ class TestQuickRuns:
 
 
 class TestModelMatchesEngine:
-    """The closed-form panels price the abstraction layer with the
-    charges the engine applies (``CALL_OVERHEAD_US`` and
-    ``CALL_OVERHEAD_FRACTION``), so on a shape both can run — ThetaGPU
-    1 x 8, quick sizes — a wrapped CCL call costs the same in each."""
+    """A mapped CCL call costs the CCL's fused duration plus the
+    abstraction layer's charges (``CALL_OVERHEAD_US`` and
+    ``CALL_OVERHEAD_FRACTION``): on ThetaGPU 1 x 8 at quick sizes the
+    engine panel equals that closed form, written out here."""
 
     @pytest.fixture(autouse=True)
     def _static_routes(self, monkeypatch):
-        # the model prices the static tables; so must the engine under
-        # the check-gates MPIX_ONLINE_TUNE=1 leg
+        # the closed form prices the static tables; so must the engine
+        # under the check-gates MPIX_ONLINE_TUNE=1 leg
         monkeypatch.delenv("MPIX_ONLINE_TUNE", raising=False)
 
     @staticmethod
     def _by_point(results):
         return {(r.series, r.x): r.value for r in results}
 
+    @staticmethod
+    def _charged(params, coll, nbytes):
+        from repro.core.abstraction import XCCLAbstractionLayer as layer
+        from repro.hw.systems import make_system
+        from repro.perfmodel import ccl_models
+        from repro.perfmodel.shape import shape_of
+        shape = shape_of(make_system("thetagpu", 1), range(8))
+        t = ccl_models.collective_time(params, shape, coll, nbytes)
+        return (layer.CALL_OVERHEAD_US
+                + t * (1 + layer.CALL_OVERHEAD_FRACTION))
+
     @pytest.mark.parametrize("coll", ["allreduce", "bcast"])
     def test_pure_xccl(self, coll):
-        from repro.experiments._common import (model_collective_panel,
-                                               run_collective_panel)
+        from repro.experiments._common import QUICK_SIZES, run_collective_panel
+        from repro.xccl.registry import get_backend
         args = ("t", "thetagpu", 1, 8, "nccl", coll, ("pure-xccl",), "quick")
         engine = self._by_point(run_collective_panel(*args))
-        model = self._by_point(model_collective_panel(*args))
-        assert engine.keys() == model.keys()
+        assert sorted(x for _, x in engine) == list(QUICK_SIZES)
+        params = get_backend("nccl").params
         for point, t in engine.items():
-            assert model[point] == pytest.approx(t, rel=1e-9), point
+            assert t == pytest.approx(
+                self._charged(params, coll, int(point[1])), rel=1e-9), point
 
     def test_ucc_on_the_ccl(self):
-        from repro.baselines.ucc import UCC_TABLE
-        from repro.experiments._common import (model_collective_panel,
-                                               run_collective_panel)
+        from repro.baselines.ucc import UCC_TABLE, UCCBackend
+        from repro.experiments._common import run_collective_panel
         args = ("t", "thetagpu", 1, 8, "nccl", "allreduce", ("ucc",), "quick")
         engine = self._by_point(run_collective_panel(*args))
-        model = self._by_point(model_collective_panel(*args))
         on_ccl = [p for p in engine
                   if UCC_TABLE.choose("allreduce", int(p[1])) == "xccl"]
         assert on_ccl
         for point in on_ccl:
-            assert model[point] == pytest.approx(engine[point], rel=1e-9), point
+            assert engine[point] == pytest.approx(
+                self._charged(UCCBackend.params, "allreduce", int(point[1])),
+                rel=1e-9), point
 
 
 class TestReport:

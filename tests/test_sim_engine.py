@@ -159,3 +159,26 @@ class TestWiresOnEngine:
 
         out = spmd(thetagpu1, body, nranks=2)
         assert out == [0.0, 123.0]
+
+    @pytest.mark.parametrize("nodes", [1, 2])
+    def test_second_run_starts_from_free_wires(self, nodes):
+        """A run books nothing behind the previous run's transfers: the
+        same engine run twice ends on the same clocks as a fresh one."""
+        import numpy as np
+
+        from repro.hw.systems import make_system
+        from repro.omb.stacks import make_stack
+
+        def body(ctx):
+            comm = make_stack(ctx, "hybrid", "nccl")
+            send = ctx.device.zeros(256 * 1024, dtype=np.float32)
+            recv = ctx.device.zeros(256 * 1024, dtype=np.float32)
+            comm.Allreduce(send, recv)
+            comm.Alltoall(send, recv)
+            return ctx.now
+
+        cluster = make_system("thetagpu", nodes, payloads=False)
+        engine = Engine(cluster)
+        first = engine.run(body)
+        assert engine.run(body) == first
+        assert Engine(cluster).run(body) == first

@@ -2,6 +2,7 @@
 
 import json
 
+import pytest
 
 from repro.mpi import SUM, Communicator
 from repro.sim.engine import Engine
@@ -118,3 +119,20 @@ class TestExperimentsCLI:
         assert main(["run", "table1", "--scale", "quick",
                      "-o", str(path)]) == 0
         assert path.read_text().startswith("experiment")
+
+    @pytest.mark.parametrize("measured, code", [(1.0, 0), (2.0, 1)])
+    def test_missed_anchor_exits_one(self, monkeypatch, capsys,
+                                     measured, code):
+        from repro.experiments import registry
+        from repro.experiments.cli import main
+        from repro.util.records import ResultSet
+        exp = registry.Experiment(
+            id="probe", title="probe", paper_ref="none",
+            run=lambda scale: ResultSet(),
+            checks=(registry.AnchorCheck("x", 1.0, lambda rs: measured,
+                                         rel_tol=0.5),))
+        registry._load_all()
+        monkeypatch.setitem(registry._REGISTRY, "probe", exp)
+        assert main(["run", "probe"]) == code
+        assert main(["report", "--only", "probe"]) == code
+        assert ("NO" in capsys.readouterr().out) == bool(code)
