@@ -511,13 +511,13 @@ class CollectivePipeline:
 
     def decide(self, comm, coll: str, nbytes: int, dt=None, op=None,
                *buffers) -> RouteDecision:
-        """The routing decision for one call (exposed for tests and
-        persistent-collective plan warming).
+        """The routing decision for one call (exposed for tests).
 
         The decision is a pure function of (mode, collective, byte
         count, datatype, reduce op, buffer residency): it is compiled
-        into a :class:`CollectivePlan` once — one :meth:`route` walk —
-        and replayed from the communicator's plan cache.
+        into a routing plan once — one :meth:`route` walk — and shared
+        from the communicator's plan cache by every call plan that
+        routes alike (:meth:`run` finds those by call key).
         """
         significant = [b for b in buffers if b is not None and b is not IN_PLACE]
         on_device = not significant or \
@@ -542,32 +542,57 @@ class CollectivePipeline:
             self._mark("plan:hit")
         return plan.decision
 
+    def _compile(self, call: CollectiveCall,
+                 spec: CollectiveSpec) -> RouteDecision:
+        """Stages 2–4 for a call key seen for the first time: the
+        shared routing decision, and — unless the online tuner steers
+        the collective — the call plan holding it with its executor
+        (the MPI route's round program)."""
+        comm = call.comm
+        decision = self.decide(comm, spec.tuning_key, spec.nbytes(call),
+                               call.dt, call.op, *spec.buffers(call))
+        if call.key is not None and not self._tuning_active(spec.tuning_key):
+            self.plan_cache(comm).calls[call.key] = CollectivePlan(
+                call.key, decision, spec,
+                self.mpi.program(call) if decision.route == Route.MPI
+                else None)
+        return decision
+
     # -- stage 5: execute ---------------------------------------------------
 
     def execute(self, call: CollectiveCall, spec: CollectiveSpec,
-                decision: RouteDecision) -> RouteDecision:
-        """Run the call on its decided route; a CCL runtime error also
+                decision: RouteDecision, program=None) -> RouteDecision:
+        """Run the call on its decided route — on the MPI route, a call
+        plan's round program when it has one; a CCL runtime error also
         falls back to the MPI algorithms (§1.2 advantage 3).  Returns
         the decision the call actually executed under (it differs from
         the argument exactly when a leg of :data:`CCL_LEGS` degraded or
         a CCL error forced the fallback)."""
-        t0 = self.layer.ctx.now
-        for route, (lookup, degrade_to) in CCL_LEGS.items():
-            if decision.route != route:
-                continue
-            fn = lookup(spec, call.coll)
-            if fn is None:
-                decision = degrade_to
-                continue
-            try:
-                fn(self, call)
-                break
-            except CCLError:
-                decision = RouteDecision(Route.MPI, FallbackReason.CCL_ERROR)
-        else:  # no leg ran to completion
-            self.mpi.run(call)
+        ctx = self.layer.ctx
+        traced = ctx.trace.enabled
+        if traced:
+            t0 = ctx.now
+        if program is not None:
+            program.run(call)
+        else:
+            for route, (lookup, degrade_to) in CCL_LEGS.items():
+                if decision.route != route:
+                    continue
+                fn = lookup(spec, call.coll)
+                if fn is None:
+                    decision = degrade_to
+                    continue
+                try:
+                    fn(self, call)
+                    break
+                except CCLError:
+                    decision = RouteDecision(Route.MPI,
+                                             FallbackReason.CCL_ERROR)
+            else:  # no leg ran to completion
+                self.mpi.run(call)
         self._record(decision, spec)
-        self._span(call, spec, decision, t0)
+        if traced:
+            self._span(call, spec, decision, t0)
         return decision
 
     def _span(self, call: CollectiveCall, spec: CollectiveSpec,
@@ -577,8 +602,6 @@ class CollectivePipeline:
         the backend after ``xccl`` and the fallback reason after
         ``mpi``."""
         ctx = self.layer.ctx
-        if not ctx.trace.enabled:
-            return
         label = f"execute:{call.coll}:{decision.route.value}"
         if decision.route == Route.XCCL:
             label += f":{self.layer.backend_name}"
@@ -599,20 +622,42 @@ class CollectivePipeline:
     # -- the whole pipe -----------------------------------------------------
 
     def run(self, call: CollectiveCall) -> None:
-        """Push one descriptor through all five stages.  Stage 1,
-        validate: a collective outside the registry (barrier, scan,
-        exscan) has no CCL mapping and nothing to route — it runs on
-        the MPI algorithms, unmarked and uncounted."""
+        """Push one descriptor through the stages.  A call key seen
+        before is one lookup: its plan goes straight to execution (the
+        MPI route's round program replays), with the stage markers,
+        route counters and ``fastpath`` counts a full walk would leave.
+        Stage 1, validate: a collective outside the registry (barrier,
+        scan, exscan) has no CCL mapping and nothing to route — it runs
+        on the MPI algorithms, unmarked and uncounted."""
+        comm = call.comm
+        cache = comm.routing_cache.get("plans")
+        if cache is None or cache.owner is not self:
+            cache = self.plan_cache(comm)
+        plan = cache.calls.get(call.key)
+        if plan is not None:
+            spec = plan.spec
+            if spec is None:
+                plan.program.run(call)
+                return
+            if self.layer.ctx.trace.enabled:
+                self._mark(f"validate:{call.coll}")
+                self._mark("plan:hit")
+            cache.hits += 1
+            fastpath.STATS.hits += 1
+            self.execute(call, spec, plan.decision, plan.program)
+            return
         spec = REGISTRY.get(call.coll)
         if spec is None:
-            self.mpi.run(call)
+            program = self.mpi.program(call)
+            if call.key is not None:
+                cache.calls[call.key] = CollectivePlan(call.key, None,
+                                                       program=program)
+            program.run(call)
             return
         self._mark(f"validate:{call.coll}")
         self._observe_key = None
         t0 = self.layer.ctx.now
-        decision = self.decide(call.comm, spec.tuning_key, spec.nbytes(call),
-                               call.dt, call.op, *spec.buffers(call))
-        final = self.execute(call, spec, decision)
+        final = self.execute(call, spec, self._compile(call, spec))
         if self._observe_key is not None:
             # feed the measured latency (and the route that actually
             # ran, which differs on a rescued CCL error) back into the
@@ -624,9 +669,11 @@ class CollectivePipeline:
                 self.layer.ctx.now - t0)
 
     def warm(self, call: CollectiveCall) -> None:
-        """Compile ``call``'s routing plan ahead of its first run (a
-        persistent collective's init), so every ``Start`` replays it."""
+        """Compile ``call``'s plan ahead of its first run (a persistent
+        collective's init), so every ``Start`` finds it.  A collective
+        the online tuner steers has no plan to compile, and walking its
+        route here would spend one of its call indices: a ``Start``
+        counts as the blocking call it stands for."""
         spec = REGISTRY.get(call.coll)
-        if spec is not None:
-            self.decide(call.comm, spec.tuning_key, spec.nbytes(call),
-                        call.dt, call.op, *spec.buffers(call))
+        if spec is not None and not self._tuning_active(spec.tuning_key):
+            self._compile(call, spec)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 
 class Route(enum.Enum):
@@ -42,17 +42,22 @@ class FallbackReason(enum.Enum):
 
 @dataclass(frozen=True)
 class RouteDecision:
-    """One routing outcome."""
+    """One routing outcome.
+
+    ``is_fallback`` is True when the call was CCL-eligible in principle
+    but ran on MPI for a capability reason (not a tuning preference);
+    it is set once, with the decision, since every executed collective
+    reads it.
+    """
 
     route: Route
     reason: FallbackReason = FallbackReason.NONE
+    is_fallback: bool = field(init=False, repr=False, compare=False)
 
-    @property
-    def is_fallback(self) -> bool:
-        """True when the call was CCL-eligible in principle but ran on
-        MPI for a capability reason (not a tuning preference)."""
-        return self.route == Route.MPI and self.reason not in (
-            FallbackReason.NONE, FallbackReason.TUNING, FallbackReason.MODE)
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "is_fallback", self.route == Route.MPI and self.reason not in (
+                FallbackReason.NONE, FallbackReason.TUNING, FallbackReason.MODE))
 
 
 class RouteStats:

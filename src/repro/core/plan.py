@@ -1,18 +1,28 @@
-"""Collective plans: the routing decision, compiled once and replayed.
+"""Collective plans: a call's route and executor, found in one lookup.
 
 OMB sweeps and training loops call the *same* collective on the *same*
-communicator thousands of times.  The Fig. 2 routing decision the
-dispatcher derives per call is a pure function of a small key:
+communicator thousands of times.  What the dispatcher derives for a
+call — the Fig. 2 routing decision and what executes it — is a pure
+function of the call's :attr:`~repro.mpi.communicator.CollectiveCall.key`
+(collective, count, datatype, op, root, in-place spelling, buffer
+residency).  A :class:`CollectivePlan` holds both; :class:`PlanCache`
+finds it again with one dict lookup (``calls``), and a hit goes
+straight to execution.  For the MPI route the executor is the call
+key's :class:`~repro.mpi.coll.replay.RoundProgram`: recorded by the
+key's first run, replayed by every later one.
 
-    (communicator, collective, dtype, reduce op, byte count, residency)
+The routing decision itself reads less than the key (no root, no buffer
+type beyond residency): it is compiled once per *routing* key,
 
-A :class:`CollectivePlan` captures that decision once;
-:class:`PlanCache` replays it on every later call with one dict lookup.
-This is the *plan lookup* stage of the dispatch pipeline: one cache per
-communicator, in its ledger
+    (mode, collective, byte count, dtype, reduce op, residency)
+
+with one :meth:`~repro.core.dispatch.CollectivePipeline.route` walk, and
+shared by every call plan whose key routes alike (``lookup`` /
+``store``).  This is the *plan lookup* stage of the dispatch pipeline:
+one cache per communicator, in its ledger
 (:meth:`~repro.core.dispatch.CollectivePipeline.plan_cache`), dropped
 by ``Comm_free``; the mpi4py-style persistent collectives
-(``Allreduce_init`` → ``Request.Start()``) warm it at init time
+(``Allreduce_init`` → ``Request.Start()``) compile it at init time
 (:meth:`~repro.core.dispatch.CollectivePipeline.warm`).
 
 :class:`BufferPool` is the allocation-reuse half: staging scratch
@@ -20,9 +30,8 @@ buffers keyed by (residency, dtype, element count) are recycled across
 iterations instead of re-allocated (``alloc_like`` charges no virtual
 time, so pooling is invisible to the simulated clock).
 
-A replayed plan is what a fresh derivation would compute: the cached
-decision comes from one :meth:`CollectivePipeline.route` walk, and
-``tests/test_plan_cache.py`` pins whole programs against the clocks
+A replayed plan is what a fresh derivation would compute:
+``tests/test_conformance.py`` pins whole programs against the clocks
 the per-call derivation gave (``tests/frozen_reference.py``).
 """
 
@@ -40,26 +49,36 @@ class CollectivePlan:
     """One compiled collective execution plan.
 
     Attributes:
-        key: the cache key this plan was compiled for.
+        key: the key this plan was compiled for (a call key, or a
+            routing key for a shared routing decision).
         decision: the Fig. 2 routing decision (MPI vs xCCL + reason).
+        spec: the collective's dispatch registry entry (None for a
+            collective outside the registry: nothing is routed).
+        program: the MPI route's round program (None on the other
+            routes, whose execute stage runs as on a miss).
     """
 
     key: Tuple
-    decision: RouteDecision
+    decision: Optional[RouteDecision]
+    spec: Any = None
+    program: Any = None
 
 
 class PlanCache:
     """Per-communicator store of compiled plans (a ledger entry), filled
-    by ``owner``, the dispatcher whose decisions it holds."""
+    by ``owner``, the dispatcher whose decisions it holds: ``calls`` by
+    call key, and the routing decisions they share by routing key."""
 
     def __init__(self, owner: Any = None) -> None:
         self.owner = owner
+        #: call key -> :class:`CollectivePlan` (route and executor)
+        self.calls: Dict[Tuple, CollectivePlan] = {}
         self._plans: Dict[Tuple, CollectivePlan] = {}
         self.hits = 0
         self.misses = 0
 
     def lookup(self, key: Tuple) -> Optional[CollectivePlan]:
-        """The cached plan for ``key``, or None (counts hit/miss)."""
+        """The routing plan for ``key``, or None (counts hit/miss)."""
         plan = self._plans.get(key)
         if plan is not None:
             self.hits += 1
@@ -70,7 +89,7 @@ class PlanCache:
         return plan
 
     def store(self, key: Tuple, plan: CollectivePlan) -> CollectivePlan:
-        """Register a freshly compiled plan."""
+        """Register a freshly compiled routing plan."""
         self._plans[key] = plan
         fastpath.STATS.note_compiled()
         return plan
@@ -79,8 +98,8 @@ class PlanCache:
         return len(self._plans)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (f"<PlanCache plans={len(self._plans)} hits={self.hits} "
-                f"misses={self.misses}>")
+        return (f"<PlanCache plans={len(self._plans)} calls={len(self.calls)} "
+                f"hits={self.hits} misses={self.misses}>")
 
 
 #: keep at most this many free buffers per (residency, dtype, count).

@@ -15,15 +15,17 @@ collective's :class:`~repro.mpi.communicator.CollectiveCall` checked its
 arguments once and its one elastic guard covers every round, so a round
 re-resolves nothing: it translates its peers, re-checks revocation and
 makes one endpoint call.  A message window is ``(buffer, offset,
-count)``, cut by the endpoint; ``seg`` views are for local copies and
-reductions only.  This keeps the small-message route's per-message cost
-in the transport, and makes a round one endpoint call — the unit a
-compiled step program would replay.
+count)``, cut by the endpoint, and so is a local copy, fold or block
+permutation (:mod:`repro.mpi.compute`).  This keeps the small-message
+route's per-message cost in the transport, and makes every step one
+call a round program records: the first call of a key on a
+communicator runs the body and writes its rows, every later one
+replays them (:mod:`repro.mpi.coll.replay`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Optional
 
 from repro.errors import MPIError
 from repro.mpi.coll import tuning
@@ -68,6 +70,8 @@ from repro.mpi.coll.reduce_scatter import (
     reduce_scatter_pairwise,
     reduce_scatter_recursive_halving,
 )
+from repro.mpi.coll.replay import RoundProgram, RoundPrograms, abandon
+from repro.mpi.communicator import ALIASED
 
 _ALGORITHMS = {
     ("bcast", "binomial"): bcast_binomial,
@@ -113,84 +117,102 @@ class MPICollDispatcher:
     descriptor is unpacked for the positional algorithm functions.
 
     ``force`` pins one algorithm name for every collective (used by
-    benchmarks and the offline tuner to sweep algorithms).
+    benchmarks and the offline tuner to sweep algorithms); set it at
+    construction — the round programs recorded under it are kept.
+
+    Each call's algorithm runs as a round program
+    (:class:`~repro.mpi.coll.replay.RoundProgram`), one per call key in
+    the communicator's ledger: the key's first call picks the
+    algorithm and runs it live, recording its rows; every later call
+    replays them.
     """
 
     def __init__(self, force: Optional[str] = None) -> None:
         self.force = force
-        self._algo_cache: Dict[Tuple, object] = {}
 
-    def _pick(self, coll: str, nbytes: int, p: int, commutative: bool = True):
-        # self.force joins the key so mutating it cannot go stale
-        key = (self.force, coll, nbytes, p, commutative)
-        fn = self._algo_cache.get(key)
-        if fn is None:
-            name = self.force or tuning.select(coll, nbytes, p, commutative)
-            fn = self._algo_cache[key] = algorithm(coll, name)
-        return fn
+    def _pick(self, c, coll: str, commutative: bool = True):
+        name = self.force or tuning.select(coll, c.count * c.dt.itemsize,
+                                           c.comm.size, commutative)
+        if name == "hierarchical":
+            abandon(c.comm)     # levels.py's algorithms stay live
+        return algorithm(coll, name)
+
+    def program(self, call) -> RoundProgram:
+        """This dispatcher's round program for ``call``'s key on its
+        communicator (a ledger entry; another dispatcher's store is
+        replaced), unrecorded until the key's first run."""
+        comm = call.comm
+        programs = comm.routing_cache.get("rounds")
+        if programs is None or programs.owner is not self:
+            programs = comm.routing_cache["rounds"] = RoundPrograms(self)
+        key = call.key
+        prog = programs.get(key)
+        if prog is None:
+            prog = RoundProgram(getattr(self, call.coll),
+                                key is not None and ALIASED not in key)
+            if key is not None:
+                programs[key] = prog
+        return prog
 
     def run(self, call) -> None:
         """Execute one descriptor on the MPI algorithms."""
-        getattr(self, call.coll)(call)
+        self.program(call).run(call)
 
     def warm(self, call) -> None:
-        """Persistent-collective init hook; the algorithm choice is
-        cached by the first run, so there is nothing to plan here."""
+        """Persistent-collective init hook; the first ``Start`` records
+        the round program, so there is nothing to plan here."""
 
-    # one method per Communicator entry point ---------------------------
+    # one method per Communicator entry point: the live run of a call,
+    # which a round program records ---------------------------------------
 
     def barrier(self, c) -> None:
         barrier_dissemination(c.comm)
 
     def bcast(self, c) -> None:
-        self._pick("bcast", c.count * c.dt.itemsize, c.comm.size)(
-            c.comm, c.recvbuf, c.count, c.dt, c.root)
+        self._pick(c, "bcast")(c.comm, c.recvbuf, c.count, c.dt, c.root)
 
     def reduce(self, c) -> None:
-        self._pick("reduce", c.count * c.dt.itemsize, c.comm.size,
-                   c.op.commutative)(
+        self._pick(c, "reduce", c.op.commutative)(
             c.comm, c.sendbuf, c.recvbuf, c.count, c.dt, c.op, c.root)
 
     def allreduce(self, c) -> None:
-        self._pick("allreduce", c.count * c.dt.itemsize, c.comm.size,
-                   c.op.commutative)(
+        self._pick(c, "allreduce", c.op.commutative)(
             c.comm, c.sendbuf, c.recvbuf, c.count, c.dt, c.op)
 
     def allgather(self, c) -> None:
-        self._pick("allgather", c.count * c.dt.itemsize, c.comm.size)(
-            c.comm, c.sendbuf, c.recvbuf, c.count, c.dt)
+        self._pick(c, "allgather")(c.comm, c.sendbuf, c.recvbuf, c.count,
+                                   c.dt)
 
     def allgatherv(self, c) -> None:
         allgatherv_ring(c.comm, c.sendbuf, c.recvbuf, c.recvcounts,
                         c.rdispls, c.dt)
 
     def alltoall(self, c) -> None:
-        self._pick("alltoall", c.count * c.dt.itemsize, c.comm.size)(
-            c.comm, c.sendbuf, c.recvbuf, c.count, c.dt)
+        self._pick(c, "alltoall")(c.comm, c.sendbuf, c.recvbuf, c.count,
+                                  c.dt)
 
     def alltoallv(self, c) -> None:
         alltoallv_scattered(c.comm, c.sendbuf, c.sendcounts, c.sdispls,
                             c.recvbuf, c.recvcounts, c.rdispls, c.dt)
 
     def gather(self, c) -> None:
-        self._pick("gather", c.count * c.dt.itemsize, c.comm.size)(
-            c.comm, c.sendbuf, c.recvbuf, c.count, c.dt, c.root)
+        self._pick(c, "gather")(c.comm, c.sendbuf, c.recvbuf, c.count, c.dt,
+                                c.root)
 
     def gatherv(self, c) -> None:
         gatherv_linear(c.comm, c.sendbuf, c.recvbuf, c.recvcounts, c.rdispls,
                        c.dt, c.root)
 
     def scatter(self, c) -> None:
-        self._pick("scatter", c.count * c.dt.itemsize, c.comm.size)(
-            c.comm, c.sendbuf, c.recvbuf, c.count, c.dt, c.root)
+        self._pick(c, "scatter")(c.comm, c.sendbuf, c.recvbuf, c.count, c.dt,
+                                 c.root)
 
     def scatterv(self, c) -> None:
         scatterv_linear(c.comm, c.sendbuf, c.sendcounts, c.sdispls,
                         c.recvbuf, c.dt, c.root)
 
     def reduce_scatter_block(self, c) -> None:
-        self._pick("reduce_scatter", c.count * c.dt.itemsize, c.comm.size,
-                   c.op.commutative)(
+        self._pick(c, "reduce_scatter", c.op.commutative)(
             c.comm, c.sendbuf, c.recvbuf, c.count, c.dt, c.op)
 
     def scan(self, c) -> None:

@@ -45,9 +45,9 @@ def is_inplace(sendbuf) -> bool:
 def materialize_input(comm, sendbuf, recvbuf, count: int) -> None:
     """Copy sendbuf into recvbuf unless in-place; algorithms then work
     out of recvbuf uniformly."""
-    from repro.mpi.compute import local_copy
+    from repro.mpi.compute import copy_window
     if not is_inplace(sendbuf):
-        local_copy(comm.ctx, seg(recvbuf, 0, count), seg(sendbuf, 0, count))
+        copy_window(comm, recvbuf, 0, sendbuf, 0, count)
 
 
 def largest_pof2_below(p: int) -> int:

@@ -7,16 +7,19 @@ rank count in ``ceil(log2 p)`` rounds — the small-message choice.
 
 from __future__ import annotations
 
-from repro.mpi.coll._util import is_inplace, seg
-from repro.mpi.compute import acquire_staging, local_copy, release_staging
+import numpy as np
+
+from repro.mpi.coll._util import is_inplace
+from repro.mpi.compute import (
+    acquire_staging, copy_window, move_blocks, release_staging,
+)
 from repro.mpi.datatypes import Datatype
 
 
 def _materialize_own_block(comm, sendbuf, recvbuf, count: int) -> None:
     """Place this rank's contribution at its block of recvbuf."""
     if not is_inplace(sendbuf):
-        local_copy(comm.ctx, seg(recvbuf, comm.rank * count, count),
-                   seg(sendbuf, 0, count))
+        copy_window(comm, recvbuf, comm.rank * count, sendbuf, 0, count)
 
 
 def allgather_ring(comm, sendbuf, recvbuf, count: int, dt: Datatype) -> None:
@@ -61,11 +64,12 @@ def allgather_bruck(comm, sendbuf, recvbuf, count: int, dt: Datatype) -> None:
     if p == 1:
         _materialize_own_block(comm, sendbuf, recvbuf, count)
         return
-    tmp = acquire_staging(comm.ctx, recvbuf, p * count, dt.storage)
+    tmp = acquire_staging(comm, recvbuf, p * count, dt.storage)
     try:
-        own = seg(recvbuf, rank * count, count) if is_inplace(sendbuf) \
-            else seg(sendbuf, 0, count)
-        local_copy(comm.ctx, seg(tmp, 0, count), own)
+        if is_inplace(sendbuf):
+            copy_window(comm, tmp, 0, recvbuf, rank * count, count)
+        else:
+            copy_window(comm, tmp, 0, sendbuf, 0, count)
         have = 1
         while have < p:
             cnt = min(have, p - have)
@@ -75,13 +79,10 @@ def allgather_bruck(comm, sendbuf, recvbuf, count: int, dt: Datatype) -> None:
                            cnt * count, src, tag, tag, dt)
             have += cnt
         # tmp[j] holds block of rank (rank + j) % p; rotate into place
-        for j in range(p):
-            block = (rank + j) % p
-            local_copy(comm.ctx, seg(recvbuf, block * count, count),
-                       seg(tmp, j * count, count), charge=False)
-        comm.ctx.clock.advance(0.2 + p * count * dt.storage.itemsize / 24000.0)
+        move_blocks(comm, recvbuf, (rank + np.arange(p)) % p, tmp, None,
+                    count, 0.2 + p * count * dt.storage.itemsize / 24000.0)
     finally:
-        release_staging(comm.ctx, tmp)
+        release_staging(comm, tmp)
 
 
 def allgatherv_ring(comm, sendbuf, recvbuf, counts, displs,
@@ -90,8 +91,7 @@ def allgatherv_ring(comm, sendbuf, recvbuf, counts, displs,
     rank, p = comm.rank, comm.size
     tag = comm.next_coll_tag()
     if not is_inplace(sendbuf):
-        local_copy(comm.ctx, seg(recvbuf, displs[rank], counts[rank]),
-                   seg(sendbuf, 0, counts[rank]))
+        copy_window(comm, recvbuf, displs[rank], sendbuf, 0, counts[rank])
     if p == 1:
         return
     right = (rank + 1) % p

@@ -12,9 +12,9 @@
 from __future__ import annotations
 
 from repro.mpi.coll._util import (
-    chunk_bounds, is_inplace, largest_pof2_below, materialize_input, seg,
+    chunk_bounds, is_inplace, largest_pof2_below, materialize_input,
 )
-from repro.mpi.compute import acquire_staging, apply_reduce, release_staging
+from repro.mpi.compute import acquire_staging, reduce_window, release_staging
 from repro.mpi.datatypes import Datatype
 from repro.mpi.ops import Op
 
@@ -27,11 +27,8 @@ def allreduce_recursive_doubling(comm, sendbuf, recvbuf, count: int,
     materialize_input(comm, sendbuf, recvbuf, count)
     if p == 1:
         return
-    tmp = acquire_staging(comm.ctx, recvbuf, count, dt.storage)
+    tmp = acquire_staging(comm, recvbuf, count, dt.storage)
     try:
-        acc = seg(recvbuf, 0, count)
-        tseg = seg(tmp, 0, count)
-
         pof2 = largest_pof2_below(p)
         rem = p - pof2
         # fold the odd ranks into their even neighbours
@@ -41,7 +38,7 @@ def allreduce_recursive_doubling(comm, sendbuf, recvbuf, count: int,
                 newrank = -1
             else:
                 comm._recv(tmp, 0, count, rank - 1, tag, dt)
-                apply_reduce(comm.ctx, comm.config, op, acc, tseg)
+                reduce_window(comm, op, recvbuf, 0, tmp, 0, count)
                 newrank = rank // 2
         else:
             newrank = rank - rem
@@ -55,7 +52,7 @@ def allreduce_recursive_doubling(comm, sendbuf, recvbuf, count: int,
                 partner = old(newrank ^ mask)
                 comm._sendrecv(recvbuf, 0, count, partner, tmp, 0, count,
                                partner, tag + 1, tag + 1, dt)
-                apply_reduce(comm.ctx, comm.config, op, acc, tseg)
+                reduce_window(comm, op, recvbuf, 0, tmp, 0, count)
                 mask <<= 1
 
         # return results to the folded ranks
@@ -65,7 +62,7 @@ def allreduce_recursive_doubling(comm, sendbuf, recvbuf, count: int,
             else:
                 comm._recv(recvbuf, 0, count, rank + 1, tag + 2, dt)
     finally:
-        release_staging(comm.ctx, tmp)
+        release_staging(comm, tmp)
 
 
 def allreduce_ring(comm, sendbuf, recvbuf, count: int, dt: Datatype,
@@ -80,7 +77,7 @@ def allreduce_ring(comm, sendbuf, recvbuf, count: int, dt: Datatype,
         return
     bounds = chunk_bounds(count, p)
     maxchunk = max(size for _, size in bounds)
-    tmp = acquire_staging(comm.ctx, recvbuf, max(maxchunk, 1), dt.storage)
+    tmp = acquire_staging(comm, recvbuf, max(maxchunk, 1), dt.storage)
     try:
         right = (rank + 1) % p
         left = (rank - 1) % p
@@ -94,8 +91,7 @@ def allreduce_ring(comm, sendbuf, recvbuf, count: int, dt: Datatype,
             comm._sendrecv(recvbuf, soff, ssize, right, tmp, 0, rsize, left,
                            tag, tag, dt)
             if rsize:
-                apply_reduce(comm.ctx, comm.config, op,
-                             seg(recvbuf, roff, rsize), seg(tmp, 0, rsize))
+                reduce_window(comm, op, recvbuf, roff, tmp, 0, rsize)
 
         # allgather ring: circulate the completed chunks
         for step in range(p - 1):
@@ -106,7 +102,7 @@ def allreduce_ring(comm, sendbuf, recvbuf, count: int, dt: Datatype,
             comm._sendrecv(recvbuf, soff, ssize, right, recvbuf, roff, rsize,
                            left, tag + 1, tag + 1, dt)
     finally:
-        release_staging(comm.ctx, tmp)
+        release_staging(comm, tmp)
 
 
 def allreduce_rabenseifner(comm, sendbuf, recvbuf, count: int, dt: Datatype,
@@ -123,7 +119,7 @@ def allreduce_rabenseifner(comm, sendbuf, recvbuf, count: int, dt: Datatype,
                                      else None, recvbuf, count, dt, op)
         return
     bounds = chunk_bounds(count, p)
-    tmp = acquire_staging(comm.ctx, recvbuf, count, dt.storage)
+    tmp = acquire_staging(comm, recvbuf, count, dt.storage)
 
     def span(clo: int, chi: int):
         off = bounds[clo][0]
@@ -148,8 +144,7 @@ def allreduce_rabenseifner(comm, sendbuf, recvbuf, count: int, dt: Datatype,
                 hi_next = (mid, hi)
             comm._sendrecv(recvbuf, soff, ssize, partner, tmp, 0, rsize,
                            partner, tag, tag, dt)
-            apply_reduce(comm.ctx, comm.config, op,
-                         seg(recvbuf, roff, rsize), seg(tmp, 0, rsize))
+            reduce_window(comm, op, recvbuf, roff, tmp, 0, rsize)
             lo, hi = hi_next
             step //= 2
         # now chunk `rank` of recvbuf is fully reduced (lo == rank)
@@ -167,4 +162,4 @@ def allreduce_rabenseifner(comm, sendbuf, recvbuf, count: int, dt: Datatype,
                            rsize, partner, tag + 1, tag + 1, dt)
             mask <<= 1
     finally:
-        release_staging(comm.ctx, tmp)
+        release_staging(comm, tmp)

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.mpi.coll._util import is_inplace, seg
+from repro.mpi.coll._util import is_inplace
 from repro.mpi.compute import (
-    acquire_staging, apply_reduce, local_copy, release_staging,
+    acquire_staging, copy_window, reduce_window, release_staging,
 )
 from repro.mpi.datatypes import BYTE, Datatype
 from repro.mpi.ops import Op
@@ -36,17 +36,16 @@ def scan_linear(comm, sendbuf, recvbuf, count: int, dt: Datatype,
     rank, p = comm.rank, comm.size
     tag = comm.next_coll_tag()
     if not is_inplace(sendbuf):
-        local_copy(comm.ctx, seg(recvbuf, 0, count), seg(sendbuf, 0, count))
+        copy_window(comm, recvbuf, 0, sendbuf, 0, count)
     if rank > 0:
-        tmp = acquire_staging(comm.ctx, recvbuf, count, dt.storage)
+        tmp = acquire_staging(comm, recvbuf, count, dt.storage)
         try:
             comm._recv(tmp, 0, count, rank - 1, tag, dt)
             # rank order matters for non-commutative ops: acc = prev op mine
-            a = seg(tmp, 0, count)
-            apply_reduce(comm.ctx, comm.config, op, a, seg(recvbuf, 0, count))
-            local_copy(comm.ctx, seg(recvbuf, 0, count), a)
+            reduce_window(comm, op, tmp, 0, recvbuf, 0, count)
+            copy_window(comm, recvbuf, 0, tmp, 0, count)
         finally:
-            release_staging(comm.ctx, tmp)
+            release_staging(comm, tmp)
     if rank < p - 1:
         comm._send(recvbuf, 0, count, rank + 1, tag, dt)
 
@@ -58,23 +57,20 @@ def exscan_linear(comm, sendbuf, recvbuf, count: int, dt: Datatype,
     tag = comm.next_coll_tag()
     contrib = recvbuf if is_inplace(sendbuf) else sendbuf
     # running total to forward = (prefix through me)
-    acc = acquire_staging(comm.ctx, recvbuf, count, dt.storage)
+    acc = acquire_staging(comm, recvbuf, count, dt.storage)
     try:
         if rank == 0:
-            local_copy(comm.ctx, seg(acc, 0, count), seg(contrib, 0, count))
+            copy_window(comm, acc, 0, contrib, 0, count)
         else:
             comm._recv(acc, 0, count, rank - 1, tag, dt)
-            mine = acquire_staging(comm.ctx, recvbuf, count, dt.storage)
+            mine = acquire_staging(comm, recvbuf, count, dt.storage)
             try:
-                local_copy(comm.ctx, seg(mine, 0, count),
-                           seg(contrib, 0, count), charge=False)
-                local_copy(comm.ctx, seg(recvbuf, 0, count),
-                           seg(acc, 0, count))
-                apply_reduce(comm.ctx, comm.config, op, seg(acc, 0, count),
-                             seg(mine, 0, count))
+                copy_window(comm, mine, 0, contrib, 0, count, charge=False)
+                copy_window(comm, recvbuf, 0, acc, 0, count)
+                reduce_window(comm, op, acc, 0, mine, 0, count)
             finally:
-                release_staging(comm.ctx, mine)
+                release_staging(comm, mine)
         if rank < p - 1:
             comm._send(acc, 0, count, rank + 1, tag, dt)
     finally:
-        release_staging(comm.ctx, acc)
+        release_staging(comm, acc)

@@ -7,8 +7,12 @@ the tree would move interior data twice).
 
 from __future__ import annotations
 
-from repro.mpi.coll._util import is_inplace, seg
-from repro.mpi.compute import acquire_staging, local_copy, release_staging
+import numpy as np
+
+from repro.mpi.coll._util import is_inplace
+from repro.mpi.compute import (
+    acquire_staging, copy_window, move_blocks, release_staging,
+)
 from repro.mpi.datatypes import Datatype
 
 
@@ -19,8 +23,7 @@ def gather_linear(comm, sendbuf, recvbuf, count: int, dt: Datatype,
     tag = comm.next_coll_tag()
     if rank == root:
         if not is_inplace(sendbuf):
-            local_copy(comm.ctx, seg(recvbuf, rank * count, count),
-                       seg(sendbuf, 0, count))
+            copy_window(comm, recvbuf, rank * count, sendbuf, 0, count)
         for r in range(p):
             if r != root:
                 comm._recv(recvbuf, r * count, count, r, tag, dt)
@@ -36,18 +39,18 @@ def gather_binomial(comm, sendbuf, recvbuf, count: int, dt: Datatype,
     tag = comm.next_coll_tag()
     if p == 1:
         if rank == root and not is_inplace(sendbuf):
-            local_copy(comm.ctx, seg(recvbuf, root * count, count),
-                       seg(sendbuf, 0, count))
+            copy_window(comm, recvbuf, root * count, sendbuf, 0, count)
         return
     rel = (rank - root) % p
     # scratch indexed by relative rank; slot 0 = my own block
     work = acquire_staging(
-        comm.ctx, sendbuf if not is_inplace(sendbuf) else recvbuf,
+        comm, sendbuf if not is_inplace(sendbuf) else recvbuf,
         p * count, dt.storage)
     try:
-        own = seg(recvbuf, rank * count, count) if is_inplace(sendbuf) \
-            else seg(sendbuf, 0, count)
-        local_copy(comm.ctx, seg(work, 0, count), own)
+        if is_inplace(sendbuf):
+            copy_window(comm, work, 0, recvbuf, rank * count, count)
+        else:
+            copy_window(comm, work, 0, sendbuf, 0, count)
         have = 1  # blocks held, starting at relative rank `rel`
         mask = 1
         while mask < p:
@@ -65,14 +68,10 @@ def gather_binomial(comm, sendbuf, recvbuf, count: int, dt: Datatype,
             mask <<= 1
         if rel == 0:
             # work[j] = block of rank (root + j) % p; unrotate into recvbuf
-            for j in range(p):
-                r = (root + j) % p
-                local_copy(comm.ctx, seg(recvbuf, r * count, count),
-                           seg(work, j * count, count), charge=False)
-            comm.ctx.clock.advance(
-                0.2 + p * count * dt.storage.itemsize / 24000.0)
+            move_blocks(comm, recvbuf, (root + np.arange(p)) % p, work, None,
+                        count, 0.2 + p * count * dt.storage.itemsize / 24000.0)
     finally:
-        release_staging(comm.ctx, work)
+        release_staging(comm, work)
 
 
 def gatherv_linear(comm, sendbuf, recvbuf, counts, displs, dt: Datatype,
@@ -82,8 +81,7 @@ def gatherv_linear(comm, sendbuf, recvbuf, counts, displs, dt: Datatype,
     tag = comm.next_coll_tag()
     if rank == root:
         if not is_inplace(sendbuf):
-            local_copy(comm.ctx, seg(recvbuf, displs[rank], counts[rank]),
-                       seg(sendbuf, 0, counts[rank]))
+            copy_window(comm, recvbuf, displs[rank], sendbuf, 0, counts[rank])
         for r in range(p):
             if r != root and counts[r]:
                 comm._recv(recvbuf, displs[r], counts[r], r, tag, dt)
@@ -101,8 +99,7 @@ def scatter_linear(comm, sendbuf, recvbuf, count: int, dt: Datatype,
             if r != root:
                 comm._send(sendbuf, r * count, count, r, tag, dt)
         if not is_inplace(recvbuf):
-            local_copy(comm.ctx, seg(recvbuf, 0, count),
-                       seg(sendbuf, rank * count, count))
+            copy_window(comm, recvbuf, 0, sendbuf, rank * count, count)
     else:
         comm._recv(recvbuf, 0, count, root, tag, dt)
 
@@ -114,21 +111,16 @@ def scatter_binomial(comm, sendbuf, recvbuf, count: int, dt: Datatype,
     tag = comm.next_coll_tag()
     if p == 1:
         if not is_inplace(recvbuf):
-            local_copy(comm.ctx, seg(recvbuf, 0, count),
-                       seg(sendbuf, root * count, count))
+            copy_window(comm, recvbuf, 0, sendbuf, root * count, count)
         return
     rel = (rank - root) % p
-    work = acquire_staging(comm.ctx, recvbuf, p * count, dt.storage)
+    work = acquire_staging(comm, recvbuf, p * count, dt.storage)
     try:
         have = 0
         if rel == 0:
             # rotate into relative order: work[j] = block of (root + j) % p
-            for j in range(p):
-                r = (root + j) % p
-                local_copy(comm.ctx, seg(work, j * count, count),
-                           seg(sendbuf, r * count, count), charge=False)
-            comm.ctx.clock.advance(
-                0.2 + p * count * dt.storage.itemsize / 24000.0)
+            move_blocks(comm, work, None, sendbuf, (root + np.arange(p)) % p,
+                        count, 0.2 + p * count * dt.storage.itemsize / 24000.0)
             have = p
             mask = _largest_pof2(p)
         else:
@@ -151,9 +143,9 @@ def scatter_binomial(comm, sendbuf, recvbuf, count: int, dt: Datatype,
                            tag, dt)
                 have = mask
             mask >>= 1
-        local_copy(comm.ctx, seg(recvbuf, 0, count), seg(work, 0, count))
+        copy_window(comm, recvbuf, 0, work, 0, count)
     finally:
-        release_staging(comm.ctx, work)
+        release_staging(comm, work)
 
 
 def scatterv_linear(comm, sendbuf, counts, displs, recvbuf, dt: Datatype,
@@ -165,8 +157,7 @@ def scatterv_linear(comm, sendbuf, counts, displs, recvbuf, dt: Datatype,
         for r in range(p):
             if r != root and counts[r]:
                 comm._send(sendbuf, displs[r], counts[r], r, tag, dt)
-        local_copy(comm.ctx, seg(recvbuf, 0, counts[rank]),
-                   seg(sendbuf, displs[rank], counts[rank]))
+        copy_window(comm, recvbuf, 0, sendbuf, displs[rank], counts[rank])
     elif counts[rank]:
         comm._recv(recvbuf, 0, counts[rank], root, tag, dt)
 

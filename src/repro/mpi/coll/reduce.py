@@ -7,9 +7,9 @@ volume at the cost of more rounds (Rabenseifner's reduce).
 
 from __future__ import annotations
 
-from repro.mpi.coll._util import (chunk_bounds, is_inplace, materialize_input, seg)
+from repro.mpi.coll._util import chunk_bounds, is_inplace, materialize_input
 from repro.mpi.compute import (
-    acquire_staging, apply_reduce, local_copy, release_staging,
+    acquire_staging, copy_window, reduce_window, release_staging,
 )
 from repro.mpi.datatypes import Datatype
 from repro.mpi.ops import Op
@@ -28,15 +28,15 @@ def reduce_binomial(comm, sendbuf, recvbuf, count: int, dt: Datatype,
         materialize_input(comm, sendbuf, recvbuf, count)
     else:
         acc = scratch_acc = acquire_staging(
-            comm.ctx, sendbuf if not is_inplace(sendbuf) else recvbuf,
+            comm, sendbuf if not is_inplace(sendbuf) else recvbuf,
             count, dt.storage)
         src = recvbuf if is_inplace(sendbuf) else sendbuf
-        local_copy(comm.ctx, seg(acc, 0, count), seg(src, 0, count))
+        copy_window(comm, acc, 0, src, 0, count)
     if p == 1:
         if scratch_acc is not None:
-            release_staging(comm.ctx, scratch_acc)
+            release_staging(comm, scratch_acc)
         return
-    tmp = acquire_staging(comm.ctx, acc, count, dt.storage)
+    tmp = acquire_staging(comm, acc, count, dt.storage)
     try:
         rel = (rank - root) % p
         mask = 1
@@ -49,13 +49,12 @@ def reduce_binomial(comm, sendbuf, recvbuf, count: int, dt: Datatype,
             if partner < p:
                 src_rank = (partner + root) % p
                 comm._recv(tmp, 0, count, src_rank, tag, dt)
-                apply_reduce(comm.ctx, comm.config, op, seg(acc, 0, count),
-                             seg(tmp, 0, count))
+                reduce_window(comm, op, acc, 0, tmp, 0, count)
             mask <<= 1
     finally:
-        release_staging(comm.ctx, tmp)
+        release_staging(comm, tmp)
         if scratch_acc is not None:
-            release_staging(comm.ctx, scratch_acc)
+            release_staging(comm, scratch_acc)
 
 
 def reduce_linear(comm, sendbuf, recvbuf, count: int, dt: Datatype,
@@ -68,27 +67,26 @@ def reduce_linear(comm, sendbuf, recvbuf, count: int, dt: Datatype,
     if rank != root:
         comm._send(contrib, 0, count, root, tag, dt)
         return
-    acc = acquire_staging(comm.ctx, recvbuf, count, dt.storage)
-    tmp = acquire_staging(comm.ctx, recvbuf, count, dt.storage)
+    acc = acquire_staging(comm, recvbuf, count, dt.storage)
+    tmp = acquire_staging(comm, recvbuf, count, dt.storage)
     try:
         # reduce in rank order 0..p-1
         first = True
         for r in range(p):
             if r == rank:
-                chunk = seg(contrib, 0, count)
+                chunk = contrib
             else:
                 comm._recv(tmp, 0, count, r, tag, dt)
-                chunk = seg(tmp, 0, count)
+                chunk = tmp
             if first:
-                local_copy(comm.ctx, seg(acc, 0, count), chunk)
+                copy_window(comm, acc, 0, chunk, 0, count)
                 first = False
             else:
-                apply_reduce(comm.ctx, comm.config, op, seg(acc, 0, count),
-                             chunk)
-        local_copy(comm.ctx, seg(recvbuf, 0, count), seg(acc, 0, count))
+                reduce_window(comm, op, acc, 0, chunk, 0, count)
+        copy_window(comm, recvbuf, 0, acc, 0, count)
     finally:
-        release_staging(comm.ctx, tmp)
-        release_staging(comm.ctx, acc)
+        release_staging(comm, tmp)
+        release_staging(comm, acc)
 
 
 def reduce_scatter_gather(comm, sendbuf, recvbuf, count: int, dt: Datatype,
@@ -107,16 +105,14 @@ def reduce_scatter_gather(comm, sendbuf, recvbuf, count: int, dt: Datatype,
     tag = comm.next_coll_tag()
     bounds = chunk_bounds(count, p)
     contrib = recvbuf if is_inplace(sendbuf) else sendbuf
-    work = acquire_staging(comm.ctx, contrib, count, dt.storage)
+    work = acquire_staging(comm, contrib, count, dt.storage)
     try:
-        local_copy(comm.ctx, seg(work, 0, count), seg(contrib, 0, count))
+        copy_window(comm, work, 0, contrib, 0, count)
         reduce_scatter_pairwise_ranges(comm, work, bounds, dt, op, tag)
         # gather: every rank owns reduced chunk `rank`; send to root
         my_off, my_size = bounds[rank]
         if rank == root:
-            if not is_inplace(sendbuf) or True:
-                local_copy(comm.ctx, seg(recvbuf, my_off, my_size),
-                           seg(work, my_off, my_size))
+            copy_window(comm, recvbuf, my_off, work, my_off, my_size)
             for r in range(p):
                 if r == root:
                     continue
@@ -126,8 +122,6 @@ def reduce_scatter_gather(comm, sendbuf, recvbuf, count: int, dt: Datatype,
         else:
             if my_size:
                 comm._send(work, my_off, my_size, root, tag + 1, dt)
-            else:
-                pass
             # ranks with empty chunks still must not desync tags
     finally:
-        release_staging(comm.ctx, work)
+        release_staging(comm, work)

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
-from repro.mpi.coll._util import chunk_bounds, is_inplace, seg
+from repro.mpi.coll._util import chunk_bounds, is_inplace
 from repro.mpi.compute import (
-    acquire_staging, apply_reduce, local_copy, release_staging,
+    acquire_staging, copy_window, reduce_window, release_staging,
 )
 from repro.mpi.datatypes import Datatype
 from repro.mpi.ops import Op
@@ -27,7 +27,7 @@ def reduce_scatter_pairwise_ranges(comm, work, bounds: List[Tuple[int, int]],
     """
     rank, p = comm.rank, comm.size
     my_off, my_size = bounds[rank]
-    tmp = acquire_staging(comm.ctx, work, max(size for _, size in bounds) or 1,
+    tmp = acquire_staging(comm, work, max(size for _, size in bounds) or 1,
                           dt.storage)
     try:
         for step in range(1, p):
@@ -38,10 +38,9 @@ def reduce_scatter_pairwise_ranges(comm, work, bounds: List[Tuple[int, int]],
                 comm._sendrecv(work, doff, dsize, dst, tmp, 0, my_size, src,
                                tag, tag, dt)
             if my_size:
-                apply_reduce(comm.ctx, comm.config, op,
-                             seg(work, my_off, my_size), seg(tmp, 0, my_size))
+                reduce_window(comm, op, work, my_off, tmp, 0, my_size)
     finally:
-        release_staging(comm.ctx, tmp)
+        release_staging(comm, tmp)
 
 
 def reduce_scatter_recursive_halving(comm, sendbuf, recvbuf, count: int,
@@ -52,16 +51,12 @@ def reduce_scatter_recursive_halving(comm, sendbuf, recvbuf, count: int,
     total = count * p
     tag = comm.next_coll_tag()
     contrib = recvbuf if is_inplace(sendbuf) else sendbuf
-    work = acquire_staging(comm.ctx, contrib, total, dt.storage)
-    tmp = acquire_staging(comm.ctx, work, total // 2 if p > 1 else 1,
+    work = acquire_staging(comm, contrib, total, dt.storage)
+    tmp = acquire_staging(comm, work, total // 2 if p > 1 else 1,
                           dt.storage)
     try:
-        if is_inplace(sendbuf):
-            # in-place reduce_scatter_block input is only `count` long;
-            # in-place only makes sense when recvbuf holds the full vector
-            local_copy(comm.ctx, seg(work, 0, total), seg(recvbuf, 0, total))
-        else:
-            local_copy(comm.ctx, seg(work, 0, total), seg(sendbuf, 0, total))
+        # in place, recvbuf holds the full vector
+        copy_window(comm, work, 0, contrib, 0, total)
 
         lo, hi = 0, p
         step = p // 2
@@ -73,22 +68,19 @@ def reduce_scatter_recursive_halving(comm, sendbuf, recvbuf, count: int,
                 # keep [lo, mid): send partner's half, receive mine
                 comm._sendrecv(work, mid * count, half, partner,
                                tmp, 0, half, partner, tag, tag, dt)
-                apply_reduce(comm.ctx, comm.config, op,
-                             seg(work, lo * count, half), seg(tmp, 0, half))
+                reduce_window(comm, op, work, lo * count, tmp, 0, half)
                 hi = mid
             else:
                 partner = rank - step
                 comm._sendrecv(work, lo * count, half, partner,
                                tmp, 0, half, partner, tag, tag, dt)
-                apply_reduce(comm.ctx, comm.config, op,
-                             seg(work, mid * count, half), seg(tmp, 0, half))
+                reduce_window(comm, op, work, mid * count, tmp, 0, half)
                 lo = mid
             step //= 2
-        local_copy(comm.ctx, seg(recvbuf, 0, count),
-                   seg(work, rank * count, count))
+        copy_window(comm, recvbuf, 0, work, rank * count, count)
     finally:
-        release_staging(comm.ctx, tmp)
-        release_staging(comm.ctx, work)
+        release_staging(comm, tmp)
+        release_staging(comm, work)
 
 
 def reduce_scatter_pairwise(comm, sendbuf, recvbuf, count: int,
@@ -99,14 +91,12 @@ def reduce_scatter_pairwise(comm, sendbuf, recvbuf, count: int,
     total = count * p
     tag = comm.next_coll_tag()
     contrib = recvbuf if is_inplace(sendbuf) else sendbuf
-    work = acquire_staging(comm.ctx, contrib, total, dt.storage)
+    work = acquire_staging(comm, contrib, total, dt.storage)
     try:
-        local_copy(comm.ctx, seg(work, 0, total),
-                   seg(contrib, 0, total))
+        copy_window(comm, work, 0, contrib, 0, total)
         bounds = chunk_bounds(total, p) if count * p != total else \
             [(r * count, count) for r in range(p)]
         reduce_scatter_pairwise_ranges(comm, work, bounds, dt, op, tag)
-        local_copy(comm.ctx, seg(recvbuf, 0, count),
-                   seg(work, rank * count, count))
+        copy_window(comm, recvbuf, 0, work, rank * count, count)
     finally:
-        release_staging(comm.ctx, work)
+        release_staging(comm, work)

@@ -28,7 +28,7 @@ from repro.mpi.datatypes import Datatype, datatype_of
 from repro.mpi.derived import DerivedDatatype
 from repro.mpi.ops import Op, SUM
 from repro.mpi.p2p import P2PEndpoint
-from repro.mpi.request import Request
+from repro.mpi.request import Request, waitall
 from repro.mpi.status import Status
 from repro.sim.engine import RankContext
 from repro.sim.mailbox import ANY_SOURCE, ANY_TAG
@@ -36,6 +36,10 @@ from repro.sim.sched import yield_now
 
 #: sentinel for in-place collective input (``MPI_IN_PLACE``).
 IN_PLACE = object()
+
+#: what a :attr:`CollectiveCall.key` holds for a send buffer that is
+#: the receive buffer (a buffer's type stands for it otherwise)
+ALIASED = object()
 
 #: what a point-to-point call with no buffer moves (count 0 only)
 _NOTHING = np.zeros(0, dtype=np.uint8)
@@ -57,15 +61,27 @@ class CollectiveCall:
     ``recvcounts``/``rdispls`` for the vector forms (gatherv and
     allgatherv populate the recv side, scatterv the send side).
     ``Bcast``'s single buffer is stored as ``recvbuf``.
+
+    ``key`` is what a dispatcher's plans are looked up by: the
+    descriptor's own fields — collective, count (the vector forms'
+    counts and displacements), datatype, op, root and each buffer's
+    type, which is its residency and, for ``IN_PLACE`` or None, its
+    spelling.  Two calls with one key on one communicator route and
+    run alike.  A send buffer that *is* the receive buffer (not
+    ``IN_PLACE``) is keyed apart (:data:`ALIASED`): its rounds cannot
+    tell the two roles apart.  None: the call is planned afresh.
     """
 
     __slots__ = ("coll", "comm", "sendbuf", "recvbuf", "count", "sendcounts",
-                 "sdispls", "recvcounts", "rdispls", "dt", "op", "root")
+                 "sdispls", "recvcounts", "rdispls", "dt", "op", "root",
+                 "key")
 
     def __init__(self, coll: str, comm: "Communicator", sendbuf=None,
                  recvbuf=None, count: int = 0, sendcounts=None, sdispls=None,
                  recvcounts=None, rdispls=None, dt: Optional[Datatype] = None,
-                 op: Optional[Op] = None, root: Optional[int] = None) -> None:
+                 op: Optional[Op] = None, root: Optional[int] = None,
+                 key: Optional[tuple] = None) -> None:
+        self.key = key
         self.coll = coll
         self.comm = comm
         self.sendbuf = sendbuf
@@ -127,6 +143,9 @@ class Communicator:
         #: communicator); :meth:`Free` and :meth:`Comm_shrink` drain it,
         #: calling each entry's ``Free`` if it has one
         self.routing_cache: Dict[str, object] = {}
+        #: the recorder of the round program a collective's first call
+        #: is writing (:mod:`repro.mpi.coll.replay`), None between them
+        self._tape = None
         from repro.mpi.coll import MPICollDispatcher  # local: avoid cycle
         #: the collective dispatcher — anything with ``run(call)`` and
         #: ``warm(call)``, caching per communicator only in
@@ -495,7 +514,10 @@ class Communicator:
     # calls the endpoint — looked up on every call, so whatever wraps
     # ``P2PEndpoint`` sees every round.  A window is ``(buf, offset,
     # count)``: the endpoint cuts it, and no buffer view is built per
-    # message.  No status is translated: rounds discard theirs.
+    # message.  No status is translated: rounds discard theirs.  While
+    # the communicator records a round program (``_tape``), each round
+    # is also written down as a row; a replay makes the same endpoint
+    # calls (:mod:`repro.mpi.coll.replay`).
 
     def _send(self, buf, off: int, count: int, dest: int, tag: int,
               dt: Datatype) -> None:
@@ -503,6 +525,8 @@ class Communicator:
         engine = self.ctx.engine
         if engine._revoked and engine.is_revoked(self.ctx_id):
             self._raise_revoked()
+        if self._tape is not None:
+            self._tape.send(buf, off, count, self.group[dest], tag, dt)
         self.endpoint.send(buf, off, count, self.group[dest], tag, dt)
 
     def _recv(self, buf, off: int, count: int, source: int, tag: int,
@@ -511,24 +535,40 @@ class Communicator:
         engine = self.ctx.engine
         if engine._revoked and engine.is_revoked(self.ctx_id):
             self._raise_revoked()
+        if self._tape is not None:
+            self._tape.recv(buf, off, count, self.group[source], tag, dt)
         self.endpoint.recv(buf, off, count, self.group[source], tag, dt)
 
     def _isend(self, buf, off: int, count: int, dest: int, tag: int,
                dt: Datatype) -> Request:
-        """A nonblocking send round; complete it with ``waitall``."""
+        """A nonblocking send round; complete it with :meth:`_waitall`."""
         engine = self.ctx.engine
         if engine._revoked and engine.is_revoked(self.ctx_id):
             self._raise_revoked()
-        return self.endpoint.isend(buf, off, count, self.group[dest], tag, dt)
+        req = self.endpoint.isend(buf, off, count, self.group[dest], tag, dt)
+        if self._tape is not None:
+            self._tape.isend(buf, off, count, self.group[dest], tag, dt,
+                             req)
+        return req
 
     def _irecv(self, buf, off: int, count: int, source: int, tag: int,
                dt: Datatype) -> Request:
-        """A nonblocking receive round; complete it with ``waitall``."""
+        """A nonblocking receive round; complete it with :meth:`_waitall`."""
         engine = self.ctx.engine
         if engine._revoked and engine.is_revoked(self.ctx_id):
             self._raise_revoked()
-        return self.endpoint.irecv(buf, off, count, self.group[source], tag,
-                                   dt)
+        req = self.endpoint.irecv(buf, off, count, self.group[source], tag,
+                                  dt)
+        if self._tape is not None:
+            self._tape.irecv(buf, off, count, self.group[source], tag, dt,
+                             req)
+        return req
+
+    def _waitall(self, reqs) -> None:
+        """Complete a collective's nonblocking rounds, in order."""
+        if self._tape is not None:
+            self._tape.wait(reqs)
+        waitall(reqs)
 
     def _sendrecv(self, sbuf, soff: int, scount: int, dest: int, rbuf,
                   roff: int, rcount: int, source: int, sendtag: int,
@@ -539,6 +579,9 @@ class Communicator:
         if engine._revoked and engine.is_revoked(self.ctx_id):
             self._raise_revoked()
         group = self.group
+        if self._tape is not None:
+            self._tape.exchange(sbuf, soff, scount, group[dest], rbuf, roff,
+                                rcount, group[source], sendtag, recvtag, dt)
         self.endpoint.sendrecv(sbuf, soff, scount, group[dest], rbuf, roff,
                                rcount, group[source], sendtag, recvtag, dt)
 
@@ -564,7 +607,10 @@ class Communicator:
     def next_coll_tag(self) -> int:
         """Reserved tag block for the next collective call (identical
         call sequence on every rank keeps these in agreement)."""
-        return COLL_TAG_BASE + (next(self._seq) << 6)
+        tag = COLL_TAG_BASE + (next(self._seq) << 6)
+        if self._tape is not None:
+            self._tape.tag(tag)
+        return tag
 
     # -- collectives: one descriptor, three spellings -----------------------
     #
@@ -607,21 +653,28 @@ class Communicator:
                 send = 0
         if sendbuf is IN_PLACE or sendbuf is None:
             send, recv = 0, max(send, recv)
+        # a window whose elements are not the datatype's prices its
+        # local work by its own: such a call is planned afresh each time
+        keyed = True
         for side, buf, blocks in (("send", sendbuf, send),
                                   ("receive", recvbuf, recv)):
             if blocks and buf is not None and buf is not IN_PLACE:
-                have = (buf.array if isinstance(buf, Buffer)
-                        else np.asarray(buf)).size
-                if count * blocks > have:
+                arr = buf.array if isinstance(buf, Buffer) \
+                    else np.asarray(buf)
+                if count * blocks > arr.size:
                     raise MPICountError(
                         f"{coll}: count {count} x {blocks} does not fit "
-                        f"the {have}-element {side} buffer")
+                        f"the {arr.size}-element {side} buffer")
+                keyed = keyed and arr.dtype == dt.storage
         if op is not None:
             op.validate(dt)
         if root is not None:
             self.world_rank(root)
+        key = (coll, count, dt, op, root,
+               ALIASED if sendbuf is recvbuf else type(sendbuf),
+               type(recvbuf)) if keyed else None
         return CollectiveCall(coll, self, sendbuf, recvbuf, count, dt=dt,
-                              op=op, root=root)
+                              op=op, root=root, key=key)
 
     def _ragged(self, coll: str, sendbuf, recvbuf, ref,
                 datatype: Optional[Datatype], send=None, recv=None,
@@ -657,6 +710,14 @@ class Communicator:
                             (0,))
         if root is not None:
             self.world_rank(root)
+        if all(buf is None or buf is IN_PLACE or as_array(buf).dtype ==
+               call.dt.storage for buf in (sendbuf, recvbuf)):
+            vectors = (call.sendcounts, call.sdispls, call.recvcounts,
+                       call.rdispls)
+            call.key = (coll, call.dt, root,
+                        ALIASED if sendbuf is recvbuf else type(sendbuf),
+                        type(recvbuf),
+                        *(None if v is None else tuple(v) for v in vectors))
         return call
 
     def _vector(self, counts: Sequence[int],
@@ -702,7 +763,7 @@ class Communicator:
 
     def _barrier(self) -> CollectiveCall:
         self._check_live()
-        return CollectiveCall("barrier", self)
+        return CollectiveCall("barrier", self, key=("barrier",))
 
     def _bcast(self, buf, root: int = 0, count: Optional[int] = None,
                datatype: Optional[Datatype] = None) -> CollectiveCall:

@@ -21,7 +21,7 @@ import numpy as np
 from repro.errors import MPITypeError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Datatype:
     """One MPI predefined datatype.
 
@@ -32,6 +32,9 @@ class Datatype:
             storage itemsize only for bfloat16's float32 emulation).
         is_complex / is_float / is_integer / is_logical: kind flags used
             by reduce-op validity checks.
+
+    Each datatype is one object, compared and hashed by identity, so a
+    collective's plan key holds it at no Python-level hash.
     """
 
     name: str

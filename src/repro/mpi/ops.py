@@ -18,7 +18,7 @@ from repro.hw.memory import NO_CONTENTS
 from repro.mpi.datatypes import Datatype
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Op:
     """One reduction operation.
 
@@ -29,6 +29,9 @@ class Op:
         commutative: drives algorithm choice (non-commutative ops force
             rank-ordered reduction).
         predefined: True for the MPI standard ops.
+
+    Compared and hashed by identity, like :class:`Datatype`: two user
+    ops of one name are two ops.
     """
 
     name: str

@@ -34,6 +34,7 @@ from repro.hw.systems import make_mixed_system, make_system
 from repro.mpi import Communicator
 from repro.mpi.coll import MPICollDispatcher, levels
 from repro.mpi.communicator import ANY_SOURCE, IN_PLACE
+from repro.mpi.datatypes import FLOAT
 from repro.mpi.ops import SUM
 from repro.mpi.request import waitall
 from repro.sim.engine import Engine
@@ -463,6 +464,132 @@ def _legacy_body(ctx):
     return log, frozen_reference.surface_labels(ctx)
 
 
+#: every non-hierarchical entry of ``repro.mpi.coll._ALGORITHMS`` (the
+#: ``replay`` family forces each in turn), plus the seven collectives
+#: with one algorithm (the vector forms keyed by their counts); pinned
+#: against the table by ``test_replay_covers_every_flat_algorithm``
+REPLAY_ALGORITHMS = (
+    ("allgather", "bruck"), ("allgather", "recursive_doubling"),
+    ("allgather", "ring"), ("allreduce", "rabenseifner"),
+    ("allreduce", "recursive_doubling"), ("allreduce", "ring"),
+    ("alltoall", "bruck"), ("alltoall", "pairwise"),
+    ("alltoall", "scattered"), ("bcast", "binomial"),
+    ("bcast", "scatter_ring_allgather"), ("gather", "binomial"),
+    ("gather", "linear"), ("reduce", "binomial"), ("reduce", "linear"),
+    ("reduce", "reduce_scatter_gather"),
+    ("reduce_scatter", "pairwise"), ("reduce_scatter", "recursive_halving"),
+    ("scatter", "binomial"), ("scatter", "linear"),
+    ("barrier", None), ("scan", None), ("exscan", None),
+    ("allgatherv", None), ("alltoallv", None), ("gatherv", None),
+    ("scatterv", None))
+#: the algorithms that need a power-of-two communicator (callers guard)
+REPLAY_POF2 = {("allgather", "recursive_doubling"),
+               ("allreduce", "rabenseifner"),
+               ("reduce_scatter", "recursive_halving")}
+#: per algorithm, four keys ``(count, in place, root index)``: an odd
+#: count, one element and none; root 0 or p-1 where there is a root
+REPLAY_VARIANTS = ((7, False, 0), (7, True, -1), (1, False, -1),
+                   (0, True, 0))
+#: in place where the algorithm has a spelling for it: ``None`` on every
+#: rank (no in-place form), ``"root"`` at the root alone
+REPLAY_IN_PLACE = {"bcast": None, "alltoall": None, "barrier": None,
+                   "alltoallv": None, "scatterv": None,
+                   "gather": "root", "gatherv": "root",
+                   ("scatter", "linear"): "root",
+                   ("scatter", "binomial"): None}
+
+
+def _replay_body(ctx):
+    """Each flat MPI algorithm, forced through ``MPICollDispatcher``, on
+    the four keys of :data:`REPLAY_VARIANTS`, called three times per key
+    with fresh inputs: payload bytes and the clock after every call.  A
+    vector form's block from rank ``i`` to rank ``j`` holds ``(i + j +
+    count) % 3`` elements (``(i + count) % 3`` where one side is
+    rank-indexed alone)."""
+    p, rank = ctx.engine.nranks, ctx.rank
+    log = []
+    for coll, name in REPLAY_ALGORITHMS:
+        if (coll, name) in REPLAY_POF2 and p & (p - 1):
+            continue
+        comm = comm_with(ctx, name)
+        for count, in_place, root in REPLAY_VARIANTS:
+            root %= p
+            rule = REPLAY_IN_PLACE.get(coll, REPLAY_IN_PLACE.get(
+                (coll, name), "all"))
+            in_place = in_place and (rule == "all" or
+                                     rule == "root" and rank == root)
+            wide = count * p
+            counts = [(i + count) % 3 for i in range(p)]
+            sendcounts = [(rank + j + count) % 3 for j in range(p)]
+            recvcounts = [(i + rank + count) % 3 for i in range(p)]
+            displs = [sum(counts[:i]) for i in range(p)]
+            send = ctx.device.zeros(max(wide, 2 * p), dtype=np.float32)
+            recv = ctx.device.zeros(max(wide, 2 * p), dtype=np.float32)
+            for k in range(3):
+                fill = np.arange(send.count, dtype=np.float32) % 5 + rank \
+                    + 4 * k
+                send.array[:] = fill
+                recv.array[:] = -1.0
+                src = IN_PLACE if in_place else send
+                if coll == "barrier":
+                    comm.Barrier()
+                elif coll == "allreduce":
+                    if in_place:
+                        recv.array[:count] = fill[:count]
+                    comm.Allreduce(src, recv, SUM, count=count)
+                elif coll == "reduce":
+                    if in_place:
+                        recv.array[:count] = fill[:count]
+                    comm.Reduce(src, recv, SUM, root=root, count=count)
+                elif coll == "bcast":
+                    if rank == root:
+                        recv.array[:count] = fill[:count]
+                    comm.Bcast(recv, root=root, count=count)
+                elif coll == "allgather":
+                    if in_place:
+                        recv.array[rank * count:(rank + 1) * count] = \
+                            fill[:count]
+                    comm.Allgather(src, recv, count=count)
+                elif coll == "alltoall":
+                    comm.Alltoall(send, recv, count=count)
+                elif coll == "reduce_scatter":
+                    if in_place:
+                        recv.array[:wide] = fill[:wide]
+                    comm.Reduce_scatter_block(src, recv, SUM, count=count)
+                elif coll == "gather":
+                    if in_place:
+                        recv.array[rank * count:(rank + 1) * count] = \
+                            fill[:count]
+                    comm.Gather(src, recv, root=root, count=count,
+                                datatype=FLOAT)
+                elif coll == "scatter":
+                    comm.Scatter(send, IN_PLACE if in_place else recv,
+                                 root=root, count=count,
+                                 datatype=FLOAT)
+                elif coll == "allgatherv":
+                    mine = slice(displs[rank], displs[rank] + counts[rank])
+                    if in_place:
+                        recv.array[mine] = fill[:counts[rank]]
+                    comm.Allgatherv(src, recv, counts)
+                elif coll == "alltoallv":
+                    comm.Alltoallv(send, sendcounts, recv, recvcounts)
+                elif coll == "gatherv":
+                    mine = slice(displs[rank], displs[rank] + counts[rank])
+                    if in_place:
+                        recv.array[mine] = fill[:counts[rank]]
+                    comm.Gatherv(src, recv, counts, root=root,
+                                 datatype=FLOAT)
+                elif coll == "scatterv":
+                    comm.Scatterv(send, counts, recv, root=root)
+                else:   # scan / exscan
+                    if in_place:
+                        recv.array[:count] = fill[:count]
+                    getattr(comm, coll.capitalize())(src, recv, SUM,
+                                                     count=count)
+                log.append((recv.array.tobytes(), ctx.now))
+    return log, frozen_reference.surface_labels(ctx)
+
+
 KIB_F32 = 256          # 1 KiB of float32
 WINDOW = 4             # eager messages in flight per rank
 RNDV_F32 = 16384       # 64 KiB: above the 8 KiB eager threshold
@@ -757,6 +884,14 @@ PROGRAMS = {
         {"legacy:2x8": Shape("thetagpu", nodes=2, nranks=16),
          "legacy:8+4": Shape("thetagpu", nodes=2, nranks=12)},
         arms=_LEVELED_ARMS, engine=True),
+    # a recorded round program replayed: every flat algorithm, three
+    # calls a key
+    "replay": Program(
+        _replay_body,
+        {f"replay:{nodes}x{nranks // nodes}": Shape("thetagpu", nodes,
+                                                    nranks=nranks)
+         for nodes, nranks in ((1, 3), (1, 5), (2, 8))},
+        arms=(REAL, TRACED, STORAGE_FREE), engine=True),
     "p2p": Program(
         _p2p_body,
         {f"p2p:{nodes}x{rpn}": Shape("thetagpu", nodes, rpn=rpn,

@@ -52,11 +52,7 @@ class TestQuickRuns:
         # 4 backends x 3 metrics
         assert len(results.series_names()) == 12
 
-    def test_fig6_quick(self, monkeypatch):
-        # the anchors are the paper's, measured under its static tuning
-        # tables; the check-gates MPIX_ONLINE_TUNE=1 leg routes by
-        # exploring instead (hybrid/CCL at 1 MiB is 2.39 there)
-        monkeypatch.delenv("MPIX_ONLINE_TUNE", raising=False)
+    def test_fig6_quick(self):
         exp = get_experiment("fig6")
         results = exp.run("quick")
         colls = {r.meta["collective"] for r in results}

@@ -4,11 +4,14 @@ program plus the faults its plan names.
 Two fixed programs run under 0-3 drawn drop / delay rules and at most
 one kill.  One is on a 4-rank ThetaGPU node — eager and rendezvous
 ``Sendrecv``, an ``Allreduce`` on each route, a hinted ``Alltoall`` and
-a rooted ``Gather``.  The other spans 2 x 4 ranks with everything
-routed to the CCL — a hinted ``Alltoallv`` with empty blocks, an
+a rooted ``Gather``.  The other spans 2 x 4 ranks with every device
+buffer routed to the CCL — a hinted ``Alltoallv`` with empty blocks, an
 ``IN_PLACE`` ``Allgatherv``, and ``Gatherv`` / ``Scatterv`` with
 off-node roots — so the rules reach the group's columns on both
-transports.  Whatever the plan, the run returns or fails with the
+transports, and a host-buffer ``Allreduce`` falls back to the MPI
+route.  Each program calls its MPI-route collectives twice on one key:
+the second call replays the round program the first recorded, so every
+plan meets a replayed call too.  Whatever the plan, the run returns or fails with the
 errors a fault may cause; a plan that touched nothing changes nothing;
 and no device memory outlives the engine.
 """
@@ -52,7 +55,7 @@ def _program(ctx):
         recv = ctx.device.zeros(n)
         comm.Sendrecv(send, (rank + 1) % size, recv, (rank - 1) % size)
         note(recv)
-    for n in (64, 1 << 18):                 # MPI route, then the CCL
+    for n in (64, 64, 1 << 18):             # MPI route twice, then the CCL
         send = ctx.device.empty(n)
         send.fill(float(rank))
         recv = ctx.device.zeros(n)
@@ -65,10 +68,11 @@ def _program(ctx):
     comm.Alltoall(send, recv, count=per_peer)
     note(recv)
     mine = ctx.device.empty(256)
-    mine.fill(float(rank))
     gathered = ctx.device.zeros(256 * size)
-    comm.Gather(mine, gathered, root=0)
-    note(gathered)
+    for k in range(2):                      # MPI route: recorded, replayed
+        mine.fill(float(rank + k))
+        comm.Gather(mine, gathered, root=0)
+        note(gathered)
     return log
 
 
@@ -105,6 +109,13 @@ def _multinode_program(ctx):
     note(gathered)
     comm.Scatterv(whole, counts, mine, displs, root=size // 2)
     note(mine)
+    # host buffers fall back to the MPI route: recorded, then replayed
+    host = np.zeros(48, dtype=np.float32)
+    for k in range(2):
+        reduced = np.zeros(48, dtype=np.float32)
+        host[:] = rank + k
+        comm.Allreduce(host, reduced, op=SUM)
+        log.append((hashlib.sha1(reduced.tobytes()).hexdigest(), ctx.now))
     return log
 
 
@@ -202,7 +213,8 @@ def test_a_plan_changes_only_what_it_names(fault_free, plan):
 @settings(derandomize=True, max_examples=30, deadline=None)
 @given(plan=plans(2 * 4))
 def test_a_plan_changes_only_what_it_names_across_nodes(fault_free, plan):
-    """The same, on 2 x 4 ranks with every collective on the CCL."""
+    """The same, on 2 x 4 ranks with every device-buffer collective on
+    the CCL and a host-buffer one on the MPI route."""
     _check(fault_free, plan, "multi-node")
 
 

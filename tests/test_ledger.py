@@ -31,6 +31,7 @@ from repro.core.tuning_table import TUNABLE_COLLECTIVES, TuningTable
 from repro.errors import CommRevokedError
 from repro.hw.systems import make_mixed_system, make_system
 from repro.mpi.coll import MPICollDispatcher, levels
+from repro.mpi.coll.replay import RoundPrograms
 from repro.mpi.config import mvapich_gpu
 from repro.mpi.ops import SUM
 from repro.sim.engine import Engine
@@ -72,6 +73,9 @@ CASES = {
     # the xCCL route: a plan cache and a CCL communicator
     "dup-attach": (_dup, lambda: make_system("thetagpu", 1), 8, None,
                    1 << 18, None, {"plans", "nccl"}),
+    # the MPI route: plans holding the round programs they replay
+    "mpi-rounds": (_dup, lambda: make_system("thetagpu", 1), 8, None,
+                   256, None, {"plans", "rounds"}),
     # the LEADER levels of the MPI suite's "hierarchical" algorithms
     "leader-split": (_leader_split, lambda: make_system("thetagpu", 2), 8, 4,
                      1024, None, {"node", "hierarchical"}),
@@ -102,7 +106,8 @@ def _footprint(comm):
     ``comm``'s ledger holds, the sub-communicators' ledgers included."""
     refs, subs, ccls = [], [], []
     for entry in comm.routing_cache.values():
-        if isinstance(entry, (PlanCache, XCCLComm, levels.Levels)):
+        if isinstance(entry, (PlanCache, RoundPrograms, XCCLComm,
+                              levels.Levels)):
             refs.append(weakref.ref(entry))
         if isinstance(entry, XCCLComm):
             ccls.append(entry)
@@ -142,6 +147,9 @@ def test_drain_leaves_nothing(case, drain, no_collector):
         for _ in range(2):
             comm.Allreduce(send, recv, SUM)
         assert expect <= set(comm.routing_cache)
+        if "rounds" in expect:   # the second call replayed what the first wrote
+            plans = comm.routing_cache["plans"].calls.values()
+            assert [plan.program.rows is not None for plan in plans] == [True]
         refs, subs, ccls = _footprint(comm)
         ids = {comm.ctx_id} | {sub.ctx_id for sub in subs}
         groups = {c.ctx_id: c.group for c in [comm] + subs}

@@ -550,7 +550,7 @@ def _calls_per_message(loop, iters=5):
 
 
 #: the bound on Python-level calls per message of the guard's loop
-CALLS_PER_MESSAGE = 46
+CALLS_PER_MESSAGE = 34
 
 
 def test_python_calls_per_message():
@@ -565,10 +565,12 @@ def test_python_calls_per_message():
     public API for the endpoint, and no window builds a buffer view:
     45.04 (10 810 calls; 39.04 in a draft whose exchange spelled its
     eager leg inline instead of sharing the send and receive helpers),
-    bounded at 46.  A new helper call on the round → ``sendrecv`` →
-    ``post`` → ``match`` path fails it.  ``as_array`` repeats
-    ``DeviceBuffer._check_live``'s freed-flag test at the call site to
-    save a call per window."""
+    bounded at 46.  A plan hit that goes straight to its round program,
+    replayed in one loop instead of the algorithm body, made it 33.54
+    (8 050 calls; 44.04 just before), bounded at 34.  A new helper call
+    on the round → ``sendrecv`` → ``post`` → ``match`` path fails it.
+    ``as_array`` repeats ``DeviceBuffer._check_live``'s freed-flag test
+    at the call site to save a call per window."""
     calls, posts, allocs, exits = _calls_per_message(_guard_loop)
     assert posts == 5 * 8 * (3 + 3)     # recursive doubling + dissemination
     assert calls / posts <= CALLS_PER_MESSAGE, calls
@@ -581,7 +583,7 @@ def test_python_calls_per_message():
 
 
 #: the bound on Python-level calls per message of ``small_8``'s loop
-SMALL_CALLS_PER_MESSAGE = 64
+SMALL_CALLS_PER_MESSAGE = 42
 
 
 def test_python_calls_per_message_of_small_collectives():
@@ -591,10 +593,58 @@ def test_python_calls_per_message_of_small_collectives():
     above never runs.  It was 80.54 (34 631 calls over 430 messages)
     while every round went through the public point-to-point API and
     cut a buffer view per window; rounds below the API made it 62.65
-    (26 941 calls), bounded at 64."""
+    (26 941 calls), bounded at 64.  Replayed round programs made it
+    41.60 (17 886 calls; 61.65 just before), bounded at 42."""
     calls, posts, allocs, exits = _calls_per_message(_small_loop)
     # recursive doubling, two binomial trees, recursive doubling, Bruck
     assert posts == 5 * (8 * 3 + 7 + 7 + 8 * 3 + 8 * 3)
     assert calls / posts <= SMALL_CALLS_PER_MESSAGE, calls
     assert allocs == 0, allocs
     assert exits / posts <= 1.5, exits     # 1.10 (3.10 with mailbox locks)
+
+
+#: the bound on Python-level calls from ``comm.Allreduce`` to its first
+#: endpoint call on a plan hit
+CALLS_TO_FIRST_ROUND = 25
+
+
+def _calls_to_first_round(mpx):
+    """Python-level ``call`` events from a hot 256-float ``Allreduce``'s
+    entry to its first ``P2PEndpoint`` call (which is not counted)."""
+    from repro.mpi.p2p import P2PEndpoint
+    comm = mpx.COMM_WORLD
+    send = mpx.device_array(256, fill=comm.rank + 1)
+    recv = mpx.device_array(256)
+    for _ in range(2):                  # plan compiled, rounds recorded
+        comm.Allreduce(send, recv)
+    rounds = {getattr(P2PEndpoint, name).__code__
+              for name in ("send", "recv", "isend", "irecv", "sendrecv")}
+    calls = [0, True]
+
+    def profiler(frame, event, arg):
+        if event == "call" and calls[1]:
+            if frame.f_code in rounds:
+                calls[1] = False
+            else:
+                calls[0] += 1
+
+    sys.setprofile(profiler)
+    try:
+        comm.Allreduce(send, recv)
+    finally:
+        sys.setprofile(None)
+    return calls[0]
+
+
+def test_python_calls_to_the_first_round_of_a_plan_hit():
+    """No wall clock: what a hot collective costs before its first
+    message — the builder's argument checks, the elastic guard, one
+    plan lookup, and the replayed rows before the first exchange (the
+    input copy and the staging acquire).  The parent of replayed round
+    programs made 62: five pipeline stages, stage markers that returned
+    at once untraced and ``DispatchMode``'s Python-level ``__hash__`` in
+    the plan key (41 calls before ``allreduce_recursive_doubling``
+    started), then the algorithm body's own; 25 since."""
+    out = runtime.run(_calls_to_first_round, system="thetagpu", nodes=1,
+                      mode="pure_mpi", trace=False)
+    assert max(out) <= CALLS_TO_FIRST_ROUND, out

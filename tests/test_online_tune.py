@@ -83,6 +83,37 @@ class TestConvergence:
         assert engine.online_tuner is None
 
 
+def _tune_labels_body(ctx, iters, persistent):
+    """The ``tune:<phase>:<route>`` trace labels of ``iters`` blocking
+    ``Allreduce`` calls, or of one ``Allreduce_init`` and ``iters``
+    ``Start``s."""
+    comm = world_communicator(ctx, table=_ALL_MPI)
+    buf = ctx.device.zeros(_COUNT)
+    out = ctx.device.zeros(_COUNT)
+    if persistent:
+        req = comm.Allreduce_init(buf, out, op=SUM)
+        for _ in range(iters):
+            req.Start().wait()
+    else:
+        for _ in range(iters):
+            comm.Allreduce(buf, out, op=SUM)
+    return [ev.label for ev in ctx.trace.events
+            if ev.label.startswith("tune:")]
+
+
+def test_persistent_starts_count_as_the_calls_they_stand_for(thetagpu1):
+    """Initialising a persistent collective spends no tuner call: the
+    phase of K ``Start``s is the phase of K blocking calls (init once
+    walked the route stage, so the fourth ``Start`` already explored)."""
+    runs = {persistent: Engine(thetagpu1, nranks=4, online_tune=True,
+                               trace=True).run(_tune_labels_body, iters=6,
+                                               persistent=persistent)
+            for persistent in (False, True)}
+    assert runs[True] == runs[False]
+    assert [label.split(":")[1] for label in runs[True][0]] == \
+        ["observe"] * 4 + ["explore"] * 2
+
+
 class TestUnitPhases:
     """The tuner state machine, unit-level (no engine)."""
 

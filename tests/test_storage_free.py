@@ -42,7 +42,7 @@ def test_every_frozen_case_is_replayed():
     frozen case has at least one storage-free arm."""
     families = {case.split(":", 1)[0] for case in frozen_reference.FROZEN}
     assert families == set(SINGLE_NODE) | {
-        "random", "multinode", "hier", "hetero", "legacy", "p2p"}
+        "random", "multinode", "hier", "hetero", "legacy", "p2p", "replay"}
     for case in frozen_reference.FROZEN:
         program = PROGRAMS[case.split(":", 1)[0]]
         assert case in program.shapes, case
