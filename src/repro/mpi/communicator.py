@@ -24,7 +24,7 @@ from repro.errors import (CommRevokedError, DeadlockError, MPICommError,
 from repro.hw.memory import Buffer, as_array, copy_payload
 from repro.mpi.compute import alloc_like
 from repro.mpi.config import MPIConfig, mvapich_gpu
-from repro.mpi.datatypes import Datatype, datatype_of
+from repro.mpi.datatypes import _BY_NP, Datatype, datatype_of
 from repro.mpi.derived import DerivedDatatype
 from repro.mpi.ops import Op, SUM
 from repro.mpi.p2p import P2PEndpoint
@@ -40,6 +40,9 @@ IN_PLACE = object()
 #: what a :attr:`CollectiveCall.key` holds for a send buffer that is
 #: the receive buffer (a buffer's type stands for it otherwise)
 ALIASED = object()
+
+#: (predefined op, datatype) pairs ``Op.validate`` has accepted
+_VALID_OPS: set = set()
 
 #: what a point-to-point call with no buffer moves (count 0 only)
 _NOTHING = np.zeros(0, dtype=np.uint8)
@@ -636,9 +639,12 @@ class Communicator:
         every collective call, and a helper would be calls of its own.)
         """
         self._check_live()
-        dt = datatype or datatype_of(ref)
+        arr = as_array(ref)
+        # resolved inline: a lookup by the array's dtype, and an op
+        # checked once per datatype (helpers would be calls of their own)
+        dt = datatype or _BY_NP.get(arr.dtype) or datatype_of(ref)
         if count is None:
-            count = as_array(ref).size // share
+            count = arr.size // share
         if count < 0:
             raise MPICountError(f"negative count {count}")
         send, recv, rooted = _WINDOWS[coll]
@@ -666,8 +672,10 @@ class Communicator:
                         f"{coll}: count {count} x {blocks} does not fit "
                         f"the {arr.size}-element {side} buffer")
                 keyed = keyed and arr.dtype == dt.storage
-        if op is not None:
+        if op is not None and (op, dt) not in _VALID_OPS:
             op.validate(dt)
+            if op.predefined:
+                _VALID_OPS.add((op, dt))
         if root is not None:
             self.world_rank(root)
         key = (coll, count, dt, op, root,

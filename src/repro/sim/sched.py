@@ -24,7 +24,11 @@ Parking also buys *exact* deadlock detection: the scheduler knows every
 live fiber, so the moment all of them are parked with an empty run
 queue no message can ever arrive again — every parked fiber is woken to
 raise :class:`~repro.errors.DeadlockError` immediately.  No wall-clock
-timeout sits anywhere on an engine-run wait path.
+timeout sits anywhere on an engine-run wait path.  A wait may *give
+way* instead (:meth:`CoopWaitq.wait_for` with ``gives_way``): a member
+gathered for a central replay waits for company it may never get, so
+before a deadlock is declared every such waiter is released to do its
+own work, and only if that makes no progress do the waiters raise.
 
 Two rules a rank program must keep:
 
@@ -137,7 +141,7 @@ class _Fiber:
     """One rank's cooperative execution context."""
 
     __slots__ = ("rank", "target", "sched", "baton", "state",
-                 "wake_pending", "deadlocked")
+                 "wake_pending", "deadlocked", "gave_way")
 
     def __init__(self, rank: int, target: Callable[[], None],
                  sched: "CoopScheduler") -> None:
@@ -153,6 +157,9 @@ class _Fiber:
         self.wake_pending = False
         #: woken by exact deadlock detection: raise instead of resuming.
         self.deadlocked = False
+        #: released from a wait that gives way (before a deadlock would
+        #: be declared): return instead of waiting on.
+        self.gave_way = False
 
 
 class CoopScheduler:
@@ -174,6 +181,8 @@ class CoopScheduler:
         self._runq: Deque[_Fiber] = deque()
         self._fibers: List[_Fiber] = []
         self._unfinished = 0
+        #: wait queues whose waiters give way before a deadlock
+        self._giving_way: List["CoopWaitq"] = []
         #: per-run statistics, aggregated into ``fastpath.STATS`` by the
         #: engine after each run (kept lock-free here: the scheduler
         #: lock already serializes every transition).
@@ -211,6 +220,7 @@ class CoopScheduler:
         self._fibers = fibers
         self._runq = deque(fibers)
         self._unfinished = len(fibers)
+        self._giving_way = []
         prev_stack = None
         try:
             prev_stack = threading.stack_size(self.STACK_BYTES)
@@ -238,8 +248,19 @@ class CoopScheduler:
         if not self._runq:
             if self._unfinished == 0:
                 return
-            # every live fiber is parked and nothing is queued: no
-            # message can ever arrive.  Wake them all to raise.
+            # every live fiber is parked and nothing is queued: first
+            # release the waits that give way ...
+            for waitq in self._giving_way:
+                for f in waitq._parked:
+                    if f.state == _PARKED:
+                        f.gave_way = True
+                        f.state = _READY
+                        self._runq.append(f)
+                waitq._parked = []
+            self._giving_way = []
+        if not self._runq:
+            # ... and if there were none, no message can ever arrive.
+            # Wake them all to raise.
             for f in self._fibers:
                 if f.state == _PARKED:
                     f.deadlocked = True
@@ -313,20 +334,32 @@ class CoopWaitq:
 
     def wait_for(self, predicate: Callable[[], bool],
                  stall_msg: Callable[[], str],
-                 patient: bool = False) -> None:
+                 patient: bool = False, gives_way: bool = False) -> bool:
         """Park until ``predicate()`` holds (the caller holds the run
-        token)."""
+        token).  A wait that ``gives_way`` returns False instead when
+        every fiber is parked: the scheduler released it so that its
+        caller does the work it was waiting for company to do."""
         fiber = self._sched.current()
         if fiber is None:
-            return OFF_ENGINE.wait_for(predicate, stall_msg, patient)
+            OFF_ENGINE.wait_for(predicate, stall_msg, patient)
+            return True
         strikes = 0
         while not predicate():
             self._parked.append(fiber)
+            if gives_way and self not in self._sched._giving_way:
+                self._sched._giving_way.append(self)
             self._sched.park(fiber)
             # notify_all deregisters; a deadlock wake and a no-op park
             # do not — drop any stale registration before deciding
             if self._parked and fiber in self._parked:
                 self._parked.remove(fiber)
+            if fiber.gave_way:
+                fiber.gave_way = False
+                return False
+            if gives_way and not self._parked:
+                giving_way = self._sched._giving_way
+                if self in giving_way:
+                    giving_way.remove(self)
             if fiber.deadlocked:
                 # always clear the flag: a caller that survives the
                 # raise (elastic recovery) must be able to park again
@@ -340,6 +373,7 @@ class CoopWaitq:
                 raise DeadlockError(
                     f"{stall_msg()}; every live rank is parked "
                     f"(exact deadlock)")
+        return True
 
     def notify_all(self) -> None:
         """Wake every waiter."""
