@@ -291,6 +291,12 @@ def copy_payload(target: np.ndarray, data: np.ndarray) -> None:
         target[...] = data
 
 
+def snapshot(view: np.ndarray) -> np.ndarray:
+    """A payload's own copy of ``view``, taken before its sender may
+    write the memory again; a storage-free view is its own snapshot."""
+    return view.copy() if view.strides[0] else view
+
+
 def aliasing_probe(windows: Sequence[np.ndarray]) -> Callable[[np.ndarray], bool]:
     """``probe(view)``: exactly ``any(np.may_share_memory(view, w) for w
     in windows)``, which it runs only for a view that might overlap.

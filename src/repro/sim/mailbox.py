@@ -160,7 +160,7 @@ class PayloadLease:
         if self.consumed:
             fastpath.STATS.note_copy_elided()
         else:
-            if msg.data.strides[0]:
+            if msg.data.strides[0]:     # ``snapshot``, inline
                 msg.data = msg.data.copy()
             self.materialized = True
             fastpath.STATS.note_copy_forced()
