@@ -78,14 +78,12 @@ bench-online-tune:
 # docs/performance.md: their reference arms no longer exist)
 bench-all: bench-hier bench-hetero bench-online-tune
 
-# tier-1 suite with the default of each of the four run options
+# tier-1 suite with the default of each of the two run options
 # individually switched on through its variable: off its trigger, every
 # option must be invisible to results (CI runs this target — the legs
 # are listed here and nowhere else)
 check-gates:
 	MPIX_TRACE=1 $(PYTHON) -m pytest tests/ -x -q
-	MPIX_HIER_PIPE=1 $(PYTHON) -m pytest tests/ -x -q
-	MPIX_HETERO=1 $(PYTHON) -m pytest tests/ -x -q
 	MPIX_ONLINE_TUNE=1 $(PYTHON) -m pytest tests/ -x -q
 
 # fast CI leg: a 256-rank oversubscribed job must stay quick and
@@ -131,11 +129,13 @@ trace-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.obs.cli validate $(TRACE_SMOKE_BULK)
 	PYTHONPATH=src $(PYTHON) -m repro.obs.cli summarize $(TRACE_SMOKE_BULK)
 
-# hierarchical-route CI leg: a traced multi-node NIC-striped sweep,
-# validated end to end (routing counters + trace well-formedness)
+# hierarchical-route CI leg: a traced multi-node NIC-striped sweep on
+# the committed table whose rows select the hierarchy
+# (tools/site_tables.py), validated end to end (routing counters +
+# trace well-formedness)
 HIER_SMOKE ?= /tmp/mpix-hier-smoke.json
 hier-smoke:
-	MPIX_HIER_PIPE=1 PYTHONPATH=src \
+	MPIX_TUNING_FILE=tools/tables/hier_smoke.json PYTHONPATH=src \
 		$(PYTHON) -m repro.omb.cli allreduce bcast \
 		--system thetagpu --topology 4x8 --nics 8 \
 		--sizes 2M:16M --iterations 2 --warmup 1 --stats \
@@ -144,11 +144,12 @@ hier-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.obs.cli summarize $(HIER_SMOKE)
 
 # mixed-vendor CI leg: a traced NVIDIA+AMD sweep through the bridge
-# route, the negotiated intersection printed, the trace validated and
-# summarized (per-island bytes table included)
+# route on the committed all-bridge table (tools/site_tables.py), the
+# negotiated intersection printed, the trace validated and summarized
+# (per-island bytes table included)
 HETERO_SMOKE ?= /tmp/mpix-hetero-smoke.json
 hetero-smoke:
-	MPIX_HETERO=1 PYTHONPATH=src \
+	MPIX_TUNING_FILE=tools/tables/hetero_smoke.json PYTHONPATH=src \
 		$(PYTHON) -m repro.omb.cli allreduce bcast \
 		--vendors nvidia:2,amd:2 \
 		--sizes 256K:4M --iterations 2 --warmup 1 --stats \

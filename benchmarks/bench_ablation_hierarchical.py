@@ -4,22 +4,24 @@ All three arms run through the staged dispatch pipeline on a
 multi-rail ThetaGPU model, swept over rank counts the way
 ``mpix-omb --ranks`` sweeps scale:
 
-* ``flat``   — ``hier_pipe=False``: the tuning table's flat
-  algorithms carry the whole message across the fabric.
+* ``flat``   — the shape's offline table: its flat algorithms carry
+  the whole message across the fabric.
 * ``leader`` — the whole-message node-leader algorithm
   (``repro.mpi.coll.algorithm("allreduce", "hierarchical")``): one
   leader, one NIC per node.
-* ``hier``   — ``hier_pipe=True``: chunk-pipelined, NIC-striped
-  level decomposition (:data:`repro.mpi.coll.levels.HIER`).
+* ``hier``   — the same table with ``hier`` rows from 2 MiB:
+  chunk-pipelined, NIC-striped level decomposition
+  (:data:`repro.mpi.coll.levels.HIER`).
 
-The smallest size sits *below* the 2 MiB routing threshold
-(``levels.MIN_BYTES_DEFAULT``), so the hier arm must match flat exactly there — the
-crossover is part of what this ablation pins.  Above it, the striped
+The smallest size sits *below* the 2 MiB row bound
+(``tools/site_tables.HIER_FROM``), so the hier arm must match flat
+exactly there — the crossover is part of what this ablation pins.  Above it, the striped
 hierarchy must beat the node-leader design everywhere and the flat
 algorithms at scale.
 """
 
 from repro.core import runtime
+from repro.core.tuning_table import site_table, with_route
 from repro.hw.systems import make_system
 from repro.mpi.coll import algorithm
 from repro.mpi.datatypes import FLOAT
@@ -61,10 +63,12 @@ def _sweep():
     out = {}
     for nranks, nodes in RANKS:
         cluster = make_system("thetagpu", nodes, nics=NICS)
+        hier = with_route(site_table(cluster, nranks), "hier",
+                          {"allreduce": 2 << 20})
         for arm in ARMS:
             per_rank = runtime.run(_body(arm), system=cluster,
                                    nranks=nranks,
-                                   hier_pipe=(arm == "hier"))
+                                   table=hier if arm == "hier" else None)
             for size in SIZES:
                 out[(arm, nranks, size)] = max(p[size] for p in per_rank)
     return out

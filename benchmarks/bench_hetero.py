@@ -4,11 +4,12 @@ A 2+2-node NVIDIA+AMD job (``nvidia:2,amd:2``, 2 devices per node,
 8 ranks) runs allreduce and bcast in two arms, compared in *virtual*
 time:
 
-* ``staged`` — ``hetero=False``: the dispatcher classifies the
+* ``staged`` — no table pinned: the dispatcher classifies the
   mixed communicator as the ``mixed_vendor`` MPI fallback, so the
   whole job runs host-staged MPI algorithms end to end (no CCL can
   span the vendor islands).
-* ``bridge`` — ``hetero=True``: each single-vendor island runs its
+* ``bridge`` — an all-bridge table pinned (the hetero smoke's,
+  ``tools/site_tables.py``): each single-vendor island runs its
   native CCL (NCCL / RCCL) and only the island leaders exchange
   host-staged aggregates in the negotiated wire format — one hop per
   remote island instead of a host-staged hop per rank.
@@ -75,13 +76,18 @@ def _body(nelem, iters):
 def _run_arm(arm, nelem):
     from repro import fastpath
     from repro.core import runtime
+    from repro.core.tuning_table import (TUNABLE_COLLECTIVES, site_table,
+                                         with_route)
     from repro.hw.systems import make_mixed_system
 
     cluster = make_mixed_system(VENDORS)
+    table = with_route(site_table(cluster, NRANKS, RANKS_PER_NODE), "bridge",
+                       dict.fromkeys(TUNABLE_COLLECTIVES, 0)) \
+        if arm == "bridge" else None
     t0 = time.perf_counter()
     per_rank = runtime.run(_body(nelem, ITERS), system=cluster,
                            nranks=NRANKS, ranks_per_node=RANKS_PER_NODE,
-                           hetero=(arm == "bridge"))
+                           table=table)
     wall_s = time.perf_counter() - t0
     snap = fastpath.STATS.snapshot()
     return {

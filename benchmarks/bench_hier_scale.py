@@ -4,17 +4,20 @@ Sweeps allreduce and bcast over 8 -> 64 -> 512 ranks on a multi-rail
 ThetaGPU model (8 NIC rails per node, the DGX A100's HCA count) and
 compares three arms in *virtual* time:
 
-* ``flat``   — the staged pipeline with ``hier_pipe=False`` (the
-  tuning table's flat ring/tree algorithms; one NIC rail effectively
-  carries each inter-node collective).
+* ``flat``   — the staged pipeline on the shape's offline table (its
+  flat ring/tree algorithms; one NIC rail effectively carries each
+  inter-node collective).
 * ``leader`` — the unpipelined node-leader algorithms
   (``repro.mpi.coll.algorithm(coll, "hierarchical")``: whole-message,
   one leader and hence one NIC per node).
-* ``hier``   — ``hier_pipe=True``: the chunk-pipelined, NIC-striped
-  hierarchy of :data:`repro.mpi.coll.levels.HIER`.
+* ``hier``   — the same table with ``hier`` rows from 2 MiB (allreduce)
+  and 16 MiB (bcast), the site table of ``tools/site_tables.py``: the
+  chunk-pipelined, NIC-striped hierarchy of
+  :data:`repro.mpi.coll.levels.HIER`.
 
-The 8-rank row spans a single node, where the hierarchy route is
-provably inert — flat and hier must agree to the bit, times included.
+The 8-rank row spans a single node, where a ``hier`` row degrades to
+the flat CCL route the shape's own rows already take there — flat and
+hier must agree to the bit, times included.
 At 64 ranks (8x8, the aligned schedule) hier must beat flat by >= 1.5x
 on at least one inter-node payload; at 512 ranks (16 nodes x 32 ranks,
 oversubscribed, the general per-chunk schedule) it must never lose to
@@ -22,7 +25,7 @@ the node-leader arm.  Payloads are asserted bit-identical between the
 flat and hier arms at every scale (small-integer float32 sums are
 exact under any association order).
 
-Each arm is one engine, built with its own ``hier_pipe`` argument.
+Each arm is one engine, pinning its own table.
 
 Run with ``make bench-hier`` or::
 
@@ -53,6 +56,8 @@ SIZES_BY_SCALE = {8: (2 << 20, 8 << 20, 32 << 20),
                   512: (2 << 20, 8 << 20)}
 ITERS = {8: 3, 64: 3, 512: 2}
 ARMS = ("flat", "leader", "hier")
+#: where the hier arm's rows start (``tools/site_tables.HIER_FROM``)
+HIER_FROM = {"allreduce": 2 << 20, "bcast": 16 << 20}
 
 
 def _allreduce_once(comm, arm, send, recv, count):
@@ -108,14 +113,16 @@ def _body(arm, nelem, iters):
 def _run_arm(arm, nranks, nodes, nelem, iters):
     from repro import fastpath
     from repro.core import runtime
+    from repro.core.tuning_table import site_table, with_route
     from repro.hw.systems import make_system
 
     cluster = make_system(SYSTEM, nodes, nics=NICS)
     rpn = -(-nranks // nodes)
+    table = with_route(site_table(cluster, nranks, rpn), "hier",
+                       HIER_FROM) if arm == "hier" else None
     t0 = time.perf_counter()
     per_rank = runtime.run(_body(arm, nelem, iters), system=cluster,
-                           nranks=nranks, ranks_per_node=rpn,
-                           hier_pipe=(arm == "hier"))
+                           nranks=nranks, ranks_per_node=rpn, table=table)
     wall_s = time.perf_counter() - t0
     snap = fastpath.STATS.snapshot()
     return {
@@ -153,19 +160,19 @@ def main() -> None:
                 row[f"{coll}_leader_over_hier"] = round(
                     row["leader"][f"{coll}_us"]
                     / row["hier"][f"{coll}_us"], 3)
-                # option on/off payloads must agree to the bit
+                # payloads with and without hier rows agree to the bit
                 assert (row["flat"][f"{coll}_digests"]
                         == row["hier"][f"{coll}_digests"]), \
                     f"{coll}@{nranks}r/{nbytes}B: hier payload diverged"
                 row[f"{coll}_payload_identical"] = True
             if nodes == 1:
-                # single node: the hier route must be inert, virtual
+                # single node: the hier rows must be inert, virtual
                 # times included
                 assert row["hier"]["route_hier"] == 0
                 for coll in ("allreduce", "bcast"):
                     assert (row["flat"][f"{coll}_us"]
                             == row["hier"][f"{coll}_us"]), \
-                        f"{coll}@{nranks}r: hier_pipe not inert on one node"
+                        f"{coll}@{nranks}r: hier rows not inert on one node"
             else:
                 assert row["hier"]["route_hier"] > 0
             report["rows"].append(row)

@@ -6,8 +6,8 @@ HPC communication pattern — runs unmodified on all three systems of
 Table 1.  Under the hood the runtime loads NCCL on ThetaGPU, RCCL on
 MRI, and HCCL on Voyager; the tuning tables (tuned offline per system)
 route each call.  The example also prints each system's tuning-table
-crossovers, showing how differently the same decision lands on
-different hardware (the paper's §3.4).
+rows (size bound -> route), showing how differently the same decision
+lands on different hardware (the paper's §3.4).
 
 Run:  python examples/portability_sweep.py
 """
@@ -15,13 +15,9 @@ Run:  python examples/portability_sweep.py
 import numpy as np
 
 from repro.core import run
-from repro.core.tuning_table import cached_table
+from repro.core.tuning_table import site_table
 from repro.hw.systems import make_system
 from repro.mpi import MAX, SUM
-from repro.perfmodel import ccl_params
-from repro.perfmodel.shape import shape_of
-from repro.mpi.config import mvapich_gpu
-from repro.util.sizes import format_size
 
 N_LOCAL = 4096     # cells per rank
 STEPS = 20
@@ -61,19 +57,14 @@ def main() -> None:
     for system in ("thetagpu", "mri", "voyager"):
         results = run(jacobi, system=system, nodes=2)
         res, t = results[0]
-        cluster = make_system(system, 2)
-        backend = cluster.devices[0].vendor.native_ccl
-        shape = shape_of(cluster, range(cluster.device_count))
-        table = cached_table(shape, ccl_params(backend), mvapich_gpu())
-        crossovers = {
-            coll: (format_size(x) if (x := table.crossover(coll)) else "never")
-            for coll in ("allreduce", "bcast", "alltoall")
-        }
-        print(f"{system:10s} backend={backend:5s} residual={res:.6f} "
-              f"t={t / 1000:7.2f} ms  MPI->xCCL crossovers: {crossovers}")
+        table = site_table(make_system(system, 2))
+        print(f"{system:10s} backend={table.backend:5s} residual={res:.6f} "
+              f"t={t / 1000:7.2f} ms")
+        for coll in ("allreduce", "bcast", "alltoall"):
+            print(f"    {coll:10s} {table.describe(coll)}")
     print("\nSame solver source, three accelerator vendors — the")
-    print("runtime's offline-tuned tables place each crossover where")
-    print("that system's hardware says it belongs.")
+    print("runtime's offline-tuned tables place the MPI/xCCL crossovers")
+    print("where that system's hardware says they belong.")
 
 
 if __name__ == "__main__":

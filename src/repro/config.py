@@ -16,15 +16,14 @@ variable                meaning
 ``MPIX_EAGER_INTRA``    eager threshold override, bytes (e.g. ``16K``)
 ``MPIX_EAGER_INTER``    eager threshold override, bytes
 ``MPIX_TRACE``          default of the ``trace=`` run option
-``MPIX_HIER_PIPE``      default of ``hier_pipe=``
-``MPIX_HETERO``         default of ``hetero=``
 ``MPIX_ONLINE_TUNE``    default of ``online_tune=``
 =====================  =================================================
 
-The last four are the options :class:`repro.sim.engine.Engine`
+The last two are the options :class:`repro.sim.engine.Engine`
 documents (``run_spmd`` / ``runtime.run`` forward them): off unless the
 variable is set to something truthy, resolved once when the engine is
-built.
+built.  Routes are not options: the hierarchy and the mixed-vendor
+bridge are ``hier`` / ``bridge`` rows of a ``MPIX_TUNING_FILE`` table.
 
 Explicit arguments always win over the environment, and this module is
 the only one that reads it.
@@ -53,8 +52,6 @@ class EnvDefaults:
     eager_intra: Optional[int] = None
     eager_inter: Optional[int] = None
     trace: bool = False
-    hier_pipe: bool = False
-    hetero: bool = False
     online_tune: bool = False
 
 
@@ -83,8 +80,6 @@ def from_env(environ: Optional[Mapping[str, str]] = None) -> EnvDefaults:
                        eager_intra=_size("MPIX_EAGER_INTRA"),
                        eager_inter=_size("MPIX_EAGER_INTER"),
                        trace=_flag("MPIX_TRACE"),
-                       hier_pipe=_flag("MPIX_HIER_PIPE"),
-                       hetero=_flag("MPIX_HETERO"),
                        online_tune=_flag("MPIX_ONLINE_TUNE"))
 
 

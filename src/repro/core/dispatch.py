@@ -8,7 +8,7 @@ seven send-recv-composed ones (§3.3), and their MPI-algorithm fallbacks
         │ validate          (registry lookup: is this one of the 12?)
         │ capability-check  (§3.2: residency, datatype, reduce op —
         │                    the ONE place eligibility is decided)
-        │ route             (mode pin or §3.4 tuning-table crossover)
+        │ route             (mode pin or §3.4 tuning-table row)
         │ plan lookup       (the RouteDecision compiled once per
         │                    communicator and key, then replayed)
         ▼ execute           {direct-CCL | fused sendrecv-group |
@@ -301,6 +301,13 @@ CCL_LEGS: Dict[Route, Tuple[Callable, Optional[RouteDecision]]] = {
 }
 
 
+#: a tuning-table row's route -> the decision it names where the
+#: communicator can take it (``CollectivePipeline._eligible``)
+ROWS: Dict[str, RouteDecision] = {route.value: RouteDecision(
+    route, FallbackReason.TUNING if route == Route.MPI else FallbackReason.NONE)
+    for route in Route}
+
+
 # ---------------------------------------------------------------------------
 # the pipeline
 # ---------------------------------------------------------------------------
@@ -392,13 +399,7 @@ class CollectivePipeline:
                 fastpath.STATS.note_negotiation()
         return desc
 
-    # -- stage 3: route (mode pin or tuning-table crossover) ----------------
-
-    def _table_for(self, comm) -> TuningTable:
-        if self.table is not None:
-            return self.table
-        return cached_table(comm.record.shape, self.layer.backend.params,
-                            comm.config)
+    # -- stage 3: route (mode pin or tuning-table row) ---------------------
 
     def route(self, comm, coll: str, nbytes: int, dt, op, significant,
               on_device: bool) -> RouteDecision:
@@ -415,17 +416,15 @@ class CollectivePipeline:
         if self.mode == DispatchMode.PURE_MPI:
             self._mark("capability:skipped")
             return RouteDecision(Route.MPI, FallbackReason.MODE)
-        options = comm.ctx.engine.options
+        mixed = comm.record.mixed_vendor
         negotiated = None
-        if comm.record.mixed_vendor:
-            # mixed-vendor comm: the local backend's capability answers
-            # (and the per-rank tuning table) would diverge across the
-            # islands.  Without the ``hetero`` option every call takes
-            # the MPI algorithms (the only route with no per-backend
-            # state); with it, the chain runs against the intersection
-            # negotiated once per communicator from the same purely
-            # local facts on every rank
-            if not options["hetero"]:
+        if mixed:
+            # the local capability answers (and per-shape tables) would
+            # diverge across the islands.  Without a pinned table (the
+            # only kind that can name the bridge) every call takes the
+            # MPI algorithms; with one, the chain runs against the
+            # intersection negotiated once per communicator
+            if self.table is None:
                 self._mark("capability:skipped")
                 return RouteDecision(Route.MPI, FallbackReason.MIXED_VENDOR)
             negotiated = self.negotiated(
@@ -436,35 +435,40 @@ class CollectivePipeline:
                    else f"capability:{fallback.reason.value}")
         if fallback is not None:
             return fallback
-        if negotiated is not None:
-            if coll in levels.TUNING_KEYS and (op is None or op.commutative):
-                return RouteDecision(Route.BRIDGE)
-            return RouteDecision(Route.MPI, FallbackReason.MIXED_VENDOR)
-        hier_ok = (self.mode == DispatchMode.HYBRID
-                   and options["hier_pipe"]
-                   and coll in levels.TUNING_KEYS
-                   and nbytes >= levels.MIN_BYTES.get(
-                       coll, levels.MIN_BYTES_DEFAULT)
-                   and (op is None or op.commutative)
-                   and levels.factorize(comm, "node").multilevel)
-        tuned = self._tuning_active(coll)
-        if hier_ok and not tuned:
-            return RouteDecision(Route.HIER)
         if self.mode == DispatchMode.PURE_XCCL:
-            return RouteDecision(Route.XCCL)
-        try:
-            static = self._table_for(comm).choose(coll, nbytes)
-        except TuningTableError:
-            # a collective absent from the table degrades to the MPI
-            # algorithms like a capability miss, instead of erroring
-            self._mark(f"tuning:missing:{coll}")
-            return RouteDecision(Route.MPI, FallbackReason.TUNING_MISS)
-        if tuned:
-            return self._route_online(comm, coll, nbytes,
-                                      "hier" if hier_ok else static, hier_ok)
-        if static == "xccl":
-            return RouteDecision(Route.XCCL)
-        return RouteDecision(Route.MPI, FallbackReason.TUNING)
+            row = "xccl"
+        else:
+            table = self.table or cached_table(
+                comm.record.shape, self.layer.backend.params, comm.config)
+            try:
+                row = table.choose(coll, nbytes)
+            except TuningTableError:
+                # a collective absent from the table degrades to the MPI
+                # algorithms like a capability miss, instead of erroring
+                self._mark(f"tuning:missing:{coll}")
+                return RouteDecision(Route.MPI, FallbackReason.TUNING_MISS)
+        decision = self._eligible(comm, coll, op, row)
+        if not mixed and self._tuning_active(coll):
+            return self._route_online(comm, coll, nbytes, decision)
+        return decision
+
+    @staticmethod
+    def _eligible(comm, coll: str, op, row: str) -> RouteDecision:
+        """The decision a table row names, where ``comm`` can take it:
+        HIER and BRIDGE need one of ``levels.TUNING_KEYS`` with a
+        commutative op on a multi-level single-vendor / a mixed-vendor
+        communicator, else they degrade as :data:`CCL_LEGS` says; no
+        single CCL spans a mixed-vendor communicator's islands."""
+        mixed = comm.record.mixed_vendor
+        levelled = coll in levels.TUNING_KEYS and (op is None
+                                                   or op.commutative)
+        if row == "hier" and (mixed or not levelled or not levels.factorize(
+                comm, "node").multilevel):
+            row = "xccl"
+        if row == "bridge" and not (levelled and mixed) \
+                or row == "xccl" and mixed:
+            return RouteDecision(Route.MPI, FallbackReason.MIXED_VENDOR)
+        return ROWS[row]
 
     def _tuning_active(self, coll: str) -> bool:
         """Whether the online tuner steers this collective's route."""
@@ -472,12 +476,13 @@ class CollectivePipeline:
                 and self.layer.ctx.engine.online_tuner is not None
                 and coll in TUNABLE_COLLECTIVES)
 
-    def _route_online(self, comm, coll: str, nbytes: int, static: str,
-                      hier_ok: bool) -> RouteDecision:
+    def _route_online(self, comm, coll: str, nbytes: int,
+                      static: RouteDecision) -> RouteDecision:
         """Consult the engine's measured-latency overlay before the
         static table (the ``online_tune`` option).  ``static`` is the
-        route the offline chain would have taken — followed verbatim
-        through the observe warm-up, so short runs never deviate."""
+        table row's decision — followed verbatim through the observe
+        warm-up, so short runs never deviate; HIER is a candidate only
+        when it is ``static``."""
         from repro.core import online_tune
         tuner = comm.ctx.engine.online_tuner
         bucket = online_tune.size_bucket(nbytes)
@@ -487,16 +492,13 @@ class CollectivePipeline:
                 tuner, comm.ctx_id)
         idx = calls.get((coll, bucket), 0)
         calls[coll, bucket] = idx + 1
-        candidates = ["mpi", "xccl"] + (["hier"] if hier_ok else [])
-        route, phase = tuner.advise(comm.ctx_id, coll, bucket, idx, static,
-                                    candidates)
+        candidates = ["mpi", "xccl"] + (["hier"] if static.route == Route.HIER
+                                        else [])
+        route, phase = tuner.advise(comm.ctx_id, coll, bucket, idx,
+                                    static.route.value, candidates)
         self._mark(f"tune:{phase}:{route}")
         self._observe_key = (comm.ctx_id, coll, bucket)
-        if route == "xccl":
-            return RouteDecision(Route.XCCL)
-        if route == "hier":
-            return RouteDecision(Route.HIER)
-        return RouteDecision(Route.MPI, FallbackReason.TUNING)
+        return ROWS[route]
 
     # -- stage 4: plan lookup -----------------------------------------------
 

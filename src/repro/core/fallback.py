@@ -20,8 +20,8 @@ class Route(enum.Enum):
 
     XCCL = "xccl"
     MPI = "mpi"
-    HIER = "hier"      # pipelined hierarchical executor (``hier_pipe``)
-    BRIDGE = "bridge"  # mixed-vendor island bridge (``hetero``)
+    HIER = "hier"      # pipelined hierarchical executor (a ``hier`` row)
+    BRIDGE = "bridge"  # mixed-vendor island bridge (a ``bridge`` row)
 
 
 class FallbackReason(enum.Enum):
@@ -37,7 +37,7 @@ class FallbackReason(enum.Enum):
     TUNING_MISS = "tuning_miss"        # collective absent from the table
     MODE = "mode"                      # dispatcher pinned to pure MPI
     CCL_ERROR = "ccl_error"            # backend raised at run time
-    MIXED_VENDOR = "mixed_vendor"      # hetero comm, bridge off/ineligible
+    MIXED_VENDOR = "mixed_vendor"      # mixed-vendor comm off the bridge
 
 
 @dataclass(frozen=True)

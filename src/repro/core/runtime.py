@@ -103,8 +103,6 @@ def run(fn: Callable[..., Any], system: Union[str, Cluster] = "thetagpu",
         table: Optional[TuningTable] = None,
         trace: Optional[bool] = None,
         *args: Any,
-        hier_pipe: Optional[bool] = None,
-        hetero: Optional[bool] = None,
         online_tune: Optional[bool] = None,
         **kwargs: Any) -> List[Any]:
     """Launch ``fn(mpx, *args, **kwargs)`` on every rank.
@@ -122,10 +120,12 @@ def run(fn: Callable[..., Any], system: Union[str, Cluster] = "thetagpu",
         mpi_config: MPI personality (default MVAPICH-style GPU-aware;
             ``MPIX_EAGER_*`` env overrides apply).
         table: pre-tuned hybrid table (default: ``MPIX_TUNING_FILE``
-            if set, else tuned offline and cached).
-        trace, hier_pipe, hetero, online_tune: the run's four options,
-            documented on :class:`repro.sim.engine.Engine` (default:
-            ``MPIX_TRACE`` / ``MPIX_HIER_PIPE`` / ``MPIX_HETERO`` /
+            if set, else tuned offline per communicator shape).  Its
+            ``hier`` / ``bridge`` rows are the only way to the node
+            hierarchy and the mixed-vendor bridge; it also routes the
+            communicators ``attach`` equips and ``Comm_shrink`` derives.
+        trace, online_tune: the run's two options, documented on
+            :class:`repro.sim.engine.Engine` (default: ``MPIX_TRACE`` /
             ``MPIX_ONLINE_TUNE``, else off).
 
     Returns:
@@ -138,8 +138,7 @@ def run(fn: Callable[..., Any], system: Union[str, Cluster] = "thetagpu",
     if isinstance(mode, str):
         mode = DispatchMode(mode)
     engine = Engine(cluster, nranks=nranks, ranks_per_node=ranks_per_node,
-                    trace=trace, hier_pipe=hier_pipe, hetero=hetero,
-                    online_tune=online_tune)
+                    trace=trace, online_tune=online_tune)
 
     def body(ctx: RankContext) -> Any:
         mpx = MPIxContext(ctx, config, backend, mode, table)

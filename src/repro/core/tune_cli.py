@@ -16,13 +16,9 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from repro.core.tuning_table import TUNABLE_COLLECTIVES, tune_offline
+from repro.core.tuning_table import site_table
 from repro.hw.systems import make_system, system_names
-from repro.hw.vendors import default_ccl_for
 from repro.mpi.config import mvapich_gpu, openmpi_ucx
-from repro.perfmodel import ccl_params
-from repro.perfmodel.shape import shape_of
-from repro.util.sizes import format_size
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -42,28 +38,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("-o", "--output", default=None,
                         help="write the table JSON here")
     parser.add_argument("--show", action="store_true",
-                        help="print the thresholds")
+                        help="print each collective's rows")
 
     args = parser.parse_args(argv)
     cluster = make_system(args.system, args.nodes)
     nranks = args.ranks or cluster.device_count
-    backend = args.backend or default_ccl_for(cluster.devices[0].vendor)
     mpi_cfg = mvapich_gpu() if args.mpi == "mvapich" else openmpi_ucx()
-    shape = shape_of(cluster, range(nranks))
-    table = tune_offline(shape, ccl_params(backend), mpi_cfg,
-                         hysteresis=args.hysteresis)
+    table = site_table(cluster, nranks, backend=args.backend,
+                       mpi_config=mpi_cfg, hysteresis=args.hysteresis)
 
     print(f"# tuned {args.system} x{args.nodes} nodes, {nranks} ranks, "
-          f"backend={backend}, mpi={mpi_cfg.name}")
+          f"backend={table.backend}, mpi={mpi_cfg.name}")
     if args.show or not args.output:
-        for coll in TUNABLE_COLLECTIVES:
-            x = table.crossover(coll)
-            if x is None:
-                print(f"  {coll:16s} mpi everywhere (xccl never wins)")
-            elif x <= 1:
-                print(f"  {coll:16s} xccl everywhere")
-            else:
-                print(f"  {coll:16s} mpi -> xccl above {format_size(x - 1)}")
+        for coll in table.entries:
+            print(f"  {coll:16s} {table.describe(coll)}")
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(table.to_json())

@@ -17,10 +17,10 @@ plan's drop and delay rules change no transport: a hinted group's
 senders put their rows to the same mailbox ``filter`` before the
 whole-group rendezvous.
 
-What a run *can* choose — ``trace``, ``hier_pipe``, ``hetero``,
-``online_tune`` — are arguments of :class:`repro.sim.engine.Engine`
-(their ``MPIX_*`` defaults are read in :mod:`repro.config`); nothing
-here is settable.
+What a run *can* choose — ``trace`` and ``online_tune`` — are
+arguments of :class:`repro.sim.engine.Engine` (their ``MPIX_*``
+defaults are read in :mod:`repro.config`), and which route a call takes
+is a tuning-table row; nothing here is settable.
 
 :data:`STATS` holds the per-stage counters named in :data:`COUNTERS`;
 :func:`snapshot` is the view ``mpix-omb --stats`` prints.  A new
@@ -58,11 +58,11 @@ COUNTERS = (
     "route_mpi",           # execute stage ran an MPI algorithm
     "route_fallbacks",     # capability fallbacks (§3.2), not tuning
     "ccl_errors",          # runtime CCL errors rescued by MPI
-    # hierarchical executor (``hier_pipe``):
+    # hierarchical executor (``hier`` rows):
     "route_hier",          # execute stage ran the hierarchical plan
     "hier_chunks",         # payload chunks pipelined through levels
     "hier_stripe_ops",     # inter-node stripe collectives issued
-    # mixed-vendor bridge (``hetero``):
+    # mixed-vendor bridge (``bridge`` rows):
     "negotiations",        # once-per-comm capability negotiations
     "route_bridge",        # execute stage ran the bridge plan
     "bridge_hops",         # host-staged inter-island messages

@@ -140,7 +140,7 @@ def mixed(vendor_nodes: Sequence[Tuple[Vendor, int]],
           payloads: bool = True) -> Cluster:
     """A mixed-vendor cluster: single-vendor nodes (islands) on one
     shared ConnectX-6 HDR fabric — the shape ROADMAP item 2 and the
-    ``MPIX_HETERO`` bridge route target.
+    bridge route target.
 
     ``vendor_nodes`` gives per-vendor node counts in placement order,
     e.g. ``[(Vendor.NVIDIA, 2), (Vendor.AMD, 2)]``.  Every node gets

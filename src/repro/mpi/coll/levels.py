@@ -16,10 +16,10 @@ mate"; otherwise the group leader only).
 
 Three instances share the bodies:
 
-* :data:`HIER` — the ``hier_pipe`` option's route: nodes, all lanes,
+* :data:`HIER` — the ``hier`` route of a tuning-table row: nodes, all lanes,
   payloads cut into ``lanes x DEPTH`` chunks so a lane's outer round
   overlaps the other lanes' rounds and the next round's inner work.
-* :data:`BRIDGE` — the ``hetero`` option's route: vendor islands.  No
+* :data:`BRIDGE` — the ``bridge`` route of a row: vendor islands.  No
   CCL spans two vendors, so the outer exchange is host-staged
   point-to-point on the parent communicator (:class:`_Staged`) where the
   other two use a lane sub-communicator (:class:`_Lane`).
@@ -52,20 +52,11 @@ from repro.mpi.coll._util import chunk_bounds, is_inplace, materialize_input, se
 from repro.mpi.communicator import IN_PLACE
 from repro.mpi.compute import alloc_like, apply_reduce, local_copy
 
-#: tuning-table keys the route stage may hand to :data:`HIER` or
-#: :data:`BRIDGE`.  The vector siblings (allgatherv) share their uniform
-#: key; the execute stage degrades them (no entry in EXECUTORS).
+#: tuning-table keys whose ``hier`` / ``bridge`` rows the route stage
+#: may hand to :data:`HIER` or :data:`BRIDGE`.  The vector siblings
+#: (allgatherv) share their uniform key; the execute stage degrades them
+#: (no entry in EXECUTORS).
 TUNING_KEYS = frozenset({"allreduce", "bcast", "allgather", "reduce_scatter"})
-
-#: per-collective flat/hier crossovers measured on an 8-node x 8-GPU
-#: sweep: hierarchy engages at/above this routing byte count, below it
-#: the per-level launch latencies dominate and the flat routes win.
-#: Reduction collectives cross between 1 and 2 MiB.  Broadcast
-#: crosses an order of magnitude later: its flat binomial tree moves
-#: each byte once per inter-node hop, so the hierarchy's extra
-#: intra-node scatter/allgather launches only pay off at 16 MiB+.
-MIN_BYTES = {"bcast": 16 << 20}
-MIN_BYTES_DEFAULT = 2 << 20
 
 #: pipeline depth: chunk rounds per lane, so :data:`HIER` splits a
 #: payload into ``lanes * DEPTH`` chunks.

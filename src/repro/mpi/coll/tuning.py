@@ -14,7 +14,7 @@ bandwidth-optimal rings/pairwise above.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict
 
 from repro.mpi.coll._util import is_pof2
 
@@ -51,33 +51,12 @@ DEFAULT_TABLE: Dict[str, AlgorithmChoice] = {
 ALLTOALL_SCATTERED_MAX = 32 * KIB
 
 
-#: memoized (coll, nbytes, p, commutative) -> name for DEFAULT_TABLE.
-_SELECT_CACHE: Dict[Tuple, str] = {}
-
-
 def select(coll: str, nbytes: int, p: int, commutative: bool = True,
            table: Dict[str, AlgorithmChoice] = DEFAULT_TABLE) -> str:
     """Pick an algorithm name, honoring structural constraints
-    (power-of-two requirements, commutativity).
-
-    Selection is a pure function of its arguments; default-table
-    lookups are memoized (this runs on every MPI-routed collective) and
-    replay what :func:`_select` derives.
-    """
-    if table is DEFAULT_TABLE:
-        key = (coll, nbytes, p, commutative)
-        name = _SELECT_CACHE.get(key)
-        if name is None:
-            if len(_SELECT_CACHE) > 1 << 16:
-                _SELECT_CACHE.clear()
-            name = _SELECT_CACHE[key] = _select(coll, nbytes, p, commutative,
-                                                table)
-        return name
-    return _select(coll, nbytes, p, commutative, table)
-
-
-def _select(coll: str, nbytes: int, p: int, commutative: bool,
-            table: Dict[str, AlgorithmChoice]) -> str:
+    (power-of-two requirements, commutativity).  Runs when an MPI-route
+    call key records its round program, not on the calls that replay
+    it."""
     choice = table[coll]
     name = choice.pick(nbytes)
 

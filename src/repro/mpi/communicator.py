@@ -123,7 +123,7 @@ class Communicator:
             # GPU-direct transports (CUDA IPC, GPUDirect/ROCm RDMA) are
             # vendor-specific: a communicator spanning vendor islands
             # can only move device buffers through host staging — the
-            # per-hop cost the ``hetero`` bridge route amortizes down
+            # per-hop cost the bridge route amortizes down
             # to one hop per remote island.
             config = config.with_(gpu_direct=False)
         self.config = config

@@ -97,8 +97,11 @@ def _tune_report(path: str, system: Optional[str], nodes: int,
                  ranks: Optional[int], backend: Optional[str]) -> int:
     """Measured per-(collective, size-bucket) route latencies from one
     trace — the adapted view the ``MPIX_ONLINE_TUNE`` overlay acts on —
-    with the offline table's static choice alongside when a system
-    shape is given."""
+    with the static table's rows and choice alongside: the
+    ``MPIX_TUNING_FILE`` table when one is set, else the offline table
+    of the system shape given."""
+    from repro.config import apply_env
+    from repro.core.dispatch import REGISTRY
     from repro.core.online_tune import bucket_span
     from repro.util.sizes import format_size
 
@@ -106,21 +109,20 @@ def _tune_report(path: str, system: Optional[str], nodes: int,
     if not buckets:
         print("no execute spans in trace (was it recorded with tracing on?)")
         return 1
-    table = None
-    if system is not None:
-        from repro.core.tuning_table import tune_offline
+    _, _, table, _ = apply_env(None, None, None, None)
+    if table is not None:
+        print(f"# static table: MPIX_TUNING_FILE, backend={table.backend}")
+    elif system is not None:
+        from repro.core.tuning_table import site_table
         from repro.hw.systems import make_system
-        from repro.hw.vendors import default_ccl_for
-        from repro.mpi.config import mvapich_gpu
-        from repro.perfmodel import ccl_params
-        from repro.perfmodel.shape import shape_of
         cluster = make_system(system, nodes)
         nranks = ranks or cluster.device_count
-        ccl = backend or default_ccl_for(cluster.devices[0].vendor)
-        table = tune_offline(shape_of(cluster, range(nranks)),
-                             ccl_params(ccl), mvapich_gpu())
+        table = site_table(cluster, nranks, backend=backend)
         print(f"# static table: {system} x{nodes} nodes, {nranks} ranks, "
-              f"backend={ccl}")
+              f"backend={table.backend}")
+    if table is not None:
+        for coll in table.entries:
+            print(f"#   {coll:16s} {table.describe(coll)}")
     rows = []
     for (coll, bucket) in sorted(buckets):
         routes = buckets[(coll, bucket)]
@@ -131,8 +133,9 @@ def _tune_report(path: str, system: Optional[str], nodes: int,
         winner = min(routes, key=lambda r: routes[r][1])
         row = [coll, f"<= {format_size(hi)}", measured, winner]
         if table is not None:
-            static = table.choose(coll, hi) if coll in table.entries \
-                else "mpi"
+            # a vector or ``_block`` form routes by its uniform row
+            key = REGISTRY[coll].tuning_key if coll in REGISTRY else coll
+            static = table.choose(key, hi) if key in table.entries else "mpi"
             row.append(static)
             row.append("FLIP" if static != winner else "")
         rows.append(row)
@@ -166,8 +169,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                             "size bucket) — the online tuner's view")
     p.add_argument("trace")
     p.add_argument("--system", default=None,
-                   help="also show the offline table's static choice "
-                        "for this system")
+                   help="also show the offline table's rows and static "
+                        "choice for this system (MPIX_TUNING_FILE's "
+                        "table wins when set)")
     p.add_argument("--nodes", type=int, default=1)
     p.add_argument("--ranks", type=int, default=None)
     p.add_argument("--backend", default=None)

@@ -92,7 +92,7 @@ class MetricsReport:
     transports: Dict[str, int] = field(default_factory=dict)
     #: mixed-vendor bridge traffic: vendor island -> bytes moved in its
     #: native-CCL phases, plus the "hop" row for host-staged leader
-    #: exchange bytes (``MPIX_HETERO`` runs only)
+    #: exchange bytes (runs on ``bridge`` table rows only)
     islands: Dict[str, int] = field(default_factory=dict)
     #: event kind -> (count, total virtual time)
     kinds: Dict[str, Tuple[int, float]] = field(default_factory=dict)

@@ -20,15 +20,17 @@ automatically.
 
 ``--topology NODESxGPUS`` (e.g. ``8x8``) is shorthand for ``--nodes N
 --ranks-per-node G``; with ``--nics`` it builds multi-rail nodes, the
-shape the ``MPIX_HIER_PIPE=1`` striped hierarchy is designed for
-(``--stats`` then shows the ``route_hier``/``hier_*`` counters).
+shape the striped hierarchy of a ``MPIX_TUNING_FILE`` table's ``hier``
+rows is designed for (``--stats`` shows the ``route_hier``/``hier_*``
+counters).
 
 ``--vendors VENDOR:N,...`` (e.g. ``nvidia:2,amd:2``) builds a
 mixed-vendor cluster of single-vendor islands instead of a named
 system; each rank runs its island's native CCL, so ``--backend`` does
-not apply.  With ``MPIX_HETERO=1`` set, eligible collectives take the
-island bridge route; ``--stats`` additionally prints the negotiated
-capability intersection across the islands' backends.
+not apply.  Calls the table's ``bridge`` rows hold take the island
+bridge route (with no table, the MPI algorithms); ``--stats``
+additionally prints the negotiated capability intersection across the
+islands' backends.
 
 Like real OMB without ``-c``, nothing here reads what it moves, so the
 cluster is built storage-free (``payloads=False``): the same virtual
@@ -44,6 +46,7 @@ import sys
 from typing import Optional, Sequence
 
 from repro import fastpath
+from repro.config import apply_env
 from repro.errors import ConfigError
 from repro.hw.systems import make_mixed_system, make_system, system_names
 from repro.hw.vendors import default_ccl_for
@@ -60,7 +63,7 @@ PT2PT = {"latency": osu_latency, "bw": osu_bw, "bibw": osu_bibw}
 
 
 def format_stats(engine: Engine) -> str:
-    """Render the engine's four options and the
+    """Render the engine's two options and the
     :func:`repro.fastpath.snapshot` counters for ``--stats``.
 
     A new engine zeroes the counters, so the numbers cover exactly one
@@ -137,7 +140,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         "(single-vendor islands, 2 devices per node); each "
                         "rank uses its island's native CCL")
     parser.add_argument("--backend", default=None,
-                        help="CCL backend (default: the system's native)")
+                        help="CCL backend (default: MPIX_BACKEND, else the "
+                        "system's native)")
     parser.add_argument("--stack", default="hybrid", choices=STACK_NAMES,
                         help="communication stack (collectives only)")
     parser.add_argument("--sizes", default="4:4M",
@@ -210,6 +214,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     lo, hi = (parse_size(p) for p in args.sizes.split(":"))
     config = OMBConfig(sizes=tuple(power_of_two_sizes(lo, hi)),
                        warmup=args.warmup, iterations=args.iterations)
+    # MPIX_BACKEND and MPIX_TUNING_FILE, as runtime.run reads them
+    backend, _, table, _ = apply_env(args.backend, None, None, None)
     if args.vendors is not None:
         try:
             cluster = make_mixed_system(args.vendors, nics=args.nics,
@@ -222,7 +228,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     else:
         cluster = make_system(args.system, args.nodes, nics=args.nics,
                               payloads=False)
-        backend = args.backend or default_ccl_for(cluster.devices[0].vendor)
+        backend = backend or default_ccl_for(cluster.devices[0].vendor)
         backend_label = backend
 
     if args.benchmarks[0] in PT2PT:
@@ -246,7 +252,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     def body(ctx):
         # one stack, one virtual timeline: back-to-back sweeps share
         # the engine run so a single trace file covers them all
-        stack = make_stack(ctx, args.stack, backend)
+        stack = make_stack(ctx, args.stack, backend, table)
         return [COLLECTIVE_BENCHMARKS[name](ctx, stack, config)
                 for name in args.benchmarks]
 

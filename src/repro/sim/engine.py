@@ -379,26 +379,19 @@ class RankContext:
 class Engine:
     """Owns the shared state of one SPMD run.
 
-    The four options below are the run's whole configuration surface.
+    The two options below are the run's whole configuration surface.
     ``None`` means "the ``MPIX_*`` default" (:mod:`repro.config`, read
     once, here); an explicit ``True``/``False`` wins.  They are fixed
     for the engine's lifetime — every dispatcher of the run, those of
     sub-communicators included, reads them off the engine it shares.
+    Which route a collective takes — the hierarchy and the
+    mixed-vendor bridge included — is a tuning-table row, not an
+    option (:mod:`repro.core.tuning_table`).
 
     Args:
         trace: record per-rank event traces (``MPIX_TRACE``).
             Observation only: payloads and virtual times are
             bit-identical either way.
-        hier_pipe: the route stage may decompose large multi-node
-            allreduce / bcast / allgather / reduce_scatter calls into
-            pipelined per-level plans (``MPIX_HIER_PIPE``,
-            :data:`repro.mpi.coll.levels.HIER`).  Changes virtual times on
-            multi-node communicators, never payloads.
-        hetero: a mixed-vendor communicator negotiates a capability
-            intersection and routes eligible collectives to the
-            cross-vendor bridge (``MPIX_HETERO``,
-            :data:`repro.mpi.coll.levels.BRIDGE`) instead of the plain MPI
-            algorithms.  Inert on single-vendor communicators.
         online_tune: feed measured latencies back into a
             per-communicator overlay on the static tuning table
             (``MPIX_ONLINE_TUNE``, :mod:`repro.core.online_tune`).
@@ -408,8 +401,6 @@ class Engine:
     def __init__(self, cluster: Cluster, nranks: Optional[int] = None,
                  ranks_per_node: Optional[int] = None,
                  trace: Optional[bool] = None, *,
-                 hier_pipe: Optional[bool] = None,
-                 hetero: Optional[bool] = None,
                  online_tune: Optional[bool] = None) -> None:
         self.cluster = cluster
         self.ranks_per_node = ranks_per_node
@@ -422,11 +413,10 @@ class Engine:
             raise SimulationError(
                 f"{self.nranks} ranks exceed cluster capacity {capacity}")
         env = from_env()
-        #: the four options as resolved, by argument name (read-only)
+        #: the two options as resolved, by argument name (read-only)
         self.options: Mapping[str, bool] = MappingProxyType({
             name: getattr(env, name) if arg is None else bool(arg)
-            for name, arg in (("trace", trace), ("hier_pipe", hier_pipe),
-                              ("hetero", hetero),
+            for name, arg in (("trace", trace),
                               ("online_tune", online_tune))})
         # the fast-path counters are process-global; a new engine is a
         # new run, so start it from zero (tests and back-to-back sweeps
@@ -715,17 +705,15 @@ class Engine:
 
 def run_spmd(cluster: Cluster, fn: Callable[..., Any], nranks: Optional[int] = None,
              ranks_per_node: Optional[int] = None, trace: Optional[bool] = None,
-             *args: Any,
-             hier_pipe: Optional[bool] = None, hetero: Optional[bool] = None,
-             online_tune: Optional[bool] = None, **kwargs: Any) -> List[Any]:
+             *args: Any, online_tune: Optional[bool] = None,
+             **kwargs: Any) -> List[Any]:
     """One-shot convenience wrapper: build an :class:`Engine` (which
-    documents the four options) and run.
+    documents the two options) and run.
 
     >>> cluster = make_system("thetagpu", 1)          # doctest: +SKIP
     >>> run_spmd(cluster, lambda ctx: ctx.rank, nranks=4)   # doctest: +SKIP
     [0, 1, 2, 3]
     """
     engine = Engine(cluster, nranks=nranks, ranks_per_node=ranks_per_node,
-                    trace=trace, hier_pipe=hier_pipe, hetero=hetero,
-                    online_tune=online_tune)
+                    trace=trace, online_tune=online_tune)
     return engine.run(fn, *args, **kwargs)

@@ -20,11 +20,11 @@ Event kinds by layer:
 * ``dispatch`` — the pipeline's execute stage, spanning the whole
   collective (label ``execute:<coll>:<route>...``);
 * ``hier`` — one level of the pipelined hierarchical executor (labels
-  ``hier:<coll>:intra:*`` / ``hier:<coll>:inter``, ``MPIX_HIER_PIPE``);
+  ``hier:<coll>:intra:*`` / ``hier:<coll>:inter``, a ``hier`` table row);
 * ``bridge`` — one phase of the mixed-vendor island bridge (labels
   ``bridge:<coll>:island:<vendor>[:fanout]`` for the intra-island
   native-CCL phases and ``bridge:<coll>:hop`` for the host-staged
-  leader exchange, ``MPIX_HETERO``);
+  leader exchange, a ``bridge`` table row);
 * ``step`` — application step boundaries (the Horovod trainer).
 
 :mod:`repro.sim.timeline` exports traces as Chrome/Perfetto JSON, and

@@ -96,7 +96,7 @@ def negotiate(descriptors: Iterable[CapabilityDescriptor]) -> CapabilityDescript
     """Fold a set of descriptors into their intersection descriptor.
 
     This is the once-per-communicator negotiation step of the
-    ``MPIX_HETERO`` route: the result's datatype and op sets are the
+    bridge route: the result's datatype and op sets are the
     intersections, the wire format is the first format (in the first
     descriptor's preference order) all parties share, ``max_ranks`` is
     the minimum, and residency degrades to ``host`` if any party

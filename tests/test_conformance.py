@@ -19,7 +19,7 @@ import functools
 import hashlib
 import itertools
 from collections import Counter, namedtuple
-from typing import Callable, FrozenSet, Mapping, Optional, Tuple
+from typing import Callable, FrozenSet, Mapping, NamedTuple, Optional, Tuple
 from unittest import mock
 
 import numpy as np
@@ -31,6 +31,8 @@ from repro import fastpath
 from repro.core import runtime
 from repro.core.dispatch import REGISTRY
 from repro.core.fallback import Route
+from repro.core.tuning_table import (TUNABLE_COLLECTIVES, TuningTable,
+                                     site_table, with_route)
 from repro.hw.memory import as_array
 from repro.hw.systems import make_mixed_system, make_system
 from repro.mpi import Communicator
@@ -43,6 +45,7 @@ from repro.sim.engine import Engine, RankContext
 from repro.sim.faults import FaultPlan, with_faults
 from tests import frozen_reference
 from tests.frozen_reference import FROZEN, OPTIONS
+from tools.site_tables import HIER_FROM, bridge_table, hier_table
 
 # -- the programs -------------------------------------------------------------
 #
@@ -432,7 +435,7 @@ def _leveled_body(N, seed, counter):
     return body
 
 
-HIER_N = (2 << 20) // 4    # at the reductions' routing threshold
+HIER_N = (2 << 20) // 4    # at the hier rows' 2 MiB bound
 HETERO_N = 1 << 14         # large enough to engage island xCCL
 LEGACY_N = 1 << 18         # 1 MiB of float32
 
@@ -761,17 +764,30 @@ class Shape:
                            payloads=payloads)
 
 
+#: the site rows an arm or variant pins over the program's table (or
+#: the shape's offline one), as ``with_route`` arguments: every call to
+#: the bridge, and the hierarchy from a site table's thresholds.  Each
+#: is named after the run option it replaced, so that the arms keep
+#: their ids; on a single-vendor, single-node communicator both are
+#: inert for the frozen programs (a bridge row runs the MPI algorithms,
+#: a hier row the flat CCL route)
+SITE_ROWS = {"hetero": ("bridge", dict.fromkeys(TUNABLE_COLLECTIVES, 0)),
+             "hier_pipe": ("hier", HIER_FROM)}
+#: what an arm can switch on: a run option or a site table
+SWITCHES = OPTIONS + tuple(SITE_ROWS)
+
+
 @dataclasses.dataclass(frozen=True)
 class Arm:
     """Real or storage-free payloads, and the run options switched on
-    besides the program's own (every other option is passed off)."""
+    and site rows pinned (every other option is passed off)."""
 
     payloads: bool = True
     on: FrozenSet[str] = frozenset()
 
     @property
     def name(self) -> str:
-        on = ["all"] if self.on == set(OPTIONS) else sorted(self.on)
+        on = ["all"] if self.on == set(SWITCHES) else sorted(self.on)
         return ("real" if self.payloads else "storage_free") + "".join(
             f"+{opt}" for opt in on)
 
@@ -780,28 +796,38 @@ REAL = Arm()
 TRACED = Arm(on=frozenset({"trace"}))
 STORAGE_FREE = Arm(payloads=False)
 STORAGE_FREE_TRACED = Arm(payloads=False, on=frozenset({"trace"}))
-ALL_ON = Arm(on=frozenset(OPTIONS))
-STORAGE_FREE_ALL_ON = Arm(payloads=False, on=frozenset(OPTIONS))
-#: the 2^4 product of the four options, real payloads
-MATRIX = tuple(Arm(on=frozenset(on)) for k in range(len(OPTIONS) + 1)
-               for on in itertools.combinations(OPTIONS, k))
+ALL_ON = Arm(on=frozenset(SWITCHES))
+STORAGE_FREE_ALL_ON = Arm(payloads=False, on=frozenset(SWITCHES))
+#: the 2^4 product of the two options and the two site tables, real
+#: payloads
+MATRIX = tuple(Arm(on=frozenset(on)) for k in range(len(SWITCHES) + 1)
+               for on in itertools.combinations(SWITCHES, k))
+
+
+class Variant(NamedTuple):
+    """A program run another way: more options on or site rows pinned,
+    another system, or without the program's table."""
+
+    on: FrozenSet[str] = frozenset()
+    system: Optional[str] = None
+    table: bool = True
 
 
 @dataclasses.dataclass(frozen=True)
 class Program:
     """One frozen family (fields: ``docs/CONFORMANCE.md``).  ``engine``
     bodies take a bare ``RankContext``; ``route`` names the
-    ``route_stats`` counter a ``_leveled_body`` logs per call."""
+    ``route_stats`` counter a ``_leveled_body`` logs per call; ``table``
+    builds the tuning table a key's run pins (None: each communicator's
+    offline table)."""
 
     body: Callable
     shapes: Mapping[str, Shape]
     arms: Tuple[Arm, ...]
-    options: Mapping[str, bool] = dataclasses.field(default_factory=dict)
-    variants: Mapping[str, Tuple[Mapping[str, bool], Optional[str]]] = \
-        dataclasses.field(default_factory=dict)
+    table: Optional[Callable[[Shape], TuningTable]] = None
+    variants: Mapping[str, Variant] = dataclasses.field(default_factory=dict)
     matrix: Tuple[str, ...] = ()
     oracle: Optional[Callable[[Shape], list]] = None
-    min_bytes: Mapping[str, int] = dataclasses.field(default_factory=dict)
     engine: bool = False
     route: Optional[str] = None
 
@@ -831,10 +857,26 @@ HIER_SHAPES = {
 
 _SINGLE_NODE_ARMS = (REAL, ALL_ON, STORAGE_FREE)
 _LEVELED_ARMS = (REAL, TRACED, STORAGE_FREE_TRACED)
-_BRIDGE_COMBOS = {
-    "+".join(on): (dict.fromkeys(on, True), None)
-    for k in (1, 2, 3)
-    for on in itertools.combinations(("hier_pipe", "online_tune", "trace"), k)}
+_BRIDGE_COMBOS = {"+".join(on): Variant(on=frozenset(on))
+                  for k in (1, 2, 3)
+                  for on in itertools.combinations(
+                      ("hier_pipe", "online_tune", "trace"), k)}
+
+
+@functools.lru_cache(maxsize=None)
+def _hier_rows(shape: Shape) -> TuningTable:
+    """The shape's offline rows with its four collectives sent to the
+    hierarchy from the 2 MiB a ``hier:*`` body sends (broadcast's
+    included, below the 16 MiB a site table starts it at)."""
+    return hier_table(shape.cluster(payloads=False), shape.nranks, shape.rpn,
+                      shape.backend,
+                      from_bytes=dict.fromkeys(levels.TUNING_KEYS, 2 << 20))
+
+
+@functools.lru_cache(maxsize=None)
+def _bridge_rows(shape: Shape) -> TuningTable:
+    return bridge_table(shape.cluster(payloads=False), shape.nranks,
+                        shape.rpn)
 
 PROGRAMS = {
     "twelve": Program(
@@ -867,9 +909,8 @@ PROGRAMS = {
         _leveled_body(HIER_N, 5, "hier_calls"),
         {f"hier:{name}": Shape("thetagpu", nodes, nranks, rpn, nics)
          for name, (nodes, nranks, rpn, nics) in HIER_SHAPES.items()},
-        arms=_LEVELED_ARMS, options={"hier_pipe": True},
+        arms=_LEVELED_ARMS, table=_hier_rows,
         oracle=lambda shape: _leveled_oracle(HIER_N, 5, shape.nranks),
-        min_bytes={"bcast": 2 << 20},
         route="hier_calls"),
     # equal islands ride the rail decomposition, unequal ones the
     # leader fold
@@ -877,9 +918,10 @@ PROGRAMS = {
         _leveled_body(HETERO_N, 11, "bridge_calls"),
         {"hetero:nvidia:2,amd:2": Shape("nvidia:2,amd:2", nodes=4, nranks=8, rpn=2),
          "hetero:nvidia:1,amd:2": Shape("nvidia:1,amd:2", nodes=3, nranks=6, rpn=2)},
-        arms=_LEVELED_ARMS, options={"hetero": True},
-        variants={"hetero_off": ({"hetero": False}, None),
-                  "homogeneous": ({}, "thetagpu"), **_BRIDGE_COMBOS},
+        arms=_LEVELED_ARMS, table=_bridge_rows,
+        variants={"hetero_off": Variant(table=False),
+                  "homogeneous": Variant(system="thetagpu"),
+                  **_BRIDGE_COMBOS},
         oracle=lambda shape: _leveled_oracle(HETERO_N, 11, shape.nranks),
         route="bridge_calls"),
     "legacy": Program(
@@ -933,31 +975,55 @@ def _seen(body, engines):
     return seen
 
 
+@functools.lru_cache(maxsize=None)
+def pinned_table(base: Optional[Callable[[Shape], TuningTable]],
+                 shape: Shape, site: FrozenSet[str]) -> Optional[TuningTable]:
+    """The table a run of ``shape`` pins: ``base``'s (default: the
+    shape's offline rows) with the ``site`` rows spliced over it, in
+    name order (the hierarchy's over the bridge's); None when neither
+    asks for one."""
+    if base is None and not site:
+        return None
+    table = base(shape) if base is not None else site_table(
+        shape.cluster(payloads=False), shape.nranks or shape.nodes * shape.rpn,
+        shape.rpn, shape.backend)
+    for name in sorted(site):
+        table = with_route(table, *SITE_ROWS[name])
+    return table
+
+
 def launch(key: str, arm: Arm = REAL, variant: Optional[str] = None,
-           mode: Optional[str] = None):
-    """Run ``key``'s body once on ``arm`` (or on a variant), every
-    option explicit.  Returns per rank ``(log of (payload bytes,
+           mode: Optional[str] = None, table: Optional[TuningTable] = None):
+    """Run ``key``'s body once on ``arm`` (or on a variant; pinning
+    ``table`` in place of the program's), every option explicit.
+    Returns per rank ``(log of (payload bytes,
     clock), route-surface labels, per-call route counts)``, the run's
     counter snapshot and how many collectives it ran centrally."""
     program, shape = lookup(key)
-    options = dict(OFF, **program.options, **dict.fromkeys(arm.on, True))
+    on, base = arm.on, program.table
     if variant is not None:
-        overrides, system = program.variants[variant]
-        options.update(overrides)
+        more, system, pinned = program.variants[variant]
+        on |= more
         if system is not None:
             shape = dataclasses.replace(shape, system=system)
+        if not pinned:
+            base = None
+    options = dict(OFF, **dict.fromkeys(on & set(OPTIONS), True))
+    if table is None:
+        table = pinned_table(base, shape, on & set(SITE_ROWS))
     engines = set()
     body = _seen(_body_of(program, key), engines)
     cluster = shape.cluster(arm.payloads)
-    with mock.patch.dict(levels.MIN_BYTES, program.min_bytes):
-        if program.engine:
-            out = Engine(cluster, nranks=shape.nranks,
-                         ranks_per_node=shape.rpn, **options).run(body)
-        else:
-            out = runtime.run(body if program.route else _labelled(body),
-                              system=cluster, nranks=shape.nranks,
-                              ranks_per_node=shape.rpn, backend=shape.backend,
-                              mode=mode or shape.mode, **options)
+    if program.engine:
+        out = Engine(cluster, nranks=shape.nranks,
+                     ranks_per_node=shape.rpn, **options).run(body)
+    else:
+        out = runtime.run(body if program.route else _labelled(body),
+                          system=cluster, nranks=shape.nranks,
+                          ranks_per_node=shape.rpn, backend=shape.backend,
+                          mode=mode or shape.mode,
+                          table=table,
+                          **options)
     snapshot = fastpath.STATS.snapshot()
     central = sum(engine.central_replays for engine in engines)
     if program.route is None:
@@ -1067,7 +1133,7 @@ def runs_centrally(arm: Arm) -> bool:
 
 def conforms_as_variant(key: str, variant: str) -> Summary:
     """A variant of ``key`` delivers the frozen payloads (its clocks
-    may move: another route, cluster or option set)."""
+    may move: another route, cluster, table or option set)."""
     got = summary(key, REAL, variant)
     assert got.digests == frozen_digests(key), \
         f"{key} as {variant}: payloads differ from the reference"

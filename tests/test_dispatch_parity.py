@@ -6,14 +6,14 @@ contract:
 
 * all 12 collectives × {NCCL, RCCL, HCCL, MSCCL}, and the MPI-algorithm
   fallback route (PURE_MPI mode), reproduce the frozen reference with
-  the four run options all off and all on — cases of the conformance
+  the two run options all off and all on — cases of the conformance
   suite (``tests/test_conformance.py``), checked here by name;
 * the §3.2 capability checks live in exactly one place
   (``CollectivePipeline.capability``) and still produce the paper's
   fallbacks: HCCL is float-only, no CCL does double-complex;
-* the ``hier_pipe`` option is provably inert on one node (payloads
-  and times), changes only *times* across nodes, and gives the same
-  times in every fresh engine there.
+* a table's ``hier`` rows are inert below their threshold and degrade
+  to the flat CCL route on one node, change only *times* across nodes,
+  and give the same times in every fresh engine there.
 """
 
 from __future__ import annotations
@@ -28,12 +28,14 @@ from repro import fastpath
 from repro.core import runtime
 from repro.core.dispatch import REGISTRY, CollectivePipeline, CollectiveSpec
 from repro.core.fallback import FallbackReason, Route
-from repro.mpi.coll import MPICollDispatcher
+from repro.hw.systems import make_system
+from repro.mpi.coll import MPICollDispatcher, levels
 from repro.mpi.ops import SUM
 from tests import frozen_reference
 from tests.test_conformance import (ALL_ON, MATRIX, REAL, STACKS, TRACED,
-                                    Arm, conforms, conforms_as_variant,
-                                    oracle_conforms)
+                                    conforms, conforms_as_variant,
+                                    launch, oracle_conforms, summarize)
+from tools.site_tables import hier_table
 
 ALL_GATES = frozen_reference.OPTIONS
 #: the hybrid single-node program the option matrix runs on
@@ -186,11 +188,21 @@ def test_dispatch_stage_counters():
 
 
 def test_hier_gate_inert_single_node():
-    """On one node ``hier_pipe`` is inert and never takes the
-    hierarchy."""
-    conforms(HYBRID)
-    got = conforms(HYBRID, Arm(on=frozenset({"hier_pipe"})))
-    assert got.counters["route_hier"] == 0
+    """On one node a table's ``hier`` rows never take the hierarchy:
+    below their threshold the program runs on the shape's own rows,
+    and above it the row degrades to the flat CCL route."""
+    got = conforms(HYBRID)
+
+    def hier_rows(start):
+        return hier_table(make_system("thetagpu", 1), 4,
+                          from_bytes=dict.fromkeys(levels.TUNING_KEYS, start))
+
+    below = summarize(*launch(HYBRID, table=hier_rows(2 << 20)))
+    assert below == got
+    above = summarize(*launch(HYBRID, table=hier_rows(0)))
+    assert above.digests == got.digests
+    assert above.counters["route_hier"] == 0
+    assert above.counters["route_xccl"] > got.counters["route_xccl"]
 
 
 def test_hier_multi_node_payload_parity():
@@ -205,7 +217,8 @@ def test_hier_multi_node_payload_parity():
 
 
 def test_hier_multi_node_reproducible():
-    """Two fresh multi-node ``hier_pipe`` engines give the frozen run."""
+    """Two fresh multi-node engines on the ``hier`` table give the
+    frozen run."""
     conforms("hier:aligned", REAL)
     conforms("hier:aligned", TRACED)
 
@@ -219,9 +232,11 @@ def test_new_gates_inert_fast():
 
 
 def test_all_four_options_bit_identical_full():
-    """Every combination of the four options reproduces the frozen
-    single-node hybrid run: each is observational (trace) or inert off
-    its trigger (two nodes, two vendors, the tuner's warm-up)."""
+    """Every combination of the two options and the two site tables
+    reproduces the frozen single-node hybrid run: each is observational
+    (trace) or inert off its trigger (the tuner's warm-up, a second
+    node for ``hier`` rows, a second vendor for ``bridge`` rows, where
+    the program's calls ran the MPI algorithms already)."""
     for arm in MATRIX:
         conforms(HYBRID, arm)
 
@@ -241,7 +256,7 @@ def test_configure_restores():
     assert off.online_tuner is None and on.online_tuner is not None
     assert on.options == dict.fromkeys(ALL_GATES, True)  # untouched
     with pytest.raises(TypeError):
-        on.options["hier_pipe"] = False  # read-only for the engine's life
+        on.options["trace"] = False  # read-only for the engine's life
     for retired in ("elastic", "coop_sched", "plan_cache", "group_fusion",
                     "zero_copy"):
         with pytest.raises(TypeError):

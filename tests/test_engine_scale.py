@@ -103,10 +103,11 @@ def test_multinode_virtual_time_is_reproducible():
 
 
 def test_scale_smoke_256_hier():
-    """256 oversubscribed ranks through the full MPI stack with the
-    ``hier_pipe`` option on: the striped executor holds up at scale,
-    routes through the hierarchy, and sums correctly."""
+    """256 oversubscribed ranks through the full MPI stack on a table
+    with ``hier`` rows: the striped executor holds up at scale, routes
+    through the hierarchy, and sums correctly."""
     from repro.core import runtime
+    from tools.site_tables import hier_table
 
     nelem = (2 << 20) // 4  # above the hierarchy routing threshold
 
@@ -120,7 +121,8 @@ def test_scale_smoke_256_hier():
     cluster = make_system("thetagpu", 4, nics=8)
     t0 = time.perf_counter()
     results = runtime.run(body, system=cluster, nranks=256,
-                          ranks_per_node=64, hier_pipe=True)
+                          ranks_per_node=64,
+                          table=hier_table(cluster, 256, 64))
     wall = time.perf_counter() - t0
     assert wall < 120.0  # hang detector, not a perf assertion
     assert all(r == (256.0, 256.0) for r in results)

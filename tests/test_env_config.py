@@ -108,41 +108,41 @@ class TestRunHonorsEnv:
 
 
 class TestOptionsBelongToTheRun:
-    """The four run options (``trace``, ``hier_pipe``, ``hetero``,
-    ``online_tune``) are ``Engine`` arguments whose ``MPIX_*`` defaults
-    are read once per engine: they cannot leak into the next engine or
-    go stale inside one, and nothing else reads the environment."""
+    """The two run options (``trace``, ``online_tune``) are ``Engine``
+    arguments whose ``MPIX_*`` defaults are read once per engine: they
+    cannot leak into the next engine or go stale inside one, and
+    nothing else reads the environment."""
 
     OPTIONS = frozen_reference.OPTIONS
 
     @staticmethod
     def _big_allreduce(mpx):
-        n = (2 << 20) // 4   # at the hierarchy's routing threshold
+        n = (2 << 20) // 4
         out = mpx.device_array(n)
         mpx.COMM_WORLD.Allreduce(mpx.device_array(n, fill=1.0), out, SUM)
-        return float(out.array[0]), len(mpx.ctx.trace)
+        return (float(out.array[0]), len(mpx.ctx.trace),
+                mpx.ctx.engine.online_tuner is not None)
 
     def _run_two_nodes(self, **options):
-        from repro import fastpath
+        """``(trace events, ranks tuned)`` of one run."""
         from repro.hw.systems import make_system
         out = run(self._big_allreduce, system=make_system("thetagpu", 2),
                   nranks=8, ranks_per_node=4, **options)
-        assert all(value == 8.0 for value, _events in out)
-        events = sum(n for _value, n in out)
-        return fastpath.STATS.snapshot()["route_hier"], events
+        assert all(value == 8.0 for value, _events, _tuned in out)
+        return (sum(events for _value, events, _tuned in out),
+                sum(tuned for _value, _events, tuned in out))
 
     def test_options_do_not_outlive_their_engine(self, monkeypatch):
-        """(a) everything on, then an engine with no arguments: no HIER
-        route, no trace, no tuner — there is nothing to restore."""
+        """(a) everything on, then an engine with no arguments: no
+        trace, no tuner — there is nothing to restore."""
         from repro.hw.systems import make_system
         from repro.sim.engine import Engine
         for name in self.OPTIONS:
             monkeypatch.delenv(f"MPIX_{name.upper()}", raising=False)
-        hier, events = self._run_two_nodes(
+        events, tuned = self._run_two_nodes(
             **dict.fromkeys(self.OPTIONS, True))
-        assert hier == 8 and events > 0
-        hier, events = self._run_two_nodes()
-        assert (hier, events) == (0, 0)
+        assert events > 0 and tuned == 8
+        assert self._run_two_nodes() == (0, 0)
         plain = Engine(make_system("thetagpu", 2), nranks=8)
         assert plain.options == dict.fromkeys(self.OPTIONS, False)
         assert plain.online_tuner is None
@@ -151,12 +151,12 @@ class TestOptionsBelongToTheRun:
         """(b) a variable set after ``import repro`` is honored by the
         next run (no import-time latch); an explicit argument wins."""
         monkeypatch.delenv("MPIX_ONLINE_TUNE", raising=False)
-        monkeypatch.setenv("MPIX_HIER_PIPE", "1")
-        assert self._run_two_nodes()[0] == 8
-        assert self._run_two_nodes(hier_pipe=False)[0] == 0
-        monkeypatch.delenv("MPIX_HIER_PIPE")
+        monkeypatch.setenv("MPIX_TRACE", "1")
+        assert self._run_two_nodes()[0] > 0
+        assert self._run_two_nodes(trace=False)[0] == 0
+        monkeypatch.delenv("MPIX_TRACE")
         assert self._run_two_nodes()[0] == 0
-        assert self._run_two_nodes(hier_pipe=True)[0] == 8
+        assert self._run_two_nodes(trace=True)[0] > 0
 
     def test_config_is_the_only_reader_of_the_environment(self):
         """(c) structural pin: ``os.environ`` / ``os.getenv`` occur in

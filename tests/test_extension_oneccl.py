@@ -113,10 +113,11 @@ class TestEndToEnd:
         from repro.mpi.config import mvapich_gpu
         from repro.perfmodel import ccl_params
         from repro.perfmodel.shape import shape_of
+        from tests.test_core_tuning_table import first_xccl
 
         shape = shape_of(make_system("aurora", 2), range(12))
         table = tune_offline(shape, ccl_params("oneccl"), mvapich_gpu())
-        x = table.crossover("allreduce")
+        x = first_xccl(table, "allreduce")
         assert x is not None  # oneCCL wins somewhere
 
     def test_msccl_cannot_drive_intel(self):

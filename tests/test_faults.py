@@ -358,8 +358,7 @@ class TestDerivedCommDegradation:
             return float(out.array[0]), ctx.now
 
         def run(plan):
-            engine = Engine(make_system("thetagpu", 2), nranks=16,
-                            hier_pipe=True)
+            engine = Engine(make_system("thetagpu", 2), nranks=16)
             if plan is not None:
                 with_faults(engine, plan)
             return engine.run(body)

@@ -1,9 +1,10 @@
-"""Mixed-vendor heterogeneous communicators (the ``hetero`` option).
+"""Mixed-vendor heterogeneous communicators (a table's ``bridge`` rows).
 
 Covers the capability-descriptor layer (negotiation, family fallback,
 empty-intersection errors), the mixed-cluster builders, and the island
 bridge executor: bit-identity of mixed 2+2-node runs against both the
-bridge-off MPI fallback and a homogeneous same-shape run, counter pins
+MPI fallback of a run without the table and a homogeneous same-shape
+run on it, counter pins
 (one negotiation per communicator), and the negotiation-failure error
 path (a clean MPIX error, never a deadlock).  The runs are the
 ``hetero:<vendors>`` programs of the conformance suite
@@ -134,7 +135,7 @@ def test_node_vendor_properties():
 
 
 def test_gate_off_mixed_degrades_to_mpi():
-    """``hetero`` off: the plain MPI route, correct payloads."""
+    """No table pinned: the plain MPI route, correct payloads."""
     got = conforms_as_variant(BRIDGED, "hetero_off")
     assert got.counters["negotiations"] == 0
     assert got.counters["route_bridge"] == 0
@@ -143,14 +144,16 @@ def test_gate_off_mixed_degrades_to_mpi():
 
 
 def test_gate_on_homogeneous_is_inert():
-    """On a single-vendor comm no negotiation runs, no call bridges."""
+    """On a single-vendor comm no negotiation runs and no call bridges:
+    each ``bridge`` row degrades to the MPI algorithms."""
     got = conforms_as_variant(BRIDGED, "homogeneous")
     assert got.counters["negotiations"] == 0
     assert got.counters["route_bridge"] == 0
+    assert got.counters["route_xccl"] == 0
 
 
 def test_mixed_bit_identity_and_counters():
-    """Bridged 2+2 payloads equal the bridge-off and the homogeneous
+    """Bridged 2+2 payloads equal the table-less and the homogeneous
     runs'; one negotiation."""
     got = conforms(BRIDGED)     # and every call took the bridge
     assert got.counters["negotiations"] == 1
@@ -192,10 +195,11 @@ def test_moved_clocks_only_went_down(vendors):
 
 @pytest.mark.parametrize("trace", [False, True])
 @pytest.mark.parametrize("online_tune", [False, True])
-@pytest.mark.parametrize("hier_pipe", [False, True])
-def test_gate_combos_payload_parity(trace, online_tune, hier_pipe):
-    """The bridge's payloads hold under the 2^3 other options."""
-    on = [name for name, flag in (("hier_pipe", hier_pipe),
+@pytest.mark.parametrize("hier_rows", [False, True])
+def test_gate_combos_payload_parity(trace, online_tune, hier_rows):
+    """The bridge's payloads hold under the 2^2 option combinations,
+    with and without the hierarchy's site rows in the table too."""
+    on = [name for name, flag in (("hier_pipe", hier_rows),
                                   ("online_tune", online_tune),
                                   ("trace", trace)) if flag]
     if on:

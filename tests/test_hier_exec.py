@@ -1,4 +1,4 @@
-"""Pipelined hierarchical executor (the ``hier_pipe`` option) correctness.
+"""Pipelined hierarchical executor (a table's ``hier`` rows) correctness.
 
 The awkward shapes — uneven nodes (where the general per-chunk
 schedule runs), shard forwarding, oversubscribed rails, non-leader
@@ -6,8 +6,8 @@ broadcast roots — are the ``hier:<shape>`` programs of the conformance
 suite (``tests/test_conformance.py``): payloads against the closed
 form, exact clocks, counters and trace labels against
 ``tests/frozen_reference.py``.  Here: the vector-collective degrade,
-the routing threshold, and the ``Comm_free`` release of the cached
-hierarchy sub-communicators and plan-cache entries.
+the routing threshold (a row), and the ``Comm_free`` release of the
+cached hierarchy sub-communicators and plan-cache entries.
 """
 
 from __future__ import annotations
@@ -17,15 +17,20 @@ import pytest
 from repro import fastpath
 from repro.core import runtime
 from repro.hw.systems import make_system
-from repro.mpi.coll import levels
 from tests.test_conformance import HIER_N as N
 from tests.test_conformance import (HIER_SHAPES, REAL, TRACED, conforms,
                                     oracle_conforms)
+from tools.site_tables import HIER_FROM, hier_table
 
-def _run(body, nodes, nranks, rpn, nics, hier, **options):
+
+def _run(body, nodes, nranks, rpn, nics, hier, from_bytes=HIER_FROM):
+    """``body`` on its shape's offline table, or with that table's
+    ``hier`` rows from ``from_bytes`` on when ``hier``."""
     cluster = make_system("thetagpu", nodes, nics=nics)
+    table = hier_table(cluster, nranks, rpn, from_bytes=from_bytes) \
+        if hier else None
     out = runtime.run(body, system=cluster, nranks=nranks,
-                      ranks_per_node=rpn, hier_pipe=hier, **options)
+                      ranks_per_node=rpn, table=table)
     return out, fastpath.STATS.snapshot()
 
 
@@ -63,10 +68,10 @@ def test_allgatherv_degrades_to_flat():
     assert snap["route_hier"] == 0  # degraded before the executor ran
 
 
-def test_min_bytes_threshold(monkeypatch):
-    """Routing respects the measured crossover constant: below it the
-    flat route runs even with the option on; lowering the constant
-    engages the hierarchy for the same payload."""
+def test_min_bytes_threshold():
+    """Routing respects the row's bound: below it the flat route runs
+    on a table with ``hier`` rows; a row starting lower engages the
+    hierarchy for the same payload."""
     def body(mpx):
         comm = mpx.COMM_WORLD
         send = mpx.device_array(4096, fill=1.0)
@@ -75,9 +80,9 @@ def test_min_bytes_threshold(monkeypatch):
         return float(recv.array[0])
 
     _, snap = _run(body, 2, 8, 4, 4, hier=True)
-    assert snap["route_hier"] == 0  # 16 KiB sits below the default
-    monkeypatch.setattr(levels, "MIN_BYTES_DEFAULT", 1024)
-    out, snap = _run(body, 2, 8, 4, 4, hier=True)
+    assert snap["route_hier"] == 0  # 16 KiB sits below the 2 MiB rows
+    out, snap = _run(body, 2, 8, 4, 4, hier=True,
+                     from_bytes={"allreduce": 1024})
     assert snap["route_hier"] == 8
     assert all(v == 8.0 for v in out)
 

@@ -37,6 +37,7 @@ from repro.mpi.ops import SUM
 from repro.sim.engine import Engine
 from repro.sim.faults import FaultPlan, with_faults
 from repro.xccl.comm import XCCLComm
+from tools.site_tables import bridge_table, hier_table
 
 #: a kill deadline no rank reaches by itself: the victim crosses it on
 #: purpose once the communicator has acquired its state
@@ -67,8 +68,9 @@ def _leader_split(mpx):
 
 
 #: how a communicator acquires state: ``(derive it from mpx, cluster,
-#: ranks, ranks per node, Allreduce elements, the option it needs, the
-#: ledger entries it must have before the drain)``
+#: ranks, ranks per node, Allreduce elements, what it needs — the
+#: option's name, or the builder of the table to pin — the ledger
+#: entries it must have before the drain)``
 CASES = {
     # the xCCL route: a plan cache and a CCL communicator
     "dup-attach": (_dup, lambda: make_system("thetagpu", 1), 8, None,
@@ -81,10 +83,11 @@ CASES = {
                      1024, None, {"node", "hierarchical"}),
     # the HIER route: levels whose sub-communicators route xCCL
     "hier": (_dup, lambda: make_system("thetagpu", 2), 16, 8, 1 << 19,
-             "hier_pipe", {"plans", "node", "hier"}),
+             hier_table, {"plans", "node", "hier"}),
     # the BRIDGE route: negotiated descriptor, vendor levels
     "bridge": (_dup, lambda: make_mixed_system("nvidia:2,amd:2"), 8, 2,
-               1 << 14, "hetero", {"plans", "vendor", "negotiated", "bridge"}),
+               1 << 14, bridge_table,
+               {"plans", "vendor", "negotiated", "bridge"}),
     # online-tuning call counters and the engine's overlay for the comm
     "online-tune": (_dup, lambda: make_system("thetagpu", 1), 8, None,
                     1 << 16, "online_tune", {"tune"}),
@@ -132,11 +135,12 @@ def _keys_naming(obj, ids):
 @pytest.mark.parametrize("drain", ["Free", "Comm_shrink"])
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_drain_leaves_nothing(case, drain, no_collector):
-    derive, cluster, nranks, rpn, count, option, expect = CASES[case]
+    derive, cluster, nranks, rpn, count, needs, expect = CASES[case]
     victim = nranks - 1
-    options = {name: name == option
-               for name in ("hier_pipe", "hetero", "online_tune")}
-    engine = Engine(cluster(), nranks=nranks, ranks_per_node=rpn, **options)
+    cluster = cluster()
+    table = needs(cluster, nranks, rpn) if callable(needs) else None
+    engine = Engine(cluster, nranks=nranks, ranks_per_node=rpn,
+                    online_tune=needs == "online_tune")
     if drain == "Comm_shrink":
         with_faults(engine, FaultPlan().kill(victim, after_us=_DEADLINE))
 
@@ -156,7 +160,7 @@ def test_drain_leaves_nothing(case, drain, no_collector):
         groups.update({("xccl", ccl.uid): ccl.group for ccl in ccls})
         tuner = mpx.ctx.engine.online_tuner
         assert (tuner is not None and bool(tuner.overlay(comm.ctx_id))) \
-            == (option == "online_tune")
+            == (needs == "online_tune")
         # one more rendezvous on the communicator orders every rank's
         # reads of the engine-shared tuner before the first drain
         if drain == "Free":
@@ -191,7 +195,7 @@ def test_drain_leaves_nothing(case, drain, no_collector):
         return {scope for scope, group in groups.items()
                 if victim not in group}, comm.ctx_id
 
-    results = _run(engine, body)
+    results = _run(engine, body, table)
     if drain == "Comm_shrink":
         assert results[victim] is None
         del results[victim]

@@ -469,6 +469,18 @@ class TestCLIs:
         assert trace_main(["diff", str(trace_file), str(trace_file)]) == 0
         assert "allreduce" in capsys.readouterr().out
 
+    def test_tune_report_prints_rows_and_the_route_each_call_took(
+            self, trace_file, capsys):
+        """Untuned, every call follows its static row, the vector form's
+        (alltoallv: the alltoall row) included, so no bucket flips; the
+        table's rows print as size bound -> route."""
+        from repro.obs.cli import main as trace_main
+        assert trace_main(["tune-report", str(trace_file), "--system",
+                           "thetagpu", "--nodes", "1"]) == 0
+        out = capsys.readouterr().out
+        assert "#   alltoall         " in out and " above xccl" in out
+        assert "alltoallv" in out and "FLIP" not in out
+
     def test_trace_cli_rejects_garbage(self, tmp_path, capsys):
         from repro.obs.cli import main as trace_main
         bad = tmp_path / "bad.json"

@@ -204,7 +204,7 @@ class TestCLI:
         assert "Latency" in capsys.readouterr().out
 
     def test_stats_flag_prints_and_resets(self, capsys):
-        """--stats prints the engine's four options plus per-stage
+        """--stats prints the engine's two options plus per-stage
         dispatch counters, zeroed by each sweep's new engine so runs
         don't bleed together."""
         from repro import fastpath
@@ -250,6 +250,41 @@ class TestCLI:
         err = capsys.readouterr().err
         assert f"{bench}: no pure-CCL variant" in err
         assert "hybrid / pure-xccl / mpi / openmpi / ucc" in err
+
+    @staticmethod
+    def _latency_64(capsys, *args):
+        from repro.omb.cli import main
+        assert main(["allreduce", "--sizes", "64:64", "--iterations", "2",
+                     "--warmup", "1", *args]) == 0
+        return capsys.readouterr().out.splitlines()[-1].split()[1]
+
+    def test_hybrid_stack_routes_by_the_tuning_file(self, capsys,
+                                                    monkeypatch, tmp_path):
+        """``MPIX_TUNING_FILE`` reaches the hybrid stack: an all-xccl
+        table reads the pure-xccl latency, an all-mpi one the MPI
+        stack's."""
+        from repro.core.tuning_table import TUNABLE_COLLECTIVES, TuningTable
+        latency = {}
+        for route in ("xccl", "mpi"):
+            path = tmp_path / f"{route}.json"
+            path.write_text(TuningTable("nccl", ("thetagpu", 8), {
+                coll: [(-1, route)] for coll in TUNABLE_COLLECTIVES}).to_json())
+            monkeypatch.setenv("MPIX_TUNING_FILE", str(path))
+            latency[route] = self._latency_64(capsys)
+        monkeypatch.delenv("MPIX_TUNING_FILE")
+        assert latency["xccl"] == self._latency_64(capsys, "--stack",
+                                                   "pure-xccl")
+        assert latency["mpi"] == self._latency_64(capsys, "--stack", "mpi")
+        assert latency["xccl"] != latency["mpi"]
+
+    def test_backend_from_the_environment(self, capsys, monkeypatch):
+        """``MPIX_BACKEND`` picks the CCL, and ``--backend`` wins."""
+        from repro.omb.cli import main
+        monkeypatch.setenv("MPIX_BACKEND", "msccl")
+        for args, backend in (((), "msccl"), (("--backend", "nccl"), "nccl")):
+            assert main(["allreduce", "--sizes", "64K:64K", "--iterations",
+                         "1", "--warmup", "0", *args]) == 0
+            assert f"Backend: {backend} " in capsys.readouterr().out
 
     def test_stats_off_by_default(self, capsys):
         from repro.omb.cli import main

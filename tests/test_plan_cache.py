@@ -163,11 +163,10 @@ def test_plan_cache_counts():
 
 
 def test_memoized_functions_replay_their_originals(thetagpu2):
-    """Every memo — the sixteen analytic models, ``tuning.select``,
-    ``chunk_bounds`` and ``P2PEndpoint._path_for`` — returns the same
-    value on a miss, on a hit, and from its uncached original, over a
-    grid of arguments."""
-    from repro.mpi.coll import _util, tuning
+    """Every memo — the sixteen analytic models, ``chunk_bounds`` and
+    ``P2PEndpoint._path_for`` — returns the same value on a miss, on a
+    hit, and from its uncached original, over a grid of arguments."""
+    from repro.mpi.coll import _util
     from repro.mpi.config import mvapich_gpu
     from repro.perfmodel import ccl_models, mpi_models
     from repro.perfmodel.params import ccl_params
@@ -188,16 +187,6 @@ def test_memoized_functions_replay_their_originals(thetagpu2):
             original = fn.__wrapped__(*args)
             assert fn(*args) == original, (fn.__name__, "miss", args)
             assert fn(*args) == original, (fn.__name__, "hit", args)
-
-    for coll, nbytes, p, commutative in itertools.product(
-            tuning.DEFAULT_TABLE, (1, 1025, (32 << 10) + 1, (1 << 20) + 1),
-            (2, 3, 8), (True, False)):
-        key = (coll, nbytes, p, commutative)
-        tuning._SELECT_CACHE.pop(key, None)
-        original = tuning._select(*key, tuning.DEFAULT_TABLE)
-        assert tuning.select(*key) == original          # miss
-        assert tuning._SELECT_CACHE[key] == original
-        assert tuning.select(*key) == original          # hit
 
     _util.chunk_bounds.cache_clear()
     for n, (count, parts) in enumerate(itertools.product(

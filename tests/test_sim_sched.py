@@ -226,7 +226,7 @@ class TestPollsYield:
 class TestSchedulerIsNotAGate:
     def test_registry_has_no_scheduler_gate(self, thetagpu1):
         """The one scheduler is not a run option: an engine has exactly
-        four, and ``coop_sched=`` is an unexpected keyword."""
+        two, and ``coop_sched=`` is an unexpected keyword."""
         from tests.frozen_reference import OPTIONS
         assert tuple(Engine(thetagpu1, nranks=2).options) == OPTIONS
         with pytest.raises(TypeError):

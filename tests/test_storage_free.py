@@ -32,6 +32,7 @@ from tests import frozen_reference
 from tests.test_conformance import (HIER_SHAPES, PROGRAMS, STORAGE_FREE,
                                     STORAGE_FREE_ALL_ON, STORAGE_FREE_TRACED,
                                     _arms, conforms)
+from tools.site_tables import bridge_table, hier_table
 
 OFF = dict.fromkeys(frozen_reference.OPTIONS, False)
 SINGLE_NODE = ("twelve", "plan_cache", "group_fusion", "zero_copy", "random")
@@ -87,22 +88,21 @@ def _thetagpu2(nics=None):
 
 
 #: OMB sweeps as the storage-free drivers run them, at 16 MiB per
-#: window: name -> (stack, cluster factory, ranks per node, run
-#: options, benchmarks)
+#: window: name -> (stack, cluster factory, ranks per node, pinned
+#: table's builder, benchmarks)
 _COLLECTIVES = tuple(sorted(COLLECTIVE_BENCHMARKS))
 _LEVELED = ("allreduce", "bcast", "allgather", "reduce_scatter")
 OMB_SWEEPS = {
-    **{stack: (stack, _thetagpu2, 8, {}, _COLLECTIVES)
+    **{stack: (stack, _thetagpu2, 8, None, _COLLECTIVES)
        for stack in ("hybrid", "pure-xccl", "mpi", "openmpi", "ucc")},
     # the CCL APIs have no alltoallv, gather or scatter
-    "ccl": ("ccl", _thetagpu2, 8, {},
+    "ccl": ("ccl", _thetagpu2, 8, None,
             tuple(b for b in _COLLECTIVES
                   if b not in ("alltoallv", "gather", "scatter"))),
-    "hier": ("hybrid", lambda: _thetagpu2(nics=4), 8, {"hier_pipe": True},
-             _LEVELED),
+    "hier": ("hybrid", lambda: _thetagpu2(nics=4), 8, hier_table, _LEVELED),
     "bridge": ("hybrid",
                lambda: make_mixed_system("nvidia:2,amd:2", payloads=False),
-               2, {"hetero": True}, _LEVELED),
+               2, bridge_table, _LEVELED),
 }
 
 
@@ -121,15 +121,17 @@ def test_omb_sweep_moves_no_payload_bytes(sweep):
     windows a rank (a block per peer for the vector collectives) on 8
     to 16 ranks, traced by ``tracemalloc``, peak well under one
     window."""
-    stack, cluster, rpn, options, benchmarks = OMB_SWEEPS[sweep]
+    stack, cluster, rpn, rows, benchmarks = OMB_SWEEPS[sweep]
     config = OMBConfig(sizes=(16 << 20,), warmup=0, iterations=1)
+    cluster = cluster()
+    table = rows(cluster, None, rpn) if rows else None
 
     def body(ctx):
-        comm = make_stack(ctx, stack)
+        comm = make_stack(ctx, stack, table=table)
         return [COLLECTIVE_BENCHMARKS[b](ctx, comm, config)
                 for b in benchmarks]
 
-    engine = Engine(cluster(), ranks_per_node=rpn, **dict(OFF, **options))
+    engine = Engine(cluster, ranks_per_node=rpn, **OFF)
     assert _traced_peak(lambda: engine.run(body)) < 4 << 20
 
 
