@@ -9,10 +9,10 @@ seven send-recv-composed ones (§3.3), and their MPI-algorithm fallbacks
         │ capability-check  (§3.2: residency, datatype, reduce op —
         │                    the ONE place eligibility is decided)
         │ route             (mode pin or §3.4 tuning-table row)
-        │ plan lookup       (the RouteDecision compiled once per
-        │                    communicator and key, then replayed)
+        │ plan lookup       (one dict lookup by call key: a hit skips
+        │                    stages 2–3, a miss walks them once)
         ▼ execute           {direct-CCL | fused sendrecv-group |
-                             MPI-algorithm fallback}
+                             multi-level executor | MPI round program}
 
 :class:`~repro.mpi.communicator.CollectiveCall` is the logical
 descriptor (HiCCL-style): name, buffers, counts/displacements, datatype,
@@ -20,9 +20,12 @@ op, root, communicator — built once, checked, by the
 :class:`~repro.mpi.communicator.Communicator` entry point.
 :data:`REGISTRY` maps each collective name to a :class:`CollectiveSpec`
 that knows how to derive the routing inputs (byte count, significant
-buffers, tuning key) and how to execute on the xCCL route; the MPI
-route is the descriptor handed on to
-:class:`~repro.mpi.coll.MPICollDispatcher`.  Adding a cross-cutting
+buffers, tuning key) and how to execute on the xCCL route; the
+multi-level routes run :data:`repro.mpi.coll.levels.EXECUTORS`, and the
+MPI route is the descriptor handed on to
+:class:`~repro.mpi.coll.MPICollDispatcher`.  Each call key is routed
+for its own collective, once: a plan (:mod:`repro.core.plan`) names a
+route whose executor exists.  Adding a cross-cutting
 concern (tracing, fault policy, new routing modes) is one pipeline
 stage — nothing per-collective needs touching (MPI-Advance-style single
 seam).
@@ -279,28 +282,6 @@ register(CollectiveSpec(
     _ccl_reduce_scatter_block))
 
 
-#: The execute stage's CCL-backed legs, walked in this order:
-#: ``route -> (executor lookup, decision a missing executor degrades
-#: to)``.  A lookup returns ``fn(pipeline, call)``, or None when a
-#: vector sibling (allgatherv) replays its uniform tuning key's cached
-#: HIER / BRIDGE plan and the multi-level executor has no entry for
-#: it: HIER then degrades to the flat CCL route (the next leg), BRIDGE
-#: to the MPI algorithms (never XCCL — no single CCL spans the
-#: islands).  The one fallback edge is shared: a ``CCLError`` raised
-#: on any leg sends the call to the MPI algorithms.
-CCL_LEGS: Dict[Route, Tuple[Callable, Optional[RouteDecision]]] = {
-    Route.HIER: (lambda spec, coll:
-                 levels.EXECUTORS[Route.HIER.value].get(coll),
-                 RouteDecision(Route.XCCL)),
-    Route.BRIDGE: (lambda spec, coll:
-                   levels.EXECUTORS[Route.BRIDGE.value].get(coll),
-                   RouteDecision(Route.MPI, FallbackReason.MIXED_VENDOR)),
-    Route.XCCL: (lambda spec, coll:
-                 lambda pipeline, call: spec.ccl(pipeline.layer, call),
-                 None),
-}
-
-
 #: a tuning-table row's route -> the decision it names where the
 #: communicator can take it (``CollectivePipeline._eligible``)
 ROWS: Dict[str, RouteDecision] = {route.value: RouteDecision(
@@ -396,14 +377,15 @@ class CollectivePipeline:
                 get_backend(default_ccl_for(Vendor(v))).capabilities
                 for v in vendors)
             if comm.rank == 0:
-                fastpath.STATS.note_negotiation()
+                fastpath.STATS.negotiations += 1
         return desc
 
     # -- stage 3: route (mode pin or tuning-table row) ---------------------
 
     def route(self, comm, coll: str, nbytes: int, dt, op, significant,
               on_device: bool) -> RouteDecision:
-        """One uncached walk of the Fig. 2 decision chain."""
+        """One uncached walk of the Fig. 2 decision chain for a call of
+        ``coll``."""
         decision = self._route(comm, coll, nbytes, dt, op, significant,
                                on_device)
         self._mark(f"route:mpi:{decision.reason.value}"
@@ -416,6 +398,8 @@ class CollectivePipeline:
         if self.mode == DispatchMode.PURE_MPI:
             self._mark("capability:skipped")
             return RouteDecision(Route.MPI, FallbackReason.MODE)
+        spec = REGISTRY.get(coll)
+        key = coll if spec is None else spec.tuning_key
         mixed = comm.record.mixed_vendor
         negotiated = None
         if mixed:
@@ -429,7 +413,7 @@ class CollectivePipeline:
                 return RouteDecision(Route.MPI, FallbackReason.MIXED_VENDOR)
             negotiated = self.negotiated(
                 comm, levels.factorize(comm, "vendor").keys)
-        fallback = self.capability(coll, dt, op, significant, on_device,
+        fallback = self.capability(key, dt, op, significant, on_device,
                                    negotiated, comm.size)
         self._mark("capability:ok" if fallback is None
                    else f"capability:{fallback.reason.value}")
@@ -441,27 +425,29 @@ class CollectivePipeline:
             table = self.table or cached_table(
                 comm.record.shape, self.layer.backend.params, comm.config)
             try:
-                row = table.choose(coll, nbytes)
+                row = table.choose(key, nbytes)
             except TuningTableError:
                 # a collective absent from the table degrades to the MPI
                 # algorithms like a capability miss, instead of erroring
-                self._mark(f"tuning:missing:{coll}")
+                self._mark(f"tuning:missing:{key}")
                 return RouteDecision(Route.MPI, FallbackReason.TUNING_MISS)
         decision = self._eligible(comm, coll, op, row)
-        if not mixed and self._tuning_active(coll):
-            return self._route_online(comm, coll, nbytes, decision)
+        if not mixed and self._tuning_active(key):
+            return self._route_online(comm, coll, key, nbytes, op, decision)
         return decision
 
     @staticmethod
     def _eligible(comm, coll: str, op, row: str) -> RouteDecision:
-        """The decision a table row names, where ``comm`` can take it:
-        HIER and BRIDGE need one of ``levels.TUNING_KEYS`` with a
-        commutative op on a multi-level single-vendor / a mixed-vendor
-        communicator, else they degrade as :data:`CCL_LEGS` says; no
-        single CCL spans a mixed-vendor communicator's islands."""
+        """The decision a table row (or the online tuner's advice) names
+        for a call of ``coll``, where ``comm`` can take it: HIER and
+        BRIDGE need an executor for ``coll`` in ``levels.EXECUTORS`` and
+        a commutative op, on a multi-level single-vendor / a
+        mixed-vendor communicator — else HIER takes the flat CCL route
+        and BRIDGE the MPI algorithms; no single CCL spans a
+        mixed-vendor communicator's islands."""
         mixed = comm.record.mixed_vendor
-        levelled = coll in levels.TUNING_KEYS and (op is None
-                                                   or op.commutative)
+        levelled = coll in levels.EXECUTORS.get(row, ()) and (
+            op is None or op.commutative)
         if row == "hier" and (mixed or not levelled or not levels.factorize(
                 comm, "node").multilevel):
             row = "xccl"
@@ -470,19 +456,22 @@ class CollectivePipeline:
             return RouteDecision(Route.MPI, FallbackReason.MIXED_VENDOR)
         return ROWS[row]
 
-    def _tuning_active(self, coll: str) -> bool:
-        """Whether the online tuner steers this collective's route."""
+    def _tuning_active(self, key: str) -> bool:
+        """Whether the online tuner steers the route of the collectives
+        priced against tuning key ``key``."""
         return (self.mode == DispatchMode.HYBRID
                 and self.layer.ctx.engine.online_tuner is not None
-                and coll in TUNABLE_COLLECTIVES)
+                and key in TUNABLE_COLLECTIVES)
 
-    def _route_online(self, comm, coll: str, nbytes: int,
+    def _route_online(self, comm, coll: str, key: str, nbytes: int, op,
                       static: RouteDecision) -> RouteDecision:
         """Consult the engine's measured-latency overlay before the
         static table (the ``online_tune`` option).  ``static`` is the
         table row's decision — followed verbatim through the observe
         warm-up, so short runs never deviate; HIER is a candidate only
-        when it is ``static``."""
+        when it is ``static``.  The overlay's buckets are per tuning
+        ``key`` (a vector form shares its uniform sibling's), so its
+        advice passes :meth:`_eligible` for ``coll`` like a table row."""
         from repro.core import online_tune
         tuner = comm.ctx.engine.online_tuner
         bucket = online_tune.size_bucket(nbytes)
@@ -490,22 +479,22 @@ class CollectivePipeline:
         if calls is None:
             calls = comm.routing_cache["tune"] = online_tune.CallCounts(
                 tuner, comm.ctx_id)
-        idx = calls.get((coll, bucket), 0)
-        calls[coll, bucket] = idx + 1
+        idx = calls.get((key, bucket), 0)
+        calls[key, bucket] = idx + 1
         candidates = ["mpi", "xccl"] + (["hier"] if static.route == Route.HIER
                                         else [])
-        route, phase = tuner.advise(comm.ctx_id, coll, bucket, idx,
+        route, phase = tuner.advise(comm.ctx_id, key, bucket, idx,
                                     static.route.value, candidates)
         self._mark(f"tune:{phase}:{route}")
-        self._observe_key = (comm.ctx_id, coll, bucket)
-        return ROWS[route]
+        self._observe_key = (comm.ctx_id, key, bucket)
+        return self._eligible(comm, coll, op, route)
 
     # -- stage 4: plan lookup -----------------------------------------------
 
     def plan_cache(self, comm) -> PlanCache:
-        """This dispatcher's compiled-plan store for ``comm`` (a ledger
-        entry; another dispatcher's is replaced, its plans being the
-        decisions of another table and layer)."""
+        """This dispatcher's plan store for ``comm`` (a ledger entry;
+        another dispatcher's is replaced, its plans being the decisions
+        of another table and layer)."""
         cache = comm.routing_cache.get("plans")
         if cache is None or cache.owner is not self:
             cache = comm.routing_cache["plans"] = PlanCache(self)
@@ -513,84 +502,53 @@ class CollectivePipeline:
 
     def decide(self, comm, coll: str, nbytes: int, dt=None, op=None,
                *buffers) -> RouteDecision:
-        """The routing decision for one call (exposed for tests).
-
-        The decision is a pure function of (mode, collective, byte
-        count, datatype, reduce op, buffer residency): it is compiled
-        into a routing plan once — one :meth:`route` walk — and shared
-        from the communicator's plan cache by every call plan that
-        routes alike (:meth:`run` finds those by call key).
-        """
+        """The routing decision for one call of ``coll`` (exposed for
+        tests): the buffers' residency, then one uncached :meth:`route`
+        walk — which :meth:`run` makes once per call key, on its plan's
+        miss."""
         significant = [b for b in buffers if b is not None and b is not IN_PLACE]
         on_device = not significant or \
             self.layer.identify_device_buffer(*significant)
-        if self._tuning_active(coll):
-            # the online tuner's phase is a function of the per-bucket
-            # call index — a cached decision would freeze the warm-up
-            # route, so tuned collectives always walk the route stage
-            self._mark("plan:tune")
-            return self.route(comm, coll, nbytes, dt, op, significant,
-                              on_device)
-        key = (self.mode, coll, nbytes, dt.name if dt is not None else None,
-               op.name if op is not None else None, on_device)
-        cache = self.plan_cache(comm)
-        plan = cache.lookup(key)
-        if plan is None:
-            self._mark("plan:miss")
-            decision = self.route(comm, coll, nbytes, dt, op, significant,
-                                  on_device)
-            plan = cache.store(key, CollectivePlan(key=key, decision=decision))
-        else:
-            self._mark("plan:hit")
-        return plan.decision
+        return self.route(comm, coll, nbytes, dt, op, significant, on_device)
 
-    def _compile(self, call: CollectiveCall,
-                 spec: CollectiveSpec) -> RouteDecision:
-        """Stages 2–4 for a call key seen for the first time: the
-        shared routing decision, and — unless the online tuner steers
-        the collective — the call plan holding it with its executor
-        (the MPI route's round program)."""
-        comm = call.comm
-        decision = self.decide(comm, spec.tuning_key, spec.nbytes(call),
+    def _plan(self, call: CollectiveCall,
+              spec: CollectiveSpec) -> CollectivePlan:
+        """Stages 2–3 for a call whose key has no plan: its decision,
+        and the executor the MPI route runs (the key's round
+        program)."""
+        self._mark("plan:miss")
+        decision = self.decide(call.comm, call.coll, spec.nbytes(call),
                                call.dt, call.op, *spec.buffers(call))
-        if call.key is not None and not self._tuning_active(spec.tuning_key):
-            self.plan_cache(comm).calls[call.key] = CollectivePlan(
-                call.key, decision, spec,
-                self.mpi.program(call) if decision.route == Route.MPI
-                else None)
-        return decision
+        return CollectivePlan(call.key, decision,
+                              self.mpi.program(call)
+                              if decision.route == Route.MPI else None)
 
     # -- stage 5: execute ---------------------------------------------------
 
     def execute(self, call: CollectiveCall, spec: CollectiveSpec,
-                decision: RouteDecision, program=None) -> RouteDecision:
-        """Run the call on its decided route — on the MPI route, a call
-        plan's round program when it has one; a CCL runtime error also
-        falls back to the MPI algorithms (§1.2 advantage 3).  Returns
-        the decision the call actually executed under (it differs from
-        the argument exactly when a leg of :data:`CCL_LEGS` degraded or
-        a CCL error forced the fallback)."""
+                plan: CollectivePlan) -> RouteDecision:
+        """Run the call on its plan's route: replay the MPI route's round
+        program, or else run the route's executor — the registry's CCL
+        mapping or the multi-level executor for the call's collective —
+        where a CCL runtime error falls back to the MPI algorithms
+        (§1.2 advantage 3).  Returns the decision the call actually
+        executed under (the plan's, unless that fallback ran)."""
         ctx = self.layer.ctx
         traced = ctx.trace.enabled
         if traced:
             t0 = ctx.now
-        if program is not None:
-            program.run(call)
+        decision = plan.decision
+        if plan.program is not None:
+            plan.program.run(call)
         else:
-            for route, (lookup, degrade_to) in CCL_LEGS.items():
-                if decision.route != route:
-                    continue
-                fn = lookup(spec, call.coll)
-                if fn is None:
-                    decision = degrade_to
-                    continue
-                try:
-                    fn(self, call)
-                    break
-                except CCLError:
-                    decision = RouteDecision(Route.MPI,
-                                             FallbackReason.CCL_ERROR)
-            else:  # no leg ran to completion
+            try:
+                if decision.route == Route.XCCL:
+                    spec.ccl(self.layer, call)
+                else:
+                    levels.EXECUTORS[decision.route.value][call.coll](
+                        self, call)
+            except CCLError:
+                decision = RouteDecision(Route.MPI, FallbackReason.CCL_ERROR)
                 self.mpi.run(call)
         self._record(decision, spec)
         if traced:
@@ -613,69 +571,78 @@ class CollectivePipeline:
                          nbytes=spec.nbytes(call), label=label)
 
     def _record(self, decision: RouteDecision, spec: CollectiveSpec) -> None:
+        """Count one collective leaving the execute stage: the
+        pipeline's route counters and ``fastpath``'s."""
         self.stats.record(decision, spec.tuning_key)
-        fastpath.STATS.note_dispatch(
-            xccl=decision.route == Route.XCCL,
-            fallback=decision.is_fallback,
-            ccl_error=decision.reason == FallbackReason.CCL_ERROR,
-            hier=decision.route == Route.HIER,
-            bridge=decision.route == Route.BRIDGE)
+        stats = fastpath.STATS
+        stats.dispatch_calls += 1
+        route = decision.route
+        if route == Route.XCCL:
+            stats.route_xccl += 1
+        elif route == Route.HIER:
+            stats.route_hier += 1
+        elif route == Route.BRIDGE:
+            stats.route_bridge += 1
+        else:
+            stats.route_mpi += 1
+            if decision.is_fallback:
+                stats.route_fallbacks += 1
+            if decision.reason == FallbackReason.CCL_ERROR:
+                stats.ccl_errors += 1
 
     # -- the whole pipe -----------------------------------------------------
 
     def run(self, call: CollectiveCall) -> None:
-        """Push one descriptor through the stages.  A call key seen
-        before is one lookup: its plan goes straight to execution (the
-        MPI route's round program replays), with the stage markers,
-        route counters and ``fastpath`` counts a full walk would leave.
-        Stage 1, validate: a collective outside the registry (barrier,
-        scan, exscan) has no CCL mapping and nothing to route — it runs
-        on the MPI algorithms, unmarked and uncounted."""
+        """Push one descriptor through the stages.  Stage 1, validate: a
+        collective outside the registry (barrier, scan, exscan) has no
+        CCL mapping and nothing to route — it runs on the MPI
+        algorithms, unmarked and uncounted.  Stage 4, plan lookup: a
+        call key seen before is one lookup, and its plan goes straight
+        to execution (the MPI route's round program replays), with the
+        stage markers, route counters and ``fastpath`` counts a full
+        walk would leave; a miss walks stages 2–3 and plans the key."""
+        spec = REGISTRY.get(call.coll)
+        if spec is None:
+            self.mpi.run(call)
+            return
         comm = call.comm
         cache = comm.routing_cache.get("plans")
         if cache is None or cache.owner is not self:
             cache = self.plan_cache(comm)
-        plan = cache.calls.get(call.key)
+        plan = cache.lookup(call.key)
         if plan is not None:
-            spec = plan.spec
-            if spec is None:
-                plan.program.run(call)
-                return
             if self.layer.ctx.trace.enabled:
                 self._mark(f"validate:{call.coll}")
                 self._mark("plan:hit")
-            cache.hits += 1
-            fastpath.STATS.hits += 1
-            self.execute(call, spec, plan.decision, plan.program)
-            return
-        spec = REGISTRY.get(call.coll)
-        if spec is None:
-            program = self.mpi.program(call)
-            if call.key is not None:
-                cache.calls[call.key] = CollectivePlan(call.key, None,
-                                                       program=program)
-            program.run(call)
+            self.execute(call, spec, plan)
             return
         self._mark(f"validate:{call.coll}")
         self._observe_key = None
         t0 = self.layer.ctx.now
-        final = self.execute(call, spec, self._compile(call, spec))
+        plan = self._plan(call, spec)
+        if call.key is not None and not self._tuning_active(spec.tuning_key):
+            cache.store(call.key, plan)
+        final = self.execute(call, spec, plan)
         if self._observe_key is not None:
             # feed the measured latency (and the route that actually
             # ran, which differs on a rescued CCL error) back into the
             # online tuner's overlay
-            ctx_id, coll, bucket = self._observe_key
+            ctx_id, key, bucket = self._observe_key
             self._observe_key = None
             call.comm.ctx.engine.online_tuner.observe(
-                ctx_id, coll, bucket, final.route.value,
+                ctx_id, key, bucket, final.route.value,
                 self.layer.ctx.now - t0)
 
     def warm(self, call: CollectiveCall) -> None:
-        """Compile ``call``'s plan ahead of its first run (a persistent
+        """Plan ``call``'s key ahead of its first run (a persistent
         collective's init), so every ``Start`` finds it.  A collective
-        the online tuner steers has no plan to compile, and walking its
-        route here would spend one of its call indices: a ``Start``
-        counts as the blocking call it stands for."""
+        the online tuner steers has no plan, and walking its route here
+        would spend one of its call indices: a ``Start`` counts as the
+        blocking call it stands for."""
         spec = REGISTRY.get(call.coll)
-        if spec is not None and not self._tuning_active(spec.tuning_key):
-            self._compile(call, spec)
+        if spec is None or call.key is None \
+                or self._tuning_active(spec.tuning_key):
+            return
+        cache = self.plan_cache(call.comm)
+        if cache.lookup(call.key) is None:
+            cache.store(call.key, self._plan(call, spec))

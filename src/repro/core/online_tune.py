@@ -169,7 +169,9 @@ class OnlineTuner:
             if best_mean is None or mean < best_mean or \
                     (mean == best_mean and route == state.static):
                 best, best_mean = route, mean
-        fastpath.STATS.note_online_update(flipped=best != state.static)
+        fastpath.STATS.online_updates += 1
+        if best != state.static:
+            fastpath.STATS.route_flips += 1
         return best
 
     # -- lifecycle / reporting ----------------------------------------------

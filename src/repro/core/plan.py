@@ -5,25 +5,23 @@ communicator thousands of times.  What the dispatcher derives for a
 call — the Fig. 2 routing decision and what executes it — is a pure
 function of the call's :attr:`~repro.mpi.communicator.CollectiveCall.key`
 (collective, count, datatype, op, root, in-place spelling, buffer
-residency).  A :class:`CollectivePlan` holds both; :class:`PlanCache`
-finds it again with one dict lookup (``calls``), and a hit goes
-straight to execution.  For the MPI route the executor is the call
-key's :class:`~repro.mpi.coll.replay.RoundProgram`: recorded by the
-key's first run, replayed by every later one.
+residency).  A :class:`CollectivePlan` holds both, decided once per
+call key with one
+:meth:`~repro.core.dispatch.CollectivePipeline.decide` walk;
+:class:`PlanCache` finds it again with one dict lookup (``lookup``,
+which counts the hit or the miss), and a hit goes straight to
+execution.  For the MPI route the executor is the call key's
+:class:`~repro.mpi.coll.replay.RoundProgram`: recorded by the key's
+first run, replayed by every later one.
 
-The routing decision itself reads less than the key (no root, no buffer
-type beyond residency): it is compiled once per *routing* key,
-
-    (mode, collective, byte count, dtype, reduce op, residency)
-
-with one :meth:`~repro.core.dispatch.CollectivePipeline.route` walk, and
-shared by every call plan whose key routes alike (``lookup`` /
-``store``).  This is the *plan lookup* stage of the dispatch pipeline:
-one cache per communicator, in its ledger
+This is the *plan lookup* stage of the dispatch pipeline: one cache per
+communicator, in its ledger
 (:meth:`~repro.core.dispatch.CollectivePipeline.plan_cache`), dropped
 by ``Comm_free``; the mpi4py-style persistent collectives
-(``Allreduce_init`` → ``Request.Start()``) compile it at init time
-(:meth:`~repro.core.dispatch.CollectivePipeline.warm`).
+(``Allreduce_init`` → ``Request.Start()``) plan their key at init time
+(:meth:`~repro.core.dispatch.CollectivePipeline.warm`).  A call without
+a key (its buffers do not hold the datatype's elements) and a
+collective the online tuner steers are planned afresh on every call.
 
 :class:`BufferPool` is the allocation-reuse half: staging scratch
 buffers keyed by (residency, dtype, element count) are recycled across
@@ -38,7 +36,7 @@ the per-call derivation gave (``tests/frozen_reference.py``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro import fastpath
 from repro.core.fallback import RouteDecision
@@ -46,60 +44,53 @@ from repro.core.fallback import RouteDecision
 
 @dataclass
 class CollectivePlan:
-    """One compiled collective execution plan.
+    """One call key's execution plan.
 
     Attributes:
-        key: the key this plan was compiled for (a call key, or a
-            routing key for a shared routing decision).
-        decision: the Fig. 2 routing decision (MPI vs xCCL + reason).
-        spec: the collective's dispatch registry entry (None for a
-            collective outside the registry: nothing is routed).
-        program: the MPI route's round program (None on the other
-            routes, whose execute stage runs as on a miss).
+        key: the call key this plan was decided for.
+        decision: the Fig. 2 routing decision (route + reason).
+        program: the MPI route's round program (None on the CCL routes,
+            whose executor the decision names).
     """
 
-    key: Tuple
-    decision: Optional[RouteDecision]
-    spec: Any = None
+    key: Optional[Tuple]
+    decision: RouteDecision
     program: Any = None
 
 
 class PlanCache:
-    """Per-communicator store of compiled plans (a ledger entry), filled
-    by ``owner``, the dispatcher whose decisions it holds: ``calls`` by
-    call key, and the routing decisions they share by routing key."""
+    """Per-communicator store of call plans (a ledger entry), filled by
+    ``owner``, the dispatcher whose decisions they hold."""
 
     def __init__(self, owner: Any = None) -> None:
         self.owner = owner
         #: call key -> :class:`CollectivePlan` (route and executor)
         self.calls: Dict[Tuple, CollectivePlan] = {}
-        self._plans: Dict[Tuple, CollectivePlan] = {}
         self.hits = 0
         self.misses = 0
 
-    def lookup(self, key: Tuple) -> Optional[CollectivePlan]:
-        """The routing plan for ``key``, or None (counts hit/miss)."""
-        plan = self._plans.get(key)
-        if plan is not None:
-            self.hits += 1
-            fastpath.STATS.note_hit()
-        else:
+    def lookup(self, key: Optional[Tuple]) -> Optional[CollectivePlan]:
+        """The plan for call key ``key``, or None (counts hit/miss)."""
+        plan = self.calls.get(key)
+        if plan is None:
             self.misses += 1
-            fastpath.STATS.note_miss()
+            fastpath.STATS.misses += 1
+        else:
+            self.hits += 1
+            fastpath.STATS.hits += 1
         return plan
 
     def store(self, key: Tuple, plan: CollectivePlan) -> CollectivePlan:
-        """Register a freshly compiled routing plan."""
-        self._plans[key] = plan
-        fastpath.STATS.note_compiled()
+        """Register a freshly decided plan."""
+        self.calls[key] = plan
         return plan
 
     def __len__(self) -> int:
-        return len(self._plans)
+        return len(self.calls)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (f"<PlanCache plans={len(self._plans)} calls={len(self.calls)} "
-                f"hits={self.hits} misses={self.misses}>")
+        return (f"<PlanCache calls={len(self.calls)} hits={self.hits} "
+                f"misses={self.misses}>")
 
 
 #: keep at most this many free buffers per (residency, dtype, count).
@@ -117,24 +108,25 @@ class BufferPool:
     A pool is used by one rank (its staging pool) or by one engine's
     ranks under the run token (the engine's shared accumulator pool,
     whose reduction scratch the zero-copy collectives hand between
-    ranks), so it takes no lock.  ``reuse_note`` names the
-    :data:`repro.fastpath.STATS` callback credited on a pool hit, so
+    ranks), so it takes no lock.  ``counter`` names the
+    :data:`repro.fastpath.STATS` counter a pool hit bumps, so
     accumulator reuse is counted separately from per-rank staging
     reuse.
     """
 
     def __init__(self, cap_per_key: int = POOL_CAP_PER_KEY,
-                 reuse_note: Optional[Callable[[], None]] = None) -> None:
+                 counter: str = "pool_reuses") -> None:
         self._free: Dict[Tuple, List[Any]] = {}
         self.cap_per_key = cap_per_key
-        self._reuse_note = reuse_note or fastpath.STATS.note_pool_reuse
+        self.counter = counter
 
     def acquire(self, key: Tuple) -> Optional[Any]:
         """Pop a pooled buffer for ``key`` (None when empty)."""
         free = self._free.get(key)
         if not free:
             return None
-        self._reuse_note()
+        stats = fastpath.STATS
+        setattr(stats, self.counter, getattr(stats, self.counter) + 1)
         return free.pop()
 
     def release(self, key: Tuple, buf: Any) -> None:

@@ -42,7 +42,7 @@ def snapshot() -> Dict[str, Dict]:
 #: ``snapshot`` are generated from this one tuple.
 COUNTERS = (
     # plan-caching layer (:mod:`repro.core.plan`):
-    "hits", "misses", "compiled", "pool_reuses",
+    "hits", "misses", "pool_reuses",
     # group transport (:mod:`repro.xccl.backend`):
     "fusion_flushes",      # group flushes
     "fusion_msgs",         # messages delivered by group flushes
@@ -63,9 +63,9 @@ COUNTERS = (
     "hier_chunks",         # payload chunks pipelined through levels
     "hier_stripe_ops",     # inter-node stripe collectives issued
     # mixed-vendor bridge (``bridge`` rows):
-    "negotiations",        # once-per-comm capability negotiations
+    "negotiations",        # capability negotiations (rank 0: per comm)
     "route_bridge",        # execute stage ran the bridge plan
-    "bridge_hops",         # host-staged inter-island messages
+    "bridge_hops",         # host-staged inter-island messages (leaders)
     # rank scheduler (:mod:`repro.sim.sched`):
     "coop_runs",           # engine runs
     "coop_parks",          # fiber deschedules (blocked waits)
@@ -84,9 +84,10 @@ class PlanStats:
 
     One global instance (:data:`STATS`) aggregates across every rank
     thread; :class:`repro.core.plan.PlanCache` instances keep their own
-    per-communicator view as well.  The counters are plain ints: an
-    engine's ranks bump them under its run token
-    (:mod:`repro.sim.sched`).  ``Engine()`` zeroes them, so engines
+    per-communicator view as well.  The counters are plain ints, and
+    the code that counts bumps one directly
+    (``fastpath.STATS.copies_elided += 1``): an engine's ranks do so
+    under its run token (:mod:`repro.sim.sched`).  ``Engine()`` zeroes them, so engines
     running concurrently in one process never had meaningful counts;
     the cure for that is counters owned by the engine (ROADMAP), not a
     lock.
@@ -94,111 +95,6 @@ class PlanStats:
 
     def __init__(self) -> None:
         self.reset()
-
-    def note_hit(self, n: int = 1) -> None:
-        """Record ``n`` plan-cache hits."""
-        self.hits += n
-
-    def note_miss(self) -> None:
-        """Record one plan-cache miss."""
-        self.misses += 1
-
-    def note_compiled(self) -> None:
-        """Record one freshly compiled plan."""
-        self.compiled += 1
-
-    def note_pool_reuse(self) -> None:
-        """Record one staging buffer served from a pool."""
-        self.pool_reuses += 1
-
-    def note_fusion_flush(self, msgs: int) -> None:
-        """Record one group flush that batched ``msgs`` messages."""
-        self.fusion_flushes += 1
-        self.fusion_msgs += msgs
-
-    def note_fusion_exchange(self) -> None:
-        """Record one whole-group rendezvous exchange."""
-        self.fusion_exchanges += 1
-
-    def note_fusion_fallback(self, n: int) -> None:
-        """Record ``n`` receives of a whole-group rendezvous that no
-        deposit carried (sent outside the group, or dropped), matched
-        in the mailbox after it."""
-        self.fusion_fallbacks += n
-
-    def note_copy_elided(self, n: int = 1) -> None:
-        """Record ``n`` payload snapshots replaced by view handoffs."""
-        self.copies_elided += n
-
-    def note_copy_forced(self, n: int = 1) -> None:
-        """Record ``n`` copy-on-write escapes back to the copying path."""
-        self.copies_forced += n
-
-    def note_accumulator_reuse(self) -> None:
-        """Record one reduction/staging scratch served from the shared
-        pool instead of a fresh allocation."""
-        self.accumulator_reuses += 1
-
-    def note_dispatch(self, xccl: bool, fallback: bool = False,
-                      ccl_error: bool = False, hier: bool = False,
-                      bridge: bool = False) -> None:
-        """Record one collective leaving the pipeline's execute stage."""
-        self.dispatch_calls += 1
-        if hier:
-            self.route_hier += 1
-        elif bridge:
-            self.route_bridge += 1
-        elif xccl:
-            self.route_xccl += 1
-        else:
-            self.route_mpi += 1
-            if fallback:
-                self.route_fallbacks += 1
-            if ccl_error:
-                self.ccl_errors += 1
-
-    def note_hier(self, chunks: int, stripe_ops: int) -> None:
-        """Record one hierarchical plan execution: how many payload
-        chunks it pipelined and how many inter-node stripe collectives
-        it issued (the per-NIC flows)."""
-        self.hier_chunks += chunks
-        self.hier_stripe_ops += stripe_ops
-
-    def note_negotiation(self) -> None:
-        """Record one mixed-vendor capability negotiation (reported by
-        rank 0 of the negotiating communicator only, so the counter
-        reads "negotiations per communicator", not per rank)."""
-        self.negotiations += 1
-
-    def note_bridge(self, hops: int) -> None:
-        """Record the host-staged inter-island messages one bridge
-        plan execution sent (leaders only report, so the counter is a
-        message count, not a per-rank tally)."""
-        self.bridge_hops += hops
-
-    def note_coop_run(self, parks: int, switches: int) -> None:
-        """Record one engine run (the engine aggregates the scheduler's
-        per-run totals here once, at run end)."""
-        self.coop_runs += 1
-        self.coop_parks += parks
-        self.coop_switches += switches
-
-    def note_online_update(self, flipped: bool) -> None:
-        """Record one online-tuner bucket re-fit; ``flipped`` when the
-        fitted route differs from the static table's choice."""
-        self.online_updates += 1
-        if flipped:
-            self.route_flips += 1
-
-    def note_revoke(self) -> None:
-        """Record one communicator revocation (the engine deduplicates,
-        so this counts communicators, not raising ranks)."""
-        self.comm_revokes += 1
-
-    def note_shrink(self) -> None:
-        """Record one completed shrink agreement (the rendezvous
-        computes once, so this counts communicators, not ranks)."""
-        self.comm_shrinks += 1
 
     def reset(self) -> None:
         """Zero every counter (test isolation)."""
@@ -212,7 +108,7 @@ class PlanStats:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         s = self.snapshot()
         return (f"<PlanStats hits={s['hits']} misses={s['misses']} "
-                f"compiled={s['compiled']} pool_reuses={s['pool_reuses']}>")
+                f"pool_reuses={s['pool_reuses']}>")
 
 
 #: process-wide counters (every PlanCache and pool also reports here).

@@ -52,12 +52,6 @@ from repro.mpi.coll._util import chunk_bounds, is_inplace, materialize_input, se
 from repro.mpi.communicator import IN_PLACE
 from repro.mpi.compute import alloc_like, apply_reduce, local_copy
 
-#: tuning-table keys whose ``hier`` / ``bridge`` rows the route stage
-#: may hand to :data:`HIER` or :data:`BRIDGE`.  The vector siblings
-#: (allgatherv) share their uniform key; the execute stage degrades them
-#: (no entry in EXECUTORS).
-TUNING_KEYS = frozenset({"allreduce", "bcast", "allgather", "reduce_scatter"})
-
 #: pipeline depth: chunk rounds per lane, so :data:`HIER` splits a
 #: payload into ``lanes * DEPTH`` chunks.
 DEPTH = 2
@@ -363,9 +357,10 @@ class Levels:
         moved through the levels, this rank's outer-exchange operations."""
         ops, self.outer.ops = self.outer.ops, 0
         if self.inst is HIER:
-            fastpath.STATS.note_hier(chunks, ops)
+            fastpath.STATS.hier_chunks += chunks
+            fastpath.STATS.hier_stripe_ops += ops
         elif self.inst is BRIDGE:
-            fastpath.STATS.note_bridge(ops)
+            fastpath.STATS.bridge_hops += ops
 
     def Free(self) -> None:
         """Free the sub-communicators (``Comm_free`` of the parent)."""
@@ -735,8 +730,9 @@ def _executor(inst: Instance, body):
 
 
 #: execute-stage dispatch: ``Route`` value -> ``CollectiveCall.coll`` ->
-#: executor ``(pipeline, call)``.  Vector forms sharing a tuning key
-#: (allgatherv) are absent on purpose — the execute stage degrades them.
+#: executor ``(pipeline, call)``.  The route stage hands a ``hier`` /
+#: ``bridge`` row only to a collective listed here, so a vector form
+#: sharing a listed one's tuning key (allgatherv) takes the flat route.
 EXECUTORS = {
     inst.name: {"allreduce": _executor(inst, allreduce),
                 "bcast": _executor(inst, bcast),

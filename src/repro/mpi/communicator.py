@@ -142,7 +142,7 @@ class Communicator:
         self._freed = False
         #: the ledger of everything this rank caches about the
         #: communicator, by name (factorizations, negotiated descriptor,
-        #: levels, compiled plans, tuning call counters, the CCL
+        #: levels, call plans, tuning call counters, the CCL
         #: communicator); :meth:`Free` and :meth:`Comm_shrink` drain it,
         #: calling each entry's ``Free`` if it has one
         self.routing_cache: Dict[str, object] = {}
@@ -321,7 +321,7 @@ class Communicator:
                 raise MPICommError(
                     f"Comm_shrink survivor views disagree: {sorted(views)}")
             gen = engine.shrink_generation(ctx_id)
-            fastpath.STATS.note_shrink()
+            fastpath.STATS.comm_shrinks += 1
             return gen, views.pop()
 
         gen, survivors = slot.exchange(survivors.index(self.ctx.rank),
@@ -754,8 +754,8 @@ class Communicator:
 
     def _persistent(self, call: CollectiveCall) -> "PersistentCollRequest":
         """The persistent spelling (MPI 4.0 ``MPI_Allreduce_init``
-        style): arguments resolved and the routing plan compiled once,
-        so each ``Start`` replays a cache hit."""
+        style): arguments resolved and the call key planned once, so
+        each ``Start`` replays a cache hit."""
         self.coll.warm(call)
         # the run completes synchronously, so every Start returns the
         # same already-done request marker
@@ -1020,8 +1020,8 @@ class PersistentRequest:
 class PersistentCollRequest(PersistentRequest):
     """A persistent collective (``MPI_Allreduce_init`` family).
 
-    The descriptor is built — arguments checked, the routing plan
-    compiled — once at init; every ``Start`` runs it again.
+    The descriptor is built — arguments checked, the call key
+    planned — once at init; every ``Start`` runs it again.
     """
 
     def __init__(self, comm: Communicator, factory, coll: str) -> None:

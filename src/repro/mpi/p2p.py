@@ -467,7 +467,7 @@ class P2PEndpoint:
         window = rarr[roff:] if rcount is None else rarr[roff:roff + rcount]
         lend = lends(sarr, view, rarr, window)
         if not lend:
-            fastpath.STATS.note_copy_forced()
+            fastpath.STATS.copies_forced += 1
         smsg, sreq = self._send_impl(
             view, isinstance(sbuf, DeviceBuffer), dst_world, sendtag,
             datatype, lend, lend,

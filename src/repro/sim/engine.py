@@ -467,8 +467,7 @@ class Engine:
         # reducing rank differs call to call (import is deferred to
         # keep sim below core in the layering)
         from repro.core.plan import BufferPool
-        self.scratch_pool = BufferPool(
-            reuse_note=fastpath.STATS.note_accumulator_reuse)
+        self.scratch_pool = BufferPool(counter="accumulator_reuses")
 
     # -- lookups -----------------------------------------------------------
 
@@ -590,7 +589,7 @@ class Engine:
             return
         self._revoked.add(ctx_id)
         from repro import fastpath
-        fastpath.STATS.note_revoke()
+        fastpath.STATS.comm_revokes += 1
         # comm-scoped keys lead with the ctx_id
         doomed = [self._slots.pop(key) for key, slot in list(self._slots.items())
                   if type(key) is tuple and key[:1] == (ctx_id,)
@@ -658,7 +657,10 @@ class Engine:
                              for ctx in self.contexts])
         finally:
             self._drain_pools()
-        fastpath.STATS.note_coop_run(sched.parks, sched.switches)
+        stats = fastpath.STATS
+        stats.coop_runs += 1
+        stats.coop_parks += sched.parks
+        stats.coop_switches += sched.switches
         # a failure's traceback keeps the frames up to ``runner`` alive,
         # and ``runner`` sees ``failures``: empty the dict it sees, so
         # the failures close no reference cycle and the buffers their

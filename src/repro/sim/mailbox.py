@@ -158,12 +158,12 @@ class PayloadLease:
         if self.materialized:
             return
         if self.consumed:
-            fastpath.STATS.note_copy_elided()
+            fastpath.STATS.copies_elided += 1
         else:
             if msg.data.strides[0]:     # ``snapshot``, inline
                 msg.data = msg.data.copy()
             self.materialized = True
-            fastpath.STATS.note_copy_forced()
+            fastpath.STATS.copies_forced += 1
 
 
 #: a receive specification for :meth:`Mailbox.match_many`.

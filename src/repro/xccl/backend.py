@@ -425,10 +425,12 @@ class CCLBackend:
         arrivals = ctx.engine.wires.book_many(bookings)
         rows = [(payload, nbytes, t0, t0 + 0.5 if bi is None else arrivals[bi])
                 for payload, nbytes, bi in staged]
-        fastpath.STATS.note_fusion_flush(len(rows))
+        stats = fastpath.STATS
+        stats.fusion_flushes += 1
+        stats.fusion_msgs += len(rows)
         if borrow:
-            fastpath.STATS.note_copy_forced(forced)
-            fastpath.STATS.note_copy_elided(len(rows) - forced)
+            stats.copies_forced += forced
+            stats.copies_elided += len(rows) - forced
         return seqs, rows, by_dst
 
     def _admit(self, ctx, sends: Sequence[tuple], seqs: List[int],
@@ -528,7 +530,7 @@ class CCLBackend:
                        in slot.exchange_for(exchange.rank, by_dst,
                                             (seqs, rows), ctx.rank)
                        for i in mine}
-            fastpath.STATS.note_fusion_exchange()
+            fastpath.STATS.fusion_exchanges += 1
             counters = exchange.recv_seq
             if counters is None:
                 counters = exchange.recv_seq = [0] * exchange.size
@@ -548,7 +550,7 @@ class CCLBackend:
                 else:
                     claimed.append(row)
                     landed.append(got)
-            fastpath.STATS.note_fusion_fallback(len(pending))
+            fastpath.STATS.fusion_fallbacks += len(pending)
             if inbound:
                 # inbound mail this group's recvs did not claim stays
                 # receivable by a later group or recv; borrowed views
@@ -558,7 +560,7 @@ class CCLBackend:
                     if not got[0].flags.writeable:
                         if got[0].strides[0]:
                             got = (got[0].copy(),) + got[1:]
-                        fastpath.STATS.note_copy_forced()
+                        fastpath.STATS.copies_forced += 1
                     unclaimed.append(self._message(
                         exchange.group[sender], ctx.rank, exchange.uid,
                         seq, got))
@@ -656,7 +658,7 @@ class CCLBackend:
         src = recvbuf if sendbuf is None else sendbuf
         src_view = as_array(src)[:count]
         key = comm.next_coll_key("allreduce")
-        fastpath.STATS.note_copy_elided()
+        fastpath.STATS.copies_elided += 1
         out = as_array(recvbuf)[:count]
         self._fused(
             comm, key, borrow_view(src_view), dur,
@@ -673,7 +675,7 @@ class CCLBackend:
         dur = ccl_models.bcast_time(self.params, comm.shape, nbytes)
         key = comm.next_coll_key("bcast")
         if comm.rank == root:
-            fastpath.STATS.note_copy_elided()
+            fastpath.STATS.copies_elided += 1
             payload = borrow_view(as_array(buf)[:count])
             out = None
         else:
@@ -699,7 +701,7 @@ class CCLBackend:
         src = recvbuf if sendbuf is None else sendbuf
         src_view = as_array(src)[:count]
         key = comm.next_coll_key("reduce")
-        fastpath.STATS.note_copy_elided()
+        fastpath.STATS.copies_elided += 1
         out = as_array(recvbuf)[:count] if comm.rank == root else None
 
         def consume(rank, res, data):
@@ -727,10 +729,10 @@ class CCLBackend:
             # aliased send window (nonstandard in-place spelling):
             # copy-on-write — peers read a snapshot while this rank
             # overwrites the window
-            fastpath.STATS.note_copy_forced()
+            fastpath.STATS.copies_forced += 1
             payload = src_view.copy() if src_view.strides[0] else src_view
         else:
-            fastpath.STATS.note_copy_elided()
+            fastpath.STATS.copies_elided += 1
             payload = borrow_view(src_view)
         me = comm.rank
 
@@ -757,7 +759,7 @@ class CCLBackend:
         src = sendbuf if sendbuf is not None else recvbuf
         src_view = as_array(src)[:count * comm.size]
         key = comm.next_coll_key("reduce_scatter")
-        fastpath.STATS.note_copy_elided()
+        fastpath.STATS.copies_elided += 1
         out = as_array(recvbuf)[:count]
         lo, hi = comm.rank * count, (comm.rank + 1) * count
         self._fused(

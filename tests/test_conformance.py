@@ -870,7 +870,7 @@ def _hier_rows(shape: Shape) -> TuningTable:
     included, below the 16 MiB a site table starts it at)."""
     return hier_table(shape.cluster(payloads=False), shape.nranks, shape.rpn,
                       shape.backend,
-                      from_bytes=dict.fromkeys(levels.TUNING_KEYS, 2 << 20))
+                      from_bytes=dict.fromkeys(HIER_FROM, 2 << 20))
 
 
 @functools.lru_cache(maxsize=None)

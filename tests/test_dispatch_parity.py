@@ -28,14 +28,15 @@ from repro import fastpath
 from repro.core import runtime
 from repro.core.dispatch import REGISTRY, CollectivePipeline, CollectiveSpec
 from repro.core.fallback import FallbackReason, Route
+from repro.core.plan import PlanCache
 from repro.hw.systems import make_system
-from repro.mpi.coll import MPICollDispatcher, levels
+from repro.mpi.coll import MPICollDispatcher
 from repro.mpi.ops import SUM
 from tests import frozen_reference
 from tests.test_conformance import (ALL_ON, MATRIX, REAL, STACKS, TRACED,
                                     conforms, conforms_as_variant,
                                     launch, oracle_conforms, summarize)
-from tools.site_tables import hier_table
+from tools.site_tables import HIER_FROM, hier_table
 
 ALL_GATES = frozen_reference.OPTIONS
 #: the hybrid single-node program the option matrix runs on
@@ -61,6 +62,7 @@ def test_registry_covers_all_twelve():
     for stage in ("run", "decide", "execute"):
         assert inspect.isfunction(CollectivePipeline.__dict__.get(stage)), \
             stage
+    assert inspect.isfunction(PlanCache.__dict__.get("lookup"))
 
 
 @pytest.mark.parametrize("stack", list(STACKS))
@@ -195,7 +197,7 @@ def test_hier_gate_inert_single_node():
 
     def hier_rows(start):
         return hier_table(make_system("thetagpu", 1), 4,
-                          from_bytes=dict.fromkeys(levels.TUNING_KEYS, start))
+                          from_bytes=dict.fromkeys(HIER_FROM, start))
 
     below = summarize(*launch(HYBRID, table=hier_rows(2 << 20)))
     assert below == got

@@ -475,7 +475,7 @@ P2P_SHAPES = ("2x8", "4x32")
 @pytest.mark.parametrize("trace", [False, True], ids=["untraced", "traced"])
 @pytest.mark.parametrize("shape", P2P_SHAPES)
 def test_p2p_matches_frozen_reference(shape, trace):
-    """Payloads, clocks and all 29 counters are frozen."""
+    """Payloads, clocks and all 28 counters are frozen."""
     conforms(f"p2p:{shape}", TRACED if trace else REAL)
 
 

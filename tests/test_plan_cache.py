@@ -20,11 +20,14 @@ import pytest
 from repro import fastpath
 from repro.core import runtime
 from repro.core.plan import BufferPool, CollectivePlan, PlanCache
+from repro.core.fallback import FallbackReason, Route
 from repro.core.tuning_table import cached_table
 from repro.errors import CCLBackendUnavailable
+from repro.hw.systems import make_mixed_system, make_system
 from repro.mpi.ops import SUM
 from repro.xccl.registry import get_backend
 from tests.test_conformance import STACKS, conforms
+from tools.site_tables import HIER_FROM, bridge_table, hier_table
 
 
 @pytest.fixture(autouse=True)
@@ -43,8 +46,8 @@ def test_bit_identical_on_vs_off(stack):
 
 
 def test_plan_cache_hits_in_omb_style_loop():
-    """Repeated identical calls replay compiled plans (hits > 0) and
-    reuse pooled staging buffers."""
+    """Repeated identical calls replay their key's plan (one miss, then
+    hits) and reuse pooled staging buffers."""
     def body(mpx):
         comm = mpx.COMM_WORLD
         ctx = comm.ctx
@@ -57,9 +60,7 @@ def test_plan_cache_hits_in_omb_style_loop():
     fastpath.STATS.reset()
     runtime.run(body, system="thetagpu", nodes=1, ranks_per_node=4)
     stats = fastpath.STATS.snapshot()
-    assert stats["hits"] > 0
-    assert stats["compiled"] == stats["misses"]
-    assert stats["hits"] > stats["misses"]
+    assert (stats["misses"], stats["hits"]) == (4, 36)   # one key a rank
     assert stats["pool_reuses"] > 0
 
 
@@ -160,6 +161,106 @@ def test_plan_cache_counts():
     assert cache.lookup(key) is plan
     assert cache.hits == 1 and cache.misses == 1
     assert len(cache) == 1
+
+
+def _labels(mpx, prefix):
+    """This rank's trace labels starting with ``prefix``, in order."""
+    return [ev.label for ev in mpx.ctx.trace.events
+            if ev.label.startswith(prefix)]
+
+
+def test_bcast_from_every_root_walks_once_per_call_key():
+    """Each root is its own call key: its first ``Bcast`` misses and
+    walks the route stage once, its second hits.  No key borrows
+    another's decision, so ``misses`` equals the ``route:`` markers."""
+    def body(mpx):
+        comm = mpx.COMM_WORLD
+        buf = mpx.device_array(64, fill=1.0)
+        for _ in range(2):
+            for root in range(comm.size):
+                comm.Bcast(buf, root=root)
+        cache = comm.routing_cache["plans"]
+        return cache.misses, cache.hits, len(_labels(mpx, "route:"))
+
+    fastpath.STATS.reset()
+    out = runtime.run(body, system="thetagpu", nodes=1, ranks_per_node=4,
+                      trace=True, online_tune=False)
+    assert out == [(4, 4, 4)] * 4
+    stats = fastpath.STATS.snapshot()
+    assert (stats["misses"], stats["hits"]) == (16, 16)
+
+
+def _hier_everywhere(cluster, nranks, rpn):
+    """``hier`` rows from 0 bytes for every collective that has them."""
+    return hier_table(cluster, nranks, rpn,
+                      from_bytes=dict.fromkeys(HIER_FROM, 0))
+
+
+def test_allgatherv_is_routed_flat_under_a_hier_row():
+    """``Allgatherv`` prices against ``allgather``'s rows, but has no
+    multi-level executor: on a multi-node communicator a ``hier`` row
+    routes it ``xccl`` at the route stage, while ``Allgather`` takes
+    the hierarchy."""
+    def body(mpx):
+        comm = mpx.COMM_WORLD
+        send = mpx.device_array(64, fill=comm.rank + 1.0)
+        recv = mpx.device_array(64 * comm.size)
+        comm.Allgatherv(send, recv, [64] * comm.size)
+        flat = _labels(mpx, "route:")
+        comm.Allgather(send, recv)
+        # the hierarchy's sub-communicators route their own calls after
+        return flat, _labels(mpx, "route:")[len(flat)], \
+            mpx.route_stats.hier_calls
+
+    cluster = make_system("thetagpu", 2)
+    out = runtime.run(body, system=cluster, ranks_per_node=4, nranks=8,
+                      table=_hier_everywhere(cluster, 8, 4), trace=True,
+                      online_tune=False)
+    assert out == [(["route:xccl"], "route:hier", 1)] * 8
+
+
+def test_allgatherv_under_a_bridge_row_plans_the_mpi_algorithms():
+    """On a mixed-vendor communicator an all-``bridge`` table sends
+    ``Allgatherv`` (no bridge executor) to the MPI algorithms: its plan
+    says so and holds the key's round program."""
+    def body(mpx):
+        comm = mpx.COMM_WORLD
+        send = mpx.device_array(16, fill=comm.rank + 1.0)
+        recv = mpx.device_array(16 * comm.size)
+        comm.Allgatherv(send, recv, [16] * comm.size)
+        (plan,) = comm.routing_cache["plans"].calls.values()
+        return (plan.decision.route, plan.decision.reason,
+                plan.program is not None,
+                np.array_equal(recv.array, np.repeat(
+                    np.arange(1.0, comm.size + 1), 16)))
+
+    cluster = make_mixed_system("nvidia:2,amd:2")
+    out = runtime.run(body, system=cluster, table=bridge_table(cluster),
+                      online_tune=False)
+    assert out == [(Route.MPI, FallbackReason.MIXED_VENDOR, True, True)] * 8
+
+
+def test_tuner_advice_passes_the_call_collectives_eligibility():
+    """The online tuner's buckets are per tuning key, so an
+    ``Allgather`` whose static row is ``hier`` seeds the bucket an
+    ``Allgatherv`` of the same size reads.  The advice (``hier``) is
+    checked for ``Allgatherv`` like a table row, and it runs flat."""
+    def body(mpx):
+        comm = mpx.COMM_WORLD
+        send = mpx.device_array(64, fill=comm.rank + 1.0)
+        recv = mpx.device_array(64 * comm.size)
+        comm.Allgather(send, recv)
+        seeded = len(mpx.ctx.trace.events)
+        comm.Allgatherv(send, recv, [64] * comm.size)
+        return [ev.label for ev in mpx.ctx.trace.events[seeded:]
+                if ev.label.startswith(("tune:", "route:", "execute:"))]
+
+    cluster = make_system("thetagpu", 2)
+    out = runtime.run(body, system=cluster, ranks_per_node=4, nranks=8,
+                      table=_hier_everywhere(cluster, 8, 4), trace=True,
+                      online_tune=True)
+    assert out == [["tune:observe:hier", "route:xccl",
+                    "execute:allgatherv:xccl:nccl"]] * 8
 
 
 def test_memoized_functions_replay_their_originals(thetagpu2):
