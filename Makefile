@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install lint test test-all test-fast bench bench-quick bench-selfcheck bench-claim bench-guard bench-hier bench-hetero bench-online-tune bench-all check-gates scale-smoke mem-smoke trace-smoke hier-smoke hetero-smoke elastic-smoke report examples tune clean
+.PHONY: install lint test test-all test-fast bench bench-selfcheck bench-claim bench-guard bench-hier bench-hetero bench-online-tune bench-all check-gates scale-smoke mem-smoke trace-smoke hier-smoke hetero-smoke elastic-smoke report examples tune clean
 
 install:
 	pip install -e .
@@ -28,11 +28,10 @@ test-all:
 test-fast:
 	$(PYTHON) -m pytest tests/ -m "not slow"
 
+# the seven bench_ablation_*.py design ablations under pytest-benchmark
+# (a figure is checked by `make report`, not here)
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
-
-bench-quick:
-	REPRO_BENCH_SCALE=quick $(PYTHON) -m pytest benchmarks/ --benchmark-only
 
 # the end-to-end harness checking itself (not collected by tier-1):
 # fails when a name its span table wraps no longer resolves, instead of
@@ -97,7 +96,7 @@ scale-smoke:
 		--system thetagpu --nodes 4 --ranks 256 --sizes 4:4 \
 		--iterations 2 --warmup 1
 
-# memory CI leg, five fresh processes, each against its own peak RSS:
+# memory CI leg, six fresh processes, each against its own peak RSS:
 # a 2048-rank Barrier + Allreduce (256 MiB) — communicator set-up must
 # not grow as ranks squared; one quick storage-free fig5 sweep (96 MiB)
 # and a storage-free 128-rank Alltoall at 4 MiB per peer (256 MiB) —
@@ -105,8 +104,10 @@ scale-smoke:
 # buffers, gc at its defaults (450 MiB) — device buffers must die with
 # their last reference, not with the cycle collector's next pass; 32 x
 # 1 MiB Isend/Irecv windows across two nodes (112 MiB) — a rendezvous
-# Isend must lend its window, not snapshot it; then 200 and 2000 Dup/attach/Allreduce/Free cycles must leave the same
-# engine records and per-rank dict sizes behind
+# Isend must lend its window, not snapshot it; fig9's paper-scale TF
+# panels (96 MiB) — the DL trainer must run storage-free; then 200 and
+# 2000 Dup/attach/Allreduce/Free cycles must leave the same engine
+# records and per-rank dict sizes behind
 mem-smoke:
 	PYTHONPATH=src $(PYTHON) tools/mem_smoke.py
 
@@ -168,8 +169,10 @@ elastic-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.obs.cli tune-report $(ELASTIC_SMOKE) \
 		--system thetagpu --nodes 2 --ranks 16
 
+# every figure at paper scale into EXPERIMENTS.md (CI's anchors job fails
+# when a byte changes); "<id>: <wall> s, peak RSS <MiB>" lines on stderr
 report:
-	$(PYTHON) -m repro.experiments.cli report --scale paper -o EXPERIMENTS.md
+	PYTHONPATH=src $(PYTHON) -m repro.experiments.cli report --scale paper -o EXPERIMENTS.md
 
 # every shipped example end to end (CI runs this on one interpreter)
 examples:
@@ -183,5 +186,5 @@ tune:
 	$(PYTHON) -m repro.core.tune_cli --system thetagpu --nodes 4 --show
 
 clean:
-	rm -rf .pytest_cache benchmarks/results/*.csv
+	rm -rf .pytest_cache
 	find . -name __pycache__ -type d -exec rm -rf {} +

@@ -28,10 +28,8 @@ def _sweep(mode):
     return run(body, system="thetagpu", nodes=1, mode=mode)[0]
 
 
-def test_hybrid_tracks_best_side(run_figure, benchmark):
+def test_hybrid_tracks_best_side(benchmark):
     """hybrid ~= min(pure MPI, pure xCCL) at every size."""
-    del run_figure  # engine sweep below, not a registered figure
-
     def sweep_all():
         return {mode: _sweep(mode) for mode in DispatchMode}
 

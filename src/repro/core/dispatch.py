@@ -433,7 +433,7 @@ class CollectivePipeline:
                 return RouteDecision(Route.MPI, FallbackReason.TUNING_MISS)
         decision = self._eligible(comm, coll, op, row)
         if not mixed and self._tuning_active(key):
-            return self._route_online(comm, coll, key, nbytes, op, decision)
+            return self._route_online(comm, coll, nbytes, op, decision)
         return decision
 
     @staticmethod
@@ -463,15 +463,15 @@ class CollectivePipeline:
                 and self.layer.ctx.engine.online_tuner is not None
                 and key in TUNABLE_COLLECTIVES)
 
-    def _route_online(self, comm, coll: str, key: str, nbytes: int, op,
+    def _route_online(self, comm, coll: str, nbytes: int, op,
                       static: RouteDecision) -> RouteDecision:
         """Consult the engine's measured-latency overlay before the
         static table (the ``online_tune`` option).  ``static`` is the
         table row's decision — followed verbatim through the observe
         warm-up, so short runs never deviate; HIER is a candidate only
-        when it is ``static``.  The overlay's buckets are per tuning
-        ``key`` (a vector form shares its uniform sibling's), so its
-        advice passes :meth:`_eligible` for ``coll`` like a table row."""
+        when it is ``static``.  The overlay's buckets are per call
+        collective ``coll``, and its advice passes :meth:`_eligible` for
+        ``coll`` like a table row."""
         from repro.core import online_tune
         tuner = comm.ctx.engine.online_tuner
         bucket = online_tune.size_bucket(nbytes)
@@ -479,14 +479,14 @@ class CollectivePipeline:
         if calls is None:
             calls = comm.routing_cache["tune"] = online_tune.CallCounts(
                 tuner, comm.ctx_id)
-        idx = calls.get((key, bucket), 0)
-        calls[key, bucket] = idx + 1
+        idx = calls.get((coll, bucket), 0)
+        calls[coll, bucket] = idx + 1
         candidates = ["mpi", "xccl"] + (["hier"] if static.route == Route.HIER
                                         else [])
-        route, phase = tuner.advise(comm.ctx_id, key, bucket, idx,
+        route, phase = tuner.advise(comm.ctx_id, coll, bucket, idx,
                                     static.route.value, candidates)
         self._mark(f"tune:{phase}:{route}")
-        self._observe_key = (comm.ctx_id, key, bucket)
+        self._observe_key = (comm.ctx_id, coll, bucket)
         return self._eligible(comm, coll, op, route)
 
     # -- stage 4: plan lookup -----------------------------------------------
@@ -627,10 +627,10 @@ class CollectivePipeline:
             # feed the measured latency (and the route that actually
             # ran, which differs on a rescued CCL error) back into the
             # online tuner's overlay
-            ctx_id, key, bucket = self._observe_key
+            ctx_id, coll, bucket = self._observe_key
             self._observe_key = None
             call.comm.ctx.engine.online_tuner.observe(
-                ctx_id, key, bucket, final.route.value,
+                ctx_id, coll, bucket, final.route.value,
                 self.layer.ctx.now - t0)
 
     def warm(self, call: CollectiveCall) -> None:

@@ -23,7 +23,7 @@ def tf_panel(exp_id: str, system: str, nodes: int, nranks: int,
              baseline_backend: Optional[str] = None) -> ResultSet:
     """One TF throughput panel: img/s per (stack, batch size)."""
     batches = (32, 128) if scale == "quick" else BATCHES
-    cluster = make_system(system, nodes)
+    cluster = make_system(system, nodes, payloads=False)
     model = resnet50()
     results = ResultSet()
     for stack in stacks:

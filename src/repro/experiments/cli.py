@@ -1,7 +1,8 @@
 """``mpix-experiments``: run the paper's experiments from the shell.
 
 ``run`` and ``report`` exit 1 when any paper anchor falls outside its
-tolerance.
+tolerance, and print ``<id>: <wall> s, peak RSS <MiB>`` on stderr for
+each experiment they run.
 
 Examples::
 
@@ -17,7 +18,8 @@ import sys
 from typing import Optional, Sequence
 
 from repro.experiments.registry import all_experiments, get_experiment
-from repro.experiments.report import experiment_report, full_report
+from repro.experiments.report import (experiment_report, full_report,
+                                      timed_run)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -33,7 +35,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     run_p.add_argument("--scale", default="paper",
                        choices=("paper", "quick"))
     run_p.add_argument("-o", "--output", default=None,
-                       help="write results CSV here")
+                       help="write results here (.csv: CSV, else JSON)")
 
     rep_p = sub.add_parser("report", help="full paper-vs-measured report")
     rep_p.add_argument("--scale", default="paper", choices=("paper", "quick"))
@@ -49,7 +51,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     if args.command == "run":
         exp = get_experiment(args.id)
-        results = exp.run(args.scale)
+        results = timed_run(exp, args.scale)
         print(experiment_report(exp, results))
         if args.output:
             results.save(args.output)

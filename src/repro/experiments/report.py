@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import io
+import resource
+import sys
+import time
 from typing import List, Optional, Sequence, Tuple
 
 from repro.experiments.registry import Experiment, all_experiments
@@ -17,6 +20,19 @@ def _fmt(value: float) -> str:
     if abs(value) >= 10:
         return f"{value:.1f}"
     return f"{value:.3f}"
+
+
+def timed_run(exp: Experiment, scale: str) -> ResultSet:
+    """``exp.run(scale)``, then ``<id>: <wall> s, peak RSS <MiB>`` (the
+    process peak so far) on stderr: a CI log is each figure's trajectory."""
+    t0 = time.perf_counter()
+    results = exp.run(scale)
+    wall = time.perf_counter() - t0
+    # Linux reports ru_maxrss in KiB
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    print(f"{exp.id}: {wall:.1f} s, peak RSS {peak:.0f} MiB",
+          file=sys.stderr, flush=True)
+    return results
 
 
 def experiment_report(exp: Experiment, results: ResultSet) -> str:
@@ -57,7 +73,7 @@ def full_report(scale: str = "paper",
     for exp in all_experiments():
         if only and exp.id not in only:
             continue
-        results = exp.run(scale)
+        results = timed_run(exp, scale)
         out.write(experiment_report(exp, results))
         out.write("\n")
         rows = exp.check_all(results)
@@ -81,18 +97,20 @@ NOTES = """
   scalar UCX large-buffer penalty gives Open MPI + UCX 13,039 img/s
   against the projection's 73,419 (hybrid: 101,646 vs 101,656).  The
   MPI models behind it are cross-validated in `tests/test_perfmodel.py`.
-* **Storage-free OMB sweeps.**  The OMB-driven engine experiments —
+* **Storage-free sweeps.**  The OMB-driven engine experiments —
   fig3 and fig4 (`osu_latency` / `osu_bw` / `osu_bibw`) and fig1, fig5
-  and fig6 (every `run_collective_panel`) — run on clusters built with
-  `payloads=False`: their device buffers carry count, dtype and
-  placement but no contents, O(1) memory each.  OMB times what it
-  moves and never reads it (real OMB validates only under `-c`), and
-  virtual time is a function of counts, dtypes and placement, so their
-  numbers cannot move: the storage-free arms of
-  `tests/test_conformance.py` replay every frozen reference case with
-  clocks `==`, and the quick fig3/fig4/fig5 records are bit-identical
-  both ways.  The Horovod figures (7-10), the DL trainer and every
-  rank program that checks its results keep real payloads.
+  and fig6 (every `run_collective_panel`) — and the Horovod panels of
+  figs 7-10 (`tf_panel`) run on clusters built with `payloads=False`:
+  their device buffers carry count, dtype and placement but no
+  contents, O(1) memory each.  OMB times what it moves and never reads
+  it (real OMB validates only under `-c`), the synthetic trainer's
+  gradients are never read, and virtual time is a function of counts,
+  dtypes and placement, so their numbers cannot move: the storage-free
+  arms of `tests/test_conformance.py` replay every frozen reference
+  case with clocks `==`, `tests/test_storage_free.py` holds each
+  trainer stack's throughput `==`, and the quick fig3/fig4/fig5
+  records are bit-identical both ways.  The examples and every rank
+  program that checks its results keep real payloads.
 * **Launch floors** (fig3) run 5-25% above the paper's quoted
   overheads because our small-message latency includes the per-step
   link alpha on top of the launch constant; the paper quotes the launch

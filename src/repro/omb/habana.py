@@ -4,8 +4,12 @@ OMB v7.2 can allocate CUDA and ROCm device buffers but had no Habana
 support; the authors ported OMB 7.0 using SynapseAI Software Suite
 APIs.  This module is that port's analogue: a SynapseAI-flavored
 allocation surface (``synDeviceAcquire`` / ``synDeviceMalloc`` /
-``synDeviceFree``) over the simulated Gaudi devices, which the OMB
-harness uses whenever the system under test is Habana-based.
+``synDeviceFree``) over the simulated Gaudi devices, exported from
+:mod:`repro.omb` for programs that allocate the way the port does.  The
+OMB harness itself does not call it: ``omb.collective`` and
+``omb.pt2pt`` allocate through the rank's ``ctx.device`` on every
+vendor, Gaudi included, and this surface hands back the same kind of
+device buffer.
 """
 
 from __future__ import annotations

@@ -16,10 +16,9 @@ import functools
 from repro.errors import ConfigError
 from repro.hw.cluster import PathScope
 from repro.mpi.coll import tuning
+from repro.mpi.compute import HOST_REDUCE_THRESHOLD
 from repro.mpi.config import MPIConfig
 from repro.perfmodel.shape import CommShape
-
-HOST_REDUCE_THRESHOLD = 8192  # keep in sync with repro.mpi.compute
 
 
 def _memoized(fn):

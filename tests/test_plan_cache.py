@@ -240,27 +240,51 @@ def test_allgatherv_under_a_bridge_row_plans_the_mpi_algorithms():
     assert out == [(Route.MPI, FallbackReason.MIXED_VENDOR, True, True)] * 8
 
 
-def test_tuner_advice_passes_the_call_collectives_eligibility():
-    """The online tuner's buckets are per tuning key, so an
-    ``Allgather`` whose static row is ``hier`` seeds the bucket an
-    ``Allgatherv`` of the same size reads.  The advice (``hier``) is
-    checked for ``Allgatherv`` like a table row, and it runs flat."""
+def _tuned_labels(first, then):
+    """Each rank's ``tune:`` / ``route:`` / ``execute:`` labels from a
+    ``then`` call on, after the ``first`` calls, of 1 024 floats a rank
+    on 2 x 4 ThetaGPU ranks under ``hier`` rows, the tuner on."""
     def body(mpx):
         comm = mpx.COMM_WORLD
-        send = mpx.device_array(64, fill=comm.rank + 1.0)
-        recv = mpx.device_array(64 * comm.size)
-        comm.Allgather(send, recv)
-        seeded = len(mpx.ctx.trace.events)
-        comm.Allgatherv(send, recv, [64] * comm.size)
-        return [ev.label for ev in mpx.ctx.trace.events[seeded:]
+        send = mpx.device_array(1024, fill=comm.rank + 1.0)
+        recv = mpx.device_array(1024 * comm.size)
+        calls = {"allgather": lambda: comm.Allgather(send, recv),
+                 "allgatherv": lambda: comm.Allgatherv(
+                     send, recv, [1024] * comm.size)}
+        for name in first:
+            calls[name]()
+        start = len(mpx.ctx.trace.events)
+        calls[then]()
+        return [ev.label for ev in mpx.ctx.trace.events[start:]
                 if ev.label.startswith(("tune:", "route:", "execute:"))]
 
     cluster = make_system("thetagpu", 2)
-    out = runtime.run(body, system=cluster, ranks_per_node=4, nranks=8,
-                      table=_hier_everywhere(cluster, 8, 4), trace=True,
-                      online_tune=True)
-    assert out == [["tune:observe:hier", "route:xccl",
-                    "execute:allgatherv:xccl:nccl"]] * 8
+    return runtime.run(body, system=cluster, ranks_per_node=4, nranks=8,
+                       table=_hier_everywhere(cluster, 8, 4), trace=True,
+                       online_tune=True)
+
+
+def test_tuner_advice_passes_the_call_collectives_eligibility():
+    """The online tuner's buckets are per call collective: after an
+    ``Allgather`` whose static row is ``hier``, an ``Allgatherv`` of
+    the same size opens its own bucket, seeded with the route the
+    ``hier`` row is eligible for on ``Allgatherv`` (flat ``xccl``), and
+    runs flat."""
+    assert _tuned_labels(["allgather"], "allgatherv") == [
+        ["tune:observe:xccl", "route:xccl",
+         "execute:allgatherv:xccl:nccl"]] * 8
+
+
+@pytest.mark.parametrize("first", [["allgatherv"], []],
+                         ids=["after_allgatherv", "alone"])
+def test_tuner_bucket_is_the_call_collectives(first):
+    """Under a ``hier`` row an ``Allgather`` observes and routes the
+    hierarchy whether or not an ``Allgatherv`` of the same size ran
+    first: the two never share a tuner bucket, so neither fixes the
+    other's static route (the hierarchy's sub-communicators route their
+    own calls after)."""
+    for labels in _tuned_labels(first, "allgather"):
+        assert labels[:2] == ["tune:observe:hier", "route:hier"]
 
 
 def test_memoized_functions_replay_their_originals(thetagpu2):

@@ -14,6 +14,10 @@ The OMB sweeps that do run storage-free are then held to O(1) memory:
 every stack and route at 16 to 64 MiB windows, under ``tracemalloc``.
 A payload step that forgets its stride test copies or folds O(n)
 bytes there — or raises, landing storage-free data in real scratch.
+
+The Horovod trainer behind Figs 7-10 (``experiments._tf_common.tf_panel``)
+runs storage-free too: each of its stacks gives the same throughput and
+communication time on a real and on a storage-free cluster.
 """
 
 from __future__ import annotations
@@ -22,6 +26,9 @@ import tracemalloc
 
 import pytest
 
+from repro.dl import horovod_preset, train
+from repro.dl.horovod import build_buckets
+from repro.dl.models import Layer, ModelSpec
 from repro.hw.systems import make_mixed_system, make_system
 from repro.omb.collective import COLLECTIVE_BENCHMARKS
 from repro.omb.harness import OMBConfig
@@ -142,3 +149,33 @@ def test_pt2pt_sweep_moves_no_payload_bytes(bench):
     engine = Engine(_thetagpu2(), nranks=2, ranks_per_node=1)
     assert _traced_peak(
         lambda: engine.run(lambda ctx: bench(ctx, "nccl", config))) < 4 << 20
+
+
+#: one 12 MiB bucket under 64 MiB fusion (past the openmpi / ucc penalty
+#: threshold), one bucket a tensor under pure NCCL's 512 KiB
+TF_MODEL = ModelSpec("two_fc", (Layer("fc0.weight", 3 << 19),
+                                Layer("fc1.weight", 3 << 19),
+                                Layer("fc1.bias", 1024)),
+                     fwd_flops_per_image=1e9)
+
+
+@pytest.mark.parametrize("nodes", [1, 2])
+@pytest.mark.parametrize("stack", ["hybrid", "ccl", "openmpi", "ucc"])
+def test_trainer_throughput_is_storage_free(stack, nodes):
+    """``dl.trainer.train`` through each ``tf_panel`` stack, as the
+    panel drives it, on 4 ThetaGPU ranks: ``img_per_sec`` and
+    ``comm_time_us`` are ``==`` on a real and on a ``payloads=False``
+    cluster."""
+    config = horovod_preset(stack, "nccl", multi_node=nodes > 1)
+    assert any(b.nbytes > config.penalty_threshold_bytes
+               for b in build_buckets(TF_MODEL, config.fusion_threshold_bytes))
+
+    def body(ctx):
+        result = train(ctx, make_stack(ctx, stack, "nccl"), TF_MODEL, 32,
+                       steps=2, config=config)
+        return result.img_per_sec, result.comm_time_us
+
+    runs = [Engine(make_system("thetagpu", nodes, payloads=payloads),
+                   nranks=4, ranks_per_node=4 // nodes, **OFF).run(body)
+            for payloads in (True, False)]
+    assert runs[0] == runs[1]

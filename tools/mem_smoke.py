@@ -2,7 +2,7 @@
 engines built, ranks times ranks, or bytes a benchmark never reads;
 communicator churn leaves nothing behind.
 
-Six legs, the first five each in a fresh process that reports its own
+Seven legs, the first six each in a fresh process that reports its own
 peak resident set (``ru_maxrss``) and fails above its ceiling:
 
 * **scale** — a ``SCALE_RANKS``-rank ``Barrier`` + ``Allreduce``;
@@ -32,6 +32,9 @@ peak resident set (``ru_maxrss``) and fails above its ceiling:
   window (32 MiB of snapshots alive at once), about 97.3 MiB now that
   it lends the window until its request completes (docs/performance.md,
   "Lent nonblocking sends").
+* **trainer** — ``fig9`` at the paper's scale (the Horovod trainer on
+  8 and 32 ranks), storage-free like every ``tf_panel``; 96 MiB.  About
+  2 144 MiB while its gradient buckets were real, 35 MiB without.
 * **churn** — ``CHURN_CYCLES`` runs of Dup → attach → 1 MiB
   ``Allreduce`` (the xCCL route) → ``Free`` on 8 ThetaGPU ranks; fails
   unless the engine's record count and the size of every dict on each
@@ -140,6 +143,13 @@ def _payload_leg() -> str:
             f"Accelerator.zeros calls")
 
 
+def trainer_leg() -> str:
+    """``fig9``'s TF panels at the paper's scale, storage-free."""
+    from repro.experiments import run_experiment
+    results = run_experiment("fig9", scale="paper")
+    return f"fig9 paper-scale TF panels, storage-free: {len(results)} records"
+
+
 def alltoall_leg() -> str:
     """OMB ``Alltoall`` at ``ALLTOALL_PEER_BYTES`` per peer on
     ``ALLTOALL_NODES`` x 8 storage-free ThetaGPU ranks, hybrid stack."""
@@ -205,6 +215,8 @@ LEGS = {
                  "a storage-free benchmark window is holding real memory"),
     "window": (window_leg, 112.0,
                "a nonblocking rendezvous send snapshots its window"),
+    "trainer": (trainer_leg, 96.0,
+                "a DL trainer panel is holding real gradient buffers"),
 }
 
 
