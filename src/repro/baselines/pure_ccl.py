@@ -17,7 +17,8 @@ from repro.xccl.comm import XCCLComm
 
 
 class PureCCLHarness:
-    """Per-rank handle for direct CCL benchmarking.
+    """Per-rank handle for direct CCL benchmarking: the MPI collective
+    spellings of a stack, run straight on the CCL.
 
     Args:
         ctx: the rank's engine context.
@@ -31,55 +32,60 @@ class PureCCLHarness:
                                    ("pure", backend, next(ctx.program_seq)))
         self.comm: XCCLComm = xapi.xcclCommInitRank(
             ctx, ctx.engine.world_group, ctx.rank, uid, backend)
-        # ``sync``'s operand: summed in place, zeros stay zeros
+        #: job size, this rank and the shared record, as on a stack
+        self.size, self.rank = self.comm.size, self.comm.rank
+        self.record = self.comm.record
+        # ``Barrier``'s operand: summed in place, zeros stay zeros
         self._sync_buf = ctx.device.zeros(1)
 
-    @property
-    def size(self) -> int:
-        """Job size."""
-        return self.comm.size
+    # -- the stacks' collective surface ----------------------------------------
+    #
+    # The MPI spellings every stack is driven with, each one direct
+    # ``xccl*`` call (Alltoall: the hand-written group) and a stream
+    # sync.
 
-    @property
-    def rank(self) -> int:
-        """This rank."""
-        return self.comm.rank
-
-    def sync(self) -> None:
+    def Barrier(self) -> None:
         """CCL-level barrier: a 1-element allreduce + stream join
         (how OMB's NCCL benchmarks align iterations)."""
         xapi.xcclAllReduce(self._sync_buf, self._sync_buf, 1, FLOAT, SUM,
                            self.comm)
         xapi.xcclStreamSynchronize(self.comm)
 
-    # -- collectives ---------------------------------------------------------
-
-    def allreduce(self, sendbuf, recvbuf, count: int,
-                  dt: Datatype = FLOAT, op: Op = SUM) -> None:
+    def Allreduce(self, sendbuf, recvbuf, op: Op = SUM, *, count: int,
+                  datatype: Datatype = FLOAT) -> None:
         """Direct ``xcclAllReduce`` + stream sync."""
-        xapi.xcclAllReduce(sendbuf, recvbuf, count, dt, op, self.comm)
+        xapi.xcclAllReduce(sendbuf, recvbuf, count, datatype, op, self.comm)
         xapi.xcclStreamSynchronize(self.comm)
 
-    def reduce(self, sendbuf, recvbuf, count: int, root: int = 0,
-               dt: Datatype = FLOAT, op: Op = SUM) -> None:
+    def Reduce(self, sendbuf, recvbuf, op: Op = SUM, root: int = 0, *,
+               count: int, datatype: Datatype = FLOAT) -> None:
         """Direct ``xcclReduce`` + stream sync."""
-        xapi.xcclReduce(sendbuf, recvbuf, count, dt, op, root, self.comm)
+        xapi.xcclReduce(sendbuf, recvbuf, count, datatype, op, root,
+                        self.comm)
         xapi.xcclStreamSynchronize(self.comm)
 
-    def bcast(self, buf, count: int, root: int = 0,
-              dt: Datatype = FLOAT) -> None:
+    def Bcast(self, buf, root: int = 0, *, count: int,
+              datatype: Datatype = FLOAT) -> None:
         """Direct ``xcclBroadcast`` + stream sync."""
-        xapi.xcclBroadcast(buf, count, dt, root, self.comm)
+        xapi.xcclBroadcast(buf, count, datatype, root, self.comm)
         xapi.xcclStreamSynchronize(self.comm)
 
-    def allgather(self, sendbuf, recvbuf, count: int,
-                  dt: Datatype = FLOAT) -> None:
+    def Allgather(self, sendbuf, recvbuf, *, count: int,
+                  datatype: Datatype = FLOAT) -> None:
         """Direct ``xcclAllGather`` + stream sync."""
-        xapi.xcclAllGather(sendbuf, recvbuf, count, dt, self.comm)
+        xapi.xcclAllGather(sendbuf, recvbuf, count, datatype, self.comm)
+        xapi.xcclStreamSynchronize(self.comm)
+
+    def Reduce_scatter_block(self, sendbuf, recvbuf, op: Op = SUM, *,
+                             count: int, datatype: Datatype = FLOAT) -> None:
+        """Direct ``xcclReduceScatter`` + stream sync."""
+        xapi.xcclReduceScatter(sendbuf, recvbuf, count, datatype, op,
+                               self.comm)
         xapi.xcclStreamSynchronize(self.comm)
 
     @xapi.aborts_group_on_error
-    def alltoall(self, sendbuf, recvbuf, count: int,
-                 dt: Datatype = FLOAT) -> None:
+    def Alltoall(self, sendbuf, recvbuf, *, count: int,
+                 datatype: Datatype = FLOAT) -> None:
         """Grouped send/recv alltoall, as a user would hand-write it
         with the raw CCL API (§3.3's motivation): one unhinted group,
         a send and a receive per peer on slices of the two windows."""
@@ -89,8 +95,8 @@ class PureCCLHarness:
         xapi.xcclGroupStart()
         for r in range(comm.size):
             lo = r * count
-            backend.send(comm, sa[lo:lo + count], count, dt, r)
-            backend.recv(comm, ra[lo:lo + count], count, dt, r)
+            backend.send(comm, sa[lo:lo + count], count, datatype, r)
+            backend.recv(comm, ra[lo:lo + count], count, datatype, r)
         xapi.xcclGroupEnd()
         xapi.xcclStreamSynchronize(self.comm)
 
@@ -115,4 +121,3 @@ class PureCCLHarness:
         xapi.xcclRecv(recvbuf, count, dt, peer, self.comm)
         xapi.xcclGroupEnd()
         xapi.xcclStreamSynchronize(self.comm)
-

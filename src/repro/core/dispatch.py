@@ -207,11 +207,14 @@ def _ccl_reduce_scatter_block(layer, c):
     xapi.xcclStreamSynchronize(comm)
 
 
-# §3.3 send-recv compositions (grouped p2p; transport prices the calls):
+# §3.3 send-recv compositions (grouped p2p; transport prices the calls),
+# one per shape: a uniform call runs its vector form on equal blocks
 
 def _ccl_alltoall(layer, c):
-    srcoll.xccl_alltoall(layer.ccl_comm(c.comm), c.sendbuf, c.recvbuf,
-                         c.count, c.dt)
+    comm = layer.ccl_comm(c.comm)
+    counts, displs = srcoll.uniform_geometry(comm, c.count)
+    srcoll.xccl_alltoallv(comm, c.sendbuf, counts, displs, c.recvbuf, counts,
+                          displs, c.dt)
 
 
 def _ccl_alltoallv(layer, c):
@@ -220,8 +223,9 @@ def _ccl_alltoallv(layer, c):
 
 
 def _ccl_gather(layer, c):
-    srcoll.xccl_gather(layer.ccl_comm(c.comm), c.sendbuf, c.recvbuf,
-                       c.count, c.dt, c.root)
+    comm = layer.ccl_comm(c.comm)
+    srcoll.xccl_gatherv(comm, c.sendbuf, c.recvbuf,
+                        *srcoll.uniform_geometry(comm, c.count), c.dt, c.root)
 
 
 def _ccl_gatherv(layer, c):
@@ -230,8 +234,10 @@ def _ccl_gatherv(layer, c):
 
 
 def _ccl_scatter(layer, c):
-    srcoll.xccl_scatter(layer.ccl_comm(c.comm), c.sendbuf, c.recvbuf,
-                        c.count, c.dt, c.root)
+    comm = layer.ccl_comm(c.comm)
+    srcoll.xccl_scatterv(comm, c.sendbuf,
+                         *srcoll.uniform_geometry(comm, c.count), c.recvbuf,
+                         c.dt, c.root)
 
 
 def _ccl_scatterv(layer, c):

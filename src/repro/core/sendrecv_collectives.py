@@ -3,8 +3,15 @@
 The CCL APIs provide only five collectives; everything else is built
 from group calls and point-to-point primitives.  Listing 1 of the paper
 shows the AlltoAllv — :func:`xccl_alltoallv` is that code against the
-unified API: one group, one send and one receive per peer.  The others
-follow the same pattern.  These functions are the *fused sendrecv-group*
+unified API: one group, one send and one receive per peer.  Every other
+shape follows the same pattern, and is written once: one composition
+per shape, in its vector form (:func:`xccl_alltoallv`,
+:func:`xccl_gatherv`, :func:`xccl_scatterv`, :func:`xccl_allgatherv`).
+A uniform ``Alltoall``, ``Gather`` or ``Scatter`` is that composition on
+equal blocks, the counts and displacements :func:`uniform_geometry`
+keeps per CCL communicator.  The root's ``MPI_IN_PLACE`` rule is
+written once per rooted shape, in the vector body, so every spelling
+keeps it.  These functions are the *fused sendrecv-group*
 executors of the dispatch registry (:data:`repro.core.dispatch.REGISTRY`):
 the pipeline's execute stage calls them when a collective without a
 direct §3.2 mapping routes to the CCL.
@@ -48,7 +55,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.hw.memory import as_array, borrow_view
-from repro.mpi.communicator import IN_PLACE
+from repro.mpi.coll._util import is_inplace, uniform_blocks
 from repro.mpi.datatypes import Datatype
 from repro.xccl.api import (
     aborts_group_on_error,
@@ -83,40 +90,15 @@ def xccl_alltoallv(comm: XCCLComm, sendbuf, sendcounts: Sequence[int],
     xcclStreamSynchronize(comm)
 
 
-def _uniform_geometry(comm: XCCLComm, count: int):
-    """``(counts, displs)`` for a uniform per-peer exchange, compiled
-    once per (collective geometry, count) and replayed from the CCL
-    communicator."""
+def uniform_geometry(comm: XCCLComm, count: int):
+    """``(counts, displs)`` of a uniform collective's equal blocks
+    (:func:`~repro.mpi.coll._util.uniform_blocks`), built once per count
+    and kept on the CCL communicator."""
     key = ("uniform", count)
     geom = comm.plan_geometry.get(key)
     if geom is None:
-        p = comm.size
-        geom = ([count] * p, [r * count for r in range(p)])
-        comm.plan_geometry[key] = geom
+        geom = comm.plan_geometry[key] = uniform_blocks(count, comm.size)
     return geom
-
-
-def xccl_alltoall(comm: XCCLComm, sendbuf, recvbuf, count: int,
-                  dt: Datatype) -> None:
-    """MPI_Alltoall: the uniform special case of Listing 1."""
-    counts, displs = _uniform_geometry(comm, count)
-    xccl_alltoallv(comm, sendbuf, counts, displs, recvbuf, counts, displs, dt)
-
-
-@aborts_group_on_error
-def xccl_gather(comm: XCCLComm, sendbuf, recvbuf, count: int, dt: Datatype,
-                root: int) -> None:
-    """MPI_Gather: everyone sends its block to root inside one group."""
-    backend = backend_of(comm)
-    xcclGroupStart()
-    if comm.rank == root:
-        ra = as_array(recvbuf)
-        for r in range(comm.size):
-            backend.recv(comm, ra[r * count:(r + 1) * count], count, dt, r)
-    src = _own_block(sendbuf, recvbuf, comm.rank, count)
-    backend.send(comm, src, count, dt, root)
-    xcclGroupEnd()
-    xcclStreamSynchronize(comm)
 
 
 @aborts_group_on_error
@@ -133,24 +115,12 @@ def xccl_gatherv(comm: XCCLComm, sendbuf, recvbuf, counts: Sequence[int],
                 backend.recv(comm, ra[displs[r]:displs[r] + n], n, dt, r)
     n = counts[comm.rank]
     if n:
-        lo = displs[comm.rank] if sendbuf is IN_PLACE else 0
-        src = as_array(recvbuf if sendbuf is IN_PLACE else sendbuf)
+        # in place (IN_PLACE or None), the root's block is in recvbuf
+        if is_inplace(sendbuf):
+            src, lo = as_array(recvbuf), displs[comm.rank]
+        else:
+            src, lo = as_array(sendbuf), 0
         backend.send(comm, src[lo:lo + n], n, dt, root)
-    xcclGroupEnd()
-    xcclStreamSynchronize(comm)
-
-
-@aborts_group_on_error
-def xccl_scatter(comm: XCCLComm, sendbuf, recvbuf, count: int, dt: Datatype,
-                 root: int) -> None:
-    """MPI_Scatter: root sends each rank its block inside one group."""
-    backend = backend_of(comm)
-    xcclGroupStart()
-    if comm.rank == root:
-        sa = as_array(sendbuf)
-        for r in range(comm.size):
-            backend.send(comm, sa[r * count:(r + 1) * count], count, dt, r)
-    backend.recv(comm, as_array(recvbuf)[:count], count, dt, root)
     xcclGroupEnd()
     xcclStreamSynchronize(comm)
 
@@ -161,16 +131,18 @@ def xccl_scatterv(comm: XCCLComm, sendbuf, counts: Sequence[int],
                   root: int) -> None:
     """MPI_Scatterv via one grouped exchange."""
     backend = backend_of(comm)
+    rank = comm.rank
+    # an in-place root keeps its block where it is: no send to itself
+    own = 0 if is_inplace(recvbuf) else counts[rank]
     xcclGroupStart()
-    if comm.rank == root:
+    if rank == root:
         sa = as_array(sendbuf)
         for r in range(comm.size):
-            n = counts[r]
+            n = counts[r] if r != rank else own
             if n:
                 backend.send(comm, sa[displs[r]:displs[r] + n], n, dt, r)
-    n = counts[comm.rank]
-    if n:
-        backend.recv(comm, as_array(recvbuf)[:n], n, dt, root)
+    if own:
+        backend.recv(comm, as_array(recvbuf)[:own], own, dt, root)
     xcclGroupEnd()
     xcclStreamSynchronize(comm)
 
@@ -189,7 +161,7 @@ def xccl_allgatherv(comm: XCCLComm, sendbuf, recvbuf,
     rank = comm.rank
     ra = as_array(recvbuf)
     n = counts[rank]
-    src = ra[displs[rank]:displs[rank] + n] if sendbuf is IN_PLACE \
+    src = ra[displs[rank]:displs[rank] + n] if is_inplace(sendbuf) \
         else borrow_view(as_array(sendbuf))
     xcclGroupStart(comm)
     for r in range(comm.size):
@@ -200,10 +172,3 @@ def xccl_allgatherv(comm: XCCLComm, sendbuf, recvbuf,
             recv(comm, ra[displs[r]:displs[r] + m], m, dt, r)
     xcclGroupEnd()
     xcclStreamSynchronize(comm)
-
-
-def _own_block(sendbuf, recvbuf, rank: int, count: int):
-    """This rank's contribution (handles MPI_IN_PLACE at the root)."""
-    if sendbuf is IN_PLACE or sendbuf is None:
-        return as_array(recvbuf)[rank * count:(rank + 1) * count]
-    return as_array(sendbuf)

@@ -33,8 +33,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--mpi", default="mvapich",
                         choices=("mvapich", "openmpi"),
                         help="MPI personality to tune against")
-    parser.add_argument("--hysteresis", type=float, default=1.0,
-                        help=">1 biases toward MPI at shallow crossings")
     parser.add_argument("-o", "--output", default=None,
                         help="write the table JSON here")
     parser.add_argument("--show", action="store_true",
@@ -45,7 +43,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     nranks = args.ranks or cluster.device_count
     mpi_cfg = mvapich_gpu() if args.mpi == "mvapich" else openmpi_ucx()
     table = site_table(cluster, nranks, backend=args.backend,
-                       mpi_config=mpi_cfg, hysteresis=args.hysteresis)
+                       mpi_config=mpi_cfg)
 
     print(f"# tuned {args.system} x{args.nodes} nodes, {nranks} ranks, "
           f"backend={table.backend}, mpi={mpi_cfg.name}")

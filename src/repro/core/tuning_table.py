@@ -130,14 +130,9 @@ def _compress(points: Sequence[Tuple[int, str]]) -> List[Tuple[int, str]]:
 
 def tune_offline(shape: CommShape, ccl: CCLParams, mpi_config: MPIConfig,
                  collectives: Sequence[str] = TUNABLE_COLLECTIVES,
-                 sizes: Sequence[int] = tuple(DEFAULT_OMB_SIZES),
-                 hysteresis: float = 1.0) -> TuningTable:
-    """Build a tuning table by sweeping the cost models.
-
-    ``hysteresis`` > 1 biases toward MPI: the CCL must win by that
-    factor to take a size class (avoids flapping where the curves
-    cross shallowly).
-    """
+                 sizes: Sequence[int] = tuple(DEFAULT_OMB_SIZES)) -> TuningTable:
+    """Build a tuning table by sweeping the cost models: each size class
+    goes to the route the models price faster."""
     shape_key = (shape.p, shape.nodes, shape.ppn, shape.intra.kind.value,
                  shape.inter.kind.value if shape.inter else None)
     table = TuningTable(backend=ccl.name, shape_key=shape_key)
@@ -146,7 +141,7 @@ def tune_offline(shape: CommShape, ccl: CCLParams, mpi_config: MPIConfig,
         for size in sizes:
             t_mpi = mpi_models.collective_time(mpi_config, shape, coll, size)
             t_ccl = ccl_models.collective_time(ccl, shape, coll, size)
-            points.append((size, "xccl" if t_ccl * hysteresis < t_mpi else "mpi"))
+            points.append((size, "xccl" if t_ccl < t_mpi else "mpi"))
         table.entries[coll] = _compress(points)
     return table
 
@@ -154,16 +149,14 @@ def tune_offline(shape: CommShape, ccl: CCLParams, mpi_config: MPIConfig,
 def site_table(cluster, nranks: Optional[int] = None,
                ranks_per_node: Optional[int] = None,
                backend: Optional[str] = None,
-               mpi_config: Optional[MPIConfig] = None,
-               hysteresis: float = 1.0) -> TuningTable:
+               mpi_config: Optional[MPIConfig] = None) -> TuningTable:
     """The offline table the runtime tunes for ``nranks`` ranks (default:
     one per device) on ``cluster`` and ``backend`` (default: the native
     CCL) — what a site starts its own table from."""
     nranks = nranks or cluster.device_count
     ccl = get_backend(backend or default_ccl_for(cluster.devices[0].vendor))
     return tune_offline(shape_of(cluster, range(nranks), ranks_per_node),
-                        ccl.params, mpi_config or mvapich_gpu(),
-                        hysteresis=hysteresis)
+                        ccl.params, mpi_config or mvapich_gpu())
 
 
 def with_route(table: TuningTable, route: str,

@@ -15,7 +15,6 @@ from typing import List
 
 import numpy as np
 
-from repro.baselines.pure_ccl import PureCCLHarness
 from repro.dl.models import Layer, ModelSpec
 from repro.mpi.datatypes import FLOAT
 from repro.mpi.ops import SUM
@@ -116,9 +115,7 @@ class DistributedOptimizer:
         """Horovod's coordinator round before a bucket: every rank of the
         stack starts its allreduce at the latest arrival.  Free here;
         ``cycle_time_us`` is its cost."""
-        comm = self.stack.comm if isinstance(self.stack, PureCCLHarness) \
-            else self.stack
-        scope = comm.record.scope
+        scope = self.stack.record.scope
         key = ((scope if isinstance(scope, tuple) else (scope,))
                + ("horovod-cycle", next(self.ctx.program_seq)))
         slot = self.ctx.collective_slot(key, self.stack.size)
@@ -133,13 +130,9 @@ class DistributedOptimizer:
             # the paper: on-the-fly compression for GPU clusters)
             self.ctx.clock.advance(bucket.nbytes / self.config.compression_bpus)
             count = max(1, int(count / ratio))
-        if isinstance(self.stack, PureCCLHarness):
-            self.stack.allreduce(self._send.view(0, count),
-                                 self._recv.view(0, count), count)
-        else:
-            self.stack.Allreduce(self._send.view(0, count),
-                                 self._recv.view(0, count), SUM,
-                                 count=count, datatype=FLOAT)
+        self.stack.Allreduce(self._send.view(0, count),
+                             self._recv.view(0, count), SUM,
+                             count=count, datatype=FLOAT)
         if ratio > 1.0:
             self.ctx.clock.advance(bucket.nbytes / self.config.compression_bpus)
 

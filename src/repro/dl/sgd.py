@@ -16,7 +16,6 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro.baselines.pure_ccl import PureCCLHarness
 from repro.errors import ConfigError
 from repro.mpi.datatypes import DOUBLE
 from repro.mpi.ops import SUM
@@ -110,11 +109,9 @@ def make_dataset(n: int, in_dim: int, out_dim: int,
 def _allreduce_flat(ctx, stack, flat: np.ndarray) -> np.ndarray:
     send = ctx.device.from_numpy(flat)
     recv = ctx.device.empty(flat.size, dtype=np.float64)
-    if isinstance(stack, PureCCLHarness):
-        # float64 rides every NCCL-family backend; HCCL would reject it
-        stack.allreduce(send, recv, flat.size, DOUBLE)
-    else:
-        stack.Allreduce(send, recv, SUM, count=flat.size, datatype=DOUBLE)
+    # float64 rides every NCCL-family backend; HCCL would reject it on
+    # the pure-CCL harness
+    stack.Allreduce(send, recv, SUM, count=flat.size, datatype=DOUBLE)
     return recv.to_numpy()
 
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import functools
-from typing import Tuple
+from typing import List, Tuple
 
 from repro.hw.memory import Buffer, as_array
 from repro.mpi.communicator import IN_PLACE
@@ -35,6 +35,12 @@ def chunk_bounds(count: int, parts: int) -> Tuple[Tuple[int, int], ...]:
         bounds.append((off, size))
         off += size
     return tuple(bounds)
+
+
+def uniform_blocks(count: int, p: int) -> Tuple[List[int], List[int]]:
+    """``(counts, displs)`` of ``p`` packed blocks of ``count`` elements:
+    the geometry a uniform collective hands its vector form."""
+    return [count] * p, [r * count for r in range(p)]
 
 
 def is_inplace(sendbuf) -> bool:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.mpi.coll._util import is_inplace
+from repro.mpi.coll._util import is_inplace, uniform_blocks
 from repro.mpi.compute import (
     acquire_staging, copy_window, move_blocks, release_staging,
 )
@@ -23,19 +23,10 @@ def _materialize_own_block(comm, sendbuf, recvbuf, count: int) -> None:
 
 
 def allgather_ring(comm, sendbuf, recvbuf, count: int, dt: Datatype) -> None:
-    """Ring allgather: block ``(rank-step) % p`` flows rightward."""
-    rank, p = comm.rank, comm.size
-    tag = comm.next_coll_tag()
-    _materialize_own_block(comm, sendbuf, recvbuf, count)
-    if p == 1:
-        return
-    right = (rank + 1) % p
-    left = (rank - 1) % p
-    for step in range(p - 1):
-        send_block = (rank - step) % p
-        recv_block = (rank - step - 1) % p
-        comm._sendrecv(recvbuf, send_block * count, count, right,
-                       recvbuf, recv_block * count, count, left, tag, tag, dt)
+    """Ring allgather: block ``(rank-step) % p`` flows rightward
+    (:func:`allgatherv_ring` on equal blocks)."""
+    allgatherv_ring(comm, sendbuf, recvbuf, *uniform_blocks(count, comm.size),
+                    dt)
 
 
 def allgather_recursive_doubling(comm, sendbuf, recvbuf, count: int,

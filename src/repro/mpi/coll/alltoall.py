@@ -4,12 +4,17 @@ Scattered (all nonblocking sends/recvs at once) suits small-to-medium
 messages; pairwise exchange serializes into ``p-1`` balanced rounds for
 large messages; Bruck trades ``log p`` rounds for ``n/2 * log p`` extra
 volume — the very-small-message winner.
+
+The uniform scattered exchange is the vector one on equal blocks
+(:func:`alltoall_scattered` runs :func:`alltoallv_scattered`, the form
+Listing 1 of the paper writes), so its rounds are written once.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.mpi.coll._util import uniform_blocks
 from repro.mpi.compute import (
     acquire_staging, copy_window, move_blocks, release_staging,
 )
@@ -18,17 +23,9 @@ from repro.mpi.datatypes import Datatype
 
 def alltoall_scattered(comm, sendbuf, recvbuf, count: int, dt: Datatype) -> None:
     """Post every irecv and isend, then complete them all."""
-    rank, p = comm.rank, comm.size
-    tag = comm.next_coll_tag()
-    copy_window(comm, recvbuf, rank * count, sendbuf, rank * count, count)
-    reqs = []
-    for off in range(1, p):
-        src = (rank - off) % p
-        reqs.append(comm._irecv(recvbuf, src * count, count, src, tag, dt))
-    for off in range(1, p):
-        dst = (rank + off) % p
-        reqs.append(comm._isend(sendbuf, dst * count, count, dst, tag, dt))
-    comm._waitall(reqs)
+    counts, displs = uniform_blocks(count, comm.size)
+    alltoallv_scattered(comm, sendbuf, counts, displs, recvbuf, counts,
+                        displs, dt)
 
 
 def alltoall_pairwise(comm, sendbuf, recvbuf, count: int, dt: Datatype) -> None:

@@ -3,13 +3,20 @@
 Binomial halves the round count for small messages; linear is the
 large-message choice (the root link is the bottleneck either way, and
 the tree would move interior data twice).
+
+A uniform linear call is its vector form on equal blocks
+(:func:`gather_linear` runs :func:`gatherv_linear`, :func:`scatter_linear`
+runs :func:`scatterv_linear`), so the root's ``MPI_IN_PLACE`` rule is
+written once per shape: an in-place root neither copies its own block
+nor sends it to itself.  The binomial trees have no vector twin and
+keep the rule in their own bodies.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.mpi.coll._util import is_inplace
+from repro.mpi.coll._util import is_inplace, uniform_blocks
 from repro.mpi.compute import (
     acquire_staging, copy_window, move_blocks, release_staging,
 )
@@ -18,17 +25,9 @@ from repro.mpi.datatypes import Datatype
 
 def gather_linear(comm, sendbuf, recvbuf, count: int, dt: Datatype,
                   root: int) -> None:
-    """Everyone sends straight to the root."""
-    rank, p = comm.rank, comm.size
-    tag = comm.next_coll_tag()
-    if rank == root:
-        if not is_inplace(sendbuf):
-            copy_window(comm, recvbuf, rank * count, sendbuf, 0, count)
-        for r in range(p):
-            if r != root:
-                comm._recv(recvbuf, r * count, count, r, tag, dt)
-    else:
-        comm._send(sendbuf, 0, count, root, tag, dt)
+    """Everyone sends straight to the root: :func:`gatherv_linear`."""
+    gatherv_linear(comm, sendbuf, recvbuf, *uniform_blocks(count, comm.size),
+                   dt, root)
 
 
 def gather_binomial(comm, sendbuf, recvbuf, count: int, dt: Datatype,
@@ -91,17 +90,9 @@ def gatherv_linear(comm, sendbuf, recvbuf, counts, displs, dt: Datatype,
 
 def scatter_linear(comm, sendbuf, recvbuf, count: int, dt: Datatype,
                    root: int) -> None:
-    """Root sends each rank its block directly."""
-    rank, p = comm.rank, comm.size
-    tag = comm.next_coll_tag()
-    if rank == root:
-        for r in range(p):
-            if r != root:
-                comm._send(sendbuf, r * count, count, r, tag, dt)
-        if not is_inplace(recvbuf):
-            copy_window(comm, recvbuf, 0, sendbuf, rank * count, count)
-    else:
-        comm._recv(recvbuf, 0, count, root, tag, dt)
+    """Root sends each rank its block directly: :func:`scatterv_linear`."""
+    scatterv_linear(comm, sendbuf, *uniform_blocks(count, comm.size),
+                    recvbuf, dt, root)
 
 
 def scatter_binomial(comm, sendbuf, recvbuf, count: int, dt: Datatype,
@@ -114,7 +105,9 @@ def scatter_binomial(comm, sendbuf, recvbuf, count: int, dt: Datatype,
             copy_window(comm, recvbuf, 0, sendbuf, root * count, count)
         return
     rel = (rank - root) % p
-    work = acquire_staging(comm, recvbuf, p * count, dt.storage)
+    work = acquire_staging(
+        comm, recvbuf if not is_inplace(recvbuf) else sendbuf,
+        p * count, dt.storage)
     try:
         have = 0
         if rel == 0:
@@ -143,7 +136,8 @@ def scatter_binomial(comm, sendbuf, recvbuf, count: int, dt: Datatype,
                            tag, dt)
                 have = mask
             mask >>= 1
-        copy_window(comm, recvbuf, 0, work, 0, count)
+        if not is_inplace(recvbuf):
+            copy_window(comm, recvbuf, 0, work, 0, count)
     finally:
         release_staging(comm, work)
 
@@ -157,7 +151,9 @@ def scatterv_linear(comm, sendbuf, counts, displs, recvbuf, dt: Datatype,
         for r in range(p):
             if r != root and counts[r]:
                 comm._send(sendbuf, displs[r], counts[r], r, tag, dt)
-        copy_window(comm, recvbuf, 0, sendbuf, displs[rank], counts[rank])
+        if not is_inplace(recvbuf):
+            copy_window(comm, recvbuf, 0, sendbuf, displs[rank],
+                        counts[rank])
     elif counts[rank]:
         comm._recv(recvbuf, 0, counts[rank], root, tag, dt)
 

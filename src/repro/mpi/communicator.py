@@ -630,7 +630,8 @@ class Communicator:
                  share: int = 1) -> CollectiveCall:
         """Descriptor of a uniform-count collective.  ``ref`` is the
         buffer the datatype and the default count (its size over
-        ``share``) are read from.
+        ``share``) are read from; an in-place root's ``IN_PLACE``
+        stands for its other buffer, which holds a block per rank.
 
         Both windows must hold what the call moves (:data:`_WINDOWS`),
         or :class:`MPICountError` is raised here, before any route runs,
@@ -639,6 +640,9 @@ class Communicator:
         every collective call, and a helper would be calls of its own.)
         """
         self._check_live()
+        if ref is IN_PLACE:
+            ref, share = (recvbuf if sendbuf is IN_PLACE else sendbuf,
+                          self.size)
         arr = as_array(ref)
         # resolved inline: a lookup by the array's dtype, and an op
         # checked once per datatype (helpers would be calls of their own)
@@ -697,6 +701,8 @@ class Communicator:
         the side without a vector.
         """
         self._check_live()
+        if ref is IN_PLACE:
+            ref = recvbuf if sendbuf is IN_PLACE else sendbuf
         call = CollectiveCall(coll, self, sendbuf, recvbuf,
                               dt=datatype or datatype_of(ref), root=root)
         mine = root is None or self.rank == root
@@ -808,7 +814,8 @@ class Communicator:
                               count: Optional[int] = None,
                               datatype: Optional[Datatype] = None) -> CollectiveCall:
         return self._uniform("reduce_scatter_block", sendbuf, recvbuf,
-                             recvbuf, count, datatype, op)
+                             recvbuf, count, datatype, op,
+                             share=self.size if sendbuf is IN_PLACE else 1)
 
     # blocking spellings
 

@@ -2,9 +2,10 @@
 alltoallv / allgather / reduce_scatter.
 
 Each benchmark runs an SPMD body on a prepared communication *stack* —
-any object exposing the MPI collective surface (a hybrid-dispatched
-communicator, a plain MPI communicator, an Open MPI baseline) or a
-:class:`PureCCLHarness` — and reports cross-rank (avg, min, max)
+any object exposing the MPI collective surface: a hybrid-dispatched
+communicator, a plain MPI communicator, an Open MPI baseline, or a
+:class:`~repro.baselines.pure_ccl.PureCCLHarness`, which speaks the same
+spellings straight to the CCL — and reports cross-rank (avg, min, max)
 latency per message size, like real OMB.
 """
 
@@ -14,7 +15,6 @@ from typing import Callable, Dict, Optional
 
 import numpy as np
 
-from repro.baselines.pure_ccl import PureCCLHarness
 from repro.mpi.datatypes import FLOAT
 from repro.mpi.ops import SUM
 from repro.omb.harness import LatencyStats, OMBConfig, aggregate_latency, timed_loop
@@ -42,16 +42,6 @@ def _run_sweep(ctx: RankContext, config: OMBConfig, key: str,
     return results
 
 
-def _is_pure(stack) -> bool:
-    return isinstance(stack, PureCCLHarness)
-
-
-def _barrier_for(stack) -> Callable[[], None]:
-    if _is_pure(stack):
-        return stack.sync
-    return stack.Barrier
-
-
 def osu_allreduce(ctx: RankContext, stack,
                   config: Optional[OMBConfig] = None) -> Dict[int, LatencyStats]:
     """MPI_Allreduce (or direct xcclAllReduce) latency sweep.
@@ -65,9 +55,6 @@ def osu_allreduce(ctx: RankContext, stack,
 
     def make_op(size: int) -> Callable[[], None]:
         count = max(size // 4, 1)
-        if _is_pure(stack):
-            return lambda: stack.allreduce(send.view(0, count),
-                                           recv.view(0, count), count)
         if hasattr(stack, "Allreduce_init"):
             # persistent collective: resolve + plan once per size,
             # replay per iteration (mpi4py-style MPI 4.0 API)
@@ -79,7 +66,7 @@ def osu_allreduce(ctx: RankContext, stack,
                                        recv.view(0, count), SUM,
                                        count=count, datatype=FLOAT)
 
-    return _run_sweep(ctx, config, "allreduce", _barrier_for(stack), make_op)
+    return _run_sweep(ctx, config, "allreduce", stack.Barrier, make_op)
 
 
 def osu_reduce(ctx: RankContext, stack,
@@ -92,13 +79,10 @@ def osu_reduce(ctx: RankContext, stack,
 
     def make_op(size: int) -> Callable[[], None]:
         count = max(size // 4, 1)
-        if _is_pure(stack):
-            return lambda: stack.reduce(send.view(0, count),
-                                        recv.view(0, count), count, 0)
         return lambda: stack.Reduce(send.view(0, count), recv.view(0, count),
                                     SUM, 0, count=count, datatype=FLOAT)
 
-    return _run_sweep(ctx, config, "reduce", _barrier_for(stack), make_op)
+    return _run_sweep(ctx, config, "reduce", stack.Barrier, make_op)
 
 
 def osu_bcast(ctx: RankContext, stack,
@@ -109,12 +93,10 @@ def osu_bcast(ctx: RankContext, stack,
 
     def make_op(size: int) -> Callable[[], None]:
         count = max(size // 4, 1)
-        if _is_pure(stack):
-            return lambda: stack.bcast(buf.view(0, count), count, 0)
         return lambda: stack.Bcast(buf.view(0, count), 0,
                                    count=count, datatype=FLOAT)
 
-    return _run_sweep(ctx, config, "bcast", _barrier_for(stack), make_op)
+    return _run_sweep(ctx, config, "bcast", stack.Barrier, make_op)
 
 
 def osu_alltoall(ctx: RankContext, stack,
@@ -129,9 +111,6 @@ def osu_alltoall(ctx: RankContext, stack,
 
     def make_op(size: int) -> Callable[[], None]:
         count = max(size // 4, 1)
-        if _is_pure(stack):
-            return lambda: stack.alltoall(send.view(0, count * p),
-                                          recv.view(0, count * p), count)
         if hasattr(stack, "Alltoall_init"):
             req = stack.Alltoall_init(send.view(0, count * p),
                                       recv.view(0, count * p),
@@ -141,7 +120,7 @@ def osu_alltoall(ctx: RankContext, stack,
                                       recv.view(0, count * p),
                                       count=count, datatype=FLOAT)
 
-    return _run_sweep(ctx, config, "alltoall", _barrier_for(stack), make_op)
+    return _run_sweep(ctx, config, "alltoall", stack.Barrier, make_op)
 
 
 def osu_alltoallv(ctx: RankContext, stack,
@@ -172,7 +151,7 @@ def osu_alltoallv(ctx: RankContext, stack,
                                        recv.view(0, sum(recvcounts)),
                                        recvcounts, datatype=FLOAT)
 
-    return _run_sweep(ctx, config, "alltoallv", _barrier_for(stack), make_op)
+    return _run_sweep(ctx, config, "alltoallv", stack.Barrier, make_op)
 
 
 def osu_allgather(ctx: RankContext, stack,
@@ -187,14 +166,11 @@ def osu_allgather(ctx: RankContext, stack,
 
     def make_op(size: int) -> Callable[[], None]:
         count = max(size // 4, 1)
-        if _is_pure(stack):
-            return lambda: stack.allgather(send.view(0, count),
-                                           recv.view(0, count * p), count)
         return lambda: stack.Allgather(send.view(0, count),
                                        recv.view(0, count * p),
                                        count=count, datatype=FLOAT)
 
-    return _run_sweep(ctx, config, "allgather", _barrier_for(stack), make_op)
+    return _run_sweep(ctx, config, "allgather", stack.Barrier, make_op)
 
 
 def osu_reduce_scatter(ctx: RankContext, stack,
@@ -209,19 +185,11 @@ def osu_reduce_scatter(ctx: RankContext, stack,
 
     def make_op(size: int) -> Callable[[], None]:
         count = max(size // 4, 1)
-        if _is_pure(stack):
-            def op() -> None:
-                from repro.xccl import api as xapi
-                xapi.xcclReduceScatter(send.view(0, count * p),
-                                       recv.view(0, count), count,
-                                       FLOAT, SUM, stack.comm)
-                xapi.xcclStreamSynchronize(stack.comm)
-            return op
         return lambda: stack.Reduce_scatter_block(send.view(0, count * p),
                                                   recv.view(0, count), SUM,
                                                   count=count, datatype=FLOAT)
 
-    return _run_sweep(ctx, config, "reduce_scatter", _barrier_for(stack), make_op)
+    return _run_sweep(ctx, config, "reduce_scatter", stack.Barrier, make_op)
 
 
 def osu_gather(ctx: RankContext, stack,
@@ -243,7 +211,7 @@ def osu_gather(ctx: RankContext, stack,
                                     recv.view(0, count * p), root=0,
                                     count=count, datatype=FLOAT)
 
-    return _run_sweep(ctx, config, "gather", _barrier_for(stack), make_op)
+    return _run_sweep(ctx, config, "gather", stack.Barrier, make_op)
 
 
 def osu_scatter(ctx: RankContext, stack,
@@ -265,7 +233,7 @@ def osu_scatter(ctx: RankContext, stack,
                                      recv.view(0, count), root=0,
                                      count=count, datatype=FLOAT)
 
-    return _run_sweep(ctx, config, "scatter", _barrier_for(stack), make_op)
+    return _run_sweep(ctx, config, "scatter", stack.Barrier, make_op)
 
 
 def osu_barrier(ctx: RankContext, stack,
@@ -274,13 +242,11 @@ def osu_barrier(ctx: RankContext, stack,
     config = config or OMBConfig()
 
     def make_op(_size: int) -> Callable[[], None]:
-        if _is_pure(stack):
-            return stack.sync
         return stack.Barrier
 
     sweep = OMBConfig(sizes=(0,), warmup=config.warmup,
                       iterations=config.iterations)
-    return _run_sweep(ctx, sweep, "barrier", _barrier_for(stack), make_op)
+    return _run_sweep(ctx, sweep, "barrier", stack.Barrier, make_op)
 
 
 #: benchmarks with no pure-CCL variant: the CCL APIs lack the

@@ -90,17 +90,17 @@ class TestPureCCL:
             s = ctx.device.zeros(n)
             s.fill(1.0)
             r = ctx.device.zeros(n)
-            h.allreduce(s, r, n)
+            h.Allreduce(s, r, count=n)
             ok = r.array[0] == p
             rg = ctx.device.zeros(n * p)
-            h.allgather(s, rg, n)
+            h.Allgather(s, rg, count=n)
             ok &= rg.array.sum() == n * p
-            h.bcast(s, n, root=0)
-            h.reduce(s, r, n, root=0)
+            h.Bcast(s, root=0, count=n)
+            h.Reduce(s, r, root=0, count=n)
             sa = ctx.device.zeros(n * p)
             sa.array[:] = np.repeat(ctx.rank * 10.0 + np.arange(p), n)
             ra = ctx.device.zeros(n * p)
-            h.alltoall(sa, ra, n)
+            h.Alltoall(sa, ra, count=n)
             ok &= bool(np.array_equal(
                 ra.array, np.repeat(np.arange(p) * 10.0 + ctx.rank, n)))
             return bool(ok)
@@ -111,7 +111,7 @@ class TestPureCCL:
         def body(ctx):
             ctx.clock.advance(float(ctx.rank) * 50)
             h = PureCCLHarness(ctx, "nccl")
-            h.sync()
+            h.Barrier()
             return ctx.now
 
         times = spmd(thetagpu1, body, nranks=4)
@@ -123,7 +123,7 @@ class TestPureCCL:
             s = ctx.device.zeros(16)
             s.fill(1.0)
             r = ctx.device.zeros(16)
-            h.allreduce(s, r, 16)
+            h.Allreduce(s, r, count=16)
             return r.array[0]
 
         assert spmd(thetagpu1, body, nranks=2) == [2.0, 2.0]

@@ -496,13 +496,12 @@ REPLAY_POF2 = {("allgather", "recursive_doubling"),
 #: count, one element and none; root 0 or p-1 where there is a root
 REPLAY_VARIANTS = ((7, False, 0), (7, True, -1), (1, False, -1),
                    (0, True, 0))
-#: in place where the algorithm has a spelling for it: ``None`` on every
-#: rank (no in-place form), ``"root"`` at the root alone
+#: in place where the collective has a spelling for it: ``None`` on every
+#: rank (no in-place form), ``"root"`` at the root alone, else every rank
 REPLAY_IN_PLACE = {"bcast": None, "alltoall": None, "barrier": None,
-                   "alltoallv": None, "scatterv": None,
+                   "alltoallv": None, "scatterv": "root",
                    "gather": "root", "gatherv": "root",
-                   ("scatter", "linear"): "root",
-                   ("scatter", "binomial"): None}
+                   "scatter": "root"}
 
 
 def _replay_body(ctx):
@@ -520,8 +519,7 @@ def _replay_body(ctx):
         comm = comm_with(ctx, name)
         for count, in_place, root in REPLAY_VARIANTS:
             root %= p
-            rule = REPLAY_IN_PLACE.get(coll, REPLAY_IN_PLACE.get(
-                (coll, name), "all"))
+            rule = REPLAY_IN_PLACE.get(coll, "all")
             in_place = in_place and (rule == "all" or
                                      rule == "root" and rank == root)
             wide = count * p
@@ -586,7 +584,8 @@ def _replay_body(ctx):
                     comm.Gatherv(src, recv, counts, root=root,
                                  datatype=FLOAT)
                 elif coll == "scatterv":
-                    comm.Scatterv(send, counts, recv, root=root)
+                    comm.Scatterv(send, counts, IN_PLACE if in_place
+                                  else recv, root=root)
                 else:   # scan / exscan
                     if in_place:
                         recv.array[:count] = fill[:count]

@@ -1,10 +1,13 @@
 """The hybrid dispatcher: routing decisions, fallbacks, data paths."""
 
 import numpy as np
+import pytest
 
 from repro.core import DispatchMode, run
 from repro.core.fallback import FallbackReason, Route
 from repro.mpi import SUM
+from repro.mpi.communicator import IN_PLACE
+from repro.mpi.datatypes import FLOAT
 from repro.mpi.ops import user_op
 
 KIB = 1024
@@ -183,3 +186,68 @@ class TestEndToEnd:
             return float(out.array[0]) == float(mpx.rank)
 
         assert all(run(body, system=thetagpu1, mode=DispatchMode.PURE_XCCL))
+
+    @pytest.mark.parametrize("mode", ["pure_mpi", "pure_xccl", "hybrid"])
+    @pytest.mark.parametrize("coll", ["gather", "gatherv", "scatter",
+                                      "scatterv"])
+    def test_in_place_root_on_every_route(self, thetagpu1, coll, mode):
+        """The root's ``MPI_IN_PLACE`` spelling of each rooted collective
+        gives every rank the numpy answer on every route: at 1, 4 096
+        and 16 384 elements a block (on the MPI route the binomial tree
+        takes the first two, the linear algorithm the last), spelled
+        with ``count=`` / ``datatype=`` and without."""
+        p, root = 4, 1
+        vector = coll.endswith("v")
+
+        def block(r, n):
+            return np.arange(n, dtype=np.float32) % 7 + 10 * r
+
+        def body(mpx):
+            comm = mpx.COMM_WORLD
+            rank, dev = comm.rank, comm.ctx.device
+            wrong = []
+            for n in (1, 4096, 16384):
+                counts = [n + r if vector else n for r in range(p)]
+                displs = [sum(counts[:r]) for r in range(p)]
+                whole = np.concatenate([block(r, counts[r])
+                                        for r in range(p)])
+                for spelled in (True, False):
+                    kw = {"datatype": FLOAT} if spelled else {}
+                    if spelled and not vector:
+                        kw["count"] = n
+                    if coll.startswith("gather"):
+                        mine = dev.zeros(counts[rank], dtype=np.float32)
+                        mine.array[:] = block(rank, counts[rank])
+                        out = dev.zeros(sum(counts), dtype=np.float32)
+                        out.array[:] = -1
+                        send = mine
+                        if rank == root:
+                            out.array[displs[root]:displs[root]
+                                      + counts[root]] = mine.array
+                            send = IN_PLACE
+                        if vector:
+                            comm.Gatherv(send, out, counts, root=root, **kw)
+                        else:
+                            comm.Gather(send, out, root=root, **kw)
+                        got = out if rank == root else mine
+                    else:
+                        whole_buf = dev.zeros(sum(counts), dtype=np.float32)
+                        if rank == root:
+                            whole_buf.array[:] = whole
+                        out = dev.zeros(counts[rank], dtype=np.float32)
+                        out.array[:] = -1
+                        recv = IN_PLACE if rank == root else out
+                        if vector:
+                            comm.Scatterv(whole_buf, counts, recv, root=root,
+                                          **kw)
+                        else:
+                            comm.Scatter(whole_buf, recv, root=root, **kw)
+                        got = whole_buf if rank == root else out
+                    want = whole if rank == root \
+                        else block(rank, counts[rank])
+                    if not np.array_equal(got.array, want):
+                        wrong.append((n, spelled))
+            return wrong
+
+        assert run(body, system=thetagpu1, nranks=4, mode=mode) == \
+            [[]] * 4

@@ -58,15 +58,6 @@ class TestTuner:
         assert x is not None
         assert 4 * KIB <= x <= 256 * KIB  # paper ballpark: ~16 KB
 
-    def test_hysteresis_biases_mpi(self):
-        cluster = make_system("thetagpu", 1)
-        shape = shape_of(cluster, range(8))
-        plain = tune_offline(shape, ccl_params("nccl"), mvapich_gpu())
-        biased = tune_offline(shape, ccl_params("nccl"), mvapich_gpu(),
-                              hysteresis=3.0)
-        assert (first_xccl(biased, "allreduce") or 1 << 30) >= \
-            (first_xccl(plain, "allreduce") or 0)
-
     def test_hccl_crossover_higher_than_nccl(self):
         """The 270 us HCCL launch floor pushes its crossover far right."""
         theta = shape_of(make_system("thetagpu", 2), range(16))

@@ -41,8 +41,8 @@ def _smoke_body(ctx):
     buf = ctx.device.zeros(4, dtype=np.float32)
     buf.array[:] = ctx.rank + 1
     for _ in range(3):
-        h.allreduce(buf, buf, 4)
-    h.sync()
+        h.Allreduce(buf, buf, count=4)
+    h.Barrier()
     return float(ctx.now), buf.array.tobytes()
 
 

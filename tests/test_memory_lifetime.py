@@ -157,7 +157,7 @@ def test_fig5_sweep_zeroes_what_it_sends():
     (``make mem-smoke``'s payload leg: the fig5 NCCL column, which runs
     storage-free in the figure itself): per rank and benchmark one
     zeroed send window — receive-only windows are not zeroed — plus the
-    one-element operand ``PureCCLHarness.sync`` reuses instead of
+    one-element operand ``PureCCLHarness.Barrier`` reuses instead of
     allocating per call."""
     with mem_smoke.counting_zeros() as zeroed:
         mem_smoke.payload_leg()

@@ -347,6 +347,22 @@ class TestReduceScatterScanBarrier:
 
         assert all(spmd(thetagpu1, body, nranks=p))
 
+    def test_reduce_scatter_block_in_place_default_count(self, thetagpu1,
+                                                         spmd):
+        """In place, the buffer holds every rank's input: the default
+        count is its size over the ranks."""
+        p, n = 4, 4
+
+        def body(ctx):
+            comm = comm_with(ctx)
+            buf = ctx.device.zeros(n * p, dtype=np.float64)
+            buf.array[:] = np.arange(n * p) + ctx.rank
+            comm.Reduce_scatter_block(IN_PLACE, buf, SUM)
+            mine = np.arange(n) + ctx.rank * n
+            return np.array_equal(buf.array[:n], p * mine + sum(range(p)))
+
+        assert all(spmd(thetagpu1, body, nranks=p))
+
     @pytest.mark.parametrize("p", [1, 2, 5, 8])
     def test_scan(self, thetagpu1, spmd, p):
         def body(ctx):

@@ -3,14 +3,10 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.tuning_table import _compress, tune_offline
+from repro.core.tuning_table import _compress
 from repro.hw.systems import make_system
-from repro.mpi.config import mvapich_gpu
-from repro.perfmodel import ccl_params
-from repro.perfmodel.shape import shape_of
 from repro.sim.wire import WireTracker
 from repro.util.records import ResultRecord, ResultSet
-from tests.test_core_tuning_table import first_xccl
 
 SETTINGS = dict(max_examples=40, deadline=None)
 
@@ -102,24 +98,6 @@ class TestTuningTableProperties:
 
         for size, route in zip(sizes, routes):
             assert lookup(size) == route
-
-    @settings(max_examples=10, deadline=None)
-    @given(st.sampled_from(["nccl", "rccl", "hccl", "msccl"]),
-           st.floats(1.0, 3.0))
-    def test_hysteresis_monotone(self, backend, hysteresis):
-        """More hysteresis can only delay (never advance) the xccl
-        crossover."""
-        system = {"nccl": "thetagpu", "msccl": "thetagpu",
-                  "rccl": "mri", "hccl": "voyager"}[backend]
-        shape = shape_of(make_system(system, 2),
-                         range(make_system(system, 2).device_count))
-        plain = tune_offline(shape, ccl_params(backend), mvapich_gpu())
-        biased = tune_offline(shape, ccl_params(backend), mvapich_gpu(),
-                              hysteresis=hysteresis)
-        for coll in plain.entries:
-            a = first_xccl(plain, coll) or float("inf")
-            b = first_xccl(biased, coll) or float("inf")
-            assert b >= a
 
 
 class TestResultSetProperties:
