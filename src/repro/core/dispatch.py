@@ -574,7 +574,8 @@ class CollectivePipeline:
         elif decision.route == Route.MPI:
             label += f":{decision.reason.value}"
         ctx.trace.record("dispatch", t0, ctx.now,
-                         nbytes=spec.nbytes(call), label=label)
+                         nbytes=spec.nbytes(call), label=label,
+                         comm=call.comm.ctx_id)
 
     def _record(self, decision: RouteDecision, spec: CollectiveSpec) -> None:
         """Count one collective leaving the execute stage: the

@@ -39,38 +39,47 @@ which members are evaluated cannot change a clock.  There each member
 of a hot key's call takes its tags and meets the others in the
 :class:`CentralSlot` named by the call's first tag, parking once; the
 last to arrive runs every member's rows in one pass
-(:func:`_run_central`) — departure, wire charge, arrival, receive
-charge, copy or fold, staging — sets each clock, lands the payloads
-and bumps the counters the per-rank replays would, then releases the
-members.  The pass is a :class:`CentralProgram`, assembled once per
-(communicator, key) from the members' rows, each message priced by the
-endpoints' own pricing as each local step carries its recorded charge.
-A key replays per rank instead when a row is a rendezvous send (its
-receiver books the sender's wire) or a receive nothing feeds; a call
-does when a member has a nonblocking rendezvous send pending (its
-receiver's booking of the member's wire is still to come: a lent window,
-``RankContext.lent``, or a storage-free one, ``unlent_sends``), or the
-communicator is revoked.  Contended keys (multi-node, oversubscribed
-and PCIe-bus shapes) wait for wires booked in virtual-time order
-(ROADMAP item 2): there the booking order is the fibers' arrival order,
-which a central pass would change.  A member waiting in a slot may wait
-for company that first needs its messages (a collective that does not
-synchronise) or for members of another key: the scheduler releases
-every such waiter before it declares a deadlock
-(:meth:`~repro.sim.sched.CoopWaitq.wait_for` ``gives_way``), the last
-arrival sends members of another key back, and each then replays its
-own rows — which, with no order able to move a clock, gives the same
-answer — as do the key's later calls, whose meetings would end alike.
+(:func:`_run_central`), then releases the members.  The pass is a
+:class:`CentralProgram`, assembled once per (communicator, key) from
+the members' rows, and it comes in two parts:
+
+* its *timing list* — each departure's charges and wire booking, each
+  landing's merge and charges, each local step's recorded charge, in
+  the order the rows would have made them — which sets every clock as
+  the per-rank replays would, priced by the endpoints' own pricing;
+* its *data tape*, which :mod:`repro.mpi.coll.dataplan` solves, on
+  the key's first call with storage, into a data plan: the folds, on
+  the operands the rows would have folded, and one gather per run of
+  each buffer the call changes.  A pack, send, land and unpack moves
+  a payload once.  A storage-free call moves none.
+
+Staging is acquired and released per member, in its own order, from
+its own pool.  A key replays per rank
+instead when a row is a rendezvous send (its receiver books the
+sender's wire), a receive nothing feeds, or a step converts a dtype;
+a call does when a member has a nonblocking rendezvous send pending
+(its receiver's booking of the member's wire is still to come: a lent
+window, ``RankContext.lent``, or a storage-free one,
+``unlent_sends``), or the communicator is revoked.  Contended keys
+(multi-node, oversubscribed and PCIe-bus shapes) wait for wires booked
+in virtual-time order (ROADMAP item 2): there the booking order is the
+fibers' arrival order, which a central pass would change.  A member
+waiting in a slot may wait for company that first needs its messages
+(a collective that does not synchronise) or for members of another
+key: the scheduler releases every such waiter before it declares a
+deadlock (:meth:`~repro.sim.sched.CoopWaitq.wait_for` ``gives_way``),
+the last arrival sends members of another key back, and each then
+replays its own rows — which, with no order able to move a clock,
+gives the same answer — as do the key's later calls, whose meetings
+would end alike.
 
 What the pass cannot give is the per-rank replay's host-side counts:
 each member parks once per collective (``coop_parks`` moves), and
 whether a ``Sendrecv``'s lent view was landed before its sender's call
 returned — elided or forced — follows the one order the pass runs
 members in, where the per-rank replay's follows the whole program's
-run-token interleaving (the total of copies does not move).  The
-point-to-point rules the pass applies are the endpoint's own:
-:func:`~repro.mpi.p2p.lends`, :func:`~repro.hw.memory.snapshot`,
-:func:`~repro.hw.memory.copy_payload` and the endpoint's pricing.
+run-token interleaving (the total of copies does not move).  That
+split is judged by the endpoint's own rule, :func:`~repro.mpi.p2p.lends`.
 
 What stays live, recorded never:
 
@@ -98,7 +107,8 @@ from typing import Any, Callable, List, Optional
 import numpy as np
 
 from repro import fastpath
-from repro.hw.memory import DeviceBuffer, as_array, copy_payload, snapshot
+from repro.hw.memory import DeviceBuffer, as_array
+from repro.mpi.coll import dataplan
 from repro.mpi.compute import copy_into, fold_into, permute_blocks, staging, unstage
 from repro.mpi.p2p import lends
 from repro.mpi.request import waitall
@@ -356,11 +366,9 @@ class RoundProgram:
 
 # -- central replay ------------------------------------------------------------
 
-#: instruction kinds of a central program beyond the row kinds it shares
-#: (FOLD, BLOCKS, COPY, STAGE, UNSTAGE): a message's departure, and its
-#: landing (for a sendrecv's receive, then the reclaim of the view the
-#: same sendrecv lent)
-DEPART, LAND = 11, 12
+#: the instruction kinds of a central program's timing list: a message's
+#: departure, its landing, and a local step's charge
+DEPART, LAND, CHARGE = 11, 12, 13
 
 
 def evaluation_order(size: int):
@@ -488,8 +496,8 @@ def _central_of(members):
 
 
 class CentralProgram:
-    """One key's rows of every member of a communicator, as one
-    sequence of instructions in an order the members' per-rank replays
+    """One key's rows of every member of a communicator, as a timing
+    list and a data tape in an order the members' per-rank replays
     could have run them in.
 
     Assembled once, by the last member of the key's first central call
@@ -498,37 +506,85 @@ class CentralProgram:
     mailbox's FIFO per pair, which no wildcard reaches), and priced by
     the endpoints' own pricing — the sender's send descriptor and
     staging charge, the receiver's eager-landing charge — just as each
-    local step carries the charge its recording measured.  A
-    sendrecv's lent view is reclaimed where its sender's ``sendrecv``
-    would have returned, elided or forced by whether its receiver has
-    landed it by then."""
+    local step carries the charge its recording measured.
 
-    __slots__ = ("code", "nmsgs", "roles")
+    ``clock`` is the timing list: every departure (its charges and its
+    wire booking), landing (the merge of its arrival and its charges)
+    and local step's charge, in that order.  ``data`` is the same
+    pass's payload steps — each message's send window read at its
+    departure, its landing, every copy, block permutation and fold —
+    which :func:`~repro.mpi.coll.dataplan.solve` turns into a data plan
+    on the key's first call with storage.  ``stages`` is each member's
+    staging, in its own order.  ``split`` says how each ``Sendrecv``'s
+    lent view is counted: elided when its receiver landed it before the
+    sender's call returned, forced otherwise."""
 
-    def __init__(self, code, nmsgs, roles) -> None:
-        self.code = code
+    __slots__ = ("clocks", "clock", "stages", "data", "nmsgs", "roles",
+                 "split", "kinds", "plans")
+
+    def __init__(self, clocks, clock, stages, data, nmsgs, roles, split,
+                 kinds) -> None:
+        #: per member, its rank's clock
+        self.clocks = clocks
+        self.clock = clock
+        #: ``(member, rows)``: the STAGE / UNSTAGE rows of each member
+        #: that stages
+        self.stages = stages
+        self.data = data
         self.nmsgs = nmsgs
-        #: per member, the roles 0 / 1 the instructions read as arrays
+        #: per member, the roles 0 / 1 the pass reads as arrays
         self.roles = roles
+        #: ``(elided, forced, same, checks)``: the counts no buffer can
+        #: change; per ``(position in stored, elided and forced if it
+        #: holds storage, elided and forced if not)`` of a call buffer
+        #: whose exchanges send and receive within it; and the
+        #: exchanges between two call buffers, judged per call
+        self.split = split
+        #: ``(member, role) -> (dtype, staged index or None)`` of every
+        #: role the data tape names
+        self.kinds = kinds
+        #: data plans by which of the call's buffers hold storage
+        self.plans: dict = {}
 
     @classmethod
     def assemble(cls, members) -> Optional["CentralProgram"]:
         """The program of ``members`` (``(program, call)`` in
         communicator rank order), or None when a row is a rendezvous
-        send, a count left open, or a receive nothing feeds."""
+        send, a count left open, a receive nothing feeds, or a step
+        that converts a dtype."""
         size = len(members)
         group = members[0][1].comm.group
         dev = []        # per member: role -> device residency
-        for prog, call in members:
+        kinds: dict = {}
+        for m, (prog, call) in enumerate(members):
             on = [False] * len(prog.proto)
             on[0] = isinstance(call.sendbuf, DeviceBuffer)
             on[1] = isinstance(call.recvbuf, DeviceBuffer)
             for row in prog.rows:
                 if row[0] == STAGE:
                     on[row[1]] = row[3][0]
+            for k, arr in enumerate(prog.proto):
+                if arr is not None:
+                    kinds[m, k] = (arr.dtype, None)
             dev.append(on)
-        code: list = []
-        sent: list = []         # per message: (sender, count, nbytes)
+        # staging: per member, in its own order (its own pool), each
+        # buffer numbered in member-then-acquire order
+        stages = []
+        nstaged = 0
+        for m, (prog, _) in enumerate(members):
+            rows = tuple(row for row in prog.rows
+                         if row[0] == STAGE or row[0] == UNSTAGE)
+            for _, k, _, key in (row for row in rows if row[0] == STAGE):
+                kinds[m, k] = (key[1], nstaged)
+                nstaged += 1
+            if rows:
+                stages.append((m, rows))
+        clock: list = []
+        data: list = []
+        checks: list = []
+        same: dict = {}         # (member, role) -> split by its storage
+        elided = forced = 0
+        sent: list = []         # per message: (sender, count, nbytes, role, offset)
         landed = set()
         chans: dict = {}        # (src, dst, relative tag) -> queued messages
         blocked: dict = {}      # channel -> the member waiting on it
@@ -537,6 +593,23 @@ class CentralProgram:
         pending: List[list] = [[] for _ in range(size)]   # IRECV rows
         runq = deque(evaluation_order(size))
         roles = [set() for _ in range(size)]
+
+        def dtype_of(m, b):
+            kind = kinds.get((m, b))
+            if kind is None:
+                call = members[m][1]
+                kind = kinds[m, b] = (as_array(
+                    call.sendbuf if b == 0 else call.recvbuf).dtype, None)
+            return kind[0]
+
+        def touch(m, b):
+            if b < 2:
+                roles[m].add(b)
+            return dtype_of(m, b)
+
+        def array_ref(m, b):
+            """How a split check finds the array of role ``b``."""
+            return m, b, kinds[m, b][1]
 
         def depart(m, b, o, n, dst, t, dt, window=None):
             """The send's message, posted."""
@@ -553,13 +626,13 @@ class CentralProgram:
             if nbytes > eager:
                 raise _Ineligible
             k = len(sent)
-            sent.append((m, n, nbytes))
-            if b < 2:
-                roles[m].add(b)
-            code.append((DEPART, m, k, b, o, n,
-                         ep.stage_us(nbytes) if device and not cfg.gpu_direct
-                         else None, cfg.send_overhead_us, res, alpha, beta,
-                         nbytes, window and window[:3]))
+            sent.append((m, n, nbytes, b, o))
+            touch(m, b)
+            clock.append((DEPART, m, k,
+                          ep.stage_us(nbytes) if device and not cfg.gpu_direct
+                          else None, cfg.send_overhead_us, res, alpha, beta,
+                          nbytes))
+            data.append((dataplan.READ, k, m, b, o, n))
             chan = (group[m], dst, t - prog.tag0)
             chans.setdefault(chan, deque()).append(k)
             waiter = blocked.pop(chan, None)
@@ -569,8 +642,8 @@ class CentralProgram:
 
         def land(m, b, o, n, src, t, lent=-1):
             """The receive's message, landed, then the message ``lent``
-            (a sendrecv's own, else -1) reclaimed; None: not sent
-            yet."""
+            (a sendrecv's own, else -1) judged; None: not sent yet."""
+            nonlocal elided, forced
             prog, call = members[m]
             chan = (src, group[m], t - prog.tag0)
             queue = chans.get(chan)
@@ -578,18 +651,38 @@ class CentralProgram:
                 blocked[chan] = m
                 return None
             k = queue.popleft()
-            _, count, nbytes = sent[k]
-            if n is None or count > n:
+            sender, count, nbytes, sb, _ = sent[k]
+            if n is None or count > n or touch(m, b) != dtype_of(sender, sb):
                 raise _Ineligible
             ep = call.comm.endpoint
             device = dev[m][b]
-            if b < 2:
-                roles[m].add(b)
             landed.add(k)
-            code.append((LAND, m, k, b, o, count, ep.eager_recv_us(nbytes),
-                         ep.stage_us(nbytes) if device
-                         and not ep.config.gpu_direct else None,
-                         lent, lent in landed))
+            clock.append((LAND, m, k, ep.eager_recv_us(nbytes),
+                          ep.stage_us(nbytes) if device
+                          and not ep.config.gpu_direct else None))
+            data.append((dataplan.LAND, k, m, b, o, count))
+            if lent >= 0:
+                # where the sendrecv returns: its view was lent unless it
+                # shares memory with this receive's window — an empty
+                # window never does, nor do distinct buffers when either
+                # is scratch, so only the call's own buffers are judged
+                # per call
+                _, ln, _, lb, lo = sent[lent]
+                consumed = lent in landed
+                if not (ln and n) or lb != b and (lb >= 2 or b >= 2):
+                    elided += consumed
+                    forced += not consumed
+                elif lb == b < 2:
+                    # windows of one array share memory where they
+                    # overlap, and everywhere when it holds no storage
+                    split = same.setdefault((m, b), [0, 0, 0, 0])
+                    apart = consumed and not (lo < o + n and o < lo + ln)
+                    split[0] += apart
+                    split[1] += not apart
+                    split[3] += 1
+                else:
+                    checks.append((consumed, array_ref(m, lb), lo, ln,
+                                   array_ref(m, b), o, n))
             return k
 
         try:
@@ -624,11 +717,27 @@ class CentralProgram:
                             pending[m].pop(0)
                         if pending[m]:
                             break
-                    else:   # local work, as recorded
-                        for i in _ARRAY_ROLES.get(kind, ()):
-                            if row[i] < 2:
-                                roles[m].add(row[i])
-                        code.append((kind, m) + row[1:])
+                    elif kind == STAGE or kind == UNSTAGE:
+                        pass    # staged apart (above)
+                    else:   # a local step: its charge, and its payload
+                        if kind == FOLD:
+                            _, op, a, ao, b, bo, n, us = row
+                            touch(m, a)
+                            touch(m, b)
+                            data.append((dataplan.FOLD, m, op, a, ao, b, bo,
+                                         n))
+                        else:
+                            _, d, do, s, so, n, us = row
+                            if touch(m, d) != touch(m, s) or kind == BLOCKS \
+                                    and any(ix is not None and len(ix)
+                                            and np.min(ix) < 0
+                                            for ix in (do, so)):
+                                raise _Ineligible
+                            data.append((dataplan.COPY if kind == COPY
+                                         else dataplan.BLOCKS, m, d, do, s, so,
+                                         n))
+                        if us is not None:
+                            clock.append((CHARGE, m, us))
                     pc[m] += 1
         except _Ineligible:
             return None
@@ -637,8 +746,14 @@ class CentralProgram:
             # nothing to meet for, a receive nothing feeds, or a send
             # nobody takes
             return None
-        return cls(tuple(code), len(sent),
-                   tuple(tuple(sorted(r)) for r in roles))
+        roles = tuple(tuple(sorted(r)) for r in roles)
+        at = {mr: i for i, mr in enumerate(
+            (m, r) for m, touched in enumerate(roles) for r in touched)}
+        return cls(tuple(call.comm.ctx.clock for _, call in members),
+                   tuple(clock), tuple(stages), tuple(data), len(sent), roles,
+                   (elided, forced, tuple((at[mr], *split)
+                                          for mr, split in same.items()),
+                    tuple(checks)), kinds)
 
 
 class _Ineligible(Exception):
@@ -648,96 +763,90 @@ class _Ineligible(Exception):
 def _run_central(central: CentralProgram, members) -> None:
     """Run every member's rows of one call: clocks, wires, payloads,
     staging and counters exactly as the members' own replays would
-    leave them (their tags were taken as they arrived).  The clocks'
-    ``advance`` / ``merge`` and ``fold_into`` are spelled inline, the
-    same arithmetic in the same order: a call each would be most of a
-    message's cost."""
-    book = members[0][1].comm.ctx.engine.wires.book
-    ctxs, clocks, bufs, arrs = [], [], [], []
-    for (prog, call), touched in zip(members, central.roles):
-        ctx = call.comm.ctx
-        ctxs.append(ctx)
-        clocks.append(ctx.clock)
-        b = prog.proto[:]
-        a = prog.proto[:]
-        b[0] = call.sendbuf
-        b[1] = call.recvbuf
-        for k in touched:
-            a[k] = as_array(b[k])
-        bufs.append(b)
+    leave them (their tags were taken as they arrived).  The timing
+    list's arithmetic is the clocks' ``advance`` / ``merge`` spelled
+    inline, in the same order; the payloads are the data plan's, solved
+    on the key's first call with storage (a storage-free call moves
+    none)."""
+    arrs = []
+    for (_, call), touched in zip(members, central.roles):
+        a = [None, None]
+        for r in touched:
+            a[r] = as_array(call.recvbuf if r else call.sendbuf)
         arrs.append(a)
-    nmsgs = central.nmsgs
-    arrival = [0.0] * nmsgs
-    payload: List[Any] = [None] * nmsgs
-    lent = [False] * nmsgs
-    elided = forced = 0
+    staged: List[Any] = []  # in member-then-acquire order
+    for m, rows in central.stages:
+        prog, call = members[m]
+        _stage(call.comm.ctx, prog, call, rows, staged)
+    book = members[0][1].comm.ctx.engine.wires.book
+    clocks = central.clocks
+    arrival = [0.0] * central.nmsgs
+    for ins in central.clock:
+        kind = ins[0]
+        if kind == CHARGE:
+            clocks[ins[1]]._now += ins[2]
+        elif kind == DEPART:
+            _, m, k, stage, ovh, res, alpha, beta, nbytes = ins
+            clock = clocks[m]
+            if stage is not None:
+                clock._now += stage
+            clock._now += ovh
+            arrival[k] = book(res, clock._now, nbytes, beta, alpha)
+        else:   # LAND
+            _, m, k, charge, stage = ins
+            clock = clocks[m]
+            if arrival[k] > clock._now:
+                clock._now = arrival[k]
+            clock._now += charge
+            if stage is not None:
+                clock._now += stage
+    stored = [a[r].strides[0] != 0
+              for a, touched in zip(arrs, central.roles) for r in touched]
+    elided, forced, same, checks = central.split
+    for at, e_stored, f_stored, e_free, f_free in same:
+        if stored[at]:
+            elided += e_stored
+            forced += f_stored
+        else:
+            elided += e_free
+            forced += f_free
+    for consumed, (m, b, si), o, n, (_, rb, rsi), ro, rn in checks:
+        sarr = arrs[m][b] if si is None else as_array(staged[si])
+        rarr = arrs[m][rb] if rsi is None else as_array(staged[rsi])
+        if consumed and lends(sarr, sarr[o:o + n], rarr, rarr[ro:ro + rn]):
+            elided += 1
+        else:
+            forced += 1
+    stats = fastpath.STATS
+    stats.copies_elided += elided
+    stats.copies_forced += forced
+    if True in stored:
+        stored += [(buf.array if type(buf) is DeviceBuffer
+                    else as_array(buf)).strides[0] != 0 for buf in staged]
+        key = tuple(stored)
+        plan = central.plans.get(key)
+        if plan is None:
+            plan = central.plans[key] = dataplan.solve(
+                central.data, central.kinds, central.roles, key)
+        plan.apply(arrs, staged)
+
+
+def _stage(ctx, prog, call, rows, staged: List[Any]) -> None:
+    """Acquire and release one member's staging buffers by its STAGE /
+    UNSTAGE ``rows``, appending each to ``staged`` as it is taken."""
+    bufs = prog.proto[:]
+    bufs[0] = call.sendbuf
+    bufs[1] = call.recvbuf
     try:
-        for ins in central.code:
-            kind = ins[0]
-            if kind == DEPART:
-                _, m, k, b, o, n, stage, ovh, res, alpha, beta, nbytes, \
-                    window = ins
-                clock = clocks[m]
-                if stage is not None:
-                    clock._now += stage
-                clock._now += ovh
-                arrival[k] = book(res, clock._now, nbytes, beta, alpha)
-                sarr = arrs[m][b]
-                view = sarr[o:o + n]
-                if window is not None:
-                    rarr = arrs[m][window[0]]
-                    if lends(sarr, view,
-                             rarr, rarr[window[1]:window[1] + window[2]]):
-                        payload[k] = view
-                        lent[k] = True
-                        continue
-                    forced += 1
-                payload[k] = snapshot(view)
-            elif kind == LAND:
-                _, m, k, b, o, n, charge, stage, k_lent, consumed = ins
-                clock = clocks[m]
-                if arrival[k] > clock._now:
-                    clock._now = arrival[k]
-                clock._now += charge
-                if stage is not None:
-                    clock._now += stage
-                copy_payload(arrs[m][b][o:o + n], payload[k])
-                payload[k] = None   # landed: its snapshot can go
-                if k_lent >= 0 and lent[k_lent]:
-                    # where the sendrecv returns: its lent view was
-                    # landed already, or is snapshotted now
-                    if consumed:
-                        elided += 1
-                    else:
-                        payload[k_lent] = snapshot(payload[k_lent])
-                        forced += 1
-            elif kind == FOLD:
-                _, m, op, a, ao, b, bo, n, us = ins
-                arr = arrs[m]
-                op.reduce_into(arr[a][ao:ao + n], arr[b][bo:bo + n])
-                if us is not None:
-                    clocks[m]._now += us
-            elif kind == COPY:
-                _, m, d, do, s, so, n, us = ins
-                arr = arrs[m]
-                copy_into(ctxs[m], arr[d][do:do + n], arr[s][so:so + n], us)
-            elif kind == BLOCKS:
-                _, m, d, drows, s, srows, n, us = ins
-                arr = arrs[m]
-                permute_blocks(ctxs[m], arr[d], drows, arr[s], srows, n, us)
-            elif kind == STAGE:
-                _, m, k, ref, key = ins
-                bufs[m][k] = buf = staging(ctxs[m], key, bufs[m][ref])
-                arrs[m][k] = as_array(buf)
-            else:   # UNSTAGE
-                _, m, k, key = ins
-                unstage(ctxs[m], key, bufs[m][k])
-                bufs[m][k] = None
+        for row in rows:
+            if row[0] == STAGE:
+                _, k, ref, key = row
+                bufs[k] = buf = staging(ctx, key, bufs[ref])
+                staged.append(buf)
+            else:
+                _, k, key = row
+                unstage(ctx, key, bufs[k])
+                bufs[k] = None
     except BaseException:
-        for (prog, _), ctx, b in zip(members, ctxs, bufs):
-            unwind(ctx, prog.stages, b)
+        unwind(ctx, prog.stages, bufs)
         raise
-    finally:
-        stats = fastpath.STATS
-        stats.copies_elided += elided
-        stats.copies_forced += forced

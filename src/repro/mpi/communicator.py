@@ -1041,6 +1041,16 @@ class PersistentCollRequest(PersistentRequest):
         return f"<PersistentCollRequest {self.coll} {state}>"
 
 
+def spans_world(ctx_id: str) -> bool:
+    """Whether ``ctx_id`` names COMM_WORLD (``w``) or a duplicate of it
+    (``Dup`` appends ``.d<seq>``; ``Split`` appends ``.s<seq>.<color>``
+    and ``Comm_shrink`` ``!<generation>``); an empty id is a trace's
+    that names no communicator."""
+    head, *tail = ctx_id.split(".")
+    return head in ("w", "") and "!" not in ctx_id \
+        and all(part[:1] == "d" for part in tail)
+
+
 def start_all(requests: Sequence["PersistentRequest"]) -> None:
     """``MPI_Startall``."""
     for r in requests:

@@ -95,14 +95,16 @@ def _validate(path: str) -> int:
 
 def _tune_report(path: str, system: Optional[str], nodes: int,
                  ranks: Optional[int], backend: Optional[str]) -> int:
-    """Measured per-(collective, size-bucket) route latencies from one
-    trace — the adapted view the ``MPIX_ONLINE_TUNE`` overlay acts on —
-    with the static table's rows and choice alongside: the
+    """Measured per-(communicator, collective, size-bucket) route
+    latencies from one trace — the adapted view the ``MPIX_ONLINE_TUNE``
+    overlay acts on — with the static table's rows and choice alongside
+    for COMM_WORLD and its duplicates, the shape the table prices: the
     ``MPIX_TUNING_FILE`` table when one is set, else the offline table
     of the system shape given."""
     from repro.config import apply_env
     from repro.core.dispatch import REGISTRY
     from repro.core.online_tune import bucket_span
+    from repro.mpi.communicator import spans_world
     from repro.util.sizes import format_size
 
     buckets = tune_report(_load(path))
@@ -124,22 +126,25 @@ def _tune_report(path: str, system: Optional[str], nodes: int,
         for coll in table.entries:
             print(f"#   {coll:16s} {table.describe(coll)}")
     rows = []
-    for (coll, bucket) in sorted(buckets):
-        routes = buckets[(coll, bucket)]
+    for (comm, coll, bucket) in sorted(buckets):
+        routes = buckets[(comm, coll, bucket)]
         lo, hi = bucket_span(bucket)
         measured = ", ".join(
             f"{r}={c} @ {mean:.2f}us"
             for r, (c, mean) in sorted(routes.items()))
         winner = min(routes, key=lambda r: routes[r][1])
-        row = [coll, f"<= {format_size(hi)}", measured, winner]
-        if table is not None:
+        row = [comm or "?", coll, f"<= {format_size(hi)}", measured, winner]
+        if table is not None and not spans_world(comm):
+            row += ["-", ""]    # the table prices the world's shape
+        elif table is not None:
             # a vector or ``_block`` form routes by its uniform row
             key = REGISTRY[coll].tuning_key if coll in REGISTRY else coll
             static = table.choose(key, hi) if key in table.entries else "mpi"
             row.append(static)
             row.append("FLIP" if static != winner else "")
         rows.append(row)
-    headers = ["Collective", "Bucket", "Measured (calls @ mean)", "Adapted"]
+    headers = ["Comm", "Collective", "Bucket", "Measured (calls @ mean)",
+               "Adapted"]
     if table is not None:
         headers += ["Static", ""]
     print(ascii_table(headers, rows))

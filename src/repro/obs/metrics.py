@@ -217,9 +217,11 @@ def validate_doc(doc: Dict) -> List[str]:
     return problems
 
 
-def tune_report(doc: Dict) -> Dict[Tuple[str, int], Dict[str, List[float]]]:
+def tune_report(doc: Dict) -> Dict[Tuple[str, str, int],
+                                   Dict[str, List[float]]]:
     """Aggregate a trace's execute spans into the online tuner's view:
-    ``{(collective, size bucket): {route family: [calls, mean us]}}``.
+    ``{(communicator, collective, size bucket): {route family: [calls,
+    mean us]}}`` — per communicator (its ctx id), as the tuner fits.
 
     Route families collapse backend/reason detail (``xccl:nccl`` →
     ``xccl``, ``mpi:tuning`` → ``mpi``) — the same granularity the
@@ -227,7 +229,7 @@ def tune_report(doc: Dict) -> Dict[Tuple[str, int], Dict[str, List[float]]]:
     show the measured winner per bucket next to the static table's
     choice."""
     from repro.core.online_tune import size_bucket
-    acc: Dict[Tuple[str, int], Dict[str, List[float]]] = {}
+    acc: Dict[Tuple[str, str, int], Dict[str, List[float]]] = {}
     for ev in doc.get("traceEvents", []):
         if ev.get("ph") != "X":
             continue
@@ -242,11 +244,12 @@ def tune_report(doc: Dict) -> Dict[Tuple[str, int], Dict[str, List[float]]]:
         family = parts[2] if len(parts) > 2 else "?"
         nbytes = int(args.get("bytes", 0))
         dur = float(ev.get("dur", 0.0))
-        cell = acc.setdefault((coll, size_bucket(nbytes)), {}) \
+        cell = acc.setdefault((args.get("comm", ""), coll,
+                               size_bucket(nbytes)), {}) \
                   .setdefault(family, [0, 0.0])
         cell[0] += 1
         cell[1] += dur
-    out: Dict[Tuple[str, int], Dict[str, List[float]]] = {}
+    out: Dict[Tuple[str, str, int], Dict[str, List[float]]] = {}
     for key, routes in acc.items():
         out[key] = {r: [int(c), (t / c if c else 0.0)]
                     for r, (c, t) in routes.items()}

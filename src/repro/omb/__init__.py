@@ -7,7 +7,8 @@ runtime: power-of-two size sweeps, warmup + timed iterations,
 barrier-aligned collective timing, window-based bandwidth tests, and
 the familiar column output — over any of the communication stacks
 (hybrid xCCL, pure-xCCL-via-MPI, pure MPI, Open MPI baselines, and
-direct CCL).
+direct CCL).  Every benchmark allocates through the rank's device, so
+Gaudi buffers need no port of their own here.
 """
 
 from repro.omb.harness import OMBConfig, aggregate_latency
@@ -24,7 +25,6 @@ from repro.omb.collective import (
     osu_barrier,
     COLLECTIVE_BENCHMARKS,
 )
-from repro.omb.habana import hpu_alloc, hpu_free, synapse_device_count
 
 __all__ = [
     "OMBConfig",
@@ -43,7 +43,4 @@ __all__ = [
     "osu_scatter",
     "osu_barrier",
     "COLLECTIVE_BENCHMARKS",
-    "hpu_alloc",
-    "hpu_free",
-    "synapse_device_count",
 ]

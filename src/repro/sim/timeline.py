@@ -86,6 +86,8 @@ def chrome_trace(traces: Sequence[Trace],
                 "args": {"peer": ev.peer, "bytes": ev.nbytes,
                          "kind": ev.kind},
             }
+            if ev.comm:
+                entry["args"]["comm"] = ev.comm
             if ev.kind in _INSTANT_KINDS:
                 entry["ph"] = "i"        # instant event, thread-scoped
                 entry["s"] = "t"

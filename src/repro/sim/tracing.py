@@ -48,6 +48,7 @@ class TraceEvent:
     peer: int = -1     # partner rank, or -1 for collectives/local ops
     nbytes: int = 0
     label: str = ""
+    comm: str = ""     # a dispatch span's communicator (its ctx id)
 
     @property
     def duration_us(self) -> float:
@@ -64,11 +65,12 @@ class Trace:
         self.events: List[TraceEvent] = []
 
     def record(self, kind: str, start_us: float, end_us: float,
-               peer: int = -1, nbytes: int = 0, label: str = "") -> None:
+               peer: int = -1, nbytes: int = 0, label: str = "",
+               comm: str = "") -> None:
         """Append one event (no-op when disabled)."""
         if self.enabled:
             self.events.append(TraceEvent(self.rank, kind, start_us, end_us,
-                                          peer, nbytes, label))
+                                          peer, nbytes, label, comm))
 
     def of_kind(self, kind: str) -> List[TraceEvent]:
         """Events of one kind, in order."""

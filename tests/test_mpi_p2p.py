@@ -633,8 +633,8 @@ def test_python_calls_per_message_of_small_collectives():
 SMALL_MESSAGES = 5 * (8 * 3 + 7 + 7 + 8 * 3 + 8 * 3)
 #: the bounds on Python-level calls per recorded message of the guard's
 #: loop and of ``small_8``'s when their hot keys run centrally
-CENTRAL_CALLS_PER_MESSAGE = 13
-CENTRAL_SMALL_CALLS_PER_MESSAGE = 21
+CENTRAL_CALLS_PER_MESSAGE = 10
+CENTRAL_SMALL_CALLS_PER_MESSAGE = 16
 
 
 @pytest.mark.parametrize("loop,messages,bound", [
@@ -645,12 +645,14 @@ def test_python_calls_per_message_of_central_replay(loop, messages, bound):
     """The same loops on one switched node, where the last member to
     reach a hot key runs every member's rows: no message touches a
     mailbox, and the calls per recorded message — entry, rendezvous,
-    the central pass and its wire booking per message — are 12.31
-    (2 955 calls) and 20.86 (8 970 calls), against 32.88 and 40.01
-    replayed per rank.  A draft that spelled the point-to-point rules
-    inline made 9.71 and 18.38; the pass now calls their one definition
-    — ``p2p.lends`` per exchange, ``snapshot`` per copied payload,
-    ``copy_payload`` per landing — about 2.5 calls a message."""
+    the timing list's wire booking per message, each member's staging,
+    the data plan — are 9.12 (2 190 calls) and 15.37 (6 610 calls),
+    against 32.88 and 40.01 replayed per rank.  They were 12.31 and 20.86 while the pass ran
+    the rows' payload steps one by one (a ``p2p.lends`` per exchange, a
+    ``snapshot`` per copied payload, a ``copy_payload`` per landing, a
+    call per copy, fold, permutation and staging step); the data plan
+    moves each payload once, and judges a ``Sendrecv``'s lent view by
+    ``lends`` only where two call buffers could alias."""
     calls, posts, allocs, exits, central = _calls_per_message(
         loop, shape=CENTRAL)
     # every hot call: the five counted passes and the second warm-up

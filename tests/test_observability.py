@@ -11,6 +11,7 @@ longer leaks between engine runs.
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from repro.obs.metrics import (
     bucket_label,
     bucket_of,
     diff_reports,
+    tune_report,
     validate_doc,
 )
 from repro.omb.stacks import make_stack
@@ -480,6 +482,35 @@ class TestCLIs:
         out = capsys.readouterr().out
         assert "#   alltoall         " in out and " above xccl" in out
         assert "alltoallv" in out and "FLIP" not in out
+
+    def test_tune_report_reads_a_communicator_by_its_own_rows(
+            self, tmp_path, capsys, monkeypatch):
+        """Under the hier smoke's table the hierarchy runs its one-node
+        inner ``Allgather`` on a communicator of its own, where its CCL
+        leg runs ``xccl`` whatever the world's ``allgather`` row says
+        (``mpi`` up to 2 MiB).  The report keys each span by its
+        communicator and prices only COMM_WORLD's against the table, so
+        that call reads as no FLIP."""
+        from repro.obs.cli import main as trace_main
+        from repro.omb.cli import main as omb_main
+        table = Path(__file__).resolve().parents[1] / "tools" / "tables" \
+            / "hier_smoke.json"
+        monkeypatch.setenv("MPIX_TUNING_FILE", str(table))
+        path = tmp_path / "hier.json"
+        assert omb_main(["allreduce", "--system", "thetagpu", "--topology",
+                         "4x8", "--nics", "8", "--sizes", "2M:2M",
+                         "--iterations", "1", "--warmup", "0",
+                         "--trace", str(path)]) == 0
+        buckets = tune_report(json.loads(path.read_text()))
+        inner = [(comm, routes) for (comm, coll, _), routes
+                 in buckets.items() if coll == "allgather"]
+        assert inner and all(comm != "w" and set(routes) == {"xccl"}
+                             for comm, routes in inner)
+        assert {comm for comm, _, _ in buckets} >= {"w"}
+        capsys.readouterr()
+        assert trace_main(["tune-report", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert " allgather " in out and "FLIP" not in out
 
     def test_trace_cli_rejects_garbage(self, tmp_path, capsys):
         from repro.obs.cli import main as trace_main

@@ -1,17 +1,9 @@
-"""OMB harness, pt2pt and collective benchmarks, stacks, Habana port."""
+"""OMB harness, pt2pt and collective benchmarks, stacks."""
 
 import pytest
 
-from repro.errors import ConfigError, HardwareError
-from repro.hw.systems import make_system
+from repro.errors import ConfigError
 from repro.omb.collective import COLLECTIVE_BENCHMARKS, osu_allreduce
-from repro.omb.habana import (
-    alloc_device_buffer,
-    hpu_alloc,
-    hpu_free,
-    synapse_acquire,
-    synapse_device_count,
-)
 from repro.omb.harness import OMBConfig, aggregate_latency, timed_loop
 from repro.omb.pt2pt import osu_bibw, osu_bw, osu_latency
 from repro.omb.stacks import STACK_NAMES, make_stack, series_label
@@ -143,49 +135,6 @@ class TestStacks:
             return stack.comm.backend.name
 
         assert spmd(voyager1, body, nranks=2)[0] == "hccl"
-
-
-class TestHabanaPort:
-    def test_device_count(self):
-        assert synapse_device_count(make_system("voyager", 2)) == 16
-        assert synapse_device_count(make_system("thetagpu", 1)) == 0
-
-    def test_acquire_rejects_non_gaudi(self):
-        with pytest.raises(HardwareError):
-            synapse_acquire(make_system("thetagpu", 1).devices[0])
-
-    def test_hpu_alloc_free(self, voyager1):
-        dev = voyager1.devices[0]
-        before = dev.allocated_bytes
-        buf = hpu_alloc(dev, 4096)
-        assert buf.on_device
-        assert dev.allocated_bytes == before + 4096
-        hpu_free(buf)
-        assert dev.allocated_bytes == before
-
-    def test_hpu_free_rejects_foreign(self, thetagpu1):
-        buf = thetagpu1.devices[0].malloc(64)
-        with pytest.raises(HardwareError):
-            hpu_free(buf)
-
-    def test_alloc_device_buffer_dispatch(self, voyager1, thetagpu1):
-        assert alloc_device_buffer(voyager1.devices[0], 64).on_device
-        assert alloc_device_buffer(thetagpu1.devices[0], 64).on_device
-
-    def test_hpu_buffers_flow_through_mpi(self, voyager1, spmd):
-        """The paper's port: Habana buffers through standard MPI."""
-        from repro.core.runtime import world_communicator
-        from repro.mpi import SUM
-
-        def body(ctx):
-            comm = world_communicator(ctx)
-            buf = hpu_alloc(ctx.device, 1 << 20)
-            buf.array[:] = 1
-            out = hpu_alloc(ctx.device, 1 << 20)
-            comm.Allreduce(buf, out, SUM)
-            return int(out.array[0])
-
-        assert spmd(voyager1, body, nranks=4) == [4] * 4
 
 
 class TestCLI:
