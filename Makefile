@@ -95,6 +95,9 @@ scale-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.omb.cli barrier \
 		--system thetagpu --nodes 4 --ranks 256 --sizes 4:4 \
 		--iterations 2 --warmup 1
+	PYTHONPATH=src $(PYTHON) -m repro.omb.cli allreduce \
+		--system thetagpu --nodes 4 --ranks 256 --sizes 4:4 \
+		--iterations 2 --warmup 1
 
 # memory CI leg, six fresh processes, each against its own peak RSS:
 # a 2048-rank Barrier + Allreduce (256 MiB) — communicator set-up must

@@ -47,19 +47,6 @@ class TransferPath:
     bottleneck: LinkModel
     fabric: Optional[LinkModel] = None
 
-    def time_us(self, nbytes: int) -> float:
-        """One-way transfer time for ``nbytes``."""
-        if nbytes < 0:
-            raise ValueError(f"negative message size {nbytes}")
-        return self.alpha_us + nbytes / self.beta_bpus
-
-    def bidir_time_us(self, nbytes: int) -> float:
-        """Time with ``nbytes`` flowing both directions simultaneously."""
-        dup = self.bottleneck.duplex_factor
-        if dup >= 2.0:
-            return self.time_us(nbytes)
-        return self.alpha_us + nbytes / (self.beta_bpus * dup / 2.0)
-
     def contended(self, flows: int) -> "TransferPath":
         """The path as seen by one of ``flows`` flows sharing the
         bottleneck (alltoall fan-out, PCIe bus sharing)."""

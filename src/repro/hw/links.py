@@ -94,12 +94,6 @@ class LinkModel:
             return self
         return replace(self, beta_bpus=self.beta_bpus * self.ports / flows)
 
-    def scaled(self, alpha_scale: float = 1.0, beta_scale: float = 1.0) -> "LinkModel":
-        """A variant with scaled constants (used by backend efficiency
-        factors in :mod:`repro.perfmodel.params`)."""
-        return replace(self, alpha_us=self.alpha_us * alpha_scale,
-                       beta_bpus=self.beta_bpus * beta_scale)
-
 
 # ---------------------------------------------------------------------------
 # Raw (technology-level) link library.
