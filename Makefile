@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install lint test test-all test-fast bench bench-selfcheck bench-claim bench-guard bench-hier bench-hetero bench-online-tune bench-all check-gates scale-smoke mem-smoke trace-smoke hier-smoke hetero-smoke elastic-smoke report examples tune clean
+.PHONY: install lint test test-all test-fast bench bench-selfcheck bench-claim bench-guard bench-hier bench-hetero bench-online-tune bench-all check-gates scale-smoke mem-smoke trace-smoke hier-smoke hetero-smoke elastic-smoke reach report examples tune clean
 
 install:
 	pip install -e .
@@ -171,6 +171,14 @@ elastic-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.obs.cli validate $(ELASTIC_SMOKE)
 	PYTHONPATH=src $(PYTHON) -m repro.obs.cli tune-report $(ELASTIC_SMOKE) \
 		--system thetagpu --nodes 2 --ranks 16
+
+# every function of src/repro has a user: runs every product entry
+# point (examples, experiments, smokes, each mpix-omb benchmark and CLI
+# subcommand) in one profiled process and fails when a function no
+# entry point enters is missing from tools/reach_allow.txt, or an entry
+# there has no reason or is stale
+reach:
+	PYTHONPATH=src $(PYTHON) tools/reach.py
 
 # every figure at paper scale into EXPERIMENTS.md (CI's anchors job fails
 # when a byte changes); "<id>: <wall> s, peak RSS <MiB>" lines on stderr

@@ -88,10 +88,6 @@ class PlanCache:
     def __len__(self) -> int:
         return len(self.calls)
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (f"<PlanCache calls={len(self.calls)} hits={self.hits} "
-                f"misses={self.misses}>")
-
 
 #: keep at most this many free buffers per (residency, dtype, count).
 POOL_CAP_PER_KEY = 8

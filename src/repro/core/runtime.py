@@ -117,8 +117,7 @@ def run(fn: Callable[..., Any], system: Union[str, Cluster] = "thetagpu",
         backend: CCL backend name (default: ``MPIX_BACKEND`` from the
             environment, else the vendor's native CCL).
         mode: routing policy (default ``MPIX_MODE``, else hybrid).
-        mpi_config: MPI personality (default MVAPICH-style GPU-aware;
-            ``MPIX_EAGER_*`` env overrides apply).
+        mpi_config: MPI personality (default MVAPICH-style GPU-aware).
         table: pre-tuned hybrid table (default: ``MPIX_TUNING_FILE``
             if set, else tuned offline per communicator shape).  Its
             ``hier`` / ``bridge`` rows are the only way to the node
@@ -134,7 +133,7 @@ def run(fn: Callable[..., Any], system: Union[str, Cluster] = "thetagpu",
     from repro.config import apply_env
     cluster = system if isinstance(system, Cluster) else make_system(system, nodes)
     config = mpi_config or mvapich_gpu()
-    backend, mode, table, config = apply_env(backend, mode, table, config)
+    backend, mode, table = apply_env(backend, mode, table)
     if isinstance(mode, str):
         mode = DispatchMode(mode)
     engine = Engine(cluster, nranks=nranks, ranks_per_node=ranks_per_node,

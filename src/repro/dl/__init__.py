@@ -10,7 +10,7 @@ communication/compute overlap) that runs its allreduces through any of
 the repo's communication stacks in virtual time.
 """
 
-from repro.dl.models import Layer, ModelSpec, resnet50, vgg16, tiny_mlp
+from repro.dl.models import Layer, ModelSpec, resnet50, vgg16
 from repro.dl.compute import ComputeModel, compute_model_for
 from repro.dl.horovod import HorovodConfig, GradientBucket, DistributedOptimizer
 from repro.dl.trainer import TrainResult, train, project_throughput
@@ -21,7 +21,6 @@ __all__ = [
     "ModelSpec",
     "resnet50",
     "vgg16",
-    "tiny_mlp",
     "ComputeModel",
     "compute_model_for",
     "HorovodConfig",

@@ -48,11 +48,6 @@ class ModelSpec:
         return sum(l.params for l in self.layers)
 
     @property
-    def total_grad_bytes(self) -> int:
-        """Bytes of fp32 gradient per step."""
-        return self.total_params * 4
-
-    @property
     def flops_per_image(self) -> float:
         """Forward+backward FLOPs per image (backward ~ 2x forward)."""
         return 3.0 * self.fwd_flops_per_image
@@ -118,15 +113,3 @@ def vgg16() -> ModelSpec:
     ]
     return ModelSpec("vgg16", tuple(layers), fwd_flops_per_image=15.5e9)
 
-
-def tiny_mlp(hidden: int = 256, depth: int = 3) -> ModelSpec:
-    """A small MLP for fast tests."""
-    layers: List[Layer] = []
-    prev = 64
-    for i in range(depth):
-        layers += [Layer(f"fc{i}.weight", prev * hidden),
-                   Layer(f"fc{i}.bias", hidden)]
-        prev = hidden
-    layers += [Layer("out.weight", prev * 10), Layer("out.bias", 10)]
-    return ModelSpec("tiny_mlp", tuple(layers),
-                     fwd_flops_per_image=2.0 * sum(l.params for l in layers))

@@ -12,7 +12,6 @@ from __future__ import annotations
 from repro.experiments.registry import AnchorCheck, Experiment, register
 from repro.hw.systems import TABLE1, make_system
 from repro.util.records import ResultRecord, ResultSet
-from repro.util.tables import ascii_table
 
 GB = 1024 ** 3
 
@@ -36,22 +35,6 @@ def run(scale: str = "paper") -> ResultSet:
                                      value=float(value), unit=key,
                                      meta=dict(TABLE1[name])))
     return results
-
-
-def render(results: ResultSet) -> str:
-    """ASCII rendition of Table 1."""
-    systems = results.series_names()
-    fields = ["devices_per_node", "device_memory_gb", "sockets",
-              "cores_per_socket", "host_memory_gb"]
-    rows = []
-    for f in fields:
-        row = [f]
-        for s in systems:
-            row.append(next(r.value for r in results
-                            if r.series == s and r.unit == f))
-        rows.append(row)
-    return ascii_table(["Component"] + systems, rows,
-                       title="Table 1: systems hardware (single node)")
 
 
 def _fact(system: str, unit: str):

@@ -105,11 +105,6 @@ class PlanStats:
         """A copy of the counters."""
         return {name: getattr(self, name) for name in COUNTERS}
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        s = self.snapshot()
-        return (f"<PlanStats hits={s['hits']} misses={s['misses']} "
-                f"pool_reuses={s['pool_reuses']}>")
-
 
 #: process-wide counters (every PlanCache and pool also reports here).
 STATS = PlanStats()

@@ -47,14 +47,6 @@ class TransferPath:
     bottleneck: LinkModel
     fabric: Optional[LinkModel] = None
 
-    def contended(self, flows: int) -> "TransferPath":
-        """The path as seen by one of ``flows`` flows sharing the
-        bottleneck (alltoall fan-out, PCIe bus sharing)."""
-        shared = self.bottleneck.shared(flows)
-        scale = shared.beta_bpus / self.bottleneck.beta_bpus
-        return TransferPath(self.scope, self.alpha_us,
-                            self.beta_bpus * scale, shared)
-
 
 def _compose(scope: PathScope, links: List[LinkModel]) -> TransferPath:
     if not links:
@@ -181,7 +173,3 @@ class Cluster:
         rail_out = src.local_index % self.nodes[ni].nics
         rail_in = dst.local_index % self.nodes[nj].nics
         return [("nic", ni, rail_out, "out"), ("nic", nj, rail_in, "in")]
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (f"<Cluster {self.name}: {self.node_count} nodes x "
-                f"{self.nodes[0].device_count} devices>")

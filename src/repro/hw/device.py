@@ -29,11 +29,6 @@ class HostCPU:
     cores_per_socket: int
     memory_bytes: int
 
-    @property
-    def total_cores(self) -> int:
-        """Total physical cores across sockets."""
-        return self.sockets * self.cores_per_socket
-
 
 class Accelerator:
     """One simulated GPU/HPU.

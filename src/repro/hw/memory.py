@@ -150,10 +150,6 @@ class Buffer:
     def __len__(self) -> int:
         return self.count
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        where = "device" if self.on_device else "host"
-        return f"<{type(self).__name__} {where} {self.count}x{self.dtype} ({self.nbytes} B)>"
-
 
 class HostBuffer(Buffer):
     """Pinned host memory (what MPI stages device data through)."""

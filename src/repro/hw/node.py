@@ -9,12 +9,11 @@ path one, which is all the path queries below return.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List
 
 from repro.errors import TopologyError
 from repro.hw.device import Accelerator, HostCPU
 from repro.hw.links import HOST_MEMCPY, LinkModel
-from repro.hw.vendors import Vendor
 
 
 class Node:
@@ -60,26 +59,6 @@ class Node:
         """Number of accelerators on the node."""
         return len(self.devices)
 
-    @property
-    def vendors(self) -> Tuple[Vendor, ...]:
-        """Distinct device vendors on this node, sorted by name — the
-        per-node input to mixed-vendor backend selection."""
-        return tuple(sorted({d.vendor for d in self.devices},
-                            key=lambda v: v.value))
-
-    @property
-    def vendor(self) -> Vendor:
-        """The node's single device vendor.  Mixed-vendor *clusters*
-        are modeled as single-vendor nodes (islands); a node mixing
-        vendors within itself is a topology error."""
-        vendors = self.vendors
-        if len(vendors) != 1:
-            raise TopologyError(
-                f"{self.name} mixes device vendors "
-                f"{[v.value for v in vendors]}; per-node backend "
-                f"selection needs single-vendor nodes")
-        return vendors[0]
-
     def device(self, local_index: int) -> Accelerator:
         """Accelerator at ``local_index``; raises TopologyError if absent."""
         if not 0 <= local_index < len(self.devices):
@@ -100,7 +79,3 @@ class Node:
         """Link segments from a device to the node's NIC (GPU-direct)."""
         self.device(local_index)
         return [self.intra_link]
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        kinds = {d.vendor.value for d in self.devices}
-        return f"<Node {self.name}: {len(self.devices)} dev {sorted(kinds)}>"

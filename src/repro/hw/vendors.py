@@ -25,19 +25,9 @@ class Vendor(enum.Enum):
     INTEL = "intel"
 
     @property
-    def runtime_stack(self) -> str:
-        """The vendor's device runtime (CUDA / ROCm / SynapseAI)."""
-        return _RUNTIME[self]
-
-    @property
     def native_ccl(self) -> str:
         """The vendor-provided CCL name (NCCL / RCCL / HCCL)."""
         return _NATIVE_CCL[self]
-
-    @property
-    def device_label(self) -> str:
-        """GPU vs HPU — Habana markets Gaudi as an HPU."""
-        return "HPU" if self is Vendor.HABANA else "GPU"
 
     @classmethod
     def parse(cls, name: str) -> "Vendor":
@@ -48,13 +38,6 @@ class Vendor(enum.Enum):
             valid = ", ".join(v.value for v in cls)
             raise ValueError(f"unknown vendor {name!r}; expected one of: {valid}") from None
 
-
-_RUNTIME = {
-    Vendor.NVIDIA: "cuda",
-    Vendor.AMD: "rocm",
-    Vendor.HABANA: "synapseai",
-    Vendor.INTEL: "level-zero",
-}
 
 _NATIVE_CCL = {
     Vendor.NVIDIA: "nccl",

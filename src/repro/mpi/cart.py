@@ -162,6 +162,3 @@ class CartComm:
             sub_dims = [1]
             sub_periods = [False]
         return CartComm(sub_comm, sub_dims, sub_periods)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<CartComm {self.dims} periods={self.periods}>"

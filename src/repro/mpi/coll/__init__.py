@@ -29,6 +29,7 @@ from typing import Optional
 
 from repro.errors import MPIError
 from repro.mpi.coll import tuning
+from repro.mpi.coll._util import is_pof2
 from repro.mpi.coll.allgather import (
     allgather_bruck,
     allgather_recursive_doubling,
@@ -131,8 +132,14 @@ class MPICollDispatcher:
         self.force = force
 
     def _pick(self, c, coll: str, commutative: bool = True):
-        name = self.force or tuning.select(coll, c.count * c.dt.itemsize,
-                                           c.comm.size, commutative)
+        p = c.comm.size
+        name = self.force
+        if name is None:
+            name = tuning.select(coll, c.count * c.dt.itemsize, p,
+                                 commutative)
+        elif (coll, name) in tuning.POF2_ONLY and not is_pof2(p):
+            raise MPIError(f"{coll} algorithm {name!r} needs a power-of-two "
+                           f"communicator; this one has {p} ranks")
         if name == "hierarchical":
             abandon(c.comm)     # levels.py's algorithms stay live
         return algorithm(coll, name)

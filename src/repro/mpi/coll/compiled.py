@@ -176,7 +176,7 @@ def _whole(prog: RoundProgram) -> tuple:
         for row in prog.rows:
             if row[0] == SENDRECV:
                 step = next(exchanges)
-                row = row[:4] + (step[7].rank,) + row[5:8] + (step[11],) \
+                row = row[:4] + (step[8].rank,) + row[5:8] + (step[12],) \
                     + row[9:]
             rows.append(row)
         prog.rows = tuple(rows)
@@ -208,10 +208,10 @@ class CompiledSlice:
     staging rows.  A step names messages by their index in the key's
     :class:`CentralProgram`.
 
-    * ``(SENDRECV, out, stage, overhead, resources, alpha, wire time,
+    * ``(SENDRECV, out, stage, overhead, resources, alpha, bytes, beta,
       receiver's mailbox, in, landing charge, landing stage, source,
       receive tag, lend rule)``;
-    * ``(SEND, out, stage, overhead, resources, alpha, wire time,
+    * ``(SEND, out, stage, overhead, resources, alpha, bytes, beta,
       receiver's mailbox)``;
     * ``(RECV, in, landing charge, landing stage, source, tag)``;
     * a local step's charge: the float itself.
@@ -274,8 +274,7 @@ def _slices(central: CentralProgram, members) -> List[CompiledSlice]:
             held.append(kept)
             if kind == SENDRECV or kind == SEND:
                 _, _, k, stage, ovh, res, alpha, beta, nbytes = next(ins)
-                wire = nbytes / beta if beta else 0.0
-                send = (k, stage, ovh, res, alpha, floats.setdefault(wire, wire),
+                send = (k, stage, ovh, res, alpha, nbytes, beta,
                         ctx.mailbox_of(row[4]))
                 if kind == SEND:
                     steps.append((SEND,) + send)
@@ -366,7 +365,7 @@ def run(prog: RoundProgram, call, shift: int) -> bool:
             stored[r] = arr.strides[0] != 0
     arrival = rec.arrival
     landed = rec.landed
-    book = engine.wires.book_wire
+    book = engine.wires.book
     elided = forced = 0
     fell = False
     try:
@@ -380,17 +379,17 @@ def run(prog: RoundProgram, call, shift: int) -> bool:
             if kind == RECV:
                 _, j, charge, rstage, src, rt = step
             else:
-                k, stage, ovh, res, alpha, wire, box = step[1:8]
+                k, stage, ovh, res, alpha, nbytes, beta, box = step[1:9]
                 if stage is not None:
                     clock._now += stage
                 clock._now += ovh
-                arrival[k] = book(res, clock._now, wire, alpha)
+                arrival[k] = book(res, clock._now, nbytes, beta, alpha)
                 waitq = box._waitq
                 if waitq._parked:   # where ``Mailbox.post`` wakes it
                     waitq.notify_all()
                 if kind == SEND:
                     continue
-                _, _, _, _, _, _, _, _, j, charge, rstage, src, rt, rule = step
+                _, _, _, _, _, _, _, _, _, j, charge, rstage, src, rt, rule = step
             t = arrival[j]
             if t is None:
                 if not _await(comm, rec, j, src, rt + shift):
@@ -548,7 +547,7 @@ def _fall_back(rec: CallRecord) -> None:
                             si += 1
                             continue
                         half = True
-                    j = step[8]
+                    j = step[9]
                 if j == stop:
                     resume[m] = (pc, half, bufs)
                 elif j not in sent:

@@ -98,7 +98,7 @@ it is every member's.  Each member then holds its own
 landings and local charges, priced, in row order — beside its rows;
 every later call runs it (:func:`repro.mpi.coll.compiled.run`): a
 departure charges the clock, books the wire
-(``WireTracker.book_wire``), sets the message's arrival in the call's
+(``WireTracker.book``), sets the message's arrival in the call's
 record and wakes the receiver's mailbox wait queue where
 ``Mailbox.post`` would; a landing whose message has not departed parks
 on the member's own mailbox wait queue, with ``Mailbox.match``'s stall

@@ -46,6 +46,12 @@ DEFAULT_TABLE: Dict[str, AlgorithmChoice] = {
     "scatter": AlgorithmChoice("binomial", "linear", 32 * KIB),
 }
 
+#: algorithms whose rounds pair ranks by bit: :func:`select` picks
+#: them only on a power-of-two communicator, and a forced pick of one
+#: elsewhere is refused
+POF2_ONLY = frozenset({("allgather", "recursive_doubling"),
+                       ("reduce_scatter", "recursive_halving")})
+
 #: alltoall has a middle regime: scattered nonblocking between Bruck
 #: (tiny) and pairwise (large).
 ALLTOALL_SCATTERED_MAX = 32 * KIB

@@ -981,9 +981,6 @@ class Communicator:
         """Persistent barrier."""
         return self._persistent(self._barrier())
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<Communicator {self.ctx_id} rank {self.rank}/{self.size}>"
-
 
 class PersistentRequest:
     """A reusable request (``MPI_Send_init``/``MPI_Recv_init``).
@@ -1035,10 +1032,6 @@ class PersistentCollRequest(PersistentRequest):
         super().__init__(comm, factory)
         #: which collective this request replays (e.g. ``"allreduce"``)
         self.coll = coll
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        state = "active" if self.active else "idle"
-        return f"<PersistentCollRequest {self.coll} {state}>"
 
 
 def spans_world(ctx_id: str) -> bool:

@@ -121,8 +121,3 @@ def openmpi_ucx() -> MPIConfig:
         inter_bw_eff=0.52,
     )
 
-
-def host_staged() -> MPIConfig:
-    """A non-GPU-aware build (device buffers staged through host) —
-    the pre-CUDA-aware world of §2.2, used by ablation benches."""
-    return mvapich_gpu().with_(name="mpix-staged", gpu_direct=False)

@@ -155,7 +155,3 @@ def indexed(blocklengths: Sequence[int], displacements: Sequence[int],
     return DerivedDatatype(
         f"indexed({len(blocks)} blocks) of {base.name}", base, blocks, extent)
 
-
-def is_derived(datatype) -> bool:
-    """True for derived datatypes (predefined types return False)."""
-    return isinstance(datatype, DerivedDatatype)

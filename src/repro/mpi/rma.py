@@ -164,6 +164,3 @@ class Win:
         self._target(target_rank)
         self.comm.ctx.clock.merge(self._pending_until)
         self._pending_until = 0.0
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<Win uid={self.uid} size={as_array(self.local).size}>"

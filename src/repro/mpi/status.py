@@ -24,10 +24,6 @@ class Status:
         self.count = count
         self.nbytes = nbytes
 
-    def __repr__(self) -> str:
-        return (f"Status(source={self.source}, tag={self.tag}, "
-                f"count={self.count}, nbytes={self.nbytes})")
-
     def get_count(self, datatype: Datatype) -> int:
         """Element count interpreted in ``datatype`` (``MPI_Get_count``)."""
         if datatype.itemsize == 0:

@@ -12,5 +12,4 @@ from repro.obs.metrics import (  # noqa: F401
     CollectiveMetrics,
     MetricsReport,
     aggregate_doc,
-    aggregate_traces,
 )

@@ -111,7 +111,7 @@ def _tune_report(path: str, system: Optional[str], nodes: int,
     if not buckets:
         print("no execute spans in trace (was it recorded with tracing on?)")
         return 1
-    _, _, table, _ = apply_env(None, None, None, None)
+    _, _, table = apply_env(None, None, None)
     if table is not None:
         print(f"# static table: MPIX_TUNING_FILE, backend={table.backend}")
     elif system is not None:

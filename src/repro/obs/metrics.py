@@ -9,20 +9,17 @@ into :class:`MetricsReport`: per collective per route — call count,
 total bytes, virtual-time min/max/total, and a power-of-two latency
 histogram.
 
-Two entry points, one output shape:
-
-* :func:`aggregate_traces` — in-process, from ``engine.traces()``;
-* :func:`aggregate_doc` — offline, from a Chrome-trace JSON document
-  (what the ``mpix-trace`` CLI reads back from disk).
+One entry point, :func:`aggregate_doc`, reads a Chrome-trace JSON
+document: what the ``mpix-trace`` CLI reads back from disk, or an
+engine's own run through
+:func:`repro.sim.timeline.engine_chrome_trace`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
-
-from repro.sim.tracing import Trace
+from typing import Dict, List, Optional, Tuple
 
 #: histogram buckets are powers of two in microseconds: bucket ``i``
 #: holds durations in ``[2**(i-1), 2**i)`` us; bucket 0 holds < 1 us.
@@ -138,15 +135,6 @@ class MetricsReport:
                          round(m.time_avg_us, 2), round(m.time_min_us, 2),
                          round(m.time_max_us, 2), routes])
         return rows
-
-
-def aggregate_traces(traces: Sequence[Trace]) -> MetricsReport:
-    """Fold per-rank :class:`Trace` objects into one report."""
-    report = MetricsReport(ranks=len(traces))
-    for trace in traces:
-        for ev in trace.events:
-            report._fold(ev.kind, ev.label, ev.start_us, ev.end_us, ev.nbytes)
-    return report
 
 
 def aggregate_doc(doc: Dict) -> MetricsReport:

@@ -12,7 +12,7 @@ Gaudi buffers need no port of their own here.
 """
 
 from repro.omb.harness import OMBConfig, aggregate_latency
-from repro.omb.pt2pt import osu_latency, osu_bw, osu_bibw, osu_mbw_mr
+from repro.omb.pt2pt import osu_latency, osu_bw, osu_bibw
 from repro.omb.collective import (
     osu_allreduce,
     osu_reduce,
@@ -32,7 +32,6 @@ __all__ = [
     "osu_latency",
     "osu_bw",
     "osu_bibw",
-    "osu_mbw_mr",
     "osu_allreduce",
     "osu_reduce",
     "osu_bcast",

@@ -215,7 +215,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     config = OMBConfig(sizes=tuple(power_of_two_sizes(lo, hi)),
                        warmup=args.warmup, iterations=args.iterations)
     # MPIX_BACKEND and MPIX_TUNING_FILE, as runtime.run reads them
-    backend, _, table, _ = apply_env(args.backend, None, None, None)
+    backend, _, table = apply_env(args.backend, None, None)
     if args.vendors is not None:
         try:
             cluster = make_mixed_system(args.vendors, nics=args.nics,

@@ -30,12 +30,6 @@ class OMBConfig:
     iterations: int = 10
     window: int = 64           # osu_bw / osu_bibw window size
 
-    def sized(self, min_bytes: int, max_bytes: int) -> "OMBConfig":
-        """Restrict the sweep to [min_bytes, max_bytes]."""
-        sizes = tuple(s for s in self.sizes if min_bytes <= s <= max_bytes)
-        return OMBConfig(sizes=sizes, warmup=self.warmup,
-                         iterations=self.iterations, window=self.window)
-
 
 @dataclass
 class LatencyStats:

@@ -125,55 +125,3 @@ def osu_bibw(ctx: RankContext, backend: str,
              config: Optional[OMBConfig] = None) -> Dict[int, float]:
     """Bidirectional aggregate bandwidth (MB/s) per size."""
     return _bw_common(ctx, backend, config, "both")
-
-
-def osu_mbw_mr(ctx: RankContext, backend: str,
-               config: Optional[OMBConfig] = None) -> Dict[int, float]:
-    """Multi-pair aggregate bandwidth (``osu_mbw_mr``), MB/s per size.
-
-    The first half of the ranks send, the second half receive (pair
-    ``i <-> i + p/2``); run with an even rank count.  Inter-node
-    placement makes every pair share the NICs — the aggregate exposes
-    how the wire tracker divides them (unlike single-pair ``osu_bw``,
-    which owns its wire).
-    """
-    config = config or OMBConfig()
-    harness = PureCCLHarness(ctx, backend)
-    p = ctx.size
-    if p % 2:
-        raise ValueError("osu_mbw_mr needs an even number of ranks")
-    half = p // 2
-    sender = ctx.rank < half
-    peer = ctx.rank + half if sender else ctx.rank - half
-    sendbuf, recvbuf = _pair_buffers(ctx, max(config.sizes))
-    results: Dict[int, float] = {}
-    for size in config.sizes:
-        count = max(size // 4, 1)
-
-        @xapi.aborts_group_on_error
-        def window() -> float:
-            t0 = ctx.now
-            xapi.xcclGroupStart()
-            for _ in range(config.window):
-                if sender:
-                    xapi.xcclSend(sendbuf.view(0, count), count, FLOAT,
-                                  peer, harness.comm)
-                else:
-                    xapi.xcclRecv(recvbuf.view(0, count), count, FLOAT,
-                                  peer, harness.comm)
-            xapi.xcclGroupEnd()
-            xapi.xcclStreamSynchronize(harness.comm)
-            harness.sendrecv(sendbuf.view(0, 1), recvbuf.view(0, 1), 1,
-                             peer, FLOAT)
-            return ctx.now - t0
-
-        for _ in range(config.warmup):
-            window()
-        total = 0.0
-        for _ in range(config.iterations):
-            total += window()
-        elapsed = total / config.iterations
-        per_pair = size * config.window / elapsed if elapsed else 0.0
-        # aggregate across pairs (identical by symmetry)
-        results[size] = per_pair * half
-    return results

@@ -49,11 +49,3 @@ class VirtualClock:
             if top > self._now:
                 self._now = top
         return self._now
-
-    def reset(self, start_us: float = 0.0) -> None:
-        """Rewind the clock (only the benchmark harness does this,
-        between repetitions, at a global synchronization point)."""
-        self._now = float(start_us)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<VirtualClock {self._now:.3f}us>"

@@ -378,9 +378,6 @@ class RankContext:
         return self.engine.collective_slot(key, parties or self.size,
                                            factory, patient)
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<RankContext {self.rank}/{self.size} on {self.device.model}>"
-
 
 class Engine:
     """Owns the shared state of one SPMD run.
@@ -470,7 +467,6 @@ class Engine:
                          for r in range(self.nranks)]
         self._slots: Dict[Any, CollectiveSlot] = {}
         self.wires = WireTracker()
-        self._seq = itertools.count()
         self.contexts: List[RankContext] = []
         # shared accumulator pool for the zero-copy collectives: the
         # reducing rank differs call to call (import is deferred to
@@ -712,10 +708,6 @@ class Engine:
         for rec in self.records.values():
             rec.central_slots.clear()
             rec.call_records.clear()
-
-    def next_sequence(self) -> int:
-        """A run-unique id (collective keys, message fingerprints)."""
-        return next(self._seq)
 
 
 def run_spmd(cluster: Cluster, fn: Callable[..., Any], nranks: Optional[int] = None,

@@ -98,11 +98,6 @@ class Message:
         self.seq = seq
         self.lease = lease
 
-    def __repr__(self) -> str:
-        return (f"Message(src={self.src}, dst={self.dst}, tag={self.tag}, "
-                f"kind={self.kind!r}, nbytes={self.nbytes}, "
-                f"arrival_us={self.arrival_us})")
-
 
 class PayloadLease:
     """Ownership handoff of a borrowed payload view (zero-copy p2p).

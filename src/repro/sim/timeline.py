@@ -21,7 +21,6 @@ metrics and serves the ``mpix-trace`` CLI.
 
 from __future__ import annotations
 
-import json
 from typing import Dict, List, Optional, Sequence
 
 from repro.sim.tracing import Trace
@@ -112,24 +111,3 @@ def engine_chrome_trace(engine, process_name: str = "mpix",
     nodes = {rank: engine.node_of(rank) for rank in range(engine.nranks)}
     return chrome_trace(engine.traces(), process_name, nodes=nodes, meta=meta)
 
-
-def save_chrome_trace(traces: Sequence[Trace], path: str,
-                      process_name: str = "mpix",
-                      nodes: Optional[Dict[int, int]] = None,
-                      meta: Optional[Dict] = None) -> None:
-    """Write the Chrome trace JSON to ``path`` (open it in
-    ``chrome://tracing`` or https://ui.perfetto.dev)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(chrome_trace(traces, process_name, nodes=nodes, meta=meta),
-                  fh)
-
-
-def summarize(traces: Sequence[Trace]) -> Dict[str, Dict[str, float]]:
-    """Aggregate time per event kind per rank (quick profiling view)."""
-    out: Dict[str, Dict[str, float]] = {}
-    for trace in traces:
-        kinds: Dict[str, float] = {}
-        for ev in trace.events:
-            kinds[ev.kind] = kinds.get(ev.kind, 0.0) + ev.duration_us
-        out[f"rank{trace.rank}"] = kinds
-    return out

@@ -34,7 +34,7 @@ Event kinds by layer:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 
 @dataclass(frozen=True)
@@ -75,15 +75,6 @@ class Trace:
     def of_kind(self, kind: str) -> List[TraceEvent]:
         """Events of one kind, in order."""
         return [e for e in self.events if e.kind == kind]
-
-    def total_time(self, kind: Optional[str] = None) -> float:
-        """Summed duration of events (optionally one kind)."""
-        return sum(e.duration_us for e in self.events
-                   if kind is None or e.kind == kind)
-
-    def clear(self) -> None:
-        """Drop all events."""
-        self.events.clear()
 
     def __len__(self) -> int:
         return len(self.events)

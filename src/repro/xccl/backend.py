@@ -145,11 +145,6 @@ def aborts_group_on_error(fn):
     return guarded
 
 
-def in_group() -> bool:
-    """True while a group is open on this thread."""
-    return _group.depth > 0
-
-
 def _spans_nodes(sends: Sequence[tuple], recvs: Sequence[tuple]) -> bool:
     """Whether a row's peer lives on another node than its rank."""
     for rows in (sends, recvs):
@@ -768,6 +763,3 @@ class CCLBackend:
             consume=lambda rank, res, data:
                 copy_payload(out, res[0][lo:hi]),
             cleanup=self._release_pooled, nbytes=nbytes)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<{type(self).__name__}>"

@@ -110,6 +110,3 @@ class XCCLComm:
 
     #: the teardown of the MPI communicator's ledger entry
     Free = destroy
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<XCCLComm uid={self.uid} rank {self.rank}/{self.size}>"

@@ -14,7 +14,6 @@ from repro.perfmodel.params import MSCCL as MSCCL_PARAMS
 from repro.xccl.backend import CCLBackend
 from repro.xccl.caps import CapabilityDescriptor
 from repro.xccl.datatypes import NCCL_FAMILY_TYPES
-from repro.xccl.msccl_programs import ProgramRegistry, default_registry
 
 
 class MSCCLBackend(CCLBackend):
@@ -28,8 +27,3 @@ class MSCCLBackend(CCLBackend):
                                         max_ranks=1 << 13)
     #: the wrapped NCCL build
     version = "msccl-0.7 (nccl 2.12.12)"
-
-    @property
-    def programs(self) -> ProgramRegistry:
-        """The loaded custom-algorithm programs."""
-        return default_registry()

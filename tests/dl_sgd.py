@@ -7,6 +7,9 @@ strongest property a communication runtime offers a training job:
 **bit-equivalent learning** regardless of which stack (hybrid MPI-xCCL,
 pure CCL, Open MPI) moves the gradients, and equivalence to a
 single-process run on the concatenated batch.
+
+:func:`tiny_mlp` is the small :class:`~repro.dl.models.ModelSpec` the
+trainer tests drive the synthetic trainer with.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from repro.dl.models import Layer, ModelSpec
 from repro.errors import ConfigError
 from repro.mpi.datatypes import DOUBLE
 from repro.mpi.ops import SUM
@@ -173,3 +177,16 @@ def train_reference(steps: int = 5, lr: float = 0.05, in_dim: int = 8,
         _h, pred = model.forward(x)
         losses.append(float(((pred - y) ** 2).mean()))
     return losses, model
+
+
+def tiny_mlp(hidden: int = 256, depth: int = 3) -> ModelSpec:
+    """A small MLP's layer list, for fast trainer tests."""
+    layers: List[Layer] = []
+    prev = 64
+    for i in range(depth):
+        layers += [Layer(f"fc{i}.weight", prev * hidden),
+                   Layer(f"fc{i}.bias", hidden)]
+        prev = hidden
+    layers += [Layer("out.weight", prev * 10), Layer("out.bias", 10)]
+    return ModelSpec("tiny_mlp", tuple(layers),
+                     fwd_flops_per_image=2.0 * sum(l.params for l in layers))

@@ -4,7 +4,7 @@ import pytest
 
 from repro.dl.compute import compute_model_for
 from repro.dl.horovod import HorovodConfig, build_buckets
-from repro.dl.models import resnet50, tiny_mlp, vgg16
+from repro.dl.models import resnet50, vgg16
 from repro.dl.presets import horovod_preset
 from repro.dl.trainer import project_throughput, train
 from repro.errors import ConfigError
@@ -12,6 +12,7 @@ from repro.hw.systems import make_system
 from repro.omb.stacks import make_stack
 from repro.perfmodel.shape import shape_of
 from repro.sim.engine import Engine
+from tests.dl_sgd import tiny_mlp
 
 MB = 1 << 20
 
@@ -75,7 +76,7 @@ class TestFusionBuckets:
         m = resnet50()
         buckets = build_buckets(m, 64 * MB)
         assert sum(len(b.layers) for b in buckets) == len(m.layers)
-        assert sum(b.nbytes for b in buckets) == m.total_grad_bytes
+        assert sum(b.nbytes for b in buckets) == 4 * m.total_params
 
     def test_bucket_size_respected(self):
         buckets = build_buckets(resnet50(), 1 * MB)

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.dl.sgd import MLP, make_dataset, train_data_parallel, train_reference
 from repro.errors import RankFailedError
 from repro.omb.stacks import make_stack
 from repro.sim.engine import Engine
+from tests.dl_sgd import MLP, make_dataset, train_data_parallel, train_reference
 
 
 def _run(cluster, stack_name, nranks, steps=4, **kw):

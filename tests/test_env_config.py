@@ -6,7 +6,6 @@ from repro.config import EnvDefaults, apply_env, from_env
 from repro.core import DispatchMode, run
 from repro.errors import ConfigError
 from repro.mpi import SUM
-from repro.mpi.config import mvapich_gpu
 from tests import frozen_reference
 
 
@@ -26,11 +25,6 @@ class TestFromEnv:
         with pytest.raises(ConfigError):
             from_env({"MPIX_MODE": "turbo"})
 
-    def test_eager_sizes_parsed(self):
-        d = from_env({"MPIX_EAGER_INTRA": "16K", "MPIX_EAGER_INTER": "32K"})
-        assert d.eager_intra == 16384
-        assert d.eager_inter == 32768
-
     def test_missing_tuning_file(self):
         with pytest.raises(ConfigError):
             from_env({"MPIX_TUNING_FILE": "/nonexistent/table.json"})
@@ -41,35 +35,29 @@ class TestFromEnv:
 
 class TestApplyEnv:
     def test_explicit_args_win(self):
-        backend, mode, table, cfg = apply_env(
-            "nccl", "pure_mpi", None, mvapich_gpu(),
+        backend, mode, table = apply_env(
+            "nccl", "pure_mpi", None,
             environ={"MPIX_BACKEND": "msccl", "MPIX_MODE": "hybrid"})
         assert backend == "nccl"
         assert mode == "pure_mpi"
 
     def test_env_fills_gaps(self):
-        backend, mode, _t, _c = apply_env(
-            None, None, None, mvapich_gpu(),
+        backend, mode, _t = apply_env(
+            None, None, None,
             environ={"MPIX_BACKEND": "msccl", "MPIX_MODE": "pure_xccl"})
         assert backend == "msccl"
         assert mode == "pure_xccl"
 
     def test_default_mode_hybrid(self):
-        _b, mode, _t, _c = apply_env(None, None, None, mvapich_gpu(),
-                                     environ={})
+        _b, mode, _t = apply_env(None, None, None, environ={})
         assert mode == "hybrid"
-
-    def test_eager_overrides_config(self):
-        _b, _m, _t, cfg = apply_env(None, None, None, mvapich_gpu(),
-                                    environ={"MPIX_EAGER_INTRA": "64K"})
-        assert cfg.eager_threshold_intra == 65536
 
     def test_tuning_file_loaded(self, tmp_path):
         from repro.core.tune_cli import main
         path = tmp_path / "table.json"
         main(["--system", "thetagpu", "-o", str(path)])
-        _b, _m, table, _c = apply_env(None, None, None, mvapich_gpu(),
-                                      environ={"MPIX_TUNING_FILE": str(path)})
+        _b, _m, table = apply_env(None, None, None,
+                                  environ={"MPIX_TUNING_FILE": str(path)})
         assert table is not None
         assert table.backend == "nccl"
 

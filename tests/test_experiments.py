@@ -144,8 +144,3 @@ class TestReport:
         assert "table1" in text
         assert "| anchor |" in text
         assert "yes" in text
-
-    def test_render_table1(self):
-        from repro.experiments.table1_systems import render, run
-        text = render(run())
-        assert "thetagpu" in text and "voyager" in text

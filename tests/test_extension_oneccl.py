@@ -11,7 +11,6 @@ import pytest
 
 from repro.core import run
 from repro.dl import horovod_preset, train
-from repro.dl.models import tiny_mlp
 from repro.hw.systems import make_system
 from repro.hw.vendors import Vendor, default_ccl_for
 from repro.mpi import DOUBLE_COMPLEX, FLOAT, SUM
@@ -20,12 +19,12 @@ from repro.omb.harness import OMBConfig
 from repro.omb.stacks import make_stack
 from repro.sim.engine import Engine
 from repro.xccl.registry import backend_for_vendor, get_backend
+from tests.dl_sgd import tiny_mlp
 
 
 class TestVendorPlumbing:
     def test_vendor_enum(self):
         assert Vendor.INTEL.native_ccl == "oneccl"
-        assert Vendor.INTEL.runtime_stack == "level-zero"
         assert default_ccl_for(Vendor.INTEL) == "oneccl"
 
     def test_backend_registered(self):

@@ -23,9 +23,8 @@ from repro.errors import (
     ConfigError,
     MPIXNegotiationError,
     RankFailedError,
-    TopologyError,
 )
-from repro.hw.systems import make_mixed_system, make_system, mixed
+from repro.hw.systems import make_mixed_system, mixed
 from repro.hw.vendors import Vendor, parse_vendor_counts
 from repro.xccl import caps
 from repro.xccl.hccl import HCCLBackend
@@ -108,27 +107,14 @@ def test_make_mixed_system():
     assert [n.name for n in cluster.nodes] == [
         "mixed00-nvidia", "mixed01-nvidia", "mixed02-amd", "mixed03-amd"]
     # every node is a single-vendor island
-    assert {n.vendor for n in cluster.nodes} == {Vendor.NVIDIA, Vendor.AMD}
+    islands = [{d.vendor for d in n.devices} for n in cluster.nodes]
+    assert all(len(vendors) == 1 for vendors in islands)
+    assert set.union(*islands) == {Vendor.NVIDIA, Vendor.AMD}
     for bad in ("", "nvidia:0", "martian:2"):
         with pytest.raises(ConfigError):
             make_mixed_system(bad)
     with pytest.raises(ConfigError):
         mixed([(Vendor.NVIDIA, 1)], devices_per_node=0)
-
-
-def test_node_vendor_properties():
-    node = make_system("thetagpu").nodes[0]
-    assert node.vendors == (Vendor.NVIDIA,)
-    assert node.vendor is Vendor.NVIDIA
-    from repro.hw.node import Node
-    from repro.hw.systems import _a100, _mi100
-    from repro.hw.links import NVSWITCH, IB_HDR
-    from repro.hw.device import HostCPU
-    franken = Node("franken", HostCPU("x", 1, 1, 1 << 30),
-                   [_a100(), _mi100()], intra_link=NVSWITCH, nic=IB_HDR)
-    assert franken.vendors == (Vendor.AMD, Vendor.NVIDIA)
-    with pytest.raises(TopologyError, match="mixes device vendors"):
-        franken.vendor
 
 
 # -- the bridge route ----------------------------------------------------

@@ -1,17 +1,9 @@
-"""Accelerator and HostCPU behaviour."""
+"""Accelerator and vendor behaviour."""
 
 import pytest
 
-from repro.hw.device import HostCPU
 from repro.hw.systems import mri, thetagpu, voyager
 from repro.hw.vendors import COMPATIBLE_CCLS, Vendor, default_ccl_for
-
-
-class TestHostCPU:
-    def test_total_cores(self):
-        cpu = HostCPU("x", sockets=2, cores_per_socket=64,
-                      memory_bytes=1 << 40)
-        assert cpu.total_cores == 128
 
 
 class TestAccelerator:
@@ -59,15 +51,6 @@ class TestVendor:
         assert Vendor.NVIDIA.native_ccl == "nccl"
         assert Vendor.AMD.native_ccl == "rccl"
         assert Vendor.HABANA.native_ccl == "hccl"
-
-    def test_device_label(self):
-        assert Vendor.HABANA.device_label == "HPU"
-        assert Vendor.NVIDIA.device_label == "GPU"
-
-    def test_runtime_stack(self):
-        assert Vendor.NVIDIA.runtime_stack == "cuda"
-        assert Vendor.AMD.runtime_stack == "rocm"
-        assert Vendor.HABANA.runtime_stack == "synapseai"
 
     def test_msccl_only_on_nvidia(self):
         assert "msccl" in COMPATIBLE_CCLS[Vendor.NVIDIA]

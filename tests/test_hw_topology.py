@@ -9,43 +9,35 @@ import pytest
 
 from repro.errors import ConfigError, TopologyError
 from repro.hw.cluster import PathScope
-from repro.hw.links import IB_HDR, NVSWITCH, PCIE_MRI, LinkModel, LinkKind
+from repro.hw.links import NVSWITCH, PCIE_MRI, LinkKind, LinkModel
 from repro.hw.systems import (TABLE1, make_mixed_system, make_system, mri,
                               system_names, thetagpu, voyager)
+from repro.sim.wire import WireTracker
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestLinkModel:
+    """A link as the wire tracker books it: ``alpha + n / beta`` on an
+    idle wire."""
+
+    @staticmethod
+    def _arrival(link, nbytes):
+        return WireTracker().book([("wire", "out")], 0.0, nbytes,
+                                  link.beta_bpus, link.alpha_us)
+
     def test_time_is_alpha_plus_wire(self):
         l = LinkModel(LinkKind.NVSWITCH, alpha_us=2.0, beta_bpus=1000.0)
-        assert l.time_us(0) == 2.0
-        assert l.time_us(1000) == 3.0
+        assert self._arrival(l, 0) == 2.0
+        assert self._arrival(l, 1000) == 3.0
 
     def test_negative_size_rejected(self):
         with pytest.raises(ValueError):
-            NVSWITCH.time_us(-1)
+            self._arrival(NVSWITCH, -1)
 
     def test_bandwidth_approaches_beta(self):
-        bw = NVSWITCH.bandwidth_MBps(1 << 30)
+        bw = (1 << 30) / self._arrival(NVSWITCH, 1 << 30)
         assert bw == pytest.approx(NVSWITCH.beta_bpus, rel=0.01)
-
-    def test_bidir_full_duplex_unchanged(self):
-        assert IB_HDR.bidir_time_us(1 << 20) == IB_HDR.time_us(1 << 20)
-
-    def test_bidir_half_duplex_slower(self):
-        assert NVSWITCH.bidir_time_us(1 << 20) > NVSWITCH.time_us(1 << 20)
-
-    def test_shared_divides_beta(self):
-        shared = IB_HDR.shared(4)
-        assert shared.beta_bpus == pytest.approx(IB_HDR.beta_bpus / 4)
-
-    def test_shared_within_ports_free(self):
-        assert NVSWITCH.shared(1).beta_bpus == NVSWITCH.beta_bpus
-
-    def test_shared_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            IB_HDR.shared(0)
 
     def test_effective_beta_with_store_forward(self):
         # PCIe has a host bounce: harmonic composition
@@ -217,12 +209,6 @@ class TestCluster:
     def test_transfer_resources_local_empty(self, thetagpu2):
         c = thetagpu2
         assert c.transfer_resources(c.devices[0], c.devices[0]) == []
-
-    def test_contended_path(self, thetagpu2):
-        c = thetagpu2
-        p = c.path(c.devices[0], c.devices[1])
-        assert p.contended(4).beta_bpus < p.beta_bpus
-
 
 class TestSystems:
     def test_names(self):

@@ -1,5 +1,7 @@
 """Cross-layer integration scenarios (the workflows a user runs)."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -130,7 +132,7 @@ class TestMixedWorkflow:
 
 class TestTraceIntegration:
     def test_traced_hybrid_run_exports(self, thetagpu1, tmp_path):
-        from repro.sim.timeline import save_chrome_trace
+        from repro.sim.timeline import chrome_trace
 
         def body(mpx):
             buf = mpx.device_array(1 << 16, fill=1.0)
@@ -142,7 +144,7 @@ class TestTraceIntegration:
 
         traces = run(body, system=thetagpu1, trace=True)
         path = tmp_path / "run.json"
-        save_chrome_trace(traces, str(path))
+        path.write_text(json.dumps(chrome_trace(traces)))
         assert path.stat().st_size > 100
         # the hybrid run must show both p2p (MPI path) and CCL events
         kinds = {e.kind for t in traces for e in t.events}

@@ -5,16 +5,16 @@ import pytest
 
 from repro import errors
 from repro.dl import HorovodConfig, train
-from repro.dl.models import tiny_mlp
 from repro.hw.cluster import PathScope
 from repro.hw.systems import make_system
 from repro.mpi import Request, Status
-from repro.mpi.config import host_staged, mvapich_gpu, openmpi_ucx
+from repro.mpi.config import mvapich_gpu, openmpi_ucx
 from repro.mpi.request import waitall, waitany
 from repro.omb.collective import osu_barrier, osu_gather, osu_scatter
 from repro.omb.harness import OMBConfig
 from repro.omb.stacks import make_stack
 from repro.sim.engine import Engine
+from tests.dl_sgd import tiny_mlp
 
 
 class TestErrorHierarchy:
@@ -80,7 +80,6 @@ class TestMPIConfig:
     def test_personality_names(self):
         assert mvapich_gpu().name == "mpix"
         assert openmpi_ucx().name == "openmpi+ucx"
-        assert host_staged().gpu_direct is False
 
     def test_with_copies(self):
         cfg = mvapich_gpu().with_(send_overhead_us=9.0)
@@ -165,8 +164,3 @@ class TestEngineMisc:
 
         assert run_spmd(thetagpu1, body, 2, None, False, 5, b=2) == \
             [7, 8]
-
-    def test_next_sequence_unique(self, thetagpu1):
-        engine = Engine(thetagpu1, nranks=1)
-        seqs = {engine.next_sequence() for _ in range(100)}
-        assert len(seqs) == 100

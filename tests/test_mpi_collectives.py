@@ -8,6 +8,7 @@ awkward rank counts, small and large payloads.
 import numpy as np
 import pytest
 
+from repro.errors import MPIError
 from repro.mpi import MAX, PROD, SUM, Communicator
 from repro.mpi.coll import MPICollDispatcher
 from repro.mpi.communicator import IN_PLACE
@@ -399,3 +400,50 @@ class TestReduceScatterScanBarrier:
         out = spmd(thetagpu1, body, nranks=p)
         slowest = (p - 1) * 100
         assert all(t >= slowest for t in out)
+
+
+class TestForcedPowerOfTwo:
+    """A forced algorithm that pairs ranks by bit is refused, on every
+    rank and before any round, on a communicator whose size is not a
+    power of two (it used to deadlock or index out of range)."""
+
+    @staticmethod
+    def _call(ctx, coll, algo):
+        comm = comm_with(ctx, algo)
+        p, n = comm.size, 16
+        if coll == "allgather":
+            send = ctx.device.zeros(n)
+            send.fill(float(ctx.rank))
+            recv = ctx.device.zeros(n * p)
+            comm.Allgather(send, recv)
+            return np.array_equal(recv.array,
+                                  np.repeat(np.arange(p, dtype=float), n))
+        send = ctx.device.zeros(n * p)
+        send.array[:] = np.repeat(np.arange(p, dtype=float), n)
+        recv = ctx.device.zeros(n)
+        comm.Reduce_scatter_block(send, recv, SUM)
+        return bool((recv.array == p * ctx.rank).all())
+
+    @pytest.mark.parametrize("coll,algo", [
+        ("reduce_scatter", "recursive_halving"),
+        ("allgather", "recursive_doubling")])
+    def test_refused_on_two_nodes_of_three(self, thetagpu2, spmd, coll,
+                                           algo):
+        def body(ctx):
+            try:
+                self._call(ctx, coll, algo)
+            except MPIError as exc:
+                return str(exc)
+            return None
+
+        out = spmd(thetagpu2, body, nranks=6, ranks_per_node=3)
+        assert out == [f"{coll} algorithm {algo!r} needs a power-of-two "
+                       "communicator; this one has 6 ranks"] * 6
+
+    @pytest.mark.parametrize("coll,algo", [
+        ("reduce_scatter", "recursive_halving"),
+        ("allgather", "recursive_doubling")])
+    def test_runs_on_two_nodes_of_two(self, thetagpu2, spmd, coll, algo):
+        out = spmd(thetagpu2, lambda ctx: self._call(ctx, coll, algo),
+                   nranks=4, ranks_per_node=2)
+        assert out == [True] * 4

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import MPITypeError
 from repro.mpi import FLOAT, DOUBLE, Communicator
-from repro.mpi.derived import contiguous, indexed, is_derived, vector
+from repro.mpi.derived import contiguous, indexed, vector
 
 
 class TestLayouts:
@@ -27,10 +27,6 @@ class TestLayouts:
         dt = indexed([2, 1], [5, 0], FLOAT)  # given out of order
         assert dt.blocks == ((0, 1), (5, 2))
         assert dt.extent == 7
-
-    def test_is_derived(self):
-        assert is_derived(vector(2, 1, 2, FLOAT))
-        assert not is_derived(FLOAT)
 
     @pytest.mark.parametrize("bad", [
         lambda: contiguous(0, FLOAT),

@@ -12,7 +12,7 @@ from repro.errors import (MPICommError, MPICountError, MPIRankError,
                           MPITruncateError, RankFailedError)
 from repro.mpi import FLOAT, SUM, Communicator
 from repro.mpi.communicator import ANY_SOURCE, ANY_TAG
-from repro.mpi.config import host_staged, mvapich_gpu
+from repro.mpi.config import mvapich_gpu
 from repro.mpi.rma import Win
 from repro.mpi.request import waitall
 from repro.sim.mailbox import Mailbox
@@ -449,7 +449,8 @@ class TestSendrecvAndTiming:
 
         from repro.sim.engine import Engine
         t_direct = Engine(thetagpu1, nranks=2).run(body, mvapich_gpu())[0]
-        t_staged = Engine(thetagpu1, nranks=2).run(body, host_staged())[0]
+        t_staged = Engine(thetagpu1, nranks=2).run(
+            body, mvapich_gpu().with_(gpu_direct=False))[0]
         assert t_staged > t_direct
 
     def test_host_buffers_work_too(self, thetagpu1, spmd):
@@ -609,7 +610,7 @@ def test_python_calls_per_message():
     counted from the rows instead of ``Mailbox.post``, which compiled
     keys never call) while a departure spelled ``WireTracker.book``'s
     arithmetic inline; with the booking left to the tracker
-    (``book_wire``, one booking policy) it makes 12.27 (2 944 calls),
+    (``WireTracker.book``, one booking policy) it makes 12.27 (2 944 calls),
     bounded at 13."""
     calls, posts, allocs, exits, central, compiled = _calls_per_message(
         _guard_loop)
@@ -643,8 +644,8 @@ def test_python_calls_per_message_of_small_collectives():
     the three synchronising keys compiled (``Bcast`` and ``Reduce``
     still replay per rank and post their 70 messages) it made 20.20
     (8 687 calls over the rows' 430 messages) with a compiled
-    departure's booking inline, and makes 21.41 (9 207 calls), bounded
-    at 22, with it booked by ``WireTracker.book_wire`` and each per-rank
+    departure's booking inline, and makes 21.25 (9 137 calls), bounded
+    at 22, with it booked by ``WireTracker.book`` and each per-rank
     call counted in its call record (``compiled.pass_by``), which tells
     a compiled key's members that another key runs the call."""
     calls, posts, allocs, exits, central, compiled = _calls_per_message(

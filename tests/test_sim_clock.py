@@ -28,12 +28,6 @@ class TestVirtualClock:
         assert c.merge(5.0) == 10.0
         assert c.merge(15.0) == 15.0
 
-    def test_reset(self):
-        c = VirtualClock()
-        c.advance(10.0)
-        c.reset()
-        assert c.now == 0.0
-
     @given(st.lists(st.one_of(
         st.tuples(st.just("advance"), st.floats(0, 1e6)),
         st.tuples(st.just("merge"), st.floats(0, 1e6))), max_size=50))

@@ -1,12 +1,10 @@
 """Chrome-trace export, trace summaries, and the mpix-tune CLI."""
 
-import json
-
 import pytest
 
 from repro.mpi import SUM, Communicator
 from repro.sim.engine import Engine
-from repro.sim.timeline import chrome_trace, save_chrome_trace, summarize
+from repro.sim.timeline import chrome_trace
 from repro.sim.tracing import Trace, TraceEvent
 
 
@@ -46,17 +44,6 @@ class TestChromeTrace:
                  if e.get("name") == "thread_name"}
         assert names == {"rank 0", "rank 1", "rank 2"}
 
-    def test_save_is_valid_json(self, thetagpu1, tmp_path):
-        path = tmp_path / "trace.json"
-        save_chrome_trace(_traced_run(thetagpu1), str(path))
-        doc = json.loads(path.read_text())
-        assert doc["displayTimeUnit"] == "ms"
-
-    def test_summarize(self, thetagpu1):
-        summary = summarize(_traced_run(thetagpu1, nranks=2))
-        assert "rank0" in summary
-        assert any(k in summary["rank0"] for k in ("send", "recv"))
-
     def test_disabled_trace_records_nothing(self):
         t = Trace(0, enabled=False)
         t.record("send", 0.0, 1.0)
@@ -67,10 +54,8 @@ class TestChromeTrace:
         t.record("send", 0.0, 2.0, peer=1, nbytes=64)
         t.record("recv", 2.0, 5.0, peer=1, nbytes=64)
         assert len(t.of_kind("send")) == 1
-        assert t.total_time() == 5.0
-        assert t.total_time("recv") == 3.0
-        t.clear()
-        assert len(t) == 0
+        assert [e.duration_us for e in t.of_kind("recv")] == [3.0]
+        assert len(t) == 2
 
     def test_event_duration(self):
         ev = TraceEvent(0, "send", 1.0, 4.5)

@@ -26,7 +26,7 @@ from repro.errors import CommRevokedError, RankFailedError
 from repro.hw.systems import make_system
 from repro.mpi import FLOAT, SUM, Communicator
 from repro.mpi.communicator import IN_PLACE, start_all
-from repro.mpi.config import host_staged
+from repro.mpi.config import mvapich_gpu
 from repro.mpi.derived import contiguous
 from repro.mpi.request import waitall, waitany
 from repro.sim.engine import Engine
@@ -272,7 +272,7 @@ WINDOW_F32 = 1 << 14
 
 #: name -> (nodes, ranks per node, MPI personality or None)
 ROUTES = {"intra-node": (1, 2, None), "inter-node": (2, 1, None),
-          "staged": (1, 2, host_staged())}
+          "staged": (1, 2, mvapich_gpu().with_(gpu_direct=False))}
 
 
 def _window_body(mpx):
