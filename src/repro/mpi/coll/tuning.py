@@ -14,7 +14,7 @@ bandwidth-optimal rings/pairwise above.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Tuple
 
 from repro.mpi.coll._util import is_pof2
 
@@ -46,11 +46,13 @@ DEFAULT_TABLE: Dict[str, AlgorithmChoice] = {
     "scatter": AlgorithmChoice("binomial", "linear", 32 * KIB),
 }
 
-#: algorithms whose rounds pair ranks by bit: :func:`select` picks
-#: them only on a power-of-two communicator, and a forced pick of one
-#: elsewhere is refused
-POF2_ONLY = frozenset({("allgather", "recursive_doubling"),
-                       ("reduce_scatter", "recursive_halving")})
+#: algorithms whose rounds pair ranks by bit, each with what
+#: :func:`select` takes instead on a communicator whose size is not a
+#: power of two (a forced pick of one there is refused)
+POF2_ONLY: Dict[Tuple[str, str], str] = {
+    ("allgather", "recursive_doubling"): "bruck",
+    ("reduce_scatter", "recursive_halving"): "pairwise",
+}
 
 #: alltoall has a middle regime: scattered nonblocking between Bruck
 #: (tiny) and pairwise (large).
@@ -80,7 +82,7 @@ def select(coll: str, nbytes: int, p: int, commutative: bool = True,
         elif name == "reduce_scatter_gather" and p == 2:
             name = "binomial"
     elif coll == "allgather":
-        if name == "bruck" and is_pof2(p):
+        if name == "bruck":
             name = "recursive_doubling"
     elif coll == "alltoall":
         if name == "pairwise" and nbytes <= ALLTOALL_SCATTERED_MAX:
@@ -88,10 +90,8 @@ def select(coll: str, nbytes: int, p: int, commutative: bool = True,
         if p == 1:
             name = "scattered"
     elif coll == "reduce_scatter":
-        if not (is_pof2(p) and commutative) or name == "pairwise":
-            name = "pairwise"
-        else:
-            name = "recursive_halving"
         if not commutative:
             name = "pairwise"  # rank-ordered enough for associative ops
+    if not is_pof2(p):
+        name = POF2_ONLY.get((coll, name), name)
     return name

@@ -60,12 +60,16 @@ class WireTracker:
         wire = nbytes / beta_bpus if beta_bpus else 0.0
         if not resources:
             return depart_us + alpha_us + wire
+        free = self._free
         start = depart_us
         for r in resources:
-            start = max(start, self._free.get(r, 0.0))
+            busy = free.get(r, 0.0)
+            if busy > start:
+                start = busy
+        end = start + wire
         for r in resources:
-            self._free[r] = start + wire
-        return start + wire + alpha_us
+            free[r] = end
+        return end + alpha_us
 
     def book_many(self, bookings: Sequence[Tuple[Sequence[Resource], float,
                                                  int, float, float]]) -> list:
@@ -92,5 +96,6 @@ class WireTracker:
 
 #: :meth:`WireTracker.book` as this module defines it: ``book_many``
 #: books its rows through it rather than the class attribute, so a tool
-#: that wraps both methods on the class counts each row once, in its batch
+#: that wraps both methods on the class counts each row once, in its
+#: batch (``tests/test_sim_wire.py`` holds the rule)
 _book = WireTracker.book

@@ -10,7 +10,8 @@ import pytest
 
 from repro.errors import MPIError
 from repro.mpi import MAX, PROD, SUM, Communicator
-from repro.mpi.coll import MPICollDispatcher
+from repro.mpi.coll import MPICollDispatcher, tuning
+from repro.mpi.coll._util import is_pof2
 from repro.mpi.communicator import IN_PLACE
 from repro.mpi.ops import user_op
 
@@ -447,3 +448,12 @@ class TestForcedPowerOfTwo:
         out = spmd(thetagpu2, lambda ctx: self._call(ctx, coll, algo),
                    nranks=4, ranks_per_node=2)
         assert out == [True] * 4
+
+    def test_select_keeps_the_same_precondition(self):
+        # the table's own picks fall back where a forced pick is refused
+        for (coll, algo), fallback in tuning.POF2_ONLY.items():
+            for p in range(1, 33):
+                picks = {tuning.select(coll, nbytes, p)
+                         for nbytes in (0, 1 << 10, 1 << 20)}
+                assert (algo in picks) == is_pof2(p)
+                assert is_pof2(p) or fallback in picks

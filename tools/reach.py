@@ -1,7 +1,7 @@
 """Reach probe: the functions of ``src/repro`` that no product entry
 point enters (``make reach``).
 
-    python tools/reach.py [--allow tools/reach_allow.txt]
+    python tools/reach.py
 
 Runs every product entry point in this one process under
 ``sys.setprofile`` / ``threading.setprofile`` (rank fibers are
@@ -18,20 +18,20 @@ under ``src/repro`` never entered that the allowlist does not name:
   ``mpix-trace`` subcommand on the smoke's trace, ``mpix-tune --show``
   (writing its table), and ``run table1 -o`` in both output formats.
 
-The allowlist holds one line per function, ``module:qualname  kind
-note``, where ``kind`` is one of :data:`KINDS`.  An entry without a
-kind, a duplicate, an entry whose function no longer exists and one
-whose function is now reached are problems too.  The exit status is 1
-when anything is printed, 2 when an entry point fails.
+The allowlist, ``tools/reach_allow.txt`` beside this file, holds one
+line per function, ``module:qualname  kind  note``, where ``kind`` is
+one of :data:`KINDS`.  An entry without a kind, a duplicate, an entry
+whose function no longer exists and one whose function is now reached
+are problems too.  The exit status is 1 when anything is printed, 2
+when an entry point fails.
 
 About two and a half minutes on 2 CPUs.  The probe runs the tree it
 sits in, so a copy of this file in another checkout probes that
-checkout.
+checkout; with no allowlist there it lists every unreached function.
 """
 
 from __future__ import annotations
 
-import argparse
 import ast
 import contextlib
 import importlib.util
@@ -49,6 +49,8 @@ from unittest import mock
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
+#: a missing file is an empty allowlist
+ALLOWLIST = ROOT / "tools" / "reach_allow.txt"
 
 #: allowlist reasons: MPI / xCCL surface a conformance program or
 #: docs/api.md names; a test seam the ROADMAP keeps; the fault-plan
@@ -274,12 +276,7 @@ def run_entry_points() -> Tuple[Set, List[str]]:
     return seen, failures
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--allow", default=str(ROOT / "tools" /
-                                               "reach_allow.txt"),
-                        help="allowlist (a missing file is an empty one)")
-    args = parser.parse_args(argv)
+def main() -> int:
     sys.path.insert(0, str(SRC))
 
     seen, failures = run_entry_points()
@@ -291,9 +288,8 @@ def main(argv=None) -> int:
     functions = defined()
     missed = unreached(seen, functions)
     lines: List[str] = []
-    if os.path.exists(args.allow):
-        with open(args.allow, encoding="utf-8") as fh:
-            lines = fh.readlines()
+    if ALLOWLIST.exists():
+        lines = ALLOWLIST.read_text(encoding="utf-8").splitlines()
     allowed, problems = read_allowlist(lines, functions, missed)
     listed = sorted(missed - allowed)
     for name in listed:
