@@ -21,6 +21,7 @@ of :mod:`repro.mpi.coll.replay` says when, and what stays per rank.
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 from typing import Any, List, Optional
 
 from repro import fastpath
@@ -29,8 +30,9 @@ from repro.hw.memory import NO_CONTENTS, as_array, snapshot
 from repro.mpi.coll.replay import (BLOCKS, COPY, DEPART, FOLD, LAND, RECV,
                                    SEND, SENDRECV, STAGE, UNSTAGE,
                                    CentralProgram, RoundProgram, _arrays,
-                                   _plan_of, _stage, lends_by)
+                                   _plan_of, _stage, agree, lends_by)
 from repro.mpi.compute import copy_into, fold_into, permute_blocks
+from repro.sim.sched import CoopWaitq
 
 
 class CallRecord:
@@ -48,13 +50,14 @@ class CallRecord:
     (:attr:`progs`), staging buffers and messages here:
     :attr:`arrival` is each message's arrival time once it departed
     (None before), :attr:`landed` whether its receiver has landed it,
-    :attr:`at` the message each member last waited for, and
-    :attr:`resume` where each member goes on per rank once the call
-    fell back (None until then)."""
+    :attr:`pos` and :attr:`at` each member's cursor — the step it is at
+    and the message that step's landing waits for (None while the step
+    has not begun) — and :attr:`resume` where each member goes on per
+    rank once the call fell back (None until then)."""
 
     __slots__ = ("parties", "tag", "arrived", "program", "members",
-                 "progs", "staged", "arrival", "landed", "error", "at",
-                 "resume")
+                 "progs", "staged", "arrival", "landed", "error", "pos",
+                 "at", "resume")
 
     def __init__(self, parties: int, tag: int, program=None) -> None:
         self.parties = parties
@@ -73,7 +76,8 @@ class CallRecord:
             self.staged: List[Any] = [()] * parties
             self.arrival: Any = [None] * program.nmsgs
             self.landed = [False] * program.nmsgs
-            self.at: dict = {}
+            self.pos = [0] * parties
+            self.at: List[Optional[int]] = [None] * parties
             self.resume: Optional[dict] = None
 
 
@@ -128,8 +132,8 @@ def pass_by(comm, tag: int) -> None:
 def decide(rec: CallRecord) -> None:
     """Whether the enlisted key compiles, decided by the first member to
     leave its first replay — before any other member can, so the answer
-    is one on every member.  It does when every member enlisted with the
-    same key, the rows make a :class:`CentralProgram` and that program
+    is one on every member.  It does when every member enlisted with
+    one key (:func:`~repro.mpi.coll.replay.agree`), the rows make a :class:`CentralProgram` and that program
     synchronises: every member's last landing depends on every member's
     first departure.  Then each member keeps its own slice beside its
     rows; else every member replays its rows from then on."""
@@ -137,8 +141,7 @@ def decide(rec: CallRecord) -> None:
     program = False
     if len(members) == rec.parties:
         ordered = [members[r] for r in range(rec.parties)]
-        key = ordered[0][1].key
-        if all(call.key == key for _, call in ordered):
+        if agree([call for _, call in ordered]):
             central = CentralProgram.assemble(ordered)
             if central is not None \
                     and _synchronizes(central.clock, rec.parties):
@@ -312,19 +315,22 @@ def run(prog: RoundProgram, call, shift: int) -> bool:
     """Run ``call`` of a compiled key: this member's clock, step by step
     in its own order under the run token, its messages arrival times in
     the call's :class:`CallRecord` — no message, lease or status is
-    built.  The last member to arrive moves every member's payloads by
-    the key's data plan; with a synchronising key nobody has left by
-    then.  False: members of another key run this call (the members
-    disagree), so the caller runs it per rank."""
+    built.  Where the member is in its steps is a cursor in that record
+    (:func:`_advance`): while the member is parked, the thread holding
+    the run token may run its next steps, and this thread goes on from
+    wherever they left the cursor.  The last member to arrive moves
+    every member's payloads by the key's data plan; with a
+    synchronising key nobody has left by then.  False: members of
+    another key run this call (the members disagree), so the caller
+    runs it per rank."""
     own = prog.compiled
     program = own.program
     comm = call.comm
     ctx = comm.ctx
     engine = ctx.engine
-    cid = comm.ctx_id
-    clock = ctx.clock
-    if engine._revoked and engine.is_revoked(cid):
+    if engine._revoked and engine.is_revoked(comm.ctx_id):
         # the local steps before its first round, then that round's check
+        clock = ctx.clock
         for step in own.steps:
             if type(step) is not float:
                 break
@@ -363,88 +369,157 @@ def run(prog: RoundProgram, call, shift: int) -> bool:
             arr = (as_array(call.recvbuf if r else call.sendbuf) if r < 2
                    else as_array(staged[own.slots[r]]))
             stored[r] = arr.strides[0] != 0
+    steps = own.steps
+    steal = partial(_advance, rec, m, steps, comm, stored, arrs)
+    pos = rec.pos
+    while True:
+        if steal() is None:
+            if pos[m] == len(steps):
+                return True
+            if rec.at[m] is None:   # a revocation stopped it before a step
+                comm._raise_revoked()
+        # parked at a landing; a doomed peer's raises there
+        if not _await(rec, m, steps, comm, shift, steal):
+            _resume(prog, call, shift, rec.resume[m])
+            return True
+        if pos[m] == len(steps):    # the token's holders ran the rest
+            return True
+
+
+def _advance(rec: CallRecord, m: int, steps: tuple, comm, stored,
+             arrs) -> Optional[CoopWaitq]:
+    """Run member ``m``'s steps of a compiled call from its cursor in the
+    call's record — ``rec.pos[m]``, the step it is at, and ``rec.at[m]``,
+    the message that step's landing waits for (None: the step has not
+    begun).  Its own thread runs them (:func:`run`); while it is parked
+    and woken, so may the thread holding the run token, at the very
+    point of the run token's order where its own thread would (this
+    function is its :meth:`~repro.sim.sched.CoopWaitq.wait_for` steal
+    hook).
+
+    Returns the member's mailbox wait queue where it stops at a landing
+    whose message has not departed.  None where its own thread must go
+    on: at the end of its slice, before a step its communicator's
+    revocation stops (``rec.at[m]`` None), at a landing whose peer is
+    doomed, or once the call failed or fell back — all of which raise or
+    change course on the member's own thread, with the texts its own
+    wait gives."""
+    if rec.error is not None or rec.resume is not None:
+        return None
+    ctx = comm.ctx
+    engine = ctx.engine
+    clock = ctx.clock
     arrival = rec.arrival
     landed = rec.landed
     book = engine.wires.book
+    n = len(steps)
+    pos = rec.pos[m]
+    j = rec.at[m]
     elided = forced = 0
-    fell = False
     try:
-        for step in own.steps:
+        while pos < n:
+            step = steps[pos]
             if type(step) is float:
                 clock._now += step
+                pos += 1
                 continue
             kind = step[0]
-            if engine._revoked and engine.is_revoked(cid):
-                comm._raise_revoked()
-            if kind == RECV:
-                _, j, charge, rstage, src, rt = step
-            else:
-                k, stage, ovh, res, alpha, nbytes, beta, box = step[1:9]
-                if stage is not None:
-                    clock._now += stage
-                clock._now += ovh
-                arrival[k] = book(res, clock._now, nbytes, beta, alpha)
-                waitq = box._waitq
-                if waitq._parked:   # where ``Mailbox.post`` wakes it
-                    waitq.notify_all()
-                if kind == SEND:
-                    continue
-                _, _, _, _, _, _, _, _, _, j, charge, rstage, src, rt, rule = step
+            if j is None:
+                if engine._revoked and engine.is_revoked(comm.ctx_id):
+                    return None
+                if kind == RECV:
+                    j = step[1]
+                else:
+                    k, stage, ovh, res, alpha, nbytes, beta, box = step[1:9]
+                    if stage is not None:
+                        clock._now += stage
+                    clock._now += ovh
+                    arrival[k] = book(res, clock._now, nbytes, beta, alpha)
+                    waitq = box._waitq
+                    if waitq._parked:   # where ``Mailbox.post`` wakes it
+                        waitq.notify_all()
+                    if kind == SEND:
+                        pos += 1
+                        continue
+                    j = step[9]
             t = arrival[j]
             if t is None:
-                if not _await(comm, rec, j, src, rt + shift):
-                    fell = True
-                    break
-                t = arrival[j]
+                if (engine.dead_ranks or engine._revoked) \
+                        and comm.endpoint._doomed(_source(step)) is not None:
+                    return None
+                return ctx.mailbox._waitq
+            if kind == RECV:
+                charge, rstage = step[2], step[3]
+            else:
+                charge, rstage = step[10], step[11]
             if t > clock._now:
                 clock._now = t
             clock._now += charge
             if rstage is not None:
                 clock._now += rstage
             landed[j] = True
+            j = None
+            pos += 1
             if kind == RECV:
                 continue
-            if not landed[k]:
+            rule = step[14]
+            if not landed[step[1]]:
                 forced += 1
             elif rule is None or (stored[rule[0]] and not rule[1]
                                   if len(rule) == 2 else lends_by(rule, arrs)):
                 elided += 1
             else:
                 forced += 1
+        return None
     finally:
+        rec.pos[m] = pos
+        rec.at[m] = j
         if elided or forced:
             stats = fastpath.STATS
             stats.copies_elided += elided
             stats.copies_forced += forced
-    if fell:
-        _resume(prog, call, shift, rec.resume[m])
-    return True
 
 
-def _await(comm, rec: CallRecord, j: int, src: int, tag: int) -> bool:
-    """Park until message ``j`` of the call departs — on the member's
-    own mailbox wait queue, with ``Mailbox.match``'s stall text and
-    abort probe, so a revocation or a dead peer raises as a receive
-    would; or until the call's payloads failed, which raises here.
-    False: a member of another key came, and the call went back to
-    per-rank replay (:func:`_fall_back`), the caller with it."""
+def _source(step: tuple) -> int:
+    """The source of a receive or exchange step's landing."""
+    return step[4] if step[0] == RECV else step[12]
+
+
+def _await(rec: CallRecord, m: int, steps: tuple, comm, shift: int,
+           steal) -> bool:
+    """Park member ``m`` until the message its cursor's landing waits for
+    departs — on its own mailbox wait queue, with ``Mailbox.match``'s
+    stall text and abort probe, so a revocation or a dead peer raises as
+    a receive would; or until the call's payloads failed, which raises
+    here.  While it is parked the thread holding the run token may run
+    its next steps (``steal``, :func:`_advance`), so the probe and the
+    text read the cursor wherever those left it.  False: a member of
+    another key came, and the call went back to per-rank replay
+    (:func:`_fall_back`), the caller with it."""
     arrival = rec.arrival
+    at = rec.at
+    pos = rec.pos
+    engine = comm.ctx.engine
     rank = comm.ctx.rank
     doomed = comm.endpoint._doomed
 
+    def stall() -> str:
+        step = steps[pos[m]]
+        tag = (step[5] if step[0] == RECV else step[13]) + shift
+        return f"rank {rank} blocked in recv(src={_source(step)}, tag={tag})"
+
     def ready() -> bool:
-        if arrival[j] is not None or rec.error is not None \
+        j = at[m]
+        if j is None or arrival[j] is not None or rec.error is not None \
                 or rec.resume is not None:
             return True
-        reason = doomed(src)
-        if reason is not None:
-            raise DeadlockError(f"rank {rank} blocked in recv(src={src}, "
-                                f"tag={tag}): {reason}")
+        if engine.dead_ranks or engine._revoked:
+            reason = doomed(_source(steps[pos[m]]))
+            if reason is not None:
+                raise DeadlockError(f"{stall()}: {reason}")
         return False
 
-    rec.at[comm.rank] = j
-    comm.ctx.mailbox._waitq.wait_for(ready, lambda: (
-        f"rank {rank} blocked in recv(src={src}, tag={tag})"))
+    comm.ctx.mailbox._waitq.wait_for(ready, stall, steal=steal)
     if rec.error is not None:
         raise rec.error
     return rec.resume is None

@@ -159,6 +159,7 @@ import numpy as np
 from repro import fastpath
 from repro.hw.memory import DeviceBuffer, as_array
 from repro.mpi.coll import dataplan
+from repro.mpi.communicator import IN_PLACE
 from repro.mpi.compute import copy_into, fold_into, permute_blocks, staging, unstage
 from repro.mpi.p2p import lends
 from repro.mpi.request import waitall
@@ -582,14 +583,32 @@ def _central_of(members):
             break
     else:
         return central
-    key = members[0][1].key
-    for _, call in members:
-        if call.key != key:
-            return None
+    if not agree([call for _, call in members]):
+        return None
     central = CentralProgram.assemble(members) or False
     for prog, _ in members:
         prog.central = central
     return central
+
+
+#: the type a call key holds for an ``IN_PLACE`` buffer
+_IN_PLACE_TYPE = type(IN_PLACE)
+
+
+def agree(calls) -> bool:
+    """Whether the members' ``calls`` (in member order) are one key's —
+    the root of a rooted collective may spell its own block
+    ``IN_PLACE`` (``Reduce``, ``Gather``, ``Scatter(v)``) where the
+    others pass a buffer, so its key's ``IN_PLACE`` slot matches theirs."""
+    root = calls[0].root
+    key = calls[1 if root == 0 and len(calls) > 1 else 0].key
+    for m, call in enumerate(calls):
+        own = call.key
+        if own != key and not (
+                m == root and len(own) == len(key) and all(
+                    a == b or a is _IN_PLACE_TYPE for a, b in zip(own, key))):
+            return False
+    return True
 
 
 class CentralProgram:

@@ -457,6 +457,10 @@ class Engine:
         #: collectives whose members ran compiled slices (compiled
         #: replay, :mod:`repro.mpi.coll.compiled`), over the engine's runs
         self.compiled_replays = 0
+        #: baton releases — OS hand-offs between rank threads
+        #: (:attr:`~repro.sim.sched.CoopScheduler.handoffs`), over the
+        #: engine's runs
+        self.handoffs = 0
         # ranks run as fibers under one run token; their waits park and
         # their deadlocks are detected exactly (a wait from outside a
         # run fails at once)
@@ -669,6 +673,7 @@ class Engine:
         stats.coop_runs += 1
         stats.coop_parks += sched.parks
         stats.coop_switches += sched.switches
+        self.handoffs += sched.handoffs
         # a failure's traceback keeps the frames up to ``runner`` alive,
         # and ``runner`` sees ``failures``: empty the dict it sees, so
         # the failures close no reference cycle and the buffers their

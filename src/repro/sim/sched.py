@@ -12,7 +12,27 @@ token passes through an explicit run queue to the next ready fiber.
 The token hand-off is one raw :class:`threading.Lock` per fiber used as
 a binary semaphore (the *baton*): born held, released by whoever hands
 the fiber the token, re-taken by the fiber as it resumes.  The state
-machine below guarantees exactly one release per park.
+machine below guarantees at most one release per park.  A release is
+an OS hand-off — the next fiber's thread wakes while the releaser's
+blocks — and at hundreds of carrier threads it costs several
+microseconds (``CoopScheduler.handoffs`` counts them).
+
+A woken fiber's next steps need not run on its own thread.  A fiber
+that parks with a *steal hook* (:meth:`CoopWaitq.wait_for` ``steal``)
+lets whichever thread holds the token run those steps for it: the
+thread that parks, yields or finishes takes the head of the run queue
+as always, and when that head is such a fiber, not woken by deadlock
+detection or a give-way, it calls the hook instead of releasing the
+baton.  The hook runs the fiber's steps until the fiber would park
+again — then it names the wait queue to park on, and the fiber is
+re-registered there, a park and a switch like any other — or until
+its own thread must go on: the end of its steps, or anything that can
+raise or change course, which the hook leaves untouched.  Only then is
+the baton released.  The stolen steps run at the very point of the run
+token's order where the fiber's own thread would have run them, so
+the interleaving, and every count, is the same.  (A stolen re-park
+registers the fiber directly: it passes neither through
+:meth:`CoopWaitq.wait_for` nor :meth:`CoopScheduler.park`.)
 
 With a single token the rank interleaving is a pure function of the
 program: the run queue starts in rank order and every transition is
@@ -141,7 +161,7 @@ class _Fiber:
     """One rank's cooperative execution context."""
 
     __slots__ = ("rank", "target", "sched", "baton", "state",
-                 "wake_pending", "deadlocked", "gave_way")
+                 "wake_pending", "deadlocked", "gave_way", "steal")
 
     def __init__(self, rank: int, target: Callable[[], None],
                  sched: "CoopScheduler") -> None:
@@ -160,6 +180,9 @@ class _Fiber:
         #: released from a wait that gives way (before a deadlock would
         #: be declared): return instead of waiting on.
         self.gave_way = False
+        #: while parked in a wait that allows it, the hook that runs
+        #: its next steps on the token holder's thread (module docstring)
+        self.steal: Optional[Callable[[], Optional["CoopWaitq"]]] = None
 
 
 class CoopScheduler:
@@ -188,6 +211,8 @@ class CoopScheduler:
         #: lock already serializes every transition).
         self.parks = 0
         self.switches = 0
+        #: baton releases (OS hand-offs between carrier threads)
+        self.handoffs = 0
 
     def current(self) -> Optional[_Fiber]:
         """The fiber of *this* scheduler the calling thread carries
@@ -210,13 +235,15 @@ class CoopScheduler:
             with self._lock:
                 fiber.state = _DONE
                 self._unfinished -= 1
-                self._pass_token_locked()
+                nxt = self._pass_token_locked()
+            self._hand_to(nxt)
 
     def run_ranks(self, targets: Sequence[Tuple[int, Callable[[], None]]]) -> None:
         """Run every ``(rank, target)`` to completion as a fiber."""
         fibers = [_Fiber(rank, target, self) for rank, target in targets]
         self.parks = 0
         self.switches = 0
+        self.handoffs = 0
         self._fibers = fibers
         self._runq = deque(fibers)
         self._unfinished = len(fibers)
@@ -236,18 +263,20 @@ class CoopScheduler:
             if prev_stack is not None:
                 threading.stack_size(prev_stack)
         with self._lock:
-            self._pass_token_locked()
+            nxt = self._pass_token_locked()
+        self._hand_to(nxt)
         for t in threads:
             t.join()
 
     # -- transitions (all under self._lock) --------------------------------
 
-    def _pass_token_locked(self) -> None:
-        """The token is free: hand it to the next ready fiber, or detect
-        exact deadlock."""
+    def _pass_token_locked(self) -> Optional[_Fiber]:
+        """The token is free: the next ready fiber, RUNNING from now on
+        (its baton is the caller's to release, :meth:`_hand_to`), or
+        exact deadlock detected.  None: every fiber finished."""
         if not self._runq:
             if self._unfinished == 0:
-                return
+                return None
             # every live fiber is parked and nothing is queued: first
             # release the waits that give way ...
             for waitq in self._giving_way:
@@ -269,7 +298,31 @@ class CoopScheduler:
         nxt = self._runq.popleft()
         nxt.state = _RUNNING
         self.switches += 1
-        nxt.baton.release()
+        return nxt
+
+    def _hand_to(self, nxt: Optional[_Fiber]) -> None:
+        """Give the run token to ``nxt`` (the caller holds it, not the
+        lock): run the next steps of every fiber its steal hook can run
+        here, re-parking each as it would park itself, and release the
+        baton of the first that must go on on its own thread."""
+        while nxt is not None:
+            steal = nxt.steal
+            waitq = None
+            if steal is not None and not (nxt.deadlocked or nxt.gave_way):
+                waitq = steal()
+            if waitq is None:
+                self.handoffs += 1
+                nxt.baton.release()
+                return
+            with self._lock:
+                if nxt.wake_pending:
+                    # as in park: keep the token and re-check
+                    nxt.wake_pending = False
+                    continue
+                waitq._parked.append(nxt)
+                nxt.state = _PARKED
+                self.parks += 1
+                nxt = self._pass_token_locked()
 
     def park(self, fiber: _Fiber) -> None:
         """Deschedule the calling fiber until a notify (or deadlock
@@ -283,7 +336,8 @@ class CoopScheduler:
                 return
             fiber.state = _PARKED
             self.parks += 1
-            self._pass_token_locked()
+            nxt = self._pass_token_locked()
+        self._hand_to(nxt)
         fiber.baton.acquire()
 
     def yield_now(self, fiber: _Fiber) -> None:
@@ -297,7 +351,8 @@ class CoopScheduler:
                 return
             fiber.state = _READY
             self._runq.append(fiber)
-            self._pass_token_locked()
+            nxt = self._pass_token_locked()
+        self._hand_to(nxt)
         fiber.baton.acquire()
 
     def unpark_all(self, fibers: Sequence[_Fiber]) -> None:
@@ -334,46 +389,55 @@ class CoopWaitq:
 
     def wait_for(self, predicate: Callable[[], bool],
                  stall_msg: Callable[[], str],
-                 patient: bool = False, gives_way: bool = False) -> bool:
+                 patient: bool = False, gives_way: bool = False,
+                 steal: Optional[Callable[[], Optional["CoopWaitq"]]] = None
+                 ) -> bool:
         """Park until ``predicate()`` holds (the caller holds the run
         token).  A wait that ``gives_way`` returns False instead when
         every fiber is parked: the scheduler released it so that its
-        caller does the work it was waiting for company to do."""
+        caller does the work it was waiting for company to do.  While
+        the caller is parked, ``steal`` may run its next steps on the
+        thread holding the token (the module docstring), so
+        ``predicate`` and ``stall_msg`` read where those left it."""
         fiber = self._sched.current()
         if fiber is None:
             OFF_ENGINE.wait_for(predicate, stall_msg, patient)
             return True
-        strikes = 0
-        while not predicate():
-            self._parked.append(fiber)
-            if gives_way and self not in self._sched._giving_way:
-                self._sched._giving_way.append(self)
-            self._sched.park(fiber)
-            # notify_all deregisters; a deadlock wake and a no-op park
-            # do not — drop any stale registration before deciding
-            if self._parked and fiber in self._parked:
-                self._parked.remove(fiber)
-            if fiber.gave_way:
-                fiber.gave_way = False
-                return False
-            if gives_way and not self._parked:
-                giving_way = self._sched._giving_way
-                if self in giving_way:
-                    giving_way.remove(self)
-            if fiber.deadlocked:
-                # always clear the flag: a caller that survives the
-                # raise (elastic recovery) must be able to park again
-                # without spuriously re-raising
-                fiber.deadlocked = False
-                if patient and strikes < PATIENT_STALLS:
-                    # recovery rendezvous: peers may still be converting
-                    # their own failures; treat the firing as spurious
-                    strikes += 1
-                    continue
-                raise DeadlockError(
-                    f"{stall_msg()}; every live rank is parked "
-                    f"(exact deadlock)")
-        return True
+        fiber.steal = steal
+        try:
+            strikes = 0
+            while not predicate():
+                self._parked.append(fiber)
+                if gives_way and self not in self._sched._giving_way:
+                    self._sched._giving_way.append(self)
+                self._sched.park(fiber)
+                # notify_all deregisters; a deadlock wake and a no-op park
+                # do not — drop any stale registration before deciding
+                if self._parked and fiber in self._parked:
+                    self._parked.remove(fiber)
+                if fiber.gave_way:
+                    fiber.gave_way = False
+                    return False
+                if gives_way and not self._parked:
+                    giving_way = self._sched._giving_way
+                    if self in giving_way:
+                        giving_way.remove(self)
+                if fiber.deadlocked:
+                    # always clear the flag: a caller that survives the
+                    # raise (elastic recovery) must be able to park again
+                    # without spuriously re-raising
+                    fiber.deadlocked = False
+                    if patient and strikes < PATIENT_STALLS:
+                        # recovery rendezvous: peers may still be converting
+                        # their own failures; treat the firing as spurious
+                        strikes += 1
+                        continue
+                    raise DeadlockError(
+                        f"{stall_msg()}; every live rank is parked "
+                        f"(exact deadlock)")
+            return True
+        finally:
+            fiber.steal = None
 
     def notify_all(self) -> None:
         """Wake every waiter."""
