@@ -86,10 +86,13 @@ check-gates:
 	MPIX_ONLINE_TUNE=1 $(PYTHON) -m pytest tests/ -x -q
 
 # fast CI leg: a 256-rank oversubscribed job must stay quick and
-# bit-identical run to run, and a deadlock must be reported at once
+# bit-identical run to run, hot compiled calls must hand the run token
+# between threads about once per member, and a deadlock must be
+# reported at once
 scale-smoke:
 	PYTHONPATH=src $(PYTHON) -m pytest \
 		tests/test_engine_scale.py::test_scale_smoke_256 \
+		tests/test_engine_scale.py::test_compiled_handoffs_256 \
 		tests/test_engine_scale.py::test_coop_exact_deadlock_detected_fast \
 		-q
 	PYTHONPATH=src $(PYTHON) -m repro.omb.cli barrier \

@@ -12,17 +12,26 @@ token's order.  Then the cases that must not compile, the counter that
 says which did, members that switch their buffers under a compiled key
 (which must give the per-rank answer, clocks included), the failure
 paths and the staging pool's storage.
+
+A parked member's next steps may run on the thread that holds the run
+token (``compiled._advance`` as its steal hook): the equalities above
+hold with that on, and each failure path is also met while another
+member's thread runs the steps — the member still raises, or falls
+back, on its own thread, with the text its own thread gives.
 """
 
 from __future__ import annotations
+
+import collections
 
 import numpy as np
 import pytest
 
 from repro import fastpath
 from repro.core import runtime
-from repro.errors import CommRevokedError, InvalidBufferError, RankFailedError
-from repro.hw.memory import storage_free
+from repro.errors import (CommRevokedError, InvalidBufferError,
+                          RankFailedError, RankKilledError)
+from repro.hw.memory import NO_CONTENTS, storage_free
 from repro.hw.systems import make_system
 from repro.mpi import Communicator
 from repro.mpi.coll import MPICollDispatcher, compiled as compiled_replay
@@ -121,7 +130,8 @@ def _run(shape, trace, payloads=True):
                     nranks=nodes * rpn, ranks_per_node=rpn, trace=trace,
                     online_tune=False)
     logs = engine.run(_body, algorithms, variants)
-    return logs, fastpath.STATS.snapshot(), engine.compiled_replays
+    handoffs = engine.handoffs, engine.scheduler.switches
+    return logs, fastpath.STATS.snapshot(), engine.compiled_replays, handoffs
 
 
 @pytest.mark.parametrize("shape,payloads", [
@@ -132,10 +142,18 @@ def _run(shape, trace, payloads=True):
 def test_compiled_equals_per_rank(shape, payloads):
     """Compiled (untraced) and per-rank (traced) runs of every
     synchronising algorithm: payload bytes (real buffers), clocks and
-    all ``fastpath`` counters ``==``."""
-    logs, counters, compiled = _run(shape, False, payloads)
-    ref_logs, ref_counters, ref_compiled = _run(shape, True, payloads)
-    _, _, _, algorithms, variants = SHAPES[shape]
+    all ``fastpath`` counters ``==`` — while the compiled run hands the
+    run token between threads less often than it switches fibers (the
+    token's holder ran woken members' steps), and the per-rank one at
+    every switch."""
+    logs, counters, compiled, (handoffs, switches) = _run(shape, False,
+                                                          payloads)
+    ref_logs, ref_counters, ref_compiled, ref_handoffs = _run(shape, True,
+                                                              payloads)
+    _, nodes, rpn, algorithms, variants = SHAPES[shape]
+    # (on two members no stolen run parks again in these programs)
+    assert handoffs < switches or nodes * rpn == 2
+    assert handoffs <= switches and ref_handoffs[0] == ref_handoffs[1]
     keys = (len(algorithms) - 1) * len(variants) + 1    # one barrier key
     # all but a few empty keys (a member with nothing to receive leaves
     # before the others come) compile, and run compiled twice
@@ -423,3 +441,157 @@ def test_staging_pools_follow_the_call_storage(path):
                                mode="pure_mpi", trace=True,
                                online_tune=False)
         assert [log for log, _, _ in out] == [log for log, _, _ in per_rank]
+
+
+# -- a member's steps run on another member's thread -------------------------
+
+
+@pytest.fixture
+def stolen(monkeypatch):
+    """What stopped each run of a compiled member's steps on a thread not
+    its own: ``end`` (its slice), ``park`` (a landing whose message had
+    not departed), or what its own thread must meet — ``revoked``,
+    ``doomed``, ``error``, ``resume``.  ``freed`` counts the runs made
+    once a rank in ``stolen.freed_by`` freed a communicator."""
+    seen = collections.Counter()
+    seen.freed_by = set()
+    advance = compiled_replay._advance
+
+    def counted(rec, m, steps, comm, stored, arrs):
+        fiber = comm.ctx.engine.scheduler.current()
+        waitq = advance(rec, m, steps, comm, stored, arrs)
+        if fiber.rank != comm.ctx.rank:
+            seen["end" if rec.pos[m] == len(steps)
+                 else "park" if waitq is not None
+                 else "error" if rec.error is not None
+                 else "resume" if rec.resume is not None
+                 else "revoked" if rec.at[m] is None else "doomed"] += 1
+            seen["freed"] += bool(seen.freed_by)
+        return waitq
+
+    monkeypatch.setattr(compiled_replay, "_advance", counted)
+    return seen
+
+
+def _failing(ctx, how):
+    """Three hot ``Allreduce`` calls, then a fourth that fails: rank 3
+    revokes the communicator first, or dies (what a ``FaultPlan`` kill
+    does, which would keep the key from compiling) — each while the
+    others wait in the compiled call.  What each rank raised, by type
+    and text."""
+    comm = Communicator.world(ctx)
+    send, recv = ctx.device.zeros(8), ctx.device.zeros(8)
+    send.fill(1.0)
+    try:
+        for _ in range(3):
+            comm.Allreduce(send, recv, SUM)     # the third runs compiled
+        if ctx.rank == 3:
+            if how == "kill":
+                ctx.engine.note_rank_dead(ctx.rank)
+                raise RankKilledError(ctx.rank, at_us=ctx.now)
+            comm.Comm_revoke()
+        comm.Allreduce(send, recv, SUM)
+    except CommRevokedError as exc:
+        return type(exc).__name__, str(exc), ctx.now
+    return None
+
+
+@pytest.mark.parametrize("how,stop", [("revoke", "revoked"),
+                                      ("kill", "doomed")])
+def test_a_stolen_run_leaves_a_revocation_or_a_dead_peer_to_its_member(
+        thetagpu2, stolen, how, stop):
+    """Members woken in a compiled call whose communicator was revoked,
+    or whose peer died, while they waited: another thread runs their
+    steps up to the step the revocation stops or the landing the dead
+    peer dooms, and each member raises on its own thread — the
+    per-rank replay's exception, text and clock."""
+    def run(trace):
+        engine = Engine(thetagpu2, nranks=4, ranks_per_node=2, trace=trace,
+                        online_tune=False)
+        return engine.run(_failing, how), engine.compiled_replays
+
+    got, compiled = run(False)
+    assert compiled == 1 and stolen[stop] > 0
+    reference, none = run(True)
+    assert none == 0 and got == reference
+    assert [out and out[0] for out in got] == ["CommRevokedError"] * 3 + [
+        None if how == "kill" else "CommRevokedError"]
+
+
+def test_a_stolen_run_after_comm_free(thetagpu2, stolen):
+    """A duplicate's compiled calls whose last steps run on another
+    member's thread after a member has freed the duplicate: the run
+    ends as the per-rank one does — clocks, no open call record, and
+    the record gone from the engine."""
+    def body(ctx):
+        world = Communicator.world(ctx)
+        dup = world.Dup()
+        send, recv = ctx.device.zeros(8), ctx.device.zeros(8)
+        for _ in range(4):
+            dup.Allreduce(send, recv, SUM)
+            dup.Barrier()
+        record = dup.record
+        dup.Free()
+        stolen.freed_by.add(ctx.rank)
+        world.Barrier()
+        return dict(record.call_records), \
+            record.scope in ctx.engine.records, ctx.now
+
+    def run(trace):
+        stolen.freed_by.clear()
+        engine = Engine(thetagpu2, nranks=4, ranks_per_node=2, trace=trace,
+                        online_tune=False)
+        return engine.run(body)
+
+    got = run(False)
+    assert stolen["freed"] > 0
+    assert got == run(True)
+    assert [out[:2] for out in got] == [({}, False)] * 4
+
+
+def test_a_stolen_run_leaves_the_data_plans_error_to_its_member(
+        thetagpu2, stolen):
+    """A compiled call whose data plan raises ``NO_CONTENTS`` at its
+    last member: the members woken to raise it are handed to the
+    token's holder, which leaves them to their own threads — every
+    member raises that error."""
+    def body(ctx):
+        comm = Communicator.world(ctx)
+        recv = np.zeros(8, dtype=np.float32)
+        try:
+            for k in range(4):
+                send = np.full(8, ctx.rank + 1.0, dtype=np.float32)
+                if k == 3 and ctx.rank == 0:
+                    send = storage_free(8)
+                comm.Allreduce(send, recv, SUM)
+        except InvalidBufferError as exc:
+            return str(exc)
+        return None
+
+    engine = Engine(thetagpu2, nranks=4, ranks_per_node=2, trace=False,
+                    online_tune=False)
+    assert engine.run(body) == [NO_CONTENTS] * 4
+    assert stolen["error"] > 0
+
+
+@pytest.mark.parametrize("coll,algorithm", [
+    ("allreduce", "recursive_doubling"), ("allreduce", "ring"),
+    ("alltoall", "pairwise")])
+def test_a_stolen_run_leaves_the_fall_back_to_its_member(
+        stolen, coll, algorithm):
+    """Members of a compiled call that another key's member falls back
+    while they wait (``SWITCHES``' ``later``): those woken by the
+    messages the fall-back posts are handed to the token's holder,
+    which leaves them to their own threads — each goes on per rank,
+    with the per-rank replay's bytes and clocks."""
+    _, pattern, _ = SWITCHES[1]
+    cluster = make_system("thetagpu", 2)
+
+    def run(trace):
+        engine = Engine(cluster, nranks=8, ranks_per_node=4, trace=trace,
+                        online_tune=False)
+        return engine.run(_switching, pattern, coll, algorithm)
+
+    got = run(False)
+    assert stolen["resume"] > 0
+    assert got == run(True)

@@ -74,6 +74,47 @@ def test_scale_smoke_256():
     assert snap["coop_switches"] >= 256
 
 
+def _hot_allreduce_barrier(ctx, marks):
+    """Five 4-float ``Allreduce`` + ``Barrier`` pairs (both keys compile
+    on their second call and run compiled from their third); rank 0
+    marks the scheduler's hand-offs and the compiled collectives after
+    the second pair and after the last."""
+    from repro.mpi import Communicator
+    comm = Communicator.world(ctx)
+    send, recv = ctx.device.zeros(4), ctx.device.zeros(4)
+    send.fill(ctx.rank + 1.0)
+    engine = ctx.engine
+    for k in range(5):
+        comm.Allreduce(send, recv)
+        comm.Barrier()
+        if ctx.rank == 0 and k in (1, 4):
+            marks.append((engine.scheduler.handoffs,
+                          engine.compiled_replays))
+    return ctx.now
+
+
+def test_compiled_handoffs_256():
+    """4 x 64 ranks of hot compiled collectives hand the run token
+    between threads about once per member per call: the token's holder
+    runs a woken member's steps itself and releases the member's thread
+    only at the end of its slice (``sched`` module docstring) — against
+    about four hand-offs per member per call when every woken member
+    ran on its own thread.  The clocks are the traced (per-rank)
+    run's."""
+    cluster = make_system("thetagpu", 4)
+    marks = []
+    engine = Engine(cluster, nranks=256, ranks_per_node=64, trace=False,
+                    online_tune=False)
+    clocks = engine.run(_hot_allreduce_barrier, marks)
+    (h0, c0), (h1, c1) = marks
+    assert c1 - c0 == 6
+    assert (h1 - h0) / (c1 - c0) <= 256 + 2, h1 - h0
+    traced = Engine(cluster, nranks=256, ranks_per_node=64, trace=True,
+                    online_tune=False)
+    assert clocks == traced.run(_hot_allreduce_barrier, [])
+    assert traced.compiled_replays == 0
+
+
 def test_multinode_virtual_time_is_reproducible():
     """8 nodes x 8 ranks on contended NIC wires: with one run token the
     booking order of a shared wire is a function of the program, so two

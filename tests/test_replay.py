@@ -207,6 +207,55 @@ def _disagreeing_keys(ctx, calls=3):
     return log
 
 
+def _rooted_in_place(ctx, coll, root, calls=6):
+    """``calls`` calls of a rooted collective whose root spells its own
+    block ``IN_PLACE`` (3 floats a rank): the bytes and the clock after
+    every call."""
+    comm = Communicator.world(ctx)
+    p, rank = comm.size, comm.rank
+    counts = [3] * p
+    send, recv = ctx.device.zeros(3 * p), ctx.device.zeros(3 * p)
+    mine = slice(3 * rank, 3 * rank + 3)
+    log = []
+    for k in range(calls):
+        send.array[:] = np.arange(3 * p) % 5 + rank + k
+        recv.array[:] = -1
+        here = rank == root
+        if coll == "reduce":
+            if here:
+                recv.array[:3] = send.array[:3]
+            comm.Reduce(IN_PLACE if here else send, recv, SUM, root=root,
+                        count=3)
+        elif coll == "gather":
+            if here:
+                recv.array[mine] = send.array[:3]
+            comm.Gather(IN_PLACE if here else send, recv, root=root,
+                        count=3)
+        elif coll == "scatter":
+            comm.Scatter(send, IN_PLACE if here else recv, root=root,
+                         count=3)
+        else:   # scatterv
+            comm.Scatterv(send, counts, IN_PLACE if here else recv,
+                          root=root)
+        log.append((recv.array.tobytes(), ctx.now))
+    return log
+
+
+@pytest.mark.parametrize("root", [0, 2])
+@pytest.mark.parametrize("coll", ["reduce", "gather", "scatter", "scatterv"])
+def test_a_rooted_in_place_key_runs_centrally(thetagpu1, coll, root):
+    """A root that spells its own block ``IN_PLACE`` agrees with its
+    non-roots, which pass a buffer there (``replay.agree``): the key's
+    hot calls run centrally, with the per-rank replay's bytes and every
+    clock to the bit.  Its key once disagreed with theirs, so the call
+    replayed per rank for good."""
+    engine = Engine(thetagpu1, nranks=4, **QUIET)
+    got = engine.run(_rooted_in_place, coll, root)
+    assert engine.central_replays > 0
+    assert got == Engine(thetagpu1, nranks=4, **PER_RANK).run(
+        _rooted_in_place, coll, root)
+
+
 @pytest.mark.parametrize("body", [_bcast_then_send, _disagreeing_keys])
 def test_a_central_wait_gives_way_before_a_deadlock(thetagpu1, body):
     """Members gathered for a central replay wait for company that only
