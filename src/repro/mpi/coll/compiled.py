@@ -9,12 +9,16 @@ keeps the run token's order but not the per-message plumbing: on a
 key's second call the members enlist in its :class:`CallRecord` and the
 first to leave decides whether the key compiles (:func:`decide`); from
 the third call each member runs its :class:`CompiledSlice`
-(:func:`run`) and the last to arrive moves every member's
-payloads by the key's data plan.  A call whose members disagree — one
-of them runs another key there — replays per rank: on a communicator
-where a key compiled, every call leaves its record (:func:`pass_by`),
-and members of a compiled call that one of them meets go back to the
-per-rank replay part-way (:func:`_fall_back`).  The module docstring
+(:func:`run`) and the last to arrive moves every member's payloads
+by the key's data plan.  A member's place in its steps is a cursor in
+the call's record (:func:`_advance`), so while it waits the thread
+holding the run token may run its next steps for it, and its own
+thread is handed the token once per call, at the end of its slice —
+or where it must raise or fall back.  A call whose members disagree
+— one of them runs another key there — replays per rank: on a
+communicator where a key compiled, every call leaves its record
+(:func:`pass_by`), and members of a compiled call that one of them
+meets go back to the per-rank replay part-way (:func:`_fall_back`).  The module docstring
 of :mod:`repro.mpi.coll.replay` says when, and what stays per rank.
 """
 

@@ -66,7 +66,9 @@ waiting in a slot may wait for company that first needs its messages
 (a collective that does not synchronise) or for members of another
 key: the scheduler releases every such waiter before it declares a
 deadlock (:meth:`~repro.sim.sched.CoopWaitq.wait_for` ``gives_way``),
-the last arrival sends members of another key back, and each then
+the last arrival sends members of another key back (members agree
+when their calls are one key, :func:`agree`: a rooted collective's
+root may spell its own block ``IN_PLACE``), and each then
 replays its own rows — which, with no order able to move a clock,
 gives the same answer — as do the key's later calls, whose meetings
 would end alike.
@@ -102,11 +104,16 @@ departure charges the clock, books the wire
 record and wakes the receiver's mailbox wait queue where
 ``Mailbox.post`` would; a landing whose message has not departed parks
 on the member's own mailbox wait queue, with ``Mailbox.match``'s stall
-text and abort probe.  Parks, wakes and bookings happen at the same
-points of the same run-token order as the per-rank replay's, so every
-clock, digest and counter is the same — ``coop_parks`` and
-``copies_*`` included — and no ``Message``, lease, view or ``Status``
-is built.  The last member to arrive moves every member's payloads by
+text and abort probe.  Where a member is in its steps is a cursor in
+the call's record, so a woken member's next steps need not wait for
+its own thread: the thread holding the run token runs them and parks
+the member again at its next unfed landing (the steal hook of
+:mod:`repro.sim.sched`), and hands the member's own thread the token
+only at the end of its slice or where it must raise or fall back.
+Parks, wakes and bookings happen at the same points of the same
+run-token order as the per-rank replay's, so every clock, digest and
+counter is the same — ``coop_parks`` and ``copies_*`` included — and
+no ``Message``, lease, view or ``Status`` is built.  The last member to arrive moves every member's payloads by
 the key's data plan, before anyone can leave (a window a pending send
 lends is copied out first; an error is every member's).  Traced runs
 and fault plans (their records and mailbox filters need messages),

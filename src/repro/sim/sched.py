@@ -27,8 +27,8 @@ baton.  The hook runs the fiber's steps until the fiber would park
 again — then it names the wait queue to park on, and the fiber is
 re-registered there, a park and a switch like any other — or until
 its own thread must go on: the end of its steps, or anything that can
-raise or change course, which the hook leaves untouched.  Only then is
-the baton released.  The stolen steps run at the very point of the run
+raise or change course, which the hook leaves untouched (a hook never
+raises).  Only then is the baton released.  The stolen steps run at the very point of the run
 token's order where the fiber's own thread would have run them, so
 the interleaving, and every count, is the same.  (A stolen re-park
 registers the fiber directly: it passes neither through
