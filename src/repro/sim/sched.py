@@ -14,8 +14,7 @@ a binary semaphore (the *baton*): born held, released by whoever hands
 the fiber the token, re-taken by the fiber as it resumes.  The state
 machine below guarantees at most one release per park.  A release is
 an OS hand-off — the next fiber's thread wakes while the releaser's
-blocks — and at hundreds of carrier threads it costs several
-microseconds (``CoopScheduler.handoffs`` counts them).
+blocks (``CoopScheduler.handoffs`` counts them).
 
 A woken fiber's next steps need not run on its own thread.  A fiber
 that parks with a *steal hook* (:meth:`CoopWaitq.wait_for` ``steal``)
@@ -28,11 +27,12 @@ again — then it names the wait queue to park on, and the fiber is
 re-registered there, a park and a switch like any other — or until
 its own thread must go on: the end of its steps, or anything that can
 raise or change course, which the hook leaves untouched (a hook never
-raises).  Only then is the baton released.  The stolen steps run at the very point of the run
-token's order where the fiber's own thread would have run them, so
-the interleaving, and every count, is the same.  (A stolen re-park
-registers the fiber directly: it passes neither through
-:meth:`CoopWaitq.wait_for` nor :meth:`CoopScheduler.park`.)
+raises).  Only then is the baton released.  The stolen steps run at
+the very point of the run token's order where the fiber's own thread
+would have run them, so the interleaving, and every count, is the
+same.  (A stolen re-park registers the fiber directly: it passes
+neither through :meth:`CoopWaitq.wait_for` nor
+:meth:`CoopScheduler.park`.)
 
 With a single token the rank interleaving is a pure function of the
 program: the run queue starts in rank order and every transition is
@@ -403,41 +403,39 @@ class CoopWaitq:
         if fiber is None:
             OFF_ENGINE.wait_for(predicate, stall_msg, patient)
             return True
-        fiber.steal = steal
-        try:
-            strikes = 0
-            while not predicate():
-                self._parked.append(fiber)
-                if gives_way and self not in self._sched._giving_way:
-                    self._sched._giving_way.append(self)
-                self._sched.park(fiber)
-                # notify_all deregisters; a deadlock wake and a no-op park
-                # do not — drop any stale registration before deciding
-                if self._parked and fiber in self._parked:
-                    self._parked.remove(fiber)
-                if fiber.gave_way:
-                    fiber.gave_way = False
-                    return False
-                if gives_way and not self._parked:
-                    giving_way = self._sched._giving_way
-                    if self in giving_way:
-                        giving_way.remove(self)
-                if fiber.deadlocked:
-                    # always clear the flag: a caller that survives the
-                    # raise (elastic recovery) must be able to park again
-                    # without spuriously re-raising
-                    fiber.deadlocked = False
-                    if patient and strikes < PATIENT_STALLS:
-                        # recovery rendezvous: peers may still be converting
-                        # their own failures; treat the firing as spurious
-                        strikes += 1
-                        continue
-                    raise DeadlockError(
-                        f"{stall_msg()}; every live rank is parked "
-                        f"(exact deadlock)")
-            return True
-        finally:
+        strikes = 0
+        while not predicate():
+            self._parked.append(fiber)
+            if gives_way and self not in self._sched._giving_way:
+                self._sched._giving_way.append(self)
+            fiber.steal = steal
+            self._sched.park(fiber)
             fiber.steal = None
+            # notify_all deregisters; a deadlock wake and a no-op park
+            # do not — drop any stale registration before deciding
+            if self._parked and fiber in self._parked:
+                self._parked.remove(fiber)
+            if fiber.gave_way:
+                fiber.gave_way = False
+                return False
+            if gives_way and not self._parked:
+                giving_way = self._sched._giving_way
+                if self in giving_way:
+                    giving_way.remove(self)
+            if fiber.deadlocked:
+                # always clear the flag: a caller that survives the
+                # raise (elastic recovery) must be able to park again
+                # without spuriously re-raising
+                fiber.deadlocked = False
+                if patient and strikes < PATIENT_STALLS:
+                    # recovery rendezvous: peers may still be converting
+                    # their own failures; treat the firing as spurious
+                    strikes += 1
+                    continue
+                raise DeadlockError(
+                    f"{stall_msg()}; every live rank is parked "
+                    f"(exact deadlock)")
+        return True
 
     def notify_all(self) -> None:
         """Wake every waiter."""
