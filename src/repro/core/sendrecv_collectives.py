@@ -38,9 +38,12 @@ exchange and never move it to the bulk transport.
 
 Sends flushed through the whole-group rendezvous travel as borrowed
 read-only views of the caller's windows instead of per-peer snapshots;
-the group's consume barrier hands the buffers back once every peer has
-copied out.  The symmetric exchanges lend their send buffer once, as a
-read-only view, so every row cut from it already is one.
+no member leaves the rendezvous before every peer has copied out (on
+one switched node the last member to arrive runs every peer's copy-out,
+elsewhere the consume barrier holds them), so the buffers are handed
+back when the group call returns.  The symmetric exchanges lend their
+send buffer once, as a read-only view, so every row cut from it already
+is one.
 ``MPI_IN_PLACE`` spellings, where a send window aliases a receive
 window of the same call (allgatherv), are found by one comparison of
 the send and receive allocations per flush and then snapshotted

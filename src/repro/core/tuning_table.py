@@ -176,21 +176,16 @@ def with_route(table: TuningTable, route: str,
 _cache: Dict[Tuple, TuningTable] = {}
 
 
-def clear_cache() -> None:
-    """Drop every memoized table.
-
-    Called from ``Engine.__init__`` so back-to-back runs in one process
-    can never serve a table tuned for a previous system — the same
-    leak class ``fastpath.STATS.reset()`` closes for the counters."""
-    _cache.clear()
-
-
 def cached_table(shape: CommShape, ccl: CCLParams,
                  mpi_config: MPIConfig) -> TuningTable:
     """Process-wide memoized :func:`tune_offline`.
 
-    Keyed directly on the (hashable, frozen) parameter dataclasses, so
-    two calls with equal inputs return the *same* table object.
+    Keyed directly on the (hashable, frozen) parameter dataclasses —
+    the shape with its link models, the backend's constants and the MPI
+    configuration are every input of the tuning — so two calls with
+    equal inputs return the *same* table object, in every engine of the
+    process, and a different system, backend or configuration gets its
+    own table.  No caller mutates a table.
     """
     key = (ccl, mpi_config, shape)
     table = _cache.get(key)

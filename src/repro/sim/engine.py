@@ -41,13 +41,28 @@ class CollectiveSlot:
     value is handed to every caller.
 
     The CCL built-ins deposit *borrowed views* of live sender buffers
-    instead of snapshots.  Those views may be read inside
-    ``compute`` (every party is parked in the rendezvous while it runs)
-    and inside a per-rank ``consume`` callback: when ``consume`` is
-    given, each party runs it before leaving and **no party returns
-    until all have finished consuming** — the exit barrier that makes
-    the borrow safe.  ``cleanup`` (run once, by the last consumer) is
-    where pooled accumulators are returned to their pool.
+    instead of snapshots.  Those views may be read inside ``compute``
+    and inside each party's ``consume`` (its copy-out), and only while
+    every party is still in the rendezvous.  Two ways keep that so, and
+    every party of one exchange takes the same one (``one_pass``):
+
+    * **one pass** — the party that runs ``compute`` then runs every
+      party's ``consume`` in rank order and ``cleanup``, and only then
+      lets the others go, in the order the barrier would: the party
+      that parked last first, then the computing one, then the rest.
+      Each party parks once, and no park outside the rendezvous moves.
+      Taken where the order in which parties are evaluated cannot move
+      a clock (:attr:`CommRecord.uncontended`);
+    * **consume barrier** — each party runs its own ``consume`` on its
+      own thread and **no party returns until all have consumed**
+      (:meth:`consume_barrier`): all but one park a second time.  On a
+      contended communicator the order parties leave the barrier in is
+      the order they book shared wires in next, so it stays.
+
+    ``cleanup`` (run once, after the last consume) is where pooled
+    accumulators are returned to their pool.  A ``consume`` that raises
+    fails the call on every party with the lowest-ranked party's error,
+    on either way.
     """
 
     def __init__(self, key: Any, parties: int, waitq: CoopWaitq,
@@ -69,8 +84,14 @@ class CollectiveSlot:
         self._patient = patient
         self._waitq = waitq
         self._payloads: Dict[int, Any] = {}
+        #: one pass: each party's ``consume``, run by the computing party
+        self._consumers: Dict[int, Callable[[Any], None]] = {}
         self._result: Any = None
         self._error: Optional[BaseException] = None
+        #: the lowest-ranked party's copy-out error, ``(rank, exc)``
+        self._copy_error: Optional[tuple] = None
+        #: one pass: the computing party waits for the party it woke
+        self._leading = False
         self._done = False
         self._failed = False
         self._retrieved = 0
@@ -79,34 +100,62 @@ class CollectiveSlot:
 
     def exchange(self, rank: int, payload: Any,
                  compute: Callable[[Dict[int, Any]], Any],
-                 consume: Optional[Callable[[int, Any, Dict[int, Any]], None]] = None,
-                 cleanup: Optional[Callable[[Any], None]] = None) -> Any:
+                 consume: Optional[Callable[[Any], None]] = None,
+                 cleanup: Optional[Callable[[Any], None]] = None,
+                 one_pass: bool = False) -> Any:
         """Deposit ``payload``, wait for all parties, return the result.
 
-        ``consume(rank, result, payloads)``, when given, runs on every
-        party's own thread after the result is computed; the call only
-        returns once every party has consumed (and ``cleanup(result)``
-        has run, on the last consumer's thread).  All parties of one
-        exchange must agree on whether they pass ``consume`` — the CCL
-        built-ins always do, every other caller never does.
+        ``consume(result)``, when given, is this party's copy-out: it
+        runs once the result is computed — on the computing party's
+        thread, in rank order, when ``one_pass``; otherwise on this
+        party's own thread, behind the consume barrier.  Either way the
+        call only returns once every party has consumed and
+        ``cleanup(result)`` has run.  All parties of one exchange must
+        agree on whether they pass ``consume`` and on ``one_pass`` — the
+        CCL built-ins always pass it, every other caller never does.
 
         If ``compute`` raises, the exception is re-raised on **every**
         party (not just the computing one): the waiters are released
         immediately and raise the same exception object, instead of
         a misleading :class:`DeadlockError` once everyone has parked.
+        A ``consume`` that raises does the same, once every party has
+        consumed (the lowest-ranked party's error).
         """
         if rank in self._payloads:
             raise SimulationError(
                 f"rank {rank} arrived twice at collective {self.key!r}")
         self._payloads[rank] = payload
+        if one_pass:
+            self._consumers[rank] = consume
         if len(self._payloads) == self.parties:
             try:
                 self._result = compute(self._payloads)
             except BaseException as exc:  # noqa: BLE001 - re-raised on all
                 self._fail(exc)
                 raise
-            self._done = True
-            self._waitq.notify_all()
+            if not one_pass:
+                self._done = True
+                self._waitq.notify_all()
+            else:
+                # every other party is parked in the rendezvous: the
+                # borrowed views stay valid through every copy-out
+                consumers = self._consumers
+                for r in range(self.parties):
+                    self._consume(r, consumers[r])
+                consumers.clear()
+                if cleanup is not None:
+                    cleanup(self._result)
+                self._done = True
+                # leave in the consume barrier's order: the party that
+                # parked last goes on first, then this one, then the
+                # rest — so nothing outside the rendezvous can tell
+                # the two ways apart
+                if self._waitq.notify_last():
+                    self._leading = True
+                    self._waitq.wait_for(
+                        lambda: not self._leading,
+                        lambda: (f"rank {rank} handing collective "
+                                 f"{self.key!r} on"))
         else:
             self._waitq.wait_for(
                 self._done_or_hopeless,
@@ -116,12 +165,17 @@ class CollectiveSlot:
                 patient=self._patient)
             if self._error is not None:
                 raise self._error
+            if self._leading:
+                # the one party woken: the computing party, then the rest
+                self._leading = False
+                self._waitq.notify_last()
+                self._waitq.notify_all()
         result = self._result
-        if consume is not None:
+        if consume is not None and not one_pass:
             # payloads and result are frozen once ``_done``, and the
             # exit barrier keeps them alive until the last consumer is
             # through
-            consume(rank, result, self._payloads)
+            self._consume(rank, consume)
             self.consume_barrier(rank, cleanup, result)
         self._retrieved += 1
         if self._retrieved == self.parties:
@@ -131,7 +185,17 @@ class CollectiveSlot:
             self._result = None
             if self._on_finish is not None:
                 self._on_finish(self)
+        if self._copy_error is not None:
+            raise self._copy_error[1]
         return result
+
+    def _consume(self, rank: int, consume: Callable[[Any], None]) -> None:
+        """Run ``rank``'s copy-out, keeping the lowest-ranked error."""
+        try:
+            consume(self._result)
+        except BaseException as exc:  # noqa: BLE001 - re-raised on all
+            if self._copy_error is None or rank < self._copy_error[0]:
+                self._copy_error = (rank, exc)
 
     def _done_or_hopeless(self) -> bool:
         """Wait predicate: done, or provably never-completing (a party
@@ -161,18 +225,17 @@ class CollectiveSlot:
         self._failed = True
         self._done = True
         self._payloads.clear()
+        self._consumers.clear()
         self._waitq.notify_all()
         if self._on_finish is not None:
             self._on_finish(self)
 
     def consume_barrier(self, rank: int, cleanup=None, result=None) -> None:
         """Exit barrier for borrowed payloads: every party calls this
-        once after consuming (:meth:`exchange` does, when given
-        ``consume``; the fused group transport copies its inbound
-        messages after the rendezvous returns and calls it itself).
-        None returns until all have — only then may senders' live
-        buffers be mutated again.  The last one runs
-        ``cleanup(result)`` and releases everyone."""
+        once after consuming (:meth:`exchange` does, unless one pass
+        consumed for everyone).  None returns until all have — only
+        then may senders' live buffers be mutated again.  The last one
+        runs ``cleanup(result)`` and releases everyone."""
         self._consumed += 1
         if self._consumed == self.parties:
             if cleanup is not None:
@@ -198,26 +261,41 @@ class GroupExchangeSlot(CollectiveSlot):
 
     Every rank of the communicator deposits the columns it staged its
     sends into, with the rows indexed per destination; once all have
-    arrived, each rank picks its own inbound rows out of the deposits —
-    O(parties) per rank, on its own thread, nothing merged by the last
-    arriver.  One rendezvous replaces the O(P^2) per-message mailbox
-    post/notify round trips of a symmetric group (alltoallv,
-    allgatherv, ...), while every message keeps the depart/arrival
-    virtual times its sender priced — the batching is wall-clock only.
+    arrived, each rank's ``claim`` picks its own inbound rows out of the
+    deposits and lands them — O(parties) per rank, run as that rank's
+    copy-out (:meth:`CollectiveSlot.exchange`'s ``consume``).  One
+    rendezvous replaces the O(P^2) per-message mailbox post/notify round
+    trips of a symmetric group (alltoallv, allgatherv, ...), while every
+    message keeps the depart/arrival virtual times its sender priced —
+    the batching is wall-clock only.
     """
 
     def exchange_for(self, rank: int, by_dst: Dict[int, List[int]],
-                     columns: Any, world_rank: int) -> List[Any]:
+                     columns: Any, world_rank: int,
+                     claim: Callable[[List[Any]], None],
+                     one_pass: bool = False) -> None:
         """Deposit ``columns`` and their rows per destination world
-        rank; return ``(sender comm rank, rows, sender's columns)`` for
-        every sender with rows for ``world_rank``, in sender comm-rank
-        order (rows in the sender's program order: FIFO per pair)."""
-        # a copy: the slot clears its payloads when the last party leaves
-        deposits = self.exchange(rank, (by_dst, columns),
-                                 lambda got: [got[r] for r in sorted(got)])
-        return [(sender, index[world_rank], cols)
-                for sender, (index, cols) in enumerate(deposits)
-                if world_rank in index]
+        rank; once every rank has, ``claim`` gets ``(sender comm rank,
+        rows, sender's columns)`` for every sender with rows for
+        ``world_rank``, in sender comm-rank order (rows in the sender's
+        program order: FIFO per pair)."""
+        def consume(deposits: Dict[int, Any]) -> None:
+            inbound = []
+            for sender in range(self.parties):
+                index, cols = deposits[sender]
+                mine = index.get(world_rank)
+                if mine is not None:
+                    inbound.append((sender, mine, cols))
+            claim(inbound)
+
+        self.exchange(rank, (by_dst, columns), _as_is, consume,
+                      one_pass=one_pass)
+
+
+def _as_is(payloads: Dict[int, Any]) -> Dict[int, Any]:
+    """A group exchange's result: the deposits themselves, read by every
+    claim before the slot lets them go."""
+    return payloads
 
 
 def _scope_of(key: Any) -> Any:
@@ -286,19 +364,22 @@ class CommRecord:
     def uncontended(self) -> bool:
         """True when every wire booking of this communicator's members
         happens in its sender's own program order, so the order in
-        which members are evaluated cannot move a clock — central
-        replay's shape condition (:mod:`repro.mpi.coll.replay`): one
-        switched node, so each device pair has a private directed wire,
-        no device hosting two ranks of the run, and no option that
-        observes the members' interleaving — tracing, the online
+        which members are evaluated cannot move a clock: one switched
+        node, so each device pair has a private directed wire, no
+        device hosting two ranks of the run, and no option that
+        observes the members' interleaving — tracing or the online
         tuner (its fit reads whichever samples members have returned
-        by then) or a fault plan."""
+        by then).  Where it holds, the CCL rendezvous finish in one
+        pass (:class:`CollectiveSlot`) and, without a fault plan,
+        central replay runs (:mod:`repro.mpi.coll.replay`).  A fault
+        plan cannot see the order members leave a CCL rendezvous in: a
+        kill fires on a clock advance, and no copy-out advances one; a
+        message rule sees a hinted group's rows before the deposit."""
         e = self._engine
         cluster = e.cluster
         return (cluster.node_count == 1 and cluster.nodes[0].switched
                 and len({d.global_id for d in e._devices}) == e.nranks
-                and not e.options["trace"] and not e.options["online_tune"]
-                and e.faults is None)
+                and not e.options["trace"] and not e.options["online_tune"])
 
     @functools.cached_property
     def shape(self):
@@ -424,13 +505,10 @@ class Engine:
         # the fast-path counters are process-global; a new engine is a
         # new run, so start it from zero (tests and back-to-back sweeps
         # must not see a previous engine's counts).  The memoized tuning
-        # tables are the same leak class: a new engine may target a
-        # different system, so back-to-back runs must never be served a
-        # previous system's tables (deferred imports keep sim below core)
+        # tables outlive it: they are keyed on every input of the tuning
+        # (:func:`repro.core.tuning_table.cached_table`)
         from repro import fastpath
         fastpath.STATS.reset()
-        from repro.core.tuning_table import clear_cache
-        clear_cache()
         #: measured-latency overlay shared by every rank's dispatch
         #: pipeline; None unless the ``online_tune`` option is on
         from repro.core.online_tune import OnlineTuner

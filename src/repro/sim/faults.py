@@ -72,6 +72,11 @@ class FaultPlan:
     delays: List[DelayRule] = field(default_factory=list)
     kills: List[KillRule] = field(default_factory=list)
 
+    @property
+    def empty(self) -> bool:
+        """True when the plan names no rule: it is no plan."""
+        return not (self.drops or self.delays or self.kills)
+
     def drop(self, src: int, dst: int, nth: int = 0) -> "FaultPlan":
         """Add a drop rule (chainable)."""
         self.drops.append(DropRule(src, dst, nth))

@@ -443,3 +443,11 @@ class CoopWaitq:
             woken = self._parked
             self._parked = []
             self._sched.unpark_all(woken)
+
+    def notify_last(self) -> bool:
+        """Wake the waiter that parked last, only; False when none
+        waits."""
+        if not self._parked:
+            return False
+        self._sched.unpark_all([self._parked.pop()])
+        return True

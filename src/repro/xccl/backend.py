@@ -28,9 +28,12 @@ A call completes on the rank's virtual clock before it returns: there
 is no device stream holding work behind the caller.
 
 Payloads travel as borrowed read-only views wherever the rendezvous
-proves every reader is done before the sender returns (the built-ins'
-consume barrier, the whole-group exchange); a send window that aliases
-a receive window of the same call is snapshotted instead
+proves every reader is done before the sender returns: a built-in's or
+a whole-group exchange's copy-outs all run while every member is still
+in its rendezvous — each member's own behind the consume barrier, or,
+on an uncontended communicator, every member's run by the member that
+computes (:class:`repro.sim.engine.CollectiveSlot`).  A send window
+that aliases a receive window of the same call is snapshotted instead
 (copy-on-write), and the bulk mailbox transport always snapshots.
 
 Subclasses supply the vendor identity and constants.
@@ -459,10 +462,11 @@ class CCLBackend:
           per peer, recvs drained by one ``match_many``;
         * whole-group rendezvous (``exchange`` hint): every rank of the
           communicator deposits its columns into one
-          :class:`~repro.sim.engine.GroupExchangeSlot` and picks its
-          inbound rows out of the others' — no mailbox traffic, and a
-          ``Message`` only for inbound rows no receive of this group
-          claims.
+          :class:`~repro.sim.engine.GroupExchangeSlot`; its copy-out
+          (``claim``) picks its inbound rows out of the others' and
+          lands them — no mailbox traffic, and a ``Message`` only for
+          inbound rows no receive of this group claims, delivered to
+          its own mailbox once it has left the rendezvous.
 
         Receive windows are filled by :func:`_land`, with no call per
         row.  A fault plan's message rules (the mailboxes' ``filter``)
@@ -520,37 +524,37 @@ class CCLBackend:
                 self._admit(ctx, sends, seqs, rows, by_dst)
             slot = ctx.collective_slot(exchange.next_group_key(),
                                        exchange.size, factory=GroupExchangeSlot)
-            inbound = {(sender, their_seqs[i]): their_rows[i]
-                       for sender, mine, (their_seqs, their_rows)
-                       in slot.exchange_for(exchange.rank, by_dst,
-                                            (seqs, rows), ctx.rank)
-                       for i in mine}
-            fastpath.STATS.fusion_exchanges += 1
-            counters = exchange.recv_seq
-            if counters is None:
-                counters = exchange.recv_seq = [0] * exchange.size
-            claimed, landed, pending = [], [], []
-            for row in recvs:
-                peer = row[3]
-                counters[peer] = seq = counters[peer] + 1
-                got = inbound.pop((peer, seq), None)
-                if got is None:
-                    # sent outside this group call (mixed patterns),
-                    # or dropped by a fault rule: fall back to the
-                    # mailbox.  The blocking match is
-                    # deferred past the consume barrier — the sender
-                    # may only post this message after leaving its own
-                    # group.
-                    pending.append((row, seq))
-                else:
-                    claimed.append(row)
-                    landed.append(got)
-            fastpath.STATS.fusion_fallbacks += len(pending)
-            if inbound:
+            pending, unclaimed = [], []
+
+            def claim(deposits) -> None:
+                # this member's copy-out, on whichever thread the slot
+                # runs it: take each receive's row, land every exchanged
+                # view, materialize inbound rows no receive claims
+                inbound = {(sender, their_seqs[i]): their_rows[i]
+                           for sender, mine, (their_seqs, their_rows)
+                           in deposits for i in mine}
+                counters = exchange.recv_seq
+                if counters is None:
+                    counters = exchange.recv_seq = [0] * exchange.size
+                claimed, landed = [], []
+                for row in recvs:
+                    peer = row[3]
+                    counters[peer] = seq = counters[peer] + 1
+                    got = inbound.pop((peer, seq), None)
+                    if got is None:
+                        # sent outside this group call (mixed patterns),
+                        # or dropped by a fault rule: fall back to the
+                        # mailbox, once the member has left the
+                        # rendezvous — the sender may only post this
+                        # message after leaving its own group
+                        pending.append((row, seq))
+                    else:
+                        claimed.append(row)
+                        landed.append(got)
+                fastpath.STATS.fusion_fallbacks += len(pending)
                 # inbound mail this group's recvs did not claim stays
                 # receivable by a later group or recv; borrowed views
-                # must not escape the barrier, so materialize them
-                unclaimed = []
+                # must not escape the rendezvous, so materialize them
                 for (sender, seq), got in inbound.items():
                     if not got[0].flags.writeable:
                         if got[0].strides[0]:
@@ -559,12 +563,13 @@ class CCLBackend:
                     unclaimed.append(self._message(
                         exchange.group[sender], ctx.rank, exchange.uid,
                         seq, got))
+                _land(ctx, claimed, landed, arrivals_in, transport)
+
+            slot.exchange_for(exchange.rank, by_dst, (seqs, rows), ctx.rank,
+                              claim, exchange.record.uncontended)
+            fastpath.STATS.fusion_exchanges += 1
+            if unclaimed:
                 ctx.mailbox.deliver_many(unclaimed)
-            # land every exchanged view first, then release all senders
-            # at the consume barrier; only then may the deferred
-            # fallback matches block on late traffic
-            _land(ctx, claimed, landed, arrivals_in, transport)
-            slot.consume_barrier(exchange.rank)
             for row, seq in pending:
                 msg = ctx.mailbox.match(
                     src=exchange.group[row[3]],
@@ -580,12 +585,15 @@ class CCLBackend:
         """Common rendezvous plumbing: deposit payload, one rank
         computes, everyone completes at ``max(arrivals) + duration``.
 
-        ``consume(rank, result, data)`` runs on every rank's own thread
-        under the slot's consume barrier — the window in which borrowed
-        payload views and pooled accumulators may still be read (see
-        :class:`repro.sim.engine.CollectiveSlot`).  ``cleanup(result)``
-        runs once, after the last consumer — where pooled scratch is
-        returned.
+        ``consume(result, data)`` is this rank's copy-out (``data``:
+        every rank's payload, by communicator rank, built once per
+        call), run while every rank is still in the rendezvous — the
+        window in which borrowed payload views and pooled accumulators
+        may be read: by the computing rank for all, on an uncontended
+        communicator, else on this rank's own thread behind the consume
+        barrier (:class:`repro.sim.engine.CollectiveSlot`).
+        ``cleanup(result)`` runs once, after the last copy-out — where
+        pooled scratch is returned.
 
         When tracing is on, the call records one ``ccl`` span from this
         rank's deposit to the collective's completion time — the only
@@ -600,16 +608,13 @@ class CCLBackend:
         def _run(payloads: Dict[int, Tuple]):
             data = {r: p[0] for r, p in payloads.items()}
             t_done = max(p[1] for p in payloads.values()) + duration
-            return compute(data), t_done
-
-        def _consume(rank: int, result_pair, payloads: Dict[int, Tuple]):
-            consume(rank, result_pair[0],
-                    {r: p[0] for r, p in payloads.items()})
+            return compute(data), t_done, data
 
         _cleanup = None if cleanup is None else \
-            (lambda result_pair: cleanup(result_pair[0]))
-        _result, t_done = slot.exchange(comm.rank, (payload, ctx.now), _run,
-                                        consume=_consume, cleanup=_cleanup)
+            (lambda res: cleanup(res[0]))
+        t_done = slot.exchange(comm.rank, (payload, ctx.now), _run,
+                               lambda res: consume(res[0], res[2]),
+                               _cleanup, comm.record.uncontended)[1]
         ctx.clock.merge(t_done)
         # key = ("xccl", uid, kind, seq) — see XCCLComm.next_coll_key
         if ctx.trace.enabled:
@@ -658,7 +663,7 @@ class CCLBackend:
         self._fused(
             comm, key, borrow_view(src_view), dur,
             lambda data: self._reduce_pooled(comm, op, data),
-            consume=lambda rank, res, data: copy_payload(out, res[0]),
+            consume=lambda res, data: copy_payload(out, res[0]),
             cleanup=self._release_pooled, nbytes=nbytes)
 
     def broadcast(self, comm: XCCLComm, buf, count: int, dt: Datatype,
@@ -677,7 +682,7 @@ class CCLBackend:
             payload = None
             out = as_array(buf)[:count]
 
-        def consume(rank, result, data):
+        def consume(result, data):
             if out is not None:
                 copy_payload(out, result)
 
@@ -699,7 +704,7 @@ class CCLBackend:
         fastpath.STATS.copies_elided += 1
         out = as_array(recvbuf)[:count] if comm.rank == root else None
 
-        def consume(rank, res, data):
+        def consume(res, data):
             if out is not None:
                 copy_payload(out, res[0])
 
@@ -731,7 +736,7 @@ class CCLBackend:
             payload = borrow_view(src_view)
         me = comm.rank
 
-        def consume(rank, result, data):
+        def consume(result, data):
             # gather straight from the deposited payloads into this
             # rank's receive buffer: no concatenation, no staging;
             # in place, the own segment already holds its bytes
@@ -760,6 +765,5 @@ class CCLBackend:
         self._fused(
             comm, key, borrow_view(src_view), dur,
             lambda data: self._reduce_pooled(comm, op, data),
-            consume=lambda rank, res, data:
-                copy_payload(out, res[0][lo:hi]),
+            consume=lambda res, data: copy_payload(out, res[0][lo:hi]),
             cleanup=self._release_pooled, nbytes=nbytes)

@@ -1303,14 +1303,17 @@ def test_central_replay_only_where_no_order_can_move_a_clock():
     and eager rows, untraced, untuned and without a fault plan: its
     eager ``Allreduce`` and ``Barrier`` run centrally there, and on a
     multi-node, oversubscribed or PCIe-bus shape, for a rendezvous key,
-    under a fault plan (even an empty one), traced or tuned, nothing
-    does."""
+    under a fault plan that names a rule (even one that never fires),
+    traced or tuned, nothing does.  A plan that names no rule is no
+    plan."""
     thetagpu = make_system("thetagpu", 1)
     assert _central_count(thetagpu, 4) == 2
     assert _central_count(make_system("thetagpu", 2), 4, rpn=2) == 0
     assert _central_count(thetagpu, 16, rpn=16) == 0
     assert _central_count(make_system("mri", 1), 2) == 0
-    assert _central_count(thetagpu, 4, plan=FaultPlan()) == 0
+    assert _central_count(thetagpu, 4, plan=FaultPlan()) == 2
+    assert _central_count(thetagpu, 4,
+                          plan=FaultPlan().kill(0, after_us=1e12)) == 0
     assert _central_count(thetagpu, 4, trace=True) == 0
     assert _central_count(thetagpu, 4, online_tune=True) == 0
 

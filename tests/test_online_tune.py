@@ -194,19 +194,29 @@ class TestLifecycle:
             assert old_overlay == 0        # released by Comm_shrink
             assert fitted == ["xccl"]      # survivor shape re-fitted
 
-    def test_new_engine_clears_memoized_tables(self, thetagpu1):
-        """Back-to-back runs: Engine construction zeroes the process
-        globals — the memoized tuning tables and the counters — so a
-        second run can never be served the first run's state."""
-        from repro.mpi.config import mvapich_gpu
+    def test_memoized_tables_are_keyed_by_every_input(self, thetagpu1):
+        """The memoized tuning tables outlive an engine, keyed on every
+        input of the tuning: equal inputs give the same table object,
+        a different shape, backend or MPI configuration another table.
+        A new engine still zeroes the counters."""
+        from repro.hw.systems import make_system
+        from repro.mpi.config import mvapich_gpu, openmpi_ucx
         from repro.perfmodel import ccl_params
         from repro.perfmodel.shape import shape_of
         shape = shape_of(thetagpu1, range(8))
-        cached_table(shape, ccl_params("nccl"), mvapich_gpu())
-        assert len(_cache) > 0
+        nccl, mpi = ccl_params("nccl"), mvapich_gpu()
+        table = cached_table(shape, nccl, mpi)
         Engine(thetagpu1, nranks=2)
-        assert len(_cache) == 0
         assert fastpath.STATS.dispatch_calls == 0
+        assert cached_table(shape_of(thetagpu1, range(8)), ccl_params("nccl"),
+                            mvapich_gpu()) is table
+        others = [cached_table(shape_of(thetagpu1, range(4)), nccl, mpi),
+                  cached_table(shape_of(make_system("mri", 1), range(2)),
+                               nccl, mpi),
+                  cached_table(shape, ccl_params("rccl"), mpi),
+                  cached_table(shape, nccl, openmpi_ucx())]
+        assert len({id(t) for t in [table] + others}) == 5
+        assert _cache[(nccl, mpi, shape)] is table
 
 
 class TestTuningMiss:

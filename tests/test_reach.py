@@ -94,3 +94,24 @@ def test_a_reason_must_name_its_kind():
     _, problems = reach.read_allowlist(
         ["tests.test_reach:_never_entered  because"], functions, missed)
     assert problems and "no reason" in problems[0]
+
+
+def test_the_defs_are_read_before_any_entry_point_runs(monkeypatch, tmp_path):
+    """``main`` snapshots the defs first: a source file edited while the
+    entry points run must not list its functions as unreached."""
+    order = []
+
+    def defined():
+        order.append("defined")
+        return {}
+
+    def run_entry_points():
+        order.append("entry points")
+        return set(), []
+
+    monkeypatch.setattr(reach, "defined", defined)
+    monkeypatch.setattr(reach, "run_entry_points", run_entry_points)
+    monkeypatch.setattr(reach, "ALLOWLIST", tmp_path / "none.txt")
+    monkeypatch.setattr(reach.sys, "path", list(reach.sys.path))
+    assert reach.main() == 0
+    assert order == ["defined", "entry points"]
