@@ -38,10 +38,9 @@ exchange and never move it to the bulk transport.
 
 Sends flushed through the whole-group rendezvous travel as borrowed
 read-only views of the caller's windows instead of per-peer snapshots;
-no member leaves the rendezvous before every peer has copied out (on
-one switched node the last member to arrive runs every peer's copy-out,
-elsewhere the consume barrier holds them), so the buffers are handed
-back when the group call returns.  The symmetric exchanges lend their
+the last member to arrive runs every member's copy-out before any
+member leaves the rendezvous, so the buffers are handed back when the
+group call returns.  The symmetric exchanges lend their
 send buffer once, as a read-only view, so every row cut from it already
 is one.
 ``MPI_IN_PLACE`` spellings, where a send window aliases a receive

@@ -34,7 +34,7 @@ mailbox, matches, books a wire and often parks for the run token.
 Where the communicator is *uncontended*
 (:attr:`~repro.sim.engine.CommRecord.uncontended`: one switched node,
 so every device pair has a private directed wire, no device hosting
-two ranks, no tracing or online tuner) and no fault plan names a rule,
+two ranks, no tracing, online tuner or fault plan naming a rule),
 every booking on a wire is made by its sender in its own program
 order, so the order in which members are evaluated cannot change a
 clock.  There each member
@@ -462,13 +462,10 @@ class RoundProgram:
         # run's options decide here, the key's first replay the rest)
         engine = comm.ctx.engine
         uncontended = comm.record.uncontended
-        # a plan that names no rule is no plan
-        unfaulted = engine.faults is None or engine.faults.plan.empty
-        self.central = None if (
-            tape.ntags and uncontended and unfaulted) else False
+        self.central = None if tape.ntags and uncontended else False
         self.compiled = None if (
             tape.ntags and not uncontended and not engine.options["trace"]
-            and unfaulted
+            and engine.faults is None
             and all(row[0] < ISEND for row in tape.rows)) else False
         self.rows = tuple(tape.rows)
 

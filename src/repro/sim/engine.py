@@ -43,26 +43,16 @@ class CollectiveSlot:
     The CCL built-ins deposit *borrowed views* of live sender buffers
     instead of snapshots.  Those views may be read inside ``compute``
     and inside each party's ``consume`` (its copy-out), and only while
-    every party is still in the rendezvous.  Two ways keep that so, and
-    every party of one exchange takes the same one (``one_pass``):
-
-    * **one pass** — the party that runs ``compute`` then runs every
-      party's ``consume`` in rank order and ``cleanup``, and only then
-      lets the others go, in the order the barrier would: the party
-      that parked last first, then the computing one, then the rest.
-      Each party parks once, and no park outside the rendezvous moves.
-      Taken where the order in which parties are evaluated cannot move
-      a clock (:attr:`CommRecord.uncontended`);
-    * **consume barrier** — each party runs its own ``consume`` on its
-      own thread and **no party returns until all have consumed**
-      (:meth:`consume_barrier`): all but one park a second time.  On a
-      contended communicator the order parties leave the barrier in is
-      the order they book shared wires in next, so it stays.
-
-    ``cleanup`` (run once, after the last consume) is where pooled
-    accumulators are returned to their pool.  A ``consume`` that raises
-    fails the call on every party with the lowest-ranked party's error,
-    on either way.
+    every party is still in the rendezvous: the party that runs
+    ``compute`` then runs every party's ``consume`` in rank order and
+    ``cleanup`` (where pooled accumulators are returned to their pool)
+    before it lets any party go (:meth:`consume_barrier`).  Each party
+    parks once.  They leave in
+    a fixed order — the party that parked last first, then the
+    computing one, then the rest in the order they parked — because on
+    a contended communicator the order parties leave in is the order
+    they book shared wires in next.  A ``consume`` that raises fails
+    the call on every party with the lowest-ranked party's error.
     """
 
     def __init__(self, key: Any, parties: int, waitq: CoopWaitq,
@@ -84,48 +74,43 @@ class CollectiveSlot:
         self._patient = patient
         self._waitq = waitq
         self._payloads: Dict[int, Any] = {}
-        #: one pass: each party's ``consume``, run by the computing party
+        #: each party's ``consume``, run by the computing party
         self._consumers: Dict[int, Callable[[Any], None]] = {}
         self._result: Any = None
         self._error: Optional[BaseException] = None
-        #: the lowest-ranked party's copy-out error, ``(rank, exc)``
-        self._copy_error: Optional[tuple] = None
-        #: one pass: the computing party waits for the party it woke
+        #: the lowest-ranked party's copy-out error
+        self._copy_error: Optional[BaseException] = None
+        #: the computing party waits for the party it woke to go on
         self._leading = False
         self._done = False
         self._failed = False
         self._retrieved = 0
-        self._consumed = 0
-        self._consume_done = False
 
     def exchange(self, rank: int, payload: Any,
                  compute: Callable[[Dict[int, Any]], Any],
                  consume: Optional[Callable[[Any], None]] = None,
-                 cleanup: Optional[Callable[[Any], None]] = None,
-                 one_pass: bool = False) -> Any:
+                 cleanup: Optional[Callable[[Any], None]] = None) -> Any:
         """Deposit ``payload``, wait for all parties, return the result.
 
-        ``consume(result)``, when given, is this party's copy-out: it
-        runs once the result is computed — on the computing party's
-        thread, in rank order, when ``one_pass``; otherwise on this
-        party's own thread, behind the consume barrier.  Either way the
-        call only returns once every party has consumed and
-        ``cleanup(result)`` has run.  All parties of one exchange must
-        agree on whether they pass ``consume`` and on ``one_pass`` — the
-        CCL built-ins always pass it, every other caller never does.
+        ``consume(result)``, when given, is this party's copy-out: the
+        party that runs ``compute`` runs every party's, in rank order,
+        then ``cleanup(result)``, and only then does any party return.
+        All parties of one exchange must agree on whether they pass
+        ``consume`` — the CCL built-ins always pass it, every other
+        caller never does.
 
         If ``compute`` raises, the exception is re-raised on **every**
         party (not just the computing one): the waiters are released
         immediately and raise the same exception object, instead of
         a misleading :class:`DeadlockError` once everyone has parked.
-        A ``consume`` that raises does the same, once every party has
-        consumed (the lowest-ranked party's error).
+        A ``consume`` that raises does the same once every copy-out has
+        run (the lowest-ranked party's error).
         """
         if rank in self._payloads:
             raise SimulationError(
                 f"rank {rank} arrived twice at collective {self.key!r}")
         self._payloads[rank] = payload
-        if one_pass:
+        if consume is not None:
             self._consumers[rank] = consume
         if len(self._payloads) == self.parties:
             try:
@@ -133,29 +118,11 @@ class CollectiveSlot:
             except BaseException as exc:  # noqa: BLE001 - re-raised on all
                 self._fail(exc)
                 raise
-            if not one_pass:
+            if self._consumers:
+                self.consume_barrier(rank, cleanup)
+            else:
                 self._done = True
                 self._waitq.notify_all()
-            else:
-                # every other party is parked in the rendezvous: the
-                # borrowed views stay valid through every copy-out
-                consumers = self._consumers
-                for r in range(self.parties):
-                    self._consume(r, consumers[r])
-                consumers.clear()
-                if cleanup is not None:
-                    cleanup(self._result)
-                self._done = True
-                # leave in the consume barrier's order: the party that
-                # parked last goes on first, then this one, then the
-                # rest — so nothing outside the rendezvous can tell
-                # the two ways apart
-                if self._waitq.notify_last():
-                    self._leading = True
-                    self._waitq.wait_for(
-                        lambda: not self._leading,
-                        lambda: (f"rank {rank} handing collective "
-                                 f"{self.key!r} on"))
         else:
             self._waitq.wait_for(
                 self._done_or_hopeless,
@@ -171,12 +138,6 @@ class CollectiveSlot:
                 self._waitq.notify_last()
                 self._waitq.notify_all()
         result = self._result
-        if consume is not None and not one_pass:
-            # payloads and result are frozen once ``_done``, and the
-            # exit barrier keeps them alive until the last consumer is
-            # through
-            self._consume(rank, consume)
-            self.consume_barrier(rank, cleanup, result)
         self._retrieved += 1
         if self._retrieved == self.parties:
             # drop payload/result references so finished slots hold
@@ -186,16 +147,34 @@ class CollectiveSlot:
             if self._on_finish is not None:
                 self._on_finish(self)
         if self._copy_error is not None:
-            raise self._copy_error[1]
+            raise self._copy_error
         return result
 
-    def _consume(self, rank: int, consume: Callable[[Any], None]) -> None:
-        """Run ``rank``'s copy-out, keeping the lowest-ranked error."""
-        try:
-            consume(self._result)
-        except BaseException as exc:  # noqa: BLE001 - re-raised on all
-            if self._copy_error is None or rank < self._copy_error[0]:
-                self._copy_error = (rank, exc)
+    def consume_barrier(self, rank: int, cleanup=None) -> None:
+        """Exit barrier for borrowed payloads, run by the party that
+        computed: every party's copy-out in rank order, then
+        ``cleanup(result)``, and only then are the parties let go — the
+        one that parked last first, which hands on to this one and then
+        to the rest.  Every other party is parked in the rendezvous
+        meanwhile, so the borrowed views stay valid through every
+        copy-out."""
+        consumers = self._consumers
+        for r in range(self.parties):
+            try:
+                consumers[r](self._result)
+            except BaseException as exc:  # noqa: BLE001 - raised on all
+                if self._copy_error is None:
+                    self._copy_error = exc
+        consumers.clear()
+        if cleanup is not None:
+            cleanup(self._result)
+        self._done = True
+        if self._waitq.notify_last():
+            self._leading = True
+            self._waitq.wait_for(
+                lambda: not self._leading,
+                lambda: (f"rank {rank} handing collective "
+                         f"{self.key!r} on"))
 
     def _done_or_hopeless(self) -> bool:
         """Wait predicate: done, or provably never-completing (a party
@@ -230,25 +209,6 @@ class CollectiveSlot:
         if self._on_finish is not None:
             self._on_finish(self)
 
-    def consume_barrier(self, rank: int, cleanup=None, result=None) -> None:
-        """Exit barrier for borrowed payloads: every party calls this
-        once after consuming (:meth:`exchange` does, unless one pass
-        consumed for everyone).  None returns until all have — only
-        then may senders' live buffers be mutated again.  The last one
-        runs ``cleanup(result)`` and releases everyone."""
-        self._consumed += 1
-        if self._consumed == self.parties:
-            if cleanup is not None:
-                cleanup(result)
-            self._consume_done = True
-            self._waitq.notify_all()
-            return
-        self._waitq.wait_for(
-            lambda: self._consume_done,
-            lambda: (f"rank {rank} waiting for consumers of collective "
-                     f"{self.key!r}: {self._consumed}/{self.parties} done"),
-            patient=self._patient)
-
     @property
     def finished(self) -> bool:
         """True once every party has retrieved the result (or the slot
@@ -272,8 +232,7 @@ class GroupExchangeSlot(CollectiveSlot):
 
     def exchange_for(self, rank: int, by_dst: Dict[int, List[int]],
                      columns: Any, world_rank: int,
-                     claim: Callable[[List[Any]], None],
-                     one_pass: bool = False) -> None:
+                     claim: Callable[[List[Any]], None]) -> None:
         """Deposit ``columns`` and their rows per destination world
         rank; once every rank has, ``claim`` gets ``(sender comm rank,
         rows, sender's columns)`` for every sender with rows for
@@ -288,8 +247,7 @@ class GroupExchangeSlot(CollectiveSlot):
                     inbound.append((sender, mine, cols))
             claim(inbound)
 
-        self.exchange(rank, (by_dst, columns), _as_is, consume,
-                      one_pass=one_pass)
+        self.exchange(rank, (by_dst, columns), _as_is, consume)
 
 
 def _as_is(payloads: Dict[int, Any]) -> Dict[int, Any]:
@@ -364,22 +322,20 @@ class CommRecord:
     def uncontended(self) -> bool:
         """True when every wire booking of this communicator's members
         happens in its sender's own program order, so the order in
-        which members are evaluated cannot move a clock: one switched
-        node, so each device pair has a private directed wire, no
-        device hosting two ranks of the run, and no option that
-        observes the members' interleaving — tracing or the online
-        tuner (its fit reads whichever samples members have returned
-        by then).  Where it holds, the CCL rendezvous finish in one
-        pass (:class:`CollectiveSlot`) and, without a fault plan,
-        central replay runs (:mod:`repro.mpi.coll.replay`).  A fault
-        plan cannot see the order members leave a CCL rendezvous in: a
-        kill fires on a clock advance, and no copy-out advances one; a
-        message rule sees a hinted group's rows before the deposit."""
+        which members are evaluated cannot move a clock — central
+        replay's shape condition (:mod:`repro.mpi.coll.replay`): one
+        switched node, so each device pair has a private directed wire,
+        no device hosting two ranks of the run, and no option that
+        observes the members' interleaving — tracing, the online tuner
+        (its fit reads whichever samples members have returned by then)
+        or a fault plan that names a rule (one that names none is no
+        plan)."""
         e = self._engine
         cluster = e.cluster
         return (cluster.node_count == 1 and cluster.nodes[0].switched
                 and len({d.global_id for d in e._devices}) == e.nranks
-                and not e.options["trace"] and not e.options["online_tune"])
+                and not e.options["trace"] and not e.options["online_tune"]
+                and (e.faults is None or e.faults.plan.empty))
 
     @functools.cached_property
     def shape(self):

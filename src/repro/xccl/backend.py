@@ -28,12 +28,11 @@ A call completes on the rank's virtual clock before it returns: there
 is no device stream holding work behind the caller.
 
 Payloads travel as borrowed read-only views wherever the rendezvous
-proves every reader is done before the sender returns: a built-in's or
-a whole-group exchange's copy-outs all run while every member is still
-in its rendezvous — each member's own behind the consume barrier, or,
-on an uncontended communicator, every member's run by the member that
-computes (:class:`repro.sim.engine.CollectiveSlot`).  A send window
-that aliases a receive window of the same call is snapshotted instead
+proves every reader is done before the sender returns: the member
+that computes a built-in or a whole-group exchange runs every member's
+copy-out while the others are still parked in the rendezvous
+(:class:`repro.sim.engine.CollectiveSlot`).  A send window that aliases
+a receive window of the same call is snapshotted instead
 (copy-on-write), and the bulk mailbox transport always snapshots.
 
 Subclasses supply the vendor identity and constants.
@@ -492,7 +491,7 @@ class CCLBackend:
         # stage every send first so symmetric groups cannot deadlock.
         # The whole-group rendezvous is the one transport whose exit is
         # synchronized on every rank, so only there may send snapshots
-        # become borrowed views (reclaimed at the consume barrier).
+        # become borrowed views (reclaimed once every copy-out ran).
         seqs, rows, by_dst = self._stage(ctx, sends, recvs, t0,
                                          exchange is not None)
         if ctx.trace.enabled:
@@ -527,9 +526,10 @@ class CCLBackend:
             pending, unclaimed = [], []
 
             def claim(deposits) -> None:
-                # this member's copy-out, on whichever thread the slot
-                # runs it: take each receive's row, land every exchanged
-                # view, materialize inbound rows no receive claims
+                # this member's copy-out, run by the member that
+                # completes the rendezvous: take each receive's row,
+                # land every exchanged view, materialize inbound rows
+                # no receive claims
                 inbound = {(sender, their_seqs[i]): their_rows[i]
                            for sender, mine, (their_seqs, their_rows)
                            in deposits for i in mine}
@@ -566,7 +566,7 @@ class CCLBackend:
                 _land(ctx, claimed, landed, arrivals_in, transport)
 
             slot.exchange_for(exchange.rank, by_dst, (seqs, rows), ctx.rank,
-                              claim, exchange.record.uncontended)
+                              claim)
             fastpath.STATS.fusion_exchanges += 1
             if unclaimed:
                 ctx.mailbox.deliver_many(unclaimed)
@@ -587,13 +587,12 @@ class CCLBackend:
 
         ``consume(result, data)`` is this rank's copy-out (``data``:
         every rank's payload, by communicator rank, built once per
-        call), run while every rank is still in the rendezvous — the
-        window in which borrowed payload views and pooled accumulators
-        may be read: by the computing rank for all, on an uncontended
-        communicator, else on this rank's own thread behind the consume
-        barrier (:class:`repro.sim.engine.CollectiveSlot`).
-        ``cleanup(result)`` runs once, after the last copy-out — where
-        pooled scratch is returned.
+        call), run by the computing rank while every rank is still in
+        the rendezvous — the window in which borrowed payload views and
+        pooled accumulators may be read
+        (:class:`repro.sim.engine.CollectiveSlot`).  ``cleanup(result)``
+        runs once, after the last copy-out — where pooled scratch is
+        returned.
 
         When tracing is on, the call records one ``ccl`` span from this
         rank's deposit to the collective's completion time — the only
@@ -614,7 +613,7 @@ class CCLBackend:
             (lambda res: cleanup(res[0]))
         t_done = slot.exchange(comm.rank, (payload, ctx.now), _run,
                                lambda res: consume(res[0], res[2]),
-                               _cleanup, comm.record.uncontended)[1]
+                               _cleanup)[1]
         ctx.clock.merge(t_done)
         # key = ("xccl", uid, kind, seq) — see XCCLComm.next_coll_key
         if ctx.trace.enabled:

@@ -1,15 +1,13 @@
-"""The CCL rendezvous: one pass where no order can move a clock, the
-consume barrier elsewhere.
+"""The CCL rendezvous: the last member to arrive finishes it.
 
 A fused built-in (§3.2) and a hinted group exchange (§3.3) are one
-engine rendezvous each.  On an uncontended communicator
-(``CommRecord.uncontended``: one switched node, a rank per device,
-untraced, untuned) the member that computes runs every member's
-copy-out and the members leave in the consume barrier's order, so each
-member parks once; elsewhere each member copies out on its own thread
-behind the barrier.  The two ways must agree on everything but the two
-scheduling counters, and a copy-out that fails must fail the call on
-every member on either way.
+engine rendezvous each.  The member that computes the call runs every
+member's copy-out while the others are parked in the rendezvous, then
+lets them go in a fixed order (``CollectiveSlot``), so each member
+parks once a call.  Bytes, clocks and every counter but the two
+scheduling ones are those recorded when each member copied out on its
+own thread and waited at an exit barrier, on one node and on two, and a
+copy-out that fails fails the call on every member.
 """
 
 import hashlib
@@ -25,10 +23,32 @@ from repro.hw.memory import NO_CONTENTS, DeviceBuffer, storage_free
 from repro.hw.systems import make_system
 from repro.mpi import SUM
 from repro.mpi.communicator import IN_PLACE
-from repro.sim.engine import CollectiveSlot, CommRecord, Engine
+from repro.sim.engine import Engine
 
 #: the counters that count how the host scheduled the ranks
 SCHEDULING = ("coop_parks", "coop_switches")
+
+#: the 8-rank engines the rendezvous run on: (system, nodes)
+SHAPES = {"thetagpu-1x8": ("thetagpu", 1), "voyager-1x8": ("voyager", 1),
+          "thetagpu-2x4": ("thetagpu", 2)}
+
+#: :func:`_record` of :func:`_every_rendezvous` per shape and payload
+#: arm, recorded with each member's copy-out run on its own thread
+#: behind an exit barrier (every member but one parked twice a call)
+FROZEN = {
+    ("thetagpu-1x8", "real"):
+        "34349d1d63d35e03f05b59af619308b4500968d1",
+    ("thetagpu-1x8", "storage-free"):
+        "184e86168d671532826ba45e284032b1997826db",
+    ("voyager-1x8", "real"):
+        "126ff8b4b04f09702fec4f6b39d629cc7f92dfc4",
+    ("voyager-1x8", "storage-free"):
+        "f2262500f404c134b09e714475412774592502c8",
+    ("thetagpu-2x4", "real"):
+        "60a8fc38b71a5664400e386ab33491c550d902b8",
+    ("thetagpu-2x4", "storage-free"):
+        "0e7c0ec89523a33727baf891d3ace161519a1667",
+}
 
 
 def _digest(buf):
@@ -88,36 +108,32 @@ def _every_rendezvous(ctx):
     return log
 
 
-def _barrier_everywhere(monkeypatch):
-    """Every communicator contended: the CCL rendezvous take the consume
-    barrier (and no MPI-route key runs centrally)."""
-    monkeypatch.setattr(CommRecord, "uncontended", property(lambda self: False))
+def _engine(shape, payloads=True, **options):
+    system, nodes = SHAPES[shape]
+    return Engine(make_system(system, nodes, payloads=payloads), nranks=8,
+                  ranks_per_node=8 // nodes, **options)
 
 
-def _run(system, payloads, body=_every_rendezvous, **options):
-    engine = Engine(make_system(system, 1, payloads=payloads), nranks=8,
-                    **options)
-    logs = engine.run(body)
-    return logs, fastpath.STATS.snapshot()
+def _record(shape, payloads):
+    """One digest of every rank's log and every non-zero counter but the
+    scheduling ones."""
+    logs = _engine(shape, payloads).run(_every_rendezvous)
+    counters = {k: v for k, v in sorted(fastpath.STATS.snapshot().items())
+                if v and k not in SCHEDULING}
+    if payloads:
+        assert any(digest for digest, _ in logs[0])
+    return hashlib.sha1(repr((logs, counters)).encode()).hexdigest()
 
 
 @pytest.mark.parametrize("payloads", [True, False], ids=["real", "storage-free"])
-@pytest.mark.parametrize("system", ["thetagpu", "voyager"])
-def test_one_pass_equals_the_consume_barrier(monkeypatch, system, payloads):
+@pytest.mark.parametrize("shape", SHAPES)
+def test_every_rendezvous_keeps_the_exit_barriers_record(shape, payloads):
     """Bytes, clocks and every counter but the two scheduling ones are
-    the barrier's; the one pass parks ``P - 2`` times less a call."""
-    one_pass, counters = _run(system, payloads)
-    with monkeypatch.context() as patch:
-        _barrier_everywhere(patch)
-        barrier, barrier_counters = _run(system, payloads)
-    assert one_pass == barrier
-    moved = {k for k in counters if counters[k] != barrier_counters[k]}
-    assert moved == set(SCHEDULING)
-    calls = len(one_pass[0])
-    assert barrier_counters["coop_parks"] - counters["coop_parks"] \
-        == calls * (8 - 2)
-    if payloads:
-        assert any(digest for digest, _ in one_pass[0])
+    those of the exit barrier, contended (two nodes) or not.  The order
+    members leave in matters on two nodes: with the computing member
+    going on first, both two-node records move."""
+    arm = "real" if payloads else "storage-free"
+    assert _record(shape, payloads) == FROZEN[shape, arm]
 
 
 def _calls(kind, k):
@@ -133,38 +149,17 @@ def _calls(kind, k):
     return body
 
 
+@pytest.mark.parametrize("shape", ["thetagpu-1x8", "thetagpu-2x4"])
 @pytest.mark.parametrize("kind", ["fused", "group"])
-def test_each_member_parks_once_a_call(monkeypatch, kind):
-    """On one switched node each CCL call parks every member once (the
-    computing member after the copy-outs, the others at the deposit);
-    behind the consume barrier all but one park twice."""
+def test_each_member_parks_once_a_call(kind, shape):
+    """Each CCL call parks every member once: the computing member
+    after the copy-outs, the others at the deposit (an exit barrier
+    parked all but one twice: ``2 * (8 - 1)``)."""
     def parks(k):
-        Engine(make_system("thetagpu", 1), nranks=8).run(_calls(kind, k))
+        _engine(shape).run(_calls(kind, k))
         return fastpath.STATS.snapshot()["coop_parks"]
 
     assert parks(3) - parks(2) == 8
-    with monkeypatch.context() as patch:
-        _barrier_everywhere(patch)
-        assert parks(3) - parks(2) == 2 * (8 - 1)
-
-
-def test_two_nodes_keep_the_consume_barrier(monkeypatch):
-    """A contended communicator still leaves through the barrier: every
-    member enters it, on every CCL call."""
-    entered = []
-    barrier = CollectiveSlot.consume_barrier
-
-    def spy(self, rank, cleanup=None, result=None):
-        entered.append(rank)
-        return barrier(self, rank, cleanup, result)
-
-    monkeypatch.setattr(CollectiveSlot, "consume_barrier", spy)
-    Engine(make_system("thetagpu", 2), nranks=8, ranks_per_node=4).run(
-        _calls("fused", 2))
-    assert sorted(entered) == sorted(list(range(8)) * 2)
-    entered.clear()
-    Engine(make_system("thetagpu", 1), nranks=8).run(_calls("group", 2))
-    assert entered == []
 
 
 def _one_member_storage_free(call, member):
@@ -198,16 +193,16 @@ def _one_member_storage_free(call, member):
     return body
 
 
+@pytest.mark.parametrize("shape", ["thetagpu-1x8", "thetagpu-2x4"])
 @pytest.mark.parametrize("trace", [False, True], ids=["untraced", "traced"])
 @pytest.mark.parametrize("member", [3, 5])
 @pytest.mark.parametrize("call", ["bcast", "reduce", "allgather", "alltoall"])
-def test_a_failed_copy_out_raises_on_every_member(call, member, trace):
+def test_a_failed_copy_out_raises_on_every_member(call, member, trace, shape):
     """Whichever members' copy-outs fail, every member raises the
     lowest-ranked one's ``NO_CONTENTS`` — none returns, none is left
     waiting for the others to consume."""
-    engine = Engine(make_system("thetagpu", 1), nranks=8, trace=trace)
     with pytest.raises(RankFailedError) as failed:
-        engine.run(_one_member_storage_free(call, member))
+        _engine(shape, trace=trace).run(_one_member_storage_free(call, member))
     failures = failed.value.failures
     assert sorted(failures) == list(range(8))
     assert all(isinstance(exc, InvalidBufferError) and NO_CONTENTS in str(exc)
