@@ -18,7 +18,7 @@ variable                meaning
 =====================  =================================================
 
 The last two are the options :class:`repro.sim.engine.Engine`
-documents (``run_spmd`` / ``runtime.run`` forward them): off unless the
+documents (``runtime.run`` forwards them): off unless the
 variable is set to something truthy, resolved once when the engine is
 built.  Routes are not options: the hierarchy and the mixed-vendor
 bridge are ``hier`` / ``bridge`` rows of a ``MPIX_TUNING_FILE`` table.

@@ -21,7 +21,6 @@ from repro.hw.memory import (
     HostBuffer,
     DeviceBuffer,
     is_device_buffer,
-    buffer_vendor,
 )
 from repro.hw.device import Accelerator, HostCPU
 from repro.hw.links import LinkModel, LinkKind
@@ -41,7 +40,6 @@ __all__ = [
     "HostBuffer",
     "DeviceBuffer",
     "is_device_buffer",
-    "buffer_vendor",
     "Accelerator",
     "HostCPU",
     "LinkModel",

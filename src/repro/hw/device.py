@@ -76,14 +76,6 @@ class Accelerator:
         """Bytes still available."""
         return self.hbm_bytes - self._allocated
 
-    def malloc(self, nbytes: int, dtype=np.uint8) -> DeviceBuffer:
-        """Allocate ``nbytes`` of device memory (``cudaMalloc``)."""
-        dtype = np.dtype(dtype)
-        if nbytes % dtype.itemsize:
-            raise InvalidBufferError(
-                f"{nbytes} bytes is not a multiple of itemsize {dtype.itemsize}")
-        return self.empty(nbytes // dtype.itemsize, dtype)
-
     def empty(self, count: int, dtype=np.float32) -> DeviceBuffer:
         """Allocate ``count`` uninitialized elements on the device."""
         self._check_capacity(int(count) * np.dtype(dtype).itemsize)

@@ -4,8 +4,7 @@ Real GPU-aware MPI runtimes ask the driver where a pointer lives
 (``cudaPointerGetAttributes`` and friends) — the "Device Buffer
 Identify" box of the paper's Fig. 2.  Here device memory is numpy
 memory tagged with its owning :class:`~repro.hw.device.Accelerator`,
-and residency queries are :func:`is_device_buffer` /
-:func:`buffer_vendor`.
+and the residency query is :func:`is_device_buffer`.
 
 Buffers support zero-copy element-range views (``buf.view(off, n)``) so
 collective algorithms can operate on segments without copies, per the
@@ -82,27 +81,10 @@ class Buffer:
         self.array = array
         self._freed = False
 
-    # -- introspection --------------------------------------------------
-
-    @property
-    def nbytes(self) -> int:
-        """Size of the buffer in bytes."""
-        return int(self.array.nbytes)
-
-    @property
-    def count(self) -> int:
-        """Number of elements."""
-        return int(self.array.size)
-
     @property
     def dtype(self) -> np.dtype:
         """numpy dtype of the elements."""
         return self.array.dtype
-
-    @property
-    def on_device(self) -> bool:
-        """True for device-resident buffers."""
-        return False
 
     def _check_live(self) -> None:
         if self._freed:
@@ -113,16 +95,13 @@ class Buffer:
     def view(self, offset: int, count: Optional[int] = None) -> "Buffer":
         """A zero-copy sub-buffer of ``count`` elements at ``offset``."""
         self._check_live()
-        size = self.array.size  # not ``self.count``: a call per segment
+        size = self.array.size
         if count is None:
             count = size - offset
         if offset < 0 or count < 0 or offset + count > size:
             raise InvalidBufferError(
                 f"view [{offset}:{offset + count}] out of range for {size} elements")
         return self._make_view(self.array[offset:offset + count])
-
-    def _make_view(self, arr: np.ndarray) -> "Buffer":
-        return Buffer(arr)
 
     def fill(self, value) -> None:
         """Set every element to ``value`` (in place; nothing to set
@@ -147,9 +126,6 @@ class Buffer:
             raise InvalidBufferError(NO_CONTENTS)
         return self.array.copy()
 
-    def __len__(self) -> int:
-        return self.count
-
 
 class HostBuffer(Buffer):
     """Pinned host memory (what MPI stages device data through)."""
@@ -172,7 +148,7 @@ class DeviceBuffer(Buffer):
     """Accelerator-resident memory, allocated by an :class:`Accelerator`.
 
     Construction goes through :meth:`Accelerator.empty` /
-    :meth:`Accelerator.malloc`, which account the allocation against
+    :meth:`Accelerator.zeros`, which account the allocation against
     the device's HBM capacity (Table 1: 40 GB on A100, 32 GB on MI100
     and Gaudi).
     """
@@ -185,17 +161,8 @@ class DeviceBuffer(Buffer):
         self.device = device
         # a view holds its root (alive, and the freed flag is the root's); a
         # root holds None, not itself: no cycle, so it dies with its last
-        # reference.  Test ``is None`` — ``__len__`` makes an empty view falsy
+        # reference
         self._root = root
-
-    @property
-    def on_device(self) -> bool:
-        return True
-
-    @property
-    def vendor(self):
-        """Vendor of the owning device."""
-        return self.device.vendor
 
     def _check_live(self) -> None:
         root = self._root
@@ -233,13 +200,6 @@ def is_device_buffer(obj) -> bool:
     one uniform query, regardless of vendor.
     """
     return isinstance(obj, DeviceBuffer)
-
-
-def buffer_vendor(obj) -> Optional["object"]:
-    """Vendor of a device buffer, or None for host memory / arrays."""
-    if isinstance(obj, DeviceBuffer):
-        return obj.device.vendor
-    return None
 
 
 def as_array(obj) -> np.ndarray:

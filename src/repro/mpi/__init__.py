@@ -24,7 +24,6 @@ from repro.mpi.request import Request
 from repro.mpi.config import MPIConfig
 from repro.mpi.communicator import Communicator, ANY_SOURCE, ANY_TAG, IN_PLACE
 from repro.mpi.derived import DerivedDatatype, contiguous, vector, indexed
-from repro.mpi.cart import CartComm, dims_create
 
 __all__ = [
     "Datatype", "BYTE", "CHAR", "INT8", "INT16", "INT32", "INT64",
@@ -36,5 +35,4 @@ __all__ = [
     "Status", "Request", "MPIConfig", "Communicator",
     "ANY_SOURCE", "ANY_TAG", "IN_PLACE",
     "DerivedDatatype", "contiguous", "vector", "indexed",
-    "CartComm", "dims_create",
 ]

@@ -20,7 +20,8 @@ import numpy as np
 
 from repro import fastpath
 from repro.errors import (CommRevokedError, DeadlockError, MPICommError,
-                          MPICountError, MPIRankError, RankKilledError)
+                          MPICountError, MPIRankError, MPITypeError,
+                          RankKilledError)
 from repro.hw.memory import Buffer, as_array, copy_payload
 from repro.mpi.compute import alloc_like
 from repro.mpi.config import MPIConfig, mvapich_gpu
@@ -636,8 +637,10 @@ class Communicator:
         Both windows must hold what the call moves (:data:`_WINDOWS`),
         or :class:`MPICountError` is raised here, before any route runs,
         with one text on every route.  In place, the receive window
-        holds this rank's contribution as well.  (Inline: this runs on
-        every collective call, and a helper would be calls of its own.)
+        holds this rank's contribution as well.  A derived ``datatype``
+        raises :class:`MPITypeError` (:func:`_refuse_derived`).
+        (Inline: this runs on every collective call, and a helper would
+        be calls of its own.)
         """
         self._check_live()
         if ref is IN_PLACE:
@@ -646,7 +649,12 @@ class Communicator:
         arr = as_array(ref)
         # resolved inline: a lookup by the array's dtype, and an op
         # checked once per datatype (helpers would be calls of their own)
-        dt = datatype or _BY_NP.get(arr.dtype) or datatype_of(ref)
+        if datatype is None:
+            dt = _BY_NP.get(arr.dtype) or datatype_of(ref)
+        else:
+            dt = datatype
+            if isinstance(dt, DerivedDatatype):
+                _refuse_derived(coll, dt)
         if count is None:
             count = arr.size // share
         if count < 0:
@@ -698,9 +706,12 @@ class Communicator:
         buffer, or :class:`MPICountError` is raised here, before any
         route runs: each non-empty block of a vector side (at the root
         alone when the collective has one), and this rank's block of
-        the side without a vector.
+        the side without a vector.  A derived ``datatype`` raises
+        :class:`MPITypeError` (:func:`_refuse_derived`).
         """
         self._check_live()
+        if isinstance(datatype, DerivedDatatype):
+            _refuse_derived(coll, datatype)
         if ref is IN_PLACE:
             ref = recvbuf if sendbuf is IN_PLACE else sendbuf
         call = CollectiveCall(coll, self, sendbuf, recvbuf,
@@ -1044,12 +1055,6 @@ def spans_world(ctx_id: str) -> bool:
         and all(part[:1] == "d" for part in tail)
 
 
-def start_all(requests: Sequence["PersistentRequest"]) -> None:
-    """``MPI_Startall``."""
-    for r in requests:
-        r.Start()
-
-
 def _split_groups(payloads) -> Dict[int, Tuple[int, ...]]:
     """``Split``'s rendezvous, computed once for every member: color ->
     its world ranks ordered by ``(key, world rank)``, one shared tuple."""
@@ -1085,6 +1090,15 @@ def _contribution(sendbuf, recvbuf):
     """The buffer holding this rank's input: ``recvbuf`` for the
     in-place spellings."""
     return recvbuf if sendbuf is IN_PLACE or sendbuf is None else sendbuf
+
+
+def _refuse_derived(coll: str, datatype: DerivedDatatype) -> None:
+    """:class:`MPITypeError` for a derived type in a collective: only
+    point-to-point packs a derived layout (docs/api.md), so every member
+    passing one is refused alike, before anything is sent."""
+    raise MPITypeError(
+        f"{coll}: derived datatype {datatype.name} is supported on "
+        f"point-to-point only; pass its base type {datatype.base.name}")
 
 
 def _fit_blocks(coll: str, side: str, buf, counts: Sequence[int],

@@ -50,9 +50,6 @@ class Datatype:
         """Wire size per element in bytes."""
         return self.wire_itemsize
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return self.name
-
 
 def _dt(name: str, np_dtype, wire: Optional[int] = None, **kind) -> Datatype:
     storage = np.dtype(np_dtype)

@@ -113,9 +113,6 @@ class DerivedDatatype:
         idx = self._indices(count)
         arr[idx] = flat if flat.dtype == arr.dtype else flat.astype(arr.dtype)
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return self.name
-
 
 def contiguous(count: int, base: Datatype) -> DerivedDatatype:
     """``MPI_Type_contiguous``: ``count`` consecutive elements."""

@@ -51,10 +51,6 @@ class Op:
         if dt.is_logical and self.name in _ARITH:
             raise MPIOpError(f"{self.name} undefined for logical type {dt.name}")
 
-    def __call__(self, acc: np.ndarray, operand: np.ndarray) -> np.ndarray:
-        """Apply the reduction (returns the reduced array)."""
-        return self.fn(acc, operand)
-
     def reduce_into(self, acc: np.ndarray, operand: np.ndarray) -> None:
         """``acc[...] = fn(acc, operand)``, writing through ``out=``
         when the reducer is a raw ufunc over matching dtypes (bitwise
@@ -71,9 +67,6 @@ class Op:
             self.fn(acc, operand, out=acc)
         else:
             acc[...] = self.fn(acc, operand)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return self.name
 
 
 def _logical(fn):

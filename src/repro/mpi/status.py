@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from repro.mpi.datatypes import Datatype
-
 
 class Status:
     """Result metadata of a completed receive.
@@ -24,8 +22,3 @@ class Status:
         self.count = count
         self.nbytes = nbytes
 
-    def get_count(self, datatype: Datatype) -> int:
-        """Element count interpreted in ``datatype`` (``MPI_Get_count``)."""
-        if datatype.itemsize == 0:
-            return 0
-        return self.nbytes // datatype.itemsize

@@ -30,20 +30,14 @@ def _memoized(fn):
     """Memoize a closed-form collective model.
 
     The models are pure in (params, shape, nbytes) — both dataclasses
-    are frozen/hashable — except MSCCL, whose result also depends on
-    the mutable program registry; its registry version joins the key so
-    runtime ``load()`` calls invalidate stale entries.  ``__wrapped__``
-    is the model itself.
+    are frozen/hashable, and MSCCL's program registry is fixed at
+    construction.  ``__wrapped__`` is the model itself.
     """
     cache = {}
 
     @functools.wraps(fn)
     def wrapper(params: CCLParams, shape: CommShape, nbytes: int) -> float:
-        if params.name == "msccl":
-            from repro.xccl.msccl_programs import default_registry
-            key = (params, shape, nbytes, default_registry().version)
-        else:
-            key = (params, shape, nbytes)
+        key = (params, shape, nbytes)
         try:
             return cache[key]
         except KeyError:

@@ -14,7 +14,7 @@ data and merges clocks.
 
 from repro.sim.clock import VirtualClock
 from repro.sim.mailbox import Mailbox, Message, ANY_SOURCE, ANY_TAG
-from repro.sim.engine import Engine, RankContext, run_spmd
+from repro.sim.engine import Engine, RankContext
 from repro.sim.faults import FaultPlan, FaultInjector, with_faults
 from repro.sim.sched import CoopScheduler, CoopWaitq, ThreadWaitq
 from repro.sim.tracing import Trace, TraceEvent
@@ -28,7 +28,6 @@ __all__ = [
     "ANY_TAG",
     "Engine",
     "RankContext",
-    "run_spmd",
     "FaultPlan",
     "FaultInjector",
     "with_faults",

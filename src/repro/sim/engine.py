@@ -1,6 +1,6 @@
 """SPMD launcher: rank programs, virtual clocks, shared slots.
 
-:func:`run_spmd` is the ``mpiexec`` of this reproduction: it places
+:meth:`Engine.run` is the ``mpiexec`` of this reproduction: it places
 ``nranks`` rank programs onto a cluster's accelerators (block,
 node-major — the paper's one-rank-per-device configuration), runs
 them, and returns their per-rank return values.  Ranks run as
@@ -407,7 +407,7 @@ class RankContext:
 
         A key names one rendezvous: a key its issuer repeats carries the
         issuer's occurrence number (``XCCLComm.next_coll_key``'s
-        sequence, a communicator's ``split`` / ``win`` / ULFM counters,
+        sequence, a communicator's ``split`` / ULFM counters,
         :attr:`program_seq`), so the Nth occurrence on one rank meets the
         Nth on every other rank.  A rank reaching an unfinished slot it
         already joined raises :class:`SimulationError`.
@@ -747,19 +747,3 @@ class Engine:
         for rec in self.records.values():
             rec.central_slots.clear()
             rec.call_records.clear()
-
-
-def run_spmd(cluster: Cluster, fn: Callable[..., Any], nranks: Optional[int] = None,
-             ranks_per_node: Optional[int] = None, trace: Optional[bool] = None,
-             *args: Any, online_tune: Optional[bool] = None,
-             **kwargs: Any) -> List[Any]:
-    """One-shot convenience wrapper: build an :class:`Engine` (which
-    documents the two options) and run.
-
-    >>> cluster = make_system("thetagpu", 1)          # doctest: +SKIP
-    >>> run_spmd(cluster, lambda ctx: ctx.rank, nranks=4)   # doctest: +SKIP
-    [0, 1, 2, 3]
-    """
-    engine = Engine(cluster, nranks=nranks, ranks_per_node=ranks_per_node,
-                    trace=trace, online_tune=online_tune)
-    return engine.run(fn, *args, **kwargs)

@@ -67,7 +67,7 @@ next fiber's acquire — a happens-before edge — so state that only one
 engine's fibers touch during a run (or the caller's thread outside a
 run) is a plain attribute: mailboxes and rendezvous slots, wire
 bookings, payload leases, buffer pools, the fast-path counters, the
-online tuner, the engine's slot and elastic tables, RMA windows.
+online tuner, the engine's slot and elastic tables.
 
 The engine is the only waiter: a wait made outside a run fails at once.
 A caller that is not a fiber of the engine (the main thread before or

@@ -12,7 +12,6 @@ own launch overheads, algorithm constants (from
 The unified ``xccl*`` API of §3.1 lives in :mod:`repro.xccl.api`.
 """
 
-from repro.xccl.datatypes import ccl_dtype_name
 from repro.xccl.comm import XCCLComm
 from repro.xccl.backend import CCLBackend
 from repro.xccl.nccl import NCCLBackend
@@ -25,7 +24,6 @@ from repro.xccl.registry import get_backend, register_backend, available_backend
 from repro.xccl import api
 
 __all__ = [
-    "ccl_dtype_name",
     "XCCLComm",
     "CCLBackend",
     "NCCLBackend",

@@ -62,12 +62,6 @@ def mpi_names(ccl_types: FrozenSet[str]) -> FrozenSet[str]:
                      if ccl in ccl_types)
 
 
-def ccl_dtype_name(dt: Datatype) -> Optional[str]:
-    """The xccl datatype name for an MPI datatype, or None when no CCL
-    can represent it (complex, bool, 16-bit ints)."""
-    return _CCL_NAMES.get(dt.name)
-
-
 def require_support(desc, dt: Datatype) -> str:
     """The xccl datatype name, or raise :class:`CCLUnsupportedDatatype`
     when capability descriptor ``desc`` lacks ``dt`` — the conversion

@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from repro.errors import ConfigError
-
 
 @dataclass(frozen=True)
 class MSCCLProgram:
@@ -74,16 +72,6 @@ class ProgramRegistry:
     def __init__(self, programs: Optional[Tuple[MSCCLProgram, ...]] = None) -> None:
         self._programs: List[MSCCLProgram] = list(
             programs if programs is not None else DEFAULT_PROGRAMS)
-        #: bumped on every load; memoized cost-model evaluations key on
-        #: it so runtime-loaded programs invalidate stale entries.
-        self.version = 0
-
-    def load(self, program: MSCCLProgram) -> None:
-        """Register one more compiled program (``mscclLoadAlgo``)."""
-        if program.peak_speedup <= 0:
-            raise ConfigError(f"program {program.name} has non-positive speedup")
-        self._programs.append(program)
-        self.version += 1
 
     def best(self, collective: str, nbytes: int, p: int) -> Optional[MSCCLProgram]:
         """The fastest active program for a call, or None."""

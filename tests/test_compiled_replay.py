@@ -92,7 +92,7 @@ def _body(ctx, algorithms, variants):
             send = ctx.device.zeros(max(wide, 2 * p), dtype=dtype)
             recv = ctx.device.zeros(max(wide, 2 * p), dtype=dtype)
             for k in range(CALLS):
-                fill = (np.arange(send.count) % 5 + rank + 4 * k).astype(dtype)
+                fill = (np.arange(send.array.size) % 5 + rank + 4 * k).astype(dtype)
                 send.array[:] = fill
                 recv.array[:] = -1
                 src = IN_PLACE if in_place else send

@@ -530,7 +530,7 @@ def _replay_body(ctx):
             send = ctx.device.zeros(max(wide, 2 * p), dtype=np.float32)
             recv = ctx.device.zeros(max(wide, 2 * p), dtype=np.float32)
             for k in range(3):
-                fill = np.arange(send.count, dtype=np.float32) % 5 + rank \
+                fill = np.arange(send.array.size, dtype=np.float32) % 5 + rank \
                     + 4 * k
                 send.array[:] = fill
                 recv.array[:] = -1.0

@@ -6,6 +6,7 @@ import pytest
 from repro.core import DispatchMode, run
 from repro.core.fallback import RouteDecision, Route, FallbackReason, RouteStats
 from repro.errors import ConfigError
+from repro.hw.memory import is_device_buffer
 from repro.hw.systems import make_system
 from repro.mpi import SUM
 
@@ -40,7 +41,7 @@ class TestContext:
     def test_device_array(self):
         def body(mpx):
             buf = mpx.device_array(16, dtype=np.float64, fill=2.5)
-            return (buf.on_device, buf.dtype == np.float64,
+            return (is_device_buffer(buf), buf.dtype == np.float64,
                     float(buf.array.sum()))
 
         assert run(body, system="thetagpu", nranks=1)[0] == (True, True, 40.0)

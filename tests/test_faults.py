@@ -481,8 +481,8 @@ class TestRulesInsideTheExchange:
                     for i in range(3)]
             xcclGroupStart(xc if hinted else None)
             for i in range(3):
-                xcclSend(outs[i], outs[i].count, FLOAT, peer, xc)
-                xcclRecv(ins_[i], ins_[i].count, FLOAT, src, xc)
+                xcclSend(outs[i], outs[i].array.size, FLOAT, peer, xc)
+                xcclRecv(ins_[i], ins_[i].array.size, FLOAT, src, xc)
             xcclGroupEnd()
             return ctx.now
 

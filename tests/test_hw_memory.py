@@ -10,7 +10,6 @@ from repro.errors import DeviceMemoryError, InvalidBufferError
 from repro.hw.memory import (
     HostBuffer,
     as_array,
-    buffer_vendor,
     has_storage,
     is_device_buffer,
 )
@@ -30,7 +29,6 @@ class TestHostBuffer:
 
     def test_not_device(self):
         assert not is_device_buffer(HostBuffer.zeros(4))
-        assert buffer_vendor(HostBuffer.zeros(4)) is None
 
     def test_fill_and_copy(self):
         a = HostBuffer.zeros(4)
@@ -48,7 +46,7 @@ class TestHostBuffer:
         v = a.view(2, 3)
         v.fill(1.0)
         assert a.array[2:5].sum() == 3.0
-        assert v.count == 3
+        assert v.array.size == 3
 
     def test_view_bounds(self):
         a = HostBuffer.zeros(8)
@@ -102,13 +100,13 @@ class TestDeviceBuffer:
 
     def test_over_capacity(self, device):
         with pytest.raises(DeviceMemoryError):
-            device.malloc(device.hbm_bytes + 1)
+            device.empty(device.hbm_bytes + 1, dtype=np.uint8)
 
     def test_residency_and_vendor(self, device):
         buf = device.empty(4)
         assert is_device_buffer(buf)
-        assert buffer_vendor(buf) is Vendor.NVIDIA
-        assert buffer_vendor(voyager(1).devices[0].empty(4)) is Vendor.HABANA
+        assert buf.device.vendor is Vendor.NVIDIA
+        assert voyager(1).devices[0].empty(4).device.vendor is Vendor.HABANA
 
     def test_from_numpy_is_copy(self, device):
         src = np.arange(8, dtype=np.float64)
@@ -133,10 +131,6 @@ class TestDeviceBuffer:
         assert np.array_equal(device.from_numpy(grid.T).array,
                               grid.T.ravel())
 
-    def test_malloc_itemsize_mismatch(self, device):
-        with pytest.raises(InvalidBufferError):
-            device.malloc(7, dtype=np.float32)
-
     @given(st.integers(min_value=1, max_value=4096),
            st.integers(min_value=0, max_value=4095))
     def test_view_invariants(self, count, offset):
@@ -144,8 +138,8 @@ class TestDeviceBuffer:
         buf = device.empty(4096, dtype=np.uint8)
         if offset + count <= 4096:
             v = buf.view(offset, count)
-            assert v.count == count
-            assert v.on_device
+            assert v.array.size == count
+            assert is_device_buffer(v)
         else:
             with pytest.raises(InvalidBufferError):
                 buf.view(offset, count)
@@ -170,15 +164,15 @@ class TestStorageFree:
         finally:
             tracemalloc.stop()
         assert peak < 4096
-        assert (buf.count, buf.dtype, buf.nbytes) == \
+        assert (buf.array.size, buf.dtype, buf.array.nbytes) == \
             (1 << 30, np.float32, 4 << 30)
-        assert zeroed.nbytes == 8 << 30 and buf.on_device
+        assert zeroed.array.nbytes == 8 << 30 and is_device_buffer(buf)
         assert not has_storage(buf.array)
         assert has_storage(thetagpu(1).devices[0].empty(4).array)
 
     def test_accounting_matches_a_real_device(self, shapes_only, device):
         for dev in (device, shapes_only):
-            buf = dev.malloc(4096, dtype=np.float32)
+            buf = dev.empty(1024, dtype=np.float32)
             assert dev.allocated_bytes == 4096
             with pytest.raises(DeviceMemoryError):
                 dev.empty(dev.free_bytes // 4 + 1, dtype=np.float32)
@@ -195,7 +189,7 @@ class TestStorageFree:
     def test_views_bounds_and_freed_flag(self, shapes_only):
         root = shapes_only.empty(16)
         views = [root.view(0, 8), root.view(4, 0), root.view(0, 8).view(2, 2)]
-        assert [v.count for v in views] == [8, 0, 2]
+        assert [v.array.size for v in views] == [8, 0, 2]
         with pytest.raises(InvalidBufferError):
             root.view(12, 8)
         with pytest.raises(InvalidBufferError):

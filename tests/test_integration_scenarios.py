@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from repro.core import run
-from repro.mpi import DOUBLE, FLOAT, SUM, vector
-from repro.mpi.cart import CartComm
-from repro.mpi.rma import Win
+from repro.mpi import FLOAT, SUM, vector
+from repro.mpi.request import waitall
 
 
 class TestMultiSystemPortability:
@@ -48,29 +47,36 @@ class TestMultiSystemPortability:
 
 
 class TestMixedWorkflow:
-    def test_split_rma_collectives_interleave(self, thetagpu1):
-        """Sub-communicators, one-sided windows, and hybrid collectives
-        in one program — context isolation must hold throughout."""
+    def test_split_p2p_collectives_interleave(self, thetagpu1):
+        """Sub-communicators, world point-to-point left in flight, and
+        hybrid collectives in one program — context isolation must hold
+        throughout."""
 
         def body(mpx):
             comm = mpx.COMM_WORLD
             sub = mpx.attach(comm.Split(color=mpx.rank % 2, key=mpx.rank))
-            win = Win.allocate(comm, 4, DOUBLE)
-            win.fence()
             contrib = mpx.device_array(4, dtype=np.float64,
                                        fill=float(mpx.rank))
-            win.accumulate(contrib, target_rank=0, op=SUM)
-            # collective on the sub-communicator while RMA is open
+            inbox = [mpx.device_array(4, dtype=np.float64)
+                     for _ in range(mpx.size)]
+            if mpx.rank == 0:
+                reqs = [comm.Irecv(inbox[src], source=src, tag=7)
+                        for src in range(1, mpx.size)]
+            else:
+                reqs = [comm.Isend(contrib, 0, tag=7)]
+            # collective on the sub-communicator while world p2p is open
             s = mpx.device_array(1 << 16, fill=1.0)
             r = mpx.device_array(1 << 16)
             sub.Allreduce(s, r, SUM)
-            win.fence()
-            return (float(r.array[0]),
-                    float(win.local.array[0]) if mpx.rank == 0 else None)
+            waitall(reqs)
+            total = mpx.device_array(4, dtype=np.float64)
+            comm.Allreduce(contrib, total, SUM)
+            return (float(r.array[0]), float(total.array[0]),
+                    sum(float(b.array[0]) for b in inbox))
 
         out = run(body, system=thetagpu1)
-        assert all(v[0] == 4.0 for v in out)      # 4 ranks per color
-        assert out[0][1] == sum(range(8))          # all accumulations landed
+        assert all(v[:2] == (4.0, sum(range(8))) for v in out)
+        assert out[0][2] == sum(range(8))          # every send landed
 
     def test_derived_types_with_hybrid_runtime(self, thetagpu1):
         """Derived-type p2p rides the MPI path while collectives route
@@ -100,18 +106,22 @@ class TestMixedWorkflow:
     def test_cart_grid_with_hybrid(self, thetagpu1):
         def body(mpx):
             comm = mpx.COMM_WORLD
-            grid = CartComm(comm, (2, 4), periods=[True, True])
-            _left, right = grid.shift(1, 1)
+            # a periodic 2 x 4 grid, row-major: shift along the rows
+            row, col = divmod(mpx.rank, 4)
+            right, left = row * 4 + (col + 1) % 4, row * 4 + (col - 1) % 4
             send = mpx.device_array(16, fill=float(mpx.rank))
             recv = mpx.device_array(16)
-            left, _r = grid.shift(1, 1)
             comm.Sendrecv(send, right, recv, left)
-            return recv.array[0]
+            big = mpx.device_array(1 << 18, fill=1.0)
+            out = mpx.device_array(1 << 18)
+            comm.Allreduce(big, out, SUM)
+            return recv.array[0], float(out.array[0])
 
         out = run(body, system=thetagpu1)
         # each rank receives from its left neighbour within its row,
         # wrapping periodically (rank 0's left neighbour is rank 3)
-        assert out[1] == 0.0 and out[0] == 3.0
+        assert out[1][0] == 0.0 and out[0][0] == 3.0
+        assert all(total == 8.0 for _, total in out)
 
     def test_latency_monotone_across_stacks(self, thetagpu1):
         """Every stack's allreduce latency grows with message size."""

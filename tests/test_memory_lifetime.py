@@ -53,7 +53,7 @@ def _body(mpx, count=MIB // 4):
     comm.Reduce(send.view(0, 64), recv.view(0, 64), SUM, root=0)
     comm.Bcast(mpx.device.from_numpy(np.ones(16, dtype=np.float32))
                if mpx.device.payloads else mpx.device_array(16), root=0)
-    return recv.count
+    return recv.array.size
 
 
 def _assert_run_leaves_nothing(cluster):

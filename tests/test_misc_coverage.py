@@ -156,11 +156,9 @@ class TestCompressionKnob:
 
 
 class TestEngineMisc:
-    def test_run_spmd_forwards_args(self, thetagpu1):
-        from repro.sim.engine import run_spmd
-
+    def test_engine_run_forwards_args(self, thetagpu1):
         def body(ctx, a, b=1):
             return ctx.rank + a + b
 
-        assert run_spmd(thetagpu1, body, 2, None, False, 5, b=2) == \
-            [7, 8]
+        assert Engine(thetagpu1, nranks=2, trace=False).run(body, 5, b=2) \
+            == [7, 8]

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from repro.hw.systems import make_system
 from repro.mpi import MAX, MIN, SUM, Communicator
 from repro.mpi.coll import MPICollDispatcher
-from repro.sim.engine import run_spmd
+from repro.sim.engine import Engine
 
 SETTINGS = dict(max_examples=12, deadline=None)
 
@@ -55,7 +55,7 @@ class TestAllreduceProperty:
             comm.Allreduce(send, recv, op)
             return recv.to_numpy()
 
-        outs = run_spmd(cluster, body, nranks=p)
+        outs = Engine(cluster, nranks=p).run(body)
         expect = ref(inputs)
         for out in outs:
             assert np.allclose(out, expect)
@@ -86,7 +86,7 @@ class TestAlltoallProperty:
             comm.Alltoall(send, recv)
             return recv.to_numpy().reshape(p, block)
 
-        outs = run_spmd(cluster, body, nranks=p)
+        outs = Engine(cluster, nranks=p).run(body)
         # out[dst][src] must equal data[src][dst] (global transpose)
         for dst, out in enumerate(outs):
             for src in range(p):
@@ -119,7 +119,7 @@ class TestGatherProperty:
             comm.Gather(send, recv, root=root)
             return recv.to_numpy() if ctx.rank == root else None
 
-        outs = run_spmd(cluster, body, nranks=p)
+        outs = Engine(cluster, nranks=p).run(body)
         assert np.allclose(outs[root], data.reshape(-1))
 
 
@@ -150,7 +150,7 @@ class TestBcastProperty:
             comm.Bcast(buf, root=root)
             return buf.to_numpy()
 
-        for out in run_spmd(cluster, body, nranks=p):
+        for out in Engine(cluster, nranks=p).run(body):
             assert np.array_equal(out, payload)
 
 
@@ -169,7 +169,7 @@ class TestVirtualTimeInvariants:
             comm.Allreduce(send, recv, SUM)
             return ctx.now - t0
 
-        times = run_spmd(cluster, body, nranks=p)
+        times = Engine(cluster, nranks=p).run(body)
         assert all(t > 0 for t in times)
 
     @settings(**SETTINGS)
@@ -189,5 +189,5 @@ class TestVirtualTimeInvariants:
                 out.append(ctx.now - t0)
             return out
 
-        small, large = run_spmd(cluster, body, nranks=p)[0]
+        small, large = Engine(cluster, nranks=p).run(body)[0]
         assert large > small

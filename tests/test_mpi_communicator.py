@@ -4,8 +4,8 @@ import pytest
 
 from repro.core import runtime
 from repro.errors import (MPICommError, MPICountError, MPIRankError,
-                          RankFailedError)
-from repro.mpi import SUM, Communicator
+                          MPITypeError, RankFailedError)
+from repro.mpi import FLOAT, SUM, Communicator, contiguous
 from repro.mpi.communicator import IN_PLACE
 from repro.mpi.config import mvapich_gpu
 from repro.sim.engine import Engine
@@ -396,6 +396,73 @@ def test_vector_window_past_the_end_fails_alike_on_every_route(mode, case):
     out = runtime.run(_past_the_end_body, system="thetagpu", nodes=1,
                       ranks_per_node=4, mode=mode, case=case)
     assert out == [(PAST_THE_END[case][1], True, 4.0)] * 4
+
+
+#: every collective spelling that takes ``datatype=``, as ``(comm, s, r,
+#: dt)`` with one instance per block (and root 0) where the spelling
+#: has them; ``s`` and ``r`` hold 16 elements, a 4-rank communicator
+_V4 = [1, 1, 1, 1]
+DATATYPED = dict(
+    Bcast=lambda c, s, r, dt: c.Bcast(r, 0, 1, dt),
+    Ibcast=lambda c, s, r, dt: c.Ibcast(r, 0, count=1, datatype=dt),
+    Bcast_init=lambda c, s, r, dt: c.Bcast_init(r, 0, 1, dt),
+    Reduce=lambda c, s, r, dt: c.Reduce(s, r, SUM, 0, 1, dt),
+    Reduce_init=lambda c, s, r, dt: c.Reduce_init(s, r, SUM, 0, 1, dt),
+    Gather=lambda c, s, r, dt: c.Gather(s, r, 0, 1, dt),
+    Scatter=lambda c, s, r, dt: c.Scatter(s, r, 0, 1, dt),
+    Allgatherv=lambda c, s, r, dt: c.Allgatherv(s, r, _V4, datatype=dt),
+    Gatherv=lambda c, s, r, dt: c.Gatherv(s, r, _V4, datatype=dt),
+    Scatterv=lambda c, s, r, dt: c.Scatterv(s, _V4, r, datatype=dt),
+    Alltoallv=lambda c, s, r, dt: c.Alltoallv(s, _V4, r, _V4, datatype=dt),
+    **{name: (lambda c, s, r, dt, name=name:
+              getattr(c, name)(s, r, count=1, datatype=dt))
+       for name in ("Allgather", "Allgather_init", "Alltoall",
+                    "Alltoall_init", "Ialltoall")},
+    **{name: (lambda c, s, r, dt, name=name:
+              getattr(c, name)(s, r, SUM, count=1, datatype=dt))
+       for name in ("Allreduce", "Allreduce_init", "Iallreduce",
+                    "Reduce_scatter_block", "Reduce_scatter_block_init",
+                    "Scan", "Exscan")},
+)
+
+
+def _derived_body(mpx):
+    """Every :data:`DATATYPED` spelling with a derived type: the text of
+    each ``MPITypeError``, whether the clock stayed put, and that the
+    communicator still works after them."""
+    comm = mpx.COMM_WORLD
+    s = mpx.device_array(16, fill=1.0)
+    r = mpx.device_array(16)
+    before = comm.now
+    raised = {}
+    for name, call in DATATYPED.items():
+        with pytest.raises(MPITypeError) as err:
+            call(comm, s, r, contiguous(4, FLOAT))
+        raised[name] = str(err.value)
+    still = comm.now == before
+    ok = mpx.device_array(4)
+    comm.Allreduce(mpx.device_array(4, fill=1.0), ok, SUM)
+    return raised, still, float(ok.array[0])
+
+
+@pytest.mark.parametrize("mode", ("pure_xccl", "hybrid"))
+def test_a_derived_datatype_in_a_collective_is_refused(mode):
+    """A derived type in any collective spelling raises ``MPITypeError``
+    naming the point-to-point-only limit, on every member, before any
+    virtual time is spent — where ``_uniform`` once raised
+    ``AttributeError: 'DerivedDatatype' object has no attribute
+    'storage'``."""
+    out = runtime.run(_derived_body, system="thetagpu", nodes=1,
+                      ranks_per_node=4, mode=mode)
+    limit = ("derived datatype contiguous(4) of MPI_FLOAT is supported on "
+             "point-to-point only; pass its base type MPI_FLOAT")
+    expected = {}
+    for name in DATATYPED:
+        coll = name.lower().removesuffix("_init")
+        if name in ("Ibcast", "Iallreduce", "Ialltoall"):
+            coll = coll[1:]
+        expected[name] = f"{coll}: {limit}"
+    assert out == [(expected, True, 4.0)] * 4
 
 
 def test_in_place_and_storage_free_windows_are_checked():

@@ -14,34 +14,34 @@ from repro.mpi.ops import (
 class TestArithmetic:
     def test_sum(self):
         a = np.array([1.0, 2.0])
-        assert np.all(SUM(a, a) == [2.0, 4.0])
+        assert np.all(SUM.fn(a, a) == [2.0, 4.0])
 
     def test_prod(self):
-        assert np.all(PROD(np.array([2, 3]), np.array([4, 5])) == [8, 15])
+        assert np.all(PROD.fn(np.array([2, 3]), np.array([4, 5])) == [8, 15])
 
     def test_min_max(self):
         a, b = np.array([1, 9]), np.array([5, 5])
-        assert np.all(MIN(a, b) == [1, 5])
-        assert np.all(MAX(a, b) == [5, 9])
+        assert np.all(MIN.fn(a, b) == [1, 5])
+        assert np.all(MAX.fn(a, b) == [5, 9])
 
 
 class TestLogicalAndBitwise:
     def test_land_preserves_dtype(self):
         a = np.array([2, 0], dtype=np.int32)
-        out = LAND(a, np.array([1, 1], dtype=np.int32))
+        out = LAND.fn(a, np.array([1, 1], dtype=np.int32))
         assert out.dtype == np.int32
         assert np.all(out == [1, 0])
 
     def test_lor_lxor(self):
         a, b = np.array([1, 0, 1]), np.array([0, 0, 1])
-        assert np.all(LOR(a, b) == [1, 0, 1])
-        assert np.all(LXOR(a, b) == [1, 0, 0])
+        assert np.all(LOR.fn(a, b) == [1, 0, 1])
+        assert np.all(LXOR.fn(a, b) == [1, 0, 0])
 
     def test_bitwise(self):
         a, b = np.array([0b1100]), np.array([0b1010])
-        assert BAND(a, b)[0] == 0b1000
-        assert BOR(a, b)[0] == 0b1110
-        assert BXOR(a, b)[0] == 0b0110
+        assert BAND.fn(a, b)[0] == 0b1000
+        assert BOR.fn(a, b)[0] == 0b1110
+        assert BXOR.fn(a, b)[0] == 0b0110
 
 
 class TestValidation:

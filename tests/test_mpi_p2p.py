@@ -13,7 +13,6 @@ from repro.errors import (MPICommError, MPICountError, MPIRankError,
 from repro.mpi import FLOAT, SUM, Communicator
 from repro.mpi.communicator import ANY_SOURCE, ANY_TAG
 from repro.mpi.config import mvapich_gpu
-from repro.mpi.rma import Win
 from repro.mpi.request import waitall
 from repro.sim.mailbox import Mailbox
 from tests.test_conformance import REAL, TRACED, conforms
@@ -314,19 +313,10 @@ _BAD_P2P = [
     ("count-beyond-buffer", 1, 1000, MPICountError, dict(_SENDS, **_RECVS)),
     ("freed", 1, None, MPICommError, _ALL),
 ]
-#: the RMA operations, as ``f(win, buf, target, count)``
-_RMA = {
-    "put": lambda w, b, t, n: w.put(b, t, count=n),
-    "get": lambda w, b, t, n: w.get(b, t, count=n),
-    "accumulate": lambda w, b, t, n: w.accumulate(b, t, SUM, count=n),
-}
-_BAD_RMA = [("count-beyond-origin", 1, 1000, MPICountError),
-            ("target-size", 4, None, MPIRankError),
-            ("target-minus-3", -3, None, MPIRankError)]
 
 
 class TestP2PArguments:
-    """A bad p2p or RMA argument is refused where the call is resolved:
+    """A bad p2p argument is refused where the call is resolved:
     the same error on every rank, no virtual time spent, and the
     communicator still usable."""
 
@@ -369,15 +359,6 @@ class TestP2PArguments:
         it, refused like any count beyond a buffer."""
         self._refused(thetagpu1, spmd, MPICountError,
                       lambda c, b: _ALL[spelling](c, None, 1, 1))
-
-    @pytest.mark.parametrize("op,peer,count,error", [
-        pytest.param(op, peer, count, error, id=f"{op}-{row}")
-        for row, peer, count, error in _BAD_RMA for op in _RMA])
-    def test_bad_rma_argument_rejected(self, thetagpu1, spmd, op, peer,
-                                       count, error):
-        self._refused(thetagpu1, spmd, error,
-                      lambda w, b: _RMA[op](w, b, peer, count),
-                      lambda comm: Win.allocate(comm, 4))
 
 
 #: every p2p spelling of the elastic contract, plus ``Sendrecv``, as

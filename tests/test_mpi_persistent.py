@@ -6,7 +6,6 @@ import pytest
 from repro.core import runtime
 from repro.errors import MPICommError
 from repro.mpi import SUM, Communicator
-from repro.mpi.communicator import start_all
 
 
 class TestPersistent:
@@ -23,7 +22,8 @@ class TestPersistent:
             got = []
             for it in range(3):
                 send.fill(float(ctx.rank * 10 + it))
-                start_all([rreq, sreq])
+                rreq.Start()
+                sreq.Start()
                 sreq.wait()
                 rreq.wait()
                 got.append(float(recv.array[0]))

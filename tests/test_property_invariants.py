@@ -124,7 +124,7 @@ class TestVirtualTimeDeterminism:
         """The whole stack is deterministic: two separate engine runs
         of the same program produce bit-identical virtual times."""
         from repro.mpi import SUM, Communicator
-        from repro.sim.engine import run_spmd
+        from repro.sim.engine import Engine
 
         cluster = make_system("thetagpu", 1)
 
@@ -137,6 +137,6 @@ class TestVirtualTimeDeterminism:
                           ctx.device.zeros(count * comm.size), count=count)
             return ctx.now
 
-        a = run_spmd(cluster, body, nranks=p)
-        b = run_spmd(cluster, body, nranks=p)
+        a = Engine(cluster, nranks=p).run(body)
+        b = Engine(cluster, nranks=p).run(body)
         assert a == b

@@ -71,11 +71,11 @@ def test_allowlist_reader():
     missed = {"tests.test_reach:_never_entered",
               "tests.test_reach:_in_a_thread"}
     lines = ["# a comment", "",
-             "tests.test_reach:_never_entered  api  MPI_Foo",
+             "tests.test_reach:_never_entered  api  docs/api.md MPI_Foo",
              "tests.test_reach:_in_a_thread",
              "tests.test_reach:_entered_one  seam  reached since",
              "tests.test_reach:_gone  safety  deleted since",
-             "tests.test_reach:_never_entered  api  again"]
+             "tests.test_reach:_never_entered  api  docs/api.md again"]
     allowed, problems = reach.read_allowlist(lines, functions, missed)
     assert "tests.test_reach:_never_entered" in allowed
     assert problems == [
@@ -94,6 +94,18 @@ def test_a_reason_must_name_its_kind():
     _, problems = reach.read_allowlist(
         ["tests.test_reach:_never_entered  because"], functions, missed)
     assert problems and "no reason" in problems[0]
+
+
+def test_an_api_note_must_name_its_reader():
+    functions = _functions(_never_entered, _in_a_thread)
+    missed = set(functions)
+    _, problems = reach.read_allowlist(
+        ["tests.test_reach:_never_entered  api  MPI_Foo",
+         "tests.test_reach:_in_a_thread  api  PAPER.md §3.3 Gatherv"],
+        functions, missed)
+    assert problems == [
+        "allowlist line 1: tests.test_reach:_never_entered: an api note "
+        "names no reader (one of docs/api.md, PAPER.md §, examples/)"]
 
 
 def test_the_defs_are_read_before_any_entry_point_runs(monkeypatch, tmp_path):

@@ -25,7 +25,6 @@ from repro.errors import CommRevokedError
 from repro.hw.systems import make_system
 from repro.mpi import SUM
 from repro.mpi.datatypes import FLOAT
-from repro.mpi.rma import Win
 from repro.sim import sched
 from repro.sim.engine import CollectiveSlot, Engine
 from repro.sim.faults import FaultPlan, with_faults
@@ -84,7 +83,6 @@ FORMERLY_LOCKED = (
     (BufferPool, "acquire"), (BufferPool, "release"),
     (Engine, "collective_slot"),
     (OnlineTuner, "advise"), (OnlineTuner, "observe"),
-    (Win, "put"), (Win, "accumulate"),
 )
 
 
@@ -142,7 +140,7 @@ NRANKS, DEAD, KILL_AT_US = 16, 11, 3000.0
 
 def _everything(ctx):
     """p2p (eager and rendezvous, blocking and polled), built-ins on
-    both routes, a fused group exchange and an unhinted CCL group, RMA,
+    both routes, a fused group exchange and an unhinted CCL group,
     then an allreduce loop the kill interrupts and a shrunk
     communicator that finishes a fixed schedule."""
     comm = world_communicator(ctx)
@@ -175,11 +173,6 @@ def _everything(ctx):
     xcclSend(send, 64, FLOAT, (rank + 1) % size, xc)
     xcclRecv(recv, 64, FLOAT, (rank - 1) % size, xc)
     xcclGroupEnd()
-    win = Win.allocate(comm, 8)
-    win.put(ctx.device.zeros(8), (rank + 1) % size)
-    win.fence()
-    win.accumulate(ctx.device.zeros(8), (rank + 1) % size)
-    win.free()
     buf = ctx.device.zeros(4096)
     out = ctx.device.zeros(4096)
     try:

@@ -3,17 +3,17 @@
 import pytest
 
 from repro.errors import DeadlockError, RankFailedError, SimulationError
-from repro.sim.engine import Engine, run_spmd
+from repro.sim.engine import Engine
 from repro.sim.mailbox import Message
 
 
 class TestLaunch:
     def test_returns_rank_order(self, thetagpu1):
-        out = run_spmd(thetagpu1, lambda ctx: ctx.rank * 10, nranks=4)
+        out = Engine(thetagpu1, nranks=4).run(lambda ctx: ctx.rank * 10)
         assert out == [0, 10, 20, 30]
 
     def test_default_nranks_fills_devices(self, thetagpu1):
-        assert len(run_spmd(thetagpu1, lambda ctx: ctx.size)) == 8
+        assert len(Engine(thetagpu1).run(lambda ctx: ctx.size)) == 8
 
     def test_ranks_per_node_placement(self, thetagpu2, spmd):
         nodes = spmd(thetagpu2,
@@ -53,7 +53,7 @@ class TestFailures:
             return ctx.rank
 
         with pytest.raises(RankFailedError) as exc_info:
-            run_spmd(thetagpu1, body, nranks=2)
+            Engine(thetagpu1, nranks=2).run(body)
         assert 1 in exc_info.value.failures
         assert isinstance(exc_info.value.failures[1], ValueError)
 
@@ -66,7 +66,7 @@ class TestFailures:
             ctx.mailbox.match(src=1, tag=0)
 
         with pytest.raises(RankFailedError) as exc_info:
-            run_spmd(thetagpu1, body, nranks=2)
+            Engine(thetagpu1, nranks=2).run(body)
         assert list(exc_info.value.failures) == [1]
 
     def test_all_blocked_is_deadlock(self, thetagpu1):
@@ -74,7 +74,7 @@ class TestFailures:
             ctx.mailbox.match(src=(ctx.rank + 1) % 2, tag=0)
 
         with pytest.raises(RankFailedError) as exc_info:
-            run_spmd(thetagpu1, body, nranks=2)
+            Engine(thetagpu1, nranks=2).run(body)
         assert all(isinstance(e, DeadlockError)
                    for e in exc_info.value.failures.values())
 
@@ -117,7 +117,7 @@ class TestCollectiveSlot:
                     ctx.rank, payload, lambda p: sum(p.values()))
 
         with pytest.raises(RankFailedError) as err:
-            run_spmd(thetagpu1, body, nranks=3)
+            Engine(thetagpu1, nranks=3).run(body)
         assert any(isinstance(e, SimulationError) and "twice" in str(e)
                    for e in err.value.failures.values())
 

@@ -7,7 +7,7 @@ from repro.errors import CCLBackendUnavailable, CCLUnsupportedDatatype
 from repro.hw.vendors import Vendor
 from repro.mpi import datatypes as mdt
 from repro.xccl.caps import CapabilityDescriptor
-from repro.xccl.datatypes import ccl_dtype_name, require_support
+from repro.xccl.datatypes import require_support
 from repro.xccl.registry import (
     available_backends,
     backend_for_vendor,
@@ -26,12 +26,14 @@ class TestDtypeTables:
         (mdt.BYTE, "xcclUint8"),
     ])
     def test_names(self, dt, name):
-        assert ccl_dtype_name(dt) == name
+        assert require_support(get_backend("nccl").capabilities, dt) == name
 
     @pytest.mark.parametrize("dt", [mdt.DOUBLE_COMPLEX, mdt.COMPLEX,
                                     mdt.BOOL, mdt.INT16])
     def test_no_ccl_equivalent(self, dt):
-        assert ccl_dtype_name(dt) is None
+        for be in ("nccl", "rccl", "msccl", "hccl"):
+            with pytest.raises(CCLUnsupportedDatatype):
+                require_support(get_backend(be).capabilities, dt)
 
     def test_nccl_family_coverage(self):
         for be in ("nccl", "rccl", "msccl"):

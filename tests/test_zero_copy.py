@@ -25,7 +25,7 @@ from repro.core import runtime
 from repro.errors import CommRevokedError, RankFailedError
 from repro.hw.systems import make_system
 from repro.mpi import FLOAT, SUM, Communicator
-from repro.mpi.communicator import IN_PLACE, start_all
+from repro.mpi.communicator import IN_PLACE
 from repro.mpi.config import mvapich_gpu
 from repro.mpi.derived import contiguous
 from repro.mpi.request import waitall, waitany
@@ -374,7 +374,7 @@ def test_persistent_send_lends_each_start():
         req = comm.Recv_init(buf, source=0, tag=5)
         got = []
         for _ in range(3):
-            start_all([req])
+            req.Start()
             req.wait()
             got.append((float(buf.array.min()), float(buf.array.max())))
         return got

@@ -77,7 +77,7 @@ def counting_zeros():
 
     def counting(self, count, dtype="float32"):
         buf = zeros(self, count, dtype)
-        zeroed.append(buf.nbytes)
+        zeroed.append(buf.array.nbytes)
         return buf
 
     Accelerator.zeros = counting

@@ -20,9 +20,10 @@ under ``src/repro`` never entered that the allowlist does not name:
 
 The allowlist, ``tools/reach_allow.txt`` beside this file, holds one
 line per function, ``module:qualname  kind  note``, where ``kind`` is
-one of :data:`KINDS`.  An entry without a kind, a duplicate, an entry
-whose function no longer exists and one whose function is now reached
-are problems too.  The exit status is 1 when anything is printed, 2
+one of :data:`KINDS`; an ``api`` note names the function's reader (one
+of :data:`READERS`).  An entry without a kind, an ``api`` entry whose
+note names no reader, a duplicate, an entry whose function no longer
+exists and one whose function is now reached are problems too.  The exit status is 1 when anything is printed, 2
 when an entry point fails.
 
 About two and a half minutes on 2 CPUs.  The probe runs the tree it
@@ -52,11 +53,14 @@ SRC = ROOT / "src"
 #: a missing file is an empty allowlist
 ALLOWLIST = ROOT / "tools" / "reach_allow.txt"
 
-#: allowlist reasons: MPI / xCCL surface a conformance program or
-#: docs/api.md names; a test seam the ROADMAP keeps; the fault-plan
-#: API; safety code only a legal but rare program reaches; a name the
-#: benchmark's span table (benchmarks/e2e/spans.py) wraps
+#: allowlist reasons: MPI / xCCL surface a reader needs; a test seam
+#: the ROADMAP keeps; the fault-plan API; safety code only a legal but
+#: rare program reaches; a name the benchmark's span table
+#: (benchmarks/e2e/spans.py) wraps
 KINDS = ("api", "seam", "faults", "safety", "bench")
+#: what an ``api`` note names as the function's reader: a docs/api.md
+#: entry, a PAPER.md section or an example
+READERS = ("docs/api.md", "PAPER.md §", "examples/")
 
 
 class Function(NamedTuple):
@@ -145,6 +149,10 @@ def read_allowlist(lines: Iterable[str], functions: Dict[str, Function],
         if not reason or reason[0] not in KINDS:
             problems.append(f"{where}: no reason (start it with one of "
                             f"{', '.join(KINDS)})")
+        elif reason[0] == "api" and not any(
+                reader in " ".join(reason[1:]) for reader in READERS):
+            problems.append(f"{where}: an api note names no reader (one "
+                            f"of {', '.join(READERS)})")
         elif name in allowed:
             problems.append(f"{where}: listed twice")
         elif name not in functions:
